@@ -52,6 +52,7 @@ import (
 	"syscall"
 	"time"
 
+	"crowdwifi/internal/api"
 	"crowdwifi/internal/cluster"
 	"crowdwifi/internal/obs"
 	"crowdwifi/internal/obs/slo"
@@ -186,39 +187,33 @@ func run(cfg config, logger *obs.Logger) error {
 	profiler := obs.NewProfiler(obs.ProfilerConfig{Logger: logger})
 	go profiler.Run(ctx)
 
-	// The API mux carries the debug surface too, like the crowd-server: one
-	// scrape target per process by default. /metrics federates every shard's
-	// registry with the router's own, and /debug/traces assembles per-process
-	// fragments into end-to-end traces.
+	// The debug surface is built once and served twice: under the API mux,
+	// like the crowd-server's (one scrape target per process by default), and
+	// alone on -metrics-addr. /metrics federates every shard's registry with
+	// the router's own, and /debug/traces assembles per-process fragments into
+	// end-to-end traces.
+	debug := http.NewServeMux()
+	debug.Handle("/metrics", rt.FederatedMetrics(reg))
+	obs.MountDebug(debug, reg)
+	traceHandler := rt.TraceHandler(tracer.Store())
+	debug.Handle("/debug/traces", traceHandler)
+	debug.Handle("/debug/traces/", traceHandler)
+	debug.Handle("/debug/cluster", rt.ClusterHandler())
+	debug.Handle("/debug/slo", sloEngine.Handler())
+	obs.MountProfiles(debug, profiler)
+	obs.MountHealth(debug, health)
 	mux := http.NewServeMux()
 	mux.Handle("/", rt)
-	mux.Handle("/metrics", rt.FederatedMetrics(reg))
-	obs.MountDebug(mux, reg)
-	traceHandler := rt.TraceHandler(tracer.Store())
-	mux.Handle("/debug/traces", traceHandler)
-	mux.Handle("/debug/traces/", traceHandler)
-	mux.Handle("/debug/cluster", rt.ClusterHandler())
-	mux.Handle("/debug/slo", sloEngine.Handler())
-	obs.MountProfiles(mux, profiler)
-	obs.MountHealth(mux, health)
+	api.MountDebug(mux, debug)
 	handler := cluster.WithTracer(tracer, mux)
 
 	srv := &http.Server{Handler: handler, ReadHeaderTimeout: 5 * time.Second}
 
 	var metricsSrv *http.Server
 	if cfg.metricsAddr != "" {
-		debugMux := http.NewServeMux()
-		debugMux.Handle("/metrics", rt.FederatedMetrics(reg))
-		obs.MountDebug(debugMux, reg)
-		debugMux.Handle("/debug/traces", traceHandler)
-		debugMux.Handle("/debug/traces/", traceHandler)
-		debugMux.Handle("/debug/cluster", rt.ClusterHandler())
-		debugMux.Handle("/debug/slo", sloEngine.Handler())
-		obs.MountProfiles(debugMux, profiler)
-		obs.MountHealth(debugMux, health)
 		metricsSrv = &http.Server{
 			Addr:              cfg.metricsAddr,
-			Handler:           debugMux,
+			Handler:           debug,
 			ReadHeaderTimeout: 5 * time.Second,
 		}
 		go func() {

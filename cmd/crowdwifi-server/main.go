@@ -44,7 +44,6 @@ import (
 	"syscall"
 	"time"
 
-	"crowdwifi/internal/cs"
 	"crowdwifi/internal/obs"
 	"crowdwifi/internal/obs/slo"
 	"crowdwifi/internal/obs/trace"
@@ -168,10 +167,6 @@ func run(cfg config, logger *obs.Logger) error {
 	par.Instrument(reg.Gauge("par_inflight_tasks",
 		"tasks currently executing inside the internal worker pool"))
 	metrics := server.NewMetrics(reg)
-	// The crowd-server does not run CS engines itself, but registering the
-	// solver and CS series keeps the full metric catalogue visible on
-	// /metrics (at zero) for dashboards built against one scrape target.
-	cs.NewMetrics(reg)
 
 	tracer := trace.NewTracer(trace.Config{
 		SampleRate: cfg.traceSample,
@@ -332,19 +327,14 @@ func run(cfg config, logger *obs.Logger) error {
 		}
 	}()
 
-	// Optional dedicated observability listener. It carries the same trace
-	// and health endpoints as the API mux so deployments that firewall the
-	// public port still get probes and trace retrieval.
+	// Optional dedicated observability listener. It serves the very handler
+	// the API mux carries, so deployments that firewall the public port still
+	// get probes and trace retrieval.
 	var metricsSrv *http.Server
 	if cfg.metricsAddr != "" {
-		debugMux := obs.NewDebugMux(reg)
-		trace.Mount(debugMux, tracer.Store())
-		obs.MountHealth(debugMux, health)
-		debugMux.Handle("/debug/slo", sloEngine.Handler())
-		obs.MountProfiles(debugMux, profiler)
 		metricsSrv = &http.Server{
 			Addr:              cfg.metricsAddr,
-			Handler:           debugMux,
+			Handler:           api.Debug(),
 			ReadHeaderTimeout: 5 * time.Second,
 		}
 		go func() {

@@ -218,7 +218,7 @@ func run(ctx context.Context, cfg runConfig, logger *obs.Logger) error {
 
 	logger.Info("driving", "scenario", "uci-campus", "samples", len(ms))
 	fmt.Printf("%s: driving the UCI campus, %d RSS samples...\n", cfg.ID, len(ms))
-	if err := vehicle.SenseContext(ctx, ms); err != nil {
+	if err := vehicle.Sense(ctx, ms); err != nil {
 		return err
 	}
 	ests := vehicle.Estimates()
@@ -252,7 +252,7 @@ func run(ctx context.Context, cfg runConfig, logger *obs.Logger) error {
 		return nil
 	}
 
-	switch err := vehicle.ReportContext(ctx, cfg.Segment); {
+	switch err := vehicle.Report(ctx, cfg.Segment); {
 	case err == nil:
 		fmt.Printf("%s: report uploaded to %s\n", cfg.ID, cfg.ServerURL)
 	case errors.Is(err, client.ErrQueued):
@@ -265,7 +265,7 @@ func run(ctx context.Context, cfg runConfig, logger *obs.Logger) error {
 		return nil
 	}
 
-	taskID, err := vehicle.ProposePatternContext(ctx, cfg.Segment)
+	taskID, err := vehicle.ProposePattern(ctx, cfg.Segment)
 	if err != nil {
 		if interrupted(ctx, logger) {
 			return nil
@@ -274,7 +274,7 @@ func run(ctx context.Context, cfg runConfig, logger *obs.Logger) error {
 	}
 	fmt.Printf("%s: proposed mapping task %d\n", cfg.ID, taskID)
 
-	tasks, err := vehicle.PullTasksContext(ctx, 10)
+	tasks, err := vehicle.PullTasks(ctx, 10)
 	if err != nil {
 		if interrupted(ctx, logger) {
 			return nil
@@ -291,14 +291,14 @@ func run(ctx context.Context, cfg runConfig, logger *obs.Logger) error {
 			labels = append(labels, server.Label{Vehicle: cfg.ID, TaskID: task.ID, Value: v})
 		}
 		if len(labels) > 0 {
-			if err := vehicle.SubmitLabelsContext(ctx, labels); err != nil && !errors.Is(err, client.ErrQueued) {
+			if err := vehicle.SubmitLabels(ctx, labels); err != nil && !errors.Is(err, client.ErrQueued) {
 				return fmt.Errorf("submit labels: %w", err)
 			}
 		}
 		fmt.Printf("%s: SPAMMED %d mapping tasks with random answers\n", cfg.ID, len(labels))
 		return nil
 	}
-	labels, err := vehicle.LabelTasksContext(ctx, tasks, 2*sc.Lattice)
+	labels, err := vehicle.LabelTasks(ctx, tasks, 2*sc.Lattice)
 	if err != nil && !errors.Is(err, client.ErrQueued) {
 		if interrupted(ctx, logger) {
 			return nil

@@ -100,7 +100,7 @@ func TestFlushOutboxDeliversQueuedUploads(t *testing.T) {
 	vehicle.HTTP = doer
 	vehicle.Outbox = client.NewOutbox(8)
 
-	err = vehicle.ReportContext(context.Background(), "seg")
+	err = vehicle.Report(context.Background(), "seg")
 	if !errors.Is(err, client.ErrQueued) {
 		t.Fatalf("report err = %v, want ErrQueued", err)
 	}
@@ -134,7 +134,7 @@ func TestFlushOutboxRespectsDeadline(t *testing.T) {
 	vehicle.HTTP = down
 	vehicle.Outbox = client.NewOutbox(8)
 
-	if err := vehicle.ReportContext(context.Background(), "seg"); !errors.Is(err, client.ErrQueued) {
+	if err := vehicle.Report(context.Background(), "seg"); !errors.Is(err, client.ErrQueued) {
 		t.Fatalf("report err = %v, want ErrQueued", err)
 	}
 	start := time.Now()

@@ -25,6 +25,7 @@
 package crowdwifi
 
 import (
+	"context"
 	"io"
 	"net/http"
 
@@ -229,13 +230,13 @@ func NewUserVehicle(baseURL string) *UserVehicle {
 
 // Aggregate asks a crowd-server to run reliability inference and weighted
 // fusion now, returning the fused AP count.
-func Aggregate(baseURL string) (int, error) {
-	return client.Aggregate(nil, baseURL)
+func Aggregate(ctx context.Context, baseURL string) (int, error) {
+	return client.Aggregate(ctx, nil, baseURL)
 }
 
 // Reliability fetches a crowd-server's per-vehicle reliability map.
-func Reliability(baseURL string) (map[string]float64, error) {
-	return client.Reliability(nil, baseURL)
+func Reliability(ctx context.Context, baseURL string) (map[string]float64, error) {
+	return client.Reliability(ctx, nil, baseURL)
 }
 
 // LocalizationError is the paper's normalized localization error: the mean

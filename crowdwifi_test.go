@@ -41,17 +41,17 @@ func TestPublicAPIPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := vehicle.Sense(ms); err != nil {
+	if err := vehicle.Sense(context.Background(), ms); err != nil {
 		t.Fatal(err)
 	}
 	ests := vehicle.Estimates()
 	if len(ests) < 6 {
 		t.Fatalf("vehicle found %d APs, want most of 8", len(ests))
 	}
-	if err := vehicle.Report("seg"); err != nil {
+	if err := vehicle.Report(context.Background(), "seg"); err != nil {
 		t.Fatal(err)
 	}
-	n, err := Aggregate(ts.URL)
+	n, err := Aggregate(context.Background(), ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,14 +59,14 @@ func TestPublicAPIPipeline(t *testing.T) {
 		t.Fatal("no fused APs")
 	}
 	user := NewUserVehicle(ts.URL)
-	aps, err := user.Lookup(sc.Area)
+	aps, err := user.Lookup(context.Background(), sc.Area)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := MeanMatchedDistance(sc.APs, aps); got > 10 {
 		t.Fatalf("fused lookup error %.1f m, want < 10", got)
 	}
-	if _, err := Reliability(ts.URL); err != nil {
+	if _, err := Reliability(context.Background(), ts.URL); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -164,7 +164,7 @@ func TestFacadeResilience(t *testing.T) {
 	}, breaker)
 	vehicle.Outbox = NewOutbox(0)
 
-	if err := vehicle.ReportContext(context.Background(), "seg"); err != nil {
+	if err := vehicle.Report(context.Background(), "seg"); err != nil {
 		t.Fatalf("report through two 503s: %v", err)
 	}
 	if _, _, reports := store.Counts(); reports != 1 {
@@ -172,7 +172,7 @@ func TestFacadeResilience(t *testing.T) {
 	}
 
 	vehicle.HTTP = NewChaosDoer(nil, ChaosFault{Drop: 1}, 42)
-	if err := vehicle.ReportContext(context.Background(), "seg"); !errors.Is(err, ErrQueued) {
+	if err := vehicle.Report(context.Background(), "seg"); !errors.Is(err, ErrQueued) {
 		t.Fatalf("report over dead link = %v, want ErrQueued", err)
 	}
 	if vehicle.Outbox.Len() != 1 {

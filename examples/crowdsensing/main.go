@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net/http/httptest"
@@ -28,6 +29,7 @@ func main() {
 }
 
 func run() error {
+	ctx := context.Background()
 	// Crowd-server on a loopback listener.
 	store := crowdwifi.NewServerStore(12)
 	ts := httptest.NewServer(crowdwifi.NewServerHandler(store))
@@ -75,7 +77,7 @@ func run() error {
 					Credit: 5,
 				})
 			}
-			if err := cv.SubmitLabels(nil); err != nil {
+			if err := cv.SubmitLabels(ctx, nil); err != nil {
 				return err
 			}
 			if err := postJunkReport(store, v.id, segment, junk); err != nil {
@@ -92,13 +94,13 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		if err := cv.Sense(ms); err != nil {
+		if err := cv.Sense(ctx, ms); err != nil {
 			return err
 		}
-		if err := cv.Report(segment); err != nil {
+		if err := cv.Report(ctx, segment); err != nil {
 			return err
 		}
-		if _, err := cv.ProposePattern(segment); err != nil {
+		if _, err := cv.ProposePattern(ctx, segment); err != nil {
 			return err
 		}
 		fmt.Printf("%s: sensed %d readings, reported %d APs\n",
@@ -112,7 +114,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		tasks, err := cv.PullTasks(10)
+		tasks, err := cv.PullTasks(ctx, 10)
 		if err != nil {
 			return err
 		}
@@ -126,7 +128,7 @@ func run() error {
 				labels = append(labels, server.Label{Vehicle: v.id, TaskID: task.ID, Value: val})
 			}
 			if len(labels) > 0 {
-				if err := cv.SubmitLabels(labels); err != nil {
+				if err := cv.SubmitLabels(ctx, labels); err != nil {
 					return err
 				}
 			}
@@ -141,20 +143,20 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		if err := cv.Sense(ms); err != nil {
+		if err := cv.Sense(ctx, ms); err != nil {
 			return err
 		}
-		if _, err := cv.LabelTasks(tasks, 2*sc.Lattice); err != nil {
+		if _, err := cv.LabelTasks(ctx, tasks, 2*sc.Lattice); err != nil {
 			return err
 		}
 	}
 
 	// Offline crowdsourcing: reliability inference + weighted fusion.
-	fusedCount, err := crowdwifi.Aggregate(ts.URL)
+	fusedCount, err := crowdwifi.Aggregate(ctx, ts.URL)
 	if err != nil {
 		return err
 	}
-	rel, err := crowdwifi.Reliability(ts.URL)
+	rel, err := crowdwifi.Reliability(ctx, ts.URL)
 	if err != nil {
 		return err
 	}
@@ -170,7 +172,7 @@ func run() error {
 
 	// A user-vehicle downloads the fused lookup results.
 	user := crowdwifi.NewUserVehicle(ts.URL)
-	aps, err := user.Lookup(sc.Area)
+	aps, err := user.Lookup(ctx, sc.Area)
 	if err != nil {
 		return err
 	}

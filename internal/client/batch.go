@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"crowdwifi/internal/api"
 	"crowdwifi/internal/obs/trace"
 	"crowdwifi/internal/server"
 )
@@ -84,7 +85,7 @@ func (v *CrowdVehicle) UploadReportBatch(ctx context.Context, reps []server.Repo
 		switch {
 		case st >= 200 && st < 300:
 			out.Acked++
-		case st != 0 && !retryableStatus(st):
+		case st != 0 && !api.RetryableStatus(st):
 			out.Failed++
 		default:
 			// Transient per-entry rejection, or no verdict at all: the
@@ -98,7 +99,7 @@ func (v *CrowdVehicle) UploadReportBatch(ctx context.Context, reps []server.Repo
 		}
 	}
 	if out.Queued > 0 {
-		v.Metrics.setOutbox(v.Outbox.Len(), v.Outbox.OldestAge().Seconds())
+		v.syncOutboxGauges()
 		err = fmt.Errorf("%w: %s (%d of %d entries deferred)", ErrQueued, batchPath, out.Queued, len(reps))
 		span.AddEvent("queued to outbox")
 	} else if out.Failed > 0 {
@@ -205,7 +206,7 @@ func (v *CrowdVehicle) drainBatch(ctx context.Context, run []Entry) (int, error)
 			settled[e.Key] = true
 			drained++
 			v.Metrics.incOutboxDrained()
-		case st != 0 && !retryableStatus(st):
+		case st != 0 && !api.RetryableStatus(st):
 			settled[e.Key] = true
 			v.Metrics.incOutboxDropped()
 		default:

@@ -111,7 +111,7 @@ func runChaosPipeline(t *testing.T, rig pipelineRig) (*server.Store, *httptest.S
 		var tasks []server.Pattern
 		for attempt := 0; ; attempt++ {
 			var err error
-			tasks, err = v.PullTasksContext(ctx, 5)
+			tasks, err = v.PullTasks(ctx, 5)
 			if err == nil {
 				break
 			}
@@ -123,7 +123,7 @@ func runChaosPipeline(t *testing.T, rig pipelineRig) (*server.Store, *httptest.S
 			t.Fatalf("vehicle %d: tasks = %+v, want task %d", i, tasks, created.ID)
 		}
 		labels := []server.Label{{Vehicle: v.ID, TaskID: created.ID, Value: 1}}
-		mustDeliver(t, ctx, v, i, "labels", v.SubmitLabelsContext(ctx, labels))
+		mustDeliver(t, ctx, v, i, "labels", v.SubmitLabels(ctx, labels))
 
 		rep := server.Report{Vehicle: v.ID, Segment: "seg-A", APs: chaosAPs[i]}
 		mustDeliver(t, ctx, v, i, "report", v.postJSON(ctx, "/v1/reports", rep, nil, true))
@@ -132,7 +132,7 @@ func runChaosPipeline(t *testing.T, rig pipelineRig) (*server.Store, *httptest.S
 	// Operator actions and the user-vehicle readback. Aggregation is
 	// deterministic over the same inputs, so a retried (reset) aggregate
 	// re-runs to the identical state.
-	if _, err := AggregateContext(ctx, rig.opsDoer, ts.URL); err != nil {
+	if _, err := Aggregate(ctx, rig.opsDoer, ts.URL); err != nil {
 		t.Fatalf("aggregate: %v", err)
 	}
 	user := &UserVehicle{BaseURL: ts.URL, HTTP: rig.opsDoer}
@@ -140,7 +140,7 @@ func runChaosPipeline(t *testing.T, rig pipelineRig) (*server.Store, *httptest.S
 	var pts []geo.Point
 	for attempt := 0; ; attempt++ {
 		var err error
-		pts, err = user.LookupContext(ctx, area)
+		pts, err = user.Lookup(ctx, area)
 		if err == nil {
 			break
 		}
@@ -151,7 +151,7 @@ func runChaosPipeline(t *testing.T, rig pipelineRig) (*server.Store, *httptest.S
 	var rel map[string]float64
 	for attempt := 0; ; attempt++ {
 		var err error
-		rel, err = ReliabilityContext(ctx, rig.opsDoer, ts.URL)
+		rel, err = Reliability(ctx, rig.opsDoer, ts.URL)
 		if err == nil {
 			break
 		}

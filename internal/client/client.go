@@ -24,11 +24,11 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"crowdwifi/internal/api"
 	"crowdwifi/internal/cs"
 	"crowdwifi/internal/geo"
 	"crowdwifi/internal/obs/trace"
@@ -41,10 +41,6 @@ import (
 type HTTPDoer interface {
 	Do(req *http.Request) (*http.Response, error)
 }
-
-// IdempotencyKeyHeader carries the per-upload deduplication key the server
-// uses to make retries and outbox replays exactly-once in effect.
-const IdempotencyKeyHeader = "Idempotency-Key"
 
 // Wire codecs a vehicle can speak. CodecBinary negotiates the CRC-framed
 // binary format (server.FrameContentType) for uploads and lookups; anything
@@ -88,10 +84,6 @@ func RetryAfterHint(err error) time.Duration {
 	return 0
 }
 
-// maxRetryAfter caps how long a server hint can push a client out — a
-// misbehaving (or clock-skewed) server must not park a vehicle forever.
-const maxRetryAfter = 30 * time.Second
-
 // modeRecorder remembers the last X-Crowdwifi-Mode header a vehicle saw, so
 // fleets (and the cluster router) can observe a degraded server from traffic
 // they were sending anyway instead of parsing errors. Safe for concurrent
@@ -102,7 +94,7 @@ func (m *modeRecorder) observe(resp *http.Response) {
 	if resp == nil {
 		return
 	}
-	if s := resp.Header.Get(server.ModeHeader); s != "" {
+	if s := resp.Header.Get(api.ModeHeader); s != "" {
 		m.v.Store(s)
 	}
 }
@@ -127,57 +119,18 @@ func (d modeDoer) Do(req *http.Request) (*http.Response, error) {
 	return resp, err
 }
 
-// parseRetryAfter reads the server's backoff hint, capped to maxRetryAfter:
-// the crowd-server's millisecond-precision header when present, else the
-// standard delay-seconds Retry-After (the only standard form it emits).
-func parseRetryAfter(resp *http.Response) time.Duration {
-	if v := resp.Header.Get("X-Crowdwifi-Retry-After-Ms"); v != "" {
-		if ms, err := strconv.Atoi(v); err == nil && ms > 0 {
-			d := time.Duration(ms) * time.Millisecond
-			if d > maxRetryAfter {
-				d = maxRetryAfter
-			}
-			return d
-		}
-	}
-	v := resp.Header.Get("Retry-After")
-	if v == "" {
-		return 0
-	}
-	secs, err := strconv.Atoi(v)
-	if err != nil || secs <= 0 {
-		return 0
-	}
-	d := time.Duration(secs) * time.Second
-	if d > maxRetryAfter {
-		d = maxRetryAfter
-	}
-	return d
-}
-
-// retryableStatus mirrors internal/retry's classification: statuses where a
-// later attempt may succeed.
-func retryableStatus(code int) bool {
-	switch code {
-	case http.StatusRequestTimeout, http.StatusTooManyRequests,
-		http.StatusInternalServerError, http.StatusBadGateway,
-		http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-		return true
-	}
-	return false
-}
-
 // transientError reports whether err is worth queueing for a later contact
 // window: transport failures, timeouts, cancellations (the vehicle driving
-// out of range mid-upload), and retryable statuses. Definitive 4xx rejections
-// are not transient — replaying them can never succeed.
+// out of range mid-upload), and the statuses the retry doer retries
+// (api.RetryableStatus). Definitive 4xx rejections are not transient —
+// replaying them can never succeed.
 func transientError(err error) bool {
 	if err == nil {
 		return false
 	}
 	var se *StatusError
 	if errors.As(err, &se) {
-		return retryableStatus(se.Status)
+		return api.RetryableStatus(se.Status)
 	}
 	return true
 }
@@ -232,16 +185,10 @@ func NewCrowdVehicle(id, baseURL string, engineCfg cs.EngineConfig) (*CrowdVehic
 // Engine exposes the vehicle's online CS engine.
 func (v *CrowdVehicle) Engine() *cs.Engine { return v.engine }
 
-// Sense ingests drive-by measurements into the online CS engine. Equivalent
-// to SenseContext with context.Background().
-func (v *CrowdVehicle) Sense(ms []radio.Measurement) error {
-	return v.SenseContext(context.Background(), ms)
-}
-
-// SenseContext ingests drive-by measurements under ctx: with a tracer
-// attached, each sensing window becomes a client.sense root span with the
-// triggered cs.round spans as children.
-func (v *CrowdVehicle) SenseContext(ctx context.Context, ms []radio.Measurement) error {
+// Sense ingests drive-by measurements into the online CS engine: with a
+// tracer attached to ctx, each sensing window becomes a client.sense root
+// span with the triggered cs.round spans as children.
+func (v *CrowdVehicle) Sense(ctx context.Context, ms []radio.Measurement) error {
 	ctx, span := trace.Start(ctx, "client.sense")
 	defer span.End()
 	span.SetAttr("measurements", len(ms))
@@ -272,16 +219,9 @@ func (v *CrowdVehicle) nextIdempotencyKey() string {
 	return fmt.Sprintf("%s-%s-%d", v.ID, v.keySalt, v.keySeq.Add(1))
 }
 
-// Report uploads the vehicle's AP estimates for a segment. Equivalent to
-// ReportContext with context.Background().
-func (v *CrowdVehicle) Report(segment string) error {
-	return v.ReportContext(context.Background(), segment)
-}
-
-// ReportContext uploads the vehicle's AP estimates for a segment. With an
-// Outbox attached, delivery failures park the report locally and return
-// ErrQueued.
-func (v *CrowdVehicle) ReportContext(ctx context.Context, segment string) error {
+// Report uploads the vehicle's AP estimates for a segment. With an Outbox
+// attached, delivery failures park the report locally and return ErrQueued.
+func (v *CrowdVehicle) Report(ctx context.Context, segment string) error {
 	ests := v.Estimates()
 	rep := server.Report{Vehicle: v.ID, Segment: segment, APs: make([]server.APReport, len(ests))}
 	for i, e := range ests {
@@ -309,16 +249,10 @@ func (v *CrowdVehicle) UploadReport(ctx context.Context, rep server.Report) erro
 
 // ProposePattern registers the vehicle's estimates as a mapping task so
 // other vehicles can confirm or reject them. It returns the task id.
-// Equivalent to ProposePatternContext with context.Background().
-func (v *CrowdVehicle) ProposePattern(segment string) (int, error) {
-	return v.ProposePatternContext(context.Background(), segment)
-}
-
-// ProposePatternContext registers the vehicle's estimates as a mapping task.
 // Proposals are not queueable — the caller needs the assigned id — but they
 // do carry an idempotency key, so a retried proposal returns the original id
 // instead of registering a duplicate task.
-func (v *CrowdVehicle) ProposePatternContext(ctx context.Context, segment string) (int, error) {
+func (v *CrowdVehicle) ProposePattern(ctx context.Context, segment string) (int, error) {
 	ests := v.Estimates()
 	p := server.Pattern{Segment: segment, APs: make([]server.APReport, len(ests))}
 	for i, e := range ests {
@@ -334,35 +268,22 @@ func (v *CrowdVehicle) ProposePatternContext(ctx context.Context, segment string
 }
 
 // PullTasks fetches up to count mapping tasks assigned to this vehicle.
-// Equivalent to PullTasksContext with context.Background().
-func (v *CrowdVehicle) PullTasks(count int) ([]server.Pattern, error) {
-	return v.PullTasksContext(context.Background(), count)
-}
-
-// PullTasksContext fetches up to count mapping tasks assigned to this
-// vehicle.
-func (v *CrowdVehicle) PullTasksContext(ctx context.Context, count int) ([]server.Pattern, error) {
+func (v *CrowdVehicle) PullTasks(ctx context.Context, count int) ([]server.Pattern, error) {
 	u := fmt.Sprintf("%s/v1/tasks?vehicle=%s&count=%d", v.BaseURL, url.QueryEscape(v.ID), count)
 	var out []server.Pattern
-	if err := getJSONCtx(ctx, v.Metrics, v.httpDoer(), u, &out); err != nil {
+	if err := get(ctx, v.Metrics, v.httpDoer(), u, &out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// LabelTasks answers mapping tasks against the vehicle's own estimates.
-// Equivalent to LabelTasksContext with context.Background().
-func (v *CrowdVehicle) LabelTasks(tasks []server.Pattern, tolerance float64) ([]server.Label, error) {
-	return v.LabelTasksContext(context.Background(), tasks, tolerance)
-}
-
-// LabelTasksContext answers mapping tasks against the vehicle's own
-// estimates: a pattern is confirmed (+1) when every pattern AP lies within
+// LabelTasks answers mapping tasks against the vehicle's own estimates: a
+// pattern is confirmed (+1) when every pattern AP lies within
 // tolerance of one of the vehicle's estimates and the counts agree within
 // one; otherwise rejected (−1). It returns the submitted labels; with an
 // Outbox attached, delivery failures park the batch and return the labels
 // alongside ErrQueued.
-func (v *CrowdVehicle) LabelTasksContext(ctx context.Context, tasks []server.Pattern, tolerance float64) ([]server.Label, error) {
+func (v *CrowdVehicle) LabelTasks(ctx context.Context, tasks []server.Pattern, tolerance float64) ([]server.Label, error) {
 	if tolerance <= 0 {
 		tolerance = 15
 	}
@@ -411,14 +332,9 @@ func matchPattern(task server.Pattern, own []cs.Estimate, tolerance float64) int
 }
 
 // SubmitLabels posts raw labels (used by spammer simulations that bypass
-// LabelTasks). Equivalent to SubmitLabelsContext with context.Background().
-func (v *CrowdVehicle) SubmitLabels(labels []server.Label) error {
-	return v.SubmitLabelsContext(context.Background(), labels)
-}
-
-// SubmitLabelsContext posts raw labels; with an Outbox attached, delivery
-// failures park the batch and return ErrQueued.
-func (v *CrowdVehicle) SubmitLabelsContext(ctx context.Context, labels []server.Label) error {
+// LabelTasks); with an Outbox attached, delivery failures park the batch and
+// return ErrQueued.
+func (v *CrowdVehicle) SubmitLabels(ctx context.Context, labels []server.Label) error {
 	return v.postJSON(ctx, "/v1/labels", labels, nil, true)
 }
 
@@ -491,12 +407,12 @@ func (v *CrowdVehicle) DrainOutbox(ctx context.Context) (int, error) {
 	}
 }
 
-// syncOutboxGauges mirrors outbox depth and age into the metrics gauges.
+// syncOutboxGauges mirrors outbox depth into the metrics gauge.
 func (v *CrowdVehicle) syncOutboxGauges() {
 	if v.Outbox == nil {
 		return
 	}
-	v.Metrics.setOutbox(v.Outbox.Len(), v.Outbox.OldestAge().Seconds())
+	v.Metrics.setOutbox(v.Outbox.Len())
 }
 
 // UserVehicle is the consumer party: it downloads fused lookup results.
@@ -531,26 +447,20 @@ func (u *UserVehicle) httpDoer() HTTPDoer {
 	return modeDoer{next: next, rec: &u.mode}
 }
 
-// Lookup downloads the fused APs inside the given area. Equivalent to
-// LookupContext with context.Background().
-func (u *UserVehicle) Lookup(area geo.Rect) ([]geo.Point, error) {
-	return u.LookupContext(context.Background(), area)
-}
-
-// LookupContext downloads the fused APs inside the given area.
-func (u *UserVehicle) LookupContext(ctx context.Context, area geo.Rect) ([]geo.Point, error) {
-	q := fmt.Sprintf("%s/v1/lookup?xmin=%g&ymin=%g&xmax=%g&ymax=%g",
-		u.BaseURL, area.Min.X, area.Min.Y, area.Max.X, area.Max.Y)
+// Lookup downloads the fused APs inside the given area.
+func (u *UserVehicle) Lookup(ctx context.Context, area geo.Rect) ([]geo.Point, error) {
+	q := u.BaseURL + "/v1/lookup?" + api.LookupQuery(area)
 	var raw []server.LookupResult
 	if u.Codec == CodecBinary {
-		body, err := getFrameCtx(ctx, u.Metrics, u.httpDoer(), q)
+		var frame []byte
+		err := get(ctx, u.Metrics, u.httpDoer(), q, &frame)
+		if err == nil {
+			raw, err = server.DecodeLookupFrame(frame)
+		}
 		if err != nil {
 			return nil, err
 		}
-		if raw, err = server.DecodeLookupFrame(body); err != nil {
-			return nil, err
-		}
-	} else if err := getJSONCtx(ctx, u.Metrics, u.httpDoer(), q, &raw); err != nil {
+	} else if err := get(ctx, u.Metrics, u.httpDoer(), q, &raw); err != nil {
 		return nil, err
 	}
 	out := make([]geo.Point, len(raw))
@@ -560,77 +470,24 @@ func (u *UserVehicle) LookupContext(ctx context.Context, area geo.Rect) ([]geo.P
 	return out, nil
 }
 
-// getFrameCtx issues a GET negotiating the binary codec via Accept and
-// returns the raw response body. Non-2xx responses become StatusErrors like
-// the JSON path's.
-func getFrameCtx(ctx context.Context, m *Metrics, h HTTPDoer, url string) ([]byte, error) {
-	ctx, span := trace.StartChild(ctx, "client.GET "+pathOf(url))
-	defer span.End()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		span.SetError(err)
-		return nil, err
-	}
-	req.Header.Set("Accept", server.FrameContentType)
-	if h == nil {
-		h = http.DefaultClient
-	}
-	start := time.Now()
-	var body []byte
-	err = func() error {
-		resp, derr := h.Do(req)
-		if derr != nil {
-			return derr
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode >= 300 {
-			b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-			return &StatusError{
-				Method:     req.Method,
-				Path:       req.URL.Path,
-				Status:     resp.StatusCode,
-				Body:       string(b),
-				RetryAfter: parseRetryAfter(resp),
-			}
-		}
-		body, derr = io.ReadAll(resp.Body)
-		return derr
-	}()
-	m.observe(req.URL.Path, start, err)
-	span.SetError(err)
-	return body, err
-}
-
 // Aggregate asks the server to run the offline crowdsourcing pipeline (an
-// operator action in production; exposed here for orchestration). Equivalent
-// to AggregateContext with context.Background().
-func Aggregate(h HTTPDoer, baseURL string) (int, error) {
-	return AggregateContext(context.Background(), h, baseURL)
-}
-
-// AggregateContext asks the server to run the offline crowdsourcing
-// pipeline. A nil h selects http.DefaultClient.
-func AggregateContext(ctx context.Context, h HTTPDoer, baseURL string) (int, error) {
+// operator action in production; exposed here for orchestration). A nil h
+// selects http.DefaultClient.
+func Aggregate(ctx context.Context, h HTTPDoer, baseURL string) (int, error) {
 	var out struct {
 		FusedAPs int `json:"fusedAPs"`
 	}
-	if err := sendJSON(ctx, nil, h, http.MethodPost, baseURL+"/v1/aggregate", nil, "", &out); err != nil {
+	if err := sendBody(ctx, nil, h, http.MethodPost, baseURL+"/v1/aggregate", "", nil, "", &out); err != nil {
 		return 0, err
 	}
 	return out.FusedAPs, nil
 }
 
-// Reliability fetches the server's per-vehicle reliability map. Equivalent
-// to ReliabilityContext with context.Background().
-func Reliability(h HTTPDoer, baseURL string) (map[string]float64, error) {
-	return ReliabilityContext(context.Background(), h, baseURL)
-}
-
-// ReliabilityContext fetches the server's per-vehicle reliability map. A nil
-// h selects http.DefaultClient.
-func ReliabilityContext(ctx context.Context, h HTTPDoer, baseURL string) (map[string]float64, error) {
+// Reliability fetches the server's per-vehicle reliability map. A nil h
+// selects http.DefaultClient.
+func Reliability(ctx context.Context, h HTTPDoer, baseURL string) (map[string]float64, error) {
 	var out map[string]float64
-	if err := getJSONCtx(ctx, nil, h, baseURL+"/v1/reliability", &out); err != nil {
+	if err := get(ctx, nil, h, baseURL+"/v1/reliability", &out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -681,16 +538,14 @@ func (v *CrowdVehicle) httpDoer() HTTPDoer {
 	return modeDoer{next: next, rec: &v.mode}
 }
 
-// sendJSON is the JSON-bodied form of sendBody, shared by every client call
-// that speaks the default codec.
-func sendJSON(ctx context.Context, m *Metrics, h HTTPDoer, method, url string, body []byte, key string, out any) error {
-	return sendBody(ctx, m, h, method, url, jsonContentType, body, key, out)
-}
-
 // sendBody is the single request path shared by every client call: it
 // builds the request (with a rewindable body so retrying transports can
-// replay it), stamps the idempotency key, meters the round trip, and decodes
-// the JSON response. A nil h selects http.DefaultClient.
+// replay it), stamps the idempotency key, meters the round trip — the
+// client-observed capture point, covering every retry attempt inside a
+// retrying transport — and decodes the response into out: nil discards it, a
+// *[]byte negotiates the binary codec via Accept and receives the raw body,
+// anything else is decoded as JSON. Non-2xx responses become StatusErrors. A
+// nil h selects http.DefaultClient.
 func sendBody(ctx context.Context, m *Metrics, h HTTPDoer, method, url, contentType string, body []byte, key string, out any) error {
 	var reader io.Reader
 	if body != nil {
@@ -710,9 +565,42 @@ func sendBody(ctx context.Context, m *Metrics, h HTTPDoer, method, url, contentT
 		req.Header.Set("Content-Type", contentType)
 	}
 	if key != "" {
-		req.Header.Set(IdempotencyKeyHeader, key)
+		req.Header.Set(api.IdempotencyKeyHeader, key)
 	}
-	err = doJSONMetered(m, h, req, out)
+	raw, _ := out.(*[]byte)
+	if raw != nil {
+		req.Header.Set("Accept", server.FrameContentType)
+	}
+	if h == nil {
+		h = http.DefaultClient
+	}
+	start := time.Now()
+	err = func() error {
+		resp, err := h.Do(req)
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		switch {
+		case resp.StatusCode >= 300:
+			b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+			return &StatusError{
+				Method:     req.Method,
+				Path:       req.URL.Path,
+				Status:     resp.StatusCode,
+				Body:       string(b),
+				RetryAfter: api.RetryAfter(resp.Header),
+			}
+		case out == nil:
+			_, err = io.Copy(io.Discard, resp.Body)
+		case raw != nil:
+			*raw, err = io.ReadAll(resp.Body)
+		default:
+			err = json.NewDecoder(resp.Body).Decode(out)
+		}
+		return err
+	}()
+	m.observe(req.URL.Path, start, err)
 	span.SetError(err)
 	return err
 }
@@ -726,42 +614,6 @@ func pathOf(rawURL string) string {
 	return u.Path
 }
 
-func getJSONCtx(ctx context.Context, m *Metrics, h HTTPDoer, url string, out any) error {
-	return sendJSON(ctx, m, h, http.MethodGet, url, nil, "", out)
-}
-
-// doJSONMetered wraps doJSON with per-endpoint latency/outcome recording —
-// the client-observed capture point: the measured span covers the whole
-// round trip including every retry attempt inside a retrying transport.
-func doJSONMetered(m *Metrics, h HTTPDoer, req *http.Request, out any) error {
-	start := time.Now()
-	err := doJSON(h, req, out)
-	m.observe(req.URL.Path, start, err)
-	return err
-}
-
-func doJSON(h HTTPDoer, req *http.Request, out any) error {
-	if h == nil {
-		h = http.DefaultClient
-	}
-	resp, err := h.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return &StatusError{
-			Method:     req.Method,
-			Path:       req.URL.Path,
-			Status:     resp.StatusCode,
-			Body:       string(body),
-			RetryAfter: parseRetryAfter(resp),
-		}
-	}
-	if out == nil {
-		_, err = io.Copy(io.Discard, resp.Body)
-		return err
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+func get(ctx context.Context, m *Metrics, h HTTPDoer, url string, out any) error {
+	return sendBody(ctx, m, h, http.MethodGet, url, "", nil, "", out)
 }

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"context"
 	"net/http/httptest"
 	"testing"
 
@@ -41,7 +42,7 @@ func driveBy(t *testing.T, v *CrowdVehicle, ap geo.Point, seed uint64) {
 	for i, p := range tr.SampleByDistance(tr.Length() / 39) {
 		ms = append(ms, radio.Measurement{Pos: p, RSS: ch.SampleRSS(p.Dist(ap), r), Time: float64(i)})
 	}
-	if err := v.Sense(ms); err != nil {
+	if err := v.Sense(context.Background(), ms); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -58,7 +59,7 @@ func TestCrowdVehicleSenseAndReport(t *testing.T) {
 	if len(ests) == 0 {
 		t.Fatal("vehicle found no APs")
 	}
-	if err := v.Report("seg-a"); err != nil {
+	if err := v.Report(context.Background(), "seg-a"); err != nil {
 		t.Fatal(err)
 	}
 	// Server must now fuse one AP near the truth.
@@ -94,21 +95,21 @@ func TestProposeAndLabelFlow(t *testing.T) {
 	driveBy(t, v1, ap, 2)
 	driveBy(t, v2, ap, 3)
 
-	id, err := v1.ProposePattern("seg")
+	id, err := v1.ProposePattern(context.Background(), "seg")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if id != 0 {
 		t.Fatalf("pattern id = %d", id)
 	}
-	tasks, err := v2.PullTasks(5)
+	tasks, err := v2.PullTasks(context.Background(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tasks) != 1 {
 		t.Fatalf("tasks = %d", len(tasks))
 	}
-	labels, err := v2.LabelTasks(tasks, 20)
+	labels, err := v2.LabelTasks(context.Background(), tasks, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestUserVehicleLookup(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := NewUserVehicle(url)
-	pts, err := u.Lookup(geo.NewRect(geo.Point{X: 0, Y: 0}, geo.Point{X: 100, Y: 100}))
+	pts, err := u.Lookup(context.Background(), geo.NewRect(geo.Point{X: 0, Y: 0}, geo.Point{X: 100, Y: 100}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,14 +189,14 @@ func TestAggregateAndReliabilityHelpers(t *testing.T) {
 	if err := store.AddReport(server.Report{Vehicle: "v", Segment: "s", APs: []server.APReport{{X: 1, Y: 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	n, err := Aggregate(nil, url)
+	n, err := Aggregate(context.Background(), nil, url)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 {
 		t.Fatalf("fused = %d", n)
 	}
-	rel, err := Reliability(nil, url)
+	rel, err := Reliability(context.Background(), nil, url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestSubmitLabelsError(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Unknown task must surface the server's 400.
-	if err := v.SubmitLabels([]server.Label{{Vehicle: "v", TaskID: 5, Value: 1}}); err == nil {
+	if err := v.SubmitLabels(context.Background(), []server.Label{{Vehicle: "v", TaskID: 5, Value: 1}}); err == nil {
 		t.Fatal("expected error for unknown task")
 	}
 }
@@ -221,11 +222,11 @@ func TestBadBaseURL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := v.Report("s"); err == nil {
+	if err := v.Report(context.Background(), "s"); err == nil {
 		t.Fatal("expected connection error")
 	}
 	u := NewUserVehicle("http://127.0.0.1:1")
-	if _, err := u.Lookup(geo.NewRect(geo.Point{X: 0, Y: 0}, geo.Point{X: 1, Y: 1})); err == nil {
+	if _, err := u.Lookup(context.Background(), geo.NewRect(geo.Point{X: 0, Y: 0}, geo.Point{X: 1, Y: 1})); err == nil {
 		t.Fatal("expected connection error")
 	}
 }

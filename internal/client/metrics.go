@@ -20,11 +20,10 @@ type Metrics struct {
 	mu          sync.Mutex
 	reqDuration map[string]*obs.WindowedHistogram // endpoint path → latency
 
-	outboxEnqueued  *obs.Counter
-	outboxDrained   *obs.Counter
-	outboxDropped   *obs.Counter
-	outboxDepth     *obs.Gauge
-	outboxOldestAge *obs.Gauge
+	outboxEnqueued *obs.Counter
+	outboxDrained  *obs.Counter
+	outboxDropped  *obs.Counter
+	outboxDepth    *obs.Gauge
 }
 
 // NewMetrics registers the client series on reg. Returns nil for a nil
@@ -35,15 +34,14 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	}
 	help := "Requests issued to the crowd-server, by outcome."
 	return &Metrics{
-		registry:        reg,
-		requestsOK:      reg.Counter("crowdwifi_client_requests_total", help, obs.L("outcome", "ok")),
-		requestsErr:     reg.Counter("crowdwifi_client_requests_total", help, obs.L("outcome", "error")),
-		reqDuration:     map[string]*obs.WindowedHistogram{},
-		outboxEnqueued:  reg.Counter("crowdwifi_client_outbox_enqueued_total", "Uploads parked in the store-and-forward outbox after delivery failure."),
-		outboxDrained:   reg.Counter("crowdwifi_client_outbox_drained_total", "Outbox entries delivered on a later contact window."),
-		outboxDropped:   reg.Counter("crowdwifi_client_outbox_dropped_total", "Outbox entries abandoned, by reason.", obs.L("reason", "terminal")),
-		outboxDepth:     reg.Gauge("crowdwifi_client_outbox_depth", "Uploads currently waiting in the outbox."),
-		outboxOldestAge: reg.Gauge("crowdwifi_client_outbox_oldest_age_seconds", "Age of the oldest queued upload."),
+		registry:       reg,
+		requestsOK:     reg.Counter("crowdwifi_client_requests_total", help, obs.L("outcome", "ok")),
+		requestsErr:    reg.Counter("crowdwifi_client_requests_total", help, obs.L("outcome", "error")),
+		reqDuration:    map[string]*obs.WindowedHistogram{},
+		outboxEnqueued: reg.Counter("crowdwifi_client_outbox_enqueued_total", "Uploads parked in the store-and-forward outbox after delivery failure."),
+		outboxDrained:  reg.Counter("crowdwifi_client_outbox_drained_total", "Outbox entries delivered on a later contact window."),
+		outboxDropped:  reg.Counter("crowdwifi_client_outbox_dropped_total", "Outbox entries abandoned, by reason.", obs.L("reason", "terminal")),
+		outboxDepth:    reg.Gauge("crowdwifi_client_outbox_depth", "Uploads currently waiting in the outbox."),
 	}
 }
 
@@ -95,10 +93,8 @@ func (m *Metrics) incOutboxDropped() {
 	}
 }
 
-func (m *Metrics) setOutbox(depth int, oldestAgeSeconds float64) {
-	if m == nil {
-		return
+func (m *Metrics) setOutbox(depth int) {
+	if m != nil {
+		m.outboxDepth.Set(float64(depth))
 	}
-	m.outboxDepth.Set(float64(depth))
-	m.outboxOldestAge.Set(oldestAgeSeconds)
 }

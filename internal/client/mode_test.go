@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"crowdwifi/internal/api"
 	"crowdwifi/internal/geo"
 	"crowdwifi/internal/overload"
 	"crowdwifi/internal/retry"
@@ -29,7 +30,7 @@ func modeSequenceServer(t *testing.T, script []struct {
 		}
 		step := script[i]
 		if step.mode != "" {
-			w.Header().Set(server.ModeHeader, step.mode)
+			w.Header().Set(api.ModeHeader, step.mode)
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(step.status)
@@ -134,13 +135,13 @@ func TestCrowdVehicleModeKeepsLastSeenWhenHeaderAbsent(t *testing.T) {
 // TestUserVehicleModeCaptured: the read-side client records modes too.
 func TestUserVehicleModeCaptured(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(server.ModeHeader, "recovering")
+		w.Header().Set(api.ModeHeader, "recovering")
 		w.Header().Set("Content-Type", "application/json")
 		_, _ = w.Write([]byte("[]\n"))
 	}))
 	t.Cleanup(ts.Close)
 	u := NewUserVehicle(ts.URL)
-	if _, err := u.Lookup(geo.Rect{Min: geo.Point{X: 0, Y: 0}, Max: geo.Point{X: 1, Y: 1}}); err != nil {
+	if _, err := u.Lookup(context.Background(), geo.Rect{Min: geo.Point{X: 0, Y: 0}, Max: geo.Point{X: 1, Y: 1}}); err != nil {
 		t.Fatalf("lookup: %v", err)
 	}
 	if got := u.LastServerMode(); got != "recovering" {

@@ -6,10 +6,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"crowdwifi/internal/api"
+	"crowdwifi/internal/retry"
 	"crowdwifi/internal/server"
 )
 
@@ -57,7 +60,7 @@ func TestRetryAfterParsing(t *testing.T) {
 		want   time.Duration
 	}{
 		{"3", 3 * time.Second},
-		{"999", maxRetryAfter}, // capped: a bad server must not park clients forever
+		{"999", api.MaxRetryAfter}, // capped: a bad server must not park clients forever
 		{"0", 0},
 		{"-5", 0},
 		{"soon", 0}, // HTTP-date form unsupported on purpose; treat as absent
@@ -117,5 +120,72 @@ func TestDrainOutboxSurfacesRetryAfter(t *testing.T) {
 	}
 	if cv.Outbox.Len() != 0 {
 		t.Fatalf("outbox len after recovery = %d, want 0", cv.Outbox.Len())
+	}
+}
+
+// TestClientAndDoerAgree pins the two consumers of a shed to one reading of
+// it. A status the outbox parks as transient is exactly a status the retry
+// doer retries (at the parent commit 408 was parked yet never retried), and
+// the hint a StatusError carries is the hint the doer sleeps on.
+func TestClientAndDoerAgree(t *testing.T) {
+	var status atomic.Int64
+	var ms, secs atomic.Value
+	ms.Store("")
+	secs.Store("")
+	var mu sync.Mutex
+	var arrivals []time.Time
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		arrivals = append(arrivals, time.Now())
+		mu.Unlock()
+		if v := ms.Load().(string); v != "" {
+			w.Header().Set(api.RetryAfterMsHeader, v)
+		}
+		if v := secs.Load().(string); v != "" {
+			w.Header().Set("Retry-After", v)
+		}
+		w.WriteHeader(int(status.Load()))
+	}))
+	defer ts.Close()
+	// Two attempts, no jitter: a retried request arrives exactly twice, the
+	// second time one hint (or one zero backoff) after the first.
+	policy := retry.Policy{MaxAttempts: 2, BaseDelay: time.Nanosecond, MaxDelay: time.Nanosecond, Rand: func() float64 { return 0 }}
+	upload := func() ([]time.Time, error) {
+		mu.Lock()
+		arrivals = nil
+		mu.Unlock()
+		cv := &CrowdVehicle{ID: "v1", BaseURL: ts.URL, HTTP: retry.NewDoer(nil, policy, retry.WithBudget(retry.BudgetConfig{Ratio: 1, Burst: 1000}))}
+		err := cv.UploadReport(context.Background(), server.Report{Vehicle: "v1", Segment: "s"})
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]time.Time(nil), arrivals...), err
+	}
+
+	for code := 400; code < 600; code++ {
+		status.Store(int64(code))
+		seen, err := upload()
+		if parked, retried := transientError(err), len(seen) == 2; parked != retried {
+			t.Errorf("status %d: outbox parks it = %v, doer retries it = %v", code, parked, retried)
+		}
+	}
+
+	status.Store(http.StatusServiceUnavailable)
+	for _, tc := range []struct{ ms, secs string }{{"30", ""}, {"20", "1"}, {"0", ""}, {"soon", "-1"}} {
+		ms.Store(tc.ms)
+		secs.Store(tc.secs)
+		h := http.Header{}
+		h.Set(api.RetryAfterMsHeader, tc.ms)
+		h.Set("Retry-After", tc.secs)
+		want := api.RetryAfter(h)
+		seen, err := upload()
+		if got := RetryAfterHint(err); got != want {
+			t.Errorf("ms=%q secs=%q: client hint %v, want %v", tc.ms, tc.secs, got, want)
+		}
+		if len(seen) != 2 {
+			t.Fatalf("ms=%q secs=%q: %d attempts, want 2", tc.ms, tc.secs, len(seen))
+		}
+		if gap := seen[1].Sub(seen[0]); gap < want || gap > want+500*time.Millisecond {
+			t.Errorf("ms=%q secs=%q: doer waited %v, want the client's hint %v", tc.ms, tc.secs, gap, want)
+		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"strings"
 	"sync"
 
+	"crowdwifi/internal/api"
 	"crowdwifi/internal/obs/trace"
 	"crowdwifi/internal/server"
 )
@@ -47,26 +48,20 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.batchMaxBody))
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("body exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, err)
+		api.WriteBodyError(w, err)
 		return
 	}
 	binary := strings.HasPrefix(r.Header.Get("Content-Type"), server.FrameContentType)
 	entries, err := decodeBatchEntries(binary, body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 
 	out := make([]server.BatchEntryStatus, len(entries))
 	rg := rt.ring.Load()
 	if len(rg.Members()) == 0 {
-		shed(w, errors.New("no cluster members"), 0)
+		rt.stack.Shed(w, errors.New("no cluster members"), 0)
 		return
 	}
 
@@ -105,7 +100,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if server.WantsFrame(r.Header.Get("Accept")) {
 		frame, err := server.EncodeBatchStatusFrame(out)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
+			api.WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 		w.Header().Set("Content-Type", server.FrameContentType)
@@ -113,7 +108,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write(frame)
 		return
 	}
-	writeJSON(w, http.StatusOK, server.BatchResponse{Results: out})
+	api.WriteJSON(w, http.StatusOK, server.BatchResponse{Results: out})
 }
 
 // decodeBatchEntries parses a batch body in either codec into routable

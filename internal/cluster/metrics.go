@@ -1,33 +1,22 @@
 package cluster
 
 import (
-	"net/http"
 	"sort"
-	"strconv"
 	"sync"
-	"time"
 
 	"crowdwifi/internal/obs"
-	"crowdwifi/internal/obs/trace"
 )
 
-// routerMetrics is the router's RED bundle plus the per-shard cluster view:
-// requests/errors/latency by route, upstream outcomes by shard, and a
-// numeric last-seen mode gauge per shard so one Prometheus query shows which
+// routerMetrics is the per-shard cluster view: upstream outcomes by shard and
+// a numeric last-seen mode gauge per shard so one Prometheus query shows which
 // slice of the world is degraded. A nil *routerMetrics is a no-op.
 type routerMetrics struct {
 	registry *obs.Registry
 
-	requestsHelp string
-	errorsHelp   string
+	mu        sync.Mutex
+	shardMode map[string]*obs.Gauge
+	modes     map[string]string // shard id → last-seen mode string
 
-	mu          sync.Mutex
-	reqDuration map[string]*obs.WindowedHistogram
-	inflight    map[string]*obs.Gauge
-	shardMode   map[string]*obs.Gauge
-	modes       map[string]string // shard id → last-seen mode string
-
-	shards     *obs.Gauge
 	partial    *obs.Counter
 	rerouted   *obs.Counter
 	shed       *obs.Counter
@@ -55,15 +44,9 @@ func newRouterMetrics(reg *obs.Registry) *routerMetrics {
 		return nil
 	}
 	m := &routerMetrics{
-		registry:     reg,
-		requestsHelp: "Router HTTP requests served, by route, method, and status code.",
-		errorsHelp:   "Router HTTP requests answered with a 4xx/5xx status, by route and code.",
-		reqDuration:  map[string]*obs.WindowedHistogram{},
-		inflight:     map[string]*obs.Gauge{},
-		shardMode:    map[string]*obs.Gauge{},
-		modes:        map[string]string{},
-		shards: reg.Gauge("crowdwifi_router_shards",
-			"Shard members in the router's current ring."),
+		registry:  reg,
+		shardMode: map[string]*obs.Gauge{},
+		modes:     map[string]string{},
 		partial: reg.Counter("crowdwifi_router_partial_lookups_total",
 			"Scatter-gather lookups answered without every shard (X-Crowdwifi-Partial set)."),
 		rerouted: reg.Counter("crowdwifi_router_rerouted_total",
@@ -141,12 +124,6 @@ func (m *routerMetrics) observeShard(shard, mode string, err error) {
 	}
 }
 
-func (m *routerMetrics) setShards(n int) {
-	if m != nil {
-		m.shards.Set(float64(n))
-	}
-}
-
 func (m *routerMetrics) incPartial() {
 	if m != nil {
 		m.partial.Inc()
@@ -159,71 +136,10 @@ func (m *routerMetrics) incRerouted() {
 	}
 }
 
-func (m *routerMetrics) incShed() {
-	if m != nil {
-		m.shed.Inc()
-	}
-}
-
-func (m *routerMetrics) routeHistogram(route string) *obs.WindowedHistogram {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h, ok := m.reqDuration[route]
-	if !ok {
-		h = m.registry.WindowedHistogram("crowdwifi_router_http_request_duration_seconds",
-			"Router HTTP request latency by route.", nil, obs.DefaultWindow, obs.DefaultWindowSlots,
-			obs.L("route", route))
-		m.reqDuration[route] = h
-	}
-	return h
-}
-
-func (m *routerMetrics) routeInflight(route string) *obs.Gauge {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	g, ok := m.inflight[route]
-	if !ok {
-		g = m.registry.Gauge("crowdwifi_router_inflight_requests",
-			"Requests currently being served by the router, by route.", obs.L("route", route))
-		m.inflight[route] = g
-	}
-	return g
-}
-
-// statusWriter captures the response code for the middleware.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// instrument is the router's RED middleware for one route, mirroring the
-// shard server's: request/error counting, in-flight tracking, and exemplared
-// windowed latency.
-func (m *routerMetrics) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
+// shedCounter is the 503 counter the serving stack increments.
+func (m *routerMetrics) shedCounter() *obs.Counter {
 	if m == nil {
-		return h
+		return nil
 	}
-	hist := m.routeHistogram(route)
-	inflight := m.routeInflight(route)
-	return func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		inflight.Add(1)
-		start := time.Now()
-		h(sw, r)
-		dur := time.Since(start).Seconds()
-		inflight.Add(-1)
-		traceID, _, _ := trace.IDs(r.Context())
-		hist.ObserveWithExemplar(dur, traceID)
-		m.registry.Counter("crowdwifi_router_http_requests_total", m.requestsHelp,
-			obs.L("route", route), obs.L("method", r.Method), obs.L("code", strconv.Itoa(sw.code))).Inc()
-		if sw.code >= 400 {
-			m.registry.Counter("crowdwifi_router_http_errors_total", m.errorsHelp,
-				obs.L("route", route), obs.L("code", strconv.Itoa(sw.code))).Inc()
-		}
-	}
+	return m.shed
 }

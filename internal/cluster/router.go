@@ -21,14 +21,14 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
+	"crowdwifi/internal/api"
 	"crowdwifi/internal/cluster/ring"
 	"crowdwifi/internal/obs"
+	"crowdwifi/internal/obs/slo"
 	"crowdwifi/internal/obs/trace"
 	"crowdwifi/internal/overload"
 	"crowdwifi/internal/retry"
@@ -53,6 +53,15 @@ const DefaultMaxBodyBytes = server.DefaultMaxBodyBytes
 // DefaultBatchMaxBodyBytes mirrors the shard server's batch-route cap; the
 // batch route has its own, larger per-route limit.
 const DefaultBatchMaxBodyBytes = server.DefaultBatchMaxBodyBytes
+
+// redMetrics prefixes the router's RED families.
+const redMetrics = "crowdwifi_router_http"
+
+// SLOObjectives returns the router's default objectives: a shard's promises
+// (see api.SLOObjectives) measured at the cluster front door.
+func SLOObjectives(reg *obs.Registry) []slo.Objective {
+	return api.SLOObjectives(reg, redMetrics, "routed ")
+}
 
 // Peer is one shard the router can reach.
 type Peer struct {
@@ -136,9 +145,9 @@ func (p *peerClient) endpoint(path, rawQuery string) string {
 // scatter-gather merges across the shard set.
 type Router struct {
 	mux     *http.ServeMux
+	stack   api.Stack
 	metrics *routerMetrics
 	log     *obs.Logger
-	ov      *overload.Admission
 	vnodes  int
 	maxBody int64
 	// batchMaxBody is the per-route cap for /v1/reports/batch.
@@ -201,29 +210,39 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	if err := rt.UpdateMembers(members); err != nil {
 		return nil, err
 	}
+	var ov *overload.Admission
 	if opts.Overload != nil {
 		o := *opts.Overload
 		if o.Registry == nil {
 			o.Registry = opts.Registry
 		}
-		rt.ov = overload.New(o)
+		ov = overload.New(o)
 	}
-
-	rt.handle("/v1/reports", rt.handleUpload)
-	rt.handle("/v1/reports/batch", rt.handleBatch)
-	rt.handle("/v1/patterns", rt.handleUpload)
-	rt.handle("/v1/lookup", rt.handleLookup)
-	rt.handle("/v1/aggregate", rt.handleAggregate)
-	rt.handle("/v1/reliability", rt.handleReliability)
-	rt.handle("/v1/labels", rt.handleShardLocal)
-	rt.handle("/v1/tasks", rt.handleShardLocal)
-	rt.handle("/v1/cluster/members", rt.handleMembers)
+	rt.stack = api.Stack{
+		Tier:      "router",
+		Metrics:   redMetrics,
+		Help:      "Router ",
+		Registry:  opts.Registry,
+		Sheds:     rt.metrics.shedCounter(),
+		Admission: ov,
+		Classify:  classify,
+	}
+	handle := func(route string, h http.HandlerFunc) { rt.stack.Handle(rt.mux, route, h) }
+	handle("/v1/reports", rt.handleUpload)
+	handle("/v1/reports/batch", rt.handleBatch)
+	handle("/v1/patterns", rt.handleUpload)
+	handle("/v1/lookup", rt.handleLookup)
+	handle("/v1/aggregate", rt.handleAggregate)
+	handle("/v1/reliability", rt.handleReliability)
+	handle("/v1/labels", rt.handleShardLocal)
+	handle("/v1/tasks", rt.handleShardLocal)
+	handle("/v1/cluster/members", rt.handleMembers)
 	return rt, nil
 }
 
 // Admission exposes the router's admission controller (nil when disabled);
 // callers start its mode state machine with Admission().Controller().Run.
-func (rt *Router) Admission() *overload.Admission { return rt.ov }
+func (rt *Router) Admission() *overload.Admission { return rt.stack.Admission }
 
 // Members returns the current ring membership.
 func (rt *Router) Members() []string { return rt.ring.Load().Members() }
@@ -248,7 +267,6 @@ func (rt *Router) UpdateMembers(members []string) error {
 	rt.mu.RUnlock()
 	rg := ring.New(members, rt.vnodes)
 	rt.ring.Store(rg)
-	rt.metrics.setShards(len(rg.Members()))
 	if rt.log != nil {
 		rt.log.Info("router membership updated", "members", strings.Join(rg.Members(), ","))
 	}
@@ -267,80 +285,17 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rt.mux.ServeHTTP(w, r)
 }
 
-// handle wires one route through the router middleware stack — tracing
-// outermost, then metrics, then admission — mirroring the shard server's
-// ordering so traces and RED series mean the same thing on both tiers.
-func (rt *Router) handle(route string, h http.HandlerFunc) {
-	h = rt.admit(route, h)
-	h = rt.metrics.instrument(route, h)
-	rt.mux.HandleFunc(route, rt.traced(route, h))
-}
-
 // classify maps a router route to its shedding family. The router holds no
 // durable state, so nothing is a mutation from its admission layer's point
 // of view — read-only is a disk condition the router cannot have.
-func classify(route string) overload.Family {
+func classify(route, _ string) (overload.Family, bool) {
 	switch route {
 	case "/v1/lookup":
-		return overload.FamilyLookup
+		return overload.FamilyLookup, false
 	case "/v1/reports", "/v1/reports/batch", "/v1/patterns":
-		return overload.FamilyUpload
+		return overload.FamilyUpload, false
 	default:
-		return overload.FamilyControl
-	}
-}
-
-// admit wraps a route with the router's own admission control, so a router
-// drowning in fan-out work sheds at its front door with the same headers a
-// shard would use instead of queueing blindly.
-func (rt *Router) admit(route string, h http.HandlerFunc) http.HandlerFunc {
-	if rt.ov == nil {
-		return h
-	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(server.ModeHeader, rt.ov.Mode().String())
-		dec := rt.ov.Admit(r.Context(), classify(route), false)
-		if !dec.OK {
-			rt.metrics.incShed()
-			shed(w, errors.New("router over capacity"), dec.RetryAfter)
-			return
-		}
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, r)
-		// 502 means an upstream shard failed, not that the router lacks
-		// capacity; only genuine router-side 5xx should shrink the limit.
-		ok := sw.code < http.StatusInternalServerError || sw.code == http.StatusBadGateway ||
-			sw.code == http.StatusServiceUnavailable
-		dec.Release(time.Since(start), ok)
-	}
-}
-
-// traced wraps a route with the server-side tracing middleware: a client
-// traceparent continues the caller's trace, and the per-peer retry doers
-// hang their attempt spans (and the shard-side handler spans beyond them)
-// under this one.
-func (rt *Router) traced(route string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		tracer := trace.TracerFromContext(r.Context())
-		if tracer == nil {
-			h(w, r)
-			return
-		}
-		ctx, span := tracer.StartServer(r.Context(), "router "+r.Method+" "+route, r.Header)
-		if span == nil {
-			h(w, r)
-			return
-		}
-		defer span.End()
-		span.SetAttr("http.method", r.Method)
-		span.SetAttr("http.route", route)
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, r.WithContext(ctx))
-		span.SetAttr("http.status", sw.code)
-		if sw.code >= http.StatusInternalServerError {
-			span.SetError(fmt.Errorf("status %d", sw.code))
-		}
+		return overload.FamilyControl, false
 	}
 }
 
@@ -355,30 +310,6 @@ func WithTracer(tracer *trace.Tracer, next http.Handler) http.Handler {
 	})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-// shed mirrors the shard server's 503 shape: millisecond hint for fleet
-// clients, whole-second floor for everyone else.
-func shed(w http.ResponseWriter, reason error, retryAfter time.Duration) {
-	if ms := retryAfter.Milliseconds(); ms > 0 {
-		w.Header().Set(server.RetryAfterMsHeader, fmt.Sprintf("%d", ms))
-	}
-	if retryAfter < time.Second {
-		retryAfter = time.Second
-	}
-	secs := int((retryAfter + time.Second - 1) / time.Second)
-	w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-	writeError(w, http.StatusServiceUnavailable, reason)
-}
-
 // passthroughHeaders are the shard response headers a forwarded answer
 // keeps. Everything idempotency- and backoff-related must survive the hop:
 // a fleet client behind the router depends on Retry-After/Idempotent-Replay
@@ -386,8 +317,8 @@ func shed(w http.ResponseWriter, reason error, retryAfter time.Duration) {
 var passthroughHeaders = []string{
 	"Content-Type",
 	"Retry-After",
-	server.RetryAfterMsHeader,
-	server.ModeHeader,
+	api.RetryAfterMsHeader,
+	api.ModeHeader,
 	"Idempotent-Replay",
 	server.OwnerHeader,
 }
@@ -412,7 +343,7 @@ func (rt *Router) send(pc *peerClient, req *http.Request) (*http.Response, error
 	resp, err := pc.doer.Do(req)
 	mode := ""
 	if resp != nil {
-		mode = resp.Header.Get(server.ModeHeader)
+		mode = resp.Header.Get(api.ModeHeader)
 	}
 	rt.metrics.observeShard(pc.id, mode, err)
 	return resp, err
@@ -426,7 +357,7 @@ func (rt *Router) forward(ctx context.Context, pc *peerClient, path string, in h
 	if err != nil {
 		return nil, err
 	}
-	for _, name := range []string{"Content-Type", server.IdempotencyKeyHeader} {
+	for _, name := range []string{"Content-Type", api.IdempotencyKeyHeader} {
 		if v := in.Get(name); v != "" {
 			req.Header.Set(name, v)
 		}
@@ -441,50 +372,44 @@ func (rt *Router) forward(ctx context.Context, pc *peerClient, path string, in h
 // retry layer will come back after the membership change settles.
 func (rt *Router) handleUpload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusNotImplemented,
+		api.WriteError(w, http.StatusNotImplemented,
 			errors.New("not implemented at the router: pattern/report listings are shard-local; query shards directly"))
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.maxBody))
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("body exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, err)
+		api.WriteBodyError(w, err)
 		return
 	}
 	segment, err := uploadSegment(r.Header.Get("Content-Type"), body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if segment == "" {
-		writeError(w, http.StatusBadRequest, errors.New("segment required"))
+		api.WriteError(w, http.StatusBadRequest, errors.New("segment required"))
 		return
 	}
 	owner := rt.ring.Load().Owner(segment)
 	if owner == "" {
-		shed(w, errors.New("no cluster members"), time.Second)
+		rt.stack.Shed(w, errors.New("no cluster members"), api.MinRetryAfter)
 		return
 	}
 	pc := rt.peer(owner)
 	if pc == nil {
-		writeError(w, http.StatusBadGateway, fmt.Errorf("owner shard %q is not a configured peer", owner))
+		api.WriteError(w, http.StatusBadGateway, fmt.Errorf("owner shard %q is not a configured peer", owner))
 		return
 	}
 	resp, err := rt.forward(r.Context(), pc, r.URL.Path, r.Header, body)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, fmt.Errorf("shard %s: %w", owner, err))
+		api.WriteError(w, http.StatusBadGateway, fmt.Errorf("shard %s: %w", owner, err))
 		return
 	}
 	served := owner
 	if resp.StatusCode == http.StatusMisdirectedRequest {
 		next := resp.Header.Get(server.OwnerHeader)
 		if npc := rt.peer(next); npc != nil && next != owner {
-			drainClose(resp)
+			api.DrainClose(resp)
 			rt.metrics.incRerouted()
 			if rt.log != nil {
 				rt.log.Warn("upload re-routed after 421",
@@ -492,7 +417,7 @@ func (rt *Router) handleUpload(w http.ResponseWriter, r *http.Request) {
 			}
 			resp, err = rt.forward(r.Context(), npc, r.URL.Path, r.Header, body)
 			if err != nil {
-				writeError(w, http.StatusBadGateway, fmt.Errorf("shard %s: %w", next, err))
+				api.WriteError(w, http.StatusBadGateway, fmt.Errorf("shard %s: %w", next, err))
 				return
 			}
 			served = next
@@ -527,16 +452,11 @@ func uploadSegment(contentType string, body []byte) (string, error) {
 	return probe.Segment, nil
 }
 
-func drainClose(resp *http.Response) {
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	resp.Body.Close()
-}
-
 // handleShardLocal answers the routes the router cannot meaningfully proxy:
 // mapping-task ids are dense per-shard integers, so a label or task fetch
 // only makes sense against the shard that issued the id.
 func (rt *Router) handleShardLocal(w http.ResponseWriter, r *http.Request) {
-	writeError(w, http.StatusNotImplemented,
+	api.WriteError(w, http.StatusNotImplemented,
 		errors.New("not implemented at the router: task ids are shard-local; talk to the owning shard directly"))
 }
 
@@ -547,10 +467,19 @@ type scatterResult struct {
 	err  error
 }
 
-// scatter fans a GET to every current ring member concurrently and returns
-// the answers in sorted-shard order. Results with err != nil carry no body;
-// non-2xx statuses are errors.
-func (rt *Router) scatter(ctx context.Context, path, rawQuery string) []scatterResult {
+// get issues one upstream GET through the peer's retry doer.
+func (rt *Router) get(ctx context.Context, pc *peerClient, path, rawQuery string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, pc.endpoint(path, rawQuery), nil)
+	if err != nil {
+		return nil, err
+	}
+	return rt.send(pc, req)
+}
+
+// scatter runs do against every current ring member concurrently and
+// returns the answers in sorted-shard order. Results with err != nil carry
+// no body; non-2xx statuses are errors.
+func (rt *Router) scatter(do func(pc *peerClient) (*http.Response, error)) []scatterResult {
 	members := rt.ring.Load().Members()
 	out := make([]scatterResult, len(members))
 	var wg sync.WaitGroup
@@ -564,12 +493,7 @@ func (rt *Router) scatter(ctx context.Context, path, rawQuery string) []scatterR
 				out[i].err = fmt.Errorf("member %q is not a configured peer", id)
 				return
 			}
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, pc.endpoint(path, rawQuery), nil)
-			if err != nil {
-				out[i].err = err
-				return
-			}
-			resp, err := rt.send(pc, req)
+			resp, err := do(pc)
 			if err != nil {
 				out[i].err = err
 				return
@@ -634,39 +558,22 @@ func (rt *Router) handleLookup(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusMethodNotAllowed)
 		return
 	}
-	q := r.URL.Query()
-	vals := make([]float64, 4)
-	for i, name := range []string{"xmin", "ymin", "xmax", "ymax"} {
-		v, err := parseFloat(q.Get(name))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s", name))
-			return
-		}
-		vals[i] = v
-	}
-	if vals[0] > vals[2] || vals[1] > vals[3] {
-		writeError(w, http.StatusBadRequest,
-			errors.New("degenerate rect: xmin must not exceed xmax and ymin must not exceed ymax"))
+	if _, err := api.ParseLookupQuery(r.URL.Query()); err != nil {
+		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	results, missing, errs := partition[[]server.LookupResult](rt.scatter(r.Context(), "/v1/lookup", r.URL.RawQuery))
+	results, missing, errs := partition[[]server.LookupResult](rt.scatter(func(pc *peerClient) (*http.Response, error) {
+		return rt.get(r.Context(), pc, "/v1/lookup", r.URL.RawQuery)
+	}))
 	if len(results) == 0 {
-		writeError(w, http.StatusBadGateway, fmt.Errorf("no shard answered: %w", errors.Join(errs...)))
+		api.WriteError(w, http.StatusBadGateway, fmt.Errorf("no shard answered: %w", errors.Join(errs...)))
 		return
 	}
 	merged := []server.LookupResult{}
 	for _, res := range results {
 		merged = append(merged, res.Value...)
 	}
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].X != merged[j].X {
-			return merged[i].X < merged[j].X
-		}
-		if merged[i].Y != merged[j].Y {
-			return merged[i].Y < merged[j].Y
-		}
-		return merged[i].Weight > merged[j].Weight
-	})
+	api.SortLookup(merged)
 	if len(missing) > 0 {
 		rt.metrics.incPartial()
 		w.Header().Set(PartialHeader, strings.Join(missing, ","))
@@ -683,11 +590,7 @@ func (rt *Router) handleLookup(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write(server.EncodeLookupFrame(merged))
 		return
 	}
-	writeJSON(w, http.StatusOK, merged)
-}
-
-func parseFloat(s string) (float64, error) {
-	return strconv.ParseFloat(s, 64)
+	api.WriteJSON(w, http.StatusOK, merged)
 }
 
 // handleAggregate broadcasts POST /v1/aggregate to every member and sums
@@ -699,36 +602,12 @@ func (rt *Router) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusMethodNotAllowed)
 		return
 	}
-	members := rt.ring.Load().Members()
-	results := make([]scatterResult, len(members))
-	var wg sync.WaitGroup
-	for i, id := range members {
-		wg.Add(1)
-		go func(i int, id string) {
-			defer wg.Done()
-			results[i] = scatterResult{id: id}
-			pc := rt.peer(id)
-			if pc == nil {
-				results[i].err = fmt.Errorf("member %q is not a configured peer", id)
-				return
-			}
-			resp, err := rt.forward(r.Context(), pc, "/v1/aggregate", r.Header, nil)
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			defer resp.Body.Close()
-			body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-			if err == nil && resp.StatusCode != http.StatusOK {
-				err = fmt.Errorf("shard %s: status %d: %s", id, resp.StatusCode, strings.TrimSpace(string(body)))
-			}
-			results[i].body, results[i].err = body, err
-		}(i, id)
-	}
-	wg.Wait()
+	results := rt.scatter(func(pc *peerClient) (*http.Response, error) {
+		return rt.forward(r.Context(), pc, "/v1/aggregate", r.Header, nil)
+	})
 	counts, missing, errs := partition[map[string]int](results)
 	if len(missing) > 0 {
-		writeError(w, http.StatusBadGateway,
+		api.WriteError(w, http.StatusBadGateway,
 			fmt.Errorf("aggregate incomplete, failed shards %s: %w", strings.Join(missing, ","), errors.Join(errs...)))
 		return
 	}
@@ -736,7 +615,7 @@ func (rt *Router) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	for _, c := range counts {
 		total += c.Value["fusedAPs"]
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"fusedAPs": total})
+	api.WriteJSON(w, http.StatusOK, map[string]int{"fusedAPs": total})
 }
 
 // handleReliability scatter-gathers GET /v1/reliability and merges the
@@ -749,9 +628,11 @@ func (rt *Router) handleReliability(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusMethodNotAllowed)
 		return
 	}
-	results, missing, errs := partition[map[string]float64](rt.scatter(r.Context(), "/v1/reliability", ""))
+	results, missing, errs := partition[map[string]float64](rt.scatter(func(pc *peerClient) (*http.Response, error) {
+		return rt.get(r.Context(), pc, "/v1/reliability", "")
+	}))
 	if len(results) == 0 {
-		writeError(w, http.StatusBadGateway, fmt.Errorf("no shard answered: %w", errors.Join(errs...)))
+		api.WriteError(w, http.StatusBadGateway, fmt.Errorf("no shard answered: %w", errors.Join(errs...)))
 		return
 	}
 	sort.Slice(results, func(i, j int) bool { return results[i].ID < results[j].ID })
@@ -767,7 +648,7 @@ func (rt *Router) handleReliability(w http.ResponseWriter, r *http.Request) {
 		rt.metrics.incPartial()
 		w.Header().Set(PartialHeader, strings.Join(missing, ","))
 	}
-	writeJSON(w, http.StatusOK, merged)
+	api.WriteJSON(w, http.StatusOK, merged)
 }
 
 // handleMembers serves the router's membership view. GET returns it; POST
@@ -782,16 +663,16 @@ func (rt *Router) handleMembers(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPost:
 		var req server.MembersRequest
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			api.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		if err := rt.UpdateMembers(req.Members); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			api.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		if r.URL.Query().Get("propagate") != "false" {
 			if err := rt.PropagateMembers(r.Context()); err != nil {
-				writeError(w, http.StatusBadGateway, err)
+				api.WriteError(w, http.StatusBadGateway, err)
 				return
 			}
 		}
@@ -807,7 +688,7 @@ func (rt *Router) handleMembers(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.mu.RUnlock()
 	sort.Strings(peers)
-	writeJSON(w, http.StatusOK, map[string]any{
+	api.WriteJSON(w, http.StatusOK, map[string]any{
 		"members": rg.Members(),
 		"vnodes":  rg.VNodes(),
 		"peers":   peers,
@@ -845,7 +726,7 @@ func (rt *Router) PropagateMembers(ctx context.Context) error {
 		if resp.StatusCode != http.StatusOK {
 			errs = append(errs, fmt.Errorf("shard %s: status %d", id, resp.StatusCode))
 		}
-		drainClose(resp)
+		api.DrainClose(resp)
 	}
 	return errors.Join(errs...)
 }

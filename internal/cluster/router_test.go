@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"crowdwifi/internal/api"
 	"crowdwifi/internal/cluster/ring"
 	"crowdwifi/internal/retry"
 	"crowdwifi/internal/server"
@@ -488,8 +489,8 @@ func TestMembersEndpoint(t *testing.T) {
 func TestShedAndModeHeadersSurviveTheHop(t *testing.T) {
 	seg := "seg-headers"
 	shedding := func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(server.ModeHeader, "read-only")
-		w.Header().Set(server.RetryAfterMsHeader, "40")
+		w.Header().Set(api.ModeHeader, "read-only")
+		w.Header().Set(api.RetryAfterMsHeader, "40")
 		w.Header().Set("Retry-After", "1")
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusServiceUnavailable)
@@ -513,10 +514,10 @@ func TestShedAndModeHeadersSurviveTheHop(t *testing.T) {
 		t.Fatalf("status = %d, want terminal 503 proxied", resp.StatusCode)
 	}
 	for name, want := range map[string]string{
-		server.ModeHeader:         "read-only",
-		server.RetryAfterMsHeader: "40",
-		"Retry-After":             "1",
-		"Content-Type":            "application/json",
+		api.ModeHeader:         "read-only",
+		api.RetryAfterMsHeader: "40",
+		"Retry-After":          "1",
+		"Content-Type":         "application/json",
 	} {
 		if got := resp.Header.Get(name); got != want {
 			t.Errorf("header %s = %q, want %q", name, got, want)
@@ -584,7 +585,7 @@ func TestIdempotentReplayByteIdenticalThroughRouter(t *testing.T) {
 	if !bytes.Equal(firstBody, routerBody) {
 		t.Errorf("replay body differs from first delivery: first=%q replay=%q", firstBody, routerBody)
 	}
-	for _, name := range []string{"Idempotent-Replay", "Content-Type", "Retry-After", server.RetryAfterMsHeader} {
+	for _, name := range []string{"Idempotent-Replay", "Content-Type", "Retry-After", api.RetryAfterMsHeader} {
 		if d, v := direct.Header.Get(name), viaRouter.Header.Get(name); d != v {
 			t.Errorf("header %s: direct=%q via router=%q", name, d, v)
 		}

@@ -260,13 +260,13 @@ func (e *Engine) runRound(ctx context.Context) (*RoundResult, error) {
 		}
 		// An unproductive window (too little data, degenerate geometry) is
 		// not an engine failure: report an empty round and keep driving.
-		e.cfg.Metrics.observeRound(start, len(window), nil)
+		e.cfg.Metrics.observeRound(start, len(window), false)
 		span.AddEvent("unproductive window: " + err.Error())
 		return &RoundResult{Round: e.round, WindowLen: len(window)}, nil
 	}
 	merges := e.consolidate(h.APs)
-	e.cfg.Metrics.observeRound(start, len(window), h)
-	e.cfg.Metrics.observeConsolidation(merges, len(e.estimates))
+	e.cfg.Metrics.observeRound(start, len(window), true)
+	e.cfg.Metrics.observeConsolidation(merges)
 	span.SetAttr("k", h.K)
 	span.SetAttr("bic", h.BIC)
 	span.SetAttr("loglik", h.LogLik)

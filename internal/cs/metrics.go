@@ -8,7 +8,7 @@ import (
 )
 
 // Metrics instruments the online CS pipeline: round latency, window
-// occupancy, hypothesis size, consolidation merges, and (through Solver) the
+// occupancy, consolidation merges, and (through Solver) the
 // underlying ℓ1 programs. A nil *Metrics is a no-op.
 type Metrics struct {
 	// Solver carries the per-solver series shared with internal/solve.
@@ -18,9 +18,7 @@ type Metrics struct {
 	roundsProductive *obs.Counter
 	roundsEmpty      *obs.Counter
 	windowSamples    *obs.Gauge
-	hypothesisAPs    *obs.Gauge
 	merges           *obs.Counter
-	estimates        *obs.Gauge
 }
 
 // NewMetrics registers the online-CS series (and the solver series) on reg.
@@ -35,35 +33,27 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		roundsProductive: reg.Counter("crowdwifi_cs_rounds_total", "Completed online-CS rounds by outcome.", obs.L("outcome", "productive")),
 		roundsEmpty:      reg.Counter("crowdwifi_cs_rounds_total", "Completed online-CS rounds by outcome.", obs.L("outcome", "empty")),
 		windowSamples:    reg.Gauge("crowdwifi_cs_window_samples", "Samples in the sliding window of the most recent round."),
-		hypothesisAPs:    reg.Gauge("crowdwifi_cs_hypothesis_aps", "AP count of the most recent winning hypothesis."),
 		merges:           reg.Counter("crowdwifi_cs_consolidation_merges_total", "Estimate merges performed during credit consolidation."),
-		estimates:        reg.Gauge("crowdwifi_cs_estimates", "Consolidated AP estimates currently held by the engine."),
 	}
 }
 
 // observeRound records the outcome of one engine round.
-func (m *Metrics) observeRound(start time.Time, windowLen int, h *Hypothesis) {
+func (m *Metrics) observeRound(start time.Time, windowLen int, productive bool) {
 	if m == nil {
 		return
 	}
 	m.roundDuration.Observe(time.Since(start).Seconds())
 	m.windowSamples.Set(float64(windowLen))
-	if h == nil {
+	if productive {
+		m.roundsProductive.Inc()
+	} else {
 		m.roundsEmpty.Inc()
-		return
 	}
-	m.roundsProductive.Inc()
-	m.hypothesisAPs.Set(float64(len(h.APs)))
 }
 
-// observeConsolidation records the merge count and current estimate total
-// after a consolidation pass.
-func (m *Metrics) observeConsolidation(merges, estimates int) {
-	if m == nil {
-		return
-	}
-	if merges > 0 {
+// observeConsolidation records the merge count of a consolidation pass.
+func (m *Metrics) observeConsolidation(merges int) {
+	if m != nil && merges > 0 {
 		m.merges.Add(uint64(merges))
 	}
-	m.estimates.Set(float64(estimates))
 }

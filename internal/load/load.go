@@ -576,7 +576,7 @@ func (r *Runner) drive(ctx context.Context, v *vehicle) {
 		if r.cfg.LookupEvery > 0 && i%r.cfg.LookupEvery == 0 {
 			area := v.lookupArea()
 			start = time.Now()
-			_, lerr := v.user.LookupContext(ctx, area)
+			_, lerr := v.user.Lookup(ctx, area)
 			if ctx.Err() != nil && lerr != nil {
 				return
 			}

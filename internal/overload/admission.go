@@ -186,7 +186,7 @@ func (a *Admission) Admit(ctx context.Context, f Family, mutation bool) Decision
 func (a *Admission) refreshGauges() {
 	a.metrics.setMode(a.ctrl.Mode())
 	for f := Family(0); f < numFamilies; f++ {
-		a.metrics.setLimiter(f, a.lims[f].Snapshot())
+		a.metrics.setLimit(f, a.lims[f].Snapshot())
 	}
 }
 
@@ -197,8 +197,6 @@ type admissionMetrics struct {
 	reg  *obs.Registry // source for labeled transition counters
 
 	limit    [numFamilies]*obs.Gauge
-	inflight [numFamilies]*obs.Gauge
-	queue    [numFamilies]*obs.Gauge
 	admitted [numFamilies]*obs.Counter
 	shedLim  [numFamilies]*obs.Counter
 	shedRO   [numFamilies]*obs.Counter
@@ -212,10 +210,6 @@ func newAdmissionMetrics(reg *obs.Registry) *admissionMetrics {
 		lbl := obs.L("family", f.String())
 		m.limit[f] = reg.Gauge("crowdwifi_admission_limit",
 			"Current adaptive concurrency limit per endpoint family.", lbl)
-		m.inflight[f] = reg.Gauge("crowdwifi_admission_inflight",
-			"Requests currently holding a concurrency slot.", lbl)
-		m.queue[f] = reg.Gauge("crowdwifi_admission_queue_depth",
-			"Requests waiting for a concurrency slot.", lbl)
 		m.admitted[f] = reg.Counter("crowdwifi_admission_admitted_total",
 			"Requests granted a concurrency slot.", lbl)
 		m.shedLim[f] = reg.Counter("crowdwifi_admission_shed_total",
@@ -249,8 +243,6 @@ func (m *admissionMetrics) observeShed(f Family, reason string) {
 	m.shedLim[f].Inc()
 }
 
-func (m *admissionMetrics) setLimiter(f Family, s LimiterSnapshot) {
+func (m *admissionMetrics) setLimit(f Family, s LimiterSnapshot) {
 	m.limit[f].Set(float64(s.Limit))
-	m.inflight[f].Set(float64(s.Inflight))
-	m.queue[f].Set(float64(s.QueueDepth))
 }

@@ -3,12 +3,11 @@ package retry
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
+	"crowdwifi/internal/api"
 	"crowdwifi/internal/obs/trace"
 )
 
@@ -141,55 +140,8 @@ func (d *Doer) budget(endpoint string) *budget {
 	return b
 }
 
-// RetryableStatus reports whether an HTTP status is worth retrying: 429 and
-// the transient 5xx family.
-func RetryableStatus(code int) bool {
-	switch code {
-	case http.StatusTooManyRequests, http.StatusInternalServerError,
-		http.StatusBadGateway, http.StatusServiceUnavailable,
-		http.StatusGatewayTimeout:
-		return true
-	}
-	return false
-}
-
-// retryAfter parses the server's backoff hint: the crowd-server's precise
-// millisecond header when present (whole-second Retry-After rounds a 40ms
-// backlog estimate up 25×), falling back to the standard Retry-After in
-// delay-seconds form. 0 means absent or unparseable (HTTP-date form is not
-// supported).
-func retryAfter(resp *http.Response) time.Duration {
-	if resp == nil {
-		return 0
-	}
-	if v := resp.Header.Get("X-Crowdwifi-Retry-After-Ms"); v != "" {
-		if ms, err := strconv.Atoi(v); err == nil && ms > 0 {
-			return time.Duration(ms) * time.Millisecond
-		}
-	}
-	v := resp.Header.Get("Retry-After")
-	if v == "" {
-		return 0
-	}
-	secs, err := strconv.Atoi(v)
-	if err != nil || secs < 0 {
-		return 0
-	}
-	return time.Duration(secs) * time.Second
-}
-
-// drainClose releases a response we will not return so its connection can be
-// reused by the retry.
-func drainClose(resp *http.Response) {
-	if resp == nil {
-		return
-	}
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	resp.Body.Close()
-}
-
 // Do issues req with retries. Failed attempts are retried when the error is
-// transport-level or the status is 429/5xx, the request body can be replayed
+// transport-level or the status is in api.RetryableStatus, the request body can be replayed
 // (GetBody set, or no body), the retry budget allows it, and the request
 // context is still live. The final attempt's response or error is returned
 // unchanged, so callers still observe terminal statuses. A positive
@@ -233,7 +185,7 @@ func (d *Doer) Do(req *http.Request) (*http.Response, error) {
 		trace.Inject(actx, attemptReq.Header)
 		resp, err := d.next.Do(attemptReq)
 
-		failure := err != nil || RetryableStatus(resp.StatusCode)
+		failure := err != nil || api.RetryableStatus(resp.StatusCode)
 		d.breaker.Record(!failure)
 		if err != nil {
 			span.SetError(err)
@@ -249,7 +201,7 @@ func (d *Doer) Do(req *http.Request) (*http.Response, error) {
 		}
 		if ctx.Err() != nil {
 			// The caller is gone; report its cancellation, not ours.
-			drainClose(resp)
+			api.DrainClose(resp)
 			if err == nil {
 				err = ctx.Err()
 			}
@@ -271,10 +223,13 @@ func (d *Doer) Do(req *http.Request) (*http.Response, error) {
 			span.End()
 			return resp, err
 		}
-		hint := retryAfter(resp)
-		drainClose(resp)
+		var hint time.Duration
+		if resp != nil {
+			hint = api.RetryAfter(resp.Header)
+		}
+		api.DrainClose(resp)
 		delay := d.policy.Delay(attempt, hint)
-		d.metrics.incRetry(delay.Seconds())
+		d.metrics.incRetry()
 		span.End()
 		if werr := Sleep(ctx, delay); werr != nil {
 			return nil, werr

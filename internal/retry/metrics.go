@@ -8,7 +8,6 @@ type Metrics struct {
 	exhausted     *obs.Counter
 	budgetDenied  *obs.Counter
 	breakerDenied *obs.Counter
-	retryDelay    *obs.Histogram
 	breakerState  *obs.Gauge
 	toOpen        *obs.Counter
 	toHalfOpen    *obs.Counter
@@ -27,7 +26,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		exhausted:     reg.Counter("crowdwifi_retry_exhausted_total", "Requests that failed after exhausting every retry attempt."),
 		budgetDenied:  reg.Counter("crowdwifi_retry_budget_denied_total", "Retries suppressed because the per-endpoint retry budget was empty."),
 		breakerDenied: reg.Counter("crowdwifi_breaker_denied_total", "Requests fast-failed by an open circuit breaker."),
-		retryDelay:    reg.Histogram("crowdwifi_retry_delay_seconds", "Backoff slept before each retry.", nil),
 		breakerState:  reg.Gauge("crowdwifi_breaker_state", "Circuit breaker state: 0 closed, 1 open, 2 half-open."),
 		toOpen:        reg.Counter("crowdwifi_breaker_transitions_total", transHelp, obs.L("to", "open")),
 		toHalfOpen:    reg.Counter("crowdwifi_breaker_transitions_total", transHelp, obs.L("to", "half_open")),
@@ -54,12 +52,10 @@ func (m *Metrics) BreakerHook() func(from, to State) {
 	}
 }
 
-func (m *Metrics) incRetry(delaySeconds float64) {
-	if m == nil {
-		return
+func (m *Metrics) incRetry() {
+	if m != nil {
+		m.retries.Inc()
 	}
-	m.retries.Inc()
-	m.retryDelay.Observe(delaySeconds)
 }
 
 func (m *Metrics) incExhausted() {

@@ -14,6 +14,8 @@ import (
 	"math"
 	"math/rand"
 	"time"
+
+	"crowdwifi/internal/api"
 )
 
 // Default policy knobs, tuned for contact windows measured in seconds.
@@ -22,10 +24,6 @@ const (
 	DefaultBaseDelay   = 100 * time.Millisecond
 	DefaultMaxDelay    = 5 * time.Second
 	DefaultMultiplier  = 2.0
-
-	// maxRetryAfter caps how long a server-sent Retry-After can make the
-	// client sleep, so a misbehaving server cannot park a vehicle forever.
-	maxRetryAfter = 30 * time.Second
 )
 
 // Policy describes an exponential-backoff retry schedule with full jitter.
@@ -79,11 +77,11 @@ func (p Policy) Delay(retryIdx int, hint time.Duration) time.Duration {
 		// rejected again at the hinted time is evidence the estimate lost
 		// to arrival pressure, and constant-cadence retries at saturation
 		// just burn server CPU on 503s.
-		for i := 0; i < retryIdx && hint < maxRetryAfter; i++ {
+		for i := 0; i < retryIdx && hint < api.MaxRetryAfter; i++ {
 			hint *= 2
 		}
-		if hint > maxRetryAfter {
-			hint = maxRetryAfter
+		if hint > api.MaxRetryAfter {
+			hint = api.MaxRetryAfter
 		}
 		// Retry-After is a lower bound, not an appointment: a fleet that
 		// sleeps exactly the hinted time wakes as one herd, slams the

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"crowdwifi/internal/api"
 )
 
 func TestPolicyDelayFullJitter(t *testing.T) {
@@ -48,8 +50,8 @@ func TestPolicyDelayHonorsHint(t *testing.T) {
 	}
 	// Hints are clamped so a hostile server cannot park the client.
 	p.Rand = func() float64 { return 0 }
-	if d := p.Delay(0, time.Hour); d != maxRetryAfter {
-		t.Errorf("clamped hint = %v, want %v", d, maxRetryAfter)
+	if d := p.Delay(0, time.Hour); d != api.MaxRetryAfter {
+		t.Errorf("clamped hint = %v, want %v", d, api.MaxRetryAfter)
 	}
 }
 

@@ -16,6 +16,7 @@ package server
 
 import (
 	"context"
+	"crowdwifi/internal/api"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -39,42 +40,15 @@ type BatchItem struct {
 	Report Report
 }
 
-// ingestBatch wraps the batch route with the resilience middleware applied
-// to POST: aggregation shedding and the batch-specific body cap.
-// Idempotency is per entry — keys ride inside the body — so the whole-
-// request dedupe of ingest() does not apply.
-func (s *Server) ingestBatch(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			h(w, r)
-			return
-		}
-		if s.store.Aggregating() {
-			s.shed(w, errors.New("aggregation in progress"), s.store.AggregationEta())
-			return
-		}
-		r.Body = http.MaxBytesReader(w, r.Body, s.batchMaxBody)
-		h(w, r)
-	}
-}
-
 // readBody reads the (capped) request body whole, mapping an over-limit
 // read to a 413 with a JSON error body — the same contract decodeBody gives
 // JSON routes, for bodies the handler must parse itself.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(r.Body)
-	if err == nil {
-		return body, true
+	if err != nil {
+		s.bodyError(w, err)
 	}
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		s.metrics.incBodyLimited()
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("body exceeds %d bytes", tooLarge.Limit))
-		return nil, false
-	}
-	writeError(w, http.StatusBadRequest, err)
-	return nil, false
+	return body, err == nil
 }
 
 func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
@@ -90,7 +64,7 @@ func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 	if isFrameRequest(r) {
 		frames, err := SplitReportFrames(body)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			api.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		entries = make([]BatchEntry, len(frames))
@@ -100,7 +74,7 @@ func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 	} else {
 		var req BatchRequest
 		if err := json.Unmarshal(body, &req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			api.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		entries = req.Entries
@@ -109,13 +83,13 @@ func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 	if WantsFrame(r.Header.Get("Accept")) {
 		frame, err := EncodeBatchStatusFrame(results)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
+			api.WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 		writeFrame(w, frame)
 		return
 	}
-	writeJSON(w, http.StatusOK, BatchResponse{Results: results})
+	api.WriteJSON(w, http.StatusOK, BatchResponse{Results: results})
 }
 
 // processBatch validates, ownership-filters, and dedupes each entry, then

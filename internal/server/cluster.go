@@ -16,6 +16,7 @@ package server
 
 import (
 	"context"
+	"crowdwifi/internal/api"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -86,7 +87,7 @@ func (s *Server) misdirected(seg string) (owner string, ok bool) {
 // owner.
 func (s *Server) rejectMisdirected(w http.ResponseWriter, seg, owner string) {
 	w.Header().Set(OwnerHeader, owner)
-	writeError(w, http.StatusMisdirectedRequest,
+	api.WriteError(w, http.StatusMisdirectedRequest,
 		fmt.Errorf("segment %q is owned by shard %q", seg, owner))
 }
 
@@ -384,7 +385,7 @@ func (s *Server) handleClusterDigest(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusMethodNotAllowed)
 		return
 	}
-	writeJSON(w, http.StatusOK, DigestResponse{
+	api.WriteJSON(w, http.StatusOK, DigestResponse{
 		Self:     s.cluster.self,
 		Members:  s.cluster.ring.Load().Members(),
 		Segments: s.store.SegmentDigests(),
@@ -421,7 +422,7 @@ func (s *Server) handleClusterSlice(w http.ResponseWriter, r *http.Request) {
 			if v := q.Get("vnodes"); v != "" {
 				n, err := strconv.Atoi(v)
 				if err != nil || n < 0 {
-					writeError(w, http.StatusBadRequest, errors.New("bad vnodes"))
+					api.WriteError(w, http.StatusBadRequest, errors.New("bad vnodes"))
 					return
 				}
 				vnodes = n
@@ -429,10 +430,10 @@ func (s *Server) handleClusterSlice(w http.ResponseWriter, r *http.Request) {
 			rg := ring.New(members, vnodes)
 			owned = func(seg string) bool { return rg.Owner(seg) == owner }
 		} else {
-			writeError(w, http.StatusBadRequest, errors.New("need ?segments= or ?owner=&members="))
+			api.WriteError(w, http.StatusBadRequest, errors.New("need ?segments= or ?owner=&members="))
 			return
 		}
-		writeJSON(w, http.StatusOK, s.store.ExportSlice(owned, s.cluster.self))
+		api.WriteJSON(w, http.StatusOK, s.store.ExportSlice(owned, s.cluster.self))
 	case http.MethodPost:
 		r.Body = http.MaxBytesReader(w, r.Body, maxSliceBytes)
 		var sl Slice
@@ -452,7 +453,7 @@ func (s *Server) handleClusterSlice(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set(OwnerHeader, s.cluster.self)
-		writeJSON(w, http.StatusOK, stats)
+		api.WriteJSON(w, http.StatusOK, stats)
 	default:
 		w.WriteHeader(http.StatusMethodNotAllowed)
 	}
@@ -475,7 +476,7 @@ func (s *Server) handleClusterDrop(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Segments) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("segments required"))
+		api.WriteError(w, http.StatusBadRequest, errors.New("segments required"))
 		return
 	}
 	dropped, err := s.store.DropSegments(r.Context(), req.Segments)
@@ -483,7 +484,7 @@ func (s *Server) handleClusterDrop(w http.ResponseWriter, r *http.Request) {
 		s.mutationError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"droppedReports": dropped})
+	api.WriteJSON(w, http.StatusOK, map[string]int{"droppedReports": dropped})
 }
 
 // MembersRequest is POST /v1/cluster/members: install a new membership ring.
@@ -503,7 +504,7 @@ func (s *Server) handleClusterMembers(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if len(req.Members) == 0 {
-			writeError(w, http.StatusBadRequest, errors.New("members required"))
+			api.WriteError(w, http.StatusBadRequest, errors.New("members required"))
 			return
 		}
 		s.cluster.ring.Store(ring.New(req.Members, s.cluster.vnodes))
@@ -512,7 +513,7 @@ func (s *Server) handleClusterMembers(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusMethodNotAllowed)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	api.WriteJSON(w, http.StatusOK, map[string]any{
 		"self":    s.cluster.self,
 		"members": s.cluster.ring.Load().Members(),
 		"vnodes":  s.cluster.ring.Load().VNodes(),

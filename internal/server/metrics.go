@@ -1,18 +1,12 @@
 package server
 
 import (
-	"math"
-	"net/http"
-	"strconv"
-	"time"
-
 	"crowdwifi/internal/crowd"
 	"crowdwifi/internal/obs"
-	"crowdwifi/internal/obs/trace"
 )
 
-// Metrics instruments the crowd-server: per-route HTTP traffic, ingest
-// volume, and the aggregation pipeline (reliability inference + fusion). A
+// Metrics instruments the crowd-server: ingest volume and the aggregation
+// pipeline (reliability inference + fusion). A
 // nil *Metrics is a no-op everywhere it is consulted.
 type Metrics struct {
 	registry *obs.Registry
@@ -21,10 +15,6 @@ type Metrics struct {
 	// internal/crowd; Store.Aggregate threads it into Infer.
 	Crowd *crowd.Metrics
 
-	requestsHelp    string
-	errorsHelp      string
-	reqDuration     map[string]*obs.WindowedHistogram
-	inflight        map[string]*obs.Gauge
 	reports         *obs.Counter
 	labels          *obs.Counter
 	patterns        *obs.Counter
@@ -38,8 +28,6 @@ type Metrics struct {
 	vehiclesScored  *obs.Gauge
 	spammersFlagged *obs.Gauge
 	relMean         *obs.Gauge
-	relMin          *obs.Gauge
-	relMax          *obs.Gauge
 }
 
 // NewMetrics registers the crowd-server series on reg. Returns nil for a nil
@@ -51,10 +39,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
 		registry:        reg,
 		Crowd:           crowd.NewMetrics(reg),
-		requestsHelp:    "HTTP requests served, by route, method, and status code.",
-		errorsHelp:      "HTTP requests answered with a 4xx/5xx status, by route and code.",
-		reqDuration:     map[string]*obs.WindowedHistogram{},
-		inflight:        map[string]*obs.Gauge{},
 		reports:         reg.Counter("crowdwifi_server_reports_total", "Vehicle AP reports accepted."),
 		labels:          reg.Counter("crowdwifi_server_labels_total", "Mapping-task labels accepted."),
 		patterns:        reg.Counter("crowdwifi_server_patterns_total", "Mapping tasks (patterns) registered."),
@@ -68,8 +52,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		vehiclesScored:  reg.Gauge("crowdwifi_server_vehicles_scored", "Vehicles assigned a reliability score in the last aggregation."),
 		spammersFlagged: reg.Gauge("crowdwifi_server_spammers_flagged", "Vehicles with normalized reliability below 0.5 in the last aggregation."),
 		relMean:         reg.Gauge("crowdwifi_server_reliability_mean", "Mean normalized vehicle reliability."),
-		relMin:          reg.Gauge("crowdwifi_server_reliability_min", "Minimum normalized vehicle reliability."),
-		relMax:          reg.Gauge("crowdwifi_server_reliability_max", "Maximum normalized vehicle reliability."),
 	}
 }
 
@@ -79,55 +61,6 @@ func (m *Metrics) Registry() *obs.Registry {
 		return nil
 	}
 	return m.registry
-}
-
-// routeHistogram returns (registering on first use) the latency histogram
-// for a route: a cumulative series on /metrics plus a rolling window that
-// keeps /debug/vars quantiles describing current — not lifetime — traffic.
-// The server pre-registers every mux route so the exposition lists all of
-// them from startup.
-func (m *Metrics) routeHistogram(route string) *obs.WindowedHistogram {
-	if m == nil {
-		return nil
-	}
-	h, ok := m.reqDuration[route]
-	if !ok {
-		h = m.registry.WindowedHistogram("crowdwifi_http_request_duration_seconds",
-			"HTTP request latency by route.", nil, obs.DefaultWindow, obs.DefaultWindowSlots,
-			obs.L("route", route))
-		m.reqDuration[route] = h
-	}
-	return h
-}
-
-// routeInflight returns (registering on first use) the in-flight request
-// gauge for a route.
-func (m *Metrics) routeInflight(route string) *obs.Gauge {
-	if m == nil {
-		return nil
-	}
-	g, ok := m.inflight[route]
-	if !ok {
-		g = m.registry.Gauge("crowdwifi_http_inflight_requests",
-			"Requests currently being served, by route.", obs.L("route", route))
-		m.inflight[route] = g
-	}
-	return g
-}
-
-// countRequest records one served request, plus the error series for
-// non-2xx/3xx outcomes — together with the duration histogram these are the
-// per-endpoint RED triple (rate, errors, duration).
-func (m *Metrics) countRequest(route, method string, code int) {
-	if m == nil {
-		return
-	}
-	m.registry.Counter("crowdwifi_http_requests_total", m.requestsHelp,
-		obs.L("route", route), obs.L("method", method), obs.L("code", strconv.Itoa(code))).Inc()
-	if code >= 400 {
-		m.registry.Counter("crowdwifi_http_errors_total", m.errorsHelp,
-			obs.L("route", route), obs.L("code", strconv.Itoa(code))).Inc()
-	}
 }
 
 // Ingest counters, nil-safe so Store call sites need no conditionals.
@@ -155,10 +88,12 @@ func (m *Metrics) incDeduped() {
 	}
 }
 
-func (m *Metrics) incShed() {
-	if m != nil {
-		m.shed.Inc()
+// shedCounter is the 503 counter the serving stack increments.
+func (m *Metrics) shedCounter() *obs.Counter {
+	if m == nil {
+		return nil
 	}
+	return m.shed
 }
 
 func (m *Metrics) incBodyLimited() {
@@ -189,50 +124,10 @@ func (m *Metrics) observeAggregate(stats CycleStats, reliability map[string]floa
 	m.vehiclesScored.Set(float64(stats.VehiclesScored))
 	m.spammersFlagged.Set(float64(stats.SpammersFlagged))
 	if len(reliability) > 0 {
-		lo, hi, sum := math.Inf(1), math.Inf(-1), 0.0
+		sum := 0.0
 		for _, r := range reliability {
-			lo = math.Min(lo, r)
-			hi = math.Max(hi, r)
 			sum += r
 		}
 		m.relMean.Set(sum / float64(len(reliability)))
-		m.relMin.Set(lo)
-		m.relMax.Set(hi)
-	}
-}
-
-// statusWriter captures the response code for the HTTP middleware.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// instrument wraps a handler with the RED middleware for one route: request
-// and error counting by route/method/code, in-flight tracking, and latency
-// observation into the route's windowed histogram. It runs inside the
-// tracing middleware, so each observation carries the request's trace id as
-// a bucket exemplar — the slowest bucket always names a trace retrievable at
-// /debug/traces/{id}.
-func (m *Metrics) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
-	if m == nil {
-		return h
-	}
-	hist := m.routeHistogram(route)
-	inflight := m.routeInflight(route)
-	return func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		inflight.Add(1)
-		start := time.Now()
-		h(sw, r)
-		dur := time.Since(start).Seconds()
-		inflight.Add(-1)
-		traceID, _, _ := trace.IDs(r.Context())
-		hist.ObserveWithExemplar(dur, traceID)
-		m.countRequest(route, r.Method, sw.code)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"crowdwifi/internal/cs"
 	"crowdwifi/internal/obs"
 )
 
@@ -204,32 +203,6 @@ func TestMetricsEndToEnd(t *testing.T) {
 		}
 		if !lineRe.MatchString(line) {
 			t.Errorf("malformed exposition line: %q", line)
-		}
-	}
-}
-
-// TestMetricsCatalogPrecreated asserts the solver and CS engine series show
-// up on a crowd-server scrape (at zero) when the binary registers them, so a
-// single dashboard target sees the whole catalogue.
-func TestMetricsCatalogPrecreated(t *testing.T) {
-	reg := obs.NewRegistry()
-	metrics := NewMetrics(reg)
-	store := NewStore(10)
-	ts := httptest.NewServer(New(store, WithMetrics(metrics)))
-	defer ts.Close()
-
-	// What cmd/crowdwifi-server does at startup.
-	cs.NewMetrics(reg)
-
-	exp := scrape(t, ts.URL)
-	for _, series := range []string{
-		`crowdwifi_solver_runs_total{outcome="converged",solver="omp"}`,
-		`crowdwifi_solver_iterations_total{solver="bpdn"}`,
-		"crowdwifi_cs_round_duration_seconds_count",
-		`crowdwifi_cs_rounds_total{outcome="productive"}`,
-	} {
-		if v := seriesValue(t, exp, series); v != 0 {
-			t.Errorf("%s = %v, want 0 before any engine runs", series, v)
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"crowdwifi/internal/api"
 	"crowdwifi/internal/chaos"
 	"crowdwifi/internal/obs"
 	"crowdwifi/internal/overload"
@@ -152,8 +153,8 @@ func TestOverloadReadOnlyChaosE2E(t *testing.T) {
 	}
 	resp := postKeyed(t, ts.URL+"/v1/reports", "e2e-ro-probe", Report{Vehicle: "v", Segment: "s"})
 	io.Copy(io.Discard, resp.Body)
-	if got := resp.Header.Get(ModeHeader); got != "read-only" {
-		t.Errorf("shed %s = %q, want read-only", ModeHeader, got)
+	if got := resp.Header.Get(api.ModeHeader); got != "read-only" {
+		t.Errorf("shed %s = %q, want read-only", api.ModeHeader, got)
 	}
 	if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
 		t.Errorf("shed Retry-After = %q, want integer ≥ 1", resp.Header.Get("Retry-After"))

@@ -441,16 +441,16 @@ func (s *Store) Snapshot() (uint64, error) {
 	log, opts := s.log, s.storage
 	s.mu.Unlock()
 	if err != nil {
-		opts.Metrics.ObserveSnapshot(0, 0, err)
+		opts.Metrics.ObserveSnapshot(0, err)
 		return 0, err
 	}
 
 	start := time.Now()
 	if err := wal.WriteSnapshot(opts.Dir, seq, data); err != nil {
-		opts.Metrics.ObserveSnapshot(0, time.Since(start), err)
+		opts.Metrics.ObserveSnapshot(time.Since(start), err)
 		return 0, err
 	}
-	opts.Metrics.ObserveSnapshot(len(data), time.Since(start), nil)
+	opts.Metrics.ObserveSnapshot(time.Since(start), nil)
 	if err := log.CompactThrough(seq); err != nil {
 		return seq, err
 	}

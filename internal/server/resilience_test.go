@@ -240,11 +240,11 @@ func TestLabelsBatchAtomic(t *testing.T) {
 }
 
 func TestRequestDeadlineAttached(t *testing.T) {
-	// handle() attaches the per-request deadline; register a probe route on a
+	// The stack attaches the per-request deadline; register a probe route on a
 	// server configured with a timeout and check the handler's context.
 	var sawDeadline bool
-	s := &Server{store: NewStore(10), mux: http.NewServeMux(), reqTimeout: 5 * time.Second}
-	s.handle("/probe", func(w http.ResponseWriter, r *http.Request) {
+	s := New(NewStore(10), WithRequestTimeout(5*time.Second))
+	s.stack.Handle(s.mux, "/probe", func(w http.ResponseWriter, r *http.Request) {
 		_, sawDeadline = r.Context().Deadline()
 		w.WriteHeader(http.StatusNoContent)
 	})

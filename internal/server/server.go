@@ -18,9 +18,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"crowdwifi/internal/api"
 	"crowdwifi/internal/crowd"
 	"crowdwifi/internal/geo"
 	"crowdwifi/internal/obs"
+	"crowdwifi/internal/obs/slo"
 	"crowdwifi/internal/obs/trace"
 	"crowdwifi/internal/overload"
 	"crowdwifi/internal/par"
@@ -42,29 +44,19 @@ const (
 	DefaultIdempotencyCapacity = 4096
 	// MaxTaskCount caps ?count= on /v1/tasks.
 	MaxTaskCount = 100
-	// defaultShedRetryAfter floors every 503's standard Retry-After header:
-	// callers supply a dynamic hint (backlog drain estimate, aggregation
-	// remainder, recovery probe horizon) and this is the minimum a client
-	// reading only the whole-second header is told to wait.
-	defaultShedRetryAfter = time.Second
 )
 
-// RetryAfterMsHeader carries the shed hint at millisecond precision. The
-// standard Retry-After header only speaks whole seconds, so a 40ms backlog
-// estimate would round up to 1s and idle a fleet client 25× longer than the
-// queue needs; fleet clients prefer this header when present and third-party
-// clients still get a conservative whole-second Retry-After.
-const RetryAfterMsHeader = "X-Crowdwifi-Retry-After-Ms"
-
-// ModeHeader carries the server's degradation mode on every response when
-// overload control is enabled, so a client can distinguish "over capacity,
-// retry soon" from "read-only disk fault, retry later" without parsing the
-// body — and a fleet (or the cluster router) can track shard health
-// passively from the traffic it already sends.
-const ModeHeader = "X-Crowdwifi-Mode"
-
 // IdempotencyKeyHeader carries the client's per-upload deduplication key.
-const IdempotencyKeyHeader = "Idempotency-Key"
+const IdempotencyKeyHeader = api.IdempotencyKeyHeader
+
+// redMetrics prefixes the shard's RED families.
+const redMetrics = "crowdwifi_http"
+
+// SLOObjectives returns the shard server's default objectives (see
+// api.SLOObjectives), evaluated from its own RED families.
+func SLOObjectives(reg *obs.Registry) []slo.Objective {
+	return api.SLOObjectives(reg, redMetrics, "")
+}
 
 // APReport is one AP estimate inside a vehicle report.
 type APReport struct {
@@ -96,11 +88,7 @@ type Label struct {
 }
 
 // LookupResult is a fused AP record served to user-vehicles.
-type LookupResult struct {
-	X      float64 `json:"x"`
-	Y      float64 `json:"y"`
-	Weight float64 `json:"weight"`
-}
+type LookupResult = api.LookupResult
 
 // Store is the crowd-server's mutable state. All methods are safe for
 // concurrent use.
@@ -548,10 +536,9 @@ func (s *Store) inferReliabilityLocked(ctx context.Context) map[string]float64 {
 }
 
 // Lookup returns the fused APs intersecting the query rectangle, across all
-// segments. The result is never nil and is ordered by position (X, then Y)
-// with ties broken by descending weight — a total order independent of map
-// iteration, so two stores holding the same fused state (e.g. one recovered
-// from disk) answer byte-for-byte identically.
+// segments. The result is never nil and is in api.SortLookup's total order,
+// so two stores holding the same fused state (e.g. one recovered from disk)
+// answer byte-for-byte identically.
 func (s *Store) Lookup(area geo.Rect) []LookupResult {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -563,33 +550,25 @@ func (s *Store) Lookup(area geo.Rect) []LookupResult {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].X != out[j].X {
-			return out[i].X < out[j].X
-		}
-		if out[i].Y != out[j].Y {
-			return out[i].Y < out[j].Y
-		}
-		return out[i].Weight > out[j].Weight
-	})
+	api.SortLookup(out)
 	return out
 }
 
 // Server wires the store to an HTTP mux.
 type Server struct {
-	store      *Store
-	mux        *http.ServeMux
-	metrics    *Metrics
-	log        *obs.Logger
-	tracer     *trace.Tracer
-	health     *obs.Health
-	maxBody    int64
+	store   *Store
+	mux     *http.ServeMux
+	metrics *Metrics
+	log     *obs.Logger
+	tracer  *trace.Tracer
+	health  *obs.Health
+	maxBody int64
 	// batchMaxBody is the per-route body cap for /v1/reports/batch; every
 	// other mutation route stays under maxBody.
 	batchMaxBody int64
 	reqTimeout   time.Duration
-	idemCap    int
-	idem       *idemCache
+	idemCap      int
+	idem         *idemCache
 
 	ov        *overload.Admission
 	ovEnabled bool
@@ -600,10 +579,15 @@ type Server struct {
 	// endpoints are mounted. See cluster.go.
 	cluster *clusterState
 
-	// slo and profiler are optional debug surfaces mounted on the server's
-	// own mux (WithSLO, WithProfiler); their lifecycles belong to the caller.
+	// slo and profiler are optional parts of the debug surface (WithSLO,
+	// WithProfiler); their lifecycles belong to the caller.
 	slo      http.Handler
 	profiler *obs.Profiler
+
+	// stack is the middleware every route is mounted through; debug is the
+	// debug surface, built once and served on the API mux and by Debug().
+	stack api.Stack
+	debug *http.ServeMux
 }
 
 // Option configures a Server.
@@ -713,37 +697,57 @@ func New(store *Store, opts ...Option) *Server {
 	if s.ovEnabled {
 		s.buildOverload()
 	}
-	s.handle("/v1/patterns", s.ingest(s.handlePatterns))
-	s.handle("/v1/tasks", s.handleTasks)
-	s.handle("/v1/labels", s.ingest(s.handleLabels))
-	s.handle("/v1/reports", s.ingest(s.handleReports))
-	s.handle("/v1/reports/batch", s.ingestBatch(s.handleReportBatch))
-	s.handle("/v1/aggregate", s.handleAggregate)
-	s.handle("/v1/lookup", s.handleLookup)
-	s.handle("/v1/reliability", s.handleReliability)
-	if s.cluster != nil {
-		s.handle("/v1/cluster/digest", s.handleClusterDigest)
-		s.handle("/v1/cluster/slice", s.handleClusterSlice)
-		s.handle("/v1/cluster/drop", s.handleClusterDrop)
-		s.handle("/v1/cluster/members", s.handleClusterMembers)
+	s.stack = api.Stack{
+		Tier:      "server",
+		Metrics:   redMetrics,
+		Registry:  s.metrics.Registry(),
+		Sheds:     s.metrics.shedCounter(),
+		Tracer:    s.tracer,
+		Admission: s.ov,
+		Classify:  classify,
+		Timeout:   s.reqTimeout,
 	}
+	handle := func(route string, h http.HandlerFunc) { s.stack.Handle(s.mux, route, h) }
+	handle("/v1/patterns", s.ingest(s.maxBody, s.dedupe(s.handlePatterns)))
+	handle("/v1/tasks", s.handleTasks)
+	handle("/v1/labels", s.ingest(s.maxBody, s.dedupe(s.handleLabels)))
+	handle("/v1/reports", s.ingest(s.maxBody, s.dedupe(s.handleReports)))
+	// Batch idempotency is per entry — keys ride inside the body — so the
+	// whole-request dedupe does not apply.
+	handle("/v1/reports/batch", s.ingest(s.batchMaxBody, s.handleReportBatch))
+	handle("/v1/aggregate", s.handleAggregate)
+	handle("/v1/lookup", s.handleLookup)
+	handle("/v1/reliability", s.handleReliability)
+	if s.cluster != nil {
+		handle("/v1/cluster/digest", s.handleClusterDigest)
+		handle("/v1/cluster/slice", s.handleClusterSlice)
+		handle("/v1/cluster/drop", s.handleClusterDrop)
+		handle("/v1/cluster/members", s.handleClusterMembers)
+	}
+	s.debug = http.NewServeMux()
 	if s.metrics != nil {
-		obs.Mount(s.mux, s.metrics.Registry())
+		obs.Mount(s.debug, s.metrics.Registry())
 	}
 	if s.tracer != nil {
-		trace.Mount(s.mux, s.tracer.Store())
+		trace.Mount(s.debug, s.tracer.Store())
 	}
 	if s.health != nil {
-		obs.MountHealth(s.mux, s.health)
+		obs.MountHealth(s.debug, s.health)
 	}
 	if s.slo != nil {
-		s.mux.Handle("/debug/slo", s.slo)
+		s.debug.Handle("/debug/slo", s.slo)
 	}
 	if s.profiler != nil {
-		obs.MountProfiles(s.mux, s.profiler)
+		obs.MountProfiles(s.debug, s.profiler)
 	}
+	api.MountDebug(s.mux, s.debug)
 	return s
 }
+
+// Debug returns the server's debug surface — /metrics, /debug/*, /healthz,
+// /readyz, whichever the options attached — for serving on a second listener
+// next to the API mux, which carries the same handler.
+func (s *Server) Debug() http.Handler { return s.debug }
 
 // buildOverload finishes the admission controller's wiring once the other
 // options (metrics, health, tracer, store) are resolved: transitions update
@@ -802,26 +806,6 @@ func (s *Server) overloadVars() any {
 // read-only recovery probing.
 func (s *Server) Overload() *overload.Admission { return s.ov }
 
-// handle registers a route through the middleware stack, outermost first:
-// tracing, then the RED instrumentation (inside tracing so each latency
-// observation can stamp the request's trace id as a bucket exemplar; and
-// outside admission so observed latency includes queue wait and sheds count
-// as 503s), then admission control, then the per-request deadline. The
-// instrumenting, tracing, and admission layers are no-ops when unconfigured.
-func (s *Server) handle(route string, h http.HandlerFunc) {
-	if d := s.reqTimeout; d > 0 {
-		inner := h
-		h = func(w http.ResponseWriter, r *http.Request) {
-			ctx, cancel := context.WithTimeout(r.Context(), d)
-			defer cancel()
-			inner(w, r.WithContext(ctx))
-		}
-	}
-	h = s.admit(route, h)
-	h = s.metrics.instrument(route, h)
-	s.mux.HandleFunc(route, s.traced(route, h))
-}
-
 // classify maps a (route, method) to its shedding family and whether it
 // mutates durable state. Uploads (vehicle ingest POSTs) shed first; GET
 // reads and task/aggregation management are control traffic; /v1/lookup is
@@ -847,124 +831,40 @@ func classify(route, method string) (overload.Family, bool) {
 	}
 }
 
-// admit wraps a route with admission control: acquire a slot in the route's
-// family (waiting briefly in the bounded queue), shed with a measured
-// Retry-After when the family is saturated, reject mutations outright while
-// the server is read-only, and feed the request's service latency back into
-// the family's adaptive limit.
-func (s *Server) admit(route string, h http.HandlerFunc) http.HandlerFunc {
-	if s.ov == nil {
-		return h
-	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		fam, mutation := classify(route, r.Method)
-		// Every response carries the server's degradation mode, not just the
-		// sheds: clients and the router track shard health passively from
-		// traffic they were sending anyway, without probing or parsing errors.
-		mode := s.ov.Mode()
-		w.Header().Set(ModeHeader, mode.String())
-		dec := s.ov.Admit(r.Context(), fam, mutation)
-		if !dec.OK {
-			mode = s.ov.Mode()
-			w.Header().Set(ModeHeader, mode.String())
-			_, sp := trace.StartChild(r.Context(), "server.shed")
-			sp.SetAttr("family", fam.String())
-			sp.SetAttr("mode", mode.String())
-			sp.SetAttr("retry_after_ms", int(dec.RetryAfter/time.Millisecond))
-			sp.End()
-			if dec.ReadOnly {
-				s.shed(w, errors.New("server is read-only: durable writes unavailable"), dec.RetryAfter)
-				return
-			}
-			s.shed(w, errors.New("server over capacity"), dec.RetryAfter)
-			return
-		}
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, r)
-		// 5xx count as failures so the limit backs off — except 503, the
-		// handler's own shed (aggregation window, duplicate in flight), which
-		// is deliberate and must not collapse the limit; 4xx are the
-		// client's fault and must not shrink capacity either.
-		ok := sw.code < http.StatusInternalServerError || sw.code == http.StatusServiceUnavailable
-		dec.Release(time.Since(start), ok)
-	}
-}
-
-// traced wraps a route with the server-side tracing middleware: a valid
-// traceparent header continues the caller's trace (so the handler, dedupe,
-// store, and WAL spans land in the same trace as the client's retry
-// attempts); anything else starts a fresh head-sampled server trace.
-func (s *Server) traced(route string, h http.HandlerFunc) http.HandlerFunc {
-	if s.tracer == nil {
-		return h
-	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		ctx, span := s.tracer.StartServer(r.Context(), "server "+r.Method+" "+route, r.Header)
-		if span == nil {
-			h(w, r)
-			return
-		}
-		defer span.End()
-		span.SetAttr("http.method", r.Method)
-		span.SetAttr("http.route", route)
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, r.WithContext(ctx))
-		span.SetAttr("http.status", sw.code)
-		if sw.code >= http.StatusInternalServerError {
-			span.SetError(fmt.Errorf("status %d", sw.code))
-		}
-	}
-}
-
-// shed writes a 503 with Retry-After, steering well-behaved clients (whose
-// retry layer honors the header) away from a busy window. retryAfter is the
-// caller's estimate of when capacity returns — backlog drain time, the
-// aggregation cycle's remainder, the disk-recovery probe horizon. The
-// estimate goes out twice: verbatim at millisecond precision for fleet
-// clients, and floored at one second, rounded up to whole seconds, in the
-// standard header (its unit).
-func (s *Server) shed(w http.ResponseWriter, reason error, retryAfter time.Duration) {
-	s.metrics.incShed()
-	if ms := retryAfter.Milliseconds(); ms > 0 {
-		w.Header().Set(RetryAfterMsHeader, strconv.FormatInt(ms, 10))
-	}
-	if retryAfter < defaultShedRetryAfter {
-		retryAfter = defaultShedRetryAfter
-	}
-	secs := int((retryAfter + time.Second - 1) / time.Second)
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeError(w, http.StatusServiceUnavailable, reason)
-}
-
 // uploadRetryHint estimates Retry-After for sheds issued outside the
 // admission layer (aggregation window, duplicate in flight), from the upload
 // family's backlog when admission is enabled.
 func (s *Server) uploadRetryHint() time.Duration {
 	if s.ov == nil {
-		return defaultShedRetryAfter
+		return api.MinRetryAfter
 	}
 	return s.ov.RetryHint(overload.FamilyUpload)
 }
 
 // ingest wraps a write route with the resilience middleware, applied to POST
-// only: load shedding while the store is mid-aggregation, a request body
-// cap, and idempotency-key deduplication. Successful responses are cached by
-// key and replayed verbatim for duplicate deliveries (client retries after a
-// lost response, outbox replays), making ingestion exactly-once in effect.
-func (s *Server) ingest(h http.HandlerFunc) http.HandlerFunc {
+// only: load shedding while the store is mid-aggregation and the route's
+// request body cap.
+func (s *Server) ingest(maxBody int64, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			h(w, r)
-			return
+		if r.Method == http.MethodPost {
+			if s.store.Aggregating() {
+				s.stack.Shed(w, errors.New("aggregation in progress"), s.store.AggregationEta())
+				return
+			}
+			r.Body = http.MaxBytesReader(w, r.Body, maxBody)
 		}
-		if s.store.Aggregating() {
-			s.shed(w, errors.New("aggregation in progress"), s.store.AggregationEta())
-			return
-		}
-		r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
+		h(w, r)
+	}
+}
+
+// dedupe wraps a write route with idempotency-key deduplication. Successful
+// responses are cached by key and replayed verbatim for duplicate deliveries
+// (client retries after a lost response, outbox replays), making ingestion
+// exactly-once in effect.
+func (s *Server) dedupe(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
 		key := r.Header.Get(IdempotencyKeyHeader)
-		if key == "" {
+		if r.Method != http.MethodPost || key == "" {
 			h(w, r)
 			return
 		}
@@ -980,15 +880,13 @@ func (s *Server) ingest(h http.HandlerFunc) http.HandlerFunc {
 				// A first delivery of this key is still executing; the
 				// duplicate cannot be answered yet, so push it to retry.
 				dspan.AddEvent("first delivery still in flight")
-				s.shed(w, errors.New("duplicate request still in flight"), s.uploadRetryHint())
+				s.stack.Shed(w, errors.New("duplicate request still in flight"), s.uploadRetryHint())
 				return
 			}
 			s.metrics.incDeduped()
 			dspan.AddEvent("replayed canonical response")
 			w.Header().Set("Idempotent-Replay", "true")
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(rec.status)
-			_, _ = w.Write(rec.body)
+			writeCanned(w, cannedResponse{status: rec.status, body: rec.body})
 			return
 		}
 		dspan.End()
@@ -1002,18 +900,17 @@ func (s *Server) ingest(h http.HandlerFunc) http.HandlerFunc {
 // 413 and malformed JSON to 400. It reports whether decoding succeeded.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	err := json.NewDecoder(r.Body).Decode(v)
-	if err == nil {
-		return true
+	if err != nil {
+		s.bodyError(w, err)
 	}
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
+	return err == nil
+}
+
+// bodyError answers a failed body read or decode and counts cap rejections.
+func (s *Server) bodyError(w http.ResponseWriter, err error) {
+	if api.WriteBodyError(w, err) {
 		s.metrics.incBodyLimited()
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("body exceeds %d bytes", tooLarge.Limit))
-		return false
 	}
-	writeError(w, http.StatusBadRequest, err)
-	return false
 }
 
 // ServeHTTP implements http.Handler.
@@ -1022,16 +919,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 var _ http.Handler = (*Server)(nil)
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
 
 // writeCanned sends a mutation's canonical acknowledgement (see
 // cannedResponse in persist.go).
@@ -1052,16 +939,16 @@ func (s *Server) mutationError(w http.ResponseWriter, err error) {
 		// request is too big (413), not the disk broken — the server must
 		// not flip read-only over a client-sized payload.
 		s.metrics.incBodyLimited()
-		writeError(w, http.StatusRequestEntityTooLarge, err)
+		api.WriteError(w, http.StatusRequestEntityTooLarge, err)
 		return
 	}
 	if errors.Is(err, ErrDurability) {
 		s.log.Error("durable append failed", "err", err)
 		s.reportDurability(err)
-		writeError(w, http.StatusInternalServerError, err)
+		api.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeError(w, http.StatusBadRequest, err)
+	api.WriteError(w, http.StatusBadRequest, err)
 }
 
 // reportDurability forwards a durability fault to the overload controller
@@ -1082,7 +969,7 @@ func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if p.Segment == "" {
-			writeError(w, http.StatusBadRequest, errors.New("segment required"))
+			api.WriteError(w, http.StatusBadRequest, errors.New("segment required"))
 			return
 		}
 		if owner, mis := s.misdirected(p.Segment); mis {
@@ -1096,7 +983,7 @@ func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
 		}
 		writeCanned(w, patternResponse(id))
 	case http.MethodGet:
-		writeJSON(w, http.StatusOK, s.store.Patterns(r.URL.Query().Get("segment")))
+		api.WriteJSON(w, http.StatusOK, s.store.Patterns(r.URL.Query().Get("segment")))
 	default:
 		w.WriteHeader(http.StatusMethodNotAllowed)
 	}
@@ -1112,24 +999,24 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 	}
 	vehicle := r.URL.Query().Get("vehicle")
 	if vehicle == "" {
-		writeError(w, http.StatusBadRequest, errors.New("vehicle required"))
+		api.WriteError(w, http.StatusBadRequest, errors.New("vehicle required"))
 		return
 	}
 	count := 5
 	if c := r.URL.Query().Get("count"); c != "" {
 		v, err := strconv.Atoi(c)
 		if err != nil || v <= 0 {
-			writeError(w, http.StatusBadRequest, errors.New("bad count"))
+			api.WriteError(w, http.StatusBadRequest, errors.New("bad count"))
 			return
 		}
 		if v > MaxTaskCount {
-			writeError(w, http.StatusBadRequest,
+			api.WriteError(w, http.StatusBadRequest,
 				fmt.Errorf("count %d exceeds the assignment cap %d", v, MaxTaskCount))
 			return
 		}
 		count = v
 	}
-	writeJSON(w, http.StatusOK, s.store.AssignTasks(vehicle, count))
+	api.WriteJSON(w, http.StatusOK, s.store.AssignTasks(vehicle, count))
 }
 
 // AssignTasks picks up to count patterns for a vehicle: tasks the vehicle
@@ -1196,11 +1083,11 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 		}
 		frames, err := SplitReportFrames(body)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			api.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		if len(frames) != 1 {
-			writeError(w, http.StatusBadRequest,
+			api.WriteError(w, http.StatusBadRequest,
 				fmt.Errorf("expected exactly one report frame, got %d", len(frames)))
 			return
 		}
@@ -1230,10 +1117,10 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, ErrDurability) {
 			s.reportDurability(err)
 		}
-		writeError(w, http.StatusInternalServerError, err)
+		api.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"fusedAPs": n})
+	api.WriteJSON(w, http.StatusOK, map[string]int{"fusedAPs": n})
 }
 
 // handleLookup serves GET /v1/lookup?xmin=&ymin=&xmax=&ymax=.
@@ -1242,31 +1129,18 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusMethodNotAllowed)
 		return
 	}
-	q := r.URL.Query()
-	vals := make([]float64, 4)
-	for i, name := range []string{"xmin", "ymin", "xmax", "ymax"} {
-		v, err := strconv.ParseFloat(q.Get(name), 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s", name))
-			return
-		}
-		vals[i] = v
-	}
-	// Reject degenerate rects instead of building one: geo.NewRect would
-	// silently normalize swapped corners and answer the wrong query.
-	if vals[0] > vals[2] || vals[1] > vals[3] {
-		writeError(w, http.StatusBadRequest,
-			errors.New("degenerate rect: xmin must not exceed xmax and ymin must not exceed ymax"))
+	area, err := api.ParseLookupQuery(r.URL.Query())
+	if err != nil {
+		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	area := geo.Rect{Min: geo.Point{X: vals[0], Y: vals[1]}, Max: geo.Point{X: vals[2], Y: vals[3]}}
 	results := s.store.Lookup(area)
 	if WantsFrame(r.Header.Get("Accept")) {
 		writeFrame(w, EncodeLookupFrame(results))
 		return
 	}
 	// Store.Lookup never returns nil, so empty results encode as [].
-	writeJSON(w, http.StatusOK, results)
+	api.WriteJSON(w, http.StatusOK, results)
 }
 
 // writeFrame sends a 200 with a binary-codec body.
@@ -1281,5 +1155,5 @@ func (s *Server) handleReliability(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusMethodNotAllowed)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.store.Reliability())
+	api.WriteJSON(w, http.StatusOK, s.store.Reliability())
 }

@@ -12,12 +12,10 @@ type solverSeries struct {
 	diverged   *obs.Counter
 	iterations *obs.Counter
 	iterHist   *obs.Histogram
-	residual   *obs.Histogram
 }
 
-// Metrics records per-solver outcomes: converged/diverged run counts, total
-// iterations-to-converge, and final residual norms. A nil *Metrics is a
-// no-op, so solvers can record unconditionally.
+// Metrics records per-solver outcomes: converged/diverged run counts and
+// iterations-to-converge. A nil *Metrics is a no-op, so solvers can record unconditionally.
 type Metrics struct {
 	series map[string]*solverSeries
 }
@@ -30,7 +28,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	}
 	m := &Metrics{series: make(map[string]*solverSeries, len(solverNames))}
 	iterBuckets := []float64{1, 2, 5, 10, 25, 50, 100, 200, 400, 800}
-	resBuckets := obs.ExponentialBuckets(1e-8, 10, 10)
 	for _, name := range solverNames {
 		sl := obs.L("solver", name)
 		m.series[name] = &solverSeries{
@@ -38,7 +35,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			diverged:   reg.Counter("crowdwifi_solver_runs_total", "Completed solver runs by outcome.", sl, obs.L("outcome", "diverged")),
 			iterations: reg.Counter("crowdwifi_solver_iterations_total", "Total solver iterations performed.", sl),
 			iterHist:   reg.Histogram("crowdwifi_solver_iterations", "Iterations-to-converge per solver run.", iterBuckets, sl),
-			residual:   reg.Histogram("crowdwifi_solver_residual_norm", "Final residual norm ‖Ax−b‖₂ per solver run.", resBuckets, sl),
 		}
 	}
 	return m
@@ -61,7 +57,6 @@ func (m *Metrics) Record(solver string, res *Result) {
 	}
 	s.iterations.Add(uint64(res.Iterations))
 	s.iterHist.Observe(float64(res.Iterations))
-	s.residual.Observe(res.Residual)
 }
 
 // record is the Options-level hook used by the iterative solvers.

@@ -18,11 +18,9 @@ type Metrics struct {
 	snapshots      *obs.Counter
 	snapshotErrors *obs.Counter
 	snapshotDur    *obs.Histogram
-	snapshotBytes  *obs.Gauge
 	replayed       *obs.Counter
 	truncated      *obs.Counter
 	heals          *obs.Counter
-	lastSeq        *obs.Gauge
 }
 
 // NewMetrics registers the WAL series on reg. Returns nil for a nil
@@ -40,21 +38,18 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		snapshots:      reg.Counter("crowdwifi_wal_snapshots_total", "Snapshots written and atomically installed."),
 		snapshotErrors: reg.Counter("crowdwifi_wal_snapshot_errors_total", "Snapshot attempts that failed."),
 		snapshotDur:    reg.Histogram("crowdwifi_wal_snapshot_duration_seconds", "Wall-clock time to serialize, write, and install one snapshot.", nil),
-		snapshotBytes:  reg.Gauge("crowdwifi_wal_snapshot_bytes", "Size of the most recent snapshot."),
 		replayed:       reg.Counter("crowdwifi_wal_recovery_replayed_records_total", "Records replayed from the log during recovery."),
 		truncated:      reg.Counter("crowdwifi_wal_recovery_truncated_bytes_total", "Torn-tail bytes truncated from the final segment during recovery."),
 		heals:          reg.Counter("crowdwifi_wal_torn_tail_heals_total", "Failed appends whose partial or unacknowledged frame was truncated away in place."),
-		lastSeq:        reg.Gauge("crowdwifi_wal_last_seq", "Sequence number of the newest durable record."),
 	}
 }
 
-func (m *Metrics) observeAppend(bytes int64, seq uint64) {
+func (m *Metrics) observeAppend(bytes int64) {
 	if m == nil {
 		return
 	}
 	m.appends.Inc()
 	m.appendBytes.Add(uint64(bytes))
-	m.lastSeq.Set(float64(seq))
 }
 
 func (m *Metrics) incFsyncs() {
@@ -93,14 +88,8 @@ func (m *Metrics) incHeals() {
 	}
 }
 
-func (m *Metrics) setLastSeq(seq uint64) {
-	if m != nil {
-		m.lastSeq.Set(float64(seq))
-	}
-}
-
 // ObserveSnapshot records one snapshot attempt's outcome.
-func (m *Metrics) ObserveSnapshot(bytes int, d time.Duration, err error) {
+func (m *Metrics) ObserveSnapshot(d time.Duration, err error) {
 	if m == nil {
 		return
 	}
@@ -110,5 +99,4 @@ func (m *Metrics) ObserveSnapshot(bytes int, d time.Duration, err error) {
 	}
 	m.snapshots.Inc()
 	m.snapshotDur.Observe(d.Seconds())
-	m.snapshotBytes.Set(float64(bytes))
 }

@@ -225,7 +225,6 @@ func Open(dir string, opts Options) (*Log, OpenInfo, error) {
 	}
 	info.Segments = len(l.segs)
 	info.NextSeq = l.next
-	l.m.setLastSeq(l.next - 1)
 
 	if opts.Sync == SyncInterval {
 		l.stopSync = make(chan struct{})
@@ -383,7 +382,7 @@ func (l *Log) AppendContext(ctx context.Context, kind byte, data []byte) (uint64
 	seq := l.next
 	l.next++
 	l.size += size
-	l.m.observeAppend(size, seq)
+	l.m.observeAppend(size)
 	span.SetAttr("seq", seq)
 	return seq, nil
 }
