@@ -148,7 +148,7 @@ func (s *Stack) admit(ctx context.Context, w *statusWriter, r *http.Request, rou
 	start := time.Now()
 	h(w, r)
 	// 5xx count as failures so the limit backs off — except 503, a handler's
-	// own shed (aggregation window, duplicate in flight), which is deliberate
+	// own shed (duplicate in flight, empty ring), which is deliberate
 	// and must not collapse the limit, and 502, which the router writes when
 	// an upstream shard failed, not when it lacks capacity itself. 4xx are
 	// the client's fault and must not shrink capacity either.
@@ -158,8 +158,8 @@ func (s *Stack) admit(ctx context.Context, w *statusWriter, r *http.Request, rou
 }
 
 // Shed is the one 503 writer: admission uses it, and so do handlers that
-// shed for their own reasons (aggregation window, duplicate in flight, empty
-// ring). retryAfter is the caller's estimate of when capacity returns.
+// shed for their own reasons (duplicate in flight, empty ring). retryAfter is
+// the caller's estimate of when capacity returns.
 func (s *Stack) Shed(w http.ResponseWriter, reason error, retryAfter time.Duration) {
 	s.Sheds.Inc()
 	writeShed(w, reason, retryAfter)

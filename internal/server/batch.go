@@ -154,7 +154,7 @@ func (s *Server) processBatch(ctx context.Context, entries []BatchEntry) []Batch
 		results[idx].Error = err.Error()
 		// Release the claimed key so the client's retry is not stuck behind
 		// a phantom in-flight first delivery.
-		s.idem.finish(items[j].Key, results[idx].Status, nil)
+		s.idem.release(items[j].Key)
 	}
 	if durabilityFault != nil {
 		s.log.Error("durable batch append failed", "err", durabilityFault)
@@ -228,7 +228,6 @@ func (s *Store) AddReportBatch(ctx context.Context, items []BatchItem) []error {
 				chunks++
 				for _, idx := range pending {
 					it := items[idx]
-					s.vehicleIndex(it.Report.Vehicle)
 					s.reports = append(s.reports, it.Report)
 					s.metrics.incReports()
 					s.completeIdemLocked(it.Key, reportResponse())

@@ -119,26 +119,25 @@ type DigestResponse struct {
 // SegmentDigests computes the per-segment digest map over everything the
 // store holds.
 func (s *Store) SegmentDigests() map[string]SegmentDigest {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	c := s.capture()
 	out := map[string]SegmentDigest{}
-	for _, r := range s.reports {
+	for _, r := range c.reports {
 		d := out[r.Segment]
 		d.Reports++
 		out[r.Segment] = d
 	}
-	for _, p := range s.patterns {
+	for _, p := range c.patterns {
 		d := out[p.Segment]
 		d.Patterns++
 		out[p.Segment] = d
 	}
-	for _, l := range s.labels {
-		seg := s.patterns[l.TaskID].Segment
+	for _, l := range c.labels {
+		seg := c.patterns[l.TaskID].Segment
 		d := out[seg]
 		d.Labels++
 		out[seg] = d
 	}
-	for seg, fused := range s.fused {
+	for seg, fused := range c.view.fused {
 		d := out[seg]
 		d.Fused = len(fused)
 		if b, err := json.Marshal(fused); err == nil {
@@ -232,11 +231,10 @@ func sliceKey(source, kind string, content any, ranks map[string]int) string {
 // shard's per-segment report order — and therefore its fusion output — is
 // identical to the source's.
 func (s *Store) ExportSlice(owned func(segment string) bool, source string) Slice {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	c := s.capture()
 	sl := Slice{Source: source, Patterns: []SlicePattern{}, Reports: []SliceReport{}, Labels: []SliceLabel{}}
 	ranks := map[string]int{}
-	for _, p := range s.patterns {
+	for _, p := range c.patterns {
 		if !owned(p.Segment) {
 			continue
 		}
@@ -244,7 +242,7 @@ func (s *Store) ExportSlice(owned func(segment string) bool, source string) Slic
 		sp.Key = sliceKey(source, "p", sp, ranks)
 		sl.Patterns = append(sl.Patterns, sp)
 	}
-	for _, r := range s.reports {
+	for _, r := range c.reports {
 		if !owned(r.Segment) {
 			continue
 		}
@@ -252,8 +250,8 @@ func (s *Store) ExportSlice(owned func(segment string) bool, source string) Slic
 		sr.Key = sliceKey(source, "r", sr, ranks)
 		sl.Reports = append(sl.Reports, sr)
 	}
-	for _, l := range s.labels {
-		seg := s.patterns[l.TaskID].Segment
+	for _, l := range c.labels {
+		seg := c.patterns[l.TaskID].Segment
 		if !owned(seg) {
 			continue
 		}
@@ -271,22 +269,32 @@ func (s *Store) ExportSlice(owned func(segment string) bool, source string) Slic
 // tolerated without truncation. source names the departed shard in the
 // slice's apply keys.
 func ExportSliceFromDir(dir string, mergeRadius float64, source string) (Slice, error) {
+	s, err := replayDir(dir, mergeRadius)
+	if err != nil {
+		return Slice{}, err
+	}
+	return s.ExportSlice(func(string) bool { return true }, source), nil
+}
+
+// replayDir rebuilds, in memory, the state recovery would give dir, without
+// opening it for writing.
+func replayDir(dir string, mergeRadius float64) (*Store, error) {
 	s := NewStore(mergeRadius)
 	snapSeq, snapData, err := wal.LatestSnapshot(dir)
 	if err != nil {
-		return Slice{}, fmt.Errorf("server: loading snapshot from %s: %w", dir, err)
+		return nil, fmt.Errorf("server: loading snapshot from %s: %w", dir, err)
 	}
 	if snapData != nil {
 		var state snapshotState
 		if err := json.Unmarshal(snapData, &state); err != nil {
-			return Slice{}, fmt.Errorf("server: decoding snapshot from %s: %w", dir, err)
+			return nil, fmt.Errorf("server: decoding snapshot from %s: %w", dir, err)
 		}
 		s.restoreSnapshot(state)
 	}
 	if err := wal.IterateDir(dir, snapSeq, s.applyRecord); err != nil {
-		return Slice{}, fmt.Errorf("server: replaying %s: %w", dir, err)
+		return nil, fmt.Errorf("server: replaying %s: %w", dir, err)
 	}
-	return s.ExportSlice(func(string) bool { return true }, source), nil
+	return s, nil
 }
 
 // SliceStats reports what one apply did.
@@ -308,7 +316,7 @@ func (st *SliceStats) Add(other SliceStats) {
 }
 
 // applySlice ingests a slice through the same durable, idempotent path as
-// regular uploads: every item runs begin/finish on the idempotency cache
+// regular uploads: every item runs begin/release on the idempotency cache
 // under its deterministic slice key, so a crashed or retried apply
 // deduplicates per item instead of double-ingesting. Patterns are applied
 // first and labels' task ids are rewritten from the source shard's dense ids
@@ -334,7 +342,7 @@ func (s *Server) applySlice(ctx context.Context, sl Slice) (SliceStats, error) {
 		}
 		id, err := s.store.AddPatternKeyed(ctx, p.Key, p.Segment, p.APs)
 		if err != nil {
-			s.idem.finish(p.Key, http.StatusInternalServerError, nil) // release the claim
+			s.idem.release(p.Key)
 			return stats, err
 		}
 		idMap[p.ID] = id
@@ -350,7 +358,7 @@ func (s *Server) applySlice(ctx context.Context, sl Slice) (SliceStats, error) {
 			continue
 		}
 		if err := s.store.AddReportKeyed(ctx, r.Key, r.Report); err != nil {
-			s.idem.finish(r.Key, http.StatusInternalServerError, nil)
+			s.idem.release(r.Key)
 			return stats, err
 		}
 		stats.Reports++
@@ -371,7 +379,7 @@ func (s *Server) applySlice(ctx context.Context, sl Slice) (SliceStats, error) {
 		remapped := l.Label
 		remapped.TaskID = newID
 		if err := s.store.AddLabelsKeyed(ctx, l.Key, []Label{remapped}); err != nil {
-			s.idem.finish(l.Key, http.StatusInternalServerError, nil)
+			s.idem.release(l.Key)
 			return stats, err
 		}
 		stats.Labels++

@@ -103,8 +103,10 @@ func TestLookupFrameEmptyAnswerKeepsContract(t *testing.T) {
 // repeated queries (and recovered servers) serve byte-identical lists.
 func TestLookupOrderingDeterministic(t *testing.T) {
 	store := NewStore(10)
-	store.fused["s1"] = []LookupResult{{X: 5, Y: 1, Weight: 1}, {X: 2, Y: 9, Weight: 1}}
-	store.fused["s2"] = []LookupResult{{X: 2, Y: 3, Weight: 2}, {X: 2, Y: 3, Weight: 5}}
+	store.view.Store(newView(map[string][]LookupResult{
+		"s1": {{X: 5, Y: 1, Weight: 1}, {X: 2, Y: 9, Weight: 1}},
+		"s2": {{X: 2, Y: 3, Weight: 2}, {X: 2, Y: 3, Weight: 5}},
+	}, nil))
 	got := store.Lookup(geo.NewRect(geo.Point{X: 0, Y: 0}, geo.Point{X: 100, Y: 100}))
 	want := []LookupResult{{X: 2, Y: 3, Weight: 5}, {X: 2, Y: 3, Weight: 2}, {X: 2, Y: 9, Weight: 1}, {X: 5, Y: 1, Weight: 1}}
 	if len(got) != len(want) {

@@ -1,9 +1,6 @@
 package server
 
-import (
-	"net/http"
-	"sync"
-)
+import "sync"
 
 // idemRecord is a cached successful response, replayed verbatim for
 // duplicate deliveries of the same idempotency key.
@@ -24,15 +21,16 @@ type idemEntry struct {
 // idemCache deduplicates ingestion by idempotency key so client retries and
 // outbox replays are exactly-once in effect. Keys are tracked through three
 // phases: in-flight (a first delivery is being processed), completed (the
-// 2xx response is cached for replay), and evicted (FIFO, bounded capacity).
-// Failed executions release the key so a later retry can try again.
+// mutation's canonical response is cached for replay), and evicted (FIFO,
+// bounded capacity). Executions that commit nothing release the key so a
+// later retry can try again.
 //
-// Invariants, preserved across every interleaving of begin/complete/finish
+// Invariants, preserved across every interleaving of begin/complete/release
 // and FIFO eviction at the capacity boundary:
 //   - order holds exactly the completed keys, each once, oldest first;
 //   - an in-flight marker (nil entry) is never in order and is only removed
 //     by its owner's release, never by eviction;
-//   - release (a non-2xx finish) removes only in-flight markers — it cannot
+//   - release removes only in-flight markers — it cannot
 //     delete a completed record installed by complete(), and it scrubs any
 //     stale order occurrence of the key defensively.
 type idemCache struct {
@@ -50,8 +48,9 @@ func newIdemCache(capacity int) *idemCache {
 }
 
 // begin claims key for execution. seen=false means the caller owns the key
-// and must call finish. seen=true with a record means replay it; seen=true
-// with nil means another delivery of the same key is mid-flight.
+// and must call release when the execution ends. seen=true with a record
+// means replay it; seen=true with nil means another delivery of the same key
+// is mid-flight.
 func (c *idemCache) begin(key string) (seen bool, rec *idemRecord) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -62,29 +61,11 @@ func (c *idemCache) begin(key string) (seen bool, rec *idemRecord) {
 	return false, nil
 }
 
-// finish completes an execution begun with begin: 2xx responses are cached
-// for replay; anything else releases the key so a retry can re-execute. If
-// the key was already completed mid-flight (the store's durable mutators
-// install the canonical response atomically with the WAL append), finish is
-// a no-op — the completed record wins over whatever the writer captured.
-func (c *idemCache) finish(key string, status int, body []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if rec, ok := c.entries[key]; ok && rec != nil {
-		return // completed by the mutator; never downgrade or duplicate
-	}
-	if status < 200 || status >= 300 {
-		c.releaseLocked(key)
-		return
-	}
-	c.completeLocked(key, status, body)
-}
-
-// complete installs a completed response for key directly, bypassing the
-// begin/finish ownership protocol. The store's durable mutators call it
-// under their own lock so the cached response becomes visible atomically
-// with the mutation it acknowledges. Idempotent: a second complete for a
-// completed key is ignored.
+// complete installs the canonical response for key; it is the only way a
+// key becomes completed. The store's durable mutators call it under their
+// own lock, so the cached response becomes visible atomically with the
+// mutation it acknowledges — whether or not the key was claimed with begin.
+// Idempotent: a second complete for a completed key is ignored.
 func (c *idemCache) complete(key string, status int, body []byte) {
 	if key == "" {
 		return
@@ -103,11 +84,13 @@ func (c *idemCache) completeLocked(key string, status int, body []byte) {
 	c.evictLocked()
 }
 
-// releaseLocked frees a failed execution's in-flight marker. A completed
-// record under the same key (installed concurrently by complete) is left
-// alone, and any stale order occurrence is scrubbed so order and entries
-// cannot diverge.
-func (c *idemCache) releaseLocked(key string) {
+// release ends an execution begun with begin: it frees the in-flight marker
+// so a retry can re-execute. A completed record under the same key (the
+// mutation committed) is left alone, and any stale order occurrence is
+// scrubbed so order and entries cannot diverge.
+func (c *idemCache) release(key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if rec, ok := c.entries[key]; ok && rec == nil {
 		delete(c.entries, key)
 	}
@@ -160,22 +143,4 @@ func (c *idemCache) snapshot() []idemEntry {
 		}
 	}
 	return out
-}
-
-// recordingWriter tees the response through while capturing status and body
-// for the idempotency cache.
-type recordingWriter struct {
-	http.ResponseWriter
-	status int
-	body   []byte
-}
-
-func (w *recordingWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *recordingWriter) Write(p []byte) (int, error) {
-	w.body = append(w.body, p...)
-	return w.ResponseWriter.Write(p)
 }

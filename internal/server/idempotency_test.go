@@ -62,7 +62,7 @@ func TestIdemCacheEvictionReleaseInterleaving(t *testing.T) {
 		if seen, _ := c.begin(k); seen {
 			t.Fatalf("fresh key %s reported seen", k)
 		}
-		c.finish(k, 201, []byte(fmt.Sprintf("body-%d", i)))
+		c.complete(k, 201, []byte(fmt.Sprintf("body-%d", i)))
 		checkIdemInvariants(t, c)
 	}
 
@@ -72,13 +72,13 @@ func TestIdemCacheEvictionReleaseInterleaving(t *testing.T) {
 	}
 
 	// Now the owner fails: release must drop only the marker.
-	c.finish("inflight", 500, nil)
+	c.release("inflight")
 	checkIdemInvariants(t, c)
 	if seen, _ := c.begin("inflight"); seen {
 		t.Fatal("released key still claimed")
 	}
 	// This retry succeeds; the cache is exactly at capacity again.
-	c.finish("inflight", 201, []byte("retried"))
+	c.complete("inflight", 201, []byte("retried"))
 	checkIdemInvariants(t, c)
 	if seen, rec := c.begin("inflight"); !seen || rec == nil || string(rec.body) != "retried" {
 		t.Fatalf("retry not cached (seen=%v rec=%+v)", seen, rec)
@@ -90,41 +90,41 @@ func TestIdemCacheEvictionReleaseInterleaving(t *testing.T) {
 	for i := 7; i < 11; i++ {
 		k := fmt.Sprintf("k%d", i)
 		c.begin(k)
-		c.finish(k, 201, []byte("x"))
+		c.complete(k, 201, []byte("x"))
 	}
 	checkIdemInvariants(t, c)
 	if seen, _ := c.begin("inflight"); seen {
 		t.Fatal("evicted key still cached")
 	}
-	c.finish("inflight", 500, nil) // late failure of the straggler
+	c.release("inflight") // late failure of the straggler
 	checkIdemInvariants(t, c)
 }
 
 // TestIdemCacheReleaseCannotDeleteCompleted: when the durable mutator
-// completes a key mid-flight (complete bypasses ownership), a later non-2xx
-// finish from the HTTP writer must not delete the completed record.
+// completes a key mid-flight (complete bypasses ownership), the release that
+// ends the request must not delete the completed record.
 func TestIdemCacheReleaseCannotDeleteCompleted(t *testing.T) {
 	c := newIdemCache(3)
 	if seen, _ := c.begin("k"); seen {
 		t.Fatal("fresh key seen")
 	}
 	c.complete("k", 201, []byte("canonical"))
-	// The handler's writer observed a failure (e.g. the client hung up and
-	// the response write failed) — finish must not undo the completion.
-	c.finish("k", 500, nil)
+	// Whatever the handler went on to answer (e.g. the client hung up and the
+	// response write failed), release must not undo the completion.
+	c.release("k")
 	checkIdemInvariants(t, c)
 	seen, rec := c.begin("k")
 	if !seen || rec == nil || string(rec.body) != "canonical" {
 		t.Fatalf("completed record lost (seen=%v rec=%+v)", seen, rec)
 	}
 
-	// And a 2xx finish after complete must not duplicate the order slot.
+	// And a second complete must not duplicate the order slot.
 	c.begin("k2")
 	c.complete("k2", 201, []byte("canonical2"))
-	c.finish("k2", 201, []byte("writer-copy"))
+	c.complete("k2", 201, []byte("second-copy"))
 	checkIdemInvariants(t, c)
 	if _, rec := c.begin("k2"); string(rec.body) != "canonical2" {
-		t.Fatalf("writer copy overwrote canonical response: %q", rec.body)
+		t.Fatalf("second copy overwrote canonical response: %q", rec.body)
 	}
 }
 

@@ -56,11 +56,12 @@ func TestAggregateParallelBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if len(serial.fused) != len(parallel.fused) {
-		t.Fatalf("segment count %d != %d", len(serial.fused), len(parallel.fused))
+	sf, pf := serial.view.Load().fused, parallel.view.Load().fused
+	if len(sf) != len(pf) {
+		t.Fatalf("segment count %d != %d", len(sf), len(pf))
 	}
-	for seg, want := range serial.fused {
-		got, ok := parallel.fused[seg]
+	for seg, want := range sf {
+		got, ok := pf[seg]
 		if !ok {
 			t.Fatalf("segment %s missing from parallel result", seg)
 		}

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"time"
 
@@ -84,12 +85,13 @@ type dropRecord struct {
 }
 
 // snapshotState is the full Store serialization: everything recovery needs
-// to stand the server back up without the compacted log prefix.
+// to stand the server back up without the compacted log prefix. Snapshots
+// written before the vehicle index was deleted carry a "vehicles" key, which
+// decoding ignores.
 type snapshotState struct {
 	Patterns    []Pattern                 `json:"patterns"`
 	Labels      []Label                   `json:"labels"`
 	Reports     []Report                  `json:"reports"`
-	Vehicles    map[string]int            `json:"vehicles"`
 	Fused       map[string][]LookupResult `json:"fused"`
 	Reliability map[string]float64        `json:"reliability"`
 	Idem        []idemEntry               `json:"idem"`
@@ -224,19 +226,20 @@ func (s *Store) restoreSnapshot(state snapshotState) {
 	s.patterns = state.Patterns
 	s.labels = state.Labels
 	s.reports = state.Reports
-	s.vehicles = state.Vehicles
-	s.fused = state.Fused
-	s.reliability = state.Reliability
-	if s.vehicles == nil {
-		s.vehicles = map[string]int{}
-	}
-	if s.fused == nil {
-		s.fused = map[string][]LookupResult{}
-	}
-	if s.reliability == nil {
-		s.reliability = map[string]float64{}
-	}
+	s.view.Store(newView(state.Fused, state.Reliability))
 	s.recoveredIdem = state.Idem
+}
+
+// newView wraps decoded derived state, with empty maps for absent ones so
+// lookups and reliability answer [] and {} as a fresh store does.
+func newView(fused map[string][]LookupResult, reliability map[string]float64) *view {
+	if fused == nil {
+		fused = map[string][]LookupResult{}
+	}
+	if reliability == nil {
+		reliability = map[string]float64{}
+	}
+	return &view{fused: fused, reliability: reliability}
 }
 
 // applyRecord replays one WAL record. Replay mirrors the original mutation
@@ -262,17 +265,13 @@ func (s *Store) applyRecord(rec wal.Record) error {
 		if err := json.Unmarshal(rec.Data, &lr); err != nil {
 			return fmt.Errorf("server: record %d: %w", rec.Seq, err)
 		}
-		for _, l := range lr.Labels {
-			s.vehicleIndex(l.Vehicle)
-			s.labels = append(s.labels, l)
-		}
+		s.labels = append(s.labels, lr.Labels...)
 		s.recoverIdemLocked(lr.IdemKey, labelsResponse(len(lr.Labels)))
 	case recReport:
 		var rr reportRecord
 		if err := json.Unmarshal(rec.Data, &rr); err != nil {
 			return fmt.Errorf("server: record %d: %w", rec.Seq, err)
 		}
-		s.vehicleIndex(rr.Report.Vehicle)
 		s.reports = append(s.reports, rr.Report)
 		s.recoverIdemLocked(rr.IdemKey, reportResponse())
 	case recReportBatch:
@@ -285,7 +284,6 @@ func (s *Store) applyRecord(rec wal.Record) error {
 			if err := json.Unmarshal(raw, &rr); err != nil {
 				return fmt.Errorf("server: record %d entry %d: %w", rec.Seq, i, err)
 			}
-			s.vehicleIndex(rr.Report.Vehicle)
 			s.reports = append(s.reports, rr.Report)
 			s.recoverIdemLocked(rr.IdemKey, reportResponse())
 		}
@@ -294,14 +292,7 @@ func (s *Store) applyRecord(rec wal.Record) error {
 		if err := json.Unmarshal(rec.Data, &ar); err != nil {
 			return fmt.Errorf("server: record %d: %w", rec.Seq, err)
 		}
-		if ar.Fused == nil {
-			ar.Fused = map[string][]LookupResult{}
-		}
-		if ar.Reliability == nil {
-			ar.Reliability = map[string]float64{}
-		}
-		s.fused = ar.Fused
-		s.reliability = ar.Reliability
+		s.view.Store(newView(ar.Fused, ar.Reliability))
 	case recDrop:
 		var dr dropRecord
 		if err := json.Unmarshal(rec.Data, &dr); err != nil {
@@ -364,10 +355,9 @@ func (s *Store) attachIdem(c *idemCache) {
 	s.idemSink = c
 }
 
-// appendRecordLocked write-ahead-logs one typed record. Requires s.mu held,
-// which serializes appends with the mutations they precede — a no-op without
-// an attached log. A failed append poisons nothing: the caller returns
-// before mutating.
+// appendRecordLocked write-ahead-logs one typed record whose size is bounded
+// by one request; a record that grows with history is marshalled before the
+// lock is taken and handed to appendLocked.
 func (s *Store) appendRecordLocked(ctx context.Context, kind byte, v any) error {
 	if s.log == nil {
 		return nil
@@ -375,6 +365,17 @@ func (s *Store) appendRecordLocked(ctx context.Context, kind byte, v any) error 
 	data, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrDurability, err)
+	}
+	return s.appendLocked(ctx, kind, data)
+}
+
+// appendLocked write-ahead-logs one encoded record. Requires s.mu held,
+// which serializes appends with the mutations they precede — a no-op without
+// an attached log. A failed append poisons nothing: the caller returns
+// before mutating.
+func (s *Store) appendLocked(ctx context.Context, kind byte, data []byte) error {
+	if s.log == nil {
+		return nil
 	}
 	if _, err := s.log.AppendContext(ctx, kind, data); err != nil {
 		if errors.Is(err, wal.ErrTooLarge) {
@@ -414,44 +415,44 @@ func (s *Store) idemEntriesLocked() []idemEntry {
 	return append([]idemEntry(nil), s.recoveredIdem...)
 }
 
-// Snapshot serializes the full store state (patterns, labels, reports,
-// vehicle index, fused map, reliability, completed idempotency keys) as of
-// the newest durable sequence, installs it atomically, and compacts away the
-// WAL segments and older snapshots it covers. It returns the covered
-// sequence. A no-op (0, nil) on an in-memory store.
+// Snapshot serializes the full store state (patterns, labels, reports, fused
+// map, reliability, completed idempotency keys) as of the newest durable
+// sequence, installs it atomically, and compacts away the WAL segments and
+// older snapshots it covers. It returns the covered sequence. A no-op
+// (0, nil) on an in-memory store.
 func (s *Store) Snapshot() (uint64, error) {
+	// One hold pairs the sequence with exactly the state its records built;
+	// the marshal then runs on the captured prefixes beside live traffic.
 	s.mu.Lock()
-	if s.log == nil {
+	c := s.captureLocked()
+	if c.log == nil {
 		s.mu.Unlock()
 		return 0, nil
 	}
 	state := snapshotState{
-		Patterns:    s.patterns,
-		Labels:      s.labels,
-		Reports:     s.reports,
-		Vehicles:    s.vehicles,
-		Fused:       s.fused,
-		Reliability: s.reliability,
+		Patterns:    c.patterns,
+		Labels:      c.labels,
+		Reports:     c.reports,
+		Fused:       c.view.fused,
+		Reliability: c.view.reliability,
 		Idem:        s.idemEntriesLocked(),
 	}
-	seq := s.log.LastSeq()
-	// Marshal under the lock: the state fields are aliased, not copied, and
-	// appends (which all hold s.mu) must not interleave with serialization.
-	data, err := json.Marshal(state)
-	log, opts := s.log, s.storage
+	seq := c.log.LastSeq()
+	opts := s.storage
 	s.mu.Unlock()
+
+	data, err := json.Marshal(state)
 	if err != nil {
 		opts.Metrics.ObserveSnapshot(0, err)
 		return 0, err
 	}
-
 	start := time.Now()
 	if err := wal.WriteSnapshot(opts.Dir, seq, data); err != nil {
 		opts.Metrics.ObserveSnapshot(time.Since(start), err)
 		return 0, err
 	}
 	opts.Metrics.ObserveSnapshot(time.Since(start), nil)
-	if err := log.CompactThrough(seq); err != nil {
+	if err := c.log.CompactThrough(seq); err != nil {
 		return seq, err
 	}
 	return seq, wal.CompactSnapshots(opts.Dir, opts.SnapshotKeep)
@@ -462,9 +463,7 @@ func (s *Store) Snapshot() (uint64, error) {
 // in the cluster digest so the router's /debug/cluster shows per-shard WAL
 // depth.
 func (s *Store) WALStats() *wal.Stats {
-	s.mu.Lock()
-	log := s.log
-	s.mu.Unlock()
+	log := s.capture().log
 	if log == nil {
 		return nil
 	}
@@ -494,9 +493,7 @@ func (s *Store) durabilityFault(err error) {
 // overload controller calls this while read-only to detect recovery. Always
 // nil for an in-memory store — there is nothing to recover.
 func (s *Store) ProbeDurability(ctx context.Context) error {
-	s.mu.Lock()
-	log := s.log
-	s.mu.Unlock()
+	log := s.capture().log
 	if log == nil {
 		return nil
 	}
@@ -515,6 +512,10 @@ func (s *Store) DropSegments(ctx context.Context, segments []string) (int, error
 	ctx, span := trace.StartChild(ctx, "store.drop_segments")
 	defer span.End()
 	span.SetAttr("segments", len(segments))
+	// Wait out a cycle in flight: it captured the reports about to go and
+	// would publish their fused results back over the drop.
+	s.cycle.Lock()
+	defer s.cycle.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.appendRecordLocked(ctx, recDrop, dropRecord{Segments: segments}); err != nil {
@@ -528,24 +529,27 @@ func (s *Store) DropSegments(ctx context.Context, segments []string) (int, error
 
 // dropSegmentsLocked removes reports and fused entries for the named
 // segments. Requires s.mu held. Shared by the live mutator and WAL replay.
+// Both survivors are built fresh: a capture may still be reading the old
+// reports array, and a published view is never written.
 func (s *Store) dropSegmentsLocked(segments []string) int {
 	set := make(map[string]bool, len(segments))
 	for _, seg := range segments {
 		set[seg] = true
 	}
-	kept := s.reports[:0]
-	dropped := 0
+	kept := make([]Report, 0, len(s.reports))
 	for _, r := range s.reports {
-		if set[r.Segment] {
-			dropped++
-			continue
+		if !set[r.Segment] {
+			kept = append(kept, r)
 		}
-		kept = append(kept, r)
 	}
+	dropped := len(s.reports) - len(kept)
 	s.reports = kept
+	old := s.view.Load()
+	fused := maps.Clone(old.fused)
 	for seg := range set {
-		delete(s.fused, seg)
+		delete(fused, seg)
 	}
+	s.view.Store(&view{fused: fused, reliability: old.reliability})
 	return dropped
 }
 

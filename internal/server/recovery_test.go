@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http/httptest"
@@ -9,7 +10,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"crowdwifi/internal/chaos"
 	"crowdwifi/internal/geo"
+	"crowdwifi/internal/wal"
 )
 
 // recoveryOp is one deterministic keyed mutation in the crash workload.
@@ -400,5 +403,134 @@ func TestOpenStoreInMemoryWhenDirEmptyString(t *testing.T) {
 	}
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// diskState is what recovery would make of dir, read without opening it for
+// writing, so it can be compared with a store that still has it open.
+func diskState(t *testing.T, dir string) *Store {
+	t.Helper()
+	s, err := replayDir(dir, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestCrashRecoveryFailedCyclePublishesNothing: a cycle whose record the log
+// refuses must leave Lookup, Reliability and the cluster digest where they
+// were — which is where a recovery of the directory puts them — and the next
+// healthy cycle publishes as if the failed one had not run.
+func TestCrashRecoveryFailedCyclePublishesNothing(t *testing.T) {
+	dir := t.TempDir()
+	ffs := chaos.NewFaultFS(nil)
+	store, _, err := OpenStore(10, StorageOptions{Dir: dir, FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	ts := httptest.NewServer(New(store))
+	defer ts.Close()
+	ops := recoveryOps()
+	half := len(ops) - 6 // the last six ops are reports the first cycle must not see
+	drive(t, ts.URL, ops, 0, half, map[string]reply{})
+	if _, err := store.AggregateCycle(); err != nil {
+		t.Fatal(err)
+	}
+	drive(t, ts.URL, ops, half, len(ops), map[string]reply{})
+
+	digests := func(s *Store) string {
+		b, err := json.Marshal(s.SegmentDigests())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	before, beforeDigests := fingerprint(t, store), digests(store)
+
+	ffs.SetFault(chaos.FSFault{FailWrites: 1})
+	if _, err := store.AggregateCycle(); !errors.Is(err, ErrDurability) {
+		t.Fatalf("cycle over a failing disk: err = %v, want ErrDurability", err)
+	}
+	if got := fingerprint(t, store); got != before {
+		t.Fatalf("failed cycle changed live answers\n got %s\nwant %s", got, before)
+	}
+	if got := digests(store); got != beforeDigests {
+		t.Fatalf("failed cycle changed the digest\n got %s\nwant %s", got, beforeDigests)
+	}
+	if got := fingerprint(t, diskState(t, dir)); got != before {
+		t.Fatalf("live answers after a failed cycle differ from what the disk recovers to\n disk %s\n live %s", got, before)
+	}
+
+	if _, err := store.AggregateCycle(); err != nil {
+		t.Fatalf("cycle after the disk healed: %v", err)
+	}
+	after := fingerprint(t, store)
+	if after == before {
+		t.Fatal("healthy cycle published nothing: the six late reports are not fused")
+	}
+	if got := fingerprint(t, diskState(t, dir)); got != after {
+		t.Fatalf("disk does not hold the healthy cycle's output\n disk %s\n live %s", got, after)
+	}
+}
+
+// TestSnapshotWithVehiclesKeyStillLoads: snapshots written before the
+// vehicle index was deleted carry a "vehicles" member; recovery ignores it
+// and answers exactly as the store that wrote the snapshot did.
+func TestSnapshotWithVehiclesKeyStillLoads(t *testing.T) {
+	dir := t.TempDir()
+	store, _ := openDurable(t, dir)
+	ts := httptest.NewServer(New(store))
+	ops := recoveryOps()
+	drive(t, ts.URL, ops, 0, len(ops), map[string]reply{})
+	ts.Close()
+	if _, err := store.AggregateCycle(); err != nil {
+		t.Fatal(err)
+	}
+	want := fingerprint(t, store)
+	if _, err := store.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	seq, data, err := wal.LatestSnapshot(dir)
+	if err != nil || data == nil {
+		t.Fatalf("reading back the snapshot: %v", err)
+	}
+	var members map[string]json.RawMessage
+	if err := json.Unmarshal(data, &members); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := members["vehicles"]; ok {
+		t.Fatal("this build still writes a vehicles member")
+	}
+	members["vehicles"] = json.RawMessage(`{"v1":0,"v2":1,"v3":2}`)
+	old, err := json.Marshal(members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldDir := t.TempDir()
+	if err := wal.WriteSnapshot(oldDir, seq, old); err != nil {
+		t.Fatal(err)
+	}
+
+	recovered, stats := openDurable(t, oldDir)
+	defer recovered.Close()
+	if !stats.SnapshotLoaded {
+		t.Fatal("snapshot with a vehicles member was not loaded")
+	}
+	if got := fingerprint(t, recovered); got != want {
+		t.Fatalf("snapshot with a vehicles member recovered differently\n got %s\nwant %s", got, want)
+	}
+	ts2 := httptest.NewServer(New(recovered))
+	defer ts2.Close()
+	replays := map[string]reply{}
+	drive(t, ts2.URL, ops, 0, len(ops), replays)
+	for _, op := range ops {
+		if !replays[op.key].replayed {
+			t.Fatalf("op %s not deduped from the recovered snapshot", op.key)
+		}
 	}
 }

@@ -131,51 +131,18 @@ func TestIdemCacheInFlightAndEviction(t *testing.T) {
 	if !seen || rec != nil {
 		t.Fatalf("in-flight begin = (%v, %v), want (true, nil)", seen, rec)
 	}
-	c.finish("a", 201, []byte("ra"))
+	c.complete("a", 201, []byte("ra"))
 
 	// Capacity 2: completing c and d evicts a.
 	c.begin("b")
-	c.finish("b", 200, []byte("rb"))
+	c.complete("b", 200, []byte("rb"))
 	c.begin("d")
-	c.finish("d", 200, []byte("rd"))
+	c.complete("d", 200, []byte("rd"))
 	if seen, _ := c.begin("a"); seen {
 		t.Fatal("evicted key still cached")
 	}
 	if seen, rec := c.begin("d"); !seen || rec == nil || string(rec.body) != "rd" {
 		t.Fatalf("latest key lost: (%v, %+v)", seen, rec)
-	}
-}
-
-func TestShedDuringAggregation(t *testing.T) {
-	reg := obs.NewRegistry()
-	metrics := NewMetrics(reg)
-	store := NewStore(10)
-	ts := httptest.NewServer(New(store, WithMetrics(metrics)))
-	defer ts.Close()
-
-	store.aggregating.Store(true)
-	resp := postJSON(t, ts.URL+"/v1/reports", Report{Vehicle: "v", Segment: "s"})
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503 while aggregating", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("shed response missing Retry-After")
-	}
-	if metrics.shed.Value() != 1 {
-		t.Fatalf("shed metric = %d, want 1", metrics.shed.Value())
-	}
-	if _, _, reports := store.Counts(); reports != 0 {
-		t.Fatal("shed request was stored")
-	}
-
-	// Reads are never shed.
-	if resp := getJSON(t, ts.URL+"/v1/reliability", nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET while aggregating: status %d", resp.StatusCode)
-	}
-
-	store.aggregating.Store(false)
-	if resp := postJSON(t, ts.URL+"/v1/reports", Report{Vehicle: "v", Segment: "s"}); resp.StatusCode != http.StatusCreated {
-		t.Fatalf("status after aggregation = %d", resp.StatusCode)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"sort"
 	"strconv"
@@ -90,23 +91,36 @@ type Label struct {
 // LookupResult is a fused AP record served to user-vehicles.
 type LookupResult = api.LookupResult
 
-// Store is the crowd-server's mutable state. All methods are safe for
-// concurrent use.
+// Store is the crowd-server's state. All methods are safe for concurrent use.
+//
+// One lock discipline. mu guards appends to the evidence — patterns, labels
+// and reports, each append-only — together with the WAL append that precedes
+// each; it is never held across inference, fusion, a sort, or a marshal of
+// anything that grows with history. A pass over the whole history takes a
+// capture (an O(1) hold) and works on the captured prefixes, which later
+// appends cannot disturb. The derived state lives in one view that is never
+// written after it is published: Lookup and Reliability load the pointer and
+// take no lock. cycle is held by an aggregation cycle and by DropSegments for
+// their whole run and by nothing else, so a drop is not undone by a cycle
+// that captured the dropped reports, and views are published in the order
+// their records were logged. A view is published only once its record is in
+// the log (append, then publish, in one hold of mu): a failed cycle leaves
+// live answers exactly where recovery would put them, and a snapshot never
+// pairs a sequence with a view from the other side of it. DropSegments alone
+// filters history under mu — a rebalance step, too rare to earn a two-phase
+// filter.
 type Store struct {
-	mu sync.Mutex
+	mu       sync.Mutex
+	patterns []Pattern
+	labels   []Label
+	reports  []Report
 
-	patterns    []Pattern
-	labels      []Label
-	reports     []Report
-	fused       map[string][]LookupResult // per segment
-	reliability map[string]float64
-	vehicles    map[string]int // vehicle id → dense index
+	view  atomic.Pointer[view]
+	cycle sync.Mutex
+
 	mergeRadius float64
 	workers     atomic.Int64 // fusion parallelism; 0 → par.DefaultWorkers()
 	metrics     *Metrics
-	aggregating atomic.Bool
-	aggStart    atomic.Int64 // unixnano when the in-progress cycle began
-	lastAggDur  atomic.Int64 // nanoseconds of the last completed cycle
 
 	// Durability (see persist.go). log is nil for an in-memory store;
 	// recoveredIdem buffers replayed idempotency completions until a Server
@@ -127,18 +141,50 @@ type Store struct {
 	durabilitySink atomic.Value
 }
 
+// view is the derived state one aggregation cycle produced: the fused AP
+// list per segment and the per-vehicle reliabilities that weighted it.
+// Neither map is written once the view is published.
+type view struct {
+	fused       map[string][]LookupResult
+	reliability map[string]float64
+}
+
+// capture is what a whole-history pass works on: the evidence as of one
+// instant, the view and the log that go with it. The slices are capped at
+// their length, so the prefix is immutable whatever is appended later.
+type capture struct {
+	patterns []Pattern
+	labels   []Label
+	reports  []Report
+	view     *view
+	log      *wal.Log
+}
+
+func (s *Store) capture() capture {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.captureLocked()
+}
+
+func (s *Store) captureLocked() capture {
+	return capture{
+		patterns: s.patterns[:len(s.patterns):len(s.patterns)],
+		labels:   s.labels[:len(s.labels):len(s.labels)],
+		reports:  s.reports[:len(s.reports):len(s.reports)],
+		view:     s.view.Load(),
+		log:      s.log,
+	}
+}
+
 // NewStore returns an empty store. mergeRadius controls fusion clustering
 // (≤ 0 selects 10 m).
 func NewStore(mergeRadius float64) *Store {
 	if mergeRadius <= 0 {
 		mergeRadius = 10
 	}
-	return &Store{
-		fused:       map[string][]LookupResult{},
-		reliability: map[string]float64{},
-		vehicles:    map[string]int{},
-		mergeRadius: mergeRadius,
-	}
+	s := &Store{mergeRadius: mergeRadius}
+	s.view.Store(newView(nil, nil))
+	return s
 }
 
 // Instrument attaches metrics to the store. Call before serving traffic;
@@ -163,15 +209,6 @@ func (s *Store) fusionWorkers() int {
 		return n
 	}
 	return par.DefaultWorkers()
-}
-
-func (s *Store) vehicleIndex(id string) int {
-	if idx, ok := s.vehicles[id]; ok {
-		return idx
-	}
-	idx := len(s.vehicles)
-	s.vehicles[id] = idx
-	return idx
 }
 
 // AddPattern registers a mapping task and returns its id.
@@ -206,10 +243,8 @@ func (s *Store) AddPatternKeyed(ctx context.Context, idemKey, segment string, ap
 // Patterns returns the mapping tasks, optionally filtered by segment. The
 // result is never nil, so the HTTP layer encodes an empty list as [].
 func (s *Store) Patterns(segment string) []Pattern {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := []Pattern{}
-	for _, p := range s.patterns {
+	for _, p := range s.capture().patterns {
 		if segment == "" || p.Segment == segment {
 			out = append(out, p)
 		}
@@ -254,7 +289,6 @@ func (s *Store) AddLabelsKeyed(ctx context.Context, idemKey string, ls []Label) 
 		return err
 	}
 	for _, l := range ls {
-		s.vehicleIndex(l.Vehicle)
 		s.labels = append(s.labels, l)
 		s.metrics.incLabels()
 	}
@@ -283,7 +317,6 @@ func (s *Store) AddReportKeyed(ctx context.Context, idemKey string, r Report) er
 		span.SetError(err)
 		return err
 	}
-	s.vehicleIndex(r.Vehicle)
 	s.reports = append(s.reports, r)
 	s.metrics.incReports()
 	s.completeIdemLocked(idemKey, reportResponse())
@@ -298,40 +331,9 @@ func (s *Store) Counts() (patterns, labels, reports int) {
 	return len(s.patterns), len(s.labels), len(s.reports)
 }
 
-// Aggregating reports whether an aggregation cycle is in progress; the HTTP
-// layer sheds ingestion with 503 + Retry-After while it is.
-func (s *Store) Aggregating() bool {
-	return s.aggregating.Load()
-}
-
-// AggregationEta estimates how much longer the in-progress aggregation cycle
-// will run, from the previous cycle's duration. Zero when no cycle is
-// running, no history exists, or the estimate is already exhausted — the
-// HTTP layer then falls back to its Retry-After floor.
-func (s *Store) AggregationEta() time.Duration {
-	if !s.aggregating.Load() {
-		return 0
-	}
-	last := time.Duration(s.lastAggDur.Load())
-	if last <= 0 {
-		return 0
-	}
-	elapsed := time.Since(time.Unix(0, s.aggStart.Load()))
-	if rem := last - elapsed; rem > 0 {
-		return rem
-	}
-	return 0
-}
-
 // Reliability returns the inferred reliability map (copy).
 func (s *Store) Reliability() map[string]float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]float64, len(s.reliability))
-	for k, v := range s.reliability {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(s.view.Load().reliability)
 }
 
 // CycleStats summarizes one aggregation cycle for logging and metrics.
@@ -388,28 +390,19 @@ func (s *Store) AggregateCycleContext(ctx context.Context) (CycleStats, error) {
 	span.SetAttr("segments", stats.Segments)
 	span.SetAttr("vehicles_scored", stats.VehiclesScored)
 	span.SetAttr("spammers_flagged", stats.SpammersFlagged)
-	if s.metrics != nil {
-		s.metrics.observeAggregate(stats, s.Reliability(), err)
-	}
+	s.metrics.observeAggregate(stats, s.view.Load().reliability, err)
 	return stats, err
 }
 
+// aggregate runs one cycle on a captured prefix of the evidence. Uploads
+// that land while it runs are not in that prefix: the next cycle fuses them.
 func (s *Store) aggregate(ctx context.Context) (CycleStats, error) {
-	start := time.Now()
-	s.aggStart.Store(start.UnixNano())
-	s.aggregating.Store(true)
-	defer func() {
-		s.lastAggDur.Store(int64(time.Since(start)))
-		s.aggregating.Store(false)
-	}()
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.cycle.Lock()
+	defer s.cycle.Unlock()
+	c := s.capture()
 
 	var stats CycleStats
-	rel := s.inferReliabilityLocked(ctx)
-	for id, r := range rel {
-		s.reliability[id] = r
-	}
+	rel := s.inferReliability(ctx, c)
 	stats.VehiclesScored = len(rel)
 	for _, r := range rel {
 		if r < 0.5 {
@@ -420,7 +413,7 @@ func (s *Store) aggregate(ctx context.Context) (CycleStats, error) {
 	// Group reports per segment and fuse with reliability weights.
 	bySeg := map[string][]crowd.VehicleReport{}
 	weights := map[string][]float64{}
-	for _, rep := range s.reports {
+	for _, rep := range c.reports {
 		idx := len(bySeg[rep.Segment])
 		pts := make([]geo.Point, len(rep.APs))
 		for i, ap := range rep.APs {
@@ -428,7 +421,7 @@ func (s *Store) aggregate(ctx context.Context) (CycleStats, error) {
 		}
 		bySeg[rep.Segment] = append(bySeg[rep.Segment], crowd.VehicleReport{Vehicle: idx, APs: pts})
 		w := 1.0
-		if r, ok := s.reliability[rep.Vehicle]; ok {
+		if r, ok := rel[rep.Vehicle]; ok {
 			w = r
 		}
 		weights[rep.Segment] = append(weights[rep.Segment], w)
@@ -458,32 +451,48 @@ func (s *Store) aggregate(ctx context.Context) (CycleStats, error) {
 		fspan.End()
 		return stats, err
 	}
+	next := &view{fused: make(map[string][]LookupResult, len(segs)), reliability: rel}
 	for i, seg := range segs {
 		out := make([]LookupResult, len(fused[i]))
 		for j, p := range fused[i] {
 			out[j] = LookupResult{X: p.X, Y: p.Y, Weight: 1}
 		}
-		s.fused[seg] = out
+		next.fused[seg] = out
 		stats.Segments++
 		stats.FusedAPs += len(out)
 	}
 	fspan.SetAttr("segments", stats.Segments)
 	fspan.End()
-	// Log the cycle's outputs so a recovered server serves the same fused
-	// map without waiting for its first aggregation.
-	if err := s.appendRecordLocked(ctx, recAggregate, aggregateRecord{Fused: s.fused, Reliability: s.reliability}); err != nil {
-		return stats, err
-	}
-	return stats, nil
+	return stats, s.publish(ctx, c.log, next)
 }
 
-// inferReliabilityLocked runs iterative inference over the collected labels
-// and maps the raw worker messages to [0,1] weights per vehicle id. Vehicles
-// without labels default to weight 1 (no evidence against them). Requires
-// s.mu held.
-func (s *Store) inferReliabilityLocked(ctx context.Context) map[string]float64 {
+// publish logs a cycle's outputs — so a recovered server serves the same
+// fused map without waiting for its first aggregation — and only then makes
+// them the live view. The record says what the cycle produced, not what it
+// read, so replay is exact whatever was appended while the cycle ran.
+func (s *Store) publish(ctx context.Context, log *wal.Log, next *view) error {
+	var data []byte
+	if log != nil {
+		var err error
+		if data, err = json.Marshal(aggregateRecord{Fused: next.fused, Reliability: next.reliability}); err != nil {
+			return fmt.Errorf("%w: %v", ErrDurability, err)
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.appendLocked(ctx, recAggregate, data); err != nil {
+		return err
+	}
+	s.view.Store(next)
+	return nil
+}
+
+// inferReliability runs iterative inference over the captured labels and
+// maps the raw worker messages to [0,1] weights per vehicle id. Vehicles
+// without labels default to weight 1 (no evidence against them).
+func (s *Store) inferReliability(ctx context.Context, c capture) map[string]float64 {
 	out := map[string]float64{}
-	if len(s.labels) == 0 {
+	if len(c.labels) == 0 {
 		return out
 	}
 	// Build a dense bipartite instance from the recorded labels, keeping
@@ -493,12 +502,12 @@ func (s *Store) inferReliabilityLocked(ctx context.Context) map[string]float64 {
 		vehicle string
 	}
 	seen := map[key]bool{}
-	taskWorkers := make([][]int, len(s.patterns))
-	taskValues := make([][]int8, len(s.patterns))
-	workerIDs := make([]string, 0, len(s.vehicles))
+	taskWorkers := make([][]int, len(c.patterns))
+	taskValues := make([][]int8, len(c.patterns))
+	var workerIDs []string
 	widx := map[string]int{}
 	workerTasks := map[int][]int{}
-	for _, l := range s.labels {
+	for _, l := range c.labels {
 		k := key{l.TaskID, l.Vehicle}
 		if seen[k] {
 			continue
@@ -515,7 +524,7 @@ func (s *Store) inferReliabilityLocked(ctx context.Context) map[string]float64 {
 		workerTasks[w] = append(workerTasks[w], l.TaskID)
 	}
 	a := &crowd.Assignment{
-		NumTasks:    len(s.patterns),
+		NumTasks:    len(c.patterns),
 		NumWorkers:  len(workerIDs),
 		TaskWorkers: taskWorkers,
 		WorkerTasks: make([][]int, len(workerIDs)),
@@ -540,10 +549,8 @@ func (s *Store) inferReliabilityLocked(ctx context.Context) map[string]float64 {
 // so two stores holding the same fused state (e.g. one recovered from disk)
 // answer byte-for-byte identically.
 func (s *Store) Lookup(area geo.Rect) []LookupResult {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := []LookupResult{}
-	for _, results := range s.fused {
+	for _, results := range s.view.Load().fused {
 		for _, r := range results {
 			if area.Contains(geo.Point{X: r.X, Y: r.Y}) {
 				out = append(out, r)
@@ -831,9 +838,9 @@ func classify(route, method string) (overload.Family, bool) {
 	}
 }
 
-// uploadRetryHint estimates Retry-After for sheds issued outside the
-// admission layer (aggregation window, duplicate in flight), from the upload
-// family's backlog when admission is enabled.
+// uploadRetryHint estimates Retry-After for the one shed issued outside the
+// admission layer (duplicate in flight), from the upload family's backlog
+// when admission is enabled.
 func (s *Server) uploadRetryHint() time.Duration {
 	if s.ov == nil {
 		return api.MinRetryAfter
@@ -841,26 +848,20 @@ func (s *Server) uploadRetryHint() time.Duration {
 	return s.ov.RetryHint(overload.FamilyUpload)
 }
 
-// ingest wraps a write route with the resilience middleware, applied to POST
-// only: load shedding while the store is mid-aggregation and the route's
-// request body cap.
+// ingest caps a write route's POST body.
 func (s *Server) ingest(maxBody int64, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost {
-			if s.store.Aggregating() {
-				s.stack.Shed(w, errors.New("aggregation in progress"), s.store.AggregationEta())
-				return
-			}
 			r.Body = http.MaxBytesReader(w, r.Body, maxBody)
 		}
 		h(w, r)
 	}
 }
 
-// dedupe wraps a write route with idempotency-key deduplication. Successful
-// responses are cached by key and replayed verbatim for duplicate deliveries
-// (client retries after a lost response, outbox replays), making ingestion
-// exactly-once in effect.
+// dedupe wraps a write route with idempotency-key deduplication. The
+// canonical response of a committed mutation is cached by key and replayed
+// verbatim for duplicate deliveries (client retries after a lost response,
+// outbox replays), making ingestion exactly-once in effect.
 func (s *Server) dedupe(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		key := r.Header.Get(IdempotencyKeyHeader)
@@ -890,9 +891,10 @@ func (s *Server) dedupe(h http.HandlerFunc) http.HandlerFunc {
 			return
 		}
 		dspan.End()
-		rw := &recordingWriter{ResponseWriter: w, status: http.StatusOK}
-		h(rw, r)
-		s.idem.finish(key, rw.status, rw.body)
+		h(w, r)
+		// A mutation that committed has completed the key under the store's
+		// lock; whatever else the handler answered must free it for a retry.
+		s.idem.release(key)
 	}
 }
 
@@ -1022,18 +1024,17 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 // AssignTasks picks up to count patterns for a vehicle: tasks the vehicle
 // has not answered, fewest-labelled first.
 func (s *Store) AssignTasks(vehicle string, count int) []Pattern {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	c := s.capture()
 	answered := map[int]bool{}
-	counts := make([]int, len(s.patterns))
-	for _, l := range s.labels {
+	counts := make([]int, len(c.patterns))
+	for _, l := range c.labels {
 		if l.Vehicle == vehicle {
 			answered[l.TaskID] = true
 		}
 		counts[l.TaskID]++
 	}
-	idx := make([]int, 0, len(s.patterns))
-	for i := range s.patterns {
+	idx := make([]int, 0, len(c.patterns))
+	for i := range c.patterns {
 		if !answered[i] {
 			idx = append(idx, i)
 		}
@@ -1049,7 +1050,7 @@ func (s *Store) AssignTasks(vehicle string, count int) []Pattern {
 	}
 	out := make([]Pattern, len(idx))
 	for i, id := range idx {
-		out[i] = s.patterns[id]
+		out[i] = c.patterns[id]
 	}
 	return out
 }
