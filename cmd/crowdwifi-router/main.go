@@ -52,7 +52,7 @@ import (
 	"syscall"
 	"time"
 
-	"crowdwifi/internal/api"
+	"crowdwifi/internal/api/front"
 	"crowdwifi/internal/cluster"
 	"crowdwifi/internal/obs"
 	"crowdwifi/internal/obs/slo"
@@ -204,7 +204,7 @@ func run(cfg config, logger *obs.Logger) error {
 	obs.MountHealth(debug, health)
 	mux := http.NewServeMux()
 	mux.Handle("/", rt)
-	api.MountDebug(mux, debug)
+	front.MountDebug(mux, debug)
 	handler := cluster.WithTracer(tracer, mux)
 
 	srv := &http.Server{Handler: handler, ReadHeaderTimeout: 5 * time.Second}

@@ -34,6 +34,7 @@ import (
 	"syscall"
 	"time"
 
+	"crowdwifi/internal/api"
 	"crowdwifi/internal/client"
 	"crowdwifi/internal/cs"
 	"crowdwifi/internal/eval"
@@ -44,7 +45,6 @@ import (
 	"crowdwifi/internal/radio"
 	"crowdwifi/internal/retry"
 	"crowdwifi/internal/rng"
-	"crowdwifi/internal/server"
 	"crowdwifi/internal/sim"
 	"crowdwifi/internal/traceio"
 )
@@ -282,13 +282,13 @@ func run(ctx context.Context, cfg runConfig, logger *obs.Logger) error {
 		return fmt.Errorf("pull tasks: %w", err)
 	}
 	if cfg.Spammer {
-		labels := make([]server.Label, 0, len(tasks))
+		labels := make([]api.Label, 0, len(tasks))
 		for _, task := range tasks {
 			v := 1
 			if r.Bernoulli(0.5) {
 				v = -1
 			}
-			labels = append(labels, server.Label{Vehicle: cfg.ID, TaskID: task.ID, Value: v})
+			labels = append(labels, api.Label{Vehicle: cfg.ID, TaskID: task.ID, Value: v})
 		}
 		if len(labels) > 0 {
 			if err := vehicle.SubmitLabels(ctx, labels); err != nil && !errors.Is(err, client.ErrQueued) {

@@ -17,8 +17,8 @@ import (
 
 	"crowdwifi"
 
+	"crowdwifi/internal/api"
 	"crowdwifi/internal/rng"
-	"crowdwifi/internal/server"
 	"crowdwifi/internal/sim"
 )
 
@@ -69,9 +69,9 @@ func run() error {
 		}
 		if v.spammer {
 			// The spammer does not sense; it fabricates an AP constellation.
-			var junk []server.APReport
+			var junk []api.APReport
 			for i := 0; i < 8; i++ {
-				junk = append(junk, server.APReport{
+				junk = append(junk, api.APReport{
 					X:      spamRNG.Uniform(0, 304),
 					Y:      spamRNG.Uniform(0, 184),
 					Credit: 5,
@@ -119,13 +119,13 @@ func run() error {
 			return err
 		}
 		if v.spammer {
-			var labels []server.Label
+			var labels []api.Label
 			for _, task := range tasks {
 				val := 1
 				if spamRNG.Bernoulli(0.5) {
 					val = -1
 				}
-				labels = append(labels, server.Label{Vehicle: v.id, TaskID: task.ID, Value: val})
+				labels = append(labels, api.Label{Vehicle: v.id, TaskID: task.ID, Value: val})
 			}
 			if len(labels) > 0 {
 				if err := cv.SubmitLabels(ctx, labels); err != nil {
@@ -186,6 +186,6 @@ func run() error {
 }
 
 // postJunkReport stores the spammer's fabricated report directly.
-func postJunkReport(store *crowdwifi.ServerStore, id, segment string, aps []server.APReport) error {
-	return store.AddReport(server.Report{Vehicle: id, Segment: segment, APs: aps})
+func postJunkReport(store *crowdwifi.ServerStore, id, segment string, aps []api.APReport) error {
+	return store.AddReport(api.Report{Vehicle: id, Segment: segment, APs: aps})
 }

@@ -1,11 +1,13 @@
-// Package api holds every serving decision that the shard server, the
-// cluster router and their clients have to agree on, once: the header names,
-// the error-body and 503 shapes with their parser, the body-cap answer, the
-// retryable-status set, the /v1/lookup query grammar and result order, and
-// the middleware stack both tiers mount their routes through (stack.go). A
-// client talking to the router must observe the bytes it would observe
-// talking to a shard; that holds because both tiers call this code, not
-// because two copies happen to match.
+// Package api is the protocol, everything two processes have to agree on,
+// once: the entity and batch types, the binary frame codec (wire.go), the
+// routes, the shard↔router control messages (cluster.go), the header names,
+// the error-body and 503 shapes with their parser, the body caps and the 413
+// answer, the retryable-status set, and the /v1/lookup query grammar and
+// result order. Every client and both serving tiers import it, so it imports
+// none of them, only geo and the wal frame envelope; what only a serving tier
+// needs is in api/front. A client talking to the router must observe the
+// bytes it would observe talking to a shard; that holds because both tiers
+// call this code, not because two copies happen to match.
 package api
 
 import (
@@ -38,6 +40,27 @@ const ModeHeader = "X-Crowdwifi-Mode"
 
 // IdempotencyKeyHeader carries the client's per-upload deduplication key.
 const IdempotencyKeyHeader = "Idempotency-Key"
+
+// OwnerHeader names the shard that owns a request's segment. Set on 421
+// Misdirected Request responses so the caller can re-route without
+// re-deriving the ring, and on slice-apply responses for observability.
+const OwnerHeader = "X-Crowdwifi-Owner"
+
+// ShardHeader names the shard that actually served a router-proxied upload
+// (the post-re-route owner), so a slow or failed request is attributable to
+// its shard from the response alone.
+const ShardHeader = "X-Crowdwifi-Shard"
+
+const (
+	// DefaultMaxBodyBytes caps ingestion request bodies, at the router too:
+	// it rejects oversized uploads before burning upstream bandwidth on them.
+	DefaultMaxBodyBytes = 1 << 20
+	// DefaultBatchMaxBodyBytes caps /v1/reports/batch request bodies. Batch
+	// uploads carry hundreds of parked reports in one round-trip, so the
+	// single-upload cap would reject exactly the drains the endpoint exists
+	// for; the batch limit is per-route and independently configurable.
+	DefaultBatchMaxBodyBytes = 16 << 20
+)
 
 const (
 	// MinRetryAfter floors every 503's standard Retry-After header: callers
@@ -78,12 +101,12 @@ func WriteBodyError(w http.ResponseWriter, err error) (capped bool) {
 	return false
 }
 
-// writeShed writes a 503 steering well-behaved clients (whose retry layer
+// WriteShed writes a 503 steering well-behaved clients (whose retry layer
 // honors the headers) away from a busy window. The estimate goes out twice:
 // verbatim at millisecond precision for fleet clients, and floored at
 // MinRetryAfter, rounded up to whole seconds, in the standard header (its
 // unit).
-func writeShed(w http.ResponseWriter, reason error, retryAfter time.Duration) {
+func WriteShed(w http.ResponseWriter, reason error, retryAfter time.Duration) {
 	if ms := retryAfter.Milliseconds(); ms > 0 {
 		w.Header().Set(RetryAfterMsHeader, strconv.FormatInt(ms, 10))
 	}
@@ -95,7 +118,7 @@ func writeShed(w http.ResponseWriter, reason error, retryAfter time.Duration) {
 	WriteError(w, http.StatusServiceUnavailable, reason)
 }
 
-// RetryAfter parses the backoff hint writeShed sends, capped at
+// RetryAfter parses the backoff hint WriteShed sends, capped at
 // MaxRetryAfter: the millisecond header when present, else the standard
 // Retry-After in delay-seconds form. 0 means absent or unparseable (the
 // HTTP-date form is not supported; neither tier emits it).
@@ -130,6 +153,35 @@ func DrainClose(resp *http.Response) {
 	}
 	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 	resp.Body.Close()
+}
+
+// APReport is one AP estimate inside a vehicle report.
+type APReport struct {
+	X      float64 `json:"x"`
+	Y      float64 `json:"y"`
+	Credit float64 `json:"credit"`
+}
+
+// Report is a crowd-vehicle's upload for one road segment.
+type Report struct {
+	Vehicle string     `json:"vehicle"`
+	Segment string     `json:"segment"`
+	APs     []APReport `json:"aps"`
+}
+
+// Pattern is a candidate AP distribution pattern (a mapping task): a set of
+// AP positions on a segment that crowd-vehicles confirm or reject.
+type Pattern struct {
+	ID      int        `json:"id"`
+	Segment string     `json:"segment"`
+	APs     []APReport `json:"aps"`
+}
+
+// Label is a crowd-vehicle's ±1 answer for a pattern.
+type Label struct {
+	Vehicle string `json:"vehicle"`
+	TaskID  int    `json:"taskId"`
+	Value   int    `json:"value"`
 }
 
 // LookupResult is a fused AP record served to user-vehicles.

@@ -48,7 +48,7 @@ func TestRetryAfterHeaderCombinations(t *testing.T) {
 }
 
 // TestShedRoundTripsThroughParser pins the 503 shape to its parser: what
-// writeShed sends, RetryAfter reads back, at either precision.
+// WriteShed sends, RetryAfter reads back, at either precision.
 func TestShedRoundTripsThroughParser(t *testing.T) {
 	cases := []struct {
 		hint     time.Duration
@@ -63,7 +63,7 @@ func TestShedRoundTripsThroughParser(t *testing.T) {
 	}
 	for _, tc := range cases {
 		rec := httptest.NewRecorder()
-		writeShed(rec, errors.New("busy"), tc.hint)
+		WriteShed(rec, errors.New("busy"), tc.hint)
 		if rec.Code != http.StatusServiceUnavailable {
 			t.Fatalf("hint %v: status %d", tc.hint, rec.Code)
 		}

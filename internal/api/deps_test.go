@@ -1,0 +1,56 @@
+package api
+
+import (
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// internalDeps lists the crowdwifi/internal packages pkgs depend on,
+// transitively, without the prefix.
+func internalDeps(t *testing.T, pkgs ...string) []string {
+	t.Helper()
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go is not on PATH")
+	}
+	out, err := exec.Command(goBin, append([]string{"list", "-deps"}, pkgs...)...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("go list -deps %v: %v\n%s", pkgs, err, out)
+	}
+	var deps []string
+	for _, line := range strings.Fields(string(out)) {
+		if dep, ok := strings.CutPrefix(line, "crowdwifi/internal/"); ok {
+			deps = append(deps, dep)
+		}
+	}
+	return deps
+}
+
+// TestClientsDoNotLinkTheServer keeps the boundary this package exists for:
+// a vehicle, the load generator and the retry layer speak the protocol
+// without compiling the crowd-server's store, inference, admission control,
+// SLO engine or the router.
+func TestClientsDoNotLinkTheServer(t *testing.T) {
+	forbidden := map[string]bool{
+		"server": true, "crowd": true, "overload": true, "obs/slo": true,
+		"cluster": true, "cluster/ring": true,
+	}
+	for _, dep := range internalDeps(t, "crowdwifi/cmd/crowdwifi-vehicle", "crowdwifi/cmd/crowdwifi-load",
+		"crowdwifi/internal/client", "crowdwifi/internal/retry") {
+		if forbidden[dep] {
+			t.Errorf("a client depends on internal/%s", dep)
+		}
+	}
+}
+
+// TestProtocolIsALeaf: what every process imports may import only geometry,
+// the wal frame envelope and what the envelope itself needs.
+func TestProtocolIsALeaf(t *testing.T) {
+	allowed := map[string]bool{"api": true, "geo": true, "wal": true, "obs": true, "obs/trace": true}
+	for _, dep := range internalDeps(t, "crowdwifi/internal/api") {
+		if !allowed[dep] {
+			t.Errorf("internal/api depends on internal/%s", dep)
+		}
+	}
+}

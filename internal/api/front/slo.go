@@ -1,8 +1,9 @@
-package api
+package front
 
 import (
 	"strconv"
 
+	"crowdwifi/internal/api"
 	"crowdwifi/internal/obs"
 	"crowdwifi/internal/obs/slo"
 )
@@ -28,10 +29,10 @@ func SLOObjectives(reg *obs.Registry, metrics, scope string) []slo.Objective {
 	}
 	uploadRoute := func(labels map[string]string) bool {
 		r := labels["route"]
-		return r == "/v1/reports" || r == "/v1/patterns"
+		return r == api.RouteReports || r == api.RoutePatterns
 	}
 	lookupRoute := func(labels map[string]string) bool {
-		return labels["route"] == "/v1/lookup"
+		return labels["route"] == api.RouteLookup
 	}
 	return []slo.Objective{
 		{

@@ -1,4 +1,9 @@
-package api
+// Package front is what the shard server and the cluster router need to
+// serve internal/api's routes and no client needs to call them: the
+// middleware stack every route is mounted through, the route → shedding-family
+// table, the SLO objectives and the debug mount. It is kept out of api so that
+// a vehicle does not link admission control to parse a Retry-After.
+package front
 
 import (
 	"context"
@@ -8,6 +13,7 @@ import (
 	"strconv"
 	"time"
 
+	"crowdwifi/internal/api"
 	"crowdwifi/internal/obs"
 	"crowdwifi/internal/obs/trace"
 	"crowdwifi/internal/overload"
@@ -32,10 +38,8 @@ type Stack struct {
 	// Tracer starts the per-request server span; nil falls back to a tracer
 	// installed in the request context.
 	Tracer *trace.Tracer
-	// Admission gates every route by the family Classify assigns it; the
-	// bool marks requests that must write durably (refused while read-only).
+	// Admission gates every route by the family classify assigns it.
 	Admission *overload.Admission
-	Classify  func(route, method string) (overload.Family, bool)
 	// Timeout bounds the handler's context, counted from admission so queue
 	// wait does not eat the handler's deadline (≤ 0 disables).
 	Timeout time.Duration
@@ -114,15 +118,15 @@ func (s *Stack) count(route, method string, status int) {
 func (s *Stack) admit(ctx context.Context, w *statusWriter, r *http.Request, route string, newCtx bool, h http.HandlerFunc) {
 	var dec overload.Decision
 	if s.Admission != nil {
-		fam, mutation := s.Classify(route, r.Method)
+		fam, mutation := classify(route, r.Method)
 		// Every response carries the tier's degradation mode, not just the
 		// sheds: clients and the router track health passively from traffic
 		// they were sending anyway, without probing or parsing errors.
-		w.Header().Set(ModeHeader, s.Admission.Mode().String())
+		w.Header().Set(api.ModeHeader, s.Admission.Mode().String())
 		dec = s.Admission.Admit(ctx, fam, mutation)
 		if !dec.OK {
 			mode := s.Admission.Mode().String()
-			w.Header().Set(ModeHeader, mode)
+			w.Header().Set(api.ModeHeader, mode)
 			_, sp := trace.StartChild(ctx, s.Tier+".shed")
 			sp.SetAttr("family", fam.String())
 			sp.SetAttr("mode", mode)
@@ -157,12 +161,39 @@ func (s *Stack) admit(ctx context.Context, w *statusWriter, r *http.Request, rou
 	dec.Release(time.Since(start), ok)
 }
 
+// classify maps a (route, method) to its shedding family and whether it
+// mutates durable state (refused while read-only). Uploads (vehicle ingest
+// POSTs) shed first; GET reads and task/aggregation management are control
+// traffic; /v1/lookup is the protected class. One table serves both tiers:
+// the router holds no durable state, so its admission layer never turns
+// read-only and the mutation bit is inert there.
+func classify(route, method string) (overload.Family, bool) {
+	switch route {
+	case api.RouteLookup:
+		return overload.FamilyLookup, false
+	case api.RouteReports, api.RouteReportsBatch, api.RouteLabels, api.RoutePatterns:
+		if method == http.MethodPost {
+			return overload.FamilyUpload, true
+		}
+		return overload.FamilyControl, false
+	case api.RouteAggregate:
+		return overload.FamilyControl, method == http.MethodPost
+	case api.RouteClusterSlice, api.RouteClusterDrop:
+		// Rebalance transfers mutate durable state; a read-only shard must
+		// reject them like any upload so data is never half-moved onto a
+		// failing disk.
+		return overload.FamilyControl, method == http.MethodPost
+	default:
+		return overload.FamilyControl, false
+	}
+}
+
 // Shed is the one 503 writer: admission uses it, and so do handlers that
 // shed for their own reasons (duplicate in flight, empty ring). retryAfter is
 // the caller's estimate of when capacity returns.
 func (s *Stack) Shed(w http.ResponseWriter, reason error, retryAfter time.Duration) {
 	s.Sheds.Inc()
-	writeShed(w, reason, retryAfter)
+	api.WriteShed(w, reason, retryAfter)
 }
 
 // MountDebug serves a process's debug surface — /metrics, /debug/*, /healthz

@@ -1,4 +1,4 @@
-package server
+package api
 
 import (
 	"encoding/binary"
@@ -39,7 +39,8 @@ const (
 )
 
 // ErrWireFrame reports a binary body that does not decode as the expected
-// sequence of frames.
+// sequence of frames. The text reaches clients in 400 bodies, so it keeps the
+// prefix it had when the codec lived in internal/server.
 var ErrWireFrame = errors.New("server: malformed wire frame")
 
 // BatchEntry is one report in a batch upload, paired with its own
@@ -262,6 +263,11 @@ func DecodeBatchStatusFrame(body []byte) ([]BatchEntryStatus, error) {
 	}
 	n := int(binary.LittleEndian.Uint32(data))
 	data = data[4:]
+	// The count is untrusted and sizes an allocation: a status occupies at
+	// least 8 payload bytes (u16 status + three u16 string lengths).
+	if n > len(data)/8 {
+		return nil, fmt.Errorf("%w: %d statuses cannot fit in %d payload bytes", ErrWireFrame, n, len(data))
+	}
 	results := make([]BatchEntryStatus, 0, n)
 	for i := 0; i < n; i++ {
 		var st BatchEntryStatus
@@ -305,8 +311,8 @@ func soleFrame(body []byte, want byte) ([]byte, error) {
 	return payload, nil
 }
 
-// isFrameRequest reports whether the request body is in the binary codec.
-func isFrameRequest(r *http.Request) bool {
+// IsFrameRequest reports whether the request body is in the binary codec.
+func IsFrameRequest(r *http.Request) bool {
 	return strings.HasPrefix(r.Header.Get("Content-Type"), FrameContentType)
 }
 

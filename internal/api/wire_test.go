@@ -1,10 +1,23 @@
-package server
+package api
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"net/http"
 	"reflect"
 	"testing"
+
+	"crowdwifi/internal/wal"
+)
+
+// The exact bytes of one frame of each kind, captured from the codec while it
+// lived in internal/server (commit 1d583d2): the first report frame, the
+// lookup answer and the status vector of the round-trip tests below.
+const (
+	goldenReportFrame = "4e00000005f068ca010400726b2d3006007665682d343209007365676d656e742f3702000000000000000000f83f00000000000002c0000000000000e83f0000000000a98f400000000000005640000000000000f03f"
+	goldenLookupFrame = "350000008b6c3fa70202000000000000000000254000000000000008c0000000000000024000000000000000000000000000000000fca9f1d24d62503f"
+	goldenStatusFrame = "5d0000003241ceac0303000000c90001006100000000a50101006217007365676d656e74206f776e656420656c73657768657265070073686172642d629001000020007265706f7274206e656564732076656869636c6520616e64207365676d656e740000"
 )
 
 func wireReportFixture(i int) Report {
@@ -51,6 +64,9 @@ func TestReportFrameRoundTrip(t *testing.T) {
 	if off != len(body) {
 		t.Fatalf("Raw slices cover %d bytes, body is %d", off, len(body))
 	}
+	if got := hex.EncodeToString(frames[0].Raw); got != goldenReportFrame {
+		t.Errorf("report frame bytes changed:\n got %s\nwant %s", got, goldenReportFrame)
+	}
 }
 
 func TestReportFrameRejectsDamage(t *testing.T) {
@@ -91,6 +107,9 @@ func TestLookupFrameRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, results) {
 		t.Fatalf("round trip = %+v, want %+v", got, results)
+	}
+	if got := hex.EncodeToString(EncodeLookupFrame(results)); got != goldenLookupFrame {
+		t.Errorf("lookup frame bytes changed:\n got %s\nwant %s", got, goldenLookupFrame)
 	}
 
 	empty, err := DecodeLookupFrame(EncodeLookupFrame(nil))
@@ -136,6 +155,9 @@ func TestBatchStatusFrameRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, statuses) {
 		t.Fatalf("round trip = %+v, want %+v", got, statuses)
 	}
+	if got := hex.EncodeToString(frame); got != goldenStatusFrame {
+		t.Errorf("status frame bytes changed:\n got %s\nwant %s", got, goldenStatusFrame)
+	}
 
 	empty, err := EncodeBatchStatusFrame(nil)
 	if err != nil {
@@ -147,5 +169,25 @@ func TestBatchStatusFrameRoundTrip(t *testing.T) {
 	}
 	if dec == nil || len(dec) != 0 {
 		t.Fatalf("empty status vector decodes to %#v, want non-nil empty slice", dec)
+	}
+}
+
+// hugeCountStatusFrame is a valid 13-byte frame (good CRC) whose whole
+// payload is a status count the frame cannot possibly hold.
+func hugeCountStatusFrame(n uint32) []byte {
+	return wal.AppendFrame(nil, wireBatchStatus, binary.LittleEndian.AppendUint32(nil, n))
+}
+
+// TestBatchStatusFrameCountIsBounded: the count is untrusted, so it must be
+// checked against the payload before it sizes an allocation.
+func TestBatchStatusFrameCountIsBounded(t *testing.T) {
+	body := hugeCountStatusFrame(20_000_000)
+	if len(body) != 13 {
+		t.Fatalf("body is %d bytes, want 13", len(body))
+	}
+	var err error
+	decodeBounded(t, len(body), func() { _, err = DecodeBatchStatusFrame(body) }) // < 1 MiB
+	if !errors.Is(err, ErrWireFrame) {
+		t.Fatalf("err = %v, want ErrWireFrame", err)
 	}
 }

@@ -16,14 +16,6 @@ import (
 
 	"crowdwifi/internal/api"
 	"crowdwifi/internal/obs/trace"
-	"crowdwifi/internal/server"
-)
-
-// reportsPath is the single-report upload route; the batch route appends
-// /batch.
-const (
-	reportsPath = "/v1/reports"
-	batchPath   = "/v1/reports/batch"
 )
 
 // BatchOutcome summarizes one batch upload: Acked entries are durably
@@ -40,7 +32,7 @@ type BatchOutcome struct {
 // deduplicates entry by entry. Per-entry transient rejections — and a
 // transient whole-request failure — park the affected entries individually
 // in the Outbox (ErrQueued); terminal rejections count as Failed.
-func (v *CrowdVehicle) UploadReportBatch(ctx context.Context, reps []server.Report) (BatchOutcome, error) {
+func (v *CrowdVehicle) UploadReportBatch(ctx context.Context, reps []api.Report) (BatchOutcome, error) {
 	var out BatchOutcome
 	if len(reps) == 0 {
 		return out, nil
@@ -50,18 +42,18 @@ func (v *CrowdVehicle) UploadReportBatch(ctx context.Context, reps []server.Repo
 	var err error
 	for i, rep := range reps {
 		keys[i] = v.nextIdempotencyKey()
-		if body, err = server.EncodeReportFrame(body, keys[i], rep); err != nil {
+		if body, err = api.EncodeReportFrame(body, keys[i], rep); err != nil {
 			return out, err
 		}
 	}
 
-	ctx, span := trace.Start(ctx, "client.upload "+batchPath)
+	ctx, span := trace.Start(ctx, "client.upload "+api.RouteReportsBatch)
 	defer span.End()
 	span.SetAttr("entries", len(reps))
 	span.SetAttr("bytes", len(body))
 
-	var resp server.BatchResponse
-	err = sendBody(ctx, v.Metrics, v.httpDoer(), http.MethodPost, v.BaseURL+batchPath, server.FrameContentType, body, "", &resp)
+	var resp api.BatchResponse
+	err = sendBody(ctx, v.Metrics, v.httpDoer(), http.MethodPost, v.BaseURL+api.RouteReportsBatch, api.FrameContentType, body, "", &resp)
 	if err != nil {
 		span.SetError(err)
 		if v.Outbox != nil && transientError(err) {
@@ -70,7 +62,7 @@ func (v *CrowdVehicle) UploadReportBatch(ctx context.Context, reps []server.Repo
 			}
 			out.Queued = len(reps)
 			span.AddEvent("queued to outbox")
-			return out, fmt.Errorf("%w: %s (cause: %v)", ErrQueued, batchPath, err)
+			return out, fmt.Errorf("%w: %s (cause: %v)", ErrQueued, api.RouteReportsBatch, err)
 		}
 		out.Failed = len(reps)
 		return out, err
@@ -100,10 +92,10 @@ func (v *CrowdVehicle) UploadReportBatch(ctx context.Context, reps []server.Repo
 	}
 	if out.Queued > 0 {
 		v.syncOutboxGauges()
-		err = fmt.Errorf("%w: %s (%d of %d entries deferred)", ErrQueued, batchPath, out.Queued, len(reps))
+		err = fmt.Errorf("%w: %s (%d of %d entries deferred)", ErrQueued, api.RouteReportsBatch, out.Queued, len(reps))
 		span.AddEvent("queued to outbox")
 	} else if out.Failed > 0 {
-		err = fmt.Errorf("client: %s: %d of %d entries rejected", batchPath, out.Failed, len(reps))
+		err = fmt.Errorf("client: %s: %d of %d entries rejected", api.RouteReportsBatch, out.Failed, len(reps))
 		span.SetError(err)
 	}
 	return out, err
@@ -112,37 +104,37 @@ func (v *CrowdVehicle) UploadReportBatch(ctx context.Context, reps []server.Repo
 // parkReport queues one report as a single-upload outbox entry: the body is
 // a key-less report frame and the key rides in Entry.Key, so the entry can
 // drain either singly (key in the header) or re-framed into a batch.
-func (v *CrowdVehicle) parkReport(key string, rep server.Report, traceparent string) {
-	body, err := server.EncodeReportFrame(nil, "", rep)
+func (v *CrowdVehicle) parkReport(key string, rep api.Report, traceparent string) {
+	body, err := api.EncodeReportFrame(nil, "", rep)
 	if err != nil {
 		return
 	}
 	v.Outbox.enqueue(Entry{
-		Path:        reportsPath,
+		Path:        api.RouteReports,
 		Body:        body,
 		Key:         key,
-		ContentType: server.FrameContentType,
+		ContentType: api.FrameContentType,
 		Traceparent: traceparent,
 	})
 	v.Metrics.incOutboxEnqueued()
 }
 
-// entryReport recovers the server.Report a parked entry carries, whatever
+// entryReport recovers the api.Report a parked entry carries, whatever
 // codec it was parked in.
-func entryReport(e Entry) (server.Report, error) {
-	if e.ContentType == server.FrameContentType {
-		frames, err := server.SplitReportFrames(e.Body)
+func entryReport(e Entry) (api.Report, error) {
+	if e.ContentType == api.FrameContentType {
+		frames, err := api.SplitReportFrames(e.Body)
 		if err != nil {
-			return server.Report{}, err
+			return api.Report{}, err
 		}
 		if len(frames) != 1 {
-			return server.Report{}, fmt.Errorf("client: outbox entry holds %d frames, want 1", len(frames))
+			return api.Report{}, fmt.Errorf("client: outbox entry holds %d frames, want 1", len(frames))
 		}
 		return frames[0].Report, nil
 	}
-	var rep server.Report
+	var rep api.Report
 	if err := json.Unmarshal(e.Body, &rep); err != nil {
-		return server.Report{}, err
+		return api.Report{}, err
 	}
 	return rep, nil
 }
@@ -166,7 +158,7 @@ func (v *CrowdVehicle) drainBatch(ctx context.Context, run []Entry) (int, error)
 			poison[e.Key] = true
 			continue
 		}
-		if body, err = server.EncodeReportFrame(body, e.Key, rep); err != nil {
+		if body, err = api.EncodeReportFrame(body, e.Key, rep); err != nil {
 			poison[e.Key] = true
 			continue
 		}
@@ -181,11 +173,11 @@ func (v *CrowdVehicle) drainBatch(ctx context.Context, run []Entry) (int, error)
 		return 0, nil
 	}
 
-	dctx, span := trace.Resume(ctx, "client.drain "+batchPath, live[0].Traceparent)
+	dctx, span := trace.Resume(ctx, "client.drain "+api.RouteReportsBatch, live[0].Traceparent)
 	span.SetAttr("entries", len(live))
 	span.SetAttr("queued_for", v.Outbox.OldestAge().String())
-	var resp server.BatchResponse
-	err := sendBody(dctx, v.Metrics, v.httpDoer(), http.MethodPost, v.BaseURL+batchPath, server.FrameContentType, body, "", &resp)
+	var resp api.BatchResponse
+	err := sendBody(dctx, v.Metrics, v.httpDoer(), http.MethodPost, v.BaseURL+api.RouteReportsBatch, api.FrameContentType, body, "", &resp)
 	span.SetError(err)
 	span.End()
 	if err != nil {
@@ -219,7 +211,7 @@ func (v *CrowdVehicle) drainBatch(ctx context.Context, run []Entry) (int, error)
 	if kept > 0 {
 		// Some entries must wait; surface a transient error so the drain
 		// loop pauses instead of hammering the same rejections.
-		return drained, fmt.Errorf("client: %s: %d entries deferred by the server", batchPath, kept)
+		return drained, fmt.Errorf("client: %s: %d entries deferred by the server", api.RouteReportsBatch, kept)
 	}
 	return drained, nil
 }

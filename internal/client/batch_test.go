@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"crowdwifi/internal/api"
 	"crowdwifi/internal/obs"
 	"crowdwifi/internal/server"
 )
@@ -29,10 +30,10 @@ func batchVehicle(t *testing.T, baseURL string) *CrowdVehicle {
 func parkN(t *testing.T, v *CrowdVehicle, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		v.parkReport(fmt.Sprintf("pk-%d", i), server.Report{
+		v.parkReport(fmt.Sprintf("pk-%d", i), api.Report{
 			Vehicle: v.ID,
 			Segment: fmt.Sprintf("pseg-%d", i),
-			APs:     []server.APReport{{X: float64(i), Y: 1, Credit: 1}},
+			APs:     []api.APReport{{X: float64(i), Y: 1, Credit: 1}},
 		}, "")
 	}
 	if v.Outbox.Len() != n {
@@ -101,8 +102,8 @@ func TestDrainBatchDeliversRunInOneRequest(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if calls[batchPath] != 1 || calls[reportsPath] != 0 {
-		t.Fatalf("calls = %v, want exactly 1 to %s and none to %s", calls, batchPath, reportsPath)
+	if calls[api.RouteReportsBatch] != 1 || calls[api.RouteReports] != 0 {
+		t.Fatalf("calls = %v, want exactly 1 to %s and none to %s", calls, api.RouteReportsBatch, api.RouteReports)
 	}
 	if _, _, reports := store.Counts(); reports != n {
 		t.Fatalf("server stored %d reports, want %d", reports, n)
@@ -122,10 +123,10 @@ func TestUploadReportBatchTransientFailureParksAll(t *testing.T) {
 	t.Cleanup(ts.Close)
 	v := batchVehicle(t, ts.URL)
 
-	reps := make([]server.Report, 3)
+	reps := make([]api.Report, 3)
 	for i := range reps {
-		reps[i] = server.Report{Vehicle: v.ID, Segment: fmt.Sprintf("ts-%d", i),
-			APs: []server.APReport{{X: 1, Y: 2, Credit: 1}}}
+		reps[i] = api.Report{Vehicle: v.ID, Segment: fmt.Sprintf("ts-%d", i),
+			APs: []api.APReport{{X: 1, Y: 2, Credit: 1}}}
 	}
 	out, err := v.UploadReportBatch(context.Background(), reps)
 	if !errors.Is(err, ErrQueued) {
@@ -153,15 +154,15 @@ func TestUploadReportBatchMixedStatusVector(t *testing.T) {
 		if err != nil {
 			t.Errorf("reading batch body: %v", err)
 		}
-		frames, err := server.SplitReportFrames(body)
+		frames, err := api.SplitReportFrames(body)
 		if err != nil {
 			t.Errorf("SplitReportFrames: %v", err)
 			w.WriteHeader(http.StatusBadRequest)
 			return
 		}
-		var resp server.BatchResponse
+		var resp api.BatchResponse
 		for _, f := range frames {
-			resp.Results = append(resp.Results, server.BatchEntryStatus{
+			resp.Results = append(resp.Results, api.BatchEntryStatus{
 				Key:    f.Key,
 				Status: statusBySegment[f.Report.Segment],
 			})
@@ -174,10 +175,10 @@ func TestUploadReportBatchMixedStatusVector(t *testing.T) {
 	t.Cleanup(ts.Close)
 	v := batchVehicle(t, ts.URL)
 
-	reps := make([]server.Report, 0, len(statusBySegment))
+	reps := make([]api.Report, 0, len(statusBySegment))
 	for i := 0; i < len(statusBySegment); i++ {
-		reps = append(reps, server.Report{Vehicle: v.ID, Segment: fmt.Sprintf("mix-%d", i),
-			APs: []server.APReport{{X: 1, Y: 2, Credit: 1}}})
+		reps = append(reps, api.Report{Vehicle: v.ID, Segment: fmt.Sprintf("mix-%d", i),
+			APs: []api.APReport{{X: 1, Y: 2, Credit: 1}}})
 	}
 	out, err := v.UploadReportBatch(context.Background(), reps)
 	if !errors.Is(err, ErrQueued) {

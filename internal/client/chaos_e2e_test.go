@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"crowdwifi/internal/api"
 	"crowdwifi/internal/chaos"
 	"crowdwifi/internal/geo"
 	"crowdwifi/internal/obs"
@@ -52,7 +53,7 @@ var chaosHarshFault = chaos.Fault{
 
 // chaosAPs are the per-vehicle synthetic AP estimates: everyone observes the
 // same two roadside APs with small offsets.
-var chaosAPs = [][]server.APReport{
+var chaosAPs = [][]api.APReport{
 	{{X: 100, Y: 50, Credit: 3}, {X: 200, Y: 80, Credit: 2}},
 	{{X: 102, Y: 52, Credit: 3}, {X: 201, Y: 79, Credit: 2}},
 	{{X: 98, Y: 49, Credit: 4}, {X: 199, Y: 81, Credit: 1}},
@@ -100,7 +101,7 @@ func runChaosPipeline(t *testing.T, rig pipelineRig) (*server.Store, *httptest.S
 	var created struct {
 		ID int `json:"id"`
 	}
-	p := server.Pattern{Segment: "seg-A", APs: chaosAPs[0]}
+	p := api.Pattern{Segment: "seg-A", APs: chaosAPs[0]}
 	if err := vehicles[0].postJSON(ctx, "/v1/patterns", p, &created, false); err != nil {
 		t.Fatalf("propose pattern: %v", err)
 	}
@@ -108,7 +109,7 @@ func runChaosPipeline(t *testing.T, rig pipelineRig) (*server.Store, *httptest.S
 	// Sequential per-vehicle flow: pull tasks, submit labels, upload the
 	// report — each delivered completely before the next vehicle acts.
 	for i, v := range vehicles {
-		var tasks []server.Pattern
+		var tasks []api.Pattern
 		for attempt := 0; ; attempt++ {
 			var err error
 			tasks, err = v.PullTasks(ctx, 5)
@@ -122,10 +123,10 @@ func runChaosPipeline(t *testing.T, rig pipelineRig) (*server.Store, *httptest.S
 		if len(tasks) != 1 || tasks[0].ID != created.ID {
 			t.Fatalf("vehicle %d: tasks = %+v, want task %d", i, tasks, created.ID)
 		}
-		labels := []server.Label{{Vehicle: v.ID, TaskID: created.ID, Value: 1}}
+		labels := []api.Label{{Vehicle: v.ID, TaskID: created.ID, Value: 1}}
 		mustDeliver(t, ctx, v, i, "labels", v.SubmitLabels(ctx, labels))
 
-		rep := server.Report{Vehicle: v.ID, Segment: "seg-A", APs: chaosAPs[i]}
+		rep := api.Report{Vehicle: v.ID, Segment: "seg-A", APs: chaosAPs[i]}
 		mustDeliver(t, ctx, v, i, "report", v.postJSON(ctx, "/v1/reports", rep, nil, true))
 	}
 

@@ -33,7 +33,6 @@ import (
 	"crowdwifi/internal/geo"
 	"crowdwifi/internal/obs/trace"
 	"crowdwifi/internal/radio"
-	"crowdwifi/internal/server"
 )
 
 // HTTPDoer abstracts *http.Client for testing and for wrapping with
@@ -43,7 +42,7 @@ type HTTPDoer interface {
 }
 
 // Wire codecs a vehicle can speak. CodecBinary negotiates the CRC-framed
-// binary format (server.FrameContentType) for uploads and lookups; anything
+// binary format (api.FrameContentType) for uploads and lookups; anything
 // else (including "") keeps JSON.
 const (
 	CodecJSON   = "json"
@@ -223,9 +222,9 @@ func (v *CrowdVehicle) nextIdempotencyKey() string {
 // attached, delivery failures park the report locally and return ErrQueued.
 func (v *CrowdVehicle) Report(ctx context.Context, segment string) error {
 	ests := v.Estimates()
-	rep := server.Report{Vehicle: v.ID, Segment: segment, APs: make([]server.APReport, len(ests))}
+	rep := api.Report{Vehicle: v.ID, Segment: segment, APs: make([]api.APReport, len(ests))}
 	for i, e := range ests {
-		rep.APs[i] = server.APReport{X: e.Pos.X, Y: e.Pos.Y, Credit: e.Credit}
+		rep.APs[i] = api.APReport{X: e.Pos.X, Y: e.Pos.Y, Credit: e.Credit}
 	}
 	return v.UploadReport(ctx, rep)
 }
@@ -234,17 +233,17 @@ func (v *CrowdVehicle) Report(ctx context.Context, segment string) error {
 // (idempotency key, retrying transport, outbox park on transient failure).
 // It never touches the CS engine, so load generators and replay tools can
 // drive fleets of CrowdVehicles constructed without one.
-func (v *CrowdVehicle) UploadReport(ctx context.Context, rep server.Report) error {
+func (v *CrowdVehicle) UploadReport(ctx context.Context, rep api.Report) error {
 	if v.Codec == CodecBinary {
-		buf, err := server.EncodeReportFrame(nil, "", rep)
+		buf, err := api.EncodeReportFrame(nil, "", rep)
 		if err != nil {
 			return err
 		}
 		// The idempotency key travels in the header (as on the JSON path);
 		// the frame's embedded key slot is for batch entries.
-		return v.postBody(ctx, "/v1/reports", server.FrameContentType, buf, nil, true)
+		return v.postBody(ctx, api.RouteReports, api.FrameContentType, buf, nil, true)
 	}
-	return v.postJSON(ctx, "/v1/reports", rep, nil, true)
+	return v.postJSON(ctx, api.RouteReports, rep, nil, true)
 }
 
 // ProposePattern registers the vehicle's estimates as a mapping task so
@@ -254,23 +253,23 @@ func (v *CrowdVehicle) UploadReport(ctx context.Context, rep server.Report) erro
 // instead of registering a duplicate task.
 func (v *CrowdVehicle) ProposePattern(ctx context.Context, segment string) (int, error) {
 	ests := v.Estimates()
-	p := server.Pattern{Segment: segment, APs: make([]server.APReport, len(ests))}
+	p := api.Pattern{Segment: segment, APs: make([]api.APReport, len(ests))}
 	for i, e := range ests {
-		p.APs[i] = server.APReport{X: e.Pos.X, Y: e.Pos.Y, Credit: e.Credit}
+		p.APs[i] = api.APReport{X: e.Pos.X, Y: e.Pos.Y, Credit: e.Credit}
 	}
 	var out struct {
 		ID int `json:"id"`
 	}
-	if err := v.postJSON(ctx, "/v1/patterns", p, &out, false); err != nil {
+	if err := v.postJSON(ctx, api.RoutePatterns, p, &out, false); err != nil {
 		return 0, err
 	}
 	return out.ID, nil
 }
 
 // PullTasks fetches up to count mapping tasks assigned to this vehicle.
-func (v *CrowdVehicle) PullTasks(ctx context.Context, count int) ([]server.Pattern, error) {
-	u := fmt.Sprintf("%s/v1/tasks?vehicle=%s&count=%d", v.BaseURL, url.QueryEscape(v.ID), count)
-	var out []server.Pattern
+func (v *CrowdVehicle) PullTasks(ctx context.Context, count int) ([]api.Pattern, error) {
+	u := fmt.Sprintf("%s%s?vehicle=%s&count=%d", v.BaseURL, api.RouteTasks, url.QueryEscape(v.ID), count)
+	var out []api.Pattern
 	if err := get(ctx, v.Metrics, v.httpDoer(), u, &out); err != nil {
 		return nil, err
 	}
@@ -283,14 +282,14 @@ func (v *CrowdVehicle) PullTasks(ctx context.Context, count int) ([]server.Patte
 // one; otherwise rejected (−1). It returns the submitted labels; with an
 // Outbox attached, delivery failures park the batch and return the labels
 // alongside ErrQueued.
-func (v *CrowdVehicle) LabelTasks(ctx context.Context, tasks []server.Pattern, tolerance float64) ([]server.Label, error) {
+func (v *CrowdVehicle) LabelTasks(ctx context.Context, tasks []api.Pattern, tolerance float64) ([]api.Label, error) {
 	if tolerance <= 0 {
 		tolerance = 15
 	}
 	own := v.Estimates()
-	labels := make([]server.Label, 0, len(tasks))
+	labels := make([]api.Label, 0, len(tasks))
 	for _, task := range tasks {
-		labels = append(labels, server.Label{
+		labels = append(labels, api.Label{
 			Vehicle: v.ID,
 			TaskID:  task.ID,
 			Value:   matchPattern(task, own, tolerance),
@@ -299,7 +298,7 @@ func (v *CrowdVehicle) LabelTasks(ctx context.Context, tasks []server.Pattern, t
 	if len(labels) == 0 {
 		return nil, nil
 	}
-	if err := v.postJSON(ctx, "/v1/labels", labels, nil, true); err != nil {
+	if err := v.postJSON(ctx, api.RouteLabels, labels, nil, true); err != nil {
 		return labels, err
 	}
 	return labels, nil
@@ -307,7 +306,7 @@ func (v *CrowdVehicle) LabelTasks(ctx context.Context, tasks []server.Pattern, t
 
 // matchPattern decides whether a pattern agrees with the vehicle's own AP
 // estimates.
-func matchPattern(task server.Pattern, own []cs.Estimate, tolerance float64) int {
+func matchPattern(task api.Pattern, own []cs.Estimate, tolerance float64) int {
 	if len(own) == 0 {
 		return -1
 	}
@@ -334,8 +333,8 @@ func matchPattern(task server.Pattern, own []cs.Estimate, tolerance float64) int
 // SubmitLabels posts raw labels (used by spammer simulations that bypass
 // LabelTasks); with an Outbox attached, delivery failures park the batch and
 // return ErrQueued.
-func (v *CrowdVehicle) SubmitLabels(ctx context.Context, labels []server.Label) error {
-	return v.postJSON(ctx, "/v1/labels", labels, nil, true)
+func (v *CrowdVehicle) SubmitLabels(ctx context.Context, labels []api.Label) error {
+	return v.postJSON(ctx, api.RouteLabels, labels, nil, true)
 }
 
 // DrainOutbox re-sends queued uploads in FIFO order until the outbox is
@@ -360,8 +359,8 @@ func (v *CrowdVehicle) DrainOutbox(ctx context.Context) (int, error) {
 		if !ok {
 			return drained, nil
 		}
-		if v.BatchSize > 1 && e.Path == reportsPath && !batchFellBack {
-			if run := v.Outbox.peekRun(reportsPath, v.BatchSize); len(run) > 1 {
+		if v.BatchSize > 1 && e.Path == api.RouteReports && !batchFellBack {
+			if run := v.Outbox.peekRun(api.RouteReports, v.BatchSize); len(run) > 1 {
 				n, err := v.drainBatch(ctx, run)
 				drained += n
 				if err == nil {
@@ -449,13 +448,13 @@ func (u *UserVehicle) httpDoer() HTTPDoer {
 
 // Lookup downloads the fused APs inside the given area.
 func (u *UserVehicle) Lookup(ctx context.Context, area geo.Rect) ([]geo.Point, error) {
-	q := u.BaseURL + "/v1/lookup?" + api.LookupQuery(area)
-	var raw []server.LookupResult
+	q := u.BaseURL + api.RouteLookup + "?" + api.LookupQuery(area)
+	var raw []api.LookupResult
 	if u.Codec == CodecBinary {
 		var frame []byte
 		err := get(ctx, u.Metrics, u.httpDoer(), q, &frame)
 		if err == nil {
-			raw, err = server.DecodeLookupFrame(frame)
+			raw, err = api.DecodeLookupFrame(frame)
 		}
 		if err != nil {
 			return nil, err
@@ -477,7 +476,7 @@ func Aggregate(ctx context.Context, h HTTPDoer, baseURL string) (int, error) {
 	var out struct {
 		FusedAPs int `json:"fusedAPs"`
 	}
-	if err := sendBody(ctx, nil, h, http.MethodPost, baseURL+"/v1/aggregate", "", nil, "", &out); err != nil {
+	if err := sendBody(ctx, nil, h, http.MethodPost, baseURL+api.RouteAggregate, "", nil, "", &out); err != nil {
 		return 0, err
 	}
 	return out.FusedAPs, nil
@@ -487,7 +486,7 @@ func Aggregate(ctx context.Context, h HTTPDoer, baseURL string) (int, error) {
 // selects http.DefaultClient.
 func Reliability(ctx context.Context, h HTTPDoer, baseURL string) (map[string]float64, error) {
 	var out map[string]float64
-	if err := get(ctx, nil, h, baseURL+"/v1/reliability", &out); err != nil {
+	if err := get(ctx, nil, h, baseURL+api.RouteReliability, &out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -569,7 +568,7 @@ func sendBody(ctx context.Context, m *Metrics, h HTTPDoer, method, url, contentT
 	}
 	raw, _ := out.(*[]byte)
 	if raw != nil {
-		req.Header.Set("Accept", server.FrameContentType)
+		req.Header.Set("Accept", api.FrameContentType)
 	}
 	if h == nil {
 		h = http.DefaultClient

@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"crowdwifi/internal/api"
 	"crowdwifi/internal/cs"
 	"crowdwifi/internal/geo"
 	"crowdwifi/internal/radio"
@@ -131,7 +132,7 @@ func TestLabelRejectsForeignPattern(t *testing.T) {
 	driveBy(t, v1, geo.Point{X: 30, Y: 35}, 4)
 
 	// A pattern nowhere near v1's observations.
-	tasks := []server.Pattern{{ID: 0, Segment: "seg", APs: []server.APReport{{X: 500, Y: 500}}}}
+	tasks := []api.Pattern{{ID: 0, Segment: "seg", APs: []api.APReport{{X: 500, Y: 500}}}}
 	// Register the pattern server-side so the label is accepted.
 	store, _ := testServer(t)
 	_ = store
@@ -148,12 +149,12 @@ func TestMatchPatternCountMismatch(t *testing.T) {
 		{Pos: geo.Point{X: 90, Y: 90}},
 	}
 	// Pattern matches one AP but misses two others by count ≥ 2.
-	p := server.Pattern{APs: []server.APReport{{X: 10, Y: 10}}}
+	p := api.Pattern{APs: []api.APReport{{X: 10, Y: 10}}}
 	if got := matchPattern(p, own, 10); got != -1 {
 		t.Fatalf("count-mismatched pattern confirmed: %d", got)
 	}
 	// Pattern covering all three confirms.
-	p = server.Pattern{APs: []server.APReport{{X: 10, Y: 10}, {X: 50, Y: 50}, {X: 90, Y: 90}}}
+	p = api.Pattern{APs: []api.APReport{{X: 10, Y: 10}, {X: 50, Y: 50}, {X: 90, Y: 90}}}
 	if got := matchPattern(p, own, 10); got != 1 {
 		t.Fatalf("matching pattern rejected: %d", got)
 	}
@@ -165,9 +166,9 @@ func TestMatchPatternCountMismatch(t *testing.T) {
 
 func TestUserVehicleLookup(t *testing.T) {
 	store, url := testServer(t)
-	if err := store.AddReport(server.Report{
+	if err := store.AddReport(api.Report{
 		Vehicle: "v", Segment: "s",
-		APs: []server.APReport{{X: 42, Y: 24, Credit: 2}},
+		APs: []api.APReport{{X: 42, Y: 24, Credit: 2}},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestUserVehicleLookup(t *testing.T) {
 
 func TestAggregateAndReliabilityHelpers(t *testing.T) {
 	store, url := testServer(t)
-	if err := store.AddReport(server.Report{Vehicle: "v", Segment: "s", APs: []server.APReport{{X: 1, Y: 1}}}); err != nil {
+	if err := store.AddReport(api.Report{Vehicle: "v", Segment: "s", APs: []api.APReport{{X: 1, Y: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	n, err := Aggregate(context.Background(), nil, url)
@@ -212,7 +213,7 @@ func TestSubmitLabelsError(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Unknown task must surface the server's 400.
-	if err := v.SubmitLabels(context.Background(), []server.Label{{Vehicle: "v", TaskID: 5, Value: 1}}); err == nil {
+	if err := v.SubmitLabels(context.Background(), []api.Label{{Vehicle: "v", TaskID: 5, Value: 1}}); err == nil {
 		t.Fatal("expected error for unknown task")
 	}
 }

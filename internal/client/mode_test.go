@@ -66,8 +66,8 @@ func TestCrowdVehicleModeCapturedAcrossRetries(t *testing.T) {
 	if got := v.LastServerMode(); got != "" {
 		t.Fatalf("mode before any request = %q, want empty", got)
 	}
-	err = v.UploadReport(context.Background(), server.Report{
-		Vehicle: "veh-mode", Segment: "s", APs: []server.APReport{{X: 1, Y: 1, Credit: 1}},
+	err = v.UploadReport(context.Background(), api.Report{
+		Vehicle: "veh-mode", Segment: "s", APs: []api.APReport{{X: 1, Y: 1, Credit: 1}},
 	})
 	if err != nil {
 		t.Fatalf("upload: %v", err)
@@ -94,8 +94,8 @@ func TestCrowdVehicleModeOnExhaustedRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	v.HTTP = fastRetry()
-	err = v.UploadReport(context.Background(), server.Report{
-		Vehicle: "veh-mode", Segment: "s", APs: []server.APReport{{X: 1, Y: 1, Credit: 1}},
+	err = v.UploadReport(context.Background(), api.Report{
+		Vehicle: "veh-mode", Segment: "s", APs: []api.APReport{{X: 1, Y: 1, Credit: 1}},
 	})
 	if err == nil {
 		t.Fatal("upload should fail after exhausted retries")
@@ -120,7 +120,7 @@ func TestCrowdVehicleModeKeepsLastSeenWhenHeaderAbsent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := server.Report{Vehicle: "veh-mode", Segment: "s", APs: []server.APReport{{X: 1, Y: 1, Credit: 1}}}
+	rep := api.Report{Vehicle: "veh-mode", Segment: "s", APs: []api.APReport{{X: 1, Y: 1, Credit: 1}}}
 	if err := v.UploadReport(context.Background(), rep); err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +160,8 @@ func TestModeHeaderSetOnSuccessWithOverloadEnabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = v.UploadReport(context.Background(), server.Report{
-		Vehicle: "veh-mode", Segment: "s", APs: []server.APReport{{X: 1, Y: 1, Credit: 1}},
+	err = v.UploadReport(context.Background(), api.Report{
+		Vehicle: "veh-mode", Segment: "s", APs: []api.APReport{{X: 1, Y: 1, Credit: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,6 @@ import (
 
 	"crowdwifi/internal/api"
 	"crowdwifi/internal/retry"
-	"crowdwifi/internal/server"
 )
 
 // sheddingServer returns 503 with the given Retry-After header until
@@ -38,7 +37,7 @@ func sheddingServer(t *testing.T, retryAfter string, recovered *atomic.Bool) str
 func TestStatusErrorCarriesRetryAfter(t *testing.T) {
 	url := sheddingServer(t, "3", nil)
 	cv := &CrowdVehicle{ID: "v1", BaseURL: url}
-	err := cv.UploadReport(context.Background(), server.Report{Segment: "s"})
+	err := cv.UploadReport(context.Background(), api.Report{Segment: "s"})
 	if err == nil {
 		t.Fatal("UploadReport succeeded against a shedding server")
 	}
@@ -69,7 +68,7 @@ func TestRetryAfterParsing(t *testing.T) {
 	for _, tc := range cases {
 		url := sheddingServer(t, tc.header, nil)
 		cv := &CrowdVehicle{ID: "v1", BaseURL: url}
-		err := cv.UploadReport(context.Background(), server.Report{Segment: "s"})
+		err := cv.UploadReport(context.Background(), api.Report{Segment: "s"})
 		if got := RetryAfterHint(err); got != tc.want {
 			t.Errorf("Retry-After %q: hint = %v, want %v", tc.header, got, tc.want)
 		}
@@ -94,7 +93,7 @@ func TestDrainOutboxSurfacesRetryAfter(t *testing.T) {
 	url := sheddingServer(t, "5", &recovered)
 	cv := &CrowdVehicle{ID: "v1", BaseURL: url, Outbox: NewOutbox(8)}
 
-	err := cv.UploadReport(context.Background(), server.Report{Segment: "s"})
+	err := cv.UploadReport(context.Background(), api.Report{Segment: "s"})
 	if !errors.Is(err, ErrQueued) {
 		t.Fatalf("UploadReport err = %v, want ErrQueued", err)
 	}
@@ -155,7 +154,7 @@ func TestClientAndDoerAgree(t *testing.T) {
 		arrivals = nil
 		mu.Unlock()
 		cv := &CrowdVehicle{ID: "v1", BaseURL: ts.URL, HTTP: retry.NewDoer(nil, policy, retry.WithBudget(retry.BudgetConfig{Ratio: 1, Burst: 1000}))}
-		err := cv.UploadReport(context.Background(), server.Report{Vehicle: "v1", Segment: "s"})
+		err := cv.UploadReport(context.Background(), api.Report{Vehicle: "v1", Segment: "s"})
 		mu.Lock()
 		defer mu.Unlock()
 		return append([]time.Time(nil), arrivals...), err

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"crowdwifi/internal/api"
 	"crowdwifi/internal/obs/trace"
 	"crowdwifi/internal/retry"
 	"crowdwifi/internal/server"
@@ -89,8 +90,8 @@ func TestUploadTraceSpansRetriesDedupeAndWAL(t *testing.T) {
 		retry.Policy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond})
 	ctx, v, ts, tracer := newTraceRig(t, doer)
 
-	rep := server.Report{Vehicle: v.ID, Segment: "seg-T",
-		APs: []server.APReport{{X: 100, Y: 50, Credit: 3}}}
+	rep := api.Report{Vehicle: v.ID, Segment: "seg-T",
+		APs: []api.APReport{{X: 100, Y: 50, Credit: 3}}}
 	if err := v.postJSON(ctx, "/v1/reports", rep, nil, true); err != nil {
 		t.Fatalf("upload: %v", err)
 	}
@@ -158,8 +159,8 @@ func TestOutboxDrainContinuesUploadTrace(t *testing.T) {
 	down.remaining.Store(1 << 30)
 	ctx, v, ts, tracer := newTraceRig(t, down)
 
-	rep := server.Report{Vehicle: v.ID, Segment: "seg-Q",
-		APs: []server.APReport{{X: 200, Y: 80, Credit: 2}}}
+	rep := api.Report{Vehicle: v.ID, Segment: "seg-Q",
+		APs: []api.APReport{{X: 200, Y: 80, Credit: 2}}}
 	if err := v.postJSON(ctx, "/v1/reports", rep, nil, true); !errors.Is(err, ErrQueued) {
 		t.Fatalf("upload err = %v, want ErrQueued", err)
 	}

@@ -21,10 +21,7 @@ import (
 
 	"crowdwifi/internal/api"
 	"crowdwifi/internal/obs/trace"
-	"crowdwifi/internal/server"
 )
-
-const batchPath = "/v1/reports/batch"
 
 // batchEntry is one client batch entry in router-internal form: its
 // position in the client's request, its routing segment, and the bytes to
@@ -33,8 +30,8 @@ const batchPath = "/v1/reports/batch"
 type batchEntry struct {
 	key     string
 	segment string
-	raw     []byte            // binary input: the entry's frame, verbatim
-	entry   server.BatchEntry // JSON input: the decoded entry
+	raw     []byte         // binary input: the entry's frame, verbatim
+	entry   api.BatchEntry // JSON input: the decoded entry
 }
 
 // handleBatch serves POST /v1/reports/batch: decode (either codec), split
@@ -51,14 +48,14 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		api.WriteBodyError(w, err)
 		return
 	}
-	binary := strings.HasPrefix(r.Header.Get("Content-Type"), server.FrameContentType)
+	binary := api.IsFrameRequest(r)
 	entries, err := decodeBatchEntries(binary, body)
 	if err != nil {
 		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 
-	out := make([]server.BatchEntryStatus, len(entries))
+	out := make([]api.BatchEntryStatus, len(entries))
 	rg := rt.ring.Load()
 	if len(rg.Members()) == 0 {
 		rt.stack.Shed(w, errors.New("no cluster members"), 0)
@@ -97,18 +94,18 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	trace.FromContext(r.Context()).SetAttr("entries", len(entries))
-	if server.WantsFrame(r.Header.Get("Accept")) {
-		frame, err := server.EncodeBatchStatusFrame(out)
+	if api.WantsFrame(r.Header.Get("Accept")) {
+		frame, err := api.EncodeBatchStatusFrame(out)
 		if err != nil {
 			api.WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
-		w.Header().Set("Content-Type", server.FrameContentType)
+		w.Header().Set("Content-Type", api.FrameContentType)
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(frame)
 		return
 	}
-	api.WriteJSON(w, http.StatusOK, server.BatchResponse{Results: out})
+	api.WriteJSON(w, http.StatusOK, api.BatchResponse{Results: out})
 }
 
 // decodeBatchEntries parses a batch body in either codec into routable
@@ -116,7 +113,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 // re-forwards) carry the client's exact bytes.
 func decodeBatchEntries(binary bool, body []byte) ([]batchEntry, error) {
 	if binary {
-		frames, err := server.SplitReportFrames(body)
+		frames, err := api.SplitReportFrames(body)
 		if err != nil {
 			return nil, err
 		}
@@ -126,7 +123,7 @@ func decodeBatchEntries(binary bool, body []byte) ([]batchEntry, error) {
 		}
 		return entries, nil
 	}
-	var req server.BatchRequest
+	var req api.BatchRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		return nil, err
 	}
@@ -139,7 +136,7 @@ func decodeBatchEntries(binary bool, body []byte) ([]batchEntry, error) {
 
 // forwardBatchGroups sends each owner's sub-batch concurrently and writes
 // the per-entry verdicts into out at the entries' original positions.
-func (rt *Router) forwardBatchGroups(ctx context.Context, binary bool, entries []batchEntry, groups map[string][]int, out []server.BatchEntryStatus) {
+func (rt *Router) forwardBatchGroups(ctx context.Context, binary bool, entries []batchEntry, groups map[string][]int, out []api.BatchEntryStatus) {
 	var wg sync.WaitGroup
 	for owner, idxs := range groups {
 		wg.Add(1)
@@ -162,11 +159,11 @@ func (rt *Router) forwardBatchGroups(ctx context.Context, binary bool, entries [
 // per entry, positionally aligned with sub. Transport failures and shape
 // violations become per-entry statuses — the router's batch answer is
 // always 200, so every failure mode has to land inside the vector.
-func (rt *Router) sendSubBatch(ctx context.Context, owner string, binary bool, sub []batchEntry) []server.BatchEntryStatus {
-	fail := func(status int, err error) []server.BatchEntryStatus {
-		statuses := make([]server.BatchEntryStatus, len(sub))
+func (rt *Router) sendSubBatch(ctx context.Context, owner string, binary bool, sub []batchEntry) []api.BatchEntryStatus {
+	fail := func(status int, err error) []api.BatchEntryStatus {
+		statuses := make([]api.BatchEntryStatus, len(sub))
 		for i, e := range sub {
-			statuses[i] = server.BatchEntryStatus{Key: e.key, Status: status, Error: err.Error()}
+			statuses[i] = api.BatchEntryStatus{Key: e.key, Status: status, Error: err.Error()}
 		}
 		return statuses
 	}
@@ -179,14 +176,14 @@ func (rt *Router) sendSubBatch(ctx context.Context, owner string, binary bool, s
 	}
 
 	var body []byte
-	contentType := server.FrameContentType
+	contentType := api.FrameContentType
 	if binary {
 		for _, e := range sub {
 			body = append(body, e.raw...)
 		}
 	} else {
 		contentType = "application/json"
-		req := server.BatchRequest{Entries: make([]server.BatchEntry, len(sub))}
+		req := api.BatchRequest{Entries: make([]api.BatchEntry, len(sub))}
 		for i, e := range sub {
 			req.Entries[i] = e.entry
 		}
@@ -196,7 +193,7 @@ func (rt *Router) sendSubBatch(ctx context.Context, owner string, binary bool, s
 		}
 	}
 
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, pc.endpoint(batchPath, ""), bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, pc.endpoint(api.RouteReportsBatch, ""), bytes.NewReader(body))
 	if err != nil {
 		return fail(http.StatusBadGateway, err)
 	}
@@ -219,7 +216,7 @@ func (rt *Router) sendSubBatch(ctx context.Context, owner string, binary bool, s
 		return fail(resp.StatusCode,
 			fmt.Errorf("shard %s: status %d: %s", owner, resp.StatusCode, strings.TrimSpace(string(respBody))))
 	}
-	var br server.BatchResponse
+	var br api.BatchResponse
 	if err := json.Unmarshal(respBody, &br); err != nil {
 		return fail(http.StatusBadGateway, fmt.Errorf("shard %s: %w", owner, err))
 	}

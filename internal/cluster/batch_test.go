@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"crowdwifi/internal/api"
 	"crowdwifi/internal/cluster/ring"
 	"crowdwifi/internal/server"
 )
@@ -21,10 +22,10 @@ import (
 func batchShardHandler(t *testing.T, id string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		entries := decodeBatchBody(t, r)
-		var resp server.BatchResponse
-		resp.Results = []server.BatchEntryStatus{}
+		var resp api.BatchResponse
+		resp.Results = []api.BatchEntryStatus{}
 		for _, e := range entries {
-			resp.Results = append(resp.Results, server.BatchEntryStatus{
+			resp.Results = append(resp.Results, api.BatchEntryStatus{
 				Key: e.Key, Status: http.StatusCreated, Error: id,
 			})
 		}
@@ -33,40 +34,40 @@ func batchShardHandler(t *testing.T, id string) http.HandlerFunc {
 	}
 }
 
-func decodeBatchBody(t *testing.T, r *http.Request) []server.BatchEntry {
+func decodeBatchBody(t *testing.T, r *http.Request) []api.BatchEntry {
 	t.Helper()
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		t.Errorf("reading batch body: %v", err)
 		return nil
 	}
-	if strings.HasPrefix(r.Header.Get("Content-Type"), server.FrameContentType) {
-		frames, err := server.SplitReportFrames(body)
+	if strings.HasPrefix(r.Header.Get("Content-Type"), api.FrameContentType) {
+		frames, err := api.SplitReportFrames(body)
 		if err != nil {
 			t.Errorf("SplitReportFrames: %v", err)
 			return nil
 		}
-		entries := make([]server.BatchEntry, len(frames))
+		entries := make([]api.BatchEntry, len(frames))
 		for i, f := range frames {
-			entries[i] = server.BatchEntry{Key: f.Key, Report: f.Report}
+			entries[i] = api.BatchEntry{Key: f.Key, Report: f.Report}
 		}
 		return entries
 	}
-	var req server.BatchRequest
+	var req api.BatchRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		t.Errorf("unmarshal batch body: %v", err)
 	}
 	return req.Entries
 }
 
-func batchRequestJSON(t *testing.T, segments []string) ([]byte, server.BatchRequest) {
+func batchRequestJSON(t *testing.T, segments []string) ([]byte, api.BatchRequest) {
 	t.Helper()
-	var req server.BatchRequest
+	var req api.BatchRequest
 	for i, seg := range segments {
-		req.Entries = append(req.Entries, server.BatchEntry{
+		req.Entries = append(req.Entries, api.BatchEntry{
 			Key: fmt.Sprintf("cbk-%d", i),
-			Report: server.Report{Vehicle: "v1", Segment: seg,
-				APs: []server.APReport{{X: float64(i), Y: 2, Credit: 1}}},
+			Report: api.Report{Vehicle: "v1", Segment: seg,
+				APs: []api.APReport{{X: float64(i), Y: 2, Credit: 1}}},
 		})
 	}
 	body, err := json.Marshal(req)
@@ -102,7 +103,7 @@ func TestBatchSplitByOwnershipAndPositionalMerge(t *testing.T) {
 		raw, _ := io.ReadAll(resp.Body)
 		t.Fatalf("status = %d: %s", resp.StatusCode, raw)
 	}
-	var br server.BatchResponse
+	var br api.BatchResponse
 	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestBatchSplitByOwnershipAndPositionalMerge(t *testing.T) {
 		t.Fatal("workload too small: one shard owns every segment, split not exercised")
 	}
 	for id, f := range map[string]*fakeShard{"a": a, "b": b} {
-		if got := f.calls(batchPath); got != 1 {
+		if got := f.calls(api.RouteReportsBatch); got != 1 {
 			t.Errorf("shard %s got %d batch calls, want exactly 1 sub-batch", id, got)
 		}
 		for _, e := range decodeBatchBody(t, recordedAsRequest(t, f)) {
@@ -144,10 +145,10 @@ func TestBatchSplitByOwnershipAndPositionalMerge(t *testing.T) {
 func recordedAsRequest(t *testing.T, f *fakeShard) *http.Request {
 	t.Helper()
 	for _, rec := range f.recorded() {
-		if rec.Path != batchPath {
+		if rec.Path != api.RouteReportsBatch {
 			continue
 		}
-		r := httptest.NewRequest(rec.Method, batchPath, bytes.NewReader(rec.Body))
+		r := httptest.NewRequest(rec.Method, api.RouteReportsBatch, bytes.NewReader(rec.Body))
 		r.Header = rec.Header
 		return r
 	}
@@ -161,9 +162,9 @@ func recordedAsRequest(t *testing.T, f *fakeShard) *http.Request {
 func TestBatchReroutesEntriesOn421BitIdentical(t *testing.T) {
 	a := newFakeShard(t, func(w http.ResponseWriter, r *http.Request) {
 		entries := decodeBatchBody(t, r)
-		var resp server.BatchResponse
+		var resp api.BatchResponse
 		for _, e := range entries {
-			resp.Results = append(resp.Results, server.BatchEntryStatus{
+			resp.Results = append(resp.Results, api.BatchEntryStatus{
 				Key: e.Key, Status: http.StatusMisdirectedRequest, Owner: "b",
 				Error: "mid-rebalance: segment moved",
 			})
@@ -191,9 +192,9 @@ func TestBatchReroutesEntriesOn421BitIdentical(t *testing.T) {
 	keys := make([]string, len(segments))
 	for i, seg := range segments {
 		keys[i] = fmt.Sprintf("rb-%d", i)
-		body, err = server.EncodeReportFrame(body, keys[i], server.Report{
+		body, err = api.EncodeReportFrame(body, keys[i], api.Report{
 			Vehicle: "v1", Segment: seg,
-			APs: []server.APReport{{X: float64(i), Y: 1, Credit: 1}},
+			APs: []api.APReport{{X: float64(i), Y: 1, Credit: 1}},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -201,13 +202,13 @@ func TestBatchReroutesEntriesOn421BitIdentical(t *testing.T) {
 	}
 
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/reports/batch", bytes.NewReader(body))
-	req.Header.Set("Content-Type", server.FrameContentType)
+	req.Header.Set("Content-Type", api.FrameContentType)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var br server.BatchResponse
+	var br api.BatchResponse
 	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
 		t.Fatal(err)
 	}
@@ -219,12 +220,12 @@ func TestBatchReroutesEntriesOn421BitIdentical(t *testing.T) {
 			t.Errorf("result %d = %+v, want key %q status 201 after re-route", i, st, keys[i])
 		}
 	}
-	if a.calls(batchPath) != 1 || b.calls(batchPath) != 1 {
-		t.Fatalf("calls a=%d b=%d, want one first-pass and one re-route", a.calls(batchPath), b.calls(batchPath))
+	if a.calls(api.RouteReportsBatch) != 1 || b.calls(api.RouteReportsBatch) != 1 {
+		t.Fatalf("calls a=%d b=%d, want one first-pass and one re-route", a.calls(api.RouteReportsBatch), b.calls(api.RouteReportsBatch))
 	}
 	// The re-routed body is the client's frames, verbatim.
 	for _, rec := range b.recorded() {
-		if rec.Path == batchPath && !bytes.Equal(rec.Body, body) {
+		if rec.Path == api.RouteReportsBatch && !bytes.Equal(rec.Body, body) {
 			t.Fatal("re-routed binary body differs from the client's bytes")
 		}
 	}
@@ -255,7 +256,7 @@ func TestBatchDeadShardFailsOnlyItsEntries(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, want 200 (failure is per entry)", resp.StatusCode)
 	}
-	var br server.BatchResponse
+	var br api.BatchResponse
 	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
 		t.Fatal(err)
 	}
@@ -305,23 +306,23 @@ func TestBatchEmptyVectorContractAtRouter(t *testing.T) {
 	}
 
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/reports/batch", strings.NewReader(""))
-	req.Header.Set("Content-Type", server.FrameContentType)
-	req.Header.Set("Accept", server.FrameContentType)
+	req.Header.Set("Content-Type", api.FrameContentType)
+	req.Header.Set("Accept", api.FrameContentType)
 	fresp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	frame, _ := io.ReadAll(fresp.Body)
 	fresp.Body.Close()
-	results, err := server.DecodeBatchStatusFrame(frame)
+	results, err := api.DecodeBatchStatusFrame(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if results == nil || len(results) != 0 {
 		t.Fatalf("empty binary batch decodes to %#v, want non-nil empty slice", results)
 	}
-	if a.calls(batchPath) != 0 {
-		t.Fatalf("empty batch reached the shard %d times, want 0", a.calls(batchPath))
+	if a.calls(api.RouteReportsBatch) != 0 {
+		t.Fatalf("empty batch reached the shard %d times, want 0", a.calls(api.RouteReportsBatch))
 	}
 }
 
@@ -354,23 +355,23 @@ func TestCrossCodecLookupIdenticalThroughRouter(t *testing.T) {
 		t.Fatal("degenerate comparison: empty fused map")
 	}
 
-	var want []server.LookupResult
+	var want []api.LookupResult
 	if err := json.Unmarshal(routerJSON, &want); err != nil {
 		t.Fatal(err)
 	}
 	for name, base := range map[string]string{"router": routerTS.URL, "single": single.URL} {
 		req, _ := http.NewRequest(http.MethodGet, base+"/v1/lookup?"+e2eLookupQuery, nil)
-		req.Header.Set("Accept", server.FrameContentType)
+		req.Header.Set("Accept", api.FrameContentType)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatalf("%s frame lookup: %v", name, err)
 		}
 		frame, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if ct := resp.Header.Get("Content-Type"); ct != server.FrameContentType {
+		if ct := resp.Header.Get("Content-Type"); ct != api.FrameContentType {
 			t.Fatalf("%s frame lookup Content-Type = %q", name, ct)
 		}
-		got, err := server.DecodeLookupFrame(frame)
+		got, err := api.DecodeLookupFrame(frame)
 		if err != nil {
 			t.Fatalf("%s DecodeLookupFrame: %v", name, err)
 		}

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"crowdwifi/internal/api"
 	"crowdwifi/internal/server"
 )
 
@@ -54,14 +55,14 @@ func (sh *e2eShard) kill() {
 // across several segments, APs spread beyond the merge radius so fusion
 // yields multiple entries per segment. Reports-only keeps reliability
 // uniform, which is what makes single-node and sharded fusion comparable.
-func e2eReports() []server.Report {
-	var out []server.Report
+func e2eReports() []api.Report {
+	var out []api.Report
 	for i := 0; i < 48; i++ {
 		seg := fmt.Sprintf("road-%d", i%8)
-		out = append(out, server.Report{
+		out = append(out, api.Report{
 			Vehicle: fmt.Sprintf("veh-%d", i%5),
 			Segment: seg,
-			APs: []server.APReport{
+			APs: []api.APReport{
 				{X: float64(i%8)*100 + float64(i%3), Y: float64(i % 7), Credit: 1},
 				{X: float64(i%8)*100 + 50, Y: float64(i%4) * 2, Credit: 1},
 			},
@@ -72,7 +73,7 @@ func e2eReports() []server.Report {
 
 // postReports uploads reports serially through base, one idempotency key
 // per report, and returns how many were acked 201.
-func postReports(t *testing.T, base string, reports []server.Report, keyPrefix string) int {
+func postReports(t *testing.T, base string, reports []api.Report, keyPrefix string) int {
 	t.Helper()
 	acked := 0
 	for i, rep := range reports {
@@ -82,7 +83,7 @@ func postReports(t *testing.T, base string, reports []server.Report, keyPrefix s
 		}
 		req, _ := http.NewRequest(http.MethodPost, base+"/v1/reports", bytes.NewReader(body))
 		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(server.IdempotencyKeyHeader, fmt.Sprintf("%s-%d", keyPrefix, i))
+		req.Header.Set(api.IdempotencyKeyHeader, fmt.Sprintf("%s-%d", keyPrefix, i))
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatalf("report %d: %v", i, err)
@@ -260,7 +261,7 @@ func TestKillOneShardRebalanceAndReconcileRestoreFullMap(t *testing.T) {
 	if driftSeg == "" {
 		t.Fatal("no segment on shard a to drift")
 	}
-	var sl server.Slice
+	var sl api.Slice
 	if err := rt.peerGetJSON(ctx, "a", "/v1/cluster/slice", "segments="+driftSeg, &sl); err != nil {
 		t.Fatalf("export drift slice: %v", err)
 	}
@@ -268,7 +269,7 @@ func TestKillOneShardRebalanceAndReconcileRestoreFullMap(t *testing.T) {
 		t.Fatalf("apply drift slice: %v", err)
 	}
 	if err := rt.peerPostJSON(ctx, "a", "/v1/cluster/drop",
-		server.DropRequest{Segments: []string{driftSeg}}, nil); err != nil {
+		api.DropRequest{Segments: []string{driftSeg}}, nil); err != nil {
 		t.Fatalf("drop drift segment: %v", err)
 	}
 
@@ -345,7 +346,7 @@ func TestKillOneShardPartialLookupBeforeRecovery(t *testing.T) {
 	if got := resp.Header.Get(PartialHeader); got != "c" {
 		t.Fatalf("partial header = %q, want \"c\"", got)
 	}
-	var results []server.LookupResult
+	var results []api.LookupResult
 	if err := json.Unmarshal(body, &results); err != nil || len(results) == 0 {
 		t.Fatalf("partial lookup body = %q", body)
 	}

@@ -138,7 +138,7 @@ func spansNamed(tr *trace.Tracer, traceID, name string) int {
 func TestCrossTierConformance(t *testing.T) {
 	report := reportBody(t, "seg-1")
 	padded := func(n int) []byte {
-		b, _ := json.Marshal(server.Report{Vehicle: strings.Repeat("v", n), Segment: "seg-1"})
+		b, _ := json.Marshal(api.Report{Vehicle: strings.Repeat("v", n), Segment: "seg-1"})
 		return b
 	}
 	asJSON := map[string]string{"Content-Type": "application/json"}
@@ -294,7 +294,7 @@ func TestRouterCountsEvery503ItOriginates(t *testing.T) {
 	tr.router.ring.Store(ring.New(nil, 0))
 	for i, path := range []string{"/v1/reports", "/v1/reports/batch"} {
 		body := report
-		if path == batchPath {
+		if path == api.RouteReportsBatch {
 			body = []byte(`{"entries":[]}`)
 		}
 		got := ask(t, tr.routerURL, http.MethodPost, path, asJSON, body)
@@ -350,7 +350,7 @@ func TestLookupQueryRoundTripsBothTiers(t *testing.T) {
 // with different weights are the rule — the router's answer is byte for byte
 // what one Store holding the union answers, for random query rects.
 func TestRouterMergeEqualsStoreLookupOnUnion(t *testing.T) {
-	openWith := func(fused map[string][]server.LookupResult) *server.Store {
+	openWith := func(fused map[string][]api.LookupResult) *server.Store {
 		dir := t.TempDir()
 		data, err := json.Marshal(map[string]any{"fused": fused})
 		if err != nil {
@@ -369,14 +369,14 @@ func TestRouterMergeEqualsStoreLookupOnUnion(t *testing.T) {
 	rnd := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 20; trial++ {
 		k := 1 + rnd.Intn(4)
-		union := map[string][]server.LookupResult{}
+		union := map[string][]api.LookupResult{}
 		var peers []Peer
 		for s := 0; s < k; s++ {
-			part := map[string][]server.LookupResult{}
+			part := map[string][]api.LookupResult{}
 			for seg := 0; seg < 1+rnd.Intn(3); seg++ {
 				name := fmt.Sprintf("shard%d-seg%d", s, seg)
 				for i := 0; i < rnd.Intn(12); i++ {
-					part[name] = append(part[name], server.LookupResult{
+					part[name] = append(part[name], api.LookupResult{
 						X: float64(rnd.Intn(4)), Y: float64(rnd.Intn(4)), Weight: float64(1+rnd.Intn(3)) / 2,
 					})
 				}

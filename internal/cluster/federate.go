@@ -12,8 +12,8 @@ import (
 	"strings"
 	"time"
 
+	"crowdwifi/internal/api"
 	"crowdwifi/internal/obs"
-	"crowdwifi/internal/server"
 )
 
 // promSeries is one exposition sample line, split into its series name (the
@@ -277,13 +277,13 @@ type DriftEntry struct {
 
 // ShardView is one shard's slice of the /debug/cluster document.
 type ShardView struct {
-	Reachable bool                            `json:"reachable"`
-	Mode      string                          `json:"mode,omitempty"`
-	Error     string                          `json:"error,omitempty"`
-	Segments  map[string]server.SegmentDigest `json:"segments,omitempty"`
-	WAL       json.RawMessage                 `json:"wal,omitempty"`
-	Quantiles map[string]map[string]float64   `json:"quantiles,omitempty"`
-	OwnedSegs int                             `json:"ownedSegments"`
+	Reachable bool                          `json:"reachable"`
+	Mode      string                        `json:"mode,omitempty"`
+	Error     string                        `json:"error,omitempty"`
+	Segments  map[string]api.SegmentDigest  `json:"segments,omitempty"`
+	WAL       json.RawMessage               `json:"wal,omitempty"`
+	Quantiles map[string]map[string]float64 `json:"quantiles,omitempty"`
+	OwnedSegs int                           `json:"ownedSegments"`
 }
 
 // ClusterView is the /debug/cluster document: ring ownership, per-shard
@@ -301,11 +301,11 @@ type shardVars struct {
 	Quantiles map[string]map[string]float64 `json:"crowdwifi_histogram_quantiles"`
 }
 
-// shardDigest mirrors server.DigestResponse with the WAL block kept raw.
+// shardDigest mirrors api.DigestResponse with the WAL block kept raw.
 type shardDigest struct {
-	Self     string                          `json:"self"`
-	Segments map[string]server.SegmentDigest `json:"segments"`
-	WAL      json.RawMessage                 `json:"wal"`
+	Self     string                       `json:"self"`
+	Segments map[string]api.SegmentDigest `json:"segments"`
+	WAL      json.RawMessage              `json:"wal"`
 }
 
 // ClusterHandler returns the router's /debug/cluster surface: it fans the
@@ -325,7 +325,7 @@ func (rt *Router) ClusterHandler() http.Handler {
 		}
 		modes := rt.metrics.modesSnapshot()
 
-		digests := rt.fanOutDebug(r.Context(), "/v1/cluster/digest")
+		digests := rt.fanOutDebug(r.Context(), api.RouteClusterDigest)
 		vars := rt.fanOutDebug(r.Context(), "/debug/vars")
 		varsByShard := map[string][]byte{}
 		for _, f := range vars {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"crowdwifi/internal/api"
 	"crowdwifi/internal/obs"
 	"crowdwifi/internal/obs/slo"
 	"crowdwifi/internal/obs/trace"
@@ -87,7 +88,7 @@ func segOwnedBy(t *testing.T, members []string, owner string) string {
 
 // postTracedReport uploads one report with a caller-chosen trace id, so the
 // test knows which assembled trace to fetch without parsing router state.
-func postTracedReport(t *testing.T, base string, rep server.Report, key, traceID string) *http.Response {
+func postTracedReport(t *testing.T, base string, rep api.Report, key, traceID string) *http.Response {
 	t.Helper()
 	body, err := json.Marshal(rep)
 	if err != nil {
@@ -95,7 +96,7 @@ func postTracedReport(t *testing.T, base string, rep server.Report, key, traceID
 	}
 	req, _ := http.NewRequest(http.MethodPost, base+"/v1/reports", bytes.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(server.IdempotencyKeyHeader, key)
+	req.Header.Set(api.IdempotencyKeyHeader, key)
 	req.Header.Set(trace.Header, "00-"+traceID+"-00f067aa0ba902b7-01")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -165,18 +166,18 @@ func TestThreeShardAssembledTraceThroughRouter(t *testing.T) {
 
 	seg := segOwnedBy(t, members, "a")
 	const traceID = "4bf92f3577b34da6a3ce929d0e0e4736"
-	resp := postTracedReport(t, routerTS.URL, server.Report{
+	resp := postTracedReport(t, routerTS.URL, api.Report{
 		Vehicle: "veh-obs",
 		Segment: seg,
-		APs:     []server.APReport{{X: 1, Y: 2, Credit: 3}},
+		APs:     []api.APReport{{X: 1, Y: 2, Credit: 3}},
 	}, "obs-trace-1", traceID)
 	respBody, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("upload: status %d: %s", resp.StatusCode, respBody)
 	}
-	if got := resp.Header.Get(ShardHeader); got != "a" {
-		t.Fatalf("%s = %q, want %q", ShardHeader, got, "a")
+	if got := resp.Header.Get(api.ShardHeader); got != "a" {
+		t.Fatalf("%s = %q, want %q", api.ShardHeader, got, "a")
 	}
 
 	td := fetchAssembledTrace(t, routerTS.URL, traceID)
@@ -253,18 +254,18 @@ func TestThreeShardRerouteTraceNamesFinalShard(t *testing.T) {
 	}
 
 	const traceID = "00f067aa0ba902b74bf92f3577b34da6"
-	resp := postTracedReport(t, routerTS.URL, server.Report{
+	resp := postTracedReport(t, routerTS.URL, api.Report{
 		Vehicle: "veh-reroute",
 		Segment: seg,
-		APs:     []server.APReport{{X: 4, Y: 5, Credit: 6}},
+		APs:     []api.APReport{{X: 4, Y: 5, Credit: 6}},
 	}, "obs-trace-421", traceID)
 	respBody, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("re-routed upload: status %d: %s", resp.StatusCode, respBody)
 	}
-	if got := resp.Header.Get(ShardHeader); got != expect {
-		t.Fatalf("%s = %q, want re-routed owner %q", ShardHeader, got, expect)
+	if got := resp.Header.Get(api.ShardHeader); got != expect {
+		t.Fatalf("%s = %q, want re-routed owner %q", api.ShardHeader, got, expect)
 	}
 
 	td := fetchAssembledTrace(t, routerTS.URL, traceID)

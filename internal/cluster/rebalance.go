@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 
+	"crowdwifi/internal/api"
 	"crowdwifi/internal/obs/trace"
 	"crowdwifi/internal/server"
 )
@@ -80,14 +81,14 @@ func (rt *Router) peerPostJSON(ctx context.Context, id, path string, body, out a
 // every item goes to the slice of the shard now owning its segment. Items
 // keep their deterministic keys, so applying a partition twice (a crashed
 // rebalance rerun) dedupes instead of double-ingesting.
-func (rt *Router) partitionSlice(sl server.Slice) map[string]*server.Slice {
+func (rt *Router) partitionSlice(sl api.Slice) map[string]*api.Slice {
 	rg := rt.ring.Load()
-	out := map[string]*server.Slice{}
-	target := func(segment string) *server.Slice {
+	out := map[string]*api.Slice{}
+	target := func(segment string) *api.Slice {
 		owner := rg.Owner(segment)
 		t, ok := out[owner]
 		if !ok {
-			t = &server.Slice{Source: sl.Source}
+			t = &api.Slice{Source: sl.Source}
 			out[owner] = t
 		}
 		return t
@@ -117,8 +118,8 @@ func (rt *Router) partitionSlice(sl server.Slice) map[string]*server.Slice {
 //
 // The caller re-aggregates afterwards — slices move raw reports, not fused
 // derived state.
-func (rt *Router) RebalanceFromDir(ctx context.Context, dir string, mergeRadius float64, source string) (server.SliceStats, error) {
-	var total server.SliceStats
+func (rt *Router) RebalanceFromDir(ctx context.Context, dir string, mergeRadius float64, source string) (api.SliceStats, error) {
+	var total api.SliceStats
 	ctx, span := trace.StartChild(ctx, "cluster.rebalance_from_dir")
 	span.SetAttr("source", source)
 	defer span.End()
@@ -145,8 +146,8 @@ func (rt *Router) RebalanceFromDir(ctx context.Context, dir string, mergeRadius 
 				strings.Join(part.Segments(), ",")))
 			continue
 		}
-		var stats server.SliceStats
-		if err := rt.peerPostJSON(ctx, owner, "/v1/cluster/slice", part, &stats); err != nil {
+		var stats api.SliceStats
+		if err := rt.peerPostJSON(ctx, owner, api.RouteClusterSlice, part, &stats); err != nil {
 			errs = append(errs, err)
 			continue
 		}

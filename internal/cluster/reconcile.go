@@ -7,8 +7,8 @@ import (
 	"sort"
 	"strings"
 
+	"crowdwifi/internal/api"
 	"crowdwifi/internal/obs/trace"
-	"crowdwifi/internal/server"
 )
 
 // Move records one repaired drift: a segment's data found resident on a
@@ -24,7 +24,7 @@ type ReconcileReport struct {
 	// Moves are the repaired drifts, sorted by segment then source shard.
 	Moves []Move `json:"moves"`
 	// Stats accumulates what the owners ingested.
-	Stats server.SliceStats `json:"stats"`
+	Stats api.SliceStats `json:"stats"`
 	// DroppedReports counts reports removed from non-owner residents.
 	DroppedReports int `json:"droppedReports"`
 	// Reaggregated lists the shards re-aggregated after the moves.
@@ -78,16 +78,16 @@ func (rt *Router) Reconcile(ctx context.Context) (*ReconcileReport, error) {
 	for _, p := range pairs {
 		segments := groups[p]
 		sort.Strings(segments)
-		var sl server.Slice
-		if err := rt.peerGetJSON(ctx, p.from, "/v1/cluster/slice",
+		var sl api.Slice
+		if err := rt.peerGetJSON(ctx, p.from, api.RouteClusterSlice,
 			"segments="+strings.Join(segments, ","), &sl); err != nil {
 			errs = append(errs, fmt.Errorf("reconcile: export %s from %s: %w",
 				strings.Join(segments, ","), p.from, err))
 			continue
 		}
 		if !sl.Empty() {
-			var stats server.SliceStats
-			if err := rt.peerPostJSON(ctx, p.to, "/v1/cluster/slice", sl, &stats); err != nil {
+			var stats api.SliceStats
+			if err := rt.peerPostJSON(ctx, p.to, api.RouteClusterSlice, sl, &stats); err != nil {
 				errs = append(errs, fmt.Errorf("reconcile: apply to %s: %w", p.to, err))
 				continue
 			}
@@ -98,8 +98,8 @@ func (rt *Router) Reconcile(ctx context.Context) (*ReconcileReport, error) {
 		var dropped struct {
 			DroppedReports int `json:"droppedReports"`
 		}
-		if err := rt.peerPostJSON(ctx, p.from, "/v1/cluster/drop",
-			server.DropRequest{Segments: segments}, &dropped); err != nil {
+		if err := rt.peerPostJSON(ctx, p.from, api.RouteClusterDrop,
+			api.DropRequest{Segments: segments}, &dropped); err != nil {
 			errs = append(errs, fmt.Errorf("reconcile: drop on %s: %w", p.from, err))
 			continue
 		}
@@ -127,7 +127,7 @@ func (rt *Router) Reconcile(ctx context.Context) (*ReconcileReport, error) {
 	}
 	sort.Strings(report.Reaggregated)
 	for _, id := range report.Reaggregated {
-		if err := rt.peerPostJSON(ctx, id, "/v1/aggregate", struct{}{}, nil); err != nil {
+		if err := rt.peerPostJSON(ctx, id, api.RouteAggregate, struct{}{}, nil); err != nil {
 			errs = append(errs, fmt.Errorf("reconcile: re-aggregate %s: %w", id, err))
 		}
 	}
@@ -160,8 +160,8 @@ func (rt *Router) findDrift(ctx context.Context) ([]Move, error) {
 	var drifted []Move
 	var errs []error
 	for _, id := range rg.Members() {
-		var dig server.DigestResponse
-		if err := rt.peerGetJSON(ctx, id, "/v1/cluster/digest", "", &dig); err != nil {
+		var dig api.DigestResponse
+		if err := rt.peerGetJSON(ctx, id, api.RouteClusterDigest, "", &dig); err != nil {
 			errs = append(errs, err)
 			continue
 		}

@@ -26,13 +26,13 @@ import (
 	"sync/atomic"
 
 	"crowdwifi/internal/api"
+	"crowdwifi/internal/api/front"
 	"crowdwifi/internal/cluster/ring"
 	"crowdwifi/internal/obs"
 	"crowdwifi/internal/obs/slo"
 	"crowdwifi/internal/obs/trace"
 	"crowdwifi/internal/overload"
 	"crowdwifi/internal/retry"
-	"crowdwifi/internal/server"
 )
 
 // PartialHeader names the shards missing from a scatter-gather answer. When
@@ -41,26 +41,13 @@ import (
 // partial answer from a complete one without comparing counts.
 const PartialHeader = "X-Crowdwifi-Partial"
 
-// ShardHeader names the shard that actually served a router-proxied upload
-// (the post-re-route owner), so a slow or failed request is attributable to
-// its shard from the response alone.
-const ShardHeader = "X-Crowdwifi-Shard"
-
-// DefaultMaxBodyBytes mirrors the shard server's ingest cap so the router
-// rejects oversized uploads before burning upstream bandwidth on them.
-const DefaultMaxBodyBytes = server.DefaultMaxBodyBytes
-
-// DefaultBatchMaxBodyBytes mirrors the shard server's batch-route cap; the
-// batch route has its own, larger per-route limit.
-const DefaultBatchMaxBodyBytes = server.DefaultBatchMaxBodyBytes
-
 // redMetrics prefixes the router's RED families.
 const redMetrics = "crowdwifi_router_http"
 
 // SLOObjectives returns the router's default objectives: a shard's promises
-// (see api.SLOObjectives) measured at the cluster front door.
+// (see front.SLOObjectives) measured at the cluster front door.
 func SLOObjectives(reg *obs.Registry) []slo.Objective {
-	return api.SLOObjectives(reg, redMetrics, "routed ")
+	return front.SLOObjectives(reg, redMetrics, "routed ")
 }
 
 // Peer is one shard the router can reach.
@@ -117,10 +104,10 @@ type RouterOptions struct {
 	// Overload, when non-nil, enables the router's own admission control.
 	// The caller is responsible for running Admission().Controller().Run.
 	Overload *overload.Options
-	// MaxBodyBytes caps upload bodies (≤ 0 selects DefaultMaxBodyBytes).
+	// MaxBodyBytes caps upload bodies (≤ 0 selects api.DefaultMaxBodyBytes).
 	MaxBodyBytes int64
 	// BatchMaxBodyBytes caps /v1/reports/batch bodies (≤ 0 selects
-	// DefaultBatchMaxBodyBytes).
+	// api.DefaultBatchMaxBodyBytes).
 	BatchMaxBodyBytes int64
 }
 
@@ -145,7 +132,7 @@ func (p *peerClient) endpoint(path, rawQuery string) string {
 // scatter-gather merges across the shard set.
 type Router struct {
 	mux     *http.ServeMux
-	stack   api.Stack
+	stack   front.Stack
 	metrics *routerMetrics
 	log     *obs.Logger
 	vnodes  int
@@ -174,10 +161,10 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		batchMaxBody: opts.BatchMaxBodyBytes,
 	}
 	if rt.maxBody <= 0 {
-		rt.maxBody = DefaultMaxBodyBytes
+		rt.maxBody = api.DefaultMaxBodyBytes
 	}
 	if rt.batchMaxBody <= 0 {
-		rt.batchMaxBody = DefaultBatchMaxBodyBytes
+		rt.batchMaxBody = api.DefaultBatchMaxBodyBytes
 	}
 	var retryMetrics *retry.Metrics
 	if opts.Registry != nil {
@@ -218,25 +205,24 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		}
 		ov = overload.New(o)
 	}
-	rt.stack = api.Stack{
+	rt.stack = front.Stack{
 		Tier:      "router",
 		Metrics:   redMetrics,
 		Help:      "Router ",
 		Registry:  opts.Registry,
 		Sheds:     rt.metrics.shedCounter(),
 		Admission: ov,
-		Classify:  classify,
 	}
 	handle := func(route string, h http.HandlerFunc) { rt.stack.Handle(rt.mux, route, h) }
-	handle("/v1/reports", rt.handleUpload)
-	handle("/v1/reports/batch", rt.handleBatch)
-	handle("/v1/patterns", rt.handleUpload)
-	handle("/v1/lookup", rt.handleLookup)
-	handle("/v1/aggregate", rt.handleAggregate)
-	handle("/v1/reliability", rt.handleReliability)
-	handle("/v1/labels", rt.handleShardLocal)
-	handle("/v1/tasks", rt.handleShardLocal)
-	handle("/v1/cluster/members", rt.handleMembers)
+	handle(api.RouteReports, rt.handleUpload)
+	handle(api.RouteReportsBatch, rt.handleBatch)
+	handle(api.RoutePatterns, rt.handleUpload)
+	handle(api.RouteLookup, rt.handleLookup)
+	handle(api.RouteAggregate, rt.handleAggregate)
+	handle(api.RouteReliability, rt.handleReliability)
+	handle(api.RouteLabels, rt.handleShardLocal)
+	handle(api.RouteTasks, rt.handleShardLocal)
+	handle(api.RouteClusterMembers, rt.handleMembers)
 	return rt, nil
 }
 
@@ -285,20 +271,6 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rt.mux.ServeHTTP(w, r)
 }
 
-// classify maps a router route to its shedding family. The router holds no
-// durable state, so nothing is a mutation from its admission layer's point
-// of view — read-only is a disk condition the router cannot have.
-func classify(route, _ string) (overload.Family, bool) {
-	switch route {
-	case "/v1/lookup":
-		return overload.FamilyLookup, false
-	case "/v1/reports", "/v1/reports/batch", "/v1/patterns":
-		return overload.FamilyUpload, false
-	default:
-		return overload.FamilyControl, false
-	}
-}
-
 // WithTracer returns a middleware installing tracer into every request
 // context, activating the router's tracing layer.
 func WithTracer(tracer *trace.Tracer, next http.Handler) http.Handler {
@@ -320,7 +292,7 @@ var passthroughHeaders = []string{
 	api.RetryAfterMsHeader,
 	api.ModeHeader,
 	"Idempotent-Replay",
-	server.OwnerHeader,
+	api.OwnerHeader,
 }
 
 // proxy relays an upstream response downstream verbatim: whitelisted
@@ -381,7 +353,7 @@ func (rt *Router) handleUpload(w http.ResponseWriter, r *http.Request) {
 		api.WriteBodyError(w, err)
 		return
 	}
-	segment, err := uploadSegment(r.Header.Get("Content-Type"), body)
+	segment, err := uploadSegment(r, body)
 	if err != nil {
 		api.WriteError(w, http.StatusBadRequest, err)
 		return
@@ -407,7 +379,7 @@ func (rt *Router) handleUpload(w http.ResponseWriter, r *http.Request) {
 	}
 	served := owner
 	if resp.StatusCode == http.StatusMisdirectedRequest {
-		next := resp.Header.Get(server.OwnerHeader)
+		next := resp.Header.Get(api.OwnerHeader)
 		if npc := rt.peer(next); npc != nil && next != owner {
 			api.DrainClose(resp)
 			rt.metrics.incRerouted()
@@ -423,7 +395,7 @@ func (rt *Router) handleUpload(w http.ResponseWriter, r *http.Request) {
 			served = next
 		}
 	}
-	w.Header().Set(ShardHeader, served)
+	w.Header().Set(api.ShardHeader, served)
 	trace.FromContext(r.Context()).SetAttr("shard", served)
 	proxy(w, resp)
 }
@@ -432,9 +404,9 @@ func (rt *Router) handleUpload(w http.ResponseWriter, r *http.Request) {
 // codec. Binary bodies are split but not re-encoded: the router routes on
 // the first frame's segment and forwards the original bytes verbatim, so a
 // frame upload survives the 421 re-route bit-for-bit.
-func uploadSegment(contentType string, body []byte) (string, error) {
-	if strings.HasPrefix(contentType, server.FrameContentType) {
-		frames, err := server.SplitReportFrames(body)
+func uploadSegment(r *http.Request, body []byte) (string, error) {
+	if api.IsFrameRequest(r) {
+		frames, err := api.SplitReportFrames(body)
 		if err != nil {
 			return "", err
 		}
@@ -562,14 +534,14 @@ func (rt *Router) handleLookup(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	results, missing, errs := partition[[]server.LookupResult](rt.scatter(func(pc *peerClient) (*http.Response, error) {
-		return rt.get(r.Context(), pc, "/v1/lookup", r.URL.RawQuery)
+	results, missing, errs := partition[[]api.LookupResult](rt.scatter(func(pc *peerClient) (*http.Response, error) {
+		return rt.get(r.Context(), pc, api.RouteLookup, r.URL.RawQuery)
 	}))
 	if len(results) == 0 {
 		api.WriteError(w, http.StatusBadGateway, fmt.Errorf("no shard answered: %w", errors.Join(errs...)))
 		return
 	}
-	merged := []server.LookupResult{}
+	merged := []api.LookupResult{}
 	for _, res := range results {
 		merged = append(merged, res.Value...)
 	}
@@ -584,10 +556,10 @@ func (rt *Router) handleLookup(w http.ResponseWriter, r *http.Request) {
 	// The merge always happens in the JSON domain (shards are asked for
 	// JSON), so the JSON answer stays byte-identical to a single server's;
 	// the frame codec is applied only at this edge, on the merged result.
-	if server.WantsFrame(r.Header.Get("Accept")) {
-		w.Header().Set("Content-Type", server.FrameContentType)
+	if api.WantsFrame(r.Header.Get("Accept")) {
+		w.Header().Set("Content-Type", api.FrameContentType)
 		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(server.EncodeLookupFrame(merged))
+		_, _ = w.Write(api.EncodeLookupFrame(merged))
 		return
 	}
 	api.WriteJSON(w, http.StatusOK, merged)
@@ -603,7 +575,7 @@ func (rt *Router) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	results := rt.scatter(func(pc *peerClient) (*http.Response, error) {
-		return rt.forward(r.Context(), pc, "/v1/aggregate", r.Header, nil)
+		return rt.forward(r.Context(), pc, api.RouteAggregate, r.Header, nil)
 	})
 	counts, missing, errs := partition[map[string]int](results)
 	if len(missing) > 0 {
@@ -629,7 +601,7 @@ func (rt *Router) handleReliability(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	results, missing, errs := partition[map[string]float64](rt.scatter(func(pc *peerClient) (*http.Response, error) {
-		return rt.get(r.Context(), pc, "/v1/reliability", "")
+		return rt.get(r.Context(), pc, api.RouteReliability, "")
 	}))
 	if len(results) == 0 {
 		api.WriteError(w, http.StatusBadGateway, fmt.Errorf("no shard answered: %w", errors.Join(errs...)))
@@ -661,7 +633,7 @@ func (rt *Router) handleMembers(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
 	case http.MethodPost:
-		var req server.MembersRequest
+		var req api.MembersRequest
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
 			api.WriteError(w, http.StatusBadRequest, err)
 			return
@@ -700,7 +672,7 @@ func (rt *Router) handleMembers(w http.ResponseWriter, r *http.Request) {
 // router's routing table.
 func (rt *Router) PropagateMembers(ctx context.Context) error {
 	members := rt.ring.Load().Members()
-	payload, err := json.Marshal(server.MembersRequest{Members: members})
+	payload, err := json.Marshal(api.MembersRequest{Members: members})
 	if err != nil {
 		return err
 	}
@@ -712,7 +684,7 @@ func (rt *Router) PropagateMembers(ctx context.Context) error {
 			continue
 		}
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			pc.endpoint("/v1/cluster/members", ""), bytes.NewReader(payload))
+			pc.endpoint(api.RouteClusterMembers, ""), bytes.NewReader(payload))
 		if err != nil {
 			errs = append(errs, err)
 			continue

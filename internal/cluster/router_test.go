@@ -83,9 +83,9 @@ func newTestRouter(t *testing.T, peers []Peer, members []string) *Router {
 
 func reportBody(t *testing.T, segment string) []byte {
 	t.Helper()
-	b, err := json.Marshal(server.Report{
+	b, err := json.Marshal(api.Report{
 		Vehicle: "v1", Segment: segment,
-		APs: []server.APReport{{X: 1, Y: 2, Credit: 1}},
+		APs: []api.APReport{{X: 1, Y: 2, Credit: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +158,7 @@ func TestUploadRerouteOn421(t *testing.T) {
 	// The ring owner answers 421 pointing at the other shard (its ring
 	// disagrees, mid-rebalance); the other shard accepts.
 	misdirect := func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(server.OwnerHeader, otherID)
+		w.Header().Set(api.OwnerHeader, otherID)
 		w.WriteHeader(http.StatusMisdirectedRequest)
 	}
 	accept := func(w http.ResponseWriter, r *http.Request) {
@@ -215,7 +215,7 @@ func TestUploadRejectsBadBodies(t *testing.T) {
 	}
 }
 
-func lookupHandler(results []server.LookupResult) http.HandlerFunc {
+func lookupHandler(results []api.LookupResult) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
@@ -224,8 +224,8 @@ func lookupHandler(results []server.LookupResult) http.HandlerFunc {
 }
 
 func TestLookupMergeOrdering(t *testing.T) {
-	a := newFakeShard(t, lookupHandler([]server.LookupResult{{X: 1, Y: 1, Weight: 2}, {X: 3, Y: 0, Weight: 1}}))
-	b := newFakeShard(t, lookupHandler([]server.LookupResult{{X: 0, Y: 5, Weight: 1}, {X: 1, Y: 1, Weight: 5}}))
+	a := newFakeShard(t, lookupHandler([]api.LookupResult{{X: 1, Y: 1, Weight: 2}, {X: 3, Y: 0, Weight: 1}}))
+	b := newFakeShard(t, lookupHandler([]api.LookupResult{{X: 0, Y: 5, Weight: 1}, {X: 1, Y: 1, Weight: 5}}))
 	rt := newTestRouter(t, []Peer{{"a", a.ts.URL}, {"b", b.ts.URL}}, nil)
 	ts := httptest.NewServer(rt)
 	defer ts.Close()
@@ -243,7 +243,7 @@ func TestLookupMergeOrdering(t *testing.T) {
 		t.Errorf("unexpected partial header %q", h)
 	}
 	var buf bytes.Buffer
-	_ = json.NewEncoder(&buf).Encode([]server.LookupResult{
+	_ = json.NewEncoder(&buf).Encode([]api.LookupResult{
 		{X: 0, Y: 5, Weight: 1}, {X: 1, Y: 1, Weight: 5}, {X: 1, Y: 1, Weight: 2}, {X: 3, Y: 0, Weight: 1},
 	})
 	if !bytes.Equal(body, buf.Bytes()) {
@@ -252,7 +252,7 @@ func TestLookupMergeOrdering(t *testing.T) {
 }
 
 func TestLookupPartialOnShardFailure(t *testing.T) {
-	a := newFakeShard(t, lookupHandler([]server.LookupResult{{X: 1, Y: 1, Weight: 1}}))
+	a := newFakeShard(t, lookupHandler([]api.LookupResult{{X: 1, Y: 1, Weight: 1}}))
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	dead.Close() // connection refused from now on
 	rt := newTestRouter(t, []Peer{{"a", a.ts.URL}, {"b", dead.URL}}, nil)
@@ -271,7 +271,7 @@ func TestLookupPartialOnShardFailure(t *testing.T) {
 	if h := resp.Header.Get(PartialHeader); h != "b" {
 		t.Errorf("partial header = %q, want \"b\"", h)
 	}
-	var got []server.LookupResult
+	var got []api.LookupResult
 	if err := json.Unmarshal(body, &got); err != nil || len(got) != 1 {
 		t.Errorf("partial body = %q", body)
 	}
@@ -503,7 +503,7 @@ func TestShedAndModeHeadersSurviveTheHop(t *testing.T) {
 
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/reports", bytes.NewReader(reportBody(t, seg)))
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(server.IdempotencyKeyHeader, "key-1")
+	req.Header.Set(api.IdempotencyKeyHeader, "key-1")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatalf("POST: %v", err)
@@ -529,7 +529,7 @@ func TestShedAndModeHeadersSurviveTheHop(t *testing.T) {
 	// The Idempotency-Key must reach the shard on every attempt so the
 	// dedupe cache sees the same key the client sent.
 	for i, rec := range a.recorded() {
-		if rec.Header.Get(server.IdempotencyKeyHeader) != "key-1" {
+		if rec.Header.Get(api.IdempotencyKeyHeader) != "key-1" {
 			t.Errorf("attempt %d: idempotency key not forwarded", i)
 		}
 	}
@@ -557,7 +557,7 @@ func TestIdempotentReplayByteIdenticalThroughRouter(t *testing.T) {
 		t.Helper()
 		req, _ := http.NewRequest(http.MethodPost, base+"/v1/reports", bytes.NewReader(reportBody(t, seg)))
 		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(server.IdempotencyKeyHeader, key)
+		req.Header.Set(api.IdempotencyKeyHeader, key)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatalf("POST %s: %v", base, err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"crowdwifi/internal/api"
 	"crowdwifi/internal/cluster"
 	"crowdwifi/internal/obs"
 	"crowdwifi/internal/obs/slo"
@@ -94,7 +95,7 @@ func TestRunAgainstRouterFrontedCluster(t *testing.T) {
 	}
 
 	if len(rep.Shards) == 0 {
-		t.Fatalf("no per-shard latency breakdown captured from %s headers", cluster.ShardHeader)
+		t.Fatalf("no per-shard latency breakdown captured from %s headers", api.ShardHeader)
 	}
 	for id, sh := range rep.Shards {
 		if sh.Requests == 0 {

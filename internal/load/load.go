@@ -33,13 +33,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"crowdwifi/internal/api"
 	"crowdwifi/internal/client"
-	"crowdwifi/internal/cluster"
 	"crowdwifi/internal/geo"
 	"crowdwifi/internal/obs"
 	"crowdwifi/internal/retry"
 	"crowdwifi/internal/rng"
-	"crowdwifi/internal/server"
 	"crowdwifi/internal/sim"
 )
 
@@ -204,12 +203,12 @@ type track struct {
 type vehicle struct {
 	cv   *client.CrowdVehicle
 	user *client.UserVehicle
-	rep  server.Report
+	rep  api.Report
 	rnd  *rng.RNG
 	area geo.Rect
 	// pending accumulates this vehicle's produced-but-unshipped reports in
 	// batch mode; it flushes every BatchSize iterations and once on stop.
-	pending []server.Report
+	pending []api.Report
 }
 
 // Runner executes one load run. Build it with NewRunner, then call Run once.
@@ -291,7 +290,7 @@ func (s shedObserver) Do(req *http.Request) (*http.Response, error) {
 		if f.seen.Load() && resp.StatusCode < 300 {
 			s.r.recordShedRetry(d)
 		}
-		if shard := resp.Header.Get(cluster.ShardHeader); shard != "" {
+		if shard := resp.Header.Get(api.ShardHeader); shard != "" {
 			s.r.recordShard(shard, d)
 		}
 	}
@@ -448,9 +447,9 @@ func (r *Runner) outcomeCounter(ep, outcome string) *obs.Counter {
 // each drive's source-labelled RSS readings into per-AP centroids. Each
 // archetype lands on its own road segment so the server's per-segment fusion
 // has real work to do.
-func buildArchetypes(seed uint64, n int) ([]server.Report, error) {
+func buildArchetypes(seed uint64, n int) ([]api.Report, error) {
 	scen := sim.UCI()
-	out := make([]server.Report, 0, n)
+	out := make([]api.Report, 0, n)
 	for i := 0; i < n; i++ {
 		ms, err := scen.Drive(sim.DriveConfig{
 			Trajectory:  sim.UCIDrive(),
@@ -481,16 +480,16 @@ func buildArchetypes(seed uint64, n int) ([]server.Report, error) {
 			srcs = append(srcs, s)
 		}
 		sort.Ints(srcs)
-		aps := make([]server.APReport, 0, len(srcs))
+		aps := make([]api.APReport, 0, len(srcs))
 		for _, s := range srcs {
 			a := bySource[s]
-			aps = append(aps, server.APReport{
+			aps = append(aps, api.APReport{
 				X:      a.x / float64(a.n),
 				Y:      a.y / float64(a.n),
 				Credit: float64(a.n),
 			})
 		}
-		out = append(out, server.Report{
+		out = append(out, api.Report{
 			Segment: fmt.Sprintf("load-seg-%02d", i),
 			APs:     aps,
 		})

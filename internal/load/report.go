@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"crowdwifi/internal/obs"
-	"crowdwifi/internal/obs/slo"
 )
 
 // ReportSchema versions the run-report JSON layout; bump it when a field
@@ -139,21 +138,40 @@ func (r *Runner) scrapeServer(ctx context.Context) serverSample {
 	return s
 }
 
+// sloDocument is what the report reads of a target's /debug/slo document
+// (slo.Status). Decoding that subset here keeps the SLO engine, which only a
+// serving tier runs, out of the load generator's imports.
+type sloDocument struct {
+	Objectives []struct {
+		Name    string  `json:"name"`
+		Target  float64 `json:"target"`
+		Healthy bool    `json:"healthy"`
+		Windows []struct {
+			ErrorRate float64 `json:"errorRate"`
+			BurnRate  float64 `json:"burnRate"`
+		} `json:"windows"`
+		Alerts []struct {
+			Name   string `json:"name"`
+			Firing bool   `json:"firing"`
+		} `json:"alerts"`
+	} `json:"objectives"`
+}
+
 // scrapeSLO fetches the target's /debug/slo verdicts. It tries the server URL
 // first (against a cluster that is the router, whose objectives are the
 // user-facing ones) and falls back to the scrape targets, so a bare shard run
 // with -scrape pointed at the shard's metrics address still gets verdicts.
-func (r *Runner) scrapeSLO(ctx context.Context) (slo.Status, bool) {
+func (r *Runner) scrapeSLO(ctx context.Context) (sloDocument, bool) {
 	cl := &http.Client{Timeout: 5 * time.Second}
 	targets := append([]string{r.cfg.ServerURL}, r.cfg.ScrapeURLs...)
 	for _, base := range targets {
-		var st slo.Status
+		var st sloDocument
 		if err := getJSON(ctx, cl, base+"/debug/slo", &st); err != nil || len(st.Objectives) == 0 {
 			continue
 		}
 		return st, true
 	}
-	return slo.Status{}, false
+	return sloDocument{}, false
 }
 
 func getJSON(ctx context.Context, cl *http.Client, url string, out any) error {
@@ -382,7 +400,7 @@ type RunReport struct {
 type reportInputs struct {
 	before, after                                       snapshot
 	serverStart, serverBefore, serverAfter, serverFinal serverSample
-	slo                                                 slo.Status
+	slo                                                 sloDocument
 	sloOK                                               bool
 	measured                                            time.Duration
 }

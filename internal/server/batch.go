@@ -3,9 +3,9 @@ package server
 // Batch ingest: POST /v1/reports/batch accepts many reports in one
 // round-trip — the vehicle outbox's drain path — with a per-entry
 // idempotency key and a per-entry status vector in the response. The body is
-// either JSON (BatchRequest) or a concatenation of binary report frames
+// either JSON (api.BatchRequest) or a concatenation of binary report frames
 // (Content-Type: application/x-crowdwifi-frame); the response is JSON
-// (BatchResponse) or a single batch-status frame per the Accept header.
+// (api.BatchResponse) or a single batch-status frame per the Accept header.
 //
 // Partial failure is the normal case, not an error: the response is always
 // 200 with one status per entry in request order. An entry's status is the
@@ -16,13 +16,13 @@ package server
 
 import (
 	"context"
-	"crowdwifi/internal/api"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 
+	"crowdwifi/internal/api"
 	"crowdwifi/internal/obs/trace"
 	"crowdwifi/internal/wal"
 )
@@ -60,19 +60,19 @@ func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var entries []BatchEntry
-	if isFrameRequest(r) {
-		frames, err := SplitReportFrames(body)
+	var entries []api.BatchEntry
+	if api.IsFrameRequest(r) {
+		frames, err := api.SplitReportFrames(body)
 		if err != nil {
 			api.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-		entries = make([]BatchEntry, len(frames))
+		entries = make([]api.BatchEntry, len(frames))
 		for i, f := range frames {
-			entries[i] = BatchEntry{Key: f.Key, Report: f.Report}
+			entries[i] = api.BatchEntry{Key: f.Key, Report: f.Report}
 		}
 	} else {
-		var req BatchRequest
+		var req api.BatchRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			api.WriteError(w, http.StatusBadRequest, err)
 			return
@@ -80,8 +80,8 @@ func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 		entries = req.Entries
 	}
 	results := s.processBatch(r.Context(), entries)
-	if WantsFrame(r.Header.Get("Accept")) {
-		frame, err := EncodeBatchStatusFrame(results)
+	if api.WantsFrame(r.Header.Get("Accept")) {
+		frame, err := api.EncodeBatchStatusFrame(results)
 		if err != nil {
 			api.WriteError(w, http.StatusInternalServerError, err)
 			return
@@ -89,13 +89,13 @@ func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 		writeFrame(w, frame)
 		return
 	}
-	api.WriteJSON(w, http.StatusOK, BatchResponse{Results: results})
+	api.WriteJSON(w, http.StatusOK, api.BatchResponse{Results: results})
 }
 
 // processBatch validates, ownership-filters, and dedupes each entry, then
 // runs the survivors through the store's chunked durable append. The status
 // vector is in entry order.
-func (s *Server) processBatch(ctx context.Context, entries []BatchEntry) []BatchEntryStatus {
+func (s *Server) processBatch(ctx context.Context, entries []api.BatchEntry) []BatchEntryStatus {
 	ctx, span := trace.StartChild(ctx, "server.batch")
 	defer span.End()
 	span.SetAttr("entries", len(entries))
@@ -116,7 +116,7 @@ func (s *Server) processBatch(ctx context.Context, entries []BatchEntry) []Batch
 			continue
 		}
 		if e.Key != "" {
-			seen, rec := s.idem.begin(e.Key)
+			seen, rec := s.store.idem.begin(e.Key)
 			if seen {
 				if rec == nil {
 					// A first delivery of this key is still in flight
@@ -154,7 +154,7 @@ func (s *Server) processBatch(ctx context.Context, entries []BatchEntry) []Batch
 		results[idx].Error = err.Error()
 		// Release the claimed key so the client's retry is not stuck behind
 		// a phantom in-flight first delivery.
-		s.idem.release(items[j].Key)
+		s.store.idem.release(items[j].Key)
 	}
 	if durabilityFault != nil {
 		s.log.Error("durable batch append failed", "err", durabilityFault)

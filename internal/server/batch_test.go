@@ -10,6 +10,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"crowdwifi/internal/api"
 )
 
 func batchReport(i int) Report {
@@ -20,7 +22,7 @@ func batchReport(i int) Report {
 	}
 }
 
-func postBatchJSON(t *testing.T, url string, req BatchRequest) (*http.Response, BatchResponse) {
+func postBatchJSON(t *testing.T, url string, req api.BatchRequest) (*http.Response, api.BatchResponse) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -31,7 +33,7 @@ func postBatchJSON(t *testing.T, url string, req BatchRequest) (*http.Response, 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { resp.Body.Close() })
-	var out BatchResponse
+	var out api.BatchResponse
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			t.Fatalf("decoding batch response: %v", err)
@@ -42,9 +44,9 @@ func postBatchJSON(t *testing.T, url string, req BatchRequest) (*http.Response, 
 
 func TestBatchHappyPathAndPerEntryReplay(t *testing.T) {
 	store, ts := newTestServer(t)
-	req := BatchRequest{}
+	req := api.BatchRequest{}
 	for i := 0; i < 3; i++ {
-		req.Entries = append(req.Entries, BatchEntry{Key: fmt.Sprintf("bk-%d", i), Report: batchReport(i)})
+		req.Entries = append(req.Entries, api.BatchEntry{Key: fmt.Sprintf("bk-%d", i), Report: batchReport(i)})
 	}
 	resp, out := postBatchJSON(t, ts.URL, req)
 	if resp.StatusCode != http.StatusOK {
@@ -83,7 +85,7 @@ func TestBatchHappyPathAndPerEntryReplay(t *testing.T) {
 
 func TestBatchMixedValidityKeepsOrder(t *testing.T) {
 	store, ts := newTestServer(t)
-	req := BatchRequest{Entries: []BatchEntry{
+	req := api.BatchRequest{Entries: []api.BatchEntry{
 		{Key: "mx-0", Report: batchReport(0)},
 		{Key: "mx-1", Report: Report{Segment: "s"}}, // no vehicle → 400
 		{Key: "mx-2", Report: batchReport(2)},
@@ -106,7 +108,7 @@ func TestBatchMixedValidityKeepsOrder(t *testing.T) {
 	}
 	// The rejected entry's key must not be poisoned: retrying it alone with
 	// a fixed report stores it.
-	resp2, out2 := postBatchJSON(t, ts.URL, BatchRequest{Entries: []BatchEntry{
+	resp2, out2 := postBatchJSON(t, ts.URL, api.BatchRequest{Entries: []api.BatchEntry{
 		{Key: "mx-1", Report: batchReport(1)},
 	}})
 	if resp2.StatusCode != http.StatusOK || out2.Results[0].Status != http.StatusCreated {
@@ -296,7 +298,7 @@ func TestBatchOversizedRecordFailsAloneAs413(t *testing.T) {
 
 	huge := batchReport(1)
 	huge.Segment = strings.Repeat("s", 2048) // record > chunk budget
-	resp, out := postBatchJSON(t, ts.URL, BatchRequest{Entries: []BatchEntry{
+	resp, out := postBatchJSON(t, ts.URL, api.BatchRequest{Entries: []api.BatchEntry{
 		{Key: "ov-0", Report: batchReport(0)},
 		{Key: "ov-1", Report: huge},
 		{Key: "ov-2", Report: batchReport(2)},
@@ -311,7 +313,7 @@ func TestBatchOversizedRecordFailsAloneAs413(t *testing.T) {
 		}
 	}
 	// The store must still accept writes: no read-only flip happened.
-	resp2, out2 := postBatchJSON(t, ts.URL, BatchRequest{Entries: []BatchEntry{
+	resp2, out2 := postBatchJSON(t, ts.URL, api.BatchRequest{Entries: []api.BatchEntry{
 		{Key: "ov-3", Report: batchReport(3)},
 	}})
 	if resp2.StatusCode != http.StatusOK || out2.Results[0].Status != http.StatusCreated {

@@ -16,25 +16,19 @@ package server
 
 import (
 	"context"
-	"crowdwifi/internal/api"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
 
+	"crowdwifi/internal/api"
 	"crowdwifi/internal/cluster/ring"
 	"crowdwifi/internal/obs/trace"
 	"crowdwifi/internal/wal"
 )
-
-// OwnerHeader names the shard that owns a request's segment. Set on 421
-// Misdirected Request responses so the caller can re-route without
-// re-deriving the ring, and on slice-apply responses for observability.
-const OwnerHeader = "X-Crowdwifi-Owner"
 
 // maxSliceBytes caps a slice-apply request body. Slices carry a shard's
 // worth of reports, so the ingest cap would reject any real rebalance.
@@ -86,41 +80,16 @@ func (s *Server) misdirected(seg string) (owner string, ok bool) {
 // the same shard can never succeed — the caller must re-route to the named
 // owner.
 func (s *Server) rejectMisdirected(w http.ResponseWriter, seg, owner string) {
-	w.Header().Set(OwnerHeader, owner)
+	w.Header().Set(api.OwnerHeader, owner)
 	api.WriteError(w, http.StatusMisdirectedRequest,
 		fmt.Errorf("segment %q is owned by shard %q", seg, owner))
 }
 
-// SegmentDigest summarizes one segment's resident state for cross-shard
-// drift detection: raw volumes plus an order-sensitive digest of the fused
-// result list, so two shards can compare a segment without shipping it.
-type SegmentDigest struct {
-	Reports     int    `json:"reports"`
-	Patterns    int    `json:"patterns"`
-	Labels      int    `json:"labels"`
-	Fused       int    `json:"fused"`
-	FusedDigest string `json:"fusedDigest,omitempty"`
-}
-
-// HasData reports whether the segment holds state that must live on its
-// owner (reports or fused results). Patterns and labels left behind by a
-// drop are tolerated residue — see DropSegments.
-func (d SegmentDigest) HasData() bool { return d.Reports > 0 || d.Fused > 0 }
-
-// DigestResponse is GET /v1/cluster/digest.
-type DigestResponse struct {
-	Self     string                   `json:"self"`
-	Members  []string                 `json:"members"`
-	Segments map[string]SegmentDigest `json:"segments"`
-	// WAL is the shard's log footprint; nil for an in-memory store.
-	WAL *wal.Stats `json:"wal,omitempty"`
-}
-
 // SegmentDigests computes the per-segment digest map over everything the
 // store holds.
-func (s *Store) SegmentDigests() map[string]SegmentDigest {
+func (s *Store) SegmentDigests() map[string]api.SegmentDigest {
 	c := s.capture()
-	out := map[string]SegmentDigest{}
+	out := map[string]api.SegmentDigest{}
 	for _, r := range c.reports {
 		d := out[r.Segment]
 		d.Reports++
@@ -148,65 +117,6 @@ func (s *Store) SegmentDigests() map[string]SegmentDigest {
 	return out
 }
 
-// SlicePattern is one exported mapping task. ID is the source shard's dense
-// pattern id — the receiving shard assigns its own and labels are remapped.
-type SlicePattern struct {
-	ID      int        `json:"id"`
-	Segment string     `json:"segment"`
-	APs     []APReport `json:"aps,omitempty"`
-	Key     string     `json:"key"`
-}
-
-// SliceReport is one exported vehicle report.
-type SliceReport struct {
-	Report Report `json:"report"`
-	Key    string `json:"key"`
-}
-
-// SliceLabel is one exported label; TaskID references the source shard's
-// pattern id and Segment carries the owning segment so a slice can be
-// partitioned without the source's pattern table.
-type SliceLabel struct {
-	Label   Label  `json:"label"`
-	Segment string `json:"segment"`
-	Key     string `json:"key"`
-}
-
-// Slice is a segment-filtered export of one shard's durable state — the unit
-// of rebalance. Fused results are deliberately absent: they are derived
-// state, and the receiving owner re-aggregates after apply.
-type Slice struct {
-	Source   string         `json:"source"`
-	Patterns []SlicePattern `json:"patterns"`
-	Reports  []SliceReport  `json:"reports"`
-	Labels   []SliceLabel   `json:"labels"`
-}
-
-// Empty reports whether the slice carries nothing.
-func (sl Slice) Empty() bool {
-	return len(sl.Patterns) == 0 && len(sl.Reports) == 0 && len(sl.Labels) == 0
-}
-
-// Segments returns the sorted set of segments the slice touches.
-func (sl Slice) Segments() []string {
-	set := map[string]bool{}
-	for _, p := range sl.Patterns {
-		set[p.Segment] = true
-	}
-	for _, r := range sl.Reports {
-		set[r.Report.Segment] = true
-	}
-	for _, l := range sl.Labels {
-		set[l.Segment] = true
-	}
-	out := make([]string, 0, len(set))
-	for seg := range set {
-		out = append(out, seg)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // sliceKey mints the deterministic apply-idempotency key for one exported
 // item: source shard, item kind, a content hash, and the item's occurrence
 // rank among identical contents in export order. The rank — not the absolute
@@ -230,15 +140,15 @@ func sliceKey(source, kind string, content any, ranks map[string]int) string {
 // shard in the keys. Export preserves arrival order, so the receiving
 // shard's per-segment report order — and therefore its fusion output — is
 // identical to the source's.
-func (s *Store) ExportSlice(owned func(segment string) bool, source string) Slice {
+func (s *Store) ExportSlice(owned func(segment string) bool, source string) api.Slice {
 	c := s.capture()
-	sl := Slice{Source: source, Patterns: []SlicePattern{}, Reports: []SliceReport{}, Labels: []SliceLabel{}}
+	sl := api.Slice{Source: source, Patterns: []api.SlicePattern{}, Reports: []api.SliceReport{}, Labels: []api.SliceLabel{}}
 	ranks := map[string]int{}
 	for _, p := range c.patterns {
 		if !owned(p.Segment) {
 			continue
 		}
-		sp := SlicePattern{ID: p.ID, Segment: p.Segment, APs: p.APs}
+		sp := api.SlicePattern{ID: p.ID, Segment: p.Segment, APs: p.APs}
 		sp.Key = sliceKey(source, "p", sp, ranks)
 		sl.Patterns = append(sl.Patterns, sp)
 	}
@@ -246,7 +156,7 @@ func (s *Store) ExportSlice(owned func(segment string) bool, source string) Slic
 		if !owned(r.Segment) {
 			continue
 		}
-		sr := SliceReport{Report: r}
+		sr := api.SliceReport{Report: r}
 		sr.Key = sliceKey(source, "r", sr, ranks)
 		sl.Reports = append(sl.Reports, sr)
 	}
@@ -255,7 +165,7 @@ func (s *Store) ExportSlice(owned func(segment string) bool, source string) Slic
 		if !owned(seg) {
 			continue
 		}
-		lb := SliceLabel{Label: l, Segment: seg}
+		lb := api.SliceLabel{Label: l, Segment: seg}
 		lb.Key = sliceKey(source, "l", lb, ranks)
 		sl.Labels = append(sl.Labels, lb)
 	}
@@ -268,10 +178,10 @@ func (s *Store) ExportSlice(owned func(segment string) bool, source string) Slic
 // is never opened for writing, and a torn tail from its final crash is
 // tolerated without truncation. source names the departed shard in the
 // slice's apply keys.
-func ExportSliceFromDir(dir string, mergeRadius float64, source string) (Slice, error) {
+func ExportSliceFromDir(dir string, mergeRadius float64, source string) (api.Slice, error) {
 	s, err := replayDir(dir, mergeRadius)
 	if err != nil {
-		return Slice{}, err
+		return api.Slice{}, err
 	}
 	return s.ExportSlice(func(string) bool { return true }, source), nil
 }
@@ -297,35 +207,17 @@ func replayDir(dir string, mergeRadius float64) (*Store, error) {
 	return s, nil
 }
 
-// SliceStats reports what one apply did.
-type SliceStats struct {
-	Patterns int `json:"patterns"`
-	Reports  int `json:"reports"`
-	Labels   int `json:"labels"`
-	// Deduped counts items skipped because a previous apply already landed
-	// them (matched by their deterministic slice key).
-	Deduped int `json:"deduped"`
-}
-
-// Add accumulates other into s.
-func (st *SliceStats) Add(other SliceStats) {
-	st.Patterns += other.Patterns
-	st.Reports += other.Reports
-	st.Labels += other.Labels
-	st.Deduped += other.Deduped
-}
-
 // applySlice ingests a slice through the same durable, idempotent path as
 // regular uploads: every item runs begin/release on the idempotency cache
 // under its deterministic slice key, so a crashed or retried apply
 // deduplicates per item instead of double-ingesting. Patterns are applied
 // first and labels' task ids are rewritten from the source shard's dense ids
 // to this shard's.
-func (s *Server) applySlice(ctx context.Context, sl Slice) (SliceStats, error) {
-	var stats SliceStats
+func (s *Server) applySlice(ctx context.Context, sl api.Slice) (api.SliceStats, error) {
+	var stats api.SliceStats
 	idMap := make(map[int]int, len(sl.Patterns))
 	for _, p := range sl.Patterns {
-		seen, rec := s.idem.begin(p.Key)
+		seen, rec := s.store.idem.begin(p.Key)
 		if seen {
 			if rec == nil {
 				return stats, fmt.Errorf("server: slice item %s still in flight", p.Key)
@@ -342,14 +234,14 @@ func (s *Server) applySlice(ctx context.Context, sl Slice) (SliceStats, error) {
 		}
 		id, err := s.store.AddPatternKeyed(ctx, p.Key, p.Segment, p.APs)
 		if err != nil {
-			s.idem.release(p.Key)
+			s.store.idem.release(p.Key)
 			return stats, err
 		}
 		idMap[p.ID] = id
 		stats.Patterns++
 	}
 	for _, r := range sl.Reports {
-		seen, rec := s.idem.begin(r.Key)
+		seen, rec := s.store.idem.begin(r.Key)
 		if seen {
 			if rec == nil {
 				return stats, fmt.Errorf("server: slice item %s still in flight", r.Key)
@@ -358,7 +250,7 @@ func (s *Server) applySlice(ctx context.Context, sl Slice) (SliceStats, error) {
 			continue
 		}
 		if err := s.store.AddReportKeyed(ctx, r.Key, r.Report); err != nil {
-			s.idem.release(r.Key)
+			s.store.idem.release(r.Key)
 			return stats, err
 		}
 		stats.Reports++
@@ -368,7 +260,7 @@ func (s *Server) applySlice(ctx context.Context, sl Slice) (SliceStats, error) {
 		if !ok {
 			return stats, fmt.Errorf("server: slice label for task %d has no pattern in the slice", l.Label.TaskID)
 		}
-		seen, rec := s.idem.begin(l.Key)
+		seen, rec := s.store.idem.begin(l.Key)
 		if seen {
 			if rec == nil {
 				return stats, fmt.Errorf("server: slice item %s still in flight", l.Key)
@@ -379,7 +271,7 @@ func (s *Server) applySlice(ctx context.Context, sl Slice) (SliceStats, error) {
 		remapped := l.Label
 		remapped.TaskID = newID
 		if err := s.store.AddLabelsKeyed(ctx, l.Key, []Label{remapped}); err != nil {
-			s.idem.release(l.Key)
+			s.store.idem.release(l.Key)
 			return stats, err
 		}
 		stats.Labels++
@@ -393,7 +285,7 @@ func (s *Server) handleClusterDigest(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusMethodNotAllowed)
 		return
 	}
-	api.WriteJSON(w, http.StatusOK, DigestResponse{
+	api.WriteJSON(w, http.StatusOK, api.DigestResponse{
 		Self:     s.cluster.self,
 		Members:  s.cluster.ring.Load().Members(),
 		Segments: s.store.SegmentDigests(),
@@ -444,7 +336,7 @@ func (s *Server) handleClusterSlice(w http.ResponseWriter, r *http.Request) {
 		api.WriteJSON(w, http.StatusOK, s.store.ExportSlice(owned, s.cluster.self))
 	case http.MethodPost:
 		r.Body = http.MaxBytesReader(w, r.Body, maxSliceBytes)
-		var sl Slice
+		var sl api.Slice
 		if !s.decodeBody(w, r, &sl) {
 			return
 		}
@@ -460,17 +352,11 @@ func (s *Server) handleClusterSlice(w http.ResponseWriter, r *http.Request) {
 			s.mutationError(w, err)
 			return
 		}
-		w.Header().Set(OwnerHeader, s.cluster.self)
+		w.Header().Set(api.OwnerHeader, s.cluster.self)
 		api.WriteJSON(w, http.StatusOK, stats)
 	default:
 		w.WriteHeader(http.StatusMethodNotAllowed)
 	}
-}
-
-// DropRequest is POST /v1/cluster/drop: remove the named segments' reports
-// and fused results after they have been streamed to their new owner.
-type DropRequest struct {
-	Segments []string `json:"segments"`
 }
 
 // handleClusterDrop serves POST /v1/cluster/drop.
@@ -479,7 +365,7 @@ func (s *Server) handleClusterDrop(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusMethodNotAllowed)
 		return
 	}
-	var req DropRequest
+	var req api.DropRequest
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
@@ -495,11 +381,6 @@ func (s *Server) handleClusterDrop(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, http.StatusOK, map[string]int{"droppedReports": dropped})
 }
 
-// MembersRequest is POST /v1/cluster/members: install a new membership ring.
-type MembersRequest struct {
-	Members []string `json:"members"`
-}
-
 // handleClusterMembers serves the shard's membership view: GET returns it,
 // POST installs a new ring (an operator/rebalancer action — membership is
 // config, not replicated state, so it is not WAL-logged).
@@ -507,7 +388,7 @@ func (s *Server) handleClusterMembers(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
 	case http.MethodPost:
-		var req MembersRequest
+		var req api.MembersRequest
 		if !s.decodeBody(w, r, &req) {
 			return
 		}

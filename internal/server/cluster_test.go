@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"crowdwifi/internal/api"
 	"crowdwifi/internal/cluster/ring"
 )
 
@@ -71,8 +72,8 @@ func TestMisdirectedUploadRejected(t *testing.T) {
 	if resp.StatusCode != http.StatusMisdirectedRequest {
 		t.Fatalf("foreign segment: status %d (%s), want 421", resp.StatusCode, body)
 	}
-	if got := resp.Header.Get(OwnerHeader); got != "b" {
-		t.Errorf("%s = %q, want \"b\"", OwnerHeader, got)
+	if got := resp.Header.Get(api.OwnerHeader); got != "b" {
+		t.Errorf("%s = %q, want \"b\"", api.OwnerHeader, got)
 	}
 
 	// Patterns are ownership-filtered the same way.
@@ -153,7 +154,7 @@ func TestSliceApplyIsIdempotentAndRemapsPatternIDs(t *testing.T) {
 	ts := httptest.NewServer(recv)
 	defer ts.Close()
 
-	apply := func() SliceStats {
+	apply := func() api.SliceStats {
 		t.Helper()
 		resp := postJSONTo(t, ts, "/v1/cluster/slice", sl)
 		defer resp.Body.Close()
@@ -161,10 +162,10 @@ func TestSliceApplyIsIdempotentAndRemapsPatternIDs(t *testing.T) {
 			body, _ := io.ReadAll(resp.Body)
 			t.Fatalf("apply: status %d: %s", resp.StatusCode, body)
 		}
-		if got := resp.Header.Get(OwnerHeader); got != "dst" {
-			t.Errorf("%s = %q, want \"dst\"", OwnerHeader, got)
+		if got := resp.Header.Get(api.OwnerHeader); got != "dst" {
+			t.Errorf("%s = %q, want \"dst\"", api.OwnerHeader, got)
 		}
-		var stats SliceStats
+		var stats api.SliceStats
 		if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 			t.Fatal(err)
 		}

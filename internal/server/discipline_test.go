@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"crowdwifi/internal/api"
 	"crowdwifi/internal/geo"
 	"crowdwifi/internal/wal"
 )
@@ -178,15 +179,15 @@ func TestConcurrentTrafficEqualsSerialReplay(t *testing.T) {
 	go func() { // batch uploads
 		defer writers.Done()
 		for b := 0; b < batches; b++ {
-			var req BatchRequest
+			var req api.BatchRequest
 			for j := 0; j < batchSize; j++ {
 				n := b*batchSize + j
-				req.Entries = append(req.Entries, BatchEntry{Key: fmt.Sprintf("b-%d", n), Report: Report{
+				req.Entries = append(req.Entries, api.BatchEntry{Key: fmt.Sprintf("b-%d", n), Report: Report{
 					Vehicle: fmt.Sprintf("veh-%d", n%25), Segment: fmt.Sprintf("bat-%03d", n),
 					APs: []APReport{{X: float64(100 * n), Y: 2050, Credit: 1}}}})
 			}
 			status, body, err := post(ts.URL+"/v1/reports/batch", req)
-			var resp BatchResponse
+			var resp api.BatchResponse
 			if err == nil {
 				err = json.Unmarshal(body, &resp)
 			}

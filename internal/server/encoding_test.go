@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"crowdwifi/internal/api"
 	"crowdwifi/internal/geo"
 )
 
@@ -90,7 +91,7 @@ func TestLookupFrameEmptyAnswerKeepsContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := DecodeLookupFrame(body)
+	results, err := api.DecodeLookupFrame(body)
 	if err != nil {
 		t.Fatal(err)
 	}

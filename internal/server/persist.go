@@ -213,7 +213,7 @@ func OpenStore(mergeRadius float64, opts StorageOptions) (*Store, RecoveryStats,
 	stats.Patterns = len(s.patterns)
 	stats.Labels = len(s.labels)
 	stats.Reports = len(s.reports)
-	stats.IdemKeys = len(s.recoveredIdem)
+	stats.IdemKeys = len(s.idem.snapshot())
 	s.mu.Unlock()
 	stats.Duration = time.Since(start)
 	return s, stats, nil
@@ -227,7 +227,7 @@ func (s *Store) restoreSnapshot(state snapshotState) {
 	s.labels = state.Labels
 	s.reports = state.Reports
 	s.view.Store(newView(state.Fused, state.Reliability))
-	s.recoveredIdem = state.Idem
+	s.idem.seed(state.Idem)
 }
 
 // newView wraps decoded derived state, with empty maps for absent ones so
@@ -259,21 +259,21 @@ func (s *Store) applyRecord(rec wal.Record) error {
 			return fmt.Errorf("server: record %d: pattern id %d does not follow %d stored patterns", rec.Seq, p.ID, len(s.patterns))
 		}
 		s.patterns = append(s.patterns, Pattern{ID: p.ID, Segment: p.Segment, APs: p.APs})
-		s.recoverIdemLocked(p.IdemKey, patternResponse(p.ID))
+		s.completeIdemLocked(p.IdemKey, patternResponse(p.ID))
 	case recLabels:
 		var lr labelsRecord
 		if err := json.Unmarshal(rec.Data, &lr); err != nil {
 			return fmt.Errorf("server: record %d: %w", rec.Seq, err)
 		}
 		s.labels = append(s.labels, lr.Labels...)
-		s.recoverIdemLocked(lr.IdemKey, labelsResponse(len(lr.Labels)))
+		s.completeIdemLocked(lr.IdemKey, labelsResponse(len(lr.Labels)))
 	case recReport:
 		var rr reportRecord
 		if err := json.Unmarshal(rec.Data, &rr); err != nil {
 			return fmt.Errorf("server: record %d: %w", rec.Seq, err)
 		}
 		s.reports = append(s.reports, rr.Report)
-		s.recoverIdemLocked(rr.IdemKey, reportResponse())
+		s.completeIdemLocked(rr.IdemKey, reportResponse())
 	case recReportBatch:
 		var br batchRecord
 		if err := json.Unmarshal(rec.Data, &br); err != nil {
@@ -285,7 +285,7 @@ func (s *Store) applyRecord(rec wal.Record) error {
 				return fmt.Errorf("server: record %d entry %d: %w", rec.Seq, i, err)
 			}
 			s.reports = append(s.reports, rr.Report)
-			s.recoverIdemLocked(rr.IdemKey, reportResponse())
+			s.completeIdemLocked(rr.IdemKey, reportResponse())
 		}
 	case recAggregate:
 		var ar aggregateRecord
@@ -334,27 +334,6 @@ func reportResponse() cannedResponse {
 	return cannedResponse{http.StatusCreated, jsonBody(map[string]string{"status": "stored"})}
 }
 
-// recoverIdemLocked queues a replayed record's idempotency completion. The
-// HTTP layer is not up yet during recovery, so completions buffer on the
-// store until Server.New seeds its cache via attachIdem.
-func (s *Store) recoverIdemLocked(key string, resp cannedResponse) {
-	if key == "" {
-		return
-	}
-	s.recoveredIdem = append(s.recoveredIdem, idemEntry{Key: key, Status: resp.status, Body: resp.body})
-}
-
-// attachIdem hands the store's recovered idempotency completions to a
-// server's cache and registers the cache as the live sink for completions
-// installed by the durable mutators.
-func (s *Store) attachIdem(c *idemCache) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c.seed(s.recoveredIdem)
-	s.recoveredIdem = nil
-	s.idemSink = c
-}
-
 // appendRecordLocked write-ahead-logs one typed record whose size is bounded
 // by one request; a record that grows with history is marshalled before the
 // lock is taken and handed to appendLocked.
@@ -390,29 +369,11 @@ func (s *Store) appendLocked(ctx context.Context, kind byte, data []byte) error 
 }
 
 // completeIdemLocked installs a keyed request's canonical response in the
-// live idempotency cache, atomically (under s.mu) with the mutation it
-// acknowledges, so a snapshot can never capture the mutation without its
-// completion. Requires s.mu held.
+// idempotency cache, atomically (under s.mu) with the mutation it
+// acknowledges or replays, so a snapshot can never capture the mutation
+// without its completion. Requires s.mu held.
 func (s *Store) completeIdemLocked(key string, resp cannedResponse) {
-	if key == "" {
-		return
-	}
-	if s.idemSink != nil {
-		s.idemSink.complete(key, resp.status, resp.body)
-		return
-	}
-	// No HTTP layer attached yet: buffer like recovery does so the
-	// completion still reaches a later Server.New and the next snapshot.
-	s.recoveredIdem = append(s.recoveredIdem, idemEntry{Key: key, Status: resp.status, Body: resp.body})
-}
-
-// idemEntriesLocked exports the completed idempotency keys for a snapshot.
-// Requires s.mu held.
-func (s *Store) idemEntriesLocked() []idemEntry {
-	if s.idemSink != nil {
-		return s.idemSink.snapshot()
-	}
-	return append([]idemEntry(nil), s.recoveredIdem...)
+	s.idem.complete(key, resp.status, resp.body)
 }
 
 // Snapshot serializes the full store state (patterns, labels, reports, fused
@@ -435,7 +396,7 @@ func (s *Store) Snapshot() (uint64, error) {
 		Reports:     c.reports,
 		Fused:       c.view.fused,
 		Reliability: c.view.reliability,
-		Idem:        s.idemEntriesLocked(),
+		Idem:        s.idem.snapshot(),
 	}
 	seq := c.log.LastSeq()
 	opts := s.storage

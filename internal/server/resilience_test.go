@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -76,6 +77,31 @@ func TestIdempotentReportReplay(t *testing.T) {
 	}
 	if _, _, reports := store.Counts(); reports != 2 {
 		t.Fatalf("stored reports = %d, want 2", reports)
+	}
+}
+
+// TestIdempotentReplaySurvivesHTTPLayerRestart: a completion belongs to the
+// store, so a keyed report appended before any Server exists replays from
+// every Server later built around that store.
+func TestIdempotentReplaySurvivesHTTPLayerRestart(t *testing.T) {
+	store := NewStore(10)
+	rep := Report{Vehicle: "veh-1", Segment: "seg", APs: []APReport{{X: 1, Y: 2, Credit: 3}}}
+	if err := store.AddReportKeyed(context.Background(), "restart-key", rep); err != nil {
+		t.Fatal(err)
+	}
+	for boot := 1; boot <= 2; boot++ {
+		ts := httptest.NewServer(New(store))
+		resp := postKeyed(t, ts.URL+"/v1/reports", "restart-key", rep)
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusCreated || resp.Header.Get("Idempotent-Replay") != "true" ||
+			string(body) != "{\"status\":\"stored\"}\n" {
+			t.Errorf("boot %d: status %d, Idempotent-Replay %q, body %q; want the stored ack replayed",
+				boot, resp.StatusCode, resp.Header.Get("Idempotent-Replay"), body)
+		}
+		ts.Close()
+	}
+	if _, _, reports := store.Counts(); reports != 1 {
+		t.Fatalf("stored reports = %d, want 1 (exactly once)", reports)
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"crowdwifi/internal/api"
+	"crowdwifi/internal/api/front"
 	"crowdwifi/internal/crowd"
 	"crowdwifi/internal/geo"
 	"crowdwifi/internal/obs"
@@ -30,66 +31,48 @@ import (
 	"crowdwifi/internal/wal"
 )
 
-// Resilience defaults for the HTTP surface.
+// Resilience defaults for the HTTP surface (the body caps are protocol:
+// api.DefaultMaxBodyBytes, api.DefaultBatchMaxBodyBytes).
 const (
-	// DefaultMaxBodyBytes caps ingestion request bodies.
-	DefaultMaxBodyBytes = 1 << 20
-	// DefaultBatchMaxBodyBytes caps /v1/reports/batch request bodies. Batch
-	// uploads carry hundreds of parked reports in one round-trip, so the
-	// single-upload cap would reject exactly the drains the endpoint exists
-	// for; the batch limit is per-route and independently configurable.
-	DefaultBatchMaxBodyBytes = 16 << 20
 	// DefaultRequestTimeout bounds each request's context.
 	DefaultRequestTimeout = 10 * time.Second
-	// DefaultIdempotencyCapacity bounds the deduplication cache.
-	DefaultIdempotencyCapacity = 4096
 	// MaxTaskCount caps ?count= on /v1/tasks.
 	MaxTaskCount = 100
 )
 
-// IdempotencyKeyHeader carries the client's per-upload deduplication key.
-const IdempotencyKeyHeader = api.IdempotencyKeyHeader
+// The protocol is defined in internal/api. These aliases are the names the
+// store's own code and bench/ — a separate module that spells them through
+// this package — go on using; they define nothing. The block is the complete
+// list to delete once bench/ imports internal/api itself.
+type (
+	Report           = api.Report
+	APReport         = api.APReport
+	Pattern          = api.Pattern
+	Label            = api.Label
+	LookupResult     = api.LookupResult
+	BatchEntryStatus = api.BatchEntryStatus
+)
+
+const (
+	FrameContentType     = api.FrameContentType
+	IdempotencyKeyHeader = api.IdempotencyKeyHeader
+)
+
+var (
+	EncodeReportFrame      = api.EncodeReportFrame
+	SplitReportFrames      = api.SplitReportFrames
+	EncodeLookupFrame      = api.EncodeLookupFrame
+	DecodeBatchStatusFrame = api.DecodeBatchStatusFrame
+)
 
 // redMetrics prefixes the shard's RED families.
 const redMetrics = "crowdwifi_http"
 
 // SLOObjectives returns the shard server's default objectives (see
-// api.SLOObjectives), evaluated from its own RED families.
+// front.SLOObjectives), evaluated from its own RED families.
 func SLOObjectives(reg *obs.Registry) []slo.Objective {
-	return api.SLOObjectives(reg, redMetrics, "")
+	return front.SLOObjectives(reg, redMetrics, "")
 }
-
-// APReport is one AP estimate inside a vehicle report.
-type APReport struct {
-	X      float64 `json:"x"`
-	Y      float64 `json:"y"`
-	Credit float64 `json:"credit"`
-}
-
-// Report is a crowd-vehicle's upload for one road segment.
-type Report struct {
-	Vehicle string     `json:"vehicle"`
-	Segment string     `json:"segment"`
-	APs     []APReport `json:"aps"`
-}
-
-// Pattern is a candidate AP distribution pattern (a mapping task): a set of
-// AP positions on a segment that crowd-vehicles confirm or reject.
-type Pattern struct {
-	ID      int        `json:"id"`
-	Segment string     `json:"segment"`
-	APs     []APReport `json:"aps"`
-}
-
-// Label is a crowd-vehicle's ±1 answer for a pattern.
-type Label struct {
-	Vehicle string `json:"vehicle"`
-	TaskID  int    `json:"taskId"`
-	Value   int    `json:"value"`
-}
-
-// LookupResult is a fused AP record served to user-vehicles.
-type LookupResult = api.LookupResult
 
 // Store is the crowd-server's state. All methods are safe for concurrent use.
 //
@@ -122,13 +105,13 @@ type Store struct {
 	workers     atomic.Int64 // fusion parallelism; 0 → par.DefaultWorkers()
 	metrics     *Metrics
 
-	// Durability (see persist.go). log is nil for an in-memory store;
-	// recoveredIdem buffers replayed idempotency completions until a Server
-	// attaches its cache as idemSink.
-	log           *wal.Log
-	storage       StorageOptions
-	idemSink      *idemCache
-	recoveredIdem []idemEntry
+	// Durability (see persist.go). log is nil for an in-memory store. idem
+	// belongs to the store, not to a Server, because a key is completed under
+	// mu with the mutation it acknowledges — by recovery before any Server
+	// exists, and on behalf of every Server built around this store.
+	log     *wal.Log
+	storage StorageOptions
+	idem    *idemCache
 
 	// batchChunk overrides the batch-append chunk budget (bytes of encoded
 	// entries per WAL record); 0 selects defaultBatchChunkBytes. Tests lower
@@ -182,7 +165,7 @@ func NewStore(mergeRadius float64) *Store {
 	if mergeRadius <= 0 {
 		mergeRadius = 10
 	}
-	s := &Store{mergeRadius: mergeRadius}
+	s := &Store{mergeRadius: mergeRadius, idem: newIdemCache(0)}
 	s.view.Store(newView(nil, nil))
 	return s
 }
@@ -574,8 +557,6 @@ type Server struct {
 	// other mutation route stays under maxBody.
 	batchMaxBody int64
 	reqTimeout   time.Duration
-	idemCap      int
-	idem         *idemCache
 
 	ov        *overload.Admission
 	ovEnabled bool
@@ -593,7 +574,7 @@ type Server struct {
 
 	// stack is the middleware every route is mounted through; debug is the
 	// debug surface, built once and served on the API mux and by Debug().
-	stack api.Stack
+	stack front.Stack
 	debug *http.ServeMux
 }
 
@@ -615,12 +596,6 @@ func WithBatchMaxBodyBytes(n int64) Option {
 // WithRequestTimeout bounds every request's context (≤ 0 disables).
 func WithRequestTimeout(d time.Duration) Option {
 	return func(s *Server) { s.reqTimeout = d }
-}
-
-// WithIdempotencyCapacity bounds the deduplication cache (≤ 0 restores the
-// default).
-func WithIdempotencyCapacity(n int) Option {
-	return func(s *Server) { s.idemCap = n }
 }
 
 // WithMetrics attaches a metrics bundle: every route is wrapped with the
@@ -680,56 +655,48 @@ func New(store *Store, opts ...Option) *Server {
 	s := &Server{
 		store:      store,
 		mux:        http.NewServeMux(),
-		maxBody:    DefaultMaxBodyBytes,
 		reqTimeout: DefaultRequestTimeout,
-		idemCap:    DefaultIdempotencyCapacity,
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
 	if s.maxBody <= 0 {
-		s.maxBody = DefaultMaxBodyBytes
+		s.maxBody = api.DefaultMaxBodyBytes
 	}
 	if s.batchMaxBody <= 0 {
-		s.batchMaxBody = DefaultBatchMaxBodyBytes
+		s.batchMaxBody = api.DefaultBatchMaxBodyBytes
 	}
-	s.idem = newIdemCache(s.idemCap)
-	// Seed the cache with completions recovered from the WAL/snapshot and
-	// register it so durable mutations install their canonical responses
-	// atomically: acknowledged keys replay verbatim even across a crash.
-	store.attachIdem(s.idem)
 	if s.metrics != nil {
 		store.Instrument(s.metrics)
 	}
 	if s.ovEnabled {
 		s.buildOverload()
 	}
-	s.stack = api.Stack{
+	s.stack = front.Stack{
 		Tier:      "server",
 		Metrics:   redMetrics,
 		Registry:  s.metrics.Registry(),
 		Sheds:     s.metrics.shedCounter(),
 		Tracer:    s.tracer,
 		Admission: s.ov,
-		Classify:  classify,
 		Timeout:   s.reqTimeout,
 	}
 	handle := func(route string, h http.HandlerFunc) { s.stack.Handle(s.mux, route, h) }
-	handle("/v1/patterns", s.ingest(s.maxBody, s.dedupe(s.handlePatterns)))
-	handle("/v1/tasks", s.handleTasks)
-	handle("/v1/labels", s.ingest(s.maxBody, s.dedupe(s.handleLabels)))
-	handle("/v1/reports", s.ingest(s.maxBody, s.dedupe(s.handleReports)))
+	handle(api.RoutePatterns, s.ingest(s.maxBody, s.dedupe(s.handlePatterns)))
+	handle(api.RouteTasks, s.handleTasks)
+	handle(api.RouteLabels, s.ingest(s.maxBody, s.dedupe(s.handleLabels)))
+	handle(api.RouteReports, s.ingest(s.maxBody, s.dedupe(s.handleReports)))
 	// Batch idempotency is per entry — keys ride inside the body — so the
 	// whole-request dedupe does not apply.
-	handle("/v1/reports/batch", s.ingest(s.batchMaxBody, s.handleReportBatch))
-	handle("/v1/aggregate", s.handleAggregate)
-	handle("/v1/lookup", s.handleLookup)
-	handle("/v1/reliability", s.handleReliability)
+	handle(api.RouteReportsBatch, s.ingest(s.batchMaxBody, s.handleReportBatch))
+	handle(api.RouteAggregate, s.handleAggregate)
+	handle(api.RouteLookup, s.handleLookup)
+	handle(api.RouteReliability, s.handleReliability)
 	if s.cluster != nil {
-		handle("/v1/cluster/digest", s.handleClusterDigest)
-		handle("/v1/cluster/slice", s.handleClusterSlice)
-		handle("/v1/cluster/drop", s.handleClusterDrop)
-		handle("/v1/cluster/members", s.handleClusterMembers)
+		handle(api.RouteClusterDigest, s.handleClusterDigest)
+		handle(api.RouteClusterSlice, s.handleClusterSlice)
+		handle(api.RouteClusterDrop, s.handleClusterDrop)
+		handle(api.RouteClusterMembers, s.handleClusterMembers)
 	}
 	s.debug = http.NewServeMux()
 	if s.metrics != nil {
@@ -747,7 +714,7 @@ func New(store *Store, opts ...Option) *Server {
 	if s.profiler != nil {
 		obs.MountProfiles(s.debug, s.profiler)
 	}
-	api.MountDebug(s.mux, s.debug)
+	front.MountDebug(s.mux, s.debug)
 	return s
 }
 
@@ -813,31 +780,6 @@ func (s *Server) overloadVars() any {
 // read-only recovery probing.
 func (s *Server) Overload() *overload.Admission { return s.ov }
 
-// classify maps a (route, method) to its shedding family and whether it
-// mutates durable state. Uploads (vehicle ingest POSTs) shed first; GET
-// reads and task/aggregation management are control traffic; /v1/lookup is
-// the protected class.
-func classify(route, method string) (overload.Family, bool) {
-	switch route {
-	case "/v1/lookup":
-		return overload.FamilyLookup, false
-	case "/v1/reports", "/v1/reports/batch", "/v1/labels", "/v1/patterns":
-		if method == http.MethodPost {
-			return overload.FamilyUpload, true
-		}
-		return overload.FamilyControl, false
-	case "/v1/aggregate":
-		return overload.FamilyControl, method == http.MethodPost
-	case "/v1/cluster/slice", "/v1/cluster/drop":
-		// Rebalance transfers mutate durable state; a read-only shard must
-		// reject them like any upload so data is never half-moved onto a
-		// failing disk.
-		return overload.FamilyControl, method == http.MethodPost
-	default:
-		return overload.FamilyControl, false
-	}
-}
-
 // uploadRetryHint estimates Retry-After for the one shed issued outside the
 // admission layer (duplicate in flight), from the upload family's backlog
 // when admission is enabled.
@@ -873,7 +815,7 @@ func (s *Server) dedupe(h http.HandlerFunc) http.HandlerFunc {
 		// in the trace as a short server.dedupe instead of a full handler.
 		_, dspan := trace.StartChild(r.Context(), "server.dedupe")
 		dspan.SetAttr("idempotency_key", key)
-		seen, rec := s.idem.begin(key)
+		seen, rec := s.store.idem.begin(key)
 		dspan.SetAttr("duplicate", seen)
 		if seen {
 			defer dspan.End()
@@ -894,7 +836,7 @@ func (s *Server) dedupe(h http.HandlerFunc) http.HandlerFunc {
 		h(w, r)
 		// A mutation that committed has completed the key under the store's
 		// lock; whatever else the handler answered must free it for a retry.
-		s.idem.release(key)
+		s.store.idem.release(key)
 	}
 }
 
@@ -1077,12 +1019,12 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var rep Report
-	if isFrameRequest(r) {
+	if api.IsFrameRequest(r) {
 		body, ok := s.readBody(w, r)
 		if !ok {
 			return
 		}
-		frames, err := SplitReportFrames(body)
+		frames, err := api.SplitReportFrames(body)
 		if err != nil {
 			api.WriteError(w, http.StatusBadRequest, err)
 			return
@@ -1136,8 +1078,8 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	results := s.store.Lookup(area)
-	if WantsFrame(r.Header.Get("Accept")) {
-		writeFrame(w, EncodeLookupFrame(results))
+	if api.WantsFrame(r.Header.Get("Accept")) {
+		writeFrame(w, api.EncodeLookupFrame(results))
 		return
 	}
 	// Store.Lookup never returns nil, so empty results encode as [].
@@ -1146,7 +1088,7 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 
 // writeFrame sends a 200 with a binary-codec body.
 func writeFrame(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", FrameContentType)
+	w.Header().Set("Content-Type", api.FrameContentType)
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)
 }
