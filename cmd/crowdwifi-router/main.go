@@ -12,9 +12,8 @@
 // counters and histograms get shard="all" sums), /debug/traces/{id}
 // assembles per-process trace fragments into one end-to-end trace,
 // /debug/cluster is a one-fetch JSON view of ring ownership, per-shard
-// digests/modes/WAL depth and reconcile drift, /debug/slo evaluates the
-// router's burn-rate SLOs, and /debug/profiles serves the continuous
-// CPU/heap profile ring.
+// digests/modes/WAL depth and reconcile drift, and /debug/slo evaluates the
+// router's burn-rate SLOs.
 //
 // On startup (unless -reconcile=false) the router runs one reconcile pass:
 // it fetches every shard's per-segment digests, moves any segment resident
@@ -184,9 +183,6 @@ func run(cfg config, logger *obs.Logger) error {
 	})
 	go sloEngine.Run(ctx)
 
-	profiler := obs.NewProfiler(obs.ProfilerConfig{Logger: logger})
-	go profiler.Run(ctx)
-
 	// The debug surface is built once and served twice: under the API mux,
 	// like the crowd-server's (one scrape target per process by default), and
 	// alone on -metrics-addr. /metrics federates every shard's registry with
@@ -200,7 +196,6 @@ func run(cfg config, logger *obs.Logger) error {
 	debug.Handle("/debug/traces/", traceHandler)
 	debug.Handle("/debug/cluster", rt.ClusterHandler())
 	debug.Handle("/debug/slo", sloEngine.Handler())
-	obs.MountProfiles(debug, profiler)
 	obs.MountHealth(debug, health)
 	mux := http.NewServeMux()
 	mux.Handle("/", rt)

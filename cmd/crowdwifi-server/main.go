@@ -205,14 +205,12 @@ func run(cfg config, logger *obs.Logger) error {
 	}
 
 	// The SLO engine evaluates the shard's user-facing objectives from its
-	// own RED families; the profiler keeps a ring of CPU/heap snapshots.
-	// Both mount on the API mux (/debug/slo, /debug/profiles) and run until
+	// own RED families; it mounts on the API mux (/debug/slo) and runs until
 	// shutdown.
 	sloEngine := slo.New(slo.Config{
 		Objectives: server.SLOObjectives(reg),
 		Registry:   reg,
 	})
-	profiler := obs.NewProfiler(obs.ProfilerConfig{Logger: logger})
 
 	srvOpts := []server.Option{
 		server.WithMetrics(metrics),
@@ -220,7 +218,6 @@ func run(cfg config, logger *obs.Logger) error {
 		server.WithTracer(tracer),
 		server.WithHealth(health),
 		server.WithSLO(sloEngine.Handler()),
-		server.WithProfiler(profiler),
 	}
 	if cfg.maxBody > 0 {
 		srvOpts = append(srvOpts, server.WithMaxBodyBytes(cfg.maxBody))
@@ -260,7 +257,6 @@ func run(cfg config, logger *obs.Logger) error {
 	ctx = trace.WithTracer(ctx, tracer)
 
 	go sloEngine.Run(ctx)
-	go profiler.Run(ctx)
 
 	// The overload controller's probe loop walks a read-only server back to
 	// healthy once the disk accepts durable writes again.

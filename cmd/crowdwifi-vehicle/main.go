@@ -141,12 +141,9 @@ func run(ctx context.Context, cfg runConfig, logger *obs.Logger) error {
 	})
 	ctx = trace.WithTracer(ctx, tracer)
 	if cfg.MetricsAddr != "" {
-		profiler := obs.NewProfiler(obs.ProfilerConfig{Logger: logger})
-		go profiler.Run(ctx)
 		go func() {
 			debugMux := obs.NewDebugMux(reg)
 			trace.Mount(debugMux, tracer.Store())
-			obs.MountProfiles(debugMux, profiler)
 			srv := &http.Server{
 				Addr:              cfg.MetricsAddr,
 				Handler:           debugMux,

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"sort"
@@ -123,13 +124,15 @@ func WriteShed(w http.ResponseWriter, reason error, retryAfter time.Duration) {
 // Retry-After in delay-seconds form. 0 means absent or unparseable (the
 // HTTP-date form is not supported; neither tier emits it).
 func RetryAfter(h http.Header) time.Duration {
-	d := time.Duration(0)
+	// The count is clamped before it is scaled: time.Duration(n) * unit
+	// overflows to a negative wait for an n the peer is free to send.
 	if ms, err := strconv.Atoi(h.Get(RetryAfterMsHeader)); err == nil && ms > 0 {
-		d = time.Duration(ms) * time.Millisecond
-	} else if secs, err := strconv.Atoi(h.Get("Retry-After")); err == nil && secs > 0 {
-		d = time.Duration(secs) * time.Second
+		return time.Duration(min(ms, int(MaxRetryAfter/time.Millisecond))) * time.Millisecond
 	}
-	return min(d, MaxRetryAfter)
+	if secs, err := strconv.Atoi(h.Get("Retry-After")); err == nil && secs > 0 {
+		return time.Duration(min(secs, int(MaxRetryAfter/time.Second))) * time.Second
+	}
+	return 0
 }
 
 // RetryableStatus reports whether a later attempt at the same request may
@@ -223,12 +226,14 @@ func LookupQuery(area geo.Rect) string {
 
 // ParseLookupQuery decodes what LookupQuery encodes. Degenerate rects are
 // rejected instead of built: geo.NewRect would silently normalize swapped
-// corners and answer the wrong query.
+// corners and answer the wrong query. NaN is no coordinate (it would pass
+// the corner comparison and scan every AP to match none); ±Inf stays legal,
+// it is how a client asks for everything.
 func ParseLookupQuery(q url.Values) (geo.Rect, error) {
 	var vals [4]float64
 	for i, name := range lookupParams {
 		v, err := strconv.ParseFloat(q.Get(name), 64)
-		if err != nil {
+		if err != nil || math.IsNaN(v) {
 			return geo.Rect{}, fmt.Errorf("bad %s", name)
 		}
 		vals[i] = v

@@ -31,6 +31,8 @@ func TestRetryAfterHeaderCombinations(t *testing.T) {
 		{"garbage seconds (HTTP-date unsupported)", "", "Wed, 21 Oct 2015 07:28:00 GMT", 0},
 		{"ms over the cap", "999000", "", MaxRetryAfter},
 		{"seconds over the cap", "", "999", MaxRetryAfter},
+		{"ms that overflows a Duration", "9300000000000", "", MaxRetryAfter},
+		{"seconds that overflow a Duration", "", "9223372037", MaxRetryAfter},
 		{"absent", "", "", 0},
 	}
 	for _, tc := range cases {
@@ -106,6 +108,8 @@ func TestParseLookupQueryRejects(t *testing.T) {
 		"xmin=1e+06&ymin=0&xmax=2e6&ymax=1": "bad xmin", // a bare + is a space
 		"xmin=2&ymin=0&xmax=1&ymax=1":       "degenerate rect: xmin must not exceed xmax and ymin must not exceed ymax",
 		"xmin=0&ymin=2&xmax=1&ymax=1":       "degenerate rect: xmin must not exceed xmax and ymin must not exceed ymax",
+		"xmin=NaN&ymin=0&xmax=1&ymax=NaN":   "bad xmin", // NaN > x is false: the corner check alone lets it through
+		"xmin=0&ymin=0&xmax=1&ymax=nan":     "bad ymax",
 	} {
 		q, err := url.ParseQuery(query)
 		if err != nil {

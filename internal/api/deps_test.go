@@ -28,7 +28,7 @@ func internalDeps(t *testing.T, pkgs ...string) []string {
 }
 
 // TestClientsDoNotLinkTheServer keeps the boundary this package exists for:
-// a vehicle, the load generator and the retry layer speak the protocol
+// a vehicle and the retry layer speak the protocol
 // without compiling the crowd-server's store, inference, admission control,
 // SLO engine or the router.
 func TestClientsDoNotLinkTheServer(t *testing.T) {
@@ -36,7 +36,7 @@ func TestClientsDoNotLinkTheServer(t *testing.T) {
 		"server": true, "crowd": true, "overload": true, "obs/slo": true,
 		"cluster": true, "cluster/ring": true,
 	}
-	for _, dep := range internalDeps(t, "crowdwifi/cmd/crowdwifi-vehicle", "crowdwifi/cmd/crowdwifi-load",
+	for _, dep := range internalDeps(t, "crowdwifi/cmd/crowdwifi-vehicle",
 		"crowdwifi/internal/client", "crowdwifi/internal/retry") {
 		if forbidden[dep] {
 			t.Errorf("a client depends on internal/%s", dep)

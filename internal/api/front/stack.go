@@ -73,9 +73,10 @@ func (s *Stack) Handle(mux *http.ServeMux, route string, h http.HandlerFunc) {
 		if tracer == nil {
 			tracer = trace.TracerFromContext(r.Context())
 		}
+		method := methodLabel(r.Method)
 		ctx, span := r.Context(), (*trace.Span)(nil)
 		if tracer != nil {
-			ctx, span = tracer.StartServer(ctx, s.Tier+" "+r.Method+" "+route, r.Header)
+			ctx, span = tracer.StartServer(ctx, s.Tier+" "+method+" "+route, r.Header)
 		}
 		defer span.End()
 		span.SetAttr("http.method", r.Method)
@@ -87,13 +88,25 @@ func (s *Stack) Handle(mux *http.ServeMux, route string, h http.HandlerFunc) {
 
 		if s.Registry != nil {
 			hist.ObserveWithExemplar(time.Since(start).Seconds(), span.TraceID())
-			s.count(route, r.Method, sw.code)
+			s.count(route, method, sw.code)
 		}
 		span.SetAttr("http.status", sw.code)
 		if sw.code >= http.StatusInternalServerError {
 			span.SetError(fmt.Errorf("status %d", sw.code))
 		}
 	})
+}
+
+// methodLabel folds a request method into the closed set the route table
+// answers. net/http accepts any token as a method, so the raw value would let
+// one unauthenticated loop mint a series (and a slowest-traces root name) per
+// spelling.
+func methodLabel(method string) string {
+	switch method {
+	case http.MethodGet, http.MethodPost:
+		return method
+	}
+	return "other"
 }
 
 // count records one served request, plus the error series for 4xx/5xx
@@ -120,8 +133,8 @@ func (s *Stack) admit(ctx context.Context, w *statusWriter, r *http.Request, rou
 	if s.Admission != nil {
 		fam, mutation := classify(route, r.Method)
 		// Every response carries the tier's degradation mode, not just the
-		// sheds: clients and the router track health passively from traffic
-		// they were sending anyway, without probing or parsing errors.
+		// sheds: the router tracks shard health passively from traffic it
+		// was relaying anyway, without probing or parsing errors.
 		w.Header().Set(api.ModeHeader, s.Admission.Mode().String())
 		dec = s.Admission.Admit(ctx, fam, mutation)
 		if !dec.OK {

@@ -3,14 +3,18 @@ package api
 import (
 	"bytes"
 	"net/http"
+	"net/url"
 	"runtime"
 	"testing"
+
+	"crowdwifi/internal/geo"
 )
 
-// Fuzz targets for the three frame decoders, which parse bytes from the
-// network. Each holds the decoder to the same three properties: it does not
-// panic; what it accepts re-encodes to the bytes it was given (the codec has
-// one encoding per value, so a relay may re-encode or forward verbatim); and
+// Fuzz targets for the three frame decoders and the two header/query parsers,
+// which parse bytes from the network. Each holds its parser to the same three
+// properties: it does not panic; what it accepts re-encodes to what it was
+// given (the codec has one encoding per value, so a relay may re-encode or
+// forward verbatim; an accepted lookup rect survives LookupQuery → parse); and
 // it allocates in proportion to its input, not to a count the input claims.
 
 // allocBound is the heap a decoder may use per input byte, plus slack for
@@ -115,6 +119,51 @@ func FuzzDecodeBatchStatusFrame(f *testing.F) {
 		}
 		if !bytes.Equal(again, body) {
 			t.Fatalf("re-encoded %x, body is %x", again, body)
+		}
+	})
+}
+
+func FuzzRetryAfter(f *testing.F) {
+	f.Add("40", "1")
+	f.Add("", "3")
+	f.Add("soon", "Wed, 21 Oct 2015 07:28:00 GMT")
+	f.Add("9300000000000", "") // × time.Millisecond overflows int64
+	f.Add("", "9223372037")    // × time.Second overflows int64
+	f.Fuzz(func(t *testing.T, ms, secs string) {
+		h := http.Header{RetryAfterMsHeader: {ms}, "Retry-After": {secs}}
+		decodeBounded(t, len(ms)+len(secs), func() {
+			if d := RetryAfter(h); d < 0 || d > MaxRetryAfter {
+				t.Fatalf("RetryAfter(ms=%q, secs=%q) = %v, outside [0, %v]", ms, secs, d, MaxRetryAfter)
+			}
+		})
+	})
+}
+
+func FuzzParseLookupQuery(f *testing.F) {
+	f.Add("xmin=0&ymin=0&xmax=100&ymax=100")
+	f.Add("xmin=-Inf&ymin=-Inf&xmax=%2BInf&ymax=%2BInf")
+	f.Add("xmin=NaN&ymin=0&xmax=1&ymax=NaN") // passes a > comparison, matches nothing
+	f.Add("xmin=0&ymin=0&xmax=1e+06&ymax=1") // a bare + is a space
+	f.Add("xmin=0&ymin=0&xmax=1e%2B06&ymax=1")
+	f.Add("xmin=2&ymin=2&xmax=1&ymax=1") // swapped corners
+	f.Fuzz(func(t *testing.T, query string) {
+		q, err := url.ParseQuery(query)
+		if err != nil {
+			return
+		}
+		var rect, again geo.Rect
+		decodeBounded(t, len(query), func() { rect, err = ParseLookupQuery(q) })
+		if err != nil {
+			return
+		}
+		if !(rect.Min.X <= rect.Max.X && rect.Min.Y <= rect.Max.Y) {
+			t.Fatalf("%q accepted as %+v: Min must not exceed Max", query, rect)
+		}
+		if q, err = url.ParseQuery(LookupQuery(rect)); err == nil {
+			again, err = ParseLookupQuery(q)
+		}
+		if err != nil || again != rect {
+			t.Fatalf("%q: %+v re-encodes to %+v (err %v)", query, rect, again, err)
 		}
 	})
 }

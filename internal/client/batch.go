@@ -1,12 +1,11 @@
 package client
 
-// Batch uploads: UploadReportBatch posts many reports in one round-trip
-// through POST /v1/reports/batch, and DrainOutbox (with BatchSize > 1)
-// flushes contiguous runs of parked reports the same way. Both speak the
-// binary frame codec on the wire — the batch endpoint exists to amortize
-// round-trips, and frames amortize encoding — and classify each entry from
-// the response's per-entry status vector with the same terminal-vs-transient
-// rules as single uploads.
+// Batch drains: DrainOutbox (with BatchSize > 1) flushes contiguous runs of
+// parked reports through POST /v1/reports/batch. It speaks the binary frame
+// codec on the wire — the batch endpoint exists to amortize round-trips, and
+// frames amortize encoding — and classifies each entry from the response's
+// per-entry status vector with the same terminal-vs-transient rules as
+// single uploads.
 
 import (
 	"context"
@@ -17,107 +16,6 @@ import (
 	"crowdwifi/internal/api"
 	"crowdwifi/internal/obs/trace"
 )
-
-// BatchOutcome summarizes one batch upload: Acked entries are durably
-// stored (or replayed), Queued entries are parked in the Outbox for a later
-// drain, Failed entries were rejected terminally.
-type BatchOutcome struct {
-	Acked  int
-	Queued int
-	Failed int
-}
-
-// UploadReportBatch posts several reports in one round-trip. Each entry
-// gets its own idempotency key, embedded in its frame, so a replayed batch
-// deduplicates entry by entry. Per-entry transient rejections — and a
-// transient whole-request failure — park the affected entries individually
-// in the Outbox (ErrQueued); terminal rejections count as Failed.
-func (v *CrowdVehicle) UploadReportBatch(ctx context.Context, reps []api.Report) (BatchOutcome, error) {
-	var out BatchOutcome
-	if len(reps) == 0 {
-		return out, nil
-	}
-	keys := make([]string, len(reps))
-	var body []byte
-	var err error
-	for i, rep := range reps {
-		keys[i] = v.nextIdempotencyKey()
-		if body, err = api.EncodeReportFrame(body, keys[i], rep); err != nil {
-			return out, err
-		}
-	}
-
-	ctx, span := trace.Start(ctx, "client.upload "+api.RouteReportsBatch)
-	defer span.End()
-	span.SetAttr("entries", len(reps))
-	span.SetAttr("bytes", len(body))
-
-	var resp api.BatchResponse
-	err = sendBody(ctx, v.Metrics, v.httpDoer(), http.MethodPost, v.BaseURL+api.RouteReportsBatch, api.FrameContentType, body, "", &resp)
-	if err != nil {
-		span.SetError(err)
-		if v.Outbox != nil && transientError(err) {
-			for i, rep := range reps {
-				v.parkReport(keys[i], rep, span.Traceparent())
-			}
-			out.Queued = len(reps)
-			span.AddEvent("queued to outbox")
-			return out, fmt.Errorf("%w: %s (cause: %v)", ErrQueued, api.RouteReportsBatch, err)
-		}
-		out.Failed = len(reps)
-		return out, err
-	}
-
-	byKey := make(map[string]int, len(resp.Results))
-	for _, st := range resp.Results {
-		byKey[st.Key] = st.Status
-	}
-	for i, rep := range reps {
-		st := byKey[keys[i]]
-		switch {
-		case st >= 200 && st < 300:
-			out.Acked++
-		case st != 0 && !api.RetryableStatus(st):
-			out.Failed++
-		default:
-			// Transient per-entry rejection, or no verdict at all: the
-			// entry's fate is unknown or retryable, so park it.
-			if v.Outbox != nil {
-				v.parkReport(keys[i], rep, span.Traceparent())
-				out.Queued++
-			} else {
-				out.Failed++
-			}
-		}
-	}
-	if out.Queued > 0 {
-		v.syncOutboxGauges()
-		err = fmt.Errorf("%w: %s (%d of %d entries deferred)", ErrQueued, api.RouteReportsBatch, out.Queued, len(reps))
-		span.AddEvent("queued to outbox")
-	} else if out.Failed > 0 {
-		err = fmt.Errorf("client: %s: %d of %d entries rejected", api.RouteReportsBatch, out.Failed, len(reps))
-		span.SetError(err)
-	}
-	return out, err
-}
-
-// parkReport queues one report as a single-upload outbox entry: the body is
-// a key-less report frame and the key rides in Entry.Key, so the entry can
-// drain either singly (key in the header) or re-framed into a batch.
-func (v *CrowdVehicle) parkReport(key string, rep api.Report, traceparent string) {
-	body, err := api.EncodeReportFrame(nil, "", rep)
-	if err != nil {
-		return
-	}
-	v.Outbox.enqueue(Entry{
-		Path:        api.RouteReports,
-		Body:        body,
-		Key:         key,
-		ContentType: api.FrameContentType,
-		Traceparent: traceparent,
-	})
-	v.Metrics.incOutboxEnqueued()
-}
 
 // entryReport recovers the api.Report a parked entry carries, whatever
 // codec it was parked in.
@@ -177,7 +75,7 @@ func (v *CrowdVehicle) drainBatch(ctx context.Context, run []Entry) (int, error)
 	span.SetAttr("entries", len(live))
 	span.SetAttr("queued_for", v.Outbox.OldestAge().String())
 	var resp api.BatchResponse
-	err := sendBody(dctx, v.Metrics, v.httpDoer(), http.MethodPost, v.BaseURL+api.RouteReportsBatch, api.FrameContentType, body, "", &resp)
+	err := sendBody(dctx, v.Metrics, v.HTTP, http.MethodPost, v.BaseURL+api.RouteReportsBatch, api.FrameContentType, body, "", &resp)
 	span.SetError(err)
 	span.End()
 	if err != nil {

@@ -2,10 +2,7 @@ package client
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -30,11 +27,17 @@ func batchVehicle(t *testing.T, baseURL string) *CrowdVehicle {
 func parkN(t *testing.T, v *CrowdVehicle, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		v.parkReport(fmt.Sprintf("pk-%d", i), api.Report{
+		// Parked the way a binary-codec UploadReport parks: a key-less frame
+		// as the body, the key in Entry.Key.
+		body, err := api.EncodeReportFrame(nil, "", api.Report{
 			Vehicle: v.ID,
 			Segment: fmt.Sprintf("pseg-%d", i),
 			APs:     []api.APReport{{X: float64(i), Y: 1, Credit: 1}},
-		}, "")
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.Outbox.enqueue(Entry{Path: api.RouteReports, Body: body, Key: fmt.Sprintf("pk-%d", i), ContentType: api.FrameContentType})
 	}
 	if v.Outbox.Len() != n {
 		t.Fatalf("parked %d entries, outbox holds %d", n, v.Outbox.Len())
@@ -110,84 +113,5 @@ func TestDrainBatchDeliversRunInOneRequest(t *testing.T) {
 	}
 	if got := v.Metrics.outboxDrained.Value(); got != n {
 		t.Fatalf("outbox drained counter = %d, want %d", got, n)
-	}
-}
-
-// TestUploadReportBatchTransientFailureParksAll: a whole-request transient
-// failure parks every entry individually and surfaces ErrQueued.
-func TestUploadReportBatchTransientFailureParksAll(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprint(w, `{"error":"overloaded"}`)
-	}))
-	t.Cleanup(ts.Close)
-	v := batchVehicle(t, ts.URL)
-
-	reps := make([]api.Report, 3)
-	for i := range reps {
-		reps[i] = api.Report{Vehicle: v.ID, Segment: fmt.Sprintf("ts-%d", i),
-			APs: []api.APReport{{X: 1, Y: 2, Credit: 1}}}
-	}
-	out, err := v.UploadReportBatch(context.Background(), reps)
-	if !errors.Is(err, ErrQueued) {
-		t.Fatalf("err = %v, want ErrQueued", err)
-	}
-	if out.Queued != len(reps) || out.Acked != 0 || out.Failed != 0 {
-		t.Fatalf("outcome = %+v, want all %d queued", out, len(reps))
-	}
-	if v.Outbox.Len() != len(reps) {
-		t.Fatalf("outbox holds %d entries, want %d", v.Outbox.Len(), len(reps))
-	}
-}
-
-// TestUploadReportBatchMixedStatusVector: per-entry verdicts from the status
-// vector settle independently — acks count, terminal rejections fail,
-// transient rejections park.
-func TestUploadReportBatchMixedStatusVector(t *testing.T) {
-	statusBySegment := map[string]int{
-		"mix-0": http.StatusCreated,
-		"mix-1": http.StatusRequestEntityTooLarge, // terminal → Failed
-		"mix-2": http.StatusServiceUnavailable,    // transient → Queued
-	}
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			t.Errorf("reading batch body: %v", err)
-		}
-		frames, err := api.SplitReportFrames(body)
-		if err != nil {
-			t.Errorf("SplitReportFrames: %v", err)
-			w.WriteHeader(http.StatusBadRequest)
-			return
-		}
-		var resp api.BatchResponse
-		for _, f := range frames {
-			resp.Results = append(resp.Results, api.BatchEntryStatus{
-				Key:    f.Key,
-				Status: statusBySegment[f.Report.Segment],
-			})
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(resp); err != nil {
-			t.Errorf("encoding response: %v", err)
-		}
-	}))
-	t.Cleanup(ts.Close)
-	v := batchVehicle(t, ts.URL)
-
-	reps := make([]api.Report, 0, len(statusBySegment))
-	for i := 0; i < len(statusBySegment); i++ {
-		reps = append(reps, api.Report{Vehicle: v.ID, Segment: fmt.Sprintf("mix-%d", i),
-			APs: []api.APReport{{X: 1, Y: 2, Credit: 1}}})
-	}
-	out, err := v.UploadReportBatch(context.Background(), reps)
-	if !errors.Is(err, ErrQueued) {
-		t.Fatalf("err = %v, want ErrQueued (one entry deferred)", err)
-	}
-	if out.Acked != 1 || out.Failed != 1 || out.Queued != 1 {
-		t.Fatalf("outcome = %+v, want 1/1/1", out)
-	}
-	if v.Outbox.Len() != 1 {
-		t.Fatalf("outbox holds %d entries, want 1 (the transient rejection)", v.Outbox.Len())
 	}
 }

@@ -83,41 +83,6 @@ func RetryAfterHint(err error) time.Duration {
 	return 0
 }
 
-// modeRecorder remembers the last X-Crowdwifi-Mode header a vehicle saw, so
-// fleets (and the cluster router) can observe a degraded server from traffic
-// they were sending anyway instead of parsing errors. Safe for concurrent
-// use.
-type modeRecorder struct{ v atomic.Value }
-
-func (m *modeRecorder) observe(resp *http.Response) {
-	if resp == nil {
-		return
-	}
-	if s := resp.Header.Get(api.ModeHeader); s != "" {
-		m.v.Store(s)
-	}
-}
-
-func (m *modeRecorder) last() string {
-	s, _ := m.v.Load().(string)
-	return s
-}
-
-// modeDoer wraps a transport, recording the mode header of every response it
-// returns. Sitting over a retrying doer it sees the final attempt's response
-// — including a terminal 503 that surfaces to the caller as a StatusError,
-// so the mode is captured even when the logical request fails.
-type modeDoer struct {
-	next HTTPDoer
-	rec  *modeRecorder
-}
-
-func (d modeDoer) Do(req *http.Request) (*http.Response, error) {
-	resp, err := d.next.Do(req)
-	d.rec.observe(resp)
-	return resp, err
-}
-
 // transientError reports whether err is worth queueing for a later contact
 // window: transport failures, timeouts, cancellations (the vehicle driving
 // out of range mid-upload), and the statuses the retry doer retries
@@ -160,17 +125,10 @@ type CrowdVehicle struct {
 
 	engine *cs.Engine
 
-	mode modeRecorder
-
 	keyOnce sync.Once
 	keySalt string
 	keySeq  atomic.Uint64
 }
-
-// LastServerMode returns the last X-Crowdwifi-Mode the server (or router)
-// sent on any of this vehicle's requests — "healthy", "overloaded",
-// "read-only", "recovering" — or "" before the first response carrying one.
-func (v *CrowdVehicle) LastServerMode() string { return v.mode.last() }
 
 // NewCrowdVehicle builds a crowd-vehicle with a fresh online CS engine.
 func NewCrowdVehicle(id, baseURL string, engineCfg cs.EngineConfig) (*CrowdVehicle, error) {
@@ -231,8 +189,8 @@ func (v *CrowdVehicle) Report(ctx context.Context, segment string) error {
 
 // UploadReport uploads a prebuilt report through the full resilience path
 // (idempotency key, retrying transport, outbox park on transient failure).
-// It never touches the CS engine, so load generators and replay tools can
-// drive fleets of CrowdVehicles constructed without one.
+// It never touches the CS engine, so fleet tests and replay tools can drive
+// CrowdVehicles constructed without one.
 func (v *CrowdVehicle) UploadReport(ctx context.Context, rep api.Report) error {
 	if v.Codec == CodecBinary {
 		buf, err := api.EncodeReportFrame(nil, "", rep)
@@ -270,7 +228,7 @@ func (v *CrowdVehicle) ProposePattern(ctx context.Context, segment string) (int,
 func (v *CrowdVehicle) PullTasks(ctx context.Context, count int) ([]api.Pattern, error) {
 	u := fmt.Sprintf("%s%s?vehicle=%s&count=%d", v.BaseURL, api.RouteTasks, url.QueryEscape(v.ID), count)
 	var out []api.Pattern
-	if err := get(ctx, v.Metrics, v.httpDoer(), u, &out); err != nil {
+	if err := get(ctx, v.Metrics, v.HTTP, u, &out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -388,7 +346,7 @@ func (v *CrowdVehicle) DrainOutbox(ctx context.Context) (int, error) {
 		if ct == "" {
 			ct = jsonContentType
 		}
-		err := sendBody(dctx, v.Metrics, v.httpDoer(), http.MethodPost, v.BaseURL+e.Path, ct, e.Body, e.Key, nil)
+		err := sendBody(dctx, v.Metrics, v.HTTP, http.MethodPost, v.BaseURL+e.Path, ct, e.Body, e.Key, nil)
 		span.SetError(err)
 		span.End()
 		if err != nil && transientError(err) {
@@ -425,25 +383,11 @@ type UserVehicle struct {
 	// Codec selects the lookup wire format: CodecBinary negotiates a
 	// CRC-framed binary answer via Accept; the default is JSON.
 	Codec string
-
-	mode modeRecorder
 }
 
 // NewUserVehicle builds a user-vehicle client.
 func NewUserVehicle(baseURL string) *UserVehicle {
 	return &UserVehicle{BaseURL: baseURL, HTTP: http.DefaultClient}
-}
-
-// LastServerMode returns the last X-Crowdwifi-Mode seen on this vehicle's
-// requests, or "" before the first response carrying one.
-func (u *UserVehicle) LastServerMode() string { return u.mode.last() }
-
-func (u *UserVehicle) httpDoer() HTTPDoer {
-	next := HTTPDoer(http.DefaultClient)
-	if u.HTTP != nil {
-		next = u.HTTP
-	}
-	return modeDoer{next: next, rec: &u.mode}
 }
 
 // Lookup downloads the fused APs inside the given area.
@@ -452,14 +396,14 @@ func (u *UserVehicle) Lookup(ctx context.Context, area geo.Rect) ([]geo.Point, e
 	var raw []api.LookupResult
 	if u.Codec == CodecBinary {
 		var frame []byte
-		err := get(ctx, u.Metrics, u.httpDoer(), q, &frame)
+		err := get(ctx, u.Metrics, u.HTTP, q, &frame)
 		if err == nil {
 			raw, err = api.DecodeLookupFrame(frame)
 		}
 		if err != nil {
 			return nil, err
 		}
-	} else if err := get(ctx, u.Metrics, u.httpDoer(), q, &raw); err != nil {
+	} else if err := get(ctx, u.Metrics, u.HTTP, q, &raw); err != nil {
 		return nil, err
 	}
 	out := make([]geo.Point, len(raw))
@@ -517,7 +461,7 @@ func (v *CrowdVehicle) postBody(ctx context.Context, path, contentType string, b
 	span.SetAttr("idempotency_key", key)
 	span.SetAttr("bytes", len(buf))
 
-	err := sendBody(ctx, v.Metrics, v.httpDoer(), http.MethodPost, v.BaseURL+path, contentType, buf, key, out)
+	err := sendBody(ctx, v.Metrics, v.HTTP, http.MethodPost, v.BaseURL+path, contentType, buf, key, out)
 	if err != nil && queueable && v.Outbox != nil && transientError(err) {
 		v.Outbox.enqueue(Entry{Path: path, Body: buf, Key: key, ContentType: contentType, Traceparent: span.Traceparent()})
 		v.Metrics.incOutboxEnqueued()
@@ -527,14 +471,6 @@ func (v *CrowdVehicle) postBody(ctx context.Context, path, contentType string, b
 	}
 	span.SetError(err)
 	return err
-}
-
-func (v *CrowdVehicle) httpDoer() HTTPDoer {
-	next := HTTPDoer(http.DefaultClient)
-	if v.HTTP != nil {
-		next = v.HTTP
-	}
-	return modeDoer{next: next, rec: &v.mode}
 }
 
 // sendBody is the single request path shared by every client call: it

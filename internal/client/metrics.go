@@ -8,8 +8,7 @@ import (
 )
 
 // Metrics instruments vehicle-side HTTP traffic to the crowd-server and the
-// store-and-forward outbox. Latency is captured per endpoint path — the
-// client-observed numbers the load generator's run report is built from — in
+// store-and-forward outbox. Latency is captured per endpoint path in
 // rolling-window histograms, so quantile reads describe recent round trips.
 // A nil *Metrics is a no-op, so unit tests and simulations pay nothing.
 type Metrics struct {

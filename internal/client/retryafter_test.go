@@ -59,7 +59,8 @@ func TestRetryAfterParsing(t *testing.T) {
 		want   time.Duration
 	}{
 		{"3", 3 * time.Second},
-		{"999", api.MaxRetryAfter}, // capped: a bad server must not park clients forever
+		{"999", api.MaxRetryAfter},        // capped: a bad server must not park clients forever
+		{"9223372037", api.MaxRetryAfter}, // overflows a Duration when scaled to seconds
 		{"0", 0},
 		{"-5", 0},
 		{"soon", 0}, // HTTP-date form unsupported on purpose; treat as absent

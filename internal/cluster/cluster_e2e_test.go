@@ -26,16 +26,16 @@ type e2eShard struct {
 	ts    *httptest.Server
 }
 
-func newE2EShard(t *testing.T, id string, members []string) *e2eShard {
+func newE2EShard(t *testing.T, id string, members []string, opts ...server.Option) *e2eShard {
 	t.Helper()
 	dir := t.TempDir()
 	store, _, err := server.OpenStore(e2eRadius, server.StorageOptions{Dir: dir})
 	if err != nil {
 		t.Fatalf("OpenStore(%s): %v", id, err)
 	}
-	srv := server.New(store, server.WithCluster(server.ClusterOptions{
+	srv := server.New(store, append(opts, server.WithCluster(server.ClusterOptions{
 		Self: id, Members: members,
-	}))
+	}))...)
 	sh := &e2eShard{id: id, dir: dir, store: store, ts: httptest.NewServer(srv)}
 	t.Cleanup(func() {
 		sh.ts.Close()

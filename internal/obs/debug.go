@@ -40,8 +40,8 @@ func MountDebug(mux *http.ServeMux, reg *Registry) {
 // "crowdwifi_histogram_quantiles" (p50/p95/p99/p999 estimates — rolling-
 // window estimates for windowed series), "crowdwifi_histogram_exemplars"
 // (per-bucket trace ids resolvable at /debug/traces/{id}), and
-// "crowdwifi_process" (CPU seconds and goroutines, so a load generator can
-// compute server CPU utilization from two scrapes). Emitted per-registry
+// "crowdwifi_process" (CPU seconds and goroutines, so a scraper can compute
+// server CPU utilization from two scrapes). Emitted per-registry
 // rather than via expvar.Publish, which is process-global and panics on
 // re-registration (multiple registries, tests).
 func varsHandler(reg *Registry) http.Handler {
@@ -98,8 +98,7 @@ func ProcessStats() ProcStats {
 
 // ProcessCPUSeconds returns the process's cumulative user+system CPU time
 // read from /proc/self/stat, or -1 when unavailable. Two samples Δt apart
-// give CPU utilization as Δcpu/Δt — the measure the load generator records
-// for the server under test.
+// give CPU utilization as Δcpu/Δt.
 func ProcessCPUSeconds() float64 {
 	b, err := os.ReadFile("/proc/self/stat")
 	if err != nil {

@@ -42,31 +42,6 @@ func (h *Histogram) bucketIndex(v float64) int {
 	return i
 }
 
-// BucketExemplar returns the exemplar recorded for bucket i (0-based over
-// the finite buckets, len(upper) addressing +Inf), or nil when that bucket
-// never saw an exemplared observation.
-func (h *Histogram) BucketExemplar(i int) *Exemplar {
-	if h == nil || i < 0 || i >= len(h.exemplars) {
-		return nil
-	}
-	return h.exemplars[i].Load()
-}
-
-// SlowestExemplar returns the exemplar of the highest non-empty bucket — the
-// trace id to chase when the tail looks wrong. Nil when no exemplars were
-// recorded.
-func (h *Histogram) SlowestExemplar() *Exemplar {
-	if h == nil {
-		return nil
-	}
-	for i := len(h.exemplars) - 1; i >= 0; i-- {
-		if ex := h.exemplars[i].Load(); ex != nil {
-			return ex
-		}
-	}
-	return nil
-}
-
 // BucketExemplars returns the recorded exemplars keyed by the rendered upper
 // bound of their bucket ("+Inf" for the overflow bucket). Empty when none
 // were recorded.

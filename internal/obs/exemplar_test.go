@@ -21,23 +21,16 @@ func TestExemplarPerBucket(t *testing.T) {
 	if got := ex["1"].TraceID; got != "trace-mid" {
 		t.Fatalf(`bucket 1 exemplar = %q, want "trace-mid"`, got)
 	}
-	if got := ex["10"].TraceID; got != "trace-slow" {
-		t.Fatalf(`bucket 10 exemplar = %q, want "trace-slow"`, got)
+	if got := ex["10"]; got.TraceID != "trace-slow" || got.Value != 5 {
+		t.Fatalf(`bucket 10 exemplar = %+v, want trace-slow/5`, got)
 	}
 	if _, ok := ex["+Inf"]; ok {
 		t.Fatal("+Inf bucket must have no exemplar: its only observation carried no trace")
 	}
 
-	// Slowest = highest non-empty exemplared bucket, regardless of the
-	// un-exemplared +Inf observation.
-	slow := h.SlowestExemplar()
-	if slow == nil || slow.TraceID != "trace-slow" || slow.Value != 5 {
-		t.Fatalf("SlowestExemplar = %+v, want trace-slow/5", slow)
-	}
-
 	// A later observation in the same bucket replaces the exemplar.
 	h.ObserveWithExemplar(7, "trace-slower")
-	if got := h.SlowestExemplar().TraceID; got != "trace-slower" {
+	if got := h.BucketExemplars()["10"].TraceID; got != "trace-slower" {
 		t.Fatalf("exemplar not replaced: %q", got)
 	}
 
@@ -51,12 +44,12 @@ func TestExemplarEmptyTraceIDIgnored(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("ex_empty_seconds", "test", nil)
 	h.ObserveWithExemplar(0.5, "")
-	if h.SlowestExemplar() != nil {
+	if len(h.BucketExemplars()) != 0 {
 		t.Fatal("empty trace id must not record an exemplar")
 	}
 	var nilH *Histogram
 	nilH.ObserveWithExemplar(1, "x") // must not panic
-	if nilH.SlowestExemplar() != nil || nilH.BucketExemplars() != nil {
+	if nilH.BucketExemplars() != nil {
 		t.Fatal("nil histogram exemplar reads must be empty")
 	}
 }
@@ -90,7 +83,6 @@ func TestExemplarConcurrentObserve(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				h.ObserveWithExemplar(0.5, "t")
-				h.SlowestExemplar()
 				h.BucketExemplars()
 			}
 		}()

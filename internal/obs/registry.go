@@ -436,7 +436,7 @@ func (f *family) histogramChildren() map[string]*Histogram {
 }
 
 // quantileSpecs are the estimates reported on /debug/vars. p999 resolves the
-// seconds-scale tail the load generator hunts for.
+// seconds-scale tail a fleet under shed sees.
 var quantileSpecs = []struct {
 	label string
 	q     float64

@@ -7,8 +7,8 @@ import (
 )
 
 // Rolling-window defaults: 12 slots of 5 s give a 60 s window, so the
-// quantiles a dashboard (or the load generator's progress endpoint) reads
-// describe the last minute of traffic, not the process lifetime.
+// quantiles a dashboard reads describe the last minute of traffic, not the
+// process lifetime.
 const (
 	DefaultWindow      = 60 * time.Second
 	DefaultWindowSlots = 12

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"crowdwifi/internal/obs"
+	"crowdwifi/internal/obs/trace"
 )
 
 // scrape fetches /metrics from the test server and returns the exposition.
@@ -243,5 +245,53 @@ func TestUninstrumentedServerStillWorks(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusNotFound {
 		t.Errorf("GET /metrics on uninstrumented server: status %d, want 404", resp2.StatusCode)
+	}
+}
+
+// TestSlowestExemplarResolvesToTrace closes the observability loop an
+// operator walks: the upload route's latency histogram carries trace
+// exemplars in /debug/vars, and the slowest one names a trace the server
+// still serves at /debug/traces/{id}.
+func TestSlowestExemplarResolvesToTrace(t *testing.T) {
+	ts := httptest.NewServer(New(NewStore(10),
+		WithMetrics(NewMetrics(obs.NewRegistry())),
+		WithTracer(trace.NewTracer(trace.Config{SampleRate: 1}))))
+	defer ts.Close()
+	for i := 0; i < 5; i++ {
+		resp := postJSON(t, ts.URL+"/v1/reports", Report{Vehicle: "v", Segment: fmt.Sprintf("s%d", i)})
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("report %d: status %d", i, resp.StatusCode)
+		}
+	}
+
+	var vars struct {
+		Exemplars map[string]map[string]obs.Exemplar `json:"crowdwifi_histogram_exemplars"`
+	}
+	resp, err := http.Get(ts.URL + "/debug/vars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
+		t.Fatalf("decode /debug/vars: %v", err)
+	}
+	var slowest obs.Exemplar
+	for _, ex := range vars.Exemplars[`crowdwifi_http_request_duration_seconds{route="/v1/reports"}`] {
+		if ex.Value > slowest.Value {
+			slowest = ex
+		}
+	}
+	if slowest.TraceID == "" {
+		t.Fatalf("no exemplar on the /v1/reports latency histogram: %v", vars.Exemplars)
+	}
+
+	tresp, err := http.Get(ts.URL + "/debug/traces/" + slowest.TraceID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tresp.Body.Close()
+	body, _ := io.ReadAll(tresp.Body)
+	if tresp.StatusCode != http.StatusOK || !strings.Contains(string(body), slowest.TraceID) {
+		t.Fatalf("GET /debug/traces/%s = %d, want 200 naming the id (body: %s)", slowest.TraceID, tresp.StatusCode, body)
 	}
 }

@@ -227,3 +227,20 @@ func TestOverloadReadOnlyChaosE2E(t *testing.T) {
 			stats.Reports, acked)
 	}
 }
+
+// TestModeHeaderSetOnSuccessWithOverloadEnabled: with overload control on,
+// even plain 2xx responses carry the mode header (it used to ride only on
+// sheds), which is what lets the router track shard health from traffic.
+func TestModeHeaderSetOnSuccessWithOverloadEnabled(t *testing.T) {
+	ts := httptest.NewServer(New(NewStore(12), WithOverload(overload.Options{})))
+	defer ts.Close()
+	resp := postKeyed(t, ts.URL+"/v1/reports", "mode-key", Report{
+		Vehicle: "veh-mode", Segment: "s", APs: []APReport{{X: 1, Y: 1, Credit: 1}},
+	})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("upload: status %d", resp.StatusCode)
+	}
+	if got := resp.Header.Get(api.ModeHeader); got != "healthy" {
+		t.Errorf("%s = %q, want \"healthy\" on a 2xx", api.ModeHeader, got)
+	}
+}

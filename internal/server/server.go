@@ -567,10 +567,9 @@ type Server struct {
 	// endpoints are mounted. See cluster.go.
 	cluster *clusterState
 
-	// slo and profiler are optional parts of the debug surface (WithSLO,
-	// WithProfiler); their lifecycles belong to the caller.
-	slo      http.Handler
-	profiler *obs.Profiler
+	// slo is an optional part of the debug surface (WithSLO); its lifecycle
+	// belongs to the caller.
+	slo http.Handler
 
 	// stack is the middleware every route is mounted through; debug is the
 	// debug surface, built once and served on the API mux and by Debug().
@@ -630,12 +629,6 @@ func WithHealth(h *obs.Health) Option {
 // on the server's own mux. The caller owns the engine's sampling lifecycle.
 func WithSLO(h http.Handler) Option {
 	return func(s *Server) { s.slo = h }
-}
-
-// WithProfiler mounts a continuous-profiling captor's /debug/profiles
-// surface on the server's own mux. The caller owns the capture loop.
-func WithProfiler(p *obs.Profiler) Option {
-	return func(s *Server) { s.profiler = p }
 }
 
 // WithOverload enables the adaptive admission controller and degraded-mode
@@ -710,9 +703,6 @@ func New(store *Store, opts ...Option) *Server {
 	}
 	if s.slo != nil {
 		s.debug.Handle("/debug/slo", s.slo)
-	}
-	if s.profiler != nil {
-		obs.MountProfiles(s.debug, s.profiler)
 	}
 	front.MountDebug(s.mux, s.debug)
 	return s
