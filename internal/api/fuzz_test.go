@@ -2,6 +2,7 @@ package api
 
 import (
 	"bytes"
+	"math"
 	"net/http"
 	"net/url"
 	"runtime"
@@ -49,6 +50,11 @@ func seedFrames(f *testing.F) {
 		{Key: "", Status: http.StatusBadRequest, Error: "report needs vehicle and segment"},
 	})
 	emptyStatuses, _ := EncodeBatchStatusFrame(nil)
+	// The codec carries IEEE-754 bits and is not the layer that judges them:
+	// a NaN or an infinity frames, splits and re-encodes bit for bit (the
+	// store refuses it with a 400).
+	nonFinite, _ := EncodeReportFrame(nil, "nf", Report{Vehicle: "v", Segment: "s", APs: []APReport{
+		{X: math.NaN(), Y: 1, Credit: 1}, {X: 1, Y: math.Inf(1), Credit: 1}, {X: 1, Y: 1, Credit: math.Inf(-1)}}})
 	for _, seed := range [][]byte{
 		nil,
 		reports,
@@ -59,6 +65,7 @@ func seedFrames(f *testing.F) {
 		emptyStatuses,
 		hugeCountStatusFrame(20_000_000),
 		hugeCountStatusFrame(0x7FFFFFFF),
+		nonFinite,
 	} {
 		f.Add(seed)
 	}

@@ -86,16 +86,21 @@ func appendWireString(dst []byte, s string) ([]byte, error) {
 	return append(dst, s...), nil
 }
 
-func readWireString(b []byte) (string, []byte, error) {
+func readWireBytes(b []byte) (field, rest []byte, err error) {
 	if len(b) < 2 {
-		return "", nil, fmt.Errorf("%w: truncated string length", ErrWireFrame)
+		return nil, nil, fmt.Errorf("%w: truncated string length", ErrWireFrame)
 	}
 	n := int(binary.LittleEndian.Uint16(b))
 	b = b[2:]
 	if len(b) < n {
-		return "", nil, fmt.Errorf("%w: string of %d bytes truncated at %d", ErrWireFrame, n, len(b))
+		return nil, nil, fmt.Errorf("%w: string of %d bytes truncated at %d", ErrWireFrame, n, len(b))
 	}
-	return string(b[:n]), b[n:], nil
+	return b[:n], b[n:], nil
+}
+
+func readWireString(b []byte) (string, []byte, error) {
+	field, rest, err := readWireBytes(b)
+	return string(field), rest, err
 }
 
 func appendWireF64(dst []byte, v float64) []byte {
@@ -109,57 +114,74 @@ func readWireF64(b []byte) (float64, []byte, error) {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b)), b[8:], nil
 }
 
+// AppendReportPayload appends one report's bare payload — key, vehicle,
+// segment, AP count, APs; no frame envelope — to dst. It is the one report
+// layout: a wire frame carries it, and the store logs and snapshots it as is.
+// A nil and an empty AP list both encode as count 0.
+func AppendReportPayload(dst []byte, key string, rep Report) ([]byte, error) {
+	if len(rep.APs) > math.MaxUint32 {
+		return nil, fmt.Errorf("%w: %d access points", ErrWireFrame, len(rep.APs))
+	}
+	var err error
+	for _, s := range []string{key, rep.Vehicle, rep.Segment} {
+		if dst, err = appendWireString(dst, s); err != nil {
+			return nil, err
+		}
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rep.APs)))
+	for _, ap := range rep.APs {
+		dst = appendWireF64(dst, ap.X)
+		dst = appendWireF64(dst, ap.Y)
+		dst = appendWireF64(dst, ap.Credit)
+	}
+	return dst, nil
+}
+
 // EncodeReportFrame appends one report frame — with its per-entry
 // idempotency key, which may be empty — to dst and returns the extended
 // slice. Concatenating the results of successive calls yields a valid batch
 // body.
 func EncodeReportFrame(dst []byte, key string, rep Report) ([]byte, error) {
-	if len(rep.APs) > math.MaxUint32 {
-		return nil, fmt.Errorf("%w: %d access points", ErrWireFrame, len(rep.APs))
-	}
-	payload := make([]byte, 0, 8+len(key)+len(rep.Vehicle)+len(rep.Segment)+4+24*len(rep.APs))
-	var err error
-	for _, s := range []string{key, rep.Vehicle, rep.Segment} {
-		if payload, err = appendWireString(payload, s); err != nil {
-			return nil, err
-		}
-	}
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(rep.APs)))
-	for _, ap := range rep.APs {
-		payload = appendWireF64(payload, ap.X)
-		payload = appendWireF64(payload, ap.Y)
-		payload = appendWireF64(payload, ap.Credit)
+	payload, err := AppendReportPayload(make([]byte, 0, 10+len(key)+len(rep.Vehicle)+len(rep.Segment)+24*len(rep.APs)), key, rep)
+	if err != nil {
+		return nil, err
 	}
 	return wal.AppendFrame(dst, wireReport, payload), nil
 }
 
-func decodeReportPayload(data []byte) (key string, rep Report, err error) {
-	if key, data, err = readWireString(data); err != nil {
-		return "", Report{}, err
+// ReadReportPayload decodes the report payload at the front of b and returns
+// the bytes after it. The AP count is checked against the bytes present
+// before anything is allocated, and a count of 0 decodes to a nil list. str
+// turns name bytes into strings — a bulk loader passes an interning one; nil
+// copies.
+func ReadReportPayload(b []byte, str func([]byte) string) (key string, rep Report, rest []byte, err error) {
+	if str == nil {
+		str = func(b []byte) string { return string(b) }
 	}
-	if rep.Vehicle, data, err = readWireString(data); err != nil {
-		return "", Report{}, err
+	for _, field := range []*string{&key, &rep.Vehicle, &rep.Segment} {
+		var raw []byte
+		if raw, b, err = readWireBytes(b); err != nil {
+			return "", Report{}, nil, err
+		}
+		*field = str(raw)
 	}
-	if rep.Segment, data, err = readWireString(data); err != nil {
-		return "", Report{}, err
+	if len(b) < 4 {
+		return "", Report{}, nil, fmt.Errorf("%w: truncated AP count", ErrWireFrame)
 	}
-	if len(data) < 4 {
-		return "", Report{}, fmt.Errorf("%w: truncated AP count", ErrWireFrame)
-	}
-	n := int(binary.LittleEndian.Uint32(data))
-	data = data[4:]
-	if len(data) != 24*n {
-		return "", Report{}, fmt.Errorf("%w: %d APs need %d payload bytes, have %d", ErrWireFrame, n, 24*n, len(data))
+	n := int(binary.LittleEndian.Uint32(b))
+	b = b[4:]
+	if n > len(b)/24 {
+		return "", Report{}, nil, fmt.Errorf("%w: %d APs need %d payload bytes, have %d", ErrWireFrame, n, 24*n, len(b))
 	}
 	if n > 0 {
 		rep.APs = make([]APReport, n)
 		for i := range rep.APs {
-			rep.APs[i].X, data, _ = readWireF64(data)
-			rep.APs[i].Y, data, _ = readWireF64(data)
-			rep.APs[i].Credit, data, _ = readWireF64(data)
+			rep.APs[i].X, b, _ = readWireF64(b)
+			rep.APs[i].Y, b, _ = readWireF64(b)
+			rep.APs[i].Credit, b, _ = readWireF64(b)
 		}
 	}
-	return key, rep, nil
+	return key, rep, b, nil
 }
 
 // ReportFrame is one decoded report frame plus its exact encoded bytes, so
@@ -184,9 +206,12 @@ func SplitReportFrames(body []byte) ([]ReportFrame, error) {
 		if kind != wireReport {
 			return fmt.Errorf("%w: unexpected frame kind 0x%02x", ErrWireFrame, kind)
 		}
-		key, rep, err := decodeReportPayload(data)
+		key, rep, rest, err := ReadReportPayload(data, nil)
 		if err != nil {
 			return err
+		}
+		if len(rest) != 0 {
+			return fmt.Errorf("%w: %d bytes after the report's last AP", ErrWireFrame, len(rest))
 		}
 		frames = append(frames, ReportFrame{Key: key, Report: rep, Raw: raw})
 		return nil

@@ -172,90 +172,84 @@ func (s *Server) processBatch(ctx context.Context, entries []api.BatchEntry) []B
 // and everything after it while earlier chunks stay acknowledged. An item
 // whose own record cannot fit any chunk fails alone with ErrRecordTooLarge.
 func (s *Store) AddReportBatch(ctx context.Context, items []BatchItem) []error {
-	errs := make([]error, len(items))
 	if len(items) == 0 {
-		return errs
+		return nil
 	}
 	ctx, span := trace.StartChild(ctx, "store.add_report_batch")
 	defer span.End()
 	span.SetAttr("entries", len(items))
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	errs, chunks, fault := s.addReports(ctx, items)
+	span.SetError(fault)
+	span.SetAttr("chunks", chunks)
+	return errs
+}
+
+// addReports is the one report write path: check every item, encode the
+// accepted ones into report blocks of at most the chunk budget — all of it
+// before the lock is taken — then, chunk by chunk under the lock, append the
+// record and apply its entries. It returns one error slot per item, the
+// number of chunks logged, and the log's refusal if there was one.
+func (s *Store) addReports(ctx context.Context, items []BatchItem) (errs []error, logged int, fault error) {
+	errs = make([]error, len(items))
 	budget := s.batchChunk
 	if budget <= 0 {
 		budget = defaultBatchChunkBytes
 	}
-	// The chunk envelope: {"reports":[…]} plus one comma per entry, counted
-	// below with each entry's own bytes.
-	const envelope = int64(len(`{"reports":[]}`))
-
-	raws := make([]json.RawMessage, len(items))
+	// A chunk is one record's data and how many of the accepted items, in
+	// order, it holds.
+	type chunk struct {
+		data []byte
+		n    int
+	}
+	var chunks []chunk
+	p := packer{limit: int(budget)}
+	p.emit = func(block []byte, n int) error {
+		chunks = append(chunks, chunk{block, n})
+		p.release()
+		return nil
+	}
+	accepted := make([]int, 0, len(items))
+	var entry []byte
 	for i, it := range items {
-		if it.Report.Vehicle == "" || it.Report.Segment == "" {
-			errs[i] = errors.New("server: report needs vehicle and segment")
+		if errs[i] = checkReport(it.Report); errs[i] != nil {
 			continue
 		}
-		data, err := json.Marshal(reportRecord{Report: it.Report, IdemKey: it.Key})
-		if err != nil {
-			errs[i] = fmt.Errorf("%w: %v", ErrDurability, err)
+		if entry, errs[i] = appendReportEntry(entry[:0], it.Key, it.Report); errs[i] != nil {
 			continue
 		}
-		if int64(len(data))+envelope+1 > budget {
-			errs[i] = fmt.Errorf("%w: %d-byte report record", ErrRecordTooLarge, len(data))
+		if 4+int64(len(entry)) > budget {
+			errs[i] = fmt.Errorf("%w: %d-byte report record", ErrRecordTooLarge, len(entry))
 			continue
 		}
-		raws[i] = data
+		p.add(entry)
+		accepted = append(accepted, i)
+	}
+	p.flush()
+	if len(chunks) == 0 {
+		return errs, 0, nil // nothing to log: the lock is not taken
 	}
 
-	var pending []int
-	size := envelope
-	chunks := 0
-	var failed error
-	flush := func() {
-		if len(pending) == 0 {
-			return
-		}
-		if failed == nil {
-			rec := batchRecord{Reports: make([]json.RawMessage, len(pending))}
-			for j, idx := range pending {
-				rec.Reports[j] = raws[idx]
-			}
-			if err := s.appendRecordLocked(ctx, recReportBatch, rec); err != nil {
-				// One faulted chunk fails every entry from here on: the log
-				// refused a write, so later chunks must not be attempted.
-				failed = err
-			} else {
-				chunks++
-				for _, idx := range pending {
-					it := items[idx]
-					s.reports = append(s.reports, it.Report)
-					s.metrics.incReports()
-					s.completeIdemLocked(it.Key, reportResponse())
-				}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, c := range chunks {
+		in := accepted[:c.n]
+		accepted = accepted[c.n:]
+		if fault == nil {
+			// One faulted chunk fails every entry from here on: the log
+			// refused a write, so later chunks must not be attempted.
+			if fault = s.appendLocked(ctx, recReports, c.data); fault == nil {
+				logged++
 			}
 		}
-		if failed != nil {
-			for _, idx := range pending {
-				errs[idx] = failed
+		for _, idx := range in {
+			if fault != nil {
+				errs[idx] = fault
+				continue
 			}
+			s.reports = append(s.reports, items[idx].Report)
+			s.metrics.incReports()
+			s.completeIdemLocked(items[idx].Key, reportResponse())
 		}
-		pending = pending[:0]
-		size = envelope
 	}
-	for i := range items {
-		if errs[i] != nil || raws[i] == nil {
-			continue
-		}
-		if size+int64(len(raws[i]))+1 > budget {
-			flush()
-		}
-		pending = append(pending, i)
-		size += int64(len(raws[i])) + 1
-	}
-	flush()
-	if failed != nil {
-		span.SetError(failed)
-	}
-	span.SetAttr("chunks", chunks)
-	return errs
+	return errs, logged, fault
 }

@@ -190,18 +190,10 @@ func ExportSliceFromDir(dir string, mergeRadius float64, source string) (api.Sli
 // opening it for writing.
 func replayDir(dir string, mergeRadius float64) (*Store, error) {
 	s := NewStore(mergeRadius)
-	snapSeq, snapData, err := wal.LatestSnapshot(dir)
+	_, err := s.loadDir(dir, func(after uint64, apply func(wal.Record) error) error {
+		return wal.IterateDir(dir, after, apply)
+	})
 	if err != nil {
-		return nil, fmt.Errorf("server: loading snapshot from %s: %w", dir, err)
-	}
-	if snapData != nil {
-		var state snapshotState
-		if err := json.Unmarshal(snapData, &state); err != nil {
-			return nil, fmt.Errorf("server: decoding snapshot from %s: %w", dir, err)
-		}
-		s.restoreSnapshot(state)
-	}
-	if err := wal.IterateDir(dir, snapSeq, s.applyRecord); err != nil {
 		return nil, fmt.Errorf("server: replaying %s: %w", dir, err)
 	}
 	return s, nil

@@ -1,0 +1,533 @@
+package server
+
+// The one codec for what the store persists and what grows with history:
+// report records, cycle records and snapshots. Everything is built from
+// blocks — a u32 entry count followed by that many entries — in the wire
+// codec's conventions (little-endian scalars, IEEE-754 bits for floats); a
+// report entry is the wire codec's own report payload (api.AppendReportPayload),
+// so a report has one layout on the wire, in the log and in a snapshot.
+//
+//	report record (recReports)   one report block, its entries keyed
+//	cycle record  (recCycle)     a fused block, then a reliability block
+//	snapshot                     snapshotMagic, then wal frames of at most
+//	                             snapshotFrameBytes, each one block of the
+//	                             section its frame kind names
+//
+// Entry layouts (str is a u32 length and that many bytes):
+//
+//	report       flags u8 | key str16 | vehicle str16 | segment str16 | n u32 | n × (x, y, credit f64)
+//	pattern      flags u8 | segment str | n u32 | n × (x, y, credit f64)      (id = position)
+//	label        vehicle str | task u32 | value i8
+//	fused        flags u8 | segment str | n u32 | n × (x, y[, weight] f64)
+//	reliability  vehicle str | weight f64
+//	idempotency  key str | status u16 | body str
+//
+// A report's or pattern's flags say what a count of 0 cannot: that the AP
+// list is empty rather than absent. JSON kept the two apart and ExportSlice
+// hashes them into its apply keys, so a recovered store must keep them apart
+// too. A fused entry's flags say that every weight is 1 — what fusion assigns
+// — and the weights are left out.
+//
+// Decoding trusts nothing: every count is checked against the bytes that
+// remain before it sizes an allocation, unknown flags, sections and trailing
+// bytes are errors, and the CRC the log or the snapshot frame carries has
+// already vouched for the bytes.
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+	"sort"
+
+	"crowdwifi/internal/api"
+	"crowdwifi/internal/wal"
+)
+
+// snapshotMagic opens a snapshot payload in this codec. A payload that opens
+// with '{' instead is the JSON an older build wrote (legacy.go).
+const snapshotMagic = "CWSTATE\x02"
+
+// snapshotFrameBytes bounds a snapshot frame that holds more than one entry,
+// so that loading checks and decodes a megabyte at a time.
+const snapshotFrameBytes = 1 << 20
+
+// Snapshot sections: the kind byte of each frame after the magic.
+const (
+	secPatterns byte = 1 + iota
+	secLabels
+	secReports
+	secFused
+	secReliability
+	secIdem
+)
+
+// flagEmptyList marks a report or pattern entry whose AP list is empty, not
+// nil; flagUnitWeights a fused entry that leaves its weights, all 1, out.
+const (
+	flagEmptyList   byte = 1
+	flagUnitWeights byte = 1
+)
+
+// errCodec marks persisted bytes that do not decode.
+var errCodec = errors.New("server: malformed persisted state")
+
+// newInterner returns a bytes-to-string conversion that shares one string
+// among equal names, for the duration of one load: 50 k reports name a
+// thousand vehicles. Decoders given a nil conversion copy.
+func newInterner() func([]byte) string {
+	seen := map[string]string{}
+	return func(b []byte) string {
+		if s, ok := seen[string(b)]; ok {
+			return s
+		}
+		s := string(b)
+		seen[s] = s
+		return s
+	}
+}
+
+func appendStr(dst []byte, s string) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
+	return append(dst, s...)
+}
+
+func appendF64(dst []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+}
+
+func listFlags(n int, isNil bool) byte {
+	if n == 0 && !isNil {
+		return flagEmptyList
+	}
+	return 0
+}
+
+// appendReportEntry appends one report entry. It fails only on what the
+// report layout cannot carry: a name longer than 65535 bytes.
+func appendReportEntry(dst []byte, key string, r Report) ([]byte, error) {
+	dst = append(dst, listFlags(len(r.APs), r.APs == nil))
+	return api.AppendReportPayload(dst, key, r)
+}
+
+func appendPatternEntry(dst []byte, p Pattern) []byte {
+	dst = append(dst, listFlags(len(p.APs), p.APs == nil))
+	dst = appendStr(dst, p.Segment)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(p.APs)))
+	for _, ap := range p.APs {
+		dst = appendF64(appendF64(appendF64(dst, ap.X), ap.Y), ap.Credit)
+	}
+	return dst
+}
+
+func appendLabelEntry(dst []byte, l Label) []byte {
+	dst = appendStr(dst, l.Vehicle)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(l.TaskID))
+	return append(dst, byte(int8(l.Value)))
+}
+
+func appendFusedEntry(dst []byte, segment string, results []LookupResult) []byte {
+	unit := !slices.ContainsFunc(results, func(r LookupResult) bool { return r.Weight != 1 })
+	if unit {
+		dst = append(dst, flagUnitWeights)
+	} else {
+		dst = append(dst, 0)
+	}
+	dst = appendStr(dst, segment)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(results)))
+	for _, r := range results {
+		dst = appendF64(appendF64(dst, r.X), r.Y)
+		if !unit {
+			dst = appendF64(dst, r.Weight)
+		}
+	}
+	return dst
+}
+
+func appendReliabilityEntry(dst []byte, vehicle string, w float64) []byte {
+	return appendF64(appendStr(dst, vehicle), w)
+}
+
+func appendIdemEntry(dst []byte, e idemEntry) []byte {
+	dst = appendStr(dst, e.Key)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(e.Status))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(e.Body)))
+	return append(dst, e.Body...)
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// packer packs encoded entries into blocks: a block takes entries while it
+// stays within limit bytes, so only an entry larger than limit makes a larger
+// block, and it is alone in it. emit receives each finished block, which the
+// packer reuses unless emit calls release. The first error emit returns
+// sticks and ends the packing.
+type packer struct {
+	limit int
+	emit  func(block []byte, entries int) error
+	buf   []byte
+	n     int
+	err   error
+}
+
+func (p *packer) add(entry []byte) {
+	if p.n > 0 && len(p.buf)+len(entry) > p.limit {
+		p.flush()
+	}
+	if p.n == 0 {
+		p.buf = append(p.buf[:0], 0, 0, 0, 0)
+	}
+	p.buf = append(p.buf, entry...)
+	p.n++
+}
+
+func (p *packer) flush() {
+	if p.n > 0 && p.err == nil {
+		binary.LittleEndian.PutUint32(p.buf, uint32(p.n))
+		p.err = p.emit(p.buf, p.n)
+	}
+	p.n = 0
+}
+
+// release hands the block emit just received over to emit's caller; the
+// packer starts the next one in fresh memory.
+func (p *packer) release() { p.buf = nil }
+
+// encodeCycle encodes one cycle's outputs, segments and vehicles sorted, as a
+// recCycle payload.
+func encodeCycle(v *view) []byte {
+	size := 8
+	for seg, results := range v.fused {
+		size += 9 + len(seg) + 24*len(results)
+	}
+	for vehicle := range v.reliability {
+		size += 12 + len(vehicle)
+	}
+	dst := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(len(v.fused)))
+	for _, seg := range sortedKeys(v.fused) {
+		dst = appendFusedEntry(dst, seg, v.fused[seg])
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v.reliability)))
+	for _, vehicle := range sortedKeys(v.reliability) {
+		dst = appendReliabilityEntry(dst, vehicle, v.reliability[vehicle])
+	}
+	return dst
+}
+
+// encodeSnapshot encodes the full state as a snapshot payload. The bytes are
+// a function of the state alone: maps go out sorted, everything else in the
+// order it is held.
+func encodeSnapshot(st snapshotState) ([]byte, error) {
+	size := len(snapshotMagic) + 64*(len(st.Patterns)+len(st.Reports)+len(st.Idem)) + 24*len(st.Labels) + 32*len(st.Reliability)
+	for _, r := range st.Reports {
+		size += 24 * len(r.APs)
+	}
+	for seg, results := range st.Fused {
+		size += 8 + len(seg) + 24*len(results)
+	}
+	out := append(make([]byte, 0, size+size/64), snapshotMagic...)
+
+	var kind byte
+	p := packer{limit: snapshotFrameBytes}
+	p.emit = func(block []byte, _ int) error {
+		if 1+len(block) > wal.MaxRecordBytes {
+			return fmt.Errorf("server: a %d-byte snapshot entry exceeds the frame size limit", len(block)-4)
+		}
+		out = wal.AppendFrame(out, kind, block)
+		return nil
+	}
+	var e []byte // the entry being encoded
+	kind = secPatterns
+	for _, pt := range st.Patterns {
+		e = appendPatternEntry(e[:0], pt)
+		p.add(e)
+	}
+	p.flush()
+	kind = secLabels
+	for _, l := range st.Labels {
+		e = appendLabelEntry(e[:0], l)
+		p.add(e)
+	}
+	p.flush()
+	kind = secReports
+	for _, r := range st.Reports {
+		var err error
+		if e, err = appendReportEntry(e[:0], "", r); err != nil {
+			return nil, err
+		}
+		p.add(e)
+	}
+	p.flush()
+	kind = secFused
+	for _, seg := range sortedKeys(st.Fused) {
+		e = appendFusedEntry(e[:0], seg, st.Fused[seg])
+		p.add(e)
+	}
+	p.flush()
+	kind = secReliability
+	for _, vehicle := range sortedKeys(st.Reliability) {
+		e = appendReliabilityEntry(e[:0], vehicle, st.Reliability[vehicle])
+		p.add(e)
+	}
+	p.flush()
+	kind = secIdem
+	for _, ie := range st.Idem {
+		e = appendIdemEntry(e[:0], ie)
+		p.add(e)
+	}
+	p.flush()
+	return out, p.err
+}
+
+// reader is a cursor over persisted bytes. The first failure sticks: later
+// reads return zeros, and the caller checks err once per block.
+type reader struct {
+	b   []byte
+	str func([]byte) string // names go through it; nil copies
+	err error
+}
+
+func (r *reader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: "+format, append([]any{errCodec}, args...)...)
+	}
+}
+
+func (r *reader) take(n int) []byte {
+	if r.err != nil || n > len(r.b) {
+		r.fail("%d bytes wanted, %d remain", n, len(r.b))
+		return nil
+	}
+	b := r.b[:n]
+	r.b = r.b[n:]
+	return b
+}
+
+func (r *reader) u8() byte {
+	if b := r.take(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (r *reader) u16() uint16 {
+	if b := r.take(2); b != nil {
+		return binary.LittleEndian.Uint16(b)
+	}
+	return 0
+}
+
+func (r *reader) u32() uint32 {
+	if b := r.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+func (r *reader) f64() float64 {
+	if b := r.take(8); b != nil {
+		return math.Float64frombits(binary.LittleEndian.Uint64(b))
+	}
+	return 0
+}
+
+// bytes reads a str field without copying it.
+func (r *reader) bytes() []byte {
+	return r.take(r.count(1))
+}
+
+// name reads a str field that names a vehicle or a segment.
+func (r *reader) name() string {
+	b := r.bytes()
+	if r.str == nil {
+		return string(b)
+	}
+	return r.str(b)
+}
+
+// count reads an entry count and checks it against the bytes that remain,
+// each entry taking at least min of them, so that a count sizes no allocation
+// its input could not fill.
+func (r *reader) count(min int) int {
+	n := r.u32()
+	if r.err == nil && uint64(n) > uint64(len(r.b)/min) {
+		r.fail("a count of %d cannot fit in the %d bytes that remain", n, len(r.b))
+		return 0
+	}
+	return int(n)
+}
+
+// end fails unless the input was consumed whole.
+func (r *reader) end() error {
+	if r.err == nil && len(r.b) != 0 {
+		r.fail("%d trailing bytes", len(r.b))
+	}
+	return r.err
+}
+
+// emptyList checks an entry's flags against its list length and reports
+// whether the list is empty rather than nil.
+func (r *reader) emptyList(flags byte, n int) bool {
+	if flags&^flagEmptyList != 0 || (flags == flagEmptyList && n != 0) {
+		r.fail("entry flags %#02x with %d list elements", flags, n)
+	}
+	return flags == flagEmptyList && r.err == nil
+}
+
+func (r *reader) reportEntry() (key string, rep Report) {
+	flags := r.u8()
+	if r.err != nil {
+		return "", Report{}
+	}
+	key, rep, rest, err := api.ReadReportPayload(r.b, r.str)
+	if err != nil {
+		r.fail("%v", err)
+		return "", Report{}
+	}
+	r.b = rest
+	if r.emptyList(flags, len(rep.APs)) {
+		rep.APs = []APReport{}
+	}
+	return key, rep
+}
+
+func (r *reader) patternEntry() Pattern {
+	flags := r.u8()
+	p := Pattern{Segment: r.name()}
+	if n := r.count(24); n > 0 {
+		p.APs = make([]APReport, n)
+		for i := range p.APs {
+			p.APs[i] = APReport{X: r.f64(), Y: r.f64(), Credit: r.f64()}
+		}
+	}
+	if r.emptyList(flags, len(p.APs)) {
+		p.APs = []APReport{}
+	}
+	return p
+}
+
+func (r *reader) labelEntry() Label {
+	return Label{Vehicle: r.name(), TaskID: int(r.u32()), Value: int(int8(r.u8()))}
+}
+
+// fusedBlock reads a fused block into fused. Lists decode non-nil, as
+// cycles build them.
+func (r *reader) fusedBlock(fused map[string][]LookupResult) {
+	for n := r.count(9); n > 0 && r.err == nil; n-- {
+		flags := r.u8()
+		if flags&^flagUnitWeights != 0 {
+			r.fail("fused entry flags %#02x", flags)
+		}
+		seg := r.name()
+		unit, stride := flags == flagUnitWeights, 24
+		if unit {
+			stride = 16
+		}
+		results := make([]LookupResult, r.count(stride))
+		for i := range results {
+			results[i] = LookupResult{X: r.f64(), Y: r.f64(), Weight: 1}
+			if !unit {
+				results[i].Weight = r.f64()
+			}
+		}
+		fused[seg] = results
+	}
+}
+
+func (r *reader) reliabilityBlock(reliability map[string]float64) {
+	for n := r.count(12); n > 0 && r.err == nil; n-- {
+		vehicle := r.name()
+		reliability[vehicle] = r.f64()
+	}
+}
+
+// decodeReports decodes a recReports payload.
+func decodeReports(data []byte, str func([]byte) string) ([]BatchItem, error) {
+	r := reader{b: data, str: str}
+	n := r.count(11)
+	items := make([]BatchItem, n)
+	for i := 0; i < n && r.err == nil; i++ {
+		items[i].Key, items[i].Report = r.reportEntry()
+	}
+	return items, r.end()
+}
+
+// decodeCycle decodes a recCycle payload.
+func decodeCycle(data []byte, str func([]byte) string) (*view, error) {
+	r := reader{b: data, str: str}
+	v := &view{fused: map[string][]LookupResult{}, reliability: map[string]float64{}}
+	r.fusedBlock(v.fused)
+	r.reliabilityBlock(v.reliability)
+	return v, r.end()
+}
+
+// decodeSnapshot decodes a snapshot payload: this codec's, in one pass over
+// its frames, or the JSON of an older build.
+func decodeSnapshot(data []byte, str func([]byte) string) (snapshotState, error) {
+	if bytes.HasPrefix(data, []byte("{")) {
+		return decodeLegacySnapshot(data)
+	}
+	if !bytes.HasPrefix(data, []byte(snapshotMagic)) {
+		return snapshotState{}, fmt.Errorf("%w: a snapshot opens with neither %q nor '{'", errCodec, snapshotMagic)
+	}
+	st := snapshotState{Fused: map[string][]LookupResult{}, Reliability: map[string]float64{}}
+	body := data[len(snapshotMagic):]
+	valid, _, err := wal.WalkFrames(body, func(_ int, kind byte, block []byte) error {
+		r := reader{b: block, str: str}
+		switch kind {
+		case secPatterns:
+			n := r.count(9)
+			st.Patterns = slices.Grow(st.Patterns, n)
+			for ; n > 0 && r.err == nil; n-- {
+				p := r.patternEntry()
+				p.ID = len(st.Patterns)
+				st.Patterns = append(st.Patterns, p)
+			}
+		case secLabels:
+			n := r.count(9)
+			st.Labels = slices.Grow(st.Labels, n)
+			for ; n > 0 && r.err == nil; n-- {
+				st.Labels = append(st.Labels, r.labelEntry())
+			}
+		case secReports:
+			n := r.count(11)
+			st.Reports = slices.Grow(st.Reports, n)
+			for ; n > 0 && r.err == nil; n-- {
+				key, rep := r.reportEntry()
+				if key != "" {
+					r.fail("a snapshot report carries the key %q", key)
+				}
+				st.Reports = append(st.Reports, rep)
+			}
+		case secFused:
+			r.fusedBlock(st.Fused)
+		case secReliability:
+			r.reliabilityBlock(st.Reliability)
+		case secIdem:
+			n := r.count(10)
+			st.Idem = slices.Grow(st.Idem, n)
+			for ; n > 0 && r.err == nil; n-- {
+				st.Idem = append(st.Idem, idemEntry{Key: string(r.bytes()), Status: int(r.u16()), Body: bytes.Clone(r.bytes())})
+			}
+		default:
+			return fmt.Errorf("%w: unknown snapshot section %d", errCodec, kind)
+		}
+		return r.end()
+	})
+	if err != nil {
+		return snapshotState{}, err
+	}
+	if valid != int64(len(body)) {
+		return snapshotState{}, fmt.Errorf("%w: snapshot does not frame past byte %d of %d", errCodec, int64(len(snapshotMagic))+valid, len(data))
+	}
+	return st, nil
+}

@@ -307,6 +307,45 @@ func TestConcurrentTrafficEqualsSerialReplay(t *testing.T) {
 	}
 }
 
+// TestReportPathsEncodeBeforeTheLock: whatever a report path or a cycle
+// writes to the log it encodes before it takes mu — the lock covers the
+// append and the in-memory mutation, never an encode. Seen from outside: with
+// mu held by someone else, a report, a batch entry and a cycle whose records
+// would not fit the log are each refused on their encoded size alone, without
+// waiting for the lock.
+func TestReportPathsEncodeBeforeTheLock(t *testing.T) {
+	store, _, err := OpenStore(10, StorageOptions{Dir: t.TempDir(), Fsync: wal.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	log := store.capture().log
+	tooMany := wal.MaxRecordBytes/24 + 1
+	giant := Report{Vehicle: "v", Segment: "s", APs: make([]APReport, tooMany)}
+	cycle := &view{fused: map[string][]LookupResult{"s": make([]LookupResult, tooMany)}, reliability: map[string]float64{}}
+
+	store.mu.Lock()
+	defer store.mu.Unlock()
+	for name, call := range map[string]func() error{
+		"AddReportKeyed": func() error { return store.AddReportKeyed(context.Background(), "k", giant) },
+		"AddReportBatch": func() error {
+			return errors.Join(store.AddReportBatch(context.Background(), []BatchItem{{Key: "k", Report: giant}})...)
+		},
+		"publish": func() error { return store.publish(context.Background(), log, cycle) },
+	} {
+		done := make(chan error, 1)
+		go func() { done <- call() }()
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrRecordTooLarge) {
+				t.Errorf("%s: err = %v, want ErrRecordTooLarge", name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s waited for the store lock before its record was encoded", name)
+		}
+	}
+}
+
 // TestUploadDuringCycleIsFusedByTheNextCycle: an upload that arrives while a
 // cycle runs is acknowledged with 201, is left whole out of that cycle's
 // output, and is fused by the next one.

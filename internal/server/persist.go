@@ -22,14 +22,20 @@ import (
 	"crowdwifi/internal/wal"
 )
 
-// WAL record kinds, one per mutating Store path.
+// WAL record kinds. Pattern, labels and drop records are the size of one
+// request and stay JSON; what grows with history — reports and cycle outputs —
+// is in the binary codec (codec.go). Kinds 3, 4 and 6 are the JSON report,
+// cycle and batch-chunk records of builds before that codec: read so their
+// data directories open (legacy.go), never written.
 const (
-	recPattern     byte = 1
-	recLabels      byte = 2
-	recReport      byte = 3
-	recAggregate   byte = 4
-	recDrop        byte = 5
-	recReportBatch byte = 6
+	recPattern      byte = 1
+	recLabels       byte = 2
+	recLegacyReport byte = 3
+	recLegacyCycle  byte = 4
+	recDrop         byte = 5
+	recLegacyBatch  byte = 6
+	recReports      byte = 7
+	recCycle        byte = 8
 )
 
 // ErrDurability marks a mutation rejected because its write-ahead append
@@ -56,27 +62,6 @@ type labelsRecord struct {
 	IdemKey string  `json:"idemKey,omitempty"`
 }
 
-// reportRecord logs one AddReport.
-type reportRecord struct {
-	Report  Report `json:"report"`
-	IdemKey string `json:"idemKey,omitempty"`
-}
-
-// batchRecord logs one chunk of a batch upload. A full batch encoded as a
-// single record could exceed wal.MaxRecordBytes and poison recovery, so
-// AddReportBatch splits batches into bounded chunks before framing; each
-// element replays exactly like a reportRecord, in order.
-type batchRecord struct {
-	Reports []json.RawMessage `json:"reports"`
-}
-
-// aggregateRecord logs one aggregation cycle's outputs (the post-cycle fused
-// map and reliability map, which replace rather than accumulate).
-type aggregateRecord struct {
-	Fused       map[string][]LookupResult `json:"fused"`
-	Reliability map[string]float64        `json:"reliability"`
-}
-
 // dropRecord logs one segment-ownership drop (DropSegments): the named
 // segments' reports and fused results were streamed to their new owner and
 // must not survive replay here.
@@ -85,9 +70,9 @@ type dropRecord struct {
 }
 
 // snapshotState is the full Store serialization: everything recovery needs
-// to stand the server back up without the compacted log prefix. Snapshots
-// written before the vehicle index was deleted carry a "vehicles" key, which
-// decoding ignores.
+// to stand the server back up without the compacted log prefix. encodeSnapshot
+// writes it and decodeSnapshot reads it; the JSON tags are what the snapshots
+// of older builds decode through, and nothing encodes through them.
 type snapshotState struct {
 	Patterns    []Pattern                 `json:"patterns"`
 	Labels      []Label                   `json:"labels"`
@@ -163,52 +148,46 @@ func OpenStore(mergeRadius float64, opts StorageOptions) (*Store, RecoveryStats,
 		opts.SnapshotKeep = 2
 	}
 
-	snapSeq, snapData, err := wal.LatestSnapshot(opts.Dir)
-	if err != nil {
-		return nil, stats, fmt.Errorf("server: loading snapshot: %w", err)
-	}
-	if snapData != nil {
-		var state snapshotState
-		if err := json.Unmarshal(snapData, &state); err != nil {
-			return nil, stats, fmt.Errorf("server: decoding snapshot: %w", err)
-		}
-		s.restoreSnapshot(state)
-		stats.SnapshotLoaded = true
-		stats.SnapshotSeq = snapSeq
-	}
-
+	var log *wal.Log
+	var truncated int64
 	userSyncErr := opts.OnSyncError
-	log, info, err := wal.Open(opts.Dir, wal.Options{
-		SegmentBytes: opts.SegmentBytes,
-		Sync:         opts.Fsync,
-		SyncEvery:    opts.SyncEvery,
-		NextSeq:      snapSeq + 1,
-		Metrics:      opts.Metrics,
-		FS:           opts.FS,
-		OnSyncError: func(serr error) {
-			s.durabilityFault(serr)
-			if userSyncErr != nil {
-				userSyncErr(serr)
-			}
-		},
+	stats, err := s.loadDir(opts.Dir, func(after uint64, apply func(wal.Record) error) error {
+		var info wal.OpenInfo
+		var err error
+		log, info, err = wal.Open(opts.Dir, wal.Options{
+			SegmentBytes: opts.SegmentBytes,
+			Sync:         opts.Fsync,
+			SyncEvery:    opts.SyncEvery,
+			NextSeq:      after + 1,
+			Metrics:      opts.Metrics,
+			FS:           opts.FS,
+			OnSyncError: func(serr error) {
+				s.durabilityFault(serr)
+				if userSyncErr != nil {
+					userSyncErr(serr)
+				}
+			},
+		})
+		if err != nil {
+			return fmt.Errorf("server: opening wal: %w", err)
+		}
+		truncated = info.TruncatedBytes
+		if err := log.Replay(after, apply); err != nil {
+			return fmt.Errorf("server: replaying wal: %w", err)
+		}
+		return nil
 	})
 	if err != nil {
-		return nil, stats, fmt.Errorf("server: opening wal: %w", err)
-	}
-	stats.TruncatedBytes = info.TruncatedBytes
-
-	err = log.Replay(snapSeq, func(rec wal.Record) error {
-		stats.ReplayedRecords++
-		return s.applyRecord(rec)
-	})
-	if err != nil {
-		log.Close()
-		return nil, stats, fmt.Errorf("server: replaying wal: %w", err)
+		if log != nil {
+			log.Close()
+		}
+		return nil, stats, err
 	}
 
 	s.mu.Lock()
 	s.log = log
 	s.storage = opts
+	stats.TruncatedBytes = truncated
 	stats.LastSeq = log.LastSeq()
 	stats.Patterns = len(s.patterns)
 	stats.Labels = len(s.labels)
@@ -219,8 +198,48 @@ func OpenStore(mergeRadius float64, opts StorageOptions) (*Store, RecoveryStats,
 	return s, stats, nil
 }
 
-// restoreSnapshot installs a decoded snapshot as the store's state.
-func (s *Store) restoreSnapshot(state snapshotState) {
+// loadDir is recovery, for a store about to serve dir and for one that only
+// reads it: install the newest valid snapshot, then apply the log records
+// after it, which replay streams in order.
+func (s *Store) loadDir(dir string, replay func(after uint64, apply func(wal.Record) error) error) (RecoveryStats, error) {
+	var stats RecoveryStats
+	seq, data, err := wal.LatestSnapshot(dir)
+	if err != nil {
+		return stats, fmt.Errorf("server: loading snapshot: %w", err)
+	}
+	str := newInterner()
+	if data != nil {
+		state, err := decodeSnapshot(data, str)
+		if err == nil {
+			err = s.restoreSnapshot(state)
+		}
+		if err != nil {
+			return stats, fmt.Errorf("server: decoding snapshot %d: %w", seq, err)
+		}
+		stats.SnapshotLoaded = true
+		stats.SnapshotSeq = seq
+	}
+	err = replay(seq, func(rec wal.Record) error {
+		stats.ReplayedRecords++
+		return s.applyRecord(rec, str)
+	})
+	return stats, err
+}
+
+// restoreSnapshot installs a decoded snapshot as the store's state, once the
+// invariants every reader of that state relies on hold: pattern ids are
+// positions, and labels are ±1 answers to patterns that exist.
+func (s *Store) restoreSnapshot(state snapshotState) error {
+	for i, p := range state.Patterns {
+		if p.ID != i {
+			return fmt.Errorf("%w: pattern %d carries id %d", errCodec, i, p.ID)
+		}
+	}
+	for _, l := range state.Labels {
+		if l.TaskID < 0 || l.TaskID >= len(state.Patterns) || (l.Value != 1 && l.Value != -1) {
+			return fmt.Errorf("%w: label %+v among %d patterns", errCodec, l, len(state.Patterns))
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.patterns = state.Patterns
@@ -228,6 +247,7 @@ func (s *Store) restoreSnapshot(state snapshotState) {
 	s.reports = state.Reports
 	s.view.Store(newView(state.Fused, state.Reliability))
 	s.idem.seed(state.Idem)
+	return nil
 }
 
 // newView wraps decoded derived state, with empty maps for absent ones so
@@ -245,62 +265,59 @@ func newView(fused map[string][]LookupResult, reliability map[string]float64) *v
 // applyRecord replays one WAL record. Replay mirrors the original mutation
 // exactly — including the canonical response a keyed request was (or would
 // have been) acknowledged with, so retries of acknowledged-but-crashed
-// uploads dedupe instead of double-applying.
-func (s *Store) applyRecord(rec wal.Record) error {
+// uploads dedupe instead of double-applying. str converts the names in a
+// binary record (nil copies).
+func (s *Store) applyRecord(rec wal.Record, str func([]byte) string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	var err error
 	switch rec.Kind {
 	case recPattern:
 		var p patternRecord
-		if err := json.Unmarshal(rec.Data, &p); err != nil {
-			return fmt.Errorf("server: record %d: %w", rec.Seq, err)
+		if err = json.Unmarshal(rec.Data, &p); err != nil {
+			break
 		}
 		if p.ID != len(s.patterns) {
-			return fmt.Errorf("server: record %d: pattern id %d does not follow %d stored patterns", rec.Seq, p.ID, len(s.patterns))
+			err = fmt.Errorf("pattern id %d does not follow %d stored patterns", p.ID, len(s.patterns))
+			break
 		}
 		s.patterns = append(s.patterns, Pattern{ID: p.ID, Segment: p.Segment, APs: p.APs})
 		s.completeIdemLocked(p.IdemKey, patternResponse(p.ID))
 	case recLabels:
 		var lr labelsRecord
-		if err := json.Unmarshal(rec.Data, &lr); err != nil {
-			return fmt.Errorf("server: record %d: %w", rec.Seq, err)
+		if err = json.Unmarshal(rec.Data, &lr); err != nil {
+			break
 		}
 		s.labels = append(s.labels, lr.Labels...)
 		s.completeIdemLocked(lr.IdemKey, labelsResponse(len(lr.Labels)))
-	case recReport:
-		var rr reportRecord
-		if err := json.Unmarshal(rec.Data, &rr); err != nil {
-			return fmt.Errorf("server: record %d: %w", rec.Seq, err)
+	case recReports:
+		var items []BatchItem
+		if items, err = decodeReports(rec.Data, str); err != nil {
+			break
 		}
-		s.reports = append(s.reports, rr.Report)
-		s.completeIdemLocked(rr.IdemKey, reportResponse())
-	case recReportBatch:
-		var br batchRecord
-		if err := json.Unmarshal(rec.Data, &br); err != nil {
-			return fmt.Errorf("server: record %d: %w", rec.Seq, err)
+		for _, it := range items {
+			s.reports = append(s.reports, it.Report)
+			s.completeIdemLocked(it.Key, reportResponse())
 		}
-		for i, raw := range br.Reports {
-			var rr reportRecord
-			if err := json.Unmarshal(raw, &rr); err != nil {
-				return fmt.Errorf("server: record %d entry %d: %w", rec.Seq, i, err)
-			}
-			s.reports = append(s.reports, rr.Report)
-			s.completeIdemLocked(rr.IdemKey, reportResponse())
+	case recCycle:
+		var next *view
+		if next, err = decodeCycle(rec.Data, str); err != nil {
+			break
 		}
-	case recAggregate:
-		var ar aggregateRecord
-		if err := json.Unmarshal(rec.Data, &ar); err != nil {
-			return fmt.Errorf("server: record %d: %w", rec.Seq, err)
-		}
-		s.view.Store(newView(ar.Fused, ar.Reliability))
+		s.view.Store(next)
 	case recDrop:
 		var dr dropRecord
-		if err := json.Unmarshal(rec.Data, &dr); err != nil {
-			return fmt.Errorf("server: record %d: %w", rec.Seq, err)
+		if err = json.Unmarshal(rec.Data, &dr); err != nil {
+			break
 		}
 		s.dropSegmentsLocked(dr.Segments)
+	case recLegacyReport, recLegacyCycle, recLegacyBatch:
+		err = s.applyLegacyRecordLocked(rec)
 	default:
-		return fmt.Errorf("server: record %d has unknown kind %d", rec.Seq, rec.Kind)
+		err = fmt.Errorf("unknown kind %d", rec.Kind)
+	}
+	if err != nil {
+		return fmt.Errorf("server: record %d: %w", rec.Seq, err)
 	}
 	return nil
 }
@@ -334,9 +351,9 @@ func reportResponse() cannedResponse {
 	return cannedResponse{http.StatusCreated, jsonBody(map[string]string{"status": "stored"})}
 }
 
-// appendRecordLocked write-ahead-logs one typed record whose size is bounded
-// by one request; a record that grows with history is marshalled before the
-// lock is taken and handed to appendLocked.
+// appendRecordLocked write-ahead-logs one JSON record whose size is bounded
+// by one request (a pattern, a label batch, a drop); report and cycle records
+// are encoded before the lock is taken and handed to appendLocked.
 func (s *Store) appendRecordLocked(ctx context.Context, kind byte, v any) error {
 	if s.log == nil {
 		return nil
@@ -378,12 +395,12 @@ func (s *Store) completeIdemLocked(key string, resp cannedResponse) {
 
 // Snapshot serializes the full store state (patterns, labels, reports, fused
 // map, reliability, completed idempotency keys) as of the newest durable
-// sequence, installs it atomically, and compacts away the WAL segments and
-// older snapshots it covers. It returns the covered sequence. A no-op
-// (0, nil) on an in-memory store.
+// sequence, installs it atomically, and compacts away the older snapshots
+// beyond the ones kept and the WAL segments the oldest kept one covers. It
+// returns the covered sequence. A no-op (0, nil) on an in-memory store.
 func (s *Store) Snapshot() (uint64, error) {
 	// One hold pairs the sequence with exactly the state its records built;
-	// the marshal then runs on the captured prefixes beside live traffic.
+	// the encode then runs on the captured prefixes beside live traffic.
 	s.mu.Lock()
 	c := s.captureLocked()
 	if c.log == nil {
@@ -402,7 +419,7 @@ func (s *Store) Snapshot() (uint64, error) {
 	opts := s.storage
 	s.mu.Unlock()
 
-	data, err := json.Marshal(state)
+	data, err := encodeSnapshot(state)
 	if err != nil {
 		opts.Metrics.ObserveSnapshot(0, err)
 		return 0, err
@@ -413,10 +430,14 @@ func (s *Store) Snapshot() (uint64, error) {
 		return 0, err
 	}
 	opts.Metrics.ObserveSnapshot(time.Since(start), nil)
-	if err := c.log.CompactThrough(seq); err != nil {
+	// The log goes only through the oldest snapshot kept: the spare is a
+	// fallback for a newest one that turns out unreadable, and a fallback
+	// needs the records after it.
+	oldest, err := wal.CompactSnapshots(opts.Dir, opts.SnapshotKeep)
+	if err != nil {
 		return seq, err
 	}
-	return seq, wal.CompactSnapshots(opts.Dir, opts.SnapshotKeep)
+	return seq, c.log.CompactThrough(oldest)
 }
 
 // WALStats reports the store's write-ahead-log footprint (segment count,

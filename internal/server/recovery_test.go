@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"testing"
 
 	"crowdwifi/internal/chaos"
@@ -474,63 +476,89 @@ func TestCrashRecoveryFailedCyclePublishesNothing(t *testing.T) {
 	}
 }
 
-// TestSnapshotWithVehiclesKeyStillLoads: snapshots written before the
-// vehicle index was deleted carry a "vehicles" member; recovery ignores it
-// and answers exactly as the store that wrote the snapshot did.
-func TestSnapshotWithVehiclesKeyStillLoads(t *testing.T) {
-	dir := t.TempDir()
-	store, _ := openDurable(t, dir)
-	ts := httptest.NewServer(New(store))
-	ops := recoveryOps()
-	drive(t, ts.URL, ops, 0, len(ops), map[string]reply{})
-	ts.Close()
-	if _, err := store.AggregateCycle(); err != nil {
+// twoSnapshotsAndASuffix leaves dir the way a long-running server does: 100
+// reports, a snapshot, 100 more, a second snapshot, 10 more, no shutdown. It
+// returns the newest snapshot's path.
+func twoSnapshotsAndASuffix(t *testing.T, dir string) string {
+	t.Helper()
+	// Small segments, so the suffix after the older snapshot spans several.
+	store, _, err := OpenStore(10, StorageOptions{Dir: dir, Fsync: wal.SyncOff, SegmentBytes: 2048})
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := fingerprint(t, store)
-	if _, err := store.Snapshot(); err != nil {
-		t.Fatal(err)
+	var newest uint64
+	for i := 0; i < 210; i++ {
+		if err := store.AddReportKeyed(context.Background(), fmt.Sprintf("fb-%d", i), batchReport(i)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 99 || i == 199 {
+			if newest, err = store.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return filepath.Join(dir, fmt.Sprintf("snap-%020d.snap", newest))
+}
 
-	seq, data, err := wal.LatestSnapshot(dir)
-	if err != nil || data == nil {
-		t.Fatalf("reading back the snapshot: %v", err)
-	}
-	var members map[string]json.RawMessage
-	if err := json.Unmarshal(data, &members); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := members["vehicles"]; ok {
-		t.Fatal("this build still writes a vehicles member")
-	}
-	members["vehicles"] = json.RawMessage(`{"v1":0,"v2":1,"v3":2}`)
-	old, err := json.Marshal(members)
+func flipLastByte(t *testing.T, path string) {
+	t.Helper()
+	buf, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldDir := t.TempDir()
-	if err := wal.WriteSnapshot(oldDir, seq, old); err != nil {
+	buf[len(buf)-1] ^= 0xff
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDamagedNewestSnapshotFallsBackWithoutLoss: the spare snapshot is a
+// fallback only if the log still holds the records after it. Compaction used
+// to go through the newest snapshot, so a boot that fell back replayed the
+// few records after the *newest* one onto the *older* state and came up,
+// without a word, 100 acknowledged reports short.
+func TestDamagedNewestSnapshotFallsBackWithoutLoss(t *testing.T) {
+	dir := t.TempDir()
+	flipLastByte(t, twoSnapshotsAndASuffix(t, dir))
+
+	store, stats := openDurable(t, dir)
+	defer store.Close()
+	if !stats.SnapshotLoaded || stats.SnapshotSeq != 100 {
+		t.Fatalf("recovery did not fall back to the older snapshot: %+v", stats)
+	}
+	if stats.Reports != 210 || stats.ReplayedRecords != 110 {
+		t.Fatalf("fallback recovered %d reports from %d replayed records, want all 210 from 110", stats.Reports, stats.ReplayedRecords)
+	}
+	for i := 0; i < 210; i++ {
+		if seen, rec := store.idem.begin(fmt.Sprintf("fb-%d", i)); !seen || rec == nil {
+			t.Fatalf("acknowledged upload fb-%d is not in the recovered store", i)
+		}
+	}
+}
+
+// TestFallbackWithoutItsLogSuffixRefusesToBoot: when the records between the
+// fallback snapshot and the surviving log are gone, recovery must say so
+// rather than serve the state with a hole in it.
+func TestFallbackWithoutItsLogSuffixRefusesToBoot(t *testing.T) {
+	dir := t.TempDir()
+	flipLastByte(t, twoSnapshotsAndASuffix(t, dir))
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil || len(segs) < 3 || filepath.Base(segs[0]) != fmt.Sprintf("wal-%020d.seg", 101) {
+		t.Fatalf("segments %v (err %v), want several starting at record 101", segs, err)
+	}
+	if err := os.Remove(segs[0]); err != nil {
 		t.Fatal(err)
 	}
 
-	recovered, stats := openDurable(t, oldDir)
-	defer recovered.Close()
-	if !stats.SnapshotLoaded {
-		t.Fatal("snapshot with a vehicles member was not loaded")
+	missing := regexp.MustCompile(`records 101 through 1\d\d are missing`)
+	_, _, err = OpenStore(10, StorageOptions{Dir: dir})
+	if err == nil || !missing.MatchString(err.Error()) {
+		t.Fatalf("OpenStore over a log with a hole: err = %v, want the missing range named", err)
 	}
-	if got := fingerprint(t, recovered); got != want {
-		t.Fatalf("snapshot with a vehicles member recovered differently\n got %s\nwant %s", got, want)
-	}
-	ts2 := httptest.NewServer(New(recovered))
-	defer ts2.Close()
-	replays := map[string]reply{}
-	drive(t, ts2.URL, ops, 0, len(ops), replays)
-	for _, op := range ops {
-		if !replays[op.key].replayed {
-			t.Fatalf("op %s not deduped from the recovered snapshot", op.key)
-		}
+	if _, err := replayDir(dir, 10); err == nil || !missing.MatchString(err.Error()) {
+		t.Fatalf("read-only replay over a log with a hole: err = %v, want the missing range named", err)
 	}
 }

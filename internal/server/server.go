@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -203,10 +204,14 @@ func (s *Store) AddPattern(segment string, aps []APReport) int {
 // AddPatternKeyed is AddPattern with write-ahead durability semantics: the
 // typed record (carrying the request's idempotency key, if any) is appended
 // and synced per policy before the state mutates, and the canonical response
-// is installed in the idempotency cache atomically with the mutation. The
-// only possible error is ErrDurability. A traced ctx nests the mutation (and
-// its WAL append/fsync) under the request's span.
+// is installed in the idempotency cache atomically with the mutation. An
+// error is ErrDurability, ErrRecordTooLarge, or a pattern that is refused
+// (non-finite coordinates). A traced ctx nests the mutation (and its WAL
+// append/fsync) under the request's span.
 func (s *Store) AddPatternKeyed(ctx context.Context, idemKey, segment string, aps []APReport) (int, error) {
+	if err := checkAPs(aps); err != nil {
+		return 0, err
+	}
 	ctx, span := trace.StartChild(ctx, "store.add_pattern")
 	defer span.End()
 	s.mu.Lock()
@@ -284,26 +289,38 @@ func (s *Store) AddReport(r Report) error {
 	return s.AddReportKeyed(context.Background(), "", r)
 }
 
-// AddReportKeyed is AddReport with write-ahead durability semantics (see
-// AddPatternKeyed).
-func (s *Store) AddReportKeyed(ctx context.Context, idemKey string, r Report) error {
+// checkAPs refuses coordinates and credits that are not finite. The frame
+// codec carries raw IEEE-754 bits, so a NaN can arrive; stored, it would
+// poison every fusion of its segment.
+func checkAPs(aps []APReport) error {
+	for i, ap := range aps {
+		for _, v := range [3]float64{ap.X, ap.Y, ap.Credit} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("server: access point %d has a non-finite coordinate or credit", i)
+			}
+		}
+	}
+	return nil
+}
+
+// checkReport is what every report path refuses before it encodes anything.
+func checkReport(r Report) error {
 	if r.Vehicle == "" || r.Segment == "" {
 		return errors.New("server: report needs vehicle and segment")
 	}
+	return checkAPs(r.APs)
+}
+
+// AddReportKeyed is AddReport with write-ahead durability semantics (see
+// AddPatternKeyed): a batch of one, on the batch path.
+func (s *Store) AddReportKeyed(ctx context.Context, idemKey string, r Report) error {
 	ctx, span := trace.StartChild(ctx, "store.add_report")
 	defer span.End()
 	span.SetAttr("vehicle", r.Vehicle)
 	span.SetAttr("segment", r.Segment)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.appendRecordLocked(ctx, recReport, reportRecord{Report: r, IdemKey: idemKey}); err != nil {
-		span.SetError(err)
-		return err
-	}
-	s.reports = append(s.reports, r)
-	s.metrics.incReports()
-	s.completeIdemLocked(idemKey, reportResponse())
-	return nil
+	errs, _, _ := s.addReports(ctx, []BatchItem{{Key: idemKey, Report: r}})
+	span.SetError(errs[0])
+	return errs[0]
 }
 
 // Counts reports the stored pattern, label, and report volumes — the ground
@@ -456,14 +473,13 @@ func (s *Store) aggregate(ctx context.Context) (CycleStats, error) {
 func (s *Store) publish(ctx context.Context, log *wal.Log, next *view) error {
 	var data []byte
 	if log != nil {
-		var err error
-		if data, err = json.Marshal(aggregateRecord{Fused: next.fused, Reliability: next.reliability}); err != nil {
-			return fmt.Errorf("%w: %v", ErrDurability, err)
+		if data = encodeCycle(next); 1+len(data) > wal.MaxRecordBytes {
+			return fmt.Errorf("%w: %d-byte cycle record", ErrRecordTooLarge, len(data))
 		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.appendLocked(ctx, recAggregate, data); err != nil {
+	if err := s.appendLocked(ctx, recCycle, data); err != nil {
 		return err
 	}
 	s.view.Store(next)

@@ -17,8 +17,9 @@ import (
 // tolerated and simply ends the iteration; unlike Open, the file is left
 // untouched. Framing damage inside a sealed (non-final) segment is
 // unrecoverable mid-log corruption and returns an error, exactly like
-// Replay. Probe records (KindProbe) are invisible, and record data is copied
-// so fn may retain it.
+// Replay — and so is a log whose oldest segment starts after after+1. Probe
+// records (KindProbe) are invisible, and record data is copied so fn may
+// retain it.
 func IterateDir(dir string, after uint64, fn func(Record) error) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -32,6 +33,9 @@ func IterateDir(dir string, after uint64, fn func(Record) error) error {
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].first < segs[j].first })
 
+	if len(segs) > 0 && segs[0].first > after+1 {
+		return gapError(dir, after, segs[0].first)
+	}
 	for i, seg := range segs {
 		final := i == len(segs)-1
 		buf, err := os.ReadFile(seg.path)

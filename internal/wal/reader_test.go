@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -168,5 +169,47 @@ func TestIterateDirPropagatesCallbackError(t *testing.T) {
 	}
 	if count != 2 {
 		t.Fatalf("callback ran %d times, want 2 (stop on error)", count)
+	}
+}
+
+// TestReplayRefusesALogThatStartsAfterTheCursor: a replay asked for
+// everything after seq S over a log whose oldest segment starts past S+1
+// would hand back a suffix with a hole before it. Both readers name the
+// missing range instead.
+func TestReplayRefusesALogThatStartsAfterTheCursor(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(dir, Options{SegmentBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := l.Append(1, []byte(fmt.Sprintf("rec-%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.CompactThrough(10); err != nil {
+		t.Fatal(err)
+	}
+	first := l.segs[0].first
+	if first < 3 || first > 11 {
+		t.Fatalf("oldest segment after compaction starts at %d", first)
+	}
+	none := func(Record) error { return nil }
+	want := fmt.Sprintf("records 1 through %d are missing", first-1)
+	if err := l.Replay(0, none); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Replay(0) = %v, want %q", err, want)
+	}
+	// From the record before the oldest kept on, nothing is missing.
+	if err := l.Replay(first-1, none); err != nil {
+		t.Fatalf("Replay(%d) = %v", first-1, err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := IterateDir(dir, 0, none); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("IterateDir(0) = %v, want %q", err, want)
+	}
+	if err := IterateDir(dir, first-1, none); err != nil {
+		t.Fatalf("IterateDir(%d) = %v", first-1, err)
 	}
 }

@@ -84,6 +84,14 @@ func WalkFrames(buf []byte, fn func(i int, kind byte, data []byte) error) (valid
 	return int64(off), n, nil
 }
 
+// gapError describes a log whose oldest surviving segment starts after the
+// first record a replay was asked for: the records between were compacted
+// away or their segment was lost, and replaying the rest would silently drop
+// them.
+func gapError(dir string, after, first uint64) error {
+	return fmt.Errorf("wal: log in %s is corrupt: records %d through %d are missing, the oldest segment starts at %d", dir, after+1, first-1, first)
+}
+
 // corruptionError describes framing damage found where it cannot be healed
 // by tail truncation.
 func corruptionError(path string, off int64) error {

@@ -130,20 +130,26 @@ func LatestSnapshot(dir string) (uint64, []byte, error) {
 	return 0, nil, nil
 }
 
-// CompactSnapshots removes all but the newest keep snapshots. Keeping one
-// spare means a snapshot that turns out unreadable still has a fallback.
-func CompactSnapshots(dir string, keep int) error {
+// CompactSnapshots removes all but the newest keep snapshots and returns the
+// sequence the oldest one kept covers (0 when there is none). Keeping one
+// spare means a snapshot that turns out unreadable still has a fallback — as
+// long as the log is compacted only through the returned sequence, so the
+// fallback has its suffix to replay.
+func CompactSnapshots(dir string, keep int) (oldest uint64, err error) {
 	if keep < 1 {
 		keep = 1
 	}
 	snaps := snapshotFiles(dir)
+	if len(snaps) == 0 {
+		return 0, nil
+	}
 	if len(snaps) <= keep {
-		return nil
+		return snaps[len(snaps)-1].first, nil
 	}
 	for _, s := range snaps[keep:] {
 		if err := os.Remove(s.path); err != nil && !os.IsNotExist(err) {
-			return err
+			return 0, err
 		}
 	}
-	return syncDir(dir)
+	return snaps[keep-1].first, syncDir(dir)
 }

@@ -472,13 +472,18 @@ func (l *Log) Stats() Stats {
 // Replay streams every record with seq > after, oldest first. Call it after
 // Open and before concurrent appends begin. Damage inside a sealed segment
 // (a mid-log CRC mismatch) is unrecoverable and returns an error; the final
-// segment was already healed by Open.
+// segment was already healed by Open. So is a log that no longer holds record
+// after+1 because its oldest segment starts later: the caller's snapshot is
+// older than what compaction kept.
 func (l *Log) Replay(after uint64, fn func(Record) error) error {
 	l.mu.Lock()
 	segs := append([]segment(nil), l.segs...)
 	next := l.next
 	l.mu.Unlock()
 
+	if segs[0].first > after+1 {
+		return gapError(l.dir, after, segs[0].first)
+	}
 	for i, seg := range segs {
 		last := i == len(segs)-1
 		end := next - 1

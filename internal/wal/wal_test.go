@@ -300,9 +300,16 @@ func TestRotationAndCompaction(t *testing.T) {
 	}
 	l.Close()
 
+	// Records 1–12 are gone: a replay says where the caller's snapshot stands,
+	// and one that asks for more than compaction kept is refused, not served
+	// the suffix as if it were everything.
 	l2, _ := mustOpen(t, dir, Options{SegmentBytes: 200})
-	if recs := collect(t, l2, 0); len(recs) != 1 || recs[0].Seq != 13 {
+	if recs := collect(t, l2, 12); len(recs) != 1 || recs[0].Seq != 13 {
 		t.Fatalf("replay after compaction+reopen = %+v", recs)
+	}
+	err = l2.Replay(0, func(Record) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "records 1 through 12 are missing") {
+		t.Fatalf("replay from 0 over a log that starts at 13: err = %v, want the missing range named", err)
 	}
 }
 
@@ -338,8 +345,8 @@ func TestSnapshotRoundtripAndFallback(t *testing.T) {
 	if err := WriteSnapshot(dir, 30, []byte("state-at-30")); err != nil {
 		t.Fatal(err)
 	}
-	if err := CompactSnapshots(dir, 2); err != nil {
-		t.Fatal(err)
+	if oldest, err := CompactSnapshots(dir, 2); err != nil || oldest != 25 {
+		t.Fatalf("CompactSnapshots = (%d, %v), want the older kept snapshot's 25", oldest, err)
 	}
 	matches, _ := filepath.Glob(filepath.Join(dir, snapshotPrefix+"*"+snapshotSuffix))
 	if len(matches) != 2 {
