@@ -1,7 +1,9 @@
 // Benchmark harness: one benchmark per table/figure of the paper's
 // evaluation (Fig. 5–11), printing the same rows the paper reports, plus
 // ablation benches for the design choices called out in DESIGN.md and
-// micro-benchmarks for the numerical kernels.
+// micro-benchmarks for crowd inference and matching. The numerical kernels'
+// micro-benchmarks sit beside them, at the shapes the vehicle workload runs:
+// internal/mat, internal/solve, internal/cs.
 //
 // Run everything:
 //
@@ -23,12 +25,10 @@ import (
 	"crowdwifi/internal/exp"
 	"crowdwifi/internal/geo"
 	"crowdwifi/internal/grid"
-	"crowdwifi/internal/mat"
 	"crowdwifi/internal/obs"
 	"crowdwifi/internal/radio"
 	"crowdwifi/internal/rng"
 	"crowdwifi/internal/sim"
-	"crowdwifi/internal/solve"
 	"crowdwifi/internal/wal"
 )
 
@@ -379,55 +379,7 @@ func BenchmarkEngineAdd(b *testing.B) {
 	}
 }
 
-// --- Micro-benchmarks for the numerical kernels ---
-
-func randomMat(r *rng.RNG, m, n int) *mat.Mat {
-	a := mat.New(m, n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			a.Set(i, j, r.NormFloat64())
-		}
-	}
-	return a
-}
-
-func BenchmarkSVD60x900(b *testing.B) {
-	a := randomMat(rng.New(1), 60, 900)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mat.FactorizeSVD(a)
-	}
-}
-
-func BenchmarkBPDNWide(b *testing.B) {
-	r := rng.New(2)
-	a := randomMat(r, 40, 400)
-	x := make([]float64, 400)
-	x[17], x[230] = 1, 1
-	y := mat.MulVec(a, x)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := solve.BPDN(a, y, 0.05, solve.Options{MaxIter: 200}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRecoverTheta(b *testing.B) {
-	g, ch, ms, _ := ablationScene(11, 20)
-	a := cs.BuildSensingMatrix(g, ch, ms)
-	y := make([]float64, len(ms))
-	for i, m := range ms {
-		y[i] = m.RSS
-	}
-	opts := cs.DefaultRecoveryOptions()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cs.RecoverTheta(a, y, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// --- Micro-benchmarks for crowd inference and matching ---
 
 func BenchmarkIterativeInference1000(b *testing.B) {
 	r := rng.New(3)

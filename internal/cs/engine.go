@@ -50,8 +50,9 @@ type EngineConfig struct {
 	// MergeRadius merges estimates closer than this during consolidation
 	// (default: one lattice length).
 	MergeRadius float64
-	// MinCredit filters spurious estimates in Estimates() (default 1: an
-	// estimate seen only once is dropped, per the paper).
+	// MinCredit filters spurious estimates in Estimates() and
+	// FinalEstimates() (default 1: an estimate seen only once is dropped, per
+	// the paper).
 	MinCredit float64
 	// Select configures per-round model selection.
 	Select SelectOptions
@@ -425,17 +426,18 @@ func (e *Engine) AllEstimates() []Estimate {
 }
 
 // FinalEstimates runs the paper's "reality check" on the consolidated set:
-// starting from every estimate that survives the credit filter (credit > 1,
-// the paper's spurious-estimate rule), it greedily removes the estimate whose
-// removal most improves the BIC of the full measurement history, until no
-// removal helps. Mirror phantoms from straight driving segments are the main
-// casualty: the true estimate explains the phantom's readings equally well
-// (symmetric distances), so dropping the phantom costs no likelihood and
-// saves the 2-parameter BIC penalty.
+// starting from every estimate that survives the credit filter (credit >
+// MinCredit, by default the paper's spurious-estimate rule of more than one
+// vote), it greedily removes the estimate whose removal most improves the BIC
+// of the full measurement history, until no removal helps. Mirror phantoms
+// from straight driving segments are the main casualty: the true estimate
+// explains the phantom's readings equally well (symmetric distances), so
+// dropping the phantom costs no likelihood and saves the 2-parameter BIC
+// penalty.
 func (e *Engine) FinalEstimates() []Estimate {
 	cands := make([]Estimate, 0, len(e.estimates))
 	for _, est := range e.estimates {
-		if est.Credit > 1 {
+		if est.Credit > e.cfg.MinCredit {
 			cands = append(cands, est)
 		}
 	}

@@ -74,6 +74,10 @@ type HypothesisOptions struct {
 	// path. The parallel path is bit-identical to the serial one: each group
 	// is recovered independently and results are spliced in group order.
 	Workers int
+
+	// memo is the enclosing model selection's recovery memo; SelectModelContext
+	// and a lone EvaluateKContext make their own.
+	memo *recoveryMemo
 }
 
 func (o HypothesisOptions) fill() HypothesisOptions {
@@ -125,6 +129,9 @@ func EvaluateKContext(ctx context.Context, g *grid.Grid, ch radio.Channel, windo
 	o := opts.fill()
 	if o.GMM.Channel == (radio.Channel{}) {
 		o.GMM.Channel = ch
+	}
+	if o.memo == nil {
+		o.memo = newRecoveryMemo()
 	}
 
 	if o.Exhaustive {
@@ -314,22 +321,41 @@ func recoverGroups(ctx context.Context, g *grid.Grid, ch radio.Channel, window [
 // readings assigned to j feed one ℓ1 recovery over the grid, and the support
 // centroid is polished by local likelihood maximization (with lobe splitting
 // for mirror-ambiguous straight segments). It returns zero, one, or two
-// points.
+// points. A group whose rows this model selection has already solved is
+// answered from o.memo; a failed or canceled solve leaves nothing there.
 func recoverGroup(ctx context.Context, g *grid.Grid, ch radio.Channel, window []radio.Measurement, assign []int, j int, o HypothesisOptions) ([]geo.Point, error) {
-	var group []radio.Measurement
+	var rows []int
 	for i, a := range assign {
 		if a == j {
-			group = append(group, window[i])
+			rows = append(rows, i)
 		}
 	}
-	if len(group) == 0 {
+	if len(rows) == 0 {
 		return nil, nil
 	}
-	if len(group) > o.MaxGroupRows {
+	if len(rows) > o.MaxGroupRows {
 		// Keep the strongest readings; they pin the AP location.
-		sort.Slice(group, func(a, b int) bool { return group[a].RSS > group[b].RSS })
-		group = group[:o.MaxGroupRows]
+		sort.Slice(rows, func(a, b int) bool { return window[rows[a]].RSS > window[rows[b]].RSS })
+		rows = rows[:o.MaxGroupRows]
 	}
+	key := memoKey(rows)
+	if pts, ok := o.memo.get(key); ok {
+		return pts, nil
+	}
+	group := make([]radio.Measurement, len(rows))
+	for i, r := range rows {
+		group[i] = window[r]
+	}
+	pts, err := solveGroup(ctx, g, ch, group, o)
+	if err != nil {
+		return nil, err
+	}
+	o.memo.put(key, pts)
+	return pts, nil
+}
+
+// solveGroup is recoverGroup's solve for one group's rows, in row order.
+func solveGroup(ctx context.Context, g *grid.Grid, ch radio.Channel, group []radio.Measurement, o HypothesisOptions) ([]geo.Point, error) {
 	a := BuildSensingMatrix(g, ch, group)
 	y := make([]float64, len(group))
 	for i, m := range group {
@@ -746,6 +772,12 @@ func SelectModelContext(ctx context.Context, g *grid.Grid, ch radio.Channel, win
 				kLo = 1
 			}
 		}
+	}
+
+	// Every K of this selection recovers over the same window, grid and
+	// options, so they share one recovery memo.
+	if opts.Hypothesis.memo == nil {
+		opts.Hypothesis.memo = newRecoveryMemo()
 	}
 
 	workers := opts.Workers

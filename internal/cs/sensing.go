@@ -168,9 +168,10 @@ func Orthogonalize(a *mat.Mat, y []float64, rankTol float64) (*mat.Mat, []float6
 	}
 	// Q = first r columns of V, transposed → r×N.
 	q := mat.New(r, n)
-	for i := 0; i < n; i++ {
-		for k := 0; k < r; k++ {
-			q.Set(k, i, svd.V.At(i, k))
+	for k := 0; k < r; k++ {
+		qk := q.RawRow(k)
+		for i := range qk {
+			qk[i] = svd.V.RawRow(i)[k]
 		}
 	}
 	// y' = Σ⁻¹ Uᵀ y over the kept components.
@@ -220,28 +221,14 @@ func RecoverThetaContext(ctx context.Context, a *mat.Mat, y []float64, opts Reco
 	}
 
 	// Rescale columns to unit norm so the ℓ1 penalty treats every grid
-	// point equally; fold the scaling back into θ afterwards.
+	// point equally; fold the scaling back into θ afterwards. The matrix
+	// Orthogonalize built is ours to scale in place; the caller's is not.
 	var colNorm []float64
 	if !opts.NoColumnNormalize {
-		rows, cols := aw.Dims()
-		colNorm = make([]float64, cols)
-		scaled := mat.New(rows, cols)
-		for j := 0; j < cols; j++ {
-			var nrm float64
-			for i := 0; i < rows; i++ {
-				v := aw.At(i, j)
-				nrm += v * v
-			}
-			nrm = math.Sqrt(nrm)
-			colNorm[j] = nrm
-			if nrm == 0 {
-				continue
-			}
-			for i := 0; i < rows; i++ {
-				scaled.Set(i, j, aw.At(i, j)/nrm)
-			}
+		if !opts.Orthogonalize {
+			aw = a.Clone()
 		}
-		aw = scaled
+		colNorm = normalizeColumns(aw)
 	}
 
 	lambda := opts.Lambda
@@ -297,4 +284,30 @@ func RecoverThetaContext(ctx context.Context, a *mat.Mat, y []float64, opts Reco
 		}
 	}
 	return theta, nil
+}
+
+// normalizeColumns scales every non-zero column of a to unit Euclidean norm
+// in place and returns the norms it divided by.
+func normalizeColumns(a *mat.Mat) []float64 {
+	rows, cols := a.Dims()
+	norms := make([]float64, cols)
+	for i := 0; i < rows; i++ {
+		for j, v := range a.RawRow(i) {
+			norms[j] += v * v
+		}
+	}
+	for j, s := range norms {
+		norms[j] = math.Sqrt(s)
+	}
+	for i := 0; i < rows; i++ {
+		row := a.RawRow(i)
+		for j, nrm := range norms {
+			if nrm == 0 {
+				row[j] = 0 // the column is all ±0; leave +0 behind
+			} else {
+				row[j] /= nrm
+			}
+		}
+	}
+	return norms
 }

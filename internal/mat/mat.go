@@ -238,27 +238,39 @@ func mulRows(out, a, b *Mat, lo, hi int) {
 
 // MulVec returns a×x for a column vector x.
 func MulVec(a *Mat, x []float64) []float64 {
-	if a.cols != len(x) {
+	return MulVecTo(make([]float64, a.rows), a, x)
+}
+
+// MulVecTo writes a×x into dst (length a.Rows()) and returns it: MulVec for a
+// caller that brings its own buffer, such as a solver's iteration loop. dst
+// must not alias x.
+func MulVecTo(dst []float64, a *Mat, x []float64) []float64 {
+	if a.cols != len(x) || a.rows != len(dst) {
 		panic(ErrShape)
 	}
-	out := make([]float64, a.rows)
 	for i := 0; i < a.rows; i++ {
 		row := a.data[i*a.cols : (i+1)*a.cols]
 		var s float64
 		for j, v := range row {
 			s += v * x[j]
 		}
-		out[i] = s
+		dst[i] = s
 	}
-	return out
+	return dst
 }
 
 // MulTVec returns aᵀ×x without forming the transpose.
 func MulTVec(a *Mat, x []float64) []float64 {
-	if a.rows != len(x) {
+	return MulTVecTo(make([]float64, a.cols), a, x)
+}
+
+// MulTVecTo writes aᵀ×x into dst (length a.Cols(), overwritten) and returns
+// it. dst must not alias x.
+func MulTVecTo(dst []float64, a *Mat, x []float64) []float64 {
+	if a.rows != len(x) || a.cols != len(dst) {
 		panic(ErrShape)
 	}
-	out := make([]float64, a.cols)
+	clear(dst)
 	for i := 0; i < a.rows; i++ {
 		xi := x[i]
 		if xi == 0 {
@@ -266,10 +278,10 @@ func MulTVec(a *Mat, x []float64) []float64 {
 		}
 		row := a.data[i*a.cols : (i+1)*a.cols]
 		for j, v := range row {
-			out[j] += v * xi
+			dst[j] += v * xi
 		}
 	}
-	return out
+	return dst
 }
 
 // Add returns a+b.

@@ -156,30 +156,34 @@ func FactorizeCholesky(a *Mat) (*Cholesky, error) {
 
 // SolveVec solves Ax = b using the Cholesky factors.
 func (c *Cholesky) SolveVec(b []float64) []float64 {
-	if len(b) != c.n {
+	return c.SolveVecTo(make([]float64, c.n), b)
+}
+
+// SolveVecTo solves Ax = b into dst (length n) and returns it. Both
+// triangular solves run in dst, which may be b itself.
+func (c *Cholesky) SolveVecTo(dst, b []float64) []float64 {
+	if len(b) != c.n || len(dst) != c.n {
 		panic(ErrShape)
 	}
 	n := c.n
-	y := make([]float64, n)
-	// Ly = b.
+	// Ly = b, y in dst.
 	for i := 0; i < n; i++ {
 		s := b[i]
 		row := c.l.data[i*n : (i+1)*n]
 		for j := 0; j < i; j++ {
-			s -= row[j] * y[j]
+			s -= row[j] * dst[j]
 		}
-		y[i] = s / row[i]
+		dst[i] = s / row[i]
 	}
-	// Lᵀx = y.
-	x := make([]float64, n)
+	// Lᵀx = y, back to front: dst[i] is still y[i] when x[i] replaces it.
 	for i := n - 1; i >= 0; i-- {
-		s := y[i]
+		s := dst[i]
 		for j := i + 1; j < n; j++ {
-			s -= c.l.data[j*n+i] * x[j]
+			s -= c.l.data[j*n+i] * dst[j]
 		}
-		x[i] = s / c.l.data[i*n+i]
+		dst[i] = s / c.l.data[i*n+i]
 	}
-	return x
+	return dst
 }
 
 // L returns the lower-triangular factor.

@@ -22,28 +22,35 @@ const maxJacobiSweeps = 60
 // FactorizeSVD computes the thin SVD of a via one-sided Jacobi rotations.
 // The method orthogonalizes the columns of a working copy of A by a sequence
 // of plane rotations accumulated into V; the singular values are the final
-// column norms, and U the normalized columns.
+// column norms, and U the normalized columns. It wants at least as many rows
+// as columns, so a wide A is factored as its transpose with U and V swapped.
+//
+// The working copy and V are held transposed, one column per row, so a (p,q)
+// rotation walks two contiguous slices; for a wide A that copy is A's rows as
+// they lie. All state is local to the call.
 func FactorizeSVD(a *Mat) *SVD {
-	m, n := a.rows, a.cols
-	if m < n {
-		// One-sided Jacobi wants m ≥ n; factor the transpose and swap.
-		s := FactorizeSVD(a.T())
-		return &SVD{U: s.V, S: s.S, V: s.U}
+	wide := a.rows < a.cols
+	var wt *Mat // row j is column j of the matrix being orthogonalized
+	if wide {
+		wt = a.Clone()
+	} else {
+		wt = a.T()
 	}
-	w := a.Clone() // columns are rotated toward mutual orthogonality
-	v := Identity(n)
+	n, m := wt.rows, wt.cols // n columns of length m ≥ n
+	vt := Identity(n)
 
 	// Convergence threshold on normalized off-diagonal inner products.
 	const eps = 1e-13
 	for sweep := 0; sweep < maxJacobiSweeps; sweep++ {
 		converged := true
 		for p := 0; p < n-1; p++ {
+			wp := wt.RawRow(p)
 			for q := p + 1; q < n; q++ {
+				wq := wt.RawRow(q)
 				// Gram entries for the (p,q) column pair.
 				var app, aqq, apq float64
-				for i := 0; i < m; i++ {
-					cp := w.data[i*n+p]
-					cq := w.data[i*n+q]
+				for i, cp := range wp {
+					cq := wq[i]
 					app += cp * cp
 					aqq += cq * cq
 					apq += cp * cq
@@ -62,18 +69,8 @@ func FactorizeSVD(a *Mat) *SVD {
 				}
 				c := 1 / math.Sqrt(1+t*t)
 				s := c * t
-				for i := 0; i < m; i++ {
-					cp := w.data[i*n+p]
-					cq := w.data[i*n+q]
-					w.data[i*n+p] = c*cp - s*cq
-					w.data[i*n+q] = s*cp + c*cq
-				}
-				for i := 0; i < n; i++ {
-					vp := v.data[i*n+p]
-					vq := v.data[i*n+q]
-					v.data[i*n+p] = c*vp - s*vq
-					v.data[i*n+q] = s*vp + c*vq
-				}
+				rotate(wp, wq, c, s)
+				rotate(vt.RawRow(p), vt.RawRow(q), c, s)
 			}
 		}
 		if converged {
@@ -81,43 +78,51 @@ func FactorizeSVD(a *Mat) *SVD {
 		}
 	}
 
-	// Extract singular values (column norms) and normalize U.
+	// Singular values are the column norms.
 	sv := make([]float64, n)
-	u := New(m, n)
-	for j := 0; j < n; j++ {
+	for j := range sv {
 		var norm float64
-		for i := 0; i < m; i++ {
-			norm += w.data[i*n+j] * w.data[i*n+j]
+		for _, w := range wt.RawRow(j) {
+			norm += w * w
 		}
-		norm = math.Sqrt(norm)
-		sv[j] = norm
-		if norm > 0 {
-			inv := 1 / norm
-			for i := 0; i < m; i++ {
-				u.data[i*n+j] = w.data[i*n+j] * inv
-			}
-		}
+		sv[j] = math.Sqrt(norm)
 	}
 
-	// Sort singular values in descending order, permuting U and V columns.
+	// Sort them in descending order, writing U (normalized columns) and V out
+	// row-major in that order.
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
 	sort.Slice(idx, func(a, b int) bool { return sv[idx[a]] > sv[idx[b]] })
 	sortedS := make([]float64, n)
-	sortedU := New(m, n)
-	sortedV := New(n, n)
+	u := New(m, n)
+	v := New(n, n)
 	for newJ, oldJ := range idx {
 		sortedS[newJ] = sv[oldJ]
-		for i := 0; i < m; i++ {
-			sortedU.data[i*n+newJ] = u.data[i*n+oldJ]
+		if sv[oldJ] > 0 {
+			inv := 1 / sv[oldJ]
+			for i, w := range wt.RawRow(oldJ) {
+				u.data[i*n+newJ] = w * inv
+			}
 		}
-		for i := 0; i < n; i++ {
-			sortedV.data[i*n+newJ] = v.data[i*n+oldJ]
+		for i, x := range vt.RawRow(oldJ) {
+			v.data[i*n+newJ] = x
 		}
 	}
-	return &SVD{U: sortedU, S: sortedS, V: sortedV}
+	if wide {
+		return &SVD{U: v, S: sortedS, V: u}
+	}
+	return &SVD{U: u, S: sortedS, V: v}
+}
+
+// rotate applies the plane rotation (c, s) to the vector pair (p, q) in place.
+func rotate(p, q []float64, c, s float64) {
+	for i, cp := range p {
+		cq := q[i]
+		p[i] = c*cp - s*cq
+		q[i] = s*cp + c*cq
+	}
 }
 
 // Rank returns the numerical rank at tolerance tol (relative to the largest

@@ -1,0 +1,172 @@
+package solve
+
+import (
+	"errors"
+	"math"
+	"testing"
+
+	"crowdwifi/internal/mat"
+)
+
+// bpdnRef is BPDN as it was before its loop stopped allocating: four fresh
+// slices per iteration from the allocating kernels. BPDN must do the same
+// arithmetic in the same order, so the two agree to the bit.
+func bpdnRef(a *mat.Mat, b []float64, lambda float64, opts Options) (*Result, error) {
+	m, n := a.Dims()
+	if len(b) != m {
+		return nil, ErrDimension
+	}
+	if lambda <= 0 {
+		return nil, errors.New("solve: BPDN requires lambda > 0")
+	}
+	o := opts.fill()
+
+	atb := mat.MulTVec(a, b)
+
+	// Factorize the small Gram system once.
+	var solveX func(q []float64) []float64
+	if n > m {
+		g := mat.AAt(a) // M×M
+		for i := 0; i < m; i++ {
+			g.Set(i, i, g.At(i, i)+o.Rho)
+		}
+		chol, err := mat.FactorizeCholesky(g)
+		if err != nil {
+			return nil, err
+		}
+		solveX = func(q []float64) []float64 {
+			// x = q/ρ − Aᵀ(ρI + AAᵀ)⁻¹A q / ρ.
+			aq := mat.MulVec(a, q)
+			t := chol.SolveVec(aq)
+			at := mat.MulTVec(a, t)
+			x := make([]float64, n)
+			for i := range x {
+				x[i] = (q[i] - at[i]) / o.Rho
+			}
+			return x
+		}
+	} else {
+		g := mat.AtA(a) // N×N
+		for i := 0; i < n; i++ {
+			g.Set(i, i, g.At(i, i)+o.Rho)
+		}
+		chol, err := mat.FactorizeCholesky(g)
+		if err != nil {
+			return nil, err
+		}
+		solveX = func(q []float64) []float64 { return chol.SolveVec(q) }
+	}
+
+	x := make([]float64, n)
+	z := make([]float64, n)
+	u := make([]float64, n)
+	q := make([]float64, n)
+	zOld := make([]float64, n)
+
+	for it := 1; it <= o.MaxIter; it++ {
+		if err := o.checkCtx("bpdn", it); err != nil {
+			return nil, err
+		}
+		for i := range q {
+			q[i] = atb[i] + o.Rho*(z[i]-u[i])
+		}
+		x = solveX(q)
+		copy(zOld, z)
+		for i := range z {
+			z[i] = prox(x[i]+u[i], lambda/o.Rho, o.NonNegative)
+		}
+		var primal, dual float64
+		for i := range u {
+			u[i] += x[i] - z[i]
+			d := x[i] - z[i]
+			primal += d * d
+			dz := z[i] - zOld[i]
+			dual += dz * dz
+		}
+		if math.Sqrt(primal) < o.Tol*math.Sqrt(float64(n)) &&
+			o.Rho*math.Sqrt(dual) < o.Tol*math.Sqrt(float64(n)) {
+			return o.record("bpdn", finish(a, b, z, it, true)), nil
+		}
+	}
+	return o.record("bpdn", finish(a, b, z, o.MaxIter, false)), nil
+}
+
+// bpdnCases covers both x-update branches, both proximal operators, and both
+// ways out of the loop.
+var bpdnCases = []struct {
+	name    string
+	m, n, k int
+	lambda  float64
+	opts    Options
+	// exit is the way out of the loop the case is there to cover: "converged",
+	// "exhausted", or "" for either.
+	exit string
+}{
+	{name: "wide converges", m: 24, n: 176, k: 3, lambda: 0.05, opts: Options{MaxIter: 2000, Tol: 1e-6}, exit: "converged"},
+	{name: "wide non-negative", m: 24, n: 176, k: 3, lambda: 0.05, opts: Options{MaxIter: 2000, Tol: 1e-6, NonNegative: true}, exit: "converged"},
+	{name: "wide exhausts MaxIter", m: 24, n: 176, k: 3, lambda: 0.05, opts: Options{MaxIter: 50, Tol: 1e-12, NonNegative: true}, exit: "exhausted"},
+	{name: "wide rho 2.5", m: 30, n: 90, k: 4, lambda: 0.02, opts: Options{MaxIter: 300, Tol: 1e-9, Rho: 2.5}},
+	{name: "tall converges", m: 60, n: 20, k: 3, lambda: 0.01, opts: Options{MaxIter: 2000, Tol: 1e-6}, exit: "converged"},
+	{name: "tall non-negative exhausts", m: 60, n: 20, k: 3, lambda: 0.01, opts: Options{MaxIter: 7, Tol: 1e-12, NonNegative: true}, exit: "exhausted"},
+	{name: "square", m: 16, n: 16, k: 2, lambda: 0.01, opts: Options{MaxIter: 500, Tol: 1e-8}},
+}
+
+func TestBPDNMatchesReferenceBitForBit(t *testing.T) {
+	for i, tc := range bpdnCases {
+		a, _, b := sparseProblem(int64(100+i), tc.m, tc.n, tc.k, 0.01)
+		got, err := BPDN(a, b, tc.lambda, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want, err := bpdnRef(a, b, tc.lambda, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", tc.name, err)
+		}
+		if (tc.exit == "converged" && !want.Converged) || (tc.exit == "exhausted" && want.Converged) {
+			t.Fatalf("%s: reference converged=%v after %d iterations; the case is there to cover %q",
+				tc.name, want.Converged, want.Iterations, tc.exit)
+		}
+		if got.Iterations != want.Iterations || got.Converged != want.Converged {
+			t.Fatalf("%s: %d iterations converged=%v, reference %d converged=%v",
+				tc.name, got.Iterations, got.Converged, want.Iterations, want.Converged)
+		}
+		for _, f := range [][2]float64{{got.Residual, want.Residual}, {got.Objective, want.Objective}} {
+			if math.Float64bits(f[0]) != math.Float64bits(f[1]) {
+				t.Fatalf("%s: residual/objective %v, reference %v", tc.name, f[0], f[1])
+			}
+		}
+		if len(got.X) != len(want.X) {
+			t.Fatalf("%s: len(X) %d, reference %d", tc.name, len(got.X), len(want.X))
+		}
+		for j := range want.X {
+			if math.Float64bits(got.X[j]) != math.Float64bits(want.X[j]) {
+				t.Fatalf("%s: X[%d] = %v, reference %v", tc.name, j, got.X[j], want.X[j])
+			}
+		}
+	}
+}
+
+// TestBPDNAllocationsIndependentOfIterations runs a problem that cannot meet
+// its tolerance for 50 and for 400 iterations: what BPDN allocates is set-up
+// and the result, none of it per iteration.
+func TestBPDNAllocationsIndependentOfIterations(t *testing.T) {
+	for _, shape := range [][2]int{{24, 176}, {60, 20}} {
+		a, _, b := sparseProblem(5, shape[0], shape[1], 3, 0.01)
+		allocs := func(maxIter int) float64 {
+			opts := Options{MaxIter: maxIter, Tol: 1e-300, NonNegative: true}
+			return testing.AllocsPerRun(5, func() {
+				res, err := BPDN(a, b, 0.05, opts)
+				if err != nil || res.Converged || res.Iterations != maxIter {
+					t.Fatalf("want %d unconverged iterations, got %+v, %v", maxIter, res, err)
+				}
+			})
+		}
+		short, long := allocs(50), allocs(400)
+		if short != long {
+			t.Errorf("%dx%d: %v allocations over 50 iterations, %v over 400", shape[0], shape[1], short, long)
+		}
+		if short > 20 {
+			t.Errorf("%dx%d: %v allocations per solve, want a fixed handful", shape[0], shape[1], short)
+		}
+	}
+}

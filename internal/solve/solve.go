@@ -192,6 +192,9 @@ func BasisPursuit(a *mat.Mat, b []float64, opts Options) (*Result, error) {
 // is factorized once:
 //
 //	(AᵀA + ρI)⁻¹ = (1/ρ)(I − Aᵀ(ρI + AAᵀ)⁻¹A).
+//
+// Every vector the iteration touches is made once, before the loop, and owned
+// by this call.
 func BPDN(a *mat.Mat, b []float64, lambda float64, opts Options) (*Result, error) {
 	m, n := a.Dims()
 	if len(b) != m {
@@ -203,9 +206,10 @@ func BPDN(a *mat.Mat, b []float64, lambda float64, opts Options) (*Result, error
 	o := opts.fill()
 
 	atb := mat.MulTVec(a, b)
+	x := make([]float64, n)
 
-	// Factorize the small Gram system once.
-	var solveX func(q []float64) []float64
+	// Factorize the small Gram system once; updateX solves for x from q.
+	var updateX func(q []float64)
 	if n > m {
 		g := mat.AAt(a) // M×M
 		for i := 0; i < m; i++ {
@@ -215,16 +219,15 @@ func BPDN(a *mat.Mat, b []float64, lambda float64, opts Options) (*Result, error
 		if err != nil {
 			return nil, err
 		}
-		solveX = func(q []float64) []float64 {
+		t := make([]float64, m)
+		updateX = func(q []float64) {
 			// x = q/ρ − Aᵀ(ρI + AAᵀ)⁻¹A q / ρ.
-			aq := mat.MulVec(a, q)
-			t := chol.SolveVec(aq)
-			at := mat.MulTVec(a, t)
-			x := make([]float64, n)
+			mat.MulVecTo(t, a, q)
+			chol.SolveVecTo(t, t)
+			mat.MulTVecTo(x, a, t)
 			for i := range x {
-				x[i] = (q[i] - at[i]) / o.Rho
+				x[i] = (q[i] - x[i]) / o.Rho
 			}
-			return x
 		}
 	} else {
 		g := mat.AtA(a) // N×N
@@ -235,10 +238,9 @@ func BPDN(a *mat.Mat, b []float64, lambda float64, opts Options) (*Result, error
 		if err != nil {
 			return nil, err
 		}
-		solveX = func(q []float64) []float64 { return chol.SolveVec(q) }
+		updateX = func(q []float64) { chol.SolveVecTo(x, q) }
 	}
 
-	x := make([]float64, n)
 	z := make([]float64, n)
 	u := make([]float64, n)
 	q := make([]float64, n)
@@ -251,7 +253,7 @@ func BPDN(a *mat.Mat, b []float64, lambda float64, opts Options) (*Result, error
 		for i := range q {
 			q[i] = atb[i] + o.Rho*(z[i]-u[i])
 		}
-		x = solveX(q)
+		updateX(q)
 		copy(zOld, z)
 		for i := range z {
 			z[i] = prox(x[i]+u[i], lambda/o.Rho, o.NonNegative)
