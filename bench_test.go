@@ -146,25 +146,6 @@ func recoveryError(b *testing.B, opts cs.RecoveryOptions) float64 {
 	return p.Dist(ap)
 }
 
-// BenchmarkAblationSolvers compares the four ℓ1 solvers on the same
-// recovery problem; the reported metric is localization error in metres.
-func BenchmarkAblationSolvers(b *testing.B) {
-	for _, solver := range []cs.Solver{cs.SolverADMM, cs.SolverFISTA, cs.SolverOMP, cs.SolverIRLS} {
-		b.Run(solver.String(), func(b *testing.B) {
-			opts := cs.DefaultRecoveryOptions()
-			opts.Solver = solver
-			if solver == cs.SolverIRLS || solver == cs.SolverOMP {
-				opts.NonNegative = false
-			}
-			var errM float64
-			for i := 0; i < b.N; i++ {
-				errM = recoveryError(b, opts)
-			}
-			b.ReportMetric(errM, "loc_err_m")
-		})
-	}
-}
-
 // BenchmarkAblationOrthogonalization measures Prop. 1's transform on vs off.
 func BenchmarkAblationOrthogonalization(b *testing.B) {
 	for _, on := range []bool{true, false} {
@@ -173,8 +154,7 @@ func BenchmarkAblationOrthogonalization(b *testing.B) {
 			name = "on"
 		}
 		b.Run(name, func(b *testing.B) {
-			opts := cs.DefaultRecoveryOptions()
-			opts.Orthogonalize = on
+			opts := cs.RecoveryOptions{SkipOrthogonalize: !on}
 			var errM float64
 			for i := 0; i < b.N; i++ {
 				errM = recoveryError(b, opts)

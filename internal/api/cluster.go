@@ -5,11 +5,7 @@ package api
 // and membership requests. The shard serves them (internal/server) and the
 // router's rebalance/reconcile machinery speaks them (internal/cluster).
 
-import (
-	"sort"
-
-	"crowdwifi/internal/wal"
-)
+import "sort"
 
 // SegmentDigest summarizes one segment's resident state for cross-shard
 // drift detection: raw volumes plus an order-sensitive digest of the fused
@@ -33,7 +29,17 @@ type DigestResponse struct {
 	Members  []string                 `json:"members"`
 	Segments map[string]SegmentDigest `json:"segments"`
 	// WAL is the shard's log footprint; nil for an in-memory store.
-	WAL *wal.Stats `json:"wal,omitempty"`
+	WAL *WALStatus `json:"wal,omitempty"`
+}
+
+// WALStatus is a shard's write-ahead-log footprint as the digest reports it.
+type WALStatus struct {
+	// Segments is the number of live segment files (including the active one).
+	Segments int `json:"segments"`
+	// ActiveBytes is the size of the active (tail) segment.
+	ActiveBytes int64 `json:"activeBytes"`
+	// LastSeq is the sequence number of the newest record (0 if none).
+	LastSeq uint64 `json:"lastSeq"`
 }
 
 // SlicePattern is one exported mapping task. ID is the source shard's dense

@@ -30,11 +30,11 @@ func internalDeps(t *testing.T, pkgs ...string) []string {
 // TestClientsDoNotLinkTheServer keeps the boundary this package exists for:
 // a vehicle and the retry layer speak the protocol
 // without compiling the crowd-server's store, inference, admission control,
-// SLO engine or the router.
+// SLO engine, write-ahead log or the router.
 func TestClientsDoNotLinkTheServer(t *testing.T) {
 	forbidden := map[string]bool{
 		"server": true, "crowd": true, "overload": true, "obs/slo": true,
-		"cluster": true, "cluster/ring": true,
+		"cluster": true, "cluster/ring": true, "wal": true,
 	}
 	for _, dep := range internalDeps(t, "crowdwifi/cmd/crowdwifi-vehicle",
 		"crowdwifi/internal/client", "crowdwifi/internal/retry") {
@@ -44,10 +44,10 @@ func TestClientsDoNotLinkTheServer(t *testing.T) {
 	}
 }
 
-// TestProtocolIsALeaf: what every process imports may import only geometry,
-// the wal frame envelope and what the envelope itself needs.
+// TestProtocolIsALeaf: what every process imports may import only geometry
+// and the frame envelope, which imports nothing of ours.
 func TestProtocolIsALeaf(t *testing.T) {
-	allowed := map[string]bool{"api": true, "geo": true, "wal": true, "obs": true, "obs/trace": true}
+	allowed := map[string]bool{"api": true, "geo": true, "frame": true}
 	for _, dep := range internalDeps(t, "crowdwifi/internal/api") {
 		if !allowed[dep] {
 			t.Errorf("internal/api depends on internal/%s", dep)

@@ -8,12 +8,12 @@ import (
 	"net/http"
 	"strings"
 
-	"crowdwifi/internal/wal"
+	"crowdwifi/internal/frame"
 )
 
 // Binary wire codec (application/x-crowdwifi-frame).
 //
-// The codec reuses the WAL's CRC32C frame layout (internal/wal/record.go):
+// The codec and the WAL share one CRC32C frame layout (internal/frame):
 //
 //	len u32 LE | crc u32 LE | kind u8 | data …
 //
@@ -146,7 +146,7 @@ func EncodeReportFrame(dst []byte, key string, rep Report) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wal.AppendFrame(dst, wireReport, payload), nil
+	return frame.Append(dst, wireReport, payload), nil
 }
 
 // ReadReportPayload decodes the report payload at the front of b and returns
@@ -199,8 +199,8 @@ type ReportFrame struct {
 func SplitReportFrames(body []byte) ([]ReportFrame, error) {
 	var frames []ReportFrame
 	off := 0
-	valid, _, err := wal.WalkFrames(body, func(_ int, kind byte, data []byte) error {
-		end := off + int(wal.FrameSize(len(data)))
+	valid, _, err := frame.Walk(body, func(_ int, kind byte, data []byte) error {
+		end := off + int(frame.Size(len(data)))
 		raw := body[off:end]
 		off = end
 		if kind != wireReport {
@@ -234,7 +234,7 @@ func EncodeLookupFrame(results []LookupResult) []byte {
 		payload = appendWireF64(payload, res.Y)
 		payload = appendWireF64(payload, res.Weight)
 	}
-	return wal.AppendFrame(nil, wireLookup, payload)
+	return frame.Append(nil, wireLookup, payload)
 }
 
 // DecodeLookupFrame parses a binary lookup response body. An empty answer
@@ -273,7 +273,7 @@ func EncodeBatchStatusFrame(results []BatchEntryStatus) ([]byte, error) {
 			}
 		}
 	}
-	return wal.AppendFrame(nil, wireBatchStatus, payload), nil
+	return frame.Append(nil, wireBatchStatus, payload), nil
 }
 
 // DecodeBatchStatusFrame parses a binary batch response body. An empty
@@ -317,7 +317,7 @@ func DecodeBatchStatusFrame(body []byte) ([]BatchEntryStatus, error) {
 // soleFrame decodes body as exactly one frame of the wanted kind.
 func soleFrame(body []byte, want byte) ([]byte, error) {
 	var payload []byte
-	valid, n, err := wal.WalkFrames(body, func(i int, kind byte, data []byte) error {
+	valid, n, err := frame.Walk(body, func(i int, kind byte, data []byte) error {
 		if i > 0 {
 			return fmt.Errorf("%w: expected a single frame", ErrWireFrame)
 		}

@@ -8,7 +8,7 @@ import (
 	"reflect"
 	"testing"
 
-	"crowdwifi/internal/wal"
+	"crowdwifi/internal/frame"
 )
 
 // The exact bytes of one frame of each kind, captured from the codec while it
@@ -175,7 +175,7 @@ func TestBatchStatusFrameRoundTrip(t *testing.T) {
 // hugeCountStatusFrame is a valid 13-byte frame (good CRC) whose whole
 // payload is a status count the frame cannot possibly hold.
 func hugeCountStatusFrame(n uint32) []byte {
-	return wal.AppendFrame(nil, wireBatchStatus, binary.LittleEndian.AppendUint32(nil, n))
+	return frame.Append(nil, wireBatchStatus, binary.LittleEndian.AppendUint32(nil, n))
 }
 
 // TestBatchStatusFrameCountIsBounded: the count is untrusted, so it must be

@@ -197,12 +197,6 @@ type InferenceOptions struct {
 	RandomInit bool
 	// Seed seeds the random initialization.
 	Seed uint64
-	// Workers bounds the goroutines used for the message-passing sweeps on
-	// large bipartite instances. 0 selects par.DefaultWorkers(); 1 forces
-	// serial sweeps. Tasks (resp. workers) own disjoint edge slots and the
-	// convergence reduction runs serially in edge order either way, so the
-	// result is bit-identical at any setting.
-	Workers int
 	// Metrics, when non-nil, records sweep counts and run outcomes.
 	Metrics *Metrics
 }
@@ -300,10 +294,7 @@ func infer(l *Labels, opts InferenceOptions) *InferenceResult {
 	// convergence reduction stays serial, in the same j-then-e order as the
 	// fused serial loop, so delta/norm — and hence the stopping decision and
 	// final messages — are bit-identical at any worker count.
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = par.DefaultWorkers()
-	}
+	workers := par.DefaultWorkers()
 	if len(edges) < parMinEdges {
 		workers = 1
 	}

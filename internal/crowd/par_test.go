@@ -3,6 +3,7 @@ package crowd
 import (
 	"testing"
 
+	"crowdwifi/internal/par"
 	"crowdwifi/internal/rng"
 )
 
@@ -24,8 +25,13 @@ func TestInferParallelBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		serial := Infer(labels, InferenceOptions{Workers: 1})
-		parallel := Infer(labels, InferenceOptions{Workers: 4})
+		// The process-wide worker count is the one parallelism setting (no
+		// test in the repository runs in parallel with another).
+		t.Cleanup(func() { par.SetDefaultWorkers(0) })
+		par.SetDefaultWorkers(1)
+		serial := Infer(labels, InferenceOptions{})
+		par.SetDefaultWorkers(4)
+		parallel := Infer(labels, InferenceOptions{})
 
 		if serial.Iterations != parallel.Iterations || serial.Converged != parallel.Converged {
 			t.Fatalf("seed %d: iterations/converged (%d,%v) != (%d,%v)",

@@ -513,13 +513,3 @@ func (e *Engine) FinalEstimates() []Estimate {
 	sort.Slice(cands, func(i, j int) bool { return cands[i].Credit > cands[j].Credit })
 	return cands
 }
-
-// Locations is a convenience that projects Estimates() onto positions.
-func (e *Engine) Locations() []geo.Point {
-	ests := e.Estimates()
-	out := make([]geo.Point, len(ests))
-	for i, est := range ests {
-		out[i] = est.Pos
-	}
-	return out
-}

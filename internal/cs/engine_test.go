@@ -260,9 +260,6 @@ func TestEngineCreditFilter(t *testing.T) {
 	if len(e.AllEstimates()) != 2 {
 		t.Fatal("AllEstimates must keep spurious entries")
 	}
-	if got := e.Locations(); len(got) != 1 || got[0] != ests[0].Pos {
-		t.Fatalf("Locations() = %v", got)
-	}
 }
 
 func TestEngineFixedAreaGrid(t *testing.T) {

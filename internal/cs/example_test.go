@@ -71,7 +71,7 @@ func ExampleRecoverTheta() {
 	for i, m := range rps {
 		y[i] = ch.MeanRSS(m.Pos.Dist(ap))
 	}
-	theta, err := cs.RecoverTheta(a, y, cs.DefaultRecoveryOptions())
+	theta, err := cs.RecoverTheta(a, y, cs.RecoveryOptions{})
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -39,67 +39,41 @@ type HypothesisOptions struct {
 	// GMM configures the likelihood model; the channel must match the one
 	// used to build sensing matrices.
 	GMM radio.GMMParams
-	// Refinements is the number of assign→recover→reassign iterations
-	// (default 3). The exhaustive combination search of Proposition 2 is
-	// Ω(M^M); this hard-EM surrogate explores the same space greedily.
-	Refinements int
-	// Exhaustive switches to exact set-partition enumeration (only sensible
-	// for windows of at most ~10 measurements; guarded by MaxPartitions).
+	// Exhaustive switches to exact set-partition enumeration, the literal
+	// search of Proposition 2 (only sensible for windows of at most ~10
+	// measurements; guarded by maxPartitions). It is the reference the greedy
+	// search is tested against.
 	Exhaustive bool
-	// MaxPartitions caps the number of enumerated partitions in exhaustive
-	// mode (default 20000).
-	MaxPartitions int
-	// Centroid tunes dominant-coefficient selection.
-	Centroid grid.CentroidOptions
-	// MaxGroupRows caps the number of measurements fed into one group's CS
-	// recovery, keeping the strongest readings (default 24). Distant, weak
-	// readings carry little position information but dominate the SVD cost;
-	// this is the per-group analogue of the paper's sliding-window bound on
-	// M.
-	MaxGroupRows int
 	// Seeds, when non-empty, provides initial cluster centres for the
 	// measurement partition (e.g. from StrongReadingSeeds); farthest-first
 	// traversal fills any remaining clusters.
 	Seeds []geo.Point
-	// LobeSeparation controls mirror-ambiguity handling. RSS collected along
-	// a straight segment cannot distinguish an AP from its reflection across
-	// the drive line, so the recovered support is bimodal; when the two
-	// support lobes are farther apart than LobeSeparation lattice lengths,
-	// both lobe centroids are emitted and credit consolidation across later
-	// (bent) windows discards the phantom. 0 selects the default of 1.5;
-	// negative disables splitting.
-	LobeSeparation float64
-	// Workers bounds the goroutines used to recover the K groups
-	// concurrently. 0 selects par.DefaultWorkers(); 1 forces the serial
-	// path. The parallel path is bit-identical to the serial one: each group
-	// is recovered independently and results are spliced in group order.
-	Workers int
 
 	// memo is the enclosing model selection's recovery memo; SelectModelContext
 	// and a lone EvaluateKContext make their own.
 	memo *recoveryMemo
 }
 
-func (o HypothesisOptions) fill() HypothesisOptions {
-	if o.Refinements <= 0 {
-		o.Refinements = 3
-	}
-	if o.MaxPartitions <= 0 {
-		o.MaxPartitions = 20000
-	}
-	if o.Recovery.Solver == 0 {
-		m := o.Recovery.Metrics
-		o.Recovery = DefaultRecoveryOptions()
-		o.Recovery.Metrics = m
-	}
-	if o.MaxGroupRows <= 0 {
-		o.MaxGroupRows = 24
-	}
-	if o.LobeSeparation == 0 {
-		o.LobeSeparation = 1.5
-	}
-	return o
-}
+const (
+	// refinements is the number of assign→recover→reassign iterations. The
+	// exhaustive combination search of Proposition 2 is Ω(M^M); this hard-EM
+	// surrogate explores the same space greedily.
+	refinements = 3
+	// maxPartitions caps the partitions enumerated in exhaustive mode.
+	maxPartitions = 20000
+	// maxGroupRows caps the measurements fed into one group's CS recovery,
+	// keeping the strongest readings. Distant, weak readings carry little
+	// position information but dominate the SVD cost; this is the per-group
+	// analogue of the paper's sliding-window bound on M.
+	maxGroupRows = 24
+	// lobeSeparation controls mirror-ambiguity handling. RSS collected along a
+	// straight segment cannot distinguish an AP from its reflection across the
+	// drive line, so the recovered support is bimodal; when the two support
+	// lobes are farther apart than lobeSeparation lattice lengths, both lobe
+	// centroids are emitted and credit consolidation across later (bent)
+	// windows discards the phantom.
+	lobeSeparation = 1.5
+)
 
 // ErrTooManyGroups is returned when K exceeds the measurement count.
 var ErrTooManyGroups = errors.New("cs: hypothesized K exceeds the number of measurements")
@@ -119,14 +93,13 @@ func EvaluateK(g *grid.Grid, ch radio.Channel, window []radio.Measurement, k int
 // checked between refinement rounds and threaded into every per-group ℓ1
 // solve, so a per-round deadline (or a losing speculative branch of
 // SelectModel) aborts promptly with a wrapped ctx.Err().
-func EvaluateKContext(ctx context.Context, g *grid.Grid, ch radio.Channel, window []radio.Measurement, k int, opts HypothesisOptions) (*Hypothesis, error) {
+func EvaluateKContext(ctx context.Context, g *grid.Grid, ch radio.Channel, window []radio.Measurement, k int, o HypothesisOptions) (*Hypothesis, error) {
 	if len(window) == 0 {
 		return nil, ErrNoMeasurements
 	}
 	if k <= 0 || k > len(window) {
 		return nil, ErrTooManyGroups
 	}
-	o := opts.fill()
 	if o.GMM.Channel == (radio.Channel{}) {
 		o.GMM.Channel = ch
 	}
@@ -140,7 +113,7 @@ func EvaluateKContext(ctx context.Context, g *grid.Grid, ch radio.Channel, windo
 
 	assign := seedAssignment(window, k, o.Seeds)
 	var aps []geo.Point
-	for round := 0; round < o.Refinements; round++ {
+	for round := 0; round < refinements; round++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("cs: hypothesis K=%d canceled: %w", k, err)
 		}
@@ -299,12 +272,13 @@ func mergeClose(aps []geo.Point, minSep float64) []geo.Point {
 
 // recoverGroups runs one CS recovery per non-empty group and returns the
 // resulting AP location estimates (group order preserved, empty groups
-// skipped). Groups are independent, so with Workers > 1 they are recovered
-// concurrently; per-group results are spliced back in group order, making
-// the output bit-identical to the serial loop. Errors surface as a serial
-// ascending loop would: the lowest-indexed failing group wins.
+// skipped). Groups are independent, so with more than one worker
+// (par.DefaultWorkers) they are recovered concurrently; per-group results are
+// spliced back in group order, making the output bit-identical to the serial
+// loop. Errors surface as a serial ascending loop would: the lowest-indexed
+// failing group wins.
 func recoverGroups(ctx context.Context, g *grid.Grid, ch radio.Channel, window []radio.Measurement, assign []int, k int, o HypothesisOptions) ([]geo.Point, error) {
-	perGroup, err := par.Map(ctx, k, o.Workers, func(j int) ([]geo.Point, error) {
+	perGroup, err := par.Map(ctx, k, 0, func(j int) ([]geo.Point, error) {
 		return recoverGroup(ctx, g, ch, window, assign, j, o)
 	})
 	if err != nil {
@@ -333,10 +307,10 @@ func recoverGroup(ctx context.Context, g *grid.Grid, ch radio.Channel, window []
 	if len(rows) == 0 {
 		return nil, nil
 	}
-	if len(rows) > o.MaxGroupRows {
+	if len(rows) > maxGroupRows {
 		// Keep the strongest readings; they pin the AP location.
 		sort.Slice(rows, func(a, b int) bool { return window[rows[a]].RSS > window[rows[b]].RSS })
-		rows = rows[:o.MaxGroupRows]
+		rows = rows[:maxGroupRows]
 	}
 	key := memoKey(rows)
 	if pts, ok := o.memo.get(key); ok {
@@ -365,32 +339,36 @@ func solveGroup(ctx context.Context, g *grid.Grid, ch radio.Channel, group []rad
 	if err != nil {
 		return nil, err
 	}
-	p, ok := g.Centroid(theta, o.Centroid)
+	return locateSupport(g, theta, group, o.GMM), nil
+}
+
+// locateSupport turns one group's recovered θ into zero, one or two AP
+// estimates: the dominant-coefficient centroid, or both lobe centroids of a
+// mirror-ambiguous support, each polished against the group's likelihood.
+func locateSupport(g *grid.Grid, theta []float64, group []radio.Measurement, gmm radio.GMMParams) []geo.Point {
+	p, ok := g.Centroid(theta, grid.CentroidOptions{})
 	if !ok {
-		return nil, nil
+		return nil
 	}
-	if o.LobeSeparation > 0 {
-		if lobes := g.SplitSupport(theta, 2, o.Centroid); len(lobes) == 2 &&
-			lobes[0].Dist(lobes[1]) > o.LobeSeparation*g.Lattice {
-			// Bimodal support: mirror-ambiguous recovery. Polish both lobe
-			// centroids against the group likelihood; keep both only when
-			// the data genuinely cannot tell them apart, otherwise the
-			// better one.
-			l0, ll0 := refineLocal(lobes[0], group, g.Lattice, o.GMM)
-			l1, ll1 := refineLocal(lobes[1], group, g.Lattice, o.GMM)
-			const ambiguityLL = 1.0
-			switch {
-			case ll0-ll1 > ambiguityLL:
-				return []geo.Point{l0}, nil
-			case ll1-ll0 > ambiguityLL:
-				return []geo.Point{l1}, nil
-			default:
-				return []geo.Point{l0, l1}, nil
-			}
+	if lobes := g.SplitSupport(theta, 2, grid.CentroidOptions{}); len(lobes) == 2 &&
+		lobes[0].Dist(lobes[1]) > lobeSeparation*g.Lattice {
+		// Bimodal support: mirror-ambiguous recovery. Polish both lobe
+		// centroids against the group likelihood; keep both only when the
+		// data genuinely cannot tell them apart, otherwise the better one.
+		l0, ll0 := refineLocal(lobes[0], group, g.Lattice, gmm)
+		l1, ll1 := refineLocal(lobes[1], group, g.Lattice, gmm)
+		const ambiguityLL = 1.0
+		switch {
+		case ll0-ll1 > ambiguityLL:
+			return []geo.Point{l0}
+		case ll1-ll0 > ambiguityLL:
+			return []geo.Point{l1}
+		default:
+			return []geo.Point{l0, l1}
 		}
 	}
-	refined, _ := refineLocal(p, group, g.Lattice, o.GMM)
-	return []geo.Point{refined}, nil
+	refined, _ := refineLocal(p, group, g.Lattice, gmm)
+	return []geo.Point{refined}
 }
 
 // refineLocal polishes a coarse AP estimate by maximizing the group's
@@ -484,7 +462,7 @@ func evaluateKExhaustive(ctx context.Context, g *grid.Grid, ch radio.Channel, wi
 	count := 0
 	err := ForEachPartition(len(window), k, func(assign []int) bool {
 		count++
-		if count > o.MaxPartitions {
+		if count > maxPartitions {
 			return false
 		}
 		if ctx.Err() != nil {
@@ -628,24 +606,16 @@ type SelectOptions struct {
 	// Patience is the number of consecutive non-improving K values tolerated
 	// before stopping the climb (default 3).
 	Patience int
-	// SeedHeuristic anchors the search with StrongReadingSeeds: the climb
-	// starts from the seed count and explores ±SeedSlack around it instead
-	// of climbing from K = 1. Recommended for scattered reference points
-	// (the Fig. 8 workload), where temporal RSS peaks carry no information.
+	// SeedHeuristic anchors the search with StrongReadingSeeds (seeds at
+	// least two grid lattices apart): the climb starts from the seed count and
+	// explores ±seedSlack around it instead of climbing from K = 1.
+	// Recommended for scattered reference points (the Fig. 8 workload), where
+	// temporal RSS peaks carry no information.
 	SeedHeuristic bool
-	// SeedSlack is the ± range explored around the seed count (default 3).
-	SeedSlack int
-	// SeedMinSep is the seed separation in metres (default 2 grid lattices).
-	SeedMinSep float64
-	// Workers bounds the goroutines used to evaluate candidate K values
-	// speculatively in parallel. 0 selects par.DefaultWorkers(); 1 forces
-	// the serial climb. The parallel search replays the serial climb's exact
-	// stopping rule over the speculative results (in ascending K order), so
-	// the selected hypothesis is bit-identical to the serial path: best BIC
-	// wins, lowest K wins ties, and the patience window cuts off the same K
-	// values. Branches past the serial stopping point are canceled.
-	Workers int
 }
+
+// seedSlack is the ± range a seeded search explores around the seed count.
+const seedSlack = 3
 
 // StrongReadingSeeds estimates AP seed positions from readings strong enough
 // to pin an AP within minSep metres: readings are taken strongest-first and
@@ -727,9 +697,12 @@ func (c *climbState) consume(h *Hypothesis, err error) bool {
 
 // SelectModelContext is SelectModel under a caller context: a canceled
 // context aborts the search (and its solver iterations) promptly with a
-// wrapped ctx.Err(). With opts.Workers != 1 the candidate K values are
-// evaluated speculatively in parallel; the result is bit-identical to the
-// serial climb (see SelectOptions.Workers).
+// wrapped ctx.Err(). With more than one worker (par.DefaultWorkers) the
+// candidate K values are evaluated speculatively in parallel. The parallel
+// search replays the serial climb's exact stopping rule over the speculative
+// results in ascending K order, so the selected hypothesis is bit-identical to
+// the serial path: best BIC wins, lowest K wins ties, and the patience window
+// cuts off the same K values.
 func SelectModelContext(ctx context.Context, g *grid.Grid, ch radio.Channel, window []radio.Measurement, opts SelectOptions) (*Hypothesis, error) {
 	if len(window) == 0 {
 		return nil, ErrNoMeasurements
@@ -747,19 +720,11 @@ func SelectModelContext(ctx context.Context, g *grid.Grid, ch radio.Channel, win
 	}
 	kLo := 1
 	if opts.SeedHeuristic {
-		slack := opts.SeedSlack
-		if slack <= 0 {
-			slack = 3
-		}
-		minSep := opts.SeedMinSep
-		if minSep <= 0 {
-			minSep = 2 * g.Lattice
-		}
-		seeds := StrongReadingSeeds(window, ch, minSep)
+		seeds := StrongReadingSeeds(window, ch, 2*g.Lattice)
 		if len(seeds) > 0 {
 			opts.Hypothesis.Seeds = seeds
-			kLo = len(seeds) - slack
-			if hi := len(seeds) + slack; hi < maxK {
+			kLo = len(seeds) - seedSlack
+			if hi := len(seeds) + seedSlack; hi < maxK {
 				maxK = hi
 			}
 			if maxK > len(window) {
@@ -780,10 +745,7 @@ func SelectModelContext(ctx context.Context, g *grid.Grid, ch radio.Channel, win
 		opts.Hypothesis.memo = newRecoveryMemo()
 	}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = par.DefaultWorkers()
-	}
+	workers := par.DefaultWorkers()
 	climb := climbState{patience: patience}
 	if workers <= 1 || maxK-kLo == 0 {
 		for k := kLo; k <= maxK && !climb.stopped; k++ {

@@ -59,10 +59,10 @@ func uciEngine(tb testing.TB, sc sim.Scenario, sel SelectOptions) *Engine {
 	return e
 }
 
-// selectOpts is the workload's SelectOptions at a worker count, with the memo
-// on (nil: the call makes its own) or off.
-func selectOpts(workers int, memo *recoveryMemo) SelectOptions {
-	return SelectOptions{MaxK: uciMaxK, Workers: workers, Hypothesis: HypothesisOptions{Workers: workers, memo: memo}}
+// selectOpts is the workload's SelectOptions with the memo on (nil: the call
+// makes its own) or off.
+func selectOpts(memo *recoveryMemo) SelectOptions {
+	return SelectOptions{MaxK: uciMaxK, Hypothesis: HypothesisOptions{memo: memo}}
 }
 
 func bitsEqual(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
@@ -117,15 +117,16 @@ func TestRecoveryMemoBitIdentical(t *testing.T) {
 			what := func(call string) string {
 				return fmt.Sprintf("%s, seed %d, window [%d:%d], %d workers", call, seed, off, off+c.n, c.workers)
 			}
-			got, gotErr := SelectModel(g, sc.Channel, window, selectOpts(c.workers, nil))
-			want, wantErr := SelectModel(g, sc.Channel, window, selectOpts(c.workers, &recoveryMemo{}))
+			setWorkers(t, c.workers)
+			got, gotErr := SelectModel(g, sc.Channel, window, selectOpts(nil))
+			want, wantErr := SelectModel(g, sc.Channel, window, selectOpts(&recoveryMemo{}))
 			requireSameHypothesis(t, what("SelectModel"), got, want, gotErr, wantErr)
 			if wantErr != nil {
 				continue
 			}
 			k := want.K
-			got, gotErr = EvaluateK(g, sc.Channel, window, k, selectOpts(c.workers, nil).Hypothesis)
-			want, wantErr = EvaluateK(g, sc.Channel, window, k, selectOpts(c.workers, &recoveryMemo{}).Hypothesis)
+			got, gotErr = EvaluateK(g, sc.Channel, window, k, selectOpts(nil).Hypothesis)
+			want, wantErr = EvaluateK(g, sc.Channel, window, k, selectOpts(&recoveryMemo{}).Hypothesis)
 			requireSameHypothesis(t, what("EvaluateK"), got, want, gotErr, wantErr)
 		}
 	}
@@ -136,8 +137,8 @@ func TestRecoveryMemoBitIdentical(t *testing.T) {
 // check — with and without the memo.
 func TestRecoveryMemoBitIdenticalWholeDrive(t *testing.T) {
 	sc, _, ms := uciDrive(t, 7)
-	with := uciEngine(t, sc, selectOpts(0, nil))
-	without := uciEngine(t, sc, selectOpts(0, &recoveryMemo{}))
+	with := uciEngine(t, sc, selectOpts(nil))
+	without := uciEngine(t, sc, selectOpts(&recoveryMemo{}))
 	for i, m := range ms {
 		got, gotErr := with.Add(m)
 		want, wantErr := without.Add(m)
@@ -175,9 +176,10 @@ func bpdnRuns(reg *obs.Registry) float64 {
 // solves.
 func TestRecoveryMemoSavesSolves(t *testing.T) {
 	sc, g, ms := uciDrive(t, 3)
+	setWorkers(t, 1)
 	solves := func(memo *recoveryMemo) float64 {
 		reg := obs.NewRegistry()
-		opts := selectOpts(1, memo)
+		opts := selectOpts(memo)
 		opts.Hypothesis.Recovery.Metrics = solve.NewMetrics(reg)
 		if _, err := SelectModel(g, sc.Channel, ms[60:120], opts); err != nil {
 			t.Fatal(err)
@@ -209,8 +211,7 @@ func TestRecoveryMemoCanceledSolveStoresNothing(t *testing.T) {
 	sc, g, ms := uciDrive(t, 2)
 	window := ms[60:120]
 	assign := make([]int, len(window)) // one group: the 24 strongest readings
-	o := HypothesisOptions{}.fill()
-	o.GMM.Channel = sc.Channel
+	o := HypothesisOptions{GMM: radio.GMMParams{Channel: sc.Channel}}
 
 	cold := o
 	cold.memo = &recoveryMemo{}
@@ -250,7 +251,8 @@ func TestRecoveryMemoCanceledSolveStoresNothing(t *testing.T) {
 func TestRecoveryMemoCapStopsStoring(t *testing.T) {
 	sc, g, ms := uciDrive(t, 4)
 	window := ms[100:107]
-	opts := HypothesisOptions{Exhaustive: true, Workers: 1}
+	setWorkers(t, 1)
+	opts := HypothesisOptions{Exhaustive: true}
 	want, wantErr := EvaluateK(g, sc.Channel, window, 2, opts)
 	opts.memo = &recoveryMemo{limit: 5, entries: map[string][]geo.Point{}}
 	got, gotErr := EvaluateK(g, sc.Channel, window, 2, opts)
@@ -274,14 +276,52 @@ func TestRecoverThetaLeavesCallersMatrixAlone(t *testing.T) {
 		y[i] = m.RSS
 	}
 	before := a.Clone()
-	for _, orth := range []bool{true, false} {
-		opts := DefaultRecoveryOptions()
-		opts.Orthogonalize = orth
-		if _, err := RecoverTheta(a, y, opts); err != nil {
+	for _, skip := range []bool{false, true} {
+		if _, err := RecoverTheta(a, y, RecoveryOptions{SkipOrthogonalize: skip}); err != nil {
 			t.Fatal(err)
 		}
 		if !mat.EqualApprox(a, before, 0) {
-			t.Fatalf("RecoverTheta (Orthogonalize=%v) wrote to the caller's sensing matrix", orth)
+			t.Fatalf("RecoverTheta (SkipOrthogonalize=%v) wrote to the caller's sensing matrix", skip)
+		}
+	}
+}
+
+// TestAblationSwitchReachesRecovery: the Prop. 1 ablation asked for through
+// HypothesisOptions reaches RecoverThetaContext. A one-group hypothesis over a
+// window short enough to be solved whole must land on the points a direct
+// non-orthogonalized RecoverTheta on the same rows gives, not on the
+// default's. (The options used to be refilled from the defaults whenever one
+// sentinel field was zero, which switched Prop. 1 back on.)
+func TestAblationSwitchReachesRecovery(t *testing.T) {
+	sc, g, ms := uciDrive(t, 5)
+	window := ms[70:90]
+	a := BuildSensingMatrix(g, sc.Channel, window)
+	y := make([]float64, len(window))
+	for i, m := range window {
+		y[i] = m.RSS
+	}
+	gmm := radio.GMMParams{Channel: sc.Channel}
+	direct := func(opts RecoveryOptions) []geo.Point {
+		theta, err := RecoverTheta(a, y, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mergeClose(locateSupport(g, theta, window, gmm), 1.5*g.Lattice)
+	}
+	raw, orth := direct(RecoveryOptions{SkipOrthogonalize: true}), direct(RecoveryOptions{})
+	if pointsEqual(raw, orth) {
+		t.Fatal("the ablation moves nothing on this window: it cannot tell the two paths apart")
+	}
+	for _, c := range []struct {
+		opts RecoveryOptions
+		want []geo.Point
+	}{{RecoveryOptions{SkipOrthogonalize: true}, raw}, {RecoveryOptions{}, orth}} {
+		h, err := EvaluateK(g, sc.Channel, window, 1, HypothesisOptions{Recovery: c.opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !pointsEqual(h.APs, c.want) {
+			t.Fatalf("EvaluateK with %+v recovered %v, a direct RecoverTheta %v", c.opts, h.APs, c.want)
 		}
 	}
 }

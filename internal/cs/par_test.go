@@ -8,6 +8,7 @@ import (
 
 	"crowdwifi/internal/geo"
 	"crowdwifi/internal/grid"
+	"crowdwifi/internal/par"
 	"crowdwifi/internal/radio"
 	"crowdwifi/internal/rng"
 )
@@ -42,6 +43,14 @@ func parWindow(tb testing.TB, seed uint64) (*grid.Grid, radio.Channel, []radio.M
 	return g, ch, ms
 }
 
+// setWorkers pins the process-wide worker count for the rest of the test (no
+// test in the repository runs in parallel with another).
+func setWorkers(tb testing.TB, n int) {
+	tb.Helper()
+	par.SetDefaultWorkers(n)
+	tb.Cleanup(func() { par.SetDefaultWorkers(0) })
+}
+
 // TestSelectModelParallelBitIdentical is the determinism property test for
 // speculative parallel model selection: the parallel climb replays evaluation
 // results in ascending-K order through the same stopping rule as the serial
@@ -51,8 +60,10 @@ func TestSelectModelParallelBitIdentical(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		g, ch, ms := parWindow(t, seed)
 
-		serial, serr := SelectModel(g, ch, ms, SelectOptions{MaxK: 6, Workers: 1})
-		parallel, perr := SelectModel(g, ch, ms, SelectOptions{MaxK: 6, Workers: 4})
+		setWorkers(t, 1)
+		serial, serr := SelectModel(g, ch, ms, SelectOptions{MaxK: 6})
+		setWorkers(t, 4)
+		parallel, perr := SelectModel(g, ch, ms, SelectOptions{MaxK: 6})
 
 		if (serr == nil) != (perr == nil) {
 			t.Fatalf("seed %d: error mismatch: serial %v parallel %v", seed, serr, perr)
@@ -79,8 +90,10 @@ func TestSelectModelParallelBitIdentical(t *testing.T) {
 // groups are independent and results splice back in group order.
 func TestEvaluateKParallelBitIdentical(t *testing.T) {
 	g, ch, ms := parWindow(t, 9)
-	serial, serr := EvaluateK(g, ch, ms, 3, HypothesisOptions{Workers: 1})
-	parallel, perr := EvaluateK(g, ch, ms, 3, HypothesisOptions{Workers: 4})
+	setWorkers(t, 1)
+	serial, serr := EvaluateK(g, ch, ms, 3, HypothesisOptions{})
+	setWorkers(t, 4)
+	parallel, perr := EvaluateK(g, ch, ms, 3, HypothesisOptions{})
 	if serr != nil || perr != nil {
 		t.Fatalf("errors: serial %v parallel %v", serr, perr)
 	}
@@ -103,7 +116,8 @@ func TestSelectModelCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		_, err := SelectModelContext(ctx, g, ch, ms, SelectOptions{MaxK: 6, Workers: workers})
+		setWorkers(t, workers)
+		_, err := SelectModelContext(ctx, g, ch, ms, SelectOptions{MaxK: 6})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want wrapped context.Canceled", workers, err)
 		}
@@ -140,7 +154,8 @@ func TestEngineCanceledContextAborts(t *testing.T) {
 
 func benchmarkSelectModel(b *testing.B, workers int) {
 	g, ch, ms := parWindow(b, 7)
-	opts := SelectOptions{MaxK: 6, Workers: workers}
+	setWorkers(b, workers)
+	opts := SelectOptions{MaxK: 6}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := SelectModel(g, ch, ms, opts); err != nil {

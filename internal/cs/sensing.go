@@ -18,79 +18,29 @@ import (
 	"crowdwifi/internal/solve"
 )
 
-// Solver selects the ℓ1 program used for recovery.
-type Solver int
-
-// Supported recovery solvers.
-const (
-	// SolverADMM uses ADMM basis pursuit denoising (the default).
-	SolverADMM Solver = iota + 1
-	// SolverFISTA uses accelerated proximal gradient.
-	SolverFISTA
-	// SolverOMP uses orthogonal matching pursuit.
-	SolverOMP
-	// SolverIRLS uses iteratively reweighted least squares.
-	SolverIRLS
-)
-
-// String names the solver for logs and bench output.
-func (s Solver) String() string {
-	switch s {
-	case SolverADMM:
-		return "admm"
-	case SolverFISTA:
-		return "fista"
-	case SolverOMP:
-		return "omp"
-	case SolverIRLS:
-		return "irls"
-	default:
-		return fmt.Sprintf("solver(%d)", int(s))
-	}
-}
-
-// RecoveryOptions tunes a single grid recovery.
+// RecoveryOptions is what varies about one grid recovery; the zero value is
+// the paper's pipeline. The program itself is fixed (see RecoverThetaContext).
 type RecoveryOptions struct {
-	// Solver selects the ℓ1 program (default SolverADMM).
-	Solver Solver
-	// Lambda is the BPDN/FISTA regularization weight. Zero selects an
-	// automatic value of 0.1·‖Aᵀy‖∞, the usual fraction of the smallest
-	// λ that yields the all-zero solution.
-	Lambda float64
-	// Orthogonalize applies the transform of Proposition 1 before solving
-	// (recommended; the raw path-loss sensing matrix is highly coherent).
-	Orthogonalize bool
-	// RankTol is the relative singular-value cutoff used during
-	// orthogonalization (0 → DefaultRankTol).
-	RankTol float64
-	// NonNegative constrains θ ≥ 0 (the AP indicators are 0/1).
-	NonNegative bool
-	// NoColumnNormalize disables unit-norm column scaling before the ℓ1
-	// program. Without normalization ℓ1 favours large-norm columns — grid
-	// points close to the drive line — and systematically drags AP estimates
-	// onto the road.
-	NoColumnNormalize bool
-	// MaxIter and Tol pass through to the solver (0 → solver defaults).
-	MaxIter int
-	Tol     float64
-	// MaxAtoms bounds OMP's support size (0 → 3).
-	MaxAtoms int
+	// SkipOrthogonalize solves on the raw path-loss sensing matrix instead of
+	// applying Proposition 1 first. It exists to ablate the paper's own
+	// proposition (BenchmarkAblationOrthogonalization): the raw matrix is
+	// highly coherent and recovers worse.
+	SkipOrthogonalize bool
 	// Metrics, when non-nil, records solver run outcomes, iteration counts,
 	// and residual norms.
 	Metrics *solve.Metrics
 }
 
-// DefaultRecoveryOptions returns the configuration used throughout the
-// paper reproduction.
-func DefaultRecoveryOptions() RecoveryOptions {
-	return RecoveryOptions{
-		Solver:        SolverADMM,
-		Orthogonalize: true,
-		NonNegative:   true,
-		MaxIter:       400,
-		Tol:           1e-6,
-	}
-}
+// The ℓ1 program every recovery runs: non-negative ADMM basis pursuit
+// denoising with λ a fixed share of ‖Aᵀy‖∞ — the smallest λ whose solution is
+// all zeros — stopped at admmTol or admmMaxIter. EXPERIMENTS.md records the
+// solver ablation that chose it.
+const (
+	lambdaShare = 0.1
+	lambdaFloor = 1e-6
+	admmMaxIter = 400
+	admmTol     = 1e-6
+)
 
 // ErrNoMeasurements is returned when recovery is attempted with no data.
 var ErrNoMeasurements = errors.New("cs: no measurements")
@@ -185,19 +135,19 @@ func Orthogonalize(a *mat.Mat, y []float64, rankTol float64) (*mat.Mat, []float6
 
 // RecoverTheta solves the ℓ1 recovery program for one AP group: given the
 // sensing matrix A over the grid and the RSS measurements y, it returns the
-// sparse coefficient vector θ over grid points. Negative coefficients are
-// clipped when NonNegative is unset so that downstream centroid weights stay
-// meaningful. Equivalent to RecoverThetaContext with context.Background().
+// sparse, non-negative coefficient vector θ over grid points. Equivalent to
+// RecoverThetaContext with context.Background().
 func RecoverTheta(a *mat.Mat, y []float64, opts RecoveryOptions) ([]float64, error) {
 	return RecoverThetaContext(context.Background(), a, y, opts)
 }
 
-// RecoverThetaContext is RecoverTheta under a caller context: the context is
-// checked before the solve starts and polled inside the solver iteration
-// loops, so a per-round deadline interrupts even a large-window ℓ1 program
-// promptly.
+// RecoverThetaContext is RecoverTheta under a caller context. The pipeline is
+// fixed: Proposition 1's orthogonalization, unit-norm columns, then ADMM-BPDN
+// with θ ≥ 0 (the AP indicators are 0/1). The context is checked before the
+// solve starts and polled inside the ADMM loop, so a per-round deadline
+// interrupts even a large-window ℓ1 program promptly.
 func RecoverThetaContext(ctx context.Context, a *mat.Mat, y []float64, opts RecoveryOptions) ([]float64, error) {
-	m, n := a.Dims()
+	m, _ := a.Dims()
 	if m == 0 || len(y) == 0 {
 		return nil, ErrNoMeasurements
 	}
@@ -207,80 +157,41 @@ func RecoverThetaContext(ctx context.Context, a *mat.Mat, y []float64, opts Reco
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("cs: recovery canceled: %w", err)
 	}
-	if opts.Solver == 0 {
-		opts.Solver = SolverADMM
-	}
 
-	aw, yw := a, y
-	if opts.Orthogonalize {
+	// The matrix Orthogonalize builds is ours to scale in place; the caller's
+	// is not.
+	var aw *mat.Mat
+	yw := y
+	if opts.SkipOrthogonalize {
+		aw = a.Clone()
+	} else {
 		var err error
-		aw, yw, err = Orthogonalize(a, y, opts.RankTol)
+		aw, yw, err = Orthogonalize(a, y, 0)
 		if err != nil {
 			return nil, err
 		}
 	}
 
-	// Rescale columns to unit norm so the ℓ1 penalty treats every grid
-	// point equally; fold the scaling back into θ afterwards. The matrix
-	// Orthogonalize built is ours to scale in place; the caller's is not.
-	var colNorm []float64
-	if !opts.NoColumnNormalize {
-		if !opts.Orthogonalize {
-			aw = a.Clone()
-		}
-		colNorm = normalizeColumns(aw)
-	}
+	// Rescale columns to unit norm so the ℓ1 penalty treats every grid point
+	// equally, and fold the scaling back into θ afterwards. Without it ℓ1
+	// favours large-norm columns — grid points close to the drive line — and
+	// drags AP estimates onto the road.
+	colNorm := normalizeColumns(aw)
 
-	lambda := opts.Lambda
+	lambda := lambdaShare * mat.NormInf(mat.MulTVec(aw, yw))
 	if lambda <= 0 {
-		lambda = 0.1 * mat.NormInf(mat.MulTVec(aw, yw))
-		if lambda <= 0 {
-			lambda = 1e-6
-		}
+		lambda = lambdaFloor
 	}
-	sopts := solve.Options{MaxIter: opts.MaxIter, Tol: opts.Tol, NonNegative: opts.NonNegative, Ctx: ctx, Metrics: opts.Metrics}
-
-	var res *solve.Result
-	var err error
-	switch opts.Solver {
-	case SolverADMM:
-		res, err = solve.BPDN(aw, yw, lambda, sopts)
-	case SolverFISTA:
-		res, err = solve.FISTA(aw, yw, lambda, sopts)
-	case SolverOMP:
-		atoms := opts.MaxAtoms
-		if atoms <= 0 {
-			atoms = 3
-		}
-		if atoms > n {
-			atoms = n
-		}
-		res, err = solve.OMP(aw, yw, atoms, 1e-6*mat.Norm2(yw))
-		if err == nil {
-			// OMP takes no Options, so its outcome is recorded here.
-			opts.Metrics.Record("omp", res)
-		}
-	case SolverIRLS:
-		res, err = solve.IRLS(aw, yw, sopts)
-	default:
-		return nil, fmt.Errorf("cs: unknown solver %v", opts.Solver)
-	}
+	res, err := solve.BPDN(aw, yw, lambda, solve.Options{
+		MaxIter: admmMaxIter, Tol: admmTol, NonNegative: true, Ctx: ctx, Metrics: opts.Metrics,
+	})
 	if err != nil {
 		return nil, err
 	}
 	theta := res.X
-	if colNorm != nil {
-		for j := range theta {
-			if colNorm[j] > 0 {
-				theta[j] /= colNorm[j]
-			}
-		}
-	}
-	if !opts.NonNegative {
-		for i, v := range theta {
-			if v < 0 {
-				theta[i] = 0
-			}
+	for j := range theta {
+		if colNorm[j] > 0 {
+			theta[j] /= colNorm[j]
 		}
 	}
 	return theta, nil

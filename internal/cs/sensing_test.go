@@ -36,21 +36,6 @@ func scatter(r *rng.RNG, n int, w, h float64) []geo.Point {
 	return out
 }
 
-func TestSolverString(t *testing.T) {
-	cases := map[Solver]string{
-		SolverADMM:  "admm",
-		SolverFISTA: "fista",
-		SolverOMP:   "omp",
-		SolverIRLS:  "irls",
-		Solver(99):  "solver(99)",
-	}
-	for s, want := range cases {
-		if got := s.String(); got != want {
-			t.Errorf("Solver(%d).String() = %q, want %q", int(s), got, want)
-		}
-	}
-}
-
 func TestBuildSensingMatrixValues(t *testing.T) {
 	ch := radio.UCIChannel()
 	g := testGrid(t, 20, 20, 10)
@@ -183,7 +168,7 @@ func TestRecoverThetaFindsAPGridPoint(t *testing.T) {
 	for i, m := range ms {
 		y[i] = m.RSS
 	}
-	theta, err := RecoverTheta(a, y, DefaultRecoveryOptions())
+	theta, err := RecoverTheta(a, y, RecoveryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,51 +183,14 @@ func TestRecoverThetaFindsAPGridPoint(t *testing.T) {
 	}
 }
 
-func TestRecoverThetaAllSolvers(t *testing.T) {
-	ch := radio.UCIChannel()
-	ch.ShadowSigma = 0
-	g := testGrid(t, 50, 50, 10)
-	ap := g.Point(g.Nearest(geo.Point{X: 20, Y: 30}))
-	r := rng.New(4)
-	ms := measurementsFromAP(ch, ap, scatter(r, 10, 50, 50), r)
-	a := BuildSensingMatrix(g, ch, ms)
-	y := make([]float64, len(ms))
-	for i, m := range ms {
-		y[i] = m.RSS
-	}
-	for _, solver := range []Solver{SolverADMM, SolverFISTA, SolverOMP, SolverIRLS} {
-		opts := DefaultRecoveryOptions()
-		opts.Solver = solver
-		if solver == SolverIRLS || solver == SolverOMP {
-			opts.NonNegative = false // not supported by these programs
-		}
-		theta, err := RecoverTheta(a, y, opts)
-		if err != nil {
-			t.Fatalf("%v: %v", solver, err)
-		}
-		p, ok := g.Centroid(theta, grid.CentroidOptions{})
-		if !ok {
-			t.Fatalf("%v: empty support", solver)
-		}
-		if p.Dist(ap) > 20 {
-			t.Errorf("%v: estimate %v is %v m from AP %v", solver, p, p.Dist(ap), ap)
-		}
-	}
-}
-
 func TestRecoverThetaErrors(t *testing.T) {
 	g := testGrid(t, 20, 20, 10)
 	a := BuildSensingMatrix(g, radio.UCIChannel(), []radio.Measurement{{Pos: geo.Point{X: 1, Y: 1}}})
-	if _, err := RecoverTheta(a, nil, DefaultRecoveryOptions()); err == nil {
+	if _, err := RecoverTheta(a, nil, RecoveryOptions{}); err == nil {
 		t.Fatal("expected error for empty y")
 	}
-	if _, err := RecoverTheta(a, []float64{1, 2}, DefaultRecoveryOptions()); err == nil {
+	if _, err := RecoverTheta(a, []float64{1, 2}, RecoveryOptions{}); err == nil {
 		t.Fatal("expected dimension error")
-	}
-	opts := DefaultRecoveryOptions()
-	opts.Solver = Solver(42)
-	if _, err := RecoverTheta(a, []float64{-60}, opts); err == nil {
-		t.Fatal("expected unknown solver error")
 	}
 }
 
@@ -263,7 +211,7 @@ func TestRecoveryMoreMeasurementsNoWorse(t *testing.T) {
 			for i, mm := range ms {
 				y[i] = mm.RSS
 			}
-			theta, err := RecoverTheta(a, y, DefaultRecoveryOptions())
+			theta, err := RecoverTheta(a, y, RecoveryOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -301,7 +249,7 @@ func TestColumnNormalizationCountersRoadBias(t *testing.T) {
 	for i, m := range ms {
 		y[i] = m.RSS
 	}
-	theta, err := RecoverTheta(a, y, DefaultRecoveryOptions())
+	theta, err := RecoverTheta(a, y, RecoveryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

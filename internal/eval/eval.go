@@ -246,45 +246,6 @@ func Median(xs []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, v := range xs {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
-}
-
-// CDF returns the empirical distribution of xs evaluated at the given
-// thresholds: out[i] = P(x ≤ thresholds[i]).
-func CDF(xs, thresholds []float64) []float64 {
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	out := make([]float64, len(thresholds))
-	for i, t := range thresholds {
-		// Count of values ≤ t via binary search.
-		lo, hi := 0, len(s)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if s[mid] <= t {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if len(s) > 0 {
-			out[i] = float64(lo) / float64(len(s))
-		}
-	}
-	return out
-}
-
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs by linear interpolation.
 func Quantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {

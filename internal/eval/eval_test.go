@@ -214,23 +214,8 @@ func TestSummaryStats(t *testing.T) {
 	if Median([]float64{1, 2, 3, 4}) != 2.5 {
 		t.Fatal("even-length median wrong")
 	}
-	if Mean(nil) != 0 || Median(nil) != 0 || StdDev(nil) != 0 {
+	if Mean(nil) != 0 || Median(nil) != 0 {
 		t.Fatal("empty stats should be 0")
-	}
-	sd := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if math.Abs(sd-2) > 1e-12 {
-		t.Fatalf("stddev = %v, want 2", sd)
-	}
-}
-
-func TestCDF(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	got := CDF(xs, []float64{0, 2, 5})
-	want := []float64{0, 0.5, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("CDF = %v, want %v", got, want)
-		}
 	}
 }
 

@@ -24,9 +24,6 @@ func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 // Sub returns p−q component-wise.
 func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
-// Scale returns s·p.
-func (p Point) Scale(s float64) Point { return Point{s * p.X, s * p.Y} }
-
 // String renders the point with centimetre precision.
 func (p Point) String() string { return fmt.Sprintf("(%.2f, %.2f)", p.X, p.Y) }
 
@@ -63,11 +60,6 @@ func (r Rect) Expand(margin float64) Rect {
 	}
 }
 
-// Center returns the midpoint of r.
-func (r Rect) Center() Point {
-	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
-}
-
 // BoundingBox returns the tightest rectangle containing all points.
 // It panics on an empty input.
 func BoundingBox(pts []Point) Rect {
@@ -97,25 +89,6 @@ func Centroid(pts []Point) Point {
 	}
 	n := float64(len(pts))
 	return Point{c.X / n, c.Y / n}
-}
-
-// WeightedCentroid returns Σ wᵢpᵢ / Σ wᵢ. Non-positive total weight panics.
-func WeightedCentroid(pts []Point, weights []float64) Point {
-	if len(pts) == 0 || len(pts) != len(weights) {
-		panic("geo: weighted centroid needs matching non-empty points and weights")
-	}
-	var c Point
-	var total float64
-	for i, p := range pts {
-		w := weights[i]
-		c.X += w * p.X
-		c.Y += w * p.Y
-		total += w
-	}
-	if total <= 0 {
-		panic("geo: weighted centroid with non-positive total weight")
-	}
-	return Point{c.X / total, c.Y / total}
 }
 
 // Trajectory is a polyline of waypoints traversed at constant speed.
@@ -191,15 +164,6 @@ func (t *Trajectory) SampleByDistance(step float64) []Point {
 	}
 	out = append(out, t.At(total))
 	return out
-}
-
-// SampleByTime returns positions every dt seconds when driving at the given
-// speed (m/s), from t=0 until the end of the trajectory is reached.
-func (t *Trajectory) SampleByTime(speed, dt float64) []Point {
-	if speed <= 0 || dt <= 0 {
-		panic("geo: non-positive speed or dt")
-	}
-	return t.SampleByDistance(speed * dt)
 }
 
 // MphToMps converts miles per hour to metres per second.

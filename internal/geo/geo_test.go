@@ -24,9 +24,6 @@ func TestPointArithmetic(t *testing.T) {
 	if s := p.Sub(q); s != (Point{-2, 3}) {
 		t.Fatalf("Sub = %v", s)
 	}
-	if s := p.Scale(2); s != (Point{2, 4}) {
-		t.Fatalf("Scale = %v", s)
-	}
 }
 
 func TestDistSymmetryProperty(t *testing.T) {
@@ -77,9 +74,6 @@ func TestRectExpandAndCenter(t *testing.T) {
 	if e.Min != (Point{-5, -5}) || e.Max != (Point{15, 25}) {
 		t.Fatalf("Expand = %+v", e)
 	}
-	if c := r.Center(); c != (Point{5, 10}) {
-		t.Fatalf("Center = %v", c)
-	}
 }
 
 func TestBoundingBox(t *testing.T) {
@@ -109,32 +103,6 @@ func TestCentroid(t *testing.T) {
 	if math.Abs(c.X-1) > 1e-12 || math.Abs(c.Y-1) > 1e-12 {
 		t.Fatalf("Centroid = %v", c)
 	}
-}
-
-func TestWeightedCentroid(t *testing.T) {
-	c := WeightedCentroid([]Point{{0, 0}, {10, 0}}, []float64{1, 3})
-	if math.Abs(c.X-7.5) > 1e-12 || c.Y != 0 {
-		t.Fatalf("WeightedCentroid = %v", c)
-	}
-}
-
-func TestWeightedCentroidEqualWeightsMatchesCentroid(t *testing.T) {
-	pts := []Point{{1, 2}, {3, 4}, {-5, 0}, {2, 2}}
-	w := []float64{2, 2, 2, 2}
-	a := Centroid(pts)
-	b := WeightedCentroid(pts, w)
-	if a.Dist(b) > 1e-12 {
-		t.Fatalf("weighted (%v) != unweighted (%v)", b, a)
-	}
-}
-
-func TestWeightedCentroidZeroWeightPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	WeightedCentroid([]Point{{1, 1}}, []float64{0})
 }
 
 func TestTrajectoryBasics(t *testing.T) {
@@ -186,17 +154,6 @@ func TestSampleByDistance(t *testing.T) {
 		if d := pts[i-1].Dist(pts[i]); math.Abs(d-2.5) > 1e-9 {
 			t.Fatalf("spacing %v at %d", d, i)
 		}
-	}
-}
-
-func TestSampleByTime(t *testing.T) {
-	tr, err := NewTrajectory([]Point{{0, 0}, {100, 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := tr.SampleByTime(10, 1) // 10 m/s, 1 s → every 10 m
-	if len(pts) != 11 {
-		t.Fatalf("samples = %d, want 11", len(pts))
 	}
 }
 

@@ -70,15 +70,6 @@ func (g *Grid) Point(n int) geo.Point {
 	}
 }
 
-// Points returns all grid point coordinates in index order.
-func (g *Grid) Points() []geo.Point {
-	out := make([]geo.Point, g.N())
-	for i := range out {
-		out[i] = g.Point(i)
-	}
-	return out
-}
-
 // Nearest returns the index of the grid point closest to p.
 func (g *Grid) Nearest(p geo.Point) int {
 	ix := int(math.Round((p.X - g.Area.Min.X) / g.Lattice))
@@ -98,19 +89,31 @@ func (g *Grid) Nearest(p geo.Point) int {
 	return iy*g.NX + ix
 }
 
-// Diameter returns the cell diagonal length l·√2, the paper's unit for the
-// normalized localization error.
-func (g *Grid) Diameter() float64 { return g.Lattice * math.Sqrt2 }
-
 // CentroidOptions tunes centroid processing.
 type CentroidOptions struct {
 	// Threshold ζ selects the dominant coefficients: grid points with
-	// θ(n) > ζ become candidates (Section 4.3.4). Values ≤ 0 default to
-	// RelativeThreshold of the max coefficient.
+	// θ(n) > ζ become candidates (Section 4.3.4). Values ≤ 0 select
+	// dominantShare of the max coefficient.
 	Threshold float64
-	// RelativeThreshold, used when Threshold ≤ 0, selects coefficients above
-	// this fraction of the maximum (default 0.3).
-	RelativeThreshold float64
+}
+
+// dominantShare is the fraction of the largest coefficient above which a grid
+// point counts as dominant when no absolute threshold is given.
+const dominantShare = 0.3
+
+// threshold returns the dominance cutoff for θ, or false when θ has no
+// positive coefficient to be relative to.
+func (o CentroidOptions) threshold(theta []float64) (float64, bool) {
+	if o.Threshold > 0 {
+		return o.Threshold, true
+	}
+	var mx float64
+	for _, v := range theta {
+		if v > mx {
+			mx = v
+		}
+	}
+	return dominantShare * mx, mx > 0
 }
 
 // Centroid converts a recovered coefficient vector θ over the grid into a
@@ -121,22 +124,9 @@ func (g *Grid) Centroid(theta []float64, opts CentroidOptions) (geo.Point, bool)
 	if len(theta) != g.N() {
 		panic(fmt.Sprintf("grid: theta length %d != N %d", len(theta), g.N()))
 	}
-	thr := opts.Threshold
-	if thr <= 0 {
-		rel := opts.RelativeThreshold
-		if rel <= 0 {
-			rel = 0.3
-		}
-		var mx float64
-		for _, v := range theta {
-			if v > mx {
-				mx = v
-			}
-		}
-		if mx <= 0 {
-			return geo.Point{}, false
-		}
-		thr = rel * mx
+	thr, ok := opts.threshold(theta)
+	if !ok {
+		return geo.Point{}, false
 	}
 	var sx, sy, sw float64
 	for n, v := range theta {
@@ -164,22 +154,9 @@ func (g *Grid) SplitSupport(theta []float64, k int, opts CentroidOptions) []geo.
 	if k <= 0 {
 		return nil
 	}
-	thr := opts.Threshold
-	if thr <= 0 {
-		rel := opts.RelativeThreshold
-		if rel <= 0 {
-			rel = 0.3
-		}
-		var mx float64
-		for _, v := range theta {
-			if v > mx {
-				mx = v
-			}
-		}
-		if mx <= 0 {
-			return nil
-		}
-		thr = rel * mx
+	thr, ok := opts.threshold(theta)
+	if !ok {
+		return nil
 	}
 	type cand struct {
 		p geo.Point

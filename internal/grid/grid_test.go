@@ -105,13 +105,6 @@ func TestNearestIsActuallyNearestProperty(t *testing.T) {
 	}
 }
 
-func TestDiameter(t *testing.T) {
-	g := mustGrid(t, geo.NewRect(geo.Point{X: 0, Y: 0}, geo.Point{X: 10, Y: 10}), 8)
-	if math.Abs(g.Diameter()-8*math.Sqrt2) > 1e-12 {
-		t.Fatalf("Diameter = %v", g.Diameter())
-	}
-}
-
 func TestCentroidSingleSpike(t *testing.T) {
 	g := mustGrid(t, geo.NewRect(geo.Point{X: 0, Y: 0}, geo.Point{X: 40, Y: 40}), 10)
 	theta := make([]float64, g.N())
@@ -206,18 +199,5 @@ func TestSplitSupportDegenerate(t *testing.T) {
 	got := g.SplitSupport(theta, 5, CentroidOptions{Threshold: 0.1})
 	if len(got) != 1 {
 		t.Fatalf("clusters = %d, want 1", len(got))
-	}
-}
-
-func TestGridPointsCount(t *testing.T) {
-	g := mustGrid(t, geo.NewRect(geo.Point{X: 0, Y: 0}, geo.Point{X: 30, Y: 20}), 10)
-	pts := g.Points()
-	if len(pts) != g.N() {
-		t.Fatalf("Points len = %d, want %d", len(pts), g.N())
-	}
-	for i, p := range pts {
-		if p != g.Point(i) {
-			t.Fatalf("Points[%d] = %v != Point(%d) = %v", i, p, i, g.Point(i))
-		}
 	}
 }

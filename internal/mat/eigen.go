@@ -109,33 +109,3 @@ func FactorizeSymEigen(a *Mat) (*Eigen, error) {
 	}
 	return &Eigen{Values: outVals, Vectors: outVecs}, nil
 }
-
-// PowerIterationMaxEig estimates the largest eigenvalue of the symmetric
-// positive semi-definite matrix a by power iteration. It is used by FISTA to
-// bound the Lipschitz constant of the gradient. iters bounds the work; 50-100
-// iterations give plenty of accuracy for step-size selection.
-func PowerIterationMaxEig(a *Mat, iters int) float64 {
-	if a.rows != a.cols {
-		panic(ErrShape)
-	}
-	n := a.rows
-	x := make([]float64, n)
-	// Deterministic, non-degenerate start vector.
-	for i := range x {
-		x[i] = 1 / math.Sqrt(float64(n))
-	}
-	var lambda float64
-	for it := 0; it < iters; it++ {
-		y := MulVec(a, x)
-		norm := Norm2(y)
-		if norm == 0 {
-			return 0
-		}
-		for i := range y {
-			y[i] /= norm
-		}
-		lambda = Dot(y, MulVec(a, y))
-		x = y
-	}
-	return lambda
-}

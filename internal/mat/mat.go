@@ -1,7 +1,6 @@
 // Package mat implements the dense linear algebra needed by CrowdWiFi:
-// matrix/vector arithmetic, LU factorization with partial pivoting,
-// Householder QR, one-sided Jacobi SVD, Moore-Penrose pseudo-inverse, and
-// orthonormal range bases.
+// matrix/vector arithmetic, Cholesky and Householder QR factorizations,
+// one-sided Jacobi SVD and the symmetric Jacobi eigendecomposition.
 //
 // The package is deliberately small and dependency-light (stdlib plus the
 // internal/par worker pool). Matrices are dense, row-major, and sized for the
@@ -16,43 +15,20 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync/atomic"
 
 	"crowdwifi/internal/par"
 )
-
-// kernelWorkers overrides the worker count for the parallel kernels;
-// 0 defers to par.DefaultWorkers().
-var kernelWorkers atomic.Int64
-
-// SetWorkers overrides the worker count used by the parallel Mul/AtA/AAt
-// kernels. n <= 0 restores the par.DefaultWorkers() default; n == 1 forces
-// the serial path. Parallel and serial paths are bit-identical: every output
-// element is accumulated by exactly one goroutine in the same order as the
-// serial loop.
-func SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	kernelWorkers.Store(int64(n))
-}
-
-// Workers returns the effective worker count for the parallel kernels.
-func Workers() int {
-	if n := kernelWorkers.Load(); n > 0 {
-		return int(n)
-	}
-	return par.DefaultWorkers()
-}
 
 // parMinFlops is the multiply-accumulate count below which the kernels stay
 // serial: small windows (M ≲ 60 rows) must not pay goroutine spawn overhead.
 const parMinFlops = 1 << 16
 
 // useParallel reports whether a kernel of the given flop count should fan
-// out, and the worker count to use.
+// out, and the worker count to use. Parallel and serial paths are
+// bit-identical: every output element is accumulated by exactly one goroutine
+// in the same order as the serial loop.
 func useParallel(flops int) (int, bool) {
-	w := Workers()
+	w := par.DefaultWorkers()
 	return w, w > 1 && flops >= parMinFlops
 }
 
@@ -117,9 +93,6 @@ func (m *Mat) Dims() (rows, cols int) { return m.rows, m.cols }
 // Rows returns the number of rows.
 func (m *Mat) Rows() int { return m.rows }
 
-// Cols returns the number of columns.
-func (m *Mat) Cols() int { return m.cols }
-
 // At returns the element at row i, column j.
 func (m *Mat) At(i, j int) float64 {
 	m.check(i, j)
@@ -135,46 +108,6 @@ func (m *Mat) Set(i, j int, v float64) {
 func (m *Mat) check(i, j int) {
 	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
 		panic(fmt.Sprintf("mat: index (%d,%d) out of range %dx%d", i, j, m.rows, m.cols))
-	}
-}
-
-// Row returns a copy of row i.
-func (m *Mat) Row(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("mat: row %d out of range", i))
-	}
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
-// Col returns a copy of column j.
-func (m *Mat) Col(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("mat: col %d out of range", j))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
-// SetRow copies v into row i.
-func (m *Mat) SetRow(i int, v []float64) {
-	if len(v) != m.cols {
-		panic(ErrShape)
-	}
-	copy(m.data[i*m.cols:(i+1)*m.cols], v)
-}
-
-// SetCol copies v into column j.
-func (m *Mat) SetCol(j int, v []float64) {
-	if len(v) != m.rows {
-		panic(ErrShape)
-	}
-	for i := 0; i < m.rows; i++ {
-		m.data[i*m.cols+j] = v[i]
 	}
 }
 
@@ -264,7 +197,7 @@ func MulTVec(a *Mat, x []float64) []float64 {
 	return MulTVecTo(make([]float64, a.cols), a, x)
 }
 
-// MulTVecTo writes aᵀ×x into dst (length a.Cols(), overwritten) and returns
+// MulTVecTo writes aᵀ×x into dst (one entry per column of a, overwritten) and returns
 // it. dst must not alias x.
 func MulTVecTo(dst []float64, a *Mat, x []float64) []float64 {
 	if a.rows != len(x) || a.cols != len(dst) {
@@ -282,39 +215,6 @@ func MulTVecTo(dst []float64, a *Mat, x []float64) []float64 {
 		}
 	}
 	return dst
-}
-
-// Add returns a+b.
-func Add(a, b *Mat) *Mat {
-	if a.rows != b.rows || a.cols != b.cols {
-		panic(ErrShape)
-	}
-	out := New(a.rows, a.cols)
-	for i := range a.data {
-		out.data[i] = a.data[i] + b.data[i]
-	}
-	return out
-}
-
-// Sub returns a−b.
-func Sub(a, b *Mat) *Mat {
-	if a.rows != b.rows || a.cols != b.cols {
-		panic(ErrShape)
-	}
-	out := New(a.rows, a.cols)
-	for i := range a.data {
-		out.data[i] = a.data[i] - b.data[i]
-	}
-	return out
-}
-
-// Scale returns s·a as a new matrix.
-func Scale(s float64, a *Mat) *Mat {
-	out := New(a.rows, a.cols)
-	for i := range a.data {
-		out.data[i] = s * a.data[i]
-	}
-	return out
 }
 
 // AtA returns aᵀa (cols×cols Gram matrix). Above the size cutoff the output
@@ -388,17 +288,6 @@ func (m *Mat) FrobeniusNorm() float64 {
 		s += v * v
 	}
 	return math.Sqrt(s)
-}
-
-// MaxAbs returns the largest absolute entry.
-func (m *Mat) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }
 
 // EqualApprox reports whether a and b have the same shape and all entries

@@ -3,14 +3,16 @@ package mat
 import (
 	"math/rand"
 	"testing"
+
+	"crowdwifi/internal/par"
 )
 
-// forceParallel drops the flop cutoff's effect by fixing the worker count
-// above 1; restore resets package state for other tests.
+// forceWorkers pins the process-wide worker count for the rest of the test
+// (no test in the repository runs in parallel with another).
 func forceWorkers(t testing.TB, n int) {
 	t.Helper()
-	SetWorkers(n)
-	t.Cleanup(func() { SetWorkers(0) })
+	par.SetDefaultWorkers(n)
+	t.Cleanup(func() { par.SetDefaultWorkers(0) })
 }
 
 // TestMulParallelBitIdentical checks the determinism contract: the parallel
@@ -18,17 +20,15 @@ func forceWorkers(t testing.TB, n int) {
 // serial order, so results must be bit-identical (==, not approximately
 // equal) at any worker count.
 func TestMulParallelBitIdentical(t *testing.T) {
-	t.Cleanup(func() { SetWorkers(0) })
 	rng := rand.New(rand.NewSource(41))
 	for _, dims := range [][3]int{{64, 48, 64}, {33, 129, 47}, {128, 16, 128}} {
 		a := randMat(rng, dims[0], dims[1])
 		b := randMat(rng, dims[1], dims[2])
 
-		SetWorkers(1)
+		forceWorkers(t, 1)
 		serial := Mul(a, b)
-		SetWorkers(4)
+		forceWorkers(t, 4)
 		parallel := Mul(a, b)
-		SetWorkers(0)
 
 		if serial.rows != parallel.rows || serial.cols != parallel.cols {
 			t.Fatalf("dims %v: shape mismatch", dims)
@@ -43,16 +43,14 @@ func TestMulParallelBitIdentical(t *testing.T) {
 }
 
 func TestAtAParallelBitIdentical(t *testing.T) {
-	t.Cleanup(func() { SetWorkers(0) })
 	rng := rand.New(rand.NewSource(42))
 	for _, dims := range [][2]int{{80, 64}, {31, 97}, {200, 40}} {
 		a := randMat(rng, dims[0], dims[1])
 
-		SetWorkers(1)
+		forceWorkers(t, 1)
 		serial := AtA(a)
-		SetWorkers(4)
+		forceWorkers(t, 4)
 		parallel := AtA(a)
-		SetWorkers(0)
 
 		for i := range serial.data {
 			if serial.data[i] != parallel.data[i] {
@@ -64,16 +62,14 @@ func TestAtAParallelBitIdentical(t *testing.T) {
 }
 
 func TestAAtParallelBitIdentical(t *testing.T) {
-	t.Cleanup(func() { SetWorkers(0) })
 	rng := rand.New(rand.NewSource(43))
 	for _, dims := range [][2]int{{64, 80}, {97, 31}, {50, 200}} {
 		a := randMat(rng, dims[0], dims[1])
 
-		SetWorkers(1)
+		forceWorkers(t, 1)
 		serial := AAt(a)
-		SetWorkers(4)
+		forceWorkers(t, 4)
 		parallel := AAt(a)
-		SetWorkers(0)
 
 		for i := range serial.data {
 			if serial.data[i] != parallel.data[i] {
@@ -96,15 +92,16 @@ func TestSmallProductsStaySerial(t *testing.T) {
 	}
 }
 
+// TestSetWorkersClamps: the kernels follow the one process-wide setting, and
+// a nonsensical value falls back to the default instead of stalling them.
 func TestSetWorkersClamps(t *testing.T) {
-	SetWorkers(-3)
-	t.Cleanup(func() { SetWorkers(0) })
-	if Workers() < 1 {
-		t.Fatalf("Workers() = %d after SetWorkers(-3), want >= 1", Workers())
+	forceWorkers(t, -3)
+	if w, _ := useParallel(parMinFlops); w < 1 {
+		t.Fatalf("useParallel reports %d workers after SetDefaultWorkers(-3), want >= 1", w)
 	}
-	SetWorkers(1)
-	if Workers() != 1 {
-		t.Fatalf("Workers() = %d after SetWorkers(1), want 1", Workers())
+	forceWorkers(t, 1)
+	if w, ok := useParallel(parMinFlops); w != 1 || ok {
+		t.Fatalf("useParallel = (%d, %v) after SetDefaultWorkers(1), want (1, false)", w, ok)
 	}
 }
 
@@ -113,8 +110,7 @@ func benchmarkMatMul(b *testing.B, workers int) {
 	const n = 192
 	x := randMat(rng, n, n)
 	y := randMat(rng, n, n)
-	SetWorkers(workers)
-	b.Cleanup(func() { SetWorkers(0) })
+	forceWorkers(b, workers)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Mul(x, y)

@@ -87,12 +87,6 @@ func FactorizeQR(a *Mat) (*QR, error) {
 	return &QR{q: q, r: r}, nil
 }
 
-// Q returns the thin orthonormal factor (m×n).
-func (f *QR) Q() *Mat { return f.q }
-
-// R returns the upper-triangular factor (n×n).
-func (f *QR) R() *Mat { return f.r }
-
 // SolveLeastSquares returns argmin_x ‖Ax − b‖₂ using the factorization.
 // It returns ErrSingular when R has a (numerically) zero diagonal entry.
 func (f *QR) SolveLeastSquares(b []float64) ([]float64, error) {
@@ -152,11 +146,6 @@ func FactorizeCholesky(a *Mat) (*Cholesky, error) {
 		}
 	}
 	return &Cholesky{l: l, n: n}, nil
-}
-
-// SolveVec solves Ax = b using the Cholesky factors.
-func (c *Cholesky) SolveVec(b []float64) []float64 {
-	return c.SolveVecTo(make([]float64, c.n), b)
 }
 
 // SolveVecTo solves Ax = b into dst (length n) and returns it. Both

@@ -145,56 +145,3 @@ func (s *SVD) Rank(tol float64) int {
 	}
 	return r
 }
-
-// Cond returns the 2-norm condition number σ₁/σᵣ (∞ if rank-deficient).
-func (s *SVD) Cond() float64 {
-	if len(s.S) == 0 {
-		return math.Inf(1)
-	}
-	smin := s.S[len(s.S)-1]
-	if smin == 0 {
-		return math.Inf(1)
-	}
-	return s.S[0] / smin
-}
-
-// PseudoInverse returns the Moore-Penrose pseudo-inverse A† = V·Σ†·Uᵀ,
-// truncating singular values below tol·σ₁ (default tolerance if tol ≤ 0).
-func PseudoInverse(a *Mat, tol float64) *Mat {
-	s := FactorizeSVD(a)
-	r := s.Rank(tol)
-	m, _ := a.Dims()
-	n := a.Cols()
-	out := New(n, m)
-	// out = Σ over kept components of (1/σₖ)·vₖ·uₖᵀ.
-	for k := 0; k < r; k++ {
-		inv := 1 / s.S[k]
-		for i := 0; i < n; i++ {
-			vik := s.V.data[i*s.V.cols+k] * inv
-			if vik == 0 {
-				continue
-			}
-			row := out.data[i*m : (i+1)*m]
-			for j := 0; j < m; j++ {
-				row[j] += vik * s.U.data[j*s.U.cols+k]
-			}
-		}
-	}
-	return out
-}
-
-// Orth returns an orthonormal basis for the column space of a: an m×r matrix
-// with orthonormal columns, where r is the numerical rank of a.
-func Orth(a *Mat) *Mat {
-	s := FactorizeSVD(a)
-	r := s.Rank(0)
-	if r == 0 {
-		// Degenerate: return a single zero column so callers keep a valid shape.
-		return New(a.rows, 1)
-	}
-	out := New(a.rows, r)
-	for i := 0; i < a.rows; i++ {
-		copy(out.data[i*r:(i+1)*r], s.U.data[i*s.U.cols:i*s.U.cols+r])
-	}
-	return out
-}

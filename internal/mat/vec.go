@@ -5,18 +5,6 @@ import "math"
 // Vector helpers. Vectors are plain []float64 so they compose with the rest
 // of the codebase without wrapper types.
 
-// Dot returns the inner product of x and y.
-func Dot(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic(ErrShape)
-	}
-	var s float64
-	for i := range x {
-		s += x[i] * y[i]
-	}
-	return s
-}
-
 // Norm2 returns the Euclidean norm of x.
 func Norm2(x []float64) float64 {
 	// Scaled summation to avoid overflow on pathological inputs.
@@ -58,18 +46,6 @@ func NormInf(x []float64) float64 {
 	return mx
 }
 
-// AddVec returns x+y as a new slice.
-func AddVec(x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic(ErrShape)
-	}
-	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = x[i] + y[i]
-	}
-	return out
-}
-
 // SubVec returns x−y as a new slice.
 func SubVec(x, y []float64) []float64 {
 	if len(x) != len(y) {
@@ -82,31 +58,9 @@ func SubVec(x, y []float64) []float64 {
 	return out
 }
 
-// ScaleVec returns s·x as a new slice.
-func ScaleVec(s float64, x []float64) []float64 {
-	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = s * x[i]
-	}
-	return out
-}
-
-// Axpy computes y ← a·x + y in place.
-func Axpy(a float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic(ErrShape)
-	}
-	for i := range x {
-		y[i] += a * x[i]
-	}
-}
-
 // CloneVec returns a copy of x.
 func CloneVec(x []float64) []float64 {
 	out := make([]float64, len(x))
 	copy(out, x)
 	return out
 }
-
-// Zeros returns a zero vector of length n.
-func Zeros(n int) []float64 { return make([]float64, n) }

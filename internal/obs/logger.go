@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"crowdwifi/internal/obs/trace"
@@ -62,28 +61,19 @@ func ParseLevel(s string) (Level, error) {
 type Logger struct {
 	mu    *sync.Mutex
 	w     io.Writer
-	level *atomic.Int32
+	level Level
 	now   func() time.Time
 	bound string // pre-rendered key=value pairs from With
 }
 
 // NewLogger returns a logger writing records at or above level to w.
 func NewLogger(w io.Writer, level Level) *Logger {
-	l := &Logger{mu: &sync.Mutex{}, w: w, level: &atomic.Int32{}, now: time.Now}
-	l.level.Store(int32(level))
-	return l
-}
-
-// SetLevel changes the minimum emitted level (safe for concurrent use).
-func (l *Logger) SetLevel(level Level) {
-	if l != nil {
-		l.level.Store(int32(level))
-	}
+	return &Logger{mu: &sync.Mutex{}, w: w, level: level, now: time.Now}
 }
 
 // Enabled reports whether records at level would be emitted.
 func (l *Logger) Enabled(level Level) bool {
-	return l != nil && int32(level) >= l.level.Load()
+	return l != nil && level >= l.level
 }
 
 // With returns a logger that appends the given key=value pairs to every

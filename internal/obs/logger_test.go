@@ -39,9 +39,8 @@ func TestLoggerLevelFiltering(t *testing.T) {
 	if !strings.Contains(out, "level=warn") || !strings.Contains(out, "level=error") {
 		t.Fatalf("high levels missing: %q", out)
 	}
-	l.SetLevel(LevelDebug)
-	if !l.Enabled(LevelDebug) {
-		t.Fatal("SetLevel(debug) did not enable debug")
+	if l.Enabled(LevelInfo) || !l.Enabled(LevelWarn) {
+		t.Fatal("Enabled disagrees with what was emitted")
 	}
 }
 
@@ -77,7 +76,6 @@ func TestLoggerOddKVs(t *testing.T) {
 func TestNilLogger(t *testing.T) {
 	var l *Logger
 	l.Info("must not panic")
-	l.SetLevel(LevelDebug)
 	if l.Enabled(LevelError) {
 		t.Fatal("nil logger must report disabled")
 	}

@@ -57,27 +57,6 @@ func (t metricType) String() string {
 // still resolves instead of clipping into +Inf at 10 s.
 var DefBuckets = []float64{.005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10, 30}
 
-// LinearBuckets returns count buckets starting at start, each width apart.
-func LinearBuckets(start, width float64, count int) []float64 {
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
-// ExponentialBuckets returns count buckets starting at start, each factor
-// times the previous.
-func ExponentialBuckets(start, factor float64, count int) []float64 {
-	out := make([]float64, count)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
-}
-
 // family groups all series sharing one metric name.
 type family struct {
 	name, help string

@@ -73,14 +73,6 @@ func NewWindowedHistogram(h *Histogram, window time.Duration, slots int, now fun
 	return w
 }
 
-// Hist returns the underlying cumulative histogram.
-func (w *WindowedHistogram) Hist() *Histogram {
-	if w == nil {
-		return nil
-	}
-	return w.hist
-}
-
 // Observe records one sample into both the cumulative histogram and the
 // active window slot.
 func (w *WindowedHistogram) Observe(v float64) {

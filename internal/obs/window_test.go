@@ -66,7 +66,7 @@ func TestWindowedHistogramExpiry(t *testing.T) {
 	if got := w.Count(); got != 0 {
 		t.Fatalf("window count after full decay = %d, want 0", got)
 	}
-	if got := w.Hist().Count(); got != 11 {
+	if got := w.hist.Count(); got != 11 {
 		t.Fatalf("cumulative count = %d, want 11 (window must not decay /metrics)", got)
 	}
 }
@@ -86,7 +86,7 @@ func TestWindowedHistogramQuantileTracksRecentTraffic(t *testing.T) {
 		t.Fatalf("window p99 = %v, want ≤ 0.1 (old slow traffic leaked in)", q)
 	}
 	// Lifetime quantile still remembers the slow half.
-	if q := w.Hist().Quantile(0.99); q <= 0.1 {
+	if q := w.hist.Quantile(0.99); q <= 0.1 {
 		t.Fatalf("lifetime p99 = %v, want > 0.1", q)
 	}
 }
@@ -108,10 +108,10 @@ func TestRegistryWindowedHistogramUpgrade(t *testing.T) {
 	plain := r.Histogram("upgrade_seconds", "test", nil)
 	plain.Observe(0.2)
 	w := r.WindowedHistogram("upgrade_seconds", "test", nil, time.Minute, 6)
-	if w.Hist() != plain {
+	if w.hist != plain {
 		t.Fatal("upgrade must preserve the cumulative core")
 	}
-	if got := w.Hist().Count(); got != 1 {
+	if got := w.hist.Count(); got != 1 {
 		t.Fatalf("pre-upgrade observation lost: count = %d", got)
 	}
 	// Same name again returns the same windowed instance.
@@ -162,7 +162,7 @@ func TestWindowedHistogramConcurrency(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := w.Hist().Count(); got != 8000 {
+	if got := w.hist.Count(); got != 8000 {
 		t.Fatalf("cumulative count = %d, want 8000", got)
 	}
 }

@@ -1,7 +1,6 @@
 package retry
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -16,12 +15,6 @@ import (
 type HTTPDoer interface {
 	Do(req *http.Request) (*http.Response, error)
 }
-
-// DoerFunc adapts a function to HTTPDoer.
-type DoerFunc func(*http.Request) (*http.Response, error)
-
-// Do implements HTTPDoer.
-func (f DoerFunc) Do(req *http.Request) (*http.Response, error) { return f(req) }
 
 // BudgetConfig bounds how many retries an endpoint may issue relative to its
 // request volume: every initial request deposits Ratio tokens (capped at
@@ -77,7 +70,7 @@ func (b *budget) withdraw() bool {
 
 // Doer wraps an HTTPDoer with retries, a per-endpoint retry budget, and an
 // optional circuit breaker. It implements HTTPDoer itself, so it drops into
-// any client accepting one, and http.RoundTripper for transport-level use.
+// any client accepting one.
 type Doer struct {
 	next    HTTPDoer
 	policy  Policy
@@ -125,9 +118,6 @@ func NewDoer(next HTTPDoer, policy Policy, opts ...DoerOption) *Doer {
 	d.budgets = d.budgets.withDefaults()
 	return d
 }
-
-// Breaker exposes the attached breaker (nil when none).
-func (d *Doer) Breaker() *Breaker { return d.breaker }
 
 func (d *Doer) budget(endpoint string) *budget {
 	d.mu.Lock()
@@ -235,17 +225,4 @@ func (d *Doer) Do(req *http.Request) (*http.Response, error) {
 			return nil, werr
 		}
 	}
-}
-
-// RoundTrip implements http.RoundTripper over the same retry loop, so the
-// Doer can also sit inside an *http.Client as its Transport.
-func (d *Doer) RoundTrip(req *http.Request) (*http.Response, error) {
-	return d.Do(req)
-}
-
-var _ http.RoundTripper = (*Doer)(nil)
-
-// IsBreakerOpen reports whether err came from a fast-failing open breaker.
-func IsBreakerOpen(err error) bool {
-	return errors.Is(err, ErrOpen)
 }

@@ -16,6 +16,11 @@ import (
 )
 
 // fastPolicy keeps test backoffs in the microsecond range.
+// doerFunc adapts a function to HTTPDoer.
+type doerFunc func(*http.Request) (*http.Response, error)
+
+func (f doerFunc) Do(req *http.Request) (*http.Response, error) { return f(req) }
+
 func fastPolicy(attempts int) Policy {
 	return Policy{
 		MaxAttempts: attempts,
@@ -199,7 +204,7 @@ func TestDoerBreakerFastFails(t *testing.T) {
 	}
 	// Second request never reaches the server.
 	before := calls.Load()
-	if _, err := d.Do(newPost(t, ts.URL, "x")); !IsBreakerOpen(err) {
+	if _, err := d.Do(newPost(t, ts.URL, "x")); !errors.Is(err, ErrOpen) {
 		t.Fatalf("err = %v, want breaker-open", err)
 	}
 	if calls.Load() != before {
@@ -221,7 +226,7 @@ func TestDoerNetworkErrorRetries(t *testing.T) {
 	defer ts.Close()
 
 	boom := errors.New("connection reset by chaos")
-	inner := DoerFunc(func(req *http.Request) (*http.Response, error) {
+	inner := doerFunc(func(req *http.Request) (*http.Response, error) {
 		if calls.Add(1) < 3 {
 			return nil, boom
 		}
@@ -240,7 +245,7 @@ func TestDoerNetworkErrorRetries(t *testing.T) {
 
 func TestDoerUnreplayableBodyNotRetried(t *testing.T) {
 	var calls atomic.Int64
-	inner := DoerFunc(func(*http.Request) (*http.Response, error) {
+	inner := doerFunc(func(*http.Request) (*http.Response, error) {
 		calls.Add(1)
 		return nil, errors.New("boom")
 	})
@@ -263,7 +268,7 @@ func TestDoerUnreplayableBodyNotRetried(t *testing.T) {
 func TestDoerContextCancelDuringBackoff(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls atomic.Int64
-	inner := DoerFunc(func(*http.Request) (*http.Response, error) {
+	inner := doerFunc(func(*http.Request) (*http.Response, error) {
 		calls.Add(1)
 		cancel()
 		return nil, errors.New("fail")

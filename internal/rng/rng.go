@@ -133,12 +133,3 @@ func (r *RNG) Sample(n, k int) []int {
 	p := r.Perm(n)
 	return p[:k]
 }
-
-// Exponential returns an exponential variate with the given rate λ.
-func (r *RNG) Exponential(rate float64) float64 {
-	var u float64
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u) / rate
-}

@@ -178,19 +178,6 @@ func TestSamplePanicsWhenKTooLarge(t *testing.T) {
 	New(1).Sample(3, 4)
 }
 
-func TestExponentialMean(t *testing.T) {
-	r := New(10)
-	const n = 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.Exponential(2)
-	}
-	mean := sum / n
-	if math.Abs(mean-0.5) > 0.01 {
-		t.Fatalf("Exponential(2) mean = %v, want ~0.5", mean)
-	}
-}
-
 func TestUniformRange(t *testing.T) {
 	r := New(11)
 	for i := 0; i < 1000; i++ {

@@ -43,6 +43,7 @@ import (
 	"sort"
 
 	"crowdwifi/internal/api"
+	"crowdwifi/internal/frame"
 	"crowdwifi/internal/wal"
 )
 
@@ -242,7 +243,7 @@ func encodeSnapshot(st snapshotState) ([]byte, error) {
 		if 1+len(block) > wal.MaxRecordBytes {
 			return fmt.Errorf("server: a %d-byte snapshot entry exceeds the frame size limit", len(block)-4)
 		}
-		out = wal.AppendFrame(out, kind, block)
+		out = frame.Append(out, kind, block)
 		return nil
 	}
 	var e []byte // the entry being encoded
@@ -481,7 +482,7 @@ func decodeSnapshot(data []byte, str func([]byte) string) (snapshotState, error)
 	}
 	st := snapshotState{Fused: map[string][]LookupResult{}, Reliability: map[string]float64{}}
 	body := data[len(snapshotMagic):]
-	valid, _, err := wal.WalkFrames(body, func(_ int, kind byte, block []byte) error {
+	valid, _, err := frame.Walk(body, func(_ int, kind byte, block []byte) error {
 		r := reader{b: block, str: str}
 		switch kind {
 		case secPatterns:

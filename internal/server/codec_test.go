@@ -23,6 +23,7 @@ import (
 	"strings"
 	"testing"
 
+	"crowdwifi/internal/frame"
 	"crowdwifi/internal/wal"
 )
 
@@ -515,7 +516,7 @@ func TestSnapshotRoundTripsEveryField(t *testing.T) {
 
 // hugeCountSection is a 13-byte snapshot frame whose block claims n entries.
 func hugeCountSection(kind byte, n uint32) []byte {
-	return wal.AppendFrame(nil, kind, binary.LittleEndian.AppendUint32(nil, n))
+	return frame.Append(nil, kind, binary.LittleEndian.AppendUint32(nil, n))
 }
 
 func FuzzDecodeSnapshot(f *testing.F) {

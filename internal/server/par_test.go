@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"crowdwifi/internal/par"
 )
 
 // fusionFixture loads a store with nSeg segments of clustered vehicle
@@ -39,19 +41,27 @@ func fusionFixture(tb testing.TB, nSeg, nVeh int) *Store {
 	return store
 }
 
+// setWorkers pins the process-wide worker count for the rest of the test (no
+// test in the repository runs in parallel with another).
+func setWorkers(tb testing.TB, n int) {
+	tb.Helper()
+	par.SetDefaultWorkers(n)
+	tb.Cleanup(func() { par.SetDefaultWorkers(0) })
+}
+
 // TestAggregateParallelBitIdentical is the determinism property test for
 // parallel per-segment fusion: segments are fused by independent workers and
 // applied in sorted-key order, so the fused map and reliability scores must
 // match a serial aggregation bit-for-bit at any worker count.
 func TestAggregateParallelBitIdentical(t *testing.T) {
 	serial := fusionFixture(t, 12, 6)
-	serial.SetWorkers(1)
+	setWorkers(t, 1)
 	if _, err := serial.Aggregate(); err != nil {
 		t.Fatal(err)
 	}
 
 	parallel := fusionFixture(t, 12, 6)
-	parallel.SetWorkers(4)
+	setWorkers(t, 4)
 	if _, err := parallel.Aggregate(); err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +97,7 @@ func TestAggregateParallelBitIdentical(t *testing.T) {
 
 func benchmarkAggregate(b *testing.B, workers int) {
 	store := fusionFixture(b, 32, 8)
-	store.SetWorkers(workers)
+	setWorkers(b, workers)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := store.Aggregate(); err != nil {

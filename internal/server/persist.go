@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"time"
 
+	"crowdwifi/internal/api"
 	"crowdwifi/internal/obs"
 	"crowdwifi/internal/obs/trace"
 	"crowdwifi/internal/wal"
@@ -444,12 +445,12 @@ func (s *Store) Snapshot() (uint64, error) {
 // active-segment bytes, last sequence), nil for an in-memory store. Served
 // in the cluster digest so the router's /debug/cluster shows per-shard WAL
 // depth.
-func (s *Store) WALStats() *wal.Stats {
+func (s *Store) WALStats() *api.WALStatus {
 	log := s.capture().log
 	if log == nil {
 		return nil
 	}
-	st := log.Stats()
+	st := api.WALStatus(log.Stats())
 	return &st
 }
 

@@ -103,7 +103,6 @@ type Store struct {
 	cycle sync.Mutex
 
 	mergeRadius float64
-	workers     atomic.Int64 // fusion parallelism; 0 → par.DefaultWorkers()
 	metrics     *Metrics
 
 	// Durability (see persist.go). log is nil for an in-memory store. idem
@@ -175,24 +174,6 @@ func NewStore(mergeRadius float64) *Store {
 // the store's hot paths read the pointer without synchronization.
 func (s *Store) Instrument(m *Metrics) {
 	s.metrics = m
-}
-
-// SetWorkers bounds the number of goroutines used for per-segment fusion
-// during aggregation. n ≤ 0 restores the default (par.DefaultWorkers());
-// n == 1 forces serial fusion. Segments are independent, so the fused map
-// is identical at any worker count.
-func (s *Store) SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.workers.Store(int64(n))
-}
-
-func (s *Store) fusionWorkers() int {
-	if n := int(s.workers.Load()); n > 0 {
-		return n
-	}
-	return par.DefaultWorkers()
 }
 
 // AddPattern registers a mapping task and returns its id.
@@ -437,7 +418,7 @@ func (s *Store) aggregate(ctx context.Context) (CycleStats, error) {
 	}
 	sort.Strings(segs)
 	fctx, fspan := trace.StartChild(ctx, "server.fusion")
-	fused, err := par.Map(fctx, len(segs), s.fusionWorkers(), func(i int) ([]geo.Point, error) {
+	fused, err := par.Map(fctx, len(segs), 0, func(i int) ([]geo.Point, error) {
 		// MinWeight 0.5 drops clusters supported only by vehicles the
 		// inference marked unreliable: a lone spammer (weight ≈ 0.05) cannot
 		// plant APs, while a single honest vehicle (weight ≈ 1) still can.
@@ -533,7 +514,6 @@ func (s *Store) inferReliability(ctx context.Context, c capture) map[string]floa
 	}
 	labels := &crowd.Labels{Assignment: a, Values: taskValues}
 	res := crowd.InferContext(ctx, labels, crowd.InferenceOptions{
-		Workers: int(s.workers.Load()),
 		Metrics: s.metrics.crowdMetrics(),
 	})
 	norm := crowd.NormalizeReliability(res.WorkerReliability)

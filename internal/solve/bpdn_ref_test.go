@@ -28,7 +28,7 @@ func bpdnRef(a *mat.Mat, b []float64, lambda float64, opts Options) (*Result, er
 	if n > m {
 		g := mat.AAt(a) // M×M
 		for i := 0; i < m; i++ {
-			g.Set(i, i, g.At(i, i)+o.Rho)
+			g.Set(i, i, g.At(i, i)+rho)
 		}
 		chol, err := mat.FactorizeCholesky(g)
 		if err != nil {
@@ -37,24 +37,24 @@ func bpdnRef(a *mat.Mat, b []float64, lambda float64, opts Options) (*Result, er
 		solveX = func(q []float64) []float64 {
 			// x = q/ρ − Aᵀ(ρI + AAᵀ)⁻¹A q / ρ.
 			aq := mat.MulVec(a, q)
-			t := chol.SolveVec(aq)
+			t := chol.SolveVecTo(make([]float64, m), aq)
 			at := mat.MulTVec(a, t)
 			x := make([]float64, n)
 			for i := range x {
-				x[i] = (q[i] - at[i]) / o.Rho
+				x[i] = (q[i] - at[i]) / rho
 			}
 			return x
 		}
 	} else {
 		g := mat.AtA(a) // N×N
 		for i := 0; i < n; i++ {
-			g.Set(i, i, g.At(i, i)+o.Rho)
+			g.Set(i, i, g.At(i, i)+rho)
 		}
 		chol, err := mat.FactorizeCholesky(g)
 		if err != nil {
 			return nil, err
 		}
-		solveX = func(q []float64) []float64 { return chol.SolveVec(q) }
+		solveX = func(q []float64) []float64 { return chol.SolveVecTo(make([]float64, n), q) }
 	}
 
 	x := make([]float64, n)
@@ -64,16 +64,16 @@ func bpdnRef(a *mat.Mat, b []float64, lambda float64, opts Options) (*Result, er
 	zOld := make([]float64, n)
 
 	for it := 1; it <= o.MaxIter; it++ {
-		if err := o.checkCtx("bpdn", it); err != nil {
+		if err := o.checkCtx(it); err != nil {
 			return nil, err
 		}
 		for i := range q {
-			q[i] = atb[i] + o.Rho*(z[i]-u[i])
+			q[i] = atb[i] + rho*(z[i]-u[i])
 		}
 		x = solveX(q)
 		copy(zOld, z)
 		for i := range z {
-			z[i] = prox(x[i]+u[i], lambda/o.Rho, o.NonNegative)
+			z[i] = prox(x[i]+u[i], lambda/rho, o.NonNegative)
 		}
 		var primal, dual float64
 		for i := range u {
@@ -84,11 +84,11 @@ func bpdnRef(a *mat.Mat, b []float64, lambda float64, opts Options) (*Result, er
 			dual += dz * dz
 		}
 		if math.Sqrt(primal) < o.Tol*math.Sqrt(float64(n)) &&
-			o.Rho*math.Sqrt(dual) < o.Tol*math.Sqrt(float64(n)) {
-			return o.record("bpdn", finish(a, b, z, it, true)), nil
+			rho*math.Sqrt(dual) < o.Tol*math.Sqrt(float64(n)) {
+			return o.Metrics.record(finish(a, b, z, it, true)), nil
 		}
 	}
-	return o.record("bpdn", finish(a, b, z, o.MaxIter, false)), nil
+	return o.Metrics.record(finish(a, b, z, o.MaxIter, false)), nil
 }
 
 // bpdnCases covers both x-update branches, both proximal operators, and both
@@ -105,7 +105,7 @@ var bpdnCases = []struct {
 	{name: "wide converges", m: 24, n: 176, k: 3, lambda: 0.05, opts: Options{MaxIter: 2000, Tol: 1e-6}, exit: "converged"},
 	{name: "wide non-negative", m: 24, n: 176, k: 3, lambda: 0.05, opts: Options{MaxIter: 2000, Tol: 1e-6, NonNegative: true}, exit: "converged"},
 	{name: "wide exhausts MaxIter", m: 24, n: 176, k: 3, lambda: 0.05, opts: Options{MaxIter: 50, Tol: 1e-12, NonNegative: true}, exit: "exhausted"},
-	{name: "wide rho 2.5", m: 30, n: 90, k: 4, lambda: 0.02, opts: Options{MaxIter: 300, Tol: 1e-9, Rho: 2.5}},
+	{name: "wide, tight tolerance", m: 30, n: 90, k: 4, lambda: 0.02, opts: Options{MaxIter: 300, Tol: 1e-9}},
 	{name: "tall converges", m: 60, n: 20, k: 3, lambda: 0.01, opts: Options{MaxIter: 2000, Tol: 1e-6}, exit: "converged"},
 	{name: "tall non-negative exhausts", m: 60, n: 20, k: 3, lambda: 0.01, opts: Options{MaxIter: 7, Tol: 1e-12, NonNegative: true}, exit: "exhausted"},
 	{name: "square", m: 16, n: 16, k: 2, lambda: 0.01, opts: Options{MaxIter: 500, Tol: 1e-8}},

@@ -75,30 +75,6 @@ func TestNonNegativeBPDNRespectsConstraint(t *testing.T) {
 	}
 }
 
-// TestNonNegativeBasisPursuit checks the equality-constrained program with
-// the non-negativity option.
-func TestNonNegativeBasisPursuit(t *testing.T) {
-	a, xTrue, _ := sparseProblem(32, 30, 80, 3, 0)
-	for i, v := range xTrue {
-		if v < 0 {
-			xTrue[i] = -v
-		}
-	}
-	b := mat.MulVec(a, xTrue)
-	res, err := BasisPursuit(a, b, Options{MaxIter: 3000, Tol: 1e-9, NonNegative: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j, x := range res.X {
-		if x < -1e-9 {
-			t.Fatalf("coordinate %d negative: %v", j, x)
-		}
-	}
-	if d := maxAbsDiff(xTrue, res.X); d > 1e-3 {
-		t.Fatalf("recovery error %v", d)
-	}
-}
-
 // TestBPDNLambdaPathMonotone: larger λ can only shrink the ℓ1 norm of the
 // minimizer.
 func TestBPDNLambdaPathMonotone(t *testing.T) {

@@ -3,81 +3,18 @@ package solve
 import (
 	"context"
 	"errors"
-	"math"
 	"testing"
-
-	"crowdwifi/internal/mat"
 )
 
-// TestProxGradientNoSpuriousIterOneConvergence is the regression test for
-// the relative-change stopping bug: with a badly scaled A the Lipschitz
-// estimate forces a tiny step, the first iterate barely moves, and the old
-// ‖x−xOld‖-only rule declared Converged=true at iteration 1 while the true
-// minimizer was ~999 away. The gradient-map guard must keep iterating.
-func TestProxGradientNoSpuriousIterOneConvergence(t *testing.T) {
-	a := mat.NewFromRows([][]float64{{1000, 0}, {0, 0.001}})
-	b := []float64{0, 1}
-	opts := Options{MaxIter: 50, Tol: 1e-6}
-
-	for _, tc := range []struct {
-		name  string
-		solve func() (*Result, error)
-	}{
-		{"ista", func() (*Result, error) { return ISTA(a, b, 1e-6, opts) }},
-		{"fista", func() (*Result, error) { return FISTA(a, b, 1e-6, opts) }},
-	} {
-		res, err := tc.solve()
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if res.Converged && res.Iterations <= 1 {
-			t.Fatalf("%s: declared Converged at iteration %d with x = %v (optimum x₂ ≈ 999)",
-				tc.name, res.Iterations, res.X)
-		}
-	}
-}
-
-// TestProxGradientStillConvergesCleanly guards the guard: on a well-scaled
-// problem the stationarity check must not block convergence.
-func TestProxGradientStillConvergesCleanly(t *testing.T) {
-	a, xTrue, bvec := sparseProblem(11, 40, 80, 4, 0)
-	res, err := FISTA(a, bvec, 1e-4, Options{MaxIter: 5000, Tol: 1e-6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("FISTA failed to converge in %d iterations", res.Iterations)
-	}
-	var maxErr float64
-	for i := range xTrue {
-		maxErr = math.Max(maxErr, math.Abs(res.X[i]-xTrue[i]))
-	}
-	if maxErr > 1e-2 {
-		t.Fatalf("recovery error %v too large", maxErr)
-	}
-}
-
-// TestSolversHonorCanceledContext checks every iterative solver aborts with
-// a wrapped context error instead of running MaxIter to completion.
+// TestSolversHonorCanceledContext checks BPDN aborts with a wrapped context
+// error instead of running MaxIter to completion.
 func TestSolversHonorCanceledContext(t *testing.T) {
 	a, _, b := sparseProblem(3, 60, 120, 5, 0.01)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	opts := Options{MaxIter: 100000, Tol: 0, Ctx: ctx}
 
-	for _, tc := range []struct {
-		name  string
-		solve func() (*Result, error)
-	}{
-		{"bpdn", func() (*Result, error) { return BPDN(a, b, 0.01, opts) }},
-		{"fista", func() (*Result, error) { return FISTA(a, b, 0.01, opts) }},
-		{"ista", func() (*Result, error) { return ISTA(a, b, 0.01, opts) }},
-		{"irls", func() (*Result, error) { return IRLS(a, b, opts) }},
-		{"basis_pursuit", func() (*Result, error) { return BasisPursuit(a, b, opts) }},
-	} {
-		_, err := tc.solve()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s: err = %v, want wrapped context.Canceled", tc.name, err)
-		}
+	if _, err := BPDN(a, b, 0.01, opts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"crowdwifi/internal/frame"
 )
 
 // IterateDir streams every record with seq > after from the log directory,
@@ -42,7 +44,7 @@ func IterateDir(dir string, after uint64, fn func(Record) error) error {
 		if err != nil {
 			return err
 		}
-		valid, n, err := WalkFrames(buf, func(idx int, kind byte, data []byte) error {
+		valid, n, err := frame.Walk(buf, func(idx int, kind byte, data []byte) error {
 			seq := seg.first + uint64(idx)
 			if seq <= after || kind == KindProbe {
 				return nil

@@ -38,6 +38,9 @@ func parseSnapshotName(name string) (uint64, bool) {
 	return seq, err == nil
 }
 
+// castagnoli is the CRC32-C table snapshot files are checksummed with.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 // WriteSnapshot atomically installs data as the snapshot covering every log
 // record with sequence ≤ seq.
 func WriteSnapshot(dir string, seq uint64, data []byte) error {

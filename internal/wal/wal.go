@@ -22,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"crowdwifi/internal/frame"
 	"crowdwifi/internal/obs/trace"
 )
 
@@ -200,7 +201,7 @@ func Open(dir string, opts Options) (*Log, OpenInfo, error) {
 		if err != nil {
 			return nil, OpenInfo{}, err
 		}
-		valid, n, _ := WalkFrames(buf, nil)
+		valid, n, _ := frame.Walk(buf, nil)
 		if valid < int64(len(buf)) {
 			info.TruncatedBytes = int64(len(buf)) - valid
 			if err := os.Truncate(active.path, valid); err != nil {
@@ -344,7 +345,7 @@ func (l *Log) AppendContext(ctx context.Context, kind byte, data []byte) (uint64
 			return 0, err
 		}
 	}
-	size := FrameSize(len(data))
+	size := frame.Size(len(data))
 	if l.size > 0 && l.size+size > l.opts.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {
 			span.SetError(err)
@@ -352,8 +353,8 @@ func (l *Log) AppendContext(ctx context.Context, kind byte, data []byte) (uint64
 		}
 		span.AddEvent("segment rotated")
 	}
-	frame := AppendFrame(make([]byte, 0, size), kind, data)
-	if _, err := l.f.Write(frame); err != nil {
+	framed := frame.Append(make([]byte, 0, size), kind, data)
+	if _, err := l.f.Write(framed); err != nil {
 		// The frame may be partially on disk (a short write, ENOSPC
 		// mid-frame). Cut the file back to the last acknowledged byte so
 		// the log stays replayable and identical to the last ack.
@@ -454,11 +455,11 @@ func (l *Log) LastSeq() uint64 {
 // enough to serve from a debug endpoint.
 type Stats struct {
 	// Segments is the number of live segment files (including the active one).
-	Segments int `json:"segments"`
+	Segments int
 	// ActiveBytes is the size of the active (tail) segment.
-	ActiveBytes int64 `json:"activeBytes"`
+	ActiveBytes int64
 	// LastSeq is the sequence number of the newest record (0 if none).
-	LastSeq uint64 `json:"lastSeq"`
+	LastSeq uint64
 }
 
 // Stats reports the log's current segment count, active-segment size, and
@@ -497,7 +498,7 @@ func (l *Log) Replay(after uint64, fn func(Record) error) error {
 		if err != nil {
 			return err
 		}
-		valid, n, err := WalkFrames(buf, func(idx int, kind byte, data []byte) error {
+		valid, n, err := frame.Walk(buf, func(idx int, kind byte, data []byte) error {
 			seq := seg.first + uint64(idx)
 			if seq <= after || kind == KindProbe {
 				return nil

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"crowdwifi/internal/frame"
 )
 
 // collect replays everything after `after` into a slice.
@@ -206,14 +208,14 @@ func TestCRCMismatchMidFinalSegmentTruncates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := int(FrameSize(64))
-	buf[2*frame+FrameHeaderSize+10] ^= 0xff
+	size := int(frame.Size(64))
+	buf[2*size+frame.HeaderSize+10] ^= 0xff
 	if err := os.WriteFile(seg, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	l2, info := mustOpen(t, dir, Options{})
-	if want := int64(4 * frame); info.TruncatedBytes != want {
+	if want := int64(4 * size); info.TruncatedBytes != want {
 		t.Fatalf("truncated %d bytes, want %d", info.TruncatedBytes, want)
 	}
 	if recs := collect(t, l2, 0); len(recs) != 2 {
@@ -243,7 +245,7 @@ func TestCRCMismatchInSealedSegmentFailsReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf[FrameHeaderSize+20] ^= 0xff
+	buf[frame.HeaderSize+20] ^= 0xff
 	if err := os.WriteFile(segs[0], buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
