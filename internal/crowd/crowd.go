@@ -7,10 +7,13 @@
 package crowd
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"crowdwifi/internal/geo"
 	"crowdwifi/internal/obs/trace"
@@ -244,6 +247,15 @@ func InferContext(ctx context.Context, l *Labels, opts InferenceOptions) *Infere
 // edges, goroutine dispatch costs more than the sweep arithmetic.
 const parMinEdges = 1 << 10
 
+// infer keeps each kind of message in the layout of the sweep that writes
+// it. Edge e is (task i, slot c) in task-major order; position p is the same
+// edges in worker-major order, each worker's in increasing e. x_{i→j} lives
+// in task-major order and y_{j→i} in worker-major order, so each sweep writes
+// a contiguous range of its own and gathers the other kind through an int32
+// permutation: perm[p] is p's edge, pos[e] is e's position. No sweep writes
+// where another goroutine reads or writes, and every sum runs over the same
+// terms in the same order as a loop over per-task and per-worker edge lists,
+// so the layout changes no bit.
 func infer(l *Labels, opts InferenceOptions) *InferenceResult {
 	a := l.Assignment
 	maxIter := opts.MaxIter
@@ -255,84 +267,122 @@ func infer(l *Labels, opts InferenceOptions) *InferenceResult {
 		tol = 1e-5
 	}
 
-	// Edge-indexed messages. Edge e corresponds to (task i, slot c).
-	// workerEdge[j] lists the edge ids incident to worker j.
-	type edge struct {
-		task   int
-		worker int
-		label  float64
+	tStart := make([]int, a.NumTasks+1)
+	wStart := make([]int, a.NumWorkers+1)
+	maxDegT, maxDegW := 1, 1
+	for i, ws := range a.TaskWorkers {
+		tStart[i+1] = tStart[i] + len(ws)
+		maxDegT = max(maxDegT, len(ws))
+		for _, j := range ws {
+			wStart[j+1]++
+		}
 	}
-	var edges []edge
-	edgeIdx := make([][]int, a.NumTasks) // per task: edge ids
-	workerEdges := make([][]int, a.NumWorkers)
-	for i, workers := range a.TaskWorkers {
-		edgeIdx[i] = make([]int, len(workers))
-		for c, j := range workers {
-			id := len(edges)
-			edges = append(edges, edge{task: i, worker: j, label: float64(l.Values[i][c])})
-			edgeIdx[i][c] = id
-			workerEdges[j] = append(workerEdges[j], id)
+	for i := len(a.TaskWorkers); i < a.NumTasks; i++ {
+		tStart[i+1] = tStart[i]
+	}
+	for j := 0; j < a.NumWorkers; j++ {
+		maxDegW = max(maxDegW, wStart[j+1])
+		wStart[j+1] += wStart[j]
+	}
+	edges := tStart[a.NumTasks]    // each a stored answer: far fewer than 2^31
+	labT := make([]float64, edges) // L on edge e
+	labW := make([]float64, edges) // L at position p
+	perm := make([]int32, edges)
+	pos := make([]int32, edges)
+	next := append([]int(nil), wStart[:a.NumWorkers]...)
+	for i, ws := range a.TaskWorkers {
+		for c, j := range ws {
+			e, p := tStart[i]+c, next[j]
+			next[j]++
+			labT[e] = float64(l.Values[i][c])
+			labW[p] = labT[e]
+			perm[p], pos[e] = int32(e), int32(p)
 		}
 	}
 
-	y := make([]float64, len(edges)) // y_{j→i} on each edge
-	x := make([]float64, len(edges)) // x_{i→j} on each edge
+	y := make([]float64, edges) // y_{j→i} at position p
+	var peak float64            // the largest |y|
 	if opts.RandomInit {
 		r := rng.New(opts.Seed)
-		for e := range y {
-			y[e] = r.Normal(1, 1)
+		for _, p := range pos {
+			y[p] = r.Normal(1, 1)
+			peak = max(peak, math.Abs(y[p]))
 		}
 	} else {
-		for e := range y {
-			y[e] = 1
+		for p := range y {
+			y[p] = 1
 		}
+		peak = 1
 	}
+	x := make([]float64, edges)  // x_{i→j} on edge e
+	dy := make([]float64, edges) // the last sweep's change in y at position p
 
-	// Each task (resp. worker) owns a disjoint set of edge slots, so the two
-	// sweeps parallelize by partitioning tasks/workers across the pool with
-	// no shared writes and the exact serial per-edge arithmetic. The
-	// convergence reduction stays serial, in the same j-then-e order as the
-	// fused serial loop, so delta/norm — and hence the stopping decision and
-	// final messages — are bit-identical at any worker count.
+	// KOS messages grow geometrically — by ≈ 2^7 a sweep on mixed_aggregate's
+	// instance, which ends near 2^700 — and at a hundred answers per worker
+	// they outgrow float64 before they converge. Before a sweep that could
+	// overflow, the messages are rescaled by an exact power of two. One sweep
+	// multiplies the largest |y| by less than (maxDegT+1)(maxDegW+1), the final
+	// sums by at most max(maxDegT, maxDegW) more, and min-max normalisation
+	// takes one more bit, so below 2^limit nothing can overflow and nothing is
+	// rescaled: a run that stays there is bit for bit the unscaled one. Scaling
+	// by 2^-k changes no label, and no normalised reliability (unless a message
+	// 2^1000 times smaller than the largest turns subnormal).
+	limit := 1023 - bits.Len(uint(maxDegT+1)) - bits.Len(uint(maxDegW+1)) - bits.Len(uint(max(maxDegT, maxDegW)))
+
+	// Each task (resp. worker) owns a disjoint range of x (resp. y), so the
+	// two sweeps parallelize by partitioning tasks/workers across the pool
+	// with no shared writes and the exact serial per-edge arithmetic. The
+	// convergence reduction stays serial, in worker-major (j-then-e) order, so
+	// delta/norm — and hence the stopping decision and final messages — are
+	// bit-identical at any worker count.
 	workers := par.DefaultWorkers()
-	if len(edges) < parMinEdges {
+	if edges < parMinEdges {
 		workers = 1
 	}
-	dy := make([]float64, len(edges))
 	iter := 0
 	converged := false
 	for ; iter < maxIter; iter++ {
+		if _, exp := math.Frexp(peak); exp > limit {
+			scale := math.Ldexp(1, -exp)
+			for p := range y {
+				y[p] *= scale
+			}
+		}
 		// Task → worker messages: x_e = Σ over sibling edges of L·y.
-		par.ForBlocks(len(edgeIdx), workers, func(lo, hi int) {
+		par.ForBlocks(a.NumTasks, workers, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
+				e0, e1 := tStart[i], tStart[i+1]
 				var sum float64
-				for _, e := range edgeIdx[i] {
-					sum += edges[e].label * y[e]
+				for e := e0; e < e1; e++ {
+					sum += labT[e] * y[pos[e]]
 				}
-				for _, e := range edgeIdx[i] {
-					x[e] = sum - edges[e].label*y[e]
+				for e := e0; e < e1; e++ {
+					x[e] = sum - labT[e]*y[pos[e]]
 				}
 			}
 		})
 		// Worker → task messages.
-		par.ForBlocks(len(workerEdges), workers, func(lo, hi int) {
+		par.ForBlocks(a.NumWorkers, workers, func(lo, hi int) {
 			for j := lo; j < hi; j++ {
+				p0, p1 := wStart[j], wStart[j+1]
 				var sum float64
-				for _, e := range workerEdges[j] {
-					sum += edges[e].label * x[e]
+				for p := p0; p < p1; p++ {
+					sum += labW[p] * x[perm[p]]
 				}
-				for _, e := range workerEdges[j] {
-					ny := sum - edges[e].label*x[e]
-					dy[e] = ny - y[e]
-					y[e] = ny
+				for p := p0; p < p1; p++ {
+					ny := sum - labW[p]*x[perm[p]]
+					dy[p] = ny - y[p]
+					y[p] = ny
 				}
 			}
 		})
 		var delta, norm float64
-		for j := range workerEdges {
-			for _, e := range workerEdges[j] {
-				delta += dy[e] * dy[e]
-				norm += y[e] * y[e]
+		peak = 0
+		for p, v := range y {
+			delta += dy[p] * dy[p]
+			norm += v * v
+			if m := math.Abs(v); m > peak {
+				peak = m
 			}
 		}
 		if norm > 0 && math.Sqrt(delta/norm) < tol {
@@ -344,10 +394,10 @@ func infer(l *Labels, opts InferenceOptions) *InferenceResult {
 
 	scores := make([]float64, a.NumTasks)
 	labels := make([]int, a.NumTasks)
-	for i := range edgeIdx {
+	for i := range scores {
 		var s float64
-		for _, e := range edgeIdx[i] {
-			s += edges[e].label * y[e]
+		for e := tStart[i]; e < tStart[i+1]; e++ {
+			s += labT[e] * y[pos[e]]
 		}
 		scores[i] = s
 		if s >= 0 {
@@ -357,13 +407,13 @@ func infer(l *Labels, opts InferenceOptions) *InferenceResult {
 		}
 	}
 	wrel := make([]float64, a.NumWorkers)
-	for j, es := range workerEdges {
+	for j := range wrel {
 		var s float64
-		for _, e := range es {
-			s += y[e]
+		for p := wStart[j]; p < wStart[j+1]; p++ {
+			s += y[p]
 		}
-		if len(es) > 0 {
-			s /= float64(len(es))
+		if n := wStart[j+1] - wStart[j]; n > 0 {
+			s /= float64(n)
 		}
 		wrel[j] = s
 	}
@@ -598,73 +648,195 @@ type FusionOptions struct {
 // WeightedFusion performs the fine-grained estimation of Section 5.4:
 // AP reports from multiple crowd-vehicles are clustered by proximity and each
 // cluster is collapsed to the reliability-weighted centroid of its reports.
-// Reliabilities are clamped to ≥ 0; a vehicle with zero weight contributes
-// nothing.
+// Reliabilities are clamped to ≥ 0 and a non-finite one counts as 0; a vehicle
+// with zero weight contributes nothing.
+//
+// The clustering is greedy: the heaviest unclustered point, the lowest index
+// among equals, seeds a cluster that absorbs every unclustered point within
+// the merge radius, and the members are summed in index order. A report's
+// points share its weight, so the seeds come in the order of a stable
+// weight-descending sort of the reports, point by point; and a seed finds its
+// members in the three X-buckets around it (xBuckets) instead of among every
+// point.
 func WeightedFusion(reports []VehicleReport, reliability []float64, opts FusionOptions) ([]geo.Point, error) {
-	if opts.MergeRadius <= 0 {
+	radius := opts.MergeRadius
+	if !(radius > 0) {
 		return nil, errors.New("crowd: fusion requires a positive merge radius")
 	}
-	type obs struct {
-		p geo.Point
-		w float64
-		v int
-	}
-	var all []obs
-	for _, rep := range reports {
+	weight := make([]float64, len(reports))
+	ints := make([]int, 2*len(reports)+1)
+	first, order := ints[:len(reports)+1], ints[len(reports)+1:] // report k's points are first[k]..first[k+1]-1
+	for k, rep := range reports {
 		w := 1.0
 		if rep.Vehicle >= 0 && rep.Vehicle < len(reliability) {
 			w = reliability[rep.Vehicle]
 		}
-		if w < 0 {
+		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
 			w = 0
 		}
-		for _, p := range rep.APs {
-			all = append(all, obs{p: p, w: w, v: rep.Vehicle})
+		weight[k] = w
+		first[k+1] = first[k] + len(rep.APs)
+		order[k] = k
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(weight[b], weight[a]) })
+	pts := make([]geo.Point, 0, first[len(reports)])
+	owner := make([]int32, 0, first[len(reports)]) // each point's report
+	for k, rep := range reports {
+		pts = append(pts, rep.APs...)
+		for range rep.APs {
+			owner = append(owner, int32(k))
 		}
 	}
-	// Greedy clustering: repeatedly take the highest-weight unused report as
-	// a cluster seed and absorb everything within the merge radius.
-	used := make([]bool, len(all))
+
+	buckets := newXBuckets(pts, radius)
+	used := make([]bool, len(pts))
+	var members []int32
+	var vehicles map[int]bool
+	if opts.MinReports > 0 {
+		vehicles = map[int]bool{}
+	}
 	var out []geo.Point
-	for {
-		seed := -1
-		for i, o := range all {
-			if used[i] {
+	for _, k := range order {
+		for seed := first[k]; seed < first[k+1]; seed++ {
+			if used[seed] {
 				continue
 			}
-			if seed < 0 || o.w > all[seed].w {
-				seed = i
+			members = buckets.appendWithin(members[:0], pts, used, pts[seed], radius)
+			used[seed] = true // even if it is not its own member, being NaN
+			var sx, sy, sw float64
+			for _, j := range members {
+				used[j] = true
+				w := weight[owner[j]]
+				sx += w * pts[j].X
+				sy += w * pts[j].Y
+				sw += w
 			}
-		}
-		if seed < 0 {
-			break
-		}
-		var members []obs
-		for i, o := range all {
-			if used[i] {
+			if sw <= 0 || sw < opts.MinWeight {
 				continue
 			}
-			if o.p.Dist(all[seed].p) <= opts.MergeRadius {
-				used[i] = true
-				members = append(members, o)
+			if vehicles != nil {
+				clear(vehicles)
+				for _, j := range members {
+					if weight[owner[j]] > 0 {
+						vehicles[reports[owner[j]].Vehicle] = true
+					}
+				}
+				if len(vehicles) < opts.MinReports {
+					continue
+				}
 			}
+			out = append(out, geo.Point{X: sx / sw, Y: sy / sw})
 		}
-		var sx, sy, sw float64
-		vehicles := map[int]bool{}
-		for _, m := range members {
-			sx += m.w * m.p.X
-			sy += m.w * m.p.Y
-			sw += m.w
-			if m.w > 0 {
-				vehicles[m.v] = true
-			}
-		}
-		if sw <= 0 || sw < opts.MinWeight || len(vehicles) < opts.MinReports {
-			continue
-		}
-		out = append(out, geo.Point{X: sx / sw, Y: sy / sw})
 	}
 	return out, nil
+}
+
+// xBuckets files point indices by X into buckets of equal width, each bucket
+// in index order (a counting sort), the buckets contiguous in idx.
+//
+// A bucket is at least (1 + 2^-20) merge radii wide, so a point within the
+// radius of a seed lies in the seed's bucket or a neighbour: a bucket index
+// is computed with an error below 2^-51 per bucket the points span, and there
+// are at most 2^24 buckets, so two points |Δx| ≤ radius apart land less than
+// one bucket apart. A NaN or infinite X falls into an end bucket (an infinite
+// one leaves a single bucket); it is nobody's member.
+type xBuckets struct {
+	minX, width float64
+	start       []int   // bucket b is idx[start[b]:start[b+1]]
+	idx         []int32 // point indices
+	// Squared distances below near are within the radius and above far are
+	// beyond it; between the two, math.Hypot decides (see appendWithin).
+	near, far float64
+}
+
+func newXBuckets(pts []geo.Point, radius float64) xBuckets {
+	b := xBuckets{width: radius * (1 + 0x1p-20), near: -1, far: math.Inf(1)}
+	if radius >= 0x1p-500 && radius <= 0x1p500 { // else r² may leave the normal range
+		b.near, b.far = radius*radius*(1-0x1p-40), radius*radius*(1+0x1p-40)
+	}
+	minX, maxX := math.Inf(1), math.Inf(-1)
+	for _, p := range pts {
+		if p.X < minX {
+			minX = p.X
+		}
+		if p.X > maxX {
+			maxX = p.X
+		}
+	}
+	b.minX = minX
+	n := 1
+	if span := maxX - minX; span > 0 && span < math.Inf(1) {
+		limit := min(len(pts), 1<<24)
+		if f := span / b.width; f < float64(limit) {
+			n = int(f) + 1
+		} else {
+			n, b.width = limit, max(b.width, span/float64(limit))
+		}
+	}
+	// Count into start[k+1], turn counts into starts, file each point at its
+	// bucket's cursor, which leaves start[k] at bucket k's end; shift back.
+	b.start = make([]int, n+1)
+	for _, p := range pts {
+		b.start[b.of(p.X)+1]++
+	}
+	for k := 1; k <= n; k++ {
+		b.start[k] += b.start[k-1]
+	}
+	b.idx = make([]int32, len(pts))
+	for i, p := range pts {
+		k := b.of(p.X)
+		b.idx[b.start[k]] = int32(i)
+		b.start[k]++
+	}
+	copy(b.start[1:], b.start[:n])
+	b.start[0] = 0
+	return b
+}
+
+// of is x's bucket. It never decreases as x grows, so buckets are ordered
+// intervals of X.
+func (b *xBuckets) of(x float64) int {
+	f := (x - b.minX) / b.width
+	last := len(b.start) - 2
+	switch {
+	case !(f >= 0): // below the first, or NaN
+		return 0
+	case f >= float64(last):
+		return last
+	}
+	return int(f)
+}
+
+// appendWithin appends to dst, in index order, every unused point whose
+// distance to seed, math.Hypot(Δx, Δy), is at most radius. |Δx| and |Δy| are
+// tested first: Hypot is never below either. Then the squared distance
+// settles all but a sliver around r²: the computed Δx² + Δy² is within a few
+// ulps of the true one, and Hypot within a few ulps of its square root, so
+// outside r²(1 ± 2^-40) both say the same.
+func (b *xBuckets) appendWithin(dst []int32, pts []geo.Point, used []bool, seed geo.Point, radius float64) []int32 {
+	k := b.of(seed.X)
+	lo, hi := b.start[max(k-1, 0)], b.start[min(k+2, len(b.start)-1)]
+	for _, j := range b.idx[lo:hi] {
+		if used[j] {
+			continue
+		}
+		dx := pts[j].X - seed.X
+		if !(math.Abs(dx) <= radius) {
+			continue
+		}
+		dy := pts[j].Y - seed.Y
+		if !(math.Abs(dy) <= radius) {
+			continue
+		}
+		if d2 := dx*dx + dy*dy; d2 < b.near || (d2 <= b.far && math.Hypot(dx, dy) <= radius) {
+			dst = append(dst, j)
+		}
+	}
+	// Three runs in index order, usually already one.
+	if !slices.IsSorted(dst) {
+		slices.Sort(dst)
+	}
+	return dst
 }
 
 // NormalizeReliability maps raw reliability scores (e.g. KOS worker

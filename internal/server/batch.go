@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 
 	"crowdwifi/internal/api"
 	"crowdwifi/internal/obs/trace"
@@ -208,10 +209,15 @@ func (s *Store) addReports(ctx context.Context, items []BatchItem) (errs []error
 		p.release()
 		return nil
 	}
+	for i, it := range items {
+		if errs[i] = checkReport(it.Report); errs[i] == nil {
+			p.pending += reportEntrySize(it.Key, it.Report)
+		}
+	}
 	accepted := make([]int, 0, len(items))
 	var entry []byte
 	for i, it := range items {
-		if errs[i] = checkReport(it.Report); errs[i] != nil {
+		if errs[i] != nil {
 			continue
 		}
 		if entry, errs[i] = appendReportEntry(entry[:0], it.Key, it.Report); errs[i] != nil {
@@ -231,6 +237,7 @@ func (s *Store) addReports(ctx context.Context, items []BatchItem) (errs []error
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.reports = slices.Grow(s.reports, len(accepted))
 	for _, c := range chunks {
 		in := accepted[:c.n]
 		accepted = accepted[c.n:]
@@ -248,7 +255,7 @@ func (s *Store) addReports(ctx context.Context, items []BatchItem) (errs []error
 			}
 			s.reports = append(s.reports, items[idx].Report)
 			s.metrics.incReports()
-			s.completeIdemLocked(items[idx].Key, reportResponse())
+			s.completeIdemLocked(items[idx].Key, reportStored)
 		}
 	}
 	return errs, logged, fault

@@ -7,11 +7,13 @@ package server
 // report entry is the wire codec's own report payload (api.AppendReportPayload),
 // so a report has one layout on the wire, in the log and in a snapshot.
 //
-//	report record (recReports)   one report block, its entries keyed
-//	cycle record  (recCycle)     a fused block, then a reliability block
-//	snapshot                     snapshotMagic, then wal frames of at most
-//	                             snapshotFrameBytes, each one block of the
-//	                             section its frame kind names
+//	report record  (recReports)       one report block, its entries keyed
+//	cycle record   (recCycle)         a fused block, then a reliability block
+//	pattern record (recPatternEntry)  id u32 | key str | a pattern entry
+//	labels record  (recLabelBlock)    key str | one label block
+//	snapshot                          snapshotMagic, then wal frames of at most
+//	                                  snapshotFrameBytes, each one block of the
+//	                                  section its frame kind names
 //
 // Entry layouts (str is a u32 length and that many bytes):
 //
@@ -106,6 +108,11 @@ func listFlags(n int, isNil bool) byte {
 	return 0
 }
 
+// reportEntrySize is how many bytes appendReportEntry appends for r under key.
+func reportEntrySize(key string, r Report) int {
+	return 11 + len(key) + len(r.Vehicle) + len(r.Segment) + 24*len(r.APs)
+}
+
 // appendReportEntry appends one report entry. It fails only on what the
 // report layout cannot carry: a name longer than 65535 bytes.
 func appendReportEntry(dst []byte, key string, r Report) ([]byte, error) {
@@ -127,6 +134,27 @@ func appendLabelEntry(dst []byte, l Label) []byte {
 	dst = appendStr(dst, l.Vehicle)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(l.TaskID))
 	return append(dst, byte(int8(l.Value)))
+}
+
+// appendPatternRecord encodes a recPatternEntry payload. The id leads, so
+// that a payload encoded before the id is known can have it written in place.
+func appendPatternRecord(dst []byte, id int, key string, p Pattern) []byte {
+	dst = slices.Grow(dst, 17+len(key)+len(p.Segment)+24*len(p.APs))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(id))
+	return appendPatternEntry(appendStr(dst, key), p)
+}
+
+// appendLabelsRecord encodes a recLabelBlock payload.
+func appendLabelsRecord(dst []byte, key string, ls []Label) []byte {
+	size := 8 + len(key)
+	for _, l := range ls {
+		size += 9 + len(l.Vehicle)
+	}
+	dst = binary.LittleEndian.AppendUint32(appendStr(slices.Grow(dst, size), key), uint32(len(ls)))
+	for _, l := range ls {
+		dst = appendLabelEntry(dst, l)
+	}
+	return dst
 }
 
 func appendFusedEntry(dst []byte, segment string, results []LookupResult) []byte {
@@ -171,13 +199,16 @@ func sortedKeys[V any](m map[string]V) []string {
 // stays within limit bytes, so only an entry larger than limit makes a larger
 // block, and it is alone in it. emit receives each finished block, which the
 // packer reuses unless emit calls release. The first error emit returns
-// sticks and ends the packing.
+// sticks and ends the packing. A caller that knows how many entry bytes are
+// still to come says so in pending, and a block in fresh memory is then
+// allocated at the size it will reach instead of grown to it.
 type packer struct {
-	limit int
-	emit  func(block []byte, entries int) error
-	buf   []byte
-	n     int
-	err   error
+	limit   int
+	emit    func(block []byte, entries int) error
+	pending int
+	buf     []byte
+	n       int
+	err     error
 }
 
 func (p *packer) add(entry []byte) {
@@ -185,9 +216,13 @@ func (p *packer) add(entry []byte) {
 		p.flush()
 	}
 	if p.n == 0 {
+		if p.buf == nil && p.pending > 0 {
+			p.buf = make([]byte, 0, 4+min(max(p.pending, len(entry)), p.limit))
+		}
 		p.buf = append(p.buf[:0], 0, 0, 0, 0)
 	}
 	p.buf = append(p.buf, entry...)
+	p.pending -= len(entry)
 	p.n++
 }
 
@@ -460,6 +495,28 @@ func decodeReports(data []byte, str func([]byte) string) ([]BatchItem, error) {
 		items[i].Key, items[i].Report = r.reportEntry()
 	}
 	return items, r.end()
+}
+
+// decodePatternRecord decodes a recPatternEntry payload.
+func decodePatternRecord(data []byte, str func([]byte) string) (key string, p Pattern, err error) {
+	r := reader{b: data, str: str}
+	id := int(r.u32())
+	key = string(r.bytes())
+	p = r.patternEntry()
+	p.ID = id
+	return key, p, r.end()
+}
+
+// decodeLabelsRecord decodes a recLabelBlock payload.
+func decodeLabelsRecord(data []byte, str func([]byte) string) (key string, ls []Label, err error) {
+	r := reader{b: data, str: str}
+	key = string(r.bytes())
+	n := r.count(9)
+	ls = make([]Label, 0, n)
+	for ; n > 0 && r.err == nil; n-- {
+		ls = append(ls, r.labelEntry())
+	}
+	return key, ls, r.end()
 }
 
 // decodeCycle decodes a recCycle payload.

@@ -574,13 +574,17 @@ func FuzzApplyRecord(f *testing.F) {
 	f.Add(recReports, binary.LittleEndian.AppendUint32(nil, 0xFFFFFFFF))
 	f.Add(recCycle, encodeCycle(&view{fused: st.Fused, reliability: st.Reliability}))
 	f.Add(recCycle, binary.LittleEndian.AppendUint32(nil, 1<<30))
+	f.Add(recPatternEntry, appendPatternRecord(nil, 0, "p", st.Patterns[0]))
+	f.Add(recPatternEntry, appendPatternRecord(nil, 0, "", st.Patterns[2])[:20])
+	f.Add(recLabelBlock, appendLabelsRecord(nil, "l", st.Labels[:1]))
+	f.Add(recLabelBlock, binary.LittleEndian.AppendUint32(appendStr(nil, ""), 1<<30))
 	f.Add(recPattern, []byte(`{"id":0,"segment":"s","aps":[{"x":1,"y":2,"credit":3}],"idemKey":"p"}`))
 	f.Add(recLabels, []byte(`{"labels":[{"vehicle":"v","taskId":0,"value":1}]}`))
 	f.Add(recDrop, []byte(`{"segments":["s1"]}`))
 	f.Add(recLegacyReport, []byte(`{"report":{"vehicle":"v","segment":"s","aps":[]},"idemKey":"r"}`))
 	f.Add(recLegacyBatch, []byte(`{"reports":[{"report":{"vehicle":"v","segment":"s","aps":null}}]}`))
 	f.Add(recLegacyCycle, []byte(`{"fused":{"s":[{"x":1,"y":2,"weight":1}]},"reliability":{"v":1}}`))
-	f.Add(byte(9), []byte("x"))
+	f.Add(byte(11), []byte("x"))
 	f.Fuzz(func(t *testing.T, kind byte, data []byte) {
 		s := NewStore(10)
 		var err error
@@ -601,6 +605,16 @@ func FuzzApplyRecord(f *testing.F) {
 			if !bytes.Equal(again, data) {
 				t.Fatalf("re-encoded %x, record is %x", again, data)
 			}
+		case recPatternEntry:
+			key, p, _ := decodePatternRecord(data, nil)
+			if again := appendPatternRecord(nil, p.ID, key, p); !bytes.Equal(again, data) {
+				t.Fatalf("re-encoded %x, record is %x", again, data)
+			}
+		case recLabelBlock:
+			key, ls, _ := decodeLabelsRecord(data, nil)
+			if again := appendLabelsRecord(nil, key, ls); !bytes.Equal(again, data) {
+				t.Fatalf("re-encoded %x, record is %x", again, data)
+			}
 		case recCycle:
 			// Segments may arrive unsorted or twice; the encoding of what
 			// they decode to is canonical.
@@ -611,4 +625,41 @@ func FuzzApplyRecord(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestCannedBodiesAreWhatJSONWrites: the acknowledgements the store caches
+// and replays are built without encoding/json, byte for byte what it writes.
+func TestCannedBodiesAreWhatJSONWrites(t *testing.T) {
+	for _, c := range []struct {
+		got  cannedResponse
+		want any
+	}{
+		{patternResponse(0), map[string]int{"id": 0}},
+		{patternResponse(1234567), map[string]int{"id": 1234567}},
+		{labelsResponse(0), map[string]int{"accepted": 0}},
+		{labelsResponse(20000), map[string]int{"accepted": 20000}},
+		{reportStored, map[string]string{"status": "stored"}},
+	} {
+		if want := mustJSON(t, c.want) + "\n"; string(c.got.body) != want {
+			t.Fatalf("body %q, encoding/json writes %q", c.got.body, want)
+		}
+	}
+}
+
+// TestReportEntrySizeIsExact: the batch path sizes its blocks by
+// reportEntrySize, which must be what appendReportEntry writes.
+func TestReportEntrySizeIsExact(t *testing.T) {
+	for i, c := range []struct {
+		key string
+		r   Report
+	}{
+		{"", Report{Vehicle: "v", Segment: "s"}},
+		{"k-1", Report{Vehicle: "veh-0001", Segment: "seg-00042", APs: []APReport{}}},
+		{strings.Repeat("k", 300), batchReport(3)},
+	} {
+		entry, err := appendReportEntry(nil, c.key, c.r)
+		if err != nil || len(entry) != reportEntrySize(c.key, c.r) {
+			t.Fatalf("case %d: %d bytes written (err %v), %d predicted", i, len(entry), err, reportEntrySize(c.key, c.r))
+		}
+	}
 }

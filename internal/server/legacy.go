@@ -1,16 +1,30 @@
 package server
 
 // What builds before the binary codec wrote and this build only reads: the
-// JSON report, batch-chunk and cycle records (kinds 3, 6 and 4) and the JSON
-// snapshot. They are the only way into a data directory such a build left
-// behind; nothing here encodes, and nothing but the loader's branches for
-// those kinds and for a snapshot that opens with '{' calls in.
+// JSON pattern, labels, report, batch-chunk and cycle records (kinds 1, 2, 3,
+// 6 and 4) and the JSON snapshot. They are the only way into a data directory
+// such a build left behind; nothing here encodes, and nothing but the loader's
+// branches for those kinds and for a snapshot that opens with '{' calls in.
 
 import (
 	"encoding/json"
 
 	"crowdwifi/internal/wal"
 )
+
+// patternRecord is one AddPattern as kind 1 logged it.
+type patternRecord struct {
+	ID      int        `json:"id"`
+	Segment string     `json:"segment"`
+	APs     []APReport `json:"aps,omitempty"`
+	IdemKey string     `json:"idemKey,omitempty"`
+}
+
+// labelsRecord is one label batch as kind 2 logged it.
+type labelsRecord struct {
+	Labels  []Label `json:"labels"`
+	IdemKey string  `json:"idemKey,omitempty"`
+}
 
 // reportRecord is one AddReport as kind 3 logged it.
 type reportRecord struct {
@@ -38,17 +52,30 @@ func decodeLegacySnapshot(data []byte) (snapshotState, error) {
 	return state, err
 }
 
-// applyLegacyRecordLocked replays one record of kind 3, 4 or 6. Requires
-// s.mu held.
+// applyLegacyRecordLocked replays one record of kind 1, 2, 3, 4 or 6.
+// Requires s.mu held.
 func (s *Store) applyLegacyRecordLocked(rec wal.Record) error {
 	switch rec.Kind {
+	case recPattern:
+		var p patternRecord
+		if err := json.Unmarshal(rec.Data, &p); err != nil {
+			return err
+		}
+		return s.applyPatternLocked(p.IdemKey, Pattern{ID: p.ID, Segment: p.Segment, APs: p.APs})
+	case recLabels:
+		var lr labelsRecord
+		if err := json.Unmarshal(rec.Data, &lr); err != nil {
+			return err
+		}
+		s.labels = append(s.labels, lr.Labels...)
+		s.completeIdemLocked(lr.IdemKey, labelsResponse(len(lr.Labels)))
 	case recLegacyReport:
 		var rr reportRecord
 		if err := json.Unmarshal(rec.Data, &rr); err != nil {
 			return err
 		}
 		s.reports = append(s.reports, rr.Report)
-		s.completeIdemLocked(rr.IdemKey, reportResponse())
+		s.completeIdemLocked(rr.IdemKey, reportStored)
 	case recLegacyBatch:
 		var br batchRecord
 		if err := json.Unmarshal(rec.Data, &br); err != nil {
@@ -60,7 +87,7 @@ func (s *Store) applyLegacyRecordLocked(rec wal.Record) error {
 				return err
 			}
 			s.reports = append(s.reports, rr.Report)
-			s.completeIdemLocked(rr.IdemKey, reportResponse())
+			s.completeIdemLocked(rr.IdemKey, reportStored)
 		}
 	case recLegacyCycle:
 		var ar aggregateRecord

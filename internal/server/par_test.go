@@ -95,9 +95,12 @@ func TestAggregateParallelBitIdentical(t *testing.T) {
 	}
 }
 
+// benchmarkAggregate runs one cycle over a store of bench/'s mixed_aggregate
+// preload: 50 k reports, 2 000 patterns and 20 k labels.
 func benchmarkAggregate(b *testing.B, workers int) {
-	store := fusionFixture(b, 32, 8)
+	store := offlineStore(b, 1, mixedShape)
 	setWorkers(b, workers)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := store.Aggregate(); err != nil {

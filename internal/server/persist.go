@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"maps"
 	"net/http"
+	"slices"
+	"strconv"
 	"time"
 
 	"crowdwifi/internal/api"
@@ -23,11 +25,11 @@ import (
 	"crowdwifi/internal/wal"
 )
 
-// WAL record kinds. Pattern, labels and drop records are the size of one
-// request and stay JSON; what grows with history — reports and cycle outputs —
-// is in the binary codec (codec.go). Kinds 3, 4 and 6 are the JSON report,
-// cycle and batch-chunk records of builds before that codec: read so their
-// data directories open (legacy.go), never written.
+// WAL record kinds. Reports, cycle outputs, patterns and labels are in the
+// binary codec (codec.go); a drop is rare and stays JSON. Kinds 1, 2, 3, 4 and
+// 6 are the JSON pattern, labels, report, cycle and batch-chunk records of
+// builds before that codec: read so their data directories open (legacy.go),
+// never written.
 const (
 	recPattern      byte = 1
 	recLabels       byte = 2
@@ -37,6 +39,8 @@ const (
 	recLegacyBatch  byte = 6
 	recReports      byte = 7
 	recCycle        byte = 8
+	recPatternEntry byte = 9
+	recLabelBlock   byte = 10
 )
 
 // ErrDurability marks a mutation rejected because its write-ahead append
@@ -48,20 +52,6 @@ var ErrDurability = errors.New("server: durable append failed")
 // wal.MaxRecordBytes. Unlike ErrDurability this is the request's fault, not
 // the disk's: handlers map it to 413 and the store stays writable.
 var ErrRecordTooLarge = errors.New("server: record exceeds the WAL record size limit")
-
-// patternRecord logs one AddPattern.
-type patternRecord struct {
-	ID      int        `json:"id"`
-	Segment string     `json:"segment"`
-	APs     []APReport `json:"aps,omitempty"`
-	IdemKey string     `json:"idemKey,omitempty"`
-}
-
-// labelsRecord logs one validated label batch.
-type labelsRecord struct {
-	Labels  []Label `json:"labels"`
-	IdemKey string  `json:"idemKey,omitempty"`
-}
 
 // dropRecord logs one segment-ownership drop (DropSegments): the named
 // segments' reports and fused results were streamed to their new owner and
@@ -273,24 +263,25 @@ func (s *Store) applyRecord(rec wal.Record, str func([]byte) string) error {
 	defer s.mu.Unlock()
 	var err error
 	switch rec.Kind {
-	case recPattern:
-		var p patternRecord
-		if err = json.Unmarshal(rec.Data, &p); err != nil {
+	case recPatternEntry:
+		var key string
+		var p Pattern
+		if key, p, err = decodePatternRecord(rec.Data, str); err != nil {
 			break
 		}
-		if p.ID != len(s.patterns) {
-			err = fmt.Errorf("pattern id %d does not follow %d stored patterns", p.ID, len(s.patterns))
+		err = s.applyPatternLocked(key, p)
+	case recLabelBlock:
+		var key string
+		var ls []Label
+		if key, ls, err = decodeLabelsRecord(rec.Data, str); err != nil {
 			break
 		}
-		s.patterns = append(s.patterns, Pattern{ID: p.ID, Segment: p.Segment, APs: p.APs})
-		s.completeIdemLocked(p.IdemKey, patternResponse(p.ID))
-	case recLabels:
-		var lr labelsRecord
-		if err = json.Unmarshal(rec.Data, &lr); err != nil {
+		if i := slices.IndexFunc(ls, func(l Label) bool { return l.TaskID >= len(s.patterns) || (l.Value != 1 && l.Value != -1) }); i >= 0 {
+			err = fmt.Errorf("label %+v among %d patterns", ls[i], len(s.patterns))
 			break
 		}
-		s.labels = append(s.labels, lr.Labels...)
-		s.completeIdemLocked(lr.IdemKey, labelsResponse(len(lr.Labels)))
+		s.labels = append(s.labels, ls...)
+		s.completeIdemLocked(key, labelsResponse(len(ls)))
 	case recReports:
 		var items []BatchItem
 		if items, err = decodeReports(rec.Data, str); err != nil {
@@ -298,7 +289,7 @@ func (s *Store) applyRecord(rec wal.Record, str func([]byte) string) error {
 		}
 		for _, it := range items {
 			s.reports = append(s.reports, it.Report)
-			s.completeIdemLocked(it.Key, reportResponse())
+			s.completeIdemLocked(it.Key, reportStored)
 		}
 	case recCycle:
 		var next *view
@@ -312,7 +303,7 @@ func (s *Store) applyRecord(rec wal.Record, str func([]byte) string) error {
 			break
 		}
 		s.dropSegmentsLocked(dr.Segments)
-	case recLegacyReport, recLegacyCycle, recLegacyBatch:
+	case recPattern, recLabels, recLegacyReport, recLegacyCycle, recLegacyBatch:
 		err = s.applyLegacyRecordLocked(rec)
 	default:
 		err = fmt.Errorf("unknown kind %d", rec.Kind)
@@ -331,30 +322,34 @@ type cannedResponse struct {
 	body   []byte
 }
 
-func jsonBody(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		// The canned values are maps of strings and ints; this cannot fail.
-		panic(err)
-	}
-	return append(b, '\n')
-}
-
+// The bodies are what encoding/json writes for {"id":N}, {"accepted":N} and
+// {"status":"stored"}, newline included; a stored report's is one value that
+// every report shares and nothing writes to.
 func patternResponse(id int) cannedResponse {
-	return cannedResponse{http.StatusCreated, jsonBody(map[string]int{"id": id})}
+	return cannedResponse{http.StatusCreated, append(strconv.AppendInt([]byte(`{"id":`), int64(id), 10), "}\n"...)}
 }
 
 func labelsResponse(n int) cannedResponse {
-	return cannedResponse{http.StatusOK, jsonBody(map[string]int{"accepted": n})}
+	return cannedResponse{http.StatusOK, append(strconv.AppendInt([]byte(`{"accepted":`), int64(n), 10), "}\n"...)}
 }
 
-func reportResponse() cannedResponse {
-	return cannedResponse{http.StatusCreated, jsonBody(map[string]string{"status": "stored"})}
+var reportStored = cannedResponse{http.StatusCreated, []byte(`{"status":"stored"}` + "\n")}
+
+// applyPatternLocked appends a pattern whose id must be its position, and
+// completes its key. Requires s.mu held. Shared by the live mutator and
+// replay.
+func (s *Store) applyPatternLocked(key string, p Pattern) error {
+	if p.ID != len(s.patterns) {
+		return fmt.Errorf("pattern id %d does not follow %d stored patterns", p.ID, len(s.patterns))
+	}
+	s.patterns = append(s.patterns, p)
+	s.completeIdemLocked(key, patternResponse(p.ID))
+	return nil
 }
 
 // appendRecordLocked write-ahead-logs one JSON record whose size is bounded
-// by one request (a pattern, a label batch, a drop); report and cycle records
-// are encoded before the lock is taken and handed to appendLocked.
+// by one request (a drop); every other record is encoded before the lock is
+// taken and handed to appendLocked.
 func (s *Store) appendRecordLocked(ctx context.Context, kind byte, v any) error {
 	if s.log == nil {
 		return nil

@@ -195,4 +195,72 @@ func BenchmarkAddReportBatch(b *testing.B) {
 		b.StopTimer()
 		b.SetBytes(dirBytes(b, dir, "wal-*.seg") / int64(b.N))
 	})
+	// The preload: the whole 50 k-report history in one call, into an empty
+	// logged store.
+	b.Run("50000", func(b *testing.B) {
+		items := benchReportItems(rand.New(rand.NewSource(3)), benchReports, false)
+		root := b.TempDir()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			dir := filepath.Join(root, fmt.Sprint(i))
+			store, _, err := OpenStore(10, StorageOptions{Dir: dir, Fsync: wal.SyncOff})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if err := errors.Join(store.AddReportBatch(context.Background(), items)...); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			if err := store.Close(); err != nil {
+				b.Fatal(err)
+			}
+			os.RemoveAll(dir)
+			b.StartTimer()
+		}
+	})
+}
+
+// BenchmarkAddPatterns registers one 8-AP pattern per operation on a logged
+// store, the path mixed_aggregate's preload takes 2 000 times.
+func BenchmarkAddPatterns(b *testing.B) {
+	_, ps, _ := offlineWorld(1, mixedShape)
+	store, _, err := OpenStore(10, StorageOptions{Dir: b.TempDir(), Fsync: wal.SyncOff})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer store.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := ps[i%len(ps)]
+		if _, err := store.AddPatternKeyed(context.Background(), "", p.Segment, p.APs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAddLabels logs mixed_aggregate's 20 k labels as one batch per
+// operation.
+func BenchmarkAddLabels(b *testing.B) {
+	_, ps, ls := offlineWorld(1, mixedShape)
+	store, _, err := OpenStore(10, StorageOptions{Dir: b.TempDir(), Fsync: wal.SyncOff})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer store.Close()
+	for _, p := range ps {
+		if _, err := store.AddPatternKeyed(context.Background(), "", p.Segment, p.APs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := store.AddLabels(ls); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -8,6 +8,7 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -195,18 +196,20 @@ func (s *Store) AddPatternKeyed(ctx context.Context, idemKey, segment string, ap
 	}
 	ctx, span := trace.StartChild(ctx, "store.add_pattern")
 	defer span.End()
+	p := Pattern{Segment: segment, APs: aps}
+	data := appendPatternRecord(nil, 0, idemKey, p)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	id := len(s.patterns)
-	if err := s.appendRecordLocked(ctx, recPattern, patternRecord{ID: id, Segment: segment, APs: aps, IdemKey: idemKey}); err != nil {
+	p.ID = len(s.patterns)
+	binary.LittleEndian.PutUint32(data, uint32(p.ID))
+	if err := s.appendLocked(ctx, recPatternEntry, data); err != nil {
 		span.SetError(err)
 		return 0, err
 	}
-	s.patterns = append(s.patterns, Pattern{ID: id, Segment: segment, APs: aps})
+	_ = s.applyPatternLocked(idemKey, p) // p.ID is the next position
 	s.metrics.incPatterns()
-	s.completeIdemLocked(idemKey, patternResponse(id))
-	span.SetAttr("pattern_id", id)
-	return id, nil
+	span.SetAttr("pattern_id", p.ID)
+	return p.ID, nil
 }
 
 // Patterns returns the mapping tasks, optionally filtered by segment. The
@@ -244,6 +247,7 @@ func (s *Store) AddLabelsKeyed(ctx context.Context, idemKey string, ls []Label) 
 	ctx, span := trace.StartChild(ctx, "store.add_labels")
 	defer span.End()
 	span.SetAttr("labels", len(ls))
+	data := appendLabelsRecord(nil, idemKey, ls)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, l := range ls {
@@ -253,7 +257,7 @@ func (s *Store) AddLabelsKeyed(ctx context.Context, idemKey string, ls []Label) 
 			return err
 		}
 	}
-	if err := s.appendRecordLocked(ctx, recLabels, labelsRecord{Labels: ls, IdemKey: idemKey}); err != nil {
+	if err := s.appendLocked(ctx, recLabelBlock, data); err != nil {
 		span.SetError(err)
 		return err
 	}
@@ -391,38 +395,65 @@ func (s *Store) aggregate(ctx context.Context) (CycleStats, error) {
 		}
 	}
 
-	// Group reports per segment and fuse with reliability weights.
-	bySeg := map[string][]crowd.VehicleReport{}
-	weights := map[string][]float64{}
-	for _, rep := range c.reports {
-		idx := len(bySeg[rep.Segment])
-		pts := make([]geo.Point, len(rep.APs))
-		for i, ap := range rep.APs {
-			pts[i] = geo.Point{X: ap.X, Y: ap.Y}
+	// Group reports per segment in one pass, one segment lookup per report,
+	// then lay the groups out by counting sort: one slice of reports and one
+	// of weights for every segment, and one slab for every AP point.
+	slot := map[string]int{}
+	var names []string // by slot
+	var count []int    // reports per slot
+	of := make([]int, len(c.reports))
+	points := 0
+	for i, rep := range c.reports {
+		k, ok := slot[rep.Segment]
+		if !ok {
+			k = len(names)
+			slot[rep.Segment] = k
+			names = append(names, rep.Segment)
+			count = append(count, 0)
 		}
-		bySeg[rep.Segment] = append(bySeg[rep.Segment], crowd.VehicleReport{Vehicle: idx, APs: pts})
+		of[i] = k
+		count[k]++
+		points += len(rep.APs)
+	}
+	first := make([]int, len(names)+1) // slot k's reports are [first[k], first[k+1])
+	for k, n := range count {
+		first[k+1] = first[k] + n
+	}
+	grouped := make([]crowd.VehicleReport, len(c.reports))
+	weights := make([]float64, len(c.reports))
+	slab := make([]geo.Point, 0, points)
+	fill := append([]int(nil), first[:len(names)]...)
+	for i, rep := range c.reports {
+		k := of[i]
+		at := len(slab)
+		for _, ap := range rep.APs {
+			slab = append(slab, geo.Point{X: ap.X, Y: ap.Y})
+		}
 		w := 1.0
 		if r, ok := rel[rep.Vehicle]; ok {
 			w = r
 		}
-		weights[rep.Segment] = append(weights[rep.Segment], w)
+		grouped[fill[k]] = crowd.VehicleReport{Vehicle: fill[k] - first[k], APs: slab[at:len(slab):len(slab)]}
+		weights[fill[k]] = w
+		fill[k]++
 	}
 	// Fuse segments concurrently: each segment's reports are independent, so
-	// workers own disjoint segments and write disjoint result slots. Keys are
-	// sorted first so results apply in a fixed order and an error from the
-	// lowest-sorted failing segment wins regardless of scheduling — the
-	// outcome is bit-identical at any worker count.
-	segs := make([]string, 0, len(bySeg))
-	for seg := range bySeg {
-		segs = append(segs, seg)
+	// workers own disjoint segments and write disjoint result slots. Segments
+	// are taken in name order, so results apply in a fixed order and an error
+	// from the lowest-sorted failing segment wins regardless of scheduling —
+	// the outcome is bit-identical at any worker count.
+	order := make([]int, len(names))
+	for k := range order {
+		order[k] = k
 	}
-	sort.Strings(segs)
+	sort.Slice(order, func(a, b int) bool { return names[order[a]] < names[order[b]] })
 	fctx, fspan := trace.StartChild(ctx, "server.fusion")
-	fused, err := par.Map(fctx, len(segs), 0, func(i int) ([]geo.Point, error) {
+	fused, err := par.Map(fctx, len(order), 0, func(i int) ([]geo.Point, error) {
+		k := order[i]
 		// MinWeight 0.5 drops clusters supported only by vehicles the
 		// inference marked unreliable: a lone spammer (weight ≈ 0.05) cannot
 		// plant APs, while a single honest vehicle (weight ≈ 1) still can.
-		return crowd.WeightedFusion(bySeg[segs[i]], weights[segs[i]], crowd.FusionOptions{
+		return crowd.WeightedFusion(grouped[first[k]:first[k+1]], weights[first[k]:first[k+1]], crowd.FusionOptions{
 			MergeRadius: s.mergeRadius,
 			MinWeight:   0.5,
 		})
@@ -432,16 +463,19 @@ func (s *Store) aggregate(ctx context.Context) (CycleStats, error) {
 		fspan.End()
 		return stats, err
 	}
-	next := &view{fused: make(map[string][]LookupResult, len(segs)), reliability: rel}
-	for i, seg := range segs {
-		out := make([]LookupResult, len(fused[i]))
-		for j, p := range fused[i] {
-			out[j] = LookupResult{X: p.X, Y: p.Y, Weight: 1}
-		}
-		next.fused[seg] = out
-		stats.Segments++
-		stats.FusedAPs += len(out)
+	for _, f := range fused {
+		stats.FusedAPs += len(f)
 	}
+	results := make([]LookupResult, 0, stats.FusedAPs)
+	next := &view{fused: make(map[string][]LookupResult, len(order)), reliability: rel}
+	for i, k := range order {
+		at := len(results)
+		for _, p := range fused[i] {
+			results = append(results, LookupResult{X: p.X, Y: p.Y, Weight: 1})
+		}
+		next.fused[names[k]] = results[at:len(results):len(results)]
+	}
+	stats.Segments = len(order)
 	fspan.SetAttr("segments", stats.Segments)
 	fspan.End()
 	return stats, s.publish(ctx, c.log, next)
@@ -476,47 +510,59 @@ func (s *Store) inferReliability(ctx context.Context, c capture) map[string]floa
 		return out
 	}
 	// Build a dense bipartite instance from the recorded labels, keeping
-	// only each vehicle's first answer per task.
-	type key struct {
-		task    int
-		vehicle string
-	}
-	seen := map[key]bool{}
-	taskWorkers := make([][]int, len(c.patterns))
-	taskValues := make([][]int8, len(c.patterns))
-	var workerIDs []string
+	// only each vehicle's first answer per task: number the vehicles in order
+	// of appearance, file the answers by task in label order (a counting
+	// sort), then keep each task's first answer per vehicle.
+	tasks := len(c.patterns)
 	widx := map[string]int{}
-	workerTasks := map[int][]int{}
-	for _, l := range c.labels {
-		k := key{l.TaskID, l.Vehicle}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
+	var workerIDs []string
+	worker := make([]int, len(c.labels))
+	first := make([]int, tasks+1) // task i's answers are filed from first[i]
+	for n, l := range c.labels {
 		w, ok := widx[l.Vehicle]
 		if !ok {
 			w = len(workerIDs)
 			widx[l.Vehicle] = w
 			workerIDs = append(workerIDs, l.Vehicle)
 		}
-		taskWorkers[l.TaskID] = append(taskWorkers[l.TaskID], w)
-		taskValues[l.TaskID] = append(taskValues[l.TaskID], int8(l.Value))
-		workerTasks[w] = append(workerTasks[w], l.TaskID)
+		worker[n] = w
+		first[l.TaskID+1]++
 	}
-	a := &crowd.Assignment{
-		NumTasks:    len(c.patterns),
-		NumWorkers:  len(workerIDs),
-		TaskWorkers: taskWorkers,
-		WorkerTasks: make([][]int, len(workerIDs)),
+	for i := 0; i < tasks; i++ {
+		first[i+1] += first[i]
 	}
-	for w, ts := range workerTasks {
-		a.WorkerTasks[w] = ts
+	filedW := make([]int, len(c.labels))
+	filedV := make([]int8, len(c.labels))
+	next := append([]int(nil), first[:tasks]...)
+	for n, l := range c.labels {
+		filedW[next[l.TaskID]] = worker[n]
+		filedV[next[l.TaskID]] = int8(l.Value)
+		next[l.TaskID]++
 	}
+	// seen[w] == i+1 once vehicle w has answered task i.
+	seen := make([]int, len(workerIDs))
+	taskWorkers := make([][]int, tasks)
+	taskValues := make([][]int8, tasks)
+	for i := 0; i < tasks; i++ {
+		kept := first[i]
+		for f := first[i]; f < first[i+1]; f++ {
+			if w := filedW[f]; seen[w] != i+1 {
+				seen[w] = i + 1
+				filedW[kept], filedV[kept] = w, filedV[f]
+				kept++
+			}
+		}
+		taskWorkers[i] = filedW[first[i]:kept:kept]
+		taskValues[i] = filedV[first[i]:kept:kept]
+	}
+	// WorkerTasks stays empty: inference derives the worker side itself.
+	a := &crowd.Assignment{NumTasks: tasks, NumWorkers: len(workerIDs), TaskWorkers: taskWorkers}
 	labels := &crowd.Labels{Assignment: a, Values: taskValues}
 	res := crowd.InferContext(ctx, labels, crowd.InferenceOptions{
 		Metrics: s.metrics.crowdMetrics(),
 	})
 	norm := crowd.NormalizeReliability(res.WorkerReliability)
+	out = make(map[string]float64, len(workerIDs))
 	for w, id := range workerIDs {
 		out[id] = norm[w]
 	}
@@ -1032,7 +1078,7 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 		s.mutationError(w, err)
 		return
 	}
-	writeCanned(w, reportResponse())
+	writeCanned(w, reportStored)
 }
 
 func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
