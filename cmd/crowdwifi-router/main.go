@@ -17,8 +17,8 @@
 //
 // On startup (unless -reconcile=false) the router runs one reconcile pass:
 // it fetches every shard's per-segment digests, moves any segment resident
-// on a non-owner back to its ring owner through the idempotent WAL-slice
-// transfer, and re-aggregates the shards it touched — repairing the drift
+// on a non-owner back to its ring owner as a move of the shard's own log
+// records, and re-aggregates the shards it touched — repairing the drift
 // a crashed rebalance or a half-propagated membership change leaves
 // behind.
 //

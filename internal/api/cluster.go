@@ -1,11 +1,11 @@
 package api
 
 // Shard↔router control messages: per-segment digests for drift detection,
-// slices — the unit of rebalance — with their apply statistics, and the drop
-// and membership requests. The shard serves them (internal/server) and the
-// router's rebalance/reconcile machinery speaks them (internal/cluster).
-
-import "sort"
+// the statistics of a move's apply, and the drop and membership requests. The
+// shard serves them (internal/server) and the router's rebalance/reconcile
+// machinery speaks them (internal/cluster). A move itself is binary: a stream
+// of FrameContentType frames in the store's own record encoding
+// (internal/server/codec.go).
 
 // SegmentDigest summarizes one segment's resident state for cross-shard
 // drift detection: raw volumes plus an order-sensitive digest of the fused
@@ -42,72 +42,13 @@ type WALStatus struct {
 	LastSeq uint64 `json:"lastSeq"`
 }
 
-// SlicePattern is one exported mapping task. ID is the source shard's dense
-// pattern id — the receiving shard assigns its own and labels are remapped.
-type SlicePattern struct {
-	ID      int        `json:"id"`
-	Segment string     `json:"segment"`
-	APs     []APReport `json:"aps,omitempty"`
-	Key     string     `json:"key"`
-}
-
-// SliceReport is one exported vehicle report.
-type SliceReport struct {
-	Report Report `json:"report"`
-	Key    string `json:"key"`
-}
-
-// SliceLabel is one exported label; TaskID references the source shard's
-// pattern id and Segment carries the owning segment so a slice can be
-// partitioned without the source's pattern table.
-type SliceLabel struct {
-	Label   Label  `json:"label"`
-	Segment string `json:"segment"`
-	Key     string `json:"key"`
-}
-
-// Slice is a segment-filtered export of one shard's durable state — the unit
-// of rebalance. Fused results are deliberately absent: they are derived
-// state, and the receiving owner re-aggregates after apply.
-type Slice struct {
-	Source   string         `json:"source"`
-	Patterns []SlicePattern `json:"patterns"`
-	Reports  []SliceReport  `json:"reports"`
-	Labels   []SliceLabel   `json:"labels"`
-}
-
-// Empty reports whether the slice carries nothing.
-func (sl Slice) Empty() bool {
-	return len(sl.Patterns) == 0 && len(sl.Reports) == 0 && len(sl.Labels) == 0
-}
-
-// Segments returns the sorted set of segments the slice touches.
-func (sl Slice) Segments() []string {
-	set := map[string]bool{}
-	for _, p := range sl.Patterns {
-		set[p.Segment] = true
-	}
-	for _, r := range sl.Reports {
-		set[r.Report.Segment] = true
-	}
-	for _, l := range sl.Labels {
-		set[l.Segment] = true
-	}
-	out := make([]string, 0, len(set))
-	for seg := range set {
-		out = append(out, seg)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // SliceStats reports what one apply did.
 type SliceStats struct {
 	Patterns int `json:"patterns"`
 	Reports  int `json:"reports"`
 	Labels   int `json:"labels"`
-	// Deduped counts items skipped because a previous apply already landed
-	// them (matched by their deterministic slice key).
+	// Deduped counts entries skipped because a previous apply already landed
+	// them (matched by their position in the source's segment).
 	Deduped int `json:"deduped"`
 }
 

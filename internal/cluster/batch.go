@@ -9,14 +9,12 @@ package cluster
 // its batch crossed one shard or five.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 
 	"crowdwifi/internal/api"
@@ -170,11 +168,6 @@ func (rt *Router) sendSubBatch(ctx context.Context, owner string, binary bool, s
 	if owner == "" {
 		return fail(http.StatusServiceUnavailable, errors.New("no cluster members"))
 	}
-	pc := rt.peer(owner)
-	if pc == nil {
-		return fail(http.StatusBadGateway, fmt.Errorf("owner shard %q is not a configured peer", owner))
-	}
-
 	var body []byte
 	contentType := api.FrameContentType
 	if binary {
@@ -193,28 +186,18 @@ func (rt *Router) sendSubBatch(ctx context.Context, owner string, binary bool, s
 		}
 	}
 
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, pc.endpoint(api.RouteReportsBatch, ""), bytes.NewReader(body))
+	// The router always merges in the JSON domain, which a shard answers in
+	// unless asked otherwise; the client's preferred codec is re-applied to
+	// the merged vector at the router's edge.
+	respBody, err := rt.peerDo(ctx, owner, http.MethodPost, api.RouteReportsBatch, "", contentType, body)
 	if err != nil {
-		return fail(http.StatusBadGateway, err)
-	}
-	req.Header.Set("Content-Type", contentType)
-	// The router always merges in the JSON domain; the client's preferred
-	// codec is re-applied to the merged vector at the router's edge.
-	req.Header.Set("Accept", "application/json")
-	resp, err := rt.send(pc, req)
-	if err != nil {
-		return fail(http.StatusBadGateway, fmt.Errorf("shard %s: %w", owner, err))
-	}
-	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxSliceBytes))
-	if err != nil {
-		return fail(http.StatusBadGateway, fmt.Errorf("shard %s: %w", owner, err))
-	}
-	if resp.StatusCode != http.StatusOK {
 		// A whole-request shard rejection (shed, oversized, read-only)
 		// applies to every entry it carried.
-		return fail(resp.StatusCode,
-			fmt.Errorf("shard %s: status %d: %s", owner, resp.StatusCode, strings.TrimSpace(string(respBody))))
+		status := http.StatusBadGateway
+		if se := (*statusError)(nil); errors.As(err, &se) {
+			status = se.status
+		}
+		return fail(status, err)
 	}
 	var br api.BatchResponse
 	if err := json.Unmarshal(respBody, &br); err != nil {

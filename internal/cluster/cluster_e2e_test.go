@@ -248,7 +248,7 @@ func TestKillOneShardRebalanceAndReconcileRestoreFullMap(t *testing.T) {
 	}
 
 	// Inject deliberate drift: move one of a's owned segments to b wholesale
-	// (slice + drop), the exact residue a half-finished membership change
+	// (move + drop), the exact residue a half-finished membership change
 	// leaves behind.
 	driftSeg := ""
 	for seg, d := range a.store.SegmentDigests() {
@@ -261,12 +261,12 @@ func TestKillOneShardRebalanceAndReconcileRestoreFullMap(t *testing.T) {
 	if driftSeg == "" {
 		t.Fatal("no segment on shard a to drift")
 	}
-	var sl api.Slice
-	if err := rt.peerGetJSON(ctx, "a", "/v1/cluster/slice", "segments="+driftSeg, &sl); err != nil {
-		t.Fatalf("export drift slice: %v", err)
+	move, err := rt.peerDo(ctx, "a", http.MethodGet, "/v1/cluster/slice", "segments="+driftSeg, "", nil)
+	if err != nil {
+		t.Fatalf("export drift move: %v", err)
 	}
-	if err := rt.peerPostJSON(ctx, "b", "/v1/cluster/slice", sl, nil); err != nil {
-		t.Fatalf("apply drift slice: %v", err)
+	if _, err := rt.applyMove(ctx, "b", move); err != nil {
+		t.Fatalf("apply drift move: %v", err)
 	}
 	if err := rt.peerPostJSON(ctx, "a", "/v1/cluster/drop",
 		api.DropRequest{Segments: []string{driftSeg}}, nil); err != nil {

@@ -16,107 +16,79 @@ import (
 	"crowdwifi/internal/server"
 )
 
-// peerGetJSON fetches path?query from a shard and decodes the 200 body.
-func (rt *Router) peerGetJSON(ctx context.Context, id, path, query string, v any) error {
+// statusError is a shard's answer other than 200.
+type statusError struct {
+	status int
+	msg    string
+}
+
+func (e *statusError) Error() string { return e.msg }
+
+// peerDo sends one request to a shard and returns the body of its 200 answer;
+// any other answer is a *statusError.
+func (rt *Router) peerDo(ctx context.Context, id, method, path, query, contentType string, body []byte) ([]byte, error) {
 	pc := rt.peer(id)
 	if pc == nil {
-		return fmt.Errorf("cluster: shard %q is not a configured peer", id)
+		return nil, fmt.Errorf("cluster: shard %q is not a configured peer", id)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, pc.endpoint(path, query), nil)
+	req, err := http.NewRequestWithContext(ctx, method, pc.endpoint(path, query), bytes.NewReader(body))
 	if err != nil {
-		return err
+		return nil, err
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
 	}
 	resp, err := rt.send(pc, req)
 	if err != nil {
-		return fmt.Errorf("shard %s: %w", id, err)
+		return nil, fmt.Errorf("shard %s: %w", id, err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxSliceBytes))
+	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxSliceBytes))
 	if err != nil {
-		return fmt.Errorf("shard %s: %w", id, err)
+		return nil, fmt.Errorf("shard %s: %w", id, err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("shard %s: %s %s: status %d: %s",
-			id, http.MethodGet, path, resp.StatusCode, strings.TrimSpace(string(body)))
+		return nil, &statusError{resp.StatusCode, fmt.Sprintf("shard %s: %s %s: status %d: %s",
+			id, method, path, resp.StatusCode, strings.TrimSpace(string(respBody)))}
 	}
-	return json.Unmarshal(body, v)
+	return respBody, nil
 }
 
 // peerPostJSON posts body to a shard and decodes the 200 response into out
 // (out may be nil to discard it).
 func (rt *Router) peerPostJSON(ctx context.Context, id, path string, body, out any) error {
-	pc := rt.peer(id)
-	if pc == nil {
-		return fmt.Errorf("cluster: shard %q is not a configured peer", id)
-	}
 	payload, err := json.Marshal(body)
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, pc.endpoint(path, ""), bytes.NewReader(payload))
-	if err != nil {
+	resp, err := rt.peerDo(ctx, id, http.MethodPost, path, "", "application/json", payload)
+	if err != nil || out == nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := rt.send(pc, req)
-	if err != nil {
-		return fmt.Errorf("shard %s: %w", id, err)
-	}
-	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxSliceBytes))
-	if err != nil {
-		return fmt.Errorf("shard %s: %w", id, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("shard %s: %s %s: status %d: %s",
-			id, http.MethodPost, path, resp.StatusCode, strings.TrimSpace(string(respBody)))
-	}
-	if out == nil {
-		return nil
-	}
-	return json.Unmarshal(respBody, out)
+	return json.Unmarshal(resp, out)
 }
 
-// partitionSlice splits a departing shard's export by the current ring:
-// every item goes to the slice of the shard now owning its segment. Items
-// keep their deterministic keys, so applying a partition twice (a crashed
-// rebalance rerun) dedupes instead of double-ingesting.
-func (rt *Router) partitionSlice(sl api.Slice) map[string]*api.Slice {
-	rg := rt.ring.Load()
-	out := map[string]*api.Slice{}
-	target := func(segment string) *api.Slice {
-		owner := rg.Owner(segment)
-		t, ok := out[owner]
-		if !ok {
-			t = &api.Slice{Source: sl.Source}
-			out[owner] = t
-		}
-		return t
+// applyMove posts a move — frames of move blocks, as a shard's export or
+// server.ExportFromDir writes them — to the shard id and returns what it
+// applied.
+func (rt *Router) applyMove(ctx context.Context, id string, move []byte) (api.SliceStats, error) {
+	var stats api.SliceStats
+	resp, err := rt.peerDo(ctx, id, http.MethodPost, api.RouteClusterSlice, "", api.FrameContentType, move)
+	if err == nil {
+		err = json.Unmarshal(resp, &stats)
 	}
-	for _, p := range sl.Patterns {
-		t := target(p.Segment)
-		t.Patterns = append(t.Patterns, p)
-	}
-	for _, r := range sl.Reports {
-		t := target(r.Report.Segment)
-		t.Reports = append(t.Reports, r)
-	}
-	for _, l := range sl.Labels {
-		t := target(l.Segment)
-		t.Labels = append(t.Labels, l)
-	}
-	return out
+	return stats, err
 }
 
 // RebalanceFromDir recovers a departed shard's data from its WAL directory:
 // the full durable state is rebuilt offline (snapshot + segment replay, the
-// same recovery path the shard itself would run), sliced by the current
-// ring, and streamed to each new owner through the idempotent slice-apply
-// endpoint. mergeRadius must match the departed shard's fusion radius;
-// source names the departed shard (it prefixes the apply keys, so two
-// departed shards' identical reports never collide).
+// same recovery path the shard itself would run), exported as a move, and
+// each owner under the current ring is posted its segments' blocks.
+// mergeRadius must match the departed shard's fusion radius; source is the
+// departed shard's id, under which a receiver counts what it has applied, so
+// a crashed rebalance re-run from the top lands nothing twice.
 //
-// The caller re-aggregates afterwards — slices move raw reports, not fused
+// The caller re-aggregates afterwards — moves carry raw reports, not fused
 // derived state.
 func (rt *Router) RebalanceFromDir(ctx context.Context, dir string, mergeRadius float64, source string) (api.SliceStats, error) {
 	var total api.SliceStats
@@ -124,15 +96,17 @@ func (rt *Router) RebalanceFromDir(ctx context.Context, dir string, mergeRadius 
 	span.SetAttr("source", source)
 	defer span.End()
 
-	sl, err := server.ExportSliceFromDir(dir, mergeRadius, source)
+	rg := rt.ring.Load()
+	if len(rg.Members()) == 0 {
+		err := errors.New("cluster: no members to rebalance onto")
+		span.SetError(err)
+		return total, err
+	}
+	parts, err := server.ExportFromDir(dir, mergeRadius, source, rg.Owner)
 	if err != nil {
 		span.SetError(err)
 		return total, fmt.Errorf("cluster: export %s: %w", dir, err)
 	}
-	if sl.Empty() {
-		return total, nil
-	}
-	parts := rt.partitionSlice(sl)
 	owners := make([]string, 0, len(parts))
 	for owner := range parts {
 		owners = append(owners, owner)
@@ -140,20 +114,14 @@ func (rt *Router) RebalanceFromDir(ctx context.Context, dir string, mergeRadius 
 	sort.Strings(owners)
 	var errs []error
 	for _, owner := range owners {
-		part := parts[owner]
-		if owner == "" {
-			errs = append(errs, fmt.Errorf("cluster: no owner for segments %s (empty ring?)",
-				strings.Join(part.Segments(), ",")))
-			continue
-		}
-		var stats api.SliceStats
-		if err := rt.peerPostJSON(ctx, owner, api.RouteClusterSlice, part, &stats); err != nil {
+		stats, err := rt.applyMove(ctx, owner, parts[owner])
+		total.Add(stats)
+		if err != nil {
 			errs = append(errs, err)
 			continue
 		}
-		total.Add(stats)
 		if rt.log != nil {
-			rt.log.Info("rebalanced slice",
+			rt.log.Info("rebalanced segments",
 				"source", source, "owner", owner,
 				"patterns", stats.Patterns, "reports", stats.Reports,
 				"labels", stats.Labels, "deduped", stats.Deduped)

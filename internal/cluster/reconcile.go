@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"sort"
 	"strings"
 
@@ -35,8 +36,8 @@ type ReconcileReport struct {
 // (reports or fused results) lives on a shard the current ring does not
 // name as owner — the residue of a crashed rebalance, a membership change
 // applied to some shards and not others, or uploads routed through a stale
-// ring. For every drifted segment the pass streams the resident's slice to
-// the owner (idempotent per-item apply, so repair after a partial repair is
+// ring. For every drifted segment the pass moves the resident's blocks to
+// the owner (deduplicated by position, so repair after a partial repair is
 // safe), drops the moved segments from the resident, re-aggregates every
 // touched shard, and verifies by re-fetching digests. A run on a healthy
 // cluster is a cheap no-op: one digest fetch per shard.
@@ -55,7 +56,7 @@ func (rt *Router) Reconcile(ctx context.Context) (*ReconcileReport, error) {
 	}
 
 	// Group drifted segments by (resident, owner) so each pair moves in one
-	// slice transfer, and fix the processing order for determinism.
+	// transfer, and fix the processing order for determinism.
 	type pair struct{ from, to string }
 	groups := map[pair][]string{}
 	for _, m := range drifted {
@@ -78,20 +79,20 @@ func (rt *Router) Reconcile(ctx context.Context) (*ReconcileReport, error) {
 	for _, p := range pairs {
 		segments := groups[p]
 		sort.Strings(segments)
-		var sl api.Slice
-		if err := rt.peerGetJSON(ctx, p.from, api.RouteClusterSlice,
-			"segments="+strings.Join(segments, ","), &sl); err != nil {
+		move, err := rt.peerDo(ctx, p.from, http.MethodGet, api.RouteClusterSlice,
+			"segments="+strings.Join(segments, ","), "", nil)
+		if err != nil {
 			errs = append(errs, fmt.Errorf("reconcile: export %s from %s: %w",
 				strings.Join(segments, ","), p.from, err))
 			continue
 		}
-		if !sl.Empty() {
-			var stats api.SliceStats
-			if err := rt.peerPostJSON(ctx, p.to, api.RouteClusterSlice, sl, &stats); err != nil {
+		if len(move) > 0 {
+			stats, err := rt.applyMove(ctx, p.to, move)
+			report.Stats.Add(stats)
+			if err != nil {
 				errs = append(errs, fmt.Errorf("reconcile: apply to %s: %w", p.to, err))
 				continue
 			}
-			report.Stats.Add(stats)
 		}
 		// Drop only after the owner acked the apply: a failed apply leaves
 		// the resident's copy in place for the next pass.
@@ -158,19 +159,14 @@ func (rt *Router) Reconcile(ctx context.Context) (*ReconcileReport, error) {
 func (rt *Router) findDrift(ctx context.Context) ([]Move, error) {
 	rg := rt.ring.Load()
 	var drifted []Move
-	var errs []error
-	for _, id := range rg.Members() {
-		var dig api.DigestResponse
-		if err := rt.peerGetJSON(ctx, id, api.RouteClusterDigest, "", &dig); err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		for seg, d := range dig.Segments {
+	digests, _, errs := partition[api.DigestResponse](rt.scatter(ctx, http.MethodGet, api.RouteClusterDigest, ""))
+	for _, dig := range digests {
+		for seg, d := range dig.Value.Segments {
 			if !d.HasData() {
 				continue
 			}
-			if owner := rg.Owner(seg); owner != id {
-				drifted = append(drifted, Move{Segment: seg, From: id, To: owner})
+			if owner := rg.Owner(seg); owner != dig.ID {
+				drifted = append(drifted, Move{Segment: seg, From: dig.ID, To: owner})
 			}
 		}
 	}

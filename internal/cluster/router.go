@@ -1,7 +1,8 @@
 // Package cluster shards the crowd-server across nodes: a consistent-hash
 // ring (subpackage ring) assigns every road segment to exactly one owner
 // shard, a Router fans uploads to owners and scatter-gathers lookups, and
-// rebalance/reconcile move WAL-backed slices when membership changes.
+// rebalance/reconcile move segments as the shards' own log records when
+// membership changes.
 //
 // The router is deliberately stateless: it holds no durable data, only the
 // membership ring and per-shard HTTP clients. Anything idempotent about the
@@ -439,19 +440,10 @@ type scatterResult struct {
 	err  error
 }
 
-// get issues one upstream GET through the peer's retry doer.
-func (rt *Router) get(ctx context.Context, pc *peerClient, path, rawQuery string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, pc.endpoint(path, rawQuery), nil)
-	if err != nil {
-		return nil, err
-	}
-	return rt.send(pc, req)
-}
-
-// scatter runs do against every current ring member concurrently and
-// returns the answers in sorted-shard order. Results with err != nil carry
-// no body; non-2xx statuses are errors.
-func (rt *Router) scatter(do func(pc *peerClient) (*http.Response, error)) []scatterResult {
+// scatter sends one request (see peerDo) to every current ring member
+// concurrently and returns the answers in sorted-shard order. Results with
+// err != nil carry no body; non-200 statuses are errors.
+func (rt *Router) scatter(ctx context.Context, method, path, query string) []scatterResult {
 	members := rt.ring.Load().Members()
 	out := make([]scatterResult, len(members))
 	var wg sync.WaitGroup
@@ -459,36 +451,16 @@ func (rt *Router) scatter(do func(pc *peerClient) (*http.Response, error)) []sca
 		wg.Add(1)
 		go func(i int, id string) {
 			defer wg.Done()
-			out[i] = scatterResult{id: id}
-			pc := rt.peer(id)
-			if pc == nil {
-				out[i].err = fmt.Errorf("member %q is not a configured peer", id)
-				return
-			}
-			resp, err := do(pc)
-			if err != nil {
-				out[i].err = err
-				return
-			}
-			defer resp.Body.Close()
-			body, err := io.ReadAll(io.LimitReader(resp.Body, maxSliceBytes))
-			if err != nil {
-				out[i].err = err
-				return
-			}
-			if resp.StatusCode != http.StatusOK {
-				out[i].err = fmt.Errorf("shard %s: status %d: %s", id, resp.StatusCode, strings.TrimSpace(string(body)))
-				return
-			}
-			out[i].body = body
+			body, err := rt.peerDo(ctx, id, method, path, query, "", nil)
+			out[i] = scatterResult{id: id, body: body, err: err}
 		}(i, id)
 	}
 	wg.Wait()
 	return out
 }
 
-// maxSliceBytes caps a single scatter answer read; matches the shard-side
-// slice cap.
+// maxSliceBytes caps a single answer read from a shard; matches the
+// shard-side cap on a move.
 const maxSliceBytes = 256 << 20
 
 // partition splits scatter results into decoded successes and the sorted
@@ -534,9 +506,7 @@ func (rt *Router) handleLookup(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	results, missing, errs := partition[[]api.LookupResult](rt.scatter(func(pc *peerClient) (*http.Response, error) {
-		return rt.get(r.Context(), pc, api.RouteLookup, r.URL.RawQuery)
-	}))
+	results, missing, errs := partition[[]api.LookupResult](rt.scatter(r.Context(), http.MethodGet, api.RouteLookup, r.URL.RawQuery))
 	if len(results) == 0 {
 		api.WriteError(w, http.StatusBadGateway, fmt.Errorf("no shard answered: %w", errors.Join(errs...)))
 		return
@@ -574,9 +544,7 @@ func (rt *Router) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusMethodNotAllowed)
 		return
 	}
-	results := rt.scatter(func(pc *peerClient) (*http.Response, error) {
-		return rt.forward(r.Context(), pc, api.RouteAggregate, r.Header, nil)
-	})
+	results := rt.scatter(r.Context(), http.MethodPost, api.RouteAggregate, "")
 	counts, missing, errs := partition[map[string]int](results)
 	if len(missing) > 0 {
 		api.WriteError(w, http.StatusBadGateway,
@@ -600,9 +568,7 @@ func (rt *Router) handleReliability(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusMethodNotAllowed)
 		return
 	}
-	results, missing, errs := partition[map[string]float64](rt.scatter(func(pc *peerClient) (*http.Response, error) {
-		return rt.get(r.Context(), pc, api.RouteReliability, "")
-	}))
+	results, missing, errs := partition[map[string]float64](rt.scatter(r.Context(), http.MethodGet, api.RouteReliability, ""))
 	if len(results) == 0 {
 		api.WriteError(w, http.StatusBadGateway, fmt.Errorf("no shard answered: %w", errors.Join(errs...)))
 		return
@@ -672,33 +638,9 @@ func (rt *Router) handleMembers(w http.ResponseWriter, r *http.Request) {
 // router's routing table.
 func (rt *Router) PropagateMembers(ctx context.Context) error {
 	members := rt.ring.Load().Members()
-	payload, err := json.Marshal(api.MembersRequest{Members: members})
-	if err != nil {
-		return err
-	}
 	var errs []error
 	for _, id := range members {
-		pc := rt.peer(id)
-		if pc == nil {
-			errs = append(errs, fmt.Errorf("member %q is not a configured peer", id))
-			continue
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			pc.endpoint(api.RouteClusterMembers, ""), bytes.NewReader(payload))
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := rt.send(pc, req)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("shard %s: %w", id, err))
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			errs = append(errs, fmt.Errorf("shard %s: status %d", id, resp.StatusCode))
-		}
-		api.DrainClose(resp)
+		errs = append(errs, rt.peerPostJSON(ctx, id, api.RouteClusterMembers, api.MembersRequest{Members: members}, nil))
 	}
 	return errors.Join(errs...)
 }

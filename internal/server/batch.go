@@ -185,6 +185,15 @@ func (s *Store) AddReportBatch(ctx context.Context, items []BatchItem) []error {
 	return errs
 }
 
+// chunkBudget is how many bytes of entries one record of a batch, or one
+// block of a move, takes.
+func (s *Store) chunkBudget() int {
+	if s.batchChunk > 0 {
+		return s.batchChunk
+	}
+	return defaultBatchChunkBytes
+}
+
 // addReports is the one report write path: check every item, encode the
 // accepted ones into report blocks of at most the chunk budget — all of it
 // before the lock is taken — then, chunk by chunk under the lock, append the
@@ -192,10 +201,7 @@ func (s *Store) AddReportBatch(ctx context.Context, items []BatchItem) []error {
 // number of chunks logged, and the log's refusal if there was one.
 func (s *Store) addReports(ctx context.Context, items []BatchItem) (errs []error, logged int, fault error) {
 	errs = make([]error, len(items))
-	budget := s.batchChunk
-	if budget <= 0 {
-		budget = defaultBatchChunkBytes
-	}
+	budget := s.chunkBudget()
 	// A chunk is one record's data and how many of the accepted items, in
 	// order, it holds.
 	type chunk struct {
@@ -203,7 +209,7 @@ func (s *Store) addReports(ctx context.Context, items []BatchItem) (errs []error
 		n    int
 	}
 	var chunks []chunk
-	p := packer{limit: int(budget)}
+	p := packer{limit: budget}
 	p.emit = func(block []byte, n int) error {
 		chunks = append(chunks, chunk{block, n})
 		p.release()
@@ -223,7 +229,7 @@ func (s *Store) addReports(ctx context.Context, items []BatchItem) (errs []error
 		if entry, errs[i] = appendReportEntry(entry[:0], it.Key, it.Report); errs[i] != nil {
 			continue
 		}
-		if 4+int64(len(entry)) > budget {
+		if 4+len(entry) > budget {
 			errs[i] = fmt.Errorf("%w: %d-byte report record", ErrRecordTooLarge, len(entry))
 			continue
 		}

@@ -2,24 +2,32 @@ package server
 
 // Cluster support for the shard-aware crowd-server: segment ownership
 // enforcement against a consistent-hash ring, per-segment digests for drift
-// detection, and slice export/apply — the primitives the router and the
-// rebalance/reconcile machinery in internal/cluster are built on.
+// detection, and moves — the primitives the router and the rebalance/reconcile
+// machinery in internal/cluster are built on.
 //
 // Ownership model: every road segment (and all its reports, patterns, and
 // fused results) belongs to exactly one shard, the ring owner of its segment
 // key. A shard booted with WithCluster rejects misdirected ingest with 421
 // Misdirected Request and names the owner in the X-Crowdwifi-Owner header so
-// a router holding a stale ring can re-route in one hop. Slice apply is
+// a router holding a stale ring can re-route in one hop. Move apply is
 // deliberately NOT ownership-filtered: rebalance streams state under the
 // *target* ring, which may differ from the ring a shard was booted with
 // until the membership update lands.
+//
+// A move is log shipping: a segment travels as frames of move blocks, each a
+// record of the receiver's log as it stands (codec.go), and lands as one
+// record per block. It is deduplicated by position, not by key: a block names
+// where its entries stand in the segment on the source, the receiver keeps a
+// cursor per (source, segment) and skips what lies below it, and the source
+// counts the reports a drop removed so that positions never go back.
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -30,7 +38,7 @@ import (
 	"crowdwifi/internal/wal"
 )
 
-// maxSliceBytes caps a slice-apply request body. Slices carry a shard's
+// maxSliceBytes caps a move-apply request body. A move carries a shard's
 // worth of reports, so the ingest cap would reject any real rebalance.
 const maxSliceBytes = 256 << 20
 
@@ -86,7 +94,7 @@ func (s *Server) rejectMisdirected(w http.ResponseWriter, seg, owner string) {
 }
 
 // SegmentDigests computes the per-segment digest map over everything the
-// store holds.
+// store holds. A fused list is hashed in the bytes the codec stores it as.
 func (s *Store) SegmentDigests() map[string]api.SegmentDigest {
 	c := s.capture()
 	out := map[string]api.SegmentDigest{}
@@ -106,84 +114,91 @@ func (s *Store) SegmentDigests() map[string]api.SegmentDigest {
 		d.Labels++
 		out[seg] = d
 	}
+	var entry []byte
 	for seg, fused := range c.view.fused {
 		d := out[seg]
 		d.Fused = len(fused)
-		if b, err := json.Marshal(fused); err == nil {
-			d.FusedDigest = strconv.FormatUint(ring.Hash64(string(b)), 16)
-		}
+		entry = appendFusedEntry(entry[:0], seg, fused)
+		d.FusedDigest = strconv.FormatUint(ring.Hash64(string(entry)), 16)
 		out[seg] = d
 	}
 	return out
 }
 
-// sliceKey mints the deterministic apply-idempotency key for one exported
-// item: source shard, item kind, a content hash, and the item's occurrence
-// rank among identical contents in export order. The rank — not the absolute
-// index — makes keys stable across re-exports even after unrelated items
-// were dropped, so a retried apply of a partially-landed slice deduplicates
-// instead of double-ingesting.
-func sliceKey(source, kind string, content any, ranks map[string]int) string {
-	b, err := json.Marshal(content)
-	if err != nil {
-		panic(err) // slice items are plain structs; cannot fail
-	}
-	h := strconv.FormatUint(ring.Hash64(string(b)), 16)
-	rk := kind + h
-	n := ranks[rk]
-	ranks[rk] = n + 1
-	return fmt.Sprintf("mig-%s-%s%s-%d", source, kind, h, n)
+// moveKey names what a move block comes from: a segment on a source shard.
+type moveKey struct{ source, segment string }
+
+// moveCursor is how far a receiver has applied one moveKey: the receiver's
+// ids of the patterns so far, by position, and how many reports and labels.
+type moveCursor struct {
+	patterns        []int
+	reports, labels int
 }
 
-// ExportSlice exports every pattern, report, and label whose segment
-// satisfies owned, stamped with deterministic apply keys. source names this
-// shard in the keys. Export preserves arrival order, so the receiving
-// shard's per-segment report order — and therefore its fusion output — is
-// identical to the source's.
-func (s *Store) ExportSlice(owned func(segment string) bool, source string) api.Slice {
-	c := s.capture()
-	sl := api.Slice{Source: source, Patterns: []api.SlicePattern{}, Reports: []api.SliceReport{}, Labels: []api.SliceLabel{}}
-	ranks := map[string]int{}
-	for _, p := range c.patterns {
-		if !owned(p.Segment) {
-			continue
+// exportMove encodes, as a move from source, the evidence of every segment
+// dest sends somewhere ("" keeps it here): for each destination, the frames
+// of its segments in segment order, in blocks of at most budget bytes. Within
+// a segment entries keep their arrival order, so the receiver fuses the
+// segment as this store does.
+func (s *Store) exportMove(source string, dest func(segment string) string, budget int) (map[string][]byte, error) {
+	s.mu.Lock()
+	c, dropped := s.captureLocked(), maps.Clone(s.dropped)
+	s.mu.Unlock()
+	moves := map[string]*moveBlock{} // nil for a segment that stays
+	get := func(seg string) *moveBlock {
+		m, ok := moves[seg]
+		if !ok {
+			if dest(seg) != "" {
+				m = &moveBlock{source: source, segment: seg, first: [3]int{0, dropped[seg], 0}}
+			}
+			moves[seg] = m
 		}
-		sp := api.SlicePattern{ID: p.ID, Segment: p.Segment, APs: p.APs}
-		sp.Key = sliceKey(source, "p", sp, ranks)
-		sl.Patterns = append(sl.Patterns, sp)
+		return m
+	}
+	pos := make([]int, len(c.patterns)) // a pattern's position in its segment
+	for i, p := range c.patterns {
+		if m := get(p.Segment); m != nil {
+			pos[i] = len(m.patterns)
+			m.patterns = append(m.patterns, p)
+		}
 	}
 	for _, r := range c.reports {
-		if !owned(r.Segment) {
-			continue
+		if m := get(r.Segment); m != nil {
+			m.reports = append(m.reports, r)
 		}
-		sr := api.SliceReport{Report: r}
-		sr.Key = sliceKey(source, "r", sr, ranks)
-		sl.Reports = append(sl.Reports, sr)
 	}
 	for _, l := range c.labels {
-		seg := c.patterns[l.TaskID].Segment
-		if !owned(seg) {
-			continue
+		if m := get(c.patterns[l.TaskID].Segment); m != nil {
+			l.TaskID = pos[l.TaskID]
+			m.labels = append(m.labels, l)
 		}
-		lb := api.SliceLabel{Label: l, Segment: seg}
-		lb.Key = sliceKey(source, "l", lb, ranks)
-		sl.Labels = append(sl.Labels, lb)
 	}
-	return sl
+	out := map[string][]byte{}
+	for _, seg := range sortedKeys(moves) {
+		if m := moves[seg]; m != nil {
+			var err error
+			to := dest(seg)
+			if out[to], err = appendMove(out[to], *m, budget); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return out, nil
 }
 
-// ExportSliceFromDir reconstructs a shard's state from its data directory —
-// snapshot plus WAL suffix, read-only via wal.IterateDir — and exports the
-// full slice. This is the rebalance path for a shard that is dead: its WAL
+// ExportFromDir reconstructs a shard's state from its data directory —
+// snapshot plus WAL suffix, read-only via wal.IterateDir — and exports it as
+// a move from source, by the destination dest names for each segment (see
+// exportMove). This is the rebalance path for a shard that is dead: its WAL
 // is never opened for writing, and a torn tail from its final crash is
-// tolerated without truncation. source names the departed shard in the
-// slice's apply keys.
-func ExportSliceFromDir(dir string, mergeRadius float64, source string) (api.Slice, error) {
+// tolerated without truncation. source must be the departed shard's id, the
+// name its earlier moves went out under.
+func ExportFromDir(dir string, mergeRadius float64, source string, dest func(segment string) string) (map[string][]byte, error) {
 	s, err := replayDir(dir, mergeRadius)
 	if err != nil {
-		return api.Slice{}, err
+		return nil, err
 	}
-	return s.ExportSlice(func(string) bool { return true }, source), nil
+	return s.exportMove(source, dest, defaultBatchChunkBytes)
 }
 
 // replayDir rebuilds, in memory, the state recovery would give dir, without
@@ -199,75 +214,67 @@ func replayDir(dir string, mergeRadius float64) (*Store, error) {
 	return s, nil
 }
 
-// applySlice ingests a slice through the same durable, idempotent path as
-// regular uploads: every item runs begin/release on the idempotency cache
-// under its deterministic slice key, so a crashed or retried apply
-// deduplicates per item instead of double-ingesting. Patterns are applied
-// first and labels' task ids are rewritten from the source shard's dense ids
-// to this shard's.
-func (s *Server) applySlice(ctx context.Context, sl api.Slice) (api.SliceStats, error) {
+// applyMove applies a move block by block, each in one hold of mu. A move
+// that fails partway may be sent again whole: what landed is skipped by
+// position.
+func (s *Store) applyMove(ctx context.Context, stream []byte) (api.SliceStats, error) {
 	var stats api.SliceStats
-	idMap := make(map[int]int, len(sl.Patterns))
-	for _, p := range sl.Patterns {
-		seen, rec := s.store.idem.begin(p.Key)
-		if seen {
-			if rec == nil {
-				return stats, fmt.Errorf("server: slice item %s still in flight", p.Key)
-			}
-			var ack struct {
-				ID int `json:"id"`
-			}
-			if err := json.Unmarshal(rec.body, &ack); err != nil {
-				return stats, fmt.Errorf("server: slice item %s has unparseable cached ack: %w", p.Key, err)
-			}
-			idMap[p.ID] = ack.ID
-			stats.Deduped++
-			continue
-		}
-		id, err := s.store.AddPatternKeyed(ctx, p.Key, p.Segment, p.APs)
-		if err != nil {
-			s.store.idem.release(p.Key)
-			return stats, err
-		}
-		idMap[p.ID] = id
-		stats.Patterns++
+	blocks, err := decodeMove(stream)
+	for i := 0; i < len(blocks) && err == nil; i++ {
+		s.mu.Lock()
+		var st api.SliceStats
+		st, err = s.applyMoveLocked(ctx, &blocks[i])
+		s.mu.Unlock()
+		stats.Add(st)
 	}
-	for _, r := range sl.Reports {
-		seen, rec := s.store.idem.begin(r.Key)
-		if seen {
-			if rec == nil {
-				return stats, fmt.Errorf("server: slice item %s still in flight", r.Key)
-			}
-			stats.Deduped++
-			continue
-		}
-		if err := s.store.AddReportKeyed(ctx, r.Key, r.Report); err != nil {
-			s.store.idem.release(r.Key)
-			return stats, err
-		}
-		stats.Reports++
+	return stats, err
+}
+
+// applyMoveLocked logs m as one record and applies the entries of it that lie
+// at or past its source's cursor; a block with no such entry changes and logs
+// nothing. Replay applies the record with it too: the log is not attached
+// yet then, so nothing is logged twice. Patterns must follow on from the
+// cursor without a gap, since labels name them by position; a gap in reports
+// or labels is entries the source dropped before moving them. Requires s.mu
+// held.
+func (s *Store) applyMoveLocked(ctx context.Context, m *moveBlock) (api.SliceStats, error) {
+	key := moveKey{m.source, m.segment}
+	cur := s.received[key]
+	if m.first[0] > len(cur.patterns) {
+		return api.SliceStats{}, fmt.Errorf("server: %v pattern %d follows %d applied", key, m.first[0], len(cur.patterns))
 	}
-	for _, l := range sl.Labels {
-		newID, ok := idMap[l.Label.TaskID]
-		if !ok {
-			return stats, fmt.Errorf("server: slice label for task %d has no pattern in the slice", l.Label.TaskID)
-		}
-		seen, rec := s.store.idem.begin(l.Key)
-		if seen {
-			if rec == nil {
-				return stats, fmt.Errorf("server: slice item %s still in flight", l.Key)
-			}
-			stats.Deduped++
-			continue
-		}
-		remapped := l.Label
-		remapped.TaskID = newID
-		if err := s.store.AddLabelsKeyed(ctx, l.Key, []Label{remapped}); err != nil {
-			s.store.idem.release(l.Key)
-			return stats, err
-		}
-		stats.Labels++
+	skip := func(applied, first, n int) int { return min(max(applied-first, 0), n) }
+	patterns := m.patterns[skip(len(cur.patterns), m.first[0], len(m.patterns)):]
+	reports := m.reports[skip(cur.reports, m.first[1], len(m.reports)):]
+	labels := m.labels[skip(cur.labels, m.first[2], len(m.labels)):]
+	known := max(len(cur.patterns), m.first[0]+len(m.patterns))
+	if i := slices.IndexFunc(labels, func(l Label) bool { return l.TaskID >= known }); i >= 0 {
+		return api.SliceStats{}, fmt.Errorf("server: %v label names pattern %d of %d", key, labels[i].TaskID, known)
 	}
+	stats := api.SliceStats{Patterns: len(patterns), Reports: len(reports), Labels: len(labels)}
+	stats.Deduped = len(m.patterns) + len(m.reports) + len(m.labels) - stats.Patterns - stats.Reports - stats.Labels
+	if stats.Patterns+stats.Reports+stats.Labels == 0 {
+		return stats, nil
+	}
+	if err := s.appendLocked(ctx, recMove, m.data); err != nil {
+		return api.SliceStats{}, err
+	}
+	for _, p := range patterns {
+		p.ID = len(s.patterns)
+		s.patterns = append(s.patterns, p)
+		cur.patterns = append(cur.patterns, p.ID)
+	}
+	s.reports = append(s.reports, reports...)
+	for _, l := range labels {
+		l.TaskID = cur.patterns[l.TaskID]
+		s.labels = append(s.labels, l)
+	}
+	cur.reports = max(cur.reports, m.first[1]+len(m.reports))
+	cur.labels = max(cur.labels, m.first[2]+len(m.labels))
+	if s.received == nil {
+		s.received = map[moveKey]moveCursor{}
+	}
+	s.received[key] = cur
 	return stats, nil
 }
 
@@ -287,14 +294,14 @@ func (s *Server) handleClusterDigest(w http.ResponseWriter, r *http.Request) {
 
 // handleClusterSlice serves the rebalance transfer endpoint.
 //
-// GET exports a slice. Two filters are supported:
+// GET exports a move from this shard. Two filters are supported:
 //   - ?segments=a,b,c — export exactly these segments;
 //   - ?owner=X&members=a,b,c[&vnodes=n] — export the segments a ring over
 //     members assigns to X (the requester dictates the target ring, so a
-//     rebalance can slice under the post-change membership before this shard
+//     rebalance can move under the post-change membership before this shard
 //     has been told about it).
 //
-// POST applies a slice through the durable idempotent path; see applySlice.
+// POST applies a move; see applyMove. Both speak FrameContentType only.
 func (s *Server) handleClusterSlice(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
@@ -325,19 +332,35 @@ func (s *Server) handleClusterSlice(w http.ResponseWriter, r *http.Request) {
 			api.WriteError(w, http.StatusBadRequest, errors.New("need ?segments= or ?owner=&members="))
 			return
 		}
-		api.WriteJSON(w, http.StatusOK, s.store.ExportSlice(owned, s.cluster.self))
+		moves, err := s.store.exportMove(s.cluster.self, func(seg string) string {
+			if owned(seg) {
+				return "requester"
+			}
+			return ""
+		}, s.store.chunkBudget())
+		if err != nil {
+			api.WriteError(w, http.StatusInternalServerError, err)
+			return
+		}
+		writeFrame(w, moves["requester"])
 	case http.MethodPost:
+		if !api.IsFrameRequest(r) {
+			// A router of an older build sends its JSON slice here.
+			api.WriteError(w, http.StatusUnsupportedMediaType,
+				fmt.Errorf("a move is a stream of %s frames", api.FrameContentType))
+			return
+		}
 		r.Body = http.MaxBytesReader(w, r.Body, maxSliceBytes)
-		var sl api.Slice
-		if !s.decodeBody(w, r, &sl) {
+		body, ok := s.readBody(w, r)
+		if !ok {
 			return
 		}
 		ctx, span := trace.StartChild(r.Context(), "cluster.apply_slice")
-		span.SetAttr("source", sl.Source)
-		span.SetAttr("patterns", len(sl.Patterns))
-		span.SetAttr("reports", len(sl.Reports))
-		span.SetAttr("labels", len(sl.Labels))
-		stats, err := s.applySlice(ctx, sl)
+		stats, err := s.store.applyMove(ctx, body)
+		span.SetAttr("patterns", stats.Patterns)
+		span.SetAttr("reports", stats.Reports)
+		span.SetAttr("labels", stats.Labels)
+		span.SetAttr("deduped", stats.Deduped)
 		span.SetError(err)
 		span.End()
 		if err != nil {

@@ -130,8 +130,8 @@ func TestSegmentDigests(t *testing.T) {
 }
 
 // TestSliceApplyIsIdempotentAndRemapsPatternIDs exercises the rebalance
-// receive path: applying the same slice twice dedupes every item, and
-// labels follow their patterns to the receiver's dense ids.
+// receive path: applying the same move twice dedupes every entry, and labels
+// follow their patterns to the receiver's dense ids.
 func TestSliceApplyIsIdempotentAndRemapsPatternIDs(t *testing.T) {
 	source := NewStore(10)
 	if err := source.AddReport(Report{Vehicle: "v", Segment: "s1", APs: []APReport{{X: 1, Y: 1, Credit: 1}}}); err != nil {
@@ -141,10 +141,7 @@ func TestSliceApplyIsIdempotentAndRemapsPatternIDs(t *testing.T) {
 	if err := source.AddLabel(Label{Vehicle: "v", TaskID: pid, Value: 1}); err != nil {
 		t.Fatal(err)
 	}
-	sl := source.ExportSlice(func(string) bool { return true }, "src")
-	if len(sl.Reports) != 1 || len(sl.Patterns) != 1 || len(sl.Labels) != 1 {
-		t.Fatalf("export = %+v", sl)
-	}
+	move := moveOf(t, source, "src", "s1")
 
 	// The receiver already has a pattern, so the incoming pattern cannot
 	// keep the source's id 0.
@@ -156,7 +153,7 @@ func TestSliceApplyIsIdempotentAndRemapsPatternIDs(t *testing.T) {
 
 	apply := func() api.SliceStats {
 		t.Helper()
-		resp := postJSONTo(t, ts, "/v1/cluster/slice", sl)
+		resp := postMove(t, ts, move)
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			body, _ := io.ReadAll(resp.Body)
@@ -185,6 +182,9 @@ func TestSliceApplyIsIdempotentAndRemapsPatternIDs(t *testing.T) {
 	d := recvStore.SegmentDigests()
 	if d["s1"].Patterns != 1 || d["s1"].Labels != 1 || d["s1"].Reports != 1 {
 		t.Fatalf("receiver s1 digest = %+v", d["s1"])
+	}
+	if c := recvStore.capture(); c.labels[0].TaskID != 1 || c.patterns[1].Segment != "s1" {
+		t.Fatalf("the moved label names pattern %d of %+v", c.labels[0].TaskID, c.patterns)
 	}
 }
 

@@ -11,6 +11,9 @@ package server
 //	cycle record   (recCycle)         a fused block, then a reliability block
 //	pattern record (recPatternEntry)  id u32 | key str | a pattern entry
 //	labels record  (recLabelBlock)    key str | one label block
+//	move block     (recMove)          source str | segment str | first pattern,
+//	                                  report, label position u32 × 3 | pattern,
+//	                                  report, label block — a frame of a move
 //	snapshot                          snapshotMagic, then wal frames of at most
 //	                                  snapshotFrameBytes, each one block of the
 //	                                  section its frame kind names
@@ -23,12 +26,17 @@ package server
 //	fused        flags u8 | segment str | n u32 | n × (x, y[, weight] f64)
 //	reliability  vehicle str | weight f64
 //	idempotency  key str | status u16 | body str
+//	received     source str | segment str | reports u32 | labels u32 | n u32 | n × pattern id u32
+//	dropped      segment str | reports u32
+//
+// A move block's positions count within the segment on the source, its
+// reports carry no key and its labels name their pattern by that position.
 //
 // A report's or pattern's flags say what a count of 0 cannot: that the AP
-// list is empty rather than absent. JSON kept the two apart and ExportSlice
-// hashes them into its apply keys, so a recovered store must keep them apart
-// too. A fused entry's flags say that every weight is 1 — what fusion assigns
-// — and the weights are left out.
+// list is empty rather than absent. JSON kept the two apart, so a recovered
+// store and a moved segment must keep them apart too. A fused entry's flags
+// say that every weight is 1 — what fusion assigns — and the weights are left
+// out.
 //
 // Decoding trusts nothing: every count is checked against the bytes that
 // remain before it sizes an allocation, unknown flags, sections and trailing
@@ -37,12 +45,14 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
+	"strings"
 
 	"crowdwifi/internal/api"
 	"crowdwifi/internal/frame"
@@ -65,6 +75,8 @@ const (
 	secFused
 	secReliability
 	secIdem
+	secReceived
+	secDropped
 )
 
 // flagEmptyList marks a report or pattern entry whose AP list is empty, not
@@ -122,12 +134,9 @@ func appendReportEntry(dst []byte, key string, r Report) ([]byte, error) {
 
 func appendPatternEntry(dst []byte, p Pattern) []byte {
 	dst = append(dst, listFlags(len(p.APs), p.APs == nil))
-	dst = appendStr(dst, p.Segment)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(p.APs)))
-	for _, ap := range p.APs {
-		dst = appendF64(appendF64(appendF64(dst, ap.X), ap.Y), ap.Credit)
-	}
-	return dst
+	return appendBlock(appendStr(dst, p.Segment), p.APs, func(dst []byte, ap APReport) []byte {
+		return appendF64(appendF64(appendF64(dst, ap.X), ap.Y), ap.Credit)
+	})
 }
 
 func appendLabelEntry(dst []byte, l Label) []byte {
@@ -150,11 +159,7 @@ func appendLabelsRecord(dst []byte, key string, ls []Label) []byte {
 	for _, l := range ls {
 		size += 9 + len(l.Vehicle)
 	}
-	dst = binary.LittleEndian.AppendUint32(appendStr(slices.Grow(dst, size), key), uint32(len(ls)))
-	for _, l := range ls {
-		dst = appendLabelEntry(dst, l)
-	}
-	return dst
+	return appendBlock(appendStr(slices.Grow(dst, size), key), ls, appendLabelEntry)
 }
 
 func appendFusedEntry(dst []byte, segment string, results []LookupResult) []byte {
@@ -184,6 +189,81 @@ func appendIdemEntry(dst []byte, e idemEntry) []byte {
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(e.Status))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(e.Body)))
 	return append(dst, e.Body...)
+}
+
+func appendU32(dst []byte, n int) []byte { return binary.LittleEndian.AppendUint32(dst, uint32(n)) }
+
+// appendBlock appends a block: the number of entries, then each.
+func appendBlock[E any](dst []byte, es []E, entry func([]byte, E) []byte) []byte {
+	dst = appendU32(dst, len(es))
+	for _, e := range es {
+		dst = entry(dst, e)
+	}
+	return dst
+}
+
+// moveBlock is one block of a segment's move: entries at consecutive
+// positions of each kind within the segment on the source, from first on.
+type moveBlock struct {
+	source, segment string
+	first           [3]int // positions of the first pattern, report and label
+	patterns        []Pattern
+	reports         []Report
+	labels          []Label // TaskID is the pattern's position in the segment
+	data            []byte  // the block as it arrived, logged as is
+}
+
+func patternEntrySize(p Pattern) int { return 9 + len(p.Segment) + 24*len(p.APs) }
+func moveReportSize(r Report) int    { return reportEntrySize("", r) }
+func labelEntrySize(l Label) int     { return 9 + len(l.Vehicle) }
+
+// appendMoveBlock appends the data of one move frame.
+func appendMoveBlock(dst []byte, m *moveBlock) ([]byte, error) {
+	dst = appendStr(appendStr(dst, m.source), m.segment)
+	dst = appendU32(appendU32(appendU32(dst, m.first[0]), m.first[1]), m.first[2])
+	dst = appendU32(appendBlock(dst, m.patterns, appendPatternEntry), len(m.reports))
+	for _, r := range m.reports {
+		var err error
+		if dst, err = appendReportEntry(dst, "", r); err != nil {
+			return nil, err
+		}
+	}
+	return appendBlock(dst, m.labels, appendLabelEntry), nil
+}
+
+// appendMove appends all of one segment's move as frames, each block taking
+// entries while its data stays within budget bytes (an entry too large for
+// that gets a block to itself). Labels wait for the last pattern, so that a
+// label never arrives before the pattern it names.
+func appendMove(dst []byte, m moveBlock, budget int) ([]byte, error) {
+	limit := budget - (32 + len(m.source) + len(m.segment))
+	var data []byte
+	for len(m.patterns)+len(m.reports)+len(m.labels) > 0 {
+		b := moveBlock{source: m.source, segment: m.segment, first: m.first}
+		room := limit
+		b.patterns, m.patterns = fit(m.patterns, patternEntrySize, &room, limit)
+		b.reports, m.reports = fit(m.reports, moveReportSize, &room, limit)
+		if len(m.patterns) == 0 {
+			b.labels, m.labels = fit(m.labels, labelEntrySize, &room, limit)
+		}
+		var err error
+		if data, err = appendMoveBlock(data[:0], &b); err != nil {
+			return nil, err
+		}
+		dst = frame.Append(dst, recMove, data)
+		m.first = [3]int{b.first[0] + len(b.patterns), b.first[1] + len(b.reports), b.first[2] + len(b.labels)}
+	}
+	return dst, nil
+}
+
+// fit splits off the entries a block with room bytes left still takes: those
+// that fit, or one however large while the block is empty (room == limit).
+func fit[E any](entries []E, size func(E) int, room *int, limit int) (head, rest []E) {
+	i := 0
+	for ; i < len(entries) && (size(entries[i]) <= *room || *room == limit); i++ {
+		*room -= size(entries[i])
+	}
+	return entries[:i], entries[i:]
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -248,15 +328,12 @@ func encodeCycle(v *view) []byte {
 	for vehicle := range v.reliability {
 		size += 12 + len(vehicle)
 	}
-	dst := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(len(v.fused)))
-	for _, seg := range sortedKeys(v.fused) {
-		dst = appendFusedEntry(dst, seg, v.fused[seg])
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v.reliability)))
-	for _, vehicle := range sortedKeys(v.reliability) {
-		dst = appendReliabilityEntry(dst, vehicle, v.reliability[vehicle])
-	}
-	return dst
+	dst := appendBlock(make([]byte, 0, size), sortedKeys(v.fused), func(dst []byte, seg string) []byte {
+		return appendFusedEntry(dst, seg, v.fused[seg])
+	})
+	return appendBlock(dst, sortedKeys(v.reliability), func(dst []byte, vehicle string) []byte {
+		return appendReliabilityEntry(dst, vehicle, v.reliability[vehicle])
+	})
 }
 
 // encodeSnapshot encodes the full state as a snapshot payload. The bytes are
@@ -282,45 +359,44 @@ func encodeSnapshot(st snapshotState) ([]byte, error) {
 		return nil
 	}
 	var e []byte // the entry being encoded
-	kind = secPatterns
-	for _, pt := range st.Patterns {
-		e = appendPatternEntry(e[:0], pt)
-		p.add(e)
-	}
-	p.flush()
-	kind = secLabels
-	for _, l := range st.Labels {
-		e = appendLabelEntry(e[:0], l)
-		p.add(e)
-	}
-	p.flush()
-	kind = secReports
-	for _, r := range st.Reports {
-		var err error
-		if e, err = appendReportEntry(e[:0], "", r); err != nil {
-			return nil, err
+	section := func(k byte, n int, entry func(i int) []byte) {
+		kind = k
+		for i := 0; i < n; i++ {
+			e = entry(i)
+			p.add(e)
 		}
-		p.add(e)
+		p.flush()
 	}
-	p.flush()
-	kind = secFused
-	for _, seg := range sortedKeys(st.Fused) {
-		e = appendFusedEntry(e[:0], seg, st.Fused[seg])
-		p.add(e)
+	section(secPatterns, len(st.Patterns), func(i int) []byte { return appendPatternEntry(e[:0], st.Patterns[i]) })
+	section(secLabels, len(st.Labels), func(i int) []byte { return appendLabelEntry(e[:0], st.Labels[i]) })
+	var err error
+	section(secReports, len(st.Reports), func(i int) []byte {
+		entry, rerr := appendReportEntry(e[:0], "", st.Reports[i])
+		err = cmp.Or(err, rerr)
+		return entry
+	})
+	if err != nil {
+		return nil, err
 	}
-	p.flush()
-	kind = secReliability
-	for _, vehicle := range sortedKeys(st.Reliability) {
-		e = appendReliabilityEntry(e[:0], vehicle, st.Reliability[vehicle])
-		p.add(e)
+	fused, vehicles, dropped := sortedKeys(st.Fused), sortedKeys(st.Reliability), sortedKeys(st.Dropped)
+	section(secFused, len(fused), func(i int) []byte { return appendFusedEntry(e[:0], fused[i], st.Fused[fused[i]]) })
+	section(secReliability, len(vehicles), func(i int) []byte {
+		return appendReliabilityEntry(e[:0], vehicles[i], st.Reliability[vehicles[i]])
+	})
+	section(secIdem, len(st.Idem), func(i int) []byte { return appendIdemEntry(e[:0], st.Idem[i]) })
+	received := make([]moveKey, 0, len(st.Received))
+	for k := range st.Received {
+		received = append(received, k)
 	}
-	p.flush()
-	kind = secIdem
-	for _, ie := range st.Idem {
-		e = appendIdemEntry(e[:0], ie)
-		p.add(e)
-	}
-	p.flush()
+	slices.SortFunc(received, func(a, b moveKey) int {
+		return cmp.Or(strings.Compare(a.source, b.source), strings.Compare(a.segment, b.segment))
+	})
+	section(secReceived, len(received), func(i int) []byte {
+		k, c := received[i], st.Received[received[i]]
+		e = appendU32(appendU32(appendStr(appendStr(e[:0], k.source), k.segment), c.reports), c.labels)
+		return appendBlock(e, c.patterns, appendU32)
+	})
+	section(secDropped, len(dropped), func(i int) []byte { return appendU32(appendStr(e[:0], dropped[i]), st.Dropped[dropped[i]]) })
 	return out, p.err
 }
 
@@ -439,12 +515,7 @@ func (r *reader) reportEntry() (key string, rep Report) {
 func (r *reader) patternEntry() Pattern {
 	flags := r.u8()
 	p := Pattern{Segment: r.name()}
-	if n := r.count(24); n > 0 {
-		p.APs = make([]APReport, n)
-		for i := range p.APs {
-			p.APs[i] = APReport{X: r.f64(), Y: r.f64(), Credit: r.f64()}
-		}
-	}
+	p.APs = readBlock(r, nil, 24, func() APReport { return APReport{X: r.f64(), Y: r.f64(), Credit: r.f64()} })
 	if r.emptyList(flags, len(p.APs)) {
 		p.APs = []APReport{}
 	}
@@ -452,7 +523,7 @@ func (r *reader) patternEntry() Pattern {
 }
 
 func (r *reader) labelEntry() Label {
-	return Label{Vehicle: r.name(), TaskID: int(r.u32()), Value: int(int8(r.u8()))}
+	return Label{Vehicle: r.name(), TaskID: r.u32int(), Value: int(int8(r.u8()))}
 }
 
 // fusedBlock reads a fused block into fused. Lists decode non-nil, as
@@ -486,21 +557,33 @@ func (r *reader) reliabilityBlock(reliability map[string]float64) {
 	}
 }
 
+// readBlock appends a block's entries to dst, each read by entry and at
+// least min bytes long.
+func readBlock[E any](r *reader, dst []E, min int, entry func() E) []E {
+	n := r.count(min)
+	dst = slices.Grow(dst, n)
+	for ; n > 0 && r.err == nil; n-- {
+		dst = append(dst, entry())
+	}
+	return dst
+}
+
+func (r *reader) u32int() int { return int(r.u32()) }
+
 // decodeReports decodes a recReports payload.
 func decodeReports(data []byte, str func([]byte) string) ([]BatchItem, error) {
 	r := reader{b: data, str: str}
-	n := r.count(11)
-	items := make([]BatchItem, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		items[i].Key, items[i].Report = r.reportEntry()
-	}
+	items := readBlock(&r, nil, 11, func() (it BatchItem) {
+		it.Key, it.Report = r.reportEntry()
+		return it
+	})
 	return items, r.end()
 }
 
 // decodePatternRecord decodes a recPatternEntry payload.
 func decodePatternRecord(data []byte, str func([]byte) string) (key string, p Pattern, err error) {
 	r := reader{b: data, str: str}
-	id := int(r.u32())
+	id := r.u32int()
 	key = string(r.bytes())
 	p = r.patternEntry()
 	p.ID = id
@@ -511,11 +594,7 @@ func decodePatternRecord(data []byte, str func([]byte) string) (key string, p Pa
 func decodeLabelsRecord(data []byte, str func([]byte) string) (key string, ls []Label, err error) {
 	r := reader{b: data, str: str}
 	key = string(r.bytes())
-	n := r.count(9)
-	ls = make([]Label, 0, n)
-	for ; n > 0 && r.err == nil; n-- {
-		ls = append(ls, r.labelEntry())
-	}
+	ls = readBlock(&r, nil, 9, r.labelEntry)
 	return key, ls, r.end()
 }
 
@@ -528,6 +607,54 @@ func decodeCycle(data []byte, str func([]byte) string) (*view, error) {
 	return v, r.end()
 }
 
+// decodeMoveBlock decodes the data of one move frame. It refuses what no
+// store would have exported: an entry of another segment, a keyed report, a
+// non-finite coordinate, a label that is not ±1.
+func decodeMoveBlock(data []byte, str func([]byte) string) (moveBlock, error) {
+	r := reader{b: data, str: str}
+	m := moveBlock{source: r.name(), segment: r.name(), first: [3]int{r.u32int(), r.u32int(), r.u32int()}, data: data}
+	m.patterns = readBlock(&r, nil, 9, func() Pattern {
+		p := r.patternEntry()
+		if p.Segment != m.segment || checkAPs(p.APs) != nil {
+			r.fail("a pattern of segment %q in a block of %q", p.Segment, m.segment)
+		}
+		return p
+	})
+	m.reports = readBlock(&r, nil, 11, func() Report {
+		key, rep := r.reportEntry()
+		if r.err == nil && (key != "" || rep.Segment != m.segment || checkReport(rep) != nil) {
+			r.fail("a report keyed %q of segment %q in a block of %q", key, rep.Segment, m.segment)
+		}
+		return rep
+	})
+	m.labels = readBlock(&r, nil, 9, func() Label {
+		l := r.labelEntry()
+		if l.Value != 1 && l.Value != -1 {
+			r.fail("label value %d", l.Value)
+		}
+		return l
+	})
+	return m, r.end()
+}
+
+// decodeMove decodes a move: a stream of recMove frames, nothing else.
+func decodeMove(stream []byte) ([]moveBlock, error) {
+	var blocks []moveBlock
+	str := newInterner()
+	valid, _, err := frame.Walk(stream, func(_ int, kind byte, data []byte) error {
+		if kind != recMove {
+			return fmt.Errorf("%w: a frame of kind %d in a move", errCodec, kind)
+		}
+		m, err := decodeMoveBlock(data, str)
+		blocks = append(blocks, m)
+		return err
+	})
+	if err == nil && valid != int64(len(stream)) {
+		err = fmt.Errorf("%w: a move does not frame past byte %d of %d", errCodec, valid, len(stream))
+	}
+	return blocks, err
+}
+
 // decodeSnapshot decodes a snapshot payload: this codec's, in one pass over
 // its frames, or the JSON of an older build.
 func decodeSnapshot(data []byte, str func([]byte) string) (snapshotState, error) {
@@ -537,44 +664,46 @@ func decodeSnapshot(data []byte, str func([]byte) string) (snapshotState, error)
 	if !bytes.HasPrefix(data, []byte(snapshotMagic)) {
 		return snapshotState{}, fmt.Errorf("%w: a snapshot opens with neither %q nor '{'", errCodec, snapshotMagic)
 	}
-	st := snapshotState{Fused: map[string][]LookupResult{}, Reliability: map[string]float64{}}
+	st := snapshotState{Fused: map[string][]LookupResult{}, Reliability: map[string]float64{}, Received: map[moveKey]moveCursor{}, Dropped: map[string]int{}}
 	body := data[len(snapshotMagic):]
 	valid, _, err := frame.Walk(body, func(_ int, kind byte, block []byte) error {
 		r := reader{b: block, str: str}
 		switch kind {
 		case secPatterns:
-			n := r.count(9)
-			st.Patterns = slices.Grow(st.Patterns, n)
-			for ; n > 0 && r.err == nil; n-- {
-				p := r.patternEntry()
-				p.ID = len(st.Patterns)
-				st.Patterns = append(st.Patterns, p)
+			first := len(st.Patterns)
+			st.Patterns = readBlock(&r, st.Patterns, 9, r.patternEntry)
+			for i := first; i < len(st.Patterns); i++ {
+				st.Patterns[i].ID = i
 			}
 		case secLabels:
-			n := r.count(9)
-			st.Labels = slices.Grow(st.Labels, n)
-			for ; n > 0 && r.err == nil; n-- {
-				st.Labels = append(st.Labels, r.labelEntry())
-			}
+			st.Labels = readBlock(&r, st.Labels, 9, r.labelEntry)
 		case secReports:
-			n := r.count(11)
-			st.Reports = slices.Grow(st.Reports, n)
-			for ; n > 0 && r.err == nil; n-- {
+			st.Reports = readBlock(&r, st.Reports, 11, func() Report {
 				key, rep := r.reportEntry()
 				if key != "" {
 					r.fail("a snapshot report carries the key %q", key)
 				}
-				st.Reports = append(st.Reports, rep)
-			}
+				return rep
+			})
 		case secFused:
 			r.fusedBlock(st.Fused)
 		case secReliability:
 			r.reliabilityBlock(st.Reliability)
 		case secIdem:
-			n := r.count(10)
-			st.Idem = slices.Grow(st.Idem, n)
-			for ; n > 0 && r.err == nil; n-- {
-				st.Idem = append(st.Idem, idemEntry{Key: string(r.bytes()), Status: int(r.u16()), Body: bytes.Clone(r.bytes())})
+			st.Idem = readBlock(&r, st.Idem, 10, func() idemEntry {
+				return idemEntry{Key: string(r.bytes()), Status: int(r.u16()), Body: bytes.Clone(r.bytes())}
+			})
+		case secReceived:
+			for n := r.count(20); n > 0 && r.err == nil; n-- {
+				k := moveKey{source: r.name(), segment: r.name()}
+				c := moveCursor{reports: r.u32int(), labels: r.u32int()}
+				c.patterns = readBlock(&r, nil, 4, r.u32int)
+				st.Received[k] = c
+			}
+		case secDropped:
+			for n := r.count(8); n > 0 && r.err == nil; n-- {
+				seg := r.name()
+				st.Dropped[seg] = r.u32int()
 			}
 		default:
 			return fmt.Errorf("%w: unknown snapshot section %d", errCodec, kind)

@@ -8,11 +8,13 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -20,6 +22,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -67,9 +70,55 @@ func mustJSON(t testing.TB, v any) string {
 	return string(b)
 }
 
+// exportAll fingerprints the move that exports everything s holds: every
+// pattern, report and label with its position, absent against empty AP lists.
 func exportAll(t testing.TB, s *Store) string {
 	t.Helper()
-	return mustJSON(t, s.ExportSlice(func(string) bool { return true }, "fixture"))
+	m, err := s.exportMove("fixture", func(string) string { return "all" }, defaultBatchChunkBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("export %x", sha256.Sum256(m["all"]))
+}
+
+// legacySlice is the JSON an older build exported a shard's state as, which
+// expected.json records; its keys are left out.
+type legacySlice struct {
+	Patterns []legacySlicePattern `json:"patterns"`
+	Reports  []legacySliceReport  `json:"reports"`
+	Labels   []legacySliceLabel   `json:"labels"`
+}
+
+type legacySlicePattern struct {
+	ID      int        `json:"id"`
+	Segment string     `json:"segment"`
+	APs     []APReport `json:"aps,omitempty"`
+}
+
+type legacySliceReport struct {
+	Report Report `json:"report"`
+}
+
+type legacySliceLabel struct {
+	Label   Label  `json:"label"`
+	Segment string `json:"segment"`
+}
+
+// asLegacySlice is every pattern, report and label s holds, as legacySlice.
+func asLegacySlice(t testing.TB, s *Store) string {
+	t.Helper()
+	c := s.capture()
+	sl := legacySlice{Patterns: []legacySlicePattern{}, Reports: []legacySliceReport{}, Labels: []legacySliceLabel{}}
+	for _, p := range c.patterns {
+		sl.Patterns = append(sl.Patterns, legacySlicePattern{p.ID, p.Segment, p.APs})
+	}
+	for _, r := range c.reports {
+		sl.Reports = append(sl.Reports, legacySliceReport{r})
+	}
+	for _, l := range c.labels {
+		sl.Labels = append(sl.Labels, legacySliceLabel{l, c.patterns[l.TaskID].Segment})
+	}
+	return mustJSON(t, sl)
 }
 
 // TestLegacyDataDirOpens opens testdata/datadir-v1 — written by the build at
@@ -112,8 +161,12 @@ func TestLegacyDataDirOpens(t *testing.T) {
 		if got := reliabilityBytes(t, s); got != want.Reliability {
 			t.Fatalf("%s: reliability\n got %s\nwant %s", name, got, want.Reliability)
 		}
-		if got := exportAll(t, s); got != want.Slice {
-			t.Fatalf("%s: exported slice\n got %s\nwant %s", name, got, want.Slice)
+		var slice legacySlice
+		if err := json.Unmarshal([]byte(want.Slice), &slice); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := asLegacySlice(t, s), mustJSON(t, slice); got != want {
+			t.Fatalf("%s: patterns, reports and labels\n got %s\nwant %s", name, got, want)
 		}
 	}
 	// replays re-sends every keyed request the fixture was built from: each
@@ -260,14 +313,15 @@ func (w *legacyLog) snapshot(ref *Store) {
 }
 
 // TestRecoveryAgreesWithLiveStore is the codec's property: run a seeded random
-// sequence of uploads, batches, patterns, labels, cycles, snapshots, drops and
-// reopens against an in-memory store that is never recovered, and beside it
-// against three directories — one that is only ever a log, one that is
-// snapshotted and reopened as the sequence says, and one whose first half an
-// older build wrote as JSON. Whatever each directory recovers to must equal
-// the in-memory store in everything ExportSlice can see (every report, pattern
-// and label, absent against empty AP lists, the apply keys hashed from them),
-// in the derived state, and in the idempotency cache.
+// sequence of uploads, batches, patterns, labels, cycles, snapshots, drops,
+// reopens and moves in and out against an in-memory store that is never
+// recovered, and beside it against three directories — one that is only ever
+// a log, one that is snapshotted and reopened as the sequence says, and one
+// whose first half an older build wrote as JSON. Whatever each directory
+// recovers to must equal the in-memory store in everything an export can see
+// (every report, pattern and label, absent against empty AP lists, and their
+// positions), in the derived state, in the idempotency cache and in the move
+// tables.
 func TestRecoveryAgreesWithLiveStore(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { recoveryProperty(t, seed) })
@@ -279,10 +333,12 @@ func recoveryProperty(t *testing.T, seed int64) {
 	const steps = 80
 	ctx := context.Background()
 
+	const chunk = 200 // records, and blocks of a move, of a few entries each
 	ref := NewStore(10)
+	ref.batchChunk = chunk
 	open := func(dir string) *Store {
 		s, _ := openDurable(t, dir)
-		s.batchChunk = 200
+		s.batchChunk = chunk
 		return s
 	}
 	logOnly, snapped := open(t.TempDir()), open(t.TempDir())
@@ -294,6 +350,13 @@ func recoveryProperty(t *testing.T, seed int64) {
 	}
 	legacy := &legacyLog{t: t, dir: legacyDir, log: ll}
 	var upgraded *Store // the legacy directory, once this build has opened it
+	// Where the legacy directory's last JSON snapshot and its upgrade fell:
+	// see wantLegacy.
+	var legacyDrops map[string]int
+	var legacyPatterns, upgradePatterns int
+	peer := NewStore(10) // the other end of every move
+	peer.batchChunk = chunk
+	var moves [][]byte // every move in so far, to be sent again
 
 	aps := func() []APReport {
 		switch rnd.Intn(6) {
@@ -339,9 +402,10 @@ func recoveryProperty(t *testing.T, seed int64) {
 				t.Fatal(err)
 			}
 			upgraded = open(legacyDir)
+			upgradePatterns = len(ref.patterns)
 		}
 		old := upgraded == nil // the legacy directory is still the older build's
-		switch op := rnd.Intn(16); {
+		switch op := rnd.Intn(18); {
 		case op < 5:
 			k, r := key(), report()
 			each(func(s *Store) error { return s.AddReportKeyed(ctx, k, r) })
@@ -402,22 +466,83 @@ func recoveryProperty(t *testing.T, seed int64) {
 			}
 			if old {
 				legacy.snapshot(ref)
+				legacyDrops, legacyPatterns = maps.Clone(ref.dropped), len(ref.patterns)
 			} else if _, err := upgraded.Snapshot(); err != nil {
 				t.Fatal(err)
 			}
-		default:
+		case op < 16:
 			if err := snapped.Close(); err != nil {
 				t.Fatal(err)
 			}
 			snapped = open(snappedDir)
+		case op < 17: // a move in: new evidence, or one sent before
+			if old {
+				continue // an older build logs no moves
+			}
+			if len(moves) == 0 || rnd.Intn(3) > 0 {
+				seg := fmt.Sprintf("seg-%d", rnd.Intn(6))
+				for i := rnd.Intn(3); i >= 0; i-- {
+					r := report()
+					r.Segment = seg
+					if err := peer.AddReport(r); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if rnd.Intn(2) == 0 {
+					id := peer.AddPattern(seg, aps())
+					if err := peer.AddLabel(Label{Vehicle: fmt.Sprintf("v%d", rnd.Intn(5)), TaskID: id, Value: 1}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				moves = append(moves, moveOf(t, peer, "peer", seg))
+			}
+			move := moves[rnd.Intn(len(moves))]
+			each(func(s *Store) error { _, err := s.applyMove(ctx, move); return err })
+		default: // a move out: export, apply at the peer, drop
+			seg := fmt.Sprintf("seg-%d", rnd.Intn(6))
+			move := moveOf(t, ref, "self", seg)
+			for _, s := range []*Store{logOnly, snapped} {
+				if got := moveOf(t, s, "self", seg); !bytes.Equal(got, move) {
+					t.Fatalf("the export of %s differs from the in-memory store's", seg)
+				}
+			}
+			if _, err := peer.applyMove(ctx, move); err != nil {
+				t.Fatal(err)
+			}
+			each(func(s *Store) error { _, err := s.DropSegments(ctx, []string{seg}); return err })
+			if old {
+				legacy.append(recDrop, dropRecord{Segments: []string{seg}})
+			}
 		}
 	}
 
 	state := func(s *Store) string {
-		return fingerprint(t, s) + exportAll(t, s) + mustJSON(t, s.idem.snapshot())
+		return fingerprint(t, s) + exportAll(t, s) + mustJSON(t, s.idem.snapshot()) + fmt.Sprintf("%v %v", s.received, s.dropped)
 	}
 	want := state(ref)
+	// The legacy directory holds what the older build's formats could keep:
+	// its JSON snapshot has no drop counts, so it counts drops from the last
+	// one it wrote, and its pattern record leaves an empty AP list out, so the
+	// patterns it logged after that snapshot have none.
+	dropped, patterns := ref.dropped, ref.patterns
+	ref.dropped, ref.patterns = map[string]int{}, slices.Clone(patterns)
+	for seg, n := range dropped {
+		if n > legacyDrops[seg] {
+			ref.dropped[seg] = n - legacyDrops[seg]
+		}
+	}
+	for i := legacyPatterns; i < upgradePatterns; i++ {
+		if len(ref.patterns[i].APs) == 0 {
+			ref.patterns[i].APs = nil
+		}
+	}
+	wantLegacy := state(ref)
+	ref.dropped, ref.patterns = dropped, patterns
 	for name, s := range map[string]*Store{"log only": logOnly, "snapshot + suffix": snapped, "legacy then new": upgraded} {
+		want := want
+		if s == upgraded {
+			want = wantLegacy
+		}
 		if got := state(s); got != want {
 			t.Fatalf("%s: the store driving the directory diverged from the in-memory one\n got %s\nwant %s", name, got, want)
 		}
@@ -489,6 +614,8 @@ func fuzzState() snapshotState {
 		Fused:       map[string][]LookupResult{"s1": {{X: 1.25, Y: 2.25, Weight: 1}}, "s2": {}, "s3": {{X: 3, Y: 4, Weight: 1}, {X: 5, Y: 6, Weight: 0.5}}},
 		Reliability: map[string]float64{"v1": 1, "v2": 0.05},
 		Idem:        []idemEntry{{Key: "k1", Status: 201, Body: []byte("{\"status\":\"stored\"}\n")}},
+		Received:    map[moveKey]moveCursor{{"a", "s1"}: {patterns: []int{0, 2}, reports: 3, labels: 1}, {"b", "s1"}: {reports: 1}},
+		Dropped:     map[string]int{"s2": 4},
 	}
 }
 
@@ -533,6 +660,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		[]byte(snapshotMagic),
 		append([]byte(snapshotMagic), hugeCountSection(secReports, 0xFFFFFFFF)...),
 		append([]byte(snapshotMagic), hugeCountSection(secFused, 1<<31)...),
+		append([]byte(snapshotMagic), hugeCountSection(secReceived, 1<<30)...),
 		append([]byte(snapshotMagic), hugeCountSection(99, 0)...),
 		legacy,
 		[]byte(`{"patterns":[{"id":7,"segment":"s"}]}`),
@@ -584,7 +712,17 @@ func FuzzApplyRecord(f *testing.F) {
 	f.Add(recLegacyReport, []byte(`{"report":{"vehicle":"v","segment":"s","aps":[]},"idemKey":"r"}`))
 	f.Add(recLegacyBatch, []byte(`{"reports":[{"report":{"vehicle":"v","segment":"s","aps":null}}]}`))
 	f.Add(recLegacyCycle, []byte(`{"fused":{"s":[{"x":1,"y":2,"weight":1}]},"reliability":{"v":1}}`))
-	f.Add(byte(11), []byte("x"))
+	src := NewStore(10)
+	if err := src.restoreSnapshot(st); err != nil {
+		f.Fatal(err)
+	}
+	blocks, err := decodeMove(moveOf(f, src, "src", "s1"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(recMove, blocks[0].data)
+	f.Add(recMove, blocks[0].data[:len(blocks[0].data)-1])
+	f.Add(byte(12), []byte("x"))
 	f.Fuzz(func(t *testing.T, kind byte, data []byte) {
 		s := NewStore(10)
 		var err error
@@ -614,6 +752,11 @@ func FuzzApplyRecord(f *testing.F) {
 			key, ls, _ := decodeLabelsRecord(data, nil)
 			if again := appendLabelsRecord(nil, key, ls); !bytes.Equal(again, data) {
 				t.Fatalf("re-encoded %x, record is %x", again, data)
+			}
+		case recMove:
+			m, _ := decodeMoveBlock(data, nil)
+			if again, err := appendMoveBlock(nil, &m); err != nil || !bytes.Equal(again, data) {
+				t.Fatalf("re-encoded %x (err %v), record is %x", again, err, data)
 			}
 		case recCycle:
 			// Segments may arrive unsorted or twice; the encoding of what

@@ -2,13 +2,6 @@ package server
 
 import "sync"
 
-// idemRecord is a cached successful response, replayed verbatim for
-// duplicate deliveries of the same idempotency key.
-type idemRecord struct {
-	status int
-	body   []byte
-}
-
 // idemEntry is the serializable form of one completed key, used to seed the
 // cache from recovery and to carry it into snapshots. Body round-trips
 // through JSON as base64.
@@ -31,12 +24,11 @@ type idemEntry struct {
 //   - an in-flight marker (nil entry) is never in order and is only removed
 //     by its owner's release, never by eviction;
 //   - release removes only in-flight markers — it cannot
-//     delete a completed record installed by complete(), and it scrubs any
-//     stale order occurrence of the key defensively.
+//     delete a completed record installed by complete().
 type idemCache struct {
 	mu       sync.Mutex
-	entries  map[string]*idemRecord // nil value marks in-flight
-	order    []string               // completed keys, oldest first
+	entries  map[string]*cannedResponse // nil value marks in-flight
+	order    []string                   // completed keys, oldest first
 	capacity int
 }
 
@@ -44,14 +36,14 @@ func newIdemCache(capacity int) *idemCache {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	return &idemCache{entries: map[string]*idemRecord{}, capacity: capacity}
+	return &idemCache{entries: map[string]*cannedResponse{}, capacity: capacity}
 }
 
 // begin claims key for execution. seen=false means the caller owns the key
 // and must call release when the execution ends. seen=true with a record
 // means replay it; seen=true with nil means another delivery of the same key
 // is mid-flight.
-func (c *idemCache) begin(key string) (seen bool, rec *idemRecord) {
+func (c *idemCache) begin(key string) (seen bool, rec *cannedResponse) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if rec, ok := c.entries[key]; ok {
@@ -79,29 +71,19 @@ func (c *idemCache) completeLocked(key string, status int, body []byte) {
 	if rec, ok := c.entries[key]; ok && rec != nil {
 		return
 	}
-	c.entries[key] = &idemRecord{status: status, body: body}
+	c.entries[key] = &cannedResponse{status, body}
 	c.order = append(c.order, key)
 	c.evictLocked()
 }
 
 // release ends an execution begun with begin: it frees the in-flight marker
 // so a retry can re-execute. A completed record under the same key (the
-// mutation committed) is left alone, and any stale order occurrence is
-// scrubbed so order and entries cannot diverge.
+// mutation committed) is left alone, with its order slot.
 func (c *idemCache) release(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if rec, ok := c.entries[key]; ok && rec == nil {
 		delete(c.entries, key)
-	}
-	if _, ok := c.entries[key]; ok {
-		return // completed record stays, with its order slot
-	}
-	for i, k := range c.order {
-		if k == key {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
 	}
 }
 

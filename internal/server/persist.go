@@ -25,11 +25,11 @@ import (
 	"crowdwifi/internal/wal"
 )
 
-// WAL record kinds. Reports, cycle outputs, patterns and labels are in the
-// binary codec (codec.go); a drop is rare and stays JSON. Kinds 1, 2, 3, 4 and
-// 6 are the JSON pattern, labels, report, cycle and batch-chunk records of
-// builds before that codec: read so their data directories open (legacy.go),
-// never written.
+// WAL record kinds. Reports, cycle outputs, patterns, labels and moved blocks
+// are in the binary codec (codec.go); a drop is rare and stays JSON. Kinds 1,
+// 2, 3, 4 and 6 are the JSON pattern, labels, report, cycle and batch-chunk
+// records of builds before that codec: read so their data directories open
+// (legacy.go), never written.
 const (
 	recPattern      byte = 1
 	recLabels       byte = 2
@@ -41,6 +41,7 @@ const (
 	recCycle        byte = 8
 	recPatternEntry byte = 9
 	recLabelBlock   byte = 10
+	recMove         byte = 11
 )
 
 // ErrDurability marks a mutation rejected because its write-ahead append
@@ -63,7 +64,8 @@ type dropRecord struct {
 // snapshotState is the full Store serialization: everything recovery needs
 // to stand the server back up without the compacted log prefix. encodeSnapshot
 // writes it and decodeSnapshot reads it; the JSON tags are what the snapshots
-// of older builds decode through, and nothing encodes through them.
+// of older builds decode through, and nothing encodes through them. Older
+// builds kept no move tables.
 type snapshotState struct {
 	Patterns    []Pattern                 `json:"patterns"`
 	Labels      []Label                   `json:"labels"`
@@ -71,6 +73,8 @@ type snapshotState struct {
 	Fused       map[string][]LookupResult `json:"fused"`
 	Reliability map[string]float64        `json:"reliability"`
 	Idem        []idemEntry               `json:"idem"`
+	Received    map[moveKey]moveCursor    `json:"-"`
+	Dropped     map[string]int            `json:"-"`
 }
 
 // StorageOptions configures the crowd-server's durability subsystem. The
@@ -219,7 +223,8 @@ func (s *Store) loadDir(dir string, replay func(after uint64, apply func(wal.Rec
 
 // restoreSnapshot installs a decoded snapshot as the store's state, once the
 // invariants every reader of that state relies on hold: pattern ids are
-// positions, and labels are ±1 answers to patterns that exist.
+// positions, and labels are ±1 answers to patterns that exist, as are the
+// ids a move landed its patterns at.
 func (s *Store) restoreSnapshot(state snapshotState) error {
 	for i, p := range state.Patterns {
 		if p.ID != i {
@@ -231,6 +236,11 @@ func (s *Store) restoreSnapshot(state snapshotState) error {
 			return fmt.Errorf("%w: label %+v among %d patterns", errCodec, l, len(state.Patterns))
 		}
 	}
+	for k, c := range state.Received {
+		if slices.ContainsFunc(c.patterns, func(id int) bool { return id >= len(state.Patterns) }) {
+			return fmt.Errorf("%w: %v landed patterns past the %d stored", errCodec, k, len(state.Patterns))
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.patterns = state.Patterns
@@ -238,6 +248,8 @@ func (s *Store) restoreSnapshot(state snapshotState) error {
 	s.reports = state.Reports
 	s.view.Store(newView(state.Fused, state.Reliability))
 	s.idem.seed(state.Idem)
+	s.received = state.Received
+	s.dropped = state.Dropped
 	return nil
 }
 
@@ -291,6 +303,12 @@ func (s *Store) applyRecord(rec wal.Record, str func([]byte) string) error {
 			s.reports = append(s.reports, it.Report)
 			s.completeIdemLocked(it.Key, reportStored)
 		}
+	case recMove:
+		var m moveBlock
+		if m, err = decodeMoveBlock(rec.Data, str); err != nil {
+			break
+		}
+		_, err = s.applyMoveLocked(context.Background(), &m)
 	case recCycle:
 		var next *view
 		if next, err = decodeCycle(rec.Data, str); err != nil {
@@ -347,20 +365,6 @@ func (s *Store) applyPatternLocked(key string, p Pattern) error {
 	return nil
 }
 
-// appendRecordLocked write-ahead-logs one JSON record whose size is bounded
-// by one request (a drop); every other record is encoded before the lock is
-// taken and handed to appendLocked.
-func (s *Store) appendRecordLocked(ctx context.Context, kind byte, v any) error {
-	if s.log == nil {
-		return nil
-	}
-	data, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrDurability, err)
-	}
-	return s.appendLocked(ctx, kind, data)
-}
-
 // appendLocked write-ahead-logs one encoded record. Requires s.mu held,
 // which serializes appends with the mutations they precede — a no-op without
 // an attached log. A failed append poisons nothing: the caller returns
@@ -410,6 +414,8 @@ func (s *Store) Snapshot() (uint64, error) {
 		Fused:       c.view.fused,
 		Reliability: c.view.reliability,
 		Idem:        s.idem.snapshot(),
+		Received:    maps.Clone(s.received),
+		Dropped:     maps.Clone(s.dropped),
 	}
 	seq := c.log.LastSeq()
 	opts := s.storage
@@ -494,9 +500,10 @@ func (s *Store) DropSegments(ctx context.Context, segments []string) (int, error
 	// would publish their fused results back over the drop.
 	s.cycle.Lock()
 	defer s.cycle.Unlock()
+	data, _ := json.Marshal(dropRecord{Segments: segments}) // strings always marshal
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.appendRecordLocked(ctx, recDrop, dropRecord{Segments: segments}); err != nil {
+	if err := s.appendLocked(ctx, recDrop, data); err != nil {
 		span.SetError(err)
 		return 0, err
 	}
@@ -506,9 +513,10 @@ func (s *Store) DropSegments(ctx context.Context, segments []string) (int, error
 }
 
 // dropSegmentsLocked removes reports and fused entries for the named
-// segments. Requires s.mu held. Shared by the live mutator and WAL replay.
-// Both survivors are built fresh: a capture may still be reading the old
-// reports array, and a published view is never written.
+// segments, and counts the reports in s.dropped. Requires s.mu held. Shared
+// by the live mutator and WAL replay. Both survivors are built fresh: a
+// capture may still be reading the old reports array, and a published view
+// is never written.
 func (s *Store) dropSegmentsLocked(segments []string) int {
 	set := make(map[string]bool, len(segments))
 	for _, seg := range segments {
@@ -518,7 +526,12 @@ func (s *Store) dropSegmentsLocked(segments []string) int {
 	for _, r := range s.reports {
 		if !set[r.Segment] {
 			kept = append(kept, r)
+			continue
 		}
+		if s.dropped == nil {
+			s.dropped = map[string]int{}
+		}
+		s.dropped[r.Segment]++
 	}
 	dropped := len(s.reports) - len(kept)
 	s.reports = kept

@@ -114,10 +114,18 @@ type Store struct {
 	storage StorageOptions
 	idem    *idemCache
 
-	// batchChunk overrides the batch-append chunk budget (bytes of encoded
-	// entries per WAL record); 0 selects defaultBatchChunkBytes. Tests lower
-	// it to exercise multi-record chunking without 16 MiB payloads.
-	batchChunk int64
+	// Moves (cluster.go), both guarded by mu: received is how far each
+	// source's segment has been applied here, dropped how many of a segment's
+	// reports DropSegments removed, so that positions in an export stay
+	// absolute.
+	received map[moveKey]moveCursor
+	dropped  map[string]int
+
+	// batchChunk overrides the chunk budget (bytes of encoded entries per WAL
+	// record of a batch, per block of an exported move); 0 selects
+	// defaultBatchChunkBytes. Tests lower it to exercise multi-record
+	// chunking without 16 MiB payloads.
+	batchChunk int
 
 	// durabilitySink receives background durability faults (failed interval
 	// fsyncs) that no request surfaces; the overload controller registers
@@ -861,7 +869,7 @@ func (s *Server) dedupe(h http.HandlerFunc) http.HandlerFunc {
 			s.metrics.incDeduped()
 			dspan.AddEvent("replayed canonical response")
 			w.Header().Set("Idempotent-Replay", "true")
-			writeCanned(w, cannedResponse{status: rec.status, body: rec.body})
+			writeCanned(w, *rec)
 			return
 		}
 		dspan.End()
