@@ -34,7 +34,6 @@
 //	                 [-addr :8600] [-vnodes 64]
 //	                 [-metrics-addr :8601] [-log-level info]
 //	                 [-retry-attempts 4] [-reconcile]
-//	                 [-overload-mode]
 //	                 [-max-body 1048576] [-batch-max-body 16777216]
 //	                 [-trace-sample 1] [-trace-buffer 256]
 package main
@@ -67,7 +66,6 @@ type config struct {
 	metricsAddr   string
 	retryAttempts int
 	reconcile     bool
-	overloadMode  bool
 	maxBody       int64
 	batchMaxBody  int64
 	traceSample   float64
@@ -87,8 +85,6 @@ func main() {
 		"max attempts per upstream shard request (0 uses the retry default)")
 	flag.BoolVar(&cfg.reconcile, "reconcile", true,
 		"run a drift-detection and repair pass against the shards on startup")
-	flag.BoolVar(&cfg.overloadMode, "overload-mode", true,
-		"enable the router's own adaptive admission control")
 	flag.Int64Var(&cfg.maxBody, "max-body", 0,
 		"per-request body cap for single-upload routes in bytes (0 uses the default)")
 	flag.Int64Var(&cfg.batchMaxBody, "batch-max-body", 0,
@@ -140,9 +136,7 @@ func run(cfg config, logger *obs.Logger) error {
 		Logger:            logger,
 		MaxBodyBytes:      cfg.maxBody,
 		BatchMaxBodyBytes: cfg.batchMaxBody,
-	}
-	if cfg.overloadMode {
-		opts.Overload = &overload.Options{}
+		Overload:          &overload.Options{},
 	}
 	rt, err := cluster.NewRouter(opts)
 	if err != nil {
@@ -152,11 +146,6 @@ func run(cfg config, logger *obs.Logger) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	ctx = trace.WithTracer(ctx, tracer)
-
-	if ov := rt.Admission(); ov != nil {
-		go ov.Controller().Run(ctx)
-		logger.Info("overload control enabled")
-	}
 
 	if cfg.reconcile {
 		start := time.Now()

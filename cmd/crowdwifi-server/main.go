@@ -21,7 +21,7 @@
 //	                 [-snapshot-every 5m]
 //	                 [-metrics-addr :8701] [-log-level info]
 //	                 [-trace-sample 1] [-trace-buffer 256]
-//	                 [-overload-mode] [-max-inflight 0]
+//	                 [-max-inflight 0]
 //	                 [-max-body 1048576] [-batch-max-body 16777216]
 //	                 [-shard-id a -peers a,b,c [-vnodes 64]]
 //
@@ -68,7 +68,6 @@ type config struct {
 	maxInflight    int
 	maxBody        int64
 	batchMaxBody   int64
-	overloadMode   bool
 	shardID        string
 	peers          string
 	vnodes         int
@@ -121,10 +120,8 @@ func main() {
 		"fraction of new traces to record, 0..1 (error and slow traces are retained regardless once sampled)")
 	flag.IntVar(&cfg.traceBuffer, "trace-buffer", trace.DefaultCapacity,
 		"number of recent traces kept in memory for /debug/traces")
-	flag.BoolVar(&cfg.overloadMode, "overload-mode", true,
-		"enable adaptive admission control and the degraded-mode state machine (healthy/overloaded/read-only/recovering)")
 	flag.IntVar(&cfg.maxInflight, "max-inflight", 0,
-		"hard cap on the adaptive per-family concurrency limits (0 uses the built-in defaults; requires -overload-mode)")
+		"cap on every endpoint family's concurrent requests (0 keeps the built-in caps: lookup 128, control 16, upload 128)")
 	flag.Int64Var(&cfg.maxBody, "max-body", 0,
 		"per-request body cap for single-upload routes in bytes (0 uses the default)")
 	flag.Int64Var(&cfg.batchMaxBody, "batch-max-body", 0,
@@ -218,20 +215,13 @@ func run(cfg config, logger *obs.Logger) error {
 		server.WithTracer(tracer),
 		server.WithHealth(health),
 		server.WithSLO(sloEngine.Handler()),
+		server.WithOverload(overload.Options{Max: cfg.maxInflight}),
 	}
 	if cfg.maxBody > 0 {
 		srvOpts = append(srvOpts, server.WithMaxBodyBytes(cfg.maxBody))
 	}
 	if cfg.batchMaxBody > 0 {
 		srvOpts = append(srvOpts, server.WithBatchMaxBodyBytes(cfg.batchMaxBody))
-	}
-	if cfg.overloadMode {
-		lim := overload.LimiterOptions{Max: cfg.maxInflight}
-		srvOpts = append(srvOpts, server.WithOverload(overload.Options{
-			Lookup:  lim,
-			Control: lim,
-			Upload:  lim,
-		}))
 	}
 	if cfg.shardID != "" {
 		members, err := parseMemberIDs(cfg.peers)
@@ -258,12 +248,9 @@ func run(cfg config, logger *obs.Logger) error {
 
 	go sloEngine.Run(ctx)
 
-	// The overload controller's probe loop walks a read-only server back to
+	// The durability machine's probe loop walks a read-only server back to
 	// healthy once the disk accepts durable writes again.
-	if ov := api.Overload(); ov != nil {
-		go ov.Controller().Run(ctx)
-		logger.Info("overload control enabled", "max_inflight", cfg.maxInflight)
-	}
+	go api.Overload().Controller().Run(ctx)
 
 	aggLog := logger.With("component", "aggregate")
 	runCycle := func(base context.Context) {

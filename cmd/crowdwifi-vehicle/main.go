@@ -344,7 +344,7 @@ func flushOutbox(tracer *trace.Tracer, v *client.CrowdVehicle, timeout time.Dura
 			logger.Warn("outbox flush deadline exceeded", "undelivered", v.Outbox.Len())
 			return
 		}
-		// An overloaded or read-only server tells us when to come back;
+		// A full or read-only server tells us when to come back;
 		// honor its Retry-After instead of hammering on a fixed cadence.
 		pause := 200 * time.Millisecond
 		if hint := client.RetryAfterHint(err); hint > pause {

@@ -65,9 +65,9 @@ const (
 
 const (
 	// MinRetryAfter floors every 503's standard Retry-After header: callers
-	// supply a dynamic hint (backlog drain estimate, aggregation remainder,
-	// recovery probe horizon) and this is the minimum a client reading only
-	// the whole-second header is told to wait.
+	// supply a hint (the admission shed constant, the recovery probe
+	// horizon) and this is the minimum a client reading only the
+	// whole-second header is told to wait.
 	MinRetryAfter = time.Second
 	// MaxRetryAfter caps how long a server-sent hint can make a client
 	// sleep, so a misbehaving (or clock-skewed) server cannot park a vehicle

@@ -124,19 +124,17 @@ func (s *Stack) count(route, method string, status int) {
 }
 
 // admit runs h under admission control: acquire a slot in the route's family
-// (waiting briefly in the bounded queue), shed with a measured Retry-After
-// when the family is saturated, reject mutations outright while read-only,
-// and feed the request's service latency back into the family's adaptive
-// limit. newCtx says ctx is no longer the request's own.
+// (waiting briefly in the bounded queue), shed when the family stays full,
+// and reject mutations outright while read-only. newCtx says ctx is no longer
+// the request's own.
 func (s *Stack) admit(ctx context.Context, w *statusWriter, r *http.Request, route string, newCtx bool, h http.HandlerFunc) {
-	var dec overload.Decision
 	if s.Admission != nil {
 		fam, mutation := classify(route, r.Method)
 		// Every response carries the tier's degradation mode, not just the
 		// sheds: the router tracks shard health passively from traffic it
 		// was relaying anyway, without probing or parsing errors.
 		w.Header().Set(api.ModeHeader, s.Admission.Mode().String())
-		dec = s.Admission.Admit(ctx, fam, mutation)
+		dec := s.Admission.Admit(ctx, fam, mutation)
 		if !dec.OK {
 			mode := s.Admission.Mode().String()
 			w.Header().Set(api.ModeHeader, mode)
@@ -152,6 +150,7 @@ func (s *Stack) admit(ctx context.Context, w *statusWriter, r *http.Request, rou
 			s.Shed(w, errors.New(s.Tier+reason), dec.RetryAfter)
 			return
 		}
+		defer dec.Release(0, true)
 	}
 	if s.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -162,22 +161,14 @@ func (s *Stack) admit(ctx context.Context, w *statusWriter, r *http.Request, rou
 	if newCtx {
 		r = r.WithContext(ctx)
 	}
-	start := time.Now()
 	h(w, r)
-	// 5xx count as failures so the limit backs off — except 503, a handler's
-	// own shed (duplicate in flight, empty ring), which is deliberate
-	// and must not collapse the limit, and 502, which the router writes when
-	// an upstream shard failed, not when it lacks capacity itself. 4xx are
-	// the client's fault and must not shrink capacity either.
-	ok := w.code < http.StatusInternalServerError ||
-		w.code == http.StatusServiceUnavailable || w.code == http.StatusBadGateway
-	dec.Release(time.Since(start), ok)
 }
 
 // classify maps a (route, method) to its shedding family and whether it
 // mutates durable state (refused while read-only). Uploads (vehicle ingest
-// POSTs) shed first; GET reads and task/aggregation management are control
-// traffic; /v1/lookup is the protected class. One table serves both tiers:
+// POSTs), control traffic (GET reads, task/aggregation management) and
+// /v1/lookup each have their own cap, so an ingest flood cannot take a
+// lookup's slot. One table serves both tiers:
 // the router holds no durable state, so its admission layer never turns
 // read-only and the mutation bit is inert there.
 func classify(route, method string) (overload.Family, bool) {

@@ -63,8 +63,8 @@ type StatusError struct {
 	Status int
 	Body   string
 	// RetryAfter is the server's Retry-After hint (zero when absent): on a
-	// 503 it is the server's own estimate of when capacity returns —
-	// backlog drain time, aggregation remainder, or disk-recovery horizon.
+	// 503 it says when to come back — after a full family's queue deadline,
+	// or after the disk-recovery horizon of a read-only server.
 	RetryAfter time.Duration
 }
 

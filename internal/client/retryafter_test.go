@@ -88,7 +88,7 @@ func TestRetryAfterHintNonStatusErrors(t *testing.T) {
 // TestDrainOutboxSurfacesRetryAfter is the satellite regression: a drain
 // interrupted by a shedding server must return an error whose RetryAfterHint
 // matches the server's header, so callers pace their retry loop by the
-// server's own drain estimate instead of a guessed backoff.
+// server's own hint instead of a guessed backoff.
 func TestDrainOutboxSurfacesRetryAfter(t *testing.T) {
 	var recovered atomic.Bool
 	url := sheddingServer(t, "5", &recovered)

@@ -12,7 +12,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"crowdwifi/internal/api"
 	"crowdwifi/internal/client"
@@ -26,9 +25,9 @@ import (
 	"crowdwifi/internal/wal"
 )
 
-// oneSlot is an upload family with a single concurrency slot and a queue that
-// gives up after a millisecond: holding the slot makes the next upload shed.
-var oneSlot = overload.LimiterOptions{Initial: 1, Min: 1, Max: 1, QueueTimeout: time.Millisecond}
+// oneSlot caps every family at a single concurrency slot: holding the upload
+// slot makes the next upload shed once its queue deadline passes.
+var oneSlot = overload.Options{Max: 1}
 
 const (
 	tierMaxBody      = 512
@@ -59,7 +58,7 @@ func newTiers(t *testing.T, store *server.Store) *tiers {
 	tr.shard = server.New(store,
 		server.WithMetrics(server.NewMetrics(tr.shardReg)),
 		server.WithTracer(tr.shardTracer),
-		server.WithOverload(overload.Options{Upload: oneSlot}),
+		server.WithOverload(oneSlot),
 		server.WithMaxBodyBytes(tierMaxBody),
 		server.WithBatchMaxBodyBytes(tierBatchMaxBody),
 		server.WithCluster(server.ClusterOptions{Self: "a", Members: []string{"a"}}))
@@ -72,7 +71,7 @@ func newTiers(t *testing.T, store *server.Store) *tiers {
 		Peers:             []Peer{{ID: "a", URL: shardTS.URL}},
 		Retry:             retry.Policy{MaxAttempts: 1},
 		Registry:          tr.routerReg,
-		Overload:          &overload.Options{Upload: oneSlot},
+		Overload:          &oneSlot,
 		MaxBodyBytes:      tierMaxBody,
 		BatchMaxBodyBytes: tierBatchMaxBody,
 	})
@@ -161,7 +160,7 @@ func TestCrossTierConformance(t *testing.T) {
 				t.Cleanup(func() { dec.Release(0, true) })
 			},
 			method: http.MethodPost, path: "/v1/reports", header: asJSON, body: report,
-			want: answer{status: 503, retryAfter: "1", mode: "healthy", body: "{\"error\":\"server over capacity\"}\n"},
+			want: answer{status: 503, retryAfter: "1", retryMs: "100", mode: "healthy", body: "{\"error\":\"server over capacity\"}\n"},
 		},
 		{
 			name: "read-only",
@@ -212,11 +211,6 @@ func TestCrossTierConformance(t *testing.T) {
 			}
 			direct := ask(t, tr.shardURL, tc.method, tc.path, tc.header, tc.body)
 			routed := ask(t, tr.routerURL, tc.method, tc.path, tc.header, tc.body)
-			if tc.want.retryMs == "" {
-				// A hint the case does not pin (a limiter's drain estimate)
-				// must still be the same on both paths.
-				tc.want.retryMs = direct.retryMs
-			}
 			if direct != tc.want {
 				t.Errorf("shard answered  %+v\nwant            %+v", direct, tc.want)
 			}
@@ -283,7 +277,7 @@ func TestRouterCountsEvery503ItOriginates(t *testing.T) {
 	}
 	got := ask(t, tr.routerURL, http.MethodPost, "/v1/reports", asJSON, report)
 	dec.Release(0, true)
-	want := answer{status: 503, retryAfter: "1", retryMs: got.retryMs, mode: "healthy", body: "{\"error\":\"router over capacity\"}\n"}
+	want := answer{status: 503, retryAfter: "1", retryMs: "100", mode: "healthy", body: "{\"error\":\"router over capacity\"}\n"}
 	if got != want {
 		t.Errorf("admission shed answered %+v, want %+v", got, want)
 	}

@@ -20,11 +20,14 @@ import (
 
 // fleetLink is the fleet's radio link. While down every request fails before
 // it is sent, the way a vehicle out of contact fails; up, it counts the batch
-// posts that went out.
+// posts that went out and keeps the slowest answer.
 type fleetLink struct {
 	next       *http.Client
 	down       atomic.Bool
 	batchPosts atomic.Uint64
+
+	mu      sync.Mutex
+	slowest time.Duration
 }
 
 func (l *fleetLink) Do(req *http.Request) (*http.Response, error) {
@@ -34,7 +37,12 @@ func (l *fleetLink) Do(req *http.Request) (*http.Response, error) {
 	if req.URL.Path == api.RouteReportsBatch {
 		l.batchPosts.Add(1)
 	}
-	return l.next.Do(req)
+	start := time.Now()
+	resp, err := l.next.Do(req)
+	l.mu.Lock()
+	l.slowest = max(l.slowest, time.Since(start))
+	l.mu.Unlock()
+	return resp, err
 }
 
 // fleet is a closed-loop crowd-vehicle fleet: real client.CrowdVehicles, each
@@ -155,9 +163,9 @@ func TestFleetOverloadKeepsGoodputAndLosesNothing(t *testing.T) {
 	f.settle()
 	acked, parked, drained := f.acked.Load(), f.parked.Load(), f.drained.Load()
 
-	t.Logf("acks: baseline %d, overload %d (ratio %.2f); shed %d, parked %d, drained %d",
+	t.Logf("acks: baseline %d, overload %d (ratio %.2f); shed %d, parked %d, drained %d; slowest answer %v",
 		baseline, overloaded, float64(overloaded)/float64(baseline),
-		srv.Overload().LimiterSnapshot(overload.FamilyUpload).Shed, parked, drained)
+		srv.Overload().Load(overload.FamilyUpload).Shed, parked, drained, f.link.slowest.Round(time.Millisecond))
 	if baseline == 0 {
 		t.Fatal("baseline window acked nothing")
 	}

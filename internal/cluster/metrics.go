@@ -24,13 +24,11 @@ type routerMetrics struct {
 }
 
 // modeValue maps a shard's X-Crowdwifi-Mode string to the gauge encoding:
-// healthy 0, overloaded 1, read-only 2, recovering 3, unknown/unseen -1.
+// healthy 0, read-only 2, recovering 3, unknown/unseen -1.
 func modeValue(mode string) float64 {
 	switch mode {
 	case "healthy":
 		return 0
-	case "overloaded":
-		return 1
 	case "read-only":
 		return 2
 	case "recovering":
@@ -115,7 +113,7 @@ func (m *routerMetrics) observeShard(shard, mode string, err error) {
 	g, ok := m.shardMode[shard]
 	if !ok {
 		g = m.registry.Gauge("crowdwifi_router_shard_mode",
-			"Last-seen shard mode: 0 healthy, 1 overloaded, 2 read-only, 3 recovering, -1 unknown/unreachable.",
+			"Last-seen shard mode: 0 healthy, 2 read-only, 3 recovering, -1 unknown/unreachable.",
 			obs.L("shard", shard))
 		m.shardMode[shard] = g
 	}

@@ -103,7 +103,8 @@ type RouterOptions struct {
 	// Logger receives router logs; nil is silent.
 	Logger *obs.Logger
 	// Overload, when non-nil, enables the router's own admission control.
-	// The caller is responsible for running Admission().Controller().Run.
+	// The router holds no durable state, so its mode never leaves healthy and
+	// nothing needs to run its probe loop.
 	Overload *overload.Options
 	// MaxBodyBytes caps upload bodies (≤ 0 selects api.DefaultMaxBodyBytes).
 	MaxBodyBytes int64
@@ -227,8 +228,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	return rt, nil
 }
 
-// Admission exposes the router's admission controller (nil when disabled);
-// callers start its mode state machine with Admission().Controller().Run.
+// Admission exposes the router's admission controller (nil when disabled).
 func (rt *Router) Admission() *overload.Admission { return rt.stack.Admission }
 
 // Members returns the current ring membership.

@@ -10,7 +10,7 @@ import (
 // Liveness is unconditional (the process answering at all is the signal);
 // readiness flips off while the server cannot usefully take traffic — WAL
 // recovery/replay at startup, or the final snapshot during SIGTERM shutdown.
-// A degraded mode (overloaded, read-only, recovering) is a separate axis:
+// A degraded mode (read-only, recovering) is a separate axis:
 // the server is still serving, so /readyz stays 200 but carries the mode in
 // its body — orchestrators keep routing, operators see the degradation.
 // A nil *Health accepts every method as a no-op and reports not ready.
@@ -47,9 +47,9 @@ func (h *Health) SetNotReady(reason string) {
 	h.mu.Unlock()
 }
 
-// SetMode records the server's degradation mode ("healthy", "overloaded",
-// "read-only", "recovering"), surfaced in the /readyz body without changing
-// the readiness verdict.
+// SetMode records the server's degradation mode ("healthy", "read-only",
+// "recovering"), surfaced in the /readyz body without changing the readiness
+// verdict.
 func (h *Health) SetMode(mode string) {
 	if h == nil {
 		return

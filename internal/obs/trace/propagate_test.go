@@ -139,3 +139,36 @@ func TestResumeFallsBackToStart(t *testing.T) {
 		t.Fatal("Resume without tracer returned a span")
 	}
 }
+
+// FuzzParseTraceparent: any header value parses or errors without a panic,
+// and an accepted one, re-rendered in Inject's layout with its sampled flag,
+// parses back to the same trace id, parent and flag.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, seed := range []string{
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00",
+		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-03-extra",
+		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",
+		"---",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		tid, parent, sampled, err := ParseTraceparent(v)
+		if err != nil {
+			return
+		}
+		flags := "00"
+		if sampled {
+			flags = "01"
+		}
+		again := "00-" + tid.String() + "-" + parent.String() + "-" + flags
+		tid2, parent2, sampled2, err := ParseTraceparent(again)
+		if err != nil || tid2 != tid || parent2 != parent || sampled2 != sampled {
+			t.Fatalf("%q parsed to %q, which parses to %s/%s/%v (err %v)", v, again, tid2, parent2, sampled2, err)
+		}
+	})
+}

@@ -2,52 +2,73 @@ package overload
 
 import (
 	"context"
+	"sync/atomic"
 	"time"
 
 	"crowdwifi/internal/obs"
 )
 
-// Family is a shedding priority class of endpoints. Lower values are
-// protected longer.
+// Family is a class of endpoints with its own concurrency cap.
 type Family int
 
 const (
 	// FamilyLookup is the roadside query path (/v1/lookup) — the paper's
-	// raison d'être — protected longest under every degraded mode.
+	// raison d'être — with its own cap, so no ingest flood can take its
+	// slots.
 	FamilyLookup Family = iota
-	// FamilyControl is task/pattern/aggregation management: shed after
-	// uploads, before lookups.
+	// FamilyControl is task/pattern/aggregation management.
 	FamilyControl
-	// FamilyUpload is vehicle report/label/pattern ingest: shed first,
-	// because vehicles park rejected batches in a durable outbox and retry.
+	// FamilyUpload is vehicle report/label/pattern ingest, the cheapest to
+	// shed: vehicles park rejected batches in a durable outbox and retry.
 	FamilyUpload
 
 	numFamilies = 3
 )
 
 // String returns the metric spelling of the family.
-func (f Family) String() string {
-	switch f {
-	case FamilyLookup:
-		return "lookup"
-	case FamilyControl:
-		return "control"
-	case FamilyUpload:
-		return "upload"
-	default:
-		return "unknown"
+func (f Family) String() string { return [numFamilies]string{"lookup", "control", "upload"}[f] }
+
+// familyCaps are the per-family concurrency caps. Uploads and lookups
+// dominate offered load; control traffic is a trickle and gets an eighth.
+var familyCaps = [numFamilies]int{FamilyLookup: 128, FamilyControl: 16, FamilyUpload: 128}
+
+const (
+	// queueDeadline is the sojourn bound: a request may wait at most this
+	// long for a slot before it is shed.
+	queueDeadline = 100 * time.Millisecond
+	// queueDepth bounds how many requests of one family may wait at once.
+	queueDepth = 256
+	// ShedRetryAfter is the Retry-After of a request shed because its family
+	// was full: come back after one more queue deadline. Clients jitter
+	// it up to 1.5× and double it on every repeated shed, so a wave that
+	// keeps a family full backs off geometrically without a server estimate.
+	ShedRetryAfter = queueDeadline
+)
+
+// retryAfter is the one Retry-After rule for admission sheds: a full family
+// answers the constant, a read-only server the soonest the probe could walk
+// it back to healthy.
+func retryAfter(readOnly bool) time.Duration {
+	if readOnly {
+		return (recoverAfter + 1) * probeInterval
 	}
+	return ShedRetryAfter
 }
 
-// Options configure an Admission controller.
+// Options configure an Admission controller. The zero value is usable.
 type Options struct {
-	// Controller tunes the degraded-mode state machine.
-	Controller ControllerOptions
-	// Lookup, Control, Upload tune the per-family limiters. Zero values take
-	// family-appropriate defaults (lookups get the deepest floor).
-	Lookup, Control, Upload LimiterOptions
-	// Registry receives the overload metric series; nil disables metrics.
+	// Max caps every family's concurrency (the server's -max-inflight flag
+	// lands here); ≤ 0 keeps the built-in caps.
+	Max int
+	// Registry receives the overload metric series; nil keeps them private.
 	Registry *obs.Registry
+	// Probe checks whether the disk accepts durable writes again (an append
+	// plus fsync of a throwaway record). Required for read-only recovery;
+	// nil leaves the server read-only until restart.
+	Probe func(ctx context.Context) error
+	// OnTransition observes every durability state change (metrics, traces,
+	// logs).
+	OnTransition func(from, to Mode, reason string)
 }
 
 // Decision is the outcome of one admission request.
@@ -61,67 +82,79 @@ type Decision struct {
 	// RetryAfter is the backoff hint for a rejected request.
 	RetryAfter time.Duration
 
-	release func(rtt time.Duration, success bool)
+	fam *family
 }
 
-// Release returns the slot, feeding the measured latency and outcome back
-// into the family's limit. A no-op on a rejected Decision.
-func (d Decision) Release(rtt time.Duration, success bool) {
-	if d.release != nil {
-		d.release(rtt, success)
+// Release returns the slot. A no-op on a rejected Decision. The arguments
+// are unused: the signature is frozen by bench/trace.go until ROADMAP 1(c).
+func (d Decision) Release(time.Duration, bool) {
+	if d.fam != nil {
+		<-d.fam.slots
 	}
 }
 
-// Admission is the server's front door under load: per-family adaptive
-// limits composed with the degraded-mode state machine.
+// family is one endpoint family's bound: a buffered channel whose capacity
+// is the cap. A send takes a slot and a receive frees one; a request that
+// finds the family full blocks in the send, and the runtime hands a freed
+// slot to the longest-blocked sender, so the wait is a FIFO queue.
+type family struct {
+	slots   chan struct{}
+	waiting atomic.Int32 // requests blocked in the queue right now
+}
+
+// acquire takes a slot, waiting up to queueDeadline behind at most
+// queueDepth others. ctx cancellation counts as a shed (the caller is
+// leaving).
+func (f *family) acquire(ctx context.Context) bool {
+	select {
+	case f.slots <- struct{}{}:
+		return true
+	default:
+	}
+	if f.waiting.Add(1) > queueDepth {
+		f.waiting.Add(-1)
+		return false
+	}
+	defer f.waiting.Add(-1)
+	timer := time.NewTimer(queueDeadline)
+	defer timer.Stop()
+	select {
+	case f.slots <- struct{}{}:
+		return true
+	case <-ctx.Done():
+	case <-timer.C:
+	}
+	return false
+}
+
+// Admission is the server's front door: a fixed bound per endpoint family
+// composed with the durability state machine.
 type Admission struct {
 	ctrl    *Controller
-	lims    [numFamilies]*Limiter
-	metrics *admissionMetrics
+	fams    [numFamilies]family
+	metrics admissionMetrics
 }
 
 // New builds an Admission controller and registers its metrics.
 func New(opts Options) *Admission {
-	a := &Admission{}
-
-	m := newAdmissionMetrics(opts.Registry)
-	a.metrics = m
-	userTransition := opts.Controller.OnTransition
-	opts.Controller.OnTransition = func(from, to Mode, reason string) {
-		m.observeTransition(from, to)
-		if userTransition != nil {
-			userTransition(from, to, reason)
+	a := &Admission{metrics: newAdmissionMetrics(opts.Registry)}
+	a.ctrl = &Controller{
+		probe: opts.Probe,
+		onTransition: func(from, to Mode, reason string) {
+			a.metrics.observeTransition(from, to)
+			if opts.OnTransition != nil {
+				opts.OnTransition(from, to, reason)
+			}
+		},
+		since: time.Now(),
+	}
+	a.metrics.mode.Set(float64(ModeHealthy))
+	for f := range a.fams {
+		n := familyCaps[f]
+		if opts.Max > 0 {
+			n = min(n, opts.Max)
 		}
-	}
-	a.ctrl = NewController(opts.Controller)
-	m.setMode(ModeHealthy)
-
-	// Family defaults: lookups keep a deep floor so they are last to feel
-	// pressure; uploads start widest because they dominate offered load.
-	lookup := opts.Lookup
-	if lookup.Min <= 0 {
-		lookup.Min = 16
-	}
-	if lookup.Initial <= 0 {
-		lookup.Initial = 128
-	}
-	control := opts.Control
-	if control.Initial <= 0 {
-		control.Initial = 16
-	}
-	if control.Max <= 0 {
-		control.Max = 64
-	}
-	upload := opts.Upload
-	if upload.Initial <= 0 {
-		upload.Initial = 128
-	}
-	a.lims[FamilyLookup] = NewLimiter(lookup)
-	a.lims[FamilyControl] = NewLimiter(control)
-	a.lims[FamilyUpload] = NewLimiter(upload)
-
-	if opts.Registry != nil {
-		opts.Registry.OnScrape(a.refreshGauges)
+		a.fams[f].slots = make(chan struct{}, n)
 	}
 	return a
 }
@@ -130,119 +163,77 @@ func New(opts Options) *Admission {
 // probe loop, and status surfaces).
 func (a *Admission) Controller() *Controller { return a.ctrl }
 
-// Mode returns the current degradation mode.
+// Mode returns the current durability mode.
 func (a *Admission) Mode() Mode { return a.ctrl.Mode() }
 
-// LimiterSnapshot returns the named family's limiter state.
-func (a *Admission) LimiterSnapshot(f Family) LimiterSnapshot {
-	return a.lims[f].Snapshot()
+// Load is one family's admission state, for /debug/vars and tests.
+type Load struct {
+	Inflight, Queued int
+	Admitted, Shed   uint64
 }
 
-// RetryHint returns the family's current Retry-After estimate without
-// admitting anything — for sheds decided outside the admission layer.
-func (a *Admission) RetryHint(f Family) time.Duration {
-	return a.lims[f].RetryHint()
+// Load returns the named family's current state.
+func (a *Admission) Load(f Family) Load {
+	fam, m := &a.fams[f], &a.metrics
+	return Load{
+		Inflight: len(fam.slots),
+		Queued:   int(fam.waiting.Load()),
+		Admitted: m.admitted[f].Value(),
+		Shed:     m.shedLimit[f].Value() + m.shedReadOnly[f].Value(),
+	}
 }
 
 // Admit decides one request. mutation marks requests that must write
-// durably (rejected outright while read-only). The decision is recorded in
-// the controller's shed window, so sustained shedding flips the server
-// overloaded and a drained queue flips it back.
+// durably (rejected outright while read-only).
 func (a *Admission) Admit(ctx context.Context, f Family, mutation bool) Decision {
-	mode := a.ctrl.Mode()
-
 	// Read-only: mutations cannot be made durable, so acking them would be
-	// a lie. Reads still flow (through their limiter) from fused state.
-	if mutation && mode == ModeReadOnly {
-		a.metrics.observeShed(f, "read_only")
-		// Deliberately NOT recorded as a shed-window decision: read-only is
-		// a disk condition, not a load condition, and must not trip the
-		// overloaded detector.
-		return Decision{ReadOnly: true, RetryAfter: a.ctrl.RecoveryHint()}
+	// a lie. Reads still flow (through their cap) from fused state.
+	if mutation && a.ctrl.Mode() == ModeReadOnly {
+		a.metrics.shedReadOnly[f].Inc()
+		return Decision{ReadOnly: true, RetryAfter: retryAfter(true)}
 	}
-
-	lim := a.lims[f]
-	var (
-		release func(time.Duration, bool)
-		hint    time.Duration
-		ok      bool
-	)
-	if mode == ModeOverloaded && f == FamilyUpload {
-		// Shed-first class while overloaded: no queueing, drain the backlog.
-		release, hint, ok = lim.TryAcquire()
-	} else {
-		release, hint, ok = lim.Acquire(ctx)
+	fam := &a.fams[f]
+	if !fam.acquire(ctx) {
+		a.metrics.shedLimit[f].Inc()
+		return Decision{RetryAfter: retryAfter(false)}
 	}
-
-	a.ctrl.NoteDecision(!ok)
-	if !ok {
-		a.metrics.observeShed(f, "limit")
-		return Decision{RetryAfter: hint}
-	}
-	a.metrics.observeAdmit(f)
-	return Decision{OK: true, release: release}
+	a.metrics.admitted[f].Inc()
+	return Decision{OK: true, fam: fam}
 }
 
-func (a *Admission) refreshGauges() {
-	a.metrics.setMode(a.ctrl.Mode())
-	for f := Family(0); f < numFamilies; f++ {
-		a.metrics.setLimit(f, a.lims[f].Snapshot())
-	}
-}
-
-// admissionMetrics exposes the overload subsystem on /metrics. Nil-safe
-// throughout (a nil registry yields nil series; obs no-ops on nil).
+// admissionMetrics exposes the overload subsystem on /metrics. Without a
+// registry the series live in a private one, so Load still reads them.
 type admissionMetrics struct {
 	mode *obs.Gauge
 	reg  *obs.Registry // source for labeled transition counters
 
-	limit    [numFamilies]*obs.Gauge
-	admitted [numFamilies]*obs.Counter
-	shedLim  [numFamilies]*obs.Counter
-	shedRO   [numFamilies]*obs.Counter
+	admitted     [numFamilies]*obs.Counter
+	shedLimit    [numFamilies]*obs.Counter
+	shedReadOnly [numFamilies]*obs.Counter
 }
 
-func newAdmissionMetrics(reg *obs.Registry) *admissionMetrics {
-	m := &admissionMetrics{reg: reg}
+func newAdmissionMetrics(reg *obs.Registry) admissionMetrics {
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	m := admissionMetrics{reg: reg}
 	m.mode = reg.Gauge("crowdwifi_overload_mode",
-		"Degradation mode: 0 healthy, 1 overloaded, 2 read-only, 3 recovering.")
+		"Durability mode: 0 healthy, 2 read-only, 3 recovering.")
 	for f := Family(0); f < numFamilies; f++ {
 		lbl := obs.L("family", f.String())
-		m.limit[f] = reg.Gauge("crowdwifi_admission_limit",
-			"Current adaptive concurrency limit per endpoint family.", lbl)
 		m.admitted[f] = reg.Counter("crowdwifi_admission_admitted_total",
 			"Requests granted a concurrency slot.", lbl)
-		m.shedLim[f] = reg.Counter("crowdwifi_admission_shed_total",
+		m.shedLimit[f] = reg.Counter("crowdwifi_admission_shed_total",
 			"Requests shed by the admission controller.", lbl, obs.L("reason", "limit"))
-		m.shedRO[f] = reg.Counter("crowdwifi_admission_shed_total",
+		m.shedReadOnly[f] = reg.Counter("crowdwifi_admission_shed_total",
 			"Requests shed by the admission controller.", lbl, obs.L("reason", "read_only"))
 	}
 	return m
 }
 
-func (m *admissionMetrics) setMode(mode Mode) {
-	m.mode.Set(float64(mode))
-}
-
 func (m *admissionMetrics) observeTransition(from, to Mode) {
 	m.mode.Set(float64(to))
 	m.reg.Counter("crowdwifi_overload_transitions_total",
-		"Degradation state-machine transitions.",
+		"Durability state-machine transitions.",
 		obs.L("from", from.String()), obs.L("to", to.String())).Inc()
-}
-
-func (m *admissionMetrics) observeAdmit(f Family) {
-	m.admitted[f].Inc()
-}
-
-func (m *admissionMetrics) observeShed(f Family, reason string) {
-	if reason == "read_only" {
-		m.shedRO[f].Inc()
-		return
-	}
-	m.shedLim[f].Inc()
-}
-
-func (m *admissionMetrics) setLimit(f Family, s LimiterSnapshot) {
-	m.limit[f].Set(float64(s.Limit))
 }

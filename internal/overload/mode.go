@@ -1,24 +1,13 @@
 // Package overload keeps the crowd-server upright when offered load or disk
-// health exceeds what it can absorb. Two cooperating mechanisms:
-//
-//   - per-endpoint-family adaptive concurrency limits (Limiter): an
-//     AIMD/gradient controller sized from measured latency against a windowed
-//     baseline, fronted by a short CoDel-style queue, shedding with a
-//     Retry-After hint computed from the observed drain rate; and
-//
-//   - a server-wide degraded-mode state machine (Controller):
-//     healthy → overloaded → read-only → recovering, which sheds by priority —
-//     vehicle uploads park to the client outbox and are shed first, the
-//     roadside /v1/lookup path is protected longest, and a durability fault
-//     (WAL write/fsync error, disk full) flips the server read-only: lookups
-//     keep serving from the last fused snapshot while uploads get 503 +
-//     Retry-After, and a background disk probe walks the server back to
-//     healthy once writes stick again.
-//
-// The paper's premise is that roadside WiFi crowdsensing traffic is bursty —
-// fleets sweep through coverage in waves — so the server's job under overload
-// is not to be fast, it is to stay correct: never lose an acked report, never
-// serve a lookup from torn state, and tell vehicles exactly when to come back.
+// health exceeds what it can absorb, with two bounds rather than controllers:
+// a fixed concurrency cap per endpoint family, fronted by a short FIFO queue
+// with a sojourn deadline and shedding with one constant Retry-After
+// (Admission); and a durability machine, healthy → read-only → recovering →
+// healthy (Controller). A WAL write/fsync error or a full disk flips the
+// server read-only: lookups keep serving from the last fused state while
+// mutations get 503 + Retry-After, and a background disk probe walks the
+// server back to healthy once writes stick again. Never lose an acked report,
+// never serve a lookup from torn state, and tell vehicles when to come back.
 package overload
 
 import (
@@ -28,23 +17,21 @@ import (
 	"time"
 )
 
-// Mode is one state of the server-wide degradation machine.
+// Mode is one state of the server-wide durability machine.
 type Mode int32
 
+// The mode values are the crowdwifi_overload_mode gauge's encoding; 1 was a
+// load-driven mode that no longer exists and stays unassigned so the gauge
+// keeps meaning what it always has.
 const (
-	// ModeHealthy admits everything through the per-family limiters.
-	ModeHealthy Mode = iota
-	// ModeOverloaded sheds uploads eagerly (no queueing) so in-flight work
-	// drains; lookups and control traffic are untouched.
-	ModeOverloaded
+	// ModeHealthy admits everything through the per-family caps.
+	ModeHealthy Mode = 0
 	// ModeReadOnly rejects all mutations (the WAL cannot accept writes);
 	// lookups keep serving from the last fused state.
-	ModeReadOnly
+	ModeReadOnly Mode = 2
 	// ModeRecovering re-enables writes on probation after the disk probe
 	// succeeds; a further durability fault drops straight back to read-only.
-	ModeRecovering
-
-	numModes = 4
+	ModeRecovering Mode = 3
 )
 
 // String returns the wire/metric spelling of the mode.
@@ -52,8 +39,6 @@ func (m Mode) String() string {
 	switch m {
 	case ModeHealthy:
 		return "healthy"
-	case ModeOverloaded:
-		return "overloaded"
 	case ModeReadOnly:
 		return "read-only"
 	case ModeRecovering:
@@ -63,67 +48,20 @@ func (m Mode) String() string {
 	}
 }
 
-// ControllerOptions tune the state machine. The zero value is usable.
-type ControllerOptions struct {
-	// ShedWindow is how far back the shed-ratio looks when deciding
-	// healthy ↔ overloaded. Default 5s.
-	ShedWindow time.Duration
-	// EnterOverloaded is the shed fraction over ShedWindow above which the
-	// server declares itself overloaded. Default 0.10.
-	EnterOverloaded float64
-	// ExitOverloaded is the shed fraction below which an overloaded server
-	// returns to healthy. Default 0.02.
-	ExitOverloaded float64
-	// MinSamples is how many admission decisions the window must hold before
-	// the shed ratio is trusted. Default 50.
-	MinSamples int
-	// Probe checks whether the disk accepts durable writes again (an append
-	// plus fsync of a throwaway record). Required for read-only recovery;
-	// nil leaves the server read-only until restart.
-	Probe func(ctx context.Context) error
-	// ProbeInterval is how often Run probes while read-only or recovering.
-	// Default 500ms.
-	ProbeInterval time.Duration
-	// RecoverAfter is how many consecutive probe successes promote
-	// recovering → healthy. Default 3.
-	RecoverAfter int
-	// OnTransition observes every state change (metrics, traces, logs).
-	OnTransition func(from, to Mode, reason string)
-	// Clock overrides time.Now for tests.
-	Clock func() time.Time
-}
+const (
+	// probeInterval is how often Run probes the disk while read-only or
+	// recovering.
+	probeInterval = 500 * time.Millisecond
+	// recoverAfter is how many consecutive probe successes promote
+	// recovering → healthy.
+	recoverAfter = 3
+)
 
-func (o ControllerOptions) withDefaults() ControllerOptions {
-	if o.ShedWindow <= 0 {
-		o.ShedWindow = 5 * time.Second
-	}
-	if o.EnterOverloaded <= 0 {
-		o.EnterOverloaded = 0.10
-	}
-	if o.ExitOverloaded <= 0 {
-		o.ExitOverloaded = 0.02
-	}
-	if o.MinSamples <= 0 {
-		o.MinSamples = 50
-	}
-	if o.ProbeInterval <= 0 {
-		o.ProbeInterval = 500 * time.Millisecond
-	}
-	if o.RecoverAfter <= 0 {
-		o.RecoverAfter = 3
-	}
-	if o.Clock == nil {
-		o.Clock = time.Now
-	}
-	return o
-}
-
-const shedRingSlots = 8
-
-// Controller is the degradation state machine. All methods are safe for
+// Controller is the durability state machine. All methods are safe for
 // concurrent use.
 type Controller struct {
-	opts ControllerOptions
+	probe        func(ctx context.Context) error
+	onTransition func(from, to Mode, reason string)
 
 	mode atomic.Int32
 
@@ -131,22 +69,6 @@ type Controller struct {
 	reason   string
 	since    time.Time
 	probeOKs int
-
-	// Shed-ratio ring: shedRingSlots buckets of ShedWindow/shedRingSlots
-	// each, counting admission decisions and sheds.
-	ringMu    sync.Mutex
-	ringStart time.Time
-	ringIdx   int
-	decisions [shedRingSlots]int
-	sheds     [shedRingSlots]int
-}
-
-// NewController returns a Controller in ModeHealthy.
-func NewController(opts ControllerOptions) *Controller {
-	opts = opts.withDefaults()
-	c := &Controller{opts: opts, since: opts.Clock()}
-	c.ringStart = opts.Clock()
-	return c
 }
 
 // Mode returns the current state.
@@ -156,43 +78,30 @@ func (c *Controller) Mode() Mode { return Mode(c.mode.Load()) }
 func (c *Controller) Status() (mode Mode, reason string, since time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return Mode(c.mode.Load()), c.reason, c.since
+	return c.Mode(), c.reason, c.since
 }
 
 // transition moves the machine to `to` if the edge is legal, firing
-// OnTransition. Returns whether a change happened.
+// onTransition. Returns whether a change happened.
 func (c *Controller) transition(to Mode, reason string) bool {
 	c.mu.Lock()
-	from := Mode(c.mode.Load())
-	if from == to {
-		c.mu.Unlock()
-		return false
-	}
-	legal := false
-	switch {
-	case to == ModeReadOnly:
-		// A durability fault preempts every other state.
-		legal = true
-	case from == ModeHealthy && to == ModeOverloaded:
-		legal = true
-	case from == ModeOverloaded && to == ModeHealthy:
-		legal = true
-	case from == ModeReadOnly && to == ModeRecovering:
-		legal = true
-	case from == ModeRecovering && to == ModeHealthy:
-		legal = true
-	}
+	from := c.Mode()
+	// A durability fault preempts every other state; the way back is
+	// read-only → recovering → healthy, one probe-verified step at a time.
+	legal := from != to && (to == ModeReadOnly ||
+		from == ModeReadOnly && to == ModeRecovering ||
+		from == ModeRecovering && to == ModeHealthy)
 	if !legal {
 		c.mu.Unlock()
 		return false
 	}
 	c.mode.Store(int32(to))
 	c.reason = reason
-	c.since = c.opts.Clock()
+	c.since = time.Now()
 	c.probeOKs = 0
 	c.mu.Unlock()
-	if c.opts.OnTransition != nil {
-		c.opts.OnTransition(from, to, reason)
+	if c.onTransition != nil {
+		c.onTransition(from, to, reason)
 	}
 	return true
 }
@@ -208,82 +117,10 @@ func (c *Controller) ReportDurabilityError(err error) {
 	c.transition(ModeReadOnly, reason)
 }
 
-// NoteDecision feeds one admission outcome into the shed-ratio window and
-// re-evaluates the healthy ↔ overloaded edge.
-func (c *Controller) NoteDecision(shed bool) {
-	now := c.opts.Clock()
-	ratio, n := c.noteAndRatio(now, shed)
-	c.evalOverload(ratio, n)
-}
-
-func (c *Controller) noteAndRatio(now time.Time, shed bool) (float64, int) {
-	c.ringMu.Lock()
-	defer c.ringMu.Unlock()
-	c.advanceRingLocked(now)
-	c.decisions[c.ringIdx]++
-	if shed {
-		c.sheds[c.ringIdx]++
-	}
-	return c.ratioLocked()
-}
-
-// shedRatio reads the current windowed ratio without recording a decision.
-func (c *Controller) shedRatio(now time.Time) (float64, int) {
-	c.ringMu.Lock()
-	defer c.ringMu.Unlock()
-	c.advanceRingLocked(now)
-	return c.ratioLocked()
-}
-
-func (c *Controller) advanceRingLocked(now time.Time) {
-	slotDur := c.opts.ShedWindow / shedRingSlots
-	if now.Sub(c.ringStart) >= c.opts.ShedWindow+slotDur {
-		// Long idle gap: everything in the ring has aged out.
-		c.decisions = [shedRingSlots]int{}
-		c.sheds = [shedRingSlots]int{}
-		c.ringStart = now
-		return
-	}
-	for now.Sub(c.ringStart) >= slotDur {
-		c.ringIdx = (c.ringIdx + 1) % shedRingSlots
-		c.decisions[c.ringIdx] = 0
-		c.sheds[c.ringIdx] = 0
-		c.ringStart = c.ringStart.Add(slotDur)
-	}
-}
-
-func (c *Controller) ratioLocked() (float64, int) {
-	var dec, sh int
-	for i := 0; i < shedRingSlots; i++ {
-		dec += c.decisions[i]
-		sh += c.sheds[i]
-	}
-	if dec == 0 {
-		return 0, 0
-	}
-	return float64(sh) / float64(dec), dec
-}
-
-func (c *Controller) evalOverload(ratio float64, n int) {
-	if n < c.opts.MinSamples {
-		return
-	}
-	switch c.Mode() {
-	case ModeHealthy:
-		if ratio >= c.opts.EnterOverloaded {
-			c.transition(ModeOverloaded, "shed ratio above threshold")
-		}
-	case ModeOverloaded:
-		if ratio <= c.opts.ExitOverloaded {
-			c.transition(ModeHealthy, "shed ratio drained")
-		}
-	}
-}
-
-// Run drives recovery probing (and overload decay during quiet periods)
-// until ctx is done. Start it once, in its own goroutine.
+// Run drives recovery probing until ctx is done. Start it once, in its own
+// goroutine.
 func (c *Controller) Run(ctx context.Context) {
-	t := time.NewTicker(c.opts.ProbeInterval)
+	t := time.NewTicker(probeInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -295,51 +132,27 @@ func (c *Controller) Run(ctx context.Context) {
 	}
 }
 
-// step is one probe/decay tick, factored out of Run for tests.
+// step is one probe tick, factored out of Run for tests.
 func (c *Controller) step(ctx context.Context) {
-	switch c.Mode() {
-	case ModeReadOnly:
-		if c.opts.Probe == nil {
-			return
-		}
-		if err := c.probe(ctx); err == nil {
-			c.transition(ModeRecovering, "disk probe succeeded")
-		}
-	case ModeRecovering:
-		if c.opts.Probe == nil {
-			return
-		}
-		if err := c.probe(ctx); err != nil {
-			c.transition(ModeReadOnly, "disk probe failed during recovery: "+err.Error())
-			return
-		}
+	mode := c.Mode()
+	if c.probe == nil || mode == ModeHealthy {
+		return
+	}
+	pctx, cancel := context.WithTimeout(ctx, probeInterval)
+	err := c.probe(pctx)
+	cancel()
+	switch {
+	case mode == ModeReadOnly && err == nil:
+		c.transition(ModeRecovering, "disk probe succeeded")
+	case mode == ModeRecovering && err != nil:
+		c.transition(ModeReadOnly, "disk probe failed during recovery: "+err.Error())
+	case mode == ModeRecovering:
 		c.mu.Lock()
 		c.probeOKs++
-		done := c.probeOKs >= c.opts.RecoverAfter
+		done := c.probeOKs >= recoverAfter
 		c.mu.Unlock()
 		if done {
 			c.transition(ModeHealthy, "disk probes stable")
 		}
-	case ModeOverloaded:
-		// Traffic may have vanished entirely (nothing calls NoteDecision);
-		// decay back to healthy once the window is quiet.
-		ratio, n := c.shedRatio(c.opts.Clock())
-		if n < c.opts.MinSamples {
-			c.transition(ModeHealthy, "traffic drained")
-		} else {
-			c.evalOverload(ratio, n)
-		}
 	}
-}
-
-func (c *Controller) probe(ctx context.Context) error {
-	pctx, cancel := context.WithTimeout(ctx, c.opts.ProbeInterval)
-	defer cancel()
-	return c.opts.Probe(pctx)
-}
-
-// RecoveryHint is the Retry-After a read-only server should hand to shed
-// mutations: the soonest the machine could plausibly be healthy again.
-func (c *Controller) RecoveryHint() time.Duration {
-	return time.Duration(c.opts.RecoverAfter+1) * c.opts.ProbeInterval
 }

@@ -71,12 +71,12 @@ func (p Policy) withDefaults() Policy {
 func (p Policy) Delay(retryIdx int, hint time.Duration) time.Duration {
 	p = p.withDefaults()
 	if hint > 0 {
-		// The hint is the server's drain estimate for the backlog it can
-		// see — not for the competing demand it can't. Honor it verbatim
-		// on the first retry, but double it per repeated shed: a client
-		// rejected again at the hinted time is evidence the estimate lost
-		// to arrival pressure, and constant-cadence retries at saturation
-		// just burn server CPU on 503s.
+		// The hint is the server's one constant for a full family; it
+		// cannot see the competing demand. Honor it verbatim on the first
+		// retry, but double it per repeated shed: a client rejected again at
+		// the hinted time is evidence the family is still full, and
+		// constant-cadence retries at saturation just burn server CPU on
+		// 503s.
 		for i := 0; i < retryIdx && hint < api.MaxRetryAfter; i++ {
 			hint *= 2
 		}

@@ -69,13 +69,7 @@ func TestOverloadReadOnlyChaosE2E(t *testing.T) {
 	srv := New(store,
 		WithMetrics(NewMetrics(reg)),
 		WithHealth(health),
-		WithOverload(overload.Options{
-			Controller: overload.ControllerOptions{
-				ProbeInterval: 20 * time.Millisecond,
-				RecoverAfter:  2,
-				OnTransition:  edges.observe,
-			},
-		}))
+		WithOverload(overload.Options{OnTransition: edges.observe}))
 	health.SetReady()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

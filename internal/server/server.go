@@ -681,14 +681,13 @@ func WithSLO(h http.Handler) Option {
 	return func(s *Server) { s.slo = h }
 }
 
-// WithOverload enables the adaptive admission controller and degraded-mode
-// state machine (see internal/overload): every route is classified into an
-// endpoint family (uploads shed first, /v1/lookup protected longest),
-// concurrency limits adapt to measured latency, durability faults flip the
-// server read-only, and a background disk probe walks it back to healthy.
-// The zero Options value selects all defaults; a nil Controller.Probe is
-// wired to the store's durability probe. Start Overload().Controller().Run
-// to drive recovery probing.
+// WithOverload enables admission control and the durability state machine
+// (see internal/overload): every route is classified into an endpoint family
+// with its own fixed concurrency cap and short queue, durability faults flip
+// the server read-only, and a background disk probe walks it back to healthy.
+// The zero Options value selects all defaults; a nil Probe is wired to the
+// store's durability probe. Start Overload().Controller().Run to drive
+// recovery probing.
 func WithOverload(o overload.Options) Option {
 	return func(s *Server) { s.ovEnabled, s.ovOpts = true, o }
 }
@@ -772,11 +771,11 @@ func (s *Server) buildOverload() {
 	if o.Registry == nil && s.metrics != nil {
 		o.Registry = s.metrics.Registry()
 	}
-	if o.Controller.Probe == nil {
-		o.Controller.Probe = s.store.ProbeDurability
+	if o.Probe == nil {
+		o.Probe = s.store.ProbeDurability
 	}
-	user := o.Controller.OnTransition
-	o.Controller.OnTransition = func(from, to overload.Mode, reason string) {
+	user := o.OnTransition
+	o.OnTransition = func(from, to overload.Mode, reason string) {
 		s.health.SetMode(to.String())
 		s.log.Warn("overload mode transition",
 			"from", from.String(), "to", to.String(), "reason", reason)
@@ -803,9 +802,9 @@ func (s *Server) buildOverload() {
 
 func (s *Server) overloadVars() any {
 	mode, reason, since := s.ov.Controller().Status()
-	fams := map[string]overload.LimiterSnapshot{}
+	fams := map[string]overload.Load{}
 	for _, f := range []overload.Family{overload.FamilyLookup, overload.FamilyControl, overload.FamilyUpload} {
-		fams[f.String()] = s.ov.LimiterSnapshot(f)
+		fams[f.String()] = s.ov.Load(f)
 	}
 	return map[string]any{
 		"mode":     mode.String(),
@@ -819,16 +818,6 @@ func (s *Server) overloadVars() any {
 // given). The caller should start Overload().Controller().Run to drive
 // read-only recovery probing.
 func (s *Server) Overload() *overload.Admission { return s.ov }
-
-// uploadRetryHint estimates Retry-After for the one shed issued outside the
-// admission layer (duplicate in flight), from the upload family's backlog
-// when admission is enabled.
-func (s *Server) uploadRetryHint() time.Duration {
-	if s.ov == nil {
-		return api.MinRetryAfter
-	}
-	return s.ov.RetryHint(overload.FamilyUpload)
-}
 
 // ingest caps a write route's POST body.
 func (s *Server) ingest(maxBody int64, h http.HandlerFunc) http.HandlerFunc {
@@ -863,7 +852,7 @@ func (s *Server) dedupe(h http.HandlerFunc) http.HandlerFunc {
 				// A first delivery of this key is still executing; the
 				// duplicate cannot be answered yet, so push it to retry.
 				dspan.AddEvent("first delivery still in flight")
-				s.stack.Shed(w, errors.New("duplicate request still in flight"), s.uploadRetryHint())
+				s.stack.Shed(w, errors.New("duplicate request still in flight"), overload.ShedRetryAfter)
 				return
 			}
 			s.metrics.incDeduped()
