@@ -42,9 +42,7 @@ var censusAllow = map[string]string{
 	"internal/retry.WithBudget":                "the retry budget is off by default; the chaos e2e and doer tests run with it on",
 	"internal/server.WithRequestTimeout":       "the per-request deadline is off by default; TestRequestDeadlineAttached sets it",
 	// Twins ROADMAP already schedules for collapse.
-	"internal/cs.RecoverTheta":         "context-free twin of RecoverThetaContext (ROADMAP 8(c))",
-	"internal/server.Store.AddLabel":   "unkeyed twin of AddLabelKeyed (ROADMAP 1(c), frozen while bench/ is closed)",
-	"internal/server.Store.AddPattern": "unkeyed twin of AddPatternKeyed (ROADMAP 1(c))",
+	"internal/cs.RecoverTheta": "context-free twin of RecoverThetaContext (ROADMAP 8(c))",
 }
 
 // goFile is one parsed file: where it lives and what its imports are called.

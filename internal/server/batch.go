@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
 
 	"crowdwifi/internal/api"
 	"crowdwifi/internal/obs/trace"
@@ -194,11 +193,11 @@ func (s *Store) chunkBudget() int {
 	return defaultBatchChunkBytes
 }
 
-// addReports is the one report write path: check every item, encode the
-// accepted ones into report blocks of at most the chunk budget — all of it
-// before the lock is taken — then, chunk by chunk under the lock, append the
-// record and apply its entries. It returns one error slot per item, the
-// number of chunks logged, and the log's refusal if there was one.
+// addReports is the one report write path: check every item and encode the
+// accepted ones into report blocks of at most the chunk budget, all of it
+// before the lock is taken, then commit the blocks in order. It returns one
+// error slot per item, the number of chunks logged, and the log's refusal if
+// there was one.
 func (s *Store) addReports(ctx context.Context, items []BatchItem) (errs []error, logged int, fault error) {
 	errs = make([]error, len(items))
 	budget := s.chunkBudget()
@@ -220,7 +219,7 @@ func (s *Store) addReports(ctx context.Context, items []BatchItem) (errs []error
 			p.pending += reportEntrySize(it.Key, it.Report)
 		}
 	}
-	accepted := make([]int, 0, len(items))
+	accepted := make([]BatchItem, 0, len(items))
 	var entry []byte
 	for i, it := range items {
 		if errs[i] != nil {
@@ -234,34 +233,29 @@ func (s *Store) addReports(ctx context.Context, items []BatchItem) (errs []error
 			continue
 		}
 		p.add(entry)
-		accepted = append(accepted, i)
+		accepted = append(accepted, it)
 	}
 	p.flush()
-	if len(chunks) == 0 {
-		return errs, 0, nil // nothing to log: the lock is not taken
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.reports = slices.Grow(s.reports, len(accepted))
+	applied := 0
 	for _, c := range chunks {
-		in := accepted[:c.n]
-		accepted = accepted[c.n:]
-		if fault == nil {
-			// One faulted chunk fails every entry from here on: the log
-			// refused a write, so later chunks must not be attempted.
-			if fault = s.appendLocked(ctx, recReports, c.data); fault == nil {
-				logged++
-			}
+		rec := record{kind: recReports, data: c.data, reports: accepted[applied : applied+c.n]}
+		// One faulted chunk fails every entry from here on: the log refused
+		// a write, so later chunks must not be attempted.
+		if fault = s.commit(ctx, &rec); fault != nil {
+			break
 		}
-		for _, idx := range in {
-			if fault != nil {
-				errs[idx] = fault
-				continue
+		applied += c.n
+		logged++
+	}
+	if fault != nil {
+		n := 0
+		for i := range errs {
+			if errs[i] == nil {
+				if n >= applied {
+					errs[i] = fault
+				}
+				n++
 			}
-			s.reports = append(s.reports, items[idx].Report)
-			s.metrics.incReports()
-			s.completeIdemLocked(items[idx].Key, reportStored)
 		}
 	}
 	return errs, logged, fault

@@ -214,58 +214,59 @@ func replayDir(dir string, mergeRadius float64) (*Store, error) {
 	return s, nil
 }
 
-// applyMove applies a move block by block, each in one hold of mu. A move
+// applyMove commits a move block by block, each a record of its own. A move
 // that fails partway may be sent again whole: what landed is skipped by
 // position.
 func (s *Store) applyMove(ctx context.Context, stream []byte) (api.SliceStats, error) {
 	var stats api.SliceStats
 	blocks, err := decodeMove(stream)
 	for i := 0; i < len(blocks) && err == nil; i++ {
-		s.mu.Lock()
-		var st api.SliceStats
-		st, err = s.applyMoveLocked(ctx, &blocks[i])
-		s.mu.Unlock()
-		stats.Add(st)
+		rec := record{kind: recMove, data: blocks[i].data, move: &blocks[i]}
+		if err = s.commit(ctx, &rec); err == nil {
+			stats.Add(rec.moved)
+		}
 	}
 	return stats, err
 }
 
-// applyMoveLocked logs m as one record and applies the entries of it that lie
-// at or past its source's cursor; a block with no such entry changes and logs
-// nothing. Replay applies the record with it too: the log is not attached
-// yet then, so nothing is logged twice. Patterns must follow on from the
-// cursor without a gap, since labels name them by position; a gap in reports
-// or labels is entries the source dropped before moving them. Requires s.mu
-// held.
-func (s *Store) applyMoveLocked(ctx context.Context, m *moveBlock) (api.SliceStats, error) {
+// checkMoveLocked is a move block's check: it counts the entries of m that lie
+// at or past its source's cursor, which are what applying it adds, and counts
+// the rest as deduplicated. Patterns must follow on from the cursor without a
+// gap, since labels name them by position; a gap in reports or labels is
+// entries the source dropped before moving them. Requires s.mu held.
+func (s *Store) checkMoveLocked(m *moveBlock) (api.SliceStats, error) {
 	key := moveKey{m.source, m.segment}
 	cur := s.received[key]
 	if m.first[0] > len(cur.patterns) {
 		return api.SliceStats{}, fmt.Errorf("server: %v pattern %d follows %d applied", key, m.first[0], len(cur.patterns))
 	}
-	skip := func(applied, first, n int) int { return min(max(applied-first, 0), n) }
-	patterns := m.patterns[skip(len(cur.patterns), m.first[0], len(m.patterns)):]
-	reports := m.reports[skip(cur.reports, m.first[1], len(m.reports)):]
-	labels := m.labels[skip(cur.labels, m.first[2], len(m.labels)):]
+	fresh := func(applied, first, n int) int { return max(min(n, first+n-applied), 0) }
+	st := api.SliceStats{
+		Patterns: fresh(len(cur.patterns), m.first[0], len(m.patterns)),
+		Reports:  fresh(cur.reports, m.first[1], len(m.reports)),
+		Labels:   fresh(cur.labels, m.first[2], len(m.labels)),
+	}
 	known := max(len(cur.patterns), m.first[0]+len(m.patterns))
+	labels := m.labels[len(m.labels)-st.Labels:]
 	if i := slices.IndexFunc(labels, func(l Label) bool { return l.TaskID >= known }); i >= 0 {
 		return api.SliceStats{}, fmt.Errorf("server: %v label names pattern %d of %d", key, labels[i].TaskID, known)
 	}
-	stats := api.SliceStats{Patterns: len(patterns), Reports: len(reports), Labels: len(labels)}
-	stats.Deduped = len(m.patterns) + len(m.reports) + len(m.labels) - stats.Patterns - stats.Reports - stats.Labels
-	if stats.Patterns+stats.Reports+stats.Labels == 0 {
-		return stats, nil
-	}
-	if err := s.appendLocked(ctx, recMove, m.data); err != nil {
-		return api.SliceStats{}, err
-	}
-	for _, p := range patterns {
+	st.Deduped = len(m.patterns) + len(m.reports) + len(m.labels) - st.Patterns - st.Reports - st.Labels
+	return st, nil
+}
+
+// applyMoveLocked applies the entries of m its check counted in st, the last
+// of each kind, and moves the cursor past the block. Requires s.mu held.
+func (s *Store) applyMoveLocked(m *moveBlock, st api.SliceStats) {
+	key := moveKey{m.source, m.segment}
+	cur := s.received[key]
+	for _, p := range m.patterns[len(m.patterns)-st.Patterns:] {
 		p.ID = len(s.patterns)
 		s.patterns = append(s.patterns, p)
 		cur.patterns = append(cur.patterns, p.ID)
 	}
-	s.reports = append(s.reports, reports...)
-	for _, l := range labels {
+	s.reports = append(s.reports, m.reports[len(m.reports)-st.Reports:]...)
+	for _, l := range m.labels[len(m.labels)-st.Labels:] {
 		l.TaskID = cur.patterns[l.TaskID]
 		s.labels = append(s.labels, l)
 	}
@@ -275,7 +276,6 @@ func (s *Store) applyMoveLocked(ctx context.Context, m *moveBlock) (api.SliceSta
 		s.received = map[moveKey]moveCursor{}
 	}
 	s.received[key] = cur
-	return stats, nil
 }
 
 // handleClusterDigest serves GET /v1/cluster/digest.

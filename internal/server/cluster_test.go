@@ -106,8 +106,8 @@ func TestSegmentDigests(t *testing.T) {
 	if err := s.AddReport(Report{Vehicle: "v", Segment: "s1", APs: []APReport{{X: 50, Y: 1, Credit: 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	id := s.AddPattern("s2", []APReport{{X: 2, Y: 2}})
-	if err := s.AddLabel(Label{Vehicle: "v", TaskID: id, Value: 1}); err != nil {
+	id := addPattern(t, s, "s2", []APReport{{X: 2, Y: 2}})
+	if err := s.AddLabels([]Label{{Vehicle: "v", TaskID: id, Value: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.AggregateContext(ctx); err != nil {
@@ -137,8 +137,8 @@ func TestSliceApplyIsIdempotentAndRemapsPatternIDs(t *testing.T) {
 	if err := source.AddReport(Report{Vehicle: "v", Segment: "s1", APs: []APReport{{X: 1, Y: 1, Credit: 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	pid := source.AddPattern("s1", []APReport{{X: 2, Y: 2}})
-	if err := source.AddLabel(Label{Vehicle: "v", TaskID: pid, Value: 1}); err != nil {
+	pid := addPattern(t, source, "s1", []APReport{{X: 2, Y: 2}})
+	if err := source.AddLabels([]Label{{Vehicle: "v", TaskID: pid, Value: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	move := moveOf(t, source, "src", "s1")
@@ -146,7 +146,7 @@ func TestSliceApplyIsIdempotentAndRemapsPatternIDs(t *testing.T) {
 	// The receiver already has a pattern, so the incoming pattern cannot
 	// keep the source's id 0.
 	recvStore := NewStore(10)
-	recvStore.AddPattern("other", []APReport{{X: 9, Y: 9}})
+	addPattern(t, recvStore, "other", []APReport{{X: 9, Y: 9}})
 	recv := New(recvStore, WithCluster(ClusterOptions{Self: "dst", Members: []string{"dst"}}))
 	ts := httptest.NewServer(recv)
 	defer ts.Close()

@@ -14,6 +14,7 @@ package server
 //	move block     (recMove)          source str | segment str | first pattern,
 //	                                  report, label position u32 × 3 | pattern,
 //	                                  report, label block — a frame of a move
+//	drop record    (recDropBlock)     a block of segment str
 //	snapshot                          snapshotMagic, then wal frames of at most
 //	                                  snapshotFrameBytes, each one block of the
 //	                                  section its frame kind names
@@ -596,6 +597,13 @@ func decodeLabelsRecord(data []byte, str func([]byte) string) (key string, ls []
 	key = string(r.bytes())
 	ls = readBlock(&r, nil, 9, r.labelEntry)
 	return key, ls, r.end()
+}
+
+// decodeSegments decodes a recDropBlock payload.
+func decodeSegments(data []byte, str func([]byte) string) ([]string, error) {
+	r := reader{b: data, str: str}
+	segments := readBlock(&r, nil, 4, r.name)
+	return segments, r.end()
 }
 
 // decodeCycle decodes a recCycle payload.

@@ -14,12 +14,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"crowdwifi/internal/api"
+	"crowdwifi/internal/frame"
 	"crowdwifi/internal/geo"
 	"crowdwifi/internal/wal"
 )
@@ -57,7 +59,7 @@ func loadSized(tb testing.TB, store *Store, segs, perSeg int) {
 	}
 	var labels []Label
 	for s := 0; s < segs; s += 8 {
-		id := store.AddPattern(fmt.Sprintf("seg-%04d", s), []APReport{{X: float64(100 * s), Y: 50, Credit: 3}})
+		id := addPattern(tb, store, fmt.Sprintf("seg-%04d", s), []APReport{{X: float64(100 * s), Y: 50, Credit: 3}})
 		for v := 0; v < perSeg; v++ {
 			val := 1
 			if v == perSeg-1 && s%16 == 0 {
@@ -343,6 +345,74 @@ func TestReportPathsEncodeBeforeTheLock(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("%s waited for the store lock before its record was encoded", name)
 		}
+	}
+}
+
+// TestRefusedMutationLogsNothing: a mutation that commit refuses under mu —
+// by its check, or by the log for its size — and a move block that adds
+// nothing append no record and change nothing: not the log's last sequence,
+// not the counts, not the idempotency cache.
+func TestRefusedMutationLogsNothing(t *testing.T) {
+	ctx := context.Background()
+	move := moveOf(t, moveSource(t, 3), "src", "moved")
+	blocks, err := decodeMove(move)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gap := blocks[0] // from a source none of whose patterns landed yet
+	gap.source, gap.first[0] = "gap", 1
+	gapData, err := appendMoveBlock(nil, &gap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oversized := make([]APReport, wal.MaxRecordBytes/24+1)
+	longName := strings.Repeat("v", wal.MaxRecordBytes)
+	for _, c := range []struct {
+		name string
+		call func(s *Store) error
+		want func(error) bool
+	}{
+		{"label of no task", func(s *Store) error {
+			return s.AddLabelsKeyed(ctx, "k", []Label{{Vehicle: "v", TaskID: 0, Value: 1}, {Vehicle: "v", TaskID: 99, Value: 1}})
+		}, func(err error) bool { return err != nil && !errors.Is(err, ErrDurability) }},
+		{"move block with a pattern gap", func(s *Store) error {
+			_, err := s.applyMove(ctx, frame.Append(nil, recMove, gapData))
+			return err
+		}, func(err error) bool { return err != nil && !errors.Is(err, ErrDurability) }},
+		{"move block with nothing new", func(s *Store) error {
+			st, err := s.applyMove(ctx, move)
+			if err == nil && st.Deduped == 0 {
+				err = fmt.Errorf("nothing deduplicated: %+v", st)
+			}
+			return err
+		}, func(err error) bool { return err == nil }},
+		{"pattern over the record limit", func(s *Store) error {
+			_, err := s.AddPatternKeyed(ctx, "k", "s", oversized)
+			return err
+		}, func(err error) bool { return errors.Is(err, ErrRecordTooLarge) }},
+		{"labels over the record limit", func(s *Store) error {
+			return s.AddLabelsKeyed(ctx, "k", []Label{{Vehicle: longName, TaskID: 0, Value: 1}})
+		}, func(err error) bool { return errors.Is(err, ErrRecordTooLarge) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, _ := openDurable(t, t.TempDir())
+			defer s.Close()
+			addPattern(t, s, "s", nil)
+			if _, err := s.applyMove(ctx, move); err != nil {
+				t.Fatal(err)
+			}
+			state := func() string {
+				p, l, r := s.Counts()
+				return fmt.Sprintf("seq %d, counts (%d,%d,%d), idem %s", s.log.LastSeq(), p, l, r, mustJSON(t, s.idem.snapshot()))
+			}
+			before := state()
+			if err := c.call(s); !c.want(err) {
+				t.Fatalf("err = %v", err)
+			}
+			if after := state(); after != before {
+				t.Fatalf("a refused mutation changed the store\n got %s\nwant %s", after, before)
+			}
+		})
 	}
 }
 

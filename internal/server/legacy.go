@@ -1,18 +1,14 @@
 package server
 
 // What builds before the binary codec wrote and this build only reads: the
-// JSON pattern, labels, report, batch-chunk and cycle records (kinds 1, 2, 3,
-// 6 and 4) and the JSON snapshot. They are the only way into a data directory
+// JSON pattern, labels, report, cycle, drop and batch-chunk records (kinds 1
+// to 6) and the JSON snapshot. They are the only way into a data directory
 // such a build left behind; nothing here encodes, and nothing but the loader's
 // branches for those kinds and for a snapshot that opens with '{' calls in.
 
-import (
-	"encoding/json"
+import "encoding/json"
 
-	"crowdwifi/internal/wal"
-)
-
-// patternRecord is one AddPattern as kind 1 logged it.
+// patternRecord is one pattern as kind 1 logged it.
 type patternRecord struct {
 	ID      int        `json:"id"`
 	Segment string     `json:"segment"`
@@ -38,6 +34,11 @@ type batchRecord struct {
 	Reports []json.RawMessage `json:"reports"`
 }
 
+// dropRecord is one DropSegments as kind 5 logged it.
+type dropRecord struct {
+	Segments []string `json:"segments"`
+}
+
 // aggregateRecord is one cycle's outputs as kind 4 logged them.
 type aggregateRecord struct {
 	Fused       map[string][]LookupResult `json:"fused"`
@@ -52,49 +53,40 @@ func decodeLegacySnapshot(data []byte) (snapshotState, error) {
 	return state, err
 }
 
-// applyLegacyRecordLocked replays one record of kind 1, 2, 3, 4 or 6.
-// Requires s.mu held.
-func (s *Store) applyLegacyRecordLocked(rec wal.Record) error {
-	switch rec.Kind {
+// decodeLegacyRecord decodes a record of kind 1 to 6 into the value of the
+// kind this build writes in its place, so that replay checks and applies it
+// as it does that kind.
+func decodeLegacyRecord(kind byte, data []byte) (record, error) {
+	switch kind {
 	case recPattern:
 		var p patternRecord
-		if err := json.Unmarshal(rec.Data, &p); err != nil {
-			return err
-		}
-		return s.applyPatternLocked(p.IdemKey, Pattern{ID: p.ID, Segment: p.Segment, APs: p.APs})
+		err := json.Unmarshal(data, &p)
+		return record{kind: recPatternEntry, key: p.IdemKey, pattern: Pattern{ID: p.ID, Segment: p.Segment, APs: p.APs}}, err
 	case recLabels:
 		var lr labelsRecord
-		if err := json.Unmarshal(rec.Data, &lr); err != nil {
-			return err
-		}
-		s.labels = append(s.labels, lr.Labels...)
-		s.completeIdemLocked(lr.IdemKey, labelsResponse(len(lr.Labels)))
+		err := json.Unmarshal(data, &lr)
+		return record{kind: recLabelBlock, key: lr.IdemKey, labels: lr.Labels}, err
 	case recLegacyReport:
 		var rr reportRecord
-		if err := json.Unmarshal(rec.Data, &rr); err != nil {
-			return err
-		}
-		s.reports = append(s.reports, rr.Report)
-		s.completeIdemLocked(rr.IdemKey, reportStored)
+		err := json.Unmarshal(data, &rr)
+		return record{kind: recReports, reports: []BatchItem{{Key: rr.IdemKey, Report: rr.Report}}}, err
 	case recLegacyBatch:
 		var br batchRecord
-		if err := json.Unmarshal(rec.Data, &br); err != nil {
-			return err
-		}
-		for _, raw := range br.Reports {
+		err := json.Unmarshal(data, &br)
+		rec := record{kind: recReports, reports: make([]BatchItem, len(br.Reports))}
+		for i := 0; i < len(br.Reports) && err == nil; i++ {
 			var rr reportRecord
-			if err := json.Unmarshal(raw, &rr); err != nil {
-				return err
-			}
-			s.reports = append(s.reports, rr.Report)
-			s.completeIdemLocked(rr.IdemKey, reportStored)
+			err = json.Unmarshal(br.Reports[i], &rr)
+			rec.reports[i] = BatchItem{Key: rr.IdemKey, Report: rr.Report}
 		}
+		return rec, err
 	case recLegacyCycle:
 		var ar aggregateRecord
-		if err := json.Unmarshal(rec.Data, &ar); err != nil {
-			return err
-		}
-		s.view.Store(newView(ar.Fused, ar.Reliability))
+		err := json.Unmarshal(data, &ar)
+		return record{kind: recCycle, view: newView(ar.Fused, ar.Reliability)}, err
+	default: // recDrop
+		var dr dropRecord
+		err := json.Unmarshal(data, &dr)
+		return record{kind: recDropBlock, segments: dr.Segments}, err
 	}
-	return nil
 }

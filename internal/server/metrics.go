@@ -70,15 +70,15 @@ func (m *Metrics) incPatterns() {
 	}
 }
 
-func (m *Metrics) incLabels() {
+func (m *Metrics) addLabels(n int) {
 	if m != nil {
-		m.labels.Inc()
+		m.labels.Add(uint64(n))
 	}
 }
 
-func (m *Metrics) incReports() {
+func (m *Metrics) addReports(n int) {
 	if m != nil {
-		m.reports.Inc()
+		m.reports.Add(uint64(n))
 	}
 }
 

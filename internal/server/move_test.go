@@ -64,9 +64,9 @@ func moveSource(t testing.TB, n int) *Store {
 		t.Fatal(err)
 	}
 	for p := 0; p < 3; p++ {
-		id := s.AddPattern("moved", []APReport{{X: float64(10 * p), Y: 5, Credit: 2}})
+		id := addPattern(t, s, "moved", []APReport{{X: float64(10 * p), Y: 5, Credit: 2}})
 		for v := 0; v < 2; v++ {
-			if err := s.AddLabel(Label{Vehicle: fmt.Sprintf("v%d", v), TaskID: id, Value: 1 - 2*(p%2)}); err != nil {
+			if err := s.AddLabels([]Label{{Vehicle: fmt.Sprintf("v%d", v), TaskID: id, Value: 1 - 2*(p%2)}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -326,7 +326,7 @@ func TestSnapshotSectionsOfAStoreThatNeverMoved(t *testing.T) {
 	ctx := context.Background()
 	s, _ := openDurable(t, t.TempDir())
 	defer s.Close()
-	id := s.AddPattern("a", []APReport{{X: 1, Y: 1, Credit: 1}})
+	id := addPattern(t, s, "a", []APReport{{X: 1, Y: 1, Credit: 1}})
 	if err := s.AddLabelsKeyed(ctx, "l", []Label{{Vehicle: "v", TaskID: id, Value: 1}}); err != nil {
 		t.Fatal(err)
 	}

@@ -28,13 +28,13 @@ func fusionFixture(tb testing.TB, nSeg, nVeh int) *Store {
 			}
 		}
 	}
-	store.AddPattern("seg-000", []APReport{{X: 0, Y: 50, Credit: 3}})
+	addPattern(tb, store, "seg-000", []APReport{{X: 0, Y: 50, Credit: 3}})
 	for v := 0; v < nVeh; v++ {
 		val := 1
 		if v == nVeh-1 {
 			val = -1 // one dissenter keeps inference off the trivial fixed point
 		}
-		if err := store.AddLabel(Label{Vehicle: fmt.Sprintf("veh-%d", v), TaskID: 0, Value: val}); err != nil {
+		if err := store.AddLabels([]Label{{Vehicle: fmt.Sprintf("veh-%d", v), TaskID: 0, Value: val}}); err != nil {
 			tb.Fatal(err)
 		}
 	}

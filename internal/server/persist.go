@@ -10,7 +10,7 @@ package server
 
 import (
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
@@ -25,11 +25,10 @@ import (
 	"crowdwifi/internal/wal"
 )
 
-// WAL record kinds. Reports, cycle outputs, patterns, labels and moved blocks
-// are in the binary codec (codec.go); a drop is rare and stays JSON. Kinds 1,
-// 2, 3, 4 and 6 are the JSON pattern, labels, report, cycle and batch-chunk
-// records of builds before that codec: read so their data directories open
-// (legacy.go), never written.
+// WAL record kinds. Reports, cycle outputs, patterns, labels, moved blocks and
+// drops are in the binary codec (codec.go). Kinds 1 to 6 are the JSON pattern,
+// labels, report, cycle, drop and batch-chunk records of builds before that
+// codec: read so their data directories open (legacy.go), never written.
 const (
 	recPattern      byte = 1
 	recLabels       byte = 2
@@ -42,6 +41,7 @@ const (
 	recPatternEntry byte = 9
 	recLabelBlock   byte = 10
 	recMove         byte = 11
+	recDropBlock    byte = 12
 )
 
 // ErrDurability marks a mutation rejected because its write-ahead append
@@ -53,13 +53,6 @@ var ErrDurability = errors.New("server: durable append failed")
 // wal.MaxRecordBytes. Unlike ErrDurability this is the request's fault, not
 // the disk's: handlers map it to 413 and the store stays writable.
 var ErrRecordTooLarge = errors.New("server: record exceeds the WAL record size limit")
-
-// dropRecord logs one segment-ownership drop (DropSegments): the named
-// segments' reports and fused results were streamed to their new owner and
-// must not survive replay here.
-type dropRecord struct {
-	Segments []string `json:"segments"`
-}
 
 // snapshotState is the full Store serialization: everything recovery needs
 // to stand the server back up without the compacted log prefix. encodeSnapshot
@@ -232,7 +225,7 @@ func (s *Store) restoreSnapshot(state snapshotState) error {
 		}
 	}
 	for _, l := range state.Labels {
-		if l.TaskID < 0 || l.TaskID >= len(state.Patterns) || (l.Value != 1 && l.Value != -1) {
+		if !validLabel(l, len(state.Patterns)) {
 			return fmt.Errorf("%w: label %+v among %d patterns", errCodec, l, len(state.Patterns))
 		}
 	}
@@ -265,71 +258,158 @@ func newView(fused map[string][]LookupResult, reliability map[string]float64) *v
 	return &view{fused: fused, reliability: reliability}
 }
 
-// applyRecord replays one WAL record. Replay mirrors the original mutation
-// exactly — including the canonical response a keyed request was (or would
-// have been) acknowledged with, so retries of acknowledged-but-crashed
-// uploads dedupe instead of double-applying. str converts the names in a
-// binary record (nil copies).
-func (s *Store) applyRecord(rec wal.Record, str func([]byte) string) error {
+// record is one mutation: the kind whose check and apply it takes, its
+// encoded bytes, and the value they encode, which a live mutator already
+// holds and replay decodes. Only the fields of its kind are set; moved and
+// dropped are results.
+type record struct {
+	kind     byte
+	data     []byte
+	key      string      // a pattern's or a label block's idempotency key
+	pattern  Pattern     // recPatternEntry
+	labels   []Label     // recLabelBlock
+	reports  []BatchItem // recReports
+	move     *moveBlock  // recMove
+	segments []string    // recDropBlock
+	view     *view       // recCycle
+
+	moved   api.SliceStats // what a move block adds, as its check counts it
+	dropped int            // the reports a drop removed
+}
+
+// commit is the one write path. Under mu it checks rec against the store,
+// appends it to the log and applies it with the functions replay applies the
+// decoded record with, so the store is what its log says. A refused record,
+// or a move block that adds nothing, is neither logged nor applied. The
+// caller has validated and encoded rec before taking the lock; what commit
+// writes into the bytes is a pattern's id, its position. A failed append
+// mutates nothing.
+func (s *Store) commit(ctx context.Context, rec *record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if rec.kind == recPatternEntry {
+		rec.pattern.ID = len(s.patterns)
+		binary.LittleEndian.PutUint32(rec.data, uint32(rec.pattern.ID))
+	}
+	if adds, err := s.checkLocked(rec); !adds || err != nil {
+		return err
+	}
+	if s.log != nil {
+		if _, err := s.log.AppendContext(ctx, rec.kind, rec.data); err != nil {
+			if errors.Is(err, wal.ErrTooLarge) {
+				// The log refuses an oversized payload before touching the
+				// disk: a bad request, not a durability fault, and it must not
+				// flip the server read-only.
+				return fmt.Errorf("%w: %d-byte record", ErrRecordTooLarge, len(rec.data))
+			}
+			return fmt.Errorf("%w: %v", ErrDurability, err)
+		}
+	}
+	s.applyLocked(rec)
+	return nil
+}
+
+// applyRecord replays one WAL record: decoded, it goes through the check and
+// the apply its live mutation went through — including the canonical
+// response a keyed request was (or would have been) acknowledged with, so
+// retries of acknowledged-but-crashed uploads dedupe instead of
+// double-applying. str converts the names in a binary record (nil copies).
+func (s *Store) applyRecord(wr wal.Record, str func([]byte) string) error {
+	rec, err := decodeRecord(wr.Kind, wr.Data, str)
+	if err == nil {
+		s.mu.Lock()
+		var adds bool
+		if adds, err = s.checkLocked(&rec); adds && err == nil {
+			s.applyLocked(&rec)
+		}
+		s.mu.Unlock()
+	}
+	if err != nil {
+		return fmt.Errorf("server: record %d: %w", wr.Seq, err)
+	}
+	return nil
+}
+
+// decodeRecord decodes a logged record into the value its check and apply
+// take.
+func decodeRecord(kind byte, data []byte, str func([]byte) string) (record, error) {
+	rec := record{kind: kind, data: data}
 	var err error
-	switch rec.Kind {
+	switch kind {
 	case recPatternEntry:
-		var key string
-		var p Pattern
-		if key, p, err = decodePatternRecord(rec.Data, str); err != nil {
-			break
-		}
-		err = s.applyPatternLocked(key, p)
+		rec.key, rec.pattern, err = decodePatternRecord(data, str)
 	case recLabelBlock:
-		var key string
-		var ls []Label
-		if key, ls, err = decodeLabelsRecord(rec.Data, str); err != nil {
-			break
-		}
-		if i := slices.IndexFunc(ls, func(l Label) bool { return l.TaskID >= len(s.patterns) || (l.Value != 1 && l.Value != -1) }); i >= 0 {
-			err = fmt.Errorf("label %+v among %d patterns", ls[i], len(s.patterns))
-			break
-		}
-		s.labels = append(s.labels, ls...)
-		s.completeIdemLocked(key, labelsResponse(len(ls)))
+		rec.key, rec.labels, err = decodeLabelsRecord(data, str)
 	case recReports:
-		var items []BatchItem
-		if items, err = decodeReports(rec.Data, str); err != nil {
-			break
+		rec.reports, err = decodeReports(data, str)
+	case recMove:
+		rec.move = new(moveBlock)
+		*rec.move, err = decodeMoveBlock(data, str)
+	case recDropBlock:
+		rec.segments, err = decodeSegments(data, str)
+	case recCycle:
+		rec.view, err = decodeCycle(data, str)
+	case recPattern, recLabels, recLegacyReport, recLegacyCycle, recDrop, recLegacyBatch:
+		return decodeLegacyRecord(kind, data)
+	default:
+		err = fmt.Errorf("unknown kind %d", kind)
+	}
+	return rec, err
+}
+
+// checkLocked is a record's one check against the state it would apply to,
+// run by commit and by replay. It reports whether applying the record adds
+// anything: a move block whose entries all landed before adds nothing.
+// Requires s.mu held.
+func (s *Store) checkLocked(rec *record) (bool, error) {
+	switch rec.kind {
+	case recPatternEntry:
+		if rec.pattern.ID != len(s.patterns) {
+			return false, fmt.Errorf("pattern id %d does not follow %d stored patterns", rec.pattern.ID, len(s.patterns))
 		}
-		for _, it := range items {
+	case recLabelBlock:
+		if i := slices.IndexFunc(rec.labels, func(l Label) bool { return !validLabel(l, len(s.patterns)) }); i >= 0 {
+			return false, fmt.Errorf("server: label %+v is not a ±1 answer to one of %d tasks", rec.labels[i], len(s.patterns))
+		}
+	case recMove:
+		var err error
+		rec.moved, err = s.checkMoveLocked(rec.move)
+		return rec.moved.Patterns+rec.moved.Reports+rec.moved.Labels > 0, err
+	}
+	return true, nil
+}
+
+// validLabel reports whether l is a ±1 answer to one of n tasks.
+func validLabel(l Label, n int) bool {
+	return l.TaskID >= 0 && l.TaskID < n && (l.Value == 1 || l.Value == -1)
+}
+
+// applyLocked applies a record its check accepted; it cannot fail. Requires
+// s.mu held.
+func (s *Store) applyLocked(rec *record) {
+	switch rec.kind {
+	case recPatternEntry:
+		s.patterns = append(s.patterns, rec.pattern)
+		s.metrics.incPatterns()
+		s.completeIdemLocked(rec.key, patternResponse(rec.pattern.ID))
+	case recLabelBlock:
+		s.labels = append(s.labels, rec.labels...)
+		s.metrics.addLabels(len(rec.labels))
+		s.completeIdemLocked(rec.key, labelsResponse(len(rec.labels)))
+	case recReports:
+		s.reports = slices.Grow(s.reports, len(rec.reports))
+		for _, it := range rec.reports {
 			s.reports = append(s.reports, it.Report)
 			s.completeIdemLocked(it.Key, reportStored)
 		}
+		s.metrics.addReports(len(rec.reports))
 	case recMove:
-		var m moveBlock
-		if m, err = decodeMoveBlock(rec.Data, str); err != nil {
-			break
-		}
-		_, err = s.applyMoveLocked(context.Background(), &m)
+		s.applyMoveLocked(rec.move, rec.moved)
+	case recDropBlock:
+		rec.dropped = s.dropSegmentsLocked(rec.segments)
 	case recCycle:
-		var next *view
-		if next, err = decodeCycle(rec.Data, str); err != nil {
-			break
-		}
-		s.view.Store(next)
-	case recDrop:
-		var dr dropRecord
-		if err = json.Unmarshal(rec.Data, &dr); err != nil {
-			break
-		}
-		s.dropSegmentsLocked(dr.Segments)
-	case recPattern, recLabels, recLegacyReport, recLegacyCycle, recLegacyBatch:
-		err = s.applyLegacyRecordLocked(rec)
-	default:
-		err = fmt.Errorf("unknown kind %d", rec.Kind)
+		s.view.Store(rec.view)
 	}
-	if err != nil {
-		return fmt.Errorf("server: record %d: %w", rec.Seq, err)
-	}
-	return nil
 }
 
 // cannedResponse is the canonical acknowledgement for one mutation — the
@@ -352,38 +432,6 @@ func labelsResponse(n int) cannedResponse {
 }
 
 var reportStored = cannedResponse{http.StatusCreated, []byte(`{"status":"stored"}` + "\n")}
-
-// applyPatternLocked appends a pattern whose id must be its position, and
-// completes its key. Requires s.mu held. Shared by the live mutator and
-// replay.
-func (s *Store) applyPatternLocked(key string, p Pattern) error {
-	if p.ID != len(s.patterns) {
-		return fmt.Errorf("pattern id %d does not follow %d stored patterns", p.ID, len(s.patterns))
-	}
-	s.patterns = append(s.patterns, p)
-	s.completeIdemLocked(key, patternResponse(p.ID))
-	return nil
-}
-
-// appendLocked write-ahead-logs one encoded record. Requires s.mu held,
-// which serializes appends with the mutations they precede — a no-op without
-// an attached log. A failed append poisons nothing: the caller returns
-// before mutating.
-func (s *Store) appendLocked(ctx context.Context, kind byte, data []byte) error {
-	if s.log == nil {
-		return nil
-	}
-	if _, err := s.log.AppendContext(ctx, kind, data); err != nil {
-		if errors.Is(err, wal.ErrTooLarge) {
-			// The log rejects oversized payloads before touching the disk:
-			// this is a bad request, not a durability fault, and must not
-			// flip the server read-only.
-			return fmt.Errorf("%w: %d-byte record", ErrRecordTooLarge, len(data))
-		}
-		return fmt.Errorf("%w: %v", ErrDurability, err)
-	}
-	return nil
-}
 
 // completeIdemLocked installs a keyed request's canonical response in the
 // idempotency cache, atomically (under s.mu) with the mutation it
@@ -500,23 +548,19 @@ func (s *Store) DropSegments(ctx context.Context, segments []string) (int, error
 	// would publish their fused results back over the drop.
 	s.cycle.Lock()
 	defer s.cycle.Unlock()
-	data, _ := json.Marshal(dropRecord{Segments: segments}) // strings always marshal
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.appendLocked(ctx, recDrop, data); err != nil {
+	rec := record{kind: recDropBlock, data: appendBlock(nil, segments, appendStr), segments: segments}
+	if err := s.commit(ctx, &rec); err != nil {
 		span.SetError(err)
 		return 0, err
 	}
-	n := s.dropSegmentsLocked(segments)
-	span.SetAttr("dropped_reports", n)
-	return n, nil
+	span.SetAttr("dropped_reports", rec.dropped)
+	return rec.dropped, nil
 }
 
-// dropSegmentsLocked removes reports and fused entries for the named
-// segments, and counts the reports in s.dropped. Requires s.mu held. Shared
-// by the live mutator and WAL replay. Both survivors are built fresh: a
-// capture may still be reading the old reports array, and a published view
-// is never written.
+// dropSegmentsLocked is a drop's apply: it removes reports and fused entries
+// for the named segments, and counts the reports in s.dropped. Requires s.mu
+// held. Both survivors are built fresh: a capture may still be reading the
+// old reports array, and a published view is never written.
 func (s *Store) dropSegmentsLocked(segments []string) int {
 	set := make(map[string]bool, len(segments))
 	for _, seg := range segments {

@@ -50,7 +50,7 @@ func benchFill(tb testing.TB, store *Store) {
 		tb.Fatal(err)
 	}
 	for p := 0; p < benchPatterns; p++ {
-		store.AddPattern(fmt.Sprintf("seg-%05d", p), []APReport{{X: float64(400 * (p % 50)), Y: float64(100 * (p / 50)), Credit: 1}})
+		addPattern(tb, store, fmt.Sprintf("seg-%05d", p), []APReport{{X: float64(400 * (p % 50)), Y: float64(100 * (p / 50)), Credit: 1}})
 	}
 	labels := make([]Label, benchLabels)
 	for i := range labels {

@@ -397,7 +397,7 @@ func TestOpenStoreInMemoryWhenDirEmptyString(t *testing.T) {
 	if stats != (RecoveryStats{}) {
 		t.Fatalf("stats = %+v", stats)
 	}
-	if store.AddPattern("s", nil) != 0 {
+	if addPattern(t, store, "s", nil) != 0 {
 		t.Fatal("in-memory store broken")
 	}
 	if err := store.Close(); err != nil {

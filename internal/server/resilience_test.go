@@ -208,7 +208,7 @@ func TestTasksCountCapped(t *testing.T) {
 
 func TestLabelsBatchAtomic(t *testing.T) {
 	store, ts := newTestServer(t)
-	store.AddPattern("seg", nil)
+	addPattern(t, store, "seg", nil)
 
 	// One valid label followed by one unknown task: nothing may be applied.
 	batch := []Label{

@@ -8,7 +8,6 @@ package server
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -78,22 +77,24 @@ func SLOObjectives(reg *obs.Registry) []slo.Objective {
 
 // Store is the crowd-server's state. All methods are safe for concurrent use.
 //
-// One lock discipline. mu guards appends to the evidence — patterns, labels
-// and reports, each append-only — together with the WAL append that precedes
-// each; it is never held across inference, fusion, a sort, or a marshal of
-// anything that grows with history. A pass over the whole history takes a
-// capture (an O(1) hold) and works on the captured prefixes, which later
-// appends cannot disturb. The derived state lives in one view that is never
-// written after it is published: Lookup and Reliability load the pointer and
-// take no lock. cycle is held by an aggregation cycle and by DropSegments for
-// their whole run and by nothing else, so a drop is not undone by a cycle
-// that captured the dropped reports, and views are published in the order
-// their records were logged. A view is published only once its record is in
-// the log (append, then publish, in one hold of mu): a failed cycle leaves
-// live answers exactly where recovery would put them, and a snapshot never
-// pairs a sequence with a view from the other side of it. DropSegments alone
-// filters history under mu — a rebalance step, too rare to earn a two-phase
-// filter.
+// One write path. Every mutation — a pattern, a label block, a report block,
+// a move block, a drop, a cycle's view — is a log record: its mutator
+// validates and encodes it off the lock, and commit (persist.go) checks it
+// against the state, appends it and applies it in one hold of mu, with the
+// same check and apply that replay runs on the decoded record. The store is
+// what its log says by construction, and a record refused or not appended
+// changes nothing. mu is never held across inference, fusion, a sort, or an
+// encode of anything that grows with history. A pass over the whole history
+// takes a capture (an O(1) hold) and works on the captured prefixes, which
+// later appends cannot disturb. The derived state lives in one view that is
+// never written after it is published: Lookup and Reliability load the
+// pointer and take no lock. cycle is held by an aggregation cycle and by
+// DropSegments for their whole run and by nothing else, so a drop is not
+// undone by a cycle that captured the dropped reports, and views are
+// published in the order their records were logged; since a view is
+// published by its commit, a failed cycle leaves live answers exactly where
+// recovery would put them. A drop's apply alone filters history under mu — a
+// rebalance step, too rare to earn a two-phase filter.
 type Store struct {
 	mu       sync.Mutex
 	patterns []Pattern
@@ -185,39 +186,27 @@ func (s *Store) Instrument(m *Metrics) {
 	s.metrics = m
 }
 
-// AddPattern registers a mapping task and returns its id.
-func (s *Store) AddPattern(segment string, aps []APReport) int {
-	id, _ := s.AddPatternKeyed(context.Background(), "", segment, aps)
-	return id
-}
-
-// AddPatternKeyed is AddPattern with write-ahead durability semantics: the
-// typed record (carrying the request's idempotency key, if any) is appended
-// and synced per policy before the state mutates, and the canonical response
-// is installed in the idempotency cache atomically with the mutation. An
-// error is ErrDurability, ErrRecordTooLarge, or a pattern that is refused
-// (non-finite coordinates). A traced ctx nests the mutation (and its WAL
-// append/fsync) under the request's span.
+// AddPatternKeyed registers a mapping task and returns its id, with
+// write-ahead durability semantics: the typed record (carrying the request's
+// idempotency key, if any) is appended and synced per policy before the state
+// mutates, and the canonical response is installed in the idempotency cache
+// atomically with the mutation. An error is ErrDurability, ErrRecordTooLarge,
+// or a pattern that is refused (non-finite coordinates). A traced ctx nests
+// the mutation (and its WAL append/fsync) under the request's span.
 func (s *Store) AddPatternKeyed(ctx context.Context, idemKey, segment string, aps []APReport) (int, error) {
 	if err := checkAPs(aps); err != nil {
 		return 0, err
 	}
 	ctx, span := trace.StartChild(ctx, "store.add_pattern")
 	defer span.End()
-	p := Pattern{Segment: segment, APs: aps}
-	data := appendPatternRecord(nil, 0, idemKey, p)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p.ID = len(s.patterns)
-	binary.LittleEndian.PutUint32(data, uint32(p.ID))
-	if err := s.appendLocked(ctx, recPatternEntry, data); err != nil {
+	rec := record{kind: recPatternEntry, key: idemKey, pattern: Pattern{Segment: segment, APs: aps}}
+	rec.data = appendPatternRecord(nil, 0, idemKey, rec.pattern)
+	if err := s.commit(ctx, &rec); err != nil {
 		span.SetError(err)
 		return 0, err
 	}
-	_ = s.applyPatternLocked(idemKey, p) // p.ID is the next position
-	s.metrics.incPatterns()
-	span.SetAttr("pattern_id", p.ID)
-	return p.ID, nil
+	span.SetAttr("pattern_id", rec.pattern.ID)
+	return rec.pattern.ID, nil
 }
 
 // Patterns returns the mapping tasks, optionally filtered by segment. The
@@ -232,49 +221,23 @@ func (s *Store) Patterns(segment string) []Pattern {
 	return out
 }
 
-// AddLabel records an answer. The task must exist and the value must be ±1.
-func (s *Store) AddLabel(l Label) error {
-	return s.AddLabelsKeyed(context.Background(), "", []Label{l})
-}
-
-// AddLabels records a batch of answers atomically: the whole batch is
-// validated first, so a rejected batch leaves no partial state behind and a
-// client retry of the fixed batch cannot double-apply a prefix.
+// AddLabels records a batch of answers atomically: each must be ±1 and name
+// a task that exists, or none is recorded, so a client retry of the fixed
+// batch cannot double-apply a prefix.
 func (s *Store) AddLabels(ls []Label) error {
 	return s.AddLabelsKeyed(context.Background(), "", ls)
 }
 
 // AddLabelsKeyed is AddLabels with write-ahead durability semantics (see
-// AddPatternKeyed). Validation errors never touch the log.
+// AddPatternKeyed). A refused batch never touches the log.
 func (s *Store) AddLabelsKeyed(ctx context.Context, idemKey string, ls []Label) error {
-	for _, l := range ls {
-		if l.Value != 1 && l.Value != -1 {
-			return errors.New("server: label value must be ±1")
-		}
-	}
 	ctx, span := trace.StartChild(ctx, "store.add_labels")
 	defer span.End()
 	span.SetAttr("labels", len(ls))
-	data := appendLabelsRecord(nil, idemKey, ls)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, l := range ls {
-		if l.TaskID < 0 || l.TaskID >= len(s.patterns) {
-			err := fmt.Errorf("server: unknown task %d", l.TaskID)
-			span.SetError(err)
-			return err
-		}
-	}
-	if err := s.appendLocked(ctx, recLabelBlock, data); err != nil {
-		span.SetError(err)
-		return err
-	}
-	for _, l := range ls {
-		s.labels = append(s.labels, l)
-		s.metrics.incLabels()
-	}
-	s.completeIdemLocked(idemKey, labelsResponse(len(ls)))
-	return nil
+	rec := record{kind: recLabelBlock, data: appendLabelsRecord(nil, idemKey, ls), key: idemKey, labels: ls}
+	err := s.commit(ctx, &rec)
+	span.SetError(err)
+	return err
 }
 
 // AddReport stores a vehicle's AP report.
@@ -494,19 +457,13 @@ func (s *Store) aggregate(ctx context.Context) (CycleStats, error) {
 // them the live view. The record says what the cycle produced, not what it
 // read, so replay is exact whatever was appended while the cycle ran.
 func (s *Store) publish(ctx context.Context, log *wal.Log, next *view) error {
-	var data []byte
+	rec := record{kind: recCycle, view: next}
 	if log != nil {
-		if data = encodeCycle(next); 1+len(data) > wal.MaxRecordBytes {
-			return fmt.Errorf("%w: %d-byte cycle record", ErrRecordTooLarge, len(data))
+		if rec.data = encodeCycle(next); 1+len(rec.data) > wal.MaxRecordBytes {
+			return fmt.Errorf("%w: %d-byte cycle record", ErrRecordTooLarge, len(rec.data))
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.appendLocked(ctx, recCycle, data); err != nil {
-		return err
-	}
-	s.view.Store(next)
-	return nil
+	return s.commit(ctx, &rec)
 }
 
 // inferReliability runs iterative inference over the captured labels and

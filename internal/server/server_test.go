@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -18,6 +19,16 @@ func newTestServer(t *testing.T) (*Store, *httptest.Server) {
 	ts := httptest.NewServer(New(store))
 	t.Cleanup(ts.Close)
 	return store, ts
+}
+
+// addPattern registers an unkeyed pattern and returns its id.
+func addPattern(tb testing.TB, s *Store, segment string, aps []APReport) int {
+	tb.Helper()
+	id, err := s.AddPatternKeyed(context.Background(), "", segment, aps)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return id
 }
 
 func postJSON(t *testing.T, url string, body any) *http.Response {
@@ -90,11 +101,11 @@ func TestPatternRequiresSegment(t *testing.T) {
 func TestTaskAssignmentBalances(t *testing.T) {
 	store, ts := newTestServer(t)
 	for i := 0; i < 4; i++ {
-		store.AddPattern("s", []APReport{{X: float64(i)}})
+		addPattern(t, store, "s", []APReport{{X: float64(i)}})
 	}
 	// v1 labels tasks 0 and 1 heavily.
 	for _, id := range []int{0, 1} {
-		if err := store.AddLabel(Label{Vehicle: "other", TaskID: id, Value: 1}); err != nil {
+		if err := store.AddLabels([]Label{{Vehicle: "other", TaskID: id, Value: 1}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -111,9 +122,9 @@ func TestTaskAssignmentBalances(t *testing.T) {
 
 func TestTaskAssignmentSkipsAnswered(t *testing.T) {
 	store, _ := newTestServer(t)
-	store.AddPattern("s", nil)
-	store.AddPattern("s", nil)
-	if err := store.AddLabel(Label{Vehicle: "v1", TaskID: 0, Value: 1}); err != nil {
+	addPattern(t, store, "s", nil)
+	addPattern(t, store, "s", nil)
+	if err := store.AddLabels([]Label{{Vehicle: "v1", TaskID: 0, Value: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	tasks := store.AssignTasks("v1", 5)
@@ -136,7 +147,7 @@ func TestTasksRequiresVehicle(t *testing.T) {
 
 func TestLabelValidation(t *testing.T) {
 	store, ts := newTestServer(t)
-	store.AddPattern("s", nil)
+	addPattern(t, store, "s", nil)
 	resp := postJSON(t, ts.URL+"/v1/labels", []Label{{Vehicle: "v", TaskID: 0, Value: 2}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad value accepted: %d", resp.StatusCode)
@@ -217,12 +228,12 @@ func TestReliabilityInference(t *testing.T) {
 	// 12 tasks; "good" agrees with two honest peers, "spam" answers
 	// randomly-ish (alternating).
 	for i := 0; i < 12; i++ {
-		store.AddPattern("s", nil)
+		addPattern(t, store, "s", nil)
 	}
 	truth := []int{1, -1, 1, 1, -1, 1, -1, -1, 1, -1, 1, 1}
 	for i, z := range truth {
 		for _, v := range []string{"good1", "good2", "good3"} {
-			if err := store.AddLabel(Label{Vehicle: v, TaskID: i, Value: z}); err != nil {
+			if err := store.AddLabels([]Label{{Vehicle: v, TaskID: i, Value: z}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -230,7 +241,7 @@ func TestReliabilityInference(t *testing.T) {
 		if i%2 == 0 {
 			spam = -1
 		}
-		if err := store.AddLabel(Label{Vehicle: "spam", TaskID: i, Value: spam}); err != nil {
+		if err := store.AddLabels([]Label{{Vehicle: "spam", TaskID: i, Value: spam}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -248,13 +259,13 @@ func TestAggregateWeighsSpammersDown(t *testing.T) {
 	store, _ := newTestServer(t)
 	// Reliability priors via labels: good vehicles agree, spammer disagrees.
 	for i := 0; i < 10; i++ {
-		store.AddPattern("s", nil)
+		addPattern(t, store, "s", nil)
 		for _, v := range []string{"g1", "g2", "g3"} {
-			if err := store.AddLabel(Label{Vehicle: v, TaskID: i, Value: 1}); err != nil {
+			if err := store.AddLabels([]Label{{Vehicle: v, TaskID: i, Value: 1}}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := store.AddLabel(Label{Vehicle: "spam", TaskID: i, Value: -1}); err != nil {
+		if err := store.AddLabels([]Label{{Vehicle: "spam", TaskID: i, Value: -1}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -306,7 +317,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 	// in CI via `go test -race`).
 	store := NewStore(10)
 	for i := 0; i < 5; i++ {
-		store.AddPattern("s", nil)
+		addPattern(t, store, "s", nil)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -317,7 +328,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				_ = store.AddReport(Report{Vehicle: id, Segment: "s",
 					APs: []APReport{{X: float64(i), Y: float64(g)}}})
-				_ = store.AddLabel(Label{Vehicle: id, TaskID: i % 5, Value: 1})
+				_ = store.AddLabels([]Label{{Vehicle: id, TaskID: i % 5, Value: 1}})
 				store.AssignTasks(id, 3)
 				store.Reliability()
 				if i%10 == 0 {
