@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"crowdwifi/internal/api"
+	"crowdwifi/internal/wal"
 )
 
 func batchReport(i int) Report {
@@ -278,6 +280,76 @@ func TestBatchChunkedAppendRecovers(t *testing.T) {
 	}
 	if len(reopened.reports) != n {
 		t.Fatalf("reports after replay = %d, want %d", len(reopened.reports), n)
+	}
+}
+
+// writesLeft is a filesystem whose writes fail once n of them went through.
+type writesLeft struct {
+	wal.OSFS
+	n *int
+}
+
+func (fs writesLeft) Create(path string) (wal.File, error) {
+	f, err := fs.OSFS.Create(path)
+	return countedFile{f, fs.n}, err
+}
+
+func (fs writesLeft) OpenAppend(path string) (wal.File, error) {
+	f, err := fs.OSFS.OpenAppend(path)
+	return countedFile{f, fs.n}, err
+}
+
+type countedFile struct {
+	wal.File
+	n *int
+}
+
+func (f countedFile) Write(p []byte) (int, error) {
+	if *f.n == 0 {
+		return 0, errors.New("injected write failure")
+	}
+	*f.n--
+	return f.File.Write(p)
+}
+
+// TestBatchFaultInALaterChunkFailsTheRest: when the log refuses a chunk of
+// a batch, the chunks before it stay stored and acknowledged, and that chunk
+// and every later one fail as a durability fault, entry by entry, however
+// the entries the store refused itself fall between them.
+func TestBatchFaultInALaterChunkFailsTheRest(t *testing.T) {
+	writes := -1 // no limit while the log is opened
+	store, _, err := OpenStore(10, StorageOptions{Dir: t.TempDir(), FS: writesLeft{n: &writes}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	store.batchChunk = 2*reportEntrySize("ck-0", batchReport(0)) + 8 // two entries a chunk
+	items := make([]BatchItem, 9)
+	for i := range items {
+		items[i] = BatchItem{Key: fmt.Sprintf("ck-%d", i), Report: batchReport(i)}
+	}
+	items[1].Report.Vehicle = "" // refused before anything is logged
+	items[6].Report.Vehicle = ""
+	writes = 2 // the chunks of items 0 and 2, and of 3 and 4
+	errs := store.AddReportBatch(context.Background(), items)
+	for i, err := range errs {
+		switch {
+		case i == 1 || i == 6:
+			if err == nil || errors.Is(err, ErrDurability) {
+				t.Errorf("entry %d: %v, want its own refusal", i, err)
+			}
+		case i < 5:
+			if err != nil {
+				t.Errorf("entry %d: %v, want stored", i, err)
+			}
+		default:
+			if !errors.Is(err, ErrDurability) {
+				t.Errorf("entry %d: %v, want a durability fault", i, err)
+			}
+		}
+	}
+	if _, _, n := store.Counts(); n != 4 {
+		t.Fatalf("stored %d reports, want the 4 of the chunks logged", n)
 	}
 }
 
