@@ -88,6 +88,32 @@ func WriteError(w http.ResponseWriter, status int, err error) {
 	WriteJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// ReadBody reads a request body whole, at most limit bytes, in one
+// allocation sized from its declared Content-Length. The declaration is
+// trusted only up to the limit: a declared length over it fails at once, with
+// nothing read or allocated, as an *http.MaxBytesError. A body that ends
+// before its declared length fails with io.ErrUnexpectedEOF; one of unknown
+// length is read as it arrives. WriteBodyError maps each failure to its
+// answer.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	n := r.ContentLength
+	if n > limit {
+		return nil, &http.MaxBytesError{Limit: limit}
+	}
+	body := http.MaxBytesReader(w, r.Body, limit)
+	if n <= 0 {
+		return io.ReadAll(body)
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(body, buf); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	return buf, nil
+}
+
 // WriteBodyError answers a failed request-body read or decode: 413 naming
 // the limit when an http.MaxBytesReader cap was hit, 400 otherwise. It
 // reports whether the cap was the cause.

@@ -2,10 +2,13 @@ package api
 
 import (
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -135,5 +138,53 @@ func TestWriteBodyError(t *testing.T) {
 	}
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("syntax error: status %d", rec.Code)
+	}
+}
+
+// TestReadBodyTrustsTheDeclarationOnlyToTheLimit: a body is read in one
+// allocation sized from its Content-Length, and no declaration costs more
+// than the limit it is read under.
+func TestReadBodyTrustsTheDeclarationOnlyToTheLimit(t *testing.T) {
+	const limit = DefaultBatchMaxBodyBytes
+	read := func(declared int64, body string) ([]byte, uint64, error) {
+		r := httptest.NewRequest(http.MethodPost, "/", strings.NewReader(body))
+		r.ContentLength = declared
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := ReadBody(httptest.NewRecorder(), r, limit)
+		runtime.ReadMemStats(&after)
+		return got, after.TotalAlloc - before.TotalAlloc, err
+	}
+
+	got, _, err := read(5, "hello")
+	if err != nil || string(got) != "hello" || cap(got) != 5 {
+		t.Fatalf("exact body: %q (cap %d), %v; want \"hello\" in a 5-byte allocation", got, cap(got), err)
+	}
+	if got, _, err = read(-1, "chunked"); err != nil || string(got) != "chunked" {
+		t.Fatalf("unknown length: %q, %v", got, err)
+	}
+
+	for _, declared := range []int64{limit + 1, 1 << 30} {
+		_, alloc, err := read(declared, "short")
+		var tooLarge *http.MaxBytesError
+		if !errors.As(err, &tooLarge) || tooLarge.Limit != limit {
+			t.Errorf("declared %d over the limit: %v, want an *http.MaxBytesError at %d", declared, err, limit)
+		}
+		if alloc >= 2*limit {
+			t.Errorf("declared %d: allocated %d, want < %d", declared, alloc, 2*limit)
+		}
+	}
+	_, alloc, err := read(limit, "short")
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("body shorter than declared: %v, want io.ErrUnexpectedEOF", err)
+	}
+	if alloc >= 2*limit {
+		t.Errorf("declared %d: allocated %d, want < %d", int64(limit), alloc, 2*limit)
+	}
+	if _, _, err = read(10, ""); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("empty body declared 10 bytes: %v, want io.ErrUnexpectedEOF", err)
+	}
+	if _, _, err = read(-1, strings.Repeat("x", limit+1)); !errors.As(err, new(*http.MaxBytesError)) {
+		t.Errorf("unknown length over the limit: %v, want an *http.MaxBytesError", err)
 	}
 }

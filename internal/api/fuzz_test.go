@@ -71,14 +71,35 @@ func seedFrames(f *testing.F) {
 	}
 }
 
+// FuzzSplitReportFrames also holds ScanReportFrames, the relay's scan, to
+// the full decode: both accept a body or both reject it, and on accepting
+// they name the same keys, segments and frame bytes.
 func FuzzSplitReportFrames(f *testing.F) {
 	seedFrames(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var frames []ReportFrame
-		var err error
+		var frames, scanned []ReportFrame
+		var err, scanErr error
 		decodeBounded(t, len(body), func() { frames, err = SplitReportFrames(body) })
+		decodeBounded(t, len(body), func() {
+			scanErr = ScanReportFrames(body, func(key, segment, raw []byte) {
+				scanned = append(scanned, ReportFrame{Key: string(key), Report: Report{Segment: string(segment)}, Raw: raw})
+			})
+		})
+		if (err == nil) != (scanErr == nil) {
+			t.Fatalf("SplitReportFrames: %v; ScanReportFrames: %v", err, scanErr)
+		}
 		if err != nil {
 			return
+		}
+		if len(scanned) != len(frames) {
+			t.Fatalf("scan found %d frames, split %d", len(scanned), len(frames))
+		}
+		for i, fr := range frames {
+			sc := scanned[i]
+			if sc.Key != fr.Key || sc.Report.Segment != fr.Report.Segment || !bytes.Equal(sc.Raw, fr.Raw) {
+				t.Fatalf("frame %d: scan (%q, %q, %x), split (%q, %q, %x)",
+					i, sc.Key, sc.Report.Segment, sc.Raw, fr.Key, fr.Report.Segment, fr.Raw)
+			}
 		}
 		var raw, again []byte
 		for _, fr := range frames {

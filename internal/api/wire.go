@@ -158,21 +158,11 @@ func ReadReportPayload(b []byte, str func([]byte) string) (key string, rep Repor
 	if str == nil {
 		str = func(b []byte) string { return string(b) }
 	}
-	for _, field := range []*string{&key, &rep.Vehicle, &rep.Segment} {
-		var raw []byte
-		if raw, b, err = readWireBytes(b); err != nil {
-			return "", Report{}, nil, err
-		}
-		*field = str(raw)
+	k, vehicle, segment, n, b, err := readReportHead(b)
+	if err != nil {
+		return "", Report{}, nil, err
 	}
-	if len(b) < 4 {
-		return "", Report{}, nil, fmt.Errorf("%w: truncated AP count", ErrWireFrame)
-	}
-	n := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	if n > len(b)/24 {
-		return "", Report{}, nil, fmt.Errorf("%w: %d APs need %d payload bytes, have %d", ErrWireFrame, n, 24*n, len(b))
-	}
+	key, rep.Vehicle, rep.Segment = str(k), str(vehicle), str(segment)
 	if n > 0 {
 		rep.APs = make([]APReport, n)
 		for i := range rep.APs {
@@ -182,6 +172,26 @@ func ReadReportPayload(b []byte, str func([]byte) string) (key string, rep Repor
 		}
 	}
 	return key, rep, b, nil
+}
+
+// readReportHead parses a report payload up to its APs: the three strings,
+// aliasing b, and the AP count, checked against the bytes present. rest
+// starts at the first AP.
+func readReportHead(b []byte) (key, vehicle, segment []byte, n int, rest []byte, err error) {
+	for _, field := range []*[]byte{&key, &vehicle, &segment} {
+		if *field, b, err = readWireBytes(b); err != nil {
+			return nil, nil, nil, 0, nil, err
+		}
+	}
+	if len(b) < 4 {
+		return nil, nil, nil, 0, nil, fmt.Errorf("%w: truncated AP count", ErrWireFrame)
+	}
+	n = int(binary.LittleEndian.Uint32(b))
+	b = b[4:]
+	if n > len(b)/24 {
+		return nil, nil, nil, 0, nil, fmt.Errorf("%w: %d APs need %d payload bytes, have %d", ErrWireFrame, n, 24*n, len(b))
+	}
+	return key, vehicle, segment, n, b, nil
 }
 
 // ReportFrame is one decoded report frame plus its exact encoded bytes, so
@@ -198,14 +208,7 @@ type ReportFrame struct {
 // of any other kind are rejected with ErrWireFrame.
 func SplitReportFrames(body []byte) ([]ReportFrame, error) {
 	var frames []ReportFrame
-	off := 0
-	valid, _, err := frame.Walk(body, func(_ int, kind byte, data []byte) error {
-		end := off + int(frame.Size(len(data)))
-		raw := body[off:end]
-		off = end
-		if kind != wireReport {
-			return fmt.Errorf("%w: unexpected frame kind 0x%02x", ErrWireFrame, kind)
-		}
+	err := walkReportFrames(body, func(data, raw []byte) error {
 		key, rep, rest, err := ReadReportPayload(data, nil)
 		if err != nil {
 			return err
@@ -219,10 +222,49 @@ func SplitReportFrames(body []byte) ([]ReportFrame, error) {
 	if err != nil {
 		return nil, err
 	}
-	if valid != int64(len(body)) {
-		return nil, fmt.Errorf("%w: %d trailing bytes do not frame", ErrWireFrame, int64(len(body))-valid)
-	}
 	return frames, nil
+}
+
+// ScanReportFrames checks a binary upload body exactly as SplitReportFrames
+// does and calls fn with each frame's key, segment and exact bytes, in body
+// order, decoding nothing else: what a relay routing by segment needs, at no
+// allocation. key, segment and raw alias body. On an error, what fn was
+// given is not an accepted body's frames and must be dropped.
+func ScanReportFrames(body []byte, fn func(key, segment, raw []byte)) error {
+	return walkReportFrames(body, func(data, raw []byte) error {
+		key, _, segment, n, rest, err := readReportHead(data)
+		if err != nil {
+			return err
+		}
+		if len(rest) != 24*n {
+			return fmt.Errorf("%w: %d bytes after the report's last AP", ErrWireFrame, len(rest)-24*n)
+		}
+		fn(key, segment, raw)
+		return nil
+	})
+}
+
+// walkReportFrames calls fn with each frame's data and exact bytes, and
+// rejects a body with a damaged frame, a frame of another kind or trailing
+// bytes.
+func walkReportFrames(body []byte, fn func(data, raw []byte) error) error {
+	off := 0
+	valid, _, err := frame.Walk(body, func(_ int, kind byte, data []byte) error {
+		end := off + int(frame.Size(len(data)))
+		raw := body[off:end]
+		off = end
+		if kind != wireReport {
+			return fmt.Errorf("%w: unexpected frame kind 0x%02x", ErrWireFrame, kind)
+		}
+		return fn(data, raw)
+	})
+	if err != nil {
+		return err
+	}
+	if valid != int64(len(body)) {
+		return fmt.Errorf("%w: %d trailing bytes do not frame", ErrWireFrame, int64(len(body))-valid)
+	}
+	return nil
 }
 
 // EncodeLookupFrame encodes a lookup answer as a single frame.
@@ -263,7 +305,11 @@ func DecodeLookupFrame(body []byte) ([]LookupResult, error) {
 
 // EncodeBatchStatusFrame encodes a batch status vector as a single frame.
 func EncodeBatchStatusFrame(results []BatchEntryStatus) ([]byte, error) {
-	payload := binary.LittleEndian.AppendUint32(nil, uint32(len(results)))
+	size := 4
+	for _, st := range results {
+		size += 8 + len(st.Key) + len(st.Error) + len(st.Owner)
+	}
+	payload := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(len(results)))
 	var err error
 	for _, st := range results {
 		payload = binary.LittleEndian.AppendUint16(payload, uint16(st.Status))

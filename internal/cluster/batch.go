@@ -13,23 +13,24 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
+	"math"
 	"net/http"
 	"sync"
 
 	"crowdwifi/internal/api"
+	"crowdwifi/internal/cluster/ring"
 	"crowdwifi/internal/obs/trace"
 )
 
-// batchEntry is one client batch entry in router-internal form: its
-// position in the client's request, its routing segment, and the bytes to
-// forward — the original frame verbatim for binary input (so re-routes stay
-// bit-identical), or the decoded entry for JSON input.
+// batchEntry is one client batch entry in router-internal form: its key and
+// the bytes to forward — the original frame verbatim for binary input (so
+// re-routes stay bit-identical), or the decoded entry for JSON input — or
+// the reason it is answered without being forwarded.
 type batchEntry struct {
 	key     string
-	segment string
-	raw     []byte         // binary input: the entry's frame, verbatim
-	entry   api.BatchEntry // JSON input: the decoded entry
+	raw     []byte          // binary input: the entry's frame, verbatim
+	entry   *api.BatchEntry // JSON input: the decoded entry
+	refused error           // JSON input: a key no frame can carry
 }
 
 // handleBatch serves POST /v1/reports/batch: decode (either codec), split
@@ -41,31 +42,29 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.batchMaxBody))
+	body, err := api.ReadBody(w, r, rt.batchMaxBody)
 	if err != nil {
 		api.WriteBodyError(w, err)
 		return
 	}
+	// First pass: split by ring ownership. Groups write disjoint slices of
+	// out, so no lock is needed around the merge.
+	rg := rt.ring.Load()
 	binary := api.IsFrameRequest(r)
-	entries, err := decodeBatchEntries(binary, body)
+	entries, groups, err := splitBatch(binary, body, rg)
 	if err != nil {
 		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-
-	out := make([]api.BatchEntryStatus, len(entries))
-	rg := rt.ring.Load()
 	if len(rg.Members()) == 0 {
 		rt.stack.Shed(w, errors.New("no cluster members"), 0)
 		return
 	}
-
-	// First pass: split by ring ownership. Groups write disjoint slices of
-	// out, so no lock is needed around the merge.
-	groups := map[string][]int{}
+	out := make([]api.BatchEntryStatus, len(entries))
 	for i, e := range entries {
-		owner := rg.Owner(e.segment)
-		groups[owner] = append(groups[owner], i)
+		if e.refused != nil {
+			out[i] = api.BatchEntryStatus{Key: e.key, Status: http.StatusBadRequest, Error: e.refused.Error()}
+		}
 	}
 	rt.forwardBatchGroups(r.Context(), binary, entries, groups, out)
 
@@ -106,30 +105,44 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, http.StatusOK, api.BatchResponse{Results: out})
 }
 
-// decodeBatchEntries parses a batch body in either codec into routable
-// entries. Binary entries keep their raw frame bytes so forwards (and 421
-// re-forwards) carry the client's exact bytes.
-func decodeBatchEntries(binary bool, body []byte) ([]batchEntry, error) {
+// splitBatch parses a batch body in either codec into routable entries and
+// groups their positions by the owner rg names for each entry's segment. A
+// binary body is scanned, not decoded: an entry keeps its key and its raw
+// frame, so forwards (and 421 re-forwards) carry the client's exact bytes.
+// A JSON entry whose key is too long for a frame is refused, not grouped:
+// no shard could log it, and the status frame a shard answers in could not
+// carry its key back, so forwarding it would fail its whole sub-batch.
+func splitBatch(binary bool, body []byte, rg *ring.Ring) ([]batchEntry, map[string][]int, error) {
+	var entries []batchEntry
+	groups := map[string][]int{}
 	if binary {
-		frames, err := api.SplitReportFrames(body)
+		err := api.ScanReportFrames(body, func(key, segment, raw []byte) {
+			owner := rg.Owner(string(segment))
+			groups[owner] = append(groups[owner], len(entries))
+			entries = append(entries, batchEntry{key: string(key), raw: raw})
+		})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		entries := make([]batchEntry, len(frames))
-		for i, f := range frames {
-			entries[i] = batchEntry{key: f.Key, segment: f.Report.Segment, raw: f.Raw}
-		}
-		return entries, nil
+		return entries, groups, nil
 	}
 	var req api.BatchRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	entries := make([]batchEntry, len(req.Entries))
-	for i, e := range req.Entries {
-		entries[i] = batchEntry{key: e.Key, segment: e.Report.Segment, entry: e}
+	entries = make([]batchEntry, len(req.Entries))
+	for i := range req.Entries {
+		e := &req.Entries[i]
+		entries[i] = batchEntry{key: e.Key, entry: e}
+		if len(e.Key) > math.MaxUint16 {
+			// The error the shard's store gives the entry.
+			_, entries[i].refused = api.AppendReportPayload(nil, e.Key, e.Report)
+			continue
+		}
+		owner := rg.Owner(e.Report.Segment)
+		groups[owner] = append(groups[owner], i)
 	}
-	return entries, nil
+	return entries, groups, nil
 }
 
 // forwardBatchGroups sends each owner's sub-batch concurrently and writes
@@ -140,56 +153,54 @@ func (rt *Router) forwardBatchGroups(ctx context.Context, binary bool, entries [
 		wg.Add(1)
 		go func(owner string, idxs []int) {
 			defer wg.Done()
-			sub := make([]batchEntry, len(idxs))
-			for j, idx := range idxs {
-				sub[j] = entries[idx]
-			}
-			statuses := rt.sendSubBatch(ctx, owner, binary, sub)
-			for j, idx := range idxs {
-				out[idx] = statuses[j]
-			}
+			rt.sendSubBatch(ctx, owner, binary, entries, idxs, out)
 		}(owner, idxs)
 	}
 	wg.Wait()
 }
 
-// sendSubBatch forwards one owner's share of a batch and returns a verdict
-// per entry, positionally aligned with sub. Transport failures and shape
-// violations become per-entry statuses — the router's batch answer is
-// always 200, so every failure mode has to land inside the vector.
-func (rt *Router) sendSubBatch(ctx context.Context, owner string, binary bool, sub []batchEntry) []api.BatchEntryStatus {
-	fail := func(status int, err error) []api.BatchEntryStatus {
-		statuses := make([]api.BatchEntryStatus, len(sub))
-		for i, e := range sub {
-			statuses[i] = api.BatchEntryStatus{Key: e.key, Status: status, Error: err.Error()}
+// sendSubBatch forwards one owner's share of a batch, the entries at idxs,
+// and writes a verdict for each into out at its position. Transport failures
+// and shape violations become per-entry statuses — the router's batch
+// answer is always 200, so every failure mode has to land inside the vector.
+func (rt *Router) sendSubBatch(ctx context.Context, owner string, binary bool, entries []batchEntry, idxs []int, out []api.BatchEntryStatus) {
+	fail := func(status int, err error) {
+		for _, i := range idxs {
+			out[i] = api.BatchEntryStatus{Key: entries[i].key, Status: status, Error: err.Error()}
 		}
-		return statuses
 	}
 	if owner == "" {
-		return fail(http.StatusServiceUnavailable, errors.New("no cluster members"))
+		fail(http.StatusServiceUnavailable, errors.New("no cluster members"))
+		return
 	}
 	var body []byte
 	contentType := api.FrameContentType
 	if binary {
-		for _, e := range sub {
-			body = append(body, e.raw...)
+		size := 0
+		for _, i := range idxs {
+			size += len(entries[i].raw)
+		}
+		body = make([]byte, 0, size)
+		for _, i := range idxs {
+			body = append(body, entries[i].raw...)
 		}
 	} else {
 		contentType = "application/json"
-		req := api.BatchRequest{Entries: make([]api.BatchEntry, len(sub))}
-		for i, e := range sub {
-			req.Entries[i] = e.entry
+		req := api.BatchRequest{Entries: make([]api.BatchEntry, len(idxs))}
+		for j, i := range idxs {
+			req.Entries[j] = *entries[i].entry
 		}
 		var err error
 		if body, err = json.Marshal(req); err != nil {
-			return fail(http.StatusInternalServerError, err)
+			fail(http.StatusInternalServerError, err)
+			return
 		}
 	}
 
-	// The router always merges in the JSON domain, which a shard answers in
-	// unless asked otherwise; the client's preferred codec is re-applied to
-	// the merged vector at the router's edge.
-	respBody, err := rt.peerDo(ctx, owner, http.MethodPost, api.RouteReportsBatch, "", contentType, body)
+	// Shards answer the status vector as a frame, whichever codec the
+	// sub-batch is in; the client's preferred codec is applied to the merged
+	// vector at the router's edge.
+	respBody, err := rt.peerDo(ctx, owner, http.MethodPost, api.RouteReportsBatch, "", contentType, api.FrameContentType, body)
 	if err != nil {
 		// A whole-request shard rejection (shed, oversized, read-only)
 		// applies to every entry it carried.
@@ -197,15 +208,20 @@ func (rt *Router) sendSubBatch(ctx context.Context, owner string, binary bool, s
 		if se := (*statusError)(nil); errors.As(err, &se) {
 			status = se.status
 		}
-		return fail(status, err)
+		fail(status, err)
+		return
 	}
-	var br api.BatchResponse
-	if err := json.Unmarshal(respBody, &br); err != nil {
-		return fail(http.StatusBadGateway, fmt.Errorf("shard %s: %w", owner, err))
+	statuses, err := api.DecodeBatchStatusFrame(respBody)
+	if err != nil {
+		fail(http.StatusBadGateway, fmt.Errorf("shard %s: %w", owner, err))
+		return
 	}
-	if len(br.Results) != len(sub) {
-		return fail(http.StatusBadGateway,
-			fmt.Errorf("shard %s: %d statuses for %d entries", owner, len(br.Results), len(sub)))
+	if len(statuses) != len(idxs) {
+		fail(http.StatusBadGateway,
+			fmt.Errorf("shard %s: %d statuses for %d entries", owner, len(statuses), len(idxs)))
+		return
 	}
-	return br.Results
+	for j, i := range idxs {
+		out[i] = statuses[j]
+	}
 }

@@ -1,15 +1,19 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"crowdwifi/internal/api"
 	"crowdwifi/internal/cluster/ring"
@@ -18,7 +22,9 @@ import (
 
 // batchShardHandler answers a batch request in either codec with one 201 per
 // entry, stamping each status's Error field with the shard's id — a marker
-// the merge tests read back to prove which shard answered which entry.
+// the merge tests read back to prove which shard answered which entry. Like
+// every fake shard's batch answer, it goes out as a frame when the request
+// asks for one (answerBatchFrame).
 func batchShardHandler(t *testing.T, id string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		entries := decodeBatchBody(t, r)
@@ -32,6 +38,33 @@ func batchShardHandler(t *testing.T, id string) http.HandlerFunc {
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(resp)
 	}
+}
+
+// answerBatchFrame runs a fake shard's batch handler, which answers JSON,
+// and sends the status vector it wrote as a frame instead, as a shard does
+// when the request's Accept asks for one. An answer other than 200 passes
+// through as it is.
+func answerBatchFrame(t *testing.T, h http.HandlerFunc, w http.ResponseWriter, r *http.Request) {
+	rec := httptest.NewRecorder()
+	h(rec, r)
+	if rec.Code != http.StatusOK {
+		for name, values := range rec.Header() {
+			w.Header()[name] = values
+		}
+		w.WriteHeader(rec.Code)
+		_, _ = w.Write(rec.Body.Bytes())
+		return
+	}
+	var br api.BatchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &br); err != nil {
+		t.Errorf("fake shard's batch answer: %v", err)
+	}
+	frame, err := api.EncodeBatchStatusFrame(br.Results)
+	if err != nil {
+		t.Errorf("fake shard's batch answer: %v", err)
+	}
+	w.Header().Set("Content-Type", api.FrameContentType)
+	_, _ = w.Write(frame)
 }
 
 func decodeBatchBody(t *testing.T, r *http.Request) []api.BatchEntry {
@@ -378,5 +411,105 @@ func TestCrossCodecLookupIdenticalThroughRouter(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s binary lookup diverges from the JSON answer", name)
 		}
+	}
+}
+
+// TestBatchOverlongJSONKeyAnsweredLikeAShard: a JSON entry whose key no frame
+// can carry gets from the router the 400 a single server gives it, and does
+// not fail the entries that share its owner.
+func TestBatchOverlongJSONKeyAnsweredLikeAShard(t *testing.T) {
+	_, routerURL := newCountsCluster(t)
+	single := httptest.NewServer(server.New(server.NewStore(e2eRadius)))
+	defer single.Close()
+
+	rep := api.Report{Vehicle: "v1", Segment: "long-key-seg", APs: []api.APReport{{X: 1, Y: 2, Credit: 1}}}
+	body, err := json.Marshal(api.BatchRequest{Entries: []api.BatchEntry{
+		{Key: "lk-0", Report: rep},
+		{Key: strings.Repeat("k", 70_000), Report: rep},
+		{Key: "lk-2", Report: rep},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers := map[string][]api.BatchEntryStatus{}
+	for name, base := range map[string]string{"router": routerURL, "single": single.URL} {
+		resp, err := http.Post(base+api.RouteReportsBatch, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var br api.BatchResponse
+		err = json.NewDecoder(resp.Body).Decode(&br)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("%s: status %d, %v", name, resp.StatusCode, err)
+		}
+		answers[name] = br.Results
+	}
+	want := []int{http.StatusCreated, http.StatusBadRequest, http.StatusCreated}
+	for i, st := range answers["single"] {
+		if st.Status != want[i] {
+			t.Fatalf("single server entry %d: status %d, want %d", i, st.Status, want[i])
+		}
+	}
+	if !reflect.DeepEqual(answers["router"], answers["single"]) {
+		t.Fatalf("router answers %+v, single server %+v", answers["router"], answers["single"])
+	}
+}
+
+// TestBatchBodyLimitsOnBothTiers: on the router and on a shard, a batch
+// declaring more than the body limit is refused with a 413 before its body
+// is read, and one that ends short of its declared length is a 400, not a
+// wait for bytes that will not come.
+func TestBatchBodyLimitsOnBothTiers(t *testing.T) {
+	_, routerURL := newCountsCluster(t)
+	shard := httptest.NewServer(server.New(server.NewStore(e2eRadius)))
+	defer shard.Close()
+
+	// send writes a batch request declaring declared bytes, then body, and
+	// half-closes the connection if asked; the answer must come within 5 s.
+	send := func(t *testing.T, base string, declared int64, body []byte, halfClose bool) int {
+		t.Helper()
+		u, _ := url.Parse(base)
+		conn, err := net.Dial("tcp", u.Host)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+		head := fmt.Sprintf("POST %s HTTP/1.1\r\nHost: %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n",
+			api.RouteReportsBatch, u.Host, api.FrameContentType, declared)
+		if _, err := conn.Write(append([]byte(head), body...)); err != nil {
+			t.Fatal(err)
+		}
+		if halfClose {
+			_ = conn.(*net.TCPConn).CloseWrite()
+		}
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatalf("no answer: %v", err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	frame, err := api.EncodeReportFrame(nil, "bl-0", api.Report{Vehicle: "v1", Segment: "limit-seg",
+		APs: []api.APReport{{X: 1, Y: 2, Credit: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tier, base := range map[string]string{"router": routerURL, "shard": shard.URL} {
+		t.Run(tier, func(t *testing.T) {
+			if got := send(t, base, api.DefaultBatchMaxBodyBytes+1, nil, false); got != http.StatusRequestEntityTooLarge {
+				t.Errorf("declared over the limit: status %d, want 413", got)
+			}
+			if got := send(t, base, 1<<30, frame, false); got != http.StatusRequestEntityTooLarge {
+				t.Errorf("declared 1 GiB: status %d, want 413", got)
+			}
+			if got := send(t, base, int64(len(frame)+100), frame, true); got != http.StatusBadRequest {
+				t.Errorf("body short of its declared length: status %d, want 400", got)
+			}
+			if got := send(t, base, int64(len(frame)), frame, false); got != http.StatusOK {
+				t.Errorf("body of its declared length: status %d, want 200", got)
+			}
+		})
 	}
 }

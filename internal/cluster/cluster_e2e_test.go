@@ -261,7 +261,7 @@ func TestKillOneShardRebalanceAndReconcileRestoreFullMap(t *testing.T) {
 	if driftSeg == "" {
 		t.Fatal("no segment on shard a to drift")
 	}
-	move, err := rt.peerDo(ctx, "a", http.MethodGet, "/v1/cluster/slice", "segments="+driftSeg, "", nil)
+	move, err := rt.peerDo(ctx, "a", http.MethodGet, "/v1/cluster/slice", "segments="+driftSeg, "", "", nil)
 	if err != nil {
 		t.Fatalf("export drift move: %v", err)
 	}

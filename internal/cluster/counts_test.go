@@ -1,0 +1,192 @@
+package cluster
+
+// The router's exact counts: what its batch split allocates, and how many
+// requests and bytes a client request turns into upstream. They are not
+// timings, so a slow box cannot blur them. A change that moves one edits the
+// literal here, and its before and after is a reviewed diff.
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"sync"
+	"testing"
+
+	"crowdwifi/internal/api"
+	"crowdwifi/internal/cluster/ring"
+	"crowdwifi/internal/server"
+)
+
+// countsBatchBytes is the size of countsBatch(0, 500): 500 frames of a key,
+// a vehicle, a segment and 8 APs, shaped like the benchmark's preload.
+const countsBatchBytes = 118_390
+
+// wantRouterCounts is one row per measured quantity of the router.
+var wantRouterCounts = map[string]float64{
+	// splitBatch of countsBatch(0, 500) over a two-member ring, averaged over
+	// 100 calls: one key string per entry, and the entry slice and the two
+	// owners' position lists grown by doubling. It was 2,030 when the split
+	// decoded every frame whole (2,011: three strings and an AP list each)
+	// and then grouped the entries.
+	"allocs/split 500 frames": 531,
+	// One sub-batch per owner, whatever the batch holds.
+	"upstream/batch": 2,
+	// A lookup scatters to every member.
+	"upstream/lookup": 2,
+	// The sub-batches carry the client's frames, verbatim and only once.
+	"forwarded bytes/batch": countsBatchBytes,
+}
+
+// countsBatch is a binary batch of size reports, keyed "pre-n-i", spread
+// over 1,000 segments and 1,000 vehicles.
+func countsBatch(tb testing.TB, n, size int) []byte {
+	tb.Helper()
+	var body []byte
+	for i := 0; i < size; i++ {
+		k := n*size + i
+		rep := api.Report{
+			Vehicle: fmt.Sprintf("veh-%04d", (7*k)%1000),
+			Segment: fmt.Sprintf("seg-%05d", (13*k)%1000),
+			APs:     make([]api.APReport, 8),
+		}
+		for j := range rep.APs {
+			rep.APs[j] = api.APReport{X: float64(k%1000)*226 + float64(j)*25, Y: float64(j) * 20, Credit: float64(2 + (k+j)%8)}
+		}
+		var err error
+		if body, err = api.EncodeReportFrame(body, fmt.Sprintf("pre-%d-%d", n, i), rep); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return body
+}
+
+// upstreamCounter is the router's transport, counting the requests and
+// request-body bytes it carries per route.
+type upstreamCounter struct {
+	mu       sync.Mutex
+	requests map[string]int
+	bytes    map[string]int64
+}
+
+func (c *upstreamCounter) Do(req *http.Request) (*http.Response, error) {
+	c.mu.Lock()
+	c.requests[req.URL.Path]++
+	c.bytes[req.URL.Path] += req.ContentLength
+	c.mu.Unlock()
+	return http.DefaultClient.Do(req)
+}
+
+func (c *upstreamCounter) reset() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.requests, c.bytes = map[string]int{}, map[string]int64{}
+}
+
+// newCountsCluster is a router over two in-memory shards, each an
+// httptest server, and the client-facing URL of the router.
+func newCountsCluster(tb testing.TB) (*upstreamCounter, string) {
+	tb.Helper()
+	members := []string{"a", "b"}
+	var peers []Peer
+	for _, id := range members {
+		srv := server.New(server.NewStore(e2eRadius), server.WithCluster(server.ClusterOptions{Self: id, Members: members}))
+		ts := httptest.NewServer(srv)
+		tb.Cleanup(ts.Close)
+		peers = append(peers, Peer{ID: id, URL: ts.URL})
+	}
+	up := &upstreamCounter{}
+	up.reset()
+	rt, err := NewRouter(RouterOptions{Peers: peers, Retry: fastPolicy(), HTTP: up})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ts := httptest.NewServer(rt)
+	tb.Cleanup(ts.Close)
+	return up, ts.URL
+}
+
+// postBatch sends a binary batch through the router and checks every entry
+// was stored.
+func postBatch(tb testing.TB, base string, body []byte, size int) {
+	req, _ := http.NewRequest(http.MethodPost, base+api.RouteReportsBatch, bytes.NewReader(body))
+	req.Header.Set("Content-Type", api.FrameContentType)
+	req.Header.Set("Accept", api.FrameContentType)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	statuses, err := api.DecodeBatchStatusFrame(raw)
+	if resp.StatusCode != http.StatusOK || err != nil || len(statuses) != size {
+		tb.Fatalf("batch: status %d, %d statuses (%v): %.200s", resp.StatusCode, len(statuses), err, raw)
+	}
+	for i, st := range statuses {
+		if st.Status != http.StatusCreated {
+			tb.Fatalf("entry %d: %+v, want 201", i, st)
+		}
+	}
+}
+
+func TestCountsRouter(t *testing.T) {
+	body := countsBatch(t, 0, 500)
+	if len(body) != countsBatchBytes {
+		t.Fatalf("fixture is %d bytes, want %d", len(body), countsBatchBytes)
+	}
+	up, base := newCountsCluster(t)
+	got := map[string]float64{}
+
+	postBatch(t, base, body, 500)
+	got["upstream/batch"] = float64(up.requests[api.RouteReportsBatch])
+	got["forwarded bytes/batch"] = float64(up.bytes[api.RouteReportsBatch])
+
+	up.reset()
+	resp, err := http.Get(base + api.RouteLookup + "?" + e2eLookupQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("lookup: status %d", resp.StatusCode)
+	}
+	got["upstream/lookup"] = float64(up.requests[api.RouteLookup])
+
+	if !raceEnabled {
+		rg := ring.New([]string{"a", "b"}, 0)
+		got["allocs/split 500 frames"] = testing.AllocsPerRun(100, func() {
+			if _, _, err := splitBatch(true, body, rg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+
+	for name, want := range wantRouterCounts {
+		v, ok := got[name]
+		if !ok {
+			continue // an allocation row under -race
+		}
+		if v != want {
+			t.Errorf("%s: %v, want %v", name, v, want)
+		}
+	}
+}
+
+// BenchmarkRouterBatch posts a 500-frame binary batch through a router to
+// two in-memory shards, all over loopback HTTP: the client's whole batch
+// round trip, both tiers' work included. Every iteration's keys are new, so
+// the shards store rather than replay.
+func BenchmarkRouterBatch(b *testing.B) {
+	const size = 500
+	b.Run(fmt.Sprint(size), func(b *testing.B) {
+		_, base := newCountsCluster(b)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			body := countsBatch(b, i, size)
+			b.StartTimer()
+			postBatch(b, base, body, size)
+		}
+	})
+}

@@ -25,8 +25,9 @@ type statusError struct {
 func (e *statusError) Error() string { return e.msg }
 
 // peerDo sends one request to a shard and returns the body of its 200 answer;
-// any other answer is a *statusError.
-func (rt *Router) peerDo(ctx context.Context, id, method, path, query, contentType string, body []byte) ([]byte, error) {
+// any other answer is a *statusError. An empty contentType or accept sends
+// no such header.
+func (rt *Router) peerDo(ctx context.Context, id, method, path, query, contentType, accept string, body []byte) ([]byte, error) {
 	pc := rt.peer(id)
 	if pc == nil {
 		return nil, fmt.Errorf("cluster: shard %q is not a configured peer", id)
@@ -37,6 +38,9 @@ func (rt *Router) peerDo(ctx context.Context, id, method, path, query, contentTy
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
+	}
+	if accept != "" {
+		req.Header.Set("Accept", accept)
 	}
 	resp, err := rt.send(pc, req)
 	if err != nil {
@@ -61,7 +65,7 @@ func (rt *Router) peerPostJSON(ctx context.Context, id, path string, body, out a
 	if err != nil {
 		return err
 	}
-	resp, err := rt.peerDo(ctx, id, http.MethodPost, path, "", "application/json", payload)
+	resp, err := rt.peerDo(ctx, id, http.MethodPost, path, "", "application/json", "", payload)
 	if err != nil || out == nil {
 		return err
 	}
@@ -73,7 +77,7 @@ func (rt *Router) peerPostJSON(ctx context.Context, id, path string, body, out a
 // applied.
 func (rt *Router) applyMove(ctx context.Context, id string, move []byte) (api.SliceStats, error) {
 	var stats api.SliceStats
-	resp, err := rt.peerDo(ctx, id, http.MethodPost, api.RouteClusterSlice, "", api.FrameContentType, move)
+	resp, err := rt.peerDo(ctx, id, http.MethodPost, api.RouteClusterSlice, "", api.FrameContentType, "", move)
 	if err == nil {
 		err = json.Unmarshal(resp, &stats)
 	}

@@ -80,7 +80,7 @@ func (rt *Router) Reconcile(ctx context.Context) (*ReconcileReport, error) {
 		segments := groups[p]
 		sort.Strings(segments)
 		move, err := rt.peerDo(ctx, p.from, http.MethodGet, api.RouteClusterSlice,
-			"segments="+strings.Join(segments, ","), "", nil)
+			"segments="+strings.Join(segments, ","), "", "", nil)
 		if err != nil {
 			errs = append(errs, fmt.Errorf("reconcile: export %s from %s: %w",
 				strings.Join(segments, ","), p.from, err))

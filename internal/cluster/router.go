@@ -349,7 +349,7 @@ func (rt *Router) handleUpload(w http.ResponseWriter, r *http.Request) {
 			errors.New("not implemented at the router: pattern/report listings are shard-local; query shards directly"))
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.maxBody))
+	body, err := api.ReadBody(w, r, rt.maxBody)
 	if err != nil {
 		api.WriteBodyError(w, err)
 		return
@@ -451,7 +451,7 @@ func (rt *Router) scatter(ctx context.Context, method, path, query string) []sca
 		wg.Add(1)
 		go func(i int, id string) {
 			defer wg.Done()
-			body, err := rt.peerDo(ctx, id, method, path, query, "", nil)
+			body, err := rt.peerDo(ctx, id, method, path, query, "", "", nil)
 			out[i] = scatterResult{id: id, body: body, err: err}
 		}(i, id)
 	}

@@ -50,6 +50,10 @@ func newFakeShard(t *testing.T, handler http.HandlerFunc) *fakeShard {
 		})
 		f.mu.Unlock()
 		r.Body = io.NopCloser(bytes.NewReader(body))
+		if r.URL.Path == api.RouteReportsBatch && api.WantsFrame(r.Header.Get("Accept")) {
+			answerBatchFrame(t, f.handler, w, r)
+			return
+		}
 		f.handler(w, r)
 	}))
 	t.Cleanup(f.ts.Close)

@@ -19,7 +19,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"crowdwifi/internal/api"
@@ -40,11 +39,12 @@ type BatchItem struct {
 	Report Report
 }
 
-// readBody reads the (capped) request body whole, mapping an over-limit
-// read to a 413 with a JSON error body — the same contract decodeBody gives
-// JSON routes, for bodies the handler must parse itself.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(r.Body)
+// readBody reads the request body whole under the route's limit (see
+// api.ReadBody), mapping an over-limit body to a 413 with a JSON error body —
+// the same contract decodeBody gives JSON routes, for bodies the handler must
+// parse itself.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+	body, err := api.ReadBody(w, r, limit)
 	if err != nil {
 		s.bodyError(w, err)
 	}
@@ -56,7 +56,7 @@ func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusMethodNotAllowed)
 		return
 	}
-	body, ok := s.readBody(w, r)
+	body, ok := s.readBody(w, r, s.batchMaxBody)
 	if !ok {
 		return
 	}

@@ -350,8 +350,7 @@ func (s *Server) handleClusterSlice(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("a move is a stream of %s frames", api.FrameContentType))
 			return
 		}
-		r.Body = http.MaxBytesReader(w, r.Body, maxSliceBytes)
-		body, ok := s.readBody(w, r)
+		body, ok := s.readBody(w, r, maxSliceBytes)
 		if !ok {
 			return
 		}

@@ -1006,7 +1006,7 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 	}
 	var rep Report
 	if api.IsFrameRequest(r) {
-		body, ok := s.readBody(w, r)
+		body, ok := s.readBody(w, r, s.maxBody)
 		if !ok {
 			return
 		}
