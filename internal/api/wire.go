@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"strings"
+	"unicode/utf8"
 
 	"crowdwifi/internal/frame"
 )
@@ -149,20 +150,15 @@ func EncodeReportFrame(dst []byte, key string, rep Report) ([]byte, error) {
 	return frame.Append(dst, wireReport, payload), nil
 }
 
-// ReadReportPayload decodes the report payload at the front of b and returns
+// readReportPayload decodes the report payload at the front of b and returns
 // the bytes after it. The AP count is checked against the bytes present
-// before anything is allocated, and a count of 0 decodes to a nil list. str
-// turns name bytes into strings — a bulk loader passes an interning one; nil
-// copies.
-func ReadReportPayload(b []byte, str func([]byte) string) (key string, rep Report, rest []byte, err error) {
-	if str == nil {
-		str = func(b []byte) string { return string(b) }
-	}
+// before anything is allocated, and a count of 0 decodes to a nil list.
+func readReportPayload(b []byte) (key string, rep Report, rest []byte, err error) {
 	k, vehicle, segment, n, b, err := readReportHead(b)
 	if err != nil {
 		return "", Report{}, nil, err
 	}
-	key, rep.Vehicle, rep.Segment = str(k), str(vehicle), str(segment)
+	key, rep.Vehicle, rep.Segment = string(k), string(vehicle), string(segment)
 	if n > 0 {
 		rep.APs = make([]APReport, n)
 		for i := range rep.APs {
@@ -209,7 +205,7 @@ type ReportFrame struct {
 func SplitReportFrames(body []byte) ([]ReportFrame, error) {
 	var frames []ReportFrame
 	err := walkReportFrames(body, func(data, raw []byte) error {
-		key, rep, rest, err := ReadReportPayload(data, nil)
+		key, rep, rest, err := readReportPayload(data)
 		if err != nil {
 			return err
 		}
@@ -303,7 +299,9 @@ func DecodeLookupFrame(body []byte) ([]LookupResult, error) {
 	return results, nil
 }
 
-// EncodeBatchStatusFrame encodes a batch status vector as a single frame.
+// EncodeBatchStatusFrame encodes a batch status vector as a single frame. An
+// entry's error message longer than a string field holds is cut to fit, on a
+// UTF-8 boundary: a 421 quoting a long segment must not fail every entry.
 func EncodeBatchStatusFrame(results []BatchEntryStatus) ([]byte, error) {
 	size := 4
 	for _, st := range results {
@@ -313,13 +311,25 @@ func EncodeBatchStatusFrame(results []BatchEntryStatus) ([]byte, error) {
 	var err error
 	for _, st := range results {
 		payload = binary.LittleEndian.AppendUint16(payload, uint16(st.Status))
-		for _, s := range []string{st.Key, st.Error, st.Owner} {
+		for _, s := range []string{st.Key, clipUTF8(st.Error, math.MaxUint16), st.Owner} {
 			if payload, err = appendWireString(payload, s); err != nil {
 				return nil, err
 			}
 		}
 	}
 	return frame.Append(nil, wireBatchStatus, payload), nil
+}
+
+// clipUTF8 returns the longest prefix of s of at most n bytes that ends on a
+// UTF-8 boundary.
+func clipUTF8(s string, n int) string {
+	if len(s) <= n {
+		return s
+	}
+	for n > 0 && !utf8.RuneStart(s[n]) {
+		n--
+	}
+	return s[:n]
 }
 
 // DecodeBatchStatusFrame parses a binary batch response body. An empty

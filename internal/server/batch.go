@@ -219,7 +219,7 @@ func (s *Store) addReports(ctx context.Context, items []BatchItem) (errs []error
 			p.pending += reportEntrySize(it.Key, it.Report)
 		}
 	}
-	accepted := make([]BatchItem, 0, len(items))
+	keys := make([]string, 0, len(items)) // of the accepted items, in order
 	var entry []byte
 	for i, it := range items {
 		if errs[i] != nil {
@@ -233,12 +233,12 @@ func (s *Store) addReports(ctx context.Context, items []BatchItem) (errs []error
 			continue
 		}
 		p.add(entry)
-		accepted = append(accepted, it)
+		keys = append(keys, it.Key)
 	}
 	p.flush()
 	applied := 0
 	for _, c := range chunks {
-		rec := record{kind: recReports, data: c.data, reports: accepted[applied : applied+c.n]}
+		rec := record{kind: recReports, data: c.data, keys: keys[applied : applied+c.n]}
 		// One faulted chunk fails every entry from here on: the log refused
 		// a write, so later chunks must not be attempted.
 		if fault = s.commit(ctx, &rec); fault != nil {

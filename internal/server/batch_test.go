@@ -65,7 +65,7 @@ func TestBatchHappyPathAndPerEntryReplay(t *testing.T) {
 			t.Errorf("result %d status = %d, want 201", i, st.Status)
 		}
 	}
-	if n := len(store.reports); n != 3 {
+	if n := store.reports.len(); n != 3 {
 		t.Fatalf("stored reports = %d, want 3", n)
 	}
 
@@ -80,7 +80,7 @@ func TestBatchHappyPathAndPerEntryReplay(t *testing.T) {
 			t.Errorf("replayed result %d status = %d, want 2xx", i, st.Status)
 		}
 	}
-	if n := len(store.reports); n != 3 {
+	if n := store.reports.len(); n != 3 {
 		t.Fatalf("stored reports after replay = %d, want 3", n)
 	}
 }
@@ -105,7 +105,7 @@ func TestBatchMixedValidityKeepsOrder(t *testing.T) {
 	if out.Results[1].Error == "" {
 		t.Error("invalid entry carries no error text")
 	}
-	if n := len(store.reports); n != 2 {
+	if n := store.reports.len(); n != 2 {
 		t.Fatalf("stored reports = %d, want 2", n)
 	}
 	// The rejected entry's key must not be poisoned: retrying it alone with
@@ -158,7 +158,7 @@ func TestBatchBinaryRoundTrip(t *testing.T) {
 			t.Errorf("result %d = %+v, want key %q status 201", i, st, keys[i])
 		}
 	}
-	if n := len(store.reports); n != len(keys) {
+	if n := store.reports.len(); n != len(keys) {
 		t.Fatalf("stored reports = %d, want %d", n, len(keys))
 	}
 }
@@ -251,8 +251,8 @@ func TestBatchChunkedAppendRecovers(t *testing.T) {
 			t.Fatalf("entry %d: %v", i, err)
 		}
 	}
-	if len(store.reports) != n {
-		t.Fatalf("stored reports = %d, want %d", len(store.reports), n)
+	if store.reports.len() != n {
+		t.Fatalf("stored reports = %d, want %d", store.reports.len(), n)
 	}
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
@@ -278,8 +278,8 @@ func TestBatchChunkedAppendRecovers(t *testing.T) {
 		t.Fatalf("replay after recovery: status %d, replay header %q",
 			resp.StatusCode, resp.Header.Get("Idempotent-Replay"))
 	}
-	if len(reopened.reports) != n {
-		t.Fatalf("reports after replay = %d, want %d", len(reopened.reports), n)
+	if reopened.reports.len() != n {
+		t.Fatalf("reports after replay = %d, want %d", reopened.reports.len(), n)
 	}
 }
 

@@ -97,11 +97,21 @@ func (s *Server) rejectMisdirected(w http.ResponseWriter, seg, owner string) {
 // store holds. A fused list is hashed in the bytes the codec stores it as.
 func (s *Store) SegmentDigests() map[string]api.SegmentDigest {
 	c := s.capture()
-	out := map[string]api.SegmentDigest{}
-	for _, r := range c.reports {
-		d := out[r.Segment]
-		d.Reports++
-		out[r.Segment] = d
+	slot := map[string]int{} // a segment's place in reports
+	var reports []int
+	for i := range c.reports.len() {
+		seg := parseEntry(c.reports.entry(i)).segment
+		k, ok := slot[string(seg)]
+		if !ok {
+			k = len(reports)
+			slot[string(seg)] = k
+			reports = append(reports, 0)
+		}
+		reports[k]++
+	}
+	out := make(map[string]api.SegmentDigest, len(slot))
+	for seg, k := range slot {
+		out[seg] = api.SegmentDigest{Reports: reports[k]}
 	}
 	for _, p := range c.patterns {
 		d := out[p.Segment]
@@ -139,8 +149,8 @@ type moveCursor struct {
 // dest sends somewhere ("" keeps it here): for each destination, the frames
 // of its segments in segment order, in blocks of at most budget bytes. Within
 // a segment entries keep their arrival order, so the receiver fuses the
-// segment as this store does.
-func (s *Store) exportMove(source string, dest func(segment string) string, budget int) (map[string][]byte, error) {
+// segment as this store does. Reports go out as the entries the store holds.
+func (s *Store) exportMove(source string, dest func(segment string) string, budget int) map[string][]byte {
 	s.mu.Lock()
 	c, dropped := s.captureLocked(), maps.Clone(s.dropped)
 	s.mu.Unlock()
@@ -162,9 +172,15 @@ func (s *Store) exportMove(source string, dest func(segment string) string, budg
 			m.patterns = append(m.patterns, p)
 		}
 	}
-	for _, r := range c.reports {
-		if m := get(r.Segment); m != nil {
-			m.reports = append(m.reports, r)
+	for i := range c.reports.len() {
+		e := c.reports.entry(i)
+		seg := parseEntry(e).segment
+		m, ok := moves[string(seg)]
+		if !ok {
+			m = get(string(seg))
+		}
+		if m != nil {
+			m.reports = append(m.reports, e)
 		}
 	}
 	for _, l := range c.labels {
@@ -176,14 +192,11 @@ func (s *Store) exportMove(source string, dest func(segment string) string, budg
 	out := map[string][]byte{}
 	for _, seg := range sortedKeys(moves) {
 		if m := moves[seg]; m != nil {
-			var err error
 			to := dest(seg)
-			if out[to], err = appendMove(out[to], *m, budget); err != nil {
-				return nil, err
-			}
+			out[to] = appendMove(out[to], *m, budget)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // ExportFromDir reconstructs a shard's state from its data directory —
@@ -198,7 +211,7 @@ func ExportFromDir(dir string, mergeRadius float64, source string, dest func(seg
 	if err != nil {
 		return nil, err
 	}
-	return s.exportMove(source, dest, defaultBatchChunkBytes)
+	return s.exportMove(source, dest, defaultBatchChunkBytes), nil
 }
 
 // replayDir rebuilds, in memory, the state recovery would give dir, without
@@ -265,7 +278,9 @@ func (s *Store) applyMoveLocked(m *moveBlock, st api.SliceStats) {
 		s.patterns = append(s.patterns, p)
 		cur.patterns = append(cur.patterns, p.ID)
 	}
-	s.reports = append(s.reports, m.reports[len(m.reports)-st.Reports:]...)
+	for _, e := range m.reports[len(m.reports)-st.Reports:] {
+		s.reports.add(e)
+	}
 	for _, l := range m.labels[len(m.labels)-st.Labels:] {
 		l.TaskID = cur.patterns[l.TaskID]
 		s.labels = append(s.labels, l)
@@ -332,16 +347,12 @@ func (s *Server) handleClusterSlice(w http.ResponseWriter, r *http.Request) {
 			api.WriteError(w, http.StatusBadRequest, errors.New("need ?segments= or ?owner=&members="))
 			return
 		}
-		moves, err := s.store.exportMove(s.cluster.self, func(seg string) string {
+		moves := s.store.exportMove(s.cluster.self, func(seg string) string {
 			if owned(seg) {
 				return "requester"
 			}
 			return ""
 		}, s.store.chunkBudget())
-		if err != nil {
-			api.WriteError(w, http.StatusInternalServerError, err)
-			return
-		}
 		writeFrame(w, moves["requester"])
 	case http.MethodPost:
 		if !api.IsFrameRequest(r) {

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"crowdwifi/internal/api"
 	"crowdwifi/internal/cluster/ring"
@@ -81,6 +83,60 @@ func TestMisdirectedUploadRejected(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMisdirectedRequest {
 		t.Errorf("foreign pattern: status %d, want 421", resp.StatusCode)
+	}
+}
+
+// TestMisdirectedFrameBatchEntryWithALongSegment: a 421 whose message, which
+// quotes the segment, outgrows a status frame's u16 string is cut to fit on a
+// UTF-8 boundary. The rest of the batch is answered as usual, not with a 500
+// for every entry.
+func TestMisdirectedFrameBatchEntryWithALongSegment(t *testing.T) {
+	members := []string{"a", "b"}
+	store := NewStore(10)
+	ts := httptest.NewServer(New(store, WithCluster(ClusterOptions{Self: "a", Members: members})))
+	defer ts.Close()
+	rg := ring.New(members, 0)
+	var long string
+	for i := 0; long == ""; i++ {
+		// 65,535 bytes of segment, the most a frame carries; quoted in a
+		// sentence, 65,567 bytes of message, whose 65,535th byte opens an 'é'.
+		if seg := itoa(i%10) + strings.Repeat("é", 32767); rg.Owner(seg) == "b" {
+			long = seg
+		}
+	}
+	body, err := EncodeReportFrame(nil, "far", Report{Vehicle: "v", Segment: long})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body, err = EncodeReportFrame(body, "near", Report{Vehicle: "v", Segment: segmentOwnedBy(t, members, "a")}); err != nil {
+		t.Fatal(err)
+	}
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+api.RouteReportsBatch, bytes.NewReader(body))
+	req.Header.Set("Content-Type", FrameContentType)
+	req.Header.Set("Accept", FrameContentType)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d (%s), want 200", resp.StatusCode, answer)
+	}
+	results, err := DecodeBatchStatusFrame(answer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := fmt.Sprintf("segment %q is owned by shard %q", long, "b")
+	if len(results) != 2 || results[0].Status != http.StatusMisdirectedRequest || results[0].Owner != "b" || results[1].Status != http.StatusCreated {
+		t.Fatalf("answered %d statuses: %+v", len(results), results)
+	}
+	if msg := results[0].Error; len(msg) != 65534 || !utf8.ValidString(msg) || !strings.HasPrefix(full, msg) {
+		t.Fatalf("the 421's message is %d bytes (valid UTF-8 %v) of the %d-byte %.40q…, want the first 65534",
+			len(msg), utf8.ValidString(msg), len(full), full)
+	}
+	if _, _, n := store.Counts(); n != 1 {
+		t.Fatalf("stored %d reports, want the one the shard owns", n)
 	}
 }
 

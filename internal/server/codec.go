@@ -1,14 +1,19 @@
 package server
 
 // The one codec for what the store persists and what grows with history:
-// report records, cycle records and snapshots. Everything is built from
-// blocks — a u32 entry count followed by that many entries — in the wire
-// codec's conventions (little-endian scalars, IEEE-754 bits for floats); a
-// report entry is the wire codec's own report payload (api.AppendReportPayload),
-// so a report has one layout on the wire, in the log and in a snapshot.
+// report records, snapshots and moves. Everything is built from blocks — a u32
+// entry count followed by that many entries — in the wire codec's conventions
+// (little-endian scalars, IEEE-754 bits for floats); a report entry is the
+// wire codec's own report payload (api.AppendReportPayload), so a report has
+// one layout on the wire, in the log, in the store (reports.go) and in a
+// snapshot.
 //
 //	report record  (recReports)       one report block, its entries keyed
-//	cycle record   (recCycle)         a fused block, then a reliability block
+//	capture record (recCapture)       patterns, labels, reports u32 × 3: the
+//	                                  evidence a cycle read
+//	cycle record   (recCycle)         a fused block, then a reliability block —
+//	                                  what cycles logged before the capture
+//	                                  record; read, never written
 //	pattern record (recPatternEntry)  id u32 | key str | a pattern entry
 //	labels record  (recLabelBlock)    key str | one label block
 //	move block     (recMove)          source str | segment str | first pattern,
@@ -30,8 +35,9 @@ package server
 //	received     source str | segment str | reports u32 | labels u32 | n u32 | n × pattern id u32
 //	dropped      segment str | reports u32
 //
-// A move block's positions count within the segment on the source, its
-// reports carry no key and its labels name their pattern by that position.
+// A snapshot's and a move block's reports carry no key, and are the store's
+// own entries byte for byte. A move block's positions count within the
+// segment on the source, and its labels name their pattern by that position.
 //
 // A report's or pattern's flags say what a count of 0 cannot: that the AP
 // list is empty rather than absent. JSON kept the two apart, so a recovered
@@ -91,7 +97,7 @@ const (
 var errCodec = errors.New("server: malformed persisted state")
 
 // newInterner returns a bytes-to-string conversion that shares one string
-// among equal names, for the duration of one load: 50 k reports name a
+// among equal names, for the duration of one load: 20 k labels name a
 // thousand vehicles. Decoders given a nil conversion copy.
 func newInterner() func([]byte) string {
 	seen := map[string]string{}
@@ -209,52 +215,45 @@ type moveBlock struct {
 	source, segment string
 	first           [3]int // positions of the first pattern, report and label
 	patterns        []Pattern
-	reports         []Report
-	labels          []Label // TaskID is the pattern's position in the segment
-	data            []byte  // the block as it arrived, logged as is
+	reports         [][]byte // keyless report entries
+	labels          []Label  // TaskID is the pattern's position in the segment
+	data            []byte   // the block as it arrived, logged as is
 }
 
 func patternEntrySize(p Pattern) int { return 9 + len(p.Segment) + 24*len(p.APs) }
-func moveReportSize(r Report) int    { return reportEntrySize("", r) }
+func entrySize(e []byte) int         { return len(e) }
 func labelEntrySize(l Label) int     { return 9 + len(l.Vehicle) }
 
 // appendMoveBlock appends the data of one move frame.
-func appendMoveBlock(dst []byte, m *moveBlock) ([]byte, error) {
+func appendMoveBlock(dst []byte, m *moveBlock) []byte {
 	dst = appendStr(appendStr(dst, m.source), m.segment)
 	dst = appendU32(appendU32(appendU32(dst, m.first[0]), m.first[1]), m.first[2])
-	dst = appendU32(appendBlock(dst, m.patterns, appendPatternEntry), len(m.reports))
-	for _, r := range m.reports {
-		var err error
-		if dst, err = appendReportEntry(dst, "", r); err != nil {
-			return nil, err
-		}
-	}
-	return appendBlock(dst, m.labels, appendLabelEntry), nil
+	dst = appendBlock(appendBlock(dst, m.patterns, appendPatternEntry), m.reports, appendEntry)
+	return appendBlock(dst, m.labels, appendLabelEntry)
 }
+
+func appendEntry(dst, e []byte) []byte { return append(dst, e...) }
 
 // appendMove appends all of one segment's move as frames, each block taking
 // entries while its data stays within budget bytes (an entry too large for
 // that gets a block to itself). Labels wait for the last pattern, so that a
 // label never arrives before the pattern it names.
-func appendMove(dst []byte, m moveBlock, budget int) ([]byte, error) {
+func appendMove(dst []byte, m moveBlock, budget int) []byte {
 	limit := budget - (32 + len(m.source) + len(m.segment))
 	var data []byte
 	for len(m.patterns)+len(m.reports)+len(m.labels) > 0 {
 		b := moveBlock{source: m.source, segment: m.segment, first: m.first}
 		room := limit
 		b.patterns, m.patterns = fit(m.patterns, patternEntrySize, &room, limit)
-		b.reports, m.reports = fit(m.reports, moveReportSize, &room, limit)
+		b.reports, m.reports = fit(m.reports, entrySize, &room, limit)
 		if len(m.patterns) == 0 {
 			b.labels, m.labels = fit(m.labels, labelEntrySize, &room, limit)
 		}
-		var err error
-		if data, err = appendMoveBlock(data[:0], &b); err != nil {
-			return nil, err
-		}
+		data = appendMoveBlock(data[:0], &b)
 		dst = frame.Append(dst, recMove, data)
 		m.first = [3]int{b.first[0] + len(b.patterns), b.first[1] + len(b.reports), b.first[2] + len(b.labels)}
 	}
-	return dst, nil
+	return dst
 }
 
 // fit splits off the entries a block with room bytes left still takes: those
@@ -319,32 +318,17 @@ func (p *packer) flush() {
 // packer starts the next one in fresh memory.
 func (p *packer) release() { p.buf = nil }
 
-// encodeCycle encodes one cycle's outputs, segments and vehicles sorted, as a
-// recCycle payload.
-func encodeCycle(v *view) []byte {
-	size := 8
-	for seg, results := range v.fused {
-		size += 9 + len(seg) + 24*len(results)
-	}
-	for vehicle := range v.reliability {
-		size += 12 + len(vehicle)
-	}
-	dst := appendBlock(make([]byte, 0, size), sortedKeys(v.fused), func(dst []byte, seg string) []byte {
-		return appendFusedEntry(dst, seg, v.fused[seg])
-	})
-	return appendBlock(dst, sortedKeys(v.reliability), func(dst []byte, vehicle string) []byte {
-		return appendReliabilityEntry(dst, vehicle, v.reliability[vehicle])
-	})
+// appendCapture encodes a recCapture payload: how many patterns, labels and
+// reports a cycle read.
+func appendCapture(dst []byte, counts [3]int) []byte {
+	return appendU32(appendU32(appendU32(dst, counts[0]), counts[1]), counts[2])
 }
 
 // encodeSnapshot encodes the full state as a snapshot payload. The bytes are
 // a function of the state alone: maps go out sorted, everything else in the
 // order it is held.
 func encodeSnapshot(st snapshotState) ([]byte, error) {
-	size := len(snapshotMagic) + 64*(len(st.Patterns)+len(st.Reports)+len(st.Idem)) + 24*len(st.Labels) + 32*len(st.Reliability)
-	for _, r := range st.Reports {
-		size += 24 * len(r.APs)
-	}
+	size := len(snapshotMagic) + len(st.Reports.buf) + 64*(len(st.Patterns)+len(st.Idem)) + 24*len(st.Labels) + 32*len(st.Reliability)
 	for seg, results := range st.Fused {
 		size += 8 + len(seg) + 24*len(results)
 	}
@@ -370,15 +354,13 @@ func encodeSnapshot(st snapshotState) ([]byte, error) {
 	}
 	section(secPatterns, len(st.Patterns), func(i int) []byte { return appendPatternEntry(e[:0], st.Patterns[i]) })
 	section(secLabels, len(st.Labels), func(i int) []byte { return appendLabelEntry(e[:0], st.Labels[i]) })
-	var err error
-	section(secReports, len(st.Reports), func(i int) []byte {
-		entry, rerr := appendReportEntry(e[:0], "", st.Reports[i])
-		err = cmp.Or(err, rerr)
-		return entry
-	})
-	if err != nil {
-		return nil, err
+	// The reports go out as the store holds them; the packer copies each, and
+	// an entry of the log is never a scratch the other sections write into.
+	kind = secReports
+	for i := range st.Reports.len() {
+		p.add(st.Reports.entry(i))
 	}
+	p.flush()
 	fused, vehicles, dropped := sortedKeys(st.Fused), sortedKeys(st.Reliability), sortedKeys(st.Dropped)
 	section(secFused, len(fused), func(i int) []byte { return appendFusedEntry(e[:0], fused[i], st.Fused[fused[i]]) })
 	section(secReliability, len(vehicles), func(i int) []byte {
@@ -496,23 +478,6 @@ func (r *reader) emptyList(flags byte, n int) bool {
 	return flags == flagEmptyList && r.err == nil
 }
 
-func (r *reader) reportEntry() (key string, rep Report) {
-	flags := r.u8()
-	if r.err != nil {
-		return "", Report{}
-	}
-	key, rep, rest, err := api.ReadReportPayload(r.b, r.str)
-	if err != nil {
-		r.fail("%v", err)
-		return "", Report{}
-	}
-	r.b = rest
-	if r.emptyList(flags, len(rep.APs)) {
-		rep.APs = []APReport{}
-	}
-	return key, rep
-}
-
 func (r *reader) patternEntry() Pattern {
 	flags := r.u8()
 	p := Pattern{Segment: r.name()}
@@ -571,14 +536,19 @@ func readBlock[E any](r *reader, dst []E, min int, entry func() E) []E {
 
 func (r *reader) u32int() int { return int(r.u32()) }
 
-// decodeReports decodes a recReports payload.
-func decodeReports(data []byte, str func([]byte) string) ([]BatchItem, error) {
-	r := reader{b: data, str: str}
-	items := readBlock(&r, nil, 11, func() (it BatchItem) {
-		it.Key, it.Report = r.reportEntry()
-		return it
-	})
-	return items, r.end()
+// decodeReportKeys checks a recReports payload and returns its entries' keys;
+// the entries themselves are applied as they are.
+func decodeReportKeys(data []byte) ([]string, error) {
+	r := reader{b: data}
+	keys := readBlock(&r, nil, 11, func() string { return string(r.report().key) })
+	return keys, r.end()
+}
+
+// decodeCapture decodes a recCapture payload.
+func decodeCapture(data []byte) ([3]int, error) {
+	r := reader{b: data}
+	counts := [3]int{r.u32int(), r.u32int(), r.u32int()}
+	return counts, r.end()
 }
 
 // decodePatternRecord decodes a recPatternEntry payload.
@@ -628,12 +598,12 @@ func decodeMoveBlock(data []byte, str func([]byte) string) (moveBlock, error) {
 		}
 		return p
 	})
-	m.reports = readBlock(&r, nil, 11, func() Report {
-		key, rep := r.reportEntry()
-		if r.err == nil && (key != "" || rep.Segment != m.segment || checkReport(rep) != nil) {
-			r.fail("a report keyed %q of segment %q in a block of %q", key, rep.Segment, m.segment)
+	m.reports = readBlock(&r, nil, 11, func() []byte {
+		e := r.report()
+		if r.err == nil && (len(e.key) != 0 || string(e.segment) != m.segment || !e.check()) {
+			r.fail("a report keyed %q of segment %q in a block of %q", e.key, e.segment, m.segment)
 		}
-		return rep
+		return e.data
 	})
 	m.labels = readBlock(&r, nil, 9, func() Label {
 		l := r.labelEntry()
@@ -673,6 +643,10 @@ func decodeSnapshot(data []byte, str func([]byte) string) (snapshotState, error)
 		return snapshotState{}, fmt.Errorf("%w: a snapshot opens with neither %q nor '{'", errCodec, snapshotMagic)
 	}
 	st := snapshotState{Fused: map[string][]LookupResult{}, Reliability: map[string]float64{}, Received: map[moveKey]moveCursor{}, Dropped: map[string]int{}}
+	// The reports are checked where they lie and copied once, after the walk,
+	// into a log of exactly their size; size counts what is checked so far.
+	var reports [][]byte
+	size := 0
 	body := data[len(snapshotMagic):]
 	valid, _, err := frame.Walk(body, func(_ int, kind byte, block []byte) error {
 		r := reader{b: block, str: str}
@@ -686,13 +660,16 @@ func decodeSnapshot(data []byte, str func([]byte) string) (snapshotState, error)
 		case secLabels:
 			st.Labels = readBlock(&r, st.Labels, 9, r.labelEntry)
 		case secReports:
-			st.Reports = readBlock(&r, st.Reports, 11, func() Report {
-				key, rep := r.reportEntry()
-				if key != "" {
-					r.fail("a snapshot report carries the key %q", key)
+			n := r.count(11)
+			entries := r.b
+			for ; n > 0 && r.err == nil; n-- {
+				if e := r.report(); len(e.key) != 0 {
+					r.fail("a snapshot report carries the key %q", e.key)
 				}
-				return rep
-			})
+				st.Reports.ends = append(st.Reports.ends, size+len(entries)-len(r.b))
+			}
+			reports = append(reports, entries[:len(entries)-len(r.b)])
+			size += len(reports[len(reports)-1])
 		case secFused:
 			r.fusedBlock(st.Fused)
 		case secReliability:
@@ -724,5 +701,6 @@ func decodeSnapshot(data []byte, str func([]byte) string) (snapshotState, error)
 	if valid != int64(len(body)) {
 		return snapshotState{}, fmt.Errorf("%w: snapshot does not frame past byte %d of %d", errCodec, int64(len(snapshotMagic))+valid, len(data))
 	}
+	st.Reports.buf = bytes.Join(reports, nil) // one allocation, not zeroed first
 	return st, nil
 }

@@ -74,11 +74,60 @@ func mustJSON(t testing.TB, v any) string {
 // pattern, report and label with its position, absent against empty AP lists.
 func exportAll(t testing.TB, s *Store) string {
 	t.Helper()
-	m, err := s.exportMove("fixture", func(string) string { return "all" }, defaultBatchChunkBytes)
+	m := s.exportMove("fixture", func(string) string { return "all" }, defaultBatchChunkBytes)
+	return fmt.Sprintf("export %x", sha256.Sum256(m["all"]))
+}
+
+// reportsOf decodes the reports l holds.
+func reportsOf(l reportLog) []Report {
+	out := make([]Report, l.len())
+	for i := range out {
+		e := parseEntry(l.entry(i))
+		r := Report{Vehicle: string(e.vehicle), Segment: string(e.segment)}
+		if e.data[0] == flagEmptyList {
+			r.APs = []APReport{}
+		}
+		for k := range e.numAPs() {
+			x, y, credit := e.ap(k)
+			r.APs = append(r.APs, APReport{X: x, Y: y, Credit: credit})
+		}
+		out[i] = r
+	}
+	return out
+}
+
+// logOf is the report log that holds rs.
+func logOf(rs []Report) reportLog {
+	var l reportLog
+	for _, r := range rs {
+		e, _ := appendReportEntry(nil, "", r)
+		l.add(e)
+	}
+	return l
+}
+
+// legacySnapshotJSON is st as an older build's JSON snapshot.
+func legacySnapshotJSON(t testing.TB, st snapshotState) []byte {
+	t.Helper()
+	data, err := json.Marshal(struct {
+		snapshotState
+		Reports []Report `json:"reports"`
+	}{st, reportsOf(st.Reports)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fmt.Sprintf("export %x", sha256.Sum256(m["all"]))
+	return data
+}
+
+// encodeCycle encodes a view as the recCycle payload builds before the
+// capture record logged: segments and vehicles sorted.
+func encodeCycle(v *view) []byte {
+	dst := appendBlock(nil, sortedKeys(v.fused), func(dst []byte, seg string) []byte {
+		return appendFusedEntry(dst, seg, v.fused[seg])
+	})
+	return appendBlock(dst, sortedKeys(v.reliability), func(dst []byte, vehicle string) []byte {
+		return appendReliabilityEntry(dst, vehicle, v.reliability[vehicle])
+	})
 }
 
 // legacySlice is the JSON an older build exported a shard's state as, which
@@ -112,7 +161,7 @@ func asLegacySlice(t testing.TB, s *Store) string {
 	for _, p := range c.patterns {
 		sl.Patterns = append(sl.Patterns, legacySlicePattern{p.ID, p.Segment, p.APs})
 	}
-	for _, r := range c.reports {
+	for _, r := range reportsOf(c.reports) {
 		sl.Reports = append(sl.Reports, legacySliceReport{r})
 	}
 	for _, l := range c.labels {
@@ -340,11 +389,8 @@ func (w *legacyLog) append(kind byte, v any) {
 func (w *legacyLog) snapshot(ref *Store) {
 	w.t.Helper()
 	c := ref.capture()
-	data, err := json.Marshal(snapshotState{Patterns: c.patterns, Labels: c.labels, Reports: c.reports,
+	data := legacySnapshotJSON(w.t, snapshotState{Patterns: c.patterns, Labels: c.labels, Reports: c.reports,
 		Fused: c.view.fused, Reliability: c.view.reliability, Idem: ref.idem.snapshot()})
-	if err != nil {
-		w.t.Fatal(err)
-	}
 	if err := wal.WriteSnapshot(w.dir, w.log.LastSeq(), data); err != nil {
 		w.t.Fatal(err)
 	}
@@ -443,7 +489,7 @@ func recoveryProperty(t *testing.T, seed int64) {
 			upgradePatterns = len(ref.patterns)
 		}
 		old := upgraded == nil // the legacy directory is still the older build's
-		switch op := rnd.Intn(18); {
+		switch op := rnd.Intn(19); {
 		case op < 5:
 			k, r := key(), report()
 			each(func(s *Store) error { return s.AddReportKeyed(ctx, k, r) })
@@ -536,6 +582,20 @@ func recoveryProperty(t *testing.T, seed int64) {
 			}
 			move := moves[rnd.Intn(len(moves))]
 			each(func(s *Store) error { _, err := s.applyMove(ctx, move); return err })
+		case op < 18: // a cycle, a drop, a crash: recovery must trim the view
+			// the capture record publishes as the live drop trimmed it
+			seg := []string{fmt.Sprintf("seg-%d", rnd.Intn(6))}
+			each(func(s *Store) error { _, err := s.AggregateCycle(); return err })
+			if old {
+				v := ref.view.Load()
+				legacy.append(recLegacyCycle, aggregateRecord{Fused: v.fused, Reliability: v.reliability})
+				legacy.append(recDrop, dropRecord{Segments: seg})
+			}
+			each(func(s *Store) error { _, err := s.DropSegments(ctx, seg); return err })
+			if err := snapped.Close(); err != nil {
+				t.Fatal(err)
+			}
+			snapped = open(snappedDir)
 		default: // a move out: export, apply at the peer, drop
 			seg := fmt.Sprintf("seg-%d", rnd.Intn(6))
 			move := moveOf(t, ref, "self", seg)
@@ -617,7 +677,7 @@ func TestSnapshotFramesAGiantEntryAlone(t *testing.T) {
 	}
 	reopened, stats := openDurable(t, dir)
 	defer reopened.Close()
-	if !stats.SnapshotLoaded || stats.Reports != 101 || len(reopened.reports[100].APs) != len(giant.APs) {
+	if !stats.SnapshotLoaded || stats.Reports != 101 || parseEntry(reopened.reports.entry(100)).numAPs() != len(giant.APs) {
 		t.Fatalf("reopened with %+v", stats)
 	}
 }
@@ -647,8 +707,8 @@ func fuzzState() snapshotState {
 	return snapshotState{
 		Patterns: []Pattern{{ID: 0, Segment: "s1", APs: []APReport{{X: 1, Y: 2, Credit: 3}}}, {ID: 1, Segment: "s2"}, {ID: 2, Segment: "s1", APs: []APReport{}}},
 		Labels:   []Label{{Vehicle: "v1", TaskID: 0, Value: 1}, {Vehicle: "v2", TaskID: 2, Value: -1}},
-		Reports: []Report{{Vehicle: "v1", Segment: "s1", APs: []APReport{{X: 1.5, Y: 2.5, Credit: 1}}},
-			{Vehicle: "v2", Segment: "s2"}, {Vehicle: "v2", Segment: "s2", APs: []APReport{}}},
+		Reports: logOf([]Report{{Vehicle: "v1", Segment: "s1", APs: []APReport{{X: 1.5, Y: 2.5, Credit: 1}}},
+			{Vehicle: "v2", Segment: "s2"}, {Vehicle: "v2", Segment: "s2", APs: []APReport{}}}),
 		Fused:       map[string][]LookupResult{"s1": {{X: 1.25, Y: 2.25, Weight: 1}}, "s2": {}, "s3": {{X: 3, Y: 4, Weight: 1}, {X: 5, Y: 6, Weight: 0.5}}},
 		Reliability: map[string]float64{"v1": 1, "v2": 0.05},
 		Idem:        []idemEntry{{Key: "k1", Status: 201, Body: []byte("{\"status\":\"stored\"}\n")}},
@@ -684,12 +744,20 @@ func hugeCountSection(kind byte, n uint32) []byte {
 	return frame.Append(nil, kind, binary.LittleEndian.AppendUint32(nil, n))
 }
 
+// overrunEntry is a report entry whose AP count claims one AP more than the
+// bytes after it hold.
+func overrunEntry(key string) []byte {
+	e, _ := appendReportEntry(nil, key, Report{Vehicle: "v", Segment: "s1", APs: []APReport{{X: 1, Y: 2, Credit: 3}}})
+	at := 1 + 2 + len(key) + 3 + 4 // flags, then the key, vehicle and segment
+	binary.LittleEndian.PutUint32(e[at:], 2)
+	return e
+}
+
 func FuzzDecodeSnapshot(f *testing.F) {
 	whole, err := encodeSnapshot(fuzzState())
 	if err != nil {
 		f.Fatal(err)
 	}
-	legacy, _ := json.Marshal(fuzzState())
 	for _, seed := range [][]byte{
 		nil,
 		whole,
@@ -700,7 +768,9 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		append([]byte(snapshotMagic), hugeCountSection(secFused, 1<<31)...),
 		append([]byte(snapshotMagic), hugeCountSection(secReceived, 1<<30)...),
 		append([]byte(snapshotMagic), hugeCountSection(99, 0)...),
-		legacy,
+		append([]byte(snapshotMagic), frame.Append(nil, secReports, append(appendU32(nil, 1), overrunEntry("")...))...),
+		append([]byte(snapshotMagic), frame.Append(nil, secReports, append(appendU32(nil, 1), overrunEntry("k")[:14]...))...),
+		legacySnapshotJSON(f, fuzzState()),
 		[]byte(`{"patterns":[{"id":7,"segment":"s"}]}`),
 	} {
 		f.Add(seed)
@@ -714,9 +784,6 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		}
 		first, err := encodeSnapshot(st)
 		if err != nil {
-			if strings.Contains(err.Error(), "exceeds") {
-				return // a JSON snapshot may hold a name the report layout cannot
-			}
 			t.Fatalf("accepted snapshot does not re-encode: %v", err)
 		}
 		again, err := decodeSnapshot(first, newInterner())
@@ -729,30 +796,38 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	})
 }
 
+// FuzzApplyRecord replays a record into an empty store, then the log of
+// records framed in more, and settles the log's last capture as recovery does
+// at the end of a log.
 func FuzzApplyRecord(f *testing.F) {
 	st := fuzzState()
 	block := []byte{3, 0, 0, 0}
-	for i, r := range st.Reports {
+	for i, r := range reportsOf(st.Reports) {
 		block, _ = appendReportEntry(block, fmt.Sprintf("k%d", i), r)
 	}
-	f.Add(recReports, block)
-	f.Add(recReports, block[:len(block)-1])
-	f.Add(recReports, binary.LittleEndian.AppendUint32(nil, 0xFFFFFFFF))
-	f.Add(recCycle, encodeCycle(&view{fused: st.Fused, reliability: st.Reliability}))
-	f.Add(recCycle, binary.LittleEndian.AppendUint32(nil, 1<<30))
-	f.Add(recPatternEntry, appendPatternRecord(nil, 0, "p", st.Patterns[0]))
-	f.Add(recPatternEntry, appendPatternRecord(nil, 0, "", st.Patterns[2])[:20])
-	f.Add(recLabelBlock, appendLabelsRecord(nil, "l", st.Labels[:1]))
-	f.Add(recLabelBlock, binary.LittleEndian.AppendUint32(appendStr(nil, ""), 1<<30))
-	f.Add(recPattern, []byte(`{"id":0,"segment":"s","aps":[{"x":1,"y":2,"credit":3}],"idemKey":"p"}`))
-	f.Add(recLabels, []byte(`{"labels":[{"vehicle":"v","taskId":0,"value":1}]}`))
-	f.Add(recLabels, []byte(`{"labels":[{"vehicle":"v","taskId":5,"value":1}]}`))
-	f.Add(recDrop, []byte(`{"segments":["s1"]}`))
-	f.Add(recDropBlock, appendBlock(nil, []string{"s1", "s2"}, appendStr))
-	f.Add(recDropBlock, binary.LittleEndian.AppendUint32(nil, 1<<30))
-	f.Add(recLegacyReport, []byte(`{"report":{"vehicle":"v","segment":"s","aps":[]},"idemKey":"r"}`))
-	f.Add(recLegacyBatch, []byte(`{"reports":[{"report":{"vehicle":"v","segment":"s","aps":null}}]}`))
-	f.Add(recLegacyCycle, []byte(`{"fused":{"s":[{"x":1,"y":2,"weight":1}]},"reliability":{"v":1}}`))
+	add := func(kind byte, data []byte) { f.Add(kind, data, []byte(nil)) }
+	add(recReports, block)
+	add(recReports, block[:len(block)-1])
+	add(recReports, binary.LittleEndian.AppendUint32(nil, 0xFFFFFFFF))
+	add(recReports, append(appendU32(nil, 1), overrunEntry("k")...))
+	add(recCycle, encodeCycle(&view{fused: st.Fused, reliability: st.Reliability}))
+	add(recCycle, binary.LittleEndian.AppendUint32(nil, 1<<30))
+	add(recCapture, appendCapture(nil, [3]int{0, 0, 0}))
+	add(recCapture, appendCapture(nil, [3]int{0, 0, 1})) // counts past the log's lengths
+	add(recCapture, appendCapture(nil, [3]int{0, 0, 0})[:11])
+	add(recPatternEntry, appendPatternRecord(nil, 0, "p", st.Patterns[0]))
+	add(recPatternEntry, appendPatternRecord(nil, 0, "", st.Patterns[2])[:20])
+	add(recLabelBlock, appendLabelsRecord(nil, "l", st.Labels[:1]))
+	add(recLabelBlock, binary.LittleEndian.AppendUint32(appendStr(nil, ""), 1<<30))
+	add(recPattern, []byte(`{"id":0,"segment":"s","aps":[{"x":1,"y":2,"credit":3}],"idemKey":"p"}`))
+	add(recLabels, []byte(`{"labels":[{"vehicle":"v","taskId":0,"value":1}]}`))
+	add(recLabels, []byte(`{"labels":[{"vehicle":"v","taskId":5,"value":1}]}`))
+	add(recDrop, []byte(`{"segments":["s1"]}`))
+	add(recDropBlock, appendBlock(nil, []string{"s1", "s2"}, appendStr))
+	add(recDropBlock, binary.LittleEndian.AppendUint32(nil, 1<<30))
+	add(recLegacyReport, []byte(`{"report":{"vehicle":"v","segment":"s","aps":[]},"idemKey":"r"}`))
+	add(recLegacyBatch, []byte(`{"reports":[{"report":{"vehicle":"v","segment":"s","aps":null}}]}`))
+	add(recLegacyCycle, []byte(`{"fused":{"s":[{"x":1,"y":2,"weight":1}]},"reliability":{"v":1}}`))
 	src := NewStore(10)
 	if err := src.restoreSnapshot(st); err != nil {
 		f.Fatal(err)
@@ -761,30 +836,41 @@ func FuzzApplyRecord(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(recMove, blocks[0].data)
-	f.Add(recMove, blocks[0].data[:len(blocks[0].data)-1])
-	f.Add(byte(13), []byte("x"))
-	f.Fuzz(func(t *testing.T, kind byte, data []byte) {
+	add(recMove, blocks[0].data)
+	add(recMove, blocks[0].data[:len(blocks[0].data)-1])
+	add(byte(14), []byte("x"))
+	// Reports, a capture of them, then a drop of one of their segments before
+	// more reports arrive: the drop trims the view the capture publishes.
+	f.Add(recReports, block, slices.Concat(
+		frame.Append(nil, recCapture, appendCapture(nil, [3]int{0, 0, 3})),
+		frame.Append(nil, recDropBlock, appendBlock(nil, []string{"s1"}, appendStr)),
+		frame.Append(nil, recReports, block[:4+len(block)/3]),
+		frame.Append(nil, recCapture, appendCapture(nil, [3]int{0, 0, 1})),
+	))
+	f.Fuzz(func(t *testing.T, kind byte, data, more []byte) {
 		s := NewStore(10)
 		var err error
 		decodeBounded(t, len(data), func() { err = s.applyRecord(wal.Record{Seq: 1, Kind: kind, Data: data}, nil) })
 		if err != nil {
 			return
 		}
-		// What replay accepts the store can work on: the next cycle does not
-		// panic. Whether it fuses anything is not this property.
-		_, _ = s.Aggregate()
 		switch kind {
 		case recReports:
-			// One encoding per value: what decodes re-encodes to itself.
-			again := binary.LittleEndian.AppendUint32(nil, uint32(len(s.reports)))
-			items, _ := decodeReports(data, nil)
-			for _, it := range items {
-				if again, err = appendReportEntry(again, it.Key, it.Report); err != nil {
-					t.Fatalf("accepted report does not re-encode: %v", err)
-				}
+			// One encoding per value: the entries the store holds, their keys
+			// put back, are the record.
+			keys, _ := decodeReportKeys(data)
+			again := appendU32(nil, s.reports.len())
+			for i, key := range keys {
+				e := s.reports.entry(i)
+				again = append(binary.LittleEndian.AppendUint16(append(again, e[0]), uint16(len(key))), key...)
+				again = append(again, e[3:]...)
 			}
 			if !bytes.Equal(again, data) {
+				t.Fatalf("re-encoded %x, record is %x", again, data)
+			}
+		case recCapture:
+			counts, _ := decodeCapture(data)
+			if again := appendCapture(nil, counts); !bytes.Equal(again, data) {
 				t.Fatalf("re-encoded %x, record is %x", again, data)
 			}
 		case recPatternEntry:
@@ -804,8 +890,8 @@ func FuzzApplyRecord(f *testing.F) {
 			}
 		case recMove:
 			m, _ := decodeMoveBlock(data, nil)
-			if again, err := appendMoveBlock(nil, &m); err != nil || !bytes.Equal(again, data) {
-				t.Fatalf("re-encoded %x (err %v), record is %x", again, err, data)
+			if again := appendMoveBlock(nil, &m); !bytes.Equal(again, data) {
+				t.Fatalf("re-encoded %x, record is %x", again, data)
 			}
 		case recCycle:
 			// Segments may arrive unsorted or twice; the encoding of what
@@ -816,6 +902,19 @@ func FuzzApplyRecord(f *testing.F) {
 				t.Fatalf("encode(decode(x)) is not a fixed point (err %v)", err)
 			}
 		}
+		// The rest of the log: a replay that refuses a record stops there.
+		_, _, err = frame.Walk(more, func(i int, kind byte, data []byte) error {
+			return s.applyRecord(wal.Record{Seq: uint64(2 + i), Kind: kind, Data: data}, nil)
+		})
+		if err == nil {
+			err = s.settle()
+		}
+		if err != nil {
+			return
+		}
+		// What replay accepts the store can work on: the next cycle does not
+		// panic. Whether it fuses anything is not this property.
+		_, _ = s.Aggregate()
 	})
 }
 

@@ -10,11 +10,59 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"crowdwifi/internal/obs"
 	"crowdwifi/internal/wal"
 )
+
+// walCounts reads what the log behind reg appended so far.
+func walCounts(reg *obs.Registry) logCounts {
+	return logCounts{
+		records: uint64(reg.SumCounters("crowdwifi_wal_appends_total", nil)),
+		fsyncs:  uint64(reg.SumCounters("crowdwifi_wal_fsyncs_total", nil)),
+		bytes:   uint64(reg.SumCounters("crowdwifi_wal_append_bytes_total", nil)),
+	}
+}
+
+func (c logCounts) minus(d logCounts) logCounts {
+	return logCounts{c.records - d.records, c.fsyncs - d.fsyncs, c.bytes - d.bytes}
+}
+
+// snapshotted fills a fresh directory with offlineWorld's draw of shape sh
+// (aggregated once), snapshots it and closes it.
+func snapshotted(t *testing.T, sh offlineShape) string {
+	t.Helper()
+	dir := t.TempDir()
+	s, _, err := OpenStore(10, StorageOptions{Dir: dir, Fsync: wal.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	items, ps, ls := offlineWorld(1, sh)
+	if err := errors.Join(s.AddReportBatch(ctx, items)...); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range ps {
+		if _, err := s.AddPatternKeyed(ctx, "", p.Segment, p.APs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.AddLabels(ls); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Aggregate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
 
 // logCounts is what one operation appends to a SyncAlways log.
 type logCounts struct {
@@ -30,8 +78,20 @@ var wantLogCounts = map[string]logCounts{
 	"labels/20k": {records: 1, fsyncs: 1, bytes: 280017},
 	"drop":       {records: 1, fsyncs: 1, bytes: 22},
 	"move block": {records: 1, fsyncs: 1, bytes: 668},
-	"cycle":      {records: 1, fsyncs: 1, bytes: 337},
+	"cycle":      {records: 1, fsyncs: 1, bytes: 21},
 }
+
+// wantCycleAt50k is what a cycle logs over the mixed_aggregate preload (50 k
+// reports, 2 000 patterns, 20 k labels): the record names what the cycle
+// read, so it is the fixture's 21 bytes at any size of history. (A cycle
+// that logged its fused map and reliabilities wrote 381,705 bytes here.)
+var wantCycleAt50k = logCounts{records: 1, fsyncs: 1, bytes: 21}
+
+// wantHeapObjectsPerRecoveredReport is the heap objects recovery allocates per
+// report, amortised, booting from a snapshot of 40 k reports: the reports are
+// checked and copied into one log of bytes, so no report gets an object of its
+// own. (Decoded into structs, they took 45,141 objects: 1 per report.)
+const wantHeapObjectsPerRecoveredReport = 0
 
 // wantAllocs is what one call allocates on a SyncOff store, keyed, averaged
 // over 100 calls. The counts are exact: what grows by doubling (the store's
@@ -135,20 +195,11 @@ func TestCountsPerLogRecord(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			reg := obs.NewRegistry()
 			s := countsFixture(t, StorageOptions{Fsync: wal.SyncAlways, Metrics: wal.NewMetrics(reg)})
-			read := func() logCounts {
-				return logCounts{
-					records: uint64(reg.SumCounters("crowdwifi_wal_appends_total", nil)),
-					fsyncs:  uint64(reg.SumCounters("crowdwifi_wal_fsyncs_total", nil)),
-					bytes:   uint64(reg.SumCounters("crowdwifi_wal_append_bytes_total", nil)),
-				}
-			}
-			before := read()
+			before := walCounts(reg)
 			if err := ops[name](s); err != nil {
 				t.Fatal(err)
 			}
-			after := read()
-			got := logCounts{after.records - before.records, after.fsyncs - before.fsyncs, after.bytes - before.bytes}
-			if got != want {
+			if got := walCounts(reg).minus(before); got != want {
 				t.Errorf("%s: %+v, want %+v", name, got, want)
 			}
 		})
@@ -191,5 +242,45 @@ func TestCountsAllocs(t *testing.T) {
 				t.Errorf("%s: %v allocs per call, want %v", name, got, want)
 			}
 		})
+	}
+}
+
+func TestCountsCycleAt50k(t *testing.T) {
+	dir := snapshotted(t, mixedShape)
+	reg := obs.NewRegistry()
+	s, _, err := OpenStore(10, StorageOptions{Dir: dir, Fsync: wal.SyncAlways, Metrics: wal.NewMetrics(reg)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	before := walCounts(reg)
+	if _, err := s.AggregateCycle(); err != nil {
+		t.Fatal(err)
+	}
+	if got := walCounts(reg).minus(before); got != wantCycleAt50k {
+		t.Errorf("a cycle at 50 k reports logged %+v, want %+v", got, wantCycleAt50k)
+	}
+}
+
+func TestCountsRecoveredHeapObjects(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const reports = 40_000
+	dir := snapshotted(t, offlineShape{segments: 2000, reports: reports, vehicles: 1000})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, stats, err := OpenStore(10, StorageOptions{Dir: dir})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if !stats.SnapshotLoaded || stats.Reports != reports {
+		t.Fatalf("recovered %+v", stats)
+	}
+	if got := (after.Mallocs - before.Mallocs) / reports; got != wantHeapObjectsPerRecoveredReport {
+		t.Errorf("recovery allocated %d heap objects for %d reports: %d per report, want %d",
+			after.Mallocs-before.Mallocs, reports, got, wantHeapObjectsPerRecoveredReport)
 	}
 }

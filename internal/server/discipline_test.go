@@ -309,22 +309,19 @@ func TestConcurrentTrafficEqualsSerialReplay(t *testing.T) {
 	}
 }
 
-// TestReportPathsEncodeBeforeTheLock: whatever a report path or a cycle
-// writes to the log it encodes before it takes mu — the lock covers the
-// append and the in-memory mutation, never an encode. Seen from outside: with
-// mu held by someone else, a report, a batch entry and a cycle whose records
-// would not fit the log are each refused on their encoded size alone, without
-// waiting for the lock.
+// TestReportPathsEncodeBeforeTheLock: whatever a report path writes to the
+// log it encodes before it takes mu — the lock covers the append and the
+// in-memory mutation, never an encode. Seen from outside: with mu held by
+// someone else, a report and a batch entry whose records would not fit the log
+// are each refused on their encoded size alone, without waiting for the lock.
+// (A cycle's record is a fixed 12 bytes.)
 func TestReportPathsEncodeBeforeTheLock(t *testing.T) {
 	store, _, err := OpenStore(10, StorageOptions{Dir: t.TempDir(), Fsync: wal.SyncOff})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	log := store.capture().log
-	tooMany := wal.MaxRecordBytes/24 + 1
-	giant := Report{Vehicle: "v", Segment: "s", APs: make([]APReport, tooMany)}
-	cycle := &view{fused: map[string][]LookupResult{"s": make([]LookupResult, tooMany)}, reliability: map[string]float64{}}
+	giant := Report{Vehicle: "v", Segment: "s", APs: make([]APReport, wal.MaxRecordBytes/24+1)}
 
 	store.mu.Lock()
 	defer store.mu.Unlock()
@@ -333,7 +330,6 @@ func TestReportPathsEncodeBeforeTheLock(t *testing.T) {
 		"AddReportBatch": func() error {
 			return errors.Join(store.AddReportBatch(context.Background(), []BatchItem{{Key: "k", Report: giant}})...)
 		},
-		"publish": func() error { return store.publish(context.Background(), log, cycle) },
 	} {
 		done := make(chan error, 1)
 		go func() { done <- call() }()
@@ -361,10 +357,7 @@ func TestRefusedMutationLogsNothing(t *testing.T) {
 	}
 	gap := blocks[0] // from a source none of whose patterns landed yet
 	gap.source, gap.first[0] = "gap", 1
-	gapData, err := appendMoveBlock(nil, &gap)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gapData := appendMoveBlock(nil, &gap)
 	oversized := make([]APReport, wal.MaxRecordBytes/24+1)
 	longName := strings.Repeat("v", wal.MaxRecordBytes)
 	for _, c := range []struct {
@@ -532,5 +525,45 @@ func TestDropSegmentsRacingCycleNeverResurrects(t *testing.T) {
 	defer replayed.Close()
 	if got := lookupBytes(t, replayed, everything); got != want {
 		t.Fatal("replayed directory serves a different map than the live store did")
+	}
+}
+
+// TestDropSegmentsWaitsOutACycle: a cycle holds cycle from its capture to its
+// record, and a drop waits for it, so no drop is logged between a capture and
+// the record that names it — the counts a capture record holds are positions
+// in the history replay rebuilds.
+func TestDropSegmentsWaitsOutACycle(t *testing.T) {
+	store, _, err := OpenStore(10, StorageOptions{Dir: t.TempDir(), Fsync: wal.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	for v := 0; v < 3; v++ {
+		if err := store.AddReport(Report{Vehicle: fmt.Sprintf("veh-%d", v), Segment: "doomed", APs: []APReport{{X: 1, Y: 2, Credit: 1}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seq := store.capture().log.LastSeq()
+	store.cycle.Lock() // a cycle in flight
+	dropped := make(chan int, 1)
+	go func() {
+		n, err := store.DropSegments(context.Background(), []string{"doomed"})
+		if err != nil {
+			t.Error(err)
+		}
+		dropped <- n
+	}()
+	select {
+	case <-dropped:
+		t.Fatal("DropSegments returned while a cycle was in flight")
+	case <-time.After(50 * time.Millisecond):
+	}
+	if _, _, r := store.Counts(); r != 3 || store.capture().log.LastSeq() != seq {
+		t.Fatalf("with a cycle in flight the drop logged or removed something: %d reports, last seq %d, was %d",
+			r, store.capture().log.LastSeq(), seq)
+	}
+	store.cycle.Unlock()
+	if n := <-dropped; n != 3 {
+		t.Fatalf("dropped %d reports once the cycle ended, want 3", n)
 	}
 }

@@ -3,10 +3,15 @@ package server
 // What builds before the binary codec wrote and this build only reads: the
 // JSON pattern, labels, report, cycle, drop and batch-chunk records (kinds 1
 // to 6) and the JSON snapshot. They are the only way into a data directory
-// such a build left behind; nothing here encodes, and nothing but the loader's
-// branches for those kinds and for a snapshot that opens with '{' calls in.
+// such a build left behind; nothing here writes to disk, and nothing but the
+// loader's branches for those kinds and for a snapshot that opens with '{'
+// calls in. Their reports are encoded into the entries the store holds, so a
+// name longer than that layout carries refuses the record or the snapshot.
 
-import "encoding/json"
+import (
+	"encoding/json"
+	"fmt"
+)
 
 // patternRecord is one pattern as kind 1 logged it.
 type patternRecord struct {
@@ -48,9 +53,35 @@ type aggregateRecord struct {
 // decodeLegacySnapshot decodes a JSON snapshot. Members it does not know —
 // the "vehicles" index of still older builds — are ignored.
 func decodeLegacySnapshot(data []byte) (snapshotState, error) {
-	var state snapshotState
-	err := json.Unmarshal(data, &state)
-	return state, err
+	var state struct {
+		snapshotState
+		Reports []Report `json:"reports"`
+	}
+	if err := json.Unmarshal(data, &state); err != nil {
+		return snapshotState{}, err
+	}
+	var entry []byte
+	for _, r := range state.Reports {
+		var err error
+		if entry, err = appendReportEntry(entry[:0], "", r); err != nil {
+			return snapshotState{}, err
+		}
+		state.snapshotState.Reports.add(entry)
+	}
+	return state.snapshotState, nil
+}
+
+// legacyReports is a report record of this build's kind holding items.
+func legacyReports(items []BatchItem) (record, error) {
+	rec := record{kind: recReports, data: appendU32(nil, len(items)), keys: make([]string, len(items))}
+	for i, it := range items {
+		var err error
+		if rec.data, err = appendReportEntry(rec.data, it.Key, it.Report); err != nil {
+			return record{}, fmt.Errorf("report %d: %w", i, err)
+		}
+		rec.keys[i] = it.Key
+	}
+	return rec, nil
 }
 
 // decodeLegacyRecord decodes a record of kind 1 to 6 into the value of the
@@ -68,18 +99,23 @@ func decodeLegacyRecord(kind byte, data []byte) (record, error) {
 		return record{kind: recLabelBlock, key: lr.IdemKey, labels: lr.Labels}, err
 	case recLegacyReport:
 		var rr reportRecord
-		err := json.Unmarshal(data, &rr)
-		return record{kind: recReports, reports: []BatchItem{{Key: rr.IdemKey, Report: rr.Report}}}, err
+		if err := json.Unmarshal(data, &rr); err != nil {
+			return record{}, err
+		}
+		return legacyReports([]BatchItem{{Key: rr.IdemKey, Report: rr.Report}})
 	case recLegacyBatch:
 		var br batchRecord
 		err := json.Unmarshal(data, &br)
-		rec := record{kind: recReports, reports: make([]BatchItem, len(br.Reports))}
+		items := make([]BatchItem, len(br.Reports))
 		for i := 0; i < len(br.Reports) && err == nil; i++ {
 			var rr reportRecord
 			err = json.Unmarshal(br.Reports[i], &rr)
-			rec.reports[i] = BatchItem{Key: rr.IdemKey, Report: rr.Report}
+			items[i] = BatchItem{Key: rr.IdemKey, Report: rr.Report}
 		}
-		return rec, err
+		if err != nil {
+			return record{}, err
+		}
+		return legacyReports(items)
 	case recLegacyCycle:
 		var ar aggregateRecord
 		err := json.Unmarshal(data, &ar)

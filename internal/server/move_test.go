@@ -25,16 +25,12 @@ import (
 // moveOf is the move that exports the named segments of s from source.
 func moveOf(t testing.TB, s *Store, source string, segments ...string) []byte {
 	t.Helper()
-	m, err := s.exportMove(source, func(seg string) string {
+	return s.exportMove(source, func(seg string) string {
 		if slices.Contains(segments, seg) {
 			return "to"
 		}
 		return ""
-	}, s.chunkBudget())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m["to"]
+	}, s.chunkBudget())["to"]
 }
 
 func postMove(t *testing.T, ts *httptest.Server, move []byte) *http.Response {
@@ -364,11 +360,7 @@ func FuzzDecodeMove(f *testing.F) {
 	if err := src.restoreSnapshot(fuzzState()); err != nil {
 		f.Fatal(err)
 	}
-	m, err := src.exportMove("src", func(string) string { return "all" }, 96)
-	if err != nil {
-		f.Fatal(err)
-	}
-	whole := m["all"]
+	whole := src.exportMove("src", func(string) string { return "all" }, 96)["all"]
 	keyed, _ := appendReportEntry(nil, "k", Report{Vehicle: "v", Segment: "s1"})
 	u32 := func(n uint32) []byte { return binary.LittleEndian.AppendUint32(nil, n) }
 	for _, seed := range [][]byte{
@@ -391,11 +383,7 @@ func FuzzDecodeMove(f *testing.F) {
 		}
 		var again []byte
 		for i := range blocks {
-			b, err := appendMoveBlock(nil, &blocks[i])
-			if err != nil {
-				t.Fatalf("accepted block does not re-encode: %v", err)
-			}
-			again = frame.Append(again, recMove, b)
+			again = frame.Append(again, recMove, appendMoveBlock(nil, &blocks[i]))
 		}
 		if !bytes.Equal(again, data) {
 			t.Fatalf("re-encoded %x, move is %x", again, data)

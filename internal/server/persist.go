@@ -25,10 +25,12 @@ import (
 	"crowdwifi/internal/wal"
 )
 
-// WAL record kinds. Reports, cycle outputs, patterns, labels, moved blocks and
-// drops are in the binary codec (codec.go). Kinds 1 to 6 are the JSON pattern,
+// WAL record kinds. Reports, captures, patterns, labels, moved blocks and drops
+// are in the binary codec (codec.go). Kinds 1 to 6 are the JSON pattern,
 // labels, report, cycle, drop and batch-chunk records of builds before that
-// codec: read so their data directories open (legacy.go), never written.
+// codec, and kind 8 the binary cycle record of builds before the capture
+// record: read so their data directories open (legacy.go, decodeCycle), never
+// written.
 const (
 	recPattern      byte = 1
 	recLabels       byte = 2
@@ -42,6 +44,7 @@ const (
 	recLabelBlock   byte = 10
 	recMove         byte = 11
 	recDropBlock    byte = 12
+	recCapture      byte = 13
 )
 
 // ErrDurability marks a mutation rejected because its write-ahead append
@@ -57,12 +60,12 @@ var ErrRecordTooLarge = errors.New("server: record exceeds the WAL record size l
 // snapshotState is the full Store serialization: everything recovery needs
 // to stand the server back up without the compacted log prefix. encodeSnapshot
 // writes it and decodeSnapshot reads it; the JSON tags are what the snapshots
-// of older builds decode through, and nothing encodes through them. Older
-// builds kept no move tables.
+// of older builds decode through (legacy.go, which reads their reports), and
+// nothing encodes through them. Older builds kept no move tables.
 type snapshotState struct {
 	Patterns    []Pattern                 `json:"patterns"`
 	Labels      []Label                   `json:"labels"`
-	Reports     []Report                  `json:"reports"`
+	Reports     reportLog                 `json:"-"`
 	Fused       map[string][]LookupResult `json:"fused"`
 	Reliability map[string]float64        `json:"reliability"`
 	Idem        []idemEntry               `json:"idem"`
@@ -179,7 +182,7 @@ func OpenStore(mergeRadius float64, opts StorageOptions) (*Store, RecoveryStats,
 	stats.LastSeq = log.LastSeq()
 	stats.Patterns = len(s.patterns)
 	stats.Labels = len(s.labels)
-	stats.Reports = len(s.reports)
+	stats.Reports = s.reports.len()
 	stats.IdemKeys = len(s.idem.snapshot())
 	s.mu.Unlock()
 	stats.Duration = time.Since(start)
@@ -211,6 +214,9 @@ func (s *Store) loadDir(dir string, replay func(after uint64, apply func(wal.Rec
 		stats.ReplayedRecords++
 		return s.applyRecord(rec, str)
 	})
+	if err == nil {
+		err = s.settle()
+	}
 	return stats, err
 }
 
@@ -261,17 +267,20 @@ func newView(fused map[string][]LookupResult, reliability map[string]float64) *v
 // record is one mutation: the kind whose check and apply it takes, its
 // encoded bytes, and the value they encode, which a live mutator already
 // holds and replay decodes. Only the fields of its kind are set; moved and
-// dropped are results.
+// dropped are results. A report record's entries are applied from its bytes.
 type record struct {
 	kind     byte
 	data     []byte
-	key      string      // a pattern's or a label block's idempotency key
-	pattern  Pattern     // recPatternEntry
-	labels   []Label     // recLabelBlock
-	reports  []BatchItem // recReports
-	move     *moveBlock  // recMove
-	segments []string    // recDropBlock
-	view     *view       // recCycle
+	key      string     // a pattern's or a label block's idempotency key
+	pattern  Pattern    // recPatternEntry
+	labels   []Label    // recLabelBlock
+	keys     []string   // recReports: each entry's idempotency key
+	move     *moveBlock // recMove
+	segments []string   // recDropBlock
+	counts   [3]int     // recCapture: the patterns, labels and reports read
+	// view is a recCycle's, and a live recCapture's: the view its cycle
+	// computed. Replay leaves a capture's nil and computes it (settle).
+	view *view
 
 	moved   api.SliceStats // what a move block adds, as its check counts it
 	dropped int            // the reports a drop removed
@@ -316,6 +325,10 @@ func (s *Store) commit(ctx context.Context, rec *record) error {
 // double-applying. str converts the names in a binary record (nil copies).
 func (s *Store) applyRecord(wr wal.Record, str func([]byte) string) error {
 	rec, err := decodeRecord(wr.Kind, wr.Data, str)
+	if err == nil && rec.kind == recDropBlock {
+		// The drop trims the view the last capture would have published.
+		err = s.settle()
+	}
 	if err == nil {
 		s.mu.Lock()
 		var adds bool
@@ -341,12 +354,14 @@ func decodeRecord(kind byte, data []byte, str func([]byte) string) (record, erro
 	case recLabelBlock:
 		rec.key, rec.labels, err = decodeLabelsRecord(data, str)
 	case recReports:
-		rec.reports, err = decodeReports(data, str)
+		rec.keys, err = decodeReportKeys(data)
 	case recMove:
 		rec.move = new(moveBlock)
 		*rec.move, err = decodeMoveBlock(data, str)
 	case recDropBlock:
 		rec.segments, err = decodeSegments(data, str)
+	case recCapture:
+		rec.counts, err = decodeCapture(data)
 	case recCycle:
 		rec.view, err = decodeCycle(data, str)
 	case recPattern, recLabels, recLegacyReport, recLegacyCycle, recDrop, recLegacyBatch:
@@ -375,6 +390,10 @@ func (s *Store) checkLocked(rec *record) (bool, error) {
 		var err error
 		rec.moved, err = s.checkMoveLocked(rec.move)
 		return rec.moved.Patterns+rec.moved.Reports+rec.moved.Labels > 0, err
+	case recCapture:
+		if have := [3]int{len(s.patterns), len(s.labels), s.reports.len()}; rec.counts[0] > have[0] || rec.counts[1] > have[1] || rec.counts[2] > have[2] {
+			return false, fmt.Errorf("server: a cycle read %v patterns, labels and reports of %v stored", rec.counts, have)
+		}
 	}
 	return true, nil
 }
@@ -397,19 +416,49 @@ func (s *Store) applyLocked(rec *record) {
 		s.metrics.addLabels(len(rec.labels))
 		s.completeIdemLocked(rec.key, labelsResponse(len(rec.labels)))
 	case recReports:
-		s.reports = slices.Grow(s.reports, len(rec.reports))
-		for _, it := range rec.reports {
-			s.reports = append(s.reports, it.Report)
-			s.completeIdemLocked(it.Key, reportStored)
+		s.reports.grow(len(rec.data), len(rec.keys))
+		r := reader{b: rec.data[4:]}
+		for _, key := range rec.keys {
+			s.reports.addStripped(r.report())
+			s.completeIdemLocked(key, reportStored)
 		}
-		s.metrics.addReports(len(rec.reports))
+		s.metrics.addReports(len(rec.keys))
 	case recMove:
 		s.applyMoveLocked(rec.move, rec.moved)
 	case recDropBlock:
 		rec.dropped = s.dropSegmentsLocked(rec.segments)
+	case recCapture:
+		if rec.view == nil {
+			s.replayed = &capture{
+				patterns: s.patterns[:rec.counts[0]:rec.counts[0]],
+				labels:   s.labels[:rec.counts[1]:rec.counts[1]],
+				reports:  s.reports.prefix(rec.counts[2]),
+			}
+			return
+		}
+		s.view.Store(rec.view)
 	case recCycle:
+		s.replayed = nil
 		s.view.Store(rec.view)
 	}
+}
+
+// settle ends what replay stashed: it computes the view of the last capture
+// record replayed and publishes it, as the cycle that logged the record did.
+// Replay settles before a drop, which trims that view, and at the end of the
+// log; a capture or cycle record in between supersedes the stash.
+func (s *Store) settle() error {
+	c := s.replayed
+	if c == nil {
+		return nil
+	}
+	s.replayed = nil
+	v, _, err := s.cycleView(context.Background(), *c)
+	if err != nil {
+		return fmt.Errorf("server: recomputing a cycle's view: %w", err)
+	}
+	s.view.Store(v)
+	return nil
 }
 
 // cannedResponse is the canonical acknowledgement for one mutation — the
@@ -560,24 +609,34 @@ func (s *Store) DropSegments(ctx context.Context, segments []string) (int, error
 // dropSegmentsLocked is a drop's apply: it removes reports and fused entries
 // for the named segments, and counts the reports in s.dropped. Requires s.mu
 // held. Both survivors are built fresh: a capture may still be reading the
-// old reports array, and a published view is never written.
+// old reports, and a published view is never written.
 func (s *Store) dropSegmentsLocked(segments []string) int {
-	set := make(map[string]bool, len(segments))
+	set := make(map[string]int, len(segments)) // segment → its place in counts
 	for _, seg := range segments {
-		set[seg] = true
+		if _, ok := set[seg]; !ok {
+			set[seg] = len(set)
+		}
 	}
-	kept := make([]Report, 0, len(s.reports))
-	for _, r := range s.reports {
-		if !set[r.Segment] {
-			kept = append(kept, r)
+	counts := make([]int, len(set))
+	var kept reportLog
+	kept.grow(len(s.reports.buf), s.reports.len())
+	for i := range s.reports.len() {
+		e := s.reports.entry(i)
+		if k, ok := set[string(parseEntry(e).segment)]; ok {
+			counts[k]++
 			continue
 		}
-		if s.dropped == nil {
-			s.dropped = map[string]int{}
-		}
-		s.dropped[r.Segment]++
+		kept.add(e)
 	}
-	dropped := len(s.reports) - len(kept)
+	for seg, k := range set {
+		if counts[k] > 0 {
+			if s.dropped == nil {
+				s.dropped = map[string]int{}
+			}
+			s.dropped[seg] += counts[k]
+		}
+	}
+	dropped := s.reports.len() - kept.len()
 	s.reports = kept
 	old := s.view.Load()
 	fused := maps.Clone(old.fused)

@@ -101,7 +101,7 @@ func benchSetup(b *testing.B) {
 			}
 		}
 	})
-	if benchDirs.state.Reports == nil {
+	if benchDirs.state.Reports.len() == 0 {
 		b.Skip("benchmark fixture failed to build")
 	}
 }

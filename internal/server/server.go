@@ -78,7 +78,7 @@ func SLOObjectives(reg *obs.Registry) []slo.Objective {
 // Store is the crowd-server's state. All methods are safe for concurrent use.
 //
 // One write path. Every mutation — a pattern, a label block, a report block,
-// a move block, a drop, a cycle's view — is a log record: its mutator
+// a move block, a drop, a cycle's capture — is a log record: its mutator
 // validates and encodes it off the lock, and commit (persist.go) checks it
 // against the state, appends it and applies it in one hold of mu, with the
 // same check and apply that replay runs on the decoded record. The store is
@@ -86,11 +86,14 @@ func SLOObjectives(reg *obs.Registry) []slo.Objective {
 // changes nothing. mu is never held across inference, fusion, a sort, or an
 // encode of anything that grows with history. A pass over the whole history
 // takes a capture (an O(1) hold) and works on the captured prefixes, which
-// later appends cannot disturb. The derived state lives in one view that is
-// never written after it is published: Lookup and Reliability load the
-// pointer and take no lock. cycle is held by an aggregation cycle and by
-// DropSegments for their whole run and by nothing else, so a drop is not
-// undone by a cycle that captured the dropped reports, and views are
+// later appends cannot disturb. Reports are held as the bytes they were
+// logged as (reports.go). The derived state lives in one view that is never
+// written after it is published: Lookup and Reliability load the pointer and
+// take no lock. A cycle logs what it read, not what it produced: the view is
+// a function of the captured prefix, which replay recomputes. cycle is held
+// by an aggregation cycle and by DropSegments for their whole run and by
+// nothing else, so a drop is not undone by a cycle that captured the dropped
+// reports, no drop falls between a capture and its record, and views are
 // published in the order their records were logged; since a view is
 // published by its commit, a failed cycle leaves live answers exactly where
 // recovery would put them. A drop's apply alone filters history under mu — a
@@ -99,10 +102,14 @@ type Store struct {
 	mu       sync.Mutex
 	patterns []Pattern
 	labels   []Label
-	reports  []Report
+	reports  reportLog
 
 	view  atomic.Pointer[view]
 	cycle sync.Mutex
+	// replayed is the last capture record replay applied whose view is not
+	// computed yet (see settle). Only recovery sets it, before the store
+	// serves anything.
+	replayed *capture
 
 	mergeRadius float64
 	metrics     *Metrics
@@ -148,7 +155,7 @@ type view struct {
 type capture struct {
 	patterns []Pattern
 	labels   []Label
-	reports  []Report
+	reports  reportLog
 	view     *view
 	log      *wal.Log
 }
@@ -163,7 +170,7 @@ func (s *Store) captureLocked() capture {
 	return capture{
 		patterns: s.patterns[:len(s.patterns):len(s.patterns)],
 		labels:   s.labels[:len(s.labels):len(s.labels)],
-		reports:  s.reports[:len(s.reports):len(s.reports)],
+		reports:  s.reports.prefix(s.reports.len()),
 		view:     s.view.Load(),
 		log:      s.log,
 	}
@@ -284,7 +291,7 @@ func (s *Store) AddReportKeyed(ctx context.Context, idemKey string, r Report) er
 func (s *Store) Counts() (patterns, labels, reports int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.patterns), len(s.labels), len(s.reports)
+	return len(s.patterns), len(s.labels), s.reports.len()
 }
 
 // Reliability returns the inferred reliability map (copy).
@@ -356,7 +363,18 @@ func (s *Store) aggregate(ctx context.Context) (CycleStats, error) {
 	s.cycle.Lock()
 	defer s.cycle.Unlock()
 	c := s.capture()
+	next, stats, err := s.cycleView(ctx, c)
+	if err != nil {
+		return stats, err
+	}
+	return stats, s.publish(ctx, c, next)
+}
 
+// cycleView computes the view a cycle publishes over the captured evidence:
+// reliabilities inferred from the labels, and the reports of each segment
+// fused under them. It is a function of the capture alone, bit for bit at
+// any worker count, which is what lets a cycle log what it read.
+func (s *Store) cycleView(ctx context.Context, c capture) (*view, CycleStats, error) {
 	var stats CycleStats
 	rel := s.inferReliability(ctx, c)
 	stats.VehiclesScored = len(rel)
@@ -366,47 +384,54 @@ func (s *Store) aggregate(ctx context.Context) (CycleStats, error) {
 		}
 	}
 
-	// Group reports per segment in one pass, one segment lookup per report,
-	// then lay the groups out by counting sort: one slice of reports and one
-	// of weights for every segment, and one slab for every AP point.
+	// Read each report once, where it lies: its segment's slot, its weight,
+	// and its points into one slab in arrival order. Then lay the groups out
+	// by counting sort: one slice of reports and one of weights for every
+	// segment, each report's points a window of the slab.
+	n := c.reports.len()
 	slot := map[string]int{}
 	var names []string // by slot
 	var count []int    // reports per slot
-	of := make([]int, len(c.reports))
-	points := 0
-	for i, rep := range c.reports {
-		k, ok := slot[rep.Segment]
+	of := make([]int, n)
+	ends := make([]int, n) // report i's points end at ends[i] of the slab
+	w := make([]float64, n)
+	// An AP takes 24 of its entry's bytes, so the log's size bounds the points.
+	slab := make([]geo.Point, 0, len(c.reports.buf)/24)
+	for i := range n {
+		e := parseEntry(c.reports.entry(i))
+		k, ok := slot[string(e.segment)]
 		if !ok {
 			k = len(names)
-			slot[rep.Segment] = k
-			names = append(names, rep.Segment)
+			names = append(names, string(e.segment))
+			slot[names[k]] = k
 			count = append(count, 0)
 		}
 		of[i] = k
 		count[k]++
-		points += len(rep.APs)
+		for a := range e.numAPs() {
+			x, y, _ := e.ap(a)
+			slab = append(slab, geo.Point{X: x, Y: y})
+		}
+		ends[i] = len(slab)
+		w[i] = 1
+		if r, ok := rel[string(e.vehicle)]; ok {
+			w[i] = r
+		}
 	}
 	first := make([]int, len(names)+1) // slot k's reports are [first[k], first[k+1])
-	for k, n := range count {
-		first[k+1] = first[k] + n
+	for k, m := range count {
+		first[k+1] = first[k] + m
 	}
-	grouped := make([]crowd.VehicleReport, len(c.reports))
-	weights := make([]float64, len(c.reports))
-	slab := make([]geo.Point, 0, points)
+	grouped := make([]crowd.VehicleReport, n)
+	weights := make([]float64, n)
 	fill := append([]int(nil), first[:len(names)]...)
-	for i, rep := range c.reports {
+	at := 0
+	for i := range n {
 		k := of[i]
-		at := len(slab)
-		for _, ap := range rep.APs {
-			slab = append(slab, geo.Point{X: ap.X, Y: ap.Y})
-		}
-		w := 1.0
-		if r, ok := rel[rep.Vehicle]; ok {
-			w = r
-		}
-		grouped[fill[k]] = crowd.VehicleReport{Vehicle: fill[k] - first[k], APs: slab[at:len(slab):len(slab)]}
-		weights[fill[k]] = w
+		grouped[fill[k]] = crowd.VehicleReport{Vehicle: fill[k] - first[k], APs: slab[at:ends[i]:ends[i]]}
+		weights[fill[k]] = w[i]
 		fill[k]++
+		at = ends[i]
 	}
 	// Fuse segments concurrently: each segment's reports are independent, so
 	// workers own disjoint segments and write disjoint result slots. Segments
@@ -419,6 +444,7 @@ func (s *Store) aggregate(ctx context.Context) (CycleStats, error) {
 	}
 	sort.Slice(order, func(a, b int) bool { return names[order[a]] < names[order[b]] })
 	fctx, fspan := trace.StartChild(ctx, "server.fusion")
+	defer fspan.End()
 	fused, err := par.Map(fctx, len(order), 0, func(i int) ([]geo.Point, error) {
 		k := order[i]
 		// MinWeight 0.5 drops clusters supported only by vehicles the
@@ -431,8 +457,7 @@ func (s *Store) aggregate(ctx context.Context) (CycleStats, error) {
 	})
 	if err != nil {
 		fspan.SetError(err)
-		fspan.End()
-		return stats, err
+		return nil, stats, err
 	}
 	for _, f := range fused {
 		stats.FusedAPs += len(f)
@@ -448,21 +473,17 @@ func (s *Store) aggregate(ctx context.Context) (CycleStats, error) {
 	}
 	stats.Segments = len(order)
 	fspan.SetAttr("segments", stats.Segments)
-	fspan.End()
-	return stats, s.publish(ctx, c.log, next)
+	return next, stats, nil
 }
 
-// publish logs a cycle's outputs — so a recovered server serves the same
-// fused map without waiting for its first aggregation — and only then makes
-// them the live view. The record says what the cycle produced, not what it
-// read, so replay is exact whatever was appended while the cycle ran.
-func (s *Store) publish(ctx context.Context, log *wal.Log, next *view) error {
-	rec := record{kind: recCycle, view: next}
-	if log != nil {
-		if rec.data = encodeCycle(next); 1+len(rec.data) > wal.MaxRecordBytes {
-			return fmt.Errorf("%w: %d-byte cycle record", ErrRecordTooLarge, len(rec.data))
-		}
-	}
+// publish logs what a cycle read — how many patterns, labels and reports its
+// capture held, a record of fixed size however much history there is — and
+// only then makes the view it computed from them the live one. Replay
+// recomputes the view from the same prefixes, so it is exact whatever was
+// appended while the cycle ran.
+func (s *Store) publish(ctx context.Context, c capture, next *view) error {
+	rec := record{kind: recCapture, view: next, counts: [3]int{len(c.patterns), len(c.labels), c.reports.len()}}
+	rec.data = appendCapture(make([]byte, 0, 12), rec.counts)
 	return s.commit(ctx, &rec)
 }
 
