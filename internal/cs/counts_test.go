@@ -1,0 +1,80 @@
+package cs
+
+// The vehicle's exact counts: what one seeded drive costs in group solves,
+// likelihood scorings and sensing-matrix entries, and what one full-window
+// model selection allocates. They are not timings, so a noisy box cannot blur
+// them. A change that moves one edits the literal here, and its before and
+// after is a reviewed diff.
+
+import (
+	"runtime/debug"
+	"testing"
+
+	"crowdwifi/internal/obs"
+	"crowdwifi/internal/solve"
+)
+
+// wantCounts is one row per count, at one worker on uciDrive(1): the whole
+// drive is its 180 samples through uciEngine and the Flush, without the
+// reality check.
+var wantCounts = map[string]float64{
+	// ℓ1 solves, after the recovery memo.
+	"group solves/drive": 953,
+	// Candidates refineLocal scored, its start points not counted; 578,178 at
+	// 7e09f49, before a call stopped scoring a point twice.
+	"refine scorings/drive": 299586,
+	// Entries of every sensing matrix built; 1,897,863 (10,149 rows of 187)
+	// at 7e09f49, when each group built its own rows.
+	"sensing entries/drive": 185130,
+	// testing.AllocsPerRun of SelectModel on the drive's samples 60 to 120;
+	// 3,468 at 7e09f49.
+	"allocs/select model, 60 samples": 3436,
+}
+
+func TestCounts(t *testing.T) {
+	setWorkers(t, 1)
+	sc, g, ms := uciDrive(t, 1)
+	reg := obs.NewRegistry()
+	sel := SelectOptions{MaxK: uciMaxK}
+	sel.Hypothesis.Recovery.Metrics = solve.NewMetrics(reg)
+	e := uciEngine(t, sc, sel)
+
+	var w workTally
+	tally = &w
+	t.Cleanup(func() { tally = nil })
+	if _, err := e.AddBatch(ms); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	tally = nil
+	got := map[string]float64{
+		"group solves/drive":    bpdnRuns(reg),
+		"refine scorings/drive": float64(w.scored.Load()),
+		"sensing entries/drive": float64(w.entries.Load()),
+	}
+
+	if !raceEnabled {
+		// A collection during the run adds 2 to 4 allocations of the
+		// runtime's own, so none runs: the selection and its warm-up
+		// allocate ≈ 8 MB.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		window := ms[60:120]
+		got["allocs/select model, 60 samples"] = testing.AllocsPerRun(1, func() {
+			if _, err := SelectModel(g, sc.Channel, window, SelectOptions{MaxK: uciMaxK}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+
+	for name, want := range wantCounts {
+		v, ok := got[name]
+		if !ok {
+			continue // an allocation row under -race
+		}
+		if v != want {
+			t.Errorf("%s: %v, want %v", name, v, want)
+		}
+	}
+}

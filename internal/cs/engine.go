@@ -501,10 +501,18 @@ func (e *Engine) FinalEstimates() []Estimate {
 			// Robust pass: drop the worst-explained fifth of the support
 			// (readings misattributed from neighbouring APs) and re-polish.
 			if len(group) >= 5 {
-				sort.Slice(group, func(a, b int) bool {
-					return groupLogLik(refined, group[a:a+1], gmm) > groupLogLik(refined, group[b:b+1], gmm)
-				})
-				trimmed := group[:len(group)*4/5]
+				// Each reading is scored once, before the sort. sort.Slice's
+				// permutation depends only on the outcomes of its comparisons,
+				// which are the same as when each comparison scored both sides.
+				byFit := make([]scoredReading, len(group))
+				for j := range group {
+					byFit[j] = scoredReading{group[j], groupLogLik(refined, group[j:j+1], gmm)}
+				}
+				sort.Slice(byFit, func(a, b int) bool { return byFit[a].ll > byFit[b].ll })
+				trimmed := make([]radio.Measurement, len(group)*4/5)
+				for j := range trimmed {
+					trimmed[j] = byFit[j].m
+				}
 				refined, _ = refineLocal(refined, trimmed, e.cfg.Lattice, gmm)
 			}
 			cands[i].Pos = refined
@@ -512,4 +520,10 @@ func (e *Engine) FinalEstimates() []Estimate {
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].Credit > cands[j].Credit })
 	return cands
+}
+
+// scoredReading is a reading with its log-likelihood under one AP.
+type scoredReading struct {
+	m  radio.Measurement
+	ll float64
 }

@@ -9,6 +9,7 @@ import (
 
 	"crowdwifi/internal/geo"
 	"crowdwifi/internal/grid"
+	"crowdwifi/internal/mat"
 	"crowdwifi/internal/par"
 	"crowdwifi/internal/radio"
 )
@@ -52,6 +53,11 @@ type HypothesisOptions struct {
 	// memo is the enclosing model selection's recovery memo; SelectModelContext
 	// and a lone EvaluateKContext make their own.
 	memo *recoveryMemo
+	// sensing is the sensing matrix of the whole window, row i for reading i;
+	// a group's matrix is a copy of its rows. SelectModelContext and a lone
+	// EvaluateKContext build it for the window they were given and never take
+	// it from their caller.
+	sensing *mat.Mat
 }
 
 const (
@@ -100,6 +106,13 @@ func EvaluateKContext(ctx context.Context, g *grid.Grid, ch radio.Channel, windo
 	if k <= 0 || k > len(window) {
 		return nil, ErrTooManyGroups
 	}
+	o.sensing = BuildSensingMatrix(g, ch, window)
+	return evaluateK(ctx, g, ch, window, k, o)
+}
+
+// evaluateK is EvaluateKContext for a k in [1, len(window)], with o.sensing
+// built for window.
+func evaluateK(ctx context.Context, g *grid.Grid, ch radio.Channel, window []radio.Measurement, k int, o HypothesisOptions) (*Hypothesis, error) {
 	if o.GMM.Channel == (radio.Channel{}) {
 		o.GMM.Channel = ch
 	}
@@ -108,7 +121,7 @@ func EvaluateKContext(ctx context.Context, g *grid.Grid, ch radio.Channel, windo
 	}
 
 	if o.Exhaustive {
-		return evaluateKExhaustive(ctx, g, ch, window, k, o)
+		return evaluateKExhaustive(ctx, g, window, k, o)
 	}
 
 	assign := seedAssignment(window, k, o.Seeds)
@@ -118,7 +131,7 @@ func EvaluateKContext(ctx context.Context, g *grid.Grid, ch radio.Channel, windo
 			return nil, fmt.Errorf("cs: hypothesis K=%d canceled: %w", k, err)
 		}
 		var err error
-		aps, err = recoverGroups(ctx, g, ch, window, assign, k, o)
+		aps, err = recoverGroups(ctx, g, window, assign, k, o)
 		if err != nil {
 			return nil, err
 		}
@@ -277,9 +290,9 @@ func mergeClose(aps []geo.Point, minSep float64) []geo.Point {
 // spliced back in group order, making the output bit-identical to the serial
 // loop. Errors surface as a serial ascending loop would: the lowest-indexed
 // failing group wins.
-func recoverGroups(ctx context.Context, g *grid.Grid, ch radio.Channel, window []radio.Measurement, assign []int, k int, o HypothesisOptions) ([]geo.Point, error) {
+func recoverGroups(ctx context.Context, g *grid.Grid, window []radio.Measurement, assign []int, k int, o HypothesisOptions) ([]geo.Point, error) {
 	perGroup, err := par.Map(ctx, k, 0, func(j int) ([]geo.Point, error) {
-		return recoverGroup(ctx, g, ch, window, assign, j, o)
+		return recoverGroup(ctx, g, window, assign, j, o)
 	})
 	if err != nil {
 		return nil, err
@@ -297,7 +310,7 @@ func recoverGroups(ctx context.Context, g *grid.Grid, ch radio.Channel, window [
 // for mirror-ambiguous straight segments). It returns zero, one, or two
 // points. A group whose rows this model selection has already solved is
 // answered from o.memo; a failed or canceled solve leaves nothing there.
-func recoverGroup(ctx context.Context, g *grid.Grid, ch radio.Channel, window []radio.Measurement, assign []int, j int, o HypothesisOptions) ([]geo.Point, error) {
+func recoverGroup(ctx context.Context, g *grid.Grid, window []radio.Measurement, assign []int, j int, o HypothesisOptions) ([]geo.Point, error) {
 	var rows []int
 	for i, a := range assign {
 		if a == j {
@@ -316,30 +329,31 @@ func recoverGroup(ctx context.Context, g *grid.Grid, ch radio.Channel, window []
 	if pts, ok := o.memo.get(key); ok {
 		return pts, nil
 	}
-	group := make([]radio.Measurement, len(rows))
-	for i, r := range rows {
-		group[i] = window[r]
-	}
-	pts, err := solveGroup(ctx, g, ch, group, o)
-	if err != nil {
-		return nil, err
-	}
-	o.memo.put(key, pts)
-	return pts, nil
-}
-
-// solveGroup is recoverGroup's solve for one group's rows, in row order.
-func solveGroup(ctx context.Context, g *grid.Grid, ch radio.Channel, group []radio.Measurement, o HypothesisOptions) ([]geo.Point, error) {
-	a := BuildSensingMatrix(g, ch, group)
-	y := make([]float64, len(group))
-	for i, m := range group {
-		y[i] = m.RSS
-	}
+	group, y, a := gatherGroup(window, o.sensing, rows)
 	theta, err := RecoverThetaContext(ctx, a, y, o.Recovery)
 	if err != nil {
 		return nil, err
 	}
-	return locateSupport(g, theta, group, o.GMM), nil
+	pts := locateSupport(g, theta, group, o.GMM)
+	o.memo.put(key, pts)
+	return pts, nil
+}
+
+// gatherGroup returns the readings of a group's window rows, their RSS and
+// their sensing matrix, copied out of the window's: a row depends on its
+// reading's position alone, so it is the row BuildSensingMatrix would build
+// for the group.
+func gatherGroup(window []radio.Measurement, sensing *mat.Mat, rows []int) ([]radio.Measurement, []float64, *mat.Mat) {
+	_, n := sensing.Dims()
+	group := make([]radio.Measurement, len(rows))
+	y := make([]float64, len(rows))
+	a := mat.New(len(rows), n)
+	for i, r := range rows {
+		group[i] = window[r]
+		y[i] = window[r].RSS
+		copy(a.RawRow(i), sensing.RawRow(r))
+	}
+	return group, y, a
 }
 
 // locateSupport turns one group's recovered θ into zero, one or two AP
@@ -378,7 +392,15 @@ func locateSupport(g *grid.Grid, theta []float64, group []radio.Measurement, gmm
 // probability p(R) is maximized" (Section 4.2.1) — with CS supplying the
 // coarse starting point. It returns the refined point and its group
 // log-likelihood.
+//
+// A point is scored at most once per call: a candidate is taken only when it
+// beats bestLL, which never decreases, so a point scored before either became
+// the best or lost to a bestLL no larger than the current one, and loses again
+// (a NaN score loses every comparison). Squares around successive bests overlap, and
+// about half of the candidates they name were already scored.
 func refineLocal(p geo.Point, group []radio.Measurement, lattice float64, gmm radio.GMMParams) (geo.Point, float64) {
+	scored := scoredSet{slots: make([]scoredSlot, scoredSetSlots)}
+	scored.add(p)
 	best := p
 	bestLL := groupLogLik(p, group, gmm)
 	span := lattice
@@ -390,6 +412,9 @@ func refineLocal(p geo.Point, group []radio.Measurement, lattice float64, gmm ra
 			for dy := -span; dy <= span; dy += step {
 				for dx := -span; dx <= span; dx += step {
 					cand := geo.Point{X: best.X + dx, Y: best.Y + dy}
+					if !scored.add(cand) {
+						continue
+					}
 					if ll := groupLogLik(cand, group, gmm); ll > bestLL {
 						best, bestLL = cand, ll
 						improved = true
@@ -399,7 +424,75 @@ func refineLocal(p geo.Point, group []radio.Measurement, lattice float64, gmm ra
 		}
 		span /= 4
 	}
+	if t := tally; t != nil {
+		t.scored.Add(int64(scored.n - 1))
+	}
 	return best, bestLL
+}
+
+// scoredSet is the set of points one refineLocal call has scored, keyed by the
+// exact bits of X and Y (so -0 and +0 are two points, and a NaN is found by
+// its own bits): open addressing with linear probing in a power-of-two table
+// that doubles at half load.
+type scoredSet struct {
+	slots []scoredSlot
+	n     int
+}
+
+type scoredSlot struct {
+	x, y uint64
+	full bool
+}
+
+// scoredSetSlots holds the ≈ 220 distinct points a call scores on average
+// without growing.
+const scoredSetSlots = 512
+
+// add inserts p and reports whether it was new.
+func (s *scoredSet) add(p geo.Point) bool {
+	x, y := math.Float64bits(p.X), math.Float64bits(p.Y)
+	mask := uint64(len(s.slots) - 1)
+	for i := pointHash(x, y) & mask; ; i = (i + 1) & mask {
+		sl := &s.slots[i]
+		if !sl.full {
+			*sl = scoredSlot{x: x, y: y, full: true}
+			s.n++
+			if 2*s.n > len(s.slots) {
+				s.grow()
+			}
+			return true
+		}
+		if sl.x == x && sl.y == y {
+			return false
+		}
+	}
+}
+
+func (s *scoredSet) grow() {
+	old := s.slots
+	s.slots = make([]scoredSlot, 2*len(old))
+	mask := uint64(len(s.slots) - 1)
+	for _, sl := range old {
+		if !sl.full {
+			continue
+		}
+		i := pointHash(sl.x, sl.y) & mask
+		for s.slots[i].full {
+			i = (i + 1) & mask
+		}
+		s.slots[i] = sl
+	}
+}
+
+// pointHash mixes the bits of both coordinates into every bit of the hash
+// (splitmix64's finalizer), so a table index can take the low bits.
+func pointHash(x, y uint64) uint64 {
+	h := x*0x9e3779b97f4a7c15 ^ y
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	return h ^ h>>31
 }
 
 // groupLogLik is the log-likelihood of a measurement group under a single AP
@@ -457,7 +550,7 @@ func reassign(window []radio.Measurement, assign []int, aps []geo.Point, gmm rad
 // evaluateKExhaustive enumerates set partitions of the window into exactly k
 // blocks (restricted growth strings) and keeps the best BIC. This realizes
 // the literal combination search of Proposition 2 for small windows.
-func evaluateKExhaustive(ctx context.Context, g *grid.Grid, ch radio.Channel, window []radio.Measurement, k int, o HypothesisOptions) (*Hypothesis, error) {
+func evaluateKExhaustive(ctx context.Context, g *grid.Grid, window []radio.Measurement, k int, o HypothesisOptions) (*Hypothesis, error) {
 	var best *Hypothesis
 	count := 0
 	err := ForEachPartition(len(window), k, func(assign []int) bool {
@@ -468,7 +561,7 @@ func evaluateKExhaustive(ctx context.Context, g *grid.Grid, ch radio.Channel, wi
 		if ctx.Err() != nil {
 			return false
 		}
-		aps, err := recoverGroups(ctx, g, ch, window, assign, k, o)
+		aps, err := recoverGroups(ctx, g, window, assign, k, o)
 		if err != nil || len(aps) == 0 {
 			return true
 		}
@@ -740,10 +833,11 @@ func SelectModelContext(ctx context.Context, g *grid.Grid, ch radio.Channel, win
 	}
 
 	// Every K of this selection recovers over the same window, grid and
-	// options, so they share one recovery memo.
+	// options, so they share one recovery memo and one set of sensing rows.
 	if opts.Hypothesis.memo == nil {
 		opts.Hypothesis.memo = newRecoveryMemo()
 	}
+	opts.Hypothesis.sensing = BuildSensingMatrix(g, ch, window)
 
 	workers := par.DefaultWorkers()
 	climb := climbState{patience: patience}
@@ -752,7 +846,7 @@ func SelectModelContext(ctx context.Context, g *grid.Grid, ch radio.Channel, win
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("cs: model selection canceled: %w", err)
 			}
-			climb.consume(EvaluateKContext(ctx, g, ch, window, k, opts.Hypothesis))
+			climb.consume(evaluateK(ctx, g, ch, window, k, opts.Hypothesis))
 		}
 	} else {
 		selectParallel(ctx, &climb, g, ch, window, kLo, maxK, workers, opts.Hypothesis)
@@ -786,7 +880,7 @@ func selectParallel(ctx context.Context, climb *climbState, g *grid.Grid, ch rad
 	go func() {
 		defer close(completed)
 		_ = par.Do(spec, nK, workers, func(i int) error {
-			h, err := EvaluateKContext(spec, g, ch, window, kLo+i, hopts)
+			h, err := evaluateK(spec, g, ch, window, kLo+i, hopts)
 			results[i] = outcome{h, err}
 			completed <- i
 			return nil

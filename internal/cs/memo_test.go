@@ -211,11 +211,11 @@ func TestRecoveryMemoCanceledSolveStoresNothing(t *testing.T) {
 	sc, g, ms := uciDrive(t, 2)
 	window := ms[60:120]
 	assign := make([]int, len(window)) // one group: the 24 strongest readings
-	o := HypothesisOptions{GMM: radio.GMMParams{Channel: sc.Channel}}
+	o := HypothesisOptions{GMM: radio.GMMParams{Channel: sc.Channel}, sensing: BuildSensingMatrix(g, sc.Channel, window)}
 
 	cold := o
 	cold.memo = &recoveryMemo{}
-	want, err := recoverGroup(context.Background(), g, sc.Channel, window, assign, 0, cold)
+	want, err := recoverGroup(context.Background(), g, window, assign, 0, cold)
 	if err != nil || len(want) == 0 {
 		t.Fatalf("cold solve: %v, %v", want, err)
 	}
@@ -224,13 +224,13 @@ func TestRecoveryMemoCanceledSolveStoresNothing(t *testing.T) {
 	// Poll 1 is RecoverThetaContext's on entry, 2 and 3 are ADMM iterations 8
 	// and 16; the fourth, at iteration 24, cancels.
 	ctx := &cancelAfter{Context: context.Background(), n: 3}
-	if _, err := recoverGroup(ctx, g, sc.Channel, window, assign, 0, o); !errors.Is(err, context.Canceled) {
+	if _, err := recoverGroup(ctx, g, window, assign, 0, o); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled solve returned %v, want context.Canceled", err)
 	}
 	if n := len(o.memo.entries); n != 0 {
 		t.Fatalf("a canceled solve left %d memo entries", n)
 	}
-	got, err := recoverGroup(context.Background(), g, sc.Channel, window, assign, 0, o)
+	got, err := recoverGroup(context.Background(), g, window, assign, 0, o)
 	if err != nil || !pointsEqual(got, want) {
 		t.Fatalf("after a canceled solve the group recovers to %v (%v), want the cold answer %v", got, err, want)
 	}
@@ -239,7 +239,7 @@ func TestRecoveryMemoCanceledSolveStoresNothing(t *testing.T) {
 	}
 	// The hit is a copy: a caller scribbling on it does not reach the memo.
 	got[0] = geo.Point{X: -1, Y: -1}
-	again, err := recoverGroup(context.Background(), g, sc.Channel, window, assign, 0, o)
+	again, err := recoverGroup(context.Background(), g, window, assign, 0, o)
 	if err != nil || !pointsEqual(again, want) {
 		t.Fatalf("memo hit returned %v (%v), want %v", again, err, want)
 	}

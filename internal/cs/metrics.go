@@ -1,6 +1,7 @@
 package cs
 
 import (
+	"sync/atomic"
 	"time"
 
 	"crowdwifi/internal/obs"
@@ -56,4 +57,15 @@ func (m *Metrics) observeConsolidation(merges int) {
 	if m != nil && merges > 0 {
 		m.merges.Add(uint64(merges))
 	}
+}
+
+// tally, when non-nil, counts the distinct work model selection and the
+// reality check do; the package's count tests set it while they drive an
+// engine, and nothing else does. It is read once per refineLocal call and
+// once per sensing matrix built.
+var tally *workTally
+
+type workTally struct {
+	scored  atomic.Int64 // refineLocal candidates scored, the start point not counted
+	entries atomic.Int64 // sensing-matrix entries computed
 }

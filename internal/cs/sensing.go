@@ -59,6 +59,9 @@ func BuildSensingMatrix(g *grid.Grid, ch radio.Channel, rps []radio.Measurement)
 			row[j] = ch.MeanRSS(m.Pos.Dist(g.Point(j)))
 		}
 	}
+	if t := tally; t != nil {
+		t.entries.Add(int64(len(rps) * n))
+	}
 	return a
 }
 

@@ -181,8 +181,9 @@ func MulVecTo(dst []float64, a *Mat, x []float64) []float64 {
 	if a.cols != len(x) || a.rows != len(dst) {
 		panic(ErrShape)
 	}
-	for i := 0; i < a.rows; i++ {
+	for i := range dst {
 		row := a.data[i*a.cols : (i+1)*a.cols]
+		x := x[:len(row)]
 		var s float64
 		for j, v := range row {
 			s += v * x[j]
@@ -204,12 +205,12 @@ func MulTVecTo(dst []float64, a *Mat, x []float64) []float64 {
 		panic(ErrShape)
 	}
 	clear(dst)
-	for i := 0; i < a.rows; i++ {
-		xi := x[i]
+	for i, xi := range x {
 		if xi == 0 {
 			continue
 		}
 		row := a.data[i*a.cols : (i+1)*a.cols]
+		dst := dst[:len(row)]
 		for j, v := range row {
 			dst[j] += v * xi
 		}

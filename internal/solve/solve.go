@@ -135,7 +135,7 @@ func BPDN(a *mat.Mat, b []float64, lambda float64, opts Options) (*Result, error
 	}
 	o := opts.fill()
 
-	atb := mat.MulTVec(a, b)
+	atb := mat.MulTVec(a, b)[:n]
 	x := make([]float64, n)
 
 	// Factorize the small Gram system once; updateX solves for x from q.
@@ -155,6 +155,7 @@ func BPDN(a *mat.Mat, b []float64, lambda float64, opts Options) (*Result, error
 			mat.MulVecTo(t, a, q)
 			chol.SolveVecTo(t, t)
 			mat.MulTVecTo(x, a, t)
+			q = q[:len(x)]
 			for i := range x {
 				x[i] = (q[i] - x[i]) / rho
 			}
@@ -174,7 +175,6 @@ func BPDN(a *mat.Mat, b []float64, lambda float64, opts Options) (*Result, error
 	z := make([]float64, n)
 	u := make([]float64, n)
 	q := make([]float64, n)
-	zOld := make([]float64, n)
 
 	for it := 1; it <= o.MaxIter; it++ {
 		if err := o.checkCtx(it); err != nil {
@@ -184,17 +184,17 @@ func BPDN(a *mat.Mat, b []float64, lambda float64, opts Options) (*Result, error
 			q[i] = atb[i] + rho*(z[i]-u[i])
 		}
 		updateX(q)
-		copy(zOld, z)
-		for i := range z {
-			z[i] = prox(x[i]+u[i], lambda/rho, o.NonNegative)
-		}
+		// One pass takes z and u a step on and sums both residuals in index
+		// order.
 		var primal, dual float64
-		for i := range u {
-			u[i] += x[i] - z[i]
-			d := x[i] - z[i]
+		for i, xi := range x {
+			zi := prox(xi+u[i], lambda/rho, o.NonNegative)
+			d := xi - zi
+			u[i] += d
 			primal += d * d
-			dz := z[i] - zOld[i]
+			dz := zi - z[i]
 			dual += dz * dz
+			z[i] = zi
 		}
 		if math.Sqrt(primal) < o.Tol*math.Sqrt(float64(n)) &&
 			rho*math.Sqrt(dual) < o.Tol*math.Sqrt(float64(n)) {
