@@ -15,6 +15,7 @@
 package crowdwifi
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -135,7 +136,7 @@ func recoveryError(b *testing.B, opts cs.RecoveryOptions) float64 {
 	for i, m := range ms {
 		y[i] = m.RSS
 	}
-	theta, err := cs.RecoverTheta(a, y, opts)
+	theta, err := cs.RecoverTheta(context.Background(), a, y, opts)
 	if err != nil {
 		b.Fatal(err)
 	}

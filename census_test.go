@@ -41,8 +41,6 @@ var censusAllow = map[string]string{
 	"internal/cluster.Router.RebalanceFromDir": "rebalance from a dead shard's disk: library-only, proven by TestKillOneShard (verify skill)",
 	"internal/retry.WithBudget":                "the retry budget is off by default; the chaos e2e and doer tests run with it on",
 	"internal/server.WithRequestTimeout":       "the per-request deadline is off by default; TestRequestDeadlineAttached sets it",
-	// Twins ROADMAP already schedules for collapse.
-	"internal/cs.RecoverTheta": "context-free twin of RecoverThetaContext (ROADMAP 8(c))",
 }
 
 // goFile is one parsed file: where it lives and what its imports are called.

@@ -7,13 +7,13 @@
 // shard degrades only its slice (partial answers carry
 // X-Crowdwifi-Partial naming the missing shards).
 //
-// The router is also the cluster's observability front door: /metrics
-// federates every shard's registry (each sample gains a shard label;
-// counters and histograms get shard="all" sums), /debug/traces/{id}
+// The router's /metrics is its own registry, exactly as a shard's is: each
+// process is its own scrape target, and fleet totals are summed at the
+// scraper. Its debug plane also reaches into the shards: /debug/traces/{id}
 // assembles per-process trace fragments into one end-to-end trace,
 // /debug/cluster is a one-fetch JSON view of ring ownership, per-shard
-// digests/modes/WAL depth and reconcile drift, and /debug/slo evaluates the
-// router's burn-rate SLOs.
+// digests/modes/WAL depth, latency quantiles and reconcile drift, and
+// /debug/slo evaluates the router's burn-rate SLOs.
 //
 // On startup (unless -reconcile=false) the router runs one reconcile pass:
 // it fetches every shard's per-segment digests, moves any segment resident
@@ -173,22 +173,12 @@ func run(cfg config, logger *obs.Logger) error {
 	go sloEngine.Run(ctx)
 
 	// The debug surface is built once and served twice: under the API mux,
-	// like the crowd-server's (one scrape target per process by default), and
-	// alone on -metrics-addr. /metrics federates every shard's registry with
-	// the router's own, and /debug/traces assembles per-process fragments into
-	// end-to-end traces.
-	debug := http.NewServeMux()
-	debug.Handle("/metrics", rt.FederatedMetrics(reg))
-	obs.MountDebug(debug, reg)
-	traceHandler := rt.TraceHandler(tracer.Store())
-	debug.Handle("/debug/traces", traceHandler)
-	debug.Handle("/debug/traces/", traceHandler)
-	debug.Handle("/debug/cluster", rt.ClusterHandler())
-	debug.Handle("/debug/slo", sloEngine.Handler())
-	obs.MountHealth(debug, health)
+	// like the crowd-server's, and alone on -metrics-addr. Its /metrics is
+	// the router's registry alone; shards are scraped at their own addresses.
+	debug := rt.DebugHandler(tracer.Store(), sloEngine.Handler(), health)
 	mux := http.NewServeMux()
 	mux.Handle("/", rt)
-	front.MountDebug(mux, debug)
+	front.ServeDebug(mux, debug)
 	handler := cluster.WithTracer(tracer, mux)
 
 	srv := &http.Server{Handler: handler, ReadHeaderTimeout: 5 * time.Second}

@@ -200,10 +200,10 @@ func (s *Stack) Shed(w http.ResponseWriter, reason error, retryAfter time.Durati
 	api.WriteShed(w, reason, retryAfter)
 }
 
-// MountDebug serves a process's debug surface — /metrics, /debug/*, /healthz
+// ServeDebug serves a process's debug surface — /metrics, /debug/*, /healthz
 // and /readyz, built once as one handler — on mux, so the API listener and a
 // -metrics-addr listener serving debug directly cannot drift apart.
-func MountDebug(mux *http.ServeMux, debug http.Handler) {
+func ServeDebug(mux *http.ServeMux, debug http.Handler) {
 	for _, path := range []string{"/metrics", "/debug/", "/healthz", "/readyz"} {
 		mux.Handle(path, debug)
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -205,6 +206,18 @@ func ringOwner(t *testing.T, members []string, seg string) string {
 	return rt.Owner(seg)
 }
 
+// clusterView fetches the router's /debug/cluster document.
+func clusterView(t *testing.T, rt *Router) ClusterView {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	rt.ClusterHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/cluster", nil))
+	var view ClusterView
+	if err := json.Unmarshal(rec.Body.Bytes(), &view); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("/debug/cluster: status %d (%v): %s", rec.Code, err, rec.Body.Bytes())
+	}
+	return view
+}
+
 // TestKillOneShardRebalanceAndReconcileRestoreFullMap is the tentpole's
 // second proof: kill one of three shards, shrink the membership, stream the
 // dead shard's WAL slice to the survivors, inject cross-shard drift, and
@@ -273,6 +286,27 @@ func TestKillOneShardRebalanceAndReconcileRestoreFullMap(t *testing.T) {
 		t.Fatalf("drop drift segment: %v", err)
 	}
 
+	// /debug/cluster names exactly that drift, and b does not count the
+	// segment among the ones it owns.
+	view := clusterView(t, rt)
+	if want := []DriftEntry{{Segment: driftSeg, Resident: "b", Owner: "a"}}; !reflect.DeepEqual(view.Drift, want) {
+		t.Fatalf("cluster view drift = %+v, want %+v", view.Drift, want)
+	}
+	if _, resident := view.Shards["b"].Segments[driftSeg]; !resident {
+		t.Fatalf("cluster view does not show %s resident on b", driftSeg)
+	}
+	for id, sh := range view.Shards {
+		owned := 0
+		for seg, d := range sh.Segments {
+			if d.HasData() && rt.Owner(seg) == id {
+				owned++
+			}
+		}
+		if sh.OwnedSegs != owned {
+			t.Errorf("shard %s: ownedSegments = %d, want %d (drifted %s counted?)", id, sh.OwnedSegs, owned, driftSeg)
+		}
+	}
+
 	// Reconcile detects the drifted segment on b and moves it home.
 	rep, err := rt.Reconcile(ctx)
 	if err != nil {
@@ -295,6 +329,9 @@ func TestKillOneShardRebalanceAndReconcileRestoreFullMap(t *testing.T) {
 	}
 	if len(rep2.Moves) != 0 {
 		t.Fatalf("second reconcile still moving: %+v", rep2.Moves)
+	}
+	if view := clusterView(t, rt); len(view.Drift) != 0 {
+		t.Fatalf("cluster view drift after reconcile = %+v, want none", view.Drift)
 	}
 
 	aggregate(t, routerTS.URL)

@@ -15,7 +15,9 @@ import (
 	"testing"
 
 	"crowdwifi/internal/api"
+	"crowdwifi/internal/api/front"
 	"crowdwifi/internal/cluster/ring"
+	"crowdwifi/internal/obs"
 	"crowdwifi/internal/server"
 )
 
@@ -37,6 +39,9 @@ var wantRouterCounts = map[string]float64{
 	"upstream/lookup": 2,
 	// The sub-batches carry the client's frames, verbatim and only once.
 	"forwarded bytes/batch": countsBatchBytes,
+	// The router's /metrics is its own registry: a scrape asks no shard
+	// anything. It was one GET per member while it federated the shards'.
+	"upstream/metrics scrape": 0,
 }
 
 // countsBatch is a binary batch of size reports, keyed "pre-n-i", spread
@@ -85,7 +90,8 @@ func (c *upstreamCounter) reset() {
 }
 
 // newCountsCluster is a router over two in-memory shards, each an
-// httptest server, and the client-facing URL of the router.
+// httptest server, and the client-facing URL of the router, which serves
+// the router's debug surface beside its API as the router binary does.
 func newCountsCluster(tb testing.TB) (*upstreamCounter, string) {
 	tb.Helper()
 	members := []string{"a", "b"}
@@ -102,7 +108,10 @@ func newCountsCluster(tb testing.TB) (*upstreamCounter, string) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ts := httptest.NewServer(rt)
+	mux := http.NewServeMux()
+	mux.Handle("/", rt)
+	front.ServeDebug(mux, rt.DebugHandler(nil, http.NotFoundHandler(), obs.NewHealth()))
+	ts := httptest.NewServer(mux)
 	tb.Cleanup(ts.Close)
 	return up, ts.URL
 }
@@ -152,6 +161,15 @@ func TestCountsRouter(t *testing.T) {
 		t.Fatalf("lookup: status %d", resp.StatusCode)
 	}
 	got["upstream/lookup"] = float64(up.requests[api.RouteLookup])
+
+	up.reset()
+	if _, err := getTextOK(base + "/metrics"); err != nil {
+		t.Fatal(err)
+	}
+	got["upstream/metrics scrape"] = 0
+	for _, n := range up.requests {
+		got["upstream/metrics scrape"] += float64(n)
+	}
 
 	if !raceEnabled {
 		rg := ring.New([]string{"a", "b"}, 0)

@@ -2,14 +2,17 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"crowdwifi/internal/api"
+	"crowdwifi/internal/api/front"
 	"crowdwifi/internal/obs"
 	"crowdwifi/internal/obs/slo"
 	"crowdwifi/internal/obs/trace"
@@ -45,8 +48,8 @@ func newObsShard(t *testing.T, id string, members []string) *obsShard {
 }
 
 // newObsRouter boots a router wired the way cmd/crowdwifi-router wires it:
-// tracing middleware, federated /metrics, assembling /debug/traces,
-// /debug/cluster, and a live /debug/slo engine over the router's registry.
+// tracing middleware, the router's DebugHandler, and a live /debug/slo
+// engine over the router's registry.
 func newObsRouter(t *testing.T, shards ...*obsShard) (*Router, *httptest.Server) {
 	t.Helper()
 	var peers []Peer
@@ -62,12 +65,7 @@ func newObsRouter(t *testing.T, shards ...*obsShard) (*Router, *httptest.Server)
 	engine := slo.New(slo.Config{Objectives: SLOObjectives(reg), Registry: reg})
 	mux := http.NewServeMux()
 	mux.Handle("/", rt)
-	mux.Handle("/metrics", rt.FederatedMetrics(reg))
-	th := rt.TraceHandler(tracer.Store())
-	mux.Handle("/debug/traces", th)
-	mux.Handle("/debug/traces/", th)
-	mux.Handle("/debug/cluster", rt.ClusterHandler())
-	mux.Handle("/debug/slo", engine.Handler())
+	front.ServeDebug(mux, rt.DebugHandler(tracer.Store(), engine.Handler(), obs.NewHealth()))
 	ts := httptest.NewServer(WithTracer(tracer, mux))
 	t.Cleanup(ts.Close)
 	return rt, ts
@@ -284,61 +282,43 @@ func TestThreeShardRerouteTraceNamesFinalShard(t *testing.T) {
 	}
 }
 
-// TestThreeShardFederatedMetricsClusterViewAndSLO proves the rest of the
-// plane: the router's /metrics federates every shard registry under shard
-// labels with fleet-wide sums, /debug/cluster sees all shards with zero
-// drift, and /debug/slo reports burn-rate fields for both objectives.
-func TestThreeShardFederatedMetricsClusterViewAndSLO(t *testing.T) {
+// TestThreeShardOwnMetricsClusterViewAndSLO proves the rest of the plane:
+// every process, the router included, serves only its own registry on
+// /metrics, /debug/cluster sees all shards with zero drift, and /debug/slo
+// reports burn-rate fields for both objectives.
+func TestThreeShardOwnMetricsClusterViewAndSLO(t *testing.T) {
 	members := []string{"a", "b", "c"}
 	a := newObsShard(t, "a", members)
 	b := newObsShard(t, "b", members)
 	c := newObsShard(t, "c", members)
 	_, routerTS := newObsRouter(t, a, b, c)
 
-	postReports(t, routerTS.URL, e2eReports(), "obs-fed")
+	postReports(t, routerTS.URL, e2eReports(), "obs-own")
 	aggregate(t, routerTS.URL)
 	lookupBytes(t, routerTS.URL)
 
-	// Federated exposition: parses cleanly, carries every shard's series
-	// under its shard label plus the shard="all" sum, and the router's own
-	// families under shard="router".
+	// The router's exposition is its own families and nothing of a shard's.
 	body, err := getTextOK(routerTS.URL + "/metrics")
 	if err != nil {
-		t.Fatalf("federated metrics: %v", err)
+		t.Fatalf("router metrics: %v", err)
 	}
-	fams, err := parseExposition([]byte(body))
-	if err != nil {
-		t.Fatalf("federated exposition malformed: %v", err)
-	}
-	byName := map[string]*promFamily{}
-	for _, f := range fams {
-		byName[f.name] = f
-	}
-	shardReqs := byName["crowdwifi_http_requests_total"]
-	if shardReqs == nil {
-		t.Fatalf("federated metrics lack crowdwifi_http_requests_total; families: %d", len(fams))
-	}
-	seen := map[string]bool{}
-	for _, s := range shardReqs.series {
-		seen[obs.ParseLabels(s.labels)["shard"]] = true
-	}
-	for _, want := range []string{"a", "b", "c", "all"} {
-		if !seen[want] {
-			t.Errorf("crowdwifi_http_requests_total lacks shard=%q series; saw %v", want, seen)
+	for _, want := range []string{"\ncrowdwifi_router_http_requests_total{", "\ncrowdwifi_slo_burn_rate{"} {
+		if !strings.Contains(body, want) {
+			t.Errorf("router metrics lack %q", want[1:])
 		}
 	}
-	routerReqs := byName["crowdwifi_router_http_requests_total"]
-	if routerReqs == nil {
-		t.Fatal("federated metrics lack the router's own families")
+	if strings.Contains(body, "crowdwifi_http_requests_total") {
+		t.Error("router metrics carry a shard family: crowdwifi_http_requests_total")
 	}
-	routerSeen := false
-	for _, s := range routerReqs.series {
-		if obs.ParseLabels(s.labels)["shard"] == "router" {
-			routerSeen = true
+	// Each shard is its own scrape target.
+	for _, sh := range []*obsShard{a, b, c} {
+		body, err := getTextOK(sh.ts.URL + "/metrics")
+		if err != nil {
+			t.Fatalf("shard %s metrics: %v", sh.id, err)
 		}
-	}
-	if !routerSeen {
-		t.Error("router families not labelled shard=\"router\"")
+		if !strings.Contains(body, "\ncrowdwifi_http_requests_total{") {
+			t.Errorf("shard %s metrics lack crowdwifi_http_requests_total", sh.id)
+		}
 	}
 
 	// Cluster view: every shard reachable, resident data, zero drift.
@@ -405,6 +385,36 @@ func TestThreeShardFederatedMetricsClusterViewAndSLO(t *testing.T) {
 				t.Errorf("objective %s alert lacks %q field", o.Name, field)
 			}
 		}
+	}
+}
+
+// TestFanOutDebugFailsAnOversizeAnswer: a shard answer one byte over the
+// cap fails that member with an error naming the cap, instead of reaching
+// the caller cut short; an answer of exactly the cap passes whole.
+func TestFanOutDebugFailsAnOversizeAnswer(t *testing.T) {
+	serve := func(n int) *httptest.Server {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/debug/traces" {
+				http.NotFound(w, r)
+				return
+			}
+			_, _ = w.Write(bytes.Repeat([]byte{' '}, n))
+		}))
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	over, full := serve(maxTraceBytes+1), serve(maxTraceBytes)
+	rt := newTestRouter(t, []Peer{{"over", over.URL}, {"full", full.URL}}, nil)
+
+	got := map[string]traceFetch{}
+	for _, f := range rt.fanOutDebug(context.Background(), "/debug/traces") {
+		got[f.id] = f
+	}
+	if f := got["over"]; f.err == nil || !strings.Contains(f.err.Error(), "8 MiB cap") || f.body != nil {
+		t.Errorf("oversize answer: err %v, %d bytes kept; want an error naming the 8 MiB cap", f.err, len(f.body))
+	}
+	if f := got["full"]; f.err != nil || len(f.body) != maxTraceBytes {
+		t.Errorf("answer at the cap: err %v, %d bytes; want all %d", f.err, len(f.body), maxTraceBytes)
 	}
 }
 

@@ -272,6 +272,24 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rt.mux.ServeHTTP(w, r)
 }
 
+// DebugHandler returns the router's debug surface, built once so the API
+// listener and -metrics-addr serve the same handler. /metrics, /debug/vars
+// and pprof are the router's own registry and process, exactly as on a
+// shard: each process is its own scrape target. /debug/traces assembles
+// fragments from traces and every shard, /debug/cluster is ClusterHandler,
+// and sloStatus and health answer /debug/slo, /healthz and /readyz.
+func (rt *Router) DebugHandler(traces *trace.Store, sloStatus http.Handler, health *obs.Health) http.Handler {
+	debug := http.NewServeMux()
+	obs.Mount(debug, rt.stack.Registry)
+	th := rt.TraceHandler(traces)
+	debug.Handle("/debug/traces", th)
+	debug.Handle("/debug/traces/", th)
+	debug.Handle("/debug/cluster", rt.ClusterHandler())
+	debug.Handle("/debug/slo", sloStatus)
+	obs.MountHealth(debug, health)
+	return debug
+}
+
 // WithTracer returns a middleware installing tracer into every request
 // context, activating the router's tracing layer.
 func WithTracer(tracer *trace.Tracer, next http.Handler) http.Handler {

@@ -13,7 +13,8 @@ import (
 	"crowdwifi/internal/obs/trace"
 )
 
-// maxTraceBytes caps one shard's trace-fragment answer.
+// maxTraceBytes caps one shard's answer to a debug fan-out. A longer answer
+// fails that member rather than being cut to a prefix that no longer parses.
 const maxTraceBytes = 8 << 20
 
 // traceFetch is one shard's answer to a trace fan-out: a decoded payload or
@@ -54,9 +55,13 @@ func (rt *Router) fanOutDebug(ctx context.Context, path string) []traceFetch {
 				return
 			}
 			defer resp.Body.Close()
-			body, err := io.ReadAll(io.LimitReader(resp.Body, maxTraceBytes))
+			body, err := io.ReadAll(io.LimitReader(resp.Body, maxTraceBytes+1))
 			if err != nil {
 				out[i].err = err
+				return
+			}
+			if len(body) > maxTraceBytes {
+				out[i].err = fmt.Errorf("shard %s: %s answer exceeds the %d MiB cap", id, path, maxTraceBytes>>20)
 				return
 			}
 			switch resp.StatusCode {

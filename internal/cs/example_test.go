@@ -1,6 +1,7 @@
 package cs_test
 
 import (
+	"context"
 	"fmt"
 
 	"crowdwifi/internal/cs"
@@ -71,7 +72,7 @@ func ExampleRecoverTheta() {
 	for i, m := range rps {
 		y[i] = ch.MeanRSS(m.Pos.Dist(ap))
 	}
-	theta, err := cs.RecoverTheta(a, y, cs.RecoveryOptions{})
+	theta, err := cs.RecoverTheta(context.Background(), a, y, cs.RecoveryOptions{})
 	if err != nil {
 		fmt.Println(err)
 		return

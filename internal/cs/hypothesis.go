@@ -330,7 +330,7 @@ func recoverGroup(ctx context.Context, g *grid.Grid, window []radio.Measurement,
 		return pts, nil
 	}
 	group, y, a := gatherGroup(window, o.sensing, rows)
-	theta, err := RecoverThetaContext(ctx, a, y, o.Recovery)
+	theta, err := RecoverTheta(ctx, a, y, o.Recovery)
 	if err != nil {
 		return nil, err
 	}

@@ -221,7 +221,7 @@ func TestRecoveryMemoCanceledSolveStoresNothing(t *testing.T) {
 	}
 
 	o.memo = newRecoveryMemo()
-	// Poll 1 is RecoverThetaContext's on entry, 2 and 3 are ADMM iterations 8
+	// Poll 1 is RecoverTheta's on entry, 2 and 3 are ADMM iterations 8
 	// and 16; the fourth, at iteration 24, cancels.
 	ctx := &cancelAfter{Context: context.Background(), n: 3}
 	if _, err := recoverGroup(ctx, g, window, assign, 0, o); !errors.Is(err, context.Canceled) {
@@ -277,7 +277,7 @@ func TestRecoverThetaLeavesCallersMatrixAlone(t *testing.T) {
 	}
 	before := a.Clone()
 	for _, skip := range []bool{false, true} {
-		if _, err := RecoverTheta(a, y, RecoveryOptions{SkipOrthogonalize: skip}); err != nil {
+		if _, err := RecoverTheta(context.Background(), a, y, RecoveryOptions{SkipOrthogonalize: skip}); err != nil {
 			t.Fatal(err)
 		}
 		if !mat.EqualApprox(a, before, 0) {
@@ -287,7 +287,7 @@ func TestRecoverThetaLeavesCallersMatrixAlone(t *testing.T) {
 }
 
 // TestAblationSwitchReachesRecovery: the Prop. 1 ablation asked for through
-// HypothesisOptions reaches RecoverThetaContext. A one-group hypothesis over a
+// HypothesisOptions reaches RecoverTheta. A one-group hypothesis over a
 // window short enough to be solved whole must land on the points a direct
 // non-orthogonalized RecoverTheta on the same rows gives, not on the
 // default's. (The options used to be refilled from the defaults whenever one
@@ -302,7 +302,7 @@ func TestAblationSwitchReachesRecovery(t *testing.T) {
 	}
 	gmm := radio.GMMParams{Channel: sc.Channel}
 	direct := func(opts RecoveryOptions) []geo.Point {
-		theta, err := RecoverTheta(a, y, opts)
+		theta, err := RecoverTheta(context.Background(), a, y, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,7 @@ import (
 )
 
 // RecoveryOptions is what varies about one grid recovery; the zero value is
-// the paper's pipeline. The program itself is fixed (see RecoverThetaContext).
+// the paper's pipeline. The program itself is fixed (see RecoverTheta).
 type RecoveryOptions struct {
 	// SkipOrthogonalize solves on the raw path-loss sensing matrix instead of
 	// applying Proposition 1 first. It exists to ablate the paper's own
@@ -138,18 +138,12 @@ func Orthogonalize(a *mat.Mat, y []float64, rankTol float64) (*mat.Mat, []float6
 
 // RecoverTheta solves the ℓ1 recovery program for one AP group: given the
 // sensing matrix A over the grid and the RSS measurements y, it returns the
-// sparse, non-negative coefficient vector θ over grid points. Equivalent to
-// RecoverThetaContext with context.Background().
-func RecoverTheta(a *mat.Mat, y []float64, opts RecoveryOptions) ([]float64, error) {
-	return RecoverThetaContext(context.Background(), a, y, opts)
-}
-
-// RecoverThetaContext is RecoverTheta under a caller context. The pipeline is
+// sparse, non-negative coefficient vector θ over grid points. The pipeline is
 // fixed: Proposition 1's orthogonalization, unit-norm columns, then ADMM-BPDN
 // with θ ≥ 0 (the AP indicators are 0/1). The context is checked before the
 // solve starts and polled inside the ADMM loop, so a per-round deadline
 // interrupts even a large-window ℓ1 program promptly.
-func RecoverThetaContext(ctx context.Context, a *mat.Mat, y []float64, opts RecoveryOptions) ([]float64, error) {
+func RecoverTheta(ctx context.Context, a *mat.Mat, y []float64, opts RecoveryOptions) ([]float64, error) {
 	m, _ := a.Dims()
 	if m == 0 || len(y) == 0 {
 		return nil, ErrNoMeasurements

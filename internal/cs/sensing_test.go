@@ -1,6 +1,7 @@
 package cs
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -168,7 +169,7 @@ func TestRecoverThetaFindsAPGridPoint(t *testing.T) {
 	for i, m := range ms {
 		y[i] = m.RSS
 	}
-	theta, err := RecoverTheta(a, y, RecoveryOptions{})
+	theta, err := RecoverTheta(context.Background(), a, y, RecoveryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,10 +187,10 @@ func TestRecoverThetaFindsAPGridPoint(t *testing.T) {
 func TestRecoverThetaErrors(t *testing.T) {
 	g := testGrid(t, 20, 20, 10)
 	a := BuildSensingMatrix(g, radio.UCIChannel(), []radio.Measurement{{Pos: geo.Point{X: 1, Y: 1}}})
-	if _, err := RecoverTheta(a, nil, RecoveryOptions{}); err == nil {
+	if _, err := RecoverTheta(context.Background(), a, nil, RecoveryOptions{}); err == nil {
 		t.Fatal("expected error for empty y")
 	}
-	if _, err := RecoverTheta(a, []float64{1, 2}, RecoveryOptions{}); err == nil {
+	if _, err := RecoverTheta(context.Background(), a, []float64{1, 2}, RecoveryOptions{}); err == nil {
 		t.Fatal("expected dimension error")
 	}
 }
@@ -211,7 +212,7 @@ func TestRecoveryMoreMeasurementsNoWorse(t *testing.T) {
 			for i, mm := range ms {
 				y[i] = mm.RSS
 			}
-			theta, err := RecoverTheta(a, y, RecoveryOptions{})
+			theta, err := RecoverTheta(context.Background(), a, y, RecoveryOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -249,7 +250,7 @@ func TestColumnNormalizationCountersRoadBias(t *testing.T) {
 	for i, m := range ms {
 		y[i] = m.RSS
 	}
-	theta, err := RecoverTheta(a, y, RecoveryOptions{})
+	theta, err := RecoverTheta(context.Background(), a, y, RecoveryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

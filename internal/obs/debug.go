@@ -16,18 +16,12 @@ import (
 // Mount attaches the observability endpoints to mux: the registry's
 // /metrics, an expvar-compatible /debug/vars extended with histogram
 // quantile estimates, and the full net/http/pprof suite under /debug/pprof/.
-// It is safe to call with a nil registry (the /metrics endpoint then serves
-// an empty exposition and /debug/vars omits the quantile block).
+// Every process, shard or router, mounts it over its own registry, so each
+// is one scrape target and fleet totals are summed at the scraper. It is
+// safe to call with a nil registry (the /metrics endpoint then serves an
+// empty exposition and /debug/vars omits the quantile block).
 func Mount(mux *http.ServeMux, reg *Registry) {
 	mux.Handle("/metrics", reg.Handler())
-	MountDebug(mux, reg)
-}
-
-// MountDebug attaches every Mount endpoint except /metrics: /debug/vars and
-// the pprof suite. Processes that serve a non-registry /metrics handler (the
-// router's federated exposition) use this to keep the rest of the debug
-// surface without a duplicate /metrics registration.
-func MountDebug(mux *http.ServeMux, reg *Registry) {
 	mux.Handle("/debug/vars", varsHandler(reg))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

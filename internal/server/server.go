@@ -731,7 +731,7 @@ func New(store *Store, opts ...Option) *Server {
 	if s.slo != nil {
 		s.debug.Handle("/debug/slo", s.slo)
 	}
-	front.MountDebug(s.mux, s.debug)
+	front.ServeDebug(s.mux, s.debug)
 	return s
 }
 
