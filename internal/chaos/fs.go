@@ -68,6 +68,10 @@ type FSFault struct {
 	// WAL's torn-tail self-heal, the deepest fault mode. 0 disables;
 	// negative fails every truncate until the plan changes.
 	FailTruncates int
+	// FailRemoves fails the next N segment removals with WriteErr — a
+	// compaction that cannot delete what it covers. 0 disables; negative
+	// fails every removal until the plan changes.
+	FailRemoves int
 }
 
 // FaultFS wraps a wal.FS with a mutable fault plan. All methods are safe for
@@ -131,14 +135,21 @@ func (fs *FaultFS) takeWrite(n int) (err error, land int, delay time.Duration) {
 }
 
 // takeTruncate consumes one truncate from the plan.
-func (fs *FaultFS) takeTruncate() error {
+func (fs *FaultFS) takeTruncate() error { return fs.takeFailure(&fs.fault.FailTruncates) }
+
+// takeRemove consumes one removal from the plan.
+func (fs *FaultFS) takeRemove() error { return fs.takeFailure(&fs.fault.FailRemoves) }
+
+// takeFailure consumes one call from the plan's count of failing ones,
+// returning WriteErr while the count lasts.
+func (fs *FaultFS) takeFailure(left *int) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if fs.fault.FailTruncates == 0 {
+	if *left == 0 {
 		return nil
 	}
-	if fs.fault.FailTruncates > 0 {
-		fs.fault.FailTruncates--
+	if *left > 0 {
+		*left--
 	}
 	if fs.fault.WriteErr != nil {
 		return fs.fault.WriteErr
@@ -188,6 +199,14 @@ func (fs *FaultFS) SyncDir(dir string) error {
 		return err
 	}
 	return fs.next.SyncDir(dir)
+}
+
+// Remove implements wal.FS.
+func (fs *FaultFS) Remove(path string) error {
+	if err := fs.takeRemove(); err != nil {
+		return err
+	}
+	return fs.next.Remove(path)
 }
 
 var _ wal.FS = (*FaultFS)(nil)

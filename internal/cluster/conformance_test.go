@@ -313,7 +313,7 @@ func TestLookupQueryRoundTripsBothTiers(t *testing.T) {
 	for _, v := range []float64{999999, 1e6, 3725000.5, -3725000.5, 1e-7} {
 		dir := t.TempDir()
 		snapshot := fmt.Sprintf(`{"fused":{"s":[{"x":%g,"y":%g,"weight":1},{"x":%g,"y":%g,"weight":1}]}}`, v, v, v+10, v)
-		if err := wal.WriteSnapshot(dir, 1, []byte(snapshot)); err != nil {
+		if err := wal.WriteSnapshot(dir, 1, strings.NewReader(snapshot)); err != nil {
 			t.Fatal(err)
 		}
 		store, _, err := server.OpenStore(10, server.StorageOptions{Dir: dir})
@@ -350,7 +350,7 @@ func TestRouterMergeEqualsStoreLookupOnUnion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := wal.WriteSnapshot(dir, 1, data); err != nil {
+		if err := wal.WriteSnapshot(dir, 1, bytes.NewReader(data)); err != nil {
 			t.Fatal(err)
 		}
 		store, _, err := server.OpenStore(10, server.StorageOptions{Dir: dir})

@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"crowdwifi/internal/geo"
 	"crowdwifi/internal/obs/trace"
@@ -663,9 +664,13 @@ func WeightedFusion(reports []VehicleReport, reliability []float64, opts FusionO
 	if !(radius > 0) {
 		return nil, errors.New("crowd: fusion requires a positive merge radius")
 	}
-	weight := make([]float64, len(reports))
-	ints := make([]int, 2*len(reports)+1)
+	sc := fusionScratchPool.Get().(*fusionScratch)
+	defer fusionScratchPool.Put(sc)
+	weight := resize(sc.weight, len(reports))
+	ints := resize(sc.ints, 2*len(reports)+1)
+	sc.weight, sc.ints = weight, ints
 	first, order := ints[:len(reports)+1], ints[len(reports)+1:] // report k's points are first[k]..first[k+1]-1
+	first[0] = 0
 	for k, rep := range reports {
 		w := 1.0
 		if rep.Vehicle >= 0 && rep.Vehicle < len(reliability) {
@@ -679,23 +684,27 @@ func WeightedFusion(reports []VehicleReport, reliability []float64, opts FusionO
 		order[k] = k
 	}
 	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(weight[b], weight[a]) })
-	pts := make([]geo.Point, 0, first[len(reports)])
-	owner := make([]int32, 0, first[len(reports)]) // each point's report
+	pts, owner := sc.pts[:0], sc.owner[:0] // owner is each point's report
 	for k, rep := range reports {
 		pts = append(pts, rep.APs...)
 		for range rep.APs {
 			owner = append(owner, int32(k))
 		}
 	}
+	sc.pts, sc.owner = pts, owner
 
-	buckets := newXBuckets(pts, radius)
-	used := make([]bool, len(pts))
-	var members []int32
-	var vehicles map[int]bool
-	if opts.MinReports > 0 {
+	buckets := &sc.buckets
+	buckets.fill(pts, radius)
+	used := resize(sc.used, len(pts))
+	clear(used)
+	sc.used = used
+	members := sc.members
+	vehicles := sc.vehicles
+	if opts.MinReports > 0 && vehicles == nil {
 		vehicles = map[int]bool{}
+		sc.vehicles = vehicles
 	}
-	var out []geo.Point
+	out := sc.out[:0]
 	for _, k := range order {
 		for seed := first[k]; seed < first[k+1]; seed++ {
 			if used[seed] {
@@ -714,7 +723,7 @@ func WeightedFusion(reports []VehicleReport, reliability []float64, opts FusionO
 			if sw <= 0 || sw < opts.MinWeight {
 				continue
 			}
-			if vehicles != nil {
+			if opts.MinReports > 0 {
 				clear(vehicles)
 				for _, j := range members {
 					if weight[owner[j]] > 0 {
@@ -728,7 +737,38 @@ func WeightedFusion(reports []VehicleReport, reliability []float64, opts FusionO
 			out = append(out, geo.Point{X: sx / sw, Y: sy / sw})
 		}
 	}
-	return out, nil
+	sc.members, sc.out = members, out
+	if len(out) == 0 {
+		return nil, nil
+	}
+	return slices.Clone(out), nil
+}
+
+// fusionScratch is what a WeightedFusion call works in, kept for the next
+// one: a cycle fuses thousands of segments of a few dozen points each, and
+// would otherwise allocate all of it again per segment. Only the fused
+// points are returned, in memory of their own.
+type fusionScratch struct {
+	weight   []float64
+	ints     []int
+	pts      []geo.Point
+	owner    []int32
+	buckets  xBuckets
+	used     []bool
+	members  []int32
+	vehicles map[int]bool
+	out      []geo.Point
+}
+
+var fusionScratchPool = sync.Pool{New: func() any { return new(fusionScratch) }}
+
+// resize returns s at length n, reusing its memory when it holds enough.
+// What it holds is left as it was.
+func resize[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n)
+	}
+	return s[:n]
 }
 
 // xBuckets files point indices by X into buckets of equal width, each bucket
@@ -749,8 +789,9 @@ type xBuckets struct {
 	near, far float64
 }
 
-func newXBuckets(pts []geo.Point, radius float64) xBuckets {
-	b := xBuckets{width: radius * (1 + 0x1p-20), near: -1, far: math.Inf(1)}
+// fill files pts for radius, reusing the memory b's last filing used.
+func (b *xBuckets) fill(pts []geo.Point, radius float64) {
+	b.width, b.near, b.far = radius*(1+0x1p-20), -1, math.Inf(1)
 	if radius >= 0x1p-500 && radius <= 0x1p500 { // else r² may leave the normal range
 		b.near, b.far = radius*radius*(1-0x1p-40), radius*radius*(1+0x1p-40)
 	}
@@ -775,14 +816,15 @@ func newXBuckets(pts []geo.Point, radius float64) xBuckets {
 	}
 	// Count into start[k+1], turn counts into starts, file each point at its
 	// bucket's cursor, which leaves start[k] at bucket k's end; shift back.
-	b.start = make([]int, n+1)
+	b.start = resize(b.start, n+1)
+	clear(b.start)
 	for _, p := range pts {
 		b.start[b.of(p.X)+1]++
 	}
 	for k := 1; k <= n; k++ {
 		b.start[k] += b.start[k-1]
 	}
-	b.idx = make([]int32, len(pts))
+	b.idx = resize(b.idx, len(pts))
 	for i, p := range pts {
 		k := b.of(p.X)
 		b.idx[b.start[k]] = int32(i)
@@ -790,7 +832,6 @@ func newXBuckets(pts []geo.Point, radius float64) xBuckets {
 	}
 	copy(b.start[1:], b.start[:n])
 	b.start[0] = 0
-	return b
 }
 
 // of is x's bucket. It never decreases as x grows, so buckets are ordered

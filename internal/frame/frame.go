@@ -34,15 +34,25 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Append appends the framed record to dst and returns the extended slice.
 func Append(dst []byte, kind byte, data []byte) []byte {
-	n := 1 + len(data)
-	var hdr [HeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(n))
-	crc := crc32.Update(0, castagnoli, []byte{kind})
-	crc = crc32.Update(crc, castagnoli, data)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, kind)
-	return append(dst, data...)
+	return append(AppendHeader(dst, kind, data), data...)
+}
+
+// AppendHeader appends what precedes the data in the frame of a record whose
+// data is parts back to back: the length, the CRC and the kind. A writer
+// that sends the header and then each part sends the frame Append would
+// have built, without copying the data into it.
+func AppendHeader(dst []byte, kind byte, parts ...[]byte) []byte {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0, kind)
+	n := 1
+	crc := crc32.Update(0, castagnoli, dst[start+HeaderSize:])
+	for _, p := range parts {
+		n += len(p)
+		crc = crc32.Update(crc, castagnoli, p)
+	}
+	binary.LittleEndian.PutUint32(dst[start:], uint32(n))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc)
+	return dst
 }
 
 // Size returns the encoded size of a frame with dataLen data bytes.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -595,5 +596,55 @@ func TestFallbackWithoutItsLogSuffixRefusesToBoot(t *testing.T) {
 	}
 	if _, err := replayDir(dir, 10); err == nil || !missing.MatchString(err.Error()) {
 		t.Fatalf("read-only replay over a log with a hole: err = %v, want the missing range named", err)
+	}
+}
+
+// TestLostSegmentRemovalAfterSnapshot is the crash window of a compaction
+// that does not sync the segment it removes: the removal never reaches the
+// disk and the segment's unsynced pages are lost, so after the crash a file
+// of garbage, or a torn prefix of what was written, sits under the covered
+// segment's name. Recovery must not read it: it boots to the same last
+// sequence, counts and lookups, and numbers the next append after them.
+func TestLostSegmentRemovalAfterSnapshot(t *testing.T) {
+	for name, damage := range map[string]func([]byte) []byte{
+		"garbage": func(b []byte) []byte { return bytes.Repeat([]byte{0xa5}, len(b)) },
+		"torn":    func(b []byte) []byte { return b[:len(b)/2+3] },
+	} {
+		t.Run(name, func(t *testing.T) {
+			s, dir := filled(t, offlineShape{segments: 50, reports: 2000, vehicles: 40, patterns: 30, labelsPerVehicle: 3}, StorageOptions{})
+			seg := liveSegmentPath(t, dir)
+			written, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := os.Stat(seg); !os.IsNotExist(err) {
+				t.Fatalf("the covered segment %s is still there (%v)", seg, err)
+			}
+			want, wantSeq := fingerprint(t, s)+lookupBytes(t, s, everything), s.WALStats().LastSeq
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(seg, damage(written), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			reopened, stats := openDurable(t, dir)
+			defer reopened.Close()
+			if stats.LastSeq != wantSeq {
+				t.Errorf("recovered to sequence %d, want %d", stats.LastSeq, wantSeq)
+			}
+			if got := fingerprint(t, reopened) + lookupBytes(t, reopened, everything); got != want {
+				t.Errorf("recovered state differs\n got %s\nwant %s", got, want)
+			}
+			if err := reopened.AddReportKeyed(context.Background(), "", countsReport(0)); err != nil {
+				t.Fatal(err)
+			}
+			if got := reopened.WALStats().LastSeq; got != wantSeq+1 {
+				t.Errorf("the next append got sequence %d, want %d", got, wantSeq+1)
+			}
+		})
 	}
 }

@@ -213,3 +213,72 @@ func TestProbeReportsDiskHealth(t *testing.T) {
 	recs := replayAll(t, l)
 	wantRecords(t, recs, "1:a")
 }
+
+// TestCompactionSyncsASegmentItCannotRemove: compaction does not sync the
+// covered active segment it seals, since it removes it next; but a segment
+// whose removal fails stays on disk, so it is synced before CompactThrough
+// returns, and the next compaction removes it.
+func TestCompactionSyncsASegmentItCannotRemove(t *testing.T) {
+	for _, fail := range []bool{false, true} {
+		t.Run(fmt.Sprintf("remove fails %v", fail), func(t *testing.T) {
+			syncs := 0
+			fs := chaos.NewFaultFS(syncCounter{n: &syncs})
+			l, _, err := wal.Open(t.TempDir(), wal.Options{Sync: wal.SyncOff, FS: fs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			for _, r := range []string{"a", "b", "c"} {
+				mustAppend(t, l, r)
+			}
+			if fail {
+				fs.SetFault(chaos.FSFault{FailRemoves: 1})
+			}
+			if err := l.CompactThrough(l.LastSeq()); err != nil {
+				t.Fatal(err)
+			}
+			got := [2]int{l.Stats().Segments, syncs}
+			if want := map[bool][2]int{false: {1, 0}, true: {2, 1}}[fail]; got != want {
+				t.Fatalf("after compaction: %d segments and %d file syncs, want %v", got[0], got[1], want)
+			}
+			mustAppend(t, l, "d")
+			if err := l.CompactThrough(3); err != nil {
+				t.Fatal(err)
+			}
+			if got := l.Stats().Segments; got != 1 {
+				t.Fatalf("a later compaction left %d segments, want 1", got)
+			}
+			var recs []string
+			if err := l.Replay(3, func(r wal.Record) error { recs = append(recs, fmt.Sprintf("%d:%s", r.Seq, r.Data)); return nil }); err != nil {
+				t.Fatal(err)
+			}
+			wantRecords(t, recs, "4:d")
+		})
+	}
+}
+
+// syncCounter is the real filesystem, counting the file syncs that reach it.
+type syncCounter struct {
+	wal.OSFS
+	n *int
+}
+
+func (fs syncCounter) Create(path string) (wal.File, error) {
+	f, err := fs.OSFS.Create(path)
+	return countedSyncs{f, fs.n}, err
+}
+
+func (fs syncCounter) OpenAppend(path string) (wal.File, error) {
+	f, err := fs.OSFS.OpenAppend(path)
+	return countedSyncs{f, fs.n}, err
+}
+
+type countedSyncs struct {
+	wal.File
+	n *int
+}
+
+func (f countedSyncs) Sync() error {
+	*f.n++
+	return f.File.Sync()
+}

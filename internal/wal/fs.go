@@ -23,8 +23,8 @@ type File interface {
 	Close() error
 }
 
-// FS opens segment files and syncs directories. The zero value of Options
-// selects OSFS.
+// FS opens, removes and syncs segment files and directories. The zero value
+// of Options selects OSFS.
 type FS interface {
 	// Create opens a fresh segment for exclusive append.
 	Create(path string) (File, error)
@@ -33,6 +33,8 @@ type FS interface {
 	// SyncDir fsyncs a directory so entry creations/removals survive a
 	// crash.
 	SyncDir(dir string) error
+	// Remove deletes a segment compaction no longer needs.
+	Remove(path string) error
 }
 
 // OSFS is the real filesystem.
@@ -47,6 +49,9 @@ func (OSFS) Create(path string) (File, error) {
 func (OSFS) OpenAppend(path string) (File, error) {
 	return os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 }
+
+// Remove implements FS.
+func (OSFS) Remove(path string) error { return os.Remove(path) }
 
 // SyncDir implements FS.
 func (OSFS) SyncDir(dir string) error {

@@ -88,7 +88,9 @@ func (m *Metrics) incHeals() {
 	}
 }
 
-// ObserveSnapshot records one snapshot attempt's outcome.
+// ObserveSnapshot records one snapshot attempt's outcome; d spans encoding
+// the payload as well as writing and installing it, which now stream
+// together.
 func (m *Metrics) ObserveSnapshot(d time.Duration, err error) {
 	if m == nil {
 		return

@@ -17,7 +17,8 @@ import (
 //
 // A torn tail in the final segment (the usual residue of a crash mid-append) is
 // tolerated and simply ends the iteration; unlike Open, the file is left
-// untouched. Framing damage inside a sealed (non-final) segment is
+// untouched. A sealed (non-final) segment whose records are all ≤ after is
+// not read, as Replay reads none; framing damage inside any other is
 // unrecoverable mid-log corruption and returns an error, exactly like
 // Replay — and so is a log whose oldest segment starts after after+1. Probe
 // records (KindProbe) are invisible, and record data is copied so fn may
@@ -40,6 +41,9 @@ func IterateDir(dir string, after uint64, fn func(Record) error) error {
 	}
 	for i, seg := range segs {
 		final := i == len(segs)-1
+		if !final && segs[i+1].first-1 <= after {
+			continue // all covered: compaction may have left it unsynced
+		}
 		buf, err := os.ReadFile(seg.path)
 		if err != nil {
 			return err

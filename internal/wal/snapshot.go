@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -41,12 +42,11 @@ func parseSnapshotName(name string) (uint64, bool) {
 // castagnoli is the CRC32-C table snapshot files are checksummed with.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// WriteSnapshot atomically installs data as the snapshot covering every log
-// record with sequence ≤ seq.
-func WriteSnapshot(dir string, seq uint64, data []byte) error {
-	if len(data) > maxSnapshotBytes {
-		return fmt.Errorf("wal: snapshot of %d bytes exceeds the %d limit", len(data), maxSnapshotBytes)
-	}
+// WriteSnapshot atomically installs what payload writes as the snapshot
+// covering every log record with sequence ≤ seq. The payload is streamed to
+// the file, counted and checksummed on its way, and the header's length and
+// CRC are written in place once it is all out.
+func WriteSnapshot(dir string, seq uint64, payload io.WriterTo) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -56,17 +56,7 @@ func WriteSnapshot(dir string, seq uint64, data []byte) error {
 	if err != nil {
 		return err
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(data)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(data, castagnoli))
-	for _, chunk := range [][]byte{[]byte(snapshotMagic), hdr[:], data} {
-		if _, err := f.Write(chunk); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-	}
-	if err := f.Sync(); err != nil {
+	if err := writeSnapshotFile(f, payload); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -80,6 +70,43 @@ func WriteSnapshot(dir string, seq uint64, data []byte) error {
 		return err
 	}
 	return syncDir(dir)
+}
+
+// writeSnapshotFile writes a whole snapshot file to f and syncs it.
+func writeSnapshotFile(f *os.File, payload io.WriterTo) error {
+	var hdr [len(snapshotMagic) + 8]byte
+	copy(hdr[:], snapshotMagic)
+	if _, err := f.Write(hdr[:]); err != nil {
+		return err
+	}
+	w := payloadWriter{w: f}
+	if _, err := payload.WriteTo(&w); err != nil {
+		return err
+	}
+	binary.LittleEndian.PutUint32(hdr[len(snapshotMagic):], uint32(w.n))
+	binary.LittleEndian.PutUint32(hdr[len(snapshotMagic)+4:], w.crc)
+	if _, err := f.WriteAt(hdr[len(snapshotMagic):], int64(len(snapshotMagic))); err != nil {
+		return err
+	}
+	return f.Sync()
+}
+
+// payloadWriter passes a snapshot payload on to w, counting its bytes and
+// checksumming them as they go.
+type payloadWriter struct {
+	w   io.Writer
+	n   int64
+	crc uint32
+}
+
+func (p *payloadWriter) Write(b []byte) (int, error) {
+	if p.n+int64(len(b)) > maxSnapshotBytes {
+		return 0, fmt.Errorf("wal: snapshot exceeds the %d-byte limit", maxSnapshotBytes)
+	}
+	n, err := p.w.Write(b)
+	p.crc = crc32.Update(p.crc, castagnoli, b[:n])
+	p.n += int64(n)
+	return n, err
 }
 
 // readSnapshot loads and validates one snapshot file.

@@ -2,7 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -320,10 +322,10 @@ func TestSnapshotRoundtripAndFallback(t *testing.T) {
 	if seq, data, err := LatestSnapshot(dir); err != nil || data != nil || seq != 0 {
 		t.Fatalf("empty dir snapshot = (%d, %v, %v)", seq, data, err)
 	}
-	if err := WriteSnapshot(dir, 10, []byte("state-at-10")); err != nil {
+	if err := WriteSnapshot(dir, 10, strings.NewReader("state-at-10")); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteSnapshot(dir, 25, []byte("state-at-25")); err != nil {
+	if err := WriteSnapshot(dir, 25, strings.NewReader("state-at-25")); err != nil {
 		t.Fatal(err)
 	}
 	seq, data, err := LatestSnapshot(dir)
@@ -344,7 +346,7 @@ func TestSnapshotRoundtripAndFallback(t *testing.T) {
 	}
 
 	// Compaction keeps the newest n.
-	if err := WriteSnapshot(dir, 30, []byte("state-at-30")); err != nil {
+	if err := WriteSnapshot(dir, 30, strings.NewReader("state-at-30")); err != nil {
 		t.Fatal(err)
 	}
 	if oldest, err := CompactSnapshots(dir, 2); err != nil || oldest != 25 {
@@ -409,5 +411,79 @@ func TestParseSyncPolicy(t *testing.T) {
 	}
 	if _, err := ParseSyncPolicy("sometimes"); err == nil {
 		t.Error("bad policy accepted")
+	}
+}
+
+// TestCoveredSegmentIsNeverRead: compaction does not sync a segment it is
+// about to remove, so when a crash loses the removal the segment comes back
+// as whatever its unsynced pages held — here garbage. Open, Replay and
+// IterateDir from the compacted sequence on never read it, and appends go on
+// numbering after it; read from before the compaction, it is corruption as
+// ever.
+func TestCoveredSegmentIsNeverRead(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(dir, Options{Sync: SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := l.Append(1, []byte("covered")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	covered := segmentPaths(t, dir)[0]
+	if err := l.CompactThrough(5); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(covered, bytes.Repeat([]byte{0xa5}, 100), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	l, info, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if info.NextSeq != 6 || info.TruncatedBytes != 0 {
+		t.Fatalf("reopened at %+v, want the next sequence 6 and nothing cut", info)
+	}
+	if recs := collect(t, l, 5); len(recs) != 0 {
+		t.Fatalf("replay after 5 = %d records", len(recs))
+	}
+	if err := IterateDir(dir, 5, func(r Record) error { return fmt.Errorf("record %d", r.Seq) }); err != nil {
+		t.Fatalf("IterateDir after 5: %v", err)
+	}
+	if seq, err := l.Append(1, []byte("next")); err != nil || seq != 6 {
+		t.Fatalf("next append = (%d, %v), want 6", seq, err)
+	}
+	if err := IterateDir(dir, 0, func(Record) error { return nil }); err == nil || !strings.Contains(err.Error(), "corrupt") {
+		t.Fatalf("IterateDir from 0 over the garbage: %v, want corruption", err)
+	}
+}
+
+// failingPayload writes part of a payload and then fails, as an encoder does
+// that meets an entry it cannot frame.
+type failingPayload struct{}
+
+func (failingPayload) WriteTo(w io.Writer) (int64, error) {
+	n, err := w.Write([]byte("part of a payload"))
+	if err == nil {
+		err = errors.New("encoding failed")
+	}
+	return int64(n), err
+}
+
+// TestSnapshotWriteFailureLeavesNothing: a payload that fails while it
+// streams leaves neither a snapshot nor its temporary file behind.
+func TestSnapshotWriteFailureLeavesNothing(t *testing.T) {
+	dir := t.TempDir()
+	if err := WriteSnapshot(dir, 7, failingPayload{}); err == nil || !strings.Contains(err.Error(), "encoding failed") {
+		t.Fatalf("WriteSnapshot = %v, want the payload's error", err)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("left %v (%v), want an empty directory", entries, err)
 	}
 }
