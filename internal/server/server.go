@@ -561,16 +561,26 @@ func (s *Store) inferReliability(ctx context.Context, c capture) map[string]floa
 // answer byte-for-byte identically.
 func (s *Store) Lookup(area geo.Rect) []LookupResult {
 	out := []LookupResult{}
+	scanned := 0
 	for _, results := range s.view.Load().fused {
+		scanned += len(results)
 		for _, r := range results {
 			if area.Contains(geo.Point{X: r.X, Y: r.Y}) {
 				out = append(out, r)
 			}
 		}
 	}
+	if t := lookupScanned; t != nil {
+		t.Add(int64(scanned))
+	}
 	api.SortLookup(out)
 	return out
 }
+
+// lookupScanned, when non-nil, counts the fused APs Lookup reads; the
+// package's count test sets it while it drives lookups, and nothing else
+// does. It is read once per Lookup call.
+var lookupScanned *atomic.Int64
 
 // Server wires the store to an HTTP mux.
 type Server struct {
