@@ -39,8 +39,7 @@ var censusAllow = map[string]string{
 	"internal/traceio.ReadEstimates":      "the reading half of the -out format the vehicle writes",
 	// Library-only operations and knobs only tests turn.
 	"internal/cluster.Router.RebalanceFromDir": "rebalance from a dead shard's disk: library-only, proven by TestKillOneShard (verify skill)",
-	"internal/retry.WithBudget":                "the retry budget is off by default; the chaos e2e and doer tests run with it on",
-	"internal/server.WithRequestTimeout":       "the per-request deadline is off by default; TestRequestDeadlineAttached sets it",
+	"internal/retry.WithBudget":                "every Doer runs the default budget (ratio 0.5, burst 10); the chaos e2e and doer tests loosen or tighten it",
 }
 
 // goFile is one parsed file: where it lives and what its imports are called.

@@ -15,7 +15,7 @@
 // digests/modes/WAL depth, latency quantiles and reconcile drift, and
 // /debug/slo evaluates the router's burn-rate SLOs.
 //
-// On startup (unless -reconcile=false) the router runs one reconcile pass:
+// On startup the router runs one reconcile pass:
 // it fetches every shard's per-segment digests, moves any segment resident
 // on a non-owner back to its ring owner as a move of the shard's own log
 // records, and re-aggregates the shards it touched — repairing the drift
@@ -31,11 +31,11 @@
 // Usage:
 //
 //	crowdwifi-router -peers a=http://h1:8700,b=http://h2:8700
-//	                 [-addr :8600] [-vnodes 64]
-//	                 [-metrics-addr :8601] [-log-level info]
-//	                 [-retry-attempts 4] [-reconcile]
-//	                 [-max-body 1048576] [-batch-max-body 16777216]
-//	                 [-trace-sample 1] [-trace-buffer 256]
+//	                 [-addr :8600] [-metrics-addr :8601] [-log-level info]
+//	                 [-trace-sample 1]
+//
+// The ownership ring, the upstream retry schedule, the body caps and the
+// trace ring are constants (DESIGN.md, "Settings").
 package main
 
 import (
@@ -56,20 +56,13 @@ import (
 	"crowdwifi/internal/obs/slo"
 	"crowdwifi/internal/obs/trace"
 	"crowdwifi/internal/overload"
-	"crowdwifi/internal/retry"
 )
 
 type config struct {
-	addr          string
-	peers         string
-	vnodes        int
-	metricsAddr   string
-	retryAttempts int
-	reconcile     bool
-	maxBody       int64
-	batchMaxBody  int64
-	traceSample   float64
-	traceBuffer   int
+	addr        string
+	peers       string
+	metricsAddr string
+	traceSample float64
 }
 
 func main() {
@@ -77,22 +70,10 @@ func main() {
 	flag.StringVar(&cfg.addr, "addr", ":8600", "listen address")
 	flag.StringVar(&cfg.peers, "peers", "",
 		"shard endpoints as id=url pairs, e.g. a=http://h1:8700,b=http://h2:8700 (required)")
-	flag.IntVar(&cfg.vnodes, "vnodes", 0,
-		"virtual nodes per member on the ownership ring (0 uses the default; must match the shards)")
 	flag.StringVar(&cfg.metricsAddr, "metrics-addr", "",
 		"optional extra listen address serving only /metrics and /debug endpoints")
-	flag.IntVar(&cfg.retryAttempts, "retry-attempts", 0,
-		"max attempts per upstream shard request (0 uses the retry default)")
-	flag.BoolVar(&cfg.reconcile, "reconcile", true,
-		"run a drift-detection and repair pass against the shards on startup")
-	flag.Int64Var(&cfg.maxBody, "max-body", 0,
-		"per-request body cap for single-upload routes in bytes (0 uses the default)")
-	flag.Int64Var(&cfg.batchMaxBody, "batch-max-body", 0,
-		"per-request body cap for /v1/reports/batch in bytes (0 uses the default)")
 	flag.Float64Var(&cfg.traceSample, "trace-sample", 1,
 		"fraction of new traces to record, 0..1")
-	flag.IntVar(&cfg.traceBuffer, "trace-buffer", trace.DefaultCapacity,
-		"number of recent traces kept in memory for /debug/traces")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
@@ -121,24 +102,16 @@ func run(cfg config, logger *obs.Logger) error {
 	reg := obs.NewRegistry()
 	reg.RegisterGoRuntime()
 	obs.RegisterBuildInfo(reg)
-	tracer := trace.NewTracer(trace.Config{
-		SampleRate: cfg.traceSample,
-		Capacity:   cfg.traceBuffer,
-	})
+	tracer := trace.NewTracer(trace.Config{SampleRate: cfg.traceSample})
 	health := obs.NewHealth()
 	health.SetNotReady("starting")
 
-	opts := cluster.RouterOptions{
-		Peers:             peers,
-		VNodes:            cfg.vnodes,
-		Retry:             retry.Policy{MaxAttempts: cfg.retryAttempts},
-		Registry:          reg,
-		Logger:            logger,
-		MaxBodyBytes:      cfg.maxBody,
-		BatchMaxBodyBytes: cfg.batchMaxBody,
-		Overload:          &overload.Options{},
-	}
-	rt, err := cluster.NewRouter(opts)
+	rt, err := cluster.NewRouter(cluster.RouterOptions{
+		Peers:    peers,
+		Registry: reg,
+		Logger:   logger,
+		Overload: &overload.Options{},
+	})
 	if err != nil {
 		return err
 	}
@@ -147,21 +120,19 @@ func run(cfg config, logger *obs.Logger) error {
 	defer stop()
 	ctx = trace.WithTracer(ctx, tracer)
 
-	if cfg.reconcile {
-		start := time.Now()
-		rep, err := rt.Reconcile(ctx)
-		if err != nil {
-			// Startup reconcile is best-effort: a shard that is down keeps
-			// its drift until the next pass, and the router still serves
-			// (partially) in the meantime.
-			logger.Warn("startup reconcile incomplete", "err", err)
-		}
-		logger.Info("startup reconcile done",
-			"moves", len(rep.Moves),
-			"moved_reports", rep.Stats.Reports,
-			"dropped_reports", rep.DroppedReports,
-			"duration", time.Since(start))
+	start := time.Now()
+	rep, err := rt.Reconcile(ctx)
+	if err != nil {
+		// Startup reconcile is best-effort: a shard that is down keeps its
+		// drift until the next pass, and the router still serves (partially)
+		// in the meantime.
+		logger.Warn("startup reconcile incomplete", "err", err)
 	}
+	logger.Info("startup reconcile done",
+		"moves", len(rep.Moves),
+		"moved_reports", rep.Stats.Reports,
+		"dropped_reports", rep.DroppedReports,
+		"duration", time.Since(start))
 
 	// The router's user-facing SLOs are measured at the front door from its
 	// own RED families; the engine samples in the background and refreshes
@@ -206,7 +177,7 @@ func run(cfg config, logger *obs.Logger) error {
 	go func() { errCh <- srv.Serve(ln) }()
 	health.SetReady()
 	logger.Info("router listening", "addr", ln.Addr().String(),
-		"members", len(rt.Members()), "vnodes", cfg.vnodes)
+		"members", len(rt.Members()))
 
 	shutdownMetrics := func() {
 		if metricsSrv == nil {

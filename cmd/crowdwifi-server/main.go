@@ -16,14 +16,13 @@
 // Usage:
 //
 //	crowdwifi-server [-addr :8700] [-merge-radius 10] [-aggregate-every 30s]
-//	                 [-workers 0]
 //	                 [-data-dir /var/lib/crowdwifi] [-fsync always]
 //	                 [-snapshot-every 5m]
-//	                 [-metrics-addr :8701] [-log-level info]
-//	                 [-trace-sample 1] [-trace-buffer 256]
-//	                 [-max-inflight 0]
-//	                 [-max-body 1048576] [-batch-max-body 16777216]
-//	                 [-shard-id a -peers a,b,c [-vnodes 64]]
+//	                 [-metrics-addr :8701] [-log-level info] [-trace-sample 1]
+//	                 [-shard-id a -peers a,b,c]
+//
+// Parallelism follows GOMAXPROCS; the admission caps, body caps, trace ring
+// and ownership ring are constants (DESIGN.md, "Settings").
 //
 // With -shard-id and -peers set the server runs as one shard of a cluster:
 // it serves the /v1/cluster/* endpoints, rejects uploads for segments the
@@ -57,20 +56,14 @@ import (
 type config struct {
 	addr           string
 	mergeRadius    float64
-	workers        int
 	aggregateEvery time.Duration
 	metricsAddr    string
 	dataDir        string
 	fsync          wal.SyncPolicy
 	snapshotEvery  time.Duration
 	traceSample    float64
-	traceBuffer    int
-	maxInflight    int
-	maxBody        int64
-	batchMaxBody   int64
 	shardID        string
 	peers          string
-	vnodes         int
 }
 
 // parseMemberIDs accepts the -peers flag in either the bare id form
@@ -104,8 +97,6 @@ func main() {
 	cfg := config{}
 	flag.StringVar(&cfg.addr, "addr", ":8700", "listen address")
 	flag.Float64Var(&cfg.mergeRadius, "merge-radius", 10, "fusion merge radius in metres")
-	flag.IntVar(&cfg.workers, "workers", 0,
-		"worker-pool size for parallel aggregation (0 uses GOMAXPROCS; results are identical at any setting)")
 	flag.DurationVar(&cfg.aggregateEvery, "aggregate-every", 30*time.Second,
 		"how often to re-run reliability inference and fusion (0 disables)")
 	flag.StringVar(&cfg.metricsAddr, "metrics-addr", "",
@@ -118,20 +109,10 @@ func main() {
 		"how often to snapshot the store and compact the WAL (0 disables; a snapshot is always cut on shutdown)")
 	flag.Float64Var(&cfg.traceSample, "trace-sample", 1,
 		"fraction of new traces to record, 0..1 (error and slow traces are retained regardless once sampled)")
-	flag.IntVar(&cfg.traceBuffer, "trace-buffer", trace.DefaultCapacity,
-		"number of recent traces kept in memory for /debug/traces")
-	flag.IntVar(&cfg.maxInflight, "max-inflight", 0,
-		"cap on every endpoint family's concurrent requests (0 keeps the built-in caps: lookup 128, control 16, upload 128)")
-	flag.Int64Var(&cfg.maxBody, "max-body", 0,
-		"per-request body cap for single-upload routes in bytes (0 uses the default)")
-	flag.Int64Var(&cfg.batchMaxBody, "batch-max-body", 0,
-		"per-request body cap for /v1/reports/batch in bytes (0 uses the default)")
 	flag.StringVar(&cfg.shardID, "shard-id", "",
 		"this shard's id in a cluster (empty runs single-node; requires -peers)")
 	flag.StringVar(&cfg.peers, "peers", "",
 		"cluster member ids, \"a,b,c\" or the router's \"a=url,b=url\" form (ids only are used here)")
-	flag.IntVar(&cfg.vnodes, "vnodes", 0,
-		"virtual nodes per member on the ownership ring (0 uses the default; must match the router)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
@@ -157,7 +138,6 @@ func main() {
 }
 
 func run(cfg config, logger *obs.Logger) error {
-	par.SetDefaultWorkers(cfg.workers)
 	reg := obs.NewRegistry()
 	reg.RegisterGoRuntime()
 	obs.RegisterBuildInfo(reg)
@@ -165,10 +145,7 @@ func run(cfg config, logger *obs.Logger) error {
 		"tasks currently executing inside the internal worker pool"))
 	metrics := server.NewMetrics(reg)
 
-	tracer := trace.NewTracer(trace.Config{
-		SampleRate: cfg.traceSample,
-		Capacity:   cfg.traceBuffer,
-	})
+	tracer := trace.NewTracer(trace.Config{SampleRate: cfg.traceSample})
 	// Not ready until recovery has replayed the WAL and the listener is up;
 	// readiness drops again when the shutdown snapshot starts so load
 	// balancers stop routing before the final fsync.
@@ -215,13 +192,7 @@ func run(cfg config, logger *obs.Logger) error {
 		server.WithTracer(tracer),
 		server.WithHealth(health),
 		server.WithSLO(sloEngine.Handler()),
-		server.WithOverload(overload.Options{Max: cfg.maxInflight}),
-	}
-	if cfg.maxBody > 0 {
-		srvOpts = append(srvOpts, server.WithMaxBodyBytes(cfg.maxBody))
-	}
-	if cfg.batchMaxBody > 0 {
-		srvOpts = append(srvOpts, server.WithBatchMaxBodyBytes(cfg.batchMaxBody))
+		server.WithOverload(overload.Options{}),
 	}
 	if cfg.shardID != "" {
 		members, err := parseMemberIDs(cfg.peers)
@@ -231,10 +202,8 @@ func run(cfg config, logger *obs.Logger) error {
 		srvOpts = append(srvOpts, server.WithCluster(server.ClusterOptions{
 			Self:    cfg.shardID,
 			Members: members,
-			VNodes:  cfg.vnodes,
 		}))
-		logger.Info("cluster mode enabled",
-			"shard_id", cfg.shardID, "members", cfg.peers, "vnodes", cfg.vnodes)
+		logger.Info("cluster mode enabled", "shard_id", cfg.shardID, "members", cfg.peers)
 	}
 	api := server.New(store, srvOpts...)
 	srv := &http.Server{

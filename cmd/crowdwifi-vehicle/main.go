@@ -8,10 +8,12 @@
 //
 //	crowdwifi-vehicle [-id veh-1] [-server http://127.0.0.1:8700]
 //	                  [-samples 180] [-seed 7] [-segment uci-campus]
-//	                  [-workers 0]
 //	                  [-spammer] [-outbox-cap 256] [-drain-timeout 5s]
-//	                  [-retry-attempts 4] [-trace-sample 1] [-trace-buffer 256]
+//	                  [-retry-attempts 4] [-trace-sample 1]
 //	                  [-codec json|binary] [-batch 0]
+//
+// The CS core's parallelism follows GOMAXPROCS; estimates are identical at
+// any setting.
 //
 // With -spammer the vehicle answers mapping tasks randomly instead of
 // honestly — useful for demonstrating the server's reliability inference.
@@ -58,14 +60,12 @@ type runConfig struct {
 	OutPath       string
 	Samples       int
 	Seed          uint64
-	Workers       int
 	Spammer       bool
 	MetricsAddr   string
 	OutboxCap     int
 	DrainTimeout  time.Duration
 	RetryAttempts int
 	TraceSample   float64
-	TraceBuffer   int
 	Codec         string
 	BatchSize     int
 }
@@ -76,8 +76,6 @@ func main() {
 	flag.StringVar(&cfg.ServerURL, "server", "", "crowd-server base URL (empty: offline)")
 	flag.IntVar(&cfg.Samples, "samples", 180, "RSS samples to collect on the drive")
 	flag.Uint64Var(&cfg.Seed, "seed", 7, "simulation seed")
-	flag.IntVar(&cfg.Workers, "workers", 0,
-		"worker-pool size for the parallel CS core (0 uses GOMAXPROCS; estimates are identical at any setting)")
 	flag.StringVar(&cfg.Segment, "segment", "uci-campus", "road segment id for uploads")
 	flag.BoolVar(&cfg.Spammer, "spammer", false, "answer mapping tasks randomly")
 	flag.StringVar(&cfg.TracePath, "trace", "", "replay a measurement CSV instead of simulating a drive")
@@ -92,8 +90,6 @@ func main() {
 		"max delivery attempts per request (exponential backoff with jitter)")
 	flag.Float64Var(&cfg.TraceSample, "trace-sample", 1,
 		"fraction of new traces to record, 0..1")
-	flag.IntVar(&cfg.TraceBuffer, "trace-buffer", trace.DefaultCapacity,
-		"number of recent traces kept in memory for /debug/traces")
 	flag.StringVar(&cfg.Codec, "codec", "json",
 		"upload/lookup wire format: json or binary (length-prefixed frames)")
 	flag.IntVar(&cfg.BatchSize, "batch", 0,
@@ -129,16 +125,12 @@ func main() {
 }
 
 func run(ctx context.Context, cfg runConfig, logger *obs.Logger) error {
-	par.SetDefaultWorkers(cfg.Workers)
 	reg := obs.NewRegistry()
 	reg.RegisterGoRuntime()
 	obs.RegisterBuildInfo(reg)
 	par.Instrument(reg.Gauge("par_inflight_tasks",
 		"tasks currently executing inside the internal worker pool"))
-	tracer := trace.NewTracer(trace.Config{
-		SampleRate: cfg.TraceSample,
-		Capacity:   cfg.TraceBuffer,
-	})
+	tracer := trace.NewTracer(trace.Config{SampleRate: cfg.TraceSample})
 	ctx = trace.WithTracer(ctx, tracer)
 	if cfg.MetricsAddr != "" {
 		go func() {

@@ -42,7 +42,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := api.ReadBody(w, r, rt.batchMaxBody)
+	body, err := api.ReadBody(w, r, api.DefaultBatchMaxBodyBytes)
 	if err != nil {
 		api.WriteBodyError(w, err)
 		return

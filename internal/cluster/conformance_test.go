@@ -29,13 +29,8 @@ import (
 // slot makes the next upload shed once its queue deadline passes.
 var oneSlot = overload.Options{Max: 1}
 
-const (
-	tierMaxBody      = 512
-	tierBatchMaxBody = 2048
-)
-
 // tiers is one shard with a router in front of it, both assembled the way
-// the binaries assemble them: metrics, tracer, overload control, body caps.
+// the binaries assemble them: metrics, tracer, overload control.
 type tiers struct {
 	shard        *server.Server
 	shardReg     *obs.Registry
@@ -59,8 +54,6 @@ func newTiers(t *testing.T, store *server.Store) *tiers {
 		server.WithMetrics(server.NewMetrics(tr.shardReg)),
 		server.WithTracer(tr.shardTracer),
 		server.WithOverload(oneSlot),
-		server.WithMaxBodyBytes(tierMaxBody),
-		server.WithBatchMaxBodyBytes(tierBatchMaxBody),
 		server.WithCluster(server.ClusterOptions{Self: "a", Members: []string{"a"}}))
 	shardTS := httptest.NewServer(tr.shard)
 	t.Cleanup(shardTS.Close)
@@ -68,12 +61,10 @@ func newTiers(t *testing.T, store *server.Store) *tiers {
 
 	var err error
 	tr.router, err = NewRouter(RouterOptions{
-		Peers:             []Peer{{ID: "a", URL: shardTS.URL}},
-		Retry:             retry.Policy{MaxAttempts: 1},
-		Registry:          tr.routerReg,
-		Overload:          &oneSlot,
-		MaxBodyBytes:      tierMaxBody,
-		BatchMaxBodyBytes: tierBatchMaxBody,
+		Peers:    []Peer{{ID: "a", URL: shardTS.URL}},
+		Retry:    retry.Policy{MaxAttempts: 1},
+		Registry: tr.routerReg,
+		Overload: &oneSlot,
 	})
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
@@ -136,8 +127,13 @@ func spansNamed(tr *trace.Tracer, traceID, name string) int {
 // refused it. Traced requests get exactly one server span per hop.
 func TestCrossTierConformance(t *testing.T) {
 	report := reportBody(t, "seg-1")
-	padded := func(n int) []byte {
-		b, _ := json.Marshal(api.Report{Vehicle: strings.Repeat("v", n), Segment: "seg-1"})
+	// over is a JSON report exactly one byte longer than limit.
+	over := func(limit int) []byte {
+		one, _ := json.Marshal(api.Report{Vehicle: "v", Segment: "seg-1"})
+		b, _ := json.Marshal(api.Report{Vehicle: strings.Repeat("v", limit+2-len(one)), Segment: "seg-1"})
+		if len(b) != limit+1 {
+			t.Fatalf("over(%d) is %d bytes", limit, len(b))
+		}
 		return b
 	}
 	asJSON := map[string]string{"Content-Type": "application/json"}
@@ -173,13 +169,13 @@ func TestCrossTierConformance(t *testing.T) {
 		},
 		{
 			name:   "oversized single body",
-			method: http.MethodPost, path: "/v1/reports", header: asJSON, body: padded(tierMaxBody),
-			want: answer{status: 413, mode: "healthy", body: "{\"error\":\"body exceeds 512 bytes\"}\n"},
+			method: http.MethodPost, path: "/v1/reports", header: asJSON, body: over(api.DefaultMaxBodyBytes),
+			want: answer{status: 413, mode: "healthy", body: "{\"error\":\"body exceeds 1048576 bytes\"}\n"},
 		},
 		{
 			name:   "oversized batch body",
-			method: http.MethodPost, path: "/v1/reports/batch", header: asJSON, body: padded(tierBatchMaxBody),
-			want: answer{status: 413, mode: "healthy", body: "{\"error\":\"body exceeds 2048 bytes\"}\n"},
+			method: http.MethodPost, path: "/v1/reports/batch", header: asJSON, body: over(api.DefaultBatchMaxBodyBytes),
+			want: answer{status: 413, mode: "healthy", body: "{\"error\":\"body exceeds 16777216 bytes\"}\n"},
 		},
 		{
 			name:   "degenerate rect",

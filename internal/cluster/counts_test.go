@@ -7,17 +7,24 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/pprof"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"crowdwifi/internal/api"
 	"crowdwifi/internal/api/front"
 	"crowdwifi/internal/cluster/ring"
 	"crowdwifi/internal/obs"
+	"crowdwifi/internal/obs/slo"
+	"crowdwifi/internal/overload"
 	"crowdwifi/internal/server"
 )
 
@@ -207,4 +214,81 @@ func BenchmarkRouterBatch(b *testing.B) {
 			postBatch(b, base, body, size)
 		}
 	})
+}
+
+// TestCountsGoroutinesAfterClose is the leak row: a shard on a data
+// directory, with admission control, its probe loop and its SLO engine, and a
+// router in front of it with its own, assembled as the binaries assemble
+// them, serve uploads, a batch, a lookup, a cycle and a reconcile. Once both
+// listeners and the store are closed and the context is cancelled, the
+// process is back to the goroutines it started with.
+func TestCountsGoroutinesAfterClose(t *testing.T) {
+	start := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	store, _, err := server.OpenStore(e2eRadius, server.StorageOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardReg := obs.NewRegistry()
+	shardSLO := slo.New(slo.Config{Objectives: server.SLOObjectives(shardReg), Registry: shardReg})
+	srv := server.New(store,
+		server.WithMetrics(server.NewMetrics(shardReg)),
+		server.WithOverload(overload.Options{}),
+		server.WithSLO(shardSLO.Handler()),
+		server.WithCluster(server.ClusterOptions{Self: "a", Members: []string{"a"}}))
+	go srv.Overload().Controller().Run(ctx)
+	go shardSLO.Run(ctx)
+	shardTS := httptest.NewServer(srv)
+
+	routerReg := obs.NewRegistry()
+	routerSLO := slo.New(slo.Config{Objectives: SLOObjectives(routerReg), Registry: routerReg})
+	rt, err := NewRouter(RouterOptions{
+		Peers:    []Peer{{ID: "a", URL: shardTS.URL}},
+		Registry: routerReg,
+		Overload: &overload.Options{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go routerSLO.Run(ctx)
+	routerTS := httptest.NewServer(rt)
+
+	if _, err := rt.Reconcile(ctx); err != nil {
+		t.Fatal(err)
+	}
+	postReports(t, routerTS.URL, e2eReports(), "leak")
+	postBatch(t, routerTS.URL, countsBatch(t, 0, 32), 32)
+	for _, req := range []struct{ method, path string }{
+		{http.MethodPost, api.RouteAggregate},
+		{http.MethodGet, api.RouteLookup + "?xmin=-1000&ymin=-1000&xmax=1000&ymax=1000"},
+	} {
+		r, _ := http.NewRequest(req.method, routerTS.URL+req.path, nil)
+		resp, err := http.DefaultClient.Do(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: status %d", req.method, req.path, resp.StatusCode)
+		}
+	}
+
+	routerTS.Close()
+	shardTS.Close()
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > start && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > start {
+		var dump strings.Builder
+		_ = pprof.Lookup("goroutine").WriteTo(&dump, 1)
+		t.Fatalf("%d goroutines 5 s after close, %d before the shard and router started:\n%s", n, start, dump.String())
+	}
 }

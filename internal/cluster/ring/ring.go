@@ -62,6 +62,10 @@ type Ring struct {
 // New builds a ring over the given members (duplicates and empty ids are
 // dropped). vnodes ≤ 0 selects DefaultVirtualNodes. A ring over zero members
 // is valid: Owner returns "" for every key.
+//
+// Every process of a cluster must build the same ring, so the shards and the
+// router all pass 0. The parameter stays because the benchmark module calls
+// New(ids, 0).
 func New(members []string, vnodes int) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVirtualNodes

@@ -89,11 +89,10 @@ type RouterOptions struct {
 	// Members are the initial ring members; nil selects every peer id.
 	// Members must be a subset of peer ids.
 	Members []string
-	// VNodes is the virtual-node count per member (≤ 0 selects
-	// ring.DefaultVirtualNodes). Every shard must agree on this value.
-	VNodes int
 	// Retry shapes the per-shard retry schedule. Zero value selects the
-	// package defaults.
+	// package defaults, which the router binary runs. It stays an option
+	// because the cluster tests shorten the schedule to milliseconds, or to
+	// one attempt.
 	Retry retry.Policy
 	// HTTP is the base transport under the retry layer; nil selects
 	// http.DefaultClient.
@@ -106,11 +105,6 @@ type RouterOptions struct {
 	// The router holds no durable state, so its mode never leaves healthy and
 	// nothing needs to run its probe loop.
 	Overload *overload.Options
-	// MaxBodyBytes caps upload bodies (≤ 0 selects api.DefaultMaxBodyBytes).
-	MaxBodyBytes int64
-	// BatchMaxBodyBytes caps /v1/reports/batch bodies (≤ 0 selects
-	// api.DefaultBatchMaxBodyBytes).
-	BatchMaxBodyBytes int64
 }
 
 // peerClient is one shard's outbound path: its base URL plus a retrying
@@ -137,10 +131,6 @@ type Router struct {
 	stack   front.Stack
 	metrics *routerMetrics
 	log     *obs.Logger
-	vnodes  int
-	maxBody int64
-	// batchMaxBody is the per-route cap for /v1/reports/batch.
-	batchMaxBody int64
 
 	mu    sync.RWMutex
 	peers map[string]*peerClient
@@ -156,17 +146,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		mux:     http.NewServeMux(),
 		metrics: newRouterMetrics(opts.Registry),
 		log:     opts.Logger,
-		vnodes:  opts.VNodes,
-		maxBody: opts.MaxBodyBytes,
 		peers:   map[string]*peerClient{},
-
-		batchMaxBody: opts.BatchMaxBodyBytes,
-	}
-	if rt.maxBody <= 0 {
-		rt.maxBody = api.DefaultMaxBodyBytes
-	}
-	if rt.batchMaxBody <= 0 {
-		rt.batchMaxBody = api.DefaultBatchMaxBodyBytes
 	}
 	var retryMetrics *retry.Metrics
 	if opts.Registry != nil {
@@ -252,7 +232,7 @@ func (rt *Router) UpdateMembers(members []string) error {
 		}
 	}
 	rt.mu.RUnlock()
-	rg := ring.New(members, rt.vnodes)
+	rg := ring.New(members, 0)
 	rt.ring.Store(rg)
 	if rt.log != nil {
 		rt.log.Info("router membership updated", "members", strings.Join(rg.Members(), ","))
@@ -367,7 +347,7 @@ func (rt *Router) handleUpload(w http.ResponseWriter, r *http.Request) {
 			errors.New("not implemented at the router: pattern/report listings are shard-local; query shards directly"))
 		return
 	}
-	body, err := api.ReadBody(w, r, rt.maxBody)
+	body, err := api.ReadBody(w, r, api.DefaultMaxBodyBytes)
 	if err != nil {
 		api.WriteBodyError(w, err)
 		return

@@ -1,9 +1,9 @@
 package crowd
 
 import (
+	"runtime"
 	"testing"
 
-	"crowdwifi/internal/par"
 	"crowdwifi/internal/rng"
 )
 
@@ -25,13 +25,13 @@ func TestInferParallelBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// The process-wide worker count is the one parallelism setting (no
-		// test in the repository runs in parallel with another).
-		t.Cleanup(func() { par.SetDefaultWorkers(0) })
-		par.SetDefaultWorkers(1)
+		// GOMAXPROCS is the one parallelism setting (no test in the
+		// repository runs in parallel with another).
+		prev := runtime.GOMAXPROCS(1)
 		serial := Infer(labels, InferenceOptions{})
-		par.SetDefaultWorkers(4)
+		runtime.GOMAXPROCS(4)
 		parallel := Infer(labels, InferenceOptions{})
+		runtime.GOMAXPROCS(prev)
 
 		if serial.Iterations != parallel.Iterations || serial.Converged != parallel.Converged {
 			t.Fatalf("seed %d: iterations/converged (%d,%v) != (%d,%v)",

@@ -3,6 +3,7 @@ package crowd
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"crowdwifi/internal/geo"
@@ -375,7 +376,7 @@ func TestWeightedFusionNonFiniteWeightIsZero(t *testing.T) {
 // instances, from the deterministic start and from RandomInit's draws, at
 // one worker and at four.
 func TestInferMatchesReference(t *testing.T) {
-	t.Cleanup(func() { par.SetDefaultWorkers(0) })
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	r := rng.New(21)
 	overflowed := 0
 	for c := 0; c < 60; c++ {
@@ -396,7 +397,7 @@ func TestInferMatchesReference(t *testing.T) {
 		if r.Intn(2) == 0 {
 			opts.RandomInit, opts.Seed = true, r.Uint64()
 		}
-		par.SetDefaultWorkers(1 + 3*(c%2))
+		runtime.GOMAXPROCS(1 + 3*(c%2))
 		want, got := inferRef(labels, opts), Infer(labels, opts)
 		if !finite(want.TaskScores) || !finite(want.WorkerReliability) {
 			// Three hundred sweeps outgrow float64: the reference ends in NaN,

@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"crowdwifi/internal/geo"
 	"crowdwifi/internal/grid"
-	"crowdwifi/internal/par"
 	"crowdwifi/internal/radio"
 	"crowdwifi/internal/rng"
 )
@@ -43,12 +43,12 @@ func parWindow(tb testing.TB, seed uint64) (*grid.Grid, radio.Channel, []radio.M
 	return g, ch, ms
 }
 
-// setWorkers pins the process-wide worker count for the rest of the test (no
+// setWorkers pins the worker count, GOMAXPROCS, for the rest of the test (no
 // test in the repository runs in parallel with another).
 func setWorkers(tb testing.TB, n int) {
 	tb.Helper()
-	par.SetDefaultWorkers(n)
-	tb.Cleanup(func() { par.SetDefaultWorkers(0) })
+	prev := runtime.GOMAXPROCS(n)
+	tb.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // TestSelectModelParallelBitIdentical is the determinism property test for

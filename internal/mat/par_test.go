@@ -2,17 +2,16 @@ package mat
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
-
-	"crowdwifi/internal/par"
 )
 
-// forceWorkers pins the process-wide worker count for the rest of the test
+// forceWorkers pins the worker count, GOMAXPROCS, for the rest of the test
 // (no test in the repository runs in parallel with another).
 func forceWorkers(t testing.TB, n int) {
 	t.Helper()
-	par.SetDefaultWorkers(n)
-	t.Cleanup(func() { par.SetDefaultWorkers(0) })
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // TestMulParallelBitIdentical checks the determinism contract: the parallel
@@ -92,16 +91,15 @@ func TestSmallProductsStaySerial(t *testing.T) {
 	}
 }
 
-// TestSetWorkersClamps: the kernels follow the one process-wide setting, and
-// a nonsensical value falls back to the default instead of stalling them.
+// TestSetWorkersClamps: the kernels follow the one setting, GOMAXPROCS, and
+// never report fewer than one worker.
 func TestSetWorkersClamps(t *testing.T) {
-	forceWorkers(t, -3)
 	if w, _ := useParallel(parMinFlops); w < 1 {
-		t.Fatalf("useParallel reports %d workers after SetDefaultWorkers(-3), want >= 1", w)
+		t.Fatalf("useParallel reports %d workers, want >= 1", w)
 	}
 	forceWorkers(t, 1)
 	if w, ok := useParallel(parMinFlops); w != 1 || ok {
-		t.Fatalf("useParallel = (%d, %v) after SetDefaultWorkers(1), want (1, false)", w, ok)
+		t.Fatalf("useParallel = (%d, %v) at GOMAXPROCS 1, want (1, false)", w, ok)
 	}
 }
 

@@ -21,7 +21,7 @@ func BenchmarkSpanStartEnd(b *testing.B) {
 		}
 	})
 	b.Run("sampled", func(b *testing.B) {
-		tr := NewTracer(Config{SampleRate: 1, Capacity: 64})
+		tr := NewTracer(Config{SampleRate: 1})
 		ctx := WithTracer(context.Background(), tr)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -31,7 +31,7 @@ func BenchmarkSpanStartEnd(b *testing.B) {
 		}
 	})
 	b.Run("sampled-child", func(b *testing.B) {
-		tr := NewTracer(Config{SampleRate: 1, Capacity: 64})
+		tr := NewTracer(Config{SampleRate: 1})
 		ctx := WithTracer(context.Background(), tr)
 		ctx, root := Start(ctx, "bench.root")
 		defer root.End()

@@ -67,20 +67,14 @@ type SpanData struct {
 	Events     []Event   `json:"events,omitempty"`
 }
 
-// Config configures a Tracer.
+// Config configures a Tracer. Its trace store keeps the defaults: the last
+// DefaultCapacity traces, a quarter as many error traces, and the
+// DefaultSlowPerEndpoint slowest per root span name.
 type Config struct {
 	// SampleRate is the head-sampling probability for new root traces in
 	// [0, 1]: 1 records every trace, 0 records none. Remote continuations
 	// (a valid sampled traceparent) follow the upstream decision instead.
 	SampleRate float64
-	// Capacity bounds the recent-trace ring (≤ 0 selects 256).
-	Capacity int
-	// ErrorCapacity bounds the error-trace retention ring (≤ 0 selects
-	// Capacity/4, at least 16).
-	ErrorCapacity int
-	// SlowPerEndpoint is how many slowest traces to retain per root span
-	// name (≤ 0 selects 4).
-	SlowPerEndpoint int
 	// Now overrides the clock (tests).
 	Now func() time.Time
 }
@@ -101,7 +95,7 @@ type Tracer struct {
 func NewTracer(cfg Config) *Tracer {
 	t := &Tracer{
 		now:    cfg.Now,
-		store:  newStore(cfg.Capacity, cfg.ErrorCapacity, cfg.SlowPerEndpoint),
+		store:  newStore(0, 0, 0),
 		active: map[TraceID]*traceBuf{},
 	}
 	if t.now == nil {

@@ -57,8 +57,9 @@ func retryAfter(readOnly bool) time.Duration {
 
 // Options configure an Admission controller. The zero value is usable.
 type Options struct {
-	// Max caps every family's concurrency (the server's -max-inflight flag
-	// lands here); ≤ 0 keeps the built-in caps.
+	// Max caps every family's concurrency; ≤ 0 keeps the built-in caps,
+	// which is what both binaries run. It stays an option because the shed
+	// tests force a shed through it without holding 129 requests open.
 	Max int
 	// Registry receives the overload metric series; nil keeps them private.
 	Registry *obs.Registry

@@ -1,8 +1,8 @@
 // Package par is CrowdWiFi's bounded worker-pool / parallel-for utility.
 // The numeric core (mat kernels, per-group CS recovery, speculative K-search,
 // server-side fusion) fans its hot loops out through this package so every
-// call site shares one knob for parallelism and one in-flight gauge for
-// observability.
+// call site shares one knob for parallelism (GOMAXPROCS) and one in-flight
+// gauge for observability.
 //
 // Determinism contract: par never reorders work results. Do/For/Map index
 // their outputs by task id and ForBlocks hands each callee a contiguous,
@@ -20,26 +20,9 @@ import (
 	"crowdwifi/internal/obs"
 )
 
-// defaultWorkers holds the process-wide default worker count; 0 means
-// runtime.GOMAXPROCS(0), resolved at call time.
-var defaultWorkers atomic.Int64
-
-// SetDefaultWorkers sets the process-wide default worker count used when a
-// call site passes workers <= 0. n <= 0 restores the GOMAXPROCS default.
-// The -workers flag on the binaries lands here.
-func SetDefaultWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	defaultWorkers.Store(int64(n))
-}
-
-// DefaultWorkers returns the effective default worker count:
-// SetDefaultWorkers' value when set, else runtime.GOMAXPROCS(0).
+// DefaultWorkers returns the default worker count, runtime.GOMAXPROCS(0),
+// read at call time: the one parallelism setting is the runtime's own.
 func DefaultWorkers() int {
-	if n := defaultWorkers.Load(); n > 0 {
-		return int(n)
-	}
 	return runtime.GOMAXPROCS(0)
 }
 

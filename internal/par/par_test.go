@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -114,17 +115,13 @@ func TestMapIndexesResults(t *testing.T) {
 }
 
 func TestDefaultWorkers(t *testing.T) {
-	defer SetDefaultWorkers(0)
-	if DefaultWorkers() < 1 {
-		t.Fatal("default workers must be at least 1")
-	}
-	SetDefaultWorkers(7)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(7))
 	if got := DefaultWorkers(); got != 7 {
-		t.Fatalf("DefaultWorkers = %d after SetDefaultWorkers(7)", got)
+		t.Fatalf("DefaultWorkers = %d at GOMAXPROCS 7", got)
 	}
-	SetDefaultWorkers(0)
-	if DefaultWorkers() < 1 {
-		t.Fatal("resetting to 0 must restore the GOMAXPROCS default")
+	runtime.GOMAXPROCS(1)
+	if got := DefaultWorkers(); got != 1 {
+		t.Fatalf("DefaultWorkers = %d at GOMAXPROCS 1", got)
 	}
 }
 

@@ -91,7 +91,9 @@ func WithBreaker(b *Breaker) DoerOption {
 	return func(d *Doer) { d.breaker = b }
 }
 
-// WithBudget overrides the per-endpoint retry budget.
+// WithBudget overrides the per-endpoint retry budget. Without it every Doer
+// runs the default budget (ratio 0.5, burst 10); the chaos and doer tests
+// loosen or tighten it through this option.
 func WithBudget(cfg BudgetConfig) DoerOption {
 	return func(d *Doer) { d.budgets = cfg }
 }

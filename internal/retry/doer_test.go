@@ -180,6 +180,36 @@ func TestDoerBudgetSuppressesRetries(t *testing.T) {
 	}
 }
 
+// TestDoerDefaultBudgetStopsAtBurst pins the budget every Doer runs without
+// WithBudget: the bucket starts at its burst of 10, so a request against a
+// server that always fails retries 10 times however many attempts the policy
+// allows, and the next request, finding 0.5 tokens, does not retry at all.
+func TestDoerDefaultBudgetStopsAtBurst(t *testing.T) {
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		calls.Add(1)
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	defer ts.Close()
+
+	m := NewMetrics(obs.NewRegistry())
+	d := NewDoer(http.DefaultClient, fastPolicy(100), WithMetrics(m))
+	for i, want := range []int64{11, 1} {
+		calls.Store(0)
+		resp, err := d.Do(newPost(t, ts.URL+"/ep", "x"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if got := calls.Load(); got != want {
+			t.Fatalf("request %d: server calls = %d, want %d (default burst 10, ratio 0.5)", i+1, got, want)
+		}
+	}
+	if m.budgetDenied.Value() != 2 {
+		t.Fatalf("budget denied metric = %d, want 2", m.budgetDenied.Value())
+	}
+}
+
 func TestDoerBreakerFastFails(t *testing.T) {
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {

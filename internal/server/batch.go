@@ -56,7 +56,7 @@ func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusMethodNotAllowed)
 		return
 	}
-	body, ok := s.readBody(w, r, s.batchMaxBody)
+	body, ok := s.readBody(w, r, api.DefaultBatchMaxBodyBytes)
 	if !ok {
 		return
 	}

@@ -167,10 +167,8 @@ func TestBatchBinaryRoundTrip(t *testing.T) {
 // caps: a body at the limit is parsed (however badly), one byte over is 413
 // with a JSON error body.
 func TestBodyLimitBoundaries(t *testing.T) {
-	const singleCap, batchCap = 512, 1024
 	store := NewStore(10)
-	ts := httptest.NewServer(New(store,
-		WithMaxBodyBytes(singleCap), WithBatchMaxBodyBytes(batchCap)))
+	ts := httptest.NewServer(New(store))
 	t.Cleanup(ts.Close)
 
 	// pad returns a syntactically valid JSON body of exactly n bytes.
@@ -197,8 +195,8 @@ func TestBodyLimitBoundaries(t *testing.T) {
 		path  string
 		limit int
 	}{
-		{"reports", "/v1/reports", singleCap},
-		{"batch", "/v1/reports/batch", batchCap},
+		{"reports", "/v1/reports", api.DefaultMaxBodyBytes},
+		{"batch", "/v1/reports/batch", api.DefaultBatchMaxBodyBytes},
 	} {
 		for _, sz := range []struct {
 			bytes    int
@@ -365,7 +363,7 @@ func TestBatchOversizedRecordFailsAloneAs413(t *testing.T) {
 	}
 	defer store.Close()
 	store.batchChunk = 512
-	ts := httptest.NewServer(New(store, WithBatchMaxBodyBytes(1<<20)))
+	ts := httptest.NewServer(New(store))
 	defer ts.Close()
 
 	huge := batchReport(1)

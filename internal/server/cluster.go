@@ -48,8 +48,6 @@ type ClusterOptions struct {
 	Self string
 	// Members are all shard ids, including Self.
 	Members []string
-	// VNodes is the ring's virtual-node count (≤ 0 selects the default).
-	VNodes int
 }
 
 // WithCluster makes the server shard-aware: ingest rejects segments owned by
@@ -60,8 +58,8 @@ func WithCluster(o ClusterOptions) Option {
 		if o.Self == "" {
 			return
 		}
-		cs := &clusterState{self: o.Self, vnodes: o.VNodes}
-		cs.ring.Store(ring.New(o.Members, o.VNodes))
+		cs := &clusterState{self: o.Self}
+		cs.ring.Store(ring.New(o.Members, 0))
 		s.cluster = cs
 	}
 }
@@ -69,9 +67,8 @@ func WithCluster(o ClusterOptions) Option {
 // clusterState is a shard's mutable cluster view. The ring is swapped
 // atomically on membership updates; requests read it lock-free.
 type clusterState struct {
-	self   string
-	vnodes int
-	ring   atomic.Pointer[ring.Ring]
+	self string
+	ring atomic.Pointer[ring.Ring]
 }
 
 // misdirected reports whether seg belongs to another shard, and which.
@@ -311,7 +308,7 @@ func (s *Server) handleClusterDigest(w http.ResponseWriter, r *http.Request) {
 //
 // GET exports a move from this shard. Two filters are supported:
 //   - ?segments=a,b,c — export exactly these segments;
-//   - ?owner=X&members=a,b,c[&vnodes=n] — export the segments a ring over
+//   - ?owner=X&members=a,b,c — export the segments a ring over
 //     members assigns to X (the requester dictates the target ring, so a
 //     rebalance can move under the post-change membership before this shard
 //     has been told about it).
@@ -331,17 +328,7 @@ func (s *Server) handleClusterSlice(w http.ResponseWriter, r *http.Request) {
 			}
 			owned = func(seg string) bool { return set[seg] }
 		} else if owner := q.Get("owner"); owner != "" {
-			members := strings.Split(q.Get("members"), ",")
-			vnodes := 0
-			if v := q.Get("vnodes"); v != "" {
-				n, err := strconv.Atoi(v)
-				if err != nil || n < 0 {
-					api.WriteError(w, http.StatusBadRequest, errors.New("bad vnodes"))
-					return
-				}
-				vnodes = n
-			}
-			rg := ring.New(members, vnodes)
+			rg := ring.New(strings.Split(q.Get("members"), ","), 0)
 			owned = func(seg string) bool { return rg.Owner(seg) == owner }
 		} else {
 			api.WriteError(w, http.StatusBadRequest, errors.New("need ?segments= or ?owner=&members="))
@@ -421,7 +408,7 @@ func (s *Server) handleClusterMembers(w http.ResponseWriter, r *http.Request) {
 			api.WriteError(w, http.StatusBadRequest, errors.New("members required"))
 			return
 		}
-		s.cluster.ring.Store(ring.New(req.Members, s.cluster.vnodes))
+		s.cluster.ring.Store(ring.New(req.Members, 0))
 		s.log.Info("cluster membership updated", "members", strings.Join(req.Members, ","))
 	default:
 		w.WriteHeader(http.StatusMethodNotAllowed)

@@ -414,3 +414,24 @@ func TestCountsLookupScan(t *testing.T) {
 		t.Errorf("lookups read %+v (%.0f scanned per AP returned), want %+v", got, float64(got.scanned)/float64(got.returned), wantLookupScan)
 	}
 }
+
+// wantTaskLabelsRead is what one /v1/tasks call reads on the mixed_aggregate
+// preload: every one of its 20,000 labels, to count each task's labels and
+// find the ones the vehicle answered. ROADMAP 16(a) takes it to 0.
+const wantTaskLabelsRead = 20_000
+
+func TestCountsTaskLabelsRead(t *testing.T) {
+	s := offlineStore(t, 1, mixedShape)
+	var read atomic.Int64
+	taskLabelsRead = &read
+	t.Cleanup(func() { taskLabelsRead = nil })
+	const calls = 10
+	for i := range calls {
+		if tasks := s.AssignTasks(fmt.Sprintf("veh-%04d", i), 10); len(tasks) != 10 {
+			t.Fatalf("call %d assigned %d tasks, want 10", i, len(tasks))
+		}
+	}
+	if got := read.Load(); got != calls*wantTaskLabelsRead {
+		t.Errorf("%d AssignTasks calls read %d labels, want %d each", calls, got, wantTaskLabelsRead)
+	}
+}

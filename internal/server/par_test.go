@@ -3,9 +3,8 @@ package server
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
-
-	"crowdwifi/internal/par"
 )
 
 // fusionFixture loads a store with nSeg segments of clustered vehicle
@@ -41,12 +40,12 @@ func fusionFixture(tb testing.TB, nSeg, nVeh int) *Store {
 	return store
 }
 
-// setWorkers pins the process-wide worker count for the rest of the test (no
+// setWorkers pins the worker count, GOMAXPROCS, for the rest of the test (no
 // test in the repository runs in parallel with another).
 func setWorkers(tb testing.TB, n int) {
 	tb.Helper()
-	par.SetDefaultWorkers(n)
-	tb.Cleanup(func() { par.SetDefaultWorkers(0) })
+	prev := runtime.GOMAXPROCS(n)
+	tb.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // TestAggregateParallelBitIdentical is the determinism property test for

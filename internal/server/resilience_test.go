@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"crowdwifi/internal/api"
 	"crowdwifi/internal/obs"
 )
 
@@ -105,6 +107,36 @@ func TestIdempotentReplaySurvivesHTTPLayerRestart(t *testing.T) {
 	}
 }
 
+// TestIdempotencyHorizonIs4096Keys pins the exactly-once horizon: a store
+// remembers its last 4,096 completed keys, so a retry of the oldest of
+// exactly 4,096 keyed uploads is still deduplicated, with the canned ack
+// replayed. A smaller cache would store the retry a second time.
+func TestIdempotencyHorizonIs4096Keys(t *testing.T) {
+	const horizon = 4096
+	store := NewStore(10)
+	ctx := context.Background()
+	rep := func(i int) Report {
+		return Report{Vehicle: fmt.Sprintf("veh-%d", i), Segment: "seg", APs: []APReport{{X: 1, Y: 2, Credit: 3}}}
+	}
+	for i := range horizon {
+		if err := store.AddReportKeyed(ctx, fmt.Sprintf("key-%d", i), rep(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(New(store))
+	defer ts.Close()
+	resp := postKeyed(t, ts.URL+"/v1/reports", "key-0", rep(0))
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusCreated || resp.Header.Get("Idempotent-Replay") != "true" ||
+		string(body) != "{\"status\":\"stored\"}\n" {
+		t.Errorf("retry of the oldest key: status %d, Idempotent-Replay %q, body %q; want the stored ack replayed",
+			resp.StatusCode, resp.Header.Get("Idempotent-Replay"), body)
+	}
+	if _, _, reports := store.Counts(); reports != horizon {
+		t.Fatalf("stored reports = %d, want %d (the retry must not be stored again)", reports, horizon)
+	}
+}
+
 func TestIdempotencyDoesNotCacheFailures(t *testing.T) {
 	store, ts := newTestServer(t)
 
@@ -176,10 +208,12 @@ func TestBodyLimitRejectsOversizedReport(t *testing.T) {
 	reg := obs.NewRegistry()
 	metrics := NewMetrics(reg)
 	store := NewStore(10)
-	ts := httptest.NewServer(New(store, WithMetrics(metrics), WithMaxBodyBytes(512)))
+	ts := httptest.NewServer(New(store, WithMetrics(metrics)))
 	defer ts.Close()
 
-	big := Report{Vehicle: "v", Segment: strings.Repeat("x", 2048)}
+	// One byte over the cap.
+	one, _ := json.Marshal(Report{Vehicle: "v", Segment: "x"})
+	big := Report{Vehicle: "v", Segment: strings.Repeat("x", api.DefaultMaxBodyBytes+2-len(one))}
 	resp := postJSON(t, ts.URL+"/v1/reports", big)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status = %d, want 413", resp.StatusCode)
@@ -233,12 +267,15 @@ func TestLabelsBatchAtomic(t *testing.T) {
 }
 
 func TestRequestDeadlineAttached(t *testing.T) {
-	// The stack attaches the per-request deadline; register a probe route on a
-	// server configured with a timeout and check the handler's context.
+	// The stack attaches the per-request deadline, on by default; register a
+	// probe route on a default server and check the handler's context.
 	var sawDeadline bool
-	s := New(NewStore(10), WithRequestTimeout(5*time.Second))
+	var left time.Duration
+	s := New(NewStore(10))
 	s.stack.Handle(s.mux, "/probe", func(w http.ResponseWriter, r *http.Request) {
-		_, sawDeadline = r.Context().Deadline()
+		var at time.Time
+		at, sawDeadline = r.Context().Deadline()
+		left = time.Until(at)
 		w.WriteHeader(http.StatusNoContent)
 	})
 	ts := httptest.NewServer(s)
@@ -250,5 +287,8 @@ func TestRequestDeadlineAttached(t *testing.T) {
 	resp.Body.Close()
 	if !sawDeadline {
 		t.Fatal("handler context has no deadline")
+	}
+	if left <= 0 || left > DefaultRequestTimeout {
+		t.Fatalf("deadline %v away, want within DefaultRequestTimeout (%v)", left, DefaultRequestTimeout)
 	}
 }

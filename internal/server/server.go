@@ -582,6 +582,10 @@ func (s *Store) Lookup(area geo.Rect) []LookupResult {
 // does. It is read once per Lookup call.
 var lookupScanned *atomic.Int64
 
+// taskLabelsRead, when non-nil, counts the labels AssignTasks reads; like
+// lookupScanned, only the package's count test sets it.
+var taskLabelsRead *atomic.Int64
+
 // Server wires the store to an HTTP mux.
 type Server struct {
 	store   *Store
@@ -590,11 +594,6 @@ type Server struct {
 	log     *obs.Logger
 	tracer  *trace.Tracer
 	health  *obs.Health
-	maxBody int64
-	// batchMaxBody is the per-route body cap for /v1/reports/batch; every
-	// other mutation route stays under maxBody.
-	batchMaxBody int64
-	reqTimeout   time.Duration
 
 	ov        *overload.Admission
 	ovEnabled bool
@@ -617,23 +616,6 @@ type Server struct {
 
 // Option configures a Server.
 type Option func(*Server)
-
-// WithMaxBodyBytes caps ingestion request bodies (≤ 0 restores the default).
-func WithMaxBodyBytes(n int64) Option {
-	return func(s *Server) { s.maxBody = n }
-}
-
-// WithBatchMaxBodyBytes caps /v1/reports/batch request bodies (≤ 0 restores
-// the default). The batch route has its own, larger limit so outbox drains
-// of hundreds of reports are not rejected by the single-upload cap.
-func WithBatchMaxBodyBytes(n int64) Option {
-	return func(s *Server) { s.batchMaxBody = n }
-}
-
-// WithRequestTimeout bounds every request's context (≤ 0 disables).
-func WithRequestTimeout(d time.Duration) Option {
-	return func(s *Server) { s.reqTimeout = d }
-}
 
 // WithMetrics attaches a metrics bundle: every route is wrapped with the
 // request-counting middleware, the store's ingest and aggregation paths are
@@ -683,18 +665,11 @@ func WithOverload(o overload.Options) Option {
 // New returns a server around the given store.
 func New(store *Store, opts ...Option) *Server {
 	s := &Server{
-		store:      store,
-		mux:        http.NewServeMux(),
-		reqTimeout: DefaultRequestTimeout,
+		store: store,
+		mux:   http.NewServeMux(),
 	}
 	for _, opt := range opts {
 		opt(s)
-	}
-	if s.maxBody <= 0 {
-		s.maxBody = api.DefaultMaxBodyBytes
-	}
-	if s.batchMaxBody <= 0 {
-		s.batchMaxBody = api.DefaultBatchMaxBodyBytes
 	}
 	if s.metrics != nil {
 		store.Instrument(s.metrics)
@@ -709,16 +684,16 @@ func New(store *Store, opts ...Option) *Server {
 		Sheds:     s.metrics.shedCounter(),
 		Tracer:    s.tracer,
 		Admission: s.ov,
-		Timeout:   s.reqTimeout,
+		Timeout:   DefaultRequestTimeout,
 	}
 	handle := func(route string, h http.HandlerFunc) { s.stack.Handle(s.mux, route, h) }
-	handle(api.RoutePatterns, s.ingest(s.maxBody, s.dedupe(s.handlePatterns)))
+	handle(api.RoutePatterns, s.ingest(api.DefaultMaxBodyBytes, s.dedupe(s.handlePatterns)))
 	handle(api.RouteTasks, s.handleTasks)
-	handle(api.RouteLabels, s.ingest(s.maxBody, s.dedupe(s.handleLabels)))
-	handle(api.RouteReports, s.ingest(s.maxBody, s.dedupe(s.handleReports)))
+	handle(api.RouteLabels, s.ingest(api.DefaultMaxBodyBytes, s.dedupe(s.handleLabels)))
+	handle(api.RouteReports, s.ingest(api.DefaultMaxBodyBytes, s.dedupe(s.handleReports)))
 	// Batch idempotency is per entry — keys ride inside the body — so the
 	// whole-request dedupe does not apply.
-	handle(api.RouteReportsBatch, s.ingest(s.batchMaxBody, s.handleReportBatch))
+	handle(api.RouteReportsBatch, s.ingest(api.DefaultBatchMaxBodyBytes, s.handleReportBatch))
 	handle(api.RouteAggregate, s.handleAggregate)
 	handle(api.RouteLookup, s.handleLookup)
 	handle(api.RouteReliability, s.handleReliability)
@@ -986,11 +961,16 @@ func (s *Store) AssignTasks(vehicle string, count int) []Pattern {
 	c := s.capture()
 	answered := map[int]bool{}
 	counts := make([]int, len(c.patterns))
+	read := 0
 	for _, l := range c.labels {
+		read++
 		if l.Vehicle == vehicle {
 			answered[l.TaskID] = true
 		}
 		counts[l.TaskID]++
+	}
+	if t := taskLabelsRead; t != nil {
+		t.Add(int64(read))
 	}
 	idx := make([]int, 0, len(c.patterns))
 	for i := range c.patterns {
@@ -1037,7 +1017,7 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 	}
 	var rep Report
 	if api.IsFrameRequest(r) {
-		body, ok := s.readBody(w, r, s.maxBody)
+		body, ok := s.readBody(w, r, api.DefaultMaxBodyBytes)
 		if !ok {
 			return
 		}
