@@ -12,7 +12,7 @@
 // scraper. Its debug plane also reaches into the shards: /debug/traces/{id}
 // assembles per-process trace fragments into one end-to-end trace,
 // /debug/cluster is a one-fetch JSON view of ring ownership, per-shard
-// digests/modes/WAL depth, latency quantiles and reconcile drift, and
+// digests/modes/WAL depth and the drift a reconcile pass would repair, and
 // /debug/slo evaluates the router's burn-rate SLOs.
 //
 // On startup the router runs one reconcile pass:

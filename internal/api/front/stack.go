@@ -58,16 +58,14 @@ func (w *statusWriter) WriteHeader(code int) {
 
 // Handle mounts h at route behind the stack, outermost first: tracing (a
 // valid traceparent header continues the caller's trace, anything else
-// starts a head-sampled one), then the RED instrumentation (inside tracing so
-// each latency observation can stamp the request's trace id as a bucket
-// exemplar; outside admission so observed latency includes queue wait and
-// sheds count as 503s), then admission control, then the per-request
-// deadline. The route's latency histogram is registered here, so the
-// exposition lists every route from startup.
+// starts a head-sampled one), then the RED instrumentation (outside
+// admission so observed latency includes queue wait and sheds count as
+// 503s), then admission control, then the per-request deadline. The route's
+// latency histogram is registered here, so the exposition lists every route
+// from startup.
 func (s *Stack) Handle(mux *http.ServeMux, route string, h http.HandlerFunc) {
-	hist := s.Registry.WindowedHistogram(s.Metrics+"_request_duration_seconds",
-		s.Help+"HTTP request latency by route.", nil, obs.DefaultWindow, obs.DefaultWindowSlots,
-		obs.L("route", route))
+	hist := s.Registry.Histogram(s.Metrics+"_request_duration_seconds",
+		s.Help+"HTTP request latency by route.", nil, obs.L("route", route))
 	mux.HandleFunc(route, func(w http.ResponseWriter, r *http.Request) {
 		tracer := s.Tracer
 		if tracer == nil {
@@ -87,7 +85,7 @@ func (s *Stack) Handle(mux *http.ServeMux, route string, h http.HandlerFunc) {
 		s.admit(ctx, sw, r, route, span != nil, h)
 
 		if s.Registry != nil {
-			hist.ObserveWithExemplar(time.Since(start).Seconds(), span.TraceID())
+			hist.Observe(time.Since(start).Seconds())
 			s.count(route, method, sw.code)
 		}
 		span.SetAttr("http.status", sw.code)

@@ -1,23 +1,19 @@
 package client
 
 import (
-	"sync"
 	"time"
 
 	"crowdwifi/internal/obs"
 )
 
 // Metrics instruments vehicle-side HTTP traffic to the crowd-server and the
-// store-and-forward outbox. Latency is captured per endpoint path in
-// rolling-window histograms, so quantile reads describe recent round trips.
-// A nil *Metrics is a no-op, so unit tests and simulations pay nothing.
+// store-and-forward outbox. Latency is captured in one histogram series per
+// endpoint path. A nil *Metrics is a no-op, so unit tests and simulations
+// pay nothing.
 type Metrics struct {
 	registry    *obs.Registry
 	requestsOK  *obs.Counter
 	requestsErr *obs.Counter
-
-	mu          sync.Mutex
-	reqDuration map[string]*obs.WindowedHistogram // endpoint path → latency
 
 	outboxEnqueued *obs.Counter
 	outboxDrained  *obs.Counter
@@ -36,7 +32,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		registry:       reg,
 		requestsOK:     reg.Counter("crowdwifi_client_requests_total", help, obs.L("outcome", "ok")),
 		requestsErr:    reg.Counter("crowdwifi_client_requests_total", help, obs.L("outcome", "error")),
-		reqDuration:    map[string]*obs.WindowedHistogram{},
 		outboxEnqueued: reg.Counter("crowdwifi_client_outbox_enqueued_total", "Uploads parked in the store-and-forward outbox after delivery failure."),
 		outboxDrained:  reg.Counter("crowdwifi_client_outbox_drained_total", "Outbox entries delivered on a later contact window."),
 		outboxDropped:  reg.Counter("crowdwifi_client_outbox_dropped_total", "Outbox entries abandoned, by reason.", obs.L("reason", "terminal")),
@@ -44,28 +39,15 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	}
 }
 
-// pathHistogram returns (registering on first use) the latency histogram for
-// one endpoint path. Paths are a small fixed set (/v1/...), so cardinality
-// stays bounded.
-func (m *Metrics) pathHistogram(path string) *obs.WindowedHistogram {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h, ok := m.reqDuration[path]
-	if !ok {
-		h = m.registry.WindowedHistogram("crowdwifi_client_request_duration_seconds",
-			"End-to-end client-observed latency of crowd-server requests, by endpoint path.",
-			nil, obs.DefaultWindow, obs.DefaultWindowSlots, obs.L("path", path))
-		m.reqDuration[path] = h
-	}
-	return h
-}
-
 // observe records one completed request round trip against its endpoint.
 func (m *Metrics) observe(path string, start time.Time, err error) {
 	if m == nil {
 		return
 	}
-	m.pathHistogram(path).Observe(time.Since(start).Seconds())
+	// Paths are a small fixed set (/v1/...), so cardinality stays bounded.
+	m.registry.Histogram("crowdwifi_client_request_duration_seconds",
+		"End-to-end client-observed latency of crowd-server requests, by endpoint path.",
+		nil, obs.L("path", path)).Observe(time.Since(start).Seconds())
 	if err != nil {
 		m.requestsErr.Inc()
 	} else {

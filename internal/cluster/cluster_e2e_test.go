@@ -289,7 +289,7 @@ func TestKillOneShardRebalanceAndReconcileRestoreFullMap(t *testing.T) {
 	// /debug/cluster names exactly that drift, and b does not count the
 	// segment among the ones it owns.
 	view := clusterView(t, rt)
-	if want := []DriftEntry{{Segment: driftSeg, Resident: "b", Owner: "a"}}; !reflect.DeepEqual(view.Drift, want) {
+	if want := []Move{{Segment: driftSeg, From: "b", To: "a"}}; !reflect.DeepEqual(view.Drift, want) {
 		t.Fatalf("cluster view drift = %+v, want %+v", view.Drift, want)
 	}
 	if _, resident := view.Shards["b"].Segments[driftSeg]; !resident {

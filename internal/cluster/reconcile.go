@@ -114,12 +114,7 @@ func (rt *Router) Reconcile(ctx context.Context) (*ReconcileReport, error) {
 				"segments", strings.Join(segments, ","))
 		}
 	}
-	sort.Slice(report.Moves, func(i, j int) bool {
-		if report.Moves[i].Segment != report.Moves[j].Segment {
-			return report.Moves[i].Segment < report.Moves[j].Segment
-		}
-		return report.Moves[i].From < report.Moves[j].From
-	})
+	sortMoves(report.Moves)
 
 	// Moves carry raw reports; fused maps on both sides are stale until the
 	// shards re-derive them.
@@ -161,20 +156,37 @@ func (rt *Router) findDrift(ctx context.Context) ([]Move, error) {
 	var drifted []Move
 	digests, _, errs := partition[api.DigestResponse](rt.scatter(ctx, http.MethodGet, api.RouteClusterDigest, ""))
 	for _, dig := range digests {
-		for seg, d := range dig.Value.Segments {
-			if !d.HasData() {
-				continue
-			}
-			if owner := rg.Owner(seg); owner != dig.ID {
-				drifted = append(drifted, Move{Segment: seg, From: dig.ID, To: owner})
-			}
+		_, moves := drift(rg.Owner, dig.ID, dig.Value.Segments)
+		drifted = append(drifted, moves...)
+	}
+	sortMoves(drifted)
+	return drifted, errors.Join(errs...)
+}
+
+// drift splits one shard's resident segments by the ring: owned counts those
+// holding data (see api.SegmentDigest.HasData) that owner assigns to shard,
+// and moves lists the others, each from shard to its owner. Reconcile and
+// /debug/cluster both read drift through it.
+func drift(owner func(segment string) string, shard string, segments map[string]api.SegmentDigest) (owned int, moves []Move) {
+	for seg, d := range segments {
+		if !d.HasData() {
+			continue
+		}
+		if to := owner(seg); to == shard {
+			owned++
+		} else {
+			moves = append(moves, Move{Segment: seg, From: shard, To: to})
 		}
 	}
-	sort.Slice(drifted, func(i, j int) bool {
-		if drifted[i].Segment != drifted[j].Segment {
-			return drifted[i].Segment < drifted[j].Segment
+	return owned, moves
+}
+
+// sortMoves orders moves by segment, then source shard.
+func sortMoves(moves []Move) {
+	sort.Slice(moves, func(i, j int) bool {
+		if moves[i].Segment != moves[j].Segment {
+			return moves[i].Segment < moves[j].Segment
 		}
-		return drifted[i].From < drifted[j].From
+		return moves[i].From < moves[j].From
 	})
-	return drifted, errors.Join(errs...)
 }

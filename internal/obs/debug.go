@@ -30,14 +30,10 @@ func Mount(mux *http.ServeMux, reg *Registry) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
-// varsHandler serves the expvar document with extra keys:
-// "crowdwifi_histogram_quantiles" (p50/p95/p99/p999 estimates — rolling-
-// window estimates for windowed series), "crowdwifi_histogram_exemplars"
-// (per-bucket trace ids resolvable at /debug/traces/{id}), and
-// "crowdwifi_process" (CPU seconds and goroutines, so a scraper can compute
-// server CPU utilization from two scrapes). Emitted per-registry
-// rather than via expvar.Publish, which is process-global and panics on
-// re-registration (multiple registries, tests).
+// varsHandler serves the expvar document with the registry's published vars
+// and "crowdwifi_histogram_quantiles" (lifetime p50/p95/p99/p999 estimates).
+// Emitted per-registry rather than via expvar.Publish, which is
+// process-global and panics on re-registration (multiple registries, tests).
 func varsHandler(reg *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -64,36 +60,14 @@ func varsHandler(reg *Registry) http.Handler {
 		if q := reg.Quantiles(); len(q) > 0 {
 			emit("crowdwifi_histogram_quantiles", q)
 		}
-		if ex := reg.Exemplars(); len(ex) > 0 {
-			emit("crowdwifi_histogram_exemplars", ex)
-		}
-		emit("crowdwifi_process", ProcessStats())
 		fmt.Fprintf(w, "\n}\n")
 	})
 }
 
-// ProcStats is the process-level block of /debug/vars.
-type ProcStats struct {
-	// CPUSeconds is cumulative user+system CPU time, or -1 where
-	// /proc/self/stat is unavailable (non-Linux hosts).
-	CPUSeconds float64 `json:"cpuSeconds"`
-	// Goroutines is the live goroutine count.
-	Goroutines int `json:"goroutines"`
-}
-
-// ProcessStats samples the process-level stats served under
-// "crowdwifi_process".
-func ProcessStats() ProcStats {
-	return ProcStats{
-		CPUSeconds: ProcessCPUSeconds(),
-		Goroutines: runtime.NumGoroutine(),
-	}
-}
-
-// ProcessCPUSeconds returns the process's cumulative user+system CPU time
+// processCPUSeconds returns the process's cumulative user+system CPU time
 // read from /proc/self/stat, or -1 when unavailable. Two samples Δt apart
 // give CPU utilization as Δcpu/Δt.
-func ProcessCPUSeconds() float64 {
+func processCPUSeconds() float64 {
 	b, err := os.ReadFile("/proc/self/stat")
 	if err != nil {
 		return -1
@@ -145,6 +119,6 @@ func (r *Registry) RegisterGoRuntime() {
 		heapObjects.Set(float64(ms.HeapObjects))
 		totalAlloc.Set(float64(ms.TotalAlloc))
 		gcCycles.Set(float64(ms.NumGC))
-		cpuSeconds.Set(ProcessCPUSeconds())
+		cpuSeconds.Set(processCPUSeconds())
 	})
 }

@@ -117,7 +117,8 @@ func TestLoggerCtx(t *testing.T) {
 
 	l.Ctx(ctx).Info("correlated", "k", "v")
 	out := sb.String()
-	if !strings.Contains(out, "trace_id="+span.TraceID()) {
+	tid, _, _ := trace.IDs(ctx)
+	if tid == "" || !strings.Contains(out, "trace_id="+tid) {
 		t.Fatalf("trace_id missing: %q", out)
 	}
 	if !strings.Contains(out, "span_id="+span.SpanID()) {

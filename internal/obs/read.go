@@ -99,8 +99,8 @@ func (r *Registry) SumCounters(name string, match func(labels map[string]string)
 // whose label set is accepted by match (nil accepts all), the cumulative
 // observations with value ≤ bound and the total observation count. bound
 // selects every bucket whose upper bound is ≤ bound; math.Inf(1) selects all.
-// Windowed series contribute their cumulative core, so the ratio le/total is
-// a lifetime "fraction under threshold" suitable for latency SLOs.
+// The ratio le/total is a lifetime "fraction under threshold" suitable for
+// latency SLOs.
 func (r *Registry) SumHistogramBuckets(name string, match func(labels map[string]string) bool, bound float64) (le, total uint64) {
 	if r == nil {
 		return 0, 0

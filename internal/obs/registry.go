@@ -19,7 +19,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Label is one key="value" pair attached to a metric series.
@@ -202,53 +201,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 		}
 	}
 	f := r.family(name, help, histogramType, buckets)
-	switch h := f.child(labels, func() any { return newHistogram(f.buckets) }).(type) {
-	case *Histogram:
-		return h
-	case *WindowedHistogram:
-		// The series was first registered with a rolling window; hand out its
-		// cumulative core so both call styles observe the same data.
-		return h.hist
-	default:
-		panic(fmt.Sprintf("obs: metric %q is not a histogram", name))
-	}
-}
-
-// WindowedHistogram returns the rolling-window histogram for (name, labels),
-// creating it on first use with the given total window width split into
-// slots ring slots (≤ 0 select DefaultWindow / DefaultWindowSlots). The
-// cumulative core is exposed on /metrics exactly like a plain histogram; the
-// windowed view feeds Quantiles (and therefore /debug/vars), so quantile
-// reads describe recent traffic. Registering a name previously created via
-// Histogram upgrades that series in place, preserving its counts.
-func (r *Registry) WindowedHistogram(name, help string, buckets []float64, window time.Duration, slots int, labels ...Label) *WindowedHistogram {
-	if r == nil {
-		return nil
-	}
-	if len(buckets) == 0 {
-		buckets = DefBuckets
-	}
-	for i := 1; i < len(buckets); i++ {
-		if buckets[i] <= buckets[i-1] {
-			panic(fmt.Sprintf("obs: histogram %q buckets not strictly ascending", name))
-		}
-	}
-	f := r.family(name, help, histogramType, buckets)
-	key := labelString(labels)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	switch c := f.children[key].(type) {
-	case *WindowedHistogram:
-		return c
-	case *Histogram:
-		w := NewWindowedHistogram(c, window, slots, nil)
-		f.children[key] = w
-		return w
-	default:
-		w := NewWindowedHistogram(newHistogram(f.buckets), window, slots, nil)
-		f.children[key] = w
-		return w
-	}
+	return f.child(labels, func() any { return newHistogram(f.buckets) }).(*Histogram)
 }
 
 // Counter is a monotonically increasing integer counter.
@@ -311,24 +264,28 @@ func (g *Gauge) Value() float64 {
 // Histogram counts observations into fixed buckets; per-bucket counts are
 // independent atomics so concurrent Observe calls never contend on a lock.
 type Histogram struct {
-	upper     []float64
-	counts    []atomic.Uint64 // len(upper)+1; the last slot is the +Inf bucket
-	exemplars []atomic.Pointer[Exemplar]
-	n         atomic.Uint64
-	sum       atomicFloat
+	upper  []float64
+	counts []atomic.Uint64 // len(upper)+1; the last slot is the +Inf bucket
+	n      atomic.Uint64
+	sum    atomicFloat
 }
 
 func newHistogram(buckets []float64) *Histogram {
-	return &Histogram{
-		upper:     buckets,
-		counts:    make([]atomic.Uint64, len(buckets)+1),
-		exemplars: make([]atomic.Pointer[Exemplar], len(buckets)+1),
-	}
+	return &Histogram{upper: buckets, counts: make([]atomic.Uint64, len(buckets)+1)}
 }
 
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
-	h.ObserveWithExemplar(v, "")
+	if h == nil {
+		return
+	}
+	i := 0
+	for i < len(h.upper) && v > h.upper[i] {
+		i++
+	}
+	h.counts[i].Add(1)
+	h.n.Add(1)
+	h.sum.add(v)
 }
 
 // Count returns the number of observations.
@@ -397,19 +354,13 @@ func (r *Registry) histogramFamilies() []*family {
 	return fams
 }
 
-// histogramChildren snapshots a family's series as cumulative histograms
-// (windowed series contribute their cumulative core).
+// histogramChildren snapshots a family's series.
 func (f *family) histogramChildren() map[string]*Histogram {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	out := make(map[string]*Histogram, len(f.children))
 	for k, c := range f.children {
-		switch h := c.(type) {
-		case *Histogram:
-			out[k] = h
-		case *WindowedHistogram:
-			out[k] = h.hist
-		}
+		out[k] = c.(*Histogram)
 	}
 	return out
 }
@@ -421,43 +372,22 @@ var quantileSpecs = []struct {
 	q     float64
 }{{"p50", 0.50}, {"p95", 0.95}, {"p99", 0.99}, {"p999", 0.999}}
 
-// Quantiles returns p50/p95/p99/p999 estimates for every registered
-// histogram series, keyed "name{labels}" → quantile label → estimate. Plain
-// histograms report lifetime estimates; windowed histograms report their
-// rolling window (the current tail, not the lifetime one). Each block also
-// carries a "count" key — the number of samples behind the estimates — so a
-// p99 over 3 observations is distinguishable from one over 30k. Empty series
-// are skipped. This feeds /debug/vars so quick latency checks don't require
-// a Prometheus stack.
+// Quantiles returns lifetime p50/p95/p99/p999 estimates for every registered
+// histogram series, keyed "name{labels}" → quantile label → estimate. Each
+// block also carries a "count" key — the number of samples behind the
+// estimates — so a p99 over 3 observations is distinguishable from one over
+// 30k. Empty series are skipped. This feeds /debug/vars so quick latency
+// checks don't require a Prometheus stack; a windowed quantile is
+// histogram_quantile over a rate at the scraper.
 func (r *Registry) Quantiles() map[string]map[string]float64 {
 	if r == nil {
 		return nil
 	}
 	out := map[string]map[string]float64{}
 	for _, f := range r.histogramFamilies() {
-		f.mu.Lock()
-		children := make(map[string]any, len(f.children))
-		for k, c := range f.children {
-			children[k] = c
-		}
-		f.mu.Unlock()
-		for k, c := range children {
-			quantile := func(float64) float64 { return math.NaN() }
-			var count uint64
-			switch h := c.(type) {
-			case *Histogram:
-				if h.Count() == 0 {
-					continue
-				}
-				quantile = h.Quantile
-				count = h.Count()
-			case *WindowedHistogram:
-				if h.Count() == 0 {
-					continue
-				}
-				quantile = h.Quantile
-				count = h.Count()
-			default:
+		for k, h := range f.histogramChildren() {
+			count := h.Count()
+			if count == 0 {
 				continue
 			}
 			series := f.name
@@ -466,7 +396,7 @@ func (r *Registry) Quantiles() map[string]map[string]float64 {
 			}
 			est := make(map[string]float64, len(quantileSpecs)+1)
 			for _, spec := range quantileSpecs {
-				if v := quantile(spec.q); !math.IsNaN(v) {
+				if v := h.Quantile(spec.q); !math.IsNaN(v) {
 					est[spec.label] = v
 				}
 			}
@@ -639,12 +569,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				}
 			case *Histogram:
 				if err := writeHistogramSeries(w, f.name, k, c); err != nil {
-					return err
-				}
-			case *WindowedHistogram:
-				// The cumulative core is the Prometheus-visible series; the
-				// rolling window only affects Quantiles.
-				if err := writeHistogramSeries(w, f.name, k, c.hist); err != nil {
 					return err
 				}
 			}

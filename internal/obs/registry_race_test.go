@@ -7,14 +7,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestRegistryConcurrentScrapeHighCardinality hammers one registry from
 // writer goroutines that keep minting new label combinations (the worst-case
 // cardinality pattern: per-route, per-code, per-vehicle labels all growing
-// mid-scrape) while scrapers concurrently render the Prometheus exposition,
-// compute quantiles, and collect exemplars. Run under -race this pins down
+// mid-scrape) while scrapers concurrently render the Prometheus exposition
+// and compute quantiles. Run under -race this pins down
 // the registry's central claim: scrapes stay consistent while the series set
 // is still growing.
 func TestRegistryConcurrentScrapeHighCardinality(t *testing.T) {
@@ -37,11 +36,8 @@ func TestRegistryConcurrentScrapeHighCardinality(t *testing.T) {
 					L("route", "/v1/x"), L("vehicle", id)).Add(uint64(i))
 				r.Gauge("race_depth", "test", L("vehicle", id)).Set(float64(i))
 				h := r.Histogram("race_latency_seconds", "test", nil, L("vehicle", id))
-				h.ObserveWithExemplar(float64(i%20)/10, "trace-"+id)
-				w := r.WindowedHistogram("race_window_seconds", "test", nil,
-					time.Second, 4, L("vehicle", id))
-				w.Observe(float64(i%7) / 10)
-				w.Quantile(0.99)
+				h.Observe(float64(i%20) / 10)
+				h.Quantile(0.99)
 			}
 		}(g)
 	}
@@ -61,7 +57,6 @@ func TestRegistryConcurrentScrapeHighCardinality(t *testing.T) {
 					return
 				}
 				r.Quantiles()
-				r.Exemplars()
 				rec := httptest.NewRecorder()
 				varsHandler(r).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/vars", nil))
 			}
@@ -85,8 +80,8 @@ func TestRegistryConcurrentScrapeHighCardinality(t *testing.T) {
 	if got := strings.Count(out, "race_depth{"); got != writers*seriesPerG {
 		t.Fatalf("race_depth series = %d, want %d", got, writers*seriesPerG)
 	}
-	// Only the exemplared family contributes: one exemplar per series.
-	if got := len(r.Exemplars()); got != writers*seriesPerG {
-		t.Fatalf("exemplared series = %d, want %d", got, writers*seriesPerG)
+	// Only the histogram family contributes: one estimate block per series.
+	if got := len(r.Quantiles()); got != writers*seriesPerG {
+		t.Fatalf("quantile series = %d, want %d", got, writers*seriesPerG)
 	}
 }

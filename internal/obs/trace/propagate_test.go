@@ -16,7 +16,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	h := http.Header{}
 	Inject(ctx, h)
 	v := h.Get(Header)
-	want := "00-" + s.TraceID() + "-" + s.SpanID() + "-01"
+	want := "00-" + s.traceID.String() + "-" + s.SpanID() + "-01"
 	if v != want {
 		t.Fatalf("injected %q, want %q", v, want)
 	}
@@ -25,8 +25,8 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Extract: %v", err)
 	}
-	if tid.String() != s.TraceID() || parent.String() != s.SpanID() || !sampled {
-		t.Fatalf("extracted %s/%s/%v, want %s/%s/true", tid, parent, sampled, s.TraceID(), s.SpanID())
+	if tid.String() != s.traceID.String() || parent.String() != s.SpanID() || !sampled {
+		t.Fatalf("extracted %s/%s/%v, want %s/%s/true", tid, parent, sampled, s.traceID.String(), s.SpanID())
 	}
 
 	// Server side continues the trace with the client span as remote parent.
@@ -35,8 +35,8 @@ func TestTraceparentRoundTrip(t *testing.T) {
 		t.Fatal("StartServer dropped a sampled continuation")
 	}
 	defer srv.End()
-	if srv.TraceID() != s.TraceID() {
-		t.Fatalf("server trace %s != client trace %s", srv.TraceID(), s.TraceID())
+	if srv.traceID.String() != s.traceID.String() {
+		t.Fatalf("server trace %s != client trace %s", srv.traceID.String(), s.traceID.String())
 	}
 }
 
@@ -108,7 +108,7 @@ func TestStartServerFallsBackOnMalformedHeader(t *testing.T) {
 		}
 		if strings.Contains(v, "-") {
 			// The malformed id must not leak into the fresh trace.
-			if strings.Contains(v, s.TraceID()) {
+			if strings.Contains(v, s.traceID.String()) {
 				t.Fatalf("fallback reused malformed trace id")
 			}
 		}

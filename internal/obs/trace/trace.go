@@ -351,14 +351,6 @@ func (p *Span) child(ctx context.Context, name string) (context.Context, *Span) 
 	return context.WithValue(ctx, spanKey, s), s
 }
 
-// TraceID returns the span's trace id in hex ("" on nil).
-func (s *Span) TraceID() string {
-	if s == nil {
-		return ""
-	}
-	return s.traceID.String()
-}
-
 // SpanID returns the span's id in hex ("" on nil).
 func (s *Span) SpanID() string {
 	if s == nil {

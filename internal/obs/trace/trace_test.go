@@ -25,8 +25,8 @@ func TestSpanTreeCommitsToStore(t *testing.T) {
 	if child == nil {
 		t.Fatal("child span is nil")
 	}
-	if child.TraceID() != root.TraceID() {
-		t.Fatalf("child trace id %s != root %s", child.TraceID(), root.TraceID())
+	if child.traceID.String() != root.traceID.String() {
+		t.Fatalf("child trace id %s != root %s", child.traceID.String(), root.traceID.String())
 	}
 	if child.SpanID() == root.SpanID() {
 		t.Fatal("child reused parent span id")
@@ -47,9 +47,9 @@ func TestSpanTreeCommitsToStore(t *testing.T) {
 	if st.Len() != 1 {
 		t.Fatalf("store has %d traces, want 1", st.Len())
 	}
-	got, ok := st.Get(root.TraceID())
+	got, ok := st.Get(root.traceID.String())
 	if !ok {
-		t.Fatalf("trace %s not retained", root.TraceID())
+		t.Fatalf("trace %s not retained", root.traceID.String())
 	}
 	if got.Root != "client.upload /report" {
 		t.Fatalf("root name %q, want client.upload /report", got.Root)
@@ -95,7 +95,7 @@ func TestNilSafety(t *testing.T) {
 	s.AddEvent("e")
 	s.SetError(errors.New("x"))
 	s.End()
-	if s.TraceID() != "" || s.SpanID() != "" || s.Traceparent() != "" {
+	if s.SpanID() != "" || s.Traceparent() != "" {
 		t.Fatal("nil span ids not empty")
 	}
 
@@ -149,8 +149,8 @@ func TestIDsForLogCorrelation(t *testing.T) {
 	ctx, s := Start(ctx, "x")
 	defer s.End()
 	tid, sid, ok := IDs(ctx)
-	if !ok || tid != s.TraceID() || sid != s.SpanID() {
-		t.Fatalf("IDs = %s %s %v, want %s %s true", tid, sid, ok, s.TraceID(), s.SpanID())
+	if !ok || tid != s.traceID.String() || sid != s.SpanID() {
+		t.Fatalf("IDs = %s %s %v, want %s %s true", tid, sid, ok, s.traceID.String(), s.SpanID())
 	}
 	if len(tid) != 32 || len(sid) != 16 {
 		t.Fatalf("hex lengths %d/%d, want 32/16", len(tid), len(sid))
@@ -164,7 +164,7 @@ func TestEndIsIdempotent(t *testing.T) {
 	s.End()
 	s.End()
 	s.End()
-	got, ok := tr.Store().Get(s.TraceID())
+	got, ok := tr.Store().Get(s.traceID.String())
 	if !ok || len(got.Spans) != 1 {
 		t.Fatalf("double End duplicated spans: %+v ok=%v", got.Spans, ok)
 	}
@@ -187,8 +187,8 @@ func TestFragmentMergeAcrossBursts(t *testing.T) {
 	if drain == nil {
 		t.Fatal("Resume returned nil span")
 	}
-	if drain.TraceID() != upload.TraceID() {
-		t.Fatalf("drain trace %s != upload trace %s", drain.TraceID(), upload.TraceID())
+	if drain.traceID.String() != upload.traceID.String() {
+		t.Fatalf("drain trace %s != upload trace %s", drain.traceID.String(), upload.traceID.String())
 	}
 	_, attempt := StartChild(dctx, "retry.attempt")
 	attempt.End()
@@ -197,7 +197,7 @@ func TestFragmentMergeAcrossBursts(t *testing.T) {
 	if n := tr.Store().Len(); n != 1 {
 		t.Fatalf("store has %d traces, want 1 merged", n)
 	}
-	got, _ := tr.Store().Get(upload.TraceID())
+	got, _ := tr.Store().Get(upload.traceID.String())
 	if len(got.Spans) != 3 {
 		t.Fatalf("merged trace has %d spans, want 3", len(got.Spans))
 	}

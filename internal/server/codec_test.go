@@ -23,6 +23,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -964,6 +965,50 @@ func TestReportEntrySizeIsExact(t *testing.T) {
 		entry, err := appendReportEntry(nil, c.key, c.r)
 		if err != nil || len(entry) != reportEntrySize(c.key, c.r) {
 			t.Fatalf("case %d: %d bytes written (err %v), %d predicted", i, len(entry), err, reportEntrySize(c.key, c.r))
+		}
+	}
+}
+
+// TestDesignRecordKindsMatchCodec holds DESIGN.md's "Record kinds" table to
+// the codec: one row for every kind decodeRecord accepts, one for the WAL's
+// probe kind, and no other.
+func TestDesignRecordKindsMatchCodec(t *testing.T) {
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(doc), "**Record kinds.**")
+	if !ok {
+		t.Fatal("DESIGN.md has no **Record kinds.** section")
+	}
+	rows := map[int]int{} // kind → rows naming it
+	inTable := false
+	for _, line := range strings.Split(table, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			if inTable {
+				break
+			}
+			continue
+		}
+		inTable = true
+		cell := strings.TrimSpace(strings.Split(line, "|")[1])
+		num, _, _ := strings.Cut(cell, " ")
+		if kind, err := strconv.ParseUint(num, 0, 8); err == nil {
+			rows[int(kind)]++
+		} else if cell != "kind" && !strings.HasPrefix(cell, "---") {
+			t.Errorf("record kinds row %q does not start with a kind", line)
+		}
+	}
+	str := func(b []byte) string { return string(b) }
+	for kind := 0; kind < 256; kind++ {
+		_, err := decodeRecord(byte(kind), nil, str)
+		accepted := err == nil || !strings.HasPrefix(err.Error(), "unknown kind")
+		want := 0
+		if accepted || byte(kind) == wal.KindProbe {
+			want = 1
+		}
+		if rows[kind] != want {
+			t.Errorf("kind %d: %d rows in DESIGN.md's record kinds table, want %d (accepted by decodeRecord: %v)", kind, rows[kind], want, accepted)
 		}
 	}
 }

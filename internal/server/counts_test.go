@@ -6,17 +6,24 @@ package server
 // literal here, and its before and after is a reviewed diff.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"runtime/debug"
 	"sync/atomic"
 	"testing"
 
+	"crowdwifi/internal/api"
 	"crowdwifi/internal/geo"
 	"crowdwifi/internal/obs"
+	"crowdwifi/internal/obs/trace"
+	"crowdwifi/internal/overload"
 	"crowdwifi/internal/wal"
 )
 
@@ -257,6 +264,72 @@ func TestCountsAllocs(t *testing.T) {
 	}
 }
 
+// wantHandlerAllocs is what one request allocates through a warmed shard
+// Server with everything a shard binary attaches on the request path: the
+// tracer at sample rate 1, metrics and admission control. The store is
+// countsFixture's (SyncOff, aggregated once for the lookup); an upload is
+// one JSON report, a lookup a rectangle over the whole fixture. The request
+// and its recorder are built outside the count.
+var wantHandlerAllocs = map[string]float64{
+	"upload": 101,
+	"lookup": 59,
+}
+
+func TestCountsHandlerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	body, err := json.Marshal(countsReport(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 100
+	newReq := map[string]func() *http.Request{
+		"upload": func() *http.Request {
+			return httptest.NewRequest(http.MethodPost, api.RouteReports, bytes.NewReader(body))
+		},
+		"lookup": func() *http.Request {
+			return httptest.NewRequest(http.MethodGet, api.RouteLookup+"?xmin=0&ymin=0&xmax=400&ymax=100", nil)
+		},
+	}
+	for name, want := range wantHandlerAllocs {
+		t.Run(name, func(t *testing.T) {
+			s := countsFixture(t, StorageOptions{Fsync: wal.SyncOff})
+			if _, err := s.Aggregate(); err != nil {
+				t.Fatal(err)
+			}
+			srv := New(s, WithMetrics(NewMetrics(obs.NewRegistry())),
+				WithTracer(trace.NewTracer(trace.Config{SampleRate: 1})),
+				WithOverload(overload.Options{}))
+			// Warm every lazily built series and buffer, and fill the trace
+			// store's ring, before counting.
+			serve := func(req *http.Request, rec *httptest.ResponseRecorder) {
+				srv.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK && rec.Code != http.StatusCreated {
+					t.Fatalf("%s: status %d: %s", name, rec.Code, rec.Body)
+				}
+			}
+			for range 2 * trace.DefaultCapacity {
+				serve(newReq[name](), httptest.NewRecorder())
+			}
+			reqs := make([]*http.Request, runs+1)
+			recs := make([]*httptest.ResponseRecorder, runs+1)
+			for i := range reqs {
+				reqs[i], recs[i] = newReq[name](), httptest.NewRecorder()
+			}
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			i := 0
+			got := testing.AllocsPerRun(runs, func() {
+				serve(reqs[i], recs[i])
+				i++
+			})
+			if got != want {
+				t.Errorf("%s: %v allocs per request, want %v", name, got, want)
+			}
+		})
+	}
+}
+
 func TestCountsCycleAt50k(t *testing.T) {
 	dir := snapshotted(t, mixedShape)
 	reg := obs.NewRegistry()
@@ -433,5 +506,26 @@ func TestCountsTaskLabelsRead(t *testing.T) {
 	}
 	if got := read.Load(); got != calls*wantTaskLabelsRead {
 		t.Errorf("%d AssignTasks calls read %d labels, want %d each", calls, got, wantTaskLabelsRead)
+	}
+}
+
+// taskGraph is what Fig. 7(a)'s crowd at ℓ = 10 looks like after going
+// through the store (serveFig7a, seed 10): the connected components of the
+// task graph AssignTasks built, and the hammers the cycle weighs below 0.5.
+type taskGraph struct {
+	components, hammersBelowHalf int
+}
+
+// wantTaskGraph is one component and no hammer lost. Ties broken by lowest
+// id built 200 components, disjoint blocks of the vehicles that arrived
+// together, and weighed 962 of 971 hammers below 0.5.
+var wantTaskGraph = taskGraph{components: 1, hammersBelowHalf: 0}
+
+func TestCountsTaskGraph(t *testing.T) {
+	c := serveFig7a(t, 10, 10)
+	got := taskGraph{components: c.components()}
+	got.hammersBelowHalf, _ = c.hammersBelowHalf()
+	if got != wantTaskGraph {
+		t.Errorf("served task graph: %+v, want %+v", got, wantTaskGraph)
 	}
 }

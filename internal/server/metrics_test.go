@@ -249,9 +249,9 @@ func TestUninstrumentedServerStillWorks(t *testing.T) {
 }
 
 // TestSlowestExemplarResolvesToTrace closes the observability loop an
-// operator walks: the upload route's latency histogram carries trace
-// exemplars in /debug/vars, and the slowest one names a trace the server
-// still serves at /debug/traces/{id}.
+// operator walks to an example of a slow request: the /debug/traces index
+// lists the upload route's slowest traces, and the first of them is a trace
+// the server still serves at /debug/traces/{id}.
 func TestSlowestExemplarResolvesToTrace(t *testing.T) {
 	ts := httptest.NewServer(New(NewStore(10),
 		WithMetrics(NewMetrics(obs.NewRegistry())),
@@ -264,34 +264,35 @@ func TestSlowestExemplarResolvesToTrace(t *testing.T) {
 		}
 	}
 
-	var vars struct {
-		Exemplars map[string]map[string]obs.Exemplar `json:"crowdwifi_histogram_exemplars"`
+	var index struct {
+		Slowest map[string][]trace.TraceSummary `json:"slowest"`
 	}
-	resp, err := http.Get(ts.URL + "/debug/vars")
+	resp, err := http.Get(ts.URL + "/debug/traces")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
-		t.Fatalf("decode /debug/vars: %v", err)
+	if err := json.NewDecoder(resp.Body).Decode(&index); err != nil {
+		t.Fatalf("decode /debug/traces: %v", err)
 	}
-	var slowest obs.Exemplar
-	for _, ex := range vars.Exemplars[`crowdwifi_http_request_duration_seconds{route="/v1/reports"}`] {
-		if ex.Value > slowest.Value {
-			slowest = ex
+	uploads := index.Slowest["server POST /v1/reports"]
+	if len(uploads) == 0 {
+		t.Fatalf("the trace index lists no slow upload: %v", index.Slowest)
+	}
+	for i := 1; i < len(uploads); i++ {
+		if uploads[i].DurationNS > uploads[0].DurationNS {
+			t.Fatalf("slowest list not slowest first: %+v", uploads)
 		}
 	}
-	if slowest.TraceID == "" {
-		t.Fatalf("no exemplar on the /v1/reports latency histogram: %v", vars.Exemplars)
-	}
+	id := uploads[0].ID
 
-	tresp, err := http.Get(ts.URL + "/debug/traces/" + slowest.TraceID)
+	tresp, err := http.Get(ts.URL + "/debug/traces/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tresp.Body.Close()
 	body, _ := io.ReadAll(tresp.Body)
-	if tresp.StatusCode != http.StatusOK || !strings.Contains(string(body), slowest.TraceID) {
-		t.Fatalf("GET /debug/traces/%s = %d, want 200 naming the id (body: %s)", slowest.TraceID, tresp.StatusCode, body)
+	if tresp.StatusCode != http.StatusOK || !strings.Contains(string(body), id) {
+		t.Fatalf("GET /debug/traces/%s = %d, want 200 naming the id (body: %s)", id, tresp.StatusCode, body)
 	}
 }

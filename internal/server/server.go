@@ -925,9 +925,8 @@ func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleTasks assigns up to n=?count mapping tasks to ?vehicle, preferring
-// the tasks with the fewest labels so coverage stays balanced (the (ℓ,γ)
-// regularity of Section 5.2 emerges from this balancing).
+// handleTasks assigns up to n=?count mapping tasks to ?vehicle (see
+// Store.AssignTasks).
 func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.WriteHeader(http.StatusMethodNotAllowed)
@@ -955,11 +954,16 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, http.StatusOK, s.store.AssignTasks(vehicle, count))
 }
 
-// AssignTasks picks up to count patterns for a vehicle: tasks the vehicle
-// has not answered, fewest-labelled first.
+// AssignTasks picks up to count patterns for a vehicle among the tasks it
+// has not answered, and returns them in id order. Fewest-labelled tasks go
+// first, which keeps task degrees balanced; ties go by a hash of (vehicle,
+// the task's segment, its position in that segment). The hash gives each
+// vehicle its own tie order, so the task graph is random, as Section 5.2's
+// inference assumes. A shared tie order would split the graph into
+// disjoint blocks of the vehicles that arrived together.
 func (s *Store) AssignTasks(vehicle string, count int) []Pattern {
 	c := s.capture()
-	answered := map[int]bool{}
+	answered := make([]bool, len(c.patterns))
 	counts := make([]int, len(c.patterns))
 	read := 0
 	for _, l := range c.labels {
@@ -972,26 +976,66 @@ func (s *Store) AssignTasks(vehicle string, count int) []Pattern {
 	if t := taskLabelsRead; t != nil {
 		t.Add(int64(read))
 	}
-	idx := make([]int, 0, len(c.patterns))
-	for i := range c.patterns {
-		if !answered[i] {
-			idx = append(idx, i)
-		}
+	type candidate struct {
+		id   int
+		hash uint64
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		if counts[idx[a]] != counts[idx[b]] {
-			return counts[idx[a]] < counts[idx[b]]
+	less := func(x, y candidate) bool {
+		if counts[x.id] != counts[y.id] {
+			return counts[x.id] < counts[y.id]
 		}
-		return idx[a] < idx[b]
-	})
-	if len(idx) > count {
-		idx = idx[:count]
+		if x.hash != y.hash {
+			return x.hash < y.hash
+		}
+		return x.id < y.id
 	}
-	out := make([]Pattern, len(idx))
-	for i, id := range idx {
-		out[i] = c.patterns[id]
+	// Keep the count best candidates in order: a bounded insertion, since
+	// count is small and a full sort of the candidates is not.
+	best := make([]candidate, 0, max(0, min(count, len(c.patterns))))
+	vh := fnv1a(fnvOffset64, vehicle)
+	pos := make(map[string]int, len(c.patterns))
+	for i, p := range c.patterns {
+		k := pos[p.Segment]
+		pos[p.Segment] = k + 1
+		if answered[i] {
+			continue
+		}
+		h := fnv1a(vh, p.Segment)
+		for b := 0; b < 64; b += 8 {
+			h = (h ^ uint64(k>>b)&0xff) * fnvPrime64
+		}
+		cd := candidate{i, h}
+		j := sort.Search(len(best), func(j int) bool { return less(cd, best[j]) })
+		if j >= count {
+			continue
+		}
+		if len(best) < count {
+			best = append(best, cd)
+		}
+		copy(best[j+1:], best[j:len(best)-1])
+		best[j] = cd
+	}
+	sort.Slice(best, func(a, b int) bool { return best[a].id < best[b].id })
+	out := make([]Pattern, len(best))
+	for i, cd := range best {
+		out[i] = c.patterns[cd.id]
 	}
 	return out
+}
+
+// FNV-1a, 64-bit: the task tie-break hash.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnv1a folds s and a terminating zero byte into the FNV-1a state h, so
+// that fields folded one after another stay apart.
+func fnv1a(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h * fnvPrime64
 }
 
 func (s *Server) handleLabels(w http.ResponseWriter, r *http.Request) {
