@@ -38,8 +38,8 @@ var censusAllow = map[string]string{
 	"internal/traceio.WriteMeasurements":  "the writing half of the -trace format the vehicle reads",
 	"internal/traceio.ReadEstimates":      "the reading half of the -out format the vehicle writes",
 	// Library-only operations and knobs only tests turn.
-	"internal/cluster.Router.RebalanceFromDir": "rebalance from a dead shard's disk: library-only, proven by TestKillOneShard (verify skill)",
-	"internal/retry.WithBudget":                "every Doer runs the default budget (ratio 0.5, burst 10); the chaos e2e and doer tests loosen or tighten it",
+	"internal/server.ExportFromDir": "rebalance from a dead shard's disk: library-only, each part posted to its owner as a move; proven by TestKillOneShard (verify skill)",
+	"internal/retry.WithBudget":     "every Doer runs the default budget (ratio 0.5, burst 10); the chaos e2e and doer tests loosen or tighten it",
 }
 
 // goFile is one parsed file: where it lives and what its imports are called.
@@ -236,5 +236,54 @@ func TestExportedNamesHaveAReader(t *testing.T) {
 		if !used[k] {
 			t.Errorf("censusAllow[%q] allows nothing any more: delete the entry", k)
 		}
+	}
+}
+
+// TestRouterLinksNoStore pins that the router binary links none of the
+// store: its non-test imports, followed through every package of this
+// module, reach no internal/server, internal/wal or internal/crowd. A dead
+// shard's data is exported offline by a process that links the store, and
+// the router only posts the parts it is handed.
+func TestRouterLinksNoStore(t *testing.T) {
+	imports := map[string]map[string]bool{} // dir → dirs of this module it imports
+	for _, f := range parseModule(t) {
+		if f.test {
+			continue
+		}
+		if imports[f.dir] == nil {
+			imports[f.dir] = map[string]bool{}
+		}
+		for _, dir := range f.imports {
+			imports[f.dir][dir] = true
+		}
+	}
+	const root = "cmd/crowdwifi-router"
+	if imports[root] == nil {
+		t.Fatalf("no package at %s", root)
+	}
+	via := map[string]string{root: ""} // dir → the dir that imports it
+	queue := []string{root}
+	for len(queue) > 0 {
+		dir := queue[0]
+		queue = queue[1:]
+		for dep := range imports[dir] {
+			if _, seen := via[dep]; !seen {
+				via[dep] = dir
+				queue = append(queue, dep)
+			}
+		}
+	}
+	if len(via) < 5 {
+		t.Fatalf("the router reaches only %d packages of this module: the import walk is broken", len(via))
+	}
+	for _, banned := range []string{"internal/server", "internal/wal", "internal/crowd"} {
+		if _, ok := via[banned]; !ok {
+			continue
+		}
+		chain := []string{banned}
+		for d := via[banned]; d != ""; d = via[d] {
+			chain = append(chain, d)
+		}
+		t.Errorf("%s links %s: %s", root, banned, strings.Join(chain, " ← "))
 	}
 }

@@ -7,13 +7,13 @@
 // shard degrades only its slice (partial answers carry
 // X-Crowdwifi-Partial naming the missing shards).
 //
-// The router's /metrics is its own registry, exactly as a shard's is: each
-// process is its own scrape target, and fleet totals are summed at the
-// scraper. Its debug plane also reaches into the shards: /debug/traces/{id}
-// assembles per-process trace fragments into one end-to-end trace,
-// /debug/cluster is a one-fetch JSON view of ring ownership, per-shard
-// digests/modes/WAL depth and the drift a reconcile pass would repair, and
-// /debug/slo evaluates the router's burn-rate SLOs.
+// The router answers for itself, exactly as a shard does: /metrics is its
+// own registry (each process is its own scrape target, and fleet totals are
+// summed at the scraper), /debug/traces its own spans (a routed upload's
+// shard spans are on the owning shard, under the router attempt their
+// traceparent names), and /debug/slo its burn-rate SLOs. /debug/cluster is
+// a one-fetch JSON view of ring ownership, per-shard digests/modes/WAL
+// depth and the drift a reconcile pass would repair.
 //
 // On startup the router runs one reconcile pass:
 // it fetches every shard's per-segment digests, moves any segment resident
@@ -24,9 +24,10 @@
 //
 // Membership changes are operator actions: POST /v1/cluster/members with
 // {"members":["a","b"]} installs the new ring and propagates it to the
-// surviving shards. To drain a dead shard's WAL into the survivors, run a
-// rebalance from its data directory (see internal/cluster.RebalanceFromDir
-// and the DESIGN.md cluster section).
+// surviving shards. To drain a dead shard's WAL into the survivors, export
+// it offline with internal/server.ExportFromDir and post each owner its
+// part (see the DESIGN.md cluster section); the router binary does not link
+// the store.
 //
 // Usage:
 //

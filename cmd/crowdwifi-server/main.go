@@ -8,8 +8,8 @@
 // state — including the idempotency cache, so retries of uploads
 // acknowledged before a crash still dedupe.
 //
-// The API mux also serves /metrics (Prometheus text format), /debug/vars
-// (expvar), and /debug/pprof/; -metrics-addr exposes the same debug surface
+// The API mux also serves /metrics (Prometheus text format), /debug/traces,
+// /debug/slo and /debug/pprof/; -metrics-addr exposes the same debug surface
 // on a second, separate listener for deployments that keep it off the public
 // port.
 //

@@ -251,10 +251,19 @@ func TestKillOneShardRebalanceAndReconcileRestoreFullMap(t *testing.T) {
 		t.Fatalf("members: status %d", resp.StatusCode)
 	}
 
-	// Recover c's slice from its WAL and stream it to the new owners.
-	stats, err := rt.RebalanceFromDir(ctx, c.dir, e2eRadius, "c")
+	// Recover c's slice from its WAL offline, as a move from c split by the
+	// current ring's owners, and post each owner its part.
+	parts, err := server.ExportFromDir(c.dir, e2eRadius, "c", rt.Owner)
 	if err != nil {
-		t.Fatalf("RebalanceFromDir: %v", err)
+		t.Fatalf("ExportFromDir: %v", err)
+	}
+	var stats api.SliceStats
+	for owner, part := range parts {
+		st, err := rt.applyMove(ctx, owner, part)
+		if err != nil {
+			t.Fatalf("rebalance onto %s: %v", owner, err)
+		}
+		stats.Add(st)
 	}
 	if stats.Reports == 0 {
 		t.Fatalf("rebalance moved nothing: %+v", stats)

@@ -13,6 +13,7 @@ import (
 
 	"crowdwifi/internal/api"
 	"crowdwifi/internal/client"
+	"crowdwifi/internal/obs"
 	"crowdwifi/internal/overload"
 	"crowdwifi/internal/retry"
 	"crowdwifi/internal/server"
@@ -148,7 +149,8 @@ func TestFleetOverloadKeepsGoodputAndLosesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenStore: %v", err)
 	}
-	srv := server.New(store, server.WithOverload(overload.Options{}))
+	reg := obs.NewRegistry()
+	srv := server.New(store, server.WithOverload(overload.Options{Registry: reg}))
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		ts.Close()
@@ -165,7 +167,7 @@ func TestFleetOverloadKeepsGoodputAndLosesNothing(t *testing.T) {
 
 	t.Logf("acks: baseline %d, overload %d (ratio %.2f); shed %d, parked %d, drained %d; slowest answer %v",
 		baseline, overloaded, float64(overloaded)/float64(baseline),
-		srv.Overload().Load(overload.FamilyUpload).Shed, parked, drained, f.link.slowest.Round(time.Millisecond))
+		uint64(reg.SumCounters("crowdwifi_admission_shed_total", func(ls map[string]string) bool { return ls["family"] == "upload" })), parked, drained, f.link.slowest.Round(time.Millisecond))
 	if baseline == 0 {
 		t.Fatal("baseline window acked nothing")
 	}

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"sort"
 	"sync"
 
 	"crowdwifi/internal/obs"
@@ -54,26 +53,7 @@ func newRouterMetrics(reg *obs.Registry) *routerMetrics {
 		upstreamOK: reg.Counter("crowdwifi_router_upstream_requests_total",
 			"Upstream shard requests that returned a response."),
 	}
-	reg.PublishVar("crowdwifi_cluster", m.vars)
 	return m
-}
-
-func (m *routerMetrics) vars() any {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	modes := make(map[string]string, len(m.modes))
-	for k, v := range m.modes {
-		modes[k] = v
-	}
-	shards := make([]string, 0, len(modes))
-	for k := range modes {
-		shards = append(shards, k)
-	}
-	sort.Strings(shards)
-	return map[string]any{"shards": shards, "modes": modes}
 }
 
 // modesSnapshot copies the last-seen per-shard mode strings (empty map when

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -20,8 +19,7 @@ import (
 )
 
 // obsShard is an e2eShard carrying the full observability surface: a metrics
-// registry, a record-everything tracer, and the trace debug mount the
-// router's assembly fan-out reads.
+// registry, a record-everything tracer, and its own /debug/traces.
 type obsShard struct {
 	id    string
 	store *server.Store
@@ -85,7 +83,7 @@ func segOwnedBy(t *testing.T, members []string, owner string) string {
 }
 
 // postTracedReport uploads one report with a caller-chosen trace id, so the
-// test knows which assembled trace to fetch without parsing router state.
+// test knows which trace to fetch from each process without parsing state.
 func postTracedReport(t *testing.T, base string, rep api.Report, key, traceID string) *http.Response {
 	t.Helper()
 	body, err := json.Marshal(rep)
@@ -103,7 +101,8 @@ func postTracedReport(t *testing.T, base string, rep api.Report, key, traceID st
 	return resp
 }
 
-func fetchAssembledTrace(t *testing.T, base, id string) trace.TraceData {
+// fetchTrace reads one process's spans of a trace from its /debug/traces.
+func fetchTrace(t *testing.T, base, id string) trace.TraceData {
 	t.Helper()
 	resp, err := http.Get(base + "/debug/traces/" + id)
 	if err != nil {
@@ -112,13 +111,53 @@ func fetchAssembledTrace(t *testing.T, base, id string) trace.TraceData {
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("fetch trace: status %d: %s", resp.StatusCode, body)
+		t.Fatalf("fetch trace from %s: status %d: %s", base, resp.StatusCode, body)
 	}
 	var td trace.TraceData
 	if err := json.Unmarshal(body, &td); err != nil {
 		t.Fatalf("decode trace: %v: %s", err, body)
 	}
 	return td
+}
+
+// traceStatus is the status a process's /debug/traces/{id} answers.
+func traceStatus(t *testing.T, base, id string) int {
+	t.Helper()
+	resp, err := http.Get(base + "/debug/traces/" + id)
+	if err != nil {
+		t.Fatalf("fetch trace: %v", err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// spanIDs returns the ids of a trace's spans with the given name.
+func spanIDs(td trace.TraceData, name string) []string {
+	var out []string
+	for _, sp := range td.Spans {
+		if sp.Name == name {
+			out = append(out, sp.SpanID)
+		}
+	}
+	return out
+}
+
+// serverSpanParent checks that a shard's trace holds the server span of an
+// upload continued over the wire, and returns the span id it names as its
+// parent.
+func serverSpanParent(t *testing.T, shard string, td trace.TraceData) string {
+	t.Helper()
+	for _, sp := range td.Spans {
+		if sp.Name != "server POST /v1/reports" {
+			continue
+		}
+		if !sp.Remote || sp.ParentID == "" {
+			t.Fatalf("shard %s: server span has remoteParent %v, parentId %q; want a remote parent", shard, sp.Remote, sp.ParentID)
+		}
+		return sp.ParentID
+	}
+	t.Fatalf("shard %s holds no server POST /v1/reports span; spans: %v", shard, names(td))
+	return ""
 }
 
 // spanAttr returns the value of a string attribute on the first span with
@@ -150,11 +189,12 @@ func countSpans(td trace.TraceData, name string) int {
 	return n
 }
 
-// TestThreeShardAssembledTraceThroughRouter is the observability tentpole's
-// core proof: one upload through the router, fetched back from the router's
-// /debug/traces/{id}, is a single logical trace holding the router hop AND
-// the owning shard's handler/dedupe/store spans — fragments from two
-// processes stitched on the trace id.
+// TestThreeShardAssembledTraceThroughRouter: one upload through the router
+// leaves one trace in two processes, each serving its own part. The router
+// holds the front-door span and its retry.attempt; the owning shard holds
+// its handler, dedupe and store spans, and its server span names that
+// router attempt as its remote parent — the traceparent link a reader
+// follows from one process to the next. The other shards hold nothing.
 func TestThreeShardAssembledTraceThroughRouter(t *testing.T) {
 	members := []string{"a", "b", "c"}
 	a := newObsShard(t, "a", members)
@@ -178,45 +218,56 @@ func TestThreeShardAssembledTraceThroughRouter(t *testing.T) {
 		t.Fatalf("%s = %q, want %q", api.ShardHeader, got, "a")
 	}
 
-	td := fetchAssembledTrace(t, routerTS.URL, traceID)
-	if td.ID != traceID {
-		t.Fatalf("assembled trace id = %q, want %q", td.ID, traceID)
+	// The router's part: the front-door span, carrying the owning shard,
+	// and the attempt that carried the request to it.
+	rtd := fetchTrace(t, routerTS.URL, traceID)
+	if rtd.ID != traceID {
+		t.Fatalf("router trace id = %q, want %q", rtd.ID, traceID)
 	}
-	// Router-side evidence: the front-door span, carrying the owning shard.
-	if shard, ok := spanAttr(td, "router POST /v1/reports", "shard"); !ok {
-		t.Fatalf("assembled trace lacks the router span; spans: %+v", names(td))
+	if shard, ok := spanAttr(rtd, "router POST /v1/reports", "shard"); !ok {
+		t.Fatalf("router trace lacks the router span; spans: %v", names(rtd))
 	} else if shard != "a" {
 		t.Fatalf("router span shard attr = %q, want %q", shard, "a")
 	}
-	// Shard-side evidence: the handler span continued over the wire (remote
-	// parent) plus its dedupe and store children.
-	for _, want := range []string{"server POST /v1/reports", "server.dedupe", "store.add_report"} {
-		if countSpans(td, want) == 0 {
-			t.Errorf("assembled trace lacks shard span %q; spans: %v", want, names(td))
+	for _, sp := range rtd.Spans {
+		if strings.HasPrefix(sp.Name, "server") || strings.HasPrefix(sp.Name, "store.") {
+			t.Errorf("the router serves a shard's span %q: each process answers for itself", sp.Name)
 		}
 	}
-	remote := false
-	for _, sp := range td.Spans {
-		if sp.Remote {
-			remote = true
-		}
-	}
-	if !remote {
-		t.Errorf("no remote-parent span: shard fragment not stitched under the router hop")
+	attempts := spanIDs(rtd, "retry.attempt")
+	if len(attempts) != 1 {
+		t.Fatalf("router trace holds %d retry.attempt spans, want 1; spans: %v", len(attempts), names(rtd))
 	}
 
-	// The assembled index lists the trace too.
-	idxResp, err := http.Get(routerTS.URL + "/debug/traces")
-	if err != nil {
-		t.Fatalf("trace index: %v", err)
+	// The shard's part, read from the shard: its handler continued over the
+	// wire under the router's attempt, plus its dedupe and store children.
+	std := fetchTrace(t, a.ts.URL, traceID)
+	if parent := serverSpanParent(t, "a", std); parent != attempts[0] {
+		t.Errorf("shard a's server span parent = %s, want the router's retry.attempt %s", parent, attempts[0])
 	}
-	idxBody, _ := io.ReadAll(idxResp.Body)
-	idxResp.Body.Close()
-	if idxResp.StatusCode != http.StatusOK {
-		t.Fatalf("trace index: status %d", idxResp.StatusCode)
+	for _, want := range []string{"server.dedupe", "store.add_report"} {
+		if countSpans(std, want) == 0 {
+			t.Errorf("shard a's trace lacks %q; spans: %v", want, names(std))
+		}
 	}
-	if !bytes.Contains(idxBody, []byte(traceID)) {
-		t.Fatalf("trace index does not list %s: %s", traceID, idxBody)
+	if countSpans(std, "router POST /v1/reports") != 0 {
+		t.Error("shard a serves the router's span: each process answers for itself")
+	}
+	for _, sh := range []*obsShard{b, c} {
+		if got := traceStatus(t, sh.ts.URL, traceID); got != http.StatusNotFound {
+			t.Errorf("shard %s: /debug/traces/%s answered %d, want 404 (it served nothing of the trace)", sh.id, traceID, got)
+		}
+	}
+
+	// Both processes' indexes list the trace.
+	for _, base := range []string{routerTS.URL, a.ts.URL} {
+		body, err := getTextOK(base + "/debug/traces")
+		if err != nil {
+			t.Fatalf("trace index: %v", err)
+		}
+		if !strings.Contains(body, traceID) {
+			t.Fatalf("trace index at %s does not list %s: %s", base, traceID, body)
+		}
 	}
 }
 
@@ -233,8 +284,9 @@ func names(td trace.TraceData) []string {
 // on {a,b,c} — the half-propagated membership change 421 re-routing exists
 // for. An upload the router sends to a comes back 421 naming the owner under
 // the new ring, and the router re-routes once. The response names the shard
-// that actually served, and the assembled trace contains BOTH shard hops —
-// the rejection and the landing.
+// that actually served, and both hops are linked to the router: the 421
+// shard and the landing shard each hold a server span whose parent is a
+// different router attempt.
 func TestThreeShardRerouteTraceNamesFinalShard(t *testing.T) {
 	routerMembers := []string{"a", "b", "c"}
 	newMembers := []string{"b", "c"}
@@ -250,6 +302,7 @@ func TestThreeShardRerouteTraceNamesFinalShard(t *testing.T) {
 	if expect == "a" {
 		t.Fatalf("test setup broken: new ring still owns %s at a", seg)
 	}
+	landing := map[string]*obsShard{"b": b, "c": c}[expect]
 
 	const traceID = "00f067aa0ba902b74bf92f3577b34da6"
 	resp := postTracedReport(t, routerTS.URL, api.Report{
@@ -266,19 +319,32 @@ func TestThreeShardRerouteTraceNamesFinalShard(t *testing.T) {
 		t.Fatalf("%s = %q, want re-routed owner %q", api.ShardHeader, got, expect)
 	}
 
-	td := fetchAssembledTrace(t, routerTS.URL, traceID)
-	if shard, ok := spanAttr(td, "router POST /v1/reports", "shard"); !ok || shard != expect {
+	rtd := fetchTrace(t, routerTS.URL, traceID)
+	if shard, ok := spanAttr(rtd, "router POST /v1/reports", "shard"); !ok || shard != expect {
 		t.Fatalf("router span shard attr = %q (present=%v), want %q", shard, ok, expect)
 	}
-	// Both shard a (the 421 rejection) and the final owner handled the
-	// request under the same trace id, so the merged trace holds two shard
-	// handler spans.
-	if got := countSpans(td, "server POST /v1/reports"); got < 2 {
-		t.Fatalf("assembled trace has %d shard handler spans, want >= 2 (421 + landing); spans: %v",
-			got, names(td))
+	attempts := map[string]bool{}
+	for _, id := range spanIDs(rtd, "retry.attempt") {
+		attempts[id] = true
 	}
-	if countSpans(td, "store.add_report") == 0 {
-		t.Fatalf("assembled trace lacks the landing shard's store span; spans: %v", names(td))
+	if len(attempts) < 2 {
+		t.Fatalf("router trace holds %d retry.attempt spans, want >= 2 (421 + landing); spans: %v", len(attempts), names(rtd))
+	}
+
+	// Each hop's shard holds its own server span, under its own attempt.
+	rejected := serverSpanParent(t, "a", fetchTrace(t, a.ts.URL, traceID))
+	ltd := fetchTrace(t, landing.ts.URL, traceID)
+	landed := serverSpanParent(t, expect, ltd)
+	for hop, parent := range map[string]string{"421 shard a": rejected, "landing shard " + expect: landed} {
+		if !attempts[parent] {
+			t.Errorf("%s: server span parent %s is no router retry.attempt (%v)", hop, parent, attempts)
+		}
+	}
+	if rejected == landed {
+		t.Errorf("both hops name router attempt %s: want one attempt per hop", rejected)
+	}
+	if countSpans(ltd, "store.add_report") == 0 {
+		t.Fatalf("the landing shard's trace lacks its store span; spans: %v", names(ltd))
 	}
 }
 
@@ -385,36 +451,6 @@ func TestThreeShardOwnMetricsClusterViewAndSLO(t *testing.T) {
 				t.Errorf("objective %s alert lacks %q field", o.Name, field)
 			}
 		}
-	}
-}
-
-// TestFanOutDebugFailsAnOversizeAnswer: a shard answer one byte over the
-// cap fails that member with an error naming the cap, instead of reaching
-// the caller cut short; an answer of exactly the cap passes whole.
-func TestFanOutDebugFailsAnOversizeAnswer(t *testing.T) {
-	serve := func(n int) *httptest.Server {
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path != "/debug/traces" {
-				http.NotFound(w, r)
-				return
-			}
-			_, _ = w.Write(bytes.Repeat([]byte{' '}, n))
-		}))
-		t.Cleanup(ts.Close)
-		return ts
-	}
-	over, full := serve(maxTraceBytes+1), serve(maxTraceBytes)
-	rt := newTestRouter(t, []Peer{{"over", over.URL}, {"full", full.URL}}, nil)
-
-	got := map[string]traceFetch{}
-	for _, f := range rt.fanOutDebug(context.Background(), "/debug/traces") {
-		got[f.id] = f
-	}
-	if f := got["over"]; f.err == nil || !strings.Contains(f.err.Error(), "8 MiB cap") || f.body != nil {
-		t.Errorf("oversize answer: err %v, %d bytes kept; want an error naming the 8 MiB cap", f.err, len(f.body))
-	}
-	if f := got["full"]; f.err != nil || len(f.body) != maxTraceBytes {
-		t.Errorf("answer at the cap: err %v, %d bytes; want all %d", f.err, len(f.body), maxTraceBytes)
 	}
 }
 

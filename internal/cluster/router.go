@@ -10,6 +10,11 @@
 // hints, X-Crowdwifi-Mode) is produced by the shards and passed through, so
 // a client talking to the router observes the same bytes it would talking
 // to a single crowd-server.
+//
+// The router answers for itself as a shard does: its /metrics is its own
+// registry and its /debug/traces its own spans. It does not link the store:
+// a dead shard's data is exported offline by a process that does
+// (server.ExportFromDir), and the router only posts moves.
 package cluster
 
 import (
@@ -253,17 +258,17 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // DebugHandler returns the router's debug surface, built once so the API
-// listener and -metrics-addr serve the same handler. /metrics, /debug/vars
-// and pprof are the router's own registry and process, exactly as on a
-// shard: each process is its own scrape target. /debug/traces assembles
-// fragments from traces and every shard, /debug/cluster is ClusterHandler,
-// and sloStatus and health answer /debug/slo, /healthz and /readyz.
+// listener and -metrics-addr serve the same handler. It has a shard's form:
+// /metrics and pprof are the router's own registry and process, and
+// /debug/traces is the router's own span store (traces, which may be nil).
+// Each process answers for itself; a routed upload's shard spans are on the
+// owning shard, under the router attempt their traceparent names.
+// /debug/cluster is ClusterHandler, and sloStatus and health answer
+// /debug/slo, /healthz and /readyz.
 func (rt *Router) DebugHandler(traces *trace.Store, sloStatus http.Handler, health *obs.Health) http.Handler {
 	debug := http.NewServeMux()
 	obs.Mount(debug, rt.stack.Registry)
-	th := rt.TraceHandler(traces)
-	debug.Handle("/debug/traces", th)
-	debug.Handle("/debug/traces/", th)
+	trace.Mount(debug, traces)
 	debug.Handle("/debug/cluster", rt.ClusterHandler())
 	debug.Handle("/debug/slo", sloStatus)
 	obs.MountHealth(debug, health)

@@ -5,7 +5,6 @@ import "crowdwifi/internal/obs"
 // Metrics instruments the iterative reliability inference: message-passing
 // sweeps to convergence and run outcomes. A nil *Metrics is a no-op.
 type Metrics struct {
-	sweeps        *obs.Counter
 	sweepsPerRun  *obs.Histogram
 	runsConverged *obs.Counter
 	runsDiverged  *obs.Counter
@@ -18,7 +17,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		return nil
 	}
 	return &Metrics{
-		sweeps:        reg.Counter("crowdwifi_crowd_inference_sweeps_total", "Total message-passing sweeps across all inference runs."),
 		sweepsPerRun:  reg.Histogram("crowdwifi_crowd_inference_sweeps", "Message-passing sweeps to convergence per inference run.", []float64{1, 2, 5, 10, 20, 50, 100}),
 		runsConverged: reg.Counter("crowdwifi_crowd_inference_runs_total", "Completed inference runs by outcome.", obs.L("outcome", "converged")),
 		runsDiverged:  reg.Counter("crowdwifi_crowd_inference_runs_total", "Completed inference runs by outcome.", obs.L("outcome", "diverged")),
@@ -29,7 +27,6 @@ func (m *Metrics) record(res *InferenceResult) {
 	if m == nil || res == nil {
 		return
 	}
-	m.sweeps.Add(uint64(res.Iterations))
 	m.sweepsPerRun.Observe(float64(res.Iterations))
 	if res.Converged {
 		m.runsConverged.Inc()

@@ -2,9 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
-	"expvar"
-	"fmt"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -14,54 +11,16 @@ import (
 )
 
 // Mount attaches the observability endpoints to mux: the registry's
-// /metrics, an expvar-compatible /debug/vars extended with histogram
-// quantile estimates, and the full net/http/pprof suite under /debug/pprof/.
-// Every process, shard or router, mounts it over its own registry, so each
-// is one scrape target and fleet totals are summed at the scraper. It is
-// safe to call with a nil registry (the /metrics endpoint then serves an
-// empty exposition and /debug/vars omits the quantile block).
+// /metrics, and net/http/pprof's index of runtime profiles, CPU profile and
+// execution trace under /debug/pprof/. Every process, shard or router,
+// mounts it over its own registry, so each is one scrape target and fleet
+// totals are summed at the scraper. It is safe to call with a nil registry
+// (the /metrics endpoint then serves an empty exposition).
 func Mount(mux *http.ServeMux, reg *Registry) {
 	mux.Handle("/metrics", reg.Handler())
-	mux.Handle("/debug/vars", varsHandler(reg))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
-
-// varsHandler serves the expvar document with the registry's published vars
-// and "crowdwifi_histogram_quantiles" (lifetime p50/p95/p99/p999 estimates).
-// Emitted per-registry rather than via expvar.Publish, which is
-// process-global and panics on re-registration (multiple registries, tests).
-func varsHandler(reg *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		fmt.Fprintf(w, "{\n")
-		first := true
-		emit := func(key string, v any) {
-			if !first {
-				fmt.Fprintf(w, ",\n")
-			}
-			first = false
-			b, _ := json.Marshal(v)
-			fmt.Fprintf(w, "%q: %s", key, b)
-		}
-		expvar.Do(func(kv expvar.KeyValue) {
-			if !first {
-				fmt.Fprintf(w, ",\n")
-			}
-			first = false
-			fmt.Fprintf(w, "%q: %s", kv.Key, kv.Value)
-		})
-		for _, pv := range reg.publishedVars() {
-			emit(pv.key, pv.fn())
-		}
-		if q := reg.Quantiles(); len(q) > 0 {
-			emit("crowdwifi_histogram_quantiles", q)
-		}
-		fmt.Fprintf(w, "\n}\n")
-	})
 }
 
 // processCPUSeconds returns the process's cumulative user+system CPU time

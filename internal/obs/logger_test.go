@@ -121,7 +121,8 @@ func TestLoggerCtx(t *testing.T) {
 	if tid == "" || !strings.Contains(out, "trace_id="+tid) {
 		t.Fatalf("trace_id missing: %q", out)
 	}
-	if !strings.Contains(out, "span_id="+span.SpanID()) {
+	// The span id is the traceparent's third field.
+	if sid := strings.Split(span.Traceparent(), "-")[2]; !strings.Contains(out, "span_id="+sid) {
 		t.Fatalf("span_id missing: %q", out)
 	}
 	if !strings.Contains(out, " k=v") {

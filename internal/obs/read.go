@@ -111,7 +111,10 @@ func (r *Registry) SumHistogramBuckets(name string, match func(labels map[string
 	if f == nil || f.typ != histogramType {
 		return 0, 0
 	}
-	for k, h := range f.histogramChildren() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for k, c := range f.children {
+		h := c.(*Histogram)
 		if match != nil && !match(ParseLabels(k)) {
 			continue
 		}

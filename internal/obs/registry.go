@@ -1,8 +1,8 @@
 // Package obs is CrowdWiFi's zero-dependency observability layer: a
 // concurrent metrics registry (counters, gauges, fixed-bucket histograms)
 // with Prometheus text exposition, a leveled key=value logger, defer-friendly
-// timing helpers, and an HTTP mux bundle that serves /metrics next to expvar
-// and net/http/pprof.
+// timing helpers, and an HTTP mux bundle that serves /metrics next to
+// net/http/pprof.
 //
 // Every constructor and instrument method is nil-safe: a nil *Registry hands
 // out nil instruments and a nil instrument is a no-op, so instrumented code
@@ -73,13 +73,6 @@ type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
 	hooks    []func()
-	vars     []publishedVar
-}
-
-// publishedVar is one caller-supplied /debug/vars key (see PublishVar).
-type publishedVar struct {
-	key string
-	fn  func() any
 }
 
 // NewRegistry returns an empty registry.
@@ -96,28 +89,6 @@ func (r *Registry) OnScrape(fn func()) {
 	r.mu.Lock()
 	r.hooks = append(r.hooks, fn)
 	r.mu.Unlock()
-}
-
-// PublishVar adds a key to this registry's /debug/vars document, evaluated
-// (and JSON-encoded) on every request. Unlike expvar.Publish it is
-// per-registry, so tests and multi-registry processes cannot collide.
-func (r *Registry) PublishVar(key string, fn func() any) {
-	if r == nil || fn == nil {
-		return
-	}
-	r.mu.Lock()
-	r.vars = append(r.vars, publishedVar{key: key, fn: fn})
-	r.mu.Unlock()
-}
-
-// publishedVars snapshots the registered /debug/vars extensions.
-func (r *Registry) publishedVars() []publishedVar {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]publishedVar(nil), r.vars...)
 }
 
 func validName(name string) bool {
@@ -302,109 +273,6 @@ func (h *Histogram) Sum() float64 {
 		return 0
 	}
 	return h.sum.load()
-}
-
-// Quantile estimates the q-quantile (q in [0, 1]) of the observed
-// distribution by linear interpolation within the bucket the target rank
-// falls in — the same estimate Prometheus' histogram_quantile computes.
-// Values landing in the +Inf bucket clamp to the last finite bound. NaN is
-// returned when the histogram is empty or q is out of range.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || q < 0 || q > 1 {
-		return math.NaN()
-	}
-	total := h.n.Load()
-	if total == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(total)
-	var cum float64
-	for i, ub := range h.upper {
-		c := float64(h.counts[i].Load())
-		if cum+c >= rank {
-			lo := 0.0
-			if i > 0 {
-				lo = h.upper[i-1]
-			}
-			if c == 0 {
-				return ub
-			}
-			return lo + (ub-lo)*(rank-cum)/c
-		}
-		cum += c
-	}
-	// Target rank is in the +Inf bucket: the upper bound is unknowable, so
-	// report the largest finite bound (what histogram_quantile does too).
-	if len(h.upper) == 0 {
-		return math.NaN()
-	}
-	return h.upper[len(h.upper)-1]
-}
-
-// histogramFamilies snapshots the registry's histogram families.
-func (r *Registry) histogramFamilies() []*family {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	fams := make([]*family, 0, len(r.families))
-	for _, f := range r.families {
-		if f.typ == histogramType {
-			fams = append(fams, f)
-		}
-	}
-	return fams
-}
-
-// histogramChildren snapshots a family's series.
-func (f *family) histogramChildren() map[string]*Histogram {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make(map[string]*Histogram, len(f.children))
-	for k, c := range f.children {
-		out[k] = c.(*Histogram)
-	}
-	return out
-}
-
-// quantileSpecs are the estimates reported on /debug/vars. p999 resolves the
-// seconds-scale tail a fleet under shed sees.
-var quantileSpecs = []struct {
-	label string
-	q     float64
-}{{"p50", 0.50}, {"p95", 0.95}, {"p99", 0.99}, {"p999", 0.999}}
-
-// Quantiles returns lifetime p50/p95/p99/p999 estimates for every registered
-// histogram series, keyed "name{labels}" → quantile label → estimate. Each
-// block also carries a "count" key — the number of samples behind the
-// estimates — so a p99 over 3 observations is distinguishable from one over
-// 30k. Empty series are skipped. This feeds /debug/vars so quick latency
-// checks don't require a Prometheus stack; a windowed quantile is
-// histogram_quantile over a rate at the scraper.
-func (r *Registry) Quantiles() map[string]map[string]float64 {
-	if r == nil {
-		return nil
-	}
-	out := map[string]map[string]float64{}
-	for _, f := range r.histogramFamilies() {
-		for k, h := range f.histogramChildren() {
-			count := h.Count()
-			if count == 0 {
-				continue
-			}
-			series := f.name
-			if k != "" {
-				series += "{" + k + "}"
-			}
-			est := make(map[string]float64, len(quantileSpecs)+1)
-			for _, spec := range quantileSpecs {
-				if v := h.Quantile(spec.q); !math.IsNaN(v) {
-					est[spec.label] = v
-				}
-			}
-			est["count"] = float64(count)
-			out[series] = est
-		}
-	}
-	return out
 }
 
 type atomicFloat struct {

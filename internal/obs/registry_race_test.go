@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -12,8 +11,8 @@ import (
 // TestRegistryConcurrentScrapeHighCardinality hammers one registry from
 // writer goroutines that keep minting new label combinations (the worst-case
 // cardinality pattern: per-route, per-code, per-vehicle labels all growing
-// mid-scrape) while scrapers concurrently render the Prometheus exposition
-// and compute quantiles. Run under -race this pins down
+// mid-scrape) while scrapers concurrently serve /metrics and read the
+// histogram buckets the SLO sources sum. Run under -race this pins down
 // the registry's central claim: scrapes stay consistent while the series set
 // is still growing.
 func TestRegistryConcurrentScrapeHighCardinality(t *testing.T) {
@@ -37,7 +36,6 @@ func TestRegistryConcurrentScrapeHighCardinality(t *testing.T) {
 				r.Gauge("race_depth", "test", L("vehicle", id)).Set(float64(i))
 				h := r.Histogram("race_latency_seconds", "test", nil, L("vehicle", id))
 				h.Observe(float64(i%20) / 10)
-				h.Quantile(0.99)
 			}
 		}(g)
 	}
@@ -52,13 +50,13 @@ func TestRegistryConcurrentScrapeHighCardinality(t *testing.T) {
 					return
 				default:
 				}
-				if err := r.WritePrometheus(io.Discard); err != nil {
-					t.Errorf("WritePrometheus: %v", err)
+				rec := httptest.NewRecorder()
+				r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+				if rec.Code != 200 {
+					t.Errorf("/metrics: status %d", rec.Code)
 					return
 				}
-				r.Quantiles()
-				rec := httptest.NewRecorder()
-				varsHandler(r).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/vars", nil))
+				r.SumHistogramBuckets("race_latency_seconds", nil, 1)
 			}
 		}()
 	}
@@ -80,8 +78,7 @@ func TestRegistryConcurrentScrapeHighCardinality(t *testing.T) {
 	if got := strings.Count(out, "race_depth{"); got != writers*seriesPerG {
 		t.Fatalf("race_depth series = %d, want %d", got, writers*seriesPerG)
 	}
-	// Only the histogram family contributes: one estimate block per series.
-	if got := len(r.Quantiles()); got != writers*seriesPerG {
-		t.Fatalf("quantile series = %d, want %d", got, writers*seriesPerG)
+	if _, total := r.SumHistogramBuckets("race_latency_seconds", nil, 1); total != writers*seriesPerG {
+		t.Fatalf("histogram observations = %d, want %d", total, writers*seriesPerG)
 	}
 }

@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"math"
-	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -192,107 +189,5 @@ func TestConcurrentIncrements(t *testing.T) {
 	}
 	if got := r.Histogram("conc_seconds", "", []float64{0.5}).Count(); got != workers*perWorker {
 		t.Fatalf("histogram count = %d, want %d", got, workers*perWorker)
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("q_test_seconds", "", []float64{0.1, 0.2, 0.4, 0.8})
-
-	// Empty histogram: no estimate.
-	if v := h.Quantile(0.5); !math.IsNaN(v) {
-		t.Fatalf("empty histogram p50 = %v, want NaN", v)
-	}
-
-	// 100 samples spread uniformly through (0, 0.1]: every quantile
-	// interpolates inside the first bucket.
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i) * 0.001)
-	}
-	if p50 := h.Quantile(0.5); math.Abs(p50-0.05) > 1e-9 {
-		t.Fatalf("p50 = %v, want 0.05", p50)
-	}
-	if p99 := h.Quantile(0.99); math.Abs(p99-0.099) > 1e-9 {
-		t.Fatalf("p99 = %v, want 0.099", p99)
-	}
-
-	// One outlier beyond the last bound lands in +Inf: the estimate clamps
-	// to the last finite bound once the rank reaches it.
-	h.Observe(10)
-	if p := h.Quantile(1); p != 0.8 {
-		t.Fatalf("p100 with +Inf sample = %v, want clamp to 0.8", p)
-	}
-
-	// Out-of-range q.
-	if v := h.Quantile(1.5); !math.IsNaN(v) {
-		t.Fatalf("q=1.5 = %v, want NaN", v)
-	}
-	var nilH *Histogram
-	if v := nilH.Quantile(0.5); !math.IsNaN(v) {
-		t.Fatalf("nil histogram = %v, want NaN", v)
-	}
-}
-
-func TestRegistryQuantiles(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("req_seconds", "", []float64{0.1, 1}, L("route", "/report"))
-	r.Histogram("empty_seconds", "", nil) // never observed: skipped
-	r.Counter("not_a_histogram", "").Inc()
-	for i := 0; i < 10; i++ {
-		h.Observe(0.05)
-	}
-
-	q := r.Quantiles()
-	if len(q) != 1 {
-		t.Fatalf("quantiles for %d series, want 1: %+v", len(q), q)
-	}
-	est, ok := q[`req_seconds{route="/report"}`]
-	if !ok {
-		t.Fatalf("series key missing: %+v", q)
-	}
-	for _, p := range []string{"p50", "p95", "p99"} {
-		v, ok := est[p]
-		if !ok {
-			t.Fatalf("%s missing: %+v", p, est)
-		}
-		if v <= 0 || v > 0.1 {
-			t.Fatalf("%s = %v, want within first bucket", p, v)
-		}
-	}
-	if got := est["count"]; got != 10 {
-		t.Fatalf("count = %v, want 10 (quantiles must carry their sample count)", got)
-	}
-
-	var nilR *Registry
-	if nilR.Quantiles() != nil {
-		t.Fatal("nil registry quantiles not nil")
-	}
-}
-
-func TestDebugVarsIncludesQuantiles(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("vars_seconds", "", []float64{0.1, 1})
-	h.Observe(0.05)
-	srv := httptest.NewServer(NewDebugMux(r))
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var doc map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatalf("vars not valid JSON: %v", err)
-	}
-	if _, ok := doc["memstats"]; !ok {
-		t.Fatal("standard expvar memstats missing")
-	}
-	var q map[string]map[string]float64
-	if err := json.Unmarshal(doc["crowdwifi_histogram_quantiles"], &q); err != nil {
-		t.Fatalf("quantile block: %v (doc keys: %v)", err, len(doc))
-	}
-	if _, ok := q["vars_seconds"]; !ok {
-		t.Fatalf("vars_seconds quantiles missing: %+v", q)
 	}
 }

@@ -314,16 +314,10 @@ func (e *Engine) export(st Status) {
 		return
 	}
 	for _, os := range st.Objectives {
-		e.reg.Gauge("crowdwifi_slo_target",
-			"Declared objective target (good/total fraction).",
-			obs.L("slo", os.Name)).Set(os.Target)
 		for _, w := range os.Windows {
 			e.reg.Gauge("crowdwifi_slo_burn_rate",
 				"Error-budget burn rate over the window (1.0 = budget exactly consumed at window end).",
 				obs.L("slo", os.Name), obs.L("window", w.Window)).Set(w.BurnRate)
-			e.reg.Gauge("crowdwifi_slo_error_rate",
-				"Error rate over the window.",
-				obs.L("slo", os.Name), obs.L("window", w.Window)).Set(w.ErrorRate)
 		}
 		for _, a := range os.Alerts {
 			v := 0.0

@@ -14,7 +14,8 @@ type index struct {
 }
 
 // Handler serves the store as JSON: the bare path lists recent, slowest-per-
-// endpoint, and error traces; "<path>/{id}" returns one assembled trace.
+// endpoint, and error traces; "<path>/{id}" returns this process's spans of
+// one trace.
 func (s *Store) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
@@ -46,7 +47,8 @@ func (s *Store) Handler() http.Handler {
 }
 
 // Mount attaches the trace endpoints to mux: /debug/traces (recent +
-// slowest + errors) and /debug/traces/{id} (one assembled trace).
+// slowest + errors) and /debug/traces/{id} (this process's spans of one
+// trace). Every process, shard or router, mounts its own store here.
 func Mount(mux *http.ServeMux, s *Store) {
 	if s == nil {
 		return

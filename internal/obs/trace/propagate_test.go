@@ -16,7 +16,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	h := http.Header{}
 	Inject(ctx, h)
 	v := h.Get(Header)
-	want := "00-" + s.traceID.String() + "-" + s.SpanID() + "-01"
+	want := "00-" + s.traceID.String() + "-" + s.spanID.String() + "-01"
 	if v != want {
 		t.Fatalf("injected %q, want %q", v, want)
 	}
@@ -25,8 +25,8 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Extract: %v", err)
 	}
-	if tid.String() != s.traceID.String() || parent.String() != s.SpanID() || !sampled {
-		t.Fatalf("extracted %s/%s/%v, want %s/%s/true", tid, parent, sampled, s.traceID.String(), s.SpanID())
+	if tid.String() != s.traceID.String() || parent.String() != s.spanID.String() || !sampled {
+		t.Fatalf("extracted %s/%s/%v, want %s/%s/true", tid, parent, sampled, s.traceID.String(), s.spanID.String())
 	}
 
 	// Server side continues the trace with the client span as remote parent.

@@ -9,7 +9,7 @@ import (
 // Store retention defaults.
 const (
 	DefaultCapacity        = 256
-	DefaultSlowPerEndpoint = 4
+	defaultSlowPerEndpoint = 4
 )
 
 // TraceSummary is the list-view form of one retained trace.
@@ -22,8 +22,8 @@ type TraceSummary struct {
 	Error      bool      `json:"error,omitempty"`
 }
 
-// TraceData is one fully-assembled trace: every retained span, ordered by
-// start time.
+// TraceData is one trace as this process holds it: every retained span,
+// ordered by start time.
 type TraceData struct {
 	ID         string     `json:"id"`
 	Root       string     `json:"root"`
@@ -76,7 +76,7 @@ func newStore(capacity, errCapacity, slowN int) *Store {
 		}
 	}
 	if slowN <= 0 {
-		slowN = DefaultSlowPerEndpoint
+		slowN = defaultSlowPerEndpoint
 	}
 	return &Store{
 		capRecent: capacity,
@@ -263,40 +263,6 @@ func (s *Store) Slowest() map[string][]TraceSummary {
 		out[name] = s.summariesLocked(ids, false)
 	}
 	return out
-}
-
-// Merge assembles per-process trace fragments into one logical trace: spans
-// are pooled, deduplicated by span id, re-sorted by start time, the root and
-// duration recomputed, and the error flag ORed across fragments. It is the
-// cross-process counterpart of the store's own fragment merge — the router
-// uses it to join its hop with the owning shard's server-side fragment. The
-// trace id is the first fragment's non-empty ID. ok is false when no
-// fragment carried any spans.
-func Merge(fragments ...TraceData) (TraceData, bool) {
-	id := ""
-	for _, fr := range fragments {
-		if fr.ID != "" {
-			id = fr.ID
-			break
-		}
-	}
-	if id == "" {
-		return TraceData{}, false
-	}
-	scratch := newStore(1, 1, 1)
-	seen := map[string]bool{}
-	for _, fr := range fragments {
-		spans := make([]SpanData, 0, len(fr.Spans))
-		for _, sp := range fr.Spans {
-			if sp.SpanID != "" && seen[sp.SpanID] {
-				continue
-			}
-			seen[sp.SpanID] = true
-			spans = append(spans, sp)
-		}
-		scratch.add(id, spans, fr.Error)
-	}
-	return scratch.Get(id)
 }
 
 // Get returns a copy of one retained trace by hex id.

@@ -11,7 +11,10 @@
 // Spans from one trace may finish in separate bursts (a client retry that
 // drains from the outbox minutes later, a server handling each retry
 // attempt): each burst commits a fragment to the store, and the store merges
-// fragments by trace ID, so /debug/traces/{id} always shows the whole story.
+// fragments by trace ID, so /debug/traces/{id} shows the whole of this
+// process's part. Each process serves only its own spans; the traceparent's
+// parent id is the link a reader follows from one process's span to the
+// next's.
 package trace
 
 import (
@@ -69,7 +72,7 @@ type SpanData struct {
 
 // Config configures a Tracer. Its trace store keeps the defaults: the last
 // DefaultCapacity traces, a quarter as many error traces, and the
-// DefaultSlowPerEndpoint slowest per root span name.
+// defaultSlowPerEndpoint slowest per root span name.
 type Config struct {
 	// SampleRate is the head-sampling probability for new root traces in
 	// [0, 1]: 1 records every trace, 0 records none. Remote continuations
@@ -349,14 +352,6 @@ func (p *Span) child(ctx context.Context, name string) (context.Context, *Span) 
 		start:    p.tracer.now(),
 	}
 	return context.WithValue(ctx, spanKey, s), s
-}
-
-// SpanID returns the span's id in hex ("" on nil).
-func (s *Span) SpanID() string {
-	if s == nil {
-		return ""
-	}
-	return s.spanID.String()
 }
 
 // SetAttr attaches a key/value attribute.

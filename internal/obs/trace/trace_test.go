@@ -28,7 +28,7 @@ func TestSpanTreeCommitsToStore(t *testing.T) {
 	if child.traceID.String() != root.traceID.String() {
 		t.Fatalf("child trace id %s != root %s", child.traceID.String(), root.traceID.String())
 	}
-	if child.SpanID() == root.SpanID() {
+	if child.spanID.String() == root.spanID.String() {
 		t.Fatal("child reused parent span id")
 	}
 	child.AddEvent("first attempt")
@@ -65,8 +65,8 @@ func TestSpanTreeCommitsToStore(t *testing.T) {
 		switch sp.Name {
 		case "retry.attempt":
 			sawChild = true
-			if sp.ParentID != root.SpanID() {
-				t.Fatalf("attempt parent %s, want %s", sp.ParentID, root.SpanID())
+			if sp.ParentID != root.spanID.String() {
+				t.Fatalf("attempt parent %s, want %s", sp.ParentID, root.spanID.String())
 			}
 			if sp.Error != "connection refused" {
 				t.Fatalf("attempt error %q", sp.Error)
@@ -95,7 +95,7 @@ func TestNilSafety(t *testing.T) {
 	s.AddEvent("e")
 	s.SetError(errors.New("x"))
 	s.End()
-	if s.SpanID() != "" || s.Traceparent() != "" {
+	if s.Traceparent() != "" {
 		t.Fatal("nil span ids not empty")
 	}
 
@@ -149,8 +149,8 @@ func TestIDsForLogCorrelation(t *testing.T) {
 	ctx, s := Start(ctx, "x")
 	defer s.End()
 	tid, sid, ok := IDs(ctx)
-	if !ok || tid != s.traceID.String() || sid != s.SpanID() {
-		t.Fatalf("IDs = %s %s %v, want %s %s true", tid, sid, ok, s.traceID.String(), s.SpanID())
+	if !ok || tid != s.traceID.String() || sid != s.spanID.String() {
+		t.Fatalf("IDs = %s %s %v, want %s %s true", tid, sid, ok, s.traceID.String(), s.spanID.String())
 	}
 	if len(tid) != 32 || len(sid) != 16 {
 		t.Fatalf("hex lengths %d/%d, want 32/16", len(tid), len(sid))

@@ -61,7 +61,7 @@ type Options struct {
 	// which is what both binaries run. It stays an option because the shed
 	// tests force a shed through it without holding 129 requests open.
 	Max int
-	// Registry receives the overload metric series; nil keeps them private.
+	// Registry receives the overload metric series; nil records none.
 	Registry *obs.Registry
 	// Probe checks whether the disk accepts durable writes again (an append
 	// plus fsync of a throwaway record). Required for read-only recovery;
@@ -147,7 +147,6 @@ func New(opts Options) *Admission {
 				opts.OnTransition(from, to, reason)
 			}
 		},
-		since: time.Now(),
 	}
 	a.metrics.mode.Set(float64(ModeHealthy))
 	for f := range a.fams {
@@ -166,23 +165,6 @@ func (a *Admission) Controller() *Controller { return a.ctrl }
 
 // Mode returns the current durability mode.
 func (a *Admission) Mode() Mode { return a.ctrl.Mode() }
-
-// Load is one family's admission state, for /debug/vars and tests.
-type Load struct {
-	Inflight, Queued int
-	Admitted, Shed   uint64
-}
-
-// Load returns the named family's current state.
-func (a *Admission) Load(f Family) Load {
-	fam, m := &a.fams[f], &a.metrics
-	return Load{
-		Inflight: len(fam.slots),
-		Queued:   int(fam.waiting.Load()),
-		Admitted: m.admitted[f].Value(),
-		Shed:     m.shedLimit[f].Value() + m.shedReadOnly[f].Value(),
-	}
-}
 
 // Admit decides one request. mutation marks requests that must write
 // durably (rejected outright while read-only).
@@ -203,7 +185,7 @@ func (a *Admission) Admit(ctx context.Context, f Family, mutation bool) Decision
 }
 
 // admissionMetrics exposes the overload subsystem on /metrics. Without a
-// registry the series live in a private one, so Load still reads them.
+// registry every series is a nil no-op.
 type admissionMetrics struct {
 	mode *obs.Gauge
 	reg  *obs.Registry // source for labeled transition counters
@@ -214,9 +196,6 @@ type admissionMetrics struct {
 }
 
 func newAdmissionMetrics(reg *obs.Registry) admissionMetrics {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	m := admissionMetrics{reg: reg}
 	m.mode = reg.Gauge("crowdwifi_overload_mode",
 		"Durability mode: 0 healthy, 2 read-only, 3 recovering.")

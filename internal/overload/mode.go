@@ -66,20 +66,11 @@ type Controller struct {
 	mode atomic.Int32
 
 	mu       sync.Mutex
-	reason   string
-	since    time.Time
 	probeOKs int
 }
 
 // Mode returns the current state.
 func (c *Controller) Mode() Mode { return Mode(c.mode.Load()) }
-
-// Status returns the current state, the reason it was entered, and when.
-func (c *Controller) Status() (mode Mode, reason string, since time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.Mode(), c.reason, c.since
-}
 
 // transition moves the machine to `to` if the edge is legal, firing
 // onTransition. Returns whether a change happened.
@@ -96,8 +87,6 @@ func (c *Controller) transition(to Mode, reason string) bool {
 		return false
 	}
 	c.mode.Store(int32(to))
-	c.reason = reason
-	c.since = time.Now()
 	c.probeOKs = 0
 	c.mu.Unlock()
 	if c.onTransition != nil {

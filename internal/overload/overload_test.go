@@ -35,9 +35,10 @@ func (p *probeStub) probe(context.Context) error {
 
 func TestControllerReadOnlyRecoveryCycle(t *testing.T) {
 	var p probeStub
-	var edges []string
-	a := New(Options{Probe: p.probe, OnTransition: func(from, to Mode, _ string) {
+	var edges, reasons []string
+	a := New(Options{Probe: p.probe, OnTransition: func(from, to Mode, reason string) {
 		edges = append(edges, from.String()+">"+to.String())
+		reasons = append(reasons, reason)
 	}})
 	c := a.Controller()
 
@@ -46,7 +47,7 @@ func TestControllerReadOnlyRecoveryCycle(t *testing.T) {
 	if got := c.Mode(); got != ModeReadOnly {
 		t.Fatalf("mode = %v, want read-only", got)
 	}
-	if _, reason, _ := c.Status(); !strings.Contains(reason, "fsync") {
+	if reason := reasons[len(reasons)-1]; !strings.Contains(reason, "fsync") {
 		t.Fatalf("reason = %q, want the durability error in it", reason)
 	}
 
@@ -116,7 +117,8 @@ func TestControllerIllegalEdgesRejected(t *testing.T) {
 // --- Family bound ---------------------------------------------------------
 
 func TestLimiterAdmitsUpToLimitThenSheds(t *testing.T) {
-	a := New(Options{Max: 2})
+	reg := obs.NewRegistry()
+	a := New(Options{Max: 2, Registry: reg})
 	d1 := a.Admit(context.Background(), FamilyUpload, true)
 	d2 := a.Admit(context.Background(), FamilyUpload, true)
 	if !d1.OK || !d2.OK {
@@ -142,8 +144,13 @@ func TestLimiterAdmitsUpToLimitThenSheds(t *testing.T) {
 		t.Fatal("acquire after release shed")
 	}
 	d3.Release(0, true)
-	if got := a.Load(FamilyUpload); got != (Load{Admitted: 3, Shed: 1}) {
-		t.Fatalf("load = %+v, want 3 admitted, 1 shed, nothing in flight or queued", got)
+	upload := func(ls map[string]string) bool { return ls["family"] == "upload" }
+	admitted := reg.SumCounters("crowdwifi_admission_admitted_total", upload)
+	shed := reg.SumCounters("crowdwifi_admission_shed_total", upload)
+	fam := &a.fams[FamilyUpload]
+	if admitted != 3 || shed != 1 || len(fam.slots) != 0 || fam.waiting.Load() != 0 {
+		t.Fatalf("admitted %v, shed %v, %d in flight, %d queued; want 3 admitted, 1 shed, nothing in flight or queued",
+			admitted, shed, len(fam.slots), fam.waiting.Load())
 	}
 }
 
@@ -159,7 +166,7 @@ func TestLimiterQueueHandoff(t *testing.T) {
 		d.Release(0, true)
 		got <- d.OK
 	}()
-	for a.Load(FamilyUpload).Queued == 0 {
+	for a.fams[FamilyUpload].waiting.Load() == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	d1.Release(0, true)
@@ -189,7 +196,8 @@ func TestLimiterRespectsContextCancel(t *testing.T) {
 // TestLimiterQueueIsBounded: with the cap taken and queueDepth requests
 // already waiting, the next one is shed at once instead of queueing.
 func TestLimiterQueueIsBounded(t *testing.T) {
-	a := New(Options{Max: 1})
+	reg := obs.NewRegistry()
+	a := New(Options{Max: 1, Registry: reg})
 	hold := a.Admit(context.Background(), FamilyUpload, true)
 	defer hold.Release(0, true)
 	var wg sync.WaitGroup
@@ -200,7 +208,7 @@ func TestLimiterQueueIsBounded(t *testing.T) {
 			a.Admit(context.Background(), FamilyUpload, true)
 		}()
 	}
-	for a.Load(FamilyUpload).Queued < queueDepth {
+	for a.fams[FamilyUpload].waiting.Load() < queueDepth {
 		time.Sleep(time.Millisecond)
 	}
 	start := time.Now()
@@ -211,8 +219,8 @@ func TestLimiterQueueIsBounded(t *testing.T) {
 		t.Fatalf("the request over the queue bound waited %v; want an immediate shed", waited)
 	}
 	wg.Wait()
-	if got := a.Load(FamilyUpload).Shed; got != queueDepth+1 {
-		t.Fatalf("shed = %d, want every waiter (%d) plus the one over the bound", got, queueDepth+1)
+	if got := reg.SumCounters("crowdwifi_admission_shed_total", nil); got != queueDepth+1 {
+		t.Fatalf("shed = %v, want every waiter (%d) plus the one over the bound", got, queueDepth+1)
 	}
 }
 

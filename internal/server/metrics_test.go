@@ -130,7 +130,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 
 	// The aggregation triggered at least one reliability-inference run with
 	// message-passing sweeps.
-	if v := seriesValue(t, exp, "crowdwifi_crowd_inference_sweeps_total"); v < 1 {
+	if v := seriesValue(t, exp, "crowdwifi_crowd_inference_sweeps_sum"); v < 1 {
 		t.Errorf("crowd sweeps = %v, want >= 1", v)
 	}
 	runs := seriesValue(t, exp, `crowdwifi_crowd_inference_runs_total{outcome="converged"}`) +
@@ -209,21 +209,22 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDebugEndpointsMounted asserts pprof and expvar share the API mux.
+// TestDebugEndpointsMounted asserts pprof shares the API mux, and that
+// /metrics is the one exposition: /debug/vars is not served.
 func TestDebugEndpointsMounted(t *testing.T) {
 	reg := obs.NewRegistry()
 	store := NewStore(10)
 	ts := httptest.NewServer(New(store, WithMetrics(NewMetrics(reg))))
 	defer ts.Close()
 
-	for _, path := range []string{"/debug/pprof/", "/debug/vars"} {
+	for path, want := range map[string]int{"/debug/pprof/": http.StatusOK, "/debug/vars": http.StatusNotFound} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s: status %d", path, resp.StatusCode)
+		if resp.StatusCode != want {
+			t.Errorf("GET %s: status %d, want %d", path, resp.StatusCode, want)
 		}
 	}
 }

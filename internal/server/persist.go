@@ -520,12 +520,10 @@ func (s *Store) Snapshot() (uint64, error) {
 	opts := s.storage
 	s.mu.Unlock()
 
-	start := time.Now()
 	if err := wal.WriteSnapshot(opts.Dir, seq, state); err != nil {
-		opts.Metrics.ObserveSnapshot(time.Since(start), err)
+		opts.Metrics.ObserveSnapshot(err)
 		return 0, err
 	}
-	opts.Metrics.ObserveSnapshot(time.Since(start), nil)
 	// The log goes only through the oldest snapshot kept: the spare is a
 	// fallback for a newest one that turns out unreadable, and a fallback
 	// needs the records after it.

@@ -4,6 +4,11 @@
 // and online-CS reports, inferring per-vehicle reliability with iterative
 // message passing, and serving reliability-weighted fused AP lookup results
 // to user-vehicles.
+//
+// A server answers for itself on its debug surface: /metrics is its own
+// registry, /debug/traces its own spans (a routed upload's router spans are
+// on the router, under the attempt this server's span names as its parent),
+// /debug/slo its own objectives.
 package server
 
 import (
@@ -447,9 +452,11 @@ func (s *Store) cycleView(ctx context.Context, c capture) (*view, CycleStats, er
 	defer fspan.End()
 	fused, err := par.Map(fctx, len(order), 0, func(i int) ([]geo.Point, error) {
 		k := order[i]
-		// MinWeight 0.5 drops clusters supported only by vehicles the
-		// inference marked unreliable: a lone spammer (weight ≈ 0.05) cannot
-		// plant APs, while a single honest vehicle (weight ≈ 1) still can.
+		// MinWeight 0.5 drops clusters supported only by vehicles weighed
+		// under half. Weights are min-max scaled (NormalizeReliability), so
+		// only the cycle's most negative vehicle sits at 0.05: even on a
+		// regular task graph 45–50 % of spammers weigh ≥ 0.5 and can plant
+		// APs alone, as can a vehicle that answered no task (weight 1).
 		return crowd.WeightedFusion(grouped[first[k]:first[k+1]], weights[first[k]:first[k+1]], crowd.FusionOptions{
 			MergeRadius: s.mergeRadius,
 			MinWeight:   0.5,
@@ -619,8 +626,7 @@ type Option func(*Server)
 
 // WithMetrics attaches a metrics bundle: every route is wrapped with the
 // request-counting middleware, the store's ingest and aggregation paths are
-// instrumented, and /metrics plus the debug endpoints (expvar, pprof) are
-// mounted on the server's own mux.
+// instrumented, and /metrics plus pprof are mounted on the server's own mux.
 func WithMetrics(m *Metrics) Option {
 	return func(s *Server) { s.metrics = m }
 }
@@ -728,7 +734,7 @@ func (s *Server) Debug() http.Handler { return s.debug }
 // buildOverload finishes the admission controller's wiring once the other
 // options (metrics, health, tracer, store) are resolved: transitions update
 // /readyz's mode, log a warning, and — when a tracer is attached — record an
-// overload.transition span; the state block lands on /debug/vars.
+// overload.transition span.
 func (s *Server) buildOverload() {
 	o := s.ovOpts
 	if o.Registry == nil && s.metrics != nil {
@@ -758,23 +764,6 @@ func (s *Server) buildOverload() {
 	// Background interval fsync failures have no request to surface through;
 	// route them straight to the state machine.
 	s.store.OnDurabilityError(s.reportDurability)
-	if o.Registry != nil {
-		o.Registry.PublishVar("crowdwifi_overload", s.overloadVars)
-	}
-}
-
-func (s *Server) overloadVars() any {
-	mode, reason, since := s.ov.Controller().Status()
-	fams := map[string]overload.Load{}
-	for _, f := range []overload.Family{overload.FamilyLookup, overload.FamilyControl, overload.FamilyUpload} {
-		fams[f.String()] = s.ov.Load(f)
-	}
-	return map[string]any{
-		"mode":     mode.String(),
-		"reason":   reason,
-		"since":    since,
-		"families": fams,
-	}
 }
 
 // Overload exposes the admission controller (nil unless WithOverload was

@@ -6,10 +6,9 @@ import "crowdwifi/internal/obs"
 // iterations-to-converge. A nil *Metrics is a no-op, so BPDN records
 // unconditionally.
 type Metrics struct {
-	converged  *obs.Counter
-	diverged   *obs.Counter
-	iterations *obs.Counter
-	iterHist   *obs.Histogram
+	converged *obs.Counter
+	diverged  *obs.Counter
+	iterHist  *obs.Histogram
 }
 
 // NewMetrics registers the solver series on reg, eagerly, so exposition
@@ -21,10 +20,9 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	}
 	sl := obs.L("solver", "bpdn")
 	return &Metrics{
-		converged:  reg.Counter("crowdwifi_solver_runs_total", "Completed solver runs by outcome.", sl, obs.L("outcome", "converged")),
-		diverged:   reg.Counter("crowdwifi_solver_runs_total", "Completed solver runs by outcome.", sl, obs.L("outcome", "diverged")),
-		iterations: reg.Counter("crowdwifi_solver_iterations_total", "Total solver iterations performed.", sl),
-		iterHist:   reg.Histogram("crowdwifi_solver_iterations", "Iterations-to-converge per solver run.", []float64{1, 2, 5, 10, 25, 50, 100, 200, 400, 800}, sl),
+		converged: reg.Counter("crowdwifi_solver_runs_total", "Completed solver runs by outcome.", sl, obs.L("outcome", "converged")),
+		diverged:  reg.Counter("crowdwifi_solver_runs_total", "Completed solver runs by outcome.", sl, obs.L("outcome", "diverged")),
+		iterHist:  reg.Histogram("crowdwifi_solver_iterations", "Iterations-to-converge per solver run.", []float64{1, 2, 5, 10, 25, 50, 100, 200, 400, 800}, sl),
 	}
 }
 
@@ -38,7 +36,6 @@ func (m *Metrics) record(res *Result) *Result {
 	} else {
 		m.diverged.Inc()
 	}
-	m.iterations.Add(uint64(res.Iterations))
 	m.iterHist.Observe(float64(res.Iterations))
 	return res
 }

@@ -297,11 +297,7 @@ func (l *Log) rotateLocked() error {
 	if err := l.f.Close(); err != nil {
 		return err
 	}
-	if err := l.createSegmentLocked(); err != nil {
-		return err
-	}
-	l.m.incRotations()
-	return nil
+	return l.createSegmentLocked()
 }
 
 func (l *Log) syncLocked() error {
@@ -564,7 +560,6 @@ func (l *Log) CompactThrough(seq uint64) error {
 			return err
 		}
 		l.dirty = false
-		l.m.incRotations()
 		if dirty {
 			sealed = old
 		} else if err := old.Close(); err != nil {
@@ -591,7 +586,6 @@ func (l *Log) CompactThrough(seq uint64) error {
 		err = errors.Join(err, sealed.Close())
 	}
 	if removed > 0 {
-		l.m.addCompacted(removed)
 		err = errors.Join(err, l.fs.SyncDir(l.dir))
 	}
 	return err
