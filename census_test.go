@@ -22,12 +22,8 @@ var censusAllow = map[string]string{
 	// Fakes and helpers whose only callers are tests, on purpose.
 	"internal/chaos.*":                         "the fault-injection fake four test suites drive; nothing ships with it",
 	"internal/mat.EqualApprox":                 "the matrix comparison mat's and cs's tests state their properties with",
-	"internal/mat.NewFromRows":                 "the literal-matrix constructor mat's tests are written in",
 	"internal/geo.Trajectory.SampleByDistance": "how the cs, client and cluster tests lay reference points along a drive",
-	"internal/obs/trace.NewStore":              "a standalone span store for tests; tracers build their own",
-	"internal/retry.Breaker.State":             "the breaker's state machine is tested through it",
 	"internal/client.Outbox.Evicted":           "the fleet tests count what a full outbox dropped",
-	"internal/cs.Engine.AllEstimates":          "consolidation is tested on the unfiltered estimate set",
 	// References and paper material.
 	"internal/cs.BuildPhi":                "Section 4.2.2's Φ: TestPhiPsiMatchesDirectConstructionOnGridPoints holds BuildSensingMatrix to ΦΨ",
 	"internal/cs.BuildPsi":                "Section 4.2.2's Ψ, same test",
@@ -38,8 +34,9 @@ var censusAllow = map[string]string{
 	"internal/traceio.WriteMeasurements":  "the writing half of the -trace format the vehicle reads",
 	"internal/traceio.ReadEstimates":      "the reading half of the -out format the vehicle writes",
 	// Library-only operations and knobs only tests turn.
-	"internal/server.ExportFromDir": "rebalance from a dead shard's disk: library-only, each part posted to its owner as a move; proven by TestKillOneShard (verify skill)",
-	"internal/retry.WithBudget":     "every Doer runs the default budget (ratio 0.5, burst 10); the chaos e2e and doer tests loosen or tighten it",
+	"internal/server.ExportFromDir":     "rebalance from a dead shard's disk: library-only, each part posted to its owner as a move; proven by TestKillOneShard (verify skill)",
+	"internal/retry.WithBudget":         "every Doer runs the default budget (ratio 0.5, burst 10); the chaos e2e and doer tests loosen or tighten it",
+	"internal/obs.Registry.SumCounters": "how the server, cluster, overload, cs and obs tests read a family's total without scraping",
 }
 
 // goFile is one parsed file: where it lives and what its imports are called.

@@ -11,9 +11,9 @@
 // own registry (each process is its own scrape target, and fleet totals are
 // summed at the scraper), /debug/traces its own spans (a routed upload's
 // shard spans are on the owning shard, under the router attempt their
-// traceparent names), and /debug/slo its burn-rate SLOs. /debug/cluster is
-// a one-fetch JSON view of ring ownership, per-shard digests/modes/WAL
-// depth and the drift a reconcile pass would repair.
+// traceparent names). /debug/cluster is a one-fetch JSON view of ring
+// ownership, per-shard digests/modes/WAL depth and the drift a reconcile
+// pass would repair.
 //
 // On startup the router runs one reconcile pass:
 // it fetches every shard's per-segment digests, moves any segment resident
@@ -54,7 +54,6 @@ import (
 	"crowdwifi/internal/api/front"
 	"crowdwifi/internal/cluster"
 	"crowdwifi/internal/obs"
-	"crowdwifi/internal/obs/slo"
 	"crowdwifi/internal/obs/trace"
 	"crowdwifi/internal/overload"
 )
@@ -135,19 +134,10 @@ func run(cfg config, logger *obs.Logger) error {
 		"dropped_reports", rep.DroppedReports,
 		"duration", time.Since(start))
 
-	// The router's user-facing SLOs are measured at the front door from its
-	// own RED families; the engine samples in the background and refreshes
-	// the crowdwifi_slo_* gauges.
-	sloEngine := slo.New(slo.Config{
-		Objectives: cluster.SLOObjectives(reg),
-		Registry:   reg,
-	})
-	go sloEngine.Run(ctx)
-
 	// The debug surface is built once and served twice: under the API mux,
 	// like the crowd-server's, and alone on -metrics-addr. Its /metrics is
 	// the router's registry alone; shards are scraped at their own addresses.
-	debug := rt.DebugHandler(tracer.Store(), sloEngine.Handler(), health)
+	debug := rt.DebugHandler(tracer.Store(), health)
 	mux := http.NewServeMux()
 	mux.Handle("/", rt)
 	front.ServeDebug(mux, debug)

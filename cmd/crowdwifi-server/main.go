@@ -8,9 +8,9 @@
 // state — including the idempotency cache, so retries of uploads
 // acknowledged before a crash still dedupe.
 //
-// The API mux also serves /metrics (Prometheus text format), /debug/traces,
-// /debug/slo and /debug/pprof/; -metrics-addr exposes the same debug surface
-// on a second, separate listener for deployments that keep it off the public
+// The API mux also serves /metrics (Prometheus text format), /debug/traces
+// and /debug/pprof/; -metrics-addr exposes the same debug surface on a
+// second, separate listener for deployments that keep it off the public
 // port.
 //
 // Usage:
@@ -44,7 +44,6 @@ import (
 	"time"
 
 	"crowdwifi/internal/obs"
-	"crowdwifi/internal/obs/slo"
 	"crowdwifi/internal/obs/trace"
 	"crowdwifi/internal/overload"
 	"crowdwifi/internal/par"
@@ -178,20 +177,11 @@ func run(cfg config, logger *obs.Logger) error {
 			"duration", recovery.Duration)
 	}
 
-	// The SLO engine evaluates the shard's user-facing objectives from its
-	// own RED families; it mounts on the API mux (/debug/slo) and runs until
-	// shutdown.
-	sloEngine := slo.New(slo.Config{
-		Objectives: server.SLOObjectives(reg),
-		Registry:   reg,
-	})
-
 	srvOpts := []server.Option{
 		server.WithMetrics(metrics),
 		server.WithLogger(logger),
 		server.WithTracer(tracer),
 		server.WithHealth(health),
-		server.WithSLO(sloEngine.Handler()),
 		server.WithOverload(overload.Options{}),
 	}
 	if cfg.shardID != "" {
@@ -214,8 +204,6 @@ func run(cfg config, logger *obs.Logger) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	ctx = trace.WithTracer(ctx, tracer)
-
-	go sloEngine.Run(ctx)
 
 	// The durability machine's probe loop walks a read-only server back to
 	// healthy once the disk accepts durable writes again.

@@ -30,10 +30,10 @@ func internalDeps(t *testing.T, pkgs ...string) []string {
 // TestClientsDoNotLinkTheServer keeps the boundary this package exists for:
 // a vehicle and the retry layer speak the protocol
 // without compiling the crowd-server's store, inference, admission control,
-// SLO engine, write-ahead log or the router.
+// write-ahead log or the router.
 func TestClientsDoNotLinkTheServer(t *testing.T) {
 	forbidden := map[string]bool{
-		"server": true, "crowd": true, "overload": true, "obs/slo": true,
+		"server": true, "crowd": true, "overload": true,
 		"cluster": true, "cluster/ring": true, "wal": true,
 	}
 	for _, dep := range internalDeps(t, "crowdwifi/cmd/crowdwifi-vehicle",

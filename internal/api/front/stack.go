@@ -1,7 +1,7 @@
 // Package front is what the shard server and the cluster router need to
 // serve internal/api's routes and no client needs to call them: the
 // middleware stack every route is mounted through, the route → shedding-family
-// table, the SLO objectives and the debug mount. It is kept out of api so that
+// table and the debug mount. It is kept out of api so that
 // a vehicle does not link admission control to parse a Retry-After.
 package front
 

@@ -26,7 +26,6 @@ import (
 	"crowdwifi/internal/api/front"
 	"crowdwifi/internal/cluster/ring"
 	"crowdwifi/internal/obs"
-	"crowdwifi/internal/obs/slo"
 	"crowdwifi/internal/obs/trace"
 	"crowdwifi/internal/overload"
 	"crowdwifi/internal/server"
@@ -121,7 +120,7 @@ func newCountsCluster(tb testing.TB) (*upstreamCounter, string) {
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/", rt)
-	front.ServeDebug(mux, rt.DebugHandler(nil, http.NotFoundHandler(), obs.NewHealth()))
+	front.ServeDebug(mux, rt.DebugHandler(nil, obs.NewHealth()))
 	ts := httptest.NewServer(mux)
 	tb.Cleanup(ts.Close)
 	return up, ts.URL
@@ -265,7 +264,7 @@ func TestCountsRouterHandlerAllocs(t *testing.T) {
 			}
 			mux := http.NewServeMux()
 			mux.Handle("/", rt)
-			front.ServeDebug(mux, rt.DebugHandler(tracer.Store(), http.NotFoundHandler(), obs.NewHealth()))
+			front.ServeDebug(mux, rt.DebugHandler(tracer.Store(), obs.NewHealth()))
 			handler := WithTracer(tracer, mux)
 			serve := func(req *http.Request, rec *httptest.ResponseRecorder) {
 				handler.ServeHTTP(rec, req)
@@ -320,8 +319,8 @@ func BenchmarkRouterBatch(b *testing.B) {
 }
 
 // TestCountsGoroutinesAfterClose is the leak row: a shard on a data
-// directory, with admission control, its probe loop and its SLO engine, and a
-// router in front of it with its own, assembled as the binaries assemble
+// directory, with admission control and its probe loop, and a router in
+// front of it with its own admission, assembled as the binaries assemble
 // them, serve uploads, a batch, a lookup, a cycle and a reconcile. Once both
 // listeners and the store are closed and the context is cancelled, the
 // process is back to the goroutines it started with.
@@ -335,18 +334,14 @@ func TestCountsGoroutinesAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	shardReg := obs.NewRegistry()
-	shardSLO := slo.New(slo.Config{Objectives: server.SLOObjectives(shardReg), Registry: shardReg})
 	srv := server.New(store,
 		server.WithMetrics(server.NewMetrics(shardReg)),
 		server.WithOverload(overload.Options{}),
-		server.WithSLO(shardSLO.Handler()),
 		server.WithCluster(server.ClusterOptions{Self: "a", Members: []string{"a"}}))
 	go srv.Overload().Controller().Run(ctx)
-	go shardSLO.Run(ctx)
 	shardTS := httptest.NewServer(srv)
 
 	routerReg := obs.NewRegistry()
-	routerSLO := slo.New(slo.Config{Objectives: SLOObjectives(routerReg), Registry: routerReg})
 	rt, err := NewRouter(RouterOptions{
 		Peers:    []Peer{{ID: "a", URL: shardTS.URL}},
 		Registry: routerReg,
@@ -355,7 +350,6 @@ func TestCountsGoroutinesAfterClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go routerSLO.Run(ctx)
 	routerTS := httptest.NewServer(rt)
 
 	if _, err := rt.Reconcile(ctx); err != nil {

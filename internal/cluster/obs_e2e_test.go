@@ -7,13 +7,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
 	"crowdwifi/internal/api"
 	"crowdwifi/internal/api/front"
 	"crowdwifi/internal/obs"
-	"crowdwifi/internal/obs/slo"
 	"crowdwifi/internal/obs/trace"
 	"crowdwifi/internal/server"
 )
@@ -46,8 +46,7 @@ func newObsShard(t *testing.T, id string, members []string) *obsShard {
 }
 
 // newObsRouter boots a router wired the way cmd/crowdwifi-router wires it:
-// tracing middleware, the router's DebugHandler, and a live /debug/slo
-// engine over the router's registry.
+// tracing middleware and the router's DebugHandler over its registry.
 func newObsRouter(t *testing.T, shards ...*obsShard) (*Router, *httptest.Server) {
 	t.Helper()
 	var peers []Peer
@@ -60,10 +59,9 @@ func newObsRouter(t *testing.T, shards ...*obsShard) (*Router, *httptest.Server)
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
 	}
-	engine := slo.New(slo.Config{Objectives: SLOObjectives(reg), Registry: reg})
 	mux := http.NewServeMux()
 	mux.Handle("/", rt)
-	front.ServeDebug(mux, rt.DebugHandler(tracer.Store(), engine.Handler(), obs.NewHealth()))
+	front.ServeDebug(mux, rt.DebugHandler(tracer.Store(), obs.NewHealth()))
 	ts := httptest.NewServer(WithTracer(tracer, mux))
 	t.Cleanup(ts.Close)
 	return rt, ts
@@ -348,18 +346,20 @@ func TestThreeShardRerouteTraceNamesFinalShard(t *testing.T) {
 	}
 }
 
-// TestThreeShardOwnMetricsClusterViewAndSLO proves the rest of the plane:
-// every process, the router included, serves only its own registry on
-// /metrics, /debug/cluster sees all shards with zero drift, and /debug/slo
-// reports burn-rate fields for both objectives.
-func TestThreeShardOwnMetricsClusterViewAndSLO(t *testing.T) {
+// TestThreeShardOwnMetricsClusterViewAndObjectiveInputs proves the rest of
+// the plane: every process, the router included, serves only its own
+// registry on /metrics, /debug/cluster sees all shards with zero drift, and
+// the router's page carries what README's two objectives are computed from
+// at the scraper. No process evaluates them itself: /debug/slo is 404.
+func TestThreeShardOwnMetricsClusterViewAndObjectiveInputs(t *testing.T) {
 	members := []string{"a", "b", "c"}
 	a := newObsShard(t, "a", members)
 	b := newObsShard(t, "b", members)
 	c := newObsShard(t, "c", members)
 	_, routerTS := newObsRouter(t, a, b, c)
 
-	postReports(t, routerTS.URL, e2eReports(), "obs-own")
+	reports := e2eReports()
+	postReports(t, routerTS.URL, reports, "obs-own")
 	aggregate(t, routerTS.URL)
 	lookupBytes(t, routerTS.URL)
 
@@ -368,10 +368,8 @@ func TestThreeShardOwnMetricsClusterViewAndSLO(t *testing.T) {
 	if err != nil {
 		t.Fatalf("router metrics: %v", err)
 	}
-	for _, want := range []string{"\ncrowdwifi_router_http_requests_total{", "\ncrowdwifi_slo_burn_rate{"} {
-		if !strings.Contains(body, want) {
-			t.Errorf("router metrics lack %q", want[1:])
-		}
+	if !strings.Contains(body, "\ncrowdwifi_router_http_requests_total{") {
+		t.Error("router metrics lack crowdwifi_router_http_requests_total")
 	}
 	if strings.Contains(body, "crowdwifi_http_requests_total") {
 		t.Error("router metrics carry a shard family: crowdwifi_http_requests_total")
@@ -384,6 +382,52 @@ func TestThreeShardOwnMetricsClusterViewAndSLO(t *testing.T) {
 		}
 		if !strings.Contains(body, "\ncrowdwifi_http_requests_total{") {
 			t.Errorf("shard %s metrics lack crowdwifi_http_requests_total", sh.id)
+		}
+	}
+
+	// The objectives' inputs on the router's page: upload availability
+	// counts every upload sent as a 2xx, lookup latency reads the 500 ms
+	// bucket, and each histogram's _count is its +Inf bucket, the ratio's
+	// denominator.
+	series := parseExposition(t, body)
+	var uploads float64
+	for k, v := range series {
+		if strings.HasPrefix(k, "crowdwifi_router_http_requests_total{") &&
+			strings.Contains(k, `route="/v1/reports"`) && strings.Contains(k, `code="2`) {
+			uploads += v
+		}
+	}
+	if uploads != float64(len(reports)) {
+		t.Errorf("router counts %v 2xx uploads, %d were sent", uploads, len(reports))
+	}
+	if _, ok := series[`crowdwifi_router_http_request_duration_seconds_bucket{route="/v1/lookup",le="0.5"}`]; !ok {
+		t.Error(`router metrics lack the lookup series' le="0.5" bucket`)
+	}
+	counts := 0
+	for k, v := range series {
+		name, labels, ok := strings.Cut(k, "_count{")
+		if !ok {
+			continue
+		}
+		counts++
+		inf := name + "_bucket{" + strings.TrimSuffix(labels, "}") + `,le="+Inf"}`
+		if got, ok := series[inf]; !ok || got != v {
+			t.Errorf("%s = %v, %s = %v (present %v)", k, v, inf, got, ok)
+		}
+	}
+	if counts == 0 {
+		t.Error("router metrics carry no labelled histogram series")
+	}
+
+	// Burn rates are the scraper's: no process serves an SLO status.
+	for _, base := range []string{routerTS.URL, a.ts.URL} {
+		resp, err := http.Get(base + "/debug/slo")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s/debug/slo: status %d, want 404", base, resp.StatusCode)
 		}
 	}
 
@@ -406,52 +450,28 @@ func TestThreeShardOwnMetricsClusterViewAndSLO(t *testing.T) {
 	if len(view.Drift) != 0 {
 		t.Errorf("healthy cluster shows drift: %+v", view.Drift)
 	}
+}
 
-	// SLO surface: both objectives present, healthy after an all-201 run,
-	// with burn-rate fields on windows and alerts (the contract CI scrapes).
-	var raw struct {
-		Objectives []map[string]json.RawMessage `json:"objectives"`
+// parseExposition maps each sample line of a Prometheus text page,
+// name{labels} as written, to its value.
+func parseExposition(t *testing.T, page string) map[string]float64 {
+	t.Helper()
+	out := map[string]float64{}
+	for _, line := range strings.Split(page, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 {
+			t.Fatalf("malformed exposition line %q", line)
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("malformed exposition line %q: %v", line, err)
+		}
+		out[line[:i]] = v
 	}
-	if err := getJSONOK(routerTS.URL+"/debug/slo", &raw); err != nil {
-		t.Fatalf("/debug/slo: %v", err)
-	}
-	if len(raw.Objectives) != 2 {
-		t.Fatalf("/debug/slo objectives = %d, want 2", len(raw.Objectives))
-	}
-	var st slo.Status
-	if err := getJSONOK(routerTS.URL+"/debug/slo", &st); err != nil {
-		t.Fatalf("/debug/slo decode: %v", err)
-	}
-	for i, o := range st.Objectives {
-		if len(o.Windows) == 0 || len(o.Alerts) == 0 {
-			t.Fatalf("objective %s lacks windows/alerts", o.Name)
-		}
-		if o.Name == "upload-availability" && !o.Healthy {
-			t.Errorf("upload-availability unhealthy after all-201 run: %+v", o)
-		}
-		var win map[string]json.RawMessage
-		var windows []json.RawMessage
-		if err := json.Unmarshal(raw.Objectives[i]["windows"], &windows); err != nil || len(windows) == 0 {
-			t.Fatalf("objective %s windows malformed: %v", o.Name, err)
-		}
-		if err := json.Unmarshal(windows[0], &win); err != nil {
-			t.Fatal(err)
-		}
-		for _, field := range []string{"window", "errorRate", "burnRate"} {
-			if _, ok := win[field]; !ok {
-				t.Errorf("objective %s window lacks %q field", o.Name, field)
-			}
-		}
-		var alerts []map[string]json.RawMessage
-		if err := json.Unmarshal(raw.Objectives[i]["alerts"], &alerts); err != nil || len(alerts) == 0 {
-			t.Fatalf("objective %s alerts malformed: %v", o.Name, err)
-		}
-		for _, field := range []string{"shortBurn", "longBurn", "firing"} {
-			if _, ok := alerts[0][field]; !ok {
-				t.Errorf("objective %s alert lacks %q field", o.Name, field)
-			}
-		}
-	}
+	return out
 }
 
 func getTextOK(url string) (string, error) {

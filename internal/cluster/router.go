@@ -35,7 +35,6 @@ import (
 	"crowdwifi/internal/api/front"
 	"crowdwifi/internal/cluster/ring"
 	"crowdwifi/internal/obs"
-	"crowdwifi/internal/obs/slo"
 	"crowdwifi/internal/obs/trace"
 	"crowdwifi/internal/overload"
 	"crowdwifi/internal/retry"
@@ -49,12 +48,6 @@ const PartialHeader = "X-Crowdwifi-Partial"
 
 // redMetrics prefixes the router's RED families.
 const redMetrics = "crowdwifi_router_http"
-
-// SLOObjectives returns the router's default objectives: a shard's promises
-// (see front.SLOObjectives) measured at the cluster front door.
-func SLOObjectives(reg *obs.Registry) []slo.Objective {
-	return front.SLOObjectives(reg, redMetrics, "routed ")
-}
 
 // Peer is one shard the router can reach.
 type Peer struct {
@@ -263,14 +256,13 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // /debug/traces is the router's own span store (traces, which may be nil).
 // Each process answers for itself; a routed upload's shard spans are on the
 // owning shard, under the router attempt their traceparent names.
-// /debug/cluster is ClusterHandler, and sloStatus and health answer
-// /debug/slo, /healthz and /readyz.
-func (rt *Router) DebugHandler(traces *trace.Store, sloStatus http.Handler, health *obs.Health) http.Handler {
+// /debug/cluster is ClusterHandler, and health answers /healthz and
+// /readyz.
+func (rt *Router) DebugHandler(traces *trace.Store, health *obs.Health) http.Handler {
 	debug := http.NewServeMux()
 	obs.Mount(debug, rt.stack.Registry)
 	trace.Mount(debug, traces)
 	debug.Handle("/debug/cluster", rt.ClusterHandler())
-	debug.Handle("/debug/slo", sloStatus)
 	obs.MountHealth(debug, health)
 	return debug
 }

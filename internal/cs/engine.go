@@ -415,10 +415,9 @@ func (e *Engine) Estimates() []Estimate {
 	return out
 }
 
-// AllEstimates returns every consolidated estimate, including spurious ones,
-// ordered by descending credit. Useful for diagnostics and for the
-// crowd-server, which applies its own reliability weighting.
-func (e *Engine) AllEstimates() []Estimate {
+// allEstimates returns every consolidated estimate, including spurious ones,
+// ordered by descending credit.
+func (e *Engine) allEstimates() []Estimate {
 	out := make([]Estimate, len(e.estimates))
 	copy(out, e.estimates)
 	sort.Slice(out, func(i, j int) bool { return out[i].Credit > out[j].Credit })

@@ -150,8 +150,8 @@ func TestEngineAddBatchEquivalentToAdd(t *testing.T) {
 	if len(batch) != singles {
 		t.Fatalf("batch rounds %d != incremental rounds %d", len(batch), singles)
 	}
-	a1 := e1.AllEstimates()
-	a2 := e2.AllEstimates()
+	a1 := e1.allEstimates()
+	a2 := e2.allEstimates()
 	if len(a1) != len(a2) {
 		t.Fatalf("estimate counts differ: %d vs %d", len(a1), len(a2))
 	}
@@ -210,7 +210,7 @@ func TestEngineConsolidationMergesRepeats(t *testing.T) {
 	e.consolidate([]geo.Point{{X: 12, Y: 10}})
 	e.round = 3
 	e.consolidate([]geo.Point{{X: 80, Y: 80}})
-	all := e.AllEstimates()
+	all := e.allEstimates()
 	if len(all) != 2 {
 		t.Fatalf("estimates = %d, want 2", len(all))
 	}
@@ -238,7 +238,7 @@ func TestEngineCoalesceChains(t *testing.T) {
 	e.consolidate([]geo.Point{{X: 9, Y: 0}, {X: 21, Y: 0}})
 	// (0,0)+(9,0) merge → (4.5,0); (30,0)+(21,0) merge → (25.5,0); those are
 	// 21 m apart (> merge radius 10), so 2 clusters remain.
-	all := e.AllEstimates()
+	all := e.allEstimates()
 	if len(all) != 2 {
 		t.Fatalf("estimates = %d, want 2: %+v", len(all), all)
 	}
@@ -257,8 +257,8 @@ func TestEngineCreditFilter(t *testing.T) {
 	if len(ests) != 1 {
 		t.Fatalf("filtered estimates = %d, want 1", len(ests))
 	}
-	if len(e.AllEstimates()) != 2 {
-		t.Fatal("AllEstimates must keep spurious entries")
+	if len(e.allEstimates()) != 2 {
+		t.Fatal("allEstimates must keep spurious entries")
 	}
 }
 

@@ -113,7 +113,13 @@ func TestGroupRowsAreBuildSensingMatrixRows(t *testing.T) {
 	sensing := BuildSensingMatrix(g, sc.Channel, window)
 	r := rng.New(5)
 	for trial := 0; trial < 20; trial++ {
-		rows := r.Sample(len(window), 1+r.Intn(maxGroupRows))
+		k := 1 + r.Intn(maxGroupRows)
+		rows := make([]int, len(window))
+		for i := range rows {
+			rows[i] = i
+		}
+		r.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+		rows = rows[:k]
 		group, y, a := gatherGroup(window, sensing, rows)
 		want := BuildSensingMatrix(g, sc.Channel, group)
 		gr, gc := a.Dims()

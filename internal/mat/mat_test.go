@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -382,4 +383,19 @@ func TestSVDConsistentWithPinvSolve(t *testing.T) {
 			t.Fatalf("pinv solve %v != QR solve %v", xPinv, xQR)
 		}
 	}
+}
+
+// NewFromRows builds a matrix from row slices. All rows must have equal length.
+func NewFromRows(rows [][]float64) *Mat {
+	if len(rows) == 0 || len(rows[0]) == 0 {
+		panic("mat: empty row set")
+	}
+	m := New(len(rows), len(rows[0]))
+	for i, r := range rows {
+		if len(r) != m.cols {
+			panic(fmt.Sprintf("mat: ragged rows: row %d has %d entries, want %d", i, len(r), m.cols))
+		}
+		copy(m.data[i*m.cols:(i+1)*m.cols], r)
+	}
+	return m
 }

@@ -70,7 +70,7 @@ func (r *Registry) RegisterGoRuntime() {
 	totalAlloc := r.Gauge("go_memstats_alloc_bytes_total", "Cumulative bytes allocated for heap objects.")
 	gcCycles := r.Gauge("go_gc_cycles_total", "Completed GC cycles.")
 	cpuSeconds := r.Gauge("process_cpu_seconds_total", "Cumulative user+system CPU time (-1 where /proc is unavailable).")
-	r.OnScrape(func() {
+	r.onScrape(func() {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		goroutines.Set(float64(runtime.NumGoroutine()))

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestParseLabels(t *testing.T) {
 	cases := []struct {
@@ -16,24 +13,24 @@ func TestParseLabels(t *testing.T) {
 		{`k="a\"b",q="c\\d",n="e\nf"`, map[string]string{"k": `a"b`, "q": `c\d`, "n": "e\nf"}},
 	}
 	for _, tc := range cases {
-		got := ParseLabels(tc.in)
+		got := parseLabels(tc.in)
 		if got == nil {
-			t.Fatalf("ParseLabels(%q) = nil", tc.in)
+			t.Fatalf("parseLabels(%q) = nil", tc.in)
 		}
 		if len(got) != len(tc.want) {
-			t.Fatalf("ParseLabels(%q) = %v, want %v", tc.in, got, tc.want)
+			t.Fatalf("parseLabels(%q) = %v, want %v", tc.in, got, tc.want)
 		}
 		for k, v := range tc.want {
 			if got[k] != v {
-				t.Errorf("ParseLabels(%q)[%s] = %q, want %q", tc.in, k, got[k], v)
+				t.Errorf("parseLabels(%q)[%s] = %q, want %q", tc.in, k, got[k], v)
 			}
 		}
 	}
 	// A trailing comma is valid exposition syntax ({a="b",}), so it is NOT in
 	// the malformed set.
 	for _, bad := range []string{`route=`, `route="x`, `="y"`, `a="b"c="d"`} {
-		if got := ParseLabels(bad); got != nil {
-			t.Errorf("ParseLabels(%q) = %v, want nil", bad, got)
+		if got := parseLabels(bad); got != nil {
+			t.Errorf("parseLabels(%q) = %v, want nil", bad, got)
 		}
 	}
 }
@@ -41,7 +38,7 @@ func TestParseLabels(t *testing.T) {
 func TestParseLabelsRoundTrip(t *testing.T) {
 	labels := []Label{L("route", "/v1/lookup"), L("weird", `quo"te\back`)}
 	s := labelString(labels)
-	got := ParseLabels(s)
+	got := parseLabels(s)
 	if got["route"] != "/v1/lookup" || got["weird"] != `quo"te\back` {
 		t.Fatalf("round trip of %q = %v", s, got)
 	}
@@ -70,32 +67,5 @@ func TestSumCounters(t *testing.T) {
 	var nilReg *Registry
 	if got := nilReg.SumCounters("hits_total", nil); got != 0 {
 		t.Fatalf("nil registry SumCounters = %v", got)
-	}
-}
-
-func TestSumHistogramBuckets(t *testing.T) {
-	reg := NewRegistry()
-	h1 := reg.Histogram("lat", "", []float64{0.1, 0.5, 1}, L("route", "/a"))
-	h2 := reg.Histogram("lat", "", []float64{0.1, 0.5, 1}, L("route", "/b"))
-	for _, v := range []float64{0.05, 0.4, 0.6} {
-		h1.Observe(v)
-	}
-	for _, v := range []float64{0.5, 3} {
-		h2.Observe(v)
-	}
-
-	// Observations at or under 0.5: 0.05, 0.4 (h1) and 0.5 (h2) = 3 of 5.
-	le, total := reg.SumHistogramBuckets("lat", nil, 0.5)
-	if le != 3 || total != 5 {
-		t.Fatalf("SumHistogramBuckets(0.5) = %d/%d, want 3/5", le, total)
-	}
-	le, total = reg.SumHistogramBuckets("lat", nil, math.Inf(1))
-	if le != 5 || total != 5 {
-		t.Fatalf("SumHistogramBuckets(+Inf) = %d/%d, want 5/5", le, total)
-	}
-	routeB := func(ls map[string]string) bool { return ls["route"] == "/b" }
-	le, total = reg.SumHistogramBuckets("lat", routeB, 0.5)
-	if le != 1 || total != 2 {
-		t.Fatalf("SumHistogramBuckets(/b, 0.5) = %d/%d, want 1/2", le, total)
 	}
 }

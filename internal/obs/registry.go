@@ -80,9 +80,9 @@ func NewRegistry() *Registry {
 	return &Registry{families: map[string]*family{}}
 }
 
-// OnScrape registers fn to run at the start of every exposition (use it to
+// onScrape registers fn to run at the start of every exposition (use it to
 // refresh sampled gauges, e.g. runtime stats).
-func (r *Registry) OnScrape(fn func()) {
+func (r *Registry) onScrape(fn func()) {
 	if r == nil || fn == nil {
 		return
 	}
@@ -234,10 +234,11 @@ func (g *Gauge) Value() float64 {
 
 // Histogram counts observations into fixed buckets; per-bucket counts are
 // independent atomics so concurrent Observe calls never contend on a lock.
+// The count is the buckets' total, so a scrape's _count is always its +Inf
+// bucket.
 type Histogram struct {
 	upper  []float64
 	counts []atomic.Uint64 // len(upper)+1; the last slot is the +Inf bucket
-	n      atomic.Uint64
 	sum    atomicFloat
 }
 
@@ -255,16 +256,19 @@ func (h *Histogram) Observe(v float64) {
 		i++
 	}
 	h.counts[i].Add(1)
-	h.n.Add(1)
 	h.sum.add(v)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
+// count returns the number of observations.
+func (h *Histogram) count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.n.Load()
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
 }
 
 // Sum returns the sum of all observed values.
@@ -351,7 +355,8 @@ func writeSeries(w io.Writer, name, labels, value string) error {
 }
 
 // writeHistogramSeries emits one histogram series in exposition order:
-// cumulative buckets, sum, count.
+// cumulative buckets, sum, count. The count is the +Inf bucket's cumulative
+// total, read once, so the two agree under concurrent Observe calls.
 func writeHistogramSeries(w io.Writer, name, k string, c *Histogram) error {
 	var cum uint64
 	for bi, ub := range c.upper {
@@ -369,7 +374,7 @@ func writeHistogramSeries(w io.Writer, name, k string, c *Histogram) error {
 	if err := writeSeries(w, name+"_sum", k, formatFloat(c.Sum())); err != nil {
 		return err
 	}
-	return writeSeries(w, name+"_count", k, strconv.FormatUint(c.Count(), 10))
+	return writeSeries(w, name+"_count", k, strconv.FormatUint(cum, 10))
 }
 
 // joinLabels appends extra to a rendered label string.

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -11,8 +12,10 @@ import (
 // TestRegistryConcurrentScrapeHighCardinality hammers one registry from
 // writer goroutines that keep minting new label combinations (the worst-case
 // cardinality pattern: per-route, per-code, per-vehicle labels all growing
-// mid-scrape) while scrapers concurrently serve /metrics and read the
-// histogram buckets the SLO sources sum. Run under -race this pins down
+// mid-scrape) and keep observing one hot histogram, while scrapers
+// concurrently serve /metrics. Every scrape must be a consistent exposition:
+// each histogram's _count is its +Inf bucket, the denominator of any "share
+// under a bound" ratio a scraper computes. Run under -race this pins down
 // the registry's central claim: scrapes stay consistent while the series set
 // is still growing.
 func TestRegistryConcurrentScrapeHighCardinality(t *testing.T) {
@@ -25,11 +28,15 @@ func TestRegistryConcurrentScrapeHighCardinality(t *testing.T) {
 	var writerWG, scraperWG sync.WaitGroup
 	stop := make(chan struct{})
 
+	hot := r.Histogram("race_hot_seconds", "test", nil)
 	for g := 0; g < writers; g++ {
 		writerWG.Add(1)
 		go func(g int) {
 			defer writerWG.Done()
 			for i := 0; i < seriesPerG; i++ {
+				for j := 0; j < 100; j++ {
+					hot.Observe(float64(j%20) / 10)
+				}
 				id := fmt.Sprintf("%d-%d", g, i)
 				r.Counter("race_requests_total", "test",
 					L("route", "/v1/x"), L("vehicle", id)).Add(uint64(i))
@@ -56,7 +63,10 @@ func TestRegistryConcurrentScrapeHighCardinality(t *testing.T) {
 					t.Errorf("/metrics: status %d", rec.Code)
 					return
 				}
-				r.SumHistogramBuckets("race_latency_seconds", nil, 1)
+				if _, err := histogramCounts(rec.Body.String()); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}()
 	}
@@ -78,7 +88,49 @@ func TestRegistryConcurrentScrapeHighCardinality(t *testing.T) {
 	if got := strings.Count(out, "race_depth{"); got != writers*seriesPerG {
 		t.Fatalf("race_depth series = %d, want %d", got, writers*seriesPerG)
 	}
-	if _, total := r.SumHistogramBuckets("race_latency_seconds", nil, 1); total != writers*seriesPerG {
-		t.Fatalf("histogram observations = %d, want %d", total, writers*seriesPerG)
+	counts, err := histogramCounts(out)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if got := counts["race_latency_seconds"]; got != writers*seriesPerG {
+		t.Fatalf("race_latency_seconds observations = %d, want %d", got, writers*seriesPerG)
+	}
+	if got := counts["race_hot_seconds"]; got != writers*seriesPerG*100 {
+		t.Fatalf("race_hot_seconds observations = %d, want %d", got, writers*seriesPerG*100)
+	}
+}
+
+// histogramCounts checks that every histogram series of an exposition has
+// _count equal to its +Inf bucket, and returns each family's total count.
+func histogramCounts(page string) (map[string]uint64, error) {
+	inf, count := map[string]string{}, map[string]string{}
+	totals := map[string]uint64{}
+	for _, line := range strings.Split(page, "\n") {
+		series, value, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if name, labels, ok := strings.Cut(series, "_bucket{"); ok {
+			if rest, ok := strings.CutSuffix(labels, `le="+Inf"}`); ok {
+				inf[name+"{"+strings.TrimSuffix(rest, ",")+"}"] = value
+			}
+		}
+		if name, labels, ok := strings.Cut(series, "_count"); ok {
+			if labels == "" {
+				labels = "{}"
+			}
+			count[name+labels] = value
+			n, err := strconv.ParseUint(value, 10, 64)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %v", line, err)
+			}
+			totals[name] += n
+		}
+	}
+	for series, v := range count {
+		if inf[series] != v {
+			return nil, fmt.Errorf("%s: _count %s, +Inf bucket %q", series, v, inf[series])
+		}
+	}
+	return totals, nil
 }

@@ -48,8 +48,8 @@ func TestHistogramSemantics(t *testing.T) {
 	for _, v := range []float64{0.5, 1, 1.5, 3, 10} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d, want 5", h.Count())
+	if h.count() != 5 {
+		t.Fatalf("count = %d, want 5", h.count())
 	}
 	if h.Sum() != 16 {
 		t.Fatalf("sum = %g, want 16", h.Sum())
@@ -73,7 +73,7 @@ func TestNilSafety(t *testing.T) {
 	g.Set(1)
 	g.Add(1)
 	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.count() != 0 {
 		t.Fatal("nil instruments must read as zero")
 	}
 	var sb strings.Builder
@@ -149,7 +149,7 @@ func TestOnScrapeHook(t *testing.T) {
 	r := NewRegistry()
 	g := r.Gauge("sampled", "")
 	calls := 0
-	r.OnScrape(func() { calls++; g.Set(float64(calls)) })
+	r.onScrape(func() { calls++; g.Set(float64(calls)) })
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestConcurrentIncrements(t *testing.T) {
 	if got := r.Gauge("conc_gauge", "").Value(); got != workers*perWorker {
 		t.Fatalf("gauge = %g, want %d", got, workers*perWorker)
 	}
-	if got := r.Histogram("conc_seconds", "", []float64{0.5}).Count(); got != workers*perWorker {
+	if got := r.Histogram("conc_seconds", "", []float64{0.5}).count(); got != workers*perWorker {
 		t.Fatalf("histogram count = %d, want %d", got, workers*perWorker)
 	}
 }

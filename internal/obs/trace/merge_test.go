@@ -25,7 +25,7 @@ func mergeSpan(traceID, spanID, parentID, name string, remote bool, start time.T
 func TestMergeStitchesFragments(t *testing.T) {
 	const id = "4bf92f3577b34da6a3ce929d0e0e4736"
 	t0 := time.Unix(1_700_000_000, 0)
-	s := NewStore(8, 4, 2)
+	s := newStore(8, 4, 2)
 
 	// A later fragment, continued over the wire, commits first.
 	s.add(id, []SpanData{
@@ -52,15 +52,15 @@ func TestMergeStitchesFragments(t *testing.T) {
 	if merged.Spans[0].SpanID != "aaaaaaaaaaaaaaaa" {
 		t.Fatalf("first span = %s", merged.Spans[0].SpanID)
 	}
-	if s.Len() != 1 || len(s.Recent()) != 1 {
-		t.Fatalf("%d traces, %d recent, want one of each", s.Len(), len(s.Recent()))
+	if len(s.traces) != 1 || len(s.Recent()) != 1 {
+		t.Fatalf("%d traces, %d recent, want one of each", len(s.traces), len(s.Recent()))
 	}
 }
 
 func TestMergeErrorPropagates(t *testing.T) {
 	const id = "abcdefabcdefabcdefabcdefabcdefab"
 	t0 := time.Unix(1_700_000_000, 0)
-	s := NewStore(8, 4, 2)
+	s := newStore(8, 4, 2)
 	s.add(id, []SpanData{mergeSpan(id, "aaaaaaaaaaaaaaaa", "", "root", false, t0)}, false)
 	errSpan := mergeSpan(id, "bbbbbbbbbbbbbbbb", "aaaaaaaaaaaaaaaa", "failing", false, t0.Add(time.Millisecond))
 	errSpan.Error = "boom"
@@ -76,12 +76,12 @@ func TestMergeErrorPropagates(t *testing.T) {
 }
 
 func TestMergeEmpty(t *testing.T) {
-	s := NewStore(8, 4, 2)
+	s := newStore(8, 4, 2)
 	s.add("00f067aa0ba902b74bf92f3577b34da6", nil, true)
 	if _, ok := s.Get("00f067aa0ba902b74bf92f3577b34da6"); ok {
 		t.Fatal("a fragment of no spans made a trace")
 	}
-	if s.Len() != 0 || len(s.Errors()) != 0 {
-		t.Fatalf("%d traces, %d error traces after an empty fragment, want none", s.Len(), len(s.Errors()))
+	if len(s.traces) != 0 || len(s.Errors()) != 0 {
+		t.Fatalf("%d traces, %d error traces after an empty fragment, want none", len(s.traces), len(s.Errors()))
 	}
 }

@@ -66,18 +66,6 @@ type Store struct {
 }
 
 func newStore(capacity, errCapacity, slowN int) *Store {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
-	if errCapacity <= 0 {
-		errCapacity = capacity / 4
-		if errCapacity < 16 {
-			errCapacity = 16
-		}
-	}
-	if slowN <= 0 {
-		slowN = defaultSlowPerEndpoint
-	}
 	return &Store{
 		capRecent: capacity,
 		capErr:    errCapacity,
@@ -85,11 +73,6 @@ func newStore(capacity, errCapacity, slowN int) *Store {
 		traces:    map[string]*TraceData{},
 		slow:      map[string][]string{},
 	}
-}
-
-// NewStore returns a standalone store (tests; tracers build their own).
-func NewStore(capacity, errCapacity, slowN int) *Store {
-	return newStore(capacity, errCapacity, slowN)
 }
 
 func contains(ids []string, id string) bool {
@@ -204,16 +187,6 @@ func (s *Store) placeSlowLocked(tr *TraceData) {
 		}
 	}
 	s.slow[tr.Root] = ids
-}
-
-// Len reports how many traces are retained across all views.
-func (s *Store) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.traces)
 }
 
 func (s *Store) summariesLocked(ids []string, newestFirst bool) []TraceSummary {

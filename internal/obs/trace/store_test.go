@@ -27,7 +27,7 @@ func addTrace(s *Store, id, root string, dur time.Duration, hasErr bool) {
 // TestEvictionKeepsErrorAndSlowTraces: the tail-sampling contract — plain
 // traces age out FIFO, but error traces and the slowest-per-endpoint survive.
 func TestEvictionKeepsErrorAndSlowTraces(t *testing.T) {
-	s := NewStore(8, 4, 2)
+	s := newStore(8, 4, 2)
 
 	addTrace(s, "err-trace", "POST /report", 5*time.Millisecond, true)
 	addTrace(s, "slow-trace", "POST /report", time.Second, false)
@@ -73,7 +73,7 @@ func TestEvictionKeepsErrorAndSlowTraces(t *testing.T) {
 }
 
 func TestErrorRingBounded(t *testing.T) {
-	s := NewStore(4, 2, 1)
+	s := newStore(4, 2, 1)
 	for i := 0; i < 10; i++ {
 		addTrace(s, fmt.Sprintf("err-%02d", i), fmt.Sprintf("GET /x%d", i), time.Millisecond, true)
 	}
@@ -86,7 +86,7 @@ func TestErrorRingBounded(t *testing.T) {
 }
 
 func TestFragmentMergeRecomputesDuration(t *testing.T) {
-	s := NewStore(8, 4, 2)
+	s := newStore(8, 4, 2)
 	base := time.Unix(100, 0)
 	s.add("tid", []SpanData{{TraceID: "tid", SpanID: "a", Name: "root", Start: base, DurationNS: int64(10 * time.Millisecond)}}, false)
 	// A later fragment extends the trace's wall-clock envelope.
@@ -109,7 +109,7 @@ func TestFragmentMergeRecomputesDuration(t *testing.T) {
 }
 
 func TestHandlerIndexAndGet(t *testing.T) {
-	s := NewStore(8, 4, 2)
+	s := newStore(8, 4, 2)
 	addTrace(s, "aaaa", "POST /report", time.Millisecond, false)
 	addTrace(s, "bbbb", "POST /report", time.Second, true)
 

@@ -98,7 +98,7 @@ type Tracer struct {
 func NewTracer(cfg Config) *Tracer {
 	t := &Tracer{
 		now:    cfg.Now,
-		store:  newStore(0, 0, 0),
+		store:  newStore(DefaultCapacity, DefaultCapacity/4, defaultSlowPerEndpoint),
 		active: map[TraceID]*traceBuf{},
 	}
 	if t.now == nil {

@@ -44,8 +44,8 @@ func TestSpanTreeCommitsToStore(t *testing.T) {
 	root.End()
 
 	st := tr.Store()
-	if st.Len() != 1 {
-		t.Fatalf("store has %d traces, want 1", st.Len())
+	if len(st.traces) != 1 {
+		t.Fatalf("store has %d traces, want 1", len(st.traces))
 	}
 	got, ok := st.Get(root.traceID.String())
 	if !ok {
@@ -135,7 +135,7 @@ func TestUnsampledAndBareContext(t *testing.T) {
 			t.Fatal("rate-0 tracer sampled a root")
 		}
 	}
-	if zero.Store().Len() != 0 {
+	if len(zero.Store().traces) != 0 {
 		t.Fatal("rate-0 tracer committed traces")
 	}
 }
@@ -194,7 +194,7 @@ func TestFragmentMergeAcrossBursts(t *testing.T) {
 	attempt.End()
 	drain.End() // burst 2 commits
 
-	if n := tr.Store().Len(); n != 1 {
+	if n := len(tr.Store().traces); n != 1 {
 		t.Fatalf("store has %d traces, want 1 merged", n)
 	}
 	got, _ := tr.Store().Get(upload.traceID.String())

@@ -151,8 +151,8 @@ func (b *Breaker) Record(success bool) {
 	}
 }
 
-// State returns the current state.
-func (b *Breaker) State() State {
+// current returns the current state.
+func (b *Breaker) current() State {
 	if b == nil {
 		return Closed
 	}

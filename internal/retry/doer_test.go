@@ -229,8 +229,8 @@ func TestDoerBreakerFastFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if br.State() != Open {
-		t.Fatalf("breaker state = %v, want Open", br.State())
+	if br.current() != Open {
+		t.Fatalf("breaker state = %v, want Open", br.current())
 	}
 	// Second request never reaches the server.
 	before := calls.Load()

@@ -153,15 +153,15 @@ func TestBreakerLifecycle(t *testing.T) {
 		}
 		b.Record(false)
 	}
-	if b.State() != Closed {
-		t.Fatalf("state = %v after 2 failures", b.State())
+	if b.current() != Closed {
+		t.Fatalf("state = %v after 2 failures", b.current())
 	}
 	if err := b.Allow(); err != nil {
 		t.Fatal(err)
 	}
 	b.Record(false)
-	if b.State() != Open {
-		t.Fatalf("state = %v, want Open", b.State())
+	if b.current() != Open {
+		t.Fatalf("state = %v, want Open", b.current())
 	}
 	if err := b.Allow(); !errors.Is(err, ErrOpen) {
 		t.Fatalf("Allow while open = %v, want ErrOpen", err)
@@ -172,8 +172,8 @@ func TestBreakerLifecycle(t *testing.T) {
 	if err := b.Allow(); err != nil {
 		t.Fatalf("probe denied: %v", err)
 	}
-	if b.State() != HalfOpen {
-		t.Fatalf("state = %v, want HalfOpen", b.State())
+	if b.current() != HalfOpen {
+		t.Fatalf("state = %v, want HalfOpen", b.current())
 	}
 	if err := b.Allow(); !errors.Is(err, ErrOpen) {
 		t.Fatal("second half-open caller admitted")
@@ -181,16 +181,16 @@ func TestBreakerLifecycle(t *testing.T) {
 
 	// Failed probe re-opens; successful probe after another cooldown closes.
 	b.Record(false)
-	if b.State() != Open {
-		t.Fatalf("state = %v after failed probe", b.State())
+	if b.current() != Open {
+		t.Fatalf("state = %v after failed probe", b.current())
 	}
 	now = now.Add(10 * time.Second)
 	if err := b.Allow(); err != nil {
 		t.Fatal(err)
 	}
 	b.Record(true)
-	if b.State() != Closed {
-		t.Fatalf("state = %v after successful probe", b.State())
+	if b.current() != Closed {
+		t.Fatalf("state = %v after successful probe", b.current())
 	}
 
 	want := []string{
@@ -213,7 +213,7 @@ func TestNilBreakerIsNoOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Record(false)
-	if b.State() != Closed {
+	if b.current() != Closed {
 		t.Fatal("nil breaker not closed")
 	}
 }

@@ -103,33 +103,10 @@ func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Shuffle randomly permutes the first n elements using the provided swap.
 func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Sample returns k distinct indices drawn uniformly from [0, n) in random
-// order. It panics if k > n.
-func (r *RNG) Sample(n, k int) []int {
-	if k > n {
-		panic("rng: Sample k > n")
-	}
-	p := r.Perm(n)
-	return p[:k]
 }

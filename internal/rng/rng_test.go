@@ -202,3 +202,26 @@ func TestShuffle(t *testing.T) {
 		}
 	}
 }
+
+// Perm returns a random permutation of [0, n).
+func (r *RNG) Perm(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	for i := n - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
+	return p
+}
+
+// Sample returns k distinct indices drawn uniformly from [0, n) in random
+// order. It panics if k > n.
+func (r *RNG) Sample(n, k int) []int {
+	if k > n {
+		panic("rng: Sample k > n")
+	}
+	p := r.Perm(n)
+	return p[:k]
+}

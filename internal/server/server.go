@@ -7,8 +7,7 @@
 //
 // A server answers for itself on its debug surface: /metrics is its own
 // registry, /debug/traces its own spans (a routed upload's router spans are
-// on the router, under the attempt this server's span names as its parent),
-// /debug/slo its own objectives.
+// on the router, under the attempt this server's span names as its parent).
 package server
 
 import (
@@ -30,7 +29,6 @@ import (
 	"crowdwifi/internal/crowd"
 	"crowdwifi/internal/geo"
 	"crowdwifi/internal/obs"
-	"crowdwifi/internal/obs/slo"
 	"crowdwifi/internal/obs/trace"
 	"crowdwifi/internal/overload"
 	"crowdwifi/internal/par"
@@ -73,12 +71,6 @@ var (
 
 // redMetrics prefixes the shard's RED families.
 const redMetrics = "crowdwifi_http"
-
-// SLOObjectives returns the shard server's default objectives (see
-// front.SLOObjectives), evaluated from its own RED families.
-func SLOObjectives(reg *obs.Registry) []slo.Objective {
-	return front.SLOObjectives(reg, redMetrics, "")
-}
 
 // Store is the crowd-server's state. All methods are safe for concurrent use.
 //
@@ -611,10 +603,6 @@ type Server struct {
 	// endpoints are mounted. See cluster.go.
 	cluster *clusterState
 
-	// slo is an optional part of the debug surface (WithSLO); its lifecycle
-	// belongs to the caller.
-	slo http.Handler
-
 	// stack is the middleware every route is mounted through; debug is the
 	// debug surface, built once and served on the API mux and by Debug().
 	stack front.Stack
@@ -649,12 +637,6 @@ func WithTracer(t *trace.Tracer) Option {
 // shutdown snapshot).
 func WithHealth(h *obs.Health) Option {
 	return func(s *Server) { s.health = h }
-}
-
-// WithSLO mounts an SLO status handler (see internal/obs/slo) at /debug/slo
-// on the server's own mux. The caller owns the engine's sampling lifecycle.
-func WithSLO(h http.Handler) Option {
-	return func(s *Server) { s.slo = h }
 }
 
 // WithOverload enables admission control and the durability state machine
@@ -718,9 +700,6 @@ func New(store *Store, opts ...Option) *Server {
 	}
 	if s.health != nil {
 		obs.MountHealth(s.debug, s.health)
-	}
-	if s.slo != nil {
-		s.debug.Handle("/debug/slo", s.slo)
 	}
 	front.ServeDebug(s.mux, s.debug)
 	return s

@@ -14,12 +14,9 @@ import (
 )
 
 // A signal — a crowdwifi_* metric family or a /debug/* route — earns its
-// place on one of four grounds. Its signalAllow entry names the ground and
+// place on one of three grounds. Its signalAllow entry names the ground and
 // then says who reads it.
 const (
-	// groundSLO: an SLO objective reads it, or the SLO engine writes it
-	// (internal/api/front/slo.go, internal/obs/slo/slo.go).
-	groundSLO = "slo"
 	// groundBench: a bench/ file reads it.
 	groundBench = "bench"
 	// groundCI: a step of .github/workflows/ci.yml asserts on it.
@@ -36,17 +33,14 @@ type signalReason struct{ ground, reason string }
 var signalAllow = map[string]signalReason{
 	// The RED triple every /v1 route is served through, on a shard
 	// (crowdwifi_http_*) and on the router (crowdwifi_router_http_*).
-	"crowdwifi_http_requests_total":                  {groundSLO, "upload availability is good/total of the upload route's codes"},
-	"crowdwifi_http_request_duration_seconds":        {groundSLO, "lookup latency is the share of lookups under 500 ms"},
+	// README's objectives are burn-rate expressions over them.
+	"crowdwifi_http_requests_total":                  {groundReadme, "upload availability is the non-5xx share of the upload routes' requests"},
+	"crowdwifi_http_request_duration_seconds":        {groundReadme, "lookup latency is the share of lookups in the 500 ms bucket"},
 	"crowdwifi_http_errors_total":                    {groundReadme, "which route is failing, and with which code"},
-	"crowdwifi_router_http_requests_total":           {groundSLO, "the router's upload availability, measured at the front door"},
-	"crowdwifi_router_http_request_duration_seconds": {groundSLO, "the router's lookup latency, measured at the front door"},
+	"crowdwifi_router_http_requests_total":           {groundReadme, "the router's upload availability, measured at the front door"},
+	"crowdwifi_router_http_request_duration_seconds": {groundReadme, "the router's lookup latency, measured at the front door"},
 	"crowdwifi_router_http_errors_total":             {groundReadme, "which routed route is failing, and with which code"},
 	"crowdwifi_build_info":                           {groundReadme, "which build a process runs, to join any series against"},
-
-	// The SLO engine's own output.
-	"crowdwifi_slo_burn_rate":    {groundCI, "the cluster job asserts the router page carries it"},
-	"crowdwifi_slo_alert_firing": {groundSLO, "the multi-window burn-rate alert an operator pages on"},
 
 	// The store and its log.
 	"crowdwifi_server_reports_total":                {groundBench, "the bench's books: reports stored against reports acked"},
@@ -113,23 +107,21 @@ var signalAllow = map[string]signalReason{
 	"/debug/traces":        {groundCI, "the cluster job reads the router's index"},
 	"/debug/traces/":       {groundCI, "the cluster job reads a trace from the router and from its shard"},
 	"/debug/cluster":       {groundCI, "the cluster job asserts every shard reachable and no drift"},
-	"/debug/slo":           {groundCI, "the cluster job asserts burn rates for both objectives"},
 }
 
 // signalSources are the readers a ground is checked against.
 type signalSources struct {
-	slo, bench, ci, readme string
+	bench, ci, readme string
 }
 
 // signals parses every non-test file under internal/ and cmd/ and returns
 // the crowdwifi_* families they register and the /debug/* routes they
 // mount. A family name is a string literal, or a serving stack's Metrics
-// prefix joined to a suffix the stack appends to it; for the latter, built
-// maps the family to its suffix.
-func signals(t *testing.T) (families map[string]bool, built map[string]string, routes map[string]bool) {
+// prefix joined to a suffix the stack appends to it.
+func signals(t *testing.T) (families, routes map[string]bool) {
 	t.Helper()
 	family := regexp.MustCompile(`^crowdwifi_[a-z0-9_]+$`)
-	families, built, routes = map[string]bool{}, map[string]string{}, map[string]bool{}
+	families, routes = map[string]bool{}, map[string]bool{}
 	consts := map[string]string{} // dir.Name → string value
 	type metricsValue struct {
 		dir string
@@ -195,13 +187,12 @@ func signals(t *testing.T) (families map[string]bool, built map[string]string, r
 		delete(families, p)
 		for _, s := range suffixes {
 			families[p+s] = true
-			built[p+s] = s
 		}
 	}
 	if len(prefixes) == 0 || len(suffixes) == 0 {
 		t.Fatalf("found %d serving-stack prefixes and %d suffixes: the census no longer sees the RED families", len(prefixes), len(suffixes))
 	}
-	return families, built, routes
+	return families, routes
 }
 
 // readmeSignalRow is one row of README's signal table: | `crowdwifi_…` | … |.
@@ -210,13 +201,10 @@ var readmeSignalRow = regexp.MustCompile("(?m)^\\| `(crowdwifi_[a-z0-9_]+)` \\|"
 // signalCensus lists every disagreement between the signals the binaries
 // register and mount, the reasons signalAllow gives, what each ground's
 // readers say, and README's signal table.
-func signalCensus(families map[string]bool, built map[string]string, routes map[string]bool, allow map[string]signalReason, src signalSources, readmeRows map[string]bool) []string {
+func signalCensus(families, routes map[string]bool, allow map[string]signalReason, src signalSources, readmeRows map[string]bool) []string {
 	var bad []string
-	quoted := func(text, name string) bool { return strings.Contains(text, `"`+name+`"`) }
 	read := func(name string, r signalReason) bool {
 		switch r.ground {
-		case groundSLO:
-			return quoted(src.slo, name) || built[name] != "" && quoted(src.slo, built[name])
 		case groundBench:
 			return strings.Contains(src.bench, name)
 		case groundCI:
@@ -275,8 +263,8 @@ func readAll(t *testing.T, paths ...string) string {
 
 // TestSignalsEarnTheirPlace is the census of what the processes serve:
 // every crowdwifi_* family any binary registers and every /debug/* route any
-// binary mounts has a signalAllow entry naming its reader — an SLO, the
-// bench, a CI step or README — and that reader really names it; every
+// binary mounts has a signalAllow entry naming its reader — the bench, a CI
+// step or README — and that reader really names it; every
 // family has a row in README's signal table under its full name; and no
 // entry or row names a signal that is gone.
 func TestSignalsEarnTheirPlace(t *testing.T) {
@@ -292,7 +280,6 @@ func TestSignalsEarnTheirPlace(t *testing.T) {
 	}
 	readme := readAll(t, "README.md")
 	src := signalSources{
-		slo:    readAll(t, filepath.Join("internal", "api", "front", "slo.go"), filepath.Join("internal", "obs", "slo", "slo.go")),
 		bench:  readAll(t, benchSrc...),
 		ci:     readAll(t, filepath.Join(".github", "workflows", "ci.yml")),
 		readme: readme,
@@ -301,8 +288,8 @@ func TestSignalsEarnTheirPlace(t *testing.T) {
 	for _, m := range readmeSignalRow.FindAllStringSubmatch(readme, -1) {
 		rows[m[1]] = true
 	}
-	families, built, routes := signals(t)
-	for _, msg := range signalCensus(families, built, routes, signalAllow, src, rows) {
+	families, routes := signals(t)
+	for _, msg := range signalCensus(families, routes, signalAllow, src, rows) {
 		t.Error(msg)
 	}
 
@@ -312,7 +299,7 @@ func TestSignalsEarnTheirPlace(t *testing.T) {
 	for k := range families {
 		extra[k] = true
 	}
-	if got := signalCensus(extra, built, routes, signalAllow, src, rows); len(got) != 2 {
+	if got := signalCensus(extra, routes, signalAllow, src, rows); len(got) != 2 {
 		t.Errorf("an unlisted, undocumented family gave %q, want two complaints", got)
 	}
 }
