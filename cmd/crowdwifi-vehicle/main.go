@@ -9,8 +9,7 @@
 //	crowdwifi-vehicle [-id veh-1] [-server http://127.0.0.1:8700]
 //	                  [-samples 180] [-seed 7] [-segment uci-campus]
 //	                  [-spammer] [-outbox-cap 256] [-drain-timeout 5s]
-//	                  [-retry-attempts 4] [-trace-sample 1]
-//	                  [-codec json|binary] [-batch 0]
+//	                  [-retry-attempts 4] [-trace-sample 1] [-batch 0]
 //
 // The CS core's parallelism follows GOMAXPROCS; estimates are identical at
 // any setting.
@@ -66,7 +65,6 @@ type runConfig struct {
 	DrainTimeout  time.Duration
 	RetryAttempts int
 	TraceSample   float64
-	Codec         string
 	BatchSize     int
 }
 
@@ -90,8 +88,6 @@ func main() {
 		"max delivery attempts per request (exponential backoff with jitter)")
 	flag.Float64Var(&cfg.TraceSample, "trace-sample", 1,
 		"fraction of new traces to record, 0..1")
-	flag.StringVar(&cfg.Codec, "codec", "json",
-		"upload/lookup wire format: json or binary (length-prefixed frames)")
 	flag.IntVar(&cfg.BatchSize, "batch", 0,
 		"outbox drains deliver up to this many parked reports per POST /v1/reports/batch round-trip (≤ 1 = single uploads)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
@@ -105,10 +101,6 @@ func main() {
 	level, err := obs.ParseLevel(*logLevel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if cfg.Codec != "json" && cfg.Codec != "binary" {
-		fmt.Fprintf(os.Stderr, "crowdwifi-vehicle: bad -codec %q (want json or binary)\n", cfg.Codec)
 		os.Exit(2)
 	}
 	logger := obs.NewLogger(os.Stderr, level).With("vehicle", cfg.ID)
@@ -201,7 +193,6 @@ func run(ctx context.Context, cfg runConfig, logger *obs.Logger) error {
 		retry.WithBreaker(breaker),
 		retry.WithMetrics(retryMetrics))
 	vehicle.Outbox = client.NewOutbox(cfg.OutboxCap)
-	vehicle.Codec = cfg.Codec
 	vehicle.BatchSize = cfg.BatchSize
 	defer flushOutbox(tracer, vehicle, cfg.DrainTimeout, logger)
 

@@ -44,20 +44,6 @@ const (
 // prefix it had when the codec lived in internal/server.
 var ErrWireFrame = errors.New("server: malformed wire frame")
 
-// BatchEntry is one report in a batch upload, paired with its own
-// idempotency key so a replayed batch dedupes entry by entry.
-type BatchEntry struct {
-	Key    string `json:"key,omitempty"`
-	Report Report `json:"report"`
-}
-
-// BatchRequest is the JSON form of POST /v1/reports/batch. The binary form
-// is a concatenation of report frames, one per entry, each with its key
-// embedded.
-type BatchRequest struct {
-	Entries []BatchEntry `json:"entries"`
-}
-
 // BatchEntryStatus is one entry's outcome in a batch upload response. Status
 // carries the HTTP status the entry would have received as a single upload;
 // Owner names the owning shard when Status is 421 so a relay can re-route
@@ -72,12 +58,6 @@ type BatchEntryStatus struct {
 // Ok reports whether the entry was durably accepted (stored now or replayed
 // from the idempotency cache).
 func (s BatchEntryStatus) Ok() bool { return s.Status >= 200 && s.Status < 300 }
-
-// BatchResponse is the per-entry status vector for a batch upload, in
-// request order. Results is always a JSON array, never null.
-type BatchResponse struct {
-	Results []BatchEntryStatus `json:"results"`
-}
 
 func appendWireString(dst []byte, s string) ([]byte, error) {
 	if len(s) > math.MaxUint16 {
@@ -395,6 +375,16 @@ func soleFrame(body []byte, want byte) ([]byte, error) {
 // IsFrameRequest reports whether the request body is in the binary codec.
 func IsFrameRequest(r *http.Request) bool {
 	return strings.HasPrefix(r.Header.Get("Content-Type"), FrameContentType)
+}
+
+// RequireFrames answers 415 and returns false unless the request body is in
+// the binary codec; what names the body the route takes ("a batch").
+func RequireFrames(w http.ResponseWriter, r *http.Request, what string) bool {
+	if IsFrameRequest(r) {
+		return true
+	}
+	WriteError(w, http.StatusUnsupportedMediaType, fmt.Errorf("%s is a stream of %s frames", what, FrameContentType))
+	return false
 }
 
 // WantsFrame reports whether the Accept header asks for a binary response.

@@ -9,7 +9,6 @@ package client
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -17,24 +16,17 @@ import (
 	"crowdwifi/internal/obs/trace"
 )
 
-// entryReport recovers the api.Report a parked entry carries, whatever
-// codec it was parked in.
+// entryReport recovers the api.Report a parked upload carries as its one
+// report frame.
 func entryReport(e Entry) (api.Report, error) {
-	if e.ContentType == api.FrameContentType {
-		frames, err := api.SplitReportFrames(e.Body)
-		if err != nil {
-			return api.Report{}, err
-		}
-		if len(frames) != 1 {
-			return api.Report{}, fmt.Errorf("client: outbox entry holds %d frames, want 1", len(frames))
-		}
-		return frames[0].Report, nil
-	}
-	var rep api.Report
-	if err := json.Unmarshal(e.Body, &rep); err != nil {
+	frames, err := api.SplitReportFrames(e.Body)
+	if err != nil {
 		return api.Report{}, err
 	}
-	return rep, nil
+	if len(frames) != 1 {
+		return api.Report{}, fmt.Errorf("client: outbox entry holds %d frames, want 1", len(frames))
+	}
+	return frames[0].Report, nil
 }
 
 // drainBatch delivers a contiguous run of parked reports through the batch
@@ -74,8 +66,12 @@ func (v *CrowdVehicle) drainBatch(ctx context.Context, run []Entry) (int, error)
 	dctx, span := trace.Resume(ctx, "client.drain "+api.RouteReportsBatch, live[0].Traceparent)
 	span.SetAttr("entries", len(live))
 	span.SetAttr("queued_for", v.Outbox.OldestAge().String())
-	var resp api.BatchResponse
-	err := sendBody(dctx, v.Metrics, v.HTTP, http.MethodPost, v.BaseURL+api.RouteReportsBatch, api.FrameContentType, body, "", &resp)
+	var raw []byte
+	err := sendBody(dctx, v.Metrics, v.HTTP, http.MethodPost, v.BaseURL+api.RouteReportsBatch, api.FrameContentType, body, "", &raw)
+	var results []api.BatchEntryStatus
+	if err == nil {
+		results, err = api.DecodeBatchStatusFrame(raw)
+	}
 	span.SetError(err)
 	span.End()
 	if err != nil {
@@ -83,8 +79,8 @@ func (v *CrowdVehicle) drainBatch(ctx context.Context, run []Entry) (int, error)
 		return 0, err
 	}
 
-	byKey := make(map[string]int, len(resp.Results))
-	for _, st := range resp.Results {
+	byKey := make(map[string]int, len(results))
+	for _, st := range results {
 		byKey[st.Key] = st.Status
 	}
 	settled := map[string]bool{}

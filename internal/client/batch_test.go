@@ -27,7 +27,7 @@ func batchVehicle(t *testing.T, baseURL string) *CrowdVehicle {
 func parkN(t *testing.T, v *CrowdVehicle, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		// Parked the way a binary-codec UploadReport parks: a key-less frame
+		// Parked the way UploadReport parks: a key-less frame
 		// as the body, the key in Entry.Key.
 		body, err := api.EncodeReportFrame(nil, "", api.Report{
 			Vehicle: v.ID,

@@ -41,14 +41,6 @@ type HTTPDoer interface {
 	Do(req *http.Request) (*http.Response, error)
 }
 
-// Wire codecs a vehicle can speak. CodecBinary negotiates the CRC-framed
-// binary format (api.FrameContentType) for uploads and lookups; anything
-// else (including "") keeps JSON.
-const (
-	CodecJSON   = "json"
-	CodecBinary = "binary"
-)
-
 const jsonContentType = "application/json"
 
 // ErrQueued marks an upload that could not be delivered and was parked in
@@ -115,9 +107,6 @@ type CrowdVehicle struct {
 	// Outbox, when non-nil, queues reports and labels that could not be
 	// uploaded; ErrQueued marks affected calls.
 	Outbox *Outbox
-	// Codec selects the upload wire format: CodecBinary sends reports as
-	// CRC-framed binary bodies; the default is JSON.
-	Codec string
 	// BatchSize > 1 lets DrainOutbox deliver contiguous runs of parked
 	// reports through POST /v1/reports/batch, up to BatchSize per
 	// round-trip, instead of one request per entry.
@@ -138,9 +127,6 @@ func NewCrowdVehicle(id, baseURL string, engineCfg cs.EngineConfig) (*CrowdVehic
 	}
 	return &CrowdVehicle{ID: id, BaseURL: baseURL, HTTP: http.DefaultClient, engine: eng}, nil
 }
-
-// Engine exposes the vehicle's online CS engine.
-func (v *CrowdVehicle) Engine() *cs.Engine { return v.engine }
 
 // Sense ingests drive-by measurements into the online CS engine: with a
 // tracer attached to ctx, each sensing window becomes a client.sense root
@@ -187,21 +173,19 @@ func (v *CrowdVehicle) Report(ctx context.Context, segment string) error {
 	return v.UploadReport(ctx, rep)
 }
 
-// UploadReport uploads a prebuilt report through the full resilience path
-// (idempotency key, retrying transport, outbox park on transient failure).
-// It never touches the CS engine, so fleet tests and replay tools can drive
-// CrowdVehicles constructed without one.
+// UploadReport uploads a prebuilt report, as one binary report frame,
+// through the full resilience path (idempotency key, retrying transport,
+// outbox park on transient failure). It never touches the CS engine, so
+// fleet tests and replay tools can drive CrowdVehicles constructed without
+// one.
 func (v *CrowdVehicle) UploadReport(ctx context.Context, rep api.Report) error {
-	if v.Codec == CodecBinary {
-		buf, err := api.EncodeReportFrame(nil, "", rep)
-		if err != nil {
-			return err
-		}
-		// The idempotency key travels in the header (as on the JSON path);
-		// the frame's embedded key slot is for batch entries.
-		return v.postBody(ctx, api.RouteReports, api.FrameContentType, buf, nil, true)
+	buf, err := api.EncodeReportFrame(nil, "", rep)
+	if err != nil {
+		return err
 	}
-	return v.postJSON(ctx, api.RouteReports, rep, nil, true)
+	// The idempotency key travels in the header; the frame's embedded key
+	// slot is for batch entries.
+	return v.postBody(ctx, api.RouteReports, api.FrameContentType, buf, nil, true)
 }
 
 // ProposePattern registers the vehicle's estimates as a mapping task so
@@ -380,9 +364,6 @@ type UserVehicle struct {
 	HTTP HTTPDoer
 	// Metrics, when non-nil, records request latency and outcomes.
 	Metrics *Metrics
-	// Codec selects the lookup wire format: CodecBinary negotiates a
-	// CRC-framed binary answer via Accept; the default is JSON.
-	Codec string
 }
 
 // NewUserVehicle builds a user-vehicle client.
@@ -390,20 +371,15 @@ func NewUserVehicle(baseURL string) *UserVehicle {
 	return &UserVehicle{BaseURL: baseURL, HTTP: http.DefaultClient}
 }
 
-// Lookup downloads the fused APs inside the given area.
+// Lookup downloads the fused APs inside the given area, as a binary lookup
+// frame.
 func (u *UserVehicle) Lookup(ctx context.Context, area geo.Rect) ([]geo.Point, error) {
-	q := u.BaseURL + api.RouteLookup + "?" + api.LookupQuery(area)
-	var raw []api.LookupResult
-	if u.Codec == CodecBinary {
-		var frame []byte
-		err := get(ctx, u.Metrics, u.HTTP, q, &frame)
-		if err == nil {
-			raw, err = api.DecodeLookupFrame(frame)
-		}
-		if err != nil {
-			return nil, err
-		}
-	} else if err := get(ctx, u.Metrics, u.HTTP, q, &raw); err != nil {
+	var frame []byte
+	if err := get(ctx, u.Metrics, u.HTTP, u.BaseURL+api.RouteLookup+"?"+api.LookupQuery(area), &frame); err != nil {
+		return nil, err
+	}
+	raw, err := api.DecodeLookupFrame(frame)
+	if err != nil {
 		return nil, err
 	}
 	out := make([]geo.Point, len(raw))

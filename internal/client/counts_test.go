@@ -25,18 +25,21 @@ import (
 // wantClientCounts is one row per measured quantity of the vehicle's
 // traffic.
 var wantClientCounts = map[string]int64{
-	// One UploadReport of countsReport: the report as JSON.
-	"request bytes/upload":  307,
+	// One UploadReport of countsReport: one report frame. It was 307 as
+	// JSON.
+	"request bytes/upload":  225,
 	"response bytes/upload": 20,
 	// One UserVehicle.Lookup over the area holding countsReport's eight
-	// APs, after one aggregation: eight fused APs as JSON.
+	// APs, after one aggregation: eight fused APs in one lookup frame. It was
+	// 260 as JSON.
 	"request bytes/lookup":  0,
-	"response bytes/lookup": 260,
+	"response bytes/lookup": 205,
 	// One DrainOutbox of 32 parked reports with BatchSize 32: one POST of 32
-	// frames, each carrying its idempotency key, and the 32 statuses.
+	// frames, each carrying its idempotency key, and the 32 statuses in one
+	// status frame. The statuses were 1,670 bytes as JSON.
 	"requests/drain 32":       1,
 	"request bytes/drain 32":  8_088,
-	"response bytes/drain 32": 1_670,
+	"response bytes/drain 32": 1_157,
 }
 
 // countsReport is a fixed report of eight APs on a 25 m pitch, shaped like

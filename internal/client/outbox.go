@@ -8,8 +8,8 @@ import (
 // DefaultOutboxCapacity bounds a zero-configured outbox.
 const DefaultOutboxCapacity = 256
 
-// Entry is one parked upload: the request path, the marshalled JSON payload,
-// and the idempotency key minted for the original attempt. Replays reuse the
+// Entry is one parked upload: the request path, the encoded body, and the
+// idempotency key minted for the original attempt. Replays reuse the
 // key, so the server deduplicates an entry whose original attempt was
 // actually processed (a response lost in transit).
 type Entry struct {
@@ -18,7 +18,8 @@ type Entry struct {
 	Key        string
 	EnqueuedAt time.Time
 	// ContentType is the parked body's wire format ("" means JSON); replays
-	// send it back verbatim so a binary-codec upload drains as binary.
+	// send it back verbatim, so a report drains as the frame it was parked
+	// as.
 	ContentType string
 	// Traceparent preserves the originating upload's trace context so the
 	// eventual drain attempt joins the same trace (one logical request, one

@@ -20,46 +20,23 @@ import (
 	"crowdwifi/internal/server"
 )
 
-// batchShardHandler answers a batch request in either codec with one 201 per
-// entry, stamping each status's Error field with the shard's id — a marker
-// the merge tests read back to prove which shard answered which entry. Like
-// every fake shard's batch answer, it goes out as a frame when the request
-// asks for one (answerBatchFrame).
+// batchShardHandler answers a batch with one 201 per entry, stamping each
+// status's Error field with the shard's id — a marker the merge tests read
+// back to prove which shard answered which entry.
 func batchShardHandler(t *testing.T, id string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		entries := decodeBatchBody(t, r)
-		var resp api.BatchResponse
-		resp.Results = []api.BatchEntryStatus{}
-		for _, e := range entries {
-			resp.Results = append(resp.Results, api.BatchEntryStatus{
-				Key: e.Key, Status: http.StatusCreated, Error: id,
-			})
+		results := []api.BatchEntryStatus{}
+		for _, e := range decodeBatchBody(t, r) {
+			results = append(results, api.BatchEntryStatus{Key: e.Key, Status: http.StatusCreated, Error: id})
 		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(resp)
+		writeStatusFrame(t, w, results)
 	}
 }
 
-// answerBatchFrame runs a fake shard's batch handler, which answers JSON,
-// and sends the status vector it wrote as a frame instead, as a shard does
-// when the request's Accept asks for one. An answer other than 200 passes
-// through as it is.
-func answerBatchFrame(t *testing.T, h http.HandlerFunc, w http.ResponseWriter, r *http.Request) {
-	rec := httptest.NewRecorder()
-	h(rec, r)
-	if rec.Code != http.StatusOK {
-		for name, values := range rec.Header() {
-			w.Header()[name] = values
-		}
-		w.WriteHeader(rec.Code)
-		_, _ = w.Write(rec.Body.Bytes())
-		return
-	}
-	var br api.BatchResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &br); err != nil {
-		t.Errorf("fake shard's batch answer: %v", err)
-	}
-	frame, err := api.EncodeBatchStatusFrame(br.Results)
+// writeStatusFrame answers a fake shard's batch as a shard does: one status
+// frame.
+func writeStatusFrame(t *testing.T, w http.ResponseWriter, results []api.BatchEntryStatus) {
+	frame, err := api.EncodeBatchStatusFrame(results)
 	if err != nil {
 		t.Errorf("fake shard's batch answer: %v", err)
 	}
@@ -67,47 +44,56 @@ func answerBatchFrame(t *testing.T, h http.HandlerFunc, w http.ResponseWriter, r
 	_, _ = w.Write(frame)
 }
 
-func decodeBatchBody(t *testing.T, r *http.Request) []api.BatchEntry {
+func decodeBatchBody(t *testing.T, r *http.Request) []api.ReportFrame {
 	t.Helper()
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		t.Errorf("reading batch body: %v", err)
 		return nil
 	}
-	if strings.HasPrefix(r.Header.Get("Content-Type"), api.FrameContentType) {
-		frames, err := api.SplitReportFrames(body)
-		if err != nil {
-			t.Errorf("SplitReportFrames: %v", err)
-			return nil
-		}
-		entries := make([]api.BatchEntry, len(frames))
-		for i, f := range frames {
-			entries[i] = api.BatchEntry{Key: f.Key, Report: f.Report}
-		}
-		return entries
+	frames, err := api.SplitReportFrames(body)
+	if err != nil {
+		t.Errorf("SplitReportFrames: %v", err)
 	}
-	var req api.BatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		t.Errorf("unmarshal batch body: %v", err)
-	}
-	return req.Entries
+	return frames
 }
 
-func batchRequestJSON(t *testing.T, segments []string) ([]byte, api.BatchRequest) {
+// batchFrames is a frame batch of one report per segment, keyed "cbk-i".
+func batchFrames(t *testing.T, segments []string) (body []byte, keys []string) {
 	t.Helper()
-	var req api.BatchRequest
 	for i, seg := range segments {
-		req.Entries = append(req.Entries, api.BatchEntry{
-			Key: fmt.Sprintf("cbk-%d", i),
-			Report: api.Report{Vehicle: "v1", Segment: seg,
-				APs: []api.APReport{{X: float64(i), Y: 2, Credit: 1}}},
-		})
+		keys = append(keys, fmt.Sprintf("cbk-%d", i))
+		var err error
+		body, err = api.EncodeReportFrame(body, keys[i], api.Report{Vehicle: "v1", Segment: seg,
+			APs: []api.APReport{{X: float64(i), Y: 2, Credit: 1}}})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	body, err := json.Marshal(req)
+	return body, keys
+}
+
+// postFrameBatch posts a frame batch with no Accept header, checks the answer
+// is a 200 status frame whatever the client asked for, and decodes it.
+func postFrameBatch(t *testing.T, base string, body []byte) []api.BatchEntryStatus {
+	t.Helper()
+	resp, err := http.Post(base+api.RouteReportsBatch, api.FrameContentType, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return body, req
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d: %s", resp.StatusCode, raw)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != api.FrameContentType {
+		t.Fatalf("Content-Type = %q, want %q", ct, api.FrameContentType)
+	}
+	results, err := api.DecodeBatchStatusFrame(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results
 }
 
 // TestBatchSplitByOwnershipAndPositionalMerge: one client batch spanning
@@ -126,29 +112,17 @@ func TestBatchSplitByOwnershipAndPositionalMerge(t *testing.T) {
 		segments[i] = fmt.Sprintf("merge-seg-%d", i)
 	}
 	rg := ring.New([]string{"a", "b"}, 0)
-	body, req := batchRequestJSON(t, segments)
-	resp, err := http.Post(ts.URL+"/v1/reports/batch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(resp.Body)
-		t.Fatalf("status = %d: %s", resp.StatusCode, raw)
-	}
-	var br api.BatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
-		t.Fatal(err)
-	}
-	if len(br.Results) != len(segments) {
-		t.Fatalf("results = %d, want %d", len(br.Results), len(segments))
+	body, keys := batchFrames(t, segments)
+	results := postFrameBatch(t, ts.URL, body)
+	if len(results) != len(segments) {
+		t.Fatalf("results = %d, want %d", len(results), len(segments))
 	}
 	ownsSome := map[string]bool{}
-	for i, st := range br.Results {
+	for i, st := range results {
 		owner := rg.Owner(segments[i])
 		ownsSome[owner] = true
-		if st.Key != req.Entries[i].Key {
-			t.Errorf("result %d key = %q, want %q (request order)", i, st.Key, req.Entries[i].Key)
+		if st.Key != keys[i] {
+			t.Errorf("result %d key = %q, want %q (request order)", i, st.Key, keys[i])
 		}
 		if st.Status != http.StatusCreated {
 			t.Errorf("result %d status = %d, want 201", i, st.Status)
@@ -194,16 +168,14 @@ func recordedAsRequest(t *testing.T, f *fakeShard) *http.Request {
 // binary path the re-routed frames are the client's exact bytes.
 func TestBatchReroutesEntriesOn421BitIdentical(t *testing.T) {
 	a := newFakeShard(t, func(w http.ResponseWriter, r *http.Request) {
-		entries := decodeBatchBody(t, r)
-		var resp api.BatchResponse
-		for _, e := range entries {
-			resp.Results = append(resp.Results, api.BatchEntryStatus{
+		var results []api.BatchEntryStatus
+		for _, e := range decodeBatchBody(t, r) {
+			results = append(results, api.BatchEntryStatus{
 				Key: e.Key, Status: http.StatusMisdirectedRequest, Owner: "b",
 				Error: "mid-rebalance: segment moved",
 			})
 		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(resp)
+		writeStatusFrame(t, w, results)
 	})
 	b := newFakeShard(t, batchShardHandler(t, "b"))
 	rt := newTestRouter(t, []Peer{{"a", a.ts.URL}, {"b", b.ts.URL}}, nil)
@@ -220,35 +192,12 @@ func TestBatchReroutesEntriesOn421BitIdentical(t *testing.T) {
 			segments = append(segments, seg)
 		}
 	}
-	var body []byte
-	var err error
-	keys := make([]string, len(segments))
-	for i, seg := range segments {
-		keys[i] = fmt.Sprintf("rb-%d", i)
-		body, err = api.EncodeReportFrame(body, keys[i], api.Report{
-			Vehicle: "v1", Segment: seg,
-			APs: []api.APReport{{X: float64(i), Y: 1, Credit: 1}},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	body, keys := batchFrames(t, segments)
+	results := postFrameBatch(t, ts.URL, body)
+	if len(results) != len(keys) {
+		t.Fatalf("results = %d, want %d", len(results), len(keys))
 	}
-
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/reports/batch", bytes.NewReader(body))
-	req.Header.Set("Content-Type", api.FrameContentType)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var br api.BatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
-		t.Fatal(err)
-	}
-	if len(br.Results) != len(keys) {
-		t.Fatalf("results = %d, want %d", len(br.Results), len(keys))
-	}
-	for i, st := range br.Results {
+	for i, st := range results {
 		if st.Key != keys[i] || st.Status != http.StatusCreated {
 			t.Errorf("result %d = %+v, want key %q status 201 after re-route", i, st, keys[i])
 		}
@@ -280,26 +229,15 @@ func TestBatchDeadShardFailsOnlyItsEntries(t *testing.T) {
 		segments[i] = fmt.Sprintf("dead-seg-%d", i)
 	}
 	rg := ring.New([]string{"a", "b"}, 0)
-	body, req := batchRequestJSON(t, segments)
-	resp, err := http.Post(ts.URL+"/v1/reports/batch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200 (failure is per entry)", resp.StatusCode)
-	}
-	var br api.BatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
-		t.Fatal(err)
-	}
-	if len(br.Results) != len(req.Entries) {
-		t.Fatalf("results = %d, want %d", len(br.Results), len(req.Entries))
+	body, keys := batchFrames(t, segments)
+	results := postFrameBatch(t, ts.URL, body) // 200: failure is per entry
+	if len(results) != len(keys) {
+		t.Fatalf("results = %d, want %d", len(results), len(keys))
 	}
 	deadHit, liveHit := false, false
-	for i, st := range br.Results {
-		if st.Key != req.Entries[i].Key {
-			t.Errorf("result %d key = %q, want %q", i, st.Key, req.Entries[i].Key)
+	for i, st := range results {
+		if st.Key != keys[i] {
+			t.Errorf("result %d key = %q, want %q", i, st.Key, keys[i])
 		}
 		switch rg.Owner(segments[i]) {
 		case "b":
@@ -320,7 +258,8 @@ func TestBatchDeadShardFailsOnlyItsEntries(t *testing.T) {
 }
 
 // TestBatchEmptyVectorContractAtRouter: the router's merged vector keeps the
-// []-not-null contract for an empty batch, in JSON and on the frame path.
+// []-not-null contract for an empty batch, and a JSON body, even an empty
+// one, answers 415 without reaching a shard.
 func TestBatchEmptyVectorContractAtRouter(t *testing.T) {
 	a := newFakeShard(t, batchShardHandler(t, "a"))
 	rt := newTestRouter(t, []Peer{{"a", a.ts.URL}}, nil)
@@ -332,26 +271,12 @@ func TestBatchEmptyVectorContractAtRouter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(raw), `"results":[]`) {
-		t.Fatalf("empty JSON batch: status %d body %q, want 200 with \"results\":[]", resp.StatusCode, raw)
+	if resp.StatusCode != http.StatusUnsupportedMediaType {
+		t.Fatalf("empty JSON batch: status %d, want 415", resp.StatusCode)
 	}
 
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/reports/batch", strings.NewReader(""))
-	req.Header.Set("Content-Type", api.FrameContentType)
-	req.Header.Set("Accept", api.FrameContentType)
-	fresp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame, _ := io.ReadAll(fresp.Body)
-	fresp.Body.Close()
-	results, err := api.DecodeBatchStatusFrame(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results == nil || len(results) != 0 {
+	if results := postFrameBatch(t, ts.URL, nil); results == nil || len(results) != 0 {
 		t.Fatalf("empty binary batch decodes to %#v, want non-nil empty slice", results)
 	}
 	if a.calls(api.RouteReportsBatch) != 0 {
@@ -414,45 +339,44 @@ func TestCrossCodecLookupIdenticalThroughRouter(t *testing.T) {
 	}
 }
 
-// TestBatchOverlongJSONKeyAnsweredLikeAShard: a JSON entry whose key no frame
-// can carry gets from the router the 400 a single server gives it, and does
-// not fail the entries that share its owner.
+// TestBatchOverlongJSONKeyAnsweredLikeAShard: a JSON batch, here one with a
+// key no frame can carry, gets from the router the 415 a single server
+// gives it, byte for byte, and nothing of it is stored on either tier.
 func TestBatchOverlongJSONKeyAnsweredLikeAShard(t *testing.T) {
 	_, routerURL := newCountsCluster(t)
 	single := httptest.NewServer(server.New(server.NewStore(e2eRadius)))
 	defer single.Close()
 
 	rep := api.Report{Vehicle: "v1", Segment: "long-key-seg", APs: []api.APReport{{X: 1, Y: 2, Credit: 1}}}
-	body, err := json.Marshal(api.BatchRequest{Entries: []api.BatchEntry{
-		{Key: "lk-0", Report: rep},
-		{Key: strings.Repeat("k", 70_000), Report: rep},
-		{Key: "lk-2", Report: rep},
+	body, err := json.Marshal(map[string]any{"entries": []map[string]any{
+		{"key": "lk-0", "report": rep},
+		{"key": strings.Repeat("k", 70_000), "report": rep},
+		{"key": "lk-2", "report": rep},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	answers := map[string][]api.BatchEntryStatus{}
+	answers := map[string]string{}
 	for name, base := range map[string]string{"router": routerURL, "single": single.URL} {
 		resp, err := http.Post(base+api.RouteReportsBatch, "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var br api.BatchResponse
-		err = json.NewDecoder(resp.Body).Decode(&br)
+		raw, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || err != nil {
-			t.Fatalf("%s: status %d, %v", name, resp.StatusCode, err)
+		if resp.StatusCode != http.StatusUnsupportedMediaType {
+			t.Fatalf("%s: status %d, want 415", name, resp.StatusCode)
 		}
-		answers[name] = br.Results
+		answers[name] = string(raw)
 	}
-	want := []int{http.StatusCreated, http.StatusBadRequest, http.StatusCreated}
-	for i, st := range answers["single"] {
-		if st.Status != want[i] {
-			t.Fatalf("single server entry %d: status %d, want %d", i, st.Status, want[i])
+	if answers["router"] != answers["single"] {
+		t.Fatalf("router answers %q, single server %q", answers["router"], answers["single"])
+	}
+	for name, base := range map[string]string{"router": routerURL, "single": single.URL} {
+		aggregate(t, base)
+		if _, got := lookupBytes(t, base); string(got) != "[]\n" {
+			t.Errorf("%s: a refused JSON batch left fused APs: %s", name, got)
 		}
-	}
-	if !reflect.DeepEqual(answers["router"], answers["single"]) {
-		t.Fatalf("router answers %+v, single server %+v", answers["router"], answers["single"])
 	}
 }
 

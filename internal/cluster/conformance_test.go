@@ -137,6 +137,7 @@ func TestCrossTierConformance(t *testing.T) {
 		return b
 	}
 	asJSON := map[string]string{"Content-Type": "application/json"}
+	asFrames := map[string]string{"Content-Type": api.FrameContentType}
 	cases := []struct {
 		name   string
 		setup  func(t *testing.T, tr *tiers)
@@ -174,8 +175,14 @@ func TestCrossTierConformance(t *testing.T) {
 		},
 		{
 			name:   "oversized batch body",
-			method: http.MethodPost, path: "/v1/reports/batch", header: asJSON, body: over(api.DefaultBatchMaxBodyBytes),
+			method: http.MethodPost, path: "/v1/reports/batch", header: asFrames, body: over(api.DefaultBatchMaxBodyBytes),
 			want: answer{status: 413, mode: "healthy", body: "{\"error\":\"body exceeds 16777216 bytes\"}\n"},
+		},
+		{
+			name:   "JSON batch body",
+			method: http.MethodPost, path: "/v1/reports/batch", header: asJSON, body: []byte(`{"entries":[]}`),
+			want: answer{status: 415, mode: "healthy",
+				body: "{\"error\":\"a batch is a stream of application/x-crowdwifi-frame frames\"}\n"},
 		},
 		{
 			name:   "degenerate rect",
@@ -267,7 +274,7 @@ func TestRouterCountsEvery503ItOriginates(t *testing.T) {
 	report := reportBody(t, "seg-1")
 	asJSON := map[string]string{"Content-Type": "application/json"}
 
-	dec := tr.router.Admission().Admit(context.Background(), overload.FamilyUpload, false)
+	dec := tr.router.stack.Admission.Admit(context.Background(), overload.FamilyUpload, false)
 	if !dec.OK {
 		t.Fatal("could not take the router's only upload slot")
 	}
@@ -283,11 +290,11 @@ func TestRouterCountsEvery503ItOriginates(t *testing.T) {
 
 	tr.router.ring.Store(ring.New(nil, 0))
 	for i, path := range []string{"/v1/reports", "/v1/reports/batch"} {
-		body := report
+		header, body := asJSON, report
 		if path == api.RouteReportsBatch {
-			body = []byte(`{"entries":[]}`)
+			header, body = map[string]string{"Content-Type": api.FrameContentType}, nil
 		}
-		got := ask(t, tr.routerURL, http.MethodPost, path, asJSON, body)
+		got := ask(t, tr.routerURL, http.MethodPost, path, header, body)
 		if got.status != http.StatusServiceUnavailable || got.retryAfter != "1" || got.body != "{\"error\":\"no cluster members\"}\n" {
 			t.Errorf("%s on an empty ring answered %+v", path, got)
 		}
@@ -320,16 +327,25 @@ func TestLookupQueryRoundTripsBothTiers(t *testing.T) {
 		tr := newTiers(t, store)
 		area := geo.Rect{Min: geo.Point{X: v - 1, Y: v - 1}, Max: geo.Point{X: v + 1, Y: v + 1}}
 		for tier, base := range map[string]string{"shard": tr.shardURL, "router": tr.routerURL} {
-			for _, codec := range []string{client.CodecJSON, client.CodecBinary} {
-				user := &client.UserVehicle{BaseURL: base, Codec: codec}
-				got, err := user.Lookup(context.Background(), area)
-				if err != nil {
-					t.Errorf("%v via %s (%s): %v", v, tier, codec, err)
-					continue
-				}
-				if len(got) != 1 || got[0] != (geo.Point{X: v, Y: v}) {
-					t.Errorf("%v via %s (%s): got %v, want the one AP at (%v, %v)", v, tier, codec, got, v, v)
-				}
+			// The user vehicle asks for a frame; the JSON answer is read
+			// raw, as a person's curl would.
+			got, err := client.NewUserVehicle(base).Lookup(context.Background(), area)
+			if err != nil {
+				t.Errorf("%v via %s (frame): %v", v, tier, err)
+			} else if len(got) != 1 || got[0] != (geo.Point{X: v, Y: v}) {
+				t.Errorf("%v via %s (frame): got %v, want the one AP at (%v, %v)", v, tier, got, v, v)
+			}
+			resp, err := http.Get(base + api.RouteLookup + "?" + api.LookupQuery(area))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rows []api.LookupResult
+			err = json.NewDecoder(resp.Body).Decode(&rows)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("%v via %s (json): status %d, %v", v, tier, resp.StatusCode, err)
+			} else if len(rows) != 1 || rows[0].X != v || rows[0].Y != v {
+				t.Errorf("%v via %s (json): got %v, want the one AP at (%v, %v)", v, tier, rows, v, v)
 			}
 		}
 	}

@@ -184,7 +184,7 @@ func TestCountsRouter(t *testing.T) {
 	if !raceEnabled {
 		rg := ring.New([]string{"a", "b"}, 0)
 		got["allocs/split 500 frames"] = testing.AllocsPerRun(100, func() {
-			if _, _, err := splitBatch(true, body, rg); err != nil {
+			if _, _, err := splitBatch(body, rg); err != nil {
 				t.Fatal(err)
 			}
 		})

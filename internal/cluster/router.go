@@ -206,9 +206,6 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	return rt, nil
 }
 
-// Admission exposes the router's admission controller (nil when disabled).
-func (rt *Router) Admission() *overload.Admission { return rt.stack.Admission }
-
 // Members returns the current ring membership.
 func (rt *Router) Members() []string { return rt.ring.Load().Members() }
 

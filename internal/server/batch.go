@@ -2,10 +2,10 @@ package server
 
 // Batch ingest: POST /v1/reports/batch accepts many reports in one
 // round-trip — the vehicle outbox's drain path — with a per-entry
-// idempotency key and a per-entry status vector in the response. The body is
-// either JSON (api.BatchRequest) or a concatenation of binary report frames
-// (Content-Type: application/x-crowdwifi-frame); the response is JSON
-// (api.BatchResponse) or a single batch-status frame per the Accept header.
+// idempotency key and a per-entry status vector in the response. Only
+// machines call it, so it speaks frames alone: the body is a concatenation of
+// binary report frames (Content-Type: application/x-crowdwifi-frame), any
+// other body answers 415, and the response is a single batch-status frame.
 //
 // Partial failure is the normal case, not an error: the response is always
 // 200 with one status per entry in request order. An entry's status is the
@@ -16,7 +16,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -56,46 +55,30 @@ func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusMethodNotAllowed)
 		return
 	}
+	if !api.RequireFrames(w, r, "a batch") {
+		return
+	}
 	body, ok := s.readBody(w, r, api.DefaultBatchMaxBodyBytes)
 	if !ok {
 		return
 	}
-	var entries []api.BatchEntry
-	if api.IsFrameRequest(r) {
-		frames, err := api.SplitReportFrames(body)
-		if err != nil {
-			api.WriteError(w, http.StatusBadRequest, err)
-			return
-		}
-		entries = make([]api.BatchEntry, len(frames))
-		for i, f := range frames {
-			entries[i] = api.BatchEntry{Key: f.Key, Report: f.Report}
-		}
-	} else {
-		var req api.BatchRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			api.WriteError(w, http.StatusBadRequest, err)
-			return
-		}
-		entries = req.Entries
-	}
-	results := s.processBatch(r.Context(), entries)
-	if api.WantsFrame(r.Header.Get("Accept")) {
-		frame, err := api.EncodeBatchStatusFrame(results)
-		if err != nil {
-			api.WriteError(w, http.StatusInternalServerError, err)
-			return
-		}
-		writeFrame(w, frame)
+	entries, err := api.SplitReportFrames(body)
+	if err != nil {
+		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	api.WriteJSON(w, http.StatusOK, api.BatchResponse{Results: results})
+	frame, err := api.EncodeBatchStatusFrame(s.processBatch(r.Context(), entries))
+	if err != nil {
+		api.WriteError(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeFrame(w, frame)
 }
 
 // processBatch validates, ownership-filters, and dedupes each entry, then
 // runs the survivors through the store's chunked durable append. The status
 // vector is in entry order.
-func (s *Server) processBatch(ctx context.Context, entries []api.BatchEntry) []BatchEntryStatus {
+func (s *Server) processBatch(ctx context.Context, entries []api.ReportFrame) []BatchEntryStatus {
 	ctx, span := trace.StartChild(ctx, "server.batch")
 	defer span.End()
 	span.SetAttr("entries", len(entries))

@@ -24,42 +24,78 @@ func batchReport(i int) Report {
 	}
 }
 
-func postBatchJSON(t *testing.T, url string, req api.BatchRequest) (*http.Response, api.BatchResponse) {
-	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url+"/v1/reports/batch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { resp.Body.Close() })
-	var out api.BatchResponse
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatalf("decoding batch response: %v", err)
+// postBatch posts items as a batch of report frames with no Accept header:
+// the answer is a status frame whatever the client asks for. It returns the
+// HTTP status and, on a 200, the decoded status vector.
+func postBatch(url string, items []BatchItem) (int, []BatchEntryStatus, error) {
+	var body []byte
+	for _, it := range items {
+		var err error
+		if body, err = EncodeReportFrame(body, it.Key, it.Report); err != nil {
+			return 0, nil, err
 		}
 	}
-	return resp, out
+	resp, err := http.Post(url+"/v1/reports/batch", FrameContentType, bytes.NewReader(body))
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		return resp.StatusCode, nil, err
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != FrameContentType {
+		return resp.StatusCode, nil, fmt.Errorf("batch answered Content-Type %q, want %q", ct, FrameContentType)
+	}
+	results, err := DecodeBatchStatusFrame(raw)
+	return resp.StatusCode, results, err
+}
+
+// mustPostBatch is postBatch for the test goroutine: a transport or decode
+// error fails the test.
+func mustPostBatch(t *testing.T, url string, items []BatchItem) (int, []BatchEntryStatus) {
+	t.Helper()
+	status, results, err := postBatch(url, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return status, results
 }
 
 func TestBatchHappyPathAndPerEntryReplay(t *testing.T) {
 	store, ts := newTestServer(t)
-	req := api.BatchRequest{}
+	var items []BatchItem
 	for i := 0; i < 3; i++ {
-		req.Entries = append(req.Entries, api.BatchEntry{Key: fmt.Sprintf("bk-%d", i), Report: batchReport(i)})
+		items = append(items, BatchItem{Key: fmt.Sprintf("bk-%d", i), Report: batchReport(i)})
 	}
-	resp, out := postBatchJSON(t, ts.URL, req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200", resp.StatusCode)
+	// The same entries as JSON are refused whole, and nothing is stored: a
+	// batch is frames only.
+	buf, err := json.Marshal(map[string]any{"entries": items})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(out.Results) != 3 {
-		t.Fatalf("results = %d, want 3", len(out.Results))
+	resp, err := http.Post(ts.URL+"/v1/reports/batch", "application/json", bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, st := range out.Results {
-		if st.Key != req.Entries[i].Key {
-			t.Errorf("result %d key = %q, want %q (request order)", i, st.Key, req.Entries[i].Key)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnsupportedMediaType {
+		t.Fatalf("JSON batch status = %d, want 415", resp.StatusCode)
+	}
+	if n := store.reports.len(); n != 0 {
+		t.Fatalf("a refused JSON batch stored %d reports", n)
+	}
+
+	status, out := mustPostBatch(t, ts.URL, items)
+	if status != http.StatusOK {
+		t.Fatalf("status = %d, want 200", status)
+	}
+	if len(out) != 3 {
+		t.Fatalf("results = %d, want 3", len(out))
+	}
+	for i, st := range out {
+		if st.Key != items[i].Key {
+			t.Errorf("result %d key = %q, want %q (request order)", i, st.Key, items[i].Key)
 		}
 		if st.Status != http.StatusCreated {
 			t.Errorf("result %d status = %d, want 201", i, st.Status)
@@ -71,11 +107,11 @@ func TestBatchHappyPathAndPerEntryReplay(t *testing.T) {
 
 	// The whole batch replayed: every entry dedupes by its own key, nothing
 	// is stored twice, and the replayed statuses are still 2xx acks.
-	resp, out = postBatchJSON(t, ts.URL, req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("replay status = %d, want 200", resp.StatusCode)
+	status, out = mustPostBatch(t, ts.URL, items)
+	if status != http.StatusOK {
+		t.Fatalf("replay status = %d, want 200", status)
 	}
-	for i, st := range out.Results {
+	for i, st := range out {
 		if !st.Ok() {
 			t.Errorf("replayed result %d status = %d, want 2xx", i, st.Status)
 		}
@@ -87,22 +123,21 @@ func TestBatchHappyPathAndPerEntryReplay(t *testing.T) {
 
 func TestBatchMixedValidityKeepsOrder(t *testing.T) {
 	store, ts := newTestServer(t)
-	req := api.BatchRequest{Entries: []api.BatchEntry{
+	status, out := mustPostBatch(t, ts.URL, []BatchItem{
 		{Key: "mx-0", Report: batchReport(0)},
 		{Key: "mx-1", Report: Report{Segment: "s"}}, // no vehicle → 400
 		{Key: "mx-2", Report: batchReport(2)},
-	}}
-	resp, out := postBatchJSON(t, ts.URL, req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200 (partial failure is per entry)", resp.StatusCode)
+	})
+	if status != http.StatusOK {
+		t.Fatalf("status = %d, want 200 (partial failure is per entry)", status)
 	}
 	want := []int{201, 400, 201}
-	for i, st := range out.Results {
+	for i, st := range out {
 		if st.Status != want[i] {
 			t.Errorf("result %d status = %d, want %d", i, st.Status, want[i])
 		}
 	}
-	if out.Results[1].Error == "" {
+	if out[1].Error == "" {
 		t.Error("invalid entry carries no error text")
 	}
 	if n := store.reports.len(); n != 2 {
@@ -110,11 +145,9 @@ func TestBatchMixedValidityKeepsOrder(t *testing.T) {
 	}
 	// The rejected entry's key must not be poisoned: retrying it alone with
 	// a fixed report stores it.
-	resp2, out2 := postBatchJSON(t, ts.URL, api.BatchRequest{Entries: []api.BatchEntry{
-		{Key: "mx-1", Report: batchReport(1)},
-	}})
-	if resp2.StatusCode != http.StatusOK || out2.Results[0].Status != http.StatusCreated {
-		t.Fatalf("retry of failed entry: status %d, entry %d", resp2.StatusCode, out2.Results[0].Status)
+	status2, out2 := mustPostBatch(t, ts.URL, []BatchItem{{Key: "mx-1", Report: batchReport(1)}})
+	if status2 != http.StatusOK || out2[0].Status != http.StatusCreated {
+		t.Fatalf("retry of failed entry: status %d, entry %+v", status2, out2)
 	}
 }
 
@@ -191,12 +224,13 @@ func TestBodyLimitBoundaries(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		name  string
-		path  string
-		limit int
+		name        string
+		path        string
+		contentType string
+		limit       int
 	}{
-		{"reports", "/v1/reports", api.DefaultMaxBodyBytes},
-		{"batch", "/v1/reports/batch", api.DefaultBatchMaxBodyBytes},
+		{"reports", "/v1/reports", "application/json", api.DefaultMaxBodyBytes},
+		{"batch", "/v1/reports/batch", FrameContentType, api.DefaultBatchMaxBodyBytes},
 	} {
 		for _, sz := range []struct {
 			bytes    int
@@ -207,7 +241,7 @@ func TestBodyLimitBoundaries(t *testing.T) {
 			{tc.limit + 1, true},
 		} {
 			body := pad(map[string]string{}, sz.bytes)
-			resp, err := http.Post(ts.URL+tc.path, "application/json", bytes.NewReader(body))
+			resp, err := http.Post(ts.URL+tc.path, tc.contentType, bytes.NewReader(body))
 			if err != nil {
 				t.Fatalf("%s @ %d: %v", tc.name, sz.bytes, err)
 			}
@@ -368,43 +402,34 @@ func TestBatchOversizedRecordFailsAloneAs413(t *testing.T) {
 
 	huge := batchReport(1)
 	huge.Segment = strings.Repeat("s", 2048) // record > chunk budget
-	resp, out := postBatchJSON(t, ts.URL, api.BatchRequest{Entries: []api.BatchEntry{
+	status, out := mustPostBatch(t, ts.URL, []BatchItem{
 		{Key: "ov-0", Report: batchReport(0)},
 		{Key: "ov-1", Report: huge},
 		{Key: "ov-2", Report: batchReport(2)},
-	}})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200", resp.StatusCode)
+	})
+	if status != http.StatusOK {
+		t.Fatalf("status = %d, want 200", status)
 	}
 	want := []int{201, http.StatusRequestEntityTooLarge, 201}
-	for i, st := range out.Results {
+	for i, st := range out {
 		if st.Status != want[i] {
 			t.Errorf("result %d status = %d, want %d", i, st.Status, want[i])
 		}
 	}
 	// The store must still accept writes: no read-only flip happened.
-	resp2, out2 := postBatchJSON(t, ts.URL, api.BatchRequest{Entries: []api.BatchEntry{
-		{Key: "ov-3", Report: batchReport(3)},
-	}})
-	if resp2.StatusCode != http.StatusOK || out2.Results[0].Status != http.StatusCreated {
-		t.Fatalf("write after oversized record: status %d, entry %d",
-			resp2.StatusCode, out2.Results[0].Status)
+	status2, out2 := mustPostBatch(t, ts.URL, []BatchItem{{Key: "ov-3", Report: batchReport(3)}})
+	if status2 != http.StatusOK || out2[0].Status != http.StatusCreated {
+		t.Fatalf("write after oversized record: status %d, entries %+v", status2, out2)
 	}
 }
 
 func TestBatchEmptyBodyKeepsArrayContract(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, err := http.Post(ts.URL+"/v1/reports/batch", "application/json",
-		strings.NewReader(`{"entries":[]}`))
-	if err != nil {
-		t.Fatal(err)
+	status, out := mustPostBatch(t, ts.URL, nil)
+	if status != http.StatusOK {
+		t.Fatalf("status = %d, want 200", status)
 	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200", resp.StatusCode)
-	}
-	if !strings.Contains(string(raw), `"results":[]`) {
-		t.Fatalf("empty batch body = %s, want \"results\":[] (never null)", raw)
+	if out == nil || len(out) != 0 {
+		t.Fatalf("empty batch decodes to %#v, want a non-nil empty vector", out)
 	}
 }

@@ -342,10 +342,8 @@ func (s *Server) handleClusterSlice(w http.ResponseWriter, r *http.Request) {
 		}, s.store.chunkBudget())
 		writeFrame(w, moves["requester"])
 	case http.MethodPost:
-		if !api.IsFrameRequest(r) {
-			// A router of an older build sends its JSON slice here.
-			api.WriteError(w, http.StatusUnsupportedMediaType,
-				fmt.Errorf("a move is a stream of %s frames", api.FrameContentType))
+		// A router of an older build sends its JSON slice here.
+		if !api.RequireFrames(w, r, "a move") {
 			return
 		}
 		body, ok := s.readBody(w, r, maxSliceBytes)

@@ -20,7 +20,6 @@ import (
 	"testing"
 	"time"
 
-	"crowdwifi/internal/api"
 	"crowdwifi/internal/frame"
 	"crowdwifi/internal/geo"
 	"crowdwifi/internal/wal"
@@ -181,23 +180,19 @@ func TestConcurrentTrafficEqualsSerialReplay(t *testing.T) {
 	go func() { // batch uploads
 		defer writers.Done()
 		for b := 0; b < batches; b++ {
-			var req api.BatchRequest
+			var items []BatchItem
 			for j := 0; j < batchSize; j++ {
 				n := b*batchSize + j
-				req.Entries = append(req.Entries, api.BatchEntry{Key: fmt.Sprintf("b-%d", n), Report: Report{
+				items = append(items, BatchItem{Key: fmt.Sprintf("b-%d", n), Report: Report{
 					Vehicle: fmt.Sprintf("veh-%d", n%25), Segment: fmt.Sprintf("bat-%03d", n),
 					APs: []APReport{{X: float64(100 * n), Y: 2050, Credit: 1}}}})
 			}
-			status, body, err := post(ts.URL+"/v1/reports/batch", req)
-			var resp api.BatchResponse
-			if err == nil {
-				err = json.Unmarshal(body, &resp)
-			}
-			if err != nil || status != http.StatusOK || len(resp.Results) != batchSize {
-				t.Errorf("batch %d: status %d err %v body %s", b, status, err, body)
+			status, results, err := postBatch(ts.URL, items)
+			if err != nil || status != http.StatusOK || len(results) != batchSize {
+				t.Errorf("batch %d: status %d err %v, %d results", b, status, err, len(results))
 				return
 			}
-			for _, r := range resp.Results {
+			for _, r := range results {
 				if r.Status != http.StatusCreated {
 					t.Errorf("batch %d entry %s: status %d (%s)", b, r.Key, r.Status, r.Error)
 				}

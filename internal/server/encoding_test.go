@@ -32,23 +32,19 @@ func TestListEndpointsEncodeEmptyAsArray(t *testing.T) {
 }
 
 // TestBatchResultsEncodeEmptyAsArray: the batch response's status vector
-// obeys the same []-not-null contract as the list endpoints — in JSON and
-// on the binary frame path, where an empty vector must decode to a non-nil
-// empty slice.
+// obeys the same []-not-null contract as the list endpoints: an empty vector
+// must decode to a non-nil empty slice. A JSON body, even an empty one, is
+// not a batch and answers 415.
 func TestBatchResultsEncodeEmptyAsArray(t *testing.T) {
 	_, ts := newTestServer(t)
 	resp, err := http.Post(ts.URL+"/v1/reports/batch", "application/json",
-		strings.NewReader(`{}`)) // entries omitted entirely, not just empty
+		strings.NewReader(`{}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.TrimSpace(string(body)); got != `{"results":[]}` {
-		t.Errorf("empty batch = %q, want {\"results\":[]}", got)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnsupportedMediaType {
+		t.Errorf("JSON batch status = %d, want 415", resp.StatusCode)
 	}
 
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/reports/batch", strings.NewReader(""))
