@@ -397,42 +397,6 @@ func BenchmarkHungarian40(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCredit sweeps the spurious-estimate credit filter
-// (Section 4.3.6; the paper sets it to 1) on the UCI drive, reporting the
-// counting error of the raw filtered set (no BIC prune) so the filter's own
-// effect is visible.
-func BenchmarkAblationCredit(b *testing.B) {
-	sc := sim.UCI()
-	for _, minCredit := range []float64{0.5, 1, 2, 4} {
-		b.Run(fmt.Sprintf("credit%g", minCredit), func(b *testing.B) {
-			var cntErr float64
-			for i := 0; i < b.N; i++ {
-				r := rng.New(2014)
-				ms, err := sc.Drive(sim.DriveConfig{Trajectory: sim.UCIDrive(), NumSamples: 180, SNR: 30}, r)
-				if err != nil {
-					b.Fatal(err)
-				}
-				area := sc.Area
-				eng, err := cs.NewEngine(cs.EngineConfig{
-					Channel: sc.Channel, Radius: sc.Radius, Lattice: sc.Lattice,
-					Area: &area, WindowSize: 60, StepSize: 10,
-					MergeRadius: 1.5 * sc.Lattice, MinCredit: minCredit,
-					Select: cs.SelectOptions{MaxK: 8},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := eng.AddBatch(ms); err != nil {
-					b.Fatal(err)
-				}
-				got := len(eng.Estimates()) // credit-filtered, pre-prune
-				cntErr = eval.CountingError([]int{len(sc.APs)}, []int{got})
-			}
-			b.ReportMetric(cntErr, "count_err")
-		})
-	}
-}
-
 // BenchmarkWALAppend measures the durable write path under each fsync
 // policy: "always" is the cost of ack⇒durable (one fsync per record),
 // "interval" batches fsyncs in the background, "off" leaves durability to

@@ -172,29 +172,6 @@ func TestSkyhookCrowdEmpty(t *testing.T) {
 	}
 }
 
-func TestFingerprintLocate(t *testing.T) {
-	ch := radio.UCIChannel()
-	db := map[int]geo.Point{
-		0: {X: 0, Y: 0},
-		1: {X: 100, Y: 0},
-	}
-	// Client much closer to AP 0 (stronger RSS → smaller implied distance).
-	scan := []radio.Measurement{
-		{RSS: ch.MeanRSS(5), Source: 0},
-		{RSS: ch.MeanRSS(95), Source: 1},
-	}
-	p, ok := FingerprintLocate(db, scan, ch)
-	if !ok {
-		t.Fatal("no fix")
-	}
-	if p.X > 20 {
-		t.Fatalf("fix %v should be near AP 0", p)
-	}
-	if _, ok := FingerprintLocate(db, []radio.Measurement{{Source: 9}}, ch); ok {
-		t.Fatal("fix from unknown APs should fail")
-	}
-}
-
 func TestProcrustesAlignsRotation(t *testing.T) {
 	src := []geo.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 0, Y: 2}}
 	// dst = src rotated 90° and translated.

@@ -162,27 +162,3 @@ func skyhookPairs(ms []radio.Measurement, opts SkyhookOptions) (map[int]geo.Poin
 	}
 	return out, nil
 }
-
-// FingerprintLocate answers the inverse query (locating a client from a scan
-// against a fingerprint database) with weighted K-nearest-neighbours — the
-// Place-Lab client-side algorithm. It exists to round out the baseline and
-// for the handoff studies. The database maps AP id → estimated position;
-// scan is a labelled RSS vector.
-func FingerprintLocate(db map[int]geo.Point, scan []radio.Measurement, ch radio.Channel) (geo.Point, bool) {
-	var sx, sy, sw float64
-	for _, s := range scan {
-		ap, ok := db[s.Source]
-		if !ok {
-			continue
-		}
-		d := ch.InvertRSS(s.RSS)
-		w := 1 / (1 + d)
-		sx += w * ap.X
-		sy += w * ap.Y
-		sw += w
-	}
-	if sw == 0 {
-		return geo.Point{}, false
-	}
-	return geo.Point{X: sx / sw, Y: sy / sw}, true
-}

@@ -134,12 +134,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	return e, nil
 }
 
-// Config returns the engine's effective (defaulted) configuration.
-func (e *Engine) Config() EngineConfig { return e.cfg }
-
-// Round returns the number of completed rounds.
-func (e *Engine) Round() int { return e.round }
-
 // Add ingests one measurement. When StepSize new samples have accumulated it
 // runs a round and returns its result; otherwise it returns (nil, nil).
 // Equivalent to AddContext with context.Background().
@@ -401,10 +395,11 @@ func (e *Engine) closestPairWithin(r float64) (int, int) {
 	return bi, bj
 }
 
-// Estimates returns the consolidated AP set with spurious entries (credit ≤
-// MinCredit) filtered out, ordered by descending credit. The paper filters
-// estimates with exactly one credit; MinCredit defaults accordingly.
-func (e *Engine) Estimates() []Estimate {
+// creditedEstimates returns the consolidated AP set with spurious entries
+// (credit ≤ MinCredit) filtered out, ordered by descending credit: the
+// paper's filter of estimates with exactly one credit, before
+// FinalEstimates' prune. MinCredit defaults accordingly.
+func (e *Engine) creditedEstimates() []Estimate {
 	out := make([]Estimate, 0, len(e.estimates))
 	for _, est := range e.estimates {
 		if est.Credit > e.cfg.MinCredit {

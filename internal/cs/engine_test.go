@@ -1,11 +1,14 @@
 package cs
 
 import (
+	"fmt"
 	"testing"
 
+	"crowdwifi/internal/eval"
 	"crowdwifi/internal/geo"
 	"crowdwifi/internal/radio"
 	"crowdwifi/internal/rng"
+	"crowdwifi/internal/sim"
 )
 
 func validEngineConfig() EngineConfig {
@@ -43,7 +46,7 @@ func TestEngineDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := e.Config()
+	got := e.cfg
 	if got.WindowSize != 60 || got.StepSize != 10 {
 		t.Fatalf("defaults: window %d step %d, want 60/10 (the paper's setting)", got.WindowSize, got.StepSize)
 	}
@@ -83,8 +86,8 @@ func TestEngineRoundCadence(t *testing.T) {
 	if rounds != 4 {
 		t.Fatalf("rounds = %d, want 4 (20 samples / step 5)", rounds)
 	}
-	if e.Round() != 4 {
-		t.Fatalf("Round() = %d", e.Round())
+	if e.round != 4 {
+		t.Fatalf("round = %d", e.round)
 	}
 }
 
@@ -253,7 +256,7 @@ func TestEngineCreditFilter(t *testing.T) {
 	e.consolidate([]geo.Point{{X: 10, Y: 10}, {X: 80, Y: 80}})
 	e.round = 2
 	e.consolidate([]geo.Point{{X: 10, Y: 10}})
-	ests := e.Estimates() // MinCredit 1: single-credit estimates drop
+	ests := e.creditedEstimates() // MinCredit 1: single-credit estimates drop
 	if len(ests) != 1 {
 		t.Fatalf("filtered estimates = %d, want 1", len(ests))
 	}
@@ -304,5 +307,41 @@ func TestFinalEstimatesPrunesPhantom(t *testing.T) {
 	}
 	if finals[0].Pos.Dist(ap) > 8 {
 		t.Fatalf("kept the wrong estimate: %v", finals[0].Pos)
+	}
+}
+
+// BenchmarkAblationCredit sweeps the spurious-estimate credit filter
+// (Section 4.3.6; the paper sets it to 1) on the UCI drive, reporting the
+// counting error of the raw filtered set (no BIC prune) so the filter's own
+// effect is visible.
+func BenchmarkAblationCredit(b *testing.B) {
+	sc := sim.UCI()
+	for _, minCredit := range []float64{0.5, 1, 2, 4} {
+		b.Run(fmt.Sprintf("credit%g", minCredit), func(b *testing.B) {
+			var cntErr float64
+			for i := 0; i < b.N; i++ {
+				r := rng.New(2014)
+				ms, err := sc.Drive(sim.DriveConfig{Trajectory: sim.UCIDrive(), NumSamples: 180, SNR: 30}, r)
+				if err != nil {
+					b.Fatal(err)
+				}
+				area := sc.Area
+				eng, err := NewEngine(EngineConfig{
+					Channel: sc.Channel, Radius: sc.Radius, Lattice: sc.Lattice,
+					Area: &area, WindowSize: 60, StepSize: 10,
+					MergeRadius: 1.5 * sc.Lattice, MinCredit: minCredit,
+					Select: SelectOptions{MaxK: 8},
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := eng.AddBatch(ms); err != nil {
+					b.Fatal(err)
+				}
+				got := len(eng.creditedEstimates()) // credit-filtered, pre-prune
+				cntErr = eval.CountingError([]int{len(sc.APs)}, []int{got})
+			}
+			b.ReportMetric(cntErr, "count_err")
+		})
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"crowdwifi/internal/geo"
 	"crowdwifi/internal/grid"
-	"crowdwifi/internal/mat"
 	"crowdwifi/internal/obs"
 	"crowdwifi/internal/radio"
 	"crowdwifi/internal/rng"
@@ -280,7 +279,7 @@ func TestRecoverThetaLeavesCallersMatrixAlone(t *testing.T) {
 		if _, err := RecoverTheta(context.Background(), a, y, RecoveryOptions{SkipOrthogonalize: skip}); err != nil {
 			t.Fatal(err)
 		}
-		if !mat.EqualApprox(a, before, 0) {
+		if !equalApprox(a, before, 0) {
 			t.Fatalf("RecoverTheta (SkipOrthogonalize=%v) wrote to the caller's sensing matrix", skip)
 		}
 	}
@@ -340,9 +339,9 @@ func TestFinalEstimatesHonorsMinCredit(t *testing.T) {
 		{Pos: geo.Point{X: 40, Y: 40}, Credit: 2},
 		{Pos: geo.Point{X: 80, Y: 80}, Credit: 5},
 	}
-	finals, ests := e.FinalEstimates(), e.Estimates()
+	finals, ests := e.FinalEstimates(), e.creditedEstimates()
 	if len(ests) != 1 || len(finals) != 1 || finals[0].Credit != 5 {
-		t.Fatalf("MinCredit 2: Estimates kept %+v, FinalEstimates %+v; both must keep only the credit-5 estimate", ests, finals)
+		t.Fatalf("MinCredit 2: creditedEstimates kept %+v, FinalEstimates %+v; both must keep only the credit-5 estimate", ests, finals)
 	}
 }
 

@@ -84,7 +84,7 @@ func TestPhiPsiMatchesDirectConstructionOnGridPoints(t *testing.T) {
 	}
 	direct := BuildSensingMatrix(g, ch, ms)
 	phiPsi := mat.Mul(BuildPhi(g, ms), BuildPsi(g, ch))
-	if !mat.EqualApprox(direct, phiPsi, 1e-9) {
+	if !equalApprox(direct, phiPsi, 1e-9) {
 		t.Fatal("ΦΨ != direct sensing matrix on grid-point RPs")
 	}
 }
@@ -93,7 +93,7 @@ func TestPsiSymmetric(t *testing.T) {
 	ch := radio.UCIChannel()
 	g := testGrid(t, 30, 30, 10)
 	psi := BuildPsi(g, ch)
-	if !mat.EqualApprox(psi, psi.T(), 1e-12) {
+	if !equalApprox(psi, psi.T(), 1e-12) {
 		t.Fatal("Ψ should be symmetric (distance is symmetric)")
 	}
 }
@@ -117,7 +117,7 @@ func TestOrthogonalizeRowsOrthonormal(t *testing.T) {
 		t.Fatalf("y' length %d != %d rows of Q", len(yp), rows)
 	}
 	qqt := mat.AAt(q)
-	if !mat.EqualApprox(qqt, mat.Identity(rows), 1e-8) {
+	if !equalApprox(qqt, mat.Identity(rows), 1e-8) {
 		t.Fatal("QQᵀ != I: rows not orthonormal")
 	}
 }
@@ -269,4 +269,22 @@ func TestColumnNormalizationCountersRoadBias(t *testing.T) {
 	if bp.Y == 50 {
 		t.Fatalf("dominant support on the drive line at %v — road-bias regression", bp)
 	}
+}
+
+// equalApprox reports whether a and b have the same shape and all entries
+// within tol of each other.
+func equalApprox(a, b *mat.Mat, tol float64) bool {
+	ar, ac := a.Dims()
+	br, bc := b.Dims()
+	if ar != br || ac != bc {
+		return false
+	}
+	for i := 0; i < ar; i++ {
+		for j := 0; j < ac; j++ {
+			if math.Abs(a.At(i, j)-b.At(i, j)) > tol {
+				return false
+			}
+		}
+	}
+	return true
 }

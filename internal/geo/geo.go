@@ -18,12 +18,6 @@ func (p Point) Dist(q Point) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)
 }
 
-// Add returns p+q component-wise.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
-// Sub returns p−q component-wise.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
 // String renders the point with centimetre precision.
 func (p Point) String() string { return fmt.Sprintf("(%.2f, %.2f)", p.X, p.Y) }
 

@@ -15,17 +15,6 @@ func TestPointDist(t *testing.T) {
 	}
 }
 
-func TestPointArithmetic(t *testing.T) {
-	p := Point{1, 2}
-	q := Point{3, -1}
-	if s := p.Add(q); s != (Point{4, 1}) {
-		t.Fatalf("Add = %v", s)
-	}
-	if s := p.Sub(q); s != (Point{-2, 3}) {
-		t.Fatalf("Sub = %v", s)
-	}
-}
-
 func TestDistSymmetryProperty(t *testing.T) {
 	f := func(ax, ay, bx, by float64) bool {
 		if anyNonFinite(ax, ay, bx, by) {

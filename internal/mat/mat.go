@@ -276,20 +276,6 @@ func (m *Mat) FrobeniusNorm() float64 {
 	return math.Sqrt(s)
 }
 
-// EqualApprox reports whether a and b have the same shape and all entries
-// within tol of each other.
-func EqualApprox(a, b *Mat, tol float64) bool {
-	if a.rows != b.rows || a.cols != b.cols {
-		return false
-	}
-	for i := range a.data {
-		if math.Abs(a.data[i]-b.data[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the matrix for debugging.
 func (m *Mat) String() string {
 	var sb strings.Builder

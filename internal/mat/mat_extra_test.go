@@ -45,7 +45,7 @@ func TestString(t *testing.T) {
 }
 
 func TestEqualApproxShapeMismatch(t *testing.T) {
-	if EqualApprox(New(2, 2), New(2, 3), 1) {
+	if equalApprox(New(2, 2), New(2, 3), 1) {
 		t.Fatal("different shapes reported equal")
 	}
 }

@@ -71,7 +71,7 @@ func TestIdentity(t *testing.T) {
 func TestTransposeInvolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := randMat(rng, 5, 3)
-	if !EqualApprox(a, a.T().T(), 0) {
+	if !equalApprox(a, a.T().T(), 0) {
 		t.Fatal("(Aᵀ)ᵀ != A")
 	}
 }
@@ -81,7 +81,7 @@ func TestMulKnown(t *testing.T) {
 	b := NewFromRows([][]float64{{5, 6}, {7, 8}})
 	got := Mul(a, b)
 	want := NewFromRows([][]float64{{19, 22}, {43, 50}})
-	if !EqualApprox(got, want, testTol) {
+	if !equalApprox(got, want, testTol) {
 		t.Fatalf("Mul = %v, want %v", got, want)
 	}
 }
@@ -132,10 +132,10 @@ func TestMulTVecMatchesExplicitTranspose(t *testing.T) {
 func TestAtAAndAAt(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := randMat(rng, 6, 4)
-	if !EqualApprox(AtA(a), Mul(a.T(), a), testTol) {
+	if !equalApprox(AtA(a), Mul(a.T(), a), testTol) {
 		t.Fatal("AtA != AᵀA")
 	}
-	if !EqualApprox(AAt(a), Mul(a, a.T()), testTol) {
+	if !equalApprox(AAt(a), Mul(a, a.T()), testTol) {
 		t.Fatal("AAt != AAᵀ")
 	}
 }
@@ -157,12 +157,12 @@ func TestQRReconstruction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !EqualApprox(Mul(f.q, f.r), a, 1e-9) {
+		if !equalApprox(Mul(f.q, f.r), a, 1e-9) {
 			t.Fatalf("QR != A for dims %v", dims)
 		}
 		// Q columns must be orthonormal.
 		qtq := Mul(f.q.T(), f.q)
-		if !EqualApprox(qtq, Identity(dims[1]), 1e-9) {
+		if !equalApprox(qtq, Identity(dims[1]), 1e-9) {
 			t.Fatalf("QᵀQ != I for dims %v", dims)
 		}
 	}
@@ -205,7 +205,7 @@ func TestCholeskySolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !EqualApprox(Mul(c.L(), c.L().T()), a, 1e-8) {
+	if !equalApprox(Mul(c.l, c.l.T()), a, 1e-8) {
 		t.Fatal("LLᵀ != A")
 	}
 	b := []float64{1, 2, 3, 4, 5, 6}
@@ -237,7 +237,7 @@ func TestSVDReconstruction(t *testing.T) {
 				us.Set(i, j, us.At(i, j)*s.S[j])
 			}
 		}
-		if !EqualApprox(Mul(us, s.V.T()), a, 1e-8) {
+		if !equalApprox(Mul(us, s.V.T()), a, 1e-8) {
 			t.Fatalf("SVD reconstruction failed for dims %v", dims)
 		}
 		// Singular values descending and non-negative.
@@ -253,10 +253,10 @@ func TestSVDOrthonormalFactors(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	a := randMat(rng, 9, 4)
 	s := FactorizeSVD(a)
-	if !EqualApprox(Mul(s.U.T(), s.U), Identity(4), 1e-9) {
+	if !equalApprox(Mul(s.U.T(), s.U), Identity(4), 1e-9) {
 		t.Fatal("UᵀU != I")
 	}
-	if !EqualApprox(Mul(s.V.T(), s.V), Identity(4), 1e-9) {
+	if !equalApprox(Mul(s.V.T(), s.V), Identity(4), 1e-9) {
 		t.Fatal("VᵀV != I")
 	}
 }
@@ -290,7 +290,7 @@ func TestSymEigenReconstruction(t *testing.T) {
 			vd.Set(i, j, vd.At(i, j)*e.Values[j])
 		}
 	}
-	if !EqualApprox(Mul(vd, e.Vectors.T()), a, 1e-8) {
+	if !equalApprox(Mul(vd, e.Vectors.T()), a, 1e-8) {
 		t.Fatal("eigendecomposition reconstruction failed")
 	}
 	for i := 1; i < 6; i++ {
@@ -398,4 +398,18 @@ func NewFromRows(rows [][]float64) *Mat {
 		copy(m.data[i*m.cols:(i+1)*m.cols], r)
 	}
 	return m
+}
+
+// equalApprox reports whether a and b have the same shape and all entries
+// within tol of each other.
+func equalApprox(a, b *Mat, tol float64) bool {
+	if a.rows != b.rows || a.cols != b.cols {
+		return false
+	}
+	for i := range a.data {
+		if math.Abs(a.data[i]-b.data[i]) > tol {
+			return false
+		}
+	}
+	return true
 }

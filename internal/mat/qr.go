@@ -174,6 +174,3 @@ func (c *Cholesky) SolveVecTo(dst, b []float64) []float64 {
 	}
 	return dst
 }
-
-// L returns the lower-triangular factor.
-func (c *Cholesky) L() *Mat { return c.l }

@@ -96,11 +96,11 @@ func (p Policy) Delay(retryIdx int, hint time.Duration) time.Duration {
 	return time.Duration(p.Rand() * ceil)
 }
 
-// Do runs op under the policy until it succeeds, returns a non-retryable
+// do runs op under the policy until it succeeds, returns a non-retryable
 // error, the attempts are exhausted, or ctx ends. classify reports whether an
 // error is worth retrying; nil retries every error. The last error is
 // returned on exhaustion.
-func Do(ctx context.Context, p Policy, op func(ctx context.Context) error, classify func(error) bool) error {
+func do(ctx context.Context, p Policy, op func(ctx context.Context) error, classify func(error) bool) error {
 	p = p.withDefaults()
 	var err error
 	for attempt := 0; attempt < p.MaxAttempts; attempt++ {

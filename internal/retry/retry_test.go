@@ -57,7 +57,7 @@ func TestPolicyDelayHonorsHint(t *testing.T) {
 
 func TestDoRetriesUntilSuccess(t *testing.T) {
 	calls := 0
-	err := Do(context.Background(), Policy{BaseDelay: time.Microsecond, MaxDelay: time.Microsecond},
+	err := do(context.Background(), Policy{BaseDelay: time.Microsecond, MaxDelay: time.Microsecond},
 		func(context.Context) error {
 			calls++
 			if calls < 3 {
@@ -76,7 +76,7 @@ func TestDoRetriesUntilSuccess(t *testing.T) {
 func TestDoStopsOnPermanentError(t *testing.T) {
 	permanent := errors.New("permanent")
 	calls := 0
-	err := Do(context.Background(), Policy{BaseDelay: time.Microsecond},
+	err := do(context.Background(), Policy{BaseDelay: time.Microsecond},
 		func(context.Context) error {
 			calls++
 			return permanent
@@ -92,7 +92,7 @@ func TestDoStopsOnPermanentError(t *testing.T) {
 
 func TestDoExhaustsAttempts(t *testing.T) {
 	calls := 0
-	err := Do(context.Background(), Policy{MaxAttempts: 3, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond},
+	err := do(context.Background(), Policy{MaxAttempts: 3, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond},
 		func(context.Context) error {
 			calls++
 			return errors.New("always failing")
@@ -108,7 +108,7 @@ func TestDoExhaustsAttempts(t *testing.T) {
 func TestDoRespectsContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	err := Do(ctx, Policy{MaxAttempts: 10, BaseDelay: time.Hour, MaxDelay: time.Hour,
+	err := do(ctx, Policy{MaxAttempts: 10, BaseDelay: time.Hour, MaxDelay: time.Hour,
 		Rand: func() float64 { return 1 }},
 		func(context.Context) error {
 			calls++

@@ -62,7 +62,7 @@ func measurementBits(ms []radio.Measurement) ([]float64, []int) {
 
 func FuzzReadMeasurements(f *testing.F) {
 	var seed bytes.Buffer
-	if err := WriteMeasurements(&seed, []radio.Measurement{
+	if err := writeMeasurements(&seed, []radio.Measurement{
 		{Time: 0, Pos: geo.Point{X: 1.5, Y: -2.25}, RSS: -61.125, Source: 3},
 		{Time: math.Copysign(0, -1), Pos: geo.Point{X: math.NaN(), Y: math.Inf(1)}, RSS: math.Inf(-1), Source: -1},
 	}); err != nil {
@@ -80,7 +80,7 @@ func FuzzReadMeasurements(f *testing.F) {
 			return
 		}
 		var first bytes.Buffer
-		if err := WriteMeasurements(&first, ms); err != nil {
+		if err := writeMeasurements(&first, ms); err != nil {
 			t.Fatalf("accepted trace does not write: %v", err)
 		}
 		again, err := ReadMeasurements(bytes.NewReader(first.Bytes()))
@@ -93,7 +93,7 @@ func FuzzReadMeasurements(f *testing.F) {
 			t.Fatalf("read(write(x)) is not x:\n%v %v\n%v %v", f1, s1, f2, s2)
 		}
 		var second bytes.Buffer
-		if err := WriteMeasurements(&second, again); err != nil || !bytes.Equal(first.Bytes(), second.Bytes()) {
+		if err := writeMeasurements(&second, again); err != nil || !bytes.Equal(first.Bytes(), second.Bytes()) {
 			t.Fatalf("write(read(x)) is not a fixed point (err %v)", err)
 		}
 	})

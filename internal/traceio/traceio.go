@@ -28,28 +28,6 @@ var measurementHeader = []string{"time_s", "x_m", "y_m", "rss_dbm", "source"}
 // estimateHeader is the canonical estimate CSV header.
 var estimateHeader = []string{"x_m", "y_m", "credit"}
 
-// WriteMeasurements writes a measurement trace with a header row.
-func WriteMeasurements(w io.Writer, ms []radio.Measurement) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(measurementHeader); err != nil {
-		return err
-	}
-	for _, m := range ms {
-		rec := []string{
-			formatFloat(m.Time),
-			formatFloat(m.Pos.X),
-			formatFloat(m.Pos.Y),
-			formatFloat(m.RSS),
-			strconv.Itoa(m.Source),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // ReadMeasurements parses a measurement trace. The header row is validated;
 // rows must be complete and numeric.
 func ReadMeasurements(r io.Reader) ([]radio.Measurement, error) {

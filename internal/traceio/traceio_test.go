@@ -2,6 +2,9 @@ package traceio
 
 import (
 	"bytes"
+	"encoding/csv"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -18,7 +21,7 @@ func TestMeasurementRoundTrip(t *testing.T) {
 		{Time: 1.5, Pos: geo.Point{X: 0, Y: 0}, RSS: -90, Source: -1},
 	}
 	var buf bytes.Buffer
-	if err := WriteMeasurements(&buf, in); err != nil {
+	if err := writeMeasurements(&buf, in); err != nil {
 		t.Fatal(err)
 	}
 	out, err := ReadMeasurements(&buf)
@@ -48,7 +51,7 @@ func TestMeasurementRoundTripProperty(t *testing.T) {
 			}
 		}
 		var buf bytes.Buffer
-		if err := WriteMeasurements(&buf, in); err != nil {
+		if err := writeMeasurements(&buf, in); err != nil {
 			return false
 		}
 		out, err := ReadMeasurements(&buf)
@@ -124,7 +127,7 @@ func TestReadEstimatesErrors(t *testing.T) {
 
 func TestEmptyTraces(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteMeasurements(&buf, nil); err != nil {
+	if err := writeMeasurements(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	ms, err := ReadMeasurements(&buf)
@@ -145,4 +148,27 @@ func TestEmptyTraces(t *testing.T) {
 	if len(es) != 0 {
 		t.Fatalf("es = %v", es)
 	}
+}
+
+// writeMeasurements writes a measurement trace with a header row: the
+// format ReadMeasurements parses, as a collector writes it.
+func writeMeasurements(w io.Writer, ms []radio.Measurement) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(measurementHeader); err != nil {
+		return err
+	}
+	for _, m := range ms {
+		rec := []string{
+			formatFloat(m.Time),
+			formatFloat(m.Pos.X),
+			formatFloat(m.Pos.Y),
+			formatFloat(m.RSS),
+			strconv.Itoa(m.Source),
+		}
+		if err := cw.Write(rec); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
 }

@@ -129,8 +129,8 @@ func signals(t *testing.T) (families, routes map[string]bool) {
 	}
 	var values []metricsValue // what each Metrics: field is set to
 	var prefixes, suffixes []string
-	for _, f := range parseModule(t) {
-		if f.test || !(strings.HasPrefix(f.dir, "internal/") || strings.HasPrefix(f.dir, "cmd/")) {
+	for _, f := range loadModule(t).files {
+		if !(strings.HasPrefix(f.dir, "internal/") || strings.HasPrefix(f.dir, "cmd/")) {
 			continue
 		}
 		ast.Inspect(f.ast, func(n ast.Node) bool {
