@@ -73,11 +73,15 @@ func batchFrames(t *testing.T, segments []string) (body []byte, keys []string) {
 	return body, keys
 }
 
-// postFrameBatch posts a frame batch with no Accept header, checks the answer
-// is a 200 status frame whatever the client asked for, and decodes it.
+// postFrameBatch posts a frame batch that asks for a JSON answer, checks the
+// answer is a 200 status frame whatever the client asked for, and decodes
+// it.
 func postFrameBatch(t *testing.T, base string, body []byte) []api.BatchEntryStatus {
 	t.Helper()
-	resp, err := http.Post(base+api.RouteReportsBatch, api.FrameContentType, bytes.NewReader(body))
+	req, _ := http.NewRequest(http.MethodPost, base+api.RouteReportsBatch, bytes.NewReader(body))
+	req.Header.Set("Content-Type", api.FrameContentType)
+	req.Header.Set("Accept", "application/json")
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}

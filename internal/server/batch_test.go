@@ -24,9 +24,9 @@ func batchReport(i int) Report {
 	}
 }
 
-// postBatch posts items as a batch of report frames with no Accept header:
-// the answer is a status frame whatever the client asks for. It returns the
-// HTTP status and, on a 200, the decoded status vector.
+// postBatch posts items as a batch of report frames that asks for a JSON
+// answer: the answer is a status frame whatever the client asks for. It
+// returns the HTTP status and, on a 200, the decoded status vector.
 func postBatch(url string, items []BatchItem) (int, []BatchEntryStatus, error) {
 	var body []byte
 	for _, it := range items {
@@ -35,7 +35,13 @@ func postBatch(url string, items []BatchItem) (int, []BatchEntryStatus, error) {
 			return 0, nil, err
 		}
 	}
-	resp, err := http.Post(url+"/v1/reports/batch", FrameContentType, bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, url+"/v1/reports/batch", bytes.NewReader(body))
+	if err != nil {
+		return 0, nil, err
+	}
+	req.Header.Set("Content-Type", FrameContentType)
+	req.Header.Set("Accept", "application/json")
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return 0, nil, err
 	}
