@@ -216,17 +216,12 @@ func TestExportedNamesHaveAReader(t *testing.T) {
 		scope := pkg.Scope()
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
-			if obj.Exported() {
-				if _, ok := obj.(*types.Func); ok {
-					decls = append(decls, decl{dir: dir, key: dir + "." + name, obj: obj})
-				}
-				if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
-					decls = append(decls, decl{dir: dir, key: dir + "." + name, obj: obj})
-				}
+			tn, isType := obj.(*types.TypeName)
+			if _, isFunc := obj.(*types.Func); obj.Exported() && (isFunc || isType) {
+				decls = append(decls, decl{dir: dir, key: dir + "." + name, obj: obj})
 			}
-			tn, ok := obj.(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
+			if !isType || tn.IsAlias() {
+				continue // an alias's methods are its target's
 			}
 			named, ok := tn.Type().(*types.Named)
 			if !ok {
