@@ -14,12 +14,15 @@ import (
 	"crowdwifi/internal/sim"
 )
 
-// goldenDigest is the SHA-256 TestGoldenDigest computes, recorded at f2b3e16
-// (PR 23) before recovery became a fixed pipeline and unchanged since. A change
-// that means to move no bit of the vehicle's answers keeps it; one that means
-// to (a seeded climb, an ADMM warm start) replaces it, and has the old value as
-// its cold-climb baseline.
-const goldenDigest = "5f816a754a862c1b6fe35f48b8f5242566754c59e0888d6f658395faa8f802c5"
+// goldenDigest is the SHA-256 TestGoldenDigest computes, recorded when
+// Proposition 1 moved from a thin SVD of each group's sensing matrix to the
+// eigendecomposition of its Gram matrix, which moves only rounding. The SVD
+// baseline, recorded at f2b3e16 (PR 23) and unchanged until then, was
+// 5f816a754a862c1b6fe35f48b8f5242566754c59e0888d6f658395faa8f802c5. A change
+// that means to move no bit of the vehicle's answers keeps the digest; one
+// that means to (a seeded climb, an ADMM warm start) replaces it, and has the
+// old value as its baseline.
+const goldenDigest = "51d05038fe5d91ae866f4fb57f0667ef717414012c9ba92275424d21ae7e8bd8"
 
 // digest hashes integers and the exact bits of floats.
 type digest struct{ buf []byte }

@@ -69,8 +69,8 @@ const (
 	maxPartitions = 20000
 	// maxGroupRows caps the measurements fed into one group's CS recovery,
 	// keeping the strongest readings. Distant, weak readings carry little
-	// position information but dominate the SVD cost; this is the per-group
-	// analogue of the paper's sliding-window bound on M.
+	// position information but dominate the recovery cost; this is the
+	// per-group analogue of the paper's sliding-window bound on M.
 	maxGroupRows = 24
 	// lobeSeparation controls mirror-ambiguity handling. RSS collected along a
 	// straight segment cannot distinguish an AP from its reflection across the

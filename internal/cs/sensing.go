@@ -104,7 +104,11 @@ const DefaultRankTol = 1e-2
 // A) and y' = T·y with T = Q·A†, such that θ can be recovered from Qθ ≈ y'.
 //
 // Using the thin SVD A = UΣVᵀ: orth(Aᵀ) = V, so Q = Vᵀ, A† = VΣ⁻¹Uᵀ, and
-// T = VᵀVΣ⁻¹Uᵀ = Σ⁻¹Uᵀ — one SVD yields both factors. Pass rankTol ≤ 0 for
+// T = Σ⁻¹Uᵀ. A group has far fewer readings than grid points, so U and Σ come
+// from the M×M Gram matrix AAᵀ = UΣ²Uᵀ and Q = Σ⁻¹UᵀA, the same Vᵀ without
+// factoring A. The squaring costs the kept σ ≥ rankTol·σ₁ at most
+// 2·log₁₀(1/rankTol) digits, so a cutoff far below DefaultRankTol would
+// keep components that are rounding noise. Pass rankTol ≤ 0 for
 // DefaultRankTol.
 func Orthogonalize(a *mat.Mat, y []float64, rankTol float64) (*mat.Mat, []float64, error) {
 	m, n := a.Dims()
@@ -114,24 +118,32 @@ func Orthogonalize(a *mat.Mat, y []float64, rankTol float64) (*mat.Mat, []float6
 	if rankTol <= 0 {
 		rankTol = DefaultRankTol
 	}
-	svd := mat.FactorizeSVD(a)
-	r := svd.Rank(rankTol)
+	eig, err := mat.FactorizeSymEigen(mat.AAt(a))
+	if err != nil {
+		return nil, nil, err
+	}
+	// λₖ = σₖ², descending: keep σₖ > rankTol·σ₁.
+	lam := eig.Values
+	r := 0
+	for r < m && lam[r] > 0 && lam[r] > rankTol*rankTol*lam[0] {
+		r++
+	}
 	if r == 0 {
 		return nil, nil, errors.New("cs: sensing matrix has rank zero")
 	}
-	// Q = first r columns of V, transposed → r×N.
+	// Row k of Q and entry k of y' are uₖᵀA/σₖ and uₖᵀy/σₖ.
 	q := mat.New(r, n)
-	for k := 0; k < r; k++ {
-		qk := q.RawRow(k)
-		for i := range qk {
-			qk[i] = svd.V.RawRow(i)[k]
-		}
-	}
-	// y' = Σ⁻¹ Uᵀ y over the kept components.
-	uty := mat.MulTVec(svd.U, y)
 	yp := make([]float64, r)
 	for k := 0; k < r; k++ {
-		yp[k] = uty[k] / svd.S[k]
+		inv := 1 / math.Sqrt(lam[k])
+		qk := q.RawRow(k)
+		for i := 0; i < m; i++ {
+			c := eig.Vectors.At(i, k) * inv
+			yp[k] += c * y[i]
+			for j, v := range a.RawRow(i) {
+				qk[j] += c * v
+			}
+		}
 	}
 	return q, yp, nil
 }

@@ -156,6 +156,30 @@ func TestOrthogonalizeErrors(t *testing.T) {
 	}
 }
 
+var orthSink *mat.Mat
+
+// BenchmarkOrthogonalize is Proposition 1 on the shape every group solve
+// starts from: a group capped at its 24 strongest readings of a full UCI
+// window, against the 187 points of the vehicle workload's grid.
+func BenchmarkOrthogonalize(b *testing.B) {
+	sc, g, ms := uciDrive(b, 1)
+	group := strongest(ms[60:120], maxGroupRows)
+	a := BuildSensingMatrix(g, sc.Channel, group)
+	y := make([]float64, len(group))
+	for i, m := range group {
+		y[i] = m.RSS
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q, _, err := Orthogonalize(a, y, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		orthSink = q
+	}
+}
+
 func TestRecoverThetaFindsAPGridPoint(t *testing.T) {
 	ch := radio.UCIChannel()
 	ch.ShadowSigma = 0 // noiseless: recovery should be near-exact

@@ -290,9 +290,10 @@ func TestIntoBufferKernelsRejectWrongLengths(t *testing.T) {
 
 var svdSink *SVD
 
-// BenchmarkFactorizeSVD24x176 is the one shape the vehicle factors: a group
-// capped at its 24 strongest readings over the UCI area's 16×11 grid of 20 m
-// cells.
+// BenchmarkFactorizeSVD24x176 factors a group-sized wide matrix: 24 readings
+// over a 16×11 grid of 20 m cells. The vehicle no longer factors this shape
+// (Proposition 1 works from the 24×24 Gram matrix); the MDS baseline and the
+// bench's kernel trace still call FactorizeSVD.
 func BenchmarkFactorizeSVD24x176(b *testing.B) {
 	a := pathLossMat(24, 16, 11)
 	b.ReportAllocs()

@@ -270,8 +270,14 @@ func TestSVDRankDeficient(t *testing.T) {
 		}
 	}
 	s := FactorizeSVD(a)
-	if r := s.Rank(0); r != 1 {
-		t.Fatalf("Rank = %d, want 1", r)
+	// One singular value above rounding: the rest are within max(m,n)·ε of σ₁.
+	if s.S[0] <= 0 {
+		t.Fatalf("σ₁ = %v, want > 0", s.S[0])
+	}
+	for k, v := range s.S[1:] {
+		if v > 5*2.220446049250313e-16*s.S[0] {
+			t.Fatalf("σ%d = %v, want rank 1 (S = %v)", k+2, v, s.S)
+		}
 	}
 }
 

@@ -124,24 +124,3 @@ func rotate(p, q []float64, c, s float64) {
 		q[i] = s*cp + c*cq
 	}
 }
-
-// Rank returns the numerical rank at tolerance tol (relative to the largest
-// singular value). Pass tol ≤ 0 to use a default based on machine epsilon.
-func (s *SVD) Rank(tol float64) int {
-	if len(s.S) == 0 || s.S[0] == 0 {
-		return 0
-	}
-	if tol <= 0 {
-		m, _ := s.U.Dims()
-		n, _ := s.V.Dims()
-		tol = float64(max(m, n)) * 2.220446049250313e-16
-	}
-	cut := tol * s.S[0]
-	r := 0
-	for _, v := range s.S {
-		if v > cut {
-			r++
-		}
-	}
-	return r
-}
