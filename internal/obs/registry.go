@@ -232,18 +232,19 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Histogram counts observations into fixed buckets; per-bucket counts are
-// independent atomics so concurrent Observe calls never contend on a lock.
-// The count is the buckets' total, so a scrape's _count is always its +Inf
-// bucket.
+// Histogram counts observations into fixed buckets. One mutex guards the
+// bucket counts and the sum, so a scrape reads both at one instant: its _count
+// is its +Inf bucket and its _sum is the sum of exactly the observations
+// counted.
 type Histogram struct {
 	upper  []float64
-	counts []atomic.Uint64 // len(upper)+1; the last slot is the +Inf bucket
-	sum    atomicFloat
+	mu     sync.Mutex
+	counts []uint64 // len(upper)+1; the last slot is the +Inf bucket
+	sum    float64
 }
 
 func newHistogram(buckets []float64) *Histogram {
-	return &Histogram{upper: buckets, counts: make([]atomic.Uint64, len(buckets)+1)}
+	return &Histogram{upper: buckets, counts: make([]uint64, len(buckets)+1)}
 }
 
 // Observe records one sample.
@@ -255,45 +256,21 @@ func (h *Histogram) Observe(v float64) {
 	for i < len(h.upper) && v > h.upper[i] {
 		i++
 	}
-	h.counts[i].Add(1)
-	h.sum.add(v)
+	h.mu.Lock()
+	h.counts[i]++
+	h.sum += v
+	h.mu.Unlock()
 }
 
-// count returns the number of observations.
-func (h *Histogram) count() uint64 {
-	if h == nil {
-		return 0
-	}
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
+// snapshot appends the bucket counts to dst and returns them with the sum of
+// the same observations.
+func (h *Histogram) snapshot(dst []uint64) ([]uint64, float64) {
+	h.mu.Lock()
+	dst = append(dst, h.counts...)
+	sum := h.sum
+	h.mu.Unlock()
+	return dst, sum
 }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.load()
-}
-
-type atomicFloat struct {
-	bits atomic.Uint64
-}
-
-func (f *atomicFloat) add(v float64) {
-	for {
-		old := f.bits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + v)
-		if f.bits.CompareAndSwap(old, nw) {
-			return
-		}
-	}
-}
-
-func (f *atomicFloat) load() float64 { return math.Float64frombits(f.bits.Load()) }
 
 func escapeLabel(v string) string {
 	if !strings.ContainsAny(v, `\"`+"\n") {
@@ -355,23 +332,23 @@ func writeSeries(w io.Writer, name, labels, value string) error {
 }
 
 // writeHistogramSeries emits one histogram series in exposition order:
-// cumulative buckets, sum, count. The count is the +Inf bucket's cumulative
-// total, read once, so the two agree under concurrent Observe calls.
+// cumulative buckets, sum, count, all from one snapshot, so the count is the
+// +Inf bucket's cumulative total and the sum covers the same observations.
 func writeHistogramSeries(w io.Writer, name, k string, c *Histogram) error {
+	var buf [16]uint64
+	counts, sum := c.snapshot(buf[:0])
 	var cum uint64
-	for bi, ub := range c.upper {
-		cum += c.counts[bi].Load()
-		le := joinLabels(k, `le="`+formatFloat(ub)+`"`)
-		if err := writeSeries(w, name+"_bucket", le, strconv.FormatUint(cum, 10)); err != nil {
+	for bi, n := range counts {
+		cum += n
+		ub := "+Inf"
+		if bi < len(c.upper) {
+			ub = formatFloat(c.upper[bi])
+		}
+		if err := writeSeries(w, name+"_bucket", joinLabels(k, `le="`+ub+`"`), strconv.FormatUint(cum, 10)); err != nil {
 			return err
 		}
 	}
-	cum += c.counts[len(c.upper)].Load()
-	le := joinLabels(k, `le="+Inf"`)
-	if err := writeSeries(w, name+"_bucket", le, strconv.FormatUint(cum, 10)); err != nil {
-		return err
-	}
-	if err := writeSeries(w, name+"_sum", k, formatFloat(c.Sum())); err != nil {
+	if err := writeSeries(w, name+"_sum", k, formatFloat(sum)); err != nil {
 		return err
 	}
 	return writeSeries(w, name+"_count", k, strconv.FormatUint(cum, 10))

@@ -48,16 +48,14 @@ func TestHistogramSemantics(t *testing.T) {
 	for _, v := range []float64{0.5, 1, 1.5, 3, 10} {
 		h.Observe(v)
 	}
-	if h.count() != 5 {
-		t.Fatalf("count = %d, want 5", h.count())
-	}
-	if h.Sum() != 16 {
-		t.Fatalf("sum = %g, want 16", h.Sum())
+	counts, sum := h.snapshot(nil)
+	if sum != 16 {
+		t.Fatalf("sum = %g, want 16", sum)
 	}
 	// Bucket counts: le=1 → {0.5, 1}, le=2 → +{1.5}, le=5 → +{3}, +Inf → +{10}.
 	want := []uint64{2, 1, 1, 1}
 	for i, w := range want {
-		if got := h.counts[i].Load(); got != w {
+		if got := counts[i]; got != w {
 			t.Fatalf("bucket %d = %d, want %d", i, got, w)
 		}
 	}
@@ -73,7 +71,7 @@ func TestNilSafety(t *testing.T) {
 	g.Set(1)
 	g.Add(1)
 	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.count() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h != nil {
 		t.Fatal("nil instruments must read as zero")
 	}
 	var sb strings.Builder
@@ -187,7 +185,21 @@ func TestConcurrentIncrements(t *testing.T) {
 	if got := r.Gauge("conc_gauge", "").Value(); got != workers*perWorker {
 		t.Fatalf("gauge = %g, want %d", got, workers*perWorker)
 	}
-	if got := r.Histogram("conc_seconds", "", []float64{0.5}).count(); got != workers*perWorker {
+	counts, _ := r.Histogram("conc_seconds", "", []float64{0.5}).snapshot(nil)
+	if got := counts[0] + counts[1]; got != workers*perWorker {
 		t.Fatalf("histogram count = %d, want %d", got, workers*perWorker)
 	}
+}
+
+// BenchmarkHistogramObserveParallel is Observe from every P at once on one
+// histogram: the contended case of a hot handler's latency series.
+func BenchmarkHistogramObserveParallel(b *testing.B) {
+	h := NewRegistry().Histogram("bench_seconds", "", DefBuckets)
+	b.RunParallel(func(pb *testing.PB) {
+		v := 0.0
+		for pb.Next() {
+			h.Observe(v)
+			v += 0.001
+		}
+	})
 }
