@@ -28,7 +28,6 @@ var censusAllow = map[string]string{
 	// Fakes and helpers whose only callers are tests, on purpose.
 	"internal/chaos.*":                         "the fault-injection fake four test suites drive; nothing ships with it",
 	"internal/geo.Trajectory.SampleByDistance": "how the cs, client and cluster tests lay reference points along a drive",
-	"internal/client.Outbox.Evicted":           "the fleet tests count what a full outbox dropped",
 	// References and paper material.
 	"internal/cs.BuildPhi":           "Section 4.2.2's Φ: TestPhiPsiMatchesDirectConstructionOnGridPoints holds BuildSensingMatrix to ΦΨ",
 	"internal/cs.BuildPsi":           "Section 4.2.2's Ψ, same test",

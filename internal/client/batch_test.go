@@ -2,9 +2,11 @@ package client
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -70,6 +72,38 @@ func TestDrainDropsTerminalPoisonEntries(t *testing.T) {
 	}
 	if got := v.Metrics.outboxDropped.Value(); got != n {
 		t.Fatalf("crowdwifi_client_outbox_dropped_total{reason=\"terminal\"} = %d, want %d", got, n)
+	}
+}
+
+// TestOutboxEvictionShowsOnMetrics: five uploads to a server answering 503
+// through a 2-entry outbox park five and keep two, and the scrape says the
+// other three were evicted.
+func TestOutboxEvictionShowsOnMetrics(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(ts.Close)
+	reg := obs.NewRegistry()
+	v := &CrowdVehicle{ID: "evict", BaseURL: ts.URL, HTTP: http.DefaultClient, Outbox: NewOutbox(2), Metrics: NewMetrics(reg)}
+	for i := 0; i < 5; i++ {
+		err := v.UploadReport(context.Background(), api.Report{Vehicle: v.ID, Segment: fmt.Sprintf("s%d", i), APs: []api.APReport{{X: 1, Y: 1, Credit: 1}}})
+		if !errors.Is(err, ErrQueued) {
+			t.Fatalf("upload %d: %v, want ErrQueued", i, err)
+		}
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		"crowdwifi_client_outbox_enqueued_total 5",
+		"crowdwifi_client_outbox_depth 2",
+		`crowdwifi_client_outbox_dropped_total{reason="evicted"} 3`,
+		`crowdwifi_client_outbox_dropped_total{reason="terminal"} 0`,
+	} {
+		if !strings.Contains(sb.String(), line+"\n") {
+			t.Errorf("exposition lacks %q:\n%s", line, sb.String())
+		}
 	}
 }
 

@@ -439,8 +439,8 @@ func (v *CrowdVehicle) postBody(ctx context.Context, path, contentType string, b
 
 	err := sendBody(ctx, v.Metrics, v.HTTP, http.MethodPost, v.BaseURL+path, contentType, buf, key, out)
 	if err != nil && queueable && v.Outbox != nil && transientError(err) {
-		v.Outbox.enqueue(Entry{Path: path, Body: buf, Key: key, ContentType: contentType, Traceparent: span.Traceparent()})
-		v.Metrics.incOutboxEnqueued()
+		evicted := v.Outbox.enqueue(Entry{Path: path, Body: buf, Key: key, ContentType: contentType, Traceparent: span.Traceparent()})
+		v.Metrics.incOutboxEnqueued(evicted)
 		v.syncOutboxGauges()
 		span.AddEvent("queued to outbox")
 		return fmt.Errorf("%w: %s (cause: %v)", ErrQueued, path, err)

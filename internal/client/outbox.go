@@ -29,13 +29,13 @@ type Entry struct {
 
 // Outbox is a bounded FIFO store-and-forward queue for uploads that could
 // not be delivered. When full, the oldest entry is evicted — in a
-// crowdsensing pipeline fresh observations are worth more than stale ones.
+// crowdsensing pipeline fresh observations are worth more than stale ones —
+// and counted as crowdwifi_client_outbox_dropped_total{reason="evicted"}.
 // All methods are safe for concurrent use.
 type Outbox struct {
 	mu       sync.Mutex
 	entries  []Entry
 	capacity int
-	evicted  uint64
 	now      func() time.Time
 }
 
@@ -71,29 +71,20 @@ func (o *Outbox) OldestAge() time.Duration {
 	return o.now().Sub(o.entries[0].EnqueuedAt)
 }
 
-// Evicted reports how many entries were displaced by capacity pressure.
-func (o *Outbox) Evicted() uint64 {
-	if o == nil {
-		return 0
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.evicted
-}
-
-// enqueue parks an upload, evicting the oldest entry when full.
-func (o *Outbox) enqueue(e Entry) {
+// enqueue parks an upload, evicting the oldest entries when full, and
+// returns how many it evicted.
+func (o *Outbox) enqueue(e Entry) (evicted int) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if e.EnqueuedAt.IsZero() {
 		e.EnqueuedAt = o.now()
 	}
 	if len(o.entries) >= o.capacity {
-		drop := len(o.entries) - o.capacity + 1
-		o.entries = append(o.entries[:0], o.entries[drop:]...)
-		o.evicted += uint64(drop)
+		evicted = len(o.entries) - o.capacity + 1
+		o.entries = append(o.entries[:0], o.entries[evicted:]...)
 	}
 	o.entries = append(o.entries, e)
+	return evicted
 }
 
 // peek returns the head entry without removing it.

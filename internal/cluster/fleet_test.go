@@ -53,6 +53,8 @@ type fleet struct {
 	t        *testing.T
 	link     *fleetLink
 	vehicles []*client.CrowdVehicle
+	// reg holds every vehicle's client metrics.
+	reg *obs.Registry
 	// Uploads acked directly, parked in an outbox, and delivered from one.
 	acked, parked, drained atomic.Uint64
 }
@@ -64,7 +66,8 @@ func newFleet(t *testing.T, baseURL string, n, batchSize int) *fleet {
 	transport := http.DefaultTransport.(*http.Transport).Clone()
 	transport.MaxIdleConnsPerHost = n
 	t.Cleanup(transport.CloseIdleConnections)
-	f := &fleet{t: t, link: &fleetLink{next: &http.Client{Transport: transport}}}
+	f := &fleet{t: t, link: &fleetLink{next: &http.Client{Transport: transport}}, reg: obs.NewRegistry()}
+	metrics := client.NewMetrics(f.reg)
 	for i := 0; i < n; i++ {
 		f.vehicles = append(f.vehicles, &client.CrowdVehicle{
 			ID:        fmt.Sprintf("fleet-%03d", i),
@@ -72,6 +75,7 @@ func newFleet(t *testing.T, baseURL string, n, batchSize int) *fleet {
 			HTTP:      retry.NewDoer(f.link, retry.Policy{}),
 			Outbox:    client.NewOutbox(256),
 			BatchSize: batchSize,
+			Metrics:   metrics,
 		})
 	}
 	return f
@@ -131,12 +135,16 @@ func (f *fleet) settle() {
 					time.Sleep(max(client.RetryAfterHint(err), 20*time.Millisecond))
 				}
 			}
-			if left, evicted := v.Outbox.Len(), v.Outbox.Evicted(); left != 0 || evicted != 0 {
-				f.t.Errorf("%s: %d uploads still parked, %d evicted", v.ID, left, evicted)
+			if left := v.Outbox.Len(); left != 0 {
+				f.t.Errorf("%s: %d uploads still parked", v.ID, left)
 			}
 		}(v)
 	}
 	wg.Wait()
+	evicted := f.reg.SumCounters("crowdwifi_client_outbox_dropped_total", func(ls map[string]string) bool { return ls["reason"] == "evicted" })
+	if evicted != 0 {
+		f.t.Errorf("full outboxes evicted %v uploads", evicted)
+	}
 }
 
 // TestFleetOverloadKeepsGoodputAndLosesNothing is the single-node contract

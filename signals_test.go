@@ -91,7 +91,7 @@ var signalAllow = map[string]signalReason{
 	"crowdwifi_client_request_duration_seconds": {groundReadme, "what the server costs the vehicle per endpoint"},
 	"crowdwifi_client_outbox_enqueued_total":    {groundReadme, "how many uploads were parked"},
 	"crowdwifi_client_outbox_drained_total":     {groundReadme, "how many parked uploads were delivered"},
-	"crowdwifi_client_outbox_dropped_total":     {groundReadme, "is the outbox dropping poison entries"},
+	"crowdwifi_client_outbox_dropped_total":     {groundReadme, "is the outbox dropping poison entries or losing uploads to a full outbox"},
 	"crowdwifi_client_outbox_depth":             {groundReadme, "how far behind the vehicle is"},
 	"crowdwifi_retry_retries_total":             {groundReadme, "how often the vehicle retries"},
 	"crowdwifi_retry_exhausted_total":           {groundReadme, "do retries run out of attempts"},
