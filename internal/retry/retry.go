@@ -10,7 +10,6 @@ package retry
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -94,32 +93,6 @@ func (p Policy) Delay(retryIdx int, hint time.Duration) time.Duration {
 		ceil = float64(p.MaxDelay)
 	}
 	return time.Duration(p.Rand() * ceil)
-}
-
-// do runs op under the policy until it succeeds, returns a non-retryable
-// error, the attempts are exhausted, or ctx ends. classify reports whether an
-// error is worth retrying; nil retries every error. The last error is
-// returned on exhaustion.
-func do(ctx context.Context, p Policy, op func(ctx context.Context) error, classify func(error) bool) error {
-	p = p.withDefaults()
-	var err error
-	for attempt := 0; attempt < p.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			if werr := Sleep(ctx, p.Delay(attempt-1, 0)); werr != nil {
-				return werr
-			}
-		}
-		if err = op(ctx); err == nil {
-			return nil
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return fmt.Errorf("%w: %w", cerr, err)
-		}
-		if classify != nil && !classify(err) {
-			return err
-		}
-	}
-	return err
 }
 
 // Sleep blocks for d or until ctx ends, returning ctx's error in that case.

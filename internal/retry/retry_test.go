@@ -55,74 +55,6 @@ func TestPolicyDelayHonorsHint(t *testing.T) {
 	}
 }
 
-func TestDoRetriesUntilSuccess(t *testing.T) {
-	calls := 0
-	err := do(context.Background(), Policy{BaseDelay: time.Microsecond, MaxDelay: time.Microsecond},
-		func(context.Context) error {
-			calls++
-			if calls < 3 {
-				return errors.New("transient")
-			}
-			return nil
-		}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 3 {
-		t.Fatalf("calls = %d, want 3", calls)
-	}
-}
-
-func TestDoStopsOnPermanentError(t *testing.T) {
-	permanent := errors.New("permanent")
-	calls := 0
-	err := do(context.Background(), Policy{BaseDelay: time.Microsecond},
-		func(context.Context) error {
-			calls++
-			return permanent
-		},
-		func(err error) bool { return !errors.Is(err, permanent) })
-	if !errors.Is(err, permanent) {
-		t.Fatalf("err = %v", err)
-	}
-	if calls != 1 {
-		t.Fatalf("calls = %d, want 1 (no retry of permanent error)", calls)
-	}
-}
-
-func TestDoExhaustsAttempts(t *testing.T) {
-	calls := 0
-	err := do(context.Background(), Policy{MaxAttempts: 3, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond},
-		func(context.Context) error {
-			calls++
-			return errors.New("always failing")
-		}, nil)
-	if err == nil {
-		t.Fatal("expected error after exhaustion")
-	}
-	if calls != 3 {
-		t.Fatalf("calls = %d, want 3", calls)
-	}
-}
-
-func TestDoRespectsContextCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	calls := 0
-	err := do(ctx, Policy{MaxAttempts: 10, BaseDelay: time.Hour, MaxDelay: time.Hour,
-		Rand: func() float64 { return 1 }},
-		func(context.Context) error {
-			calls++
-			cancel()
-			return errors.New("fail then cancel")
-		}, nil)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if calls != 1 {
-		t.Fatalf("calls = %d, want 1 (cancelled during backoff)", calls)
-	}
-}
-
 func TestSleepCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
