@@ -3,6 +3,7 @@ package solve
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"crowdwifi/internal/mat"
@@ -91,13 +92,73 @@ func bpdnRef(a *mat.Mat, b []float64, lambda float64, opts Options) (*Result, er
 	return o.Metrics.record(finish(a, b, z, o.MaxIter, false)), nil
 }
 
+// runUpProblem is an ℓ1 program of the shape the vehicle solves: a group of
+// readings along a road over the 17×11 lattice of 20 m cells (187 grid points),
+// reduced by Proposition 1 to its r leading directions (Q = Σ⁻¹UᵀA and
+// y′ = Σ⁻¹Uᵀy from the eigenpairs of AAᵀ), columns scaled to unit norm, and λ
+// a tenth of ‖Qᵀy′‖∞.
+func runUpProblem(seed int64, readings, r int) (*mat.Mat, []float64, float64) {
+	const gridCols, gridRows, lattice = 17, 11, 20.0
+	rng := rand.New(rand.NewSource(seed))
+	ap := [2]float64{lattice * (2 + 12*rng.Float64()), lattice * (1 + 8*rng.Float64())}
+	meanRSS := func(x, y, px, py float64) float64 {
+		return -40 - 30*math.Log10(math.Max(math.Hypot(x-px, y-py), 1))
+	}
+	a := mat.New(readings, gridCols*gridRows)
+	y := make([]float64, readings)
+	x0, road := lattice*(1+10*rng.Float64()), lattice*(2+6*rng.Float64())
+	for i := 0; i < readings; i++ {
+		x, yy := x0+9*float64(i), road+2*rng.NormFloat64()
+		row := a.RawRow(i)
+		for j := range row {
+			row[j] = meanRSS(x, yy, lattice*float64(j%gridCols), lattice*float64(j/gridCols))
+		}
+		y[i] = meanRSS(x, yy, ap[0], ap[1]) + 4*rng.NormFloat64()
+	}
+	eig, err := mat.FactorizeSymEigen(mat.AAt(a))
+	if err != nil {
+		panic(err)
+	}
+	q := mat.New(r, gridCols*gridRows)
+	yp := make([]float64, r)
+	for k := 0; k < r; k++ {
+		inv := 1 / math.Sqrt(eig.Values[k])
+		for i := 0; i < readings; i++ {
+			c := eig.Vectors.At(i, k) * inv
+			yp[k] += c * y[i]
+			for j, v := range a.RawRow(i) {
+				q.RawRow(k)[j] += c * v
+			}
+		}
+	}
+	for j := 0; j < gridCols*gridRows; j++ {
+		var norm float64
+		for k := 0; k < r; k++ {
+			norm += q.At(k, j) * q.At(k, j)
+		}
+		for k := 0; k < r; k++ {
+			q.Set(k, j, q.At(k, j)/math.Sqrt(norm))
+		}
+	}
+	return q, yp, 0.1 * mat.NormInf(mat.MulTVec(q, yp))
+}
+
+// vehicleOpts are the solver options every group recovery runs with.
+var vehicleOpts = Options{MaxIter: 400, Tol: 1e-6, NonNegative: true}
+
 // bpdnCases covers both x-update branches, both proximal operators, and both
-// ways out of the loop.
+// ways out of the loop, and the shapes the vehicle solves: r = 1, 2 and 3
+// rows after Proposition 1 (an odd r leaves one row over when rows are taken
+// in pairs), both at the iteration cap and converged.
 var bpdnCases = []struct {
 	name    string
 	m, n, k int
 	lambda  float64
 	opts    Options
+	// rank, when set, makes the case runUpProblem(seed, m, rank); n, k and
+	// lambda are then the problem's own.
+	rank int
+	seed int64
 	// exit is the way out of the loop the case is there to cover: "converged",
 	// "exhausted", or "" for either.
 	exit string
@@ -109,16 +170,28 @@ var bpdnCases = []struct {
 	{name: "tall converges", m: 60, n: 20, k: 3, lambda: 0.01, opts: Options{MaxIter: 2000, Tol: 1e-6}, exit: "converged"},
 	{name: "tall non-negative exhausts", m: 60, n: 20, k: 3, lambda: 0.01, opts: Options{MaxIter: 7, Tol: 1e-12, NonNegative: true}, exit: "exhausted"},
 	{name: "square", m: 16, n: 16, k: 2, lambda: 0.01, opts: Options{MaxIter: 500, Tol: 1e-8}},
+	{name: "run-up r=1 converges", m: 24, rank: 1, seed: 1, opts: vehicleOpts, exit: "converged"},
+	{name: "run-up r=2 at the cap", m: 24, rank: 2, seed: 1, opts: vehicleOpts, exit: "exhausted"},
+	{name: "run-up r=2 converges", m: 12, rank: 2, seed: 2, opts: vehicleOpts, exit: "converged"},
+	{name: "run-up r=3 at the cap", m: 24, rank: 3, seed: 1, opts: vehicleOpts, exit: "exhausted"},
+	{name: "run-up r=3 converges", m: 12, rank: 3, seed: 1, opts: vehicleOpts, exit: "converged"},
 }
 
 func TestBPDNMatchesReferenceBitForBit(t *testing.T) {
 	for i, tc := range bpdnCases {
-		a, _, b := sparseProblem(int64(100+i), tc.m, tc.n, tc.k, 0.01)
-		got, err := BPDN(a, b, tc.lambda, tc.opts)
+		var a *mat.Mat
+		var b []float64
+		lambda := tc.lambda
+		if tc.rank > 0 {
+			a, b, lambda = runUpProblem(tc.seed, tc.m, tc.rank)
+		} else {
+			a, _, b = sparseProblem(int64(100+i), tc.m, tc.n, tc.k, 0.01)
+		}
+		got, err := BPDN(a, b, lambda, tc.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		want, err := bpdnRef(a, b, tc.lambda, tc.opts)
+		want, err := bpdnRef(a, b, lambda, tc.opts)
 		if err != nil {
 			t.Fatalf("%s: reference: %v", tc.name, err)
 		}
