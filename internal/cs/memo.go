@@ -1,7 +1,9 @@
 package cs
 
 import (
+	"context"
 	"encoding/binary"
+	"fmt"
 	"sync"
 
 	"crowdwifi/internal/geo"
@@ -22,13 +24,21 @@ const recoveryMemoCap = 4096
 // the same answer to the bit.
 //
 // It belongs to one SelectModelContext (or lone EvaluateKContext) call and
-// dies with it; the goroutines of that call share it under mu. Two of them
-// missing on one key at once both solve and store the same points. The zero
-// value remembers nothing.
+// dies with it; the goroutines of that call share it under mu. A key is solved
+// once at a time: the first to claim it owns it until it releases it, and a
+// goroutine that claims it meanwhile — another speculative K meeting the same
+// group — waits for that answer instead of solving it again. An owner that
+// fails or is canceled stores nothing and leaves the key to the next claimer;
+// a waiter whose own context ends stops waiting. A key counts against the cap
+// from its claim. The zero value remembers nothing.
 type recoveryMemo struct {
 	mu      sync.Mutex
 	limit   int
 	entries map[string][]geo.Point
+	solving map[string]bool // claimed keys not yet released
+	// wake is closed, and cleared, by the next release; a claimer that finds
+	// its key in solving makes it and waits on it.
+	wake chan struct{}
 }
 
 func newRecoveryMemo() *recoveryMemo {
@@ -44,22 +54,51 @@ func memoKey(rows []int) string {
 	return string(b)
 }
 
-// get returns a copy of the points stored under key.
-func (m *recoveryMemo) get(key string) ([]geo.Point, bool) {
+// claim returns a copy of the points stored under key, with hit set. On a miss
+// the caller solves the group itself; owned reports that it holds key and
+// must release it, and is false when the memo is full. While another
+// goroutine owns key, claim waits for it, and returns ctx's error if ctx ends
+// first.
+func (m *recoveryMemo) claim(ctx context.Context, key string) (pts []geo.Point, hit, owned bool, err error) {
 	m.mu.Lock()
-	pts, ok := m.entries[key]
-	m.mu.Unlock()
-	if !ok {
-		return nil, false
+	for m.solving[key] {
+		if m.wake == nil {
+			m.wake = make(chan struct{})
+		}
+		wake := m.wake
+		m.mu.Unlock()
+		select {
+		case <-wake:
+		case <-ctx.Done():
+			return nil, false, false, fmt.Errorf("cs: recovery canceled: %w", ctx.Err())
+		}
+		m.mu.Lock()
 	}
-	return append([]geo.Point(nil), pts...), true
+	defer m.mu.Unlock()
+	if pts, ok := m.entries[key]; ok {
+		return append([]geo.Point(nil), pts...), true, false, nil
+	}
+	if len(m.entries)+len(m.solving) >= m.limit {
+		return nil, false, false, nil
+	}
+	if m.solving == nil {
+		m.solving = make(map[string]bool)
+	}
+	m.solving[key] = true
+	return nil, false, true, nil
 }
 
-// put stores a finished recovery; a full memo stores nothing.
-func (m *recoveryMemo) put(key string, pts []geo.Point) {
+// release ends the caller's claim on key, storing pts if the solve finished
+// (solved), and wakes every waiting claimer to look again.
+func (m *recoveryMemo) release(key string, pts []geo.Point, solved bool) {
 	m.mu.Lock()
-	if len(m.entries) < m.limit {
+	if solved {
 		m.entries[key] = append([]geo.Point(nil), pts...)
+	}
+	delete(m.solving, key)
+	if m.wake != nil {
+		close(m.wake)
+		m.wake = nil
 	}
 	m.mu.Unlock()
 }

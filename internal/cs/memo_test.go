@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"crowdwifi/internal/geo"
 	"crowdwifi/internal/grid"
@@ -241,6 +243,160 @@ func TestRecoveryMemoCanceledSolveStoresNothing(t *testing.T) {
 	again, err := recoverGroup(context.Background(), g, window, assign, 0, o)
 	if err != nil || !pointsEqual(again, want) {
 		t.Fatalf("memo hit returned %v (%v), want %v", again, err, want)
+	}
+}
+
+// heldCtx holds the first recovery that polls it (RecoverTheta polls on
+// entry) until release is closed, and answers err to every poll.
+type heldCtx struct {
+	context.Context
+	entered, release chan struct{}
+	once             sync.Once
+	err              error
+}
+
+func newHeldCtx(err error) *heldCtx {
+	return &heldCtx{Context: context.Background(), entered: make(chan struct{}), release: make(chan struct{}), err: err}
+}
+
+func (c *heldCtx) Err() error {
+	c.once.Do(func() {
+		close(c.entered)
+		<-c.release
+	})
+	return c.err
+}
+
+type groupAnswer struct {
+	pts []geo.Point
+	err error
+}
+
+// singleFlightGroup is the one-group recovery of TestRecoveryMemoCanceledSolveStoresNothing
+// with a fresh memo and its own solve count, and the group's cold answer.
+func singleFlightGroup(t *testing.T) (start func(ctx context.Context) chan groupAnswer, o HypothesisOptions, reg *obs.Registry, want []geo.Point) {
+	t.Helper()
+	sc, g, ms := uciDrive(t, 2)
+	window := ms[60:120]
+	assign := make([]int, len(window))
+	o = HypothesisOptions{GMM: radio.GMMParams{Channel: sc.Channel}, sensing: BuildSensingMatrix(g, sc.Channel, window)}
+	cold := o
+	cold.memo = &recoveryMemo{}
+	want, err := recoverGroup(context.Background(), g, window, assign, 0, cold)
+	if err != nil || len(want) == 0 {
+		t.Fatalf("cold solve: %v, %v", want, err)
+	}
+	reg = obs.NewRegistry()
+	o.Recovery.Metrics = solve.NewMetrics(reg)
+	o.memo = newRecoveryMemo()
+	start = func(ctx context.Context) chan groupAnswer {
+		c := make(chan groupAnswer, 1)
+		go func() {
+			pts, err := recoverGroup(ctx, g, window, assign, 0, o)
+			c <- groupAnswer{pts, err}
+		}()
+		return c
+	}
+	return start, o, reg, want
+}
+
+// awaitWaiter returns once a claimer is waiting on memo, and fails the test if
+// the claimer answers instead.
+func awaitWaiter(t *testing.T, memo *recoveryMemo, claimer chan groupAnswer) {
+	t.Helper()
+	for {
+		memo.mu.Lock()
+		waiting := memo.wake != nil
+		memo.mu.Unlock()
+		if waiting {
+			return
+		}
+		select {
+		case a := <-claimer:
+			t.Fatalf("the second claimer answered %v (%v) while the first held the key", a.pts, a.err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+}
+
+// TestRecoveryMemoSolvesAKeyOnce claims one key from two goroutines while the
+// first one's solve is held: the second waits for that answer, and the group
+// is solved once.
+func TestRecoveryMemoSolvesAKeyOnce(t *testing.T) {
+	start, o, reg, want := singleFlightGroup(t)
+	held := newHeldCtx(nil)
+	first := start(held)
+	<-held.entered
+	second := start(context.Background())
+	awaitWaiter(t, o.memo, second)
+	close(held.release)
+	for i, a := range []groupAnswer{<-first, <-second} {
+		if a.err != nil || !pointsEqual(a.pts, want) {
+			t.Fatalf("claimer %d recovered %v (%v), want the cold answer %v", i+1, a.pts, a.err, want)
+		}
+	}
+	if n := bpdnRuns(reg); n != 1 {
+		t.Fatalf("two claims of one key made %v solves, want 1", n)
+	}
+	if n := len(o.memo.entries); n != 1 {
+		t.Fatalf("memo holds %d entries, want 1", n)
+	}
+}
+
+// TestRecoveryMemoFailedOwnerLeavesTheKey: the owner's solve is canceled, so
+// the goroutine waiting on the key solves it and stores the answer.
+func TestRecoveryMemoFailedOwnerLeavesTheKey(t *testing.T) {
+	start, o, reg, want := singleFlightGroup(t)
+	held := newHeldCtx(context.Canceled)
+	first := start(held)
+	<-held.entered
+	second := start(context.Background())
+	awaitWaiter(t, o.memo, second)
+	close(held.release)
+	if a := <-first; !errors.Is(a.err, context.Canceled) {
+		t.Fatalf("the canceled owner returned %v (%v), want context.Canceled", a.pts, a.err)
+	}
+	if a := <-second; a.err != nil || !pointsEqual(a.pts, want) {
+		t.Fatalf("the waiter recovered %v (%v), want the cold answer %v", a.pts, a.err, want)
+	}
+	if n := bpdnRuns(reg); n != 1 {
+		t.Fatalf("%v solves finished, want the waiter's 1", n)
+	}
+	if n := len(o.memo.entries); n != 1 {
+		t.Fatalf("memo holds %d entries after the waiter's solve, want 1", n)
+	}
+}
+
+// TestRecoveryMemoCanceledWaiterStoresNothing: a waiter whose context ends
+// stops waiting with its error and stores nothing; the owner's answer is
+// stored when it finishes.
+func TestRecoveryMemoCanceledWaiterStoresNothing(t *testing.T) {
+	start, o, reg, want := singleFlightGroup(t)
+	held := newHeldCtx(nil)
+	first := start(held)
+	<-held.entered
+	ctx, cancel := context.WithCancel(context.Background())
+	second := start(ctx)
+	awaitWaiter(t, o.memo, second)
+	cancel()
+	if a := <-second; !errors.Is(a.err, context.Canceled) || a.pts != nil {
+		t.Fatalf("the canceled waiter returned %v (%v), want no points and context.Canceled", a.pts, a.err)
+	}
+	o.memo.mu.Lock()
+	n := len(o.memo.entries)
+	o.memo.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("memo holds %d entries while the owner is held, want 0", n)
+	}
+	close(held.release)
+	if a := <-first; a.err != nil || !pointsEqual(a.pts, want) {
+		t.Fatalf("the owner recovered %v (%v), want the cold answer %v", a.pts, a.err, want)
+	}
+	if n := bpdnRuns(reg); n != 1 {
+		t.Fatalf("%v solves finished, want the owner's 1", n)
+	}
+	if n := len(o.memo.entries); n != 1 {
+		t.Fatalf("memo holds %d entries after the owner finished, want 1", n)
 	}
 }
 
