@@ -61,11 +61,13 @@ func (m *Metrics) observeConsolidation(merges int) {
 
 // tally, when non-nil, counts the distinct work model selection and the
 // reality check do; the package's count tests set it while they drive an
-// engine, and nothing else does. It is read once per refineLocal call and
-// once per sensing matrix built.
+// engine, and nothing else does. It is read once per refineLocal call, once
+// per sensing matrix built and once per ℓ1 solve.
 var tally *workTally
 
 type workTally struct {
 	scored  atomic.Int64 // refineLocal candidates scored, the start point not counted
+	terms   atomic.Int64 // likelihood terms refineLocal evaluated, the start point's too
 	entries atomic.Int64 // sensing-matrix entries computed
+	passes  atomic.Int64 // ADMM iterations that made a pass over every grid point
 }

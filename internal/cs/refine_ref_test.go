@@ -41,22 +41,37 @@ func refineLocalRef(p geo.Point, group []radio.Measurement, lattice float64, gmm
 
 // TestRefineLocalMatchesReference draws random groups and starts and holds
 // refineLocal to the reference's point and log-likelihood, bit for bit. The
-// draws include a NaN and a ±Inf reading, groups of one, and a 7.3 m lattice,
+// draws include a NaN and a ±Inf reading, a reading at or above 0 dBm, groups
+// of one and groups past maxGroupRows (FinalEstimates polishes on every
+// reading an estimate explains), a channel whose mean RSS can be positive, a
+// SigmaFactor so small that the 10⁻⁶ floor on σ binds, and a 7.3 m lattice,
 // whose quarter and sixteenth steps are inexact, so the candidate squares of
 // successive bests meet at points whose bits depend on the path taken.
 func TestRefineLocalMatchesReference(t *testing.T) {
 	ch := radio.UCIChannel()
+	hot := ch
+	hot.TxPower = hot.RefLoss + 5
 	gmms := []radio.GMMParams{{Channel: ch}, {Channel: ch, SigmaFactor: 0.01}}
 	lattices := []float64{20, 7.3, 10, 2.5}
 	r := rng.New(34)
-	for trial := 0; trial < 120; trial++ {
+	for trial := 0; trial < 240; trial++ {
 		ap := geo.Point{X: r.Uniform(0, 200), Y: r.Uniform(0, 200)}
 		group := make([]radio.Measurement, 1+r.Intn(30))
+		if trial%10 == 8 {
+			group = make([]radio.Measurement, maxGroupRows+1+r.Intn(60))
+		}
+		gmm := gmms[trial%len(gmms)]
+		switch trial % 10 {
+		case 6:
+			gmm.Channel = hot
+		case 7:
+			gmm.SigmaFactor = 1e-8
+		}
 		for i := range group {
 			p := geo.Point{X: ap.X + r.Uniform(-60, 60), Y: ap.Y + r.Uniform(-60, 60)}
-			group[i] = radio.Measurement{Pos: p, RSS: ch.MeanRSS(p.Dist(ap)) + r.Normal(0, 3)}
+			group[i] = radio.Measurement{Pos: p, RSS: gmm.Channel.MeanRSS(p.Dist(ap)) + r.Normal(0, 3)}
 		}
-		switch trial % 6 {
+		switch trial % 10 {
 		case 1:
 			group[r.Intn(len(group))].RSS = math.NaN()
 		case 2:
@@ -65,10 +80,11 @@ func TestRefineLocalMatchesReference(t *testing.T) {
 			group[r.Intn(len(group))].RSS = math.Inf(-1)
 		case 4:
 			group = group[:1]
+		case 5:
+			group[r.Intn(len(group))].RSS = r.Uniform(0, 10)
 		}
 		lattice := lattices[trial%len(lattices)]
 		start := geo.Point{X: ap.X + r.Uniform(-2, 2)*lattice, Y: ap.Y + r.Uniform(-2, 2)*lattice}
-		gmm := gmms[trial%len(gmms)]
 
 		got, gotLL := refineLocal(start, group, lattice, gmm)
 		want, wantLL := refineLocalRef(start, group, lattice, gmm)
