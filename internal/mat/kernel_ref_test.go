@@ -270,8 +270,7 @@ func TestIntoBufferKernelsMatchReferenceBitForBit(t *testing.T) {
 // TestMulVecToMatchesRowAtATime holds MulVecTo to the one-row-at-a-time dot
 // product for every row count a group solve meets after Proposition 1 and
 // then some, on rows that hold signed zeros, NaNs, infinities and subnormals:
-// each row is summed from +0 in ascending column order whatever rows it is
-// summed beside.
+// each row is summed from +0 in ascending column order.
 func TestMulVecToMatchesRowAtATime(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	special := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
@@ -366,25 +365,5 @@ func BenchmarkFactorizeSVD24x176(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		svdSink = FactorizeSVD(a)
-	}
-}
-
-var vecSink []float64
-
-// BenchmarkMulVecTo is the matvec each ADMM iteration of a group solve opens
-// with: r rows over the 187-point grid, r = 1 to 4 as Proposition 1 leaves a
-// group.
-func BenchmarkMulVecTo(b *testing.B) {
-	rng := rand.New(rand.NewSource(13))
-	for r := 1; r <= 4; r++ {
-		a := randMat(rng, r, 187)
-		x := randMat(rng, 1, 187).data
-		dst := make([]float64, r)
-		b.Run(fmt.Sprintf("r=%d", r), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				vecSink = MulVecTo(dst, a, x)
-			}
-		})
 	}
 }

@@ -160,51 +160,17 @@ func MulVec(a *Mat, x []float64) []float64 {
 }
 
 // MulVecTo writes a×x into dst (length a.Rows()) and returns it: MulVec for a
-// caller that brings its own buffer, such as a solver's iteration loop. dst
-// must not alias x.
-//
-// Rows are summed several at a time in one pass over x, each in its own
-// accumulator, so their add chains overlap instead of waiting on each other:
-// four while three or more are left, then two, where a lone last row is
-// summed twice. Each row is still summed from +0 in ascending column order:
-// the result is the one-row-at-a-time dot product's to the bit.
+// caller that brings its own buffer. dst must not alias x.
 func MulVecTo(dst []float64, a *Mat, x []float64) []float64 {
 	if a.cols != len(x) || a.rows != len(dst) {
 		panic(ErrShape)
 	}
-	n, last := a.cols, a.rows-1
-	i := 0
-	for ; i+2 <= last; i += 4 {
-		r0 := a.data[i*n : (i+1)*n]
-		r1 := a.RawRow(i + 1)[:len(r0)]
-		r2 := a.RawRow(i + 2)[:len(r0)]
-		r3 := a.RawRow(min(i+3, last))[:len(r0)]
-		x := x[:len(r0)]
-		var s0, s1, s2, s3 float64
-		for j, v := range r0 {
-			s0 += v * x[j]
-			s1 += r1[j] * x[j]
-			s2 += r2[j] * x[j]
-			s3 += r3[j] * x[j]
+	for i := range dst {
+		var s float64
+		for j, v := range a.RawRow(i) {
+			s += v * x[j]
 		}
-		dst[i], dst[i+1], dst[i+2] = s0, s1, s2
-		if i+3 <= last {
-			dst[i+3] = s3
-		}
-	}
-	if i <= last {
-		r0 := a.data[i*n : (i+1)*n]
-		r1 := a.RawRow(min(i+1, last))[:len(r0)]
-		x := x[:len(r0)]
-		var s0, s1 float64
-		for j, v := range r0 {
-			s0 += v * x[j]
-			s1 += r1[j] * x[j]
-		}
-		dst[i] = s0
-		if i+1 <= last {
-			dst[i+1] = s1
-		}
+		dst[i] = s
 	}
 	return dst
 }
