@@ -3,10 +3,12 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +18,7 @@ import (
 	"crowdwifi/internal/api"
 	"crowdwifi/internal/client"
 	"crowdwifi/internal/cluster/ring"
+	"crowdwifi/internal/frame"
 	"crowdwifi/internal/geo"
 	"crowdwifi/internal/obs"
 	"crowdwifi/internal/obs/trace"
@@ -307,6 +310,37 @@ func TestRouterCountsEvery503ItOriginates(t *testing.T) {
 	}
 }
 
+// storeHolding is a durable store whose state is fused and nothing else,
+// recovered from a snapshot written in the store's codec
+// (internal/server/codec.go): its magic, then one fused section, whose entries
+// carry their weights.
+func storeHolding(t *testing.T, fused map[string][]api.LookupResult) *server.Store {
+	t.Helper()
+	const secFused = 4
+	block := binary.LittleEndian.AppendUint32(nil, uint32(len(fused)))
+	for seg, results := range fused {
+		block = append(block, 0) // flags: the weights are written out
+		block = binary.LittleEndian.AppendUint32(block, uint32(len(seg)))
+		block = append(block, seg...)
+		block = binary.LittleEndian.AppendUint32(block, uint32(len(results)))
+		for _, r := range results {
+			for _, f := range []float64{r.X, r.Y, r.Weight} {
+				block = binary.LittleEndian.AppendUint64(block, math.Float64bits(f))
+			}
+		}
+	}
+	dir := t.TempDir()
+	if err := wal.WriteSnapshot(dir, 1, bytes.NewReader(frame.Append([]byte("CWSTATE\x02"), secFused, block))); err != nil {
+		t.Fatal(err)
+	}
+	store, _, err := server.OpenStore(10, server.StorageOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = store.Close() })
+	return store
+}
+
 // TestLookupQueryRoundTripsBothTiers is the %g regression: a user-vehicle
 // lookup whose coordinates need an exponent (|v| ≥ 1e6 m — a UTM northing —
 // or tiny) reaches the shard, directly and through the router, as the rect
@@ -314,17 +348,7 @@ func TestRouterCountsEvery503ItOriginates(t *testing.T) {
 // bare "+" and both tiers answered 400 "bad xmax".
 func TestLookupQueryRoundTripsBothTiers(t *testing.T) {
 	for _, v := range []float64{999999, 1e6, 3725000.5, -3725000.5, 1e-7} {
-		dir := t.TempDir()
-		snapshot := fmt.Sprintf(`{"fused":{"s":[{"x":%g,"y":%g,"weight":1},{"x":%g,"y":%g,"weight":1}]}}`, v, v, v+10, v)
-		if err := wal.WriteSnapshot(dir, 1, strings.NewReader(snapshot)); err != nil {
-			t.Fatal(err)
-		}
-		store, _, err := server.OpenStore(10, server.StorageOptions{Dir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = store.Close() })
-		tr := newTiers(t, store)
+		tr := newTiers(t, storeHolding(t, map[string][]api.LookupResult{"s": {{X: v, Y: v, Weight: 1}, {X: v + 10, Y: v, Weight: 1}}}))
 		area := geo.Rect{Min: geo.Point{X: v - 1, Y: v - 1}, Max: geo.Point{X: v + 1, Y: v + 1}}
 		for tier, base := range map[string]string{"shard": tr.shardURL, "router": tr.routerURL} {
 			// The user vehicle asks for a frame; the JSON answer is read
@@ -356,22 +380,6 @@ func TestLookupQueryRoundTripsBothTiers(t *testing.T) {
 // with different weights are the rule — the router's answer is byte for byte
 // what one Store holding the union answers, for random query rects.
 func TestRouterMergeEqualsStoreLookupOnUnion(t *testing.T) {
-	openWith := func(fused map[string][]api.LookupResult) *server.Store {
-		dir := t.TempDir()
-		data, err := json.Marshal(map[string]any{"fused": fused})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := wal.WriteSnapshot(dir, 1, bytes.NewReader(data)); err != nil {
-			t.Fatal(err)
-		}
-		store, _, err := server.OpenStore(10, server.StorageOptions{Dir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = store.Close() })
-		return store
-	}
 	rnd := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 20; trial++ {
 		k := 1 + rnd.Intn(4)
@@ -388,11 +396,11 @@ func TestRouterMergeEqualsStoreLookupOnUnion(t *testing.T) {
 				}
 				union[name] = part[name]
 			}
-			ts := httptest.NewServer(server.New(openWith(part)))
+			ts := httptest.NewServer(server.New(storeHolding(t, part)))
 			t.Cleanup(ts.Close)
 			peers = append(peers, Peer{ID: fmt.Sprintf("s%d", s), URL: ts.URL})
 		}
-		whole := openWith(union)
+		whole := storeHolding(t, union)
 		routerTS := httptest.NewServer(newTestRouter(t, peers, nil))
 		t.Cleanup(routerTS.Close)
 		for q := 0; q < 5; q++ {

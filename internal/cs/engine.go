@@ -498,9 +498,10 @@ func (e *Engine) FinalEstimates() []Estimate {
 				// Each reading is scored once, before the sort. sort.Slice's
 				// permutation depends only on the outcomes of its comparisons,
 				// which are the same as when each comparison scored both sides.
+				b := sigmaFactor(gmm)
 				byFit := make([]scoredReading, len(group))
-				for j := range group {
-					byFit[j] = scoredReading{group[j], groupLogLik(refined, group[j:j+1], gmm)}
+				for j, m := range group {
+					byFit[j] = scoredReading{m, logLikTerm(m, refined, gmm.Channel, b)}
 				}
 				sort.Slice(byFit, func(a, b int) bool { return byFit[a].ll > byFit[b].ll })
 				trimmed := make([]radio.Measurement, len(group)*4/5)

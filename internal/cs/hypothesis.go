@@ -475,10 +475,7 @@ type groupScorer struct {
 // newGroupScorer readies a scorer for group in the given tables, which hold
 // groups of up to their capacity without growing.
 func newGroupScorer(group []radio.Measurement, gmm radio.GMMParams, order []int32, rest, terms []float64) groupScorer {
-	b := gmm.SigmaFactor
-	if b == 0 {
-		b = radio.DefaultSigmaFactor
-	}
+	b := sigmaFactor(gmm)
 	n := len(group)
 	if n > cap(order) {
 		order, rest, terms = make([]int32, 0, n), make([]float64, 0, n+1), make([]float64, 0, n)
@@ -598,18 +595,12 @@ func pointHash(x, y uint64) uint64 {
 	return h ^ h>>31
 }
 
-// groupLogLik is the log-likelihood of a measurement group under a single AP
-// at p with the channel's Gaussian observation model.
-func groupLogLik(p geo.Point, group []radio.Measurement, gmm radio.GMMParams) float64 {
-	b := gmm.SigmaFactor
-	if b == 0 {
-		b = radio.DefaultSigmaFactor
+// sigmaFactor is gmm's b, the ratio of σ to |μ|.
+func sigmaFactor(gmm radio.GMMParams) float64 {
+	if gmm.SigmaFactor == 0 {
+		return radio.DefaultSigmaFactor
 	}
-	var ll float64
-	for _, m := range group {
-		ll += logLikTerm(m, p, gmm.Channel, b)
-	}
-	return ll
+	return gmm.SigmaFactor
 }
 
 // logLikTerm is one reading's log-likelihood under a single AP at p: a
@@ -629,22 +620,12 @@ func logLikTerm(m radio.Measurement, p geo.Point, ch radio.Channel, b float64) f
 // assignment changed. When there are more groups than APs (a group
 // collapsed), indices are taken modulo len(aps).
 func reassign(window []radio.Measurement, assign []int, aps []geo.Point, gmm radio.GMMParams) bool {
-	b := gmm.SigmaFactor
-	if b == 0 {
-		b = radio.DefaultSigmaFactor
-	}
+	b := sigmaFactor(gmm)
 	changed := false
 	for i, m := range window {
 		bestJ, bestLL := 0, math.Inf(-1)
 		for j, ap := range aps {
-			mu := gmm.Channel.MeanRSS(m.Pos.Dist(ap))
-			sigma := b * math.Abs(mu)
-			if sigma < 1e-6 {
-				sigma = 1e-6
-			}
-			z := (m.RSS - mu) / sigma
-			ll := -0.5*z*z - math.Log(sigma)
-			if ll > bestLL {
+			if ll := logLikTerm(m, ap, gmm.Channel, b); ll > bestLL {
 				bestJ, bestLL = j, ll
 			}
 		}

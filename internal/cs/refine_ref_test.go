@@ -13,6 +13,18 @@ import (
 // distinct number once, under one contract: the same answer to the bit. The
 // code they replaced lives on here as the reference.
 
+// groupLogLik is the log-likelihood of a measurement group under a single AP
+// at p with the channel's Gaussian observation model: its readings' terms
+// summed in group order, which a groupScorer's score must equal to the bit.
+func groupLogLik(p geo.Point, group []radio.Measurement, gmm radio.GMMParams) float64 {
+	b := sigmaFactor(gmm)
+	var ll float64
+	for _, m := range group {
+		ll += logLikTerm(m, p, gmm.Channel, b)
+	}
+	return ll
+}
+
 // refineLocalRef is refineLocal as it was: every candidate of every sweep
 // scored, whether or not the call had scored that point already.
 func refineLocalRef(p geo.Point, group []radio.Measurement, lattice float64, gmm radio.GMMParams) (geo.Point, float64) {

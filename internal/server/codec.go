@@ -11,9 +11,6 @@ package server
 //	report record  (recReports)       one report block, its entries keyed
 //	capture record (recCapture)       patterns, labels, reports u32 × 3: the
 //	                                  evidence a cycle read
-//	cycle record   (recCycle)         a fused block, then a reliability block —
-//	                                  what cycles logged before the capture
-//	                                  record; read, never written
 //	pattern record (recPatternEntry)  id u32 | key str | a pattern entry
 //	labels record  (recLabelBlock)    key str | one label block
 //	move block     (recMove)          source str | segment str | first pattern,
@@ -68,7 +65,7 @@ import (
 )
 
 // snapshotMagic opens a snapshot payload in this codec. A payload that opens
-// with '{' instead is the JSON an older build wrote (legacy.go).
+// with '{' instead is the JSON snapshot of a retired format (errRetiredFormat).
 const snapshotMagic = "CWSTATE\x02"
 
 // snapshotFrameBytes bounds a snapshot frame that holds more than one entry,
@@ -546,13 +543,6 @@ func (r *reader) fusedBlock(fused map[string][]LookupResult) {
 	}
 }
 
-func (r *reader) reliabilityBlock(reliability map[string]float64) {
-	for n := r.count(12); n > 0 && r.err == nil; n-- {
-		vehicle := r.name()
-		reliability[vehicle] = r.f64()
-	}
-}
-
 // readBlock appends a block's entries to dst, each read by entry and at
 // least min bytes long.
 func readBlock[E any](r *reader, dst []E, min int, entry func() E) []E {
@@ -606,15 +596,6 @@ func decodeSegments(data []byte, str func([]byte) string) ([]string, error) {
 	return segments, r.end()
 }
 
-// decodeCycle decodes a recCycle payload.
-func decodeCycle(data []byte, str func([]byte) string) (*view, error) {
-	r := reader{b: data, str: str}
-	v := &view{fused: map[string][]LookupResult{}, reliability: map[string]float64{}}
-	r.fusedBlock(v.fused)
-	r.reliabilityBlock(v.reliability)
-	return v, r.end()
-}
-
 // decodeMoveBlock decodes the data of one move frame. It refuses what no
 // store would have exported: an entry of another segment, a keyed report, a
 // non-finite coordinate, a label that is not ±1.
@@ -663,18 +644,17 @@ func decodeMove(stream []byte) ([]moveBlock, error) {
 	return blocks, err
 }
 
-// decodeSnapshotPayload decodes a snapshot payload, this codec's in one pass
-// over its frames or the JSON of an older build, and takes data over. The
-// reports are checked where they lie, then moved down over the bytes already
-// decoded, so that the front of data becomes the report log. Nothing else
-// decoded aliases data: names go through str or are copied, and idempotency
-// bodies are cloned.
+// decodeSnapshotPayload decodes a snapshot payload in one pass over its
+// frames, and takes data over. The reports are checked where they lie, then
+// moved down over the bytes already decoded, so that the front of data
+// becomes the report log. Nothing else decoded aliases data: names go through
+// str or are copied, and idempotency bodies are cloned.
 func decodeSnapshotPayload(data []byte, str func([]byte) string) (snapshotState, error) {
 	if bytes.HasPrefix(data, []byte("{")) {
-		return decodeLegacySnapshot(data)
+		return snapshotState{}, fmt.Errorf("a JSON snapshot: %w", errRetiredFormat)
 	}
 	if !bytes.HasPrefix(data, []byte(snapshotMagic)) {
-		return snapshotState{}, fmt.Errorf("%w: a snapshot opens with neither %q nor '{'", errCodec, snapshotMagic)
+		return snapshotState{}, fmt.Errorf("%w: a snapshot does not open with %q", errCodec, snapshotMagic)
 	}
 	st := snapshotState{Fused: map[string][]LookupResult{}, Reliability: map[string]float64{}, Received: map[moveKey]moveCursor{}, Dropped: map[string]int{}}
 	var reports [][]byte // the runs of data the reports fill, in order
@@ -705,7 +685,10 @@ func decodeSnapshotPayload(data []byte, str func([]byte) string) (snapshotState,
 		case secFused:
 			r.fusedBlock(st.Fused)
 		case secReliability:
-			r.reliabilityBlock(st.Reliability)
+			for n := r.count(12); n > 0 && r.err == nil; n-- {
+				vehicle := r.name()
+				st.Reliability[vehicle] = r.f64()
+			}
 		case secIdem:
 			st.Idem = readBlock(&r, st.Idem, 10, func() idemEntry {
 				return idemEntry{Key: string(r.bytes()), Status: int(r.u16()), Body: bytes.Clone(r.bytes())}

@@ -1,9 +1,9 @@
 package server
 
-// The persisted-state codec's contract: a data directory an older build wrote
-// still opens and answers as that build did; whatever sequence of mutations
-// ran, what is on disk recovers to the live store's state byte for byte,
-// whichever mix of formats holds it; and the decoders survive hostile bytes.
+// The persisted-state codec's contract: a data directory in a retired format is
+// refused, untouched, with the way to upgrade it; whatever sequence of
+// mutations ran, what is on disk recovers to the live store's state byte for
+// byte; and the decoders survive hostile bytes.
 
 import (
 	"bytes"
@@ -13,11 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"maps"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -49,17 +45,6 @@ func copyDir(t testing.TB, src string) string {
 		}
 	}
 	return dst
-}
-
-func readJSON(t *testing.T, path string, v any) {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, v); err != nil {
-		t.Fatalf("%s: %v", path, err)
-	}
 }
 
 func mustJSON(t testing.TB, v any) string {
@@ -107,306 +92,85 @@ func logOf(rs []Report) reportLog {
 	return l
 }
 
-// legacySnapshotJSON is st as an older build's JSON snapshot.
-func legacySnapshotJSON(t testing.TB, st snapshotState) []byte {
-	t.Helper()
-	data, err := json.Marshal(struct {
-		snapshotState
-		Reports []Report `json:"reports"`
-	}{st, reportsOf(st.Reports)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-// encodeCycle encodes a view as the recCycle payload builds before the
-// capture record logged: segments and vehicles sorted.
-func encodeCycle(v *view) []byte {
-	dst := appendBlock(nil, sortedKeys(v.fused), func(dst []byte, seg string) []byte {
-		return appendFusedEntry(dst, seg, v.fused[seg])
-	})
-	return appendBlock(dst, sortedKeys(v.reliability), func(dst []byte, vehicle string) []byte {
-		return appendReliabilityEntry(dst, vehicle, v.reliability[vehicle])
-	})
-}
-
-// legacySlice is the JSON an older build exported a shard's state as, which
-// expected.json records; its keys are left out.
-type legacySlice struct {
-	Patterns []legacySlicePattern `json:"patterns"`
-	Reports  []legacySliceReport  `json:"reports"`
-	Labels   []legacySliceLabel   `json:"labels"`
-}
-
-type legacySlicePattern struct {
-	ID      int        `json:"id"`
-	Segment string     `json:"segment"`
-	APs     []APReport `json:"aps,omitempty"`
-}
-
-type legacySliceReport struct {
-	Report Report `json:"report"`
-}
-
-type legacySliceLabel struct {
-	Label   Label  `json:"label"`
-	Segment string `json:"segment"`
-}
-
-// asLegacySlice is every pattern, report and label s holds, as legacySlice.
-func asLegacySlice(t testing.TB, s *Store) string {
-	t.Helper()
-	c := s.capture()
-	sl := legacySlice{Patterns: []legacySlicePattern{}, Reports: []legacySliceReport{}, Labels: []legacySliceLabel{}}
-	for _, p := range c.patterns {
-		sl.Patterns = append(sl.Patterns, legacySlicePattern{p.ID, p.Segment, p.APs})
-	}
-	for _, r := range reportsOf(c.reports) {
-		sl.Reports = append(sl.Reports, legacySliceReport{r})
-	}
-	for _, l := range c.labels {
-		sl.Labels = append(sl.Labels, legacySliceLabel{l, c.patterns[l.TaskID].Segment})
-	}
-	return mustJSON(t, sl)
-}
-
-// TestLegacyDataDirOpens opens testdata/datadir-v1 — written by the build at
-// 0c0e8a9, the last to persist JSON (generate_test.go.txt beside it is the
-// program): keyed single uploads with absent, empty and populated AP lists, two
-// multi-chunk batches, patterns, labels, a cycle, a JSON snapshot carrying the
-// "vehicles" member of still older builds, a log suffix holding every record
-// kind, and a torn tail. Recovery must answer exactly as that build's own
-// recovery did (expected.json), and the directory must keep working: this
-// build appends to it, snapshots it, and reopens what it wrote.
-func TestLegacyDataDirOpens(t *testing.T) {
-	const fixture = "testdata/datadir-v1"
-	var ops []struct {
-		Path string          `json:"path"`
-		Key  string          `json:"key"`
-		Body json.RawMessage `json:"body"`
-	}
-	var want struct {
-		Patterns, Labels, Reports  int
-		Lookup, Reliability, Slice string
-		Replies                    map[string]struct {
-			Status int
-			Body   string
-		}
-		SnapshotSeq     uint64
-		ReplayedRecords int
-		TruncatedBytes  int64
-	}
-	readJSON(t, filepath.Join(fixture, "ops.json"), &ops)
-	readJSON(t, filepath.Join(fixture, "expected.json"), &want)
-
-	check := func(name string, s *Store) {
+// TestLegacyDataDirIsRefused: a data directory in a retired format — the JSON
+// snapshot, or a record of kind 1 to 6 or 8 — fails to open with one error
+// that names the last build that reads it, and this build writes nothing to
+// it, so that build can still upgrade it.
+func TestLegacyDataDirIsRefused(t *testing.T) {
+	refused := func(t *testing.T, err error, what string) {
 		t.Helper()
-		if p, l, r := s.Counts(); p != want.Patterns || l != want.Labels || r != want.Reports {
-			t.Fatalf("%s: counts (%d,%d,%d), the older build recovered (%d,%d,%d)", name, p, l, r, want.Patterns, want.Labels, want.Reports)
-		}
-		if got := lookupBytes(t, s, everything); got != want.Lookup {
-			t.Fatalf("%s: lookup\n got %s\nwant %s", name, got, want.Lookup)
-		}
-		if got := reliabilityBytes(t, s); got != want.Reliability {
-			t.Fatalf("%s: reliability\n got %s\nwant %s", name, got, want.Reliability)
-		}
-		var slice legacySlice
-		if err := json.Unmarshal([]byte(want.Slice), &slice); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := asLegacySlice(t, s), mustJSON(t, slice); got != want {
-			t.Fatalf("%s: patterns, reports and labels\n got %s\nwant %s", name, got, want)
+		if !errors.Is(err, errRetiredFormat) || !strings.Contains(err.Error(), what) || !strings.Contains(err.Error(), "6c672b1") {
+			t.Fatalf("refused with %v, want %q and the last build that reads it", err, what)
 		}
 	}
-	// replays re-sends every keyed request the fixture was built from: each
-	// must be answered from the recovered idempotency cache with the bytes the
-	// older build answered, and store nothing.
-	replays := func(name string, s *Store) {
-		t.Helper()
-		ts := httptest.NewServer(New(s))
-		defer ts.Close()
-		_, _, before := s.Counts()
-		for _, op := range ops {
-			req, _ := http.NewRequest(http.MethodPost, ts.URL+op.Path, bytes.NewReader(op.Body))
-			req.Header.Set("Content-Type", "application/json")
-			req.Header.Set(IdempotencyKeyHeader, op.Key)
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			w := want.Replies[op.Key]
-			if resp.Header.Get("Idempotent-Replay") != "true" || resp.StatusCode != w.Status || string(body) != w.Body {
-				t.Fatalf("%s: key %s answered (%d, %q, replay=%q), the older build replayed (%d, %q)",
-					name, op.Key, resp.StatusCode, body, resp.Header.Get("Idempotent-Replay"), w.Status, w.Body)
-			}
+	// testdata/datadir-v1 is what the build at 0c0e8a9, the last to persist
+	// JSON, wrote (generate_test.go.txt beside it is the program): a JSON
+	// snapshot, a log suffix holding kinds 1 to 6, and a torn tail. The
+	// snapshot is refused before the log is opened, so even the tail stays.
+	t.Run("json snapshot", func(t *testing.T) {
+		const fixture = "testdata/datadir-v1/data"
+		dir := copyDir(t, fixture)
+		if s, _, err := OpenStore(10, StorageOptions{Dir: dir}); err == nil {
+			s.Close()
+			t.Fatal("a directory holding a JSON snapshot opened")
+		} else {
+			refused(t, err, "JSON snapshot")
 		}
-		if _, _, after := s.Counts(); after != before {
-			t.Fatalf("%s: replays stored %d reports", name, after-before)
-		}
-	}
-
-	// Read-only, straight from the checked-in bytes.
-	readOnly, err := replayDir(filepath.Join(fixture, "data"), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("read-only replay", readOnly)
-	replays("read-only replay", readOnly)
-
-	// Opened for writing, on a copy: the torn tail is cut.
-	dir := copyDir(t, filepath.Join(fixture, "data"))
-	store, stats, err := OpenStore(10, StorageOptions{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.SnapshotLoaded || stats.SnapshotSeq != want.SnapshotSeq || stats.ReplayedRecords != want.ReplayedRecords || stats.TruncatedBytes != want.TruncatedBytes {
-		t.Fatalf("recovery stats %+v, the older build's were snapshot %d, %d records, %d bytes cut",
-			stats, want.SnapshotSeq, want.ReplayedRecords, want.TruncatedBytes)
-	}
-	check("opened", store)
-	replays("opened", store)
-
-	// This build appends to the same log, then its recovery reads a log that
-	// changes format midway.
-	store.batchChunk = 256
-	if err := store.AddReportKeyed(context.Background(), "new-single", Report{Vehicle: "v1", Segment: "seg-n", APs: []APReport{}}); err != nil {
-		t.Fatal(err)
-	}
-	items := make([]BatchItem, 9)
-	for i := range items {
-		items[i] = BatchItem{Key: fmt.Sprintf("new-b-%d", i), Report: batchReport(i)}
-	}
-	if err := errors.Join(store.AddReportBatch(context.Background(), items)...); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.AggregateCycle(); err != nil {
-		t.Fatal(err)
-	}
-	newKeys := func(name string, s *Store) {
-		t.Helper()
-		for _, key := range append([]string{"new-single"}, func() (ks []string) {
-			for _, it := range items {
-				ks = append(ks, it.Key)
-			}
-			return
-		}()...) {
-			if seen, rec := s.idem.begin(key); !seen || rec == nil || rec.status != http.StatusCreated {
-				t.Fatalf("%s: key %s is not a completed upload", name, key)
-			}
-		}
-	}
-	live := fingerprint(t, store) + exportAll(t, store)
-	mixed := diskState(t, dir)
-	if got := fingerprint(t, mixed) + exportAll(t, mixed); got != live {
-		t.Fatalf("a log that turns binary midway recovered differently\n got %s\nwant %s", got, live)
-	}
-	replays("mixed log", mixed)
-	newKeys("mixed log", mixed)
-
-	// And replaces the JSON snapshot with its own.
-	if _, err := store.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, data, err := wal.LatestSnapshot(dir)
-	if err != nil || !bytes.HasPrefix(data, []byte(snapshotMagic)) {
-		t.Fatalf("the newest snapshot is not in the binary codec (err %v)", err)
-	}
-	reopened, stats := openDurable(t, dir)
-	defer reopened.Close()
-	if !stats.SnapshotLoaded || stats.ReplayedRecords != 0 {
-		t.Fatalf("reopen after the snapshot: %+v", stats)
-	}
-	if got := fingerprint(t, reopened) + exportAll(t, reopened); got != live {
-		t.Fatalf("this build's snapshot of the upgraded directory recovered differently\n got %s\nwant %s", got, live)
-	}
-	replays("after the new snapshot", reopened)
-	newKeys("after the new snapshot", reopened)
-}
-
-// TestReplayRefusesALegacyLabelOfNoTask: a JSON label record goes through the
-// check a binary one does, so a label that names no task, or answers neither
-// +1 nor -1, is refused at replay instead of making the next cycle panic.
-func TestReplayRefusesALegacyLabelOfNoTask(t *testing.T) {
-	for _, c := range []struct {
-		patterns int
-		labels   string
-	}{
-		{0, `{"labels":[{"vehicle":"v","taskId":5,"value":1}]}`},
-		{1, `{"labels":[{"vehicle":"v","taskId":-1,"value":1}]}`},
-		{1, `{"labels":[{"vehicle":"v","taskId":0,"value":0}]}`},
-	} {
-		dir := t.TempDir()
-		log, _, err := wal.Open(dir, wal.Options{Sync: wal.SyncOff})
+		_, err := ExportFromDir(dir, 10, "fixture", func(string) string { return "all" })
+		refused(t, err, "JSON snapshot")
+		entries, err := os.ReadDir(fixture)
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy := &legacyLog{t: t, dir: dir, log: log}
-		for id := 0; id < c.patterns; id++ {
-			legacy.append(recPattern, patternRecord{ID: id, Segment: "s"})
+		after, err := os.ReadDir(dir)
+		if err != nil || len(after) != len(entries) {
+			t.Fatalf("the refused directory holds %d files (err %v), the fixture %d", len(after), err, len(entries))
 		}
-		if _, err := log.Append(recLabels, []byte(c.labels)); err != nil {
+		for _, e := range entries {
+			want, _ := os.ReadFile(filepath.Join(fixture, e.Name()))
+			got, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s changed under a refused open (err %v)", e.Name(), err)
+			}
+		}
+	})
+	// A log this build wrote, then a record of a retired kind: the open
+	// fails at that record.
+	t.Run("retired kind", func(t *testing.T) {
+		dir := t.TempDir()
+		s, _ := openDurable(t, dir)
+		for i := 0; i < 3; i++ {
+			if err := s.AddReport(batchReport(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seq, err := s.capture().log.Append(3, []byte(`{"report":{"vehicle":"v","segment":"s","aps":[]},"idemKey":"r"}`))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := log.Close(); err != nil {
+		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		s, _, err := OpenStore(10, StorageOptions{Dir: dir})
-		if err == nil {
+		if s, _, err := OpenStore(10, StorageOptions{Dir: dir}); err == nil {
 			s.Close()
-			t.Fatalf("%s among %d patterns replayed", c.labels, c.patterns)
+			t.Fatal("a log holding a kind-3 record opened")
+		} else {
+			refused(t, err, fmt.Sprintf("record %d: unknown kind 3", seq))
 		}
-		if !strings.Contains(err.Error(), "label") {
-			t.Fatalf("%s: refused with %v, which does not name the label", c.labels, err)
-		}
-	}
-}
-
-// legacyLog writes records the way the build before the binary codec did, so
-// a test can hand recovery a directory that build left behind in any state.
-type legacyLog struct {
-	t   *testing.T
-	dir string
-	log *wal.Log
-}
-
-func (w *legacyLog) append(kind byte, v any) {
-	w.t.Helper()
-	data, err := json.Marshal(v)
-	if err != nil {
-		w.t.Fatal(err)
-	}
-	if _, err := w.log.Append(kind, data); err != nil {
-		w.t.Fatal(err)
-	}
-}
-
-// snapshot writes ref's state as the JSON snapshot covering the log so far.
-func (w *legacyLog) snapshot(ref *Store) {
-	w.t.Helper()
-	c := ref.capture()
-	data := legacySnapshotJSON(w.t, snapshotState{Patterns: c.patterns, Labels: c.labels, Reports: c.reports,
-		Fused: c.view.fused, Reliability: c.view.reliability, Idem: ref.idem.snapshot()})
-	if err := wal.WriteSnapshot(w.dir, w.log.LastSeq(), bytes.NewReader(data)); err != nil {
-		w.t.Fatal(err)
-	}
+		_, err = ExportFromDir(dir, 10, "fixture", func(string) string { return "all" })
+		refused(t, err, fmt.Sprintf("record %d: unknown kind 3", seq))
+	})
 }
 
 // TestRecoveryAgreesWithLiveStore is the codec's property: run a seeded random
 // sequence of uploads, batches, patterns, labels, cycles, snapshots, drops,
 // reopens and moves in and out against an in-memory store that is never
-// recovered, and beside it against three directories — one that is only ever
-// a log, one that is snapshotted and reopened as the sequence says, and one
-// whose first half an older build wrote as JSON. Whatever each directory
-// recovers to must equal the in-memory store in everything an export can see
-// (every report, pattern and label, absent against empty AP lists, and their
-// positions), in the derived state, in the idempotency cache and in the move
-// tables.
+// recovered, and beside it against two directories — one that is only ever
+// a log, and one that is snapshotted and reopened as the sequence says.
+// Whatever each directory recovers to must equal the in-memory store in
+// everything an export can see (every report, pattern and label, absent
+// against empty AP lists, and their positions), in the derived state, in the
+// idempotency cache and in the move tables.
 func TestRecoveryAgreesWithLiveStore(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { recoveryProperty(t, seed) })
@@ -428,17 +192,6 @@ func recoveryProperty(t *testing.T, seed int64) {
 	}
 	logOnly, snapped := open(t.TempDir()), open(t.TempDir())
 	snappedDir := snapped.storage.Dir
-	legacyDir := t.TempDir()
-	ll, _, err := wal.Open(legacyDir, wal.Options{Sync: wal.SyncOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := &legacyLog{t: t, dir: legacyDir, log: ll}
-	var upgraded *Store // the legacy directory, once this build has opened it
-	// Where the legacy directory's last JSON snapshot and its upgrade fell:
-	// see wantLegacy.
-	var legacyDrops map[string]int
-	var legacyPatterns, upgradePatterns int
 	peer := NewStore(10) // the other end of every move
 	peer.batchChunk = chunk
 	var moves [][]byte // every move in so far, to be sent again
@@ -470,11 +223,7 @@ func recoveryProperty(t *testing.T, seed int64) {
 	// each applies one mutation to every store this build drives.
 	each := func(fn func(s *Store) error) {
 		t.Helper()
-		stores := []*Store{ref, logOnly, snapped}
-		if upgraded != nil {
-			stores = append(stores, upgraded)
-		}
-		for _, s := range stores {
+		for _, s := range []*Store{ref, logOnly, snapped} {
 			if err := fn(s); err != nil {
 				t.Fatal(err)
 			}
@@ -482,45 +231,19 @@ func recoveryProperty(t *testing.T, seed int64) {
 	}
 
 	for step := 0; step < steps; step++ {
-		if step == steps/2 {
-			if err := legacy.log.Close(); err != nil {
-				t.Fatal(err)
-			}
-			upgraded = open(legacyDir)
-			upgradePatterns = len(ref.patterns)
-		}
-		old := upgraded == nil // the legacy directory is still the older build's
 		switch op := rnd.Intn(19); {
 		case op < 5:
 			k, r := key(), report()
 			each(func(s *Store) error { return s.AddReportKeyed(ctx, k, r) })
-			if old {
-				legacy.append(recLegacyReport, reportRecord{Report: r, IdemKey: k})
-			}
 		case op < 8:
 			items := make([]BatchItem, 1+rnd.Intn(12))
 			for i := range items {
 				items[i] = BatchItem{Key: key(), Report: report()}
 			}
 			each(func(s *Store) error { return errors.Join(s.AddReportBatch(ctx, items)...) })
-			if old {
-				for len(items) > 0 { // the older build chunked too
-					n := min(len(items), 1+rnd.Intn(5))
-					var rec batchRecord
-					for _, it := range items[:n] {
-						rec.Reports = append(rec.Reports, json.RawMessage(mustJSON(t, reportRecord{Report: it.Report, IdemKey: it.Key})))
-					}
-					legacy.append(recLegacyBatch, rec)
-					items = items[n:]
-				}
-			}
 		case op < 10:
 			k, seg, a := key(), fmt.Sprintf("seg-%d", rnd.Intn(6)), aps()
-			id := len(ref.patterns)
 			each(func(s *Store) error { _, err := s.AddPatternKeyed(ctx, k, seg, a); return err })
-			if old {
-				legacy.append(recPattern, patternRecord{ID: id, Segment: seg, APs: a, IdemKey: k})
-			}
 		case op < 12:
 			if len(ref.patterns) == 0 {
 				continue
@@ -530,29 +253,13 @@ func recoveryProperty(t *testing.T, seed int64) {
 				ls[i] = Label{Vehicle: fmt.Sprintf("v%d", rnd.Intn(5)), TaskID: rnd.Intn(len(ref.patterns)), Value: 1 - 2*rnd.Intn(2)}
 			}
 			each(func(s *Store) error { return s.AddLabelsKeyed(ctx, k, ls) })
-			if old {
-				legacy.append(recLabels, labelsRecord{Labels: ls, IdemKey: k})
-			}
 		case op < 13:
 			each(func(s *Store) error { _, err := s.AggregateCycle(); return err })
-			if old {
-				v := ref.view.Load()
-				legacy.append(recLegacyCycle, aggregateRecord{Fused: v.fused, Reliability: v.reliability})
-			}
 		case op < 14:
 			seg := []string{fmt.Sprintf("seg-%d", rnd.Intn(6))}
 			each(func(s *Store) error { _, err := s.DropSegments(ctx, seg); return err })
-			if old {
-				legacy.append(recDrop, dropRecord{Segments: seg})
-			}
 		case op < 15:
 			if _, err := snapped.Snapshot(); err != nil {
-				t.Fatal(err)
-			}
-			if old {
-				legacy.snapshot(ref)
-				legacyDrops, legacyPatterns = maps.Clone(ref.dropped), len(ref.patterns)
-			} else if _, err := upgraded.Snapshot(); err != nil {
 				t.Fatal(err)
 			}
 		case op < 16:
@@ -561,9 +268,6 @@ func recoveryProperty(t *testing.T, seed int64) {
 			}
 			snapped = open(snappedDir)
 		case op < 17: // a move in: new evidence, or one sent before
-			if old {
-				continue // an older build logs no moves
-			}
 			if len(moves) == 0 || rnd.Intn(3) > 0 {
 				seg := fmt.Sprintf("seg-%d", rnd.Intn(6))
 				for i := rnd.Intn(3); i >= 0; i-- {
@@ -587,11 +291,6 @@ func recoveryProperty(t *testing.T, seed int64) {
 			// the capture record publishes as the live drop trimmed it
 			seg := []string{fmt.Sprintf("seg-%d", rnd.Intn(6))}
 			each(func(s *Store) error { _, err := s.AggregateCycle(); return err })
-			if old {
-				v := ref.view.Load()
-				legacy.append(recLegacyCycle, aggregateRecord{Fused: v.fused, Reliability: v.reliability})
-				legacy.append(recDrop, dropRecord{Segments: seg})
-			}
 			each(func(s *Store) error { _, err := s.DropSegments(ctx, seg); return err })
 			if err := snapped.Close(); err != nil {
 				t.Fatal(err)
@@ -609,9 +308,6 @@ func recoveryProperty(t *testing.T, seed int64) {
 				t.Fatal(err)
 			}
 			each(func(s *Store) error { _, err := s.DropSegments(ctx, []string{seg}); return err })
-			if old {
-				legacy.append(recDrop, dropRecord{Segments: []string{seg}})
-			}
 		}
 	}
 
@@ -619,29 +315,7 @@ func recoveryProperty(t *testing.T, seed int64) {
 		return fingerprint(t, s) + exportAll(t, s) + mustJSON(t, s.idem.snapshot()) + fmt.Sprintf("%v %v", s.received, s.dropped)
 	}
 	want := state(ref)
-	// The legacy directory holds what the older build's formats could keep:
-	// its JSON snapshot has no drop counts, so it counts drops from the last
-	// one it wrote, and its pattern record leaves an empty AP list out, so the
-	// patterns it logged after that snapshot have none.
-	dropped, patterns := ref.dropped, ref.patterns
-	ref.dropped, ref.patterns = map[string]int{}, slices.Clone(patterns)
-	for seg, n := range dropped {
-		if n > legacyDrops[seg] {
-			ref.dropped[seg] = n - legacyDrops[seg]
-		}
-	}
-	for i := legacyPatterns; i < upgradePatterns; i++ {
-		if len(ref.patterns[i].APs) == 0 {
-			ref.patterns[i].APs = nil
-		}
-	}
-	wantLegacy := state(ref)
-	ref.dropped, ref.patterns = dropped, patterns
-	for name, s := range map[string]*Store{"log only": logOnly, "snapshot + suffix": snapped, "legacy then new": upgraded} {
-		want := want
-		if s == upgraded {
-			want = wantLegacy
-		}
+	for name, s := range map[string]*Store{"log only": logOnly, "snapshot + suffix": snapped} {
 		if got := state(s); got != want {
 			t.Fatalf("%s: the store driving the directory diverged from the in-memory one\n got %s\nwant %s", name, got, want)
 		}
@@ -732,8 +406,7 @@ func fuzzState() snapshotState {
 }
 
 // TestSnapshotRoundTripsEveryField: decode(encode(state)) is the state, down
-// to absent against empty AP lists and weights other than fusion's 1; so is
-// a cycle record's view.
+// to absent against empty AP lists and weights other than fusion's 1.
 func TestSnapshotRoundTripsEveryField(t *testing.T) {
 	want := fuzzState()
 	data, err := encodeSnapshot(want)
@@ -746,10 +419,6 @@ func TestSnapshotRoundTripsEveryField(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("snapshot round trip\n got %#v\nwant %#v", got, want)
-	}
-	v, err := decodeCycle(encodeCycle(&view{fused: want.Fused, reliability: want.Reliability}), nil)
-	if err != nil || !reflect.DeepEqual(v.fused, want.Fused) || !reflect.DeepEqual(v.reliability, want.Reliability) {
-		t.Fatalf("cycle round trip (err %v)\n got %#v", err, v)
 	}
 }
 
@@ -784,7 +453,8 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		append([]byte(snapshotMagic), hugeCountSection(99, 0)...),
 		append([]byte(snapshotMagic), frame.Append(nil, secReports, append(appendU32(nil, 1), overrunEntry("")...))...),
 		append([]byte(snapshotMagic), frame.Append(nil, secReports, append(appendU32(nil, 1), overrunEntry("k")[:14]...))...),
-		legacySnapshotJSON(f, fuzzState()),
+		// JSON snapshots, a retired format.
+		[]byte(`{"patterns":[{"id":0,"segment":"s1"}],"labels":[],"reports":[{"vehicle":"v1","segment":"s1","aps":[]}],"fused":{},"reliability":{"v1":1},"idem":[]}`),
 		[]byte(`{"patterns":[{"id":7,"segment":"s"}]}`),
 	} {
 		f.Add(seed)
@@ -793,6 +463,9 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		var st snapshotState
 		var err error
 		decodeBounded(t, len(data), func() { st, err = decodeSnapshot(data, nil) })
+		if bytes.HasPrefix(data, []byte("{")) && !errors.Is(err, errRetiredFormat) {
+			t.Fatalf("a JSON snapshot decoded (err %v)", err)
+		}
 		if err != nil || NewStore(10).restoreSnapshot(st) != nil {
 			return
 		}
@@ -824,8 +497,6 @@ func FuzzApplyRecord(f *testing.F) {
 	add(recReports, block[:len(block)-1])
 	add(recReports, binary.LittleEndian.AppendUint32(nil, 0xFFFFFFFF))
 	add(recReports, append(appendU32(nil, 1), overrunEntry("k")...))
-	add(recCycle, encodeCycle(&view{fused: st.Fused, reliability: st.Reliability}))
-	add(recCycle, binary.LittleEndian.AppendUint32(nil, 1<<30))
 	add(recCapture, appendCapture(nil, [3]int{0, 0, 0}))
 	add(recCapture, appendCapture(nil, [3]int{0, 0, 1})) // counts past the log's lengths
 	add(recCapture, appendCapture(nil, [3]int{0, 0, 0})[:11])
@@ -833,15 +504,19 @@ func FuzzApplyRecord(f *testing.F) {
 	add(recPatternEntry, appendPatternRecord(nil, 0, "", st.Patterns[2])[:20])
 	add(recLabelBlock, appendLabelsRecord(nil, "l", st.Labels[:1]))
 	add(recLabelBlock, binary.LittleEndian.AppendUint32(appendStr(nil, ""), 1<<30))
-	add(recPattern, []byte(`{"id":0,"segment":"s","aps":[{"x":1,"y":2,"credit":3}],"idemKey":"p"}`))
-	add(recLabels, []byte(`{"labels":[{"vehicle":"v","taskId":0,"value":1}]}`))
-	add(recLabels, []byte(`{"labels":[{"vehicle":"v","taskId":5,"value":1}]}`))
-	add(recDrop, []byte(`{"segments":["s1"]}`))
 	add(recDropBlock, appendBlock(nil, []string{"s1", "s2"}, appendStr))
 	add(recDropBlock, binary.LittleEndian.AppendUint32(nil, 1<<30))
-	add(recLegacyReport, []byte(`{"report":{"vehicle":"v","segment":"s","aps":[]},"idemKey":"r"}`))
-	add(recLegacyBatch, []byte(`{"reports":[{"report":{"vehicle":"v","segment":"s","aps":null}}]}`))
-	add(recLegacyCycle, []byte(`{"fused":{"s":[{"x":1,"y":2,"weight":1}]},"reliability":{"v":1}}`))
+	// Records of the retired kinds: the JSON pattern, labels, drop, report,
+	// batch-chunk and cycle records, and the binary cycle record.
+	add(1, []byte(`{"id":0,"segment":"s","aps":[{"x":1,"y":2,"credit":3}],"idemKey":"p"}`))
+	add(2, []byte(`{"labels":[{"vehicle":"v","taskId":0,"value":1}]}`))
+	add(2, []byte(`{"labels":[{"vehicle":"v","taskId":5,"value":1}]}`))
+	add(5, []byte(`{"segments":["s1"]}`))
+	add(3, []byte(`{"report":{"vehicle":"v","segment":"s","aps":[]},"idemKey":"r"}`))
+	add(6, []byte(`{"reports":[{"report":{"vehicle":"v","segment":"s","aps":null}}]}`))
+	add(4, []byte(`{"fused":{"s":[{"x":1,"y":2,"weight":1}]},"reliability":{"v":1}}`))
+	add(8, nil)
+	add(8, binary.LittleEndian.AppendUint32(nil, 1<<30))
 	src := NewStore(10)
 	if err := src.restoreSnapshot(st); err != nil {
 		f.Fatal(err)
@@ -865,6 +540,9 @@ func FuzzApplyRecord(f *testing.F) {
 		s := NewStore(10)
 		var err error
 		decodeBounded(t, len(data), func() { err = s.applyRecord(wal.Record{Seq: 1, Kind: kind, Data: data}, nil) })
+		if retired := slices.Contains([]byte{1, 2, 3, 4, 5, 6, 8}, kind); retired != errors.Is(err, errRetiredFormat) {
+			t.Fatalf("kind %d: err %v", kind, err)
+		}
 		if err != nil {
 			return
 		}
@@ -906,14 +584,6 @@ func FuzzApplyRecord(f *testing.F) {
 			m, _ := decodeMoveBlock(data, nil)
 			if again := appendMoveBlock(nil, &m); !bytes.Equal(again, data) {
 				t.Fatalf("re-encoded %x, record is %x", again, data)
-			}
-		case recCycle:
-			// Segments may arrive unsorted or twice; the encoding of what
-			// they decode to is canonical.
-			first := encodeCycle(s.view.Load())
-			v, err := decodeCycle(first, nil)
-			if err != nil || !bytes.Equal(encodeCycle(v), first) {
-				t.Fatalf("encode(decode(x)) is not a fixed point (err %v)", err)
 			}
 		}
 		// The rest of the log: a replay that refuses a record stops there.

@@ -3,12 +3,11 @@ package server
 import "sync"
 
 // idemEntry is the serializable form of one completed key, used to seed the
-// cache from recovery and to carry it into snapshots. Body round-trips
-// through JSON as base64.
+// cache from recovery and to carry it into snapshots.
 type idemEntry struct {
-	Key    string `json:"key"`
-	Status int    `json:"status"`
-	Body   []byte `json:"body"`
+	Key    string
+	Status int
+	Body   []byte
 }
 
 // idemCache deduplicates ingestion by idempotency key so client retries and

@@ -25,27 +25,24 @@ import (
 	"crowdwifi/internal/wal"
 )
 
-// WAL record kinds. Reports, captures, patterns, labels, moved blocks and drops
-// are in the binary codec (codec.go). Kinds 1 to 6 are the JSON pattern,
-// labels, report, cycle, drop and batch-chunk records of builds before that
-// codec, and kind 8 the binary cycle record of builds before the capture
-// record: read so their data directories open (legacy.go, decodeCycle), never
-// written.
+// WAL record kinds, all in the binary codec (codec.go). Kinds 1 to 6 (the JSON
+// records of builds before that codec) and 8 (the cycle record of builds
+// before the capture record) are retired: never reuse them. A log that holds
+// one is refused (errRetiredFormat).
 const (
-	recPattern      byte = 1
-	recLabels       byte = 2
-	recLegacyReport byte = 3
-	recLegacyCycle  byte = 4
-	recDrop         byte = 5
-	recLegacyBatch  byte = 6
 	recReports      byte = 7
-	recCycle        byte = 8
 	recPatternEntry byte = 9
 	recLabelBlock   byte = 10
 	recMove         byte = 11
 	recDropBlock    byte = 12
 	recCapture      byte = 13
 )
+
+// errRetiredFormat refuses a data directory written in a format this build no
+// longer reads: a record of a retired kind, or a JSON snapshot.
+var errRetiredFormat = errors.New("a format retired after build 6c672b1, the last that reads it: " +
+	"run that build's crowdwifi-server on the directory and stop it cleanly (SIGTERM); " +
+	"its final snapshot opens here")
 
 // ErrDurability marks a mutation rejected because its write-ahead append
 // failed; the in-memory state was not changed. HTTP handlers map it to 500
@@ -59,18 +56,16 @@ var ErrRecordTooLarge = errors.New("server: record exceeds the WAL record size l
 
 // snapshotState is the full Store serialization: everything recovery needs
 // to stand the server back up without the compacted log prefix. Its WriteTo
-// writes it and decodeSnapshotPayload reads it; the JSON tags are what the snapshots
-// of older builds decode through (legacy.go, which reads their reports), and
-// nothing encodes through them. Older builds kept no move tables.
+// writes it and decodeSnapshotPayload reads it.
 type snapshotState struct {
-	Patterns    []Pattern                 `json:"patterns"`
-	Labels      []Label                   `json:"labels"`
-	Reports     reportLog                 `json:"-"`
-	Fused       map[string][]LookupResult `json:"fused"`
-	Reliability map[string]float64        `json:"reliability"`
-	Idem        []idemEntry               `json:"idem"`
-	Received    map[moveKey]moveCursor    `json:"-"`
-	Dropped     map[string]int            `json:"-"`
+	Patterns    []Pattern
+	Labels      []Label
+	Reports     reportLog
+	Fused       map[string][]LookupResult
+	Reliability map[string]float64
+	Idem        []idemEntry
+	Received    map[moveKey]moveCursor
+	Dropped     map[string]int
 }
 
 // StorageOptions configures the crowd-server's durability subsystem. The
@@ -280,8 +275,8 @@ type record struct {
 	move     *moveBlock // recMove
 	segments []string   // recDropBlock
 	counts   [3]int     // recCapture: the patterns, labels and reports read
-	// view is a recCycle's, and a live recCapture's: the view its cycle
-	// computed. Replay leaves a capture's nil and computes it (settle).
+	// view is a live recCapture's: the view its cycle computed. Replay
+	// leaves it nil and computes it (settle).
 	view *view
 
 	moved   api.SliceStats // what a move block adds, as its check counts it
@@ -364,10 +359,8 @@ func decodeRecord(kind byte, data []byte, str func([]byte) string) (record, erro
 		rec.segments, err = decodeSegments(data, str)
 	case recCapture:
 		rec.counts, err = decodeCapture(data)
-	case recCycle:
-		rec.view, err = decodeCycle(data, str)
-	case recPattern, recLabels, recLegacyReport, recLegacyCycle, recDrop, recLegacyBatch:
-		return decodeLegacyRecord(kind, data)
+	case 1, 2, 3, 4, 5, 6, 8:
+		err = fmt.Errorf("unknown kind %d: %w", kind, errRetiredFormat)
 	default:
 		err = fmt.Errorf("unknown kind %d", kind)
 	}
@@ -439,16 +432,13 @@ func (s *Store) applyLocked(rec *record) {
 			return
 		}
 		s.view.Store(rec.view)
-	case recCycle:
-		s.replayed = nil
-		s.view.Store(rec.view)
 	}
 }
 
 // settle ends what replay stashed: it computes the view of the last capture
 // record replayed and publishes it, as the cycle that logged the record did.
 // Replay settles before a drop, which trims that view, and at the end of the
-// log; a capture or cycle record in between supersedes the stash.
+// log; a capture record in between supersedes the stash.
 func (s *Store) settle() error {
 	c := s.replayed
 	if c == nil {

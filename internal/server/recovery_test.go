@@ -477,41 +477,6 @@ func TestCrashRecoveryFailedCyclePublishesNothing(t *testing.T) {
 	}
 }
 
-// TestKind8CycleRecordStillLoads: the cycle record of builds before the
-// capture record — the view itself, kind 8 — still replays, published as it
-// was logged and not recomputed, and a capture record after it supersedes it.
-func TestKind8CycleRecordStillLoads(t *testing.T) {
-	dir := t.TempDir()
-	store, _ := openDurable(t, dir)
-	for i := 0; i < 20; i++ {
-		if err := store.AddReport(batchReport(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// No cycle over these reports could produce this view.
-	logged := &view{fused: map[string][]LookupResult{"elsewhere": {{X: 1, Y: 2, Weight: 1}}}, reliability: map[string]float64{"v": 0.5}}
-	if _, err := store.capture().log.Append(recCycle, encodeCycle(logged)); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
-	store, _ = openDurable(t, dir)
-	if got := lookupBytes(t, store, everything); got != `[{"x":1,"y":2,"weight":1}]` || reliabilityBytes(t, store) != `{"v":0.5}` {
-		t.Fatalf("the kind-8 view recovered as %s, %s", got, reliabilityBytes(t, store))
-	}
-	if _, err := store.AggregateCycle(); err != nil {
-		t.Fatal(err)
-	}
-	want := fingerprint(t, store)
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := fingerprint(t, diskState(t, dir)); got != want {
-		t.Fatalf("after a capture record the recovered view is\n %s\nwant %s", got, want)
-	}
-}
-
 // twoSnapshotsAndASuffix leaves dir the way a long-running server does: 100
 // reports, a snapshot, 100 more, a second snapshot, 10 more, no shutdown. It
 // returns the newest snapshot's path.
