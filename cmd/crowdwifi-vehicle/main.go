@@ -9,7 +9,7 @@
 //	crowdwifi-vehicle [-id veh-1] [-server http://127.0.0.1:8700]
 //	                  [-samples 180] [-seed 7] [-segment uci-campus]
 //	                  [-spammer] [-outbox-cap 256] [-drain-timeout 5s]
-//	                  [-retry-attempts 4] [-trace-sample 1] [-batch 0]
+//	                  [-retry-attempts 4] [-trace-sample 1]
 //
 // The CS core's parallelism follows GOMAXPROCS; estimates are identical at
 // any setting.
@@ -65,7 +65,6 @@ type runConfig struct {
 	DrainTimeout  time.Duration
 	RetryAttempts int
 	TraceSample   float64
-	BatchSize     int
 }
 
 func main() {
@@ -88,8 +87,6 @@ func main() {
 		"max delivery attempts per request (exponential backoff with jitter)")
 	flag.Float64Var(&cfg.TraceSample, "trace-sample", 1,
 		"fraction of new traces to record, 0..1")
-	flag.IntVar(&cfg.BatchSize, "batch", 0,
-		"outbox drains deliver up to this many parked reports per POST /v1/reports/batch round-trip (≤ 1 = single uploads)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
@@ -193,7 +190,6 @@ func run(ctx context.Context, cfg runConfig, logger *obs.Logger) error {
 		retry.WithBreaker(breaker),
 		retry.WithMetrics(retryMetrics))
 	vehicle.Outbox = client.NewOutbox(cfg.OutboxCap)
-	vehicle.BatchSize = cfg.BatchSize
 	defer flushOutbox(tracer, vehicle, cfg.DrainTimeout, logger)
 
 	logger.Info("driving", "scenario", "uci-campus", "samples", len(ms))

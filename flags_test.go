@@ -68,7 +68,6 @@ var flagAllow = map[string]flagReason{
 	"crowdwifi-vehicle -drain-timeout":  {admitTradeOff, "exit latency against uploads delivered at shutdown"},
 	"crowdwifi-vehicle -retry-attempts": {admitTradeOff, "load on a sick server against delivery per request"},
 	"crowdwifi-vehicle -trace-sample":   {admitTradeOff, "tracing cost against trace coverage"},
-	"crowdwifi-vehicle -batch":          {admitTradeOff, "round trips against batch size on an outbox drain"},
 	"crowdwifi-vehicle -log-level":      {admitSet, "the spelling CI sets on the server and router, parsed by the same obs.ParseLevel"},
 	"crowdwifi-vehicle -version":        {admitPlace, "who it is: the build it was stamped with"},
 

@@ -1,11 +1,11 @@
 package client
 
-// Batch drains: DrainOutbox (with BatchSize > 1) flushes contiguous runs of
-// parked reports through POST /v1/reports/batch. It speaks the binary frame
-// codec on the wire — the batch endpoint exists to amortize round-trips, and
-// frames amortize encoding — and classifies each entry from the response's
-// per-entry status vector with the same terminal-vs-transient rules as
-// single uploads.
+// Batch drains: DrainOutbox flushes a run of parked reports through POST
+// /v1/reports/batch. Each parked report is the frame a batch carries, its
+// idempotency key inside, so the request body is the parked bytes one after
+// another. The answer's status vector is in request order, and each entry
+// is settled from the status at its position with the same
+// terminal-vs-transient rules as single uploads.
 
 import (
 	"context"
@@ -16,55 +16,24 @@ import (
 	"crowdwifi/internal/obs/trace"
 )
 
-// entryReport recovers the api.Report a parked upload carries as its one
-// report frame.
-func entryReport(e Entry) (api.Report, error) {
-	frames, err := api.SplitReportFrames(e.Body)
-	if err != nil {
-		return api.Report{}, err
-	}
-	if len(frames) != 1 {
-		return api.Report{}, fmt.Errorf("client: outbox entry holds %d frames, want 1", len(frames))
-	}
-	return frames[0].Report, nil
-}
+// drainBatchMax is the most parked reports one drain POST carries.
+const drainBatchMax = 32
 
-// drainBatch delivers a contiguous run of parked reports through the batch
-// endpoint and settles each entry from the response's status vector:
-// accepted entries leave the queue as drained, terminal rejections leave it
-// as dropped poison, transient rejections stay parked. The returned error
-// is nil when every surviving entry may batch again immediately, transient
-// when the drain should pause, and terminal (non-transient) when the whole
-// batch was rejected and the caller should fall back to single entries.
+// drainBatch delivers a run of parked reports through the batch endpoint
+// and settles each entry from the status at its position: accepted entries
+// leave the queue as drained, terminal rejections leave it as dropped
+// poison, transient rejections stay parked. An answer that is not one
+// status per entry settles nothing. The returned error is nil when every
+// surviving entry may batch again immediately, transient when the drain
+// should pause, and terminal (non-transient) when the whole batch was
+// rejected and the caller should fall back to single entries.
 func (v *CrowdVehicle) drainBatch(ctx context.Context, run []Entry) (int, error) {
 	var body []byte
-	poison := map[string]bool{}
-	live := run[:0]
 	for _, e := range run {
-		rep, err := entryReport(e)
-		if err != nil {
-			// An undecodable entry is client-side poison: drop it so the
-			// queue advances.
-			poison[e.Key] = true
-			continue
-		}
-		if body, err = api.EncodeReportFrame(body, e.Key, rep); err != nil {
-			poison[e.Key] = true
-			continue
-		}
-		live = append(live, e)
+		body = append(body, e.Body...)
 	}
-	for range poison {
-		v.Metrics.incOutboxDropped()
-	}
-	v.Outbox.remove(poison)
-	if len(live) == 0 {
-		v.syncOutboxGauges()
-		return 0, nil
-	}
-
-	dctx, span := trace.Resume(ctx, "client.drain "+api.RouteReportsBatch, live[0].Traceparent)
-	span.SetAttr("entries", len(live))
+	dctx, span := trace.Resume(ctx, "client.drain "+api.RouteReportsBatch, run[0].Traceparent)
+	span.SetAttr("entries", len(run))
 	span.SetAttr("queued_for", v.Outbox.OldestAge().String())
 	var raw []byte
 	err := sendBody(dctx, v.Metrics, v.HTTP, http.MethodPost, v.BaseURL+api.RouteReportsBatch, api.FrameContentType, body, "", &raw)
@@ -72,36 +41,32 @@ func (v *CrowdVehicle) drainBatch(ctx context.Context, run []Entry) (int, error)
 	if err == nil {
 		results, err = api.DecodeBatchStatusFrame(raw)
 	}
+	if err == nil && len(results) != len(run) {
+		err = fmt.Errorf("client: %s answered %d statuses for %d entries", api.RouteReportsBatch, len(results), len(run))
+	}
 	span.SetError(err)
 	span.End()
 	if err != nil {
-		v.syncOutboxGauges()
 		return 0, err
 	}
 
-	byKey := make(map[string]int, len(results))
-	for _, st := range results {
-		byKey[st.Key] = st.Status
-	}
-	settled := map[string]bool{}
+	settled := make(map[string]bool, len(run))
 	drained, kept := 0, 0
-	for _, e := range live {
-		st := byKey[e.Key]
+	for i, st := range results {
 		switch {
-		case st >= 200 && st < 300:
-			settled[e.Key] = true
+		case st.Ok():
+			settled[run[i].Key] = true
 			drained++
 			v.Metrics.incOutboxDrained()
-		case st != 0 && !api.RetryableStatus(st):
-			settled[e.Key] = true
+		case st.Status != 0 && !api.RetryableStatus(st.Status):
+			settled[run[i].Key] = true
 			v.Metrics.incOutboxDropped()
 		default:
-			// Transient rejection or missing verdict: stays parked.
+			// Transient rejection or no verdict: stays parked.
 			kept++
 		}
 	}
 	v.Outbox.remove(settled)
-	v.syncOutboxGauges()
 	if kept > 0 {
 		// Some entries must wait; surface a transient error so the drain
 		// loop pauses instead of hammering the same rejections.

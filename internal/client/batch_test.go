@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -29,9 +30,10 @@ func batchVehicle(t *testing.T, baseURL string) *CrowdVehicle {
 func parkN(t *testing.T, v *CrowdVehicle, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		// Parked the way UploadReport parks: a key-less frame
-		// as the body, the key in Entry.Key.
-		body, err := api.EncodeReportFrame(nil, "", api.Report{
+		// Parked the way UploadReport parks: a frame that carries its key
+		// as the body, the same key in Entry.Key.
+		key := fmt.Sprintf("pk-%d", i)
+		body, err := api.EncodeReportFrame(nil, key, api.Report{
 			Vehicle: v.ID,
 			Segment: fmt.Sprintf("pseg-%d", i),
 			APs:     []api.APReport{{X: float64(i), Y: 1, Credit: 1}},
@@ -39,7 +41,7 @@ func parkN(t *testing.T, v *CrowdVehicle, n int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v.Outbox.enqueue(Entry{Path: api.RouteReports, Body: body, Key: fmt.Sprintf("pk-%d", i), ContentType: api.FrameContentType})
+		v.Outbox.enqueue(Entry{Path: api.RouteReports, Body: body, Key: key, ContentType: api.FrameContentType})
 	}
 	if v.Outbox.Len() != n {
 		t.Fatalf("parked %d entries, outbox holds %d", n, v.Outbox.Len())
@@ -107,8 +109,8 @@ func TestOutboxEvictionShowsOnMetrics(t *testing.T) {
 	}
 }
 
-// TestDrainBatchDeliversRunInOneRequest: with BatchSize set, a contiguous
-// run of parked reports drains through a single POST /v1/reports/batch.
+// TestDrainBatchDeliversRunInOneRequest: a contiguous run of parked reports
+// drains through a single POST /v1/reports/batch.
 func TestDrainBatchDeliversRunInOneRequest(t *testing.T) {
 	store := server.NewStore(12)
 	var mu sync.Mutex
@@ -123,7 +125,6 @@ func TestDrainBatchDeliversRunInOneRequest(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	v := batchVehicle(t, ts.URL)
-	v.BatchSize = 16
 	const n = 5
 	parkN(t, v, n)
 
@@ -147,5 +148,102 @@ func TestDrainBatchDeliversRunInOneRequest(t *testing.T) {
 	}
 	if got := v.Metrics.outboxDrained.Value(); got != n {
 		t.Fatalf("outbox drained counter = %d, want %d", got, n)
+	}
+}
+
+// TestDrainBatchSettlesByPosition: a batch answer that is not one status per
+// entry settles nothing. A server answering a 4-entry batch with three
+// statuses, each naming a parked key, leaves all four parked, none counted
+// drained or dropped, and the drain returns an error.
+func TestDrainBatchSettlesByPosition(t *testing.T) {
+	const n = 4
+	var statuses []api.BatchEntryStatus
+	for i := 0; i < n-1; i++ {
+		statuses = append(statuses, api.BatchEntryStatus{Key: fmt.Sprintf("pk-%d", i), Status: http.StatusCreated})
+	}
+	frame, err := api.EncodeBatchStatusFrame(statuses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", api.FrameContentType)
+		w.Write(frame)
+	}))
+	t.Cleanup(ts.Close)
+	v := batchVehicle(t, ts.URL)
+	parkN(t, v, n)
+
+	drained, err := v.DrainOutbox(context.Background())
+	if err == nil || drained != 0 {
+		t.Fatalf("DrainOutbox = (%d, %v), want (0, an error)", drained, err)
+	}
+	if v.Outbox.Len() != n {
+		t.Fatalf("outbox holds %d entries, want all %d still parked", v.Outbox.Len(), n)
+	}
+	if d, p := v.Metrics.outboxDrained.Value(), v.Metrics.outboxDropped.Value(); d != 0 || p != 0 {
+		t.Fatalf("counted %d drained and %d dropped, want none", d, p)
+	}
+}
+
+// lossyDoer scripts a drain's transport: it refuses the first batch whole
+// with a 413, and loses the response to the first single upload after the
+// server has processed it. Everything else passes through.
+type lossyDoer struct {
+	next                  HTTPDoer
+	refusedBatch, lostOne bool
+}
+
+func (d *lossyDoer) Do(req *http.Request) (*http.Response, error) {
+	switch {
+	case req.URL.Path == api.RouteReportsBatch && !d.refusedBatch:
+		d.refusedBatch = true
+		return &http.Response{StatusCode: http.StatusRequestEntityTooLarge, Header: http.Header{},
+			Body: io.NopCloser(strings.NewReader(`{"error":"body too large"}`))}, nil
+	case req.URL.Path == api.RouteReports && !d.lostOne:
+		d.lostOne = true
+		resp, err := d.next.Do(req)
+		if err != nil {
+			return nil, err
+		}
+		resp.Body.Close()
+		return nil, errors.New("connection reset after the server answered")
+	}
+	return d.next.Do(req)
+}
+
+// TestDrainDedupesOneKeyAcrossRoutes: a parked report drained first through
+// /v1/reports and then, its answer lost, through /v1/reports/batch is stored
+// once. The single route reads the key from the header and the batch route
+// from the frame, and both name the same key.
+func TestDrainDedupesOneKeyAcrossRoutes(t *testing.T) {
+	store := server.NewStore(12)
+	ts := httptest.NewServer(server.New(store))
+	t.Cleanup(ts.Close)
+	v := batchVehicle(t, ts.URL)
+	v.HTTP = &lossyDoer{next: http.DefaultClient}
+	const n = 3
+	parkN(t, v, n)
+
+	// The batch is refused whole, so the head goes alone, and its answer is
+	// lost: the entry stays parked though the server stored it.
+	if drained, err := v.DrainOutbox(context.Background()); err == nil || drained != 0 {
+		t.Fatalf("first DrainOutbox = (%d, %v), want (0, the lost answer)", drained, err)
+	}
+	if v.Outbox.Len() != n {
+		t.Fatalf("outbox holds %d entries, want %d", v.Outbox.Len(), n)
+	}
+	if _, _, reports := store.Counts(); reports != 1 {
+		t.Fatalf("server stored %d reports after the lost answer, want 1", reports)
+	}
+
+	// The next drain sends the same entry in a batch.
+	if drained, err := v.DrainOutbox(context.Background()); err != nil || drained != n {
+		t.Fatalf("second DrainOutbox = (%d, %v), want (%d, nil)", drained, err, n)
+	}
+	if _, _, reports := store.Counts(); reports != n {
+		t.Fatalf("server stored %d reports, want %d: one copy of each", reports, n)
+	}
+	if v.Outbox.Len() != 0 {
+		t.Fatalf("outbox still holds %d entries", v.Outbox.Len())
 	}
 }

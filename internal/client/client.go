@@ -107,10 +107,6 @@ type CrowdVehicle struct {
 	// Outbox, when non-nil, queues reports and labels that could not be
 	// uploaded; ErrQueued marks affected calls.
 	Outbox *Outbox
-	// BatchSize > 1 lets DrainOutbox deliver contiguous runs of parked
-	// reports through POST /v1/reports/batch, up to BatchSize per
-	// round-trip, instead of one request per entry.
-	BatchSize int
 
 	engine *cs.Engine
 
@@ -183,9 +179,12 @@ func (v *CrowdVehicle) UploadReport(ctx context.Context, rep api.Report) error {
 	if err != nil {
 		return err
 	}
-	// The idempotency key travels in the header; the frame's embedded key
-	// slot is for batch entries.
-	return v.postBody(ctx, api.RouteReports, api.FrameContentType, buf, nil, true)
+	// The idempotency key travels in the header. Only a report that parks
+	// is encoded again, with its key in the frame as a batch entry carries
+	// it, so a drain sends the parked bytes on either route.
+	return v.postBody(ctx, api.RouteReports, api.FrameContentType, buf, nil, func(key string) ([]byte, error) {
+		return api.EncodeReportFrame(nil, key, rep)
+	})
 }
 
 // ProposePattern registers the vehicle's estimates as a mapping task so
@@ -284,68 +283,65 @@ func (v *CrowdVehicle) SubmitLabels(ctx context.Context, labels []api.Label) err
 // stops), or ctx ends. Entries rejected permanently by the server (4xx —
 // poison pills that would otherwise block the FIFO head forever) are
 // dropped and counted (crowdwifi_client_outbox_dropped_total
-// {reason="terminal"}). With BatchSize > 1, contiguous runs of parked
-// reports are delivered through POST /v1/reports/batch and classified entry
-// by entry from the response's status vector. Returns the number delivered.
+// {reason="terminal"}). A run of two or more parked reports at the head goes
+// through POST /v1/reports/batch, up to drainBatchMax per round trip, and is
+// classified entry by entry from the response's status vector. Returns the
+// number delivered.
 func (v *CrowdVehicle) DrainOutbox(ctx context.Context) (int, error) {
 	if v.Outbox == nil {
 		return 0, nil
 	}
 	drained := 0
-	batchFellBack := false
+	fellBack := false
 	for {
 		if err := ctx.Err(); err != nil {
 			return drained, err
 		}
-		e, ok := v.Outbox.peek()
-		if !ok {
+		run := v.Outbox.peekRun(drainBatchMax)
+		if len(run) == 0 {
 			return drained, nil
 		}
-		if v.BatchSize > 1 && e.Path == api.RouteReports && !batchFellBack {
-			if run := v.Outbox.peekRun(api.RouteReports, v.BatchSize); len(run) > 1 {
-				n, err := v.drainBatch(ctx, run)
-				drained += n
-				if err == nil {
-					continue
-				}
-				if transientError(err) {
-					v.syncOutboxGauges()
-					return drained, err
-				}
-				// The whole batch was rejected terminally (e.g. combined
-				// body over the batch limit) even though individual entries
-				// may be deliverable: fall back to one-at-a-time for the
-				// next entry so nothing is dropped on the batch's account.
-				batchFellBack = true
-				continue
-			}
+		var n int
+		var err error
+		if len(run) > 1 && run[0].Path == api.RouteReports && !fellBack {
+			n, err = v.drainBatch(ctx, run)
+		} else {
+			n, err = v.drainOne(ctx, run[0])
 		}
-		batchFellBack = false
-		// Rejoin the originating upload's trace: the drain attempt appears
-		// as a late fragment of the same trace, not a disconnected one.
-		dctx, span := trace.Resume(ctx, "client.drain "+e.Path, e.Traceparent)
-		span.SetAttr("idempotency_key", e.Key)
-		span.SetAttr("queued_for", v.Outbox.OldestAge().String())
-		ct := e.ContentType
-		if ct == "" {
-			ct = jsonContentType
-		}
-		err := sendBody(dctx, v.Metrics, v.HTTP, http.MethodPost, v.BaseURL+e.Path, ct, e.Body, e.Key, nil)
-		span.SetError(err)
-		span.End()
+		drained += n
+		v.syncOutboxGauges()
 		if err != nil && transientError(err) {
-			v.syncOutboxGauges()
 			return drained, err
 		}
-		v.Outbox.dropHead(e.Key)
-		if err == nil {
-			drained++
-			v.Metrics.incOutboxDrained()
-		} else {
-			v.Metrics.incOutboxDropped()
-		}
-		v.syncOutboxGauges()
+		// A batch refused whole and terminally (a body over the batch limit)
+		// may hold entries that go alone: the next entry drains by itself,
+		// so nothing is dropped on the batch's account.
+		fellBack = err != nil
 	}
+}
+
+// drainOne re-sends one parked upload on its own route and settles it:
+// delivered, or dropped on a terminal answer. A transient failure leaves it
+// parked and is returned.
+func (v *CrowdVehicle) drainOne(ctx context.Context, e Entry) (int, error) {
+	// Rejoin the originating upload's trace: the drain attempt appears as a
+	// late fragment of the same trace, not a disconnected one.
+	dctx, span := trace.Resume(ctx, "client.drain "+e.Path, e.Traceparent)
+	span.SetAttr("idempotency_key", e.Key)
+	span.SetAttr("queued_for", v.Outbox.OldestAge().String())
+	err := sendBody(dctx, v.Metrics, v.HTTP, http.MethodPost, v.BaseURL+e.Path, e.ContentType, e.Body, e.Key, nil)
+	span.SetError(err)
+	span.End()
+	if err != nil && transientError(err) {
+		return 0, err
+	}
+	v.Outbox.remove(map[string]bool{e.Key: true})
+	if err != nil {
+		v.Metrics.incOutboxDropped()
+		return 0, nil
+	}
+	v.Metrics.incOutboxDrained()
+	return 1, nil
 }
 
 // syncOutboxGauges mirrors outbox depth into the metrics gauge.
@@ -421,12 +417,19 @@ func (v *CrowdVehicle) postJSON(ctx context.Context, path string, body, out any,
 	if err != nil {
 		return err
 	}
-	return v.postBody(ctx, path, jsonContentType, buf, out, queueable)
+	var park func(string) ([]byte, error)
+	if queueable {
+		park = func(string) ([]byte, error) { return buf, nil }
+	}
+	return v.postBody(ctx, path, jsonContentType, buf, out, park)
 }
 
 // postBody stamps an idempotency key and posts a pre-encoded body of the
 // given content type; out (if non-nil) receives the decoded JSON response.
-func (v *CrowdVehicle) postBody(ctx context.Context, path, contentType string, buf []byte, out any, queueable bool) error {
+// A nil park makes the upload not queueable; otherwise, when an attached
+// Outbox absorbs a transient failure, park builds the bytes it keeps from
+// the upload's key.
+func (v *CrowdVehicle) postBody(ctx context.Context, path, contentType string, buf []byte, out any, park func(key string) ([]byte, error)) error {
 	key := v.nextIdempotencyKey()
 
 	// One logical upload = one trace. The root span covers every retry
@@ -438,12 +441,16 @@ func (v *CrowdVehicle) postBody(ctx context.Context, path, contentType string, b
 	span.SetAttr("bytes", len(buf))
 
 	err := sendBody(ctx, v.Metrics, v.HTTP, http.MethodPost, v.BaseURL+path, contentType, buf, key, out)
-	if err != nil && queueable && v.Outbox != nil && transientError(err) {
-		evicted := v.Outbox.enqueue(Entry{Path: path, Body: buf, Key: key, ContentType: contentType, Traceparent: span.Traceparent()})
-		v.Metrics.incOutboxEnqueued(evicted)
-		v.syncOutboxGauges()
-		span.AddEvent("queued to outbox")
-		return fmt.Errorf("%w: %s (cause: %v)", ErrQueued, path, err)
+	if err != nil && park != nil && v.Outbox != nil && transientError(err) {
+		body, perr := park(key)
+		if perr == nil {
+			evicted := v.Outbox.enqueue(Entry{Path: path, Body: body, Key: key, ContentType: contentType, Traceparent: span.Traceparent()})
+			v.Metrics.incOutboxEnqueued(evicted)
+			v.syncOutboxGauges()
+			span.AddEvent("queued to outbox")
+			return fmt.Errorf("%w: %s (cause: %v)", ErrQueued, path, err)
+		}
+		err = errors.Join(err, perr)
 	}
 	span.SetError(err)
 	return err

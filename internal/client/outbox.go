@@ -1,6 +1,7 @@
 package client
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
@@ -8,18 +9,19 @@ import (
 // DefaultOutboxCapacity bounds a zero-configured outbox.
 const DefaultOutboxCapacity = 256
 
-// Entry is one parked upload: the request path, the encoded body, and the
-// idempotency key minted for the original attempt. Replays reuse the
-// key, so the server deduplicates an entry whose original attempt was
-// actually processed (a response lost in transit).
+// Entry is one parked upload: the request path, the bytes a drain sends,
+// and the idempotency key minted for the original attempt. Replays reuse
+// the key, so the server deduplicates an entry whose original attempt was
+// actually processed (a response lost in transit). A parked report is one
+// frame that carries its key, so it drains as it stands both alone and in a
+// batch.
 type Entry struct {
 	Path       string
 	Body       []byte
 	Key        string
 	EnqueuedAt time.Time
-	// ContentType is the parked body's wire format ("" means JSON); replays
-	// send it back verbatim, so a report drains as the frame it was parked
-	// as.
+	// ContentType is the parked body's wire format; replays send it back
+	// verbatim.
 	ContentType string
 	// Traceparent preserves the originating upload's trace context so the
 	// eventual drain attempt joins the same trace (one logical request, one
@@ -87,59 +89,26 @@ func (o *Outbox) enqueue(e Entry) (evicted int) {
 	return evicted
 }
 
-// peek returns the head entry without removing it.
-func (o *Outbox) peek() (Entry, bool) {
+// peekRun returns copies of up to max entries from the head sharing the
+// head's path: the run a drain can deliver in one round trip without
+// reordering the FIFO. Empty when the outbox is.
+func (o *Outbox) peekRun(max int) []Entry {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if len(o.entries) == 0 {
-		return Entry{}, false
+	n := 0
+	for n < len(o.entries) && n < max && o.entries[n].Path == o.entries[0].Path {
+		n++
 	}
-	return o.entries[0], true
-}
-
-// dropHead removes the head entry if it still carries key (a concurrent
-// drain may have already advanced the queue).
-func (o *Outbox) dropHead(key string) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if len(o.entries) > 0 && o.entries[0].Key == key {
-		o.entries = append(o.entries[:0], o.entries[1:]...)
-	}
-}
-
-// peekRun returns copies of up to max entries from the head sharing path —
-// the contiguous run a batch drain can deliver in one round-trip without
-// reordering the FIFO. Empty when the head's path differs.
-func (o *Outbox) peekRun(path string, max int) []Entry {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	var run []Entry
-	for _, e := range o.entries {
-		if e.Path != path || len(run) >= max {
-			break
-		}
-		run = append(run, e)
-	}
-	return run
+	return slices.Clone(o.entries[:n])
 }
 
 // remove deletes the entries carrying the given keys, preserving the order
-// of the rest, and returns how many were removed.
-func (o *Outbox) remove(keys map[string]bool) int {
+// of the rest.
+func (o *Outbox) remove(keys map[string]bool) {
 	if len(keys) == 0 {
-		return 0
+		return
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	kept := o.entries[:0]
-	removed := 0
-	for _, e := range o.entries {
-		if keys[e.Key] {
-			removed++
-			continue
-		}
-		kept = append(kept, e)
-	}
-	o.entries = kept
-	return removed
+	o.entries = slices.DeleteFunc(o.entries, func(e Entry) bool { return keys[e.Key] })
 }

@@ -59,7 +59,7 @@ type fleet struct {
 	acked, parked, drained atomic.Uint64
 }
 
-func newFleet(t *testing.T, baseURL string, n, batchSize int) *fleet {
+func newFleet(t *testing.T, baseURL string, n int) *fleet {
 	t.Helper()
 	// One connection per vehicle, as a real fleet holds: the default two
 	// idle connections per host would measure TCP handshakes.
@@ -70,12 +70,11 @@ func newFleet(t *testing.T, baseURL string, n, batchSize int) *fleet {
 	metrics := client.NewMetrics(f.reg)
 	for i := 0; i < n; i++ {
 		f.vehicles = append(f.vehicles, &client.CrowdVehicle{
-			ID:        fmt.Sprintf("fleet-%03d", i),
-			BaseURL:   baseURL,
-			HTTP:      retry.NewDoer(f.link, retry.Policy{}),
-			Outbox:    client.NewOutbox(256),
-			BatchSize: batchSize,
-			Metrics:   metrics,
+			ID:      fmt.Sprintf("fleet-%03d", i),
+			BaseURL: baseURL,
+			HTTP:    retry.NewDoer(f.link, retry.Policy{}),
+			Outbox:  client.NewOutbox(256),
+			Metrics: metrics,
 		})
 	}
 	return f
@@ -166,7 +165,7 @@ func TestFleetOverloadKeepsGoodputAndLosesNothing(t *testing.T) {
 	})
 
 	const baseFleet, window = 30, 1500 * time.Millisecond
-	f := newFleet(t, ts.URL, 3*baseFleet, 0)
+	f := newFleet(t, ts.URL, 3*baseFleet)
 	baseline := f.drive(baseFleet, 100*time.Millisecond, window)
 	f.settle()
 	overloaded := f.drive(3*baseFleet, 0, window)
@@ -200,7 +199,7 @@ func TestFleetBooksBalanceAcrossShards(t *testing.T) {
 	b := newE2EShard(t, "b", members, server.WithOverload(overload.Options{}))
 	_, router := newE2ERouter(t, a, b)
 
-	f := newFleet(t, router.URL, 8, 8)
+	f := newFleet(t, router.URL, 8)
 	f.drive(8, 2*time.Millisecond, 400*time.Millisecond)
 	f.link.down.Store(true)
 	// 10 ms of think bounds what one vehicle parks in the window to 50, well
