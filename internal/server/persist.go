@@ -173,6 +173,7 @@ func OpenStore(mergeRadius float64, opts StorageOptions) (*Store, RecoveryStats,
 	s.mu.Lock()
 	s.log = log
 	s.storage = opts
+	s.snapped = stats.SnapshotSeq
 	stats.TruncatedBytes = truncated
 	stats.LastSeq = log.LastSeq()
 	stats.Patterns = len(s.patterns)
@@ -486,15 +487,17 @@ func (s *Store) completeIdemLocked(key string, resp cannedResponse) {
 // map, reliability, completed idempotency keys) as of the newest durable
 // sequence, installs it atomically, and compacts away the older snapshots
 // beyond the ones kept and the WAL segments the oldest kept one covers. It
-// returns the covered sequence. A no-op (0, nil) on an in-memory store.
+// returns the covered sequence. A no-op (0, nil) on an in-memory store, and
+// one that writes nothing when no record came after the snapshot loaded at
+// boot or last written.
 func (s *Store) Snapshot() (uint64, error) {
 	// One hold pairs the sequence with exactly the state its records built;
 	// the encode then runs on the captured prefixes beside live traffic.
 	s.mu.Lock()
 	c := s.captureLocked()
-	if c.log == nil {
+	if c.log == nil || c.log.LastSeq() == s.snapped {
 		s.mu.Unlock()
-		return 0, nil
+		return s.snapped, nil
 	}
 	state := snapshotState{
 		Patterns:    c.patterns,
@@ -514,6 +517,9 @@ func (s *Store) Snapshot() (uint64, error) {
 		opts.Metrics.ObserveSnapshot(err)
 		return 0, err
 	}
+	s.mu.Lock()
+	s.snapped = max(s.snapped, seq)
+	s.mu.Unlock()
 	// The log goes only through the oldest snapshot kept: the spare is a
 	// fallback for a newest one that turns out unreadable, and a fallback
 	// needs the records after it.

@@ -365,6 +365,68 @@ func TestSnapshotCompactsWAL(t *testing.T) {
 	}
 }
 
+// TestSnapshotWithNothingNewWritesNothing: a store booted from a snapshot
+// with no record after it snapshots without writing a file, and one append
+// later writes a new one.
+func TestSnapshotWithNothingNewWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	store1, _ := openDurable(t, dir)
+	if err := store1.AddReport(Report{Vehicle: "v1", Segment: "seg-a", APs: []APReport{{X: 1, Y: 2, Credit: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	seq, err := store1.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store2, stats := openDurable(t, dir)
+	defer store2.Close()
+	if !stats.SnapshotLoaded || stats.ReplayedRecords != 0 {
+		t.Fatalf("expected snapshot-only recovery, got %+v", stats)
+	}
+	snaps := func() []string {
+		t.Helper()
+		names, err := filepath.Glob(filepath.Join(dir, "snap-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+	before := snaps()
+	if len(before) != 1 {
+		t.Fatalf("snapshot files = %v, want one", before)
+	}
+	info, err := os.Stat(before[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := store2.Snapshot(); err != nil || got != seq {
+		t.Fatalf("Snapshot = (%d, %v), want (%d, nil)", got, err, seq)
+	}
+	after := snaps()
+	again, err := os.Stat(before[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != 1 || !os.SameFile(info, again) {
+		t.Fatalf("a snapshot with nothing new wrote a file: %v", after)
+	}
+
+	if err := store2.AddReport(Report{Vehicle: "v2", Segment: "seg-a", APs: []APReport{{X: 3, Y: 4, Credit: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	next, err := store2.Snapshot()
+	if err != nil || next <= seq {
+		t.Fatalf("Snapshot after an append = (%d, %v), want a sequence past %d", next, err, seq)
+	}
+	if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("snap-%020d.snap", next))); err != nil {
+		t.Fatalf("no snapshot written after an append: %v", err)
+	}
+}
+
 // TestFreshBootEmptyDataDirMatchesInMemory: pointing -data-dir at an empty
 // directory must behave exactly like the in-memory server.
 func TestFreshBootEmptyDataDirMatchesInMemory(t *testing.T) {

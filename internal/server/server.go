@@ -118,6 +118,10 @@ type Store struct {
 	log     *wal.Log
 	storage StorageOptions
 	idem    *idemCache
+	// snapped is the sequence the snapshot loaded at boot or last written
+	// covers (0 for none: an empty directory is the empty state). Guarded by
+	// mu.
+	snapped uint64
 
 	// Moves (cluster.go), both guarded by mu: received is how far each
 	// source's segment has been applied here, dropped how many of a segment's
