@@ -155,7 +155,6 @@ func run(cfg config, logger *obs.Logger) error {
 		Dir:     cfg.dataDir,
 		Fsync:   cfg.fsync,
 		Metrics: wal.NewMetrics(reg),
-		Logger:  logger,
 	})
 	if err != nil {
 		return fmt.Errorf("opening store: %w", err)

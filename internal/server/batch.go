@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 
 	"crowdwifi/internal/api"
 	"crowdwifi/internal/obs/trace"
@@ -117,31 +118,23 @@ func (s *Server) processBatch(ctx context.Context, entries []api.ReportFrame) []
 		itemIdx = append(itemIdx, i)
 	}
 	errs := s.store.AddReportBatch(ctx, items)
-	stored, durabilityFault := 0, error(nil)
+	stored := 0
 	for j, idx := range itemIdx {
 		err := errs[j]
-		switch {
-		case err == nil:
+		if err == nil {
 			results[idx].Status = http.StatusCreated
 			stored++
 			continue
-		case errors.Is(err, ErrRecordTooLarge):
-			s.metrics.incBodyLimited()
-			results[idx].Status = http.StatusRequestEntityTooLarge
-		case errors.Is(err, ErrDurability):
-			durabilityFault = err
-			results[idx].Status = http.StatusInternalServerError
-		default:
-			results[idx].Status = http.StatusBadRequest
 		}
+		results[idx].Status = s.mutationStatus(err)
 		results[idx].Error = err.Error()
 		// Release the claimed key so the client's retry is not stuck behind
 		// a phantom in-flight first delivery.
 		s.store.idem.release(items[j].Key)
 	}
-	if durabilityFault != nil {
-		s.log.Error("durable batch append failed", "err", durabilityFault)
-		s.reportDurability(durabilityFault)
+	// Every entry a durability fault failed carries that one fault.
+	if i := slices.IndexFunc(errs, func(err error) bool { return errors.Is(err, ErrDurability) }); i >= 0 {
+		s.log.Error("durable append failed", "err", errs[i])
 	}
 	span.SetAttr("stored", stored)
 	return results

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,6 +18,7 @@ import (
 	"crowdwifi/internal/chaos"
 	"crowdwifi/internal/obs"
 	"crowdwifi/internal/overload"
+	"crowdwifi/internal/wal"
 )
 
 // transitionLog records the degraded-mode state machine's path through a
@@ -220,6 +222,57 @@ func TestOverloadReadOnlyChaosE2E(t *testing.T) {
 		t.Fatalf("recovered %d reports, acked %d: acked reports were lost (or ghosts appeared)",
 			stats.Reports, acked)
 	}
+}
+
+// TestFailedCycleAppendGoesReadOnly: the aggregation cycle crowdwifi-server's
+// ticker runs belongs to no request, yet its capture record is a durable
+// append like an upload's. When the disk refuses it, the server must stop
+// acknowledging as it would after a failed upload.
+func TestFailedCycleAppendGoesReadOnly(t *testing.T) {
+	ffs := chaos.NewFaultFS(nil)
+	store, _, err := OpenStore(10, StorageOptions{Dir: t.TempDir(), FS: ffs})
+	if err != nil {
+		t.Fatalf("OpenStore: %v", err)
+	}
+	defer store.Close()
+	srv := New(store, WithOverload(overload.Options{}))
+	if err := store.AddReport(Report{Vehicle: "v", Segment: "s", APs: []APReport{{X: 1, Y: 2, Credit: 3}}}); err != nil {
+		t.Fatalf("AddReport: %v", err)
+	}
+
+	ffs.SetFault(chaos.FSFault{FailWrites: -1, WriteErr: chaos.ErrNoSpace})
+	if _, err := store.AggregateCycleContext(context.Background()); !errors.Is(err, ErrDurability) {
+		t.Fatalf("cycle on a full disk: err %v, want ErrDurability", err)
+	}
+	if mode := srv.Overload().Controller().Mode(); mode != overload.ModeReadOnly {
+		t.Fatalf("mode after a failed cycle append = %s, want read-only", mode)
+	}
+	ffs.SetFault(chaos.FSFault{})
+}
+
+// TestFailedIntervalFsyncGoesReadOnly: under -fsync interval the fsync runs on
+// the log's own timer, after the append was acknowledged, so no request sees
+// it fail. The server must still go read-only within a few 200 ms ticks.
+func TestFailedIntervalFsyncGoesReadOnly(t *testing.T) {
+	ffs := chaos.NewFaultFS(nil)
+	store, _, err := OpenStore(10, StorageOptions{Dir: t.TempDir(), Fsync: wal.SyncInterval, FS: ffs})
+	if err != nil {
+		t.Fatalf("OpenStore: %v", err)
+	}
+	defer store.Close()
+	srv := New(store, WithOverload(overload.Options{}))
+
+	ffs.SetFault(chaos.FSFault{FailSyncs: -1})
+	if err := store.AddReport(Report{Vehicle: "v", Segment: "s", APs: []APReport{{X: 1, Y: 2, Credit: 3}}}); err != nil {
+		t.Fatalf("AddReport (acknowledged before its fsync): %v", err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); srv.Overload().Controller().Mode() != overload.ModeReadOnly; {
+		if time.Now().After(deadline) {
+			t.Fatalf("mode %s 2 s after a failing interval fsync, want read-only", srv.Overload().Controller().Mode())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	ffs.SetFault(chaos.FSFault{})
 }
 
 // TestModeHeaderSetOnSuccessWithOverloadEnabled: with overload control on,

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"crowdwifi/internal/api"
-	"crowdwifi/internal/obs"
 	"crowdwifi/internal/obs/trace"
 	"crowdwifi/internal/wal"
 )
@@ -72,32 +71,26 @@ type snapshotState struct {
 // zero value (empty Dir) keeps the store purely in-memory — exactly the
 // pre-durability behaviour.
 type StorageOptions struct {
-	// Dir is the data directory holding WAL segments and snapshots.
+	// Dir is the data directory holding WAL segments and snapshots; set from
+	// crowdwifi-server's -data-dir.
 	Dir string
 	// Fsync selects when appends reach stable storage; the zero value is
-	// wal.SyncAlways (acknowledged ⇒ durable).
+	// wal.SyncAlways (acknowledged ⇒ durable). Set from -fsync.
 	Fsync wal.SyncPolicy
-	// SyncEvery is the wal.SyncInterval period (≤ 0 selects the default).
-	SyncEvery time.Duration
-	// SegmentBytes sets the WAL segment rotation size (≤ 0 selects the
-	// default).
-	SegmentBytes int64
-	// SnapshotKeep is how many snapshots to retain after compaction
-	// (≤ 0 keeps 2: the live one plus a fallback).
-	SnapshotKeep int
 	// Metrics, when non-nil, instruments appends, fsyncs, rotations,
-	// snapshots, and recovery.
+	// snapshots, and recovery; crowdwifi-server and the bench harness set it.
 	Metrics *wal.Metrics
-	// Logger, when non-nil, receives recovery warnings.
-	Logger *obs.Logger
 	// FS overrides the write-side filesystem (nil selects the real one);
-	// the chaos harness injects disk faults here.
+	// the chaos tests set it to inject disk faults.
 	FS wal.FS
-	// OnSyncError observes background fsync failures under SyncInterval —
-	// durability faults that no request surfaces, so the overload controller
-	// must hear about them out of band.
-	OnSyncError func(error)
+	// SegmentBytes sets the WAL segment rotation size (≤ 0 selects 8 MiB);
+	// tests set it small to make logs of many segments.
+	SegmentBytes int64
 }
+
+// snapshotKeep is how many snapshots compaction retains: the live one plus a
+// fallback.
+const snapshotKeep = 2
 
 // RecoveryStats summarizes one boot's recovery work.
 type RecoveryStats struct {
@@ -130,29 +123,19 @@ func OpenStore(mergeRadius float64, opts StorageOptions) (*Store, RecoveryStats,
 		return s, stats, nil
 	}
 	start := time.Now()
-	if opts.SnapshotKeep <= 0 {
-		opts.SnapshotKeep = 2
-	}
 
 	var log *wal.Log
 	var truncated int64
-	userSyncErr := opts.OnSyncError
 	stats, err := s.loadDir(opts.Dir, func(after uint64, apply func(wal.Record) error) error {
 		var info wal.OpenInfo
 		var err error
 		log, info, err = wal.Open(opts.Dir, wal.Options{
 			SegmentBytes: opts.SegmentBytes,
 			Sync:         opts.Fsync,
-			SyncEvery:    opts.SyncEvery,
 			NextSeq:      after + 1,
 			Metrics:      opts.Metrics,
 			FS:           opts.FS,
-			OnSyncError: func(serr error) {
-				s.durabilityFault(serr)
-				if userSyncErr != nil {
-					userSyncErr(serr)
-				}
-			},
+			OnSyncError:  s.durabilityFault,
 		})
 		if err != nil {
 			return fmt.Errorf("server: opening wal: %w", err)
@@ -290,8 +273,19 @@ type record struct {
 // or a move block that adds nothing, is neither logged nor applied. The
 // caller has validated and encoded rec before taking the lock; what commit
 // writes into the bytes is a pattern's id, its position. A failed append
-// mutates nothing.
+// mutates nothing, and its ErrDurability goes to the registered sink
+// (OnDurabilityError) once mu is released, so whatever the sink does runs
+// outside the store lock.
 func (s *Store) commit(ctx context.Context, rec *record) error {
+	err := s.logAndApply(ctx, rec)
+	if errors.Is(err, ErrDurability) {
+		s.durabilityFault(err)
+	}
+	return err
+}
+
+// logAndApply is commit's work under mu.
+func (s *Store) logAndApply(ctx context.Context, rec *record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if rec.kind == recPatternEntry {
@@ -523,7 +517,7 @@ func (s *Store) Snapshot() (uint64, error) {
 	// The log goes only through the oldest snapshot kept: the spare is a
 	// fallback for a newest one that turns out unreadable, and a fallback
 	// needs the records after it.
-	oldest, err := wal.CompactSnapshots(opts.Dir, opts.SnapshotKeep)
+	oldest, err := wal.CompactSnapshots(opts.Dir, snapshotKeep)
 	if err != nil {
 		return seq, err
 	}
@@ -543,17 +537,18 @@ func (s *Store) WALStats() *api.WALStatus {
 	return &st
 }
 
-// OnDurabilityError registers fn to receive durability faults that surface
-// outside any request — a failed background interval fsync. At most one
-// sink is held; later registrations replace earlier ones.
+// OnDurabilityError registers fn to receive every durability fault: each
+// ErrDurability a mutation fails with, whichever path made it (a request, the
+// aggregation cycle, a move, a drop), and each failed background interval
+// fsync. At most one sink is held; later registrations replace earlier ones.
 func (s *Store) OnDurabilityError(fn func(error)) {
 	if fn != nil {
 		s.durabilitySink.Store(fn)
 	}
 }
 
-// durabilityFault delivers an out-of-band durability fault to the
-// registered sink, if any.
+// durabilityFault delivers a durability fault to the registered sink, if
+// any.
 func (s *Store) durabilityFault(err error) {
 	if fn, ok := s.durabilitySink.Load().(func(error)); ok && fn != nil {
 		fn(err)

@@ -136,9 +136,7 @@ type Store struct {
 	// chunking without 16 MiB payloads.
 	batchChunk int
 
-	// durabilitySink receives background durability faults (failed interval
-	// fsyncs) that no request surfaces; the overload controller registers
-	// here via Store.OnDurabilityError. Holds a func(error).
+	// durabilitySink holds the func(error) OnDurabilityError registered.
 	durabilitySink atomic.Value
 }
 
@@ -744,9 +742,9 @@ func (s *Server) buildOverload() {
 	}
 	s.ov = overload.New(o)
 	s.health.SetMode(overload.ModeHealthy.String())
-	// Background interval fsync failures have no request to surface through;
-	// route them straight to the state machine.
-	s.store.OnDurabilityError(s.reportDurability)
+	// Every durability fault reaches the state machine through the store:
+	// a failed append on any path, and a failed background fsync.
+	s.store.OnDurabilityError(s.ov.Controller().ReportDurabilityError)
 }
 
 // Overload exposes the admission controller (nil unless WithOverload was
@@ -836,35 +834,29 @@ func writeCanned(w http.ResponseWriter, resp cannedResponse) {
 	_, _ = w.Write(resp.body)
 }
 
-// mutationError maps a durable-mutator error to its HTTP status: a failed
-// write-ahead append is the server's problem (500, retryable), anything
-// else is a validation failure (400). A durability failure also flips the
-// overload state machine read-only — the disk refused a write, so no later
-// mutation can be acknowledged honestly until the probe sees it recover.
+// mutationError answers a failed mutation with its status (mutationStatus)
+// and logs a durability fault.
 func (s *Server) mutationError(w http.ResponseWriter, err error) {
-	if errors.Is(err, ErrRecordTooLarge) {
-		// The WAL refused the record's size before writing anything: the
-		// request is too big (413), not the disk broken — the server must
-		// not flip read-only over a client-sized payload.
-		s.metrics.incBodyLimited()
-		api.WriteError(w, http.StatusRequestEntityTooLarge, err)
-		return
-	}
-	if errors.Is(err, ErrDurability) {
+	status := s.mutationStatus(err)
+	if status == http.StatusInternalServerError {
 		s.log.Error("durable append failed", "err", err)
-		s.reportDurability(err)
-		api.WriteError(w, http.StatusInternalServerError, err)
-		return
 	}
-	api.WriteError(w, http.StatusBadRequest, err)
+	api.WriteError(w, status, err)
 }
 
-// reportDurability forwards a durability fault to the overload controller
-// (no-op without WithOverload).
-func (s *Server) reportDurability(err error) {
-	if s.ov != nil {
-		s.ov.Controller().ReportDurabilityError(err)
+// mutationStatus maps a durable-mutator error to the HTTP status of a request
+// or a batch entry: a record the WAL refused by size is the request's fault
+// (413, counted with the capped bodies), a failed append the server's (500,
+// retryable), anything else a validation failure (400).
+func (s *Server) mutationStatus(err error) int {
+	switch {
+	case errors.Is(err, ErrRecordTooLarge):
+		s.metrics.incBodyLimited()
+		return http.StatusRequestEntityTooLarge
+	case errors.Is(err, ErrDurability):
+		return http.StatusInternalServerError
 	}
+	return http.StatusBadRequest
 }
 
 // handlePatterns: POST registers a pattern; GET lists patterns (optionally
@@ -1070,9 +1062,6 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	n, err := s.store.AggregateContext(r.Context())
 	if err != nil {
 		s.log.Warn("aggregate request failed", "err", err)
-		if errors.Is(err, ErrDurability) {
-			s.reportDurability(err)
-		}
 		api.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -33,7 +32,7 @@ const (
 	// SyncAlways fsyncs after every append: an acknowledged record is
 	// durable. The default.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs on a background timer (Options.SyncEvery): a
+	// SyncInterval fsyncs on a background timer (every syncEvery): a
 	// crash loses at most the last interval's acknowledged records.
 	SyncInterval
 	// SyncOff never fsyncs; the OS flushes at its leisure. A process crash
@@ -67,10 +66,9 @@ func (p SyncPolicy) String() string {
 	return "unknown"
 }
 
-// Defaults for Options zero values.
 const (
-	DefaultSegmentBytes = 8 << 20
-	DefaultSyncEvery    = 200 * time.Millisecond
+	defaultSegmentBytes = 8 << 20                // Options.SegmentBytes ≤ 0
+	syncEvery           = 200 * time.Millisecond // the SyncInterval period
 	segmentSuffix       = ".seg"
 	segmentPrefix       = "wal-"
 	// directBytes is the record size from which an append writes the
@@ -84,12 +82,10 @@ const (
 // Options configures a Log.
 type Options struct {
 	// SegmentBytes rotates to a fresh segment once the active one exceeds
-	// this size (≤ 0 selects DefaultSegmentBytes).
+	// this size (≤ 0 selects 8 MiB).
 	SegmentBytes int64
 	// Sync is the fsync policy; the zero value is SyncAlways.
 	Sync SyncPolicy
-	// SyncEvery is the SyncInterval period (≤ 0 selects DefaultSyncEvery).
-	SyncEvery time.Duration
 	// NextSeq numbers the first record when the directory holds no
 	// segments — pass snapshotSeq+1 so replay offsets stay aligned after
 	// compaction. Ignored when segments exist; 0 means start at 1.
@@ -166,30 +162,21 @@ func parseSegmentName(name string) (uint64, bool) {
 // write) costs the torn record, not the boot.
 func Open(dir string, opts Options) (*Log, OpenInfo, error) {
 	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = DefaultSegmentBytes
-	}
-	if opts.SyncEvery <= 0 {
-		opts.SyncEvery = DefaultSyncEvery
+		opts.SegmentBytes = defaultSegmentBytes
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, OpenInfo{}, err
 	}
 	removeStaleTemps(dir)
 
-	entries, err := os.ReadDir(dir)
+	segs, err := listSegments(dir)
 	if err != nil {
 		return nil, OpenInfo{}, err
 	}
-	l := &Log{dir: dir, opts: opts, m: opts.Metrics, fs: opts.FS}
+	l := &Log{dir: dir, opts: opts, m: opts.Metrics, fs: opts.FS, segs: segs}
 	if l.fs == nil {
 		l.fs = OSFS{}
 	}
-	for _, e := range entries {
-		if first, ok := parseSegmentName(e.Name()); ok {
-			l.segs = append(l.segs, segment{path: filepath.Join(dir, e.Name()), first: first})
-		}
-	}
-	sort.Slice(l.segs, func(i, j int) bool { return l.segs[i].first < l.segs[j].first })
 
 	var info OpenInfo
 	if len(l.segs) == 0 {
@@ -256,7 +243,7 @@ func removeStaleTemps(dir string) {
 // loop must not re-read it.
 func (l *Log) syncLoop(stop <-chan struct{}) {
 	defer close(l.syncDone)
-	t := time.NewTicker(l.opts.SyncEvery)
+	t := time.NewTicker(syncEvery)
 	defer t.Stop()
 	for {
 		select {
@@ -490,49 +477,22 @@ func (l *Log) Stats() Stats {
 }
 
 // Replay streams every record with seq > after, oldest first. Call it after
-// Open and before concurrent appends begin. Damage inside a sealed segment
-// (a mid-log CRC mismatch) is unrecoverable and returns an error; the final
-// segment was already healed by Open. So is a log that no longer holds record
-// after+1 because its oldest segment starts later: the caller's snapshot is
-// older than what compaction kept.
+// Open and before concurrent appends begin. It walks the segments as
+// IterateDir does (walk), but knows where the final one ends, Open having
+// healed it: a final segment the snapshot covers is not read. Damage inside a
+// sealed segment (a mid-log CRC mismatch) is unrecoverable and returns an
+// error. So is a log that no longer holds record after+1 because its oldest
+// segment starts later: the caller's snapshot is older than what compaction
+// kept.
 func (l *Log) Replay(after uint64, fn func(Record) error) error {
 	l.mu.Lock()
 	segs := append([]segment(nil), l.segs...)
 	next := l.next
 	l.mu.Unlock()
-
-	if segs[0].first > after+1 {
-		return gapError(l.dir, after, segs[0].first)
-	}
-	for i, seg := range segs {
-		last := i == len(segs)-1
-		end := next - 1
-		if !last {
-			end = segs[i+1].first - 1
-		}
-		if end <= after {
-			continue
-		}
-		buf, err := os.ReadFile(seg.path)
-		if err != nil {
-			return err
-		}
-		valid, n, err := frame.Walk(buf, func(idx int, kind byte, data []byte) error {
-			seq := seg.first + uint64(idx)
-			if seq <= after || kind == KindProbe {
-				return nil
-			}
-			l.m.incReplayed()
-			return fn(Record{Seq: seq, Kind: kind, Data: append([]byte(nil), data...)})
-		})
-		if err != nil {
-			return err
-		}
-		if valid < int64(len(buf)) || seg.first+uint64(n) != end+1 {
-			return corruptionError(seg.path, valid)
-		}
-	}
-	return nil
+	return walk(l.dir, segs, after, next, func(r Record) error {
+		l.m.incReplayed()
+		return fn(r)
+	})
 }
 
 // CompactThrough removes segments whose records are all ≤ seq — typically

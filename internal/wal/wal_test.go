@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"crowdwifi/internal/frame"
 )
@@ -382,7 +381,7 @@ func TestIntervalAndOffPoliciesStillRecover(t *testing.T) {
 	for _, pol := range []SyncPolicy{SyncInterval, SyncOff} {
 		t.Run(pol.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			l, _ := mustOpen(t, dir, Options{Sync: pol, SyncEvery: 10 * time.Millisecond})
+			l, _ := mustOpen(t, dir, Options{Sync: pol})
 			for i := 0; i < 8; i++ {
 				if _, err := l.Append(1, []byte("p")); err != nil {
 					t.Fatal(err)
