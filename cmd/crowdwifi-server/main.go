@@ -3,10 +3,11 @@
 // infers per-vehicle reliability, and serves fused AP lookup results.
 //
 // With -data-dir set the store is durable: every mutation is write-ahead
-// logged before it is acknowledged (fsync policy per -fsync), snapshots are
-// cut every -snapshot-every and on shutdown, and a restart recovers the full
-// state — including the idempotency cache, so retries of uploads
-// acknowledged before a crash still dedupe.
+// logged and fsynced before it is acknowledged (concurrent reports share one
+// fsync, a group commit), snapshots are cut every -snapshot-every and on
+// shutdown, and a restart recovers the full state — including the
+// idempotency cache, so retries of uploads acknowledged before a crash still
+// dedupe.
 //
 // The API mux also serves /metrics (Prometheus text format), /debug/traces
 // and /debug/pprof/; -metrics-addr exposes the same debug surface on a
@@ -16,8 +17,7 @@
 // Usage:
 //
 //	crowdwifi-server [-addr :8700] [-merge-radius 10] [-aggregate-every 30s]
-//	                 [-data-dir /var/lib/crowdwifi] [-fsync always]
-//	                 [-snapshot-every 5m]
+//	                 [-data-dir /var/lib/crowdwifi] [-snapshot-every 5m]
 //	                 [-metrics-addr :8701] [-log-level info] [-trace-sample 1]
 //	                 [-shard-id a -peers a,b,c]
 //
@@ -58,7 +58,6 @@ type config struct {
 	aggregateEvery time.Duration
 	metricsAddr    string
 	dataDir        string
-	fsync          wal.SyncPolicy
 	snapshotEvery  time.Duration
 	traceSample    float64
 	shardID        string
@@ -102,8 +101,6 @@ func main() {
 		"optional extra listen address serving only /metrics and /debug endpoints")
 	flag.StringVar(&cfg.dataDir, "data-dir", "",
 		"directory for the write-ahead log and snapshots (empty keeps state in memory)")
-	fsync := flag.String("fsync", "always",
-		"WAL fsync policy: always (ack ⇒ durable), interval, or off")
 	flag.DurationVar(&cfg.snapshotEvery, "snapshot-every", 5*time.Minute,
 		"how often to snapshot the store and compact the WAL (0 disables; a snapshot is always cut on shutdown)")
 	flag.Float64Var(&cfg.traceSample, "trace-sample", 1,
@@ -122,10 +119,6 @@ func main() {
 	}
 	level, err := obs.ParseLevel(*logLevel)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if cfg.fsync, err = wal.ParseSyncPolicy(*fsync); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -153,7 +146,6 @@ func run(cfg config, logger *obs.Logger) error {
 
 	store, recovery, err := server.OpenStore(cfg.mergeRadius, server.StorageOptions{
 		Dir:     cfg.dataDir,
-		Fsync:   cfg.fsync,
 		Metrics: wal.NewMetrics(reg),
 	})
 	if err != nil {
@@ -163,7 +155,6 @@ func run(cfg config, logger *obs.Logger) error {
 	if cfg.dataDir != "" {
 		logger.Info("state recovered",
 			"data_dir", cfg.dataDir,
-			"fsync", cfg.fsync,
 			"snapshot_loaded", recovery.SnapshotLoaded,
 			"snapshot_seq", recovery.SnapshotSeq,
 			"replayed_records", recovery.ReplayedRecords,

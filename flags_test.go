@@ -40,7 +40,6 @@ var flagAllow = map[string]flagReason{
 	"crowdwifi-server -aggregate-every": {admitTradeOff, "cycle cadence against lookup freshness; the bench and CI set it"},
 	"crowdwifi-server -metrics-addr":    {admitPlace, "where the debug surface listens when the API port is public"},
 	"crowdwifi-server -data-dir":        {admitPlace, "where the store keeps its log and snapshots; the bench and CI set it"},
-	"crowdwifi-server -fsync":           {admitTradeOff, "ack-is-durable against append throughput"},
 	"crowdwifi-server -snapshot-every":  {admitTradeOff, "snapshot cost against replay length at boot"},
 	"crowdwifi-server -trace-sample":    {admitTradeOff, "tracing cost against trace coverage"},
 	"crowdwifi-server -shard-id":        {admitPlace, "who the shard is; the bench and CI set it"},

@@ -18,7 +18,6 @@ import (
 	"crowdwifi/internal/chaos"
 	"crowdwifi/internal/obs"
 	"crowdwifi/internal/overload"
-	"crowdwifi/internal/wal"
 )
 
 // transitionLog records the degraded-mode state machine's path through a
@@ -250,29 +249,83 @@ func TestFailedCycleAppendGoesReadOnly(t *testing.T) {
 	ffs.SetFault(chaos.FSFault{})
 }
 
-// TestFailedIntervalFsyncGoesReadOnly: under -fsync interval the fsync runs on
-// the log's own timer, after the append was acknowledged, so no request sees
-// it fail. The server must still go read-only within a few 200 ms ticks.
-func TestFailedIntervalFsyncGoesReadOnly(t *testing.T) {
+// TestFailedGroupFsyncFailsEveryMember is TestFsyncFailureDoesNotReplayUnackedRecord
+// for a group: n reports queue behind a held fsync, and the one fsync of the
+// group they then make fails. Every member gets ErrDurability, none is
+// stored or completes its key, the sink hears the fault once, and after the
+// retries a reopen holds each report once: none of the failed group replays.
+func TestFailedGroupFsyncFailsEveryMember(t *testing.T) {
+	ctx := context.Background()
 	ffs := chaos.NewFaultFS(nil)
-	store, _, err := OpenStore(10, StorageOptions{Dir: t.TempDir(), Fsync: wal.SyncInterval, FS: ffs})
+	dir := t.TempDir()
+	store, _, err := OpenStore(10, StorageOptions{Dir: dir, FS: ffs})
 	if err != nil {
 		t.Fatalf("OpenStore: %v", err)
 	}
-	defer store.Close()
-	srv := New(store, WithOverload(overload.Options{}))
+	var faults atomic.Int32
+	store.OnDurabilityError(func(error) { faults.Add(1) })
+	report := func(i int) Report {
+		return Report{Vehicle: fmt.Sprintf("v%d", i), Segment: "s", APs: []APReport{{X: float64(i), Y: 2, Credit: 3}}}
+	}
 
-	ffs.SetFault(chaos.FSFault{FailSyncs: -1})
-	if err := store.AddReport(Report{Vehicle: "v", Segment: "s", APs: []APReport{{X: 1, Y: 2, Credit: 3}}}); err != nil {
-		t.Fatalf("AddReport (acknowledged before its fsync): %v", err)
+	held, release := ffs.HoldSync()
+	defer release()
+	lead := make(chan error, 1)
+	go func() { lead <- store.AddReportKeyed(ctx, "lead", report(0)) }()
+	<-held
+	const n = 6
+	keys := make([]string, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("member-%d", i)
+		go func() {
+			defer wg.Done()
+			errs[i] = store.AddReportKeyed(ctx, keys[i], report(i+1))
+		}()
 	}
-	for deadline := time.Now().Add(2 * time.Second); srv.Overload().Controller().Mode() != overload.ModeReadOnly; {
-		if time.Now().After(deadline) {
-			t.Fatalf("mode %s 2 s after a failing interval fsync, want read-only", srv.Overload().Controller().Mode())
+	waitQueued(store, n)
+	ffs.SetFault(chaos.FSFault{FailSyncs: 1})
+	release()
+	if err := <-lead; err != nil {
+		t.Fatalf("the held report: %v", err)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if !errors.Is(err, ErrDurability) {
+			t.Errorf("member %d: err %v, want ErrDurability", i, err)
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
-	ffs.SetFault(chaos.FSFault{})
+	if p, l, r := store.Counts(); p != 0 || l != 0 || r != 1 {
+		t.Errorf("counts after the failed group = %d, %d, %d, want only the held report: 0, 0, 1", p, l, r)
+	}
+	for _, key := range keys {
+		if seen, _ := store.idem.begin(key); seen {
+			t.Errorf("key %s is known after its group failed; a retry would not run", key)
+		}
+		store.idem.release(key)
+	}
+	if got := faults.Load(); got != 1 {
+		t.Errorf("the sink heard %d faults, want 1 for the group", got)
+	}
+
+	for i, key := range keys {
+		if err := store.AddReportKeyed(ctx, key, report(i+1)); err != nil {
+			t.Fatalf("retry of %s: %v", key, err)
+		}
+	}
+	if err := store.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	reopened, stats, err := OpenStore(10, StorageOptions{Dir: dir})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer reopened.Close()
+	if stats.Reports != n+1 || stats.IdemKeys != n+1 {
+		t.Fatalf("reopened with %d reports and %d keys, want %d of each: the failed group replayed", stats.Reports, stats.IdemKeys, n+1)
+	}
 }
 
 // TestModeHeaderSetOnSuccessWithOverloadEnabled: with overload control on,

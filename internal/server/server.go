@@ -138,6 +138,15 @@ type Store struct {
 
 	// durabilitySink holds the func(error) OnDurabilityError registered.
 	durabilitySink atomic.Value
+
+	// The commit queue (persist.go), guarded by gmu: the records waiting for
+	// the next leader, the slice the last one gave back, and led to wake the
+	// waiters when a leader is done. entries is the leader's, under mu.
+	gmu          sync.Mutex
+	led          sync.Cond
+	queue, spare []*pending
+	leading      bool
+	entries      []wal.Record
 }
 
 // view is the derived state one aggregation cycle produced: the fused AP
@@ -182,6 +191,7 @@ func NewStore(mergeRadius float64) *Store {
 		mergeRadius = 10
 	}
 	s := &Store{mergeRadius: mergeRadius, idem: newIdemCache(0)}
+	s.led.L = &s.gmu
 	s.view.Store(newView(nil, nil))
 	return s
 }
@@ -742,8 +752,8 @@ func (s *Server) buildOverload() {
 	}
 	s.ov = overload.New(o)
 	s.health.SetMode(overload.ModeHealthy.String())
-	// Every durability fault reaches the state machine through the store:
-	// a failed append on any path, and a failed background fsync.
+	// Every durability fault reaches the state machine through the store's
+	// one write path: a failed append on any path.
 	s.store.OnDurabilityError(s.ov.Controller().ReportDurabilityError)
 }
 

@@ -160,6 +160,34 @@ func TestFsyncFailureDoesNotReplayUnackedRecord(t *testing.T) {
 	wantRecords(t, replayAll(t, l2), "1:a", fmt.Sprintf("%d:unacked", seq))
 }
 
+// TestAppendGroupFailsWhole: a group is numbered in order; when its fsync
+// fails, none of it replays, a large record's direct write included, and it
+// takes no sequence numbers.
+func TestAppendGroupFailsWhole(t *testing.T) {
+	dir := t.TempDir()
+	fs := chaos.NewFaultFS(nil)
+	l := openFaultLog(t, dir, fs)
+	defer l.Close()
+
+	big := string(make([]byte, 64<<10))
+	group := func(data ...string) []wal.Record {
+		recs := make([]wal.Record, len(data))
+		for i, d := range data {
+			recs[i] = wal.Record{Kind: 1, Data: []byte(d)}
+		}
+		return recs
+	}
+	if seq, err := l.AppendGroup(context.Background(), group("a", "b", "c")); err != nil || seq != 1 {
+		t.Fatalf("AppendGroup = (%d, %v), want first seq 1", seq, err)
+	}
+	fs.SetFault(chaos.FSFault{FailSyncs: 1})
+	if _, err := l.AppendGroup(context.Background(), group("x", big, "y")); !errors.Is(err, chaos.ErrInjectedSync) {
+		t.Fatalf("group with a failing fsync: %v, want %v", err, chaos.ErrInjectedSync)
+	}
+	mustAppend(t, l, "d")
+	wantRecords(t, replayAll(t, l), "1:a", "2:b", "3:c", "4:d")
+}
+
 // TestUnhealedTornTailFailsFastThenRecovers: when the heal itself fails (the
 // disk refuses truncates too), later appends must fail fast — not write past
 // garbage — and the first append after the disk heals must repair the tail
