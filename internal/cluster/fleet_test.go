@@ -17,6 +17,7 @@ import (
 	"crowdwifi/internal/overload"
 	"crowdwifi/internal/retry"
 	"crowdwifi/internal/server"
+	"crowdwifi/internal/wal"
 )
 
 // fleetLink is the fleet's radio link. While down every request fails before
@@ -151,12 +152,14 @@ func (f *fleet) settle() {
 // times the baseline's, with no think time, still gets at least 70 % of the
 // baseline's acks through in the same window, and every report a vehicle
 // handed over — acked, or parked and later drained — is stored exactly once.
+// It logs the overload window's fsyncs per logged record: the share of the
+// disk's work the store's group commit saves under fleet traffic.
 func TestFleetOverloadKeepsGoodputAndLosesNothing(t *testing.T) {
-	store, _, err := server.OpenStore(e2eRadius, server.StorageOptions{Dir: t.TempDir()})
+	reg := obs.NewRegistry()
+	store, _, err := server.OpenStore(e2eRadius, server.StorageOptions{Dir: t.TempDir(), Metrics: wal.NewMetrics(reg)})
 	if err != nil {
 		t.Fatalf("OpenStore: %v", err)
 	}
-	reg := obs.NewRegistry()
 	srv := server.New(store, server.WithOverload(overload.Options{Registry: reg}))
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
@@ -166,12 +169,18 @@ func TestFleetOverloadKeepsGoodputAndLosesNothing(t *testing.T) {
 
 	const baseFleet, window = 30, 1500 * time.Millisecond
 	f := newFleet(t, ts.URL, 3*baseFleet)
+	logged := func() (appends, fsyncs float64) {
+		return reg.SumCounters("crowdwifi_wal_appends_total", nil), reg.SumCounters("crowdwifi_wal_fsyncs_total", nil)
+	}
 	baseline := f.drive(baseFleet, 100*time.Millisecond, window)
 	f.settle()
+	a0, s0 := logged()
 	overloaded := f.drive(3*baseFleet, 0, window)
+	a1, s1 := logged()
 	f.settle()
 	acked, parked, drained := f.acked.Load(), f.parked.Load(), f.drained.Load()
 
+	t.Logf("overload window: %.0f records in %.0f fsyncs (%.2f per record)", a1-a0, s1-s0, (s1-s0)/(a1-a0))
 	t.Logf("acks: baseline %d, overload %d (ratio %.2f); shed %d, parked %d, drained %d; slowest answer %v",
 		baseline, overloaded, float64(overloaded)/float64(baseline),
 		uint64(reg.SumCounters("crowdwifi_admission_shed_total", func(ls map[string]string) bool { return ls["family"] == "upload" })), parked, drained, f.link.slowest.Round(time.Millisecond))
