@@ -32,11 +32,11 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	}
 }
 
-func (m *Metrics) observeAppend(bytes int64) {
+func (m *Metrics) observeGroup(records int, bytes int64) {
 	if m == nil {
 		return
 	}
-	m.appends.Inc()
+	m.appends.Add(uint64(records))
 	m.appendBytes.Add(uint64(bytes))
 }
 
