@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"time"
@@ -44,7 +45,7 @@ func main() {
 	}
 }
 
-func run(seed uint64, trials int, quick bool, metricsAddr string, logger *obs.Logger, args []string) error {
+func run(seed uint64, trials int, quick bool, metricsAddr string, logger *slog.Logger, args []string) error {
 	if metricsAddr != "" {
 		// Long experiment sweeps are the main profiling target: expose the
 		// runtime series and /debug/pprof for the duration of the run.

@@ -1,12 +1,16 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"crowdwifi/internal/obs"
+)
 
 func TestRunRejectsBadArgs(t *testing.T) {
-	if err := run(1, 0, true, "", nil, nil); err == nil {
+	if err := run(1, 0, true, "", obs.Discard, nil); err == nil {
 		t.Fatal("expected usage error for no args")
 	}
-	if err := run(1, 0, true, "", nil, []string{"nope"}); err == nil {
+	if err := run(1, 0, true, "", obs.Discard, []string{"nope"}); err == nil {
 		t.Fatal("expected unknown-experiment error")
 	}
 }
@@ -15,7 +19,7 @@ func TestRunQuickFig7(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real experiments")
 	}
-	if err := run(7, 2, true, "", nil, []string{"fig7"}); err != nil {
+	if err := run(7, 2, true, "", obs.Discard, []string{"fig7"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -28,7 +32,7 @@ func TestRunAllSelectsEverything(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real experiments")
 	}
-	if err := run(7, 1, true, "", nil, []string{"fig9"}); err != nil {
+	if err := run(7, 1, true, "", obs.Discard, []string{"fig9"}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -44,6 +44,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -94,7 +95,7 @@ func main() {
 	}
 }
 
-func run(cfg config, logger *obs.Logger) error {
+func run(cfg config, logger *slog.Logger) error {
 	peers, err := cluster.ParsePeers(cfg.peers)
 	if err != nil {
 		return err

@@ -35,6 +35,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -129,7 +130,7 @@ func main() {
 	}
 }
 
-func run(cfg config, logger *obs.Logger) error {
+func run(cfg config, logger *slog.Logger) error {
 	reg := obs.NewRegistry()
 	reg.RegisterGoRuntime()
 	obs.RegisterBuildInfo(reg)
@@ -204,12 +205,13 @@ func run(cfg config, logger *obs.Logger) error {
 		cctx, span := trace.Start(base, "server.aggregate_tick")
 		defer span.End()
 		stats, err := store.AggregateCycleContext(cctx)
+		log := obs.WithTrace(cctx, aggLog)
 		if err != nil {
 			span.SetError(err)
-			aggLog.Ctx(cctx).Error("cycle failed", "err", err)
+			log.Error("cycle failed", "err", err)
 			return
 		}
-		aggLog.Ctx(cctx).Info("cycle complete",
+		log.Info("cycle complete",
 			"duration", stats.Duration,
 			"vehicles_scored", stats.VehiclesScored,
 			"spammers_flagged", stats.SpammersFlagged,

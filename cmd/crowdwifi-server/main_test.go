@@ -15,7 +15,8 @@ import (
 )
 
 var (
-	listeningRe = regexp.MustCompile(`msg="?crowd-server listening"?.* addr=([0-9.\[\]:]+)`)
+	// listeningRe is the pattern bench/proc.go reads each child's port from.
+	listeningRe = regexp.MustCompile(`msg="[a-z-]+ listening" addr=(\S+)`)
 	recoveredRe = regexp.MustCompile(`msg="?state recovered"?.* reports=([0-9]+)`)
 )
 

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -113,7 +114,7 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, cfg runConfig, logger *obs.Logger) error {
+func run(ctx context.Context, cfg runConfig, logger *slog.Logger) error {
 	reg := obs.NewRegistry()
 	reg.RegisterGoRuntime()
 	obs.RegisterBuildInfo(reg)
@@ -288,7 +289,7 @@ func run(ctx context.Context, cfg runConfig, logger *obs.Logger) error {
 // interrupted reports whether the run context was cancelled (SIGINT/SIGTERM);
 // the caller should stop cleanly and let the deferred outbox flush finish the
 // delivery work.
-func interrupted(ctx context.Context, logger *obs.Logger) bool {
+func interrupted(ctx context.Context, logger *slog.Logger) bool {
 	if ctx.Err() == nil {
 		return false
 	}
@@ -301,7 +302,7 @@ func interrupted(ctx context.Context, logger *obs.Logger) bool {
 // vehicle was interrupted, but the parked uploads still deserve one bounded
 // drain attempt. The tracer rides along so drained entries resume the trace
 // of the upload that queued them, and the flush logs carry its trace id.
-func flushOutbox(tracer *trace.Tracer, v *client.CrowdVehicle, timeout time.Duration, logger *obs.Logger) {
+func flushOutbox(tracer *trace.Tracer, v *client.CrowdVehicle, timeout time.Duration, logger *slog.Logger) {
 	if v.Outbox == nil || v.Outbox.Len() == 0 {
 		return
 	}
@@ -312,7 +313,7 @@ func flushOutbox(tracer *trace.Tracer, v *client.CrowdVehicle, timeout time.Dura
 	defer span.End()
 	span.SetAttr("depth", v.Outbox.Len())
 	ctx = fctx
-	logger = logger.Ctx(ctx)
+	logger = obs.WithTrace(ctx, logger)
 	logger.Info("flushing outbox before exit", "depth", v.Outbox.Len(), "timeout", timeout)
 	for v.Outbox.Len() > 0 {
 		n, err := v.DrainOutbox(ctx)

@@ -13,6 +13,7 @@ import (
 
 	"crowdwifi/internal/client"
 	"crowdwifi/internal/cs"
+	"crowdwifi/internal/obs"
 	"crowdwifi/internal/server"
 	"crowdwifi/internal/sim"
 )
@@ -24,7 +25,7 @@ func TestRunOfflineWithCSVOutput(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "ests.csv")
 	cfg := runConfig{ID: "test-veh", Segment: "seg", OutPath: out, Samples: 120, Seed: 3,
 		OutboxCap: 8, DrainTimeout: time.Second, RetryAttempts: 2}
-	if err := run(context.Background(), cfg, nil); err != nil {
+	if err := run(context.Background(), cfg, obs.Discard); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(out)
@@ -52,14 +53,14 @@ func TestRunTraceRoundTrip(t *testing.T) {
 	}
 	cfg := runConfig{ID: "replay-veh", Segment: "seg", TracePath: trace, Seed: 1,
 		OutboxCap: 8, DrainTimeout: time.Second, RetryAttempts: 2}
-	if err := run(context.Background(), cfg, nil); err != nil {
+	if err := run(context.Background(), cfg, obs.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunBadTracePath(t *testing.T) {
 	cfg := runConfig{ID: "v", Segment: "seg", TracePath: "/nonexistent/trace.csv", Samples: 10, Seed: 1}
-	if err := run(context.Background(), cfg, nil); err == nil {
+	if err := run(context.Background(), cfg, obs.Discard); err == nil {
 		t.Fatal("expected error for missing trace")
 	}
 }
@@ -108,7 +109,7 @@ func TestFlushOutboxDeliversQueuedUploads(t *testing.T) {
 		t.Fatalf("reports before flush = %d", reports)
 	}
 
-	flushOutbox(nil, vehicle, 5*time.Second, nil)
+	flushOutbox(nil, vehicle, 5*time.Second, obs.Discard)
 
 	if vehicle.Outbox.Len() != 0 {
 		t.Fatalf("outbox depth after flush = %d, want 0", vehicle.Outbox.Len())
@@ -138,7 +139,7 @@ func TestFlushOutboxRespectsDeadline(t *testing.T) {
 		t.Fatalf("report err = %v, want ErrQueued", err)
 	}
 	start := time.Now()
-	flushOutbox(nil, vehicle, 300*time.Millisecond, nil)
+	flushOutbox(nil, vehicle, 300*time.Millisecond, obs.Discard)
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Fatalf("flush took %v, want bounded by ~300ms deadline", elapsed)
 	}

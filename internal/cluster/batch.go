@@ -76,9 +76,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		for range reroute {
 			rt.metrics.incRerouted()
 		}
-		if rt.log != nil {
-			rt.log.Warn("batch entries re-routed after 421", "groups", len(reroute))
-		}
+		rt.log.Warn("batch entries re-routed after 421", "groups", len(reroute))
 		rt.forwardBatchGroups(r.Context(), entries, reroute, out)
 	}
 

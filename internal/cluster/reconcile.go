@@ -109,10 +109,8 @@ func (rt *Router) Reconcile(ctx context.Context) (*ReconcileReport, error) {
 		for _, seg := range segments {
 			report.Moves = append(report.Moves, Move{Segment: seg, From: p.from, To: p.to})
 		}
-		if rt.log != nil {
-			rt.log.Info("reconciled drift", "from", p.from, "to", p.to,
-				"segments", strings.Join(segments, ","))
-		}
+		rt.log.Info("reconciled drift", "from", p.from, "to", p.to,
+			"segments", strings.Join(segments, ","))
 	}
 	sortMoves(report.Moves)
 

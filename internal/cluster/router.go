@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/url"
 	"sort"
@@ -98,7 +99,7 @@ type RouterOptions struct {
 	// Registry receives router metrics; nil disables them.
 	Registry *obs.Registry
 	// Logger receives router logs; nil is silent.
-	Logger *obs.Logger
+	Logger *slog.Logger
 	// Overload, when non-nil, enables the router's own admission control.
 	// The router holds no durable state, so its mode never leaves healthy and
 	// nothing needs to run its probe loop.
@@ -128,7 +129,7 @@ type Router struct {
 	mux     *http.ServeMux
 	stack   front.Stack
 	metrics *routerMetrics
-	log     *obs.Logger
+	log     *slog.Logger
 
 	mu    sync.RWMutex
 	peers map[string]*peerClient
@@ -145,6 +146,9 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		metrics: newRouterMetrics(opts.Registry),
 		log:     opts.Logger,
 		peers:   map[string]*peerClient{},
+	}
+	if rt.log == nil {
+		rt.log = obs.Discard
 	}
 	var retryMetrics *retry.Metrics
 	if opts.Registry != nil {
@@ -229,9 +233,7 @@ func (rt *Router) UpdateMembers(members []string) error {
 	rt.mu.RUnlock()
 	rg := ring.New(members, 0)
 	rt.ring.Store(rg)
-	if rt.log != nil {
-		rt.log.Info("router membership updated", "members", strings.Join(rg.Members(), ","))
-	}
+	rt.log.Info("router membership updated", "members", strings.Join(rg.Members(), ","))
 	return nil
 }
 
@@ -376,10 +378,8 @@ func (rt *Router) handleUpload(w http.ResponseWriter, r *http.Request) {
 		if npc := rt.peer(next); npc != nil && next != owner {
 			api.DrainClose(resp)
 			rt.metrics.incRerouted()
-			if rt.log != nil {
-				rt.log.Warn("upload re-routed after 421",
-					"segment", segment, "routed", owner, "owner", next)
-			}
+			rt.log.Warn("upload re-routed after 421",
+				"segment", segment, "routed", owner, "owner", next)
 			resp, err = rt.forward(r.Context(), npc, r.URL.Path, r.Header, body)
 			if err != nil {
 				api.WriteError(w, http.StatusBadGateway, fmt.Errorf("shard %s: %w", next, err))
@@ -511,9 +511,7 @@ func (rt *Router) handleLookup(w http.ResponseWriter, r *http.Request) {
 	if len(missing) > 0 {
 		rt.metrics.incPartial()
 		w.Header().Set(PartialHeader, strings.Join(missing, ","))
-		if rt.log != nil {
-			rt.log.Warn("partial lookup", "missing", strings.Join(missing, ","))
-		}
+		rt.log.Warn("partial lookup", "missing", strings.Join(missing, ","))
 	}
 	// The merge always happens in the JSON domain (shards are asked for
 	// JSON), so the JSON answer stays byte-identical to a single server's;

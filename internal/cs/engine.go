@@ -443,32 +443,15 @@ func (e *Engine) FinalEstimates() []Estimate {
 	if gmm.Channel == (radio.Channel{}) {
 		gmm.Channel = e.cfg.Channel
 	}
-	bic := func(set []Estimate) float64 {
-		pts := make([]geo.Point, len(set))
-		for i, est := range set {
-			pts[i] = est.Pos
-		}
-		ll := gmm.LogLikelihood(e.buf, pts)
-		return radio.BIC(ll, len(set), len(e.buf))
+	pts := make([]geo.Point, len(cands))
+	for i, est := range cands {
+		pts[i] = est.Pos
 	}
-	cur := bic(cands)
-	for len(cands) > 1 {
-		bestIdx := -1
-		bestBIC := cur
-		for i := range cands {
-			trial := make([]Estimate, 0, len(cands)-1)
-			trial = append(trial, cands[:i]...)
-			trial = append(trial, cands[i+1:]...)
-			if b := bic(trial); b > bestBIC {
-				bestBIC, bestIdx = b, i
-			}
-		}
-		if bestIdx < 0 {
-			break
-		}
-		cands = append(cands[:bestIdx], cands[bestIdx+1:]...)
-		cur = bestBIC
+	keep := eliminateByBIC(pts, e.buf, gmm)
+	for i, k := range keep {
+		cands[i] = cands[k]
 	}
+	cands = cands[:len(keep)]
 	// Polish each survivor against the full history: measurements near an
 	// estimate (and closer to it than to any other survivor) form its support
 	// group, and the position is refined by local likelihood maximization.

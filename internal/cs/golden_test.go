@@ -121,7 +121,7 @@ func TestGoldenDigest(t *testing.T) {
 	}
 
 	sc, g, ms := uciDrive(t, 4)
-	h, err := EvaluateK(g, sc.Channel, ms[100:107], 2, HypothesisOptions{Exhaustive: true})
+	h, err := evaluateKExhaustive(g, sc.Channel, ms[100:107], 2, HypothesisOptions{})
 	if err != nil {
 		t.Fatalf("exhaustive EvaluateK: %v", err)
 	}

@@ -42,11 +42,6 @@ type HypothesisOptions struct {
 	// GMM configures the likelihood model; the channel must match the one
 	// used to build sensing matrices.
 	GMM radio.GMMParams
-	// Exhaustive switches to exact set-partition enumeration, the literal
-	// search of Proposition 2 (only sensible for windows of at most ~10
-	// measurements; guarded by maxPartitions). It is the reference the greedy
-	// search is tested against.
-	Exhaustive bool
 	// Seeds, when non-empty, provides initial cluster centres for the
 	// measurement partition (e.g. from StrongReadingSeeds); farthest-first
 	// traversal fills any remaining clusters.
@@ -67,8 +62,6 @@ const (
 	// exhaustive combination search of Proposition 2 is Ω(M^M); this hard-EM
 	// surrogate explores the same space greedily.
 	refinements = 3
-	// maxPartitions caps the partitions enumerated in exhaustive mode.
-	maxPartitions = 20000
 	// maxGroupRows caps the measurements fed into one group's CS recovery,
 	// keeping the strongest readings. Distant, weak readings carry little
 	// position information but dominate the recovery cost; this is the
@@ -120,10 +113,6 @@ func evaluateK(ctx context.Context, g *grid.Grid, ch radio.Channel, window []rad
 	}
 	if o.memo == nil {
 		o.memo = newRecoveryMemo()
-	}
-
-	if o.Exhaustive {
-		return evaluateKExhaustive(ctx, g, window, k, o)
 	}
 
 	assign := seedAssignment(window, k, o.Seeds)
@@ -637,90 +626,6 @@ func reassign(window []radio.Measurement, assign []int, aps []geo.Point, gmm rad
 	return changed
 }
 
-// evaluateKExhaustive enumerates set partitions of the window into exactly k
-// blocks (restricted growth strings) and keeps the best BIC. This realizes
-// the literal combination search of Proposition 2 for small windows.
-func evaluateKExhaustive(ctx context.Context, g *grid.Grid, window []radio.Measurement, k int, o HypothesisOptions) (*Hypothesis, error) {
-	var best *Hypothesis
-	count := 0
-	err := ForEachPartition(len(window), k, func(assign []int) bool {
-		count++
-		if count > maxPartitions {
-			return false
-		}
-		if ctx.Err() != nil {
-			return false
-		}
-		aps, err := recoverGroups(ctx, g, window, assign, k, o)
-		if err != nil || len(aps) == 0 {
-			return true
-		}
-		ll := o.GMM.LogLikelihood(window, aps)
-		bic := radio.BIC(ll, len(aps), len(window))
-		if best == nil || bic > best.BIC {
-			cp := make([]int, len(assign))
-			copy(cp, assign)
-			best = &Hypothesis{K: k, APs: aps, Assign: cp, LogLik: ll, BIC: bic}
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, fmt.Errorf("cs: exhaustive search over K=%d canceled: %w", k, cerr)
-	}
-	if best == nil {
-		return nil, fmt.Errorf("cs: exhaustive search over K=%d found no valid hypothesis", k)
-	}
-	return best, nil
-}
-
-// ForEachPartition enumerates all partitions of n items into exactly k
-// non-empty blocks, invoking fn with the assignment vector (block index per
-// item). Enumeration stops early when fn returns false. The assignment slice
-// is reused between calls; copy it to retain it.
-func ForEachPartition(n, k int, fn func(assign []int) bool) error {
-	if n <= 0 || k <= 0 || k > n {
-		return fmt.Errorf("cs: invalid partition request n=%d k=%d", n, k)
-	}
-	// Restricted growth strings: a[i] ≤ max(a[0..i-1]) + 1, filtered to
-	// exactly k blocks.
-	assign := make([]int, n)
-	var rec func(i, maxUsed int) bool
-	rec = func(i, maxUsed int) bool {
-		if i == n {
-			if maxUsed+1 != k {
-				return true
-			}
-			return fn(assign)
-		}
-		limit := maxUsed + 1
-		if limit > k-1 {
-			limit = k - 1
-		}
-		// Prune: remaining items must be able to open the missing blocks.
-		remaining := n - i
-		missing := k - (maxUsed + 1)
-		if missing > remaining {
-			return true
-		}
-		for b := 0; b <= limit; b++ {
-			assign[i] = b
-			nm := maxUsed
-			if b > maxUsed {
-				nm = b
-			}
-			if !rec(i+1, nm) {
-				return false
-			}
-		}
-		return true
-	}
-	rec(0, -1)
-	return nil
-}
-
 // PruneConstellation runs the reality check used after model selection:
 // greedy backward elimination of APs under the full-window BIC, followed by
 // a local likelihood polish of each survivor against its support (the
@@ -733,27 +638,10 @@ func PruneConstellation(aps []geo.Point, window []radio.Measurement, ch radio.Ch
 	if gmm.Channel == (radio.Channel{}) {
 		gmm.Channel = ch
 	}
-	cands := append([]geo.Point(nil), aps...)
-	bic := func(set []geo.Point) float64 {
-		return radio.BIC(gmm.LogLikelihood(window, set), len(set), len(window))
-	}
-	cur := bic(cands)
-	for len(cands) > 1 {
-		bestIdx := -1
-		bestBIC := cur
-		for i := range cands {
-			trial := make([]geo.Point, 0, len(cands)-1)
-			trial = append(trial, cands[:i]...)
-			trial = append(trial, cands[i+1:]...)
-			if b := bic(trial); b > bestBIC {
-				bestBIC, bestIdx = b, i
-			}
-		}
-		if bestIdx < 0 {
-			break
-		}
-		cands = append(cands[:bestIdx], cands[bestIdx+1:]...)
-		cur = bestBIC
+	keep := eliminateByBIC(aps, window, gmm)
+	cands := make([]geo.Point, len(keep))
+	for i, k := range keep {
+		cands[i] = aps[k]
 	}
 	// Polish survivors on their support groups.
 	for i := range cands {
@@ -777,6 +665,42 @@ func PruneConstellation(aps []geo.Point, window []radio.Measurement, ch radio.Ch
 		}
 	}
 	return cands
+}
+
+// eliminateByBIC is the reality check's greedy backward elimination: while
+// more than one point is left, it drops the one whose removal most improves
+// the BIC of window, and stops when no removal helps. It returns the indices
+// of the points kept, in their order in pts.
+func eliminateByBIC(pts []geo.Point, window []radio.Measurement, gmm radio.GMMParams) []int {
+	keep := make([]int, len(pts))
+	for i := range keep {
+		keep[i] = i
+	}
+	bic := func(set []geo.Point) float64 {
+		return radio.BIC(gmm.LogLikelihood(window, set), len(set), len(window))
+	}
+	cur := bic(pts)
+	for len(keep) > 1 {
+		bestIdx := -1
+		bestBIC := cur
+		for i := range keep {
+			trial := make([]geo.Point, 0, len(keep)-1)
+			for j, k := range keep {
+				if j != i {
+					trial = append(trial, pts[k])
+				}
+			}
+			if b := bic(trial); b > bestBIC {
+				bestBIC, bestIdx = b, i
+			}
+		}
+		if bestIdx < 0 {
+			break
+		}
+		keep = append(keep[:bestIdx], keep[bestIdx+1:]...)
+		cur = bestBIC
+	}
+	return keep
 }
 
 // SelectOptions configures model-order selection over K.

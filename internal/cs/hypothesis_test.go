@@ -114,68 +114,6 @@ func TestBICSelectionPenalizesOverfit(t *testing.T) {
 	}
 }
 
-func TestForEachPartitionCountsBell(t *testing.T) {
-	// Stirling numbers of the second kind: S(4,2) = 7, S(5,3) = 25.
-	cases := []struct{ n, k, want int }{
-		{4, 1, 1},
-		{4, 2, 7},
-		{4, 4, 1},
-		{5, 3, 25},
-	}
-	for _, c := range cases {
-		count := 0
-		if err := ForEachPartition(c.n, c.k, func([]int) bool {
-			count++
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if count != c.want {
-			t.Errorf("S(%d,%d): got %d partitions, want %d", c.n, c.k, count, c.want)
-		}
-	}
-}
-
-func TestForEachPartitionValidAssignments(t *testing.T) {
-	err := ForEachPartition(5, 2, func(assign []int) bool {
-		blocks := map[int]bool{}
-		for _, b := range assign {
-			if b < 0 || b >= 2 {
-				t.Fatalf("block index %d out of range", b)
-			}
-			blocks[b] = true
-		}
-		if len(blocks) != 2 {
-			t.Fatalf("partition uses %d blocks, want exactly 2: %v", len(blocks), assign)
-		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestForEachPartitionEarlyStop(t *testing.T) {
-	count := 0
-	if err := ForEachPartition(6, 3, func([]int) bool {
-		count++
-		return count < 5
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if count != 5 {
-		t.Fatalf("early stop after %d calls, want 5", count)
-	}
-}
-
-func TestForEachPartitionInvalidArgs(t *testing.T) {
-	for _, c := range [][2]int{{0, 1}, {3, 0}, {2, 3}} {
-		if err := ForEachPartition(c[0], c[1], func([]int) bool { return true }); err == nil {
-			t.Errorf("ForEachPartition(%d,%d) should error", c[0], c[1])
-		}
-	}
-}
-
 func TestExhaustiveMatchesGreedyOnEasyWindow(t *testing.T) {
 	// A tiny window where both search strategies should find near-identical
 	// constellations for the correct K.
@@ -197,7 +135,7 @@ func TestExhaustiveMatchesGreedyOnEasyWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := EvaluateK(g, ch, ms, 2, HypothesisOptions{Exhaustive: true})
+	exact, err := evaluateKExhaustive(g, ch, ms, 2, HypothesisOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,8 @@ import (
 
 // recoveryMemoCap bounds the group solves one model selection remembers. A
 // selection over a 60-sample window makes a few hundred; only the exhaustive
-// partition search can reach the cap, after which it solves as it always did.
+// partition search, the reference in partition_ref_test.go, reaches the cap,
+// after which it solves as it always did.
 const recoveryMemoCap = 4096
 
 // recoveryMemo remembers the group recoveries of one model selection, so that

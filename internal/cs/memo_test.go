@@ -407,16 +407,16 @@ func TestRecoveryMemoCapStopsStoring(t *testing.T) {
 	sc, g, ms := uciDrive(t, 4)
 	window := ms[100:107]
 	setWorkers(t, 1)
-	opts := HypothesisOptions{Exhaustive: true}
-	want, wantErr := EvaluateK(g, sc.Channel, window, 2, opts)
+	var opts HypothesisOptions
+	want, wantErr := evaluateKExhaustive(g, sc.Channel, window, 2, opts)
 	opts.memo = &recoveryMemo{limit: 5, entries: map[string][]geo.Point{}}
-	got, gotErr := EvaluateK(g, sc.Channel, window, 2, opts)
+	got, gotErr := evaluateKExhaustive(g, sc.Channel, window, 2, opts)
 	requireSameHypothesis(t, "exhaustive K=2", got, want, gotErr, wantErr)
 	if n := len(opts.memo.entries); n != 5 {
 		t.Fatalf("capped memo holds %d entries, want 5", n)
 	}
 	opts.memo = &recoveryMemo{}
-	got, gotErr = EvaluateK(g, sc.Channel, window, 2, opts)
+	got, gotErr = evaluateKExhaustive(g, sc.Channel, window, 2, opts)
 	requireSameHypothesis(t, "exhaustive K=2, no memo", got, want, gotErr, wantErr)
 }
 

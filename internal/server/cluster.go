@@ -306,36 +306,25 @@ func (s *Server) handleClusterDigest(w http.ResponseWriter, r *http.Request) {
 
 // handleClusterSlice serves the rebalance transfer endpoint.
 //
-// GET exports a move from this shard. Two filters are supported:
-//   - ?segments=a,b,c — export exactly these segments;
-//   - ?owner=X&members=a,b,c — export the segments a ring over
-//     members assigns to X (the requester dictates the target ring, so a
-//     rebalance can move under the post-change membership before this shard
-//     has been told about it).
-//
-// POST applies a move; see applyMove. Both speak FrameContentType only.
+// GET ?segments=a,b,c exports exactly these segments as a move from this
+// shard. POST applies a move; see applyMove. Both speak FrameContentType
+// only.
 func (s *Server) handleClusterSlice(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		q := r.URL.Query()
-		var owned func(string) bool
-		if segs := q.Get("segments"); segs != "" {
-			set := map[string]bool{}
-			for _, seg := range strings.Split(segs, ",") {
-				if seg != "" {
-					set[seg] = true
-				}
-			}
-			owned = func(seg string) bool { return set[seg] }
-		} else if owner := q.Get("owner"); owner != "" {
-			rg := ring.New(strings.Split(q.Get("members"), ","), 0)
-			owned = func(seg string) bool { return rg.Owner(seg) == owner }
-		} else {
-			api.WriteError(w, http.StatusBadRequest, errors.New("need ?segments= or ?owner=&members="))
+		segs := r.URL.Query().Get("segments")
+		if segs == "" {
+			api.WriteError(w, http.StatusBadRequest, errors.New("need ?segments="))
 			return
 		}
+		set := map[string]bool{}
+		for _, seg := range strings.Split(segs, ",") {
+			if seg != "" {
+				set[seg] = true
+			}
+		}
 		moves := s.store.exportMove(s.cluster.self, func(seg string) string {
-			if owned(seg) {
+			if set[seg] {
 				return "requester"
 			}
 			return ""

@@ -166,7 +166,7 @@ func TestSegmentDigests(t *testing.T) {
 	if err := s.AddLabels([]Label{{Vehicle: "v", TaskID: id, Value: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.AggregateContext(ctx); err != nil {
+	if _, err := s.AggregateCycleContext(ctx); err != nil {
 		t.Fatal(err)
 	}
 	d := s.SegmentDigests()
@@ -256,7 +256,7 @@ func TestDropSegmentsPersistsAcrossReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.AggregateContext(ctx); err != nil {
+	if _, err := s.AggregateCycleContext(ctx); err != nil {
 		t.Fatal(err)
 	}
 	n, err := s.DropSegments(ctx, []string{"drop"})

@@ -257,6 +257,24 @@ func TestMoveRefusesJSON(t *testing.T) {
 	}
 }
 
+// TestSliceExportNeedsSegments: an export names its segments; a GET without
+// ?segments=, the retired ?owner=&members= form included, answers 400.
+func TestSliceExportNeedsSegments(t *testing.T) {
+	ts := httptest.NewServer(New(moveSource(t, 4), WithCluster(ClusterOptions{Self: "a", Members: []string{"a"}})))
+	defer ts.Close()
+	for _, query := range []string{"", "?owner=b&members=a,b"} {
+		resp, err := http.Get(ts.URL + "/v1/cluster/slice" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "?segments=") {
+			t.Fatalf("GET slice%s: status %d body %s, want 400 naming ?segments=", query, resp.StatusCode, body)
+		}
+	}
+}
+
 // TestSegmentDigestsOfRecoveredStoreAgree: the digest hashes the fused list
 // as the codec stores it, so a recovered store digests as the live one did,
 // and one weight moved moves the digest.

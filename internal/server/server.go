@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"maps"
 	"math"
 	"net/http"
@@ -326,15 +327,9 @@ type CycleStats struct {
 // Aggregate runs the offline crowdsourcing pipeline: labels feed the
 // iterative inference, whose per-vehicle reliabilities weight the centroid
 // fusion of all AP reports (Sections 5.3–5.4). It returns the number of
-// fused APs across segments. Equivalent to AggregateContext with
-// context.Background().
+// fused APs across segments.
 func (s *Store) Aggregate() (int, error) {
-	return s.AggregateContext(context.Background())
-}
-
-// AggregateContext is Aggregate under a caller context (trace propagation).
-func (s *Store) AggregateContext(ctx context.Context) (int, error) {
-	stats, err := s.AggregateCycleContext(ctx)
+	stats, err := s.AggregateCycleContext(context.Background())
 	return stats.FusedAPs, err
 }
 
@@ -602,7 +597,7 @@ type Server struct {
 	store   *Store
 	mux     *http.ServeMux
 	metrics *Metrics
-	log     *obs.Logger
+	log     *slog.Logger
 	tracer  *trace.Tracer
 	health  *obs.Health
 
@@ -631,8 +626,9 @@ func WithMetrics(m *Metrics) Option {
 	return func(s *Server) { s.metrics = m }
 }
 
-// WithLogger attaches a structured logger used for request-level warnings.
-func WithLogger(l *obs.Logger) Option {
+// WithLogger attaches a structured logger used for request-level warnings;
+// a server without one logs nothing.
+func WithLogger(l *slog.Logger) Option {
 	return func(s *Server) { s.log = l }
 }
 
@@ -670,6 +666,9 @@ func New(store *Store, opts ...Option) *Server {
 	}
 	for _, opt := range opts {
 		opt(s)
+	}
+	if s.log == nil {
+		s.log = obs.Discard
 	}
 	if s.metrics != nil {
 		store.Instrument(s.metrics)
@@ -1069,13 +1068,13 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusMethodNotAllowed)
 		return
 	}
-	n, err := s.store.AggregateContext(r.Context())
+	stats, err := s.store.AggregateCycleContext(r.Context())
 	if err != nil {
 		s.log.Warn("aggregate request failed", "err", err)
 		api.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	api.WriteJSON(w, http.StatusOK, map[string]int{"fusedAPs": n})
+	api.WriteJSON(w, http.StatusOK, map[string]int{"fusedAPs": stats.FusedAPs})
 }
 
 // handleLookup serves GET /v1/lookup?xmin=&ymin=&xmax=&ymax=.
