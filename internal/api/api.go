@@ -162,8 +162,10 @@ func RetryAfter(h http.Header) time.Duration {
 }
 
 // RetryableStatus reports whether a later attempt at the same request may
-// succeed: 408, 429 and the transient 5xx family. The retry doer retries
-// these and the vehicle outbox parks them; everything else is terminal.
+// succeed: 408, 429 and the transient 5xx family. The vehicle outbox parks
+// them all; the retry doer retries them all but a shed, a 503 or 429 that
+// carries Retry-After, which is the server's answer and goes back to the
+// caller at once. Everything else is terminal.
 func RetryableStatus(code int) bool {
 	switch code {
 	case http.StatusRequestTimeout, http.StatusTooManyRequests,

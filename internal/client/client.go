@@ -77,9 +77,9 @@ func RetryAfterHint(err error) time.Duration {
 
 // transientError reports whether err is worth queueing for a later contact
 // window: transport failures, timeouts, cancellations (the vehicle driving
-// out of range mid-upload), and the statuses the retry doer retries
-// (api.RetryableStatus). Definitive 4xx rejections are not transient —
-// replaying them can never succeed.
+// out of range mid-upload), and the statuses api.RetryableStatus names: the
+// ones the retry doer retries, and the sheds it answers at once. Definitive
+// 4xx rejections are not transient — replaying them can never succeed.
 func transientError(err error) bool {
 	if err == nil {
 		return false

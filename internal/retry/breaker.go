@@ -119,8 +119,8 @@ func (b *Breaker) Allow() error {
 }
 
 // Record reports one request outcome. Failures are transport-level: network
-// errors and 5xx/429 responses; a 4xx means the server is reachable and
-// counts as success.
+// errors and 5xx/429 responses; a 4xx or a shed (a 503 or 429 with
+// Retry-After) means the server is reachable and counts as success.
 func (b *Breaker) Record(success bool) {
 	if b == nil {
 		return

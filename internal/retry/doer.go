@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"time"
 
 	"crowdwifi/internal/api"
 	"crowdwifi/internal/obs/trace"
@@ -133,11 +132,12 @@ func (d *Doer) budget(endpoint string) *budget {
 }
 
 // Do issues req with retries. Failed attempts are retried when the error is
-// transport-level or the status is in api.RetryableStatus, the request body can be replayed
-// (GetBody set, or no body), the retry budget allows it, and the request
-// context is still live. The final attempt's response or error is returned
-// unchanged, so callers still observe terminal statuses. A positive
-// Retry-After on 429/503 overrides the backoff.
+// transport-level or the status is in api.RetryableStatus, the request body
+// can be replayed (GetBody set, or no body), the retry budget allows it, and
+// the request context is still live. The final attempt's response or error is
+// returned unchanged, so callers still observe terminal statuses. A shed is
+// not a failure: it is returned after one attempt and the breaker records a
+// success.
 func (d *Doer) Do(req *http.Request) (*http.Response, error) {
 	ctx := req.Context()
 	b := d.budget(req.URL.Path)
@@ -177,7 +177,7 @@ func (d *Doer) Do(req *http.Request) (*http.Response, error) {
 		trace.Inject(actx, attemptReq.Header)
 		resp, err := d.next.Do(attemptReq)
 
-		failure := err != nil || api.RetryableStatus(resp.StatusCode)
+		failure := err != nil || api.RetryableStatus(resp.StatusCode) && !shed(resp)
 		d.breaker.Record(!failure)
 		if err != nil {
 			span.SetError(err)
@@ -215,16 +215,21 @@ func (d *Doer) Do(req *http.Request) (*http.Response, error) {
 			span.End()
 			return resp, err
 		}
-		var hint time.Duration
-		if resp != nil {
-			hint = api.RetryAfter(resp.Header)
-		}
 		api.DrainClose(resp)
-		delay := d.policy.Delay(attempt, hint)
+		delay := d.policy.Delay(attempt)
 		d.metrics.incRetry()
 		span.End()
 		if werr := Sleep(ctx, delay); werr != nil {
 			return nil, werr
 		}
 	}
+}
+
+// shed reports whether resp is a load shed: a 503 or 429 that tells the
+// caller when to come back. The server is up and has decided, so retrying at
+// once would only add to the load it is shedding, and a breaker that counted
+// it would refuse the requests the server is still serving.
+func shed(resp *http.Response) bool {
+	return (resp.StatusCode == http.StatusServiceUnavailable || resp.StatusCode == http.StatusTooManyRequests) &&
+		api.RetryAfter(resp.Header) > 0
 }

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"crowdwifi/internal/api"
 )
 
 func TestPolicyDelayFullJitter(t *testing.T) {
@@ -18,7 +16,7 @@ func TestPolicyDelayFullJitter(t *testing.T) {
 		100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond,
 		800 * time.Millisecond, time.Second, time.Second, // capped at MaxDelay
 	} {
-		d := p.Delay(i, 0)
+		d := p.Delay(i)
 		if d > wantCeil || d < time.Duration(0.99*float64(wantCeil)) {
 			t.Errorf("Delay(%d) = %v, want ≈%v", i, d, wantCeil)
 		}
@@ -26,32 +24,8 @@ func TestPolicyDelayFullJitter(t *testing.T) {
 
 	// Rand = 0 gives zero delay: full jitter spans [0, ceil).
 	p.Rand = func() float64 { return 0 }
-	if d := p.Delay(3, 0); d != 0 {
+	if d := p.Delay(3); d != 0 {
 		t.Errorf("Delay with zero jitter = %v, want 0", d)
-	}
-}
-
-func TestPolicyDelayHonorsHint(t *testing.T) {
-	// The hint is a floor, jittered up to 1.5× to decorrelate shed herds:
-	// Rand = 0 sleeps exactly the hint, Rand = 0.5 lands mid-spread.
-	p := Policy{Rand: func() float64 { return 0 }}
-	if d := p.Delay(0, 7*time.Second); d != 7*time.Second {
-		t.Errorf("hinted delay = %v, want 7s", d)
-	}
-	p.Rand = func() float64 { return 0.5 }
-	if d := p.Delay(0, 7*time.Second); d != 8750*time.Millisecond {
-		t.Errorf("jittered hinted delay = %v, want 8.75s", d)
-	}
-	// Repeated sheds double the hint: the server's estimate lost to
-	// arrival pressure, so the cadence must back off.
-	p.Rand = func() float64 { return 0 }
-	if d := p.Delay(2, 100*time.Millisecond); d != 400*time.Millisecond {
-		t.Errorf("hint on third attempt = %v, want 400ms", d)
-	}
-	// Hints are clamped so a hostile server cannot park the client.
-	p.Rand = func() float64 { return 0 }
-	if d := p.Delay(0, time.Hour); d != api.MaxRetryAfter {
-		t.Errorf("clamped hint = %v, want %v", d, api.MaxRetryAfter)
 	}
 }
 
