@@ -30,6 +30,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math/rand"
 	"net/http"
 	"os"
 	"os/signal"
@@ -242,7 +243,9 @@ func run(ctx context.Context, cfg runConfig, logger *slog.Logger) error {
 		return nil
 	}
 
-	taskID, err := vehicle.ProposePattern(ctx, cfg.Segment)
+	taskID, err := waitOutSheds(ctx, cfg.RetryAttempts, func() (int, error) {
+		return vehicle.ProposePattern(ctx, cfg.Segment)
+	})
 	if err != nil {
 		if interrupted(ctx, logger) {
 			return nil
@@ -251,7 +254,9 @@ func run(ctx context.Context, cfg runConfig, logger *slog.Logger) error {
 	}
 	fmt.Printf("%s: proposed mapping task %d\n", cfg.ID, taskID)
 
-	tasks, err := vehicle.PullTasks(ctx, 10)
+	tasks, err := waitOutSheds(ctx, cfg.RetryAttempts, func() ([]api.Pattern, error) {
+		return vehicle.PullTasks(ctx, 10)
+	})
 	if err != nil {
 		if interrupted(ctx, logger) {
 			return nil
@@ -315,7 +320,7 @@ func flushOutbox(tracer *trace.Tracer, v *client.CrowdVehicle, timeout time.Dura
 	ctx = fctx
 	logger = obs.WithTrace(ctx, logger)
 	logger.Info("flushing outbox before exit", "depth", v.Outbox.Len(), "timeout", timeout)
-	for v.Outbox.Len() > 0 {
+	for sheds := 0; v.Outbox.Len() > 0; {
 		n, err := v.DrainOutbox(ctx)
 		if err == nil {
 			continue
@@ -324,11 +329,13 @@ func flushOutbox(tracer *trace.Tracer, v *client.CrowdVehicle, timeout time.Dura
 			logger.Warn("outbox flush deadline exceeded", "undelivered", v.Outbox.Len())
 			return
 		}
-		// A full or read-only server tells us when to come back;
-		// honor its Retry-After instead of hammering on a fixed cadence.
+		// A full or read-only server tells us when to come back; honor
+		// its Retry-After, jittered and doubled per shed, instead of
+		// hammering on a fixed cadence.
 		pause := 200 * time.Millisecond
-		if hint := client.RetryAfterHint(err); hint > pause {
-			pause = hint
+		if hint := client.RetryAfterHint(err); hint > 0 {
+			pause = max(pause, shedPause(hint, sheds))
+			sheds++
 		}
 		logger.Warn("outbox flush interrupted; retrying", "delivered", n, "err", err, "pause", pause)
 		if serr := retry.Sleep(ctx, pause); serr != nil {
@@ -337,4 +344,30 @@ func flushOutbox(tracer *trace.Tracer, v *client.CrowdVehicle, timeout time.Dura
 		}
 	}
 	logger.Info("outbox flushed")
+}
+
+// waitOutSheds calls f again after each shed (a 503 or 429 carrying
+// Retry-After), waiting out its hint, up to attempts calls in all.
+// retry.Doer answers a shed at once and an upload parks in the outbox, but
+// a proposal or a task pull has no later loop to wait in.
+func waitOutSheds[T any](ctx context.Context, attempts int, f func() (T, error)) (T, error) {
+	for n := 0; ; n++ {
+		v, err := f()
+		hint := client.RetryAfterHint(err)
+		if hint <= 0 || n+1 >= attempts || retry.Sleep(ctx, shedPause(hint, n)) != nil {
+			return v, err
+		}
+	}
+}
+
+// shedPause is the wait after the n-th repeated shed (0 for the first) with
+// Retry-After hint. The hint is doubled per repeat (a family still full at
+// the hinted time is still full), capped at api.MaxRetryAfter, and spread
+// across [hint, 1.5·hint), so a fleet shed together does not wake as a herd.
+func shedPause(hint time.Duration, n int) time.Duration {
+	for i := 0; i < n && hint < api.MaxRetryAfter; i++ {
+		hint *= 2
+	}
+	hint = min(hint, api.MaxRetryAfter)
+	return hint + time.Duration(rand.Float64()*0.5*float64(hint))
 }
