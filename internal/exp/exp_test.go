@@ -1,6 +1,9 @@
 package exp
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -255,5 +258,27 @@ func TestFig10Short(t *testing.T) {
 	all := parseCell(t, tb.Rows[0][2])
 	if all < brr-0.1 {
 		t.Errorf("AllAP connected %v far below BRR %v", all, brr)
+	}
+}
+
+// fig7QuickDigest is the SHA-256 of the quick Fig. 7(a) and 7(b) tables at
+// crowdwifi-exp's default seed (amd64): every column, the Spearman
+// (Skyhook) one included.
+const fig7QuickDigest = "e91084d818e12d02df25972a1ed581e5041b7eb7459d625c066de7b58a7ae9da"
+
+func TestFig7QuickDigest(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("the digest was recorded on amd64; this is %s", runtime.GOARCH)
+	}
+	h := sha256.New()
+	for _, fig := range []func(uint64, int) (*Table, error){Fig7a, Fig7b} {
+		tb, err := fig(2014, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write([]byte(tb.String()))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != fig7QuickDigest {
+		t.Fatalf("digest %s, want %s: the quick Fig. 7 tables moved", got, fig7QuickDigest)
 	}
 }
