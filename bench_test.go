@@ -278,47 +278,6 @@ func BenchmarkAblationInference(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionAggregators compares the three reliability-aware
-// aggregators implemented here — KOS message passing (the paper's choice),
-// Dawid-Skene EM, and mean-field variational inference (the paper's
-// reference [10]) — on one spammer-hammer instance.
-func BenchmarkExtensionAggregators(b *testing.B) {
-	r := rng.New(6)
-	a, err := crowd.RegularAssignment(600, 5, 15, r)
-	if err != nil {
-		b.Fatal(err)
-	}
-	truth := crowd.RandomLabelsTruth(600, r)
-	q := crowd.SpammerHammer(a.NumWorkers, 0.5, r)
-	labels, err := crowd.GenerateLabels(a, truth, q, r)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("kos", func(b *testing.B) {
-		var ber float64
-		for i := 0; i < b.N; i++ {
-			ber = eval.BitErrorRate(truth, crowd.Infer(labels, crowd.InferenceOptions{}).Labels)
-		}
-		b.ReportMetric(ber, "bit_err")
-	})
-	b.Run("em", func(b *testing.B) {
-		var ber float64
-		for i := 0; i < b.N; i++ {
-			got, _ := crowd.EMDawidSkene(labels, 20)
-			ber = eval.BitErrorRate(truth, got)
-		}
-		b.ReportMetric(ber, "bit_err")
-	})
-	b.Run("variational", func(b *testing.B) {
-		var ber float64
-		for i := 0; i < b.N; i++ {
-			got, _ := crowd.Variational(labels, crowd.VariationalOptions{})
-			ber = eval.BitErrorRate(truth, got)
-		}
-		b.ReportMetric(ber, "bit_err")
-	})
-}
-
 // BenchmarkEngineAdd measures the metrics overhead on the online-CS hot
 // path: the same UCI drive streamed sample-by-sample through Engine.Add with
 // instrumentation off (nil Metrics) and on (live registry). The two

@@ -31,8 +31,7 @@ var censusAllow = map[string]string{
 	// References and paper material.
 	"internal/cs.BuildPhi":           "Section 4.2.2's Φ: TestPhiPsiMatchesDirectConstructionOnGridPoints holds BuildSensingMatrix to ΦΨ",
 	"internal/cs.BuildPsi":           "Section 4.2.2's Ψ, same test",
-	"internal/crowd.EMDawidSkene":    "the paper's reference [10] comparator, kept beside KOS inference",
-	"internal/crowd.Variational":     "the paper's reference [10] comparator, variational form",
+	"internal/crowd.Variational":     "the estimator 22(b) serves",
 	"internal/baseline.Skyhook":      "the single-collector Place Lab baseline SkyhookCrowd averages",
 	"internal/traceio.ReadEstimates": "the reading half of the -out format the vehicle writes",
 	// Library-only operations and knobs only tests turn.

@@ -86,7 +86,6 @@ func TestInferSingleWorkerDegenerate(t *testing.T) {
 		NumTasks:    10,
 		NumWorkers:  1,
 		TaskWorkers: make([][]int, 10),
-		WorkerTasks: [][]int{{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}},
 	}
 	for i := range a.TaskWorkers {
 		a.TaskWorkers[i] = []int{0}
@@ -118,7 +117,6 @@ func TestInferEmptyTaskTolerated(t *testing.T) {
 		NumTasks:    2,
 		NumWorkers:  1,
 		TaskWorkers: [][]int{{0}, {}},
-		WorkerTasks: [][]int{{0}},
 	}
 	labels := &Labels{Assignment: a, Values: [][]int8{{1}, {}}}
 	res := Infer(labels, InferenceOptions{})
@@ -132,7 +130,6 @@ func TestMajorityVoteEmptyTask(t *testing.T) {
 		NumTasks:    1,
 		NumWorkers:  0,
 		TaskWorkers: [][]int{{}},
-		WorkerTasks: nil,
 	}
 	labels := &Labels{Assignment: a, Values: [][]int8{{}}}
 	if got := MajorityVote(labels); got[0] != 1 {
@@ -142,7 +139,7 @@ func TestMajorityVoteEmptyTask(t *testing.T) {
 
 func TestEMDawidSkeneFlipsAdversaries(t *testing.T) {
 	labels, truth, _ := adversarialScenario(t, 23, 300, 5, 15, 0.3)
-	got, acc := EMDawidSkene(labels, 25)
+	got, acc := emDawidSkene(labels, 25)
 	if ber := eval.BitErrorRate(truth, got); ber > 0.05 {
 		t.Fatalf("EM error %v under adversaries", ber)
 	}

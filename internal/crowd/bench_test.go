@@ -3,6 +3,7 @@ package crowd
 import (
 	"testing"
 
+	"crowdwifi/internal/eval"
 	"crowdwifi/internal/geo"
 	"crowdwifi/internal/rng"
 )
@@ -41,7 +42,7 @@ func segmentReports(r *rng.RNG, n int) ([]VehicleReport, []float64) {
 // count, right nine times in ten (a spammer, one in ten, at random).
 func denseLabels(r *rng.RNG, tasks, workers, perWorker int) *Labels {
 	truth := RandomLabelsTruth(tasks, r)
-	a := &Assignment{NumTasks: tasks, NumWorkers: workers, TaskWorkers: make([][]int, tasks), WorkerTasks: make([][]int, workers)}
+	a := &Assignment{NumTasks: tasks, NumWorkers: workers, TaskWorkers: make([][]int, tasks)}
 	values := make([][]int8, tasks)
 	for j := 0; j < workers; j++ {
 		spam := r.Float64() < 0.1
@@ -52,7 +53,6 @@ func denseLabels(r *rng.RNG, tasks, workers, perWorker int) *Labels {
 				v = -v
 			}
 			a.TaskWorkers[i] = append(a.TaskWorkers[i], j)
-			a.WorkerTasks[j] = append(a.WorkerTasks[j], i)
 			values[i] = append(values[i], v)
 		}
 	}
@@ -88,5 +88,39 @@ func BenchmarkInfer(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Infer(labels, InferenceOptions{})
+	}
+}
+
+// BenchmarkExtensionAggregators compares the three reliability-aware
+// aggregators implemented here — KOS message passing (the paper's choice),
+// Dawid-Skene EM (a test comparator), and mean-field variational inference
+// (the paper's reference [10]) — on one spammer-hammer instance.
+func BenchmarkExtensionAggregators(b *testing.B) {
+	r := rng.New(6)
+	a, err := RegularAssignment(600, 5, 15, r)
+	if err != nil {
+		b.Fatal(err)
+	}
+	truth := RandomLabelsTruth(600, r)
+	q := SpammerHammer(a.NumWorkers, 0.5, r)
+	labels, err := GenerateLabels(a, truth, q, r)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, arm := range []struct {
+		name string
+		run  func() []int
+	}{
+		{"kos", func() []int { return Infer(labels, InferenceOptions{}).Labels }},
+		{"em", func() []int { got, _ := emDawidSkene(labels, 20); return got }},
+		{"variational", func() []int { got, _ := Variational(labels); return got }},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			var ber float64
+			for i := 0; i < b.N; i++ {
+				ber = eval.BitErrorRate(truth, arm.run())
+			}
+			b.ReportMetric(ber, "bit_err")
+		})
 	}
 }

@@ -2,8 +2,9 @@
 // (Section 5): the spammer-hammer worker model, (ℓ,γ)-regular bipartite task
 // assignment, the Karger-Oh-Shah iterative message-passing inference of
 // Eq. 4, the majority-voting and oracle references, a Spearman rank-order
-// aggregator standing in for Skyhook's proprietary scheme, a Dawid-Skene EM
-// extension, and the reliability-weighted centroid fusion of Section 5.4.
+// aggregator standing in for Skyhook's proprietary scheme, the variational
+// estimator of the paper's reference [10], and the reliability-weighted
+// centroid fusion of Section 5.4.
 package crowd
 
 import (
@@ -28,7 +29,8 @@ type Assignment struct {
 	NumTasks, NumWorkers int
 	// TaskWorkers[i] lists the workers labelling task i.
 	TaskWorkers [][]int
-	// WorkerTasks[j] lists the tasks labelled by worker j.
+	// WorkerTasks[j] lists the tasks labelled by worker j. No estimator
+	// reads it: each derives the worker side from TaskWorkers.
 	WorkerTasks [][]int
 }
 
@@ -63,7 +65,6 @@ func RegularAssignment(numTasks, l, gamma int, r *rng.RNG) (*Assignment, error) 
 		NumTasks:    numTasks,
 		NumWorkers:  numWorkers,
 		TaskWorkers: make([][]int, numTasks),
-		WorkerTasks: make([][]int, numWorkers),
 	}
 	const maxShuffles = 200
 	for attempt := 0; attempt < maxShuffles; attempt++ {
@@ -77,9 +78,6 @@ func RegularAssignment(numTasks, l, gamma int, r *rng.RNG) (*Assignment, error) 
 	}
 	for i := 0; i < numTasks; i++ {
 		a.TaskWorkers[i] = append([]int(nil), workerStubs[i*l:(i+1)*l]...)
-		for _, j := range a.TaskWorkers[i] {
-			a.WorkerTasks[j] = append(a.WorkerTasks[j], i)
-		}
 	}
 	return a, nil
 }
@@ -465,19 +463,27 @@ func SpearmanAggregate(l *Labels, rounds int) ([]int, []float64) {
 	a := l.Assignment
 	consensus := MajorityVote(l)
 	weights := make([]float64, a.NumWorkers)
+	// Each worker's answers and the consensus on the same tasks, in
+	// ascending task order.
+	wAns := make([][]float64, a.NumWorkers)
+	cAns := make([][]float64, a.NumWorkers)
+	for i, workers := range a.TaskWorkers {
+		for c, j := range workers {
+			wAns[j] = append(wAns[j], float64(l.Values[i][c]))
+		}
+	}
 	for round := 0; round < rounds; round++ {
 		// Score each worker against consensus on their labelled tasks.
-		for j, tasks := range a.WorkerTasks {
-			var wAns, cAns []float64
-			for _, i := range tasks {
-				for c, w := range a.TaskWorkers[i] {
-					if w == j {
-						wAns = append(wAns, float64(l.Values[i][c]))
-						cAns = append(cAns, float64(consensus[i]))
-					}
-				}
+		for j := range cAns {
+			cAns[j] = cAns[j][:0]
+		}
+		for i, workers := range a.TaskWorkers {
+			for _, j := range workers {
+				cAns[j] = append(cAns[j], float64(consensus[i]))
 			}
-			rho := SpearmanRho(wAns, cAns)
+		}
+		for j := range weights {
+			rho := SpearmanRho(wAns[j], cAns[j])
 			if math.IsNaN(rho) || rho < 0 {
 				rho = 0
 			}
@@ -559,72 +565,6 @@ func pearson(a, b []float64) float64 {
 		return math.NaN()
 	}
 	return cov / math.Sqrt(va*vb)
-}
-
-// EMDawidSkene runs the binary Dawid-Skene EM algorithm: alternate between
-// posterior task labels given worker accuracies and accuracy re-estimation.
-// It returns the MAP labels and the estimated per-worker accuracies. It is
-// the probabilistic-model extension referenced in Section 2 ([14]).
-func EMDawidSkene(l *Labels, iters int) ([]int, []float64) {
-	if iters <= 0 {
-		iters = 20
-	}
-	a := l.Assignment
-	// Posterior probability that task i is +1, initialized from vote shares.
-	post := make([]float64, a.NumTasks)
-	for i, vals := range l.Values {
-		pos := 0
-		for _, v := range vals {
-			if v > 0 {
-				pos++
-			}
-		}
-		if len(vals) > 0 {
-			post[i] = float64(pos) / float64(len(vals))
-		} else {
-			post[i] = 0.5
-		}
-	}
-	acc := make([]float64, a.NumWorkers)
-	for it := 0; it < iters; it++ {
-		// M-step: accuracy = expected fraction of agreements, smoothed.
-		for j, tasks := range a.WorkerTasks {
-			num, den := 1.0, 2.0 // Laplace smoothing
-			for _, i := range tasks {
-				for c, w := range a.TaskWorkers[i] {
-					if w != j {
-						continue
-					}
-					p := post[i]
-					if l.Values[i][c] > 0 {
-						num += p
-					} else {
-						num += 1 - p
-					}
-					den++
-				}
-			}
-			acc[j] = math.Min(math.Max(num/den, 1e-3), 1-1e-3)
-		}
-		// E-step: posterior from log-likelihood ratios.
-		for i, workers := range a.TaskWorkers {
-			var llr float64
-			for c, j := range workers {
-				w := math.Log(acc[j] / (1 - acc[j]))
-				llr += float64(l.Values[i][c]) * w
-			}
-			post[i] = 1 / (1 + math.Exp(-llr))
-		}
-	}
-	labels := make([]int, a.NumTasks)
-	for i, p := range post {
-		if p >= 0.5 {
-			labels[i] = 1
-		} else {
-			labels[i] = -1
-		}
-	}
-	return labels, acc
 }
 
 // VehicleReport is one crowd-vehicle's uploaded AP constellation.

@@ -31,9 +31,15 @@ func TestRegularAssignmentDegrees(t *testing.T) {
 			seen[j] = true
 		}
 	}
-	for j, ts := range a.WorkerTasks {
-		if len(ts) != 10 {
-			t.Fatalf("worker %d has %d tasks, want 10", j, len(ts))
+	degree := make([]int, a.NumWorkers)
+	for _, ws := range a.TaskWorkers {
+		for _, j := range ws {
+			degree[j]++
+		}
+	}
+	for j, n := range degree {
+		if n != 10 {
+			t.Fatalf("worker %d has %d tasks, want 10", j, n)
 		}
 	}
 }
@@ -282,7 +288,7 @@ func TestSpearmanRho(t *testing.T) {
 
 func TestEMDawidSkeneRecoversAccuracies(t *testing.T) {
 	labels, truth, q := spammerScenario(t, 12, 400, 5, 20, 0.5)
-	got, acc := EMDawidSkene(labels, 20)
+	got, acc := emDawidSkene(labels, 20)
 	if ber := eval.BitErrorRate(truth, got); ber > 0.15 {
 		t.Fatalf("EM label error %v", ber)
 	}

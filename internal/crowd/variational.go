@@ -2,33 +2,16 @@ package crowd
 
 import "math"
 
-// VariationalOptions tunes the mean-field variational estimator.
-type VariationalOptions struct {
-	// MaxIter bounds the coordinate-ascent rounds (default 50).
-	MaxIter int
-	// Tol is the convergence tolerance on posterior change (default 1e-6).
-	Tol float64
-	// PriorAlpha and PriorBeta are the Beta prior pseudo-counts on worker
-	// reliability (defaults 2 and 1: E[q] = 2/3 > 1/2, the paper's
-	// requirement that spammers not overwhelm the prior).
-	PriorAlpha, PriorBeta float64
-}
-
-func (o VariationalOptions) fill() VariationalOptions {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 50
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-6
-	}
-	if o.PriorAlpha <= 0 {
-		o.PriorAlpha = 2
-	}
-	if o.PriorBeta <= 0 {
-		o.PriorBeta = 1
-	}
-	return o
-}
+// Variational's coordinate ascent stops after variationalRounds rounds, or
+// once the mean task-posterior change falls below variationalTol. Worker
+// reliability has a Beta(priorAlpha, priorBeta) prior: E[q] = 2/3 > 1/2,
+// the paper's requirement that spammers not overwhelm the prior.
+const (
+	variationalRounds = 50
+	variationalTol    = 1e-6
+	priorAlpha        = 2.0
+	priorBeta         = 1.0
+)
 
 // Variational runs mean-field variational inference for the one-coin worker
 // model with a Beta(α, β) reliability prior — the variational approach of
@@ -37,11 +20,11 @@ func (o VariationalOptions) fill() VariationalOptions {
 // q(z, w) = Πᵢ q(zᵢ) Πⱼ q(wⱼ) with Beta worker factors; coordinate ascent
 // alternates between task posteriors (weighted votes with weights
 // E[log w] − E[log(1−w)]) and worker pseudo-counts (expected correct and
-// incorrect answer counts).
+// incorrect answer counts). Both halves walk the graph task-major, so
+// Assignment.WorkerTasks is not read.
 //
 // It returns the MAP labels and the posterior mean reliability per worker.
-func Variational(l *Labels, opts VariationalOptions) ([]int, []float64) {
-	o := opts.fill()
+func Variational(l *Labels) ([]int, []float64) {
 	a := l.Assignment
 
 	// Task posteriors P(zᵢ = +1), initialized from vote shares.
@@ -59,42 +42,43 @@ func Variational(l *Labels, opts VariationalOptions) ([]int, []float64) {
 			post[i] = 0.5
 		}
 	}
-	// Worker Beta pseudo-counts.
+	// Worker Beta pseudo-counts, and each worker's vote weight
+	// E[log w] − E[log(1−w)] = ψ(α) − ψ(β).
 	alpha := make([]float64, a.NumWorkers)
 	beta := make([]float64, a.NumWorkers)
+	weight := make([]float64, a.NumWorkers)
 
-	for it := 0; it < o.MaxIter; it++ {
-		// Worker update: expected correct/incorrect counts under q(z).
-		for j, tasks := range a.WorkerTasks {
-			ca, cb := o.PriorAlpha, o.PriorBeta
-			for _, i := range tasks {
-				for c, w := range a.TaskWorkers[i] {
-					if w != j {
-						continue
-					}
-					pAgree := post[i]
-					if l.Values[i][c] < 0 {
-						pAgree = 1 - post[i]
-					}
-					ca += pAgree
-					cb += 1 - pAgree
-				}
-			}
-			alpha[j], beta[j] = ca, cb
+	for it := 0; it < variationalRounds; it++ {
+		// Worker update: expected correct/incorrect counts under q(z),
+		// summed over each worker's tasks in ascending order.
+		for j := range alpha {
+			alpha[j], beta[j] = priorAlpha, priorBeta
 		}
-		// Task update: log-odds with E[log w] − E[log(1−w)] = ψ(α) − ψ(β).
+		for i, workers := range a.TaskWorkers {
+			for c, j := range workers {
+				pAgree := post[i]
+				if l.Values[i][c] < 0 {
+					pAgree = 1 - post[i]
+				}
+				alpha[j] += pAgree
+				beta[j] += 1 - pAgree
+			}
+		}
+		for j := range weight {
+			weight[j] = digamma(alpha[j]) - digamma(beta[j])
+		}
+		// Task update: log-odds of the weighted votes.
 		var delta float64
 		for i, workers := range a.TaskWorkers {
 			var llr float64
 			for c, j := range workers {
-				w := digamma(alpha[j]) - digamma(beta[j])
-				llr += float64(l.Values[i][c]) * w
+				llr += float64(l.Values[i][c]) * weight[j]
 			}
 			np := 1 / (1 + math.Exp(-llr))
 			delta += math.Abs(np - post[i])
 			post[i] = np
 		}
-		if delta/float64(a.NumTasks+1) < o.Tol {
+		if delta/float64(a.NumTasks+1) < variationalTol {
 			break
 		}
 	}

@@ -244,11 +244,9 @@ func denseInstance(_ []BatchItem, ps []Pattern, ls []Label) *crowd.Labels {
 		if !ok {
 			w = len(worker)
 			worker[l.Vehicle] = w
-			a.WorkerTasks = append(a.WorkerTasks, nil)
 		}
 		a.TaskWorkers[l.TaskID] = append(a.TaskWorkers[l.TaskID], w)
 		values[l.TaskID] = append(values[l.TaskID], int8(l.Value))
-		a.WorkerTasks[w] = append(a.WorkerTasks[w], l.TaskID)
 	}
 	a.NumWorkers = len(worker)
 	return &crowd.Labels{Assignment: a, Values: values}

@@ -547,7 +547,7 @@ func (s *Store) inferReliability(ctx context.Context, c capture) map[string]floa
 		taskWorkers[i] = filedW[first[i]:kept:kept]
 		taskValues[i] = filedV[first[i]:kept:kept]
 	}
-	// WorkerTasks stays empty: inference derives the worker side itself.
+	// WorkerTasks stays empty: no estimator reads it.
 	a := &crowd.Assignment{NumTasks: tasks, NumWorkers: len(workerIDs), TaskWorkers: taskWorkers}
 	labels := &crowd.Labels{Assignment: a, Values: taskValues}
 	res := crowd.InferContext(ctx, labels, crowd.InferenceOptions{

@@ -38,7 +38,7 @@ func serveFig7a(t *testing.T, l int, seed uint64) servedCrowd {
 	}
 	c := servedCrowd{truth: crowd.RandomLabelsTruth(tasks, r)}
 	q := crowd.SpammerHammer(tasks*l/gamma, 0.5, r)
-	// WorkerTasks stays empty: inference derives the worker side itself.
+	// WorkerTasks stays empty: no estimator reads it.
 	a := &crowd.Assignment{NumTasks: tasks, NumWorkers: len(q), TaskWorkers: make([][]int, tasks)}
 	c.graph = &crowd.Labels{Assignment: a, Values: make([][]int8, tasks)}
 	for v, qv := range q {
