@@ -274,28 +274,44 @@ func (d inProcessShards) Do(req *http.Request) (*http.Response, error) {
 // handler beside the API — in front of two in-memory shards, served in
 // process. The count covers both tiers: the router's hop and the shards'
 // handling (an upload is stored by its owner, a lookup answered by both).
-// An upload is one JSON report, a lookup a rectangle over the whole
-// fixture; the request and its recorder are built outside the count.
+// An upload is one JSON report, a frame upload the same report as one frame
+// sent under an Idempotency-Key no request repeats, a lookup a rectangle over
+// the whole fixture; the request and its recorder are built outside the
+// count.
 var wantRouterHandlerAllocs = map[string]float64{
-	"upload": 167,
-	"lookup": 254,
+	"upload":       167,
+	"frame upload": 169,
+	"lookup":       254,
 }
 
 func TestCountsRouterHandlerAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
-	body, err := json.Marshal(api.Report{
+	rep := api.Report{
 		Vehicle: "veh-1", Segment: "road-1",
 		APs: []api.APReport{{X: 100, Y: 1, Credit: 1}, {X: 150, Y: 2, Credit: 1}},
-	})
+	}
+	body, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
+	frame, err := api.EncodeReportFrame(nil, "f", rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := 0
 	const runs = 100
 	newReq := map[string]func() *http.Request{
 		"upload": func() *http.Request {
 			return httptest.NewRequest(http.MethodPost, api.RouteReports, bytes.NewReader(body))
+		},
+		"frame upload": func() *http.Request {
+			req := httptest.NewRequest(http.MethodPost, api.RouteReports, bytes.NewReader(frame))
+			req.Header.Set("Content-Type", api.FrameContentType)
+			req.Header.Set(api.IdempotencyKeyHeader, fmt.Sprintf("h-%d", keys))
+			keys++
+			return req
 		},
 		"lookup": func() *http.Request {
 			return httptest.NewRequest(http.MethodGet, api.RouteLookup+"?"+e2eLookupQuery, nil)

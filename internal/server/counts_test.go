@@ -317,11 +317,15 @@ func TestCountsAllocs(t *testing.T) {
 // Server with everything a shard binary attaches on the request path: the
 // tracer at sample rate 1, metrics and admission control. The store is
 // countsFixture's (SyncOff, aggregated once for the lookup); an upload is
-// one JSON report, a lookup a rectangle over the whole fixture. The request
-// and its recorder are built outside the count.
+// one JSON report, an upload frame one report frame sent under an
+// Idempotency-Key, a batch 32 keyed frames, and a lookup a rectangle over the
+// whole fixture. No request repeats a key, so every report is stored. The request and its recorder are
+// built outside the count.
 var wantHandlerAllocs = map[string]float64{
-	"upload": 101,
-	"lookup": 59,
+	"upload":          101,
+	"upload frame":    104,
+	"batch/32 frames": 278,
+	"lookup":          59,
 }
 
 func TestCountsHandlerAllocs(t *testing.T) {
@@ -332,10 +336,34 @@ func TestCountsHandlerAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	frame, err := EncodeReportFrame(nil, "f", countsReport(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frameRequest := func(route string, body []byte) *http.Request {
+		req := httptest.NewRequest(http.MethodPost, route, bytes.NewReader(body))
+		req.Header.Set("Content-Type", FrameContentType)
+		return req
+	}
+	keys := 0 // requests built so far, for keys no request repeats
 	const runs = 100
 	newReq := map[string]func() *http.Request{
 		"upload": func() *http.Request {
 			return httptest.NewRequest(http.MethodPost, api.RouteReports, bytes.NewReader(body))
+		},
+		"upload frame": func() *http.Request {
+			req := frameRequest(api.RouteReports, frame)
+			req.Header.Set(IdempotencyKeyHeader, fmt.Sprintf("h-%d", keys))
+			keys++
+			return req
+		},
+		"batch/32 frames": func() *http.Request {
+			var batch []byte
+			for i := range 32 {
+				batch, _ = EncodeReportFrame(batch, fmt.Sprintf("b-%d-%d", keys, i), countsReport(i))
+			}
+			keys++
+			return frameRequest(api.RouteReportsBatch, batch)
 		},
 		"lookup": func() *http.Request {
 			return httptest.NewRequest(http.MethodGet, api.RouteLookup+"?xmin=0&ymin=0&xmax=400&ymax=100", nil)
