@@ -59,7 +59,8 @@ type BatchEntryStatus struct {
 // from the idempotency cache).
 func (s BatchEntryStatus) Ok() bool { return s.Status >= 200 && s.Status < 300 }
 
-func appendWireString(dst []byte, s string) ([]byte, error) {
+// AppendWireString appends s as a u16 length and its bytes, if it fits.
+func AppendWireString(dst []byte, s string) ([]byte, error) {
 	if len(s) > math.MaxUint16 {
 		return nil, fmt.Errorf("%w: string field of %d bytes exceeds %d", ErrWireFrame, len(s), math.MaxUint16)
 	}
@@ -79,20 +80,14 @@ func readWireBytes(b []byte) (field, rest []byte, err error) {
 	return b[:n], b[n:], nil
 }
 
-func readWireString(b []byte) (string, []byte, error) {
-	field, rest, err := readWireBytes(b)
-	return string(field), rest, err
-}
-
 func appendWireF64(dst []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
-func readWireF64(b []byte) (float64, []byte, error) {
-	if len(b) < 8 {
-		return 0, nil, fmt.Errorf("%w: truncated float64", ErrWireFrame)
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b)), b[8:], nil
+// readWireF64 reads a float64 from the front of b, which the caller has
+// checked holds one, and returns the bytes after it.
+func readWireF64(b []byte) (float64, []byte) {
+	return math.Float64frombits(binary.LittleEndian.Uint64(b)), b[8:]
 }
 
 // AppendReportPayload appends one report's bare payload — key, vehicle,
@@ -105,7 +100,7 @@ func AppendReportPayload(dst []byte, key string, rep Report) ([]byte, error) {
 	}
 	var err error
 	for _, s := range []string{key, rep.Vehicle, rep.Segment} {
-		if dst, err = appendWireString(dst, s); err != nil {
+		if dst, err = AppendWireString(dst, s); err != nil {
 			return nil, err
 		}
 	}
@@ -130,24 +125,20 @@ func EncodeReportFrame(dst []byte, key string, rep Report) ([]byte, error) {
 	return frame.Append(dst, wireReport, payload), nil
 }
 
-// readReportPayload decodes the report payload at the front of b and returns
-// the bytes after it. The AP count is checked against the bytes present
-// before anything is allocated, and a count of 0 decodes to a nil list.
-func readReportPayload(b []byte) (key string, rep Report, rest []byte, err error) {
-	k, vehicle, segment, n, b, err := readReportHead(b)
-	if err != nil {
-		return "", Report{}, nil, err
-	}
+// readReportPayload decodes a report payload ScanReportFrames accepted. A
+// count of 0 decodes to a nil list.
+func readReportPayload(b []byte) (key string, rep Report) {
+	k, vehicle, segment, n, b, _ := readReportHead(b)
 	key, rep.Vehicle, rep.Segment = string(k), string(vehicle), string(segment)
 	if n > 0 {
 		rep.APs = make([]APReport, n)
 		for i := range rep.APs {
-			rep.APs[i].X, b, _ = readWireF64(b)
-			rep.APs[i].Y, b, _ = readWireF64(b)
-			rep.APs[i].Credit, b, _ = readWireF64(b)
+			rep.APs[i].X, b = readWireF64(b)
+			rep.APs[i].Y, b = readWireF64(b)
+			rep.APs[i].Credit, b = readWireF64(b)
 		}
 	}
-	return key, rep, b, nil
+	return key, rep
 }
 
 // readReportHead parses a report payload up to its APs: the three strings,
@@ -170,30 +161,20 @@ func readReportHead(b []byte) (key, vehicle, segment []byte, n int, rest []byte,
 	return key, vehicle, segment, n, b, nil
 }
 
-// ReportFrame is one decoded report frame plus its exact encoded bytes, so
-// a relay can regroup entries into per-shard sub-batches without
-// re-encoding (and without disturbing the bytes a shard will checksum).
+// ReportFrame is one decoded report frame and its exact bytes.
 type ReportFrame struct {
 	Key    string
 	Report Report
 	Raw    []byte
 }
 
-// SplitReportFrames decodes a binary upload body into its report frames.
-// The whole body must parse: damaged frames, trailing garbage, and frames
-// of any other kind are rejected with ErrWireFrame.
+// SplitReportFrames decodes a binary upload body into its report frames,
+// which ScanReportFrames must accept whole.
 func SplitReportFrames(body []byte) ([]ReportFrame, error) {
 	var frames []ReportFrame
-	err := walkReportFrames(body, func(data, raw []byte) error {
-		key, rep, rest, err := readReportPayload(data)
-		if err != nil {
-			return err
-		}
-		if len(rest) != 0 {
-			return fmt.Errorf("%w: %d bytes after the report's last AP", ErrWireFrame, len(rest))
-		}
+	err := ScanReportFrames(body, func(_, _, raw []byte) {
+		key, rep := readReportPayload(raw[frame.HeaderSize+1:])
 		frames = append(frames, ReportFrame{Key: key, Report: rep, Raw: raw})
-		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -201,13 +182,21 @@ func SplitReportFrames(body []byte) ([]ReportFrame, error) {
 	return frames, nil
 }
 
-// ScanReportFrames checks a binary upload body exactly as SplitReportFrames
-// does and calls fn with each frame's key, segment and exact bytes, in body
-// order, decoding nothing else: what a relay routing by segment needs, at no
-// allocation. key, segment and raw alias body. On an error, what fn was
-// given is not an accepted body's frames and must be dropped.
+// ScanReportFrames checks a binary upload body and calls fn with each
+// frame's key, segment and exact bytes, in body order, decoding nothing else:
+// what a relay routing by segment needs, at no allocation. key, segment and
+// raw alias body. The whole body must parse: damaged frames, trailing bytes,
+// frames of any other kind and a report with bytes after its last AP are
+// rejected with ErrWireFrame, and what fn was given must then be dropped.
 func ScanReportFrames(body []byte, fn func(key, segment, raw []byte)) error {
-	return walkReportFrames(body, func(data, raw []byte) error {
+	off := 0
+	valid, _, err := frame.Walk(body, func(_ int, kind byte, data []byte) error {
+		end := off + int(frame.Size(len(data)))
+		raw := body[off:end]
+		off = end
+		if kind != wireReport {
+			return fmt.Errorf("%w: unexpected frame kind 0x%02x", ErrWireFrame, kind)
+		}
 		key, _, segment, n, rest, err := readReportHead(data)
 		if err != nil {
 			return err
@@ -217,22 +206,6 @@ func ScanReportFrames(body []byte, fn func(key, segment, raw []byte)) error {
 		}
 		fn(key, segment, raw)
 		return nil
-	})
-}
-
-// walkReportFrames calls fn with each frame's data and exact bytes, and
-// rejects a body with a damaged frame, a frame of another kind or trailing
-// bytes.
-func walkReportFrames(body []byte, fn func(data, raw []byte) error) error {
-	off := 0
-	valid, _, err := frame.Walk(body, func(_ int, kind byte, data []byte) error {
-		end := off + int(frame.Size(len(data)))
-		raw := body[off:end]
-		off = end
-		if kind != wireReport {
-			return fmt.Errorf("%w: unexpected frame kind 0x%02x", ErrWireFrame, kind)
-		}
-		return fn(data, raw)
 	})
 	if err != nil {
 		return err
@@ -272,9 +245,9 @@ func DecodeLookupFrame(body []byte) ([]LookupResult, error) {
 	}
 	results := make([]LookupResult, n)
 	for i := range results {
-		results[i].X, data, _ = readWireF64(data)
-		results[i].Y, data, _ = readWireF64(data)
-		results[i].Weight, data, _ = readWireF64(data)
+		results[i].X, data = readWireF64(data)
+		results[i].Y, data = readWireF64(data)
+		results[i].Weight, data = readWireF64(data)
 	}
 	return results, nil
 }
@@ -292,7 +265,7 @@ func EncodeBatchStatusFrame(results []BatchEntryStatus) ([]byte, error) {
 	for _, st := range results {
 		payload = binary.LittleEndian.AppendUint16(payload, uint16(st.Status))
 		for _, s := range []string{st.Key, clipUTF8(st.Error, math.MaxUint16), st.Owner} {
-			if payload, err = appendWireString(payload, s); err != nil {
+			if payload, err = AppendWireString(payload, s); err != nil {
 				return nil, err
 			}
 		}
@@ -338,9 +311,11 @@ func DecodeBatchStatusFrame(body []byte) ([]BatchEntryStatus, error) {
 		st.Status = int(binary.LittleEndian.Uint16(data))
 		data = data[2:]
 		for _, field := range []*string{&st.Key, &st.Error, &st.Owner} {
-			if *field, data, err = readWireString(data); err != nil {
+			var b []byte
+			if b, data, err = readWireBytes(data); err != nil {
 				return nil, err
 			}
+			*field = string(b)
 		}
 		results = append(results, st)
 	}

@@ -280,7 +280,7 @@ func (d inProcessShards) Do(req *http.Request) (*http.Response, error) {
 // count.
 var wantRouterHandlerAllocs = map[string]float64{
 	"upload":       167,
-	"frame upload": 169,
+	"frame upload": 161,
 	"lookup":       254,
 }
 

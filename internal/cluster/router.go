@@ -394,19 +394,21 @@ func (rt *Router) handleUpload(w http.ResponseWriter, r *http.Request) {
 }
 
 // uploadSegment extracts the routing segment from an upload body in either
-// codec. Binary bodies are split but not re-encoded: the router routes on
-// the first frame's segment and forwards the original bytes verbatim, so a
-// frame upload survives the 421 re-route bit-for-bit.
+// codec. A binary body is scanned, not decoded: the router routes on the
+// frame's segment and forwards the original bytes verbatim, so a frame upload
+// survives the 421 re-route bit-for-bit.
 func uploadSegment(r *http.Request, body []byte) (string, error) {
 	if api.IsFrameRequest(r) {
-		frames, err := api.SplitReportFrames(body)
+		var segment []byte
+		n := 0
+		err := api.ScanReportFrames(body, func(_, seg, _ []byte) { segment, n = seg, n+1 })
 		if err != nil {
 			return "", err
 		}
-		if len(frames) != 1 {
-			return "", fmt.Errorf("cluster: %d report frames in a single-upload body, want 1", len(frames))
+		if n != 1 {
+			return "", fmt.Errorf("cluster: %d report frames in a single-upload body, want 1", n)
 		}
-		return frames[0].Report.Segment, nil
+		return string(segment), nil
 	}
 	var probe struct {
 		Segment string `json:"segment"`

@@ -22,6 +22,7 @@ import (
 	"slices"
 
 	"crowdwifi/internal/api"
+	"crowdwifi/internal/frame"
 	"crowdwifi/internal/obs/trace"
 	"crowdwifi/internal/wal"
 )
@@ -33,10 +34,26 @@ import (
 const defaultBatchChunkBytes = wal.MaxRecordBytes - (64 << 10)
 
 // BatchItem pairs one batch entry's report with its idempotency key on the
-// Store's batch append path.
+// Store's batch append path. A report that arrived as a frame comes as entry,
+// the bytes it is logged as, and Report holds at most its names.
 type BatchItem struct {
 	Key    string
 	Report Report
+	entry  []byte
+}
+
+// errUnnamed refuses a report without a vehicle or a segment.
+var errUnnamed = errors.New("report needs vehicle and segment")
+
+// frameEntries scans a body of report frames (api.ScanReportFrames) into the
+// entries the store logs, in place: a frame's payload with its kind byte set
+// to flags 0 (a frame's AP count of 0 reads as no list) is a report entry.
+func frameEntries(body []byte) (entries [][]byte, err error) {
+	err = api.ScanReportFrames(body, func(_, _, raw []byte) {
+		raw[frame.HeaderSize] = 0
+		entries = append(entries, raw[frame.HeaderSize:])
+	})
+	return entries, err
 }
 
 // readBody reads the request body whole under the route's limit (see
@@ -63,44 +80,46 @@ func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	entries, err := api.SplitReportFrames(body)
+	entries, err := frameEntries(body)
 	if err != nil {
 		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	frame, err := api.EncodeBatchStatusFrame(s.processBatch(r.Context(), entries))
+	status, err := api.EncodeBatchStatusFrame(s.processBatch(r.Context(), entries))
 	if err != nil {
 		api.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeFrame(w, frame)
+	writeFrame(w, status)
 }
 
-// processBatch validates, ownership-filters, and dedupes each entry, then
-// runs the survivors through the store's chunked durable append. The status
-// vector is in entry order.
-func (s *Server) processBatch(ctx context.Context, entries []api.ReportFrame) []BatchEntryStatus {
+// processBatch answers a report without a vehicle or a segment, then one
+// another shard owns, then a key seen before, and runs the rest through the
+// store's chunked durable append. The status vector is in entry order.
+func (s *Server) processBatch(ctx context.Context, entries [][]byte) []BatchEntryStatus {
 	ctx, span := trace.StartChild(ctx, "server.batch")
 	defer span.End()
 	span.SetAttr("entries", len(entries))
 	results := make([]BatchEntryStatus, len(entries))
 	var items []BatchItem
 	var itemIdx []int
-	for i, e := range entries {
-		results[i].Key = e.Key
-		if e.Report.Vehicle == "" || e.Report.Segment == "" {
+	for i, entry := range entries {
+		e := parseEntry(entry)
+		key := string(e.key)
+		results[i].Key = key
+		if err := e.check(); err == errUnnamed {
 			results[i].Status = http.StatusBadRequest
-			results[i].Error = "report needs vehicle and segment"
+			results[i].Error = err.Error()
 			continue
 		}
-		if owner, mis := s.misdirected(e.Report.Segment); mis {
+		if owner, mis := s.misdirected(string(e.segment)); mis {
 			results[i].Status = http.StatusMisdirectedRequest
 			results[i].Owner = owner
-			results[i].Error = fmt.Sprintf("segment %q is owned by shard %q", e.Report.Segment, owner)
+			results[i].Error = fmt.Sprintf("segment %q is owned by shard %q", e.segment, owner)
 			continue
 		}
-		if e.Key != "" {
-			seen, rec := s.store.idem.begin(e.Key)
+		if key != "" {
+			seen, rec := s.store.idem.begin(key)
 			if seen {
 				if rec == nil {
 					// A first delivery of this key is still in flight
@@ -114,7 +133,7 @@ func (s *Server) processBatch(ctx context.Context, entries []api.ReportFrame) []
 				continue
 			}
 		}
-		items = append(items, BatchItem{Key: e.Key, Report: e.Report})
+		items = append(items, BatchItem{Key: key, entry: entry})
 		itemIdx = append(itemIdx, i)
 	}
 	errs := s.store.AddReportBatch(ctx, items)
@@ -169,11 +188,11 @@ func (s *Store) chunkBudget() int {
 	return defaultBatchChunkBytes
 }
 
-// addReports is the one report write path: check every item and encode the
-// accepted ones into report blocks of at most the chunk budget, all of it
-// before the lock is taken, then commit the blocks in order. It returns one
-// error slot per item, the number of chunks logged, and the log's refusal if
-// there was one.
+// addReports is the one report write path: encode every item that is not an
+// entry yet, check it, and pack the accepted ones, each under its item's key,
+// into report blocks of at most the chunk budget, all of it before the lock is
+// taken, then commit the blocks in order. It returns one error slot per
+// item, the number of chunks logged, and the log's refusal if there was one.
 func (s *Store) addReports(ctx context.Context, items []BatchItem) (errs []error, logged int, fault error) {
 	errs = make([]error, len(items))
 	budget := s.chunkBudget()
@@ -190,19 +209,29 @@ func (s *Store) addReports(ctx context.Context, items []BatchItem) (errs []error
 		p.release()
 		return nil
 	}
-	for i, it := range items {
-		if errs[i] = checkReport(it.Report); errs[i] == nil {
-			p.pending += reportEntrySize(it.Key, it.Report)
-		}
+	for _, it := range items {
+		p.pending += max(len(it.entry), reportEntrySize(it.Key, it.Report)) // at least its entry
 	}
 	keys := make([]string, 0, len(items)) // of the accepted items, in order
-	var entry []byte
+	var encoded []byte
 	for i, it := range items {
-		if errs[i] != nil {
+		entry := it.entry
+		if entry == nil {
+			if encoded, errs[i] = appendReportEntry(encoded[:0], it.Key, it.Report); errs[i] != nil {
+				continue
+			}
+			entry = encoded
+		}
+		e := parseEntry(entry)
+		if err := e.check(); err != nil {
+			errs[i] = fmt.Errorf("server: %w", err)
 			continue
 		}
-		if entry, errs[i] = appendReportEntry(entry[:0], it.Key, it.Report); errs[i] != nil {
-			continue
+		if rest := entry[3+len(e.key):]; string(e.key) != it.Key {
+			if entry, errs[i] = api.AppendWireString(append(make([]byte, 0, 3+len(it.Key)+len(rest)), entry[0]), it.Key); errs[i] != nil {
+				continue
+			}
+			entry = append(entry, rest...)
 		}
 		if 4+len(entry) > budget {
 			errs[i] = fmt.Errorf("%w: %d-byte report record", ErrRecordTooLarge, len(entry))

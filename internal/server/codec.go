@@ -611,7 +611,7 @@ func decodeMoveBlock(data []byte, str func([]byte) string) (moveBlock, error) {
 	})
 	m.reports = readBlock(&r, nil, 11, func() []byte {
 		e := r.report()
-		if r.err == nil && (len(e.key) != 0 || string(e.segment) != m.segment || !e.check()) {
+		if r.err == nil && (len(e.key) != 0 || string(e.segment) != m.segment || e.check() != nil) {
 			r.fail("a report keyed %q of segment %q in a block of %q", e.key, e.segment, m.segment)
 		}
 		return e.data

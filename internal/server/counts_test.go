@@ -323,8 +323,8 @@ func TestCountsAllocs(t *testing.T) {
 // built outside the count.
 var wantHandlerAllocs = map[string]float64{
 	"upload":          101,
-	"upload frame":    104,
-	"batch/32 frames": 278,
+	"upload frame":    99,
+	"batch/32 frames": 177,
 	"lookup":          59,
 }
 

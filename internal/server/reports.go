@@ -10,6 +10,7 @@ package server
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"slices"
 )
@@ -90,19 +91,21 @@ func (e *reportEntry) ap(k int) (x, y, credit float64) {
 		math.Float64frombits(binary.LittleEndian.Uint64(b[16:]))
 }
 
-// check is checkReport for an entry: a vehicle, a segment, and coordinates
-// and credits that are finite.
-func (e *reportEntry) check() bool {
+// check is the one rule for a valid report, which every report the store
+// logs or a move brings passes: a vehicle, a segment, and coordinates and
+// credits that are finite (a frame can carry a NaN, which would poison every
+// fusion of its segment).
+func (e reportEntry) check() error {
 	if len(e.vehicle) == 0 || len(e.segment) == 0 {
-		return false
+		return errUnnamed
 	}
 	for k := 0; k < 3*e.numAPs(); k++ {
 		v := math.Float64frombits(binary.LittleEndian.Uint64(e.aps[8*k:]))
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
+			return fmt.Errorf("access point %d has a non-finite coordinate or credit", k/3)
 		}
 	}
-	return true
+	return nil
 }
 
 // report reads one report entry in place, refusing flags that do not match

@@ -262,9 +262,8 @@ func (s *Store) AddReport(r Report) error {
 	return s.AddReportKeyed(context.Background(), "", r)
 }
 
-// checkAPs refuses coordinates and credits that are not finite. The frame
-// codec carries raw IEEE-754 bits, so a NaN can arrive; stored, it would
-// poison every fusion of its segment.
+// checkAPs refuses a pattern's coordinates and credits that are not finite,
+// as reportEntry.check does a report's.
 func checkAPs(aps []APReport) error {
 	for i, ap := range aps {
 		for _, v := range [3]float64{ap.X, ap.Y, ap.Credit} {
@@ -276,22 +275,19 @@ func checkAPs(aps []APReport) error {
 	return nil
 }
 
-// checkReport is what every report path refuses before it encodes anything.
-func checkReport(r Report) error {
-	if r.Vehicle == "" || r.Segment == "" {
-		return errors.New("server: report needs vehicle and segment")
-	}
-	return checkAPs(r.APs)
+// AddReportKeyed is AddReport with write-ahead durability semantics (see
+// AddPatternKeyed).
+func (s *Store) AddReportKeyed(ctx context.Context, idemKey string, r Report) error {
+	return s.addReport(ctx, BatchItem{Key: idemKey, Report: r})
 }
 
-// AddReportKeyed is AddReport with write-ahead durability semantics (see
-// AddPatternKeyed): a batch of one, on the batch path.
-func (s *Store) AddReportKeyed(ctx context.Context, idemKey string, r Report) error {
+// addReport stores one report: a batch of one, on the batch path.
+func (s *Store) addReport(ctx context.Context, it BatchItem) error {
 	ctx, span := trace.StartChild(ctx, "store.add_report")
 	defer span.End()
-	span.SetAttr("vehicle", r.Vehicle)
-	span.SetAttr("segment", r.Segment)
-	errs, _, _ := s.addReports(ctx, []BatchItem{{Key: idemKey, Report: r}})
+	span.SetAttr("vehicle", it.Report.Vehicle)
+	span.SetAttr("segment", it.Report.Segment)
+	errs, _, _ := s.addReports(ctx, []BatchItem{it})
 	span.SetError(errs[0])
 	return errs[0]
 }
@@ -1032,31 +1028,32 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusMethodNotAllowed)
 		return
 	}
-	var rep Report
+	it := BatchItem{Key: r.Header.Get(IdempotencyKeyHeader)}
 	if api.IsFrameRequest(r) {
 		body, ok := s.readBody(w, r, api.DefaultMaxBodyBytes)
 		if !ok {
 			return
 		}
-		frames, err := api.SplitReportFrames(body)
+		entries, err := frameEntries(body)
+		if err == nil && len(entries) != 1 {
+			err = fmt.Errorf("expected exactly one report frame, got %d", len(entries))
+		}
 		if err != nil {
 			api.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-		if len(frames) != 1 {
-			api.WriteError(w, http.StatusBadRequest,
-				fmt.Errorf("expected exactly one report frame, got %d", len(frames)))
-			return
-		}
-		rep = frames[0].Report
-	} else if !s.decodeBody(w, r, &rep) {
+		// Logged under the request's key, as a JSON report is; its names are
+		// for the ownership test and the trace.
+		e := parseEntry(entries[0])
+		it.entry, it.Report = entries[0], Report{Vehicle: string(e.vehicle), Segment: string(e.segment)}
+	} else if !s.decodeBody(w, r, &it.Report) {
 		return
 	}
-	if owner, mis := s.misdirected(rep.Segment); mis {
-		s.rejectMisdirected(w, rep.Segment, owner)
+	if owner, mis := s.misdirected(it.Report.Segment); mis {
+		s.rejectMisdirected(w, it.Report.Segment, owner)
 		return
 	}
-	if err := s.store.AddReportKeyed(r.Context(), r.Header.Get(IdempotencyKeyHeader), rep); err != nil {
+	if err := s.store.addReport(r.Context(), it); err != nil {
 		s.mutationError(w, err)
 		return
 	}
