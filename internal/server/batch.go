@@ -210,7 +210,7 @@ func (s *Store) addReports(ctx context.Context, items []BatchItem) (errs []error
 		return nil
 	}
 	for _, it := range items {
-		p.pending += max(len(it.entry), reportEntrySize(it.Key, it.Report)) // at least its entry
+		p.pending += max(len(it.entry), reportEntrySize(it.Key, it.Report)) // its entry, or its report encoded
 	}
 	keys := make([]string, 0, len(items)) // of the accepted items, in order
 	var encoded []byte
