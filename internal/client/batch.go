@@ -57,10 +57,10 @@ func (v *CrowdVehicle) drainBatch(ctx context.Context, run []Entry) (int, error)
 		case st.Ok():
 			settled[run[i].Key] = true
 			drained++
-			v.Metrics.incOutboxDrained()
+			v.Metrics.outboxDrained.Inc()
 		case st.Status != 0 && !api.RetryableStatus(st.Status):
 			settled[run[i].Key] = true
-			v.Metrics.incOutboxDropped()
+			v.Metrics.outboxDropped.Inc()
 		default:
 			// Transient rejection or no verdict: stays parked.
 			kept++

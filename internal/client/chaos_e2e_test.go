@@ -65,7 +65,7 @@ var chaosAPs = [][]api.APReport{
 type pipelineRig struct {
 	vehicleDoer func(i int) HTTPDoer // transport for vehicle i
 	opsDoer     HTTPDoer             // transport for aggregate/reliability/lookup
-	metrics     *Metrics             // client metrics (nil = unmetered)
+	metrics     Metrics              // client metrics (zero = unmetered)
 }
 
 // runChaosPipeline drives propose → report → label → aggregate → lookup for

@@ -101,9 +101,8 @@ type CrowdVehicle struct {
 	// HTTP is the transport (default http.DefaultClient). Wrap it with
 	// retry.NewDoer for backoff, budget, and circuit breaking.
 	HTTP HTTPDoer
-	// Metrics, when non-nil, records request latency, outcomes, and outbox
-	// activity.
-	Metrics *Metrics
+	// Metrics records request latency, outcomes, and outbox activity.
+	Metrics Metrics
 	// Outbox, when non-nil, queues reports and labels that could not be
 	// uploaded; ErrQueued marks affected calls.
 	Outbox *Outbox
@@ -337,10 +336,10 @@ func (v *CrowdVehicle) drainOne(ctx context.Context, e Entry) (int, error) {
 	}
 	v.Outbox.remove(map[string]bool{e.Key: true})
 	if err != nil {
-		v.Metrics.incOutboxDropped()
+		v.Metrics.outboxDropped.Inc()
 		return 0, nil
 	}
-	v.Metrics.incOutboxDrained()
+	v.Metrics.outboxDrained.Inc()
 	return 1, nil
 }
 
@@ -349,7 +348,7 @@ func (v *CrowdVehicle) syncOutboxGauges() {
 	if v.Outbox == nil {
 		return
 	}
-	v.Metrics.setOutbox(v.Outbox.Len())
+	v.Metrics.outboxDepth.Set(float64(v.Outbox.Len()))
 }
 
 // UserVehicle is the consumer party: it downloads fused lookup results.
@@ -358,8 +357,8 @@ type UserVehicle struct {
 	BaseURL string
 	// HTTP is the transport (default http.DefaultClient).
 	HTTP HTTPDoer
-	// Metrics, when non-nil, records request latency and outcomes.
-	Metrics *Metrics
+	// Metrics records request latency and outcomes.
+	Metrics Metrics
 }
 
 // NewUserVehicle builds a user-vehicle client.
@@ -392,7 +391,7 @@ func Aggregate(ctx context.Context, h HTTPDoer, baseURL string) (int, error) {
 	var out struct {
 		FusedAPs int `json:"fusedAPs"`
 	}
-	if err := sendBody(ctx, nil, h, http.MethodPost, baseURL+api.RouteAggregate, "", nil, "", &out); err != nil {
+	if err := sendBody(ctx, Metrics{}, h, http.MethodPost, baseURL+api.RouteAggregate, "", nil, "", &out); err != nil {
 		return 0, err
 	}
 	return out.FusedAPs, nil
@@ -402,7 +401,7 @@ func Aggregate(ctx context.Context, h HTTPDoer, baseURL string) (int, error) {
 // selects http.DefaultClient.
 func Reliability(ctx context.Context, h HTTPDoer, baseURL string) (map[string]float64, error) {
 	var out map[string]float64
-	if err := get(ctx, nil, h, baseURL+api.RouteReliability, &out); err != nil {
+	if err := get(ctx, Metrics{}, h, baseURL+api.RouteReliability, &out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -445,7 +444,8 @@ func (v *CrowdVehicle) postBody(ctx context.Context, path, contentType string, b
 		body, perr := park(key)
 		if perr == nil {
 			evicted := v.Outbox.enqueue(Entry{Path: path, Body: body, Key: key, ContentType: contentType, Traceparent: span.Traceparent()})
-			v.Metrics.incOutboxEnqueued(evicted)
+			v.Metrics.outboxEnqueued.Inc()
+			v.Metrics.outboxEvicted.Add(uint64(evicted))
 			v.syncOutboxGauges()
 			span.AddEvent("queued to outbox")
 			return fmt.Errorf("%w: %s (cause: %v)", ErrQueued, path, err)
@@ -464,7 +464,7 @@ func (v *CrowdVehicle) postBody(ctx context.Context, path, contentType string, b
 // *[]byte negotiates the binary codec via Accept and receives the raw body,
 // anything else is decoded as JSON. Non-2xx responses become StatusErrors. A
 // nil h selects http.DefaultClient.
-func sendBody(ctx context.Context, m *Metrics, h HTTPDoer, method, url, contentType string, body []byte, key string, out any) error {
+func sendBody(ctx context.Context, m Metrics, h HTTPDoer, method, url, contentType string, body []byte, key string, out any) error {
 	var reader io.Reader
 	if body != nil {
 		reader = bytes.NewReader(body)
@@ -532,6 +532,6 @@ func pathOf(rawURL string) string {
 	return u.Path
 }
 
-func get(ctx context.Context, m *Metrics, h HTTPDoer, url string, out any) error {
+func get(ctx context.Context, m Metrics, h HTTPDoer, url string, out any) error {
 	return sendBody(ctx, m, h, http.MethodGet, url, "", nil, "", out)
 }

@@ -8,8 +8,7 @@ import (
 
 // Metrics instruments vehicle-side HTTP traffic to the crowd-server and the
 // store-and-forward outbox. Latency is captured in one histogram series per
-// endpoint path. A nil *Metrics is a no-op, so unit tests and simulations
-// pay nothing.
+// endpoint path.
 type Metrics struct {
 	registry    *obs.Registry
 	requestsOK  *obs.Counter
@@ -22,15 +21,11 @@ type Metrics struct {
 	outboxDepth    *obs.Gauge
 }
 
-// NewMetrics registers the client series on reg. Returns nil for a nil
-// registry.
-func NewMetrics(reg *obs.Registry) *Metrics {
-	if reg == nil {
-		return nil
-	}
+// NewMetrics registers the client series on reg.
+func NewMetrics(reg *obs.Registry) Metrics {
 	help := "Requests issued to the crowd-server, by outcome."
 	dropped := "Outbox entries abandoned, by reason: a terminal answer, or evicted by a full outbox."
-	return &Metrics{
+	return Metrics{
 		registry:       reg,
 		requestsOK:     reg.Counter("crowdwifi_client_requests_total", help, obs.L("outcome", "ok")),
 		requestsErr:    reg.Counter("crowdwifi_client_requests_total", help, obs.L("outcome", "error")),
@@ -44,9 +39,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 
 // observe records one completed request round trip against its endpoint.
 func (m *Metrics) observe(path string, start time.Time, err error) {
-	if m == nil {
-		return
-	}
 	// Paths are a small fixed set (/v1/...), so cardinality stays bounded.
 	m.registry.Histogram("crowdwifi_client_request_duration_seconds",
 		"End-to-end client-observed latency of crowd-server requests, by endpoint path.",
@@ -55,34 +47,5 @@ func (m *Metrics) observe(path string, start time.Time, err error) {
 		m.requestsErr.Inc()
 	} else {
 		m.requestsOK.Inc()
-	}
-}
-
-// Outbox accounting, nil-safe so call sites need no conditionals.
-
-// incOutboxEnqueued counts one parked upload and the entries its enqueue
-// evicted.
-func (m *Metrics) incOutboxEnqueued(evicted int) {
-	if m != nil {
-		m.outboxEnqueued.Inc()
-		m.outboxEvicted.Add(uint64(evicted))
-	}
-}
-
-func (m *Metrics) incOutboxDrained() {
-	if m != nil {
-		m.outboxDrained.Inc()
-	}
-}
-
-func (m *Metrics) incOutboxDropped() {
-	if m != nil {
-		m.outboxDropped.Inc()
-	}
-}
-
-func (m *Metrics) setOutbox(depth int) {
-	if m != nil {
-		m.outboxDepth.Set(float64(depth))
 	}
 }

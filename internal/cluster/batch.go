@@ -74,7 +74,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(reroute) > 0 {
 		for range reroute {
-			rt.metrics.incRerouted()
+			rt.metrics.rerouted.Inc()
 		}
 		rt.log.Warn("batch entries re-routed after 421", "groups", len(reroute))
 		rt.forwardBatchGroups(r.Context(), entries, reroute, out)

@@ -8,7 +8,8 @@ import (
 
 // routerMetrics is the per-shard cluster view: upstream outcomes by shard and
 // a numeric last-seen mode gauge per shard so one Prometheus query shows which
-// slice of the world is degraded. A nil *routerMetrics is a no-op.
+// slice of the world is degraded. Without a registry its series are nil
+// no-ops, but it still keeps the last-seen modes /debug/cluster shows.
 type routerMetrics struct {
 	registry *obs.Registry
 
@@ -37,10 +38,7 @@ func modeValue(mode string) float64 {
 }
 
 func newRouterMetrics(reg *obs.Registry) *routerMetrics {
-	if reg == nil {
-		return nil
-	}
-	m := &routerMetrics{
+	return &routerMetrics{
 		registry:  reg,
 		shardMode: map[string]*obs.Gauge{},
 		modes:     map[string]string{},
@@ -53,16 +51,12 @@ func newRouterMetrics(reg *obs.Registry) *routerMetrics {
 		upstreamOK: reg.Counter("crowdwifi_router_upstream_requests_total",
 			"Upstream shard requests that returned a response."),
 	}
-	return m
 }
 
 // modesSnapshot copies the last-seen per-shard mode strings (empty map when
 // no upstream exchange has happened yet).
 func (m *routerMetrics) modesSnapshot() map[string]string {
 	out := map[string]string{}
-	if m == nil {
-		return out
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for k, v := range m.modes {
@@ -74,9 +68,6 @@ func (m *routerMetrics) modesSnapshot() map[string]string {
 // observeShard records one upstream exchange with a shard: the last-seen
 // mode gauge and error accounting.
 func (m *routerMetrics) observeShard(shard, mode string, err error) {
-	if m == nil {
-		return
-	}
 	if err != nil {
 		m.registry.Counter("crowdwifi_router_upstream_errors_total",
 			"Upstream shard requests that failed at the transport layer, by shard.",
@@ -100,24 +91,4 @@ func (m *routerMetrics) observeShard(shard, mode string, err error) {
 	if mode != "" {
 		g.Set(modeValue(mode))
 	}
-}
-
-func (m *routerMetrics) incPartial() {
-	if m != nil {
-		m.partial.Inc()
-	}
-}
-
-func (m *routerMetrics) incRerouted() {
-	if m != nil {
-		m.rerouted.Inc()
-	}
-}
-
-// shedCounter is the 503 counter the serving stack increments.
-func (m *routerMetrics) shedCounter() *obs.Counter {
-	if m == nil {
-		return nil
-	}
-	return m.shed
 }

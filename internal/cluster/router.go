@@ -150,10 +150,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	if rt.log == nil {
 		rt.log = obs.Discard
 	}
-	var retryMetrics *retry.Metrics
-	if opts.Registry != nil {
-		retryMetrics = retry.NewMetrics(opts.Registry)
-	}
+	retryMetrics := retry.NewMetrics(opts.Registry)
 	for _, p := range opts.Peers {
 		if _, dup := rt.peers[p.ID]; dup {
 			return nil, fmt.Errorf("cluster: duplicate peer id %q", p.ID)
@@ -162,14 +159,12 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		if err != nil || u.Scheme == "" || u.Host == "" {
 			return nil, fmt.Errorf("cluster: bad peer url %q", p.URL)
 		}
-		doerOpts := []retry.DoerOption{retry.WithBreaker(retry.NewBreaker(retry.BreakerConfig{}))}
-		if retryMetrics != nil {
-			doerOpts = append(doerOpts, retry.WithMetrics(retryMetrics))
-		}
 		rt.peers[p.ID] = &peerClient{
 			id:   p.ID,
 			base: u,
-			doer: retry.NewDoer(opts.HTTP, opts.Retry, doerOpts...),
+			doer: retry.NewDoer(opts.HTTP, opts.Retry,
+				retry.WithBreaker(retry.NewBreaker(retry.BreakerConfig{})),
+				retry.WithMetrics(retryMetrics)),
 		}
 	}
 	members := opts.Members
@@ -194,7 +189,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		Metrics:   redMetrics,
 		Help:      "Router ",
 		Registry:  opts.Registry,
-		Sheds:     rt.metrics.shedCounter(),
+		Sheds:     rt.metrics.shed,
 		Admission: ov,
 	}
 	handle := func(route string, h http.HandlerFunc) { rt.stack.Handle(rt.mux, route, h) }
@@ -377,7 +372,7 @@ func (rt *Router) handleUpload(w http.ResponseWriter, r *http.Request) {
 		next := resp.Header.Get(api.OwnerHeader)
 		if npc := rt.peer(next); npc != nil && next != owner {
 			api.DrainClose(resp)
-			rt.metrics.incRerouted()
+			rt.metrics.rerouted.Inc()
 			rt.log.Warn("upload re-routed after 421",
 				"segment", segment, "routed", owner, "owner", next)
 			resp, err = rt.forward(r.Context(), npc, r.URL.Path, r.Header, body)
@@ -511,7 +506,7 @@ func (rt *Router) handleLookup(w http.ResponseWriter, r *http.Request) {
 	}
 	api.SortLookup(merged)
 	if len(missing) > 0 {
-		rt.metrics.incPartial()
+		rt.metrics.partial.Inc()
 		w.Header().Set(PartialHeader, strings.Join(missing, ","))
 		rt.log.Warn("partial lookup", "missing", strings.Join(missing, ","))
 	}
@@ -575,7 +570,7 @@ func (rt *Router) handleReliability(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(missing) > 0 {
-		rt.metrics.incPartial()
+		rt.metrics.partial.Inc()
 		w.Header().Set(PartialHeader, strings.Join(missing, ","))
 	}
 	api.WriteJSON(w, http.StatusOK, merged)

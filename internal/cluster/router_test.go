@@ -486,6 +486,25 @@ func TestMembersEndpoint(t *testing.T) {
 	}
 }
 
+// TestClusterViewModeWithoutRegistry holds /debug/cluster's per-shard mode
+// to the last mode a shard answered with, also on a router built without a
+// registry.
+func TestClusterViewModeWithoutRegistry(t *testing.T) {
+	readOnly := func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(api.ModeHeader, "read-only")
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprintln(w, `{"segments":{}}`)
+	}
+	a := newFakeShard(t, readOnly)
+	rt := newTestRouter(t, []Peer{{"a", a.ts.URL}}, nil)
+	// The first fetch is the router's first exchange with the shard; the
+	// second reports the mode that exchange saw.
+	clusterView(t, rt)
+	if got := clusterView(t, rt).Shards["a"].Mode; got != "read-only" {
+		t.Fatalf("shard a mode = %q, want read-only", got)
+	}
+}
+
 func TestShedAndModeHeadersSurviveTheHop(t *testing.T) {
 	seg := "seg-headers"
 	shedding := func(w http.ResponseWriter, r *http.Request) {

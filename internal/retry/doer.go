@@ -75,7 +75,7 @@ type Doer struct {
 	policy  Policy
 	breaker *Breaker
 	budgets BudgetConfig
-	metrics *Metrics
+	metrics Metrics
 
 	mu        sync.Mutex
 	perTarget map[string]*budget
@@ -98,7 +98,7 @@ func WithBudget(cfg BudgetConfig) DoerOption {
 }
 
 // WithMetrics attaches retry metrics.
-func WithMetrics(m *Metrics) DoerOption {
+func WithMetrics(m Metrics) DoerOption {
 	return func(d *Doer) { d.metrics = m }
 }
 
@@ -154,7 +154,7 @@ func (d *Doer) Do(req *http.Request) (*http.Response, error) {
 		span.SetAttr("http.path", req.URL.Path)
 
 		if err := d.breaker.Allow(); err != nil {
-			d.metrics.incBreakerDenied()
+			d.metrics.breakerDenied.Inc()
 			err = fmt.Errorf("%s %s: %w", req.Method, req.URL.Path, err)
 			span.SetError(err)
 			span.End()
@@ -204,20 +204,20 @@ func (d *Doer) Do(req *http.Request) (*http.Response, error) {
 		last := attempt+1 >= d.policy.MaxAttempts ||
 			(req.GetBody == nil && req.Body != nil)
 		if last {
-			d.metrics.incExhausted()
+			d.metrics.exhausted.Inc()
 			span.AddEvent("attempts exhausted")
 			span.End()
 			return resp, err
 		}
 		if !b.withdraw() {
-			d.metrics.incBudgetDenied()
+			d.metrics.budgetDenied.Inc()
 			span.AddEvent("retry budget exhausted")
 			span.End()
 			return resp, err
 		}
 		api.DrainClose(resp)
 		delay := d.policy.Delay(attempt)
-		d.metrics.incRetry()
+		d.metrics.retries.Inc()
 		span.End()
 		if werr := Sleep(ctx, delay); werr != nil {
 			return nil, werr

@@ -2,7 +2,7 @@ package retry
 
 import "crowdwifi/internal/obs"
 
-// Metrics instruments the retry layer. A nil *Metrics is a no-op.
+// Metrics instruments the retry layer.
 type Metrics struct {
 	retries       *obs.Counter
 	exhausted     *obs.Counter
@@ -14,14 +14,10 @@ type Metrics struct {
 	toClosed      *obs.Counter
 }
 
-// NewMetrics registers the retry/breaker series on reg. Returns nil for a
-// nil registry.
-func NewMetrics(reg *obs.Registry) *Metrics {
-	if reg == nil {
-		return nil
-	}
+// NewMetrics registers the retry/breaker series on reg.
+func NewMetrics(reg *obs.Registry) Metrics {
 	transHelp := "Circuit breaker state transitions, by destination state."
-	return &Metrics{
+	return Metrics{
 		retries:       reg.Counter("crowdwifi_retry_retries_total", "HTTP request retries issued after a retryable failure."),
 		exhausted:     reg.Counter("crowdwifi_retry_exhausted_total", "Requests that failed after exhausting every retry attempt."),
 		budgetDenied:  reg.Counter("crowdwifi_retry_budget_denied_total", "Retries suppressed because the per-endpoint retry budget was empty."),
@@ -34,11 +30,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 }
 
 // BreakerHook returns an OnStateChange callback that records transitions and
-// mirrors the current state into a gauge. Safe on a nil receiver.
-func (m *Metrics) BreakerHook() func(from, to State) {
-	if m == nil {
-		return nil
-	}
+// mirrors the current state into a gauge.
+func (m Metrics) BreakerHook() func(from, to State) {
 	return func(_, to State) {
 		m.breakerState.Set(float64(to))
 		switch to {
@@ -49,29 +42,5 @@ func (m *Metrics) BreakerHook() func(from, to State) {
 		case Closed:
 			m.toClosed.Inc()
 		}
-	}
-}
-
-func (m *Metrics) incRetry() {
-	if m != nil {
-		m.retries.Inc()
-	}
-}
-
-func (m *Metrics) incExhausted() {
-	if m != nil {
-		m.exhausted.Inc()
-	}
-}
-
-func (m *Metrics) incBudgetDenied() {
-	if m != nil {
-		m.budgetDenied.Inc()
-	}
-}
-
-func (m *Metrics) incBreakerDenied() {
-	if m != nil {
-		m.breakerDenied.Inc()
 	}
 }

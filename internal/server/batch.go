@@ -107,9 +107,10 @@ func (s *Server) processBatch(ctx context.Context, entries [][]byte) []BatchEntr
 		e := parseEntry(entry)
 		key := string(e.key)
 		results[i].Key = key
-		if err := e.check(); err == errUnnamed {
+		// addReports runs the rest of check, the non-finite scan, once.
+		if !e.named() {
 			results[i].Status = http.StatusBadRequest
-			results[i].Error = err.Error()
+			results[i].Error = errUnnamed.Error()
 			continue
 		}
 		if owner, mis := s.misdirected(string(e.segment)); mis {
@@ -128,7 +129,7 @@ func (s *Server) processBatch(ctx context.Context, entries [][]byte) []BatchEntr
 					results[i].Error = "duplicate request still in flight"
 					continue
 				}
-				s.metrics.incDeduped()
+				s.metrics.deduped.Inc()
 				results[i].Status = rec.status
 				continue
 			}

@@ -14,6 +14,7 @@ import (
 
 	"crowdwifi/internal/api"
 	"crowdwifi/internal/cluster/ring"
+	"crowdwifi/internal/obs"
 )
 
 // segmentOwnedBy returns a segment name the {a,b} default ring assigns to
@@ -150,6 +151,39 @@ func TestClusterRoutesAbsentWithoutCluster(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("digest without cluster: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestClusterMembersBodyIsCapped holds the members POST to the cap of every
+// other JSON write route: an oversized body answers 413, counts as a capped
+// body and installs nothing.
+func TestClusterMembersBodyIsCapped(t *testing.T) {
+	reg := obs.NewRegistry()
+	members := []string{"a", "b"}
+	ts := httptest.NewServer(New(NewStore(10), WithMetrics(NewMetrics(reg)),
+		WithCluster(ClusterOptions{Self: "a", Members: members})))
+	defer ts.Close()
+
+	huge := strings.Repeat("x", api.DefaultMaxBodyBytes)
+	resp := postJSONTo(t, ts, api.RouteClusterMembers, api.MembersRequest{Members: []string{"a", huge}})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized members POST: status %d, want 413", resp.StatusCode)
+	}
+	if got := reg.SumCounters("crowdwifi_server_body_limit_rejections_total", nil); got != 1 {
+		t.Fatalf("body-limit rejections = %v, want 1", got)
+	}
+	resp, err := http.Get(ts.URL + api.RouteClusterMembers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var view struct{ Members []string }
+	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(view.Members, ",") != "a,b" {
+		t.Fatalf("members after a refused POST = %v, want [a b]", view.Members)
 	}
 }
 

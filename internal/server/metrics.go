@@ -6,8 +6,7 @@ import (
 )
 
 // Metrics instruments the crowd-server: ingest volume and the aggregation
-// pipeline (reliability inference + fusion). A
-// nil *Metrics is a no-op everywhere it is consulted.
+// pipeline (reliability inference + fusion).
 type Metrics struct {
 	registry *obs.Registry
 
@@ -30,13 +29,9 @@ type Metrics struct {
 	relMean         *obs.Gauge
 }
 
-// NewMetrics registers the crowd-server series on reg. Returns nil for a nil
-// registry.
-func NewMetrics(reg *obs.Registry) *Metrics {
-	if reg == nil {
-		return nil
-	}
-	return &Metrics{
+// NewMetrics registers the crowd-server series on reg.
+func NewMetrics(reg *obs.Registry) Metrics {
+	return Metrics{
 		registry:        reg,
 		Crowd:           crowd.NewMetrics(reg),
 		reports:         reg.Counter("crowdwifi_server_reports_total", "Vehicle AP reports accepted."),
@@ -55,65 +50,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	}
 }
 
-// Registry exposes the backing registry (for mounting /metrics).
-func (m *Metrics) Registry() *obs.Registry {
-	if m == nil {
-		return nil
-	}
-	return m.registry
-}
-
-// Ingest counters, nil-safe so Store call sites need no conditionals.
-func (m *Metrics) incPatterns() {
-	if m != nil {
-		m.patterns.Inc()
-	}
-}
-
-func (m *Metrics) addLabels(n int) {
-	if m != nil {
-		m.labels.Add(uint64(n))
-	}
-}
-
-func (m *Metrics) addReports(n int) {
-	if m != nil {
-		m.reports.Add(uint64(n))
-	}
-}
-
-func (m *Metrics) incDeduped() {
-	if m != nil {
-		m.deduped.Inc()
-	}
-}
-
-// shedCounter is the 503 counter the serving stack increments.
-func (m *Metrics) shedCounter() *obs.Counter {
-	if m == nil {
-		return nil
-	}
-	return m.shed
-}
-
-func (m *Metrics) incBodyLimited() {
-	if m != nil {
-		m.bodyLimited.Inc()
-	}
-}
-
-func (m *Metrics) crowdMetrics() *crowd.Metrics {
-	if m == nil {
-		return nil
-	}
-	return m.Crowd
-}
-
 // observeAggregate records one aggregation cycle's outcome.
 func (m *Metrics) observeAggregate(stats CycleStats, reliability map[string]float64, err error) {
-	if m == nil {
-		return
-	}
 	if err != nil {
 		m.aggregateErrors.Inc()
 		return

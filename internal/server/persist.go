@@ -79,9 +79,9 @@ type StorageOptions struct {
 	// crowdwifi-server runs, is wal.SyncAlways (acknowledged ⇒ durable).
 	// Tests and the bench's prebuild set wal.SyncOff.
 	Fsync wal.SyncPolicy
-	// Metrics, when non-nil, instruments appends, fsyncs, rotations,
-	// snapshots, and recovery; crowdwifi-server and the bench harness set it.
-	Metrics *wal.Metrics
+	// Metrics instruments appends, fsyncs, rotations, snapshots, and
+	// recovery; crowdwifi-server and the bench harness set it.
+	Metrics wal.Metrics
 	// FS overrides the write-side filesystem (nil selects the real one);
 	// the chaos tests set it to inject disk faults.
 	FS wal.FS
@@ -470,11 +470,11 @@ func (s *Store) applyLocked(rec *record) {
 	switch rec.kind {
 	case recPatternEntry:
 		s.patterns = append(s.patterns, rec.pattern)
-		s.metrics.incPatterns()
+		s.metrics.patterns.Inc()
 		s.completeIdemLocked(rec.key, patternResponse(rec.pattern.ID))
 	case recLabelBlock:
 		s.labels = append(s.labels, rec.labels...)
-		s.metrics.addLabels(len(rec.labels))
+		s.metrics.labels.Add(uint64(len(rec.labels)))
 		s.completeIdemLocked(rec.key, labelsResponse(len(rec.labels)))
 	case recReports:
 		s.reports.grow(len(rec.data), len(rec.keys))
@@ -483,7 +483,7 @@ func (s *Store) applyLocked(rec *record) {
 			s.reports.addStripped(r.report())
 			s.completeIdemLocked(key, reportStored)
 		}
-		s.metrics.addReports(len(rec.keys))
+		s.metrics.reports.Add(uint64(len(rec.keys)))
 	case recMove:
 		s.applyMoveLocked(rec.move, rec.moved)
 	case recDropBlock:

@@ -96,7 +96,7 @@ func (e *reportEntry) ap(k int) (x, y, credit float64) {
 // credits that are finite (a frame can carry a NaN, which would poison every
 // fusion of its segment).
 func (e reportEntry) check() error {
-	if len(e.vehicle) == 0 || len(e.segment) == 0 {
+	if !e.named() {
 		return errUnnamed
 	}
 	for k := 0; k < 3*e.numAPs(); k++ {
@@ -106,6 +106,11 @@ func (e reportEntry) check() error {
 		}
 	}
 	return nil
+}
+
+// named reports whether the entry carries a vehicle and a segment.
+func (e reportEntry) named() bool {
+	return len(e.vehicle) != 0 && len(e.segment) != 0
 }
 
 // report reads one report entry in place, refusing flags that do not match

@@ -110,7 +110,7 @@ type Store struct {
 	replayed *capture
 
 	mergeRadius float64
-	metrics     *Metrics
+	metrics     Metrics
 
 	// Durability (see persist.go). log is nil for an in-memory store. idem
 	// belongs to the store, not to a Server, because a key is completed under
@@ -198,8 +198,8 @@ func NewStore(mergeRadius float64) *Store {
 }
 
 // Instrument attaches metrics to the store. Call before serving traffic;
-// the store's hot paths read the pointer without synchronization.
-func (s *Store) Instrument(m *Metrics) {
+// the store's hot paths read the bundle without synchronization.
+func (s *Store) Instrument(m Metrics) {
 	s.metrics = m
 }
 
@@ -547,7 +547,7 @@ func (s *Store) inferReliability(ctx context.Context, c capture) map[string]floa
 	a := &crowd.Assignment{NumTasks: tasks, NumWorkers: len(workerIDs), TaskWorkers: taskWorkers}
 	labels := &crowd.Labels{Assignment: a, Values: taskValues}
 	res := crowd.InferContext(ctx, labels, crowd.InferenceOptions{
-		Metrics: s.metrics.crowdMetrics(),
+		Metrics: s.metrics.Crowd,
 	})
 	norm := crowd.NormalizeReliability(res.WorkerReliability)
 	out = make(map[string]float64, len(workerIDs))
@@ -592,7 +592,7 @@ var taskLabelsRead *atomic.Int64
 type Server struct {
 	store   *Store
 	mux     *http.ServeMux
-	metrics *Metrics
+	metrics Metrics
 	log     *slog.Logger
 	tracer  *trace.Tracer
 	health  *obs.Health
@@ -618,8 +618,11 @@ type Option func(*Server)
 // WithMetrics attaches a metrics bundle: every route is wrapped with the
 // request-counting middleware, the store's ingest and aggregation paths are
 // instrumented, and /metrics plus pprof are mounted on the server's own mux.
-func WithMetrics(m *Metrics) Option {
-	return func(s *Server) { s.metrics = m }
+func WithMetrics(m Metrics) Option {
+	return func(s *Server) {
+		s.metrics = m
+		s.store.Instrument(m)
+	}
 }
 
 // WithLogger attaches a structured logger used for request-level warnings;
@@ -666,17 +669,14 @@ func New(store *Store, opts ...Option) *Server {
 	if s.log == nil {
 		s.log = obs.Discard
 	}
-	if s.metrics != nil {
-		store.Instrument(s.metrics)
-	}
 	if s.ovEnabled {
 		s.buildOverload()
 	}
 	s.stack = front.Stack{
 		Tier:      "server",
 		Metrics:   redMetrics,
-		Registry:  s.metrics.Registry(),
-		Sheds:     s.metrics.shedCounter(),
+		Registry:  s.metrics.registry,
+		Sheds:     s.metrics.shed,
 		Tracer:    s.tracer,
 		Admission: s.ov,
 		Timeout:   DefaultRequestTimeout,
@@ -695,12 +695,13 @@ func New(store *Store, opts ...Option) *Server {
 	if s.cluster != nil {
 		handle(api.RouteClusterDigest, s.handleClusterDigest)
 		handle(api.RouteClusterSlice, s.handleClusterSlice)
-		handle(api.RouteClusterDrop, s.handleClusterDrop)
-		handle(api.RouteClusterMembers, s.handleClusterMembers)
+		// A drop follows a move, so it takes the move's cap.
+		handle(api.RouteClusterDrop, s.ingest(maxSliceBytes, s.handleClusterDrop))
+		handle(api.RouteClusterMembers, s.ingest(api.DefaultMaxBodyBytes, s.handleClusterMembers))
 	}
 	s.debug = http.NewServeMux()
-	if s.metrics != nil {
-		obs.Mount(s.debug, s.metrics.Registry())
+	if s.metrics.registry != nil {
+		obs.Mount(s.debug, s.metrics.registry)
 	}
 	if s.tracer != nil {
 		trace.Mount(s.debug, s.tracer.Store())
@@ -723,8 +724,8 @@ func (s *Server) Debug() http.Handler { return s.debug }
 // overload.transition span.
 func (s *Server) buildOverload() {
 	o := s.ovOpts
-	if o.Registry == nil && s.metrics != nil {
-		o.Registry = s.metrics.Registry()
+	if o.Registry == nil {
+		o.Registry = s.metrics.registry
 	}
 	if o.Probe == nil {
 		o.Probe = s.store.ProbeDurability
@@ -793,7 +794,7 @@ func (s *Server) dedupe(h http.HandlerFunc) http.HandlerFunc {
 				s.stack.Shed(w, errors.New("duplicate request still in flight"), overload.ShedRetryAfter)
 				return
 			}
-			s.metrics.incDeduped()
+			s.metrics.deduped.Inc()
 			dspan.AddEvent("replayed canonical response")
 			w.Header().Set("Idempotent-Replay", "true")
 			writeCanned(w, *rec)
@@ -820,7 +821,7 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 // bodyError answers a failed body read or decode and counts cap rejections.
 func (s *Server) bodyError(w http.ResponseWriter, err error) {
 	if api.WriteBodyError(w, err) {
-		s.metrics.incBodyLimited()
+		s.metrics.bodyLimited.Inc()
 	}
 }
 
@@ -856,7 +857,7 @@ func (s *Server) mutationError(w http.ResponseWriter, err error) {
 func (s *Server) mutationStatus(err error) int {
 	switch {
 	case errors.Is(err, ErrRecordTooLarge):
-		s.metrics.incBodyLimited()
+		s.metrics.bodyLimited.Inc()
 		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrDurability):
 		return http.StatusInternalServerError

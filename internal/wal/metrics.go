@@ -3,8 +3,7 @@ package wal
 import "crowdwifi/internal/obs"
 
 // Metrics instruments the durability layer: append volume, fsync counts,
-// snapshot failures, and recovery work. A nil *Metrics is
-// a no-op everywhere it is consulted, so call sites need no conditionals.
+// snapshot failures, and recovery work.
 type Metrics struct {
 	appends        *obs.Counter
 	appendBytes    *obs.Counter
@@ -15,13 +14,9 @@ type Metrics struct {
 	heals          *obs.Counter
 }
 
-// NewMetrics registers the WAL series on reg. Returns nil for a nil
-// registry.
-func NewMetrics(reg *obs.Registry) *Metrics {
-	if reg == nil {
-		return nil
-	}
-	return &Metrics{
+// NewMetrics registers the WAL series on reg.
+func NewMetrics(reg *obs.Registry) Metrics {
+	return Metrics{
 		appends:        reg.Counter("crowdwifi_wal_appends_total", "Records appended to the write-ahead log."),
 		appendBytes:    reg.Counter("crowdwifi_wal_append_bytes_total", "Framed bytes appended to the write-ahead log."),
 		fsyncs:         reg.Counter("crowdwifi_wal_fsyncs_total", "fsync calls issued by the write-ahead log."),
@@ -32,42 +27,10 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	}
 }
 
-func (m *Metrics) observeGroup(records int, bytes int64) {
-	if m == nil {
-		return
-	}
-	m.appends.Add(uint64(records))
-	m.appendBytes.Add(uint64(bytes))
-}
-
-func (m *Metrics) incFsyncs() {
-	if m != nil {
-		m.fsyncs.Inc()
-	}
-}
-
-func (m *Metrics) incReplayed() {
-	if m != nil {
-		m.replayed.Inc()
-	}
-}
-
-func (m *Metrics) recoveryTruncated(bytes int64) {
-	if m != nil {
-		m.truncated.Add(uint64(bytes))
-	}
-}
-
-func (m *Metrics) incHeals() {
-	if m != nil {
-		m.heals.Inc()
-	}
-}
-
 // ObserveSnapshot records one snapshot attempt's outcome: a failed attempt
 // counts, a written one has nothing to add.
 func (m *Metrics) ObserveSnapshot(err error) {
-	if m != nil && err != nil {
+	if err != nil {
 		m.snapshotErrors.Inc()
 	}
 }

@@ -63,9 +63,8 @@ type Options struct {
 	// segments — pass snapshotSeq+1 so replay offsets stay aligned after
 	// compaction. Ignored when segments exist; 0 means start at 1.
 	NextSeq uint64
-	// Metrics, when non-nil, receives append/fsync/rotation/recovery
-	// observations.
-	Metrics *Metrics
+	// Metrics receives append/fsync/rotation/recovery observations.
+	Metrics Metrics
 	// FS is the write-side filesystem seam (nil selects OSFS). Tests and
 	// the chaos harness inject disk faults here.
 	FS FS
@@ -100,7 +99,6 @@ type Log struct {
 	mu     sync.Mutex
 	dir    string
 	opts   Options
-	m      *Metrics
 	fs     FS
 	segs   []segment // sorted by first; the last one is active
 	f      File      // active segment
@@ -140,7 +138,7 @@ func Open(dir string, opts Options) (*Log, OpenInfo, error) {
 	if err != nil {
 		return nil, OpenInfo{}, err
 	}
-	l := &Log{dir: dir, opts: opts, m: opts.Metrics, fs: opts.FS, segs: segs}
+	l := &Log{dir: dir, opts: opts, fs: opts.FS, segs: segs}
 	if l.fs == nil {
 		l.fs = OSFS{}
 	}
@@ -168,7 +166,7 @@ func Open(dir string, opts Options) (*Log, OpenInfo, error) {
 			if err := os.Truncate(active.path, valid); err != nil {
 				return nil, OpenInfo{}, err
 			}
-			l.m.recoveryTruncated(info.TruncatedBytes)
+			l.opts.Metrics.truncated.Add(uint64(info.TruncatedBytes))
 		}
 		f, err := l.fs.OpenAppend(active.path)
 		if err != nil {
@@ -237,7 +235,7 @@ func (l *Log) syncLocked() error {
 		return err
 	}
 	l.dirty = false
-	l.m.incFsyncs()
+	l.opts.Metrics.fsyncs.Inc()
 	return nil
 }
 
@@ -312,7 +310,8 @@ func (l *Log) AppendGroup(ctx context.Context, recs []Record) (seq uint64, err e
 	seq = l.next
 	l.next += uint64(len(recs))
 	l.size += size
-	l.m.observeGroup(len(recs), size)
+	l.opts.Metrics.appends.Add(uint64(len(recs)))
+	l.opts.Metrics.appendBytes.Add(uint64(size))
 	span.SetAttr("seq", seq)
 	return seq, nil
 }
@@ -357,7 +356,7 @@ func (l *Log) healLocked() error {
 		return err
 	}
 	l.torn = false
-	l.m.incHeals()
+	l.opts.Metrics.heals.Inc()
 	return nil
 }
 
@@ -416,7 +415,7 @@ func (l *Log) Replay(after uint64, fn func(Record) error) error {
 	next := l.next
 	l.mu.Unlock()
 	return walk(l.dir, segs, after, next, func(r Record) error {
-		l.m.incReplayed()
+		l.opts.Metrics.replayed.Inc()
 		return fn(r)
 	})
 }
@@ -466,7 +465,7 @@ func (l *Log) CompactThrough(seq uint64) error {
 			// Its removal, or an older one's, failed: it stays, so it must
 			// hold what it says.
 			if err = sealed.Sync(); err == nil {
-				l.m.incFsyncs()
+				l.opts.Metrics.fsyncs.Inc()
 			}
 		}
 		err = errors.Join(err, sealed.Close())
