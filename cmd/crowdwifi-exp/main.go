@@ -11,7 +11,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"os"
 	"time"
 
@@ -46,24 +45,9 @@ func main() {
 }
 
 func run(seed uint64, trials int, quick bool, metricsAddr string, logger *slog.Logger, args []string) error {
-	if metricsAddr != "" {
-		// Long experiment sweeps are the main profiling target: expose the
-		// runtime series and /debug/pprof for the duration of the run.
-		reg := obs.NewRegistry()
-		reg.RegisterGoRuntime()
-		obs.RegisterBuildInfo(reg)
-		go func() {
-			srv := &http.Server{
-				Addr:              metricsAddr,
-				Handler:           obs.NewDebugMux(reg),
-				ReadHeaderTimeout: 5 * time.Second,
-			}
-			if err := srv.ListenAndServe(); err != nil {
-				logger.Warn("metrics listener failed", "addr", metricsAddr, "err", err)
-			}
-		}()
-		logger.Info("metrics listening", "addr", metricsAddr)
-	}
+	// Long experiment sweeps are the main profiling target: expose the
+	// runtime series and /debug/pprof for the duration of the run.
+	defer obs.ListenDebug(metricsAddr, obs.Debug(obs.NewProcessRegistry(), nil, nil), logger)()
 	if len(args) == 0 {
 		return fmt.Errorf("usage: crowdwifi-exp [-seed N] [-trials N] [-quick] fig5|fig6|fig7|fig8|fig9|fig10|fig11|all")
 	}

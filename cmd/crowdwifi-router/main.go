@@ -41,7 +41,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -100,9 +99,7 @@ func run(cfg config, logger *slog.Logger) error {
 	if err != nil {
 		return err
 	}
-	reg := obs.NewRegistry()
-	reg.RegisterGoRuntime()
-	obs.RegisterBuildInfo(reg)
+	reg := obs.NewProcessRegistry()
 	tracer := trace.NewTracer(trace.Config{SampleRate: cfg.traceSample})
 	health := obs.NewHealth()
 	health.SetNotReady("starting")
@@ -142,58 +139,14 @@ func run(cfg config, logger *slog.Logger) error {
 	mux := http.NewServeMux()
 	mux.Handle("/", rt)
 	front.ServeDebug(mux, debug)
-	handler := cluster.WithTracer(tracer, mux)
-
-	srv := &http.Server{Handler: handler, ReadHeaderTimeout: 5 * time.Second}
-
-	var metricsSrv *http.Server
-	if cfg.metricsAddr != "" {
-		metricsSrv = &http.Server{
-			Addr:              cfg.metricsAddr,
-			Handler:           debug,
-			ReadHeaderTimeout: 5 * time.Second,
-		}
-		go func() {
-			if err := metricsSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				logger.Error("metrics listener failed", "addr", cfg.metricsAddr, "err", err)
-			}
-		}()
-		logger.Info("metrics listening", "addr", cfg.metricsAddr)
-	}
+	defer obs.ListenDebug(cfg.metricsAddr, debug, logger)()
 
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		return err
 	}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
 	health.SetReady()
 	logger.Info("router listening", "addr", ln.Addr().String(),
 		"members", len(rt.Members()))
-
-	shutdownMetrics := func() {
-		if metricsSrv == nil {
-			return
-		}
-		sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		_ = metricsSrv.Shutdown(sctx)
-	}
-
-	select {
-	case err := <-errCh:
-		shutdownMetrics()
-		return err
-	case <-ctx.Done():
-		logger.Info("shutting down")
-		health.SetNotReady("shutdown")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		err := srv.Shutdown(shutdownCtx)
-		shutdownMetrics()
-		if errors.Is(err, context.DeadlineExceeded) {
-			return errors.New("shutdown timed out")
-		}
-		return err
-	}
+	return obs.Serve(ctx, ln, cluster.WithTracer(tracer, mux), health, logger)
 }

@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -131,17 +130,15 @@ func main() {
 }
 
 func run(cfg config, logger *slog.Logger) error {
-	reg := obs.NewRegistry()
-	reg.RegisterGoRuntime()
-	obs.RegisterBuildInfo(reg)
+	reg := obs.NewProcessRegistry()
 	par.Instrument(reg.Gauge("par_inflight_tasks",
 		"tasks currently executing inside the internal worker pool"))
 	metrics := server.NewMetrics(reg)
 
 	tracer := trace.NewTracer(trace.Config{SampleRate: cfg.traceSample})
 	// Not ready until recovery has replayed the WAL and the listener is up;
-	// readiness drops again when the shutdown snapshot starts so load
-	// balancers stop routing before the final fsync.
+	// readiness drops again when shutdown starts, so load balancers stop
+	// routing before the listener drains.
 	health := obs.NewHealth()
 	health.SetNotReady("recovering")
 
@@ -187,14 +184,13 @@ func run(cfg config, logger *slog.Logger) error {
 		logger.Info("cluster mode enabled", "shard_id", cfg.shardID, "members", cfg.peers)
 	}
 	api := server.New(store, srvOpts...)
-	srv := &http.Server{
-		Handler:           api,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	ctx = trace.WithTracer(ctx, tracer)
+	// ctx bounds the background loops. It ends when the listener stops, by
+	// a signal or a serve error, so neither can leave the process waiting.
+	ctx, cancel := context.WithCancel(trace.WithTracer(sigCtx, tracer))
+	defer cancel()
 
 	// The durability machine's probe loop walks a read-only server back to
 	// healthy once the disk accepts durable writes again.
@@ -230,9 +226,7 @@ func run(cfg config, logger *slog.Logger) error {
 		snapLog.Info("snapshot complete", "seq", seq, "duration", time.Since(start))
 	}
 
-	// Periodic aggregation and snapshotting, bounded by the shutdown
-	// context. A final cycle runs on shutdown so the last reports received
-	// still get fused; the final snapshot happens after the listener drains.
+	// Periodic aggregation and snapshotting, bounded by ctx.
 	bgDone := make(chan struct{})
 	go func() {
 		defer close(bgDone)
@@ -259,79 +253,40 @@ func run(cfg config, logger *slog.Logger) error {
 		}
 	}()
 
-	// Optional dedicated observability listener. It serves the very handler
-	// the API mux carries, so deployments that firewall the public port still
-	// get probes and trace retrieval.
-	var metricsSrv *http.Server
-	if cfg.metricsAddr != "" {
-		metricsSrv = &http.Server{
-			Addr:              cfg.metricsAddr,
-			Handler:           api.Debug(),
-			ReadHeaderTimeout: 5 * time.Second,
-		}
-		go func() {
-			if err := metricsSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				logger.Error("metrics listener failed", "addr", cfg.metricsAddr, "err", err)
-			}
-		}()
-		logger.Info("metrics listening", "addr", cfg.metricsAddr)
-	}
+	// The optional debug listener serves the very handler the API mux
+	// carries, so deployments that firewall the public port still get
+	// probes and trace retrieval.
+	defer obs.ListenDebug(cfg.metricsAddr, api.Debug(), logger)()
 
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		return err
 	}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
 	health.SetReady()
 	// Log the bound address (not the flag value) so :0 deployments and the
 	// crash-recovery harness can discover the real port.
 	logger.Info("crowd-server listening", "addr", ln.Addr().String(),
 		"merge_radius", cfg.mergeRadius, "aggregate_every", cfg.aggregateEvery)
 
-	shutdownMetrics := func() {
-		if metricsSrv == nil {
-			return
-		}
-		sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		_ = metricsSrv.Shutdown(sctx)
+	// Drain, then fuse, then snapshot: once Serve returns no request is in
+	// flight, so the final cycle fuses every report acked, and no append
+	// races the snapshot the next boot recovers from.
+	err = obs.Serve(sigCtx, ln, api, health, logger)
+	cancel()
+	<-bgDone
+	if cfg.aggregateEvery > 0 {
+		// ctx is canceled and aggregation honors cancellation, so the final
+		// cycle gets its own bounded context.
+		fctx, fcancel := context.WithTimeout(
+			trace.WithTracer(context.Background(), tracer), 30*time.Second)
+		runCycle(fctx)
+		fcancel()
 	}
-
-	select {
-	case err := <-errCh:
-		<-bgDone
-		shutdownMetrics()
-		return err
-	case <-ctx.Done():
-		logger.Info("shutting down")
-		health.SetNotReady("shutdown snapshot")
-		<-bgDone
-		if cfg.aggregateEvery > 0 {
-			// Flush a final aggregation so reports that arrived since the
-			// last tick make it into the fused database before exit. The run
-			// context is already canceled here, and aggregation now honors
-			// cancellation, so the flush gets its own bounded context.
-			fctx, fcancel := context.WithTimeout(
-				trace.WithTracer(context.Background(), tracer), 30*time.Second)
-			runCycle(fctx)
-			fcancel()
-		}
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		err := srv.Shutdown(shutdownCtx)
-		shutdownMetrics()
-		if cfg.dataDir != "" {
-			// The listener has drained: no appends race the final snapshot,
-			// so the next boot recovers instantly from it.
-			runSnapshot()
-		}
-		if cerr := store.Close(); err == nil {
-			err = cerr
-		}
-		if errors.Is(err, context.DeadlineExceeded) {
-			return errors.New("shutdown timed out")
-		}
-		return err
+	if cfg.dataDir != "" {
+		runSnapshot()
 	}
+	if cerr := store.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

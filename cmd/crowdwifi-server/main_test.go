@@ -10,6 +10,8 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -17,6 +19,9 @@ import (
 var (
 	// listeningRe is the pattern bench/proc.go reads each child's port from.
 	listeningRe = regexp.MustCompile(`msg="[a-z-]+ listening" addr=(\S+)`)
+	// metricsRe is the -metrics-addr listener's line, which listeningRe
+	// also matches: it is logged first.
+	metricsRe   = regexp.MustCompile(`msg="metrics listening" addr=(\S+)`)
 	recoveredRe = regexp.MustCompile(`msg="?state recovered"?.* reports=([0-9]+)`)
 )
 
@@ -36,18 +41,30 @@ func buildServer(t *testing.T) string {
 type serverProc struct {
 	cmd              *exec.Cmd
 	addr             string
-	recoveredReports int // parsed from the boot "state recovered" log line
+	metricsAddr      string // the -metrics-addr listener's bound address
+	recoveredReports int    // parsed from the boot "state recovered" log line
+
+	mu  sync.Mutex
+	log []string // every stderr line, in order
+}
+
+// logLines returns the stderr lines read so far.
+func (p *serverProc) logLines() []string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([]string(nil), p.log...)
 }
 
 // startServer launches the binary on an ephemeral port and parses the real
-// bound address out of its structured log.
-func startServer(t *testing.T, bin, dataDir string) *serverProc {
+// bound address out of its structured log. extra flags follow the defaults,
+// so they override them.
+func startServer(t *testing.T, bin, dataDir string, extra ...string) *serverProc {
 	t.Helper()
-	cmd := exec.Command(bin,
+	cmd := exec.Command(bin, append([]string{
 		"-addr", "127.0.0.1:0",
 		"-data-dir", dataDir,
 		"-aggregate-every", "0",
-		"-snapshot-every", "0")
+		"-snapshot-every", "0"}, extra...)...)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -70,10 +87,15 @@ func startServer(t *testing.T, bin, dataDir string) *serverProc {
 		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
 			line := sc.Text()
+			p.mu.Lock()
+			p.log = append(p.log, line)
+			p.mu.Unlock()
 			if m := recoveredRe.FindStringSubmatch(line); m != nil {
 				fmt.Sscanf(m[1], "%d", &p.recoveredReports)
 			}
-			if m := listeningRe.FindStringSubmatch(line); m != nil {
+			if m := metricsRe.FindStringSubmatch(line); m != nil {
+				p.metricsAddr = m[1]
+			} else if m := listeningRe.FindStringSubmatch(line); m != nil {
 				p.addr = m[1]
 				procCh <- p
 			}
@@ -313,5 +335,71 @@ func TestHealthAndTraceEndpoints(t *testing.T) {
 	}
 	if _, err := p.cmd.Process.Wait(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMetricsAddrServesTheDebugSurface boots the binary with -metrics-addr:
+// the second listener answers /metrics, /readyz and /debug/traces as the API
+// port does. On SIGINT the server then goes not ready, drains, runs its final
+// cycle and snapshots, in that order.
+func TestMetricsAddrServesTheDebugSurface(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns child processes")
+	}
+	bin := buildServer(t)
+	p := startServer(t, bin, filepath.Join(t.TempDir(), "data"),
+		"-metrics-addr", "127.0.0.1:0", "-aggregate-every", "1h")
+	if p.metricsAddr == "" {
+		t.Fatal("no metrics listening line before the API's")
+	}
+	if status, body, _ := postReport(t, p.url(), "metrics-op-00", makeReport(0)); status != http.StatusCreated {
+		t.Fatalf("upload: status=%d body=%s", status, body)
+	}
+	get := func(base, path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get("http://" + base + path)
+		if err != nil {
+			t.Fatalf("GET %s%s: %v", base, path, err)
+		}
+		defer resp.Body.Close()
+		var b bytes.Buffer
+		_, _ = b.ReadFrom(resp.Body)
+		return resp.StatusCode, b.String()
+	}
+	for _, path := range []string{"/metrics", "/readyz", "/debug/traces"} {
+		apiStatus, _ := get(p.addr, path)
+		status, body := get(p.metricsAddr, path)
+		if status != http.StatusOK || apiStatus != http.StatusOK {
+			t.Errorf("%s: %d on -metrics-addr, %d on the API port, want 200 on both", path, status, apiStatus)
+		}
+		if path == "/metrics" && !strings.Contains(body, "crowdwifi_server_reports_total 1") {
+			t.Errorf("-metrics-addr /metrics does not count the upload:\n%s", body)
+		}
+	}
+
+	if err := p.cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.cmd.Process.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	// The scanner may still be reading the last lines after the exit.
+	want := []string{`msg="shutting down"`, `msg="cycle complete"`, `msg="snapshot complete"`}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		log := p.logLines()
+		next := 0
+		for _, line := range log {
+			if next < len(want) && strings.Contains(line, want[next]) {
+				next++
+			}
+		}
+		if next == len(want) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("shutdown log lacks %s after %v:\n%s", want[next], want[:next], strings.Join(log, "\n"))
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

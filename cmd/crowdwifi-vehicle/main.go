@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math/rand"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -116,28 +115,12 @@ func main() {
 }
 
 func run(ctx context.Context, cfg runConfig, logger *slog.Logger) error {
-	reg := obs.NewRegistry()
-	reg.RegisterGoRuntime()
-	obs.RegisterBuildInfo(reg)
+	reg := obs.NewProcessRegistry()
 	par.Instrument(reg.Gauge("par_inflight_tasks",
 		"tasks currently executing inside the internal worker pool"))
 	tracer := trace.NewTracer(trace.Config{SampleRate: cfg.TraceSample})
 	ctx = trace.WithTracer(ctx, tracer)
-	if cfg.MetricsAddr != "" {
-		go func() {
-			debugMux := obs.NewDebugMux(reg)
-			trace.Mount(debugMux, tracer.Store())
-			srv := &http.Server{
-				Addr:              cfg.MetricsAddr,
-				Handler:           debugMux,
-				ReadHeaderTimeout: 5 * time.Second,
-			}
-			if err := srv.ListenAndServe(); err != nil {
-				logger.Warn("metrics listener failed", "addr", cfg.MetricsAddr, "err", err)
-			}
-		}()
-		logger.Info("metrics listening", "addr", cfg.MetricsAddr)
-	}
+	defer obs.ListenDebug(cfg.MetricsAddr, obs.Debug(reg, tracer.Store(), nil), logger)()
 
 	sc := sim.UCI()
 	r := rng.New(cfg.Seed)

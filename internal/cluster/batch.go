@@ -67,7 +67,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	reroute := map[string][]int{}
 	for i, st := range out {
 		if st.Status == http.StatusMisdirectedRequest && st.Owner != "" {
-			if rt.peer(st.Owner) != nil {
+			if rt.peers[st.Owner] != nil {
 				reroute[st.Owner] = append(reroute[st.Owner], i)
 			}
 		}

@@ -8,12 +8,15 @@ import (
 	"crowdwifi/internal/api"
 )
 
-// ShardView is one shard's slice of the /debug/cluster document. OwnedSegs
-// counts the resident segments the ring assigns to this shard; a resident
-// segment it assigns elsewhere is drift, not ownership.
+// ShardView is one shard's slice of the /debug/cluster document. Breaker is
+// the state of the router's breaker for this shard (closed, open,
+// half_open). OwnedSegs counts the resident segments the ring assigns to
+// this shard; a resident segment it assigns elsewhere is drift, not
+// ownership.
 type ShardView struct {
 	Reachable bool                         `json:"reachable"`
 	Mode      string                       `json:"mode,omitempty"`
+	Breaker   string                       `json:"breaker"`
 	Error     string                       `json:"error,omitempty"`
 	Segments  map[string]api.SegmentDigest `json:"segments,omitempty"`
 	WAL       *api.WALStatus               `json:"wal,omitempty"`
@@ -48,7 +51,7 @@ func (rt *Router) ClusterHandler() http.Handler {
 		modes := rt.metrics.modesSnapshot()
 		rg := rt.ring.Load()
 		for _, res := range rt.scatter(r.Context(), http.MethodGet, api.RouteClusterDigest, "") {
-			sv := ShardView{Mode: modes[res.id]}
+			sv := ShardView{Mode: modes[res.id], Breaker: rt.peers[res.id].breaker.State().String()}
 			var d api.DigestResponse
 			err := res.err
 			if err == nil {

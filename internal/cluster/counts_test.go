@@ -123,7 +123,7 @@ func newCountsCluster(tb testing.TB) (*upstreamCounter, string) {
 	}
 	up := &upstreamCounter{}
 	up.reset()
-	rt, err := NewRouter(RouterOptions{Peers: peers, Retry: fastPolicy(), HTTP: up})
+	rt, err := NewRouter(RouterOptions{Peers: peers, Retry: fastPolicy(), HTTP: up, Registry: obs.NewRegistry()})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func (e *statusError) Error() string { return e.msg }
 // any other answer is a *statusError. An empty contentType or accept sends
 // no such header.
 func (rt *Router) peerDo(ctx context.Context, id, method, path, query, contentType, accept string, body []byte) ([]byte, error) {
-	pc := rt.peer(id)
+	pc := rt.peers[id]
 	if pc == nil {
 		return nil, fmt.Errorf("cluster: shard %q is not a configured peer", id)
 	}

@@ -110,9 +110,10 @@ type RouterOptions struct {
 // doer with a private breaker, so a dead shard trips only its own circuit
 // and the survivors keep their retry capacity.
 type peerClient struct {
-	id   string
-	base *url.URL
-	doer *retry.Doer
+	id      string
+	base    *url.URL
+	doer    *retry.Doer
+	breaker *retry.Breaker
 }
 
 func (p *peerClient) endpoint(path, rawQuery string) string {
@@ -131,7 +132,7 @@ type Router struct {
 	metrics *routerMetrics
 	log     *slog.Logger
 
-	mu    sync.RWMutex
+	// peers is written only by NewRouter; membership changes swap ring.
 	peers map[string]*peerClient
 	ring  atomic.Pointer[ring.Ring]
 }
@@ -159,12 +160,16 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		if err != nil || u.Scheme == "" || u.Host == "" {
 			return nil, fmt.Errorf("cluster: bad peer url %q", p.URL)
 		}
+		// Each breaker's transitions are counted; its state is one value per
+		// shard, so /debug/cluster reports it, not the unlabelled gauge.
+		breaker := retry.NewBreaker(retry.BreakerConfig{OnStateChange: retryMetrics.CountTransition})
 		rt.peers[p.ID] = &peerClient{
 			id:   p.ID,
 			base: u,
 			doer: retry.NewDoer(opts.HTTP, opts.Retry,
-				retry.WithBreaker(retry.NewBreaker(retry.BreakerConfig{})),
+				retry.WithBreaker(breaker),
 				retry.WithMetrics(retryMetrics)),
+			breaker: breaker,
 		}
 	}
 	members := opts.Members
@@ -218,25 +223,15 @@ func (rt *Router) UpdateMembers(members []string) error {
 	if len(members) == 0 {
 		return errors.New("cluster: members required")
 	}
-	rt.mu.RLock()
 	for _, m := range members {
 		if _, ok := rt.peers[m]; !ok {
-			rt.mu.RUnlock()
 			return fmt.Errorf("cluster: member %q is not a configured peer", m)
 		}
 	}
-	rt.mu.RUnlock()
 	rg := ring.New(members, 0)
 	rt.ring.Store(rg)
 	rt.log.Info("router membership updated", "members", strings.Join(rg.Members(), ","))
 	return nil
-}
-
-// peer returns the client for a shard id, nil when unknown.
-func (rt *Router) peer(id string) *peerClient {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.peers[id]
 }
 
 // ServeHTTP implements http.Handler.
@@ -253,11 +248,8 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // /debug/cluster is ClusterHandler, and health answers /healthz and
 // /readyz.
 func (rt *Router) DebugHandler(traces *trace.Store, health *obs.Health) http.Handler {
-	debug := http.NewServeMux()
-	obs.Mount(debug, rt.stack.Registry)
-	trace.Mount(debug, traces)
+	debug := obs.Debug(rt.stack.Registry, traces, health)
 	debug.Handle("/debug/cluster", rt.ClusterHandler())
-	obs.MountHealth(debug, health)
 	return debug
 }
 
@@ -357,12 +349,8 @@ func (rt *Router) handleUpload(w http.ResponseWriter, r *http.Request) {
 		rt.stack.Shed(w, errors.New("no cluster members"), api.MinRetryAfter)
 		return
 	}
-	pc := rt.peer(owner)
-	if pc == nil {
-		api.WriteError(w, http.StatusBadGateway, fmt.Errorf("owner shard %q is not a configured peer", owner))
-		return
-	}
-	resp, err := rt.forward(r.Context(), pc, r.URL.Path, r.Header, body)
+	// UpdateMembers admits only configured peers, so an owner has a client.
+	resp, err := rt.forward(r.Context(), rt.peers[owner], r.URL.Path, r.Header, body)
 	if err != nil {
 		api.WriteError(w, http.StatusBadGateway, fmt.Errorf("shard %s: %w", owner, err))
 		return
@@ -370,7 +358,7 @@ func (rt *Router) handleUpload(w http.ResponseWriter, r *http.Request) {
 	served := owner
 	if resp.StatusCode == http.StatusMisdirectedRequest {
 		next := resp.Header.Get(api.OwnerHeader)
-		if npc := rt.peer(next); npc != nil && next != owner {
+		if npc := rt.peers[next]; npc != nil && next != owner {
 			api.DrainClose(resp)
 			rt.metrics.rerouted.Inc()
 			rt.log.Warn("upload re-routed after 421",
@@ -606,12 +594,10 @@ func (rt *Router) handleMembers(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rg := rt.ring.Load()
-	rt.mu.RLock()
 	peers := make([]string, 0, len(rt.peers))
 	for id := range rt.peers {
 		peers = append(peers, id)
 	}
-	rt.mu.RUnlock()
 	sort.Strings(peers)
 	api.WriteJSON(w, http.StatusOK, map[string]any{
 		"members": rg.Members(),

@@ -15,6 +15,7 @@ import (
 
 	"crowdwifi/internal/api"
 	"crowdwifi/internal/cluster/ring"
+	"crowdwifi/internal/obs"
 	"crowdwifi/internal/retry"
 	"crowdwifi/internal/server"
 )
@@ -502,6 +503,57 @@ func TestClusterViewModeWithoutRegistry(t *testing.T) {
 	clusterView(t, rt)
 	if got := clusterView(t, rt).Shards["a"].Mode; got != "read-only" {
 		t.Fatalf("shard a mode = %q, want read-only", got)
+	}
+}
+
+// TestRouterBreakerSignals: with one shard dead, lookups open that shard's
+// breaker. The router counts the transition, reports each shard's breaker
+// in /debug/cluster, and registers no unlabelled state gauge, whose one
+// value could not say which shard's breaker it is.
+func TestRouterBreakerSignals(t *testing.T) {
+	a := newFakeShard(t, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if r.URL.Path == api.RouteClusterDigest {
+			fmt.Fprintln(w, `{"segments":{}}`)
+			return
+		}
+		fmt.Fprintln(w, `[]`)
+	})
+	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	dead.Close()
+	reg := obs.NewRegistry()
+	rt, err := NewRouter(RouterOptions{Peers: []Peer{{"a", a.ts.URL}, {"b", dead.URL}}, Retry: fastPolicy(), Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(rt)
+	defer ts.Close()
+	for range 10 {
+		resp, err := http.Get(ts.URL + "/v1/lookup?xmin=0&ymin=0&xmax=10&ymax=10")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+
+	help := "Circuit breaker state transitions, by destination state."
+	if got := reg.Counter("crowdwifi_breaker_transitions_total", help, obs.L("to", "open")).Value(); got == 0 {
+		t.Error("b's breaker opened, and no transition was counted")
+	}
+	if got := reg.Counter("crowdwifi_breaker_denied_total", "").Value(); got == 0 {
+		t.Error("no request was denied by b's open breaker")
+	}
+	rec := httptest.NewRecorder()
+	reg.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if strings.Contains(rec.Body.String(), "crowdwifi_breaker_state") {
+		t.Errorf("the router registers the unlabelled crowdwifi_breaker_state gauge")
+	}
+	view := clusterView(t, rt)
+	if got := view.Shards["a"].Breaker; got != "closed" {
+		t.Errorf("shard a breaker = %q, want closed", got)
+	}
+	if got := view.Shards["b"].Breaker; got != "open" {
+		t.Errorf("shard b breaker = %q, want open", got)
 	}
 }
 

@@ -13,14 +13,11 @@ import (
 // It stays "dev" for plain `go build` / `go test` binaries.
 var Version = "dev"
 
-// RegisterBuildInfo registers the crowdwifi_build_info gauge: a constant 1
+// registerBuildInfo registers the crowdwifi_build_info gauge: a constant 1
 // whose labels identify the running build, so dashboards can join any series
 // against the version that produced it (and fleet rollouts are visible as a
 // label changeover).
-func RegisterBuildInfo(r *Registry) {
-	if r == nil {
-		return
-	}
+func registerBuildInfo(r *Registry) {
 	r.Gauge("crowdwifi_build_info", "Build metadata; constant 1, labeled with the binary's version and Go toolchain.",
 		L("version", Version), L("go_version", runtime.Version())).Set(1)
 }

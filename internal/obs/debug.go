@@ -2,25 +2,107 @@ package obs
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"log/slog"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"runtime"
 	"strconv"
 	"strings"
+	"time"
+
+	"crowdwifi/internal/obs/trace"
 )
 
-// Mount attaches the observability endpoints to mux: the registry's
-// /metrics, and net/http/pprof's index of runtime profiles, CPU profile and
-// execution trace under /debug/pprof/. Every process, shard or router,
-// mounts it over its own registry, so each is one scrape target and fleet
-// totals are summed at the scraper. It is safe to call with a nil registry
-// (the /metrics endpoint then serves an empty exposition).
-func Mount(mux *http.ServeMux, reg *Registry) {
-	mux.Handle("/metrics", reg.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+// NewProcessRegistry returns the registry a process exports: empty but for
+// the Go runtime gauges and crowdwifi_build_info.
+func NewProcessRegistry() *Registry {
+	r := NewRegistry()
+	r.registerGoRuntime()
+	registerBuildInfo(r)
+	return r
+}
+
+// Debug returns a process's debug surface: reg's /metrics with
+// net/http/pprof's index, CPU profile and execution trace under
+// /debug/pprof/; traces' /debug/traces (recent, slowest and error traces)
+// and /debug/traces/{id} (this process's spans of one trace); and health's
+// /healthz and /readyz. A nil argument mounts nothing for its part. Every
+// process, shard or router, builds it once over its own registry and spans,
+// so each is one scrape target and fleet totals are summed at the scraper.
+func Debug(reg *Registry, traces *trace.Store, health *Health) *http.ServeMux {
+	mux := http.NewServeMux()
+	if reg != nil {
+		mux.Handle("/metrics", reg.Handler())
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	}
+	if traces != nil {
+		h := traces.Handler()
+		mux.Handle("/debug/traces", h)
+		mux.Handle("/debug/traces/", h)
+	}
+	if health != nil {
+		mux.Handle("/healthz", health.LiveHandler())
+		mux.Handle("/readyz", health.ReadyHandler())
+	}
+	return mux
+}
+
+// ListenDebug serves debug on addr, a binary's -metrics-addr listener, until
+// stop is called. It binds before it returns and logs "metrics listening"
+// with the bound address, so a :0 listener can be found. The listener is
+// optional, so an empty addr serves nothing and a failure is logged, not
+// returned.
+func ListenDebug(addr string, debug http.Handler, log *slog.Logger) (stop func()) {
+	if addr == "" {
+		return func() {}
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		log.Error("metrics listener failed", "addr", addr, "err", err)
+		return func() {}
+	}
+	srv := &http.Server{Handler: debug, ReadHeaderTimeout: 5 * time.Second}
+	go func() {
+		if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+			log.Error("metrics listener failed", "addr", addr, "err", err)
+		}
+	}()
+	log.Info("metrics listening", "addr", ln.Addr().String())
+	return func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+	}
+}
+
+// Serve serves h on ln until ctx ends, then drains: health goes not ready
+// with reason "shutdown", "shutting down" is logged, and in-flight requests
+// get 5 s to finish. It returns at once with the error if serving fails
+// first, and "shutdown timed out" if the drain runs out of time.
+func Serve(ctx context.Context, ln net.Listener, h http.Handler, health *Health, log *slog.Logger) error {
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second}
+	errCh := make(chan error, 1)
+	go func() { errCh <- srv.Serve(ln) }()
+	select {
+	case err := <-errCh:
+		return err
+	case <-ctx.Done():
+	}
+	health.SetNotReady("shutdown")
+	log.Info("shutting down")
+	sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	err := srv.Shutdown(sctx)
+	if errors.Is(err, context.DeadlineExceeded) {
+		return errors.New("shutdown timed out")
+	}
+	return err
 }
 
 // processCPUSeconds returns the process's cumulative user+system CPU time
@@ -50,20 +132,9 @@ func processCPUSeconds() float64 {
 	return (utime + stime) / 100
 }
 
-// NewDebugMux returns a mux with the Mount endpoints, for serving metrics
-// and profiles on a dedicated listener next to the main service port.
-func NewDebugMux(reg *Registry) *http.ServeMux {
-	mux := http.NewServeMux()
-	Mount(mux, reg)
-	return mux
-}
-
-// RegisterGoRuntime registers process-level gauges (goroutines, heap usage,
+// registerGoRuntime registers process-level gauges (goroutines, heap usage,
 // GC cycles) refreshed on every scrape.
-func (r *Registry) RegisterGoRuntime() {
-	if r == nil {
-		return
-	}
+func (r *Registry) registerGoRuntime() {
 	goroutines := r.Gauge("go_goroutines", "Number of live goroutines.")
 	heapAlloc := r.Gauge("go_memstats_heap_alloc_bytes", "Bytes of allocated heap objects.")
 	heapObjects := r.Gauge("go_memstats_heap_objects", "Number of allocated heap objects.")

@@ -9,7 +9,7 @@ import (
 // Health tracks process liveness and readiness for /healthz and /readyz.
 // Liveness is unconditional (the process answering at all is the signal);
 // readiness flips off while the server cannot usefully take traffic — WAL
-// recovery/replay at startup, or the final snapshot during SIGTERM shutdown.
+// recovery/replay at startup, or shutdown from its start (Serve) to exit.
 // A degraded mode (read-only, recovering) is a separate axis:
 // the server is still serving, so /readyz stays 200 but carries the mode in
 // its body — orchestrators keep routing, operators see the degradation.
@@ -37,7 +37,7 @@ func (h *Health) SetReady() {
 }
 
 // SetNotReady marks the process unable to serve traffic, with a reason
-// surfaced on /readyz (e.g. "wal replay", "shutdown snapshot").
+// surfaced on /readyz (e.g. "recovering", "shutdown").
 func (h *Health) SetNotReady(reason string) {
 	if h == nil {
 		return
@@ -113,10 +113,4 @@ func (h *Health) ReadyHandler() http.Handler {
 		}
 		_ = json.NewEncoder(w).Encode(body)
 	})
-}
-
-// MountHealth attaches /healthz and /readyz to mux.
-func MountHealth(mux *http.ServeMux, h *Health) {
-	mux.Handle("/healthz", h.LiveHandler())
-	mux.Handle("/readyz", h.ReadyHandler())
 }

@@ -58,9 +58,7 @@ func TestHealthNilSafe(t *testing.T) {
 func TestMountHealth(t *testing.T) {
 	h := NewHealth()
 	h.SetReady()
-	mux := http.NewServeMux()
-	MountHealth(mux, h)
-	srv := httptest.NewServer(mux)
+	srv := httptest.NewServer(Debug(nil, nil, h))
 	defer srv.Close()
 	for _, path := range []string{"/healthz", "/readyz"} {
 		resp, err := http.Get(srv.URL + path)

@@ -45,15 +45,3 @@ func (s *Store) Handler() http.Handler {
 		_ = enc.Encode(tr)
 	})
 }
-
-// Mount attaches the trace endpoints to mux: /debug/traces (recent +
-// slowest + errors) and /debug/traces/{id} (this process's spans of one
-// trace). Every process, shard or router, mounts its own store here.
-func Mount(mux *http.ServeMux, s *Store) {
-	if s == nil {
-		return
-	}
-	h := s.Handler()
-	mux.Handle("/debug/traces", h)
-	mux.Handle("/debug/traces/", h)
-}

@@ -113,9 +113,7 @@ func TestHandlerIndexAndGet(t *testing.T) {
 	addTrace(s, "aaaa", "POST /report", time.Millisecond, false)
 	addTrace(s, "bbbb", "POST /report", time.Second, true)
 
-	mux := http.NewServeMux()
-	Mount(mux, s)
-	srv := httptest.NewServer(mux)
+	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/debug/traces")

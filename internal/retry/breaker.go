@@ -151,8 +151,8 @@ func (b *Breaker) Record(success bool) {
 	}
 }
 
-// current returns the current state.
-func (b *Breaker) current() State {
+// State returns the current state (Closed for a nil breaker).
+func (b *Breaker) State() State {
 	if b == nil {
 		return Closed
 	}

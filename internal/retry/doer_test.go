@@ -203,8 +203,8 @@ func TestDoerBreakerFastFails(t *testing.T) {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if br.current() != Open {
-			t.Fatalf("%d: breaker state = %v, want Open", code, br.current())
+		if br.State() != Open {
+			t.Fatalf("%d: breaker state = %v, want Open", code, br.State())
 		}
 		// Second request never reaches the server.
 		before := calls.Load()
@@ -217,8 +217,8 @@ func TestDoerBreakerFastFails(t *testing.T) {
 		if m.breakerDenied.Value() != 1 {
 			t.Fatalf("%d: breaker denied metric = %d, want 1", code, m.breakerDenied.Value())
 		}
-		if m.breakerState.Value() != float64(Open) {
-			t.Fatalf("%d: breaker state gauge = %v, want %v", code, m.breakerState.Value(), float64(Open))
+		if g := reg.Gauge("crowdwifi_breaker_state", "").Value(); g != float64(Open) {
+			t.Fatalf("%d: breaker state gauge = %v, want %v", code, g, float64(Open))
 		}
 	}
 }
@@ -251,8 +251,8 @@ func TestDoerShedOpensNoBreaker(t *testing.T) {
 		if got := calls.Load(); got != 5 {
 			t.Errorf("%d: 5 sheds reached the server %d times, want 5 (one attempt each)", code, got)
 		}
-		if br.current() != Closed {
-			t.Errorf("%d: breaker %v after 5 sheds, want closed", code, br.current())
+		if br.State() != Closed {
+			t.Errorf("%d: breaker %v after 5 sheds, want closed", code, br.State())
 		}
 		if v := m.retries.Value(); v != 0 {
 			t.Errorf("%d: retries metric = %d, want 0", code, v)
@@ -272,8 +272,8 @@ func TestDoerRefusedConnectionOpensBreaker(t *testing.T) {
 	if _, err := d.Do(newPost(t, url, "x")); err == nil || errors.Is(err, ErrOpen) {
 		t.Fatalf("first request: err = %v, want the refused dial", err)
 	}
-	if br.current() != Open {
-		t.Fatalf("breaker %v after 2 refused dials, want open", br.current())
+	if br.State() != Open {
+		t.Fatalf("breaker %v after 2 refused dials, want open", br.State())
 	}
 	if _, err := d.Do(newPost(t, url, "x")); !errors.Is(err, ErrOpen) {
 		t.Fatalf("second request: err = %v, want breaker-open", err)

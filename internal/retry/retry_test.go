@@ -59,15 +59,15 @@ func TestBreakerLifecycle(t *testing.T) {
 		}
 		b.Record(false)
 	}
-	if b.current() != Closed {
-		t.Fatalf("state = %v after 2 failures", b.current())
+	if b.State() != Closed {
+		t.Fatalf("state = %v after 2 failures", b.State())
 	}
 	if err := b.Allow(); err != nil {
 		t.Fatal(err)
 	}
 	b.Record(false)
-	if b.current() != Open {
-		t.Fatalf("state = %v, want Open", b.current())
+	if b.State() != Open {
+		t.Fatalf("state = %v, want Open", b.State())
 	}
 	if err := b.Allow(); !errors.Is(err, ErrOpen) {
 		t.Fatalf("Allow while open = %v, want ErrOpen", err)
@@ -78,8 +78,8 @@ func TestBreakerLifecycle(t *testing.T) {
 	if err := b.Allow(); err != nil {
 		t.Fatalf("probe denied: %v", err)
 	}
-	if b.current() != HalfOpen {
-		t.Fatalf("state = %v, want HalfOpen", b.current())
+	if b.State() != HalfOpen {
+		t.Fatalf("state = %v, want HalfOpen", b.State())
 	}
 	if err := b.Allow(); !errors.Is(err, ErrOpen) {
 		t.Fatal("second half-open caller admitted")
@@ -87,16 +87,16 @@ func TestBreakerLifecycle(t *testing.T) {
 
 	// Failed probe re-opens; successful probe after another cooldown closes.
 	b.Record(false)
-	if b.current() != Open {
-		t.Fatalf("state = %v after failed probe", b.current())
+	if b.State() != Open {
+		t.Fatalf("state = %v after failed probe", b.State())
 	}
 	now = now.Add(10 * time.Second)
 	if err := b.Allow(); err != nil {
 		t.Fatal(err)
 	}
 	b.Record(true)
-	if b.current() != Closed {
-		t.Fatalf("state = %v after successful probe", b.current())
+	if b.State() != Closed {
+		t.Fatalf("state = %v after successful probe", b.State())
 	}
 
 	want := []string{
@@ -119,7 +119,7 @@ func TestNilBreakerIsNoOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Record(false)
-	if b.current() != Closed {
+	if b.State() != Closed {
 		t.Fatal("nil breaker not closed")
 	}
 }

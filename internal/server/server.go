@@ -641,7 +641,7 @@ func WithTracer(t *trace.Tracer) Option {
 
 // WithHealth attaches a health tracker and mounts /healthz and /readyz on
 // the server's own mux. The caller owns the readiness lifecycle (recovery,
-// shutdown snapshot).
+// shutdown).
 func WithHealth(h *obs.Health) Option {
 	return func(s *Server) { s.health = h }
 }
@@ -699,16 +699,7 @@ func New(store *Store, opts ...Option) *Server {
 		handle(api.RouteClusterDrop, s.ingest(maxSliceBytes, s.handleClusterDrop))
 		handle(api.RouteClusterMembers, s.ingest(api.DefaultMaxBodyBytes, s.handleClusterMembers))
 	}
-	s.debug = http.NewServeMux()
-	if s.metrics.registry != nil {
-		obs.Mount(s.debug, s.metrics.registry)
-	}
-	if s.tracer != nil {
-		trace.Mount(s.debug, s.tracer.Store())
-	}
-	if s.health != nil {
-		obs.MountHealth(s.debug, s.health)
-	}
+	s.debug = obs.Debug(s.metrics.registry, s.tracer.Store(), s.health)
 	front.ServeDebug(s.mux, s.debug)
 	return s
 }
